@@ -120,7 +120,8 @@ def run_system(trace, service_model, system: str, seed: int) -> LatencySummary:
             )
         clients.append(
             Client(env, client_id=client_id, network=network,
-                   strategy=strategy, task_recorder=latencies)
+                   strategy=strategy,
+                   on_complete=lambda done: latencies.record(done.latency))
         )
 
     def feeder():

@@ -12,7 +12,7 @@ import typing as _t
 
 from ..cluster.client import DispatchStrategy
 from ..cluster.messages import RequestMessage, ResponseMessage
-from ..cluster.partitioner import Placement
+from ..placement import Placement
 from ..cluster.addresses import client_address, server_address
 from ..core.cost import CostModel
 from ..workload.calibration import ServiceTimeModel

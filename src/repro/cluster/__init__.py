@@ -10,9 +10,10 @@ from .faults import (
     NO_FAULTS,
     NetworkJitterFault,
     RebalanceFault,
+    SimFaultPort,
     SlowdownFault,
-    SlowdownInjector,
 )
+from ..placement import ConsistentHashRing, Placement, RingPlacement, stable_hash
 from .messages import (
     CongestionSignal,
     CreditGrant,
@@ -29,16 +30,11 @@ from .network import (
     Network,
     PAPER_ONE_WAY_LATENCY,
 )
-from .partitioner import (
-    ConsistentHashRing,
-    Placement,
-    RingPlacement,
-    stable_hash,
-)
 from .server import (
     BackendServer,
     CONTROLLER_ADDRESS,
     PullServer,
+    ServerState,
     client_address,
     server_address,
 )
@@ -74,8 +70,9 @@ __all__ = [
     "ResponseMessage",
     "RingPlacement",
     "ServerFeedback",
+    "ServerState",
+    "SimFaultPort",
     "SlowdownFault",
-    "SlowdownInjector",
     "TaskCompletion",
     "client_address",
     "server_address",

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import typing as _t
 
-from ..metrics.counters import MetricRegistry
 from ..workload.tasks import Task
 from .addresses import client_address
 from .messages import RequestMessage, ResponseMessage, TaskCompletion
@@ -57,14 +56,15 @@ class DispatchStrategy:
         """Default: no feedback needed."""
 
 
-class TaskRecorder(_t.Protocol):  # pragma: no cover - typing helper
-    """Anything that can absorb task completions (histograms, lists...)."""
-
-    def record(self, value: float) -> None: ...
-
-
 class Client:
-    """An application server issuing batched reads to the data store."""
+    """An application server issuing batched reads to the data store.
+
+    Observation leaves the client through exactly two hooks:
+    ``request_observer(request)`` once per accepted response (the request
+    carries its full timestamp trail by then) and
+    ``on_complete(completion)`` once per finished task.  Latency
+    recording, tracing and the metrics bus all subscribe there.
+    """
 
     def __init__(
         self,
@@ -72,9 +72,6 @@ class Client:
         client_id: int,
         network: "Transport",
         strategy: DispatchStrategy,
-        task_recorder: _t.Optional[TaskRecorder] = None,
-        request_recorder: _t.Optional[TaskRecorder] = None,
-        metrics: _t.Optional[MetricRegistry] = None,
         on_complete: _t.Optional[_t.Callable[[TaskCompletion], None]] = None,
         request_observer: _t.Optional[_t.Callable[[RequestMessage], None]] = None,
     ) -> None:
@@ -82,25 +79,12 @@ class Client:
         self.client_id = int(client_id)
         self.network = network
         self.strategy = strategy
-        self.task_recorder = task_recorder
-        self.request_recorder = request_recorder
         self.on_complete = on_complete
         self.request_observer = request_observer
-        self.metrics = metrics if metrics is not None else MetricRegistry()
         #: task_id -> (task, remaining responses)
         self._pending: _t.Dict[int, _t.Tuple[Task, int]] = {}
-        #: Completions observed (kept lightweight; full latency lists live
-        #: in the recorders).
         self.tasks_completed = 0
         self.tasks_submitted = 0
-        self.completions: _t.List[TaskCompletion] = []
-        self.keep_completions = False
-        # Metric handles resolved once; the registry memoizes by name, but
-        # the f-string + dict lookup per task was measurable on the hot path.
-        self._tasks_counter = self.metrics.counter(f"client.{self.client_id}.tasks")
-        self._completed_counter = self.metrics.counter(
-            f"client.{self.client_id}.completed"
-        )
         network.register(client_address(self.client_id), self.handle_message)
         strategy.bind(self)
 
@@ -119,7 +103,6 @@ class Client:
             request.created_at = self.env.now
         self._pending[task.task_id] = (task, len(requests))
         self.tasks_submitted += 1
-        self._tasks_counter.increment()
         self.strategy.dispatch(requests)
 
     # -- responses ---------------------------------------------------------------
@@ -144,10 +127,6 @@ class Client:
         if accepts is not None and not accepts(response):
             return
         self.strategy.on_response(response)
-        if self.request_recorder is not None:
-            # Request latency as the client sees it: creation to response
-            # arrival (both network directions + queueing + service).
-            self.request_recorder.record(self.env.now - request.created_at)
         if self.request_observer is not None:
             self.request_observer(request)
         entry = self._pending.get(request.task_id)
@@ -163,14 +142,8 @@ class Client:
             return
         del self._pending[request.task_id]
         self.tasks_completed += 1
-        completion = TaskCompletion(task=task, completed_at=self.env.now)
-        if self.task_recorder is not None:
-            self.task_recorder.record(completion.latency)
         if self.on_complete is not None:
-            self.on_complete(completion)
-        if self.keep_completions:
-            self.completions.append(completion)
-        self._completed_counter.increment()
+            self.on_complete(TaskCompletion(task=task, completed_at=self.env.now))
 
     @property
     def pending_tasks(self) -> int:

@@ -1,11 +1,9 @@
 """Fault injection: scripted schedules of typed fault events.
 
 Tail-latency papers live and die by stragglers, so the substrate can make
-them on demand.  The original substrate offered a single
-:class:`SlowdownInjector` (kept, unchanged, for direct use); experiments
-now describe faults declaratively as a :class:`FaultSchedule` -- an ordered
-script of typed, frozen fault events that may overlap and target several
-servers at once:
+them on demand.  Experiments describe faults declaratively as a
+:class:`FaultSchedule` -- an ordered script of typed, frozen fault events
+that may overlap and target several servers at once:
 
 * :class:`SlowdownFault` -- multiply the service times of one or more
   servers for a window (GC pause, background compaction, noisy neighbour).
@@ -29,14 +27,16 @@ servers at once:
   surviving replicas (consistent hashing moves only the affected groups)
   and newly-prepared requests route around them; the servers rejoin when
   the window closes.  Requires a
-  :class:`~repro.placement.MutablePlacement` (the runner and the live
-  driver wrap the config's placement in one).  Overlapping rebalances
-  compose: each window's exclusions stack on the base ring.
+  :class:`~repro.placement.MutablePlacement` (the run assembly wraps the
+  config's placement in one).  Overlapping rebalances compose: each
+  window's exclusions stack on the base ring.
 
 Every event supports a delayed ``start``, a ``duration`` (``inf`` makes the
 condition permanent -- heterogeneous clusters) and an optional ``period``
-for recurring windows.  A :class:`FaultInjector` executes a schedule
-against live servers and the network.
+for recurring windows.  One :class:`FaultInjector` executes a schedule in
+both realms; what differs between them -- how a server is slowed or
+crashed, how the network is degraded -- sits behind a :class:`FaultPort`
+(:class:`SimFaultPort` here, the admin-frame port in :mod:`repro.loadgen`).
 """
 
 from __future__ import annotations
@@ -45,12 +45,12 @@ import dataclasses
 import math
 import typing as _t
 
-from ..sim.engine import Environment
 from .network import JitteredLatency, Network
 
 if _t.TYPE_CHECKING:  # pragma: no cover
+    from ..core.clock import Clock
     from ..placement import MutablePlacement
-    from .server import _ServerBase
+    from .server import ServerState
 
 
 def _validate_window(
@@ -241,13 +241,8 @@ def fault_to_dict(event: FaultEvent) -> _t.Dict[str, _t.Any]:
         out[field.name] = value
     return out
 
-_EVENT_TYPES: _t.Tuple[type, ...] = (
-    SlowdownFault,
-    CrashFault,
-    NetworkJitterFault,
-    FlashCrowdFault,
-    RebalanceFault,
-)
+
+_EVENT_TYPES: _t.Tuple[type, ...] = _t.get_args(FaultEvent)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -298,7 +293,7 @@ def validate_rebalance_feasibility(
 ) -> None:
     """Fail fast on rebalance scripts that cannot execute.
 
-    Checked at injector construction (sim and live) so a bad schedule
+    Checked at injector construction so a bad schedule
     rejects before the run instead of crashing mid-window: every
     rebalance event needs a mutable placement, and each event must leave
     at least ``replication_factor`` live servers on its own.  Windows
@@ -322,35 +317,6 @@ def validate_rebalance_feasibility(
             )
 
 
-def drive_fault_windows(
-    clock: _t.Any,
-    event: FaultEvent,
-    apply: _t.Callable[[FaultEvent], None],
-    revert: _t.Callable[[FaultEvent], None],
-    on_window: _t.Callable[[FaultEvent], None],
-) -> _t.Generator:
-    """The window script one fault event follows, substrate-agnostic.
-
-    Delayed start, apply, (possibly infinite) hold, revert, optional
-    recurrence -- shared by the simulated :class:`FaultInjector` and the
-    live :class:`~repro.loadgen.LiveFaultDriver`, so sim and live windows
-    can never drift apart.  ``clock`` is anything with ``timeout``
-    (the :class:`~repro.core.clock.Clock` seam).
-    """
-    if event.start > 0:
-        yield clock.timeout(event.start)
-    while True:
-        apply(event)
-        on_window(event)
-        if math.isinf(event.duration):
-            return  # permanent condition, never reverted
-        yield clock.timeout(event.duration)
-        revert(event)
-        if event.period is None:
-            return
-        yield clock.timeout(event.period - event.duration)
-
-
 def windows_extras(windows: _t.Mapping[str, int]) -> _t.Dict[str, float]:
     """Audit counters, keyed ``<kind>_windows`` (dashes -> underscores)."""
     return {
@@ -359,32 +325,93 @@ def windows_extras(windows: _t.Mapping[str, int]) -> _t.Dict[str, float]:
     }
 
 
-class FaultInjector:
-    """Executes a :class:`FaultSchedule` against live servers and network.
+class FaultPort(_t.Protocol):  # pragma: no cover - typing helper
+    """The realm-specific verbs a :class:`FaultInjector` drives.
 
-    One simulation process per event drives its (possibly recurring)
-    windows.  Exposes ``windows`` counters per fault kind for the runner's
+    Everything else about a fault window -- timing, counting, nesting,
+    flash crowds, ring rebalances -- is realm-independent and lives in
+    the injector.  :class:`SimFaultPort` mutates simulated servers and
+    the modelled network; the live port
+    (:class:`repro.loadgen.driver.LiveFaultPort`) sends admin frames.
+    """
+
+    #: Size of the server id space (fault targets are validated against it).
+    n_servers: int
+
+    def slowdown(self, servers: _t.Sequence[int], factor: float) -> None: ...
+
+    def restore(self, servers: _t.Sequence[int], factor: float) -> None: ...
+
+    def crash(self, servers: _t.Sequence[int]) -> None: ...
+
+    def resume(self, servers: _t.Sequence[int]) -> None: ...
+
+    def jitter(self, event: NetworkJitterFault) -> None: ...
+
+    def clear_jitter(self) -> None: ...
+
+
+class SimFaultPort:
+    """Fault port over simulated servers and the modelled network."""
+
+    def __init__(
+        self, servers: _t.Sequence["ServerState"], network: Network
+    ) -> None:
+        self.servers = list(servers)
+        self.n_servers = len(self.servers)
+        self.network = network
+        self._base_latency = network.latency
+
+    def slowdown(self, servers: _t.Sequence[int], factor: float) -> None:
+        for server_id in servers:
+            self.servers[server_id].slowdown(factor)
+
+    def restore(self, servers: _t.Sequence[int], factor: float) -> None:
+        for server_id in servers:
+            self.servers[server_id].restore(factor)
+
+    def crash(self, servers: _t.Sequence[int]) -> None:
+        for server_id in servers:
+            self.servers[server_id].pause()
+
+    def resume(self, servers: _t.Sequence[int]) -> None:
+        for server_id in servers:
+            self.servers[server_id].resume()
+
+    def jitter(self, event: NetworkJitterFault) -> None:
+        # Ideal zero-latency rigs still get *some* degraded latency.
+        mean = max(self._base_latency.mean() * event.factor, 1e-6)
+        self.network.latency = JitteredLatency(
+            mean=mean, sigma=event.sigma, floor=min(10e-6, mean)
+        )
+
+    def clear_jitter(self) -> None:
+        self.network.latency = self._base_latency
+
+
+class FaultInjector:
+    """Executes a :class:`FaultSchedule` through a :class:`FaultPort`.
+
+    The one fault driver of both realms (``clock`` is the
+    :class:`~repro.core.clock.Clock` seam), so sim and live windows can
+    never drift apart.  :meth:`start` spawns
+    one clock process per event to drive its (possibly recurring)
+    windows.  Exposes ``windows`` counters per fault kind for the run's
     audit extras and :meth:`arrival_scale` for the workload feeder.
     """
 
     def __init__(
         self,
-        env: Environment,
+        clock: "Clock",
         schedule: FaultSchedule,
-        servers: _t.Sequence["_ServerBase"],
-        network: _t.Optional[Network] = None,
+        port: FaultPort,
         placement: _t.Optional["MutablePlacement"] = None,
     ) -> None:
-        schedule.validate_targets(len(servers))
-        if network is None and any(
-            isinstance(event, NetworkJitterFault) for event in schedule.events
-        ):
-            raise ValueError("network-jitter faults need a network to degrade")
+        schedule.validate_targets(port.n_servers)
         validate_rebalance_feasibility(schedule, placement)
-        self.env = env
+        self.clock = clock
         self.schedule = schedule
-        self.servers = list(servers)
-        self.network = network
+        self.port = port
         self.placement = placement
         #: Windows opened so far, per fault kind present in the schedule
         #: (kinds appear with count 0 until their first window opens).
@@ -393,11 +420,14 @@ class FaultInjector:
         }
         self._crowd_scale = 1.0
         self._jitter_depth = 0
-        self._base_latency = network.latency if network is not None else None
-        for index, event in enumerate(schedule.events):
-            env.process(
-                self._drive(event),
-                name=f"fault.{event.kind}.{index}",
+        #: Windows currently applied and not yet reverted (for reset()).
+        self._open: _t.List[FaultEvent] = []
+
+    def start(self) -> None:
+        """Spawn the per-event window processes (once, before the run)."""
+        for index, event in enumerate(self.schedule.events):
+            self.clock.process(
+                self._drive(event), name=f"fault.{event.kind}.{index}"
             )
 
     # -- feeder hook ----------------------------------------------------------
@@ -407,29 +437,41 @@ class FaultInjector:
 
     # -- window machinery -------------------------------------------------------
     def _drive(self, event: FaultEvent) -> _t.Generator:
-        return drive_fault_windows(
-            self.env, event, self._apply, self._revert, self._count_window
-        )
+        """Delayed start, apply, (possibly infinite) hold, revert, recur."""
+        if event.start > 0:
+            yield self.clock.timeout(event.start)
+        while True:
+            self._apply(event)
+            self._open.append(event)
+            self.windows[event.kind] += 1
+            if math.isinf(event.duration):
+                return  # permanent condition: only reset() reverts it
+            yield self.clock.timeout(event.duration)
+            self._open.remove(event)
+            self._revert(event)
+            if event.period is None:
+                return
+            yield self.clock.timeout(event.period - event.duration)
 
-    def _count_window(self, event: FaultEvent) -> None:
-        self.windows[event.kind] = self.windows.get(event.kind, 0) + 1
+    def reset(self) -> None:
+        """Revert every still-open window, latest first (run teardown).
+
+        A run can end -- normally or by timeout -- mid-window; without
+        this, a throttled or crashed live worker would stay degraded for
+        the next run against the same server.  Call after the window
+        processes have been cancelled, so no window re-opens afterwards.
+        """
+        while self._open:
+            self._revert(self._open.pop())
 
     def _apply(self, event: FaultEvent) -> None:
         if isinstance(event, SlowdownFault):
-            for server_id in event.servers:
-                self.servers[server_id].speed_factor *= event.factor
+            self.port.slowdown(event.servers, event.factor)
         elif isinstance(event, CrashFault):
-            for server_id in event.servers:
-                self.servers[server_id].pause()
+            self.port.crash(event.servers)
         elif isinstance(event, NetworkJitterFault):
-            assert self.network is not None  # enforced at construction
             self._jitter_depth += 1
-            assert self._base_latency is not None
-            # Ideal zero-latency rigs still get *some* degraded latency.
-            mean = max(self._base_latency.mean() * event.factor, 1e-6)
-            self.network.latency = JitteredLatency(
-                mean=mean, sigma=event.sigma, floor=min(10e-6, mean)
-            )
+            self.port.jitter(event)  # overlapping windows: latest onset wins
         elif isinstance(event, FlashCrowdFault):
             self._crowd_scale *= event.multiplier
         elif isinstance(event, RebalanceFault):
@@ -438,16 +480,13 @@ class FaultInjector:
 
     def _revert(self, event: FaultEvent) -> None:
         if isinstance(event, SlowdownFault):
-            for server_id in event.servers:
-                self.servers[server_id].speed_factor /= event.factor
+            self.port.restore(event.servers, event.factor)
         elif isinstance(event, CrashFault):
-            for server_id in event.servers:
-                self.servers[server_id].resume()
+            self.port.resume(event.servers)
         elif isinstance(event, NetworkJitterFault):
             self._jitter_depth -= 1
-            if self._jitter_depth == 0 and self.network is not None:
-                assert self._base_latency is not None
-                self.network.latency = self._base_latency
+            if self._jitter_depth == 0:
+                self.port.clear_jitter()
         elif isinstance(event, FlashCrowdFault):
             self._crowd_scale /= event.multiplier
         elif isinstance(event, RebalanceFault):
@@ -456,66 +495,5 @@ class FaultInjector:
 
     # -- reporting ---------------------------------------------------------------
     def extras(self) -> _t.Dict[str, float]:
-        """Audit counters for the runner (see :func:`windows_extras`)."""
+        """Audit counters for the run (see :func:`windows_extras`)."""
         return windows_extras(self.windows)
-
-
-class SlowdownInjector:
-    """Periodically degrades a server's service rate (legacy single fault).
-
-    Retained for direct, imperative use in tests and small rigs; scripted
-    experiments should prefer a :class:`FaultSchedule` with one
-    :class:`SlowdownFault`.
-
-    Parameters
-    ----------
-    server:
-        Any server built on ``_ServerBase`` (queue or pull mode).
-    factor:
-        Service-time multiplier while degraded (3.0 = 3x slower).
-    start:
-        First degradation onset (virtual seconds).
-    duration:
-        Length of each degraded window.
-    period:
-        Onset-to-onset spacing for recurring slowdowns; ``None`` injects a
-        single window.
-    """
-
-    def __init__(
-        self,
-        env: Environment,
-        server: "_ServerBase",
-        factor: float = 3.0,
-        start: float = 0.0,
-        duration: float = 1.0,
-        period: _t.Optional[float] = None,
-    ) -> None:
-        if factor <= 1.0:
-            raise ValueError("slowdown factor must exceed 1")
-        if duration <= 0:
-            raise ValueError("duration must be positive")
-        if start < 0:
-            raise ValueError("start must be non-negative")
-        if period is not None and period <= duration:
-            raise ValueError("period must exceed duration")
-        self.env = env
-        self.server = server
-        self.factor = float(factor)
-        self.start = float(start)
-        self.duration = float(duration)
-        self.period = period
-        self.windows_injected = 0
-        env.process(self._run(), name=f"slowdown.server{server.server_id}")
-
-    def _run(self) -> _t.Generator:
-        if self.start > 0:
-            yield self.env.timeout(self.start)
-        while True:
-            self.server.speed_factor = self.factor
-            self.windows_injected += 1
-            yield self.env.timeout(self.duration)
-            self.server.speed_factor = 1.0
-            if self.period is None:
-                return
-            yield self.env.timeout(self.period - self.duration)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import typing as _t
 
-from ..metrics.counters import MetricRegistry
 from ..sim.engine import Environment
 from ..sim.rng import Stream
 
@@ -91,16 +90,14 @@ class Network:
         env: Environment,
         latency: _t.Optional[LatencyModel] = None,
         stream: _t.Optional[Stream] = None,
-        metrics: _t.Optional[MetricRegistry] = None,
     ) -> None:
         self.env = env
         self.latency = latency if latency is not None else ConstantLatency()
         self.stream = stream if stream is not None else Stream(0, "network")
-        self.metrics = metrics if metrics is not None else MetricRegistry()
         self._handlers: _t.Dict[_t.Hashable, Handler] = {}
         self._last_delivery: _t.Dict[_t.Tuple[_t.Hashable, _t.Hashable], float] = {}
-        # Resolved once: send() runs per message, the name lookup doesn't.
-        self._messages_counter = self.metrics.counter("network.messages")
+        #: Messages accepted by :meth:`send` so far.
+        self.messages_sent = 0
 
     def register(self, address: _t.Hashable, handler: Handler) -> None:
         """Bind ``handler`` to ``address`` (one handler per address)."""
@@ -122,7 +119,7 @@ class Network:
         if floor is not None and deliver_at < floor:
             deliver_at = floor  # FIFO per pair
         self._last_delivery[pair] = deliver_at
-        self._messages_counter.increment()
+        self.messages_sent += 1
         # Fast path: a bare-callback calendar entry instead of a Timeout
         # event plus a closure -- delivery is fire-and-forget, nothing
         # yields on it.  Occupies the same (time, priority, sequence)
@@ -132,10 +129,3 @@ class Network:
         # rejected by call_at exactly as the Timeout would have been.
         self.env.call_at(deliver_at, handler, message)
         return deliver_at
-
-    def broadcast(
-        self, src: _t.Hashable, dsts: _t.Iterable[_t.Hashable], message: _t.Any
-    ) -> None:
-        """Send the same message to several destinations."""
-        for dst in dsts:
-            self.send(src, dst, message)

@@ -1,9 +1,10 @@
 """SLO-driven self-healing: the remediation driver and its levers.
 
-Mirrors the fault-driver split: :class:`~repro.cluster.faults.FaultInjector`
-*causes* trouble on a schedule; :class:`RemediationDriver` *reacts* to it
-through the streamed metrics bus.  Both realms wire the same driver -- the
-simulation ticks it via ``Environment.call_every``, the live load
+The counterpart of :class:`~repro.cluster.faults.FaultInjector`, which
+*causes* trouble on a schedule: :class:`RemediationDriver` *reacts* to it
+through the streamed metrics bus.  Like the injector it is one class for
+both realms (:class:`~repro.harness.runner.RunAssembly` builds both) --
+the simulation ticks it via ``Environment.call_every``, the live load
 generator via a wall-clock process -- so remediation behavior is defined
 once, against the :class:`~repro.metrics.bus.BusSnapshot` schema, not per
 substrate.
@@ -243,11 +244,10 @@ def build_remediation(
 ) -> _t.Optional["RemediationDriver"]:
     """Assemble the driver a config asks for (``None`` when ``off``).
 
-    Called identically by the simulated runner and the live driver:
-    ``shared`` is the builder's shared-machinery dict (the credits
-    controller lives there), ``strategies`` the per-client dispatch
-    strategies (hedged ones become levers), ``queue_depths`` the
-    substrate's view of per-server backlog.
+    Called by the run assembly for both realms: ``shared`` is the
+    builder's shared-machinery dict (the credits controller lives there),
+    ``strategies`` the per-client dispatch strategies (hedged ones become
+    levers), ``queue_depths`` the substrate's view of per-server backlog.
     """
     mode = config.remediation
     if mode == "off":
@@ -324,17 +324,6 @@ class RemediationDriver:
 
     def observe_completion(self, latency: float) -> None:
         self.sampler.observe_completion(self.clock.now, latency)
-
-    def wrap_on_complete(
-        self, inner: _t.Callable[[_t.Any], None]
-    ) -> _t.Callable[[_t.Any], None]:
-        """Chain completion recording in front of the tracker callback."""
-
-        def chained(completion: _t.Any) -> None:
-            self.observe_completion(completion.latency)
-            inner(completion)
-
-        return chained
 
     # -- the tick -----------------------------------------------------------
     def tick(self, _arg: _t.Any = None) -> BusSnapshot:

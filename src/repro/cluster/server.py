@@ -11,14 +11,15 @@ Two execution models, matching the paper's two realizations:
 
 Both use the same service-time model (value-size dependent, calibrated to
 the paper's 3500 req/s/core) and piggyback queue feedback on responses for
-C3's replica ranking.
+C3's replica ranking.  Everything about a server that does not depend on
+*how* time passes is :class:`ServerState`, which the live realm's
+:class:`~repro.serve.workers.LiveWorker` inherits too.
 """
 
 from __future__ import annotations
 
 import typing as _t
 
-from ..metrics.counters import MetricRegistry
 from ..metrics.timeseries import EwmaEstimator, WindowedRate
 from ..sim.engine import Environment
 from ..sim.rng import Stream
@@ -37,86 +38,78 @@ from .network import Network
 __all__ = [
     "BackendServer",
     "PullServer",
+    "ServerState",
     "CONTROLLER_ADDRESS",
     "client_address",
-    "congestion_ratio",
     "server_address",
 ]
 
 
-def congestion_ratio(
-    offered_rate: float, queue_length: int, capacity: float, interval: float
-) -> float:
-    """The congestion monitor's overload measure, shared by sim and live.
+class ServerState:
+    """What one backend server *is*, in either realm.
 
-    Backlog counts as offered work too -- a deep queue with modest
-    arrivals is still congestion -- so the queue is converted to a rate
-    over the monitoring interval and added to the measured arrival rate.
+    Fault state (slowdown factor, nested crash windows), service
+    accounting (in-service/completed/busy time, the service-time EWMA),
+    the arrival-rate tracker, the capacity estimate, the piggybacked
+    feedback and the congestion check.  The simulated servers below and
+    the live :class:`~repro.serve.workers.LiveWorker` inherit it and add
+    only their execution engine (process-per-core vs a due-heap pump), so
+    the two realms cannot disagree about any of it.  Plain attributes on
+    purpose: the engines read them on their hot paths.
     """
-    backlog_rate = queue_length / interval
-    if capacity <= 0:
-        return float("inf")
-    return (offered_rate + backlog_rate) / capacity
-
-
-class _ServerBase:
-    """Shared machinery: service execution, feedback, instrumentation."""
 
     def __init__(
         self,
-        env: Environment,
         server_id: int,
         cores: int,
         service_model: ServiceTimeModel,
-        network: Network,
         service_stream: Stream,
-        metrics: _t.Optional[MetricRegistry] = None,
-        ewma_time_constant: float = 0.1,
     ) -> None:
         if cores <= 0:
             raise ValueError("cores must be positive")
-        self.env = env
         self.server_id = int(server_id)
         self.cores = int(cores)
         self.service_model = service_model
-        self.network = network
         self.service_stream = service_stream
-        self.metrics = metrics if metrics is not None else MetricRegistry()
         self.in_service = 0
         self.completed = 0
+        #: Cumulative busy core-time (model seconds).
         self.busy_time = 0.0
-        #: Service-time multiplier; >1 while a fault injector degrades us.
+        #: Service-time multiplier; >1 while a fault degrades us.
         self.speed_factor = 1.0
         #: Crash/restart windows survived so far.
         self.crashes = 0
         #: Open crash windows (overlapping crash faults nest).
         self._pause_depth = 0
-        #: Resume event while paused (crashed); ``None`` when healthy.
-        self._resume: _t.Optional[_t.Any] = None
-        self._ewma_service = EwmaEstimator(ewma_time_constant, initial=0.0)
+        #: Server-measured service-time EWMA (100 ms time constant).
+        self._ewma_service = EwmaEstimator(0.1, initial=0.0)
         #: Arrival-rate tracker for congestion detection (credits strategy).
         self.arrival_rate = WindowedRate(window=0.1)
-        # Per-request metric handles, resolved once instead of via an
-        # f-string + registry lookup on every enqueue/completion.
-        self._completed_counter = self.metrics.counter(
-            f"server.{self.server_id}.completed"
-        )
-        self._enqueued_counter = self.metrics.counter(
-            f"server.{self.server_id}.enqueued"
-        )
-        self._depth_gauge = self.metrics.gauge(
-            f"server.{self.server_id}.queue_depth"
-        )
 
-    # -- to be provided by subclasses ---------------------------------------
+    # -- to be provided by the engines -----------------------------------------
     def queue_length(self) -> int:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    # -- crash/restart ---------------------------------------------------------
+    def _restarted(self) -> None:
+        """Engine hook: the last open crash window just closed."""
+
+    # -- faults ----------------------------------------------------------------
+    def slowdown(self, factor: float) -> None:
+        """Multiply service times; overlapping slowdowns stack."""
+        if factor <= 0:
+            raise ValueError("slowdown factor must be positive")
+        self.speed_factor *= factor
+
+    def restore(self, factor: float) -> None:
+        """Undo one :meth:`slowdown` of the same ``factor``."""
+        if factor <= 0:
+            raise ValueError("restore factor must be positive")
+        self.speed_factor /= factor
+
     @property
     def paused(self) -> bool:
         """True while a crash fault holds the server down."""
-        return self._resume is not None
+        return self._pause_depth > 0
 
     def pause(self) -> None:
         """Crash: cores stop starting new requests; queued work survives.
@@ -129,28 +122,81 @@ class _ServerBase:
         """
         self._pause_depth += 1
         self.crashes += 1
-        if self._resume is None:
-            self._resume = self.env.event()
 
     def resume(self) -> None:
-        """Restart after a crash: cores pick the retained queue back up."""
+        """Restart after a crash (a no-op when no window is open)."""
         if self._pause_depth == 0:
             return
         self._pause_depth -= 1
-        if self._pause_depth == 0 and self._resume is not None:
-            event = self._resume
-            self._resume = None
-            event.succeed(None)
+        if self._pause_depth == 0:
+            self._restarted()
 
-    # -- service path ---------------------------------------------------------
-    def feedback(self) -> ServerFeedback:
-        """Current queue state, piggybacked on responses (C3 input)."""
-        return ServerFeedback(
-            server_id=self.server_id,
-            queue_length=self.queue_length(),
-            in_service=self.in_service,
-            ewma_service_time=self._ewma_service.value,
-        )
+    # -- service accounting ------------------------------------------------------
+    def finish(self, now: float, duration: float) -> None:
+        """Account one request leaving its core after ``duration`` seconds."""
+        self.in_service -= 1
+        self.completed += 1
+        self.busy_time += duration
+        self._ewma_service.update(now, duration)
+
+    def feedback(self) -> _t.Tuple[int, int, float]:
+        """``(queued, in service, service-time EWMA)``, piggybacked on every
+        response (C3 input): the sim wraps it in a
+        :class:`~repro.cluster.messages.ServerFeedback`, the live server
+        packs it on the wire."""
+        return (self.queue_length(), self.in_service, self._ewma_service.value)
+
+    def capacity(self) -> float:
+        """Estimated requests/second (model time) sustained by all cores."""
+        mean = self._ewma_service.value
+        if mean <= 0:
+            # No observations yet: fall back to the calibrated model with a
+            # nominal 1 KiB value.
+            mean = self.service_model.expected_time(1024)
+        return self.cores / mean
+
+    def overloaded(
+        self, now: float, interval: float, threshold: float
+    ) -> _t.Optional[float]:
+        """The congestion check: the overload ratio if above ``threshold``.
+
+        Backlog counts as offered work too -- a deep queue with modest
+        arrivals is still congestion -- so the queue is converted to a
+        rate over the monitoring interval and added to the measured
+        arrival rate before comparing against capacity.
+        """
+        offered = self.arrival_rate.rate(now) + self.queue_length() / interval
+        capacity = self.capacity()
+        ratio = offered / capacity if capacity > 0 else float("inf")
+        return ratio if ratio > threshold else None
+
+
+class _ServerBase(ServerState):
+    """The simulated engine's shared half: one process per core."""
+
+    def __init__(
+        self,
+        env: Environment,
+        server_id: int,
+        cores: int,
+        service_model: ServiceTimeModel,
+        network: Network,
+        service_stream: Stream,
+    ) -> None:
+        super().__init__(server_id, cores, service_model, service_stream)
+        self.env = env
+        self.network = network
+        #: Resume event while paused (crashed); ``None`` when healthy.
+        self._resume: _t.Optional[_t.Any] = None
+
+    def pause(self) -> None:
+        super().pause()
+        if self._resume is None:
+            self._resume = self.env.event()
+
+    def _restarted(self) -> None:
+        event, self._resume = self._resume, None
+        event.succeed(None)
 
     def _serve(self, request: RequestMessage) -> _t.Generator:
         """Execute one request on the calling core and send the response."""
@@ -159,13 +205,12 @@ class _ServerBase:
             request.op.value_size, self.service_stream
         )
         yield self.env.timeout(duration)
-        request.completed_at = self.env.now
-        self.in_service -= 1
-        self.completed += 1
-        self.busy_time += duration
-        self._ewma_service.update(self.env.now, duration)
-        self._completed_counter.increment()
-        response = ResponseMessage(request=request, feedback=self.feedback())
+        request.completed_at = now = self.env.now
+        self.finish(now, duration)
+        response = ResponseMessage(
+            request=request,
+            feedback=ServerFeedback(self.server_id, *self.feedback()),
+        )
         self.network.send(
             server_address(self.server_id),
             client_address(request.client_id),
@@ -178,15 +223,6 @@ class _ServerBase:
         if self.env.now <= 0:
             return 0.0
         return self.busy_time / (self.env.now * self.cores)
-
-    def capacity(self) -> float:
-        """Estimated requests/second this server sustains (all cores)."""
-        mean = self._ewma_service.value
-        if mean <= 0:
-            # No observations yet: fall back to the calibrated model with a
-            # nominal 1 KiB value.
-            mean = self.service_model.expected_time(1024)
-        return self.cores / mean
 
 
 class BackendServer(_ServerBase):
@@ -210,12 +246,11 @@ class BackendServer(_ServerBase):
         network: Network,
         service_stream: Stream,
         discipline: _t.Optional[Discipline] = None,
-        metrics: _t.Optional[MetricRegistry] = None,
         congestion_interval: _t.Optional[float] = None,
         congestion_threshold: float = 1.3,
     ) -> None:
         super().__init__(
-            env, server_id, cores, service_model, network, service_stream, metrics
+            env, server_id, cores, service_model, network, service_stream
         )
         self.discipline = discipline if discipline is not None else FifoDiscipline()
         self._store = PriorityStore(env)
@@ -239,10 +274,8 @@ class BackendServer(_ServerBase):
         now = self.env.now
         message.enqueued_at = now
         self.arrival_rate.record(now)
-        self._enqueued_counter.increment()
         key = self.discipline.key(message, now)
         self._store.put(PriorityItem(key, message))
-        self._depth_gauge.set(len(self._store))
 
     def queue_length(self) -> int:
         return len(self._store)
@@ -261,13 +294,10 @@ class BackendServer(_ServerBase):
         interval = _t.cast(float, self.congestion_interval)
         while True:
             yield self.env.timeout(interval)
-            ratio = congestion_ratio(
-                self.arrival_rate.rate(self.env.now),
-                self.queue_length(),
-                self.capacity(),
-                interval,
+            ratio = self.overloaded(
+                self.env.now, interval, self.congestion_threshold
             )
-            if ratio > self.congestion_threshold:
+            if ratio is not None:
                 self.congestion_signals_sent += 1
                 self.network.send(
                     server_address(self.server_id),
@@ -300,10 +330,9 @@ class PullServer(_ServerBase):
         service_stream: Stream,
         global_queue: PriorityFilterStore,
         partitions: _t.Iterable[int],
-        metrics: _t.Optional[MetricRegistry] = None,
     ) -> None:
         super().__init__(
-            env, server_id, cores, service_model, network, service_stream, metrics
+            env, server_id, cores, service_model, network, service_stream
         )
         self.global_queue = global_queue
         self.partitions = frozenset(partitions)

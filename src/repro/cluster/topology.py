@@ -10,8 +10,8 @@ from __future__ import annotations
 import dataclasses
 import typing as _t
 
+from ..placement import ConsistentHashRing, Placement, RingPlacement
 from .network import ConstantLatency, JitteredLatency, LatencyModel, PAPER_ONE_WAY_LATENCY
-from .partitioner import ConsistentHashRing, Placement, RingPlacement
 
 
 @dataclasses.dataclass(frozen=True)

@@ -25,7 +25,7 @@ import typing as _t
 from ..baselines.selectors import LeastOutstandingBytesSelector
 from ..cluster.client import DispatchStrategy
 from ..cluster.messages import CreditGrant, RequestMessage, ResponseMessage
-from ..cluster.partitioner import Placement
+from ..placement import Placement
 from ..workload.calibration import ServiceTimeModel
 from ..workload.tasks import Task
 from .cost import CostModel, bottleneck, split_task

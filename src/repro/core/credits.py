@@ -32,7 +32,6 @@ from ..cluster.messages import (
     DemandReport,
     RequestMessage,
 )
-from ..metrics.counters import MetricRegistry
 from .clock import Clock, Transport
 
 #: The paper's congestion-adaptation interval ("adapted ... at 1s intervals").
@@ -79,7 +78,6 @@ class CreditsController:
         recovery: float = 1.1,
         headroom: float = 1.0,
         min_scale: float = 0.5,
-        metrics: _t.Optional[MetricRegistry] = None,
     ) -> None:
         if n_clients <= 0:
             raise ValueError("n_clients must be positive")
@@ -103,7 +101,6 @@ class CreditsController:
         self.recovery = float(recovery)
         self.headroom = float(headroom)
         self.min_scale = float(min_scale)
-        self.metrics = metrics if metrics is not None else MetricRegistry()
         #: Per-server budget scale, adapted by congestion signals.
         self.scales: _t.Dict[int, float] = {s: 1.0 for s in server_capacities}
         #: Demand accumulated this epoch: client -> server -> requests.
@@ -162,7 +159,6 @@ class CreditsController:
         elif isinstance(message, CongestionSignal):
             self._congested.add(message.server_id)
             self.congestion_signals += 1
-            self.metrics.counter("controller.congestion_signals").increment()
         else:
             raise TypeError(f"controller got unexpected message {message!r}")
 

@@ -30,7 +30,7 @@ from .results import (
     compare_strategies,
     validate_summary_dict,
 )
-from .runner import RunResult, run_experiment, run_seeds
+from .runner import RunAssembly, RunResult, run_experiment, run_seeds
 from .sweep import SweepResult, sweep
 
 __all__ = [
@@ -44,6 +44,7 @@ __all__ = [
     "KNOWN_STRATEGIES",
     "ProcessExecutor",
     "ResultCache",
+    "RunAssembly",
     "RunJob",
     "RunResult",
     "SerialExecutor",

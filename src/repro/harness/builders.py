@@ -35,14 +35,13 @@ from ..baselines.hedging import HedgedStrategy
 from ..baselines.selectors import make_selector
 from ..baselines.strategies import ObliviousStrategy
 from ..cluster.client import Client, DispatchStrategy
-from ..cluster.partitioner import Placement
 from ..cluster.server import BackendServer, PullServer
 from ..core.brb_client import BRBCreditsStrategy, BRBModelStrategy
 from ..core.clock import Clock, Transport
 from ..core.credits import CreditGate, CreditsController, equal_initial_shares
 from ..core.model_queue import GlobalQueue
 from ..core.priorities import make_assigner
-from ..metrics.counters import MetricRegistry
+from ..placement import Placement
 from ..scheduling.disciplines import (
     Discipline,
     EdfDiscipline,
@@ -81,7 +80,6 @@ class ClusterContext:
     placement: Placement
     service_model: ServiceTimeModel
     streams: StreamFactory
-    metrics: MetricRegistry
     shared: _t.Dict[str, _t.Any] = dataclasses.field(default_factory=dict)
 
     def candidate_replicas(self, key: int) -> _t.Tuple[int, ...]:
@@ -140,7 +138,6 @@ class StrategyBuilder:
             network=ctx.network,
             service_stream=ctx.streams.stream(f"service.{server_id}"),
             discipline=self.server_discipline(ctx),
-            metrics=ctx.metrics,
             congestion_interval=self.congestion_interval(ctx),
         )
 
@@ -324,7 +321,6 @@ class CreditsBuilder(StrategyBuilder):
             server_capacities=ctx.config.cluster.server_capacities(),
             epoch=ctx.config.credits_epoch,
             allocation_interval=ctx.config.credits_measurement_interval,
-            metrics=ctx.metrics,
         )
         ctx.shared["gates"] = []
 
@@ -406,7 +402,6 @@ class ModelBuilder(StrategyBuilder):
             service_stream=ctx.streams.stream(f"service.{server_id}"),
             global_queue=ctx.shared["global_queue"].store,
             partitions=ctx.placement.partitions_of_server(server_id),
-            metrics=ctx.metrics,
         )
 
     def collect_extras(self, ctx, clients, servers):

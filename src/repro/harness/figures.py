@@ -19,7 +19,7 @@ from ..baselines.selectors import RoundRobinSelector
 from ..baselines.strategies import ObliviousStrategy
 from ..cluster.client import Client
 from ..cluster.network import ConstantLatency, Network
-from ..cluster.partitioner import ExplicitPlacement
+from ..placement import ExplicitPlacement
 from ..cluster.server import BackendServer, PullServer
 from ..core.brb_client import BRBModelStrategy
 from ..core.model_queue import GlobalQueue
@@ -95,64 +95,59 @@ def figure1_toy(task_aware: bool, assigner_name: str = "unifincr") -> Figure1Res
     streams = StreamFactory(0)
     completions: _t.Dict[int, float] = {}
 
-    def make_on_complete() -> _t.Callable[[_t.Any], None]:
-        def _on_complete(completion: _t.Any) -> None:
-            completions[completion.task.task_id] = completion.completed_at
+    def on_complete(completion: _t.Any) -> None:
+        completions[completion.task.task_id] = completion.completed_at
 
-        return _on_complete
-
+    # The two schedules differ only in the server engine and the client
+    # strategy; the rig around them is one.
     if task_aware:
         global_queue = GlobalQueue(
             env, latency=ConstantLatency(0.0), stream=streams.stream("gq")
         )
-        for server_id in range(3):
-            PullServer(
-                env,
-                server_id=server_id,
-                cores=1,
-                service_model=service_model,
-                network=network,
-                service_stream=streams.stream(f"svc.{server_id}"),
+
+        def make_server(server_id: int, **common: _t.Any) -> _t.Any:
+            return PullServer(
                 global_queue=global_queue.store,
                 partitions=placement.partitions_of_server(server_id),
-            )
-        clients = [
-            Client(
-                env,
-                client_id=i,
-                network=network,
-                strategy=BRBModelStrategy(
-                    placement,
-                    make_assigner(assigner_name),
-                    service_model,
-                    global_queue=global_queue,
-                ),
-                on_complete=make_on_complete(),
-            )
-            for i in range(2)
-        ]
-    else:
-        for server_id in range(3):
-            BackendServer(
-                env,
                 server_id=server_id,
-                cores=1,
-                service_model=service_model,
-                network=network,
-                service_stream=streams.stream(f"svc.{server_id}"),
+                **common,
             )
-        clients = [
-            Client(
-                env,
-                client_id=i,
-                network=network,
-                strategy=ObliviousStrategy(
-                    placement, RoundRobinSelector(), service_model
-                ),
-                on_complete=make_on_complete(),
+
+        def make_strategy() -> _t.Any:
+            return BRBModelStrategy(
+                placement,
+                make_assigner(assigner_name),
+                service_model,
+                global_queue=global_queue,
             )
-            for i in range(2)
-        ]
+
+    else:
+
+        def make_server(server_id: int, **common: _t.Any) -> _t.Any:
+            return BackendServer(server_id=server_id, **common)
+
+        def make_strategy() -> _t.Any:
+            return ObliviousStrategy(placement, RoundRobinSelector(), service_model)
+
+    for server_id in range(3):
+        make_server(
+            server_id,
+            env=env,
+            cores=1,
+            service_model=service_model,
+            network=network,
+            service_stream=streams.stream(f"svc.{server_id}"),
+        )
+    clients = [
+        Client(
+            env,
+            client_id=i,
+            network=network,
+            strategy=make_strategy(),
+            on_complete=on_complete,
+        )
+        for i in range(2)
+    ]
 
     def feeder() -> _t.Generator:
         # T1 is submitted before T2 at the same instant, exactly as the

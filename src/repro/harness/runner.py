@@ -1,12 +1,16 @@
 """Experiment runner: build a cluster for a strategy, feed it, measure it.
 
 This is the integration point of the whole library: given an
-:class:`~repro.harness.config.ExperimentConfig` and a seed it assembles
-the simulation (workload, placement, network, servers, clients) by
+:class:`~repro.harness.config.ExperimentConfig` and a seed,
+:class:`RunAssembly` assembles the run (workload, placement, clients,
+fault script, remediation, tracing) over a clock/transport pair by
 resolving the config's strategy through the builder registry
-(:mod:`repro.harness.builders`), runs the config's fault schedule, replays
-the workload and returns a :class:`RunResult` with warmup-filtered task
-latencies and audit counters.
+(:mod:`repro.harness.builders`).  :func:`run_experiment` binds it to the
+simulation's virtual time, the live load generator
+(:func:`repro.loadgen.driver.run_live`) binds the *same* assembly to a
+wall clock and a TCP transport; either way the workload is replayed and a
+:class:`RunResult` with warmup-filtered task latencies and audit counters
+comes out.
 
 The runner itself is strategy-agnostic: it never inspects the strategy
 name.  Everything strategy-specific -- shared machinery, per-client
@@ -21,16 +25,16 @@ import hashlib
 import typing as _t
 
 from ..cluster.client import Client
-from ..cluster.faults import FaultInjector
+from ..cluster.faults import FaultInjector, FaultPort, SimFaultPort
 from ..cluster.messages import TaskCompletion
-from ..cluster.remediation import RemediationDriver, build_remediation
 from ..cluster.network import Network
-from ..metrics.counters import MetricRegistry
+from ..cluster.remediation import RemediationDriver, build_remediation
 from ..metrics.reservoir import ExactSample
 from ..metrics.summary import DEFAULT_PERCENTILES, LatencySummary
 from ..placement import MutablePlacement
 from ..sim.engine import Environment
 from ..sim.rng import StreamFactory
+from ..workload.tasks import Task
 from .builders import ClusterContext, get_builder
 from .config import ExperimentConfig
 
@@ -104,19 +108,26 @@ class RunResult:
         }
 
 
-class _CompletionTracker:
-    """Counts completions, applies warmup filtering, fires the done event."""
+class CompletionTracker:
+    """Counts completions, applies warmup filtering, signals "all done".
+
+    ``on_done`` is the realm's completion signal (``env.event().succeed``
+    in the simulation, ``asyncio.Event.set`` live); the tracker itself
+    only reads the clock.
+    """
 
     def __init__(
         self,
-        env: Environment,
+        clock: "Clock",
         n_tasks: int,
         warmup_tasks: int,
         record_requests: bool,
+        on_done: _t.Callable[[], _t.Any],
     ) -> None:
-        self.env = env
+        self.clock = clock
         self.n_tasks = n_tasks
         self.warmup_tasks = warmup_tasks
+        self.on_done = on_done
         self.task_latencies = ExactSample()
         self.request_latencies = ExactSample() if record_requests else None
         self.queue_waits = ExactSample() if record_requests else None
@@ -124,30 +135,31 @@ class _CompletionTracker:
         self.client_waits = ExactSample() if record_requests else None
         self.completed = 0
         self.measured = 0
-        self.done = env.event()
+        #: Model time of the latest task completion (the run's duration
+        #: once every task is in).
+        self.last_completion_at = 0.0
 
     def on_complete(self, completion: TaskCompletion) -> None:
         self.completed += 1
+        self.last_completion_at = completion.completed_at
         if completion.task.task_id >= self.warmup_tasks:
             self.measured += 1
             self.task_latencies.record(completion.latency)
         if self.completed == self.n_tasks:
-            self.done.succeed(self.env.now)
-
-    def record(self, value: float) -> None:
-        """Request-latency recorder interface (warmup not task-scoped)."""
-        if self.request_latencies is not None:
-            self.request_latencies.record(value)
+            self.on_done()
 
     def observe_request(self, request: _t.Any) -> None:
-        """Latency-anatomy hook: split the trail into queue wait + service.
+        """Latency-anatomy hook (only wired when requests are recorded).
 
-        Model-realization requests have no meaningful enqueue-to-start
-        separation from the client's perspective, but the timestamps are
-        filled identically, so the decomposition is uniform.
+        Request latency is what the client sees: creation to response
+        arrival (both network directions + queueing + service; warmup is
+        not task-scoped here).  The trail then splits into client wait,
+        queue wait and service.  Model-realization requests have no
+        meaningful enqueue-to-start separation from the client's
+        perspective, but the timestamps are filled identically, so the
+        decomposition is uniform.
         """
-        if self.queue_waits is None:
-            return
+        self.request_latencies.record(self.clock.now - request.created_at)
         if request.service_start_at >= 0 and request.enqueued_at >= 0:
             self.queue_waits.record(request.queue_wait)
         if request.completed_at >= 0 and request.service_start_at >= 0:
@@ -156,118 +168,222 @@ class _CompletionTracker:
             self.client_waits.record(request.dispatched_at - request.created_at)
 
 
+def _fan_out(
+    callbacks: _t.Sequence[_t.Callable[[_t.Any], None]]
+) -> _t.Optional[_t.Callable[[_t.Any], None]]:
+    """One callable for ``callbacks`` (itself when single, None when empty)."""
+    if len(callbacks) <= 1:
+        return callbacks[0] if callbacks else None
+
+    def fan_out(value: _t.Any) -> None:
+        for callback in callbacks:
+            callback(value)
+
+    return fan_out
+
+
+class RunAssembly:
+    """One (config, seed) run, minus whatever depends on how time passes.
+
+    Handed a clock and a transport (the :mod:`repro.core.clock` seam), it
+    resolves the strategy builder and assembles workload, mutable
+    placement, :class:`ClusterContext`, completion tracker, optional trace
+    recorder, the composed client hooks, shared machinery and the
+    strategy+client pairs; :meth:`arm` then adds the fault injector and
+    the remediation driver once the realm has something for them to act
+    on, and :meth:`result` folds everything into a :class:`RunResult`.
+    :func:`run_experiment` and :func:`repro.loadgen.driver.run_live` keep
+    only what is genuinely theirs: building/connecting servers, feeding
+    arrivals in virtual vs wall time, and waiting for ``on_done``.
+
+    Construction order matters for byte-identical determinism: shared
+    machinery, then clients (strategy before client), then the realm's
+    servers, then the fault script, then remediation.
+    """
+
+    def __init__(
+        self,
+        config: ExperimentConfig,
+        streams: StreamFactory,
+        clock: "Clock",
+        transport: "Transport",
+        on_done: _t.Callable[[], _t.Any],
+    ) -> None:
+        self.config = config
+        self.streams = streams
+        self.clock = clock
+        self.builder = get_builder(config.strategy)
+        self.workload = config.workload()
+        # The mutable wrapper is what lets RebalanceFault windows re-home
+        # partitions mid-run; with no rebalance events it is pure delegation.
+        self.placement = MutablePlacement(config.cluster.make_placement())
+        self.placement.validate()
+        self.ctx = ClusterContext(
+            config=config,
+            env=clock,
+            network=transport,
+            placement=self.placement,
+            service_model=self.workload.service_model,
+            streams=streams,
+        )
+        self.warmup_tasks = int(config.warmup_fraction * config.n_tasks)
+        self.tracker = CompletionTracker(
+            clock, config.n_tasks, self.warmup_tasks, config.record_requests, on_done
+        )
+        self.faults: _t.Optional[FaultInjector] = None
+        self.remediation: _t.Optional[RemediationDriver] = None
+
+        # Tracing rides the same two client hooks as latency recording: it
+        # adds no calendar events and draws from no RNG stream (sampling is
+        # a pure function of the task id), so schedules -- and therefore
+        # goldens -- are identical with or without it, and a live run
+        # samples the same tasks as its sim twin.  With sampling off no
+        # recorder exists at all.
+        self.recorder: _t.Optional["TraceRecorder"] = None
+        if config.trace_sample > 0.0:
+            from ..trace import TraceRecorder
+
+            self.recorder = TraceRecorder(
+                clock, config.trace_sample, self.warmup_tasks
+            )
+
+        on_complete: _t.List[_t.Callable[[_t.Any], None]] = []
+        request_observers: _t.List[_t.Callable[[_t.Any], None]] = []
+        if config.remediation != "off":
+            # The driver is assembled in arm(), after the strategies exist;
+            # completions only start arriving once the feeder runs.
+            on_complete.append(
+                lambda completion: self.remediation.observe_completion(
+                    completion.latency
+                )
+            )
+        if config.record_requests:
+            request_observers.append(self.tracker.observe_request)
+        if self.recorder is not None:
+            on_complete.append(self.recorder.on_complete)
+            request_observers.append(self.recorder.observe_request)
+        on_complete.append(self.tracker.on_complete)
+        completion_hook = _fan_out(on_complete)
+        request_hook = _fan_out(request_observers)
+
+        self.builder.build_shared(self.ctx)
+        self.strategies: _t.List[_t.Any] = []
+        self.clients: _t.List[Client] = []
+        for client_id in range(config.n_clients):
+            strategy = self.builder.build_client_strategy(self.ctx, client_id)
+            self.strategies.append(strategy)
+            self.clients.append(
+                Client(
+                    clock,
+                    client_id=client_id,
+                    network=transport,
+                    strategy=strategy,
+                    on_complete=completion_hook,
+                    request_observer=request_hook,
+                )
+            )
+
+    def arm(
+        self,
+        fault_port: FaultPort,
+        queue_depths: _t.Callable[[], _t.Sequence[float]],
+    ) -> None:
+        """Attach the realm's fault port and per-server backlog view.
+
+        Builds the (not yet started) fault injector, the remediation
+        driver the config asks for, and the task generator.  The realm
+        calls ``faults.start()`` and schedules the remediation tick itself
+        -- *when* those run is exactly what differs between realms.
+        """
+        self.faults = FaultInjector(
+            self.clock, self.config.faults(), fault_port, self.placement
+        )
+        self.remediation = build_remediation(
+            self.config,
+            self.clock,
+            self.placement,
+            self.ctx.shared,
+            self.strategies,
+            queue_depths,
+        )
+        self.generator = self.workload.generator(self.streams)
+
+    def submit(self, task: Task) -> None:
+        """Hand one arrived task to its client (the feeders' last step)."""
+        if self.remediation is not None:
+            self.remediation.observe_arrival()
+        self.clients[task.client_id].submit(task)
+
+    def reset(self) -> None:
+        """Teardown: revert still-open fault windows and applied levers."""
+        if self.faults is not None:
+            self.faults.reset()
+        if self.remediation is not None:
+            self.remediation.reset()
+
+    def result(
+        self,
+        events_processed: int,
+        requests_served: int,
+        realm_extras: _t.Mapping[str, float],
+        servers: _t.Sequence[_t.Any],
+    ) -> RunResult:
+        """Fold tracker, builder, fault, remediation, placement and trace
+        audit counters into the run's :class:`RunResult`."""
+        extras = dict(realm_extras)
+        extras.update(self.builder.collect_extras(self.ctx, self.clients, servers))
+        extras.update(self.faults.extras())
+        if self.remediation is not None:
+            extras.update(self.remediation.extras())
+        if self.placement.swaps:
+            extras["placement_swaps"] = float(self.placement.swaps)
+        if self.recorder is not None:
+            extras.update(self.recorder.extras())
+        tracker = self.tracker
+        return RunResult(
+            config=self.config,
+            seed=self.streams.root_seed,
+            task_latencies=tracker.task_latencies,
+            request_latencies=tracker.request_latencies,
+            queue_waits=tracker.queue_waits,
+            service_times=tracker.service_times,
+            client_waits=tracker.client_waits,
+            sim_duration=tracker.last_completion_at,
+            events_processed=events_processed,
+            tasks_measured=tracker.measured,
+            tasks_completed=tracker.completed,
+            requests_served=requests_served,
+            extras=extras,
+            traces=self.recorder.traces if self.recorder is not None else None,
+        )
+
+
 def run_experiment(config: ExperimentConfig, seed: int = 1) -> RunResult:
     """Simulate one (config, seed) pair end to end."""
-    builder = get_builder(config.strategy)
     streams = StreamFactory(seed)
     env = Environment()
-    metrics = MetricRegistry()
-    workload = config.workload()
-    # The mutable wrapper is what lets RebalanceFault windows re-home
-    # partitions mid-run; with no rebalance events it is pure delegation.
-    placement = MutablePlacement(config.cluster.make_placement())
-    placement.validate()
     network = Network(
         env,
         latency=config.cluster.make_latency_model(),
         stream=streams.stream("network.latency"),
-        metrics=metrics,
     )
-    ctx = ClusterContext(
-        config=config,
-        env=env,
-        network=network,
-        placement=placement,
-        service_model=workload.service_model,
-        streams=streams,
-        metrics=metrics,
-    )
-    warmup_tasks = int(config.warmup_fraction * config.n_tasks)
-    tracker = _CompletionTracker(
-        env, config.n_tasks, warmup_tasks, config.record_requests
-    )
-
-    # Tracing rides the same observation hooks as request recording: it
-    # adds no calendar events and draws from no RNG stream, so schedules
-    # (and therefore goldens) are identical with or without it.  With
-    # sampling off no recorder exists at all.
-    recorder: _t.Optional[TraceRecorder] = None
-    if config.trace_sample > 0.0:
-        from ..trace import TraceRecorder as _TraceRecorder
-
-        recorder = _TraceRecorder(env, config.trace_sample, warmup_tasks)
-
-    # The remediation driver (if any) is assembled after the servers
-    # exist, but completion callbacks only fire once env.run starts, so
-    # a late-bound closure over ``remediation`` is safe.
-    remediation: _t.Optional[RemediationDriver] = None
-    on_complete: _t.Callable[[TaskCompletion], None] = tracker.on_complete
-    if config.remediation != "off" or recorder is not None:
-        _recorder = recorder
-
-        def on_complete(completion: TaskCompletion) -> None:
-            if config.remediation != "off":
-                remediation.observe_completion(completion.latency)
-            if _recorder is not None:
-                _recorder.on_complete(completion)
-            tracker.on_complete(completion)
-
-    request_observer: _t.Optional[_t.Callable[[_t.Any], None]] = (
-        tracker.observe_request if config.record_requests else None
-    )
-    if recorder is not None:
-        _base_observer = request_observer
-        _trace_observer = recorder.observe_request
-        if _base_observer is None:
-            request_observer = _trace_observer
-        else:
-
-            def request_observer(request: _t.Any) -> None:
-                _base_observer(request)
-                _trace_observer(request)
-
-    # Construction order matters for byte-identical determinism: shared
-    # machinery, then clients (strategy before client), then servers, then
-    # the fault script -- the same order the pre-registry runner used.
-    builder.build_shared(ctx)
-    clients: _t.List[Client] = []
-    strategies: _t.List[_t.Any] = []
-    for client_id in range(config.n_clients):
-        strategy = builder.build_client_strategy(ctx, client_id)
-        strategies.append(strategy)
-        clients.append(
-            Client(
-                env,
-                client_id=client_id,
-                network=network,
-                strategy=strategy,
-                request_recorder=tracker if config.record_requests else None,
-                metrics=metrics,
-                on_complete=on_complete,
-                request_observer=request_observer,
-            )
-        )
+    done = env.event()
+    run = RunAssembly(config, streams, env, network, done.succeed)
     servers = [
-        builder.build_server(ctx, server_id)
+        run.builder.build_server(run.ctx, server_id)
         for server_id in range(config.cluster.n_servers)
     ]
-    injector = FaultInjector(
-        env, config.faults(), servers, network, placement=placement
-    )
-    remediation = build_remediation(
-        config,
-        env,
-        placement,
-        ctx.shared,
-        strategies,
+    run.arm(
+        SimFaultPort(servers, network),
         # Backlog = queued + in service: pacing strategies keep queues
         # near zero while saturating cores, so queues alone miss heat.
         lambda: [s.queue_length() + s.in_service for s in servers],
     )
-    if remediation is not None:
-        env.call_every(remediation.interval, remediation.tick)
-
-    generator = workload.generator(streams)
+    faults = run.faults
+    faults.start()
+    if run.remediation is not None:
+        env.call_every(run.remediation.interval, run.remediation.tick)
+    generator = run.generator
 
     def feeder() -> _t.Generator:
         last_arrival = 0.0
@@ -277,54 +393,31 @@ def run_experiment(config: ExperimentConfig, seed: int = 1) -> RunResult:
             # this reduces exactly to waiting until task.arrival_time.
             gap = task.arrival_time - last_arrival
             last_arrival = task.arrival_time
-            delay = gap / injector.arrival_scale()
+            delay = gap / faults.arrival_scale()
             if delay > 0:
                 yield env.timeout(delay)
-            if remediation is not None:
-                remediation.observe_arrival()
-            clients[task.client_id].submit(task)
+            run.submit(task)
 
     env.process(feeder(), name="workload-feeder")
-    end_time = env.run(until=tracker.done)
+    env.run(until=done)
 
     # -- audit: conservation laws -------------------------------------------
-    total_completed = sum(c.tasks_completed for c in clients)
+    total_completed = sum(c.tasks_completed for c in run.clients)
     if total_completed != config.n_tasks:
         raise RuntimeError(
             f"lost tasks: {total_completed} completed of {config.n_tasks}"
         )
-    requests_served = sum(s.completed for s in servers)
     # Hedging may leave duplicate copies in flight when the last task
     # completes; every *non-hedged* strategy must conserve exactly (checked
     # against the generated op count by the integration tests).
-
-    extras: _t.Dict[str, float] = {
-        "mean_server_utilization": sum(s.utilization for s in servers) / len(servers),
-    }
-    extras.update(builder.collect_extras(ctx, clients, servers))
-    extras.update(injector.extras())
-    if remediation is not None:
-        extras.update(remediation.extras())
-    if placement.swaps:
-        extras["placement_swaps"] = float(placement.swaps)
-    if recorder is not None:
-        extras.update(recorder.extras())
-
-    return RunResult(
-        config=config,
-        seed=seed,
-        task_latencies=tracker.task_latencies,
-        request_latencies=tracker.request_latencies,
-        queue_waits=tracker.queue_waits,
-        service_times=tracker.service_times,
-        client_waits=tracker.client_waits,
-        sim_duration=float(_t.cast(float, end_time)),
+    return run.result(
         events_processed=env.events_processed,
-        tasks_measured=tracker.measured,
-        tasks_completed=tracker.completed,
-        requests_served=requests_served,
-        extras=extras,
-        traces=recorder.traces if recorder is not None else None,
+        requests_served=sum(s.completed for s in servers),
+        realm_extras={
+            "mean_server_utilization": sum(s.utilization for s in servers)
+            / len(servers),
+        },
+        servers=servers,
     )
 
 
@@ -349,5 +442,6 @@ def run_seeds(
 
 
 if _t.TYPE_CHECKING:  # pragma: no cover
+    from ..core.clock import Clock, Transport
     from ..trace import TaskTrace, TraceRecorder
     from .parallel import GridExecutor

@@ -10,7 +10,7 @@ pairs live runs with simulations of the identical configuration.
 
 from .compare import CompareReport, run_compare
 from .driver import (
-    LiveFaultDriver,
+    LiveFaultPort,
     live_summary,
     run_live,
     run_live_seeds,
@@ -21,7 +21,7 @@ from .transport import LiveTransport, LiveTransportError, handshake
 __all__ = [
     "CompareReport",
     "FirehoseResult",
-    "LiveFaultDriver",
+    "LiveFaultPort",
     "LiveTransport",
     "LiveTransportError",
     "handshake",

@@ -1,14 +1,16 @@
 """The live load generator: scenario replay against a running service.
 
-:func:`run_live` is the wall-clock mirror of
-:func:`repro.harness.runner.run_experiment`: the same
-:class:`~repro.harness.config.ExperimentConfig`, the same builder-registry
-strategy assembly, the same open-loop workload replay and the same
-:class:`~repro.harness.runner.RunResult` out -- except requests travel over
-TCP to live asyncio workers instead of through the event calendar.  Fault
-schedules replay too: scripted events become admin frames (slowdown,
-crash/restart, response jitter) or client-side arrival compression (flash
-crowds), window-for-window with the simulated injector.
+:func:`run_live` is the wall-clock sibling of
+:func:`repro.harness.runner.run_experiment`: both hand the same
+:class:`~repro.harness.runner.RunAssembly` (strategy stack, workload,
+tracker, fault injector, remediation, tracing) a clock and a transport and
+get the same :class:`~repro.harness.runner.RunResult` out -- except here
+requests travel over TCP to live asyncio workers instead of through the
+event calendar.  What this module owns is only what wall time forces:
+connecting and validating the cluster shape, the asyncio
+wait/timeout/teardown loop, the open-loop ``schedule_lag`` honesty metric,
+server stats deltas, and the :class:`LiveFaultPort` that turns the shared
+fault injector's verbs into admin frames.
 
 Because the output is a genuine ``RunResult``, everything downstream --
 :func:`~repro.harness.results.compare_strategies`, the analysis tables,
@@ -24,196 +26,56 @@ import os
 import time
 import typing as _t
 
-from ..cluster.client import Client
-from ..cluster.faults import (
-    CrashFault,
-    FaultEvent,
-    FaultSchedule,
-    FlashCrowdFault,
-    NetworkJitterFault,
-    RebalanceFault,
-    SlowdownFault,
-    drive_fault_windows,
-    validate_rebalance_feasibility,
-    windows_extras,
-)
-from ..cluster.remediation import RemediationDriver, build_remediation
-from ..core.clock import WallClock
-from ..harness.builders import ClusterContext, ModelBuilder, get_builder
+from ..cluster.faults import NetworkJitterFault
+from ..harness.builders import ModelBuilder, get_builder
 from ..harness.config import ExperimentConfig
 from ..harness.results import compare_strategies
-from ..harness.runner import RunResult
-from ..metrics.counters import MetricRegistry
-from ..metrics.reservoir import ExactSample
-from ..placement import MutablePlacement
+from ..harness.runner import RunAssembly, RunResult
 from ..serve.protocol import MAX_PROTOCOL_VERSION
 from ..serve.server import DEFAULT_HOST, DEFAULT_PORT
 from ..sim.rng import StreamFactory
 from .transport import LiveTransport, LiveTransportError
 
-if _t.TYPE_CHECKING:  # pragma: no cover
-    from ..cluster.messages import TaskCompletion
-    from ..trace import TraceRecorder
 
+class LiveFaultPort:
+    """Fault port over a live cluster: every verb is an admin frame.
 
-class _LiveTracker:
-    """Warmup-filtered completion counting (sim tracker, asyncio edition)."""
-
-    def __init__(self, n_tasks: int, warmup_tasks: int) -> None:
-        self.n_tasks = n_tasks
-        self.warmup_tasks = warmup_tasks
-        self.task_latencies = ExactSample()
-        self.completed = 0
-        self.measured = 0
-        self.last_completion_at = 0.0
-        self.done = asyncio.Event()
-
-    def on_complete(self, completion: "TaskCompletion") -> None:
-        self.completed += 1
-        self.last_completion_at = completion.completed_at
-        if completion.task.task_id >= self.warmup_tasks:
-            self.measured += 1
-            self.task_latencies.record(completion.latency)
-        if self.completed == self.n_tasks:
-            self.done.set()
-
-
-class LiveFaultDriver:
-    """Replays a :class:`FaultSchedule` against a live service.
-
-    Event-for-event mapping from the simulated injector:
-
-    ==================  =================================================
-    simulated event      live realization
-    ==================  =================================================
-    SlowdownFault        ``admin slowdown`` / ``restore`` (service-time
-                         multiplier on the targeted workers)
-    CrashFault           ``admin crash`` / ``resume`` (workers stop
-                         starting requests; queues survive)
-    NetworkJitterFault   ``admin jitter``: extra lognormal per-response
-                         delay standing in for both inflated network
-                         directions on a loopback link
-    FlashCrowdFault      client-side arrival compression via
-                         :meth:`arrival_scale` (same as the simulation)
-    RebalanceFault       client-side ring swap on the shared
-                         :class:`~repro.placement.MutablePlacement`: the
-                         live workers serve whatever they are sent, so a
-                         decommission is purely a routing change -- which
-                         is exactly what the simulation does too
-    ==================  =================================================
+    ``slowdown``/``restore`` set the targeted workers' service-time
+    multiplier, ``crash``/``resume`` stop and restart them (queues
+    survive), ``jitter`` adds a lognormal per-response delay standing in
+    for both inflated network directions on a loopback link.  Flash crowds
+    and ring rebalances never reach the wire: they are client-side in
+    both realms and live in the one
+    :class:`~repro.cluster.faults.FaultInjector`.
     """
 
-    def __init__(
-        self,
-        clock: WallClock,
-        schedule: FaultSchedule,
-        transport: LiveTransport,
-        one_way_latency: float,
-        placement: _t.Optional["MutablePlacement"] = None,
-    ) -> None:
-        validate_rebalance_feasibility(schedule, placement)
-        self.clock = clock
-        self.schedule = schedule
+    def __init__(self, transport: LiveTransport, one_way_latency: float) -> None:
         self.transport = transport
-        self.placement = placement
+        self.n_servers = int(transport.ack["n_servers"])
         self.one_way_latency = float(one_way_latency)
-        self.windows: _t.Dict[str, int] = {e.kind: 0 for e in schedule.events}
-        self._crowd_scale = 1.0
-        self._jitter_depth = 0
-        #: Windows currently applied and not yet reverted (for reset()).
-        self._open: _t.List[FaultEvent] = []
 
-    def start(self) -> None:
-        for index, event in enumerate(self.schedule.events):
-            self.clock.process(
-                drive_fault_windows(
-                    self.clock,
-                    event,
-                    self._apply_open,
-                    self._revert_closed,
-                    self._count_window,
-                ),
-                name=f"live-fault.{event.kind}.{index}",
-            )
+    def _admin(self, command: str, **fields: _t.Any) -> None:
+        self.transport.admin({"t": "admin", "cmd": command, **fields})
 
-    def arrival_scale(self) -> float:
-        return self._crowd_scale
+    def slowdown(self, servers: _t.Sequence[int], factor: float) -> None:
+        self._admin("slowdown", servers=list(servers), factor=factor)
 
-    def _apply_open(self, event: FaultEvent) -> None:
-        self._apply(event)
-        self._open.append(event)
+    def restore(self, servers: _t.Sequence[int], factor: float) -> None:
+        self._admin("restore", servers=list(servers), factor=factor)
 
-    def _revert_closed(self, event: FaultEvent) -> None:
-        self._open.remove(event)
-        self._revert(event)
+    def crash(self, servers: _t.Sequence[int]) -> None:
+        self._admin("crash", servers=list(servers))
 
-    def _count_window(self, event: FaultEvent) -> None:
-        self.windows[event.kind] = self.windows.get(event.kind, 0) + 1
+    def resume(self, servers: _t.Sequence[int]) -> None:
+        self._admin("resume", servers=list(servers))
 
-    def reset(self) -> None:
-        """Revert every still-open window (run teardown).
+    def jitter(self, event: NetworkJitterFault) -> None:
+        # Two degraded one-way hops' worth of extra delay per response.
+        mean = max(2.0 * self.one_way_latency * event.factor, 1e-6)
+        self._admin("jitter", mean=mean, sigma=event.sigma)
 
-        The run can end -- normally or by timeout -- mid-window; without
-        this, a throttled or crashed worker would stay degraded for the
-        next run against the same server.  Call after the driver's
-        processes have been cancelled, so no window re-opens afterwards.
-        """
-        while self._open:
-            self._revert(self._open.pop())
-
-    def _apply(self, event: FaultEvent) -> None:
-        if isinstance(event, SlowdownFault):
-            self.transport.admin(
-                {
-                    "t": "admin",
-                    "cmd": "slowdown",
-                    "servers": list(event.servers),
-                    "factor": event.factor,
-                }
-            )
-        elif isinstance(event, CrashFault):
-            self.transport.admin(
-                {"t": "admin", "cmd": "crash", "servers": list(event.servers)}
-            )
-        elif isinstance(event, NetworkJitterFault):
-            self._jitter_depth += 1
-            # Two degraded one-way hops' worth of extra delay per response.
-            mean = max(2.0 * self.one_way_latency * event.factor, 1e-6)
-            self.transport.admin(
-                {"t": "admin", "cmd": "jitter", "mean": mean, "sigma": event.sigma}
-            )
-        elif isinstance(event, FlashCrowdFault):
-            self._crowd_scale *= event.multiplier
-        elif isinstance(event, RebalanceFault):
-            assert self.placement is not None  # enforced at construction
-            self.placement.exclude(event.servers)
-
-    def _revert(self, event: FaultEvent) -> None:
-        if isinstance(event, SlowdownFault):
-            self.transport.admin(
-                {
-                    "t": "admin",
-                    "cmd": "restore",
-                    "servers": list(event.servers),
-                    "factor": event.factor,
-                }
-            )
-        elif isinstance(event, CrashFault):
-            self.transport.admin(
-                {"t": "admin", "cmd": "resume", "servers": list(event.servers)}
-            )
-        elif isinstance(event, NetworkJitterFault):
-            self._jitter_depth -= 1
-            if self._jitter_depth == 0:
-                self.transport.admin({"t": "admin", "cmd": "clear-jitter"})
-        elif isinstance(event, FlashCrowdFault):
-            self._crowd_scale /= event.multiplier
-        elif isinstance(event, RebalanceFault):
-            assert self.placement is not None  # enforced at construction
-            self.placement.readmit(event.servers)
-
-    def extras(self) -> _t.Dict[str, float]:
-        return windows_extras(self.windows)
+    def clear_jitter(self) -> None:
+        self._admin("clear-jitter")
 
 
 def _validate_shape(config: ExperimentConfig, ack: _t.Mapping[str, _t.Any]) -> None:
@@ -259,8 +121,7 @@ async def run_live(
     connections per endpoint; ``protocol`` caps codec negotiation (1
     pins JSON).
     """
-    builder = get_builder(config.strategy)
-    if isinstance(builder, ModelBuilder):
+    if isinstance(get_builder(config.strategy), ModelBuilder):
         raise ValueError(
             f"strategy {config.strategy!r} is the unrealizable global-queue "
             "model; it has no live realization (that is the paper's point)"
@@ -278,88 +139,23 @@ async def run_live(
     clock = transport.clock
     feeder: _t.Optional["asyncio.Task[None]"] = None
     done_waiter: _t.Optional["asyncio.Task[bool]"] = None
-    faults: _t.Optional[LiveFaultDriver] = None
-    remediation: _t.Optional[RemediationDriver] = None
+    run: _t.Optional[RunAssembly] = None
     try:
         stats_before = await asyncio.wait_for(transport.fetch_stats(), timeout=10)
-        streams = StreamFactory(seed)
-        metrics = MetricRegistry()
-        workload = config.workload()
-        # Same mutable wrapper as the simulated runner, so rebalance
-        # windows swap the ring for sim and live identically.
-        placement = MutablePlacement(config.cluster.make_placement())
-        placement.validate()
-        ctx = ClusterContext(
-            config=config,
-            env=clock,
-            network=transport,
-            placement=placement,
-            service_model=workload.service_model,
-            streams=streams,
-            metrics=metrics,
-        )
-        warmup_tasks = int(config.warmup_fraction * config.n_tasks)
-        tracker = _LiveTracker(config.n_tasks, warmup_tasks)
-
-        # Same recorder as the simulated runner: sampling is a pure
-        # function of the task id, so a live run and its sim twin sample
-        # the *same* tasks.  The transport hook propagates the context
-        # over the wire per sampled op.
-        recorder: _t.Optional["TraceRecorder"] = None
-        if config.trace_sample > 0.0:
-            from ..trace import TraceRecorder as _TraceRecorder
-
-            recorder = _TraceRecorder(clock, config.trace_sample, warmup_tasks)
-            transport.trace_sampler = recorder.wire_trace_id
-
-        # Same late-bound pattern as the simulated runner: the driver is
-        # assembled after the strategies exist, completions only start
-        # arriving once the feeder runs.
-        on_complete: _t.Callable[["TaskCompletion"], None] = tracker.on_complete
-        if config.remediation != "off" or recorder is not None:
-            _recorder = recorder
-
-            def on_complete(completion: "TaskCompletion") -> None:
-                if config.remediation != "off":
-                    remediation.observe_completion(completion.latency)
-                if _recorder is not None:
-                    _recorder.on_complete(completion)
-                tracker.on_complete(completion)
-
-        # Same construction order as the simulated runner: shared machinery,
-        # then clients (strategy before client).
-        builder.build_shared(ctx)
-        clients: _t.List[Client] = []
-        strategies: _t.List[_t.Any] = []
-        for client_id in range(config.n_clients):
-            strategy = builder.build_client_strategy(ctx, client_id)
-            strategies.append(strategy)
-            clients.append(
-                Client(
-                    clock,
-                    client_id=client_id,
-                    network=transport,
-                    strategy=strategy,
-                    metrics=metrics,
-                    on_complete=on_complete,
-                    request_observer=(
-                        recorder.observe_request if recorder is not None else None
-                    ),
-                )
-            )
-        faults = LiveFaultDriver(
-            clock,
-            config.faults(),
-            transport,
-            config.cluster.one_way_latency,
-            placement=placement,
-        )
+        done = asyncio.Event()
+        run = RunAssembly(config, StreamFactory(seed), clock, transport, done.set)
+        if run.recorder is not None:
+            # The transport hook propagates the trace context over the
+            # wire per sampled op.
+            transport.trace_sampler = run.recorder.wire_trace_id
         # The live substrate's backlog view is the piggybacked feedback
         # the transport already receives on every result frame.
-        remediation = build_remediation(
-            config, clock, placement, ctx.shared, strategies,
+        run.arm(
+            LiveFaultPort(transport, config.cluster.one_way_latency),
             transport.backlog_depths,
         )
+        faults = run.faults
+        remediation = run.remediation
         # Close the cluster-wide observability loop: stream this load
         # generator's client-side BusSnapshots to every endpoint over the
         # admin plane, so `repro watch` and the Prometheus exporter see
@@ -373,8 +169,8 @@ async def run_live(
                     reporter, snapshot.to_dict()
                 )
             )
-        generator = workload.generator(streams)
-        expected_model_s = config.n_tasks / workload.task_rate
+        generator = run.generator
+        expected_model_s = config.n_tasks / run.workload.task_rate
         if wall_timeout is None:
             wall_timeout = max(60.0, 12.0 * expected_model_s * clock.scale + 30.0)
 
@@ -401,9 +197,7 @@ async def run_live(
                     if lag > schedule_lag["max"]:
                         schedule_lag["max"] = lag
                 schedule_lag["n"] += 1
-                if remediation is not None:
-                    remediation.observe_arrival()
-                clients[task.client_id].submit(task)
+                run.submit(task)
 
         wall_start = time.monotonic()
         # Model time zero = first arrival: latencies are measured against
@@ -413,7 +207,7 @@ async def run_live(
         if remediation is not None:
             clock.process(remediation.ticker(), name="metrics-ticker")
         feeder = asyncio.get_running_loop().create_task(feed(), name="live-feeder")
-        done_waiter = asyncio.get_running_loop().create_task(tracker.done.wait())
+        done_waiter = asyncio.get_running_loop().create_task(done.wait())
 
         # Surface background crashes immediately as the real traceback,
         # not as a mysterious timeout minutes later (the sim raises the
@@ -440,12 +234,12 @@ async def run_live(
         }
         deadline = asyncio.get_running_loop().time() + wall_timeout
         try:
-            while not tracker.done.is_set():
+            while not done.is_set():
                 remaining = deadline - asyncio.get_running_loop().time()
                 if remaining <= 0:
                     raise LiveTransportError(
                         f"live run timed out after {wall_timeout:.0f}s wall: "
-                        f"{tracker.completed}/{config.n_tasks} tasks completed, "
+                        f"{run.tracker.completed}/{config.n_tasks} tasks completed, "
                         f"{transport.pending_ops} ops in flight"
                     )
                 await asyncio.wait(
@@ -484,7 +278,7 @@ async def run_live(
             )
         )
         cores_total = config.cluster.n_servers * config.cluster.cores_per_server
-        extras: _t.Dict[str, float] = {
+        realm_extras: _t.Dict[str, float] = {
             "mean_server_utilization": (
                 busy_delta / (uptime_delta * cores_total) if uptime_delta > 0 else 0.0
             ),
@@ -501,43 +295,23 @@ async def run_live(
                 else 0.0
             ),
         }
-        extras.update(builder.collect_extras(ctx, clients, ()))
-        extras.update(faults.extras())
-        if remediation is not None:
-            extras.update(remediation.extras())
-        if placement.swaps:
-            extras["placement_swaps"] = float(placement.swaps)
-        if recorder is not None:
-            extras.update(recorder.extras())
-            extras["live_traced_ops"] = float(
+        if run.recorder is not None:
+            realm_extras["live_traced_ops"] = float(
                 stats_after.get("traced_ops", 0) - stats_before.get("traced_ops", 0)
             )
-
-        return RunResult(
-            config=config,
-            seed=seed,
-            task_latencies=tracker.task_latencies,
-            request_latencies=None,
-            queue_waits=None,
-            service_times=None,
-            client_waits=None,
-            sim_duration=tracker.last_completion_at,
+        return run.result(
             events_processed=transport.ops_sent + transport.responses_received,
-            tasks_measured=tracker.measured,
-            tasks_completed=tracker.completed,
             requests_served=requests_served,
-            extras=extras,
-            traces=recorder.traces if recorder is not None else None,
+            realm_extras=realm_extras,
+            servers=(),  # the backend tier lives in another process
         )
     finally:
         for task in (feeder, done_waiter):
             if task is not None and not task.done():
                 task.cancel()
         clock.cancel_processes()
-        if faults is not None:
-            faults.reset()  # leave the server undegraded for the next run
-        if remediation is not None:
-            remediation.reset()  # revert any mid-episode lever
+        if run is not None:
+            run.reset()  # leave the server undegraded for the next run
         await transport.close()
 
 
@@ -558,29 +332,11 @@ def live_summary(
 
 
 async def run_live_seeds(
-    config: ExperimentConfig,
-    seeds: _t.Sequence[int],
-    host: str = DEFAULT_HOST,
-    port: int = DEFAULT_PORT,
-    wall_timeout: _t.Optional[float] = None,
-    endpoints: _t.Optional[_t.Sequence[_t.Tuple[str, int]]] = None,
-    pool: int = 1,
-    protocol: int = MAX_PROTOCOL_VERSION,
+    config: ExperimentConfig, seeds: _t.Sequence[int], **live: _t.Any
 ) -> _t.List[RunResult]:
-    """Sequential multi-seed live runs (live cells cannot overlap: they
-    would contend for the same wall-clock backend)."""
+    """Sequential multi-seed live runs; ``live`` is forwarded to
+    :func:`run_live` (live cells cannot overlap: they would contend for
+    the same wall-clock backend)."""
     if not seeds:
         raise ValueError("need at least one seed")
-    return [
-        await run_live(
-            config,
-            seed=seed,
-            host=host,
-            port=port,
-            wall_timeout=wall_timeout,
-            endpoints=endpoints,
-            pool=pool,
-            protocol=protocol,
-        )
-        for seed in seeds
-    ]
+    return [await run_live(config, seed=seed, **live) for seed in seeds]

@@ -39,7 +39,13 @@ from ..serve.protocol import (
     ProtocolError,
     priority_to_wire,
 )
-from .transport import Endpoint, LiveTransport, LiveTransportError, handshake
+from .transport import (
+    Endpoint,
+    LiveTransportError,
+    ack_workers,
+    open_links,
+    sum_stats,
+)
 
 #: Wire ids live in the op frame's u32 field.
 _RID_MASK = 0xFFFFFFFF
@@ -316,55 +322,21 @@ async def run_firehose(
         warmup = min(max(window, 100), multigets)
     total = warmup + multigets
 
-    opened: _t.List[
-        _t.Tuple[
-            Endpoint,
-            asyncio.StreamReader,
-            asyncio.StreamWriter,
-            _t.Dict[str, _t.Any],
-        ]
-    ] = []
-    try:
-        for endpoint in endpoints:
-            for _slot in range(pool):
-                reader, writer = await asyncio.open_connection(*endpoint)
-                try:
-                    # The firehose never consumes congestion broadcasts:
-                    # opt every connection out so saturation does not turn
-                    # into a broadcast storm.
-                    ack = await handshake(
-                        reader, writer, max_proto=protocol, congestion=False
-                    )
-                except BaseException:
-                    writer.close()
-                    raise
-                opened.append((endpoint, reader, writer, ack))
-        LiveTransport._validate_acks(
-            endpoints, [entry[3] for entry in opened], pool
-        )
-    except BaseException:
-        for _, _, writer, _ in opened:
-            writer.close()
-        raise
-
-    n_servers = int(opened[0][3]["n_servers"])
-    negotiated = min(
-        int(entry[3].get("proto", 1)) for entry in opened
-    )
+    # The firehose never consumes congestion broadcasts: opt every
+    # connection out so saturation does not turn into a broadcast storm.
+    opened = await open_links(endpoints, pool, protocol, congestion=False)
+    negotiated = min(int(entry[4].get("proto", 1)) for entry in opened)
     links: _t.List[_FireLink] = []
     worker_links: _t.Dict[int, _t.List[_FireLink]] = {}
     primary: _t.Dict[Endpoint, _FireLink] = {}
-    for endpoint, reader, writer, ack in opened:
+    for endpoint, _, reader, writer, ack in opened:
         link = _FireLink(
             endpoint, codec_for(int(ack.get("proto", 1))), reader, writer
         )
         links.append(link)
         primary.setdefault(endpoint, link)
-        workers = ack.get("workers")
-        if workers is None:  # an old server's ack has no list: it hosts all
-            workers = range(n_servers)
-        for worker_id in workers:
-            worker_links.setdefault(int(worker_id), []).append(link)
+        for worker_id in ack_workers(ack):
+            worker_links.setdefault(worker_id, []).append(link)
 
     run = _FirehoseRun(
         links, worker_links, total, warmup, fanout, value_size, key_space
@@ -440,16 +412,4 @@ async def _collect_server_stats(
         )
     except asyncio.TimeoutError:
         return {}
-    totals: _t.Dict[str, int] = {}
-    for reply in replies:
-        for key in (
-            "completed",
-            "rejected",
-            "frames_received",
-            "frames_sent",
-            "bytes_sent",
-            "writes",
-        ):
-            if key in reply:
-                totals[key] = totals.get(key, 0) + int(reply[key])
-    return totals
+    return sum_stats(replies)

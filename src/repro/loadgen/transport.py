@@ -104,6 +104,123 @@ async def handshake(
     return ack
 
 
+def ack_workers(ack: _t.Mapping[str, _t.Any]) -> _t.List[int]:
+    """The worker ids one hello-ack advertises (an old server's ack has no
+    ``workers`` list: it hosts the whole cluster)."""
+    workers = ack.get("workers")
+    if workers is None:
+        workers = range(int(ack.get("n_servers", 0)))
+    return [int(w) for w in workers]
+
+
+def sum_stats(replies: _t.Sequence[_t.Mapping[str, _t.Any]]) -> _t.Dict[str, int]:
+    """Cluster-wide totals of the additive ``stats``-frame counters (only
+    those some reply carries: old servers predate a few)."""
+    return {
+        key: sum(int(reply.get(key, 0)) for reply in replies)
+        for key in (
+            "completed",
+            "rejected",
+            "frames_received",
+            "frames_sent",
+            "bytes_sent",
+            "writes",
+            "traced_ops",
+        )
+        if any(key in reply for reply in replies)
+    }
+
+
+OpenedLink = _t.Tuple[
+    Endpoint, bool, asyncio.StreamReader, asyncio.StreamWriter, _t.Dict[str, _t.Any]
+]
+
+
+async def open_links(
+    endpoints: _t.Sequence[Endpoint],
+    pool: int,
+    protocol: int,
+    congestion: bool,
+) -> _t.List[OpenedLink]:
+    """Open and handshake ``pool`` connections per endpoint.
+
+    Returns ``(endpoint, primary, reader, writer, ack)`` per connection,
+    endpoint-major; *primary* marks each endpoint's first link, the only
+    one that subscribes to congestion broadcasts (and only when
+    ``congestion`` is set), so a controller sees each signal exactly once.
+    The acks are validated against each other; on any failure every
+    connection opened so far is closed.
+    """
+    if not endpoints:
+        raise ValueError("need at least one endpoint")
+    if pool < 1:
+        raise ValueError("pool must be at least 1")
+    opened: _t.List[OpenedLink] = []
+    try:
+        for endpoint in endpoints:
+            for slot in range(pool):
+                reader, writer = await asyncio.open_connection(*endpoint)
+                try:
+                    ack = await handshake(
+                        reader,
+                        writer,
+                        max_proto=protocol,
+                        congestion=congestion and slot == 0,
+                    )
+                except BaseException:
+                    writer.close()
+                    raise
+                opened.append((endpoint, slot == 0, reader, writer, ack))
+        _validate_acks(endpoints, [entry[4] for entry in opened], pool)
+    except BaseException:
+        for _, _, _, writer, _ in opened:
+            writer.close()
+        raise
+    return opened
+
+
+def _validate_acks(
+    endpoints: _t.Sequence[Endpoint],
+    acks: _t.Sequence[_t.Dict[str, _t.Any]],
+    pool: int,
+) -> None:
+    """Every endpoint must present the same cluster shape and time scale,
+    and together they must own each worker exactly once."""
+    base = acks[0]
+    for index, ack in enumerate(acks):
+        for field in (
+            "n_servers",
+            "cores_per_server",
+            "per_core_rate",
+            "time_scale",
+            "scenario",
+            "seed",
+        ):
+            if ack.get(field) != base.get(field):
+                endpoint = endpoints[index // pool]
+                raise LiveTransportError(
+                    f"cluster endpoints disagree on {field}: "
+                    f"{endpoint} says {ack.get(field)!r}, "
+                    f"{endpoints[0]} says {base.get(field)!r}"
+                )
+    owner: _t.Dict[int, Endpoint] = {}
+    for index in range(0, len(acks), pool):
+        endpoint = endpoints[index // pool]
+        for worker_id in ack_workers(acks[index]):
+            if worker_id in owner:
+                raise LiveTransportError(
+                    f"worker {worker_id} claimed by both {owner[worker_id]} "
+                    f"and {endpoint}"
+                )
+            owner[worker_id] = endpoint
+    missing = sorted(set(range(int(base.get("n_servers", 0)))) - set(owner))
+    if missing:
+        raise LiveTransportError(
+            f"no endpoint hosts workers {missing}; the endpoint list does "
+            "not cover the cluster"
+        )
+
+
 class _Link:
     """One pooled connection to one endpoint, handshake already done."""
 
@@ -179,9 +296,11 @@ class LiveTransport:
         self._endpoint_workers: "_t.Dict[Endpoint, _t.FrozenSet[int]]" = {}
         self._worker_links: _t.Dict[int, _t.List[_Link]] = {}
         self._rr: _t.Dict[Endpoint, int] = {}
-        self._stats_waiters: "_t.Dict[Endpoint, _t.List[asyncio.Future[_t.Dict[str, _t.Any]]]]" = {}
-        self._metrics_waiters: "_t.Dict[Endpoint, _t.List[asyncio.Future[_t.Dict[str, _t.Any]]]]" = {}
-        self._client_bus_waiters: "_t.Dict[Endpoint, _t.List[asyncio.Future[_t.Dict[str, _t.Any]]]]" = {}
+        #: Admin queries awaiting their reply, FIFO per endpoint, keyed by
+        #: the reply frame's type (which equals the query's command).
+        self._reply_waiters: _t.Dict[
+            str, "_t.Dict[Endpoint, _t.List[asyncio.Future[_t.Dict[str, _t.Any]]]]"
+        ] = {"stats": {}, "metrics": {}, "client-bus": {}}
         #: Set on connection loss / protocol error / op rejection.
         self.failed: "asyncio.Future[None]" = (
             asyncio.get_running_loop().create_future()
@@ -208,43 +327,13 @@ class LiveTransport:
         pool: int = 1,
         protocol: int = MAX_PROTOCOL_VERSION,
     ) -> "LiveTransport":
-        """Connect ``pool`` links to every endpoint and assemble routing.
-
-        Every endpoint must present the same cluster shape and time
-        scale, and together they must own each worker exactly once.
-        """
-        if not endpoints:
-            raise ValueError("need at least one endpoint")
-        if pool < 1:
-            raise ValueError("pool must be at least 1")
-        opened: _t.List[
-            _t.Tuple[Endpoint, bool, asyncio.StreamReader, asyncio.StreamWriter, _t.Dict[str, _t.Any]]
-        ] = []
-        try:
-            for endpoint in endpoints:
-                for slot in range(pool):
-                    reader, writer = await asyncio.open_connection(*endpoint)
-                    try:
-                        ack = await handshake(
-                            reader,
-                            writer,
-                            max_proto=protocol,
-                            congestion=slot == 0,
-                        )
-                    except BaseException:
-                        writer.close()
-                        raise
-                    opened.append((endpoint, slot == 0, reader, writer, ack))
-            cls._validate_acks(endpoints, [o[4] for o in opened], pool)
-        except BaseException:
-            for _, _, _, writer, _ in opened:
-                writer.close()
-            raise
+        """Connect ``pool`` links to every endpoint and assemble routing
+        (see :func:`open_links` for what the endpoints must agree on)."""
+        opened = await open_links(endpoints, pool, protocol, congestion=True)
         base_ack = opened[0][4]
         transport = cls(
             clock=WallClock(scale=float(base_ack["time_scale"])), ack=base_ack
         )
-        n_servers = int(base_ack["n_servers"])
         for endpoint, primary, reader, writer, ack in opened:
             link = _Link(
                 transport,
@@ -257,68 +346,14 @@ class LiveTransport:
             transport._links.append(link)
             transport._endpoint_links.setdefault(endpoint, []).append(link)
             if primary:
-                # An old server's ack has no workers list: it hosts all.
-                workers = ack.get("workers")
-                if workers is None:
-                    workers = list(range(n_servers))
-                transport._endpoint_workers[endpoint] = frozenset(
-                    int(w) for w in workers
-                )
+                transport._endpoint_workers[endpoint] = frozenset(ack_workers(ack))
                 transport._rr[endpoint] = 0
-                transport._stats_waiters[endpoint] = []
-                transport._metrics_waiters[endpoint] = []
-                transport._client_bus_waiters[endpoint] = []
         for endpoint, workers in transport._endpoint_workers.items():
             for worker_id in workers:
                 transport._worker_links[worker_id] = transport._endpoint_links[
                     endpoint
                 ]
         return transport
-
-    @staticmethod
-    def _validate_acks(
-        endpoints: _t.Sequence[Endpoint],
-        acks: _t.Sequence[_t.Dict[str, _t.Any]],
-        pool: int,
-    ) -> None:
-        base = acks[0]
-        for index, ack in enumerate(acks):
-            for field in (
-                "n_servers",
-                "cores_per_server",
-                "per_core_rate",
-                "time_scale",
-                "scenario",
-                "seed",
-            ):
-                if ack.get(field) != base.get(field):
-                    endpoint = endpoints[index // pool]
-                    raise LiveTransportError(
-                        f"cluster endpoints disagree on {field}: "
-                        f"{endpoint} says {ack.get(field)!r}, "
-                        f"{endpoints[0]} says {base.get(field)!r}"
-                    )
-        n_servers = int(base.get("n_servers", 0))
-        owner: _t.Dict[int, Endpoint] = {}
-        for index in range(0, len(acks), pool):
-            endpoint = endpoints[index // pool]
-            workers = acks[index].get("workers")
-            if workers is None:
-                workers = list(range(n_servers))
-            for worker_id in workers:
-                worker_id = int(worker_id)
-                if worker_id in owner:
-                    raise LiveTransportError(
-                        f"worker {worker_id} claimed by both {owner[worker_id]} "
-                        f"and {endpoint}"
-                    )
-                owner[worker_id] = endpoint
-        missing = sorted(set(range(n_servers)) - set(owner))
-        if missing:
-            raise LiveTransportError(
-                f"no endpoint hosts workers {missing}; the endpoint list does "
-                "not cover the cluster"
-            )
 
     # -- Transport protocol ---------------------------------------------------
     def register(
@@ -476,16 +511,8 @@ class LiveTransport:
         fire-and-forget); the newest snapshot per reporter (by ``seq``)
         wins.
         """
-        loop = asyncio.get_running_loop()
-        futures: _t.List["asyncio.Future[_t.Dict[str, _t.Any]]"] = []
-        for endpoint in self._endpoint_links:
-            future: "asyncio.Future[_t.Dict[str, _t.Any]]" = loop.create_future()
-            self._client_bus_waiters[endpoint].append(future)
-            futures.append(future)
-        self.admin({"t": "admin", "cmd": "client-bus"})
-        replies = await asyncio.gather(*futures)
         merged: _t.Dict[str, _t.Dict[str, _t.Any]] = {}
-        for reply in replies:
+        for reply in await self._query("client-bus"):
             snapshots = reply.get("snapshots")
             if not isinstance(snapshots, dict):
                 continue
@@ -499,17 +526,20 @@ class LiveTransport:
                     merged[reporter] = snapshot
         return merged
 
-    async def fetch_stats(self) -> _t.Dict[str, _t.Any]:
-        """Request every endpoint's stats frame and merge the replies."""
+    async def _query(self, command: str) -> _t.List[_t.Dict[str, _t.Any]]:
+        """Send one admin query to every endpoint; gather the reply frames."""
         loop = asyncio.get_running_loop()
         futures: _t.List["asyncio.Future[_t.Dict[str, _t.Any]]"] = []
         for endpoint in self._endpoint_links:
             future: "asyncio.Future[_t.Dict[str, _t.Any]]" = loop.create_future()
-            self._stats_waiters[endpoint].append(future)
+            self._reply_waiters[command].setdefault(endpoint, []).append(future)
             futures.append(future)
-        self.admin({"t": "admin", "cmd": "stats"})
-        replies = await asyncio.gather(*futures)
-        return self._merge_stats(replies)
+        self.admin({"t": "admin", "cmd": command})
+        return await asyncio.gather(*futures)
+
+    async def fetch_stats(self) -> _t.Dict[str, _t.Any]:
+        """Request every endpoint's stats frame and merge the replies."""
+        return self._merge_stats(await self._query("stats"))
 
     async def fetch_metrics(self) -> str:
         """Request every endpoint's Prometheus text and concatenate it.
@@ -517,14 +547,7 @@ class LiveTransport:
         Worker lines carry global worker ids, so the concatenation of a
         multi-process cluster's pages reads as one cluster-wide page.
         """
-        loop = asyncio.get_running_loop()
-        futures: _t.List["asyncio.Future[_t.Dict[str, _t.Any]]"] = []
-        for endpoint in self._endpoint_links:
-            future: "asyncio.Future[_t.Dict[str, _t.Any]]" = loop.create_future()
-            self._metrics_waiters[endpoint].append(future)
-            futures.append(future)
-        self.admin({"t": "admin", "cmd": "metrics"})
-        replies = await asyncio.gather(*futures)
+        replies = await self._query("metrics")
         return "".join(str(reply.get("text", "")) for reply in replies)
 
     @staticmethod
@@ -533,18 +556,7 @@ class LiveTransport:
     ) -> _t.Dict[str, _t.Any]:
         if len(replies) == 1:
             return dict(replies[0])
-        merged: _t.Dict[str, _t.Any] = {"t": "stats"}
-        for key in (
-            "completed",
-            "rejected",
-            "frames_received",
-            "frames_sent",
-            "bytes_sent",
-            "writes",
-            "traced_ops",
-        ):
-            if any(key in reply for reply in replies):
-                merged[key] = sum(reply.get(key, 0) for reply in replies)
+        merged: _t.Dict[str, _t.Any] = {"t": "stats", **sum_stats(replies)}
         # Model clocks start at each process's serving start; report the
         # cluster's as the furthest one along.
         merged["uptime_model_s"] = max(
@@ -572,20 +584,8 @@ class LiveTransport:
                         overload_ratio=float(frame["ratio"]),
                     )
                 )
-        elif kind == "stats":
-            waiters = self._stats_waiters.get(link.endpoint)
-            if waiters:
-                future = waiters.pop(0)
-                if not future.done():
-                    future.set_result(frame)
-        elif kind == "metrics":
-            waiters = self._metrics_waiters.get(link.endpoint)
-            if waiters:
-                future = waiters.pop(0)
-                if not future.done():
-                    future.set_result(frame)
-        elif kind == "client-bus":
-            waiters = self._client_bus_waiters.get(link.endpoint)
+        elif kind in self._reply_waiters:
+            waiters = self._reply_waiters[kind].get(link.endpoint)
             if waiters:
                 future = waiters.pop(0)
                 if not future.done():

@@ -1,4 +1,4 @@
-"""Metrics: histograms, samples, summaries, time series, counters."""
+"""Metrics: histograms, samples, summaries, time series, the bus."""
 
 from .bus import (
     BusEvent,
@@ -9,7 +9,6 @@ from .bus import (
     render_prometheus,
     snapshot_prometheus,
 )
-from .counters import Counter, Gauge, MetricRegistry
 from .histogram import LogHistogram
 from .reservoir import ExactSample, Reservoir, exact_quantile
 from .slo import BreachDetector, SloPolicy
@@ -26,14 +25,11 @@ __all__ = [
     "BusEvent",
     "BusSampler",
     "BusSnapshot",
-    "Counter",
     "DEFAULT_PERCENTILES",
     "EwmaEstimator",
     "ExactSample",
-    "Gauge",
     "LatencySummary",
     "LogHistogram",
-    "MetricRegistry",
     "MetricsBus",
     "PAPER_PERCENTILES",
     "Reservoir",

@@ -17,9 +17,6 @@ Public surface:
   scenario and ``repro ring --exclude``);
 * :func:`ring_report` / :func:`keys_in_partitions` -- ownership
   inspection behind ``repro ring`` and the hot-shard workload.
-
-``repro.cluster.partitioner`` re-exports the ring types for backward
-compatibility; new code should import from :mod:`repro.placement`.
 """
 
 from .inspect import (

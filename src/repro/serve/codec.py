@@ -22,7 +22,7 @@ frame          v1 JSON     v2 binary     shrink
 Both codecs expose the same surface -- ``encode(frame) -> bytes`` (length
 prefix included) and ``decode(buf, start, end, at) -> dict`` -- and decode
 back to the *same dict shapes* v1 produces, so everything above the codec
-(server dispatch, transport reassembly, fault drivers) is
+(server dispatch, transport reassembly, the fault port) is
 version-agnostic.  ``at`` is the absolute stream offset of the payload,
 threaded into every :class:`ProtocolError` so a corrupt frame reports
 *where* in the byte stream it sat.

@@ -4,7 +4,8 @@
 frame protocol of :mod:`repro.serve.protocol` -- every connection starts
 in v1 JSON and may negotiate up to the v2 binary codec in the handshake.
 Behind the frontend sit :class:`~repro.serve.workers.LiveWorker`
-instances -- the wall-clock analogue of the simulated backend tier, with
+instances -- the simulated backend tier's
+:class:`~repro.cluster.server.ServerState` on a wall-clock engine, with
 the same cluster shape, the same calibrated service-time model and the
 same queue-state feedback on every response.  The server is
 strategy-agnostic by design: replica choice, priorities and pacing all
@@ -19,9 +20,10 @@ processes -- each process serves its shard group on its own port and
 advertises its ``workers`` in the ``hello-ack``, and clients route ops
 by worker id.
 
-Fault injection arrives over the wire: ``admin`` frames throttle, crash,
-restart or jitter individual workers, which is how the load generator maps
-scenario fault schedules onto the live backend.
+Fault injection arrives over the wire: ``admin`` frames slow down, crash,
+restart or jitter individual workers -- the verbs of the load generator's
+:class:`~repro.loadgen.driver.LiveFaultPort`, which is how the shared fault
+injector replays scenario fault schedules against the live backend.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ import os
 import sys
 import typing as _t
 
-from ..cluster.server import congestion_ratio
 from ..cluster.topology import ClusterSpec
 from ..core.clock import WallClock
 from ..metrics.bus import prometheus_line, render_prometheus
@@ -223,7 +224,7 @@ class LiveServer:
         self._monitors = [
             asyncio.get_running_loop().create_task(
                 self._congestion_monitor(worker),
-                name=f"live-monitor.{worker.worker_id}",
+                name=f"live-monitor.{worker.server_id}",
             )
             for worker in self.workers.values()
         ]
@@ -242,14 +243,11 @@ class LiveServer:
             self.metrics_port = self._metrics_server.sockets[0].getsockname()[1]
 
     async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        if self._metrics_server is not None:
-            self._metrics_server.close()
-            await self._metrics_server.wait_closed()
-            self._metrics_server = None
+        for listener in (self._server, self._metrics_server):
+            if listener is not None:
+                listener.close()
+                await listener.wait_closed()
+        self._server = self._metrics_server = None
         for monitor in self._monitors:
             monitor.cancel()
         self._monitors = []
@@ -342,19 +340,19 @@ class LiveServer:
             worker: LiveWorker, job: LiveJob, queue_wait: float, service: float
         ) -> None:
             codec = connection.codec
+            queued, in_service, ewma = worker.feedback()
             if codec is BINARY_CODEC:
                 # Hot path: struct-pack the response without building the
                 # frame dict (the dominant server-side send).
-                fb = worker.feedback()
                 connection.out.send(
                     codec.encode_res(
                         job.rid,
-                        worker.worker_id,
+                        worker.server_id,
                         queue_wait,
                         service,
-                        fb["q"],
-                        fb["s"],
-                        fb["ew"],
+                        queued,
+                        in_service,
+                        ewma,
                     )
                 )
             else:
@@ -362,10 +360,10 @@ class LiveServer:
                     {
                         "t": "res",
                         "rid": job.rid,
-                        "server": worker.worker_id,
+                        "server": worker.server_id,
                         "queue_wait": queue_wait,
                         "service": service,
-                        "fb": worker.feedback(),
+                        "fb": {"q": queued, "s": in_service, "ew": ewma},
                     }
                 )
 
@@ -542,7 +540,7 @@ class LiveServer:
         if command == "slowdown":
             factor = float(frame.get("factor", 0))
             for worker in targets:
-                worker.throttle(factor)
+                worker.slowdown(factor)
         elif command == "restore":
             factor = float(frame.get("factor", 0))
             for worker in targets:
@@ -601,22 +599,18 @@ class LiveServer:
 
     # -- congestion ---------------------------------------------------------------
     async def _congestion_monitor(self, worker: LiveWorker) -> None:
-        """Mirror of the simulated congestion monitor: offered load plus
-        backlog against capacity, a frame to every opted-in client when
-        overloaded."""
+        """The simulated congestion monitor's check on a wall clock: a
+        frame to every opted-in client while the worker is overloaded."""
         interval = self.congestion_interval
         while True:
             await self.clock.sleep(interval)
-            ratio = congestion_ratio(
-                worker.arrival_rate.rate(self.clock.now),
-                worker.queue_length(),
-                worker.capacity(),
-                interval,
+            ratio = worker.overloaded(
+                self.clock.now, interval, self.congestion_threshold
             )
-            if ratio > self.congestion_threshold:
+            if ratio is not None:
                 frame = {
                     "t": "congestion",
-                    "server": worker.worker_id,
+                    "server": worker.server_id,
                     "ratio": ratio,
                 }
                 for connection in self.connections:
@@ -663,30 +657,16 @@ class LiveServer:
 
 async def run_server(
     config: "ExperimentConfig",
-    time_scale: float = DEFAULT_TIME_SCALE,
-    seed: int = 1,
-    host: str = DEFAULT_HOST,
-    port: int = DEFAULT_PORT,
     ready: _t.Optional[_t.Callable[[LiveServer], None]] = None,
-    worker_ids: _t.Optional[_t.Sequence[int]] = None,
-    stats_interval: _t.Optional[float] = None,
-    metrics_port: _t.Optional[int] = None,
+    **server_options: _t.Any,
 ) -> None:
     """Start a server from a config and serve until cancelled.
 
-    ``ready`` is invoked with the bound server (its ``port`` resolved) --
-    the CLI prints the endpoint, tests grab the ephemeral port.
+    ``server_options`` are :meth:`LiveServer.from_config`'s.  ``ready`` is
+    invoked with the bound server (its ``port`` resolved) -- the CLI
+    prints the endpoint, tests grab the ephemeral port.
     """
-    server = LiveServer.from_config(
-        config,
-        time_scale=time_scale,
-        seed=seed,
-        host=host,
-        port=port,
-        worker_ids=worker_ids,
-        stats_interval=stats_interval,
-        metrics_port=metrics_port,
-    )
+    server = LiveServer.from_config(config, **server_options)
     await server.start()
     if ready is not None:
         ready(server)

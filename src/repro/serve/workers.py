@@ -1,7 +1,8 @@
 """Live backend workers: bounded priority queues drained by a core pump.
 
-A :class:`LiveWorker` is the wall-clock analogue of the simulation's
-:class:`~repro.cluster.server.BackendServer`: requests land in a bounded
+A :class:`LiveWorker` is the wall-clock engine over the same
+:class:`~repro.cluster.server.ServerState` the simulation's
+:class:`~repro.cluster.server.BackendServer` runs on: requests land in a bounded
 priority queue (smaller priority tuple first, FIFO within a priority),
 ``cores`` of them may be in service at once, and each is held for a
 *calibrated* service time (the same value-size-dependent
@@ -18,16 +19,13 @@ timer cost is amortized across the batch; this is what lets the firehose
 benchmark drive tens of thousands of ops per second through a worker
 whose emulated service times are microseconds of wall time.
 
-Fault hooks mirror the simulated fault injector one-for-one so scenario
-fault schedules replay against live workers:
-
-* ``slowdown``/``restore`` -- multiply service times (stacking, like
-  overlapping :class:`~repro.cluster.faults.SlowdownFault` windows);
-* ``pause``/``resume`` -- crash/restart: cores stop starting new requests,
-  the queue is retained, nested windows must all close (exactly
-  :meth:`repro.cluster.server._ServerBase.pause` semantics);
-* response ``jitter`` -- the live stand-in for a degraded network on a
-  loopback link: an extra lognormal delay added to each response.
+The fault hooks scenario schedules replay against -- ``slowdown``/
+``restore`` (stacking service-time multipliers) and ``pause``/``resume``
+(crash/restart with nested windows; the queue is retained) -- are
+:class:`~repro.cluster.server.ServerState`'s own, shared with the
+simulated servers.  The one live-only hook is response ``jitter``, the
+stand-in for a degraded network on a loopback link: an extra lognormal
+delay added to each response.
 """
 
 from __future__ import annotations
@@ -38,8 +36,8 @@ import time
 import typing as _t
 from itertools import count
 
+from ..cluster.server import ServerState
 from ..core.clock import WallClock
-from ..metrics.timeseries import EwmaEstimator, WindowedRate
 from ..sim.rng import Stream
 from ..workload.calibration import ServiceTimeModel
 from .protocol import ProtocolError
@@ -82,8 +80,8 @@ class LiveJob:
         self.enqueued_at = -1.0
 
 
-class LiveWorker:
-    """One backend worker: a priority queue plus ``cores`` server tasks."""
+class LiveWorker(ServerState):
+    """One backend worker: a bounded priority queue drained by a core pump."""
 
     def __init__(
         self,
@@ -93,17 +91,11 @@ class LiveWorker:
         service_model: ServiceTimeModel,
         service_stream: Stream,
         max_queue: int = DEFAULT_MAX_QUEUE,
-        ewma_time_constant: float = 0.1,
     ) -> None:
-        if cores <= 0:
-            raise ValueError("cores must be positive")
+        super().__init__(worker_id, cores, service_model, service_stream)
         if max_queue <= 0:
             raise ValueError("max_queue must be positive")
         self.clock = clock
-        self.worker_id = int(worker_id)
-        self.cores = int(cores)
-        self.service_model = service_model
-        self.service_stream = service_stream
         self.max_queue = int(max_queue)
         self._heap: _t.List[_t.Tuple[_t.Tuple[float, ...], int, LiveJob]] = []
         self._seq = count()
@@ -112,19 +104,10 @@ class LiveWorker:
         #: Set whenever the pump may have new work to admit (a submitted
         #: job, a closed crash window).
         self._wakeup = asyncio.Event()
-        self._pause_depth = 0
-        #: Service-time multiplier; >1 while throttled by a fault.
-        self.speed_factor = 1.0
         #: Extra per-response delay (model s); the loopback jitter stand-in.
         self.jitter_mean = 0.0
         self.jitter_sigma = 0.0
-        self.in_service = 0
-        self.completed = 0
         self.rejected = 0
-        self.crashes = 0
-        self.busy_time = 0.0
-        self._ewma_service = EwmaEstimator(ewma_time_constant, initial=0.0)
-        self.arrival_rate = WindowedRate(window=0.1)
         #: In-flight jittered responses (kept referenced until delivered).
         self._jitter_tasks: _t.Set["asyncio.Task[None]"] = set()
         self._pump_task: "asyncio.Task[None]" = (
@@ -139,7 +122,7 @@ class LiveWorker:
         if len(self._heap) >= self.max_queue:
             self.rejected += 1
             raise QueueFullError(
-                f"worker {self.worker_id} queue bound {self.max_queue} hit"
+                f"worker {self.server_id} queue bound {self.max_queue} hit"
             )
         job.enqueued_at = self.clock.now
         self.arrival_rate.record(job.enqueued_at)
@@ -149,54 +132,8 @@ class LiveWorker:
     def queue_length(self) -> int:
         return len(self._heap)
 
-    # -- feedback -----------------------------------------------------------
-    def feedback(self) -> _t.Dict[str, _t.Any]:
-        """Queue state piggybacked on responses (wire form of
-        :class:`~repro.cluster.messages.ServerFeedback`)."""
-        return {
-            "q": self.queue_length(),
-            "s": self.in_service,
-            "ew": self._ewma_service.value,
-        }
-
-    def capacity(self) -> float:
-        """Requests/second (model time) this worker sustains, all cores."""
-        mean = self._ewma_service.value
-        if mean <= 0:
-            mean = self.service_model.expected_time(1024)
-        return self.cores / mean
-
-    @property
-    def utilization_time(self) -> float:
-        """Cumulative busy core-time in model seconds."""
-        return self.busy_time
-
-    # -- fault hooks ----------------------------------------------------------
-    def throttle(self, factor: float) -> None:
-        if factor <= 0:
-            raise ValueError("throttle factor must be positive")
-        self.speed_factor *= factor
-
-    def restore(self, factor: float) -> None:
-        if factor <= 0:
-            raise ValueError("restore factor must be positive")
-        self.speed_factor /= factor
-
-    def pause(self) -> None:
-        """Crash: stop starting requests; the queue survives for resume()."""
-        self._pause_depth += 1
-        self.crashes += 1
-
-    def resume(self) -> None:
-        if self._pause_depth == 0:
-            return
-        self._pause_depth -= 1
-        if self._pause_depth == 0:
-            self._wakeup.set()
-
-    @property
-    def paused(self) -> bool:
-        return self._pause_depth > 0
+    def _restarted(self) -> None:
+        self._wakeup.set()
 
     def set_jitter(self, mean: float, sigma: float) -> None:
         """Add (or clear, with mean 0) per-response delay."""
@@ -260,13 +197,10 @@ class LiveWorker:
 
     def _complete(self, job: LiveJob, start: float) -> None:
         end = self.clock.now
-        self.in_service -= 1
-        self.completed += 1
         # Account the *actual* elapsed model time: on a wall clock the
         # sleep can overshoot, and honest feedback must include that.
         service = end - start
-        self.busy_time += service
-        self._ewma_service.update(end, service)
+        self.finish(end, service)
         queue_wait = max(0.0, start - job.enqueued_at)
         if self.jitter_mean > 0:
             # Jitter models the *network*, not the server: delay the
@@ -295,7 +229,7 @@ class LiveWorker:
 
     def stats(self) -> _t.Dict[str, _t.Any]:
         return {
-            "worker": self.worker_id,
+            "worker": self.server_id,
             "completed": self.completed,
             "queued": self.queue_length(),
             "in_service": self.in_service,

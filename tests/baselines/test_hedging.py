@@ -4,10 +4,14 @@ import pytest
 
 from repro.baselines import HedgedStrategy, LeastOutstandingSelector
 from repro.cluster import BackendServer, Client, Network, RingPlacement
-from repro.cluster.faults import SlowdownInjector
+from repro.cluster.faults import (
+    FaultInjector,
+    FaultSchedule,
+    SimFaultPort,
+    SlowdownFault,
+)
 from repro.cluster.network import ConstantLatency
 from repro.harness import ExperimentConfig, run_experiment
-from repro.metrics import ExactSample
 from repro.sim import Environment, Stream
 from repro.workload import ServiceTimeModel
 from repro.workload.tasks import Operation, Task
@@ -41,10 +45,13 @@ class Rig:
             for s in range(3)
         ]
         if slowdown is not None:
-            SlowdownInjector(
-                self.env, self.servers[slowdown], factor=100.0, duration=10.0
-            )
-        self.latencies = ExactSample()
+            FaultInjector(
+                self.env,
+                FaultSchedule(
+                    (SlowdownFault(servers=slowdown, factor=100.0, duration=10.0),)
+                ),
+                SimFaultPort(self.servers, self.network),
+            ).start()
         self.strategy = HedgedStrategy(
             self.placement,
             LeastOutstandingSelector(),
@@ -59,7 +66,6 @@ class Rig:
             client_id=0,
             network=self.network,
             strategy=self.strategy,
-            task_recorder=self.latencies,
             on_complete=self.completions.append,
         )
 
@@ -91,7 +97,9 @@ class TestHedging:
             for t in range(4):
                 rig.client.submit(make_task(t, n_ops=3))
             rig.env.run(until=60.0)
-        assert fast.latencies.max < slow.latencies.max
+        assert max(c.latency for c in fast.completions) < max(
+            c.latency for c in slow.completions
+        )
 
     def test_task_completes_exactly_once_despite_duplicates(self):
         rig = Rig(hedge_delay=0.0005, slowdown=0)

@@ -10,7 +10,6 @@ from repro.cluster import (
     RingPlacement,
 )
 from repro.cluster.network import ConstantLatency
-from repro.metrics import ExactSample
 from repro.sim import Environment, Stream, StreamFactory
 from repro.workload import ServiceTimeModel
 from repro.workload.tasks import Operation, Task
@@ -43,17 +42,15 @@ class Rig:
             )
             for s in range(n_servers)
         ]
-        self.tasks = ExactSample()
-        self.requests = ExactSample()
+        self.requests = []
         self.completions = []
         self.client = Client(
             self.env,
             client_id=0,
             network=self.network,
             strategy=ObliviousStrategy(self.placement, RoundRobinSelector(), self.model),
-            task_recorder=self.tasks,
-            request_recorder=self.requests,
             on_complete=self.completions.append,
+            request_observer=self.requests.append,
         )
 
 
@@ -71,13 +68,21 @@ class TestClient:
         # Three ops serialize on one single-core server: 3 seconds total.
         rig.client.submit(make_task(0, keys=[0, 1, 2], size=1))
         rig.env.run()
-        assert rig.tasks.values()[0] == pytest.approx(3.0)
+        assert rig.completions[0].latency == pytest.approx(3.0)
 
-    def test_request_latencies_recorded_per_op(self):
+    def test_requests_observed_per_op_with_full_trail(self):
         rig = Rig()
         rig.client.submit(make_task(0, keys=[0, 1, 2]))
         rig.env.run()
-        assert rig.requests.count == 3
+        assert len(rig.requests) == 3
+        for request in rig.requests:
+            assert (
+                0.0
+                <= request.created_at
+                <= request.enqueued_at
+                <= request.service_start_at
+                <= request.completed_at
+            )
 
     def test_duplicate_submit_rejected(self):
         rig = Rig()
@@ -90,7 +95,7 @@ class TestClient:
         rig.client.submit(make_task(0, keys=[0], size=2))
         rig.env.run()
         # 0.5 out + 2.0 service + 0.5 back.
-        assert rig.tasks.values()[0] == pytest.approx(3.0)
+        assert rig.completions[0].latency == pytest.approx(3.0)
 
     def test_counters(self):
         rig = Rig()

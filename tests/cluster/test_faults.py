@@ -1,4 +1,5 @@
-"""Unit tests for fault injection: schedules, typed events, the legacy injector."""
+"""Unit tests for fault injection: typed events, schedules, the one injector
+(driven against a recording port, then against simulated servers)."""
 
 import math
 
@@ -12,13 +13,16 @@ from repro.cluster import (
     FlashCrowdFault,
     Network,
     NetworkJitterFault,
+    RebalanceFault,
+    SimFaultPort,
     SlowdownFault,
-    SlowdownInjector,
     client_address,
     server_address,
 )
 from repro.cluster.messages import RequestMessage
+from repro.cluster.faults import windows_extras
 from repro.cluster.network import ConstantLatency, JitteredLatency
+from repro.placement import MutablePlacement, RingPlacement
 from repro.sim import Environment, Stream
 from repro.workload import ServiceTimeModel
 from repro.workload.tasks import Operation
@@ -42,68 +46,6 @@ def req(op_id=0, size=1):
         client_id=0,
         partition=0,
     )
-
-
-class TestSlowdownInjector:
-    def make_rig(self, **injector_kwargs):
-        env = Environment()
-        network = Network(env, latency=ConstantLatency(0.0), stream=Stream(0, "n"))
-        responses = []
-        network.register(client_address(0), responses.append)
-        server = make_server(env, network)
-        injector = SlowdownInjector(env, server, **injector_kwargs)
-        return env, network, server, injector, responses
-
-    def test_slow_window_multiplies_service_time(self):
-        env, network, server, injector, responses = self.make_rig(
-            factor=3.0, start=0.0, duration=100.0
-        )
-        network.send(client_address(0), server_address(0), req(size=1))
-        env.run(until=50.0)
-        assert len(responses) == 1
-        assert responses[0].request.service_time == pytest.approx(3.0)
-
-    def test_recovery_after_window(self):
-        env, network, server, injector, responses = self.make_rig(
-            factor=5.0, start=0.0, duration=2.0
-        )
-
-        def driver(env):
-            yield env.timeout(10.0)  # past the degraded window
-            network.send(client_address(0), server_address(0), req(size=1))
-
-        env.process(driver(env))
-        env.run(until=20.0)
-        assert responses[0].request.service_time == pytest.approx(1.0)
-        assert injector.windows_injected == 1
-
-    def test_periodic_windows_recur(self):
-        env, network, server, injector, responses = self.make_rig(
-            factor=2.0, start=0.0, duration=1.0, period=2.0
-        )
-        env.run(until=10.5)
-        assert injector.windows_injected >= 5
-
-    def test_delayed_start(self):
-        env, network, server, injector, responses = self.make_rig(
-            factor=2.0, start=5.0, duration=1.0
-        )
-        network.send(client_address(0), server_address(0), req(size=1))
-        env.run(until=3.0)
-        assert responses[0].request.service_time == pytest.approx(1.0)
-
-    def test_validates(self):
-        env = Environment()
-        network = Network(env, stream=Stream(0, "n"))
-        server = make_server(env, network)
-        with pytest.raises(ValueError):
-            SlowdownInjector(env, server, factor=1.0)
-        with pytest.raises(ValueError):
-            SlowdownInjector(env, server, duration=0.0)
-        with pytest.raises(ValueError):
-            SlowdownInjector(env, server, start=-1.0)
-        with pytest.raises(ValueError):
-            SlowdownInjector(env, server, duration=2.0, period=1.0)
 
 
 class TestFaultEventValidation:
@@ -168,6 +110,190 @@ class TestFaultSchedule:
         assert "slowdown x2" in text and "flash crowd" in text
 
 
+class _RecordingPort:
+    """A fault port that only writes down what it was asked to do."""
+
+    n_servers = 4
+
+    def __init__(self, clock):
+        self.clock = clock
+        self.calls = []
+
+    def _note(self, verb, *args):
+        self.calls.append((round(self.clock.now, 9), verb) + args)
+
+    def slowdown(self, servers, factor):
+        self._note("slowdown", tuple(servers), factor)
+
+    def restore(self, servers, factor):
+        self._note("restore", tuple(servers), factor)
+
+    def crash(self, servers):
+        self._note("crash", tuple(servers))
+
+    def resume(self, servers):
+        self._note("resume", tuple(servers))
+
+    def jitter(self, event):
+        self._note("jitter", event.factor)
+
+    def clear_jitter(self):
+        self._note("clear_jitter")
+
+
+class _FakeClock:
+    """The Clock seam, minimally: processes are stepped by ``advance``."""
+
+    def __init__(self):
+        self.now = 0.0
+        self._sleepers = []  # (wake time, spawn order, generator)
+
+    def timeout(self, delay, value=None):
+        return delay
+
+    def process(self, generator, name=None):
+        self._step(len(self._sleepers), generator)
+
+    def _step(self, order, generator):
+        try:
+            delay = next(generator)
+        except StopIteration:
+            return
+        self._sleepers.append((self.now + delay, order, generator))
+
+    def advance(self, until):
+        while True:
+            due = sorted(s for s in self._sleepers if s[0] <= until + 1e-12)
+            if not due:
+                break
+            wake, order, generator = due[0]
+            self._sleepers.remove(due[0])
+            self.now = wake
+            self._step(order, generator)
+        self.now = until
+
+
+class TestFaultPortContract:
+    """The injector's contract with *any* port, stated once for both realms:
+    one overlapping, recurring, five-kind schedule against a recording port
+    and a fake clock."""
+
+    SCHEDULE = FaultSchedule(
+        (
+            SlowdownFault(servers=(0, 1), factor=2.0, start=1.0, duration=4.0),
+            CrashFault(servers=(2,), start=2.0, duration=1.0, period=3.0),
+            NetworkJitterFault(factor=3.0, start=1.0, duration=5.5),
+            NetworkJitterFault(factor=5.0, start=2.0, duration=2.0),
+            FlashCrowdFault(multiplier=2.0, start=1.0, duration=3.0),
+            FlashCrowdFault(multiplier=1.5, start=2.0, duration=4.0),
+            RebalanceFault(servers=(3,), start=3.0, duration=2.0),
+        )
+    )
+
+    def make(self):
+        clock = _FakeClock()
+        port = _RecordingPort(clock)
+        placement = MutablePlacement(RingPlacement(n_servers=4, replication_factor=2))
+        injector = FaultInjector(clock, self.SCHEDULE, port, placement)
+        return clock, port, placement, injector
+
+    def test_nothing_happens_before_start(self):
+        clock, port, _, injector = self.make()
+        clock.advance(10.0)
+        assert port.calls == []
+        assert injector.extras() == {
+            "crash_windows": 0.0,
+            "flash_crowd_windows": 0.0,
+            "network_jitter_windows": 0.0,
+            "rebalance_windows": 0.0,
+            "slowdown_windows": 0.0,
+        }
+
+    def test_apply_revert_sequence(self):
+        clock, port, _, injector = self.make()
+        injector.start()
+        clock.advance(9.5)
+        assert port.calls == [
+            (1.0, "slowdown", (0, 1), 2.0),
+            (1.0, "jitter", 3.0),
+            (2.0, "crash", (2,)),
+            (2.0, "jitter", 5.0),  # latest onset wins
+            (3.0, "resume", (2,)),
+            # t=4: the inner jitter window closes at depth 1 -> no clear.
+            (5.0, "restore", (0, 1), 2.0),
+            (5.0, "crash", (2,)),  # recurrence: onset-to-onset 3 s
+            (6.0, "resume", (2,)),
+            (6.5, "clear_jitter"),  # depth 0 only now
+            (8.0, "crash", (2,)),
+            (9.0, "resume", (2,)),
+        ]
+
+    def test_arrival_scale_is_the_product_of_open_crowds(self):
+        clock, _, _, injector = self.make()
+        injector.start()
+        seen = {}
+        for t in (0.5, 1.5, 2.5, 4.5, 6.5):
+            clock.advance(t)
+            seen[t] = injector.arrival_scale()
+        assert seen == {
+            0.5: 1.0,
+            1.5: 2.0,
+            2.5: pytest.approx(3.0),
+            4.5: pytest.approx(1.5),
+            6.5: pytest.approx(1.0),
+        }
+
+    def test_rebalance_excludes_then_readmits_on_the_shared_placement(self):
+        clock, _, placement, injector = self.make()
+        injector.start()
+        clock.advance(3.5)
+        assert placement.excluded == (3,)
+        clock.advance(5.5)
+        assert placement.excluded == ()
+        assert placement.swaps == 2
+
+    def test_reset_reverts_open_windows_latest_first(self):
+        clock, port, placement, injector = self.make()
+        injector.start()
+        clock.advance(3.5)  # open: slowdown, jitter x2, crowd x2, rebalance
+        del port.calls[:]
+        injector.reset()
+        assert [call[1:] for call in port.calls] == [
+            # rebalance (t=3) and both crowds revert client-side, silently;
+            # the port sees jitter(t=2), jitter(t=1) -> clear, slowdown.
+            ("clear_jitter",),
+            ("restore", (0, 1), 2.0),
+        ]
+        assert injector.arrival_scale() == pytest.approx(1.0)
+        assert placement.excluded == ()
+        injector.reset()  # idempotent
+        assert len(port.calls) == 2
+
+    def test_windows_extras_count_every_onset(self):
+        clock, _, _, injector = self.make()
+        injector.start()
+        clock.advance(9.5)
+        assert injector.extras() == windows_extras(injector.windows) == {
+            "crash_windows": 3.0,
+            "flash_crowd_windows": 2.0,
+            "network_jitter_windows": 2.0,
+            "rebalance_windows": 1.0,
+            "slowdown_windows": 1.0,
+        }
+
+    def test_out_of_range_target_rejected_at_construction(self):
+        clock = _FakeClock()
+        schedule = FaultSchedule((CrashFault(servers=(5,)),))
+        with pytest.raises(ValueError, match="valid ids"):
+            FaultInjector(clock, schedule, _RecordingPort(clock))
+
+    def test_rebalance_needs_a_mutable_placement(self):
+        clock = _FakeClock()
+        schedule = FaultSchedule((RebalanceFault(servers=(0,)),))
+        with pytest.raises(ValueError, match="MutablePlacement"):
+            FaultInjector(clock, schedule, _RecordingPort(clock))
+
+
 class _Rig:
     """n servers on a zero-latency network, responses collected per client."""
 
@@ -188,8 +314,56 @@ class _Rig:
             client_address(0), server_address(server_id), req(op_id=op_id, size=size)
         )
 
+    def inject(self, schedule):
+        injector = FaultInjector(
+            self.env, schedule, SimFaultPort(self.servers, self.network)
+        )
+        injector.start()
+        return injector
 
-class TestFaultInjector:
+
+class TestFaultInjectorOnSimServers:
+    """What :class:`SimFaultPort`'s verbs do to simulated servers/network."""
+
+    def test_single_window_then_recovery(self):
+        rig = _Rig(n_servers=1)
+        injector = rig.inject(
+            FaultSchedule((SlowdownFault(servers=0, factor=5.0, duration=2.0),))
+        )
+
+        def driver(env):
+            rig.send(0, op_id=0)  # inside the window
+            yield env.timeout(10.0)  # well past it
+            rig.send(0, op_id=1)
+
+        rig.env.process(driver(rig.env))
+        rig.env.run(until=20.0)
+        by_op = {r.request.op.op_id: r.request.service_time for r in rig.responses}
+        assert by_op == {0: pytest.approx(5.0), 1: pytest.approx(1.0)}
+        assert injector.windows["slowdown"] == 1
+
+    def test_periodic_windows_recur(self):
+        rig = _Rig(n_servers=1)
+        injector = rig.inject(
+            FaultSchedule(
+                (SlowdownFault(servers=0, factor=2.0, duration=1.0, period=2.0),)
+            )
+        )
+        rig.env.run(until=10.5)
+        assert injector.windows["slowdown"] == 6  # onsets at 0, 2, ..., 10
+        assert rig.servers[0].speed_factor == pytest.approx(2.0)  # t=10.5: open
+
+    def test_delayed_start(self):
+        rig = _Rig(n_servers=1)
+        rig.inject(
+            FaultSchedule(
+                (SlowdownFault(servers=0, factor=2.0, start=5.0, duration=1.0),)
+            )
+        )
+        rig.send(0)
+        rig.env.run(until=3.0)
+        assert rig.responses[0].request.service_time == pytest.approx(1.0)
+
     def test_overlapping_slowdowns_on_distinct_servers(self):
         rig = _Rig(n_servers=2)
         schedule = FaultSchedule(
@@ -198,7 +372,7 @@ class TestFaultInjector:
                 SlowdownFault(servers=(1,), factor=3.0, start=1.0, duration=10.0),
             )
         )
-        injector = FaultInjector(rig.env, schedule, rig.servers, rig.network)
+        injector = rig.inject(schedule)
 
         def driver(env):
             yield env.timeout(2.0)  # both windows open
@@ -220,7 +394,7 @@ class TestFaultInjector:
                 SlowdownFault(servers=(0,), factor=3.0, start=1.0, duration=2.0),
             )
         )
-        FaultInjector(rig.env, schedule, rig.servers, rig.network)
+        rig.inject(schedule)
 
         def driver(env):
             yield env.timeout(1.5)  # inside both windows
@@ -240,7 +414,7 @@ class TestFaultInjector:
         schedule = FaultSchedule(
             (CrashFault(servers=(0,), start=1.0, duration=5.0),)
         )
-        FaultInjector(rig.env, schedule, rig.servers, rig.network)
+        rig.inject(schedule)
 
         def driver(env):
             yield env.timeout(2.0)  # server is down
@@ -266,7 +440,7 @@ class TestFaultInjector:
                 CrashFault(servers=(1,), start=1.0, duration=3.0),
             )
         )
-        FaultInjector(rig.env, schedule, rig.servers, rig.network)
+        rig.inject(schedule)
 
         def driver(env):
             yield env.timeout(2.0)  # both down
@@ -286,7 +460,7 @@ class TestFaultInjector:
         schedule = FaultSchedule(
             (NetworkJitterFault(factor=4.0, sigma=0.2, start=1.0, duration=2.0),)
         )
-        FaultInjector(rig.env, schedule, rig.servers, rig.network)
+        rig.inject(schedule)
 
         seen = {}
 
@@ -302,41 +476,6 @@ class TestFaultInjector:
         assert seen["during"].mean() == pytest.approx(base.mean() * 4.0)
         assert seen["after"] is base
 
-    def test_flash_crowd_scales_arrivals_and_reverts(self):
-        rig = _Rig(n_servers=1)
-        schedule = FaultSchedule(
-            (FlashCrowdFault(multiplier=2.5, start=1.0, duration=2.0),)
-        )
-        injector = FaultInjector(rig.env, schedule, rig.servers, rig.network)
-        seen = {}
-
-        def driver(env):
-            seen["before"] = injector.arrival_scale()
-            yield env.timeout(1.5)
-            seen["during"] = injector.arrival_scale()
-            yield env.timeout(5.0)
-            seen["after"] = injector.arrival_scale()
-
-        rig.env.process(driver(rig.env))
-        rig.env.run(until=10.0)
-        assert seen["before"] == 1.0
-        assert seen["during"] == pytest.approx(2.5)
-        assert seen["after"] == pytest.approx(1.0)
-
-    def test_extras_report_zero_before_first_window(self):
-        rig = _Rig(n_servers=1)
-        schedule = FaultSchedule(
-            (SlowdownFault(servers=(0,), factor=2.0, start=100.0, duration=1.0),)
-        )
-        injector = FaultInjector(rig.env, schedule, rig.servers, rig.network)
-        assert injector.extras() == {"slowdown_windows": 0.0}
-
-    def test_out_of_range_target_rejected_at_injection(self):
-        rig = _Rig(n_servers=1)
-        schedule = FaultSchedule((CrashFault(servers=(5,)),))
-        with pytest.raises(ValueError, match="valid ids"):
-            FaultInjector(rig.env, schedule, rig.servers, rig.network)
-
     def test_overlapping_crashes_same_server_nest(self):
         rig = _Rig(n_servers=1)
         schedule = FaultSchedule(
@@ -345,7 +484,7 @@ class TestFaultInjector:
                 CrashFault(servers=(0,), start=2.0, duration=5.0),
             )
         )
-        FaultInjector(rig.env, schedule, rig.servers, rig.network)
+        rig.inject(schedule)
 
         def driver(env):
             yield env.timeout(3.0)
@@ -361,9 +500,3 @@ class TestFaultInjector:
         assert len(rig.responses) == 1
         assert rig.responses[0].request.service_start_at >= 7.0
         assert rig.servers[0].crashes == 2
-
-    def test_jitter_without_network_rejected_at_construction(self):
-        rig = _Rig(n_servers=1)
-        schedule = FaultSchedule((NetworkJitterFault(start=0.5),))
-        with pytest.raises(ValueError, match="need a network"):
-            FaultInjector(rig.env, schedule, rig.servers, network=None)

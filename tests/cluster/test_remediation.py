@@ -240,15 +240,3 @@ class TestRemediationDriver:
                 clock=env, mode="off", sampler=BusSampler(),
                 queue_depths=lambda: [],
             )
-
-    def test_wrap_on_complete_chains_recording(self):
-        env, driver = self.driver(mode="monitor")
-        seen = []
-
-        class Completion:
-            latency = 0.003
-
-        wrapped = driver.wrap_on_complete(seen.append)
-        wrapped(Completion())
-        assert len(seen) == 1
-        assert driver.sampler.completed == 1

@@ -8,7 +8,7 @@ from repro.cluster import (
     JitteredLatency,
     PAPER_CLUSTER,
 )
-from repro.cluster.partitioner import ConsistentHashRing, RingPlacement
+from repro.placement import ConsistentHashRing, RingPlacement
 
 
 class TestPaperCluster:

@@ -98,3 +98,94 @@ class TestRunSeeds:
     def test_empty_seed_list_rejected(self):
         with pytest.raises(ValueError):
             run_seeds(small_cfg("c3"), seeds=[])
+
+
+class _StubClock:
+    """A wall-ish clock that never runs anything: enough seam to assemble."""
+
+    now = 0.0
+
+    def __init__(self):
+        self.spawned = []
+
+    def timeout(self, delay, value=None):
+        return delay
+
+    def process(self, generator, name=None):
+        self.spawned.append(name)
+
+
+class _StubTransport:
+    def __init__(self):
+        self.handlers = {}
+
+    def register(self, address, handler):
+        self.handlers[address] = handler
+
+    def send(self, src, dst, message):
+        raise AssertionError("nothing may be sent while assembling")
+
+
+class _NullPort:
+    n_servers = 9
+
+
+class TestRunAssemblyParity:
+    """The assembly is the same object in both realms: same (config, seed)
+    over the simulation's Environment/Network and over a stub wall
+    clock/transport gives the same strategy stack, placement, warm-up
+    boundary and task stream."""
+
+    @pytest.mark.parametrize("strategy", ["unifincr-credits", "c3", "hedged"])
+    def test_same_assembly_over_either_seam(self, strategy):
+        from repro.cluster import Network
+        from repro.harness import RunAssembly
+        from repro.scenarios import get_scenario
+        from repro.sim import Environment
+        from repro.sim.rng import StreamFactory
+
+        config = get_scenario("ring-rebalance").build_config(
+            strategy=strategy, n_tasks=400
+        )
+        env = Environment()
+        sim = RunAssembly(
+            config,
+            StreamFactory(5),
+            env,
+            Network(env, stream=StreamFactory(5).stream("network.latency")),
+            on_done=lambda: None,
+        )
+        live = RunAssembly(
+            config, StreamFactory(5), _StubClock(), _StubTransport(), lambda: None
+        )
+        tasks = {}
+        for realm, run in (("sim", sim), ("live", live)):
+            run.arm(_NullPort(), lambda: [0.0] * 9)
+            tasks[realm] = [run.generator.next_task() for _ in range(200)]
+
+        assert [type(s) for s in sim.strategies] == [type(s) for s in live.strategies]
+        assert len(sim.clients) == len(live.clients) == config.n_clients
+        assert sim.warmup_tasks == live.warmup_tasks == 20
+        assert sim.faults.schedule == live.faults.schedule == config.faults()
+        for key in range(0, config.n_keys, 97):
+            assert sim.placement.replicas_of_key(key) == live.placement.replicas_of_key(key)
+        assert tasks["sim"] == tasks["live"]
+        # Same handlers on the transport, whatever it is made of.
+        assert set(live.ctx.network.handlers) >= {
+            ("client", c) for c in range(config.n_clients)
+        }
+
+    def test_record_requests_fills_the_anatomy_in_the_simulation_too(self):
+        result = run_experiment(
+            small_cfg("unifincr-credits", record_requests=True), seed=2
+        )
+        counts = {
+            len(s)
+            for s in (
+                result.request_latencies,
+                result.queue_waits,
+                result.service_times,
+                result.client_waits,
+            )
+        }
+        assert counts == {result.requests_served}

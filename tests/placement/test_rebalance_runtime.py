@@ -92,14 +92,6 @@ class TestRebalanceRuns:
         assert result.tasks_completed == 800
         assert result.extras["placement_swaps"] == 1.0
 
-    def test_rebalance_fault_requires_mutable_placement(self):
-        from repro.cluster.faults import FaultInjector
-        from repro.sim.engine import Environment
-
-        schedule = FaultSchedule((RebalanceFault(servers=(0,)),))
-        with pytest.raises(ValueError, match="MutablePlacement"):
-            FaultInjector(Environment(), schedule, servers=[object()] * 3)
-
     def test_infeasible_rebalance_rejected_before_the_run(self):
         """Draining 7 of 9 servers under RF=3 must fail at construction,
         not crash mid-window (code-review finding)."""

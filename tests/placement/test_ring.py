@@ -3,8 +3,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster import ConsistentHashRing, RingPlacement, stable_hash
-from repro.cluster.partitioner import ExplicitPlacement
+from repro.placement import (
+    ConsistentHashRing,
+    ExplicitPlacement,
+    RingPlacement,
+    stable_hash,
+)
 
 
 class TestStableHash:
