@@ -1,15 +1,25 @@
-"""CI perf-smoke gate: fail on a >20% kernel-throughput regression.
+"""CI perf-smoke gate: fail on a >20% simulation-throughput regression.
 
 Usage::
 
     python benchmarks/check_event_throughput.py \
         [results/event_throughput.json] [results/event_throughput_baseline.json]
 
-Compares the *normalized* events/sec (events per calibration spin -- see
-``benchmarks/test_bench_event_throughput.py``) of the fresh measurement
-against the committed baseline's ``current`` block, section by section.
-Normalization cancels machine speed, so the gate is meaningful on CI
-runners that are slower or faster than the machine that recorded the
+Compares the fresh measurement (see
+``benchmarks/test_bench_event_throughput.py``) against the committed
+baseline's ``current`` block, section by section, in *work done per
+calibration spin*:
+
+* ``micro`` / ``micro_callback`` -- **events** per spin.  The tickers are
+  nothing but calendar entries, so events are the work.
+* the ``strategies`` sections -- **tasks** per spin.  A full run's work is
+  the tasks it simulates; how many calendar entries the engine spends per
+  task is an implementation detail, and an engine change that needs fewer
+  of them would read as a *regression* in events per spin while the run
+  got faster.
+
+Dividing by the spin rate cancels machine speed, so the gate is meaningful
+on CI runners that are slower or faster than the machine that recorded the
 baseline.  Exit code 1 when any section drops below 80% of the baseline.
 
 To re-record the baseline after an intentional perf change::
@@ -24,18 +34,23 @@ from pathlib import Path
 
 RESULTS = Path(__file__).resolve().parent.parent / "results"
 TOLERANCE = 0.8  # fail below 80% of baseline (a >20% regression)
+#: Sections whose unit of work is the calendar entry; the rest run tasks.
+MICRO = ("micro", "micro_callback")
 
 
-def _normalized(data, section):
-    if section in ("micro", "micro_callback"):
+def _per_spin(data, section):
+    """Work per calibration spin: events (micro) or tasks (strategies)."""
+    if section in MICRO:
         entry = data.get(section)
-    else:
-        entry = data.get("strategies", {}).get(section)
-    return None if entry is None else entry.get("normalized")
+        return None if entry is None else entry.get("normalized")
+    entry = data.get("strategies", {}).get(section)
+    if entry is None or "tasks_per_sec" not in entry:
+        return None
+    return entry["tasks_per_sec"] / data["calibration_spins_per_sec"]
 
 
 def _sections(data):
-    sections = [s for s in ("micro", "micro_callback") if s in data]
+    sections = [s for s in MICRO if s in data]
     return sections + sorted(data.get("strategies", {}))
 
 
@@ -72,8 +87,8 @@ def main(argv):
 
     failed = False
     for section in _sections(current):
-        want = _normalized(current, section)
-        got = _normalized(measured, section)
+        want = _per_spin(current, section)
+        got = _per_spin(measured, section)
         if got is None:
             # A section the baseline gates vanished from the bench: that
             # is a config drift, not a perf result -- fail loudly with a
@@ -87,20 +102,21 @@ def main(argv):
             continue
         ratio = got / want if want else float("inf")
         status = "ok" if ratio >= TOLERANCE else "REGRESSED"
+        unit = "events" if section in MICRO else "tasks"
         print(
-            f"{section:20s} normalized {got:.4f} vs baseline {want:.4f} "
+            f"{section:20s} {unit}/spin {got:.3e} vs baseline {want:.3e} "
             f"({ratio:.2f}x)  {status}"
         )
         if ratio < TOLERANCE:
             failed = True
-    ungated = [s for s in _sections(measured) if _normalized(current, s) is None]
+    ungated = [s for s in _sections(measured) if _per_spin(current, s) is None]
     if ungated:
         print(
             f"note: sections {ungated} are measured but not in the "
             "baseline; run --update-baseline to start gating them"
         )
     if failed:
-        print(f"FAIL: kernel throughput regressed more than "
+        print(f"FAIL: simulation throughput regressed more than "
               f"{(1 - TOLERANCE) * 100:.0f}% against the committed baseline")
         return 1
     print("perf-smoke: no regression beyond tolerance")

@@ -8,31 +8,7 @@ tasks, and catch kernel performance regressions.
 from conftest import pingpong_events, save_report
 
 from repro.metrics import LogHistogram
-from repro.sim import Environment, PriorityItem, PriorityStore, Stream
-
-
-def store_churn(n_items=50_000):
-    env = Environment()
-    store = PriorityStore(env)
-    stream = Stream(1, "keys")
-    drained = []
-
-    def producer(env):
-        for i in range(n_items):
-            store.put(PriorityItem(stream.random(), i))
-            if i % 64 == 0:
-                yield env.timeout(0.001)
-
-    def consumer(env):
-        for _ in range(n_items):
-            item = yield store.get()
-            drained.append(item)
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert len(drained) == n_items
-    return env.events_processed
+from repro.sim import Stream
 
 
 def histogram_ingest(n=200_000):
@@ -63,11 +39,6 @@ def test_event_throughput(benchmark):
             "rounds": stats.rounds,
         },
     )
-
-
-def test_priority_store_churn(benchmark):
-    events = benchmark.pedantic(store_churn, rounds=1, iterations=1)
-    assert events > 50_000
 
 
 def test_histogram_ingest(benchmark):

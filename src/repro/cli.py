@@ -312,10 +312,11 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     profiler.disable()
     elapsed = time.perf_counter() - start
     print(
-        f"{result.events_processed} events in {elapsed:.2f}s under the "
-        f"profiler: {result.events_processed / elapsed:,.0f} events/s, "
-        f"{config.n_tasks / elapsed:,.0f} tasks/s (expect ~2-4x faster "
-        f"unprofiled; see docs/performance.md)"
+        f"{config.n_tasks} tasks in {elapsed:.2f}s under the profiler: "
+        f"{config.n_tasks / elapsed:,.0f} tasks/s "
+        f"({result.events_processed} events, "
+        f"{result.events_processed / elapsed:,.0f} events/s; expect ~2-4x "
+        f"faster unprofiled; see docs/performance.md)"
     )
     stats = pstats.Stats(profiler)
     rows = _profile_rows(stats, args.sort, args.top)

@@ -5,25 +5,34 @@ Two execution models, matching the paper's two realizations:
 * :class:`BackendServer` -- owns a local queue ordered by a pluggable
   discipline (FIFO for task-oblivious baselines, priority for
   BRB-credits).  Requests are pushed to it through the network.
-* :class:`PullServer` -- owns no queue; its cores *work-pull* from a single
-  global priority store shared by all clients (the paper's ideal "model"
-  realization), restricted to requests of partitions the server replicates.
+* :class:`PullServer` -- owns no queue; its idle cores are handed work from
+  a single global priority queue shared by all clients (the paper's ideal
+  "model" realization), restricted to requests of partitions the server
+  replicates.
 
 Both use the same service-time model (value-size dependent, calibrated to
 the paper's 3500 req/s/core) and piggyback queue feedback on responses for
 C3's replica ranking.  Everything about a server that does not depend on
 *how* time passes is :class:`ServerState`, which the live realm's
 :class:`~repro.serve.workers.LiveWorker` inherits too.
+
+The simulated engine is callback-driven, the same admit/complete shape as
+the live worker's pump: a request costs the calendar one ``Timer`` for its
+service time plus a share of one end-of-instant admit -- no generator per
+core, no put/get events.  ``docs/performance.md`` (Stage D) has the
+measured before/after.
 """
 
 from __future__ import annotations
 
 import typing as _t
+from heapq import heappop, heappush
+from itertools import count
 
 from ..metrics.timeseries import EwmaEstimator, WindowedRate
 from ..sim.engine import Environment
+from ..sim.events import LOW
 from ..sim.rng import Stream
-from ..sim.resources import PriorityFilterStore, PriorityItem, PriorityStore
 from ..scheduling.disciplines import Discipline, FifoDiscipline
 from ..workload.calibration import ServiceTimeModel
 from .addresses import CONTROLLER_ADDRESS, client_address, server_address
@@ -34,6 +43,9 @@ from .messages import (
     ServerFeedback,
 )
 from .network import Network
+
+if _t.TYPE_CHECKING:  # pragma: no cover - core imports cluster, not vice versa
+    from ..core.model_queue import GlobalQueue
 
 __all__ = [
     "BackendServer",
@@ -53,7 +65,7 @@ class ServerState:
     the arrival-rate tracker, the capacity estimate, the piggybacked
     feedback and the congestion check.  The simulated servers below and
     the live :class:`~repro.serve.workers.LiveWorker` inherit it and add
-    only their execution engine (process-per-core vs a due-heap pump), so
+    only their execution engine (calendar timers vs a due-heap pump), so
     the two realms cannot disagree about any of it.  Plain attributes on
     purpose: the engines read them on their hot paths.
     """
@@ -172,7 +184,13 @@ class ServerState:
 
 
 class _ServerBase(ServerState):
-    """The simulated engine's shared half: one process per core."""
+    """The simulated engine's shared half: start and complete on calendar timers.
+
+    A request occupies a core from :meth:`_start` (which draws its service
+    time and arms one ``Timer`` for the finish) to :meth:`_complete`
+    (which accounts it, sends the response and calls :meth:`_core_freed`).
+    The subclasses differ only in where the next request comes from.
+    """
 
     def __init__(
         self,
@@ -186,36 +204,34 @@ class _ServerBase(ServerState):
         super().__init__(server_id, cores, service_model, service_stream)
         self.env = env
         self.network = network
-        #: Resume event while paused (crashed); ``None`` when healthy.
-        self._resume: _t.Optional[_t.Any] = None
+        self._address = server_address(self.server_id)
 
-    def pause(self) -> None:
-        super().pause()
-        if self._resume is None:
-            self._resume = self.env.event()
+    def _core_freed(self) -> None:  # pragma: no cover - abstract
+        """Engine hook: a core just finished its request."""
+        raise NotImplementedError
 
-    def _restarted(self) -> None:
-        event, self._resume = self._resume, None
-        event.succeed(None)
-
-    def _serve(self, request: RequestMessage) -> _t.Generator:
-        """Execute one request on the calling core and send the response."""
+    def _start(self, request: RequestMessage) -> None:
+        """Put ``request`` on a free core until its sampled service time is up."""
+        self.in_service += 1
         request.service_start_at = self.env.now
         duration = self.speed_factor * self.service_model.sample_time(
             request.op.value_size, self.service_stream
         )
-        yield self.env.timeout(duration)
+        self.env.call_later(duration, self._complete, (request, duration))
+
+    def _complete(self, served: _t.Tuple[RequestMessage, float]) -> None:
+        request, duration = served
         request.completed_at = now = self.env.now
         self.finish(now, duration)
-        response = ResponseMessage(
-            request=request,
-            feedback=ServerFeedback(self.server_id, *self.feedback()),
-        )
         self.network.send(
-            server_address(self.server_id),
+            self._address,
             client_address(request.client_id),
-            response,
+            ResponseMessage(
+                request=request,
+                feedback=ServerFeedback(self.server_id, *self.feedback()),
+            ),
         )
+        self._core_freed()
 
     @property
     def utilization(self) -> float:
@@ -228,8 +244,14 @@ class _ServerBase(ServerState):
 class BackendServer(_ServerBase):
     """Queue-owning server (task-oblivious baselines and BRB-credits).
 
-    Requests arrive via the network into a priority store ordered by the
-    configured discipline; ``cores`` worker processes drain it.
+    Requests arrive via the network into a heap ordered by the configured
+    discipline (FIFO within a key); an end-of-instant *admit* moves them
+    onto free cores.  The admit runs at ``LOW`` priority, after every
+    arrival of its timestamp, so a batch of same-instant arrivals -- one
+    task's requests over a constant-latency network -- is ordered *before*
+    an idle core takes the first one.  This mirrors how a real server
+    drains a kernel socket buffer: everything that arrived is visible
+    before the next scheduling decision.
 
     When ``congestion_interval`` is set, a monitor process compares the
     offered arrival rate against the server's capacity every interval and
@@ -253,13 +275,15 @@ class BackendServer(_ServerBase):
             env, server_id, cores, service_model, network, service_stream
         )
         self.discipline = discipline if discipline is not None else FifoDiscipline()
-        self._store = PriorityStore(env)
+        #: Queued requests: (discipline key, arrival seq, request).
+        self._heap: _t.List[_t.Tuple[_t.Any, int, RequestMessage]] = []
+        self._seq = count()
+        #: An admit is already on the calendar for the current instant.
+        self._admit_pending = False
         self.congestion_interval = congestion_interval
         self.congestion_threshold = congestion_threshold
         self.congestion_signals_sent = 0
-        network.register(server_address(self.server_id), self.handle_message)
-        for core in range(self.cores):
-            env.process(self._core_loop(), name=f"server{self.server_id}.core{core}")
+        network.register(self._address, self.handle_message)
         if congestion_interval is not None:
             if congestion_interval <= 0:
                 raise ValueError("congestion_interval must be positive")
@@ -274,21 +298,37 @@ class BackendServer(_ServerBase):
         now = self.env.now
         message.enqueued_at = now
         self.arrival_rate.record(now)
-        key = self.discipline.key(message, now)
-        self._store.put(PriorityItem(key, message))
+        heappush(
+            self._heap,
+            (self.discipline.key(message, now), next(self._seq), message),
+        )
+        self._arm_admit()
 
     def queue_length(self) -> int:
-        return len(self._store)
+        return len(self._heap)
 
-    # -- processes --------------------------------------------------------------
-    def _core_loop(self) -> _t.Generator:
-        while True:
-            item = yield self._store.get()
-            while self._resume is not None:  # crashed: hold work until restart
-                yield self._resume
-            request = _t.cast(RequestMessage, _t.cast(PriorityItem, item).item)
-            self.in_service += 1
-            yield from self._serve(request)
+    # -- the admit/complete engine ----------------------------------------------
+    def _arm_admit(self) -> None:
+        """Schedule one :meth:`_admit` for the end of the current instant."""
+        if not self._admit_pending:
+            self._admit_pending = True
+            self.env.call_later(0.0, self._admit, None, LOW)
+
+    def _admit(self, _arg: None) -> None:
+        """Move queued requests onto free cores, smallest key first."""
+        self._admit_pending = False
+        if self._pause_depth:
+            return  # crashed: queued work stays queued until the restart
+        heap = self._heap
+        while heap and self.in_service < self.cores:
+            self._start(heappop(heap)[2])
+
+    def _core_freed(self) -> None:
+        if self._heap:
+            self._arm_admit()
+
+    def _restarted(self) -> None:
+        self._arm_admit()
 
     def _congestion_monitor(self) -> _t.Generator:
         interval = _t.cast(float, self.congestion_interval)
@@ -300,7 +340,7 @@ class BackendServer(_ServerBase):
             if ratio is not None:
                 self.congestion_signals_sent += 1
                 self.network.send(
-                    server_address(self.server_id),
+                    self._address,
                     CONTROLLER_ADDRESS,
                     CongestionSignal(
                         server_id=self.server_id,
@@ -314,10 +354,11 @@ class PullServer(_ServerBase):
     """Work-pulling server for the ideal *model* realization.
 
     All clients put prioritized requests into one shared
-    :class:`PriorityFilterStore`; each core of each server pulls the
-    globally smallest-priority request whose partition the server
-    replicates.  This is exactly the paper's unrealizable ideal: perfect,
-    instantaneous knowledge of the global queue.
+    :class:`~repro.core.model_queue.GlobalQueue`; each idle core of each
+    server is handed the globally smallest-priority request whose
+    partition the server replicates.  This is exactly the paper's
+    unrealizable ideal: perfect, instantaneous knowledge of the global
+    queue.
     """
 
     def __init__(
@@ -328,7 +369,7 @@ class PullServer(_ServerBase):
         service_model: ServiceTimeModel,
         network: Network,
         service_stream: Stream,
-        global_queue: PriorityFilterStore,
+        global_queue: "GlobalQueue",
         partitions: _t.Iterable[int],
     ) -> None:
         super().__init__(
@@ -340,33 +381,27 @@ class PullServer(_ServerBase):
             raise ValueError(f"server {server_id} replicates no partitions")
         # The model still needs a network address: responses flow back and
         # some tests ping servers directly.
-        network.register(server_address(self.server_id), self._reject)
-        for core in range(self.cores):
-            env.process(self._core_loop(), name=f"pull{self.server_id}.core{core}")
+        network.register(self._address, self._reject)
+        #: The global queue's backlog heaps of the partitions we replicate.
+        self.backlogs = global_queue.attach(self)
 
     def _reject(self, message: _t.Any) -> None:
         raise TypeError(
             f"pull-server {self.server_id} does not accept pushed messages"
         )
 
-    def _accepts(self, item: _t.Any) -> bool:
-        request = _t.cast(RequestMessage, _t.cast(PriorityItem, item).item)
-        return request.partition in self.partitions
-
     def queue_length(self) -> int:
         # The global queue is shared; report only this server's eligible
         # backlog so the feedback stays meaningful.
-        return sum(1 for item in self.global_queue.items if self._accepts(item))
+        return sum(map(len, self.backlogs))
 
-    def _core_loop(self) -> _t.Generator:
-        while True:
-            item = yield self.global_queue.get(self._accepts)
-            while self._resume is not None:  # crashed: hold work until restart
-                yield self._resume
-            request = _t.cast(RequestMessage, _t.cast(PriorityItem, item).item)
-            request.enqueued_at = (
-                request.enqueued_at if request.enqueued_at >= 0 else self.env.now
-            )
-            request.server_id = self.server_id
-            self.in_service += 1
-            yield from self._serve(request)
+    def pull(self, request: RequestMessage) -> None:
+        """Serve ``request``, handed to one of our idle cores by the queue."""
+        request.server_id = self.server_id
+        self._start(request)
+
+    def _core_freed(self) -> None:
+        self.global_queue.core_idle(self)
+
+    def _restarted(self) -> None:
+        self.global_queue.arm_flush()

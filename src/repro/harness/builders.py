@@ -400,7 +400,7 @@ class ModelBuilder(StrategyBuilder):
             service_model=ctx.service_model,
             network=ctx.network,
             service_stream=ctx.streams.stream(f"service.{server_id}"),
-            global_queue=ctx.shared["global_queue"].store,
+            global_queue=ctx.shared["global_queue"],
             partitions=ctx.placement.partitions_of_server(server_id),
         )
 

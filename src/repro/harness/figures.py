@@ -107,7 +107,7 @@ def figure1_toy(task_aware: bool, assigner_name: str = "unifincr") -> Figure1Res
 
         def make_server(server_id: int, **common: _t.Any) -> _t.Any:
             return PullServer(
-                global_queue=global_queue.store,
+                global_queue=global_queue,
                 partitions=placement.partitions_of_server(server_id),
                 server_id=server_id,
                 **common,

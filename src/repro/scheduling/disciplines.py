@@ -1,7 +1,7 @@
 """Server-side queue disciplines.
 
 A discipline maps a :class:`~repro.cluster.messages.RequestMessage` to a
-sort key; the server's priority store serves smaller keys first and breaks
+sort key; the server's priority heap serves smaller keys first and breaks
 ties FIFO (arrival order).  The discipline is the only thing that differs
 between a task-oblivious server (FIFO) and a BRB server (PRIORITY fed by
 client-assigned EqualMax/UnifIncr priorities).

@@ -1,4 +1,4 @@
-"""Discrete-event simulation kernel (virtual time, processes, resources).
+"""Discrete-event simulation kernel (virtual time, events, processes).
 
 A small, dependency-free kernel in the style of SimPy: generator-based
 processes yield :class:`~repro.sim.events.Event` objects and are resumed
@@ -36,17 +36,6 @@ from .events import (
     URGENT,
 )
 from .process import Process, ProcessGenerator
-from .resources import (
-    FilterStore,
-    Get,
-    PriorityFilterStore,
-    PriorityItem,
-    PriorityStore,
-    Put,
-    Request,
-    Resource,
-    Store,
-)
 from .rng import Stream, StreamFactory, derive_seed
 
 __all__ = [
@@ -57,23 +46,14 @@ __all__ = [
     "EmptySchedule",
     "Environment",
     "Event",
-    "FilterStore",
-    "Get",
     "Infinity",
     "Interrupt",
     "NORMAL",
     "PENDING",
-    "PriorityFilterStore",
-    "PriorityItem",
-    "PriorityStore",
     "Process",
     "ProcessGenerator",
-    "Put",
-    "Request",
-    "Resource",
     "SimulationError",
     "StopSimulation",
-    "Store",
     "Stream",
     "StreamFactory",
     "Timeout",

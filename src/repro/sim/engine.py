@@ -11,8 +11,8 @@ The calendar holds two kinds of entries, distinguished by exact type:
 * :class:`~repro.sim.events.Event` -- the full one-shot occurrence with a
   value and a callback list (what processes yield and compose);
 * :class:`Timer` -- a bare ``fn(arg)`` callback with **no** event wrapper.
-  This is the hot-path representation used by the network model, the store
-  flush machinery and anything else that only ever needs "call this later":
+  This is the hot-path representation used by the network model, the
+  simulated servers and anything else that only ever needs "call this later":
   scheduling one costs a single small allocation instead of an Event, a
   callbacks list and a closure.
 

@@ -39,7 +39,7 @@ URGENT = 0
 NORMAL = 1
 
 #: Scheduling priority for deferred work that must run after every NORMAL
-#: event of the same timestamp (e.g. store matching flushes).
+#: event of the same timestamp (e.g. a server's end-of-instant admit).
 LOW = 2
 
 
@@ -127,8 +127,7 @@ class Event:
             raise SimulationError(f"{self!r} has already been triggered")
         self._ok = True
         self._value = value
-        # Inlined env.schedule(self): triggering is the kernel's hottest
-        # entry point (every store match and process end lands here).
+        # Inlined env.schedule(self): one frame less on every trigger.
         env = self.env
         heappush(env._queue, (env._now, NORMAL, next(env._eid), self))
         return self

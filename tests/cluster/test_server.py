@@ -17,6 +17,7 @@ from repro.cluster.network import ConstantLatency
 from repro.core.model_queue import GlobalQueue
 from repro.scheduling import PriorityDiscipline, SjfDiscipline
 from repro.sim import Environment, Stream, StreamFactory
+from repro.sim.events import LOW
 from repro.workload import ServiceTimeModel
 from repro.workload.tasks import Operation
 
@@ -39,7 +40,14 @@ def make_request(op_id=0, task_id=0, key=0, size=1, client=0, partition=0, prior
 class Harness:
     """One server, one fake client inbox."""
 
-    def __init__(self, cores=1, discipline=None, congestion_interval=None, latency=0.0):
+    def __init__(
+        self,
+        cores=1,
+        discipline=None,
+        congestion_interval=None,
+        latency=0.0,
+        service_model=None,
+    ):
         self.env = Environment()
         self.network = Network(
             self.env, latency=ConstantLatency(latency), stream=Stream(0, "n")
@@ -52,7 +60,7 @@ class Harness:
             self.env,
             server_id=0,
             cores=cores,
-            service_model=unit_service_model(),
+            service_model=service_model or unit_service_model(),
             network=self.network,
             service_stream=Stream(1, "svc"),
             discipline=discipline,
@@ -161,6 +169,84 @@ class TestBackendServer:
         assert second.queue_wait == pytest.approx(2.0)
 
 
+class TestAdmitEngine:
+    """The callback engine: end-of-instant admit, start and complete timers."""
+
+    def test_same_instant_batch_is_served_in_discipline_order(self):
+        h = Harness(discipline=PriorityDiscipline())
+        priorities = [5.0, 1.0, 4.0, 2.0, 3.0]
+        for op_id, priority in enumerate(priorities):
+            h.push(make_request(op_id=op_id, priority=(priority, 0.0)))
+        for _ in priorities:
+            h.env.step()  # the arrivals; the server was idle throughout
+        assert h.server.in_service == 0 and h.server.queue_length() == 5
+        # One admit on the calendar for the whole instant, after every arrival.
+        assert [entry[1] for entry in h.env._queue] == [LOW]
+        h.env.run()
+        assert [r.request.op.op_id for r in h.responses] == [1, 3, 4, 2, 0]
+
+    def test_admit_is_rearmed_only_while_work_is_queued(self):
+        h = Harness()
+        h.push(make_request(op_id=0))
+        h.push(make_request(op_id=1))
+        h.env.run()
+        # 2 arrivals + 2 admits + 2 completions + 2 response deliveries: the
+        # completion that leaves the queue empty arms nothing.
+        assert h.env.events_processed == 8
+
+    def test_service_times_are_drawn_in_pop_order_from_the_servers_stream(self):
+        model = ServiceTimeModel(overhead=0.0, bandwidth=1.0, noise="exponential")
+        h = Harness(cores=2, discipline=PriorityDiscipline(), service_model=model)
+        sizes = {0: 7, 1: 3, 2: 5, 3: 2}
+        priorities = {0: 4.0, 1: 2.0, 2: 1.0, 3: 3.0}
+        for op_id in sizes:
+            h.push(
+                make_request(
+                    op_id=op_id, size=sizes[op_id], priority=(priorities[op_id],)
+                )
+            )
+        h.env.run()
+        twin = Stream(1, "svc")  # same seed and name as the harness's server
+        by_op = {r.request.op.op_id: r.request for r in h.responses}
+        # Pop order is priority order, whichever core frees up first.
+        for op_id in sorted(sizes, key=priorities.get):
+            assert by_op[op_id].service_time == pytest.approx(
+                model.sample_time(sizes[op_id], twin), rel=1e-12
+            )
+
+    def test_crash_window_keeps_work_queued_and_resumes_by_priority(self):
+        h = Harness(cores=2, discipline=PriorityDiscipline())
+        h.server.pause()
+        for op_id, priority in enumerate([3.0, 1.0, 2.0]):
+            h.push(make_request(op_id=op_id, priority=(priority,)))
+        h.env.run()
+        # Queued, visible to the feedback triple, and nothing started.
+        assert h.server.feedback()[:2] == (3, 0)
+        assert h.responses == []
+        h.server.pause()  # a second, overlapping window
+        h.server.resume()
+        h.env.run()
+        assert h.server.queue_length() == 3 and h.responses == []
+        h.server.resume()
+        h.env.run()
+        starts = {r.request.op.op_id: r.request.service_start_at for r in h.responses}
+        # Two cores: the two most urgent start at once, the third queues.
+        assert starts[1] == starts[2] == 0.0 and starts[0] == pytest.approx(1.0)
+
+    def test_requests_in_service_finish_across_a_crash(self):
+        h = Harness()
+        h.push(make_request(op_id=0, size=2))
+        h.push(make_request(op_id=1, size=1))
+        h.env.run(until=1.0)
+        h.server.pause()
+        h.env.run(until=5.0)
+        assert [r.request.op.op_id for r in h.responses] == [0]
+        assert h.server.queue_length() == 1 and h.server.in_service == 0
+        h.server.resume()
+        h.env.run()
+        assert h.responses[1].request.service_start_at == pytest.approx(5.0)
+
+
 class TestPullServer:
     def make(self, partitions=(0,), cores=1):
         env = Environment()
@@ -175,7 +261,7 @@ class TestPullServer:
             service_model=unit_service_model(),
             network=network,
             service_stream=Stream(2, "svc"),
-            global_queue=gq.store,
+            global_queue=gq,
             partitions=partitions,
         )
         return env, gq, server, responses
@@ -221,6 +307,6 @@ class TestPullServer:
                 service_model=unit_service_model(),
                 network=network,
                 service_stream=Stream(2, "s"),
-                global_queue=gq.store,
+                global_queue=gq,
                 partitions=(),
             )

@@ -5,22 +5,37 @@ inherit the same fault/accounting state, so one hypothesis machine drives
 arbitrary ``pause/resume/slowdown/restore/start/finish`` interleavings
 against an instance of each and checks the invariants the fault injector
 and the congestion path rely on.
+
+The simulated engines get a second property on top: whatever the arrival,
+crash and slowdown program, every submitted request is served exactly once,
+in causal order, on at most ``cores`` cores at a time, and nothing starts
+inside a crash window.
 """
 
 import asyncio
 
 import pytest
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from repro.cluster import BackendServer, Network, PullServer, ServerState
+from repro.cluster import (
+    BackendServer,
+    Network,
+    PullServer,
+    RequestMessage,
+    ServerState,
+    client_address,
+    server_address,
+)
 from repro.cluster.network import ConstantLatency
 from repro.core.clock import WallClock
 from repro.core.model_queue import GlobalQueue
 from repro.serve.workers import LiveWorker
 from repro.sim import Environment, Stream
+from repro.scheduling import PriorityDiscipline
 from repro.workload import ServiceTimeModel
+from repro.workload.tasks import Operation
 
 CORES = 3
 MODEL = ServiceTimeModel(overhead=1e-4, bandwidth=1e9, noise="none")
@@ -49,7 +64,7 @@ def make_pull_server():
         service_model=MODEL,
         network=Network(env, stream=Stream(0, "n")),
         service_stream=Stream(1, "svc"),
-        global_queue=queue.store,
+        global_queue=queue,
         partitions=(0,),
     )
     return server, lambda: None
@@ -203,3 +218,98 @@ class TestSlowdownValidation:
         with pytest.raises(ValueError, match="positive"):
             getattr(server, verb)(0.0)
         assert server.speed_factor == 1.0
+
+
+# -- the simulated engines: conservation under arbitrary fault programs --------
+
+_STEP = st.one_of(
+    st.tuples(st.just("arrive"), st.integers(1, 5), st.integers(0, 3)),
+    st.tuples(st.just("pause")),
+    st.tuples(st.just("resume")),
+    st.tuples(st.just("slowdown"), FACTORS),
+    st.tuples(st.just("restore")),
+)
+#: (gap to the previous step in seconds -- zero gaps make same-instant
+#: batches -- and the step).
+_PROGRAM = st.lists(
+    st.tuples(st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.5]), _STEP),
+    min_size=1,
+    max_size=40,
+)
+
+
+@pytest.mark.parametrize("pull", [False, True], ids=["backend", "pull"])
+@given(program=_PROGRAM, cores=st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_every_request_completes_exactly_once(pull, program, cores):
+    env = Environment()
+    network = Network(env, latency=ConstantLatency(0.0), stream=Stream(0, "n"))
+    responses = []
+    network.register(client_address(0), responses.append)
+    common = dict(
+        server_id=0,
+        cores=cores,
+        service_model=ServiceTimeModel(overhead=0.0, bandwidth=1.0, noise="none"),
+        network=network,
+        service_stream=Stream(1, "svc"),
+    )
+    if pull:
+        queue = GlobalQueue(env, latency=ConstantLatency(0.0), stream=Stream(2, "gq"))
+        server = PullServer(env, global_queue=queue, partitions=(0,), **common)
+        submit = queue.submit
+    else:
+        server = BackendServer(env, discipline=PriorityDiscipline(), **common)
+
+        def submit(request):
+            network.send(client_address(0), server_address(0), request)
+
+    submitted = []
+    slowdowns = []
+
+    def apply(step):
+        kind = step[0]
+        if kind == "arrive":
+            request = RequestMessage(
+                op=Operation(
+                    op_id=len(submitted), task_id=0, key=0, value_size=step[1]
+                ),
+                task_id=0,
+                client_id=0,
+                partition=0,
+                priority=(float(step[2]),),
+            )
+            submitted.append(request)
+            submit(request)
+        elif kind == "pause":
+            server.pause()
+        elif kind == "resume":
+            server.resume()
+        elif kind == "slowdown":
+            slowdowns.append(step[1])
+            server.slowdown(step[1])
+        elif slowdowns:
+            server.restore(slowdowns.pop())
+
+    at = 0.0
+    for gap, step in program:
+        at += gap
+        env.call_at(at, apply, step)
+    # Close whatever crash windows the program left open, so it can drain.
+    for _ in program:
+        env.call_at(at + 1.0, apply, ("resume",))
+
+    while env.peek() != float("inf"):
+        was_paused, was_in_service = server.paused, server.in_service
+        env.step()
+        assert 0 <= server.in_service <= cores
+        if was_paused and server.paused:  # nothing starts while crashed
+            assert server.in_service <= was_in_service
+
+    assert server.in_service == 0 and server.queue_length() == 0
+    assert server.completed == len(submitted)
+    assert sorted(r.request.op.op_id for r in responses) == list(
+        range(len(submitted))
+    )
+    for request in submitted:
+        assert 0.0 <= request.enqueued_at <= request.service_start_at
+        assert request.service_start_at <= request.completed_at

@@ -150,7 +150,7 @@ class ModelRig:
                 service_model=self.model,
                 network=self.network,
                 service_stream=Stream(s + 1, f"s{s}"),
-                global_queue=self.gq.store,
+                global_queue=self.gq,
                 partitions=self.placement.partitions_of_server(s),
             )
             for s in range(n_servers)

@@ -1,20 +1,29 @@
 """Engine-vs-engine byte-equality: fixed seeds, golden ``RunResult`` dicts.
 
-The fixture was captured with the *pre-overhaul* engine (PR 4 state) and
-is the differential half of the hot-path overhaul's determinism promise:
-the heap-calendar/Timer/batched-RNG/memoized-cost engine must reproduce
-the old engine's ``RunResult.to_dict()`` -- which folds every task
-latency into a SHA-256 digest, plus ``events_processed`` and all audit
-extras -- byte for byte, across 3 scenarios x 2 strategies.
+The fixture is the differential half of every engine change's
+determinism promise.  Its six push-server cells (3 scenarios x 2
+strategies) were captured with the *pre-overhaul* engine (PR 4 state);
+the two ``*-model`` cells were captured with the process-per-core engine
+just before the callback-driven servers replaced it, so the
+``PullServer`` rewrite had digests to answer to.
 
-To regenerate after an *intentional* semantics change::
+Two contracts, asserted separately so a failure says which one broke:
+
+* **schedule** -- ``RunResult.to_dict()`` minus ``events_processed``:
+  every task latency folded into a SHA-256 digest, the completion counts
+  and all audit extras.  Only a change to the *model* may move it.
+* **event count** -- ``events_processed``, the calendar entries fired.
+  An engine that does the same simulated work on fewer entries moves
+  this and nothing else (the callback-driven servers cut it by a third).
+
+To regenerate after an *intentional* change::
 
     REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest \
         tests/sim/test_engine_golden.py
 
-and explain in the commit why determinism moved (see
-``docs/performance.md`` for what "byte-identical" does and does not
-cover).
+and explain in the commit why determinism moved, showing which lines of
+the fixture changed (see ``docs/performance.md`` for what
+"byte-identical" does and does not cover).
 """
 
 import json
@@ -35,6 +44,8 @@ GRID = [
     ("straggler", "unifincr-credits"),
     ("hotspot-skew", "c3"),
     ("hotspot-skew", "unifincr-credits"),
+    ("steady-state", "unifincr-model"),
+    ("hot-shard", "equalmax-model"),
 ]
 N_TASKS = 400
 SEED = 1
@@ -58,16 +69,48 @@ def golden():
     return json.loads(FIXTURE.read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize(
+_CELLS = pytest.mark.parametrize(
     "scenario,strategy", GRID, ids=[f"{s}-{st}" for s, st in GRID]
 )
-def test_run_result_matches_pre_overhaul_engine(golden, scenario, strategy):
-    produced = json.loads(json.dumps(_run_cell(scenario, strategy), sort_keys=True))
-    expected = golden[f"{scenario}/{strategy}/seed{SEED}"]
-    assert produced == expected, (
-        f"{scenario}/{strategy}: RunResult.to_dict() drifted from the "
-        "pre-overhaul engine; if intentional, regenerate with "
+
+
+@pytest.fixture(scope="module")
+def produced():
+    """Each grid cell run once, shared by the two contracts below."""
+    cache = {}
+
+    def run(scenario, strategy):
+        if (scenario, strategy) not in cache:
+            cache[scenario, strategy] = json.loads(
+                json.dumps(_run_cell(scenario, strategy), sort_keys=True)
+            )
+        return cache[scenario, strategy]
+
+    return run
+
+
+@_CELLS
+def test_schedule_matches_golden(golden, produced, scenario, strategy):
+    """Everything simulated time decides: latencies, counts, audit extras."""
+    got = dict(produced(scenario, strategy))
+    expected = dict(golden[f"{scenario}/{strategy}/seed{SEED}"])
+    del got["events_processed"], expected["events_processed"]
+    assert got == expected, (
+        f"{scenario}/{strategy}: the simulated schedule drifted (latency "
+        "digest, completions or extras); if intentional, regenerate with "
         "REPRO_REGEN_GOLDEN=1 and justify the determinism break"
+    )
+
+
+@_CELLS
+def test_event_count_matches_golden(golden, produced, scenario, strategy):
+    """Calendar entries fired: moves when the engine changes, not the model."""
+    expected = golden[f"{scenario}/{strategy}/seed{SEED}"]["events_processed"]
+    assert produced(scenario, strategy)["events_processed"] == expected, (
+        f"{scenario}/{strategy}: same schedule contract, different number of "
+        "calendar entries; expected after an engine change (regenerate with "
+        "REPRO_REGEN_GOLDEN=1 and show the fixture diff is events_processed "
+        "lines only), a bug otherwise"
     )
 
 

@@ -6,25 +6,12 @@ Invariants:
 * the event calendar fires same-time events in (priority, sequence)
   order, and processes exactly as many events as were scheduled -- the
   determinism contract the parallel executor's serial==parallel guarantee
-  rests on;
-* a priority store always yields items in non-decreasing key order, FIFO
-  within equal keys;
-* every item put into a store is eventually retrieved exactly once when
-  demand matches supply;
-* resources never exceed capacity.
+  rests on.
 """
-
-import heapq
 
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import (
-    Environment,
-    PriorityItem,
-    PriorityStore,
-    Resource,
-    Store,
-)
+from repro.sim import Environment
 from repro.sim.events import Event, LOW, NORMAL, URGENT
 
 delays = st.lists(
@@ -125,100 +112,3 @@ def test_interleaved_schedules_preserve_relative_sequence(first, second):
     for burst_ids in by_class.values():
         assert burst_ids == sorted(burst_ids)
     assert env.events_processed == len(first) + len(second)
-
-
-@given(
-    st.lists(
-        st.tuples(st.integers(min_value=-100, max_value=100), st.integers()),
-        min_size=1,
-        max_size=50,
-    )
-)
-@settings(max_examples=100, deadline=None)
-def test_priority_store_orders_like_sorted(pairs):
-    env = Environment()
-    store = PriorityStore(env)
-    items = [PriorityItem(key, (key, idx, payload)) for idx, (key, payload) in enumerate(pairs)]
-    for item in items:
-        store.put(item)
-    out = []
-
-    def consumer(env):
-        for _ in range(len(items)):
-            got = yield store.get()
-            out.append(got)
-
-    env.process(consumer(env))
-    env.run()
-    # Keys non-decreasing; within equal keys, insertion order preserved.
-    keys = [i.key for i in out]
-    assert keys == sorted(keys)
-    expected = sorted(items, key=lambda i: (i.key, i.seq))
-    assert [i.item for i in out] == [i.item for i in expected]
-
-
-@given(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=40))
-@settings(max_examples=60, deadline=None)
-def test_store_conserves_items(n_items, n_consumers):
-    env = Environment()
-    store = Store(env)
-    produced = list(range(n_items))
-    consumed = []
-
-    def producer(env):
-        for item in produced:
-            yield env.timeout(0.1)
-            store.put(item)
-
-    def consumer(env, count):
-        for _ in range(count):
-            item = yield store.get()
-            consumed.append(item)
-
-    # Split the demand across consumers (remainder to the first).
-    base, extra = divmod(n_items, n_consumers)
-    counts = [base + (1 if i < extra else 0) for i in range(n_consumers)]
-    env.process(producer(env))
-    for count in counts:
-        if count:
-            env.process(consumer(env, count))
-    env.run()
-    assert sorted(consumed) == produced
-
-
-@given(
-    st.integers(min_value=1, max_value=8),
-    st.lists(st.floats(min_value=0.01, max_value=5.0), min_size=1, max_size=30),
-)
-@settings(max_examples=60, deadline=None)
-def test_resource_never_exceeds_capacity(capacity, service_times):
-    env = Environment()
-    res = Resource(env, capacity=capacity)
-    in_use = []
-    max_seen = [0]
-
-    def worker(env, hold):
-        with res.request() as req:
-            yield req
-            in_use.append(1)
-            max_seen[0] = max(max_seen[0], len(in_use))
-            assert res.count <= capacity
-            yield env.timeout(hold)
-            in_use.pop()
-
-    for hold in service_times:
-        env.process(worker(env, hold))
-    env.run()
-    assert max_seen[0] <= capacity
-    assert res.count == 0
-
-
-@given(st.lists(st.integers(min_value=0, max_value=1000), min_size=1, max_size=200))
-@settings(max_examples=50, deadline=None)
-def test_priority_item_heap_matches_sorted(keys):
-    """PriorityItem's ordering must agree with heapq's invariants."""
-    items = [PriorityItem(k, idx) for idx, k in enumerate(keys)]
-    heap = list(items)
-    heapq.heapify(heap)
-    popped = [heapq.heappop(heap) for _ in range(len(heap))]
-    assert [i.key for i in popped] == sorted(keys)
