@@ -17,7 +17,7 @@ C3's replica ranking.  Everything about a server that does not depend on
 :class:`~repro.serve.workers.LiveWorker` inherits too.
 
 The simulated engine is callback-driven, the same admit/complete shape as
-the live worker's pump: a request costs the calendar one ``Timer`` for its
+the live worker's engine: a request costs the calendar one ``Timer`` for its
 service time plus a share of one end-of-instant admit -- no generator per
 core, no put/get events.  ``docs/performance.md`` (Stage D) has the
 measured before/after.
@@ -65,7 +65,7 @@ class ServerState:
     the arrival-rate tracker, the capacity estimate, the piggybacked
     feedback and the congestion check.  The simulated servers below and
     the live :class:`~repro.serve.workers.LiveWorker` inherit it and add
-    only their execution engine (calendar timers vs a due-heap pump), so
+    only their execution engine (calendar timers vs event-loop callbacks), so
     the two realms cannot disagree about any of it.  Plain attributes on
     purpose: the engines read them on their hot paths.
     """

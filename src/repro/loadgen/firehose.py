@@ -31,24 +31,17 @@ import dataclasses
 import time
 import typing as _t
 
-from ..serve.codec import BINARY_CODEC, codec_for
-from ..serve.protocol import (
-    MAX_PROTOCOL_VERSION,
-    BatchWriter,
-    FrameStream,
-    ProtocolError,
-    priority_to_wire,
-)
+from ..serve.protocol import MAX_PROTOCOL_VERSION
 from .transport import (
     Endpoint,
+    Link,
     LiveTransportError,
+    RID_MASK,
     ack_workers,
+    io_counters,
     open_links,
     sum_stats,
 )
-
-#: Wire ids live in the op frame's u32 field.
-_RID_MASK = 0xFFFFFFFF
 
 #: Fixed priority for firehose ops: everything equal, FIFO per worker.
 _PRIORITY: _t.Tuple[float, ...] = (0.0,)
@@ -117,25 +110,6 @@ class FirehoseResult:
         }
 
 
-class _FireLink:
-    """One raw connection: negotiated codec, framed reader, coalescing outbox."""
-
-    __slots__ = ("endpoint", "codec", "stream", "out", "task")
-
-    def __init__(
-        self,
-        endpoint: Endpoint,
-        codec: _t.Any,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        self.endpoint = endpoint
-        self.codec = codec
-        self.stream = FrameStream(reader, codec)
-        self.out = BatchWriter(writer)
-        self.task: _t.Optional["asyncio.Task[None]"] = None
-
-
 def _percentile(sorted_values: _t.Sequence[float], q: float) -> float:
     if not sorted_values:
         return float("nan")
@@ -148,8 +122,8 @@ class _FirehoseRun:
 
     def __init__(
         self,
-        links: _t.List[_FireLink],
-        worker_links: _t.Dict[int, _t.List[_FireLink]],
+        links: _t.List[Link],
+        worker_links: _t.Dict[int, _t.List[Link]],
         total: int,
         warmup: int,
         fanout: int,
@@ -192,47 +166,18 @@ class _FirehoseRun:
             worker_id = self.worker_ids[op % n_workers]
             links = self.worker_links[worker_id]
             link = links[op % len(links)] if len(links) > 1 else links[0]
-            rid = op & _RID_MASK
+            rid = op & RID_MASK
             self.pending[rid] = mg
             key = op % self.key_space
-            codec = link.codec
-            if codec is BINARY_CODEC:
-                link.out.send(
-                    codec.encode_op(
-                        rid, worker_id, key, self.value_size, _PRIORITY
-                    )
-                )
-            else:
-                link.out.send(
-                    codec.encode(
-                        {
-                            "t": "op",
-                            "rid": rid,
-                            "server": worker_id,
-                            "key": key,
-                            "size": self.value_size,
-                            "prio": priority_to_wire(_PRIORITY),
-                        }
-                    )
-                )
-
-    def io_counters(self) -> _t.Dict[str, int]:
-        return {
-            "frames_sent": sum(link.out.frames_sent for link in self.links),
-            "bytes_sent": sum(link.out.bytes_sent for link in self.links),
-            "writes": sum(link.out.writes for link in self.links),
-            "frames_received": sum(
-                link.stream.frames_read for link in self.links
-            ),
-        }
+            link.out.send(
+                link.codec.encode_op(rid, worker_id, key, self.value_size, _PRIORITY)
+            )
 
     # -- inbound frames -------------------------------------------------------
-    def on_res(self, frame: _t.Dict[str, _t.Any]) -> None:
-        mg = self.pending.pop(int(frame["rid"]), -1)
+    def on_res(self, rid: int, *_measurements: _t.Any) -> None:
+        mg = self.pending.pop(rid, -1)
         if mg < 0:
-            self.fail(
-                LiveTransportError(f"result for unknown wire id: {frame!r}")
-            )
+            self.fail(LiveTransportError(f"result for unknown wire id {rid}"))
             return
         left = self.remaining[mg] - 1
         self.remaining[mg] = left
@@ -246,48 +191,27 @@ class _FirehoseRun:
             # Warmup drained: the window is full and in steady state, so
             # the measured span starts here.
             self.t_measure_start = now
-            self.measure_io_base = self.io_counters()
+            self.measure_io_base = io_counters(self.links)
         if self.next_mg < self.total:
             self.issue_one()
         elif self.completed == self.total:
             self.t_measure_end = now
             self.done.set()
 
-    async def read_loop(self, link: _FireLink) -> None:
-        try:
-            while True:
-                frame = await link.stream.read_frame()
-                if frame is None:
-                    if not self.done.is_set():
-                        self.fail(
-                            LiveTransportError("server closed the connection")
-                        )
-                    return
-                kind = frame.get("t")
-                if kind == "res":
-                    self.on_res(frame)
-                elif kind == "congestion":
-                    self.congestion_frames += 1
-                elif kind == "stats":
-                    future = self.stats_futures.get(link.endpoint)
-                    if future is not None and not future.done():
-                        future.set_result(frame)
-                elif kind == "admin-ack":
-                    pass
-                elif kind == "error":
-                    self.fail(
-                        LiveTransportError(
-                            f"service error: {frame.get('error')!r}"
-                        )
-                    )
-                else:
-                    self.fail(
-                        LiveTransportError(f"unexpected frame {frame!r}")
-                    )
-        except asyncio.CancelledError:
+    def on_control(self, endpoint: Endpoint, frame: _t.Dict[str, _t.Any]) -> None:
+        kind = frame.get("t")
+        if kind == "congestion":
+            self.congestion_frames += 1
+        elif kind == "stats":
+            future = self.stats_futures.get(endpoint)
+            if future is not None and not future.done():
+                future.set_result(frame)
+        elif kind == "admin-ack":
             pass
-        except (ProtocolError, ConnectionError) as exc:
-            self.fail(LiveTransportError(f"live connection failed: {exc}"))
+        elif kind == "error":
+            self.fail(LiveTransportError(f"service error: {frame.get('error')!r}"))
+        else:
+            self.fail(LiveTransportError(f"unexpected frame {frame!r}"))
 
     def fail(self, exc: Exception) -> None:
         if not self.failed.done():
@@ -326,16 +250,14 @@ async def run_firehose(
     # connection out so saturation does not turn into a broadcast storm.
     opened = await open_links(endpoints, pool, protocol, congestion=False)
     negotiated = min(int(entry[4].get("proto", 1)) for entry in opened)
-    links: _t.List[_FireLink] = []
-    worker_links: _t.Dict[int, _t.List[_FireLink]] = {}
-    primary: _t.Dict[Endpoint, _FireLink] = {}
-    for endpoint, _, reader, writer, ack in opened:
-        link = _FireLink(
-            endpoint, codec_for(int(ack.get("proto", 1))), reader, writer
-        )
+    links: _t.List[Link] = []
+    worker_links: _t.Dict[int, _t.List[Link]] = {}
+    primary: _t.Dict[Endpoint, Link] = {}
+    for entry in opened:
+        link = Link(entry)
         links.append(link)
-        primary.setdefault(endpoint, link)
-        for worker_id in ack_workers(ack):
+        primary.setdefault(link.endpoint, link)
+        for worker_id in ack_workers(entry[4]):
             worker_links.setdefault(worker_id, []).append(link)
 
     run = _FirehoseRun(
@@ -343,10 +265,7 @@ async def run_firehose(
     )
     loop = asyncio.get_running_loop()
     for link in links:
-        link.task = loop.create_task(
-            run.read_loop(link),
-            name=f"firehose.{link.endpoint[0]}:{link.endpoint[1]}",
-        )
+        link.start(run.on_res, run.on_control, run.fail)
     try:
         for _ in range(min(window, total)):
             run.issue_one()
@@ -373,14 +292,12 @@ async def run_firehose(
         else:
             run.failed.exception()
         for link in links:
-            if link.task is not None:
-                link.task.cancel()
-            await link.out.close(flush_timeout=0.5)
+            await link.close(flush_timeout=0.5)
 
     rtts = sorted(run.rtts)
     measured_io = {
         key: value - run.measure_io_base.get(key, 0)
-        for key, value in run.io_counters().items()
+        for key, value in io_counters(run.links).items()
     }
     return FirehoseResult(
         multigets=multigets,
@@ -399,13 +316,13 @@ async def run_firehose(
 
 
 async def _collect_server_stats(
-    run: _FirehoseRun, primary: _t.Dict[Endpoint, _FireLink]
+    run: _FirehoseRun, primary: _t.Dict[Endpoint, Link]
 ) -> _t.Dict[str, int]:
     """One stats round-trip per endpoint, summed into a cluster ledger."""
     loop = asyncio.get_running_loop()
     for endpoint, link in primary.items():
         run.stats_futures[endpoint] = loop.create_future()
-        link.out.send(link.codec.encode({"t": "admin", "cmd": "stats"}))
+        link.send_frame({"t": "admin", "cmd": "stats"})
     try:
         replies = await asyncio.wait_for(
             asyncio.gather(*run.stats_futures.values()), timeout=10.0

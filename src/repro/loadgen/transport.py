@@ -47,16 +47,16 @@ import typing as _t
 from ..cluster.addresses import CONTROLLER_ADDRESS, client_address
 from ..cluster.messages import CongestionSignal, ResponseMessage, ServerFeedback
 from ..core.clock import WallClock
-from ..serve.codec import BINARY_CODEC, codec_for
+from ..serve.codec import codec_for
 from ..serve.protocol import (
     MAX_PROTOCOL_VERSION,
     PROTOCOL_VERSION,
     BatchWriter,
+    FrameSink,
     FrameStream,
     ProtocolError,
     encode_frame,
     hello_frame,
-    priority_to_wire,
     read_frame,
 )
 
@@ -66,7 +66,7 @@ if _t.TYPE_CHECKING:  # pragma: no cover
 Endpoint = _t.Tuple[str, int]
 
 #: Wire ids live in the op frame's u32 field.
-_RID_MASK = 0xFFFFFFFF
+RID_MASK = 0xFFFFFFFF
 
 
 class LiveTransportError(RuntimeError):
@@ -221,57 +221,87 @@ def _validate_acks(
         )
 
 
-class _Link:
-    """One pooled connection to one endpoint, handshake already done."""
+class _LinkSink(FrameSink):
+    """Where one link's frames go: ``res`` fields straight to ``on_res``,
+    every other frame to ``on_control`` with the endpoint it came from
+    (admin replies are matched per endpoint).
 
-    def __init__(
-        self,
-        transport: "LiveTransport",
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        version: int,
-        endpoint: Endpoint,
-        primary: bool,
-    ) -> None:
-        self.transport = transport
+    Held by the link's read loop only, never by the link: the consumer
+    owns its links, and a link pointing back would keep every finished
+    run, latency arrays and all, waiting for the cycle collector.
+    """
+
+    __slots__ = ("endpoint", "on_res", "on_control")
+
+    def __init__(self, endpoint: Endpoint, on_res: _t.Any, on_control: _t.Any) -> None:
         self.endpoint = endpoint
-        self.primary = primary
-        self.codec = codec_for(version)
+        self.on_res = on_res
+        self.on_control = on_control
+
+    def on_frame(self, frame: _t.Dict[str, _t.Any]) -> None:
+        self.on_control(self.endpoint, frame)
+
+
+class Link:
+    """One handshaken connection of a load generator: negotiated codec,
+    framed reader, coalescing outbox and, once started, its read loop."""
+
+    __slots__ = ("endpoint", "codec", "stream", "out", "task")
+
+    def __init__(self, opened: OpenedLink) -> None:
+        self.endpoint, _primary, reader, writer, ack = opened
+        self.codec = codec_for(int(ack.get("proto", PROTOCOL_VERSION)))
         self.stream = FrameStream(reader, self.codec)
         self.out = BatchWriter(writer)
-        self._reader_task = asyncio.get_running_loop().create_task(
-            self._read_loop(), name=f"live-link.{endpoint[0]}:{endpoint[1]}"
-        )
+        self.task: _t.Optional["asyncio.Task[None]"] = None
 
     def send_frame(self, frame: _t.Mapping[str, _t.Any]) -> None:
         self.out.send(self.codec.encode(frame))
 
-    async def _read_loop(self) -> None:
-        transport = self.transport
+    def start(
+        self,
+        on_res: _t.Callable[..., None],
+        on_control: _t.Callable[[Endpoint, _t.Dict[str, _t.Any]], None],
+        fail: _t.Callable[[Exception], None],
+    ) -> None:
+        """Start reading; ``fail`` gets a lost or damaged connection's error."""
+        self.task = asyncio.get_running_loop().create_task(
+            self._read(_LinkSink(self.endpoint, on_res, on_control), fail),
+            name=f"live-link.{self.endpoint[0]}:{self.endpoint[1]}",
+        )
+
+    async def _read(
+        self, sink: _LinkSink, fail: _t.Callable[[Exception], None]
+    ) -> None:
+        stream = self.stream
         try:
-            while True:
-                frame = await self.stream.read_frame()
-                if frame is None:
-                    transport._fail(
-                        LiveTransportError("server closed the connection")
-                    )
-                    return
-                transport._handle_frame(self, frame)
+            while await stream.fill():
+                stream.drain(sink)
+            fail(LiveTransportError("server closed the connection"))
         except asyncio.CancelledError:
             pass
         except (ProtocolError, ConnectionError) as exc:
-            transport._fail(LiveTransportError(f"live connection failed: {exc}"))
+            fail(LiveTransportError(f"live connection failed: {exc}"))
         except Exception as exc:
-            # Anything else (a malformed frame field, a client-callback
-            # bug) must kill the run loudly -- a silently-dead read loop
-            # would stall the driver until its wall timeout.
-            transport._fail(
-                LiveTransportError(f"live transport crashed handling a frame: {exc}")
-            )
+            # Anything else (a client-callback bug) must kill the run
+            # loudly -- a silently-dead read loop would stall the driver
+            # until its wall timeout.
+            fail(LiveTransportError(f"live transport crashed handling a frame: {exc}"))
 
-    async def close(self, flush: bool = True) -> None:
-        self._reader_task.cancel()
-        await self.out.close(flush_timeout=1.0 if flush else 0.0)
+    async def close(self, flush_timeout: float = 1.0) -> None:
+        if self.task is not None:
+            self.task.cancel()
+        await self.out.close(flush_timeout)
+
+
+def io_counters(links: _t.Sequence[Link]) -> _t.Dict[str, int]:
+    """Client-side send/receive totals across ``links`` (the syscall ledger)."""
+    return {
+        "frames_sent": sum(link.out.frames_sent for link in links),
+        "bytes_sent": sum(link.out.bytes_sent for link in links),
+        "writes": sum(link.out.writes for link in links),
+        "frames_received": sum(link.stream.frames_read for link in links),
+    }
 
 
 class LiveTransport:
@@ -291,10 +321,10 @@ class LiveTransport:
         self._handlers: _t.Dict[_t.Hashable, _t.Callable[[_t.Any], None]] = {}
         self._pending: _t.Dict[int, "RequestMessage"] = {}
         self._next_rid = 0
-        self._links: _t.List[_Link] = []
-        self._endpoint_links: "_t.Dict[Endpoint, _t.List[_Link]]" = {}
+        self._links: _t.List[Link] = []
+        self._endpoint_links: "_t.Dict[Endpoint, _t.List[Link]]" = {}
         self._endpoint_workers: "_t.Dict[Endpoint, _t.FrozenSet[int]]" = {}
-        self._worker_links: _t.Dict[int, _t.List[_Link]] = {}
+        self._worker_links: _t.Dict[int, _t.List[Link]] = {}
         self._rr: _t.Dict[Endpoint, int] = {}
         #: Admin queries awaiting their reply, FIFO per endpoint, keyed by
         #: the reply frame's type (which equals the query's command).
@@ -334,15 +364,10 @@ class LiveTransport:
         transport = cls(
             clock=WallClock(scale=float(base_ack["time_scale"])), ack=base_ack
         )
-        for endpoint, primary, reader, writer, ack in opened:
-            link = _Link(
-                transport,
-                reader,
-                writer,
-                version=int(ack.get("proto", PROTOCOL_VERSION)),
-                endpoint=endpoint,
-                primary=primary,
-            )
+        for entry in opened:
+            endpoint, primary, _reader, _writer, ack = entry
+            link = Link(entry)
+            link.start(transport._on_res, transport._handle_frame, transport._fail)
             transport._links.append(link)
             transport._endpoint_links.setdefault(endpoint, []).append(link)
             if primary:
@@ -406,50 +431,22 @@ class LiveTransport:
             self._rr[endpoint] = (index + 1) % len(links)
             link = links[index]
         rid = self._next_rid
-        self._next_rid = (rid + 1) & _RID_MASK
+        self._next_rid = (rid + 1) & RID_MASK
         self._pending[rid] = request
         self.ops_sent += 1
         trace = (
             self.trace_sampler(request) if self.trace_sampler is not None else None
         )
-        codec = link.codec
-        if codec is BINARY_CODEC:
-            if trace is not None:
-                link.out.send(
-                    codec.encode_op_traced(
-                        rid,
-                        worker_id,
-                        request.op.key,
-                        request.op.value_size,
-                        request.priority,
-                        trace,
-                    )
-                )
-                return
-            # Hot path: struct-pack the op without building the frame dict.
-            link.out.send(
-                codec.encode_op(
-                    rid,
-                    worker_id,
-                    request.op.key,
-                    request.op.value_size,
-                    request.priority,
-                )
+        link.out.send(
+            link.codec.encode_op(
+                rid,
+                worker_id,
+                request.op.key,
+                request.op.value_size,
+                request.priority,
+                trace,
             )
-        else:
-            frame = {
-                "t": "op",
-                "rid": rid,
-                "server": worker_id,
-                "key": request.op.key,
-                "size": request.op.value_size,
-                "prio": priority_to_wire(request.priority),
-            }
-            if trace is not None:
-                # v1 interop: old servers read only the fields they know,
-                # so the context is silently dropped rather than rejected.
-                frame["trace"] = trace
-            link.send_frame(frame)
+        )
 
     def admin(self, frame: _t.Mapping[str, _t.Any]) -> None:
         """Fan one admin frame out to the endpoints it concerns.
@@ -569,11 +566,10 @@ class LiveTransport:
         return merged
 
     # -- inbound frames -------------------------------------------------------
-    def _handle_frame(self, link: _Link, frame: _t.Dict[str, _t.Any]) -> None:
+    def _handle_frame(self, endpoint: Endpoint, frame: _t.Dict[str, _t.Any]) -> None:
+        """Everything but ``res``: congestion and the control plane."""
         kind = frame.get("t")
-        if kind == "res":
-            self._handle_result(frame)
-        elif kind == "congestion":
+        if kind == "congestion":
             self.congestion_signals += 1
             handler = self._handlers.get(CONTROLLER_ADDRESS)
             if handler is not None:  # strategies without a controller drop it
@@ -585,7 +581,7 @@ class LiveTransport:
                     )
                 )
         elif kind in self._reply_waiters:
-            waiters = self._reply_waiters[kind].get(link.endpoint)
+            waiters = self._reply_waiters[kind].get(endpoint)
             if waiters:
                 future = waiters.pop(0)
                 if not future.done():
@@ -599,34 +595,28 @@ class LiveTransport:
         else:
             self._fail(LiveTransportError(f"unexpected frame {frame!r}"))
 
-    def _handle_result(self, frame: _t.Dict[str, _t.Any]) -> None:
-        try:
-            rid = int(frame["rid"])
-            request = self._pending.pop(rid)
-        except (KeyError, TypeError, ValueError):
-            self._fail(
-                LiveTransportError(f"result for unknown wire id: {frame!r}")
-            )
+    def _on_res(
+        self,
+        rid: int,
+        server_id: int,
+        queue_wait: float,
+        service: float,
+        queued: int,
+        in_service: int,
+        ewma: float,
+    ) -> None:
+        request = self._pending.pop(rid, None)
+        if request is None:
+            self._fail(LiveTransportError(f"result for unknown wire id {rid}"))
             return
         now = self.clock.now
         # Reconstruct the timestamp trail from wire durations: durations
         # are clock-offset-free, so client and server clocks never need to
         # agree on an epoch.
-        service = float(frame.get("service", 0.0))
-        queue_wait = float(frame.get("queue_wait", 0.0))
         request.completed_at = now
         request.service_start_at = now - service
         request.enqueued_at = request.service_start_at - queue_wait
-        feedback_raw = frame.get("fb", {})
-        feedback = ServerFeedback(
-            server_id=int(frame["server"]),
-            queue_length=int(feedback_raw.get("q", 0)),
-            in_service=int(feedback_raw.get("s", 0)),
-            ewma_service_time=float(feedback_raw.get("ew", 0.0)),
-        )
-        self._backlog[feedback.server_id] = float(
-            feedback.queue_length + feedback.in_service
-        )
+        self._backlog[server_id] = float(queued + in_service)
         self.responses_received += 1
         handler = self._handlers.get(client_address(request.client_id))
         if handler is None:
@@ -636,7 +626,12 @@ class LiveTransport:
                 )
             )
             return
-        handler(ResponseMessage(request=request, feedback=feedback))
+        handler(
+            ResponseMessage(
+                request=request,
+                feedback=ServerFeedback(server_id, queued, in_service, ewma),
+            )
+        )
 
     # -- failure and teardown ------------------------------------------------------
     def _fail(self, exc: Exception) -> None:
@@ -663,15 +658,7 @@ class LiveTransport:
         return len(self._links)
 
     def io_counters(self) -> _t.Dict[str, int]:
-        """Client-side send totals across all links (the syscall ledger)."""
-        return {
-            "frames_sent": sum(link.out.frames_sent for link in self._links),
-            "bytes_sent": sum(link.out.bytes_sent for link in self._links),
-            "writes": sum(link.out.writes for link in self._links),
-            "frames_received": sum(
-                link.stream.frames_read for link in self._links
-            ),
-        }
+        return io_counters(self._links)
 
     async def close(self) -> None:
         # Flush queued frames first (teardown sends fault-revert admin
@@ -683,4 +670,4 @@ class LiveTransport:
         else:
             self.failed.exception()  # consume for GC hygiene
         for link in self._links:
-            await link.close(flush=flush)
+            await link.close(flush_timeout=1.0 if flush else 0.0)

@@ -16,6 +16,7 @@ from .protocol import (
     MAX_PROTOCOL_VERSION,
     PROTOCOL_VERSION,
     BatchWriter,
+    FrameSink,
     FrameStream,
     ProtocolError,
     encode_frame,
@@ -45,6 +46,7 @@ __all__ = [
     "DEFAULT_MAX_QUEUE",
     "DEFAULT_PORT",
     "DEFAULT_TIME_SCALE",
+    "FrameSink",
     "FrameStream",
     "JSON_CODEC",
     "JsonCodec",

@@ -19,17 +19,20 @@ frame          v1 JSON     v2 binary     shrink
 ``congestion`` ~60 bytes   15 bytes      ~4x
 =============  ==========  ============  =======
 
-Both codecs expose the same surface -- ``encode(frame) -> bytes`` (length
-prefix included) and ``decode(buf, start, end, at) -> dict`` -- and decode
-back to the *same dict shapes* v1 produces, so everything above the codec
-(server dispatch, transport reassembly, the fault port) is
-version-agnostic.  ``at`` is the absolute stream offset of the payload,
-threaded into every :class:`ProtocolError` so a corrupt frame reports
-*where* in the byte stream it sat.
-
-Decoding uses ``struct.unpack_from`` directly against the connection's
-receive buffer (a ``bytearray``) at frame offsets -- no per-frame slice
-copies on the binary path.
+Both codecs expose the same surface.  ``encode(frame)`` and
+``decode(buf, start, end, at)`` speak frame dicts: the control plane,
+the benchmarks' microtimers and the fuzz suites use them.  The data path
+does not: ``encode_op``/``encode_res`` take typed fields, and
+``deliver(sink, buf, start, end, at)`` parses one frame and calls the
+:class:`~repro.serve.protocol.FrameSink` handler for its kind -- an
+``op`` or a ``res`` as typed positional fields with no dict in between
+(the binary codec by one ``unpack_from`` at the frame offset, straight
+out of the receive buffer; the JSON codec by decoding the dict and doing
+the ``int()``/``float()``/priority validation here, where untyped input
+comes from), everything else as the decoded dict.  So what sits above
+the codec is version-agnostic and never re-validates a field.  ``at`` is
+the absolute stream offset of the payload, threaded into every
+:class:`ProtocolError` so a corrupt frame reports *where* it sat.
 """
 
 from __future__ import annotations
@@ -38,7 +41,15 @@ import json
 import struct
 import typing as _t
 
-from .protocol import MAX_FRAME_BYTES, ProtocolError, _LENGTH
+from .protocol import (
+    MAX_FRAME_BYTES,
+    FrameSink,
+    ProtocolError,
+    _LENGTH,
+    encode_frame,
+    parse_json_frame,
+    priority_from_wire,
+)
 
 #: Frame tags (first payload byte) of the binary protocol.
 TAG_OP = 0x01
@@ -54,10 +65,12 @@ TAG_OP_TRACE = 0x04
 TAG_JSON = 0x7F
 
 _OP_HEAD = struct.Struct("<IHqIB")  # rid, server, key, size, n_priorities
-_PRIO = struct.Struct("<d")
+#: The priority tuple's layout, one Struct per arity (the count is a u8).
+_PRIO = tuple(struct.Struct("<%dd" % n) for n in range(256))
 _TRACE = struct.Struct("<Q")  # 64-bit trace context, appended to the op
 _RES = struct.Struct("<IHddIHd")  # rid, server, queue_wait, service, q, s, ew
 _CONGESTION = struct.Struct("<Hd")  # server, ratio
+_RES_FRAME = 1 + _RES.size  # tag byte + layout: the only legal res payload
 
 #: Hard field bounds of the packed layouts (validated on encode so a bad
 #: value raises :class:`ProtocolError` instead of ``struct.error``).
@@ -67,16 +80,63 @@ _I64 = 1 << 63
 _U64 = 1 << 64
 
 
+def _op_frame(
+    rid: int,
+    server: int,
+    key: int,
+    size: int,
+    priority: _t.Sequence[float],
+    trace: _t.Optional[int] = None,
+) -> _t.Dict[str, _t.Any]:
+    """The v1 dict shape of an op (``trace`` only when sampled: old servers
+    read the fields they know, so the key is dropped, not rejected)."""
+    frame = {
+        "t": "op",
+        "rid": rid,
+        "server": server,
+        "key": key,
+        "size": size,
+        "prio": priority,
+    }
+    if trace is not None:
+        frame["trace"] = trace
+    return frame
+
+
+def _res_frame(
+    rid: int,
+    server: int,
+    queue_wait: float,
+    service: float,
+    queue_length: int,
+    in_service: int,
+    ewma_service: float,
+) -> _t.Dict[str, _t.Any]:
+    """The v1 dict shape of a res."""
+    return {
+        "t": "res",
+        "rid": rid,
+        "server": server,
+        "queue_wait": queue_wait,
+        "service": service,
+        "fb": {"q": queue_length, "s": in_service, "ew": ewma_service},
+    }
+
+
 class JsonCodec:
     """Protocol v1: length-prefixed compact JSON (the inspectable form)."""
 
     version = 1
 
-    def encode(self, frame: _t.Mapping[str, _t.Any]) -> bytes:
-        payload = json.dumps(frame, separators=(",", ":")).encode("utf-8")
-        if len(payload) > MAX_FRAME_BYTES:
-            raise ProtocolError(f"frame of {len(payload)} bytes exceeds the cap")
-        return _LENGTH.pack(len(payload)) + payload
+    encode = staticmethod(encode_frame)
+
+    def encode_op(self, *fields: _t.Any) -> bytes:
+        """An op from the fields of :func:`_op_frame` (``BinaryCodec``'s surface)."""
+        return self.encode(_op_frame(*fields))
+
+    def encode_res(self, *fields: _t.Any) -> bytes:
+        """A res from the fields of :func:`_res_frame`."""
+        return self.encode(_res_frame(*fields))
 
     def decode(
         self,
@@ -85,20 +145,56 @@ class JsonCodec:
         end: int,
         at: int = 0,
     ) -> _t.Dict[str, _t.Any]:
+        return parse_json_frame(bytes(buf[start:end]), at)
+
+    def deliver(
+        self,
+        sink: FrameSink,
+        buf: _t.Union[bytes, bytearray],
+        start: int,
+        end: int,
+        at: int = 0,
+    ) -> None:
+        frame = self.decode(buf, start, end, at)
+        kind = frame["t"]
+        if kind != "op" and kind != "res":
+            sink.on_frame(frame)
+            return
         try:
-            frame = json.loads(bytes(buf[start:end]).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ProtocolError(f"bad frame payload at byte {at}: {exc}") from exc
-        if not isinstance(frame, dict) or "t" not in frame:
-            raise ProtocolError(
-                f"frame at byte {at} is not a typed object: {frame!r}"
-            )
-        return frame
+            if kind == "op":
+                # No default for a missing priority: it would silently hand
+                # the request the best one and corrupt the measurement.
+                fields: _t.Tuple[_t.Any, ...] = (
+                    int(frame["rid"]),
+                    int(frame["server"]),
+                    int(frame["key"]),
+                    int(frame["size"]),
+                    priority_from_wire(frame["prio"]),
+                    frame.get("trace"),
+                )
+            else:
+                fb = frame.get("fb", {})
+                fields = (
+                    int(frame["rid"]),
+                    int(frame["server"]),
+                    float(frame.get("queue_wait", 0.0)),
+                    float(frame.get("service", 0.0)),
+                    int(fb.get("q", 0)),
+                    int(fb.get("s", 0)),
+                    float(fb.get("ew", 0.0)),
+                )
+        except (KeyError, TypeError, ValueError, AttributeError, ProtocolError) as exc:
+            sink.on_bad_frame(f"bad {kind} frame at byte {at}: {exc!r}")
+            return
+        (sink.on_op if kind == "op" else sink.on_res)(*fields)
 
 
-def _check(condition: bool, message: str) -> None:
-    if not condition:
-        raise ProtocolError(message)
+def _out_of_range(kind: str, *fields: _t.Tuple[str, int, int, int]) -> None:
+    """Name the first ``(name, value, lo, hi)`` outside ``lo <= value < hi``:
+    a bad value is a :class:`ProtocolError`, never a ``struct.error``."""
+    for name, value, lo, hi in fields:
+        if not lo <= value < hi:
+            raise ProtocolError(f"{kind} {name} {value} out of range")
 
 
 class BinaryCodec:
@@ -110,22 +206,13 @@ class BinaryCodec:
     def encode(self, frame: _t.Mapping[str, _t.Any]) -> bytes:
         kind = frame.get("t")
         if kind == "op":
-            trace = frame.get("trace")
-            if trace is not None:
-                return self.encode_op_traced(
-                    frame["rid"],
-                    frame["server"],
-                    frame["key"],
-                    frame["size"],
-                    frame["prio"],
-                    trace,
-                )
             return self.encode_op(
                 frame["rid"],
                 frame["server"],
                 frame["key"],
                 frame["size"],
                 frame["prio"],
+                frame.get("trace"),
             )
         if kind == "res":
             fb = frame.get("fb", {})
@@ -140,7 +227,7 @@ class BinaryCodec:
             )
         if kind == "congestion":
             server = int(frame["server"])
-            _check(0 <= server < _U16, f"congestion server {server} out of range")
+            _out_of_range("congestion", ("server", server, 0, _U16))
             payload = bytes((TAG_CONGESTION,)) + _CONGESTION.pack(
                 server, float(frame["ratio"])
             )
@@ -158,12 +245,15 @@ class BinaryCodec:
         key: int,
         size: int,
         priority: _t.Sequence[float],
+        trace: _t.Optional[int] = None,
     ) -> bytes:
         """Fast path used by the transport and the firehose per request.
 
         One combined bounds test and one preallocated buffer: this runs
-        once per op, so it avoids the per-field ``_check`` calls and the
-        chained concatenations of the general path.
+        once per op, so it avoids per-field checks and the
+        chained concatenations of the general path.  A sampled op
+        (``trace`` set) is the same layout plus a 64-bit context, under
+        its own tag.
         """
         n_prio = len(priority)
         if not (
@@ -173,57 +263,30 @@ class BinaryCodec:
             and 0 <= size < _U32
             and n_prio < 256
         ):
-            self._op_bounds_error(rid, server, key, size, n_prio)
-        frame = bytearray(5 + _OP_HEAD.size + n_prio * _PRIO.size)
+            _out_of_range(
+                "op",
+                ("rid", rid, 0, _U32),
+                ("server", server, 0, _U16),
+                ("key", key, -_I64, _I64),
+                ("size", size, 0, _U32),
+                ("priority count", n_prio, 0, 256),
+            )
+        end = 5 + _OP_HEAD.size + 8 * n_prio
+        if trace is None:
+            frame = bytearray(end)
+            frame[4] = TAG_OP
+        else:
+            _out_of_range("op", ("trace context", trace, 0, _U64))
+            frame = bytearray(end + _TRACE.size)
+            frame[4] = TAG_OP_TRACE
+            _TRACE.pack_into(frame, end, trace)
         _LENGTH.pack_into(frame, 0, len(frame) - 4)
-        frame[4] = TAG_OP
         _OP_HEAD.pack_into(frame, 5, rid, server, key, size, n_prio)
-        offset = 5 + _OP_HEAD.size
-        for p in priority:
-            _PRIO.pack_into(frame, offset, p)
-            offset += 8
+        _PRIO[n_prio].pack_into(frame, 5 + _OP_HEAD.size, *priority)
         return bytes(frame)
 
-    def encode_op_traced(
-        self,
-        rid: int,
-        server: int,
-        key: int,
-        size: int,
-        priority: _t.Sequence[float],
-        trace: int,
-    ) -> bytes:
-        """Fast path for a sampled op: the op layout plus a 64-bit context."""
-        n_prio = len(priority)
-        if not (
-            0 <= rid < _U32
-            and 0 <= server < _U16
-            and -_I64 <= key < _I64
-            and 0 <= size < _U32
-            and n_prio < 256
-        ):
-            self._op_bounds_error(rid, server, key, size, n_prio)
-        _check(0 <= trace < _U64, f"op trace context {trace} out of range")
-        frame = bytearray(5 + _OP_HEAD.size + n_prio * _PRIO.size + _TRACE.size)
-        _LENGTH.pack_into(frame, 0, len(frame) - 4)
-        frame[4] = TAG_OP_TRACE
-        _OP_HEAD.pack_into(frame, 5, rid, server, key, size, n_prio)
-        offset = 5 + _OP_HEAD.size
-        for p in priority:
-            _PRIO.pack_into(frame, offset, p)
-            offset += 8
-        _TRACE.pack_into(frame, offset, trace)
-        return bytes(frame)
-
-    @staticmethod
-    def _op_bounds_error(
-        rid: int, server: int, key: int, size: int, n_prio: int
-    ) -> None:
-        _check(0 <= rid < _U32, f"op rid {rid} out of range")
-        _check(0 <= server < _U16, f"op server {server} out of range")
-        _check(-_I64 <= key < _I64, f"op key {key} out of range")
-        _check(0 <= size < _U32, f"op size {size} out of range")
-        raise ProtocolError(f"op priority tuple of {n_prio} too long")
+    #: The sampled form's own name (``trace`` required, by convention).
+    encode_op_traced = encode_op
 
     def encode_res(
         self,
@@ -242,7 +305,13 @@ class BinaryCodec:
             and 0 <= queue_length < _U32
             and 0 <= in_service < _U16
         ):
-            self._res_bounds_error(rid, server, queue_length, in_service)
+            _out_of_range(
+                "res",
+                ("rid", rid, 0, _U32),
+                ("server", server, 0, _U16),
+                ("queue length", queue_length, 0, _U32),
+                ("in_service", in_service, 0, _U16),
+            )
         frame = bytearray(5 + _RES.size)
         _LENGTH.pack_into(frame, 0, _RES.size + 1)
         frame[4] = TAG_RES
@@ -259,18 +328,64 @@ class BinaryCodec:
         )
         return bytes(frame)
 
-    @staticmethod
-    def _res_bounds_error(
-        rid: int, server: int, queue_length: int, in_service: int
-    ) -> None:
-        _check(0 <= rid < _U32, f"res rid {rid} out of range")
-        _check(0 <= server < _U16, f"res server {server} out of range")
-        _check(
-            0 <= queue_length < _U32, f"res queue length {queue_length} out of range"
-        )
-        raise ProtocolError(f"res in_service {in_service} out of range")
-
     # -- decode ---------------------------------------------------------------
+    def deliver(
+        self,
+        sink: FrameSink,
+        buf: _t.Union[bytes, bytearray],
+        start: int,
+        end: int,
+        at: int = 0,
+    ) -> _t.Any:
+        """Parse one frame; call the sink handler for its kind (and hand
+        back what it returned, which is how :meth:`decode` is built)."""
+        tag = buf[start] if end > start else -1
+        if tag == TAG_RES:
+            if end - start != _RES_FRAME:
+                self._bad_length("res", _RES, end - start - 1, at)
+            return sink.on_res(*_RES.unpack_from(buf, start + 1))
+        if tag == TAG_OP or tag == TAG_OP_TRACE:
+            traced = tag == TAG_OP_TRACE
+            body = start + 1
+            have = end - body
+            if have < _OP_HEAD.size:
+                raise ProtocolError(
+                    f"{'traced ' if traced else ''}op frame truncated at byte "
+                    f"{at}: {have} of {_OP_HEAD.size} header bytes"
+                )
+            rid, server, key, size, n_prio = _OP_HEAD.unpack_from(buf, body)
+            want = _OP_HEAD.size + 8 * n_prio + (_TRACE.size if traced else 0)
+            if have != want:
+                raise ProtocolError(
+                    f"{'traced ' if traced else ''}op frame at byte {at} carries "
+                    f"{have} bytes but declares {n_prio} priorities ({want} bytes)"
+                )
+            offset = body + _OP_HEAD.size
+            # One unpack for the whole tuple; the doubles are valid by
+            # construction, so nothing above re-validates them per op.
+            priority = _PRIO[n_prio].unpack_from(buf, offset)
+            trace = _TRACE.unpack_from(buf, offset + 8 * n_prio)[0] if traced else None
+            return sink.on_op(rid, server, key, size, priority, trace)
+        body = start + 1
+        if tag == TAG_CONGESTION:
+            if end - body != _CONGESTION.size:
+                self._bad_length("congestion", _CONGESTION, end - body, at)
+            server, ratio = _CONGESTION.unpack_from(buf, body)
+            return sink.on_frame({"t": "congestion", "server": server, "ratio": ratio})
+        if tag == TAG_JSON:
+            return sink.on_frame(parse_json_frame(bytes(buf[body:end]), at))
+        if tag < 0:
+            raise ProtocolError(f"empty binary frame at byte {at}")
+        raise ProtocolError(
+            f"unknown binary frame tag 0x{tag:02x} at byte {at}"
+        )
+
+    @staticmethod
+    def _bad_length(kind: str, layout: struct.Struct, have: int, at: int) -> None:
+        raise ProtocolError(
+            f"{kind} frame at byte {at}: {have} bytes, expected {layout.size}"
+        )
+
     def decode(
         self,
         buf: _t.Union[bytes, bytearray],
@@ -278,107 +393,22 @@ class BinaryCodec:
         end: int,
         at: int = 0,
     ) -> _t.Dict[str, _t.Any]:
-        length = end - start
-        if length < 1:
-            raise ProtocolError(f"empty binary frame at byte {at}")
-        tag = buf[start]
-        body = start + 1
-        if tag == TAG_OP:
-            if length - 1 < _OP_HEAD.size:
-                raise ProtocolError(
-                    f"op frame truncated at byte {at}: {length - 1} of "
-                    f"{_OP_HEAD.size} header bytes"
-                )
-            rid, server, key, size, n_prio = _OP_HEAD.unpack_from(buf, body)
-            want = _OP_HEAD.size + n_prio * _PRIO.size
-            if length - 1 != want:
-                raise ProtocolError(
-                    f"op frame at byte {at} carries {length - 1} bytes but "
-                    f"declares {n_prio} priorities ({want} bytes)"
-                )
-            offset = body + _OP_HEAD.size
-            # A tuple, not a list: `priority_from_wire` trusts tuples from
-            # this decoder (the doubles are valid by construction), so the
-            # server skips re-validating every element per op.
-            priority = tuple(
-                _PRIO.unpack_from(buf, offset + i * _PRIO.size)[0]
-                for i in range(n_prio)
-            )
-            return {
-                "t": "op",
-                "rid": rid,
-                "server": server,
-                "key": key,
-                "size": size,
-                "prio": priority,
-            }
-        if tag == TAG_OP_TRACE:
-            if length - 1 < _OP_HEAD.size:
-                raise ProtocolError(
-                    f"traced op frame truncated at byte {at}: {length - 1} of "
-                    f"{_OP_HEAD.size} header bytes"
-                )
-            rid, server, key, size, n_prio = _OP_HEAD.unpack_from(buf, body)
-            want = _OP_HEAD.size + n_prio * _PRIO.size + _TRACE.size
-            if length - 1 != want:
-                raise ProtocolError(
-                    f"traced op frame at byte {at} carries {length - 1} bytes "
-                    f"but declares {n_prio} priorities ({want} bytes)"
-                )
-            offset = body + _OP_HEAD.size
-            priority = tuple(
-                _PRIO.unpack_from(buf, offset + i * _PRIO.size)[0]
-                for i in range(n_prio)
-            )
-            (trace,) = _TRACE.unpack_from(buf, offset + n_prio * _PRIO.size)
-            return {
-                "t": "op",
-                "rid": rid,
-                "server": server,
-                "key": key,
-                "size": size,
-                "prio": priority,
-                "trace": trace,
-            }
-        if tag == TAG_RES:
-            if length - 1 != _RES.size:
-                raise ProtocolError(
-                    f"res frame at byte {at}: {length - 1} bytes, "
-                    f"expected {_RES.size}"
-                )
-            rid, server, queue_wait, service, q, s, ew = _RES.unpack_from(buf, body)
-            return {
-                "t": "res",
-                "rid": rid,
-                "server": server,
-                "queue_wait": queue_wait,
-                "service": service,
-                "fb": {"q": q, "s": s, "ew": ew},
-            }
-        if tag == TAG_CONGESTION:
-            if length - 1 != _CONGESTION.size:
-                raise ProtocolError(
-                    f"congestion frame at byte {at}: {length - 1} bytes, "
-                    f"expected {_CONGESTION.size}"
-                )
-            server, ratio = _CONGESTION.unpack_from(buf, body)
-            return {"t": "congestion", "server": server, "ratio": ratio}
-        if tag == TAG_JSON:
-            try:
-                frame = json.loads(bytes(buf[body:end]).decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise ProtocolError(
-                    f"bad control frame at byte {at}: {exc}"
-                ) from exc
-            if not isinstance(frame, dict) or "t" not in frame:
-                raise ProtocolError(
-                    f"control frame at byte {at} is not a typed object: {frame!r}"
-                )
-            return frame
-        raise ProtocolError(
-            f"unknown binary frame tag 0x{tag:02x} at byte {at}"
-        )
+        return self.deliver(_AS_DICT, buf, start, end, at)
 
+
+class _AsDict(FrameSink):
+    """The sink behind :meth:`BinaryCodec.decode`: rebuilds the dict shapes
+    v1 produces from the typed fields."""
+
+    __slots__ = ()
+    on_op = staticmethod(_op_frame)  # type: ignore[assignment]
+    on_res = staticmethod(_res_frame)  # type: ignore[assignment]
+
+    def on_frame(self, frame):  # type: ignore[no-untyped-def,override]
+        return frame
+
+
+_AS_DICT = _AsDict()
 
 #: Singleton codec instances (both are stateless).
 JSON_CODEC = JsonCodec()

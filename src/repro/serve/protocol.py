@@ -49,6 +49,15 @@ Server -> client:
 All durations and rates on the wire are *model seconds* (see
 :mod:`repro.core.clock`), so a client never needs to know the server's
 time scale to interpret them.
+
+The receive and send paths
+--------------------------
+Every read loop -- server connection, transport link, firehose link --
+is ``while await stream.fill(): stream.drain(sink)`` over a
+:class:`FrameStream` and a :class:`FrameSink`; every send goes through a
+:class:`BatchWriter`.  Only the handshake reads frame by frame
+(:func:`read_frame`): it must leave what follows the ``hello-ack`` on
+the socket.
 """
 
 from __future__ import annotations
@@ -119,7 +128,13 @@ def encode_frame(frame: _t.Mapping[str, _t.Any]) -> bytes:
 async def read_frame(
     reader: asyncio.StreamReader,
 ) -> _t.Optional[_t.Dict[str, _t.Any]]:
-    """Read one frame; ``None`` on clean EOF (peer closed between frames)."""
+    """Read one v1 frame; ``None`` on clean EOF (peer closed between frames).
+
+    The handshake's reader, and only that: it takes exactly one frame's
+    bytes off the ``StreamReader`` and never over-reads, so a
+    :class:`FrameStream` (which reads in chunks) can take the connection
+    over right after the ``hello-ack``.
+    """
     try:
         header = await reader.readexactly(_LENGTH.size)
     except asyncio.IncompleteReadError as exc:
@@ -137,12 +152,17 @@ async def read_frame(
         raise ProtocolError(
             f"connection closed mid-frame ({len(exc.partial)} of {length} bytes)"
         ) from exc
+    return parse_json_frame(payload)
+
+
+def parse_json_frame(payload: bytes, at: int = 0) -> _t.Dict[str, _t.Any]:
+    """The typed object one JSON payload (found at stream byte ``at``) holds."""
     try:
         frame = json.loads(payload.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ProtocolError(f"bad frame payload: {exc}") from exc
+        raise ProtocolError(f"bad frame payload at byte {at}: {exc}") from exc
     if not isinstance(frame, dict) or "t" not in frame:
-        raise ProtocolError(f"frame is not a typed object: {frame!r}")
+        raise ProtocolError(f"frame at byte {at} is not a typed object: {frame!r}")
     return frame
 
 
@@ -152,14 +172,7 @@ def priority_to_wire(priority: _t.Tuple[float, ...]) -> _t.List[float]:
 
 
 def priority_from_wire(raw: _t.Any) -> _t.Tuple[float, ...]:
-    """Decode (and validate) a wire priority back into a sortable tuple.
-
-    Tuples pass through untouched: the binary codec decodes priorities as
-    tuples of floats (valid by construction), and JSON never produces a
-    tuple, so element re-validation is reserved for the JSON path.
-    """
-    if type(raw) is tuple:
-        return raw
+    """Decode (and validate) a JSON wire priority into a sortable tuple."""
     if not isinstance(raw, (list, tuple)) or not all(
         isinstance(p, (int, float)) and not isinstance(p, bool) for p in raw
     ):
@@ -171,18 +184,46 @@ def error_frame(message: str) -> _t.Dict[str, _t.Any]:
     return {"t": "error", "error": str(message)}
 
 
+class FrameSink:
+    """What :meth:`FrameStream.drain` delivers to: one method per frame kind.
+
+    The data plane arrives as *typed positional fields* -- no frame dict
+    is built for an ``op`` or a ``res`` -- and everything else (handshake,
+    admin, stats, congestion, errors) as the decoded dict.  A receiver
+    overrides the kinds its peer may legitimately send; the defaults
+    treat the rest as protocol violations.
+    """
+
+    __slots__ = ()
+
+    def on_op(self, *fields: _t.Any) -> None:
+        """``(rid, worker_id, key, size, priority tuple, trace or None)``."""
+        raise ProtocolError("unexpected op frame")
+
+    def on_res(self, *fields: _t.Any) -> None:
+        """``(rid, server_id, queue_wait, service, queued, in_service, ewma)``."""
+        raise ProtocolError("unexpected res frame")
+
+    def on_frame(self, frame: _t.Dict[str, _t.Any]) -> None:
+        raise ProtocolError(f"unexpected frame {frame!r}")
+
+    def on_bad_frame(self, message: str) -> None:
+        """A frame that parsed but whose fields cannot be typed (only the
+        JSON codec can produce one).  The stream is still in sync, so a
+        receiver may answer this one frame and carry on."""
+        raise ProtocolError(message)
+
+
 class FrameStream:
     """Buffered, codec-switchable frame reader over a ``StreamReader``.
 
-    Reads the socket in large chunks (one syscall can carry hundreds of
-    pipelined frames) and parses frames out of the accumulated buffer by
-    offset -- the binary codec unpacks fields straight from the buffer,
-    so the per-frame cost is bookkeeping, not copying.  ``codec`` is an
-    attribute precisely so negotiation can switch it between frames.
-
-    Byte positions are tracked across compactions: a corrupt frame's
-    :class:`ProtocolError` reports the absolute stream offset where the
-    damage sits.
+    Two steps per socket chunk: ``await fill()`` appends whatever the
+    socket has (one syscall can carry hundreds of pipelined frames), then
+    the synchronous ``drain(sink)`` has the codec deliver every complete
+    frame in the buffer -- no coroutine, dict or copy per frame.
+    ``codec`` is an attribute so negotiation can switch it between two
+    frames of one buffer.  Byte positions survive compaction: a corrupt
+    frame's :class:`ProtocolError` names its absolute stream offset.
     """
 
     __slots__ = ("_reader", "codec", "_buf", "_pos", "_base", "frames_read")
@@ -197,63 +238,77 @@ class FrameStream:
         self._pos = 0
         #: Absolute stream offset of ``_buf[0]`` (survives compaction).
         self._base = 0
+        #: Frames handed to the codec so far.
         self.frames_read = 0
 
-    async def read_frame(self) -> _t.Optional[_t.Dict[str, _t.Any]]:
-        """One decoded frame; ``None`` on clean EOF between frames."""
+    async def fill(self) -> bool:
+        """Append one socket chunk; ``False`` on clean EOF between frames."""
+        chunk = await self._reader.read(FrameStream.CHUNK)
+        if chunk:
+            self._buf += chunk
+            return True
+        avail = len(self._buf) - self._pos
+        if avail == 0:
+            return False
+        at = self._base + self._pos
+        if avail < 4:
+            raise ProtocolError(
+                f"connection closed mid-header at byte {at} ({avail} of 4 bytes)"
+            )
+        raise ProtocolError(
+            f"connection closed mid-frame at byte {at} ({avail} bytes buffered)"
+        )
+
+    def drain(self, sink: FrameSink) -> None:
+        """Deliver every complete frame in the buffer to ``sink``.
+
+        ``self.codec`` is re-read per frame: the server's ``hello``
+        handler switches it mid-drain.  A raising frame is consumed, so
+        the stream position stays consistent for the error report.
+        """
         buf = self._buf
+        pos = self._pos
+        limit = len(buf)
+        base = self._base
         unpack_from = _LENGTH.unpack_from
-        while True:
-            avail = len(buf) - self._pos
-            if avail >= 4:
-                (length,) = unpack_from(buf, self._pos)
+        try:
+            while limit - pos >= 4:
+                (length,) = unpack_from(buf, pos)
                 if length > MAX_FRAME_BYTES:
                     raise ProtocolError(
                         f"declared frame length {length} exceeds the cap"
                     )
-                if avail - 4 >= length:
-                    start = self._pos + 4
-                    end = start + length
-                    self._pos = end
-                    frame = self.codec.decode(buf, start, end, self._base + start)
-                    self.frames_read += 1
-                    if self._pos >= FrameStream.CHUNK:
-                        del buf[: self._pos]
-                        self._base += self._pos
-                        self._pos = 0
-                    return frame
-            chunk = await self._reader.read(FrameStream.CHUNK)
-            if not chunk:
-                if avail == 0:
-                    return None
-                if avail < 4:
-                    raise ProtocolError(
-                        f"connection closed mid-header at byte "
-                        f"{self._base + self._pos} ({avail} of 4 bytes)"
-                    )
-                raise ProtocolError(
-                    f"connection closed mid-frame at byte "
-                    f"{self._base + self._pos} ({avail} bytes buffered)"
-                )
-            buf += chunk
+                start = pos + 4
+                end = start + length
+                if end > limit:
+                    break
+                pos = end
+                self.frames_read += 1
+                self.codec.deliver(sink, buf, start, end, base + start)
+        finally:
+            if pos >= FrameStream.CHUNK:
+                del buf[:pos]
+                self._base = base + pos
+                pos = 0
+            self._pos = pos
 
 
 class BatchWriter:
-    """Coalesces frame writes: one ``write``+``drain`` per event-loop wakeup.
+    """Coalesces frame writes: one ``write`` per event-loop turn.
 
     Senders append encoded frames synchronously (safe from callbacks);
-    the writer task swaps the accumulated buffer out and pushes it in a
-    single syscall.  Under pipelined load this turns hundreds of per-frame
-    writes into one, which is most of the live path's syscall savings
-    (``writes`` vs ``frames_sent`` is the measured ratio in
-    ``results/live_throughput.json``).
+    the first send of a turn arms one ``call_soon`` flush, which pushes
+    everything accumulated by then in a single syscall -- most of the
+    live path's syscall savings (``writes`` vs ``frames_sent`` is the
+    measured ratio).  Backpressure is the transport's: what the socket
+    cannot take waits in its buffer.
     """
 
     __slots__ = (
         "_writer",
+        "_loop",
         "_buf",
-        "_wake",
-        "_task",
+        "_armed",
         "closed",
         "bytes_sent",
         "writes",
@@ -262,50 +317,50 @@ class BatchWriter:
 
     def __init__(self, writer: asyncio.StreamWriter) -> None:
         self._writer = writer
+        self._loop = asyncio.get_running_loop()
         self._buf = bytearray()
-        self._wake = asyncio.Event()
+        #: A flush is already scheduled for this loop turn.
+        self._armed = False
         self.closed = False
         self.bytes_sent = 0
         self.writes = 0
         self.frames_sent = 0
-        self._task = asyncio.get_running_loop().create_task(self._loop())
 
     def send(self, data: bytes) -> None:
         """Queue one encoded frame for the next coalesced write."""
         if not self.closed:
             self._buf += data
             self.frames_sent += 1
-            self._wake.set()
+            if not self._armed:
+                self._armed = True
+                self._loop.call_soon(self._flush)
 
     @property
     def pending(self) -> int:
         return len(self._buf)
 
-    async def _loop(self) -> None:
-        try:
-            while True:
-                await self._wake.wait()
-                self._wake.clear()
-                if not self._buf:
-                    continue
-                data = self._buf
-                self._buf = bytearray()
-                self._writer.write(data)
-                self.bytes_sent += len(data)
-                self.writes += 1
-                await self._writer.drain()
-        except (asyncio.CancelledError, ConnectionError):
-            pass
+    def _flush(self) -> None:
+        self._armed = False
+        if self._buf and not self.closed:
+            data = self._buf
+            self._buf = bytearray()
+            self._writer.write(data)
+            self.bytes_sent += len(data)
+            self.writes += 1
 
     async def close(self, flush_timeout: float = 1.0) -> None:
-        """Flush what's queued (bounded), then tear the connection down."""
-        deadline = asyncio.get_running_loop().time() + flush_timeout
-        while self._buf and asyncio.get_running_loop().time() < deadline:
-            await asyncio.sleep(0.005)
+        """Flush what's queued, then tear the connection down.
+
+        The transport gets ``flush_timeout`` seconds to push its buffer
+        out; 0 skips the flush and drops whatever is still unsent.
+        """
+        if flush_timeout > 0:
+            self._flush()
         self.closed = True
-        self._task.cancel()
         try:
             self._writer.close()
-            await self._writer.wait_closed()
+            await asyncio.wait_for(self._writer.wait_closed(), flush_timeout)
+        except asyncio.TimeoutError:
+            self._writer.transport.abort()
         except (ConnectionError, OSError):  # peer already gone
             pass

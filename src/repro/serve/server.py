@@ -38,14 +38,14 @@ from ..core.clock import WallClock
 from ..metrics.bus import prometheus_line, render_prometheus
 from ..sim.rng import StreamFactory
 from ..workload.calibration import ServiceTimeModel
-from .codec import BINARY_CODEC, JSON_CODEC, codec_for
+from .codec import JSON_CODEC, codec_for
 from .protocol import (
     BatchWriter,
+    FrameSink,
     FrameStream,
     ProtocolError,
     error_frame,
     negotiate_version,
-    priority_from_wire,
 )
 from .workers import DEFAULT_MAX_QUEUE, LiveJob, LiveWorker, QueueFullError
 
@@ -78,14 +78,19 @@ def install_uvloop() -> bool:
     return True
 
 
-class _Connection:
-    """One client connection: a framed reader plus a coalescing outbox.
+class _Connection(FrameSink):
+    """One client connection: a framed reader, a coalescing outbox, and the
+    sink the reader's frames are delivered to.
 
     ``codec`` starts as v1 JSON and is switched (together with the frame
-    stream's) when the handshake negotiates v2.  ``congestion`` records
-    the client's opt-in to congestion broadcasts -- pool connections
-    beyond an endpoint's first opt out so the credits controller sees
-    each signal once.
+    stream's) when the handshake negotiates v2.  ``congestion`` is the
+    client's opt-in to congestion broadcasts (pool connections beyond an
+    endpoint's first opt out, so a controller sees each signal once).
+
+    No handler lets a *rejection* escape: a frame the server cannot honor
+    (unknown worker, queue bound, a bad admin value) is answered with an
+    ``error`` frame and the connection lives.  Whatever does escape
+    :meth:`FrameStream.drain` is a framing or codec error, which closes it.
     """
 
     def __init__(
@@ -99,13 +104,83 @@ class _Connection:
         self.out = BatchWriter(writer)
         self.codec: _t.Any = JSON_CODEC
         self.congestion = True
+        #: Ops admitted from this connection and not answered yet.
+        self.in_flight = 0
 
     def send(self, frame: _t.Mapping[str, _t.Any]) -> None:
         """Queue one frame for delivery (safe from worker callbacks)."""
         self.out.send(self.codec.encode(frame))
 
-    async def close(self) -> None:
-        await self.out.close()
+    # -- the frame sink ----------------------------------------------------------
+    def on_op(
+        self,
+        rid: int,
+        worker_id: int,
+        key: int,
+        size: int,
+        priority: _t.Tuple[float, ...],
+        trace: _t.Optional[int],
+    ) -> None:
+        server = self.server
+        worker = server.workers.get(worker_id)
+        if worker is None:
+            self.on_bad_frame(f"op addressed to unknown worker {worker_id}")
+            return
+        if size <= 0:
+            self.on_bad_frame(f"op {rid} has non-positive value size {size}")
+            return
+        if trace is not None:
+            # The context itself rides back implicitly: the res frame is
+            # matched to the pending request client-side, and already
+            # piggybacks the queue/service timestamps the span needs.
+            server.traced_ops += 1
+        try:
+            worker.submit(LiveJob(rid, key, size, priority, self.respond))
+        except QueueFullError as exc:
+            self.send(
+                {"t": "error", "error": str(exc), "rid": rid, "server": worker_id}
+            )
+        else:
+            self.in_flight += 1
+
+    def on_res(self, *_fields: _t.Any) -> None:
+        self.on_bad_frame("unknown frame type 'res'")
+
+    def on_frame(self, frame: _t.Dict[str, _t.Any]) -> None:
+        kind = frame.get("t")
+        try:
+            if kind == "hello":
+                self.server._handle_hello(self, frame)
+            elif kind == "admin":
+                self.server._handle_admin(self, frame)
+            else:
+                raise ProtocolError(f"unknown frame type {kind!r}")
+        except (ProtocolError, TypeError, ValueError) as exc:
+            # Bad field values (a slowdown factor of 0, a non-numeric
+            # mean) reject the one frame, never the whole connection.
+            self.on_bad_frame(str(exc))
+
+    def on_bad_frame(self, message: str) -> None:
+        self.send(error_frame(message))
+
+    def respond(
+        self, worker: LiveWorker, job: LiveJob, queue_wait: float, service: float
+    ) -> None:
+        """The completion callback of every op admitted from this connection."""
+        self.in_flight -= 1
+        self.out.send(
+            self.codec.encode_res(
+                job.rid, worker.server_id, queue_wait, service, *worker.feedback()
+            )
+        )
+
+    async def settle(self, timeout: float = 1.0) -> None:
+        """Before a server-initiated close: give the ops already admitted
+        a bounded chance to answer (moot once the outbox is closed)."""
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + timeout
+        while self.in_flight and not self.out.closed and loop.time() < deadline:
+            await asyncio.sleep(0.005)
 
 
 class LiveServer:
@@ -158,7 +233,6 @@ class LiveServer:
         self.clock = WallClock(scale=time_scale)
         self.workers: _t.Dict[int, LiveWorker] = {}
         self.connections: _t.List[_Connection] = []
-        self.frames_received = 0
         self.congestion_frames_sent = 0
         #: Ops that arrived carrying a trace context (sampled requests).
         self.traced_ops = 0
@@ -169,6 +243,7 @@ class LiveServer:
         #: I/O totals of connections that already closed (open connections
         #: are summed live in :meth:`io_counters`).
         self._closed_io = {"frames_sent": 0, "bytes_sent": 0, "writes": 0}
+        self._closed_frames = 0
         self._server: _t.Optional[asyncio.AbstractServer] = None
         self._metrics_server: _t.Optional[asyncio.AbstractServer] = None
         self._monitors: _t.List["asyncio.Task[None]"] = []
@@ -257,7 +332,7 @@ class LiveServer:
         for worker in self.workers.values():
             worker.shutdown()
         for connection in list(self.connections):
-            await connection.close()
+            await connection.out.close()
         self.connections = []
 
     async def serve_forever(self) -> None:
@@ -270,112 +345,32 @@ class LiveServer:
     ) -> None:
         connection = _Connection(self, reader, writer)
         self.connections.append(connection)
+        stream = connection.stream
         try:
-            while True:
-                try:
-                    frame = await connection.stream.read_frame()
-                except ConnectionError:
-                    break  # peer vanished mid-read; nothing left to answer
-                except ProtocolError as exc:
-                    connection.send(error_frame(str(exc)))
-                    break
-                if frame is None:
-                    break
-                self.frames_received += 1
-                try:
-                    self._dispatch(connection, frame)
-                except (ProtocolError, TypeError, ValueError) as exc:
-                    # Bad field values (a slowdown factor of 0, a
-                    # non-numeric mean) reject the one frame, never the
-                    # whole connection.
-                    connection.send(error_frame(str(exc)))
+            while await stream.fill():
+                stream.drain(connection)
+            await connection.settle()
+        except ConnectionError:
+            pass  # peer vanished mid-read; nothing left to answer
+        except ProtocolError as exc:
+            # Framing is lost: answer, let what the chunk's earlier frames
+            # admitted finish, close.
+            connection.send(error_frame(str(exc)))
+            await connection.settle()
         finally:
             if connection in self.connections:
                 self.connections.remove(connection)
             for key in self._closed_io:
                 self._closed_io[key] += getattr(connection.out, key)
-            await connection.close()
+            self._closed_frames += stream.frames_read
+            await connection.out.close()
 
-    def _dispatch(
-        self, connection: _Connection, frame: _t.Dict[str, _t.Any]
-    ) -> None:
-        kind = frame.get("t")
-        if kind == "op":
-            self._handle_op(connection, frame)
-        elif kind == "hello":
-            self._handle_hello(connection, frame)
-        elif kind == "admin":
-            self._handle_admin(connection, frame)
-        else:
-            raise ProtocolError(f"unknown frame type {kind!r}")
-
-    # -- data path ------------------------------------------------------------
-    def _handle_op(
-        self, connection: _Connection, frame: _t.Dict[str, _t.Any]
-    ) -> None:
-        try:
-            rid = int(frame["rid"])
-            worker_id = int(frame["server"])
-            key = int(frame["key"])
-            size = int(frame["size"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ProtocolError(f"bad op frame: {exc}") from exc
-        worker = self.workers.get(worker_id)
-        if worker is None:
-            raise ProtocolError(f"op addressed to unknown worker {worker_id}")
-        if size <= 0:
-            raise ProtocolError(f"op {rid} has non-positive value size {size}")
-        if "prio" not in frame:
-            # Defaulting would silently hand the request the best possible
-            # priority and corrupt any priority-scheduling measurement.
-            raise ProtocolError(f"op {rid} is missing its priority")
-        priority = priority_from_wire(frame["prio"])
-        if frame.get("trace") is not None:
-            # The context itself rides back implicitly: the res frame is
-            # matched to the pending request client-side, and already
-            # piggybacks the queue/service timestamps the span needs.
-            self.traced_ops += 1
-
-        def respond(
-            worker: LiveWorker, job: LiveJob, queue_wait: float, service: float
-        ) -> None:
-            codec = connection.codec
-            queued, in_service, ewma = worker.feedback()
-            if codec is BINARY_CODEC:
-                # Hot path: struct-pack the response without building the
-                # frame dict (the dominant server-side send).
-                connection.out.send(
-                    codec.encode_res(
-                        job.rid,
-                        worker.server_id,
-                        queue_wait,
-                        service,
-                        queued,
-                        in_service,
-                        ewma,
-                    )
-                )
-            else:
-                connection.send(
-                    {
-                        "t": "res",
-                        "rid": job.rid,
-                        "server": worker.server_id,
-                        "queue_wait": queue_wait,
-                        "service": service,
-                        "fb": {"q": queued, "s": in_service, "ew": ewma},
-                    }
-                )
-
-        job = LiveJob(
-            rid=rid, key=key, value_size=size, priority=priority, respond=respond
+    @property
+    def frames_received(self) -> int:
+        """Frames read off every connection so far (closed + open)."""
+        return self._closed_frames + sum(
+            connection.stream.frames_read for connection in self.connections
         )
-        try:
-            worker.submit(job)
-        except QueueFullError as exc:
-            connection.send(
-                {"t": "error", "error": str(exc), "rid": rid, "server": worker_id}
-            )
 
     # -- control plane -----------------------------------------------------------
     def _handle_hello(

@@ -1,4 +1,4 @@
-"""Live backend workers: bounded priority queues drained by a core pump.
+"""Live backend workers: bounded priority queues on an admit/complete engine.
 
 A :class:`LiveWorker` is the wall-clock engine over the same
 :class:`~repro.cluster.server.ServerState` the simulation's
@@ -9,15 +9,23 @@ priority queue (smaller priority tuple first, FIFO within a priority),
 :class:`~repro.workload.calibration.ServiceTimeModel` the simulation
 samples, stretched by the clock's time scale).
 
-Rather than one asyncio task per core each awaiting its own
-``asyncio.sleep`` -- which costs a timer-heap entry and an event-loop
-wakeup per request, and at small time scales runs into epoll's
-millisecond rounding -- a single *pump* task per worker keeps a due-time
-heap of in-service requests and sleeps until the earliest one finishes.
-One wakeup then completes every request due by that instant, so the
-timer cost is amortized across the batch; this is what lets the firehose
-benchmark drive tens of thousands of ops per second through a worker
-whose emulated service times are microseconds of wall time.
+The engine is callback-driven, the same admit/complete shape as the
+simulated servers, and owns no task:
+
+* ``submit`` only *queues* and, if a core is free, arms one ``call_soon``
+  admit.  It never starts service itself, so every op parsed out of one
+  socket chunk is in the heap before the first core is handed out
+  (``BackendServer``'s end-of-instant admit gives same-instant arrivals
+  the same guarantee);
+* ``_run`` admits while cores are free (one admission instant per batch,
+  service draws in pop order), completes every request already due, and
+  repeats until neither applies;
+* **one** ``call_at`` timer stands for the earliest due time of the
+  in-service heap, re-armed only when that moves earlier or after it
+  fires, so one wakeup completes a whole batch.  A due time under a
+  tenth of epoll's millisecond rounding is not slept on at all: the
+  engine looks again next loop turn (the firehose's emulated service
+  times are microseconds of wall time).
 
 The fault hooks scenario schedules replay against -- ``slowdown``/
 ``restore`` (stacking service-time multipliers) and ``pause``/``resume``
@@ -32,10 +40,10 @@ from __future__ import annotations
 
 import asyncio
 import heapq
-import time
 import typing as _t
 from itertools import count
 
+from .._compat import slots_dataclass
 from ..cluster.server import ServerState
 from ..core.clock import WallClock
 from ..sim.rng import Stream
@@ -48,40 +56,33 @@ from .protocol import ProtocolError
 DEFAULT_MAX_QUEUE = 100_000
 
 
+#: A due time closer than this is polled for, one loop turn at a time,
+#: instead of slept on.  epoll rounds a select timeout *up* to the
+#: millisecond, so on an otherwise idle loop a timer fires up to 1 ms late
+#: -- two hundred service times at the firehose's time scale.  Polling
+#: costs the wait in CPU, so it is reserved for waits a tenth of that
+#: rounding; anything longer sleeps and takes the rounding, as it always did.
+_POLL_BELOW = 1e-4
+
+
 class QueueFullError(ProtocolError):
     """The worker's bounded queue rejected a request."""
 
 
+@slots_dataclass(eq=False)
 class LiveJob:
     """One enqueued request plus its completion callback."""
 
-    __slots__ = (
-        "rid",
-        "key",
-        "value_size",
-        "priority",
-        "respond",
-        "enqueued_at",
-    )
-
-    def __init__(
-        self,
-        rid: int,
-        key: int,
-        value_size: int,
-        priority: _t.Tuple[float, ...],
-        respond: _t.Callable[["LiveWorker", "LiveJob", float, float], None],
-    ) -> None:
-        self.rid = rid
-        self.key = key
-        self.value_size = value_size
-        self.priority = priority
-        self.respond = respond
-        self.enqueued_at = -1.0
+    rid: int
+    key: int
+    value_size: int
+    priority: _t.Tuple[float, ...]
+    respond: _t.Callable[["LiveWorker", "LiveJob", float, float], None]
+    enqueued_at: float = -1.0
 
 
 class LiveWorker(ServerState):
-    """One backend worker: a bounded priority queue drained by a core pump."""
+    """One backend worker: a bounded priority queue on an admit/complete engine."""
 
     def __init__(
         self,
@@ -97,24 +98,25 @@ class LiveWorker(ServerState):
             raise ValueError("max_queue must be positive")
         self.clock = clock
         self.max_queue = int(max_queue)
+        self._loop = asyncio.get_running_loop()
         self._heap: _t.List[_t.Tuple[_t.Tuple[float, ...], int, LiveJob]] = []
         self._seq = count()
-        #: In-service requests: (wall due time, seq, job, model start time).
+        #: In-service requests: (due on the loop's clock, seq, job, model
+        #: start time).  The loop's clock, not ``time.monotonic``, because
+        #: that is what ``call_at`` is measured against on every loop.
         self._due: _t.List[_t.Tuple[float, int, LiveJob, float]] = []
-        #: Set whenever the pump may have new work to admit (a submitted
-        #: job, a closed crash window).
-        self._wakeup = asyncio.Event()
+        #: The armed ``call_soon`` admit, if any.
+        self._admit: _t.Optional[asyncio.Handle] = None
+        #: The one ``call_at`` handle, armed for ``_timer_when``.
+        self._timer: _t.Optional[asyncio.TimerHandle] = None
+        self._timer_when = 0.0
+        self._closed = False
         #: Extra per-response delay (model s); the loopback jitter stand-in.
         self.jitter_mean = 0.0
         self.jitter_sigma = 0.0
         self.rejected = 0
         #: In-flight jittered responses (kept referenced until delivered).
         self._jitter_tasks: _t.Set["asyncio.Task[None]"] = set()
-        self._pump_task: "asyncio.Task[None]" = (
-            asyncio.get_running_loop().create_task(
-                self._pump(), name=f"live-worker{worker_id}.pump"
-            )
-        )
 
     # -- intake -------------------------------------------------------------
     def submit(self, job: LiveJob) -> None:
@@ -127,13 +129,15 @@ class LiveWorker(ServerState):
         job.enqueued_at = self.clock.now
         self.arrival_rate.record(job.enqueued_at)
         heapq.heappush(self._heap, (job.priority, next(self._seq), job))
-        self._wakeup.set()
+        if self._admit is None and self.in_service < self.cores:
+            self._admit = self._loop.call_soon(self._run)
 
     def queue_length(self) -> int:
         return len(self._heap)
 
     def _restarted(self) -> None:
-        self._wakeup.set()
+        if self._admit is None:
+            self._admit = self._loop.call_soon(self._run)
 
     def set_jitter(self, mean: float, sigma: float) -> None:
         """Add (or clear, with mean 0) per-response delay."""
@@ -142,23 +146,27 @@ class LiveWorker(ServerState):
         self.jitter_mean = float(mean)
         self.jitter_sigma = float(sigma)
 
-    # -- the service loop --------------------------------------------------------
-    async def _pump(self) -> None:
-        """Admit queued jobs onto free cores, complete them when due.
+    # -- the admit/complete engine ------------------------------------------------
+    def _run(self) -> None:
+        """Admit onto free cores, complete what is due, repeat; then one timer.
 
-        One task per worker; per pump wakeup it admits every admissible
-        job and completes every due one, so the per-request cost is heap
-        operations, not event-loop handles.
+        Runs from the armed admit or from the timer.  Per call it admits
+        every admissible job and completes every due one, so the
+        per-request cost is heap operations, not event-loop handles.
         """
+        self._admit = None
+        if self._closed:
+            return
         heap = self._heap
         due = self._due
+        loop_time = self._loop.time
         scale = self.clock.scale
         while True:
             if heap and self.in_service < self.cores and not self._pause_depth:
-                now_wall = time.monotonic()
-                start = self.clock.now  # one admission instant per wakeup
+                now_wall = loop_time()
+                start = self.clock.now  # one admission instant per batch
                 while heap and self.in_service < self.cores:
-                    _, _, job = heapq.heappop(heap)
+                    job = heapq.heappop(heap)[2]
                     duration = self.speed_factor * self.service_model.sample_time(
                         job.value_size, self.service_stream
                     )
@@ -167,33 +175,29 @@ class LiveWorker(ServerState):
                         (now_wall + duration * scale, next(self._seq), job, start),
                     )
                     self.in_service += 1
-            if not due:
-                # Idle (or crashed with nothing in service): wait for a
-                # submit or a closed crash window.
-                self._wakeup.clear()
-                if heap and not self._pause_depth:
-                    continue  # submitted between the admission loop and here
-                await self._wakeup.wait()
-                continue
-            delay = due[0][0] - time.monotonic()
-            if delay > 0:
-                if self.in_service < self.cores:
-                    # A submit (or resume) could admit work mid-sleep, so
-                    # wait on whichever comes first.
-                    self._wakeup.clear()
-                    if heap and not self._pause_depth:
-                        continue
-                    try:
-                        await asyncio.wait_for(self._wakeup.wait(), delay)
-                    except TimeoutError:
-                        pass
-                else:
-                    # Saturated: nothing to admit until a completion.
-                    await asyncio.sleep(delay)
-            now_wall = time.monotonic()
+            now_wall = loop_time()
+            if not due or due[0][0] > now_wall:
+                break
             while due and due[0][0] <= now_wall:
                 _, _, job, start = heapq.heappop(due)
                 self._complete(job, start)
+        if not due:
+            return
+        when = due[0][0]
+        if when - now_wall < _POLL_BELOW:
+            # Too close to sleep on: look again next turn (the loop polls
+            # its sockets every turn regardless, with a zero timeout).
+            self._admit = self._loop.call_soon(self._run)
+        elif self._timer is None or when < self._timer_when:
+            if self._timer is not None:
+                self._timer.cancel()
+            self._timer_when = when
+            self._timer = self._loop.call_at(when, self._on_timer)
+
+    def _on_timer(self) -> None:
+        self._timer = None
+        if self._admit is None:  # else the armed admit is about to do this
+            self._run()
 
     def _complete(self, job: LiveJob, start: float) -> None:
         end = self.clock.now
@@ -240,6 +244,11 @@ class LiveWorker(ServerState):
         }
 
     def shutdown(self) -> None:
-        for task in [self._pump_task] + list(self._jitter_tasks):
-            if not task.done():
-                task.cancel()
+        """Cancel the armed admit, the timer and delayed responses; nothing
+        of this worker fires afterwards (queued work is abandoned)."""
+        self._closed = True
+        for handle in (self._admit, self._timer):
+            if handle is not None:
+                handle.cancel()
+        for task in list(self._jitter_tasks):
+            task.cancel()

@@ -39,6 +39,11 @@ _ZIPF_CONSTANTS: _t.Dict[_t.Tuple[int, float], _t.Tuple[float, float, float, flo
 class Stream(random.Random):
     """A named random stream (a seeded ``random.Random`` with helpers)."""
 
+    def __new__(cls, seed: int = 0, name: str = "") -> "Stream":
+        # Before Python 3.11 ``Random.__new__`` rejects a second argument;
+        # forward the seed alone (``__init__`` seeds again, so no draw moves).
+        return super().__new__(cls, seed)
+
     def __init__(self, seed: int, name: str = "") -> None:
         super().__init__(seed)
         self.name = name

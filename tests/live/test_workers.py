@@ -135,3 +135,272 @@ class TestBoundsAndFeedback:
 
         # (queued, in service, service-time EWMA) -- ServerState's triple.
         assert asyncio.run(scenario()) == (2, 0, 0.0)
+
+
+# -- the admit/complete/one-timer engine ----------------------------------------
+
+
+def sized_model() -> ServiceTimeModel:
+    # 1 ms + 1 ms per 1000 bytes, deterministic: the value size picks the
+    # service time, so a test can put a short job behind a long one.
+    return ServiceTimeModel(overhead=1e-3, bandwidth=1e6, noise="none")
+
+
+class RecordingModel:
+    """A service model that records each draw: (value size, stream)."""
+
+    def __init__(self, seconds=1e-4):
+        self.draws = []
+        self.seconds = seconds
+
+    def sample_time(self, value_size, stream):
+        self.draws.append((value_size, stream))
+        return self.seconds
+
+    def expected_time(self, value_size):
+        return self.seconds
+
+
+def engine_worker(model, cores=1):
+    return LiveWorker(
+        clock=WallClock(scale=1.0),
+        worker_id=0,
+        cores=cores,
+        service_model=model,
+        service_stream=Stream(1, "svc"),
+    )
+
+
+def sized_job(rid, size, priority=(0.0,), completions=None):
+    def respond(worker, j, queue_wait, service):
+        completions.append(j.rid)
+
+    return LiveJob(rid=rid, key=1, value_size=size, priority=priority, respond=respond)
+
+
+class CountingLoop:
+    """Wraps the running loop's ``call_soon``/``call_at`` for one worker."""
+
+    def __init__(self, worker):
+        self.loop = asyncio.get_running_loop()
+        self.worker = worker
+        self.admits = 0
+        self.timers = []  # every TimerHandle call_at returned
+        self.fired = 0
+        self._call_soon, self._call_at = self.loop.call_soon, self.loop.call_at
+        self.loop.call_soon = self.call_soon
+        self.loop.call_at = self.call_at
+
+    def call_soon(self, callback, *args, **kwargs):
+        if callback == self.worker._run:
+            self.admits += 1
+        return self._call_soon(callback, *args, **kwargs)
+
+    def call_at(self, when, callback, *args, **kwargs):
+        if callback != self.worker._on_timer:
+            return self._call_at(when, callback, *args, **kwargs)
+
+        def fire():
+            self.fired += 1
+            callback()
+
+        handle = self._call_at(when, fire)
+        self.timers.append(handle)
+        assert self.outstanding() <= 1, "more than one live timer per worker"
+        return handle
+
+    def outstanding(self):
+        live = [h for h in self.timers if not h.cancelled()]
+        return len(live) - self.fired
+
+    def restore(self):
+        del self.loop.call_soon, self.loop.call_at
+
+
+async def until(predicate, timeout=2.0, poll=0.002):
+    deadline = asyncio.get_running_loop().time() + timeout
+    while not predicate():
+        assert asyncio.get_running_loop().time() < deadline, "timed out"
+        await asyncio.sleep(poll)
+
+
+class TestAdmitEngine:
+    def test_same_turn_submits_are_ordered_before_a_core_is_handed_out(self):
+        """An *idle* worker must not start the first submit of a chunk:
+        priority order, not arrival order, with one admit armed."""
+
+        async def scenario():
+            worker = engine_worker(sized_model())  # 2 ms each: timers, no polling
+            counting = CountingLoop(worker)
+            completions = []
+            for rid, priority in ((1, (5.0,)), (2, (1.0,)), (3, (3.0,))):
+                worker.submit(sized_job(rid, 1_000, priority, completions))
+            assert worker.in_service == 0 and worker.queue_length() == 3
+            admits = counting.admits
+            await until(lambda: len(completions) == 3)
+            counting.restore()
+            worker.shutdown()
+            return completions, admits, counting.admits
+
+        completions, armed, admits_total = asyncio.run(scenario())
+        assert completions == [2, 3, 1]
+        assert armed == 1
+        # A saturated worker admits on completion, from its timer: the two
+        # queued jobs never needed another submit or another armed admit.
+        assert admits_total == 1
+
+    def test_one_timer_rearmed_when_a_shorter_job_lands_behind_a_longer(self):
+        async def scenario():
+            worker = engine_worker(sized_model(), cores=2)
+            counting = CountingLoop(worker)
+            completions = []
+            worker.submit(sized_job(1, 60_000, completions=completions))  # 61 ms
+            await until(lambda: worker.in_service == 1)
+            assert len(counting.timers) == 1
+            worker.submit(sized_job(2, 9_000, completions=completions))  # 10 ms
+            await asyncio.sleep(0)  # the armed admit runs on the next turn
+            assert worker.in_service == 2
+            rearmed = len(counting.timers), counting.timers[0].cancelled()
+            await until(lambda: len(completions) == 2)
+            counting.restore()
+            worker.shutdown()
+            return completions, rearmed, counting.outstanding()
+
+        completions, rearmed, outstanding = asyncio.run(scenario())
+        assert completions == [2, 1]
+        assert rearmed == (2, True)  # the 61 ms timer was replaced, not joined
+        assert outstanding == 0
+
+    def test_a_later_due_time_does_not_rearm(self):
+        async def scenario():
+            worker = engine_worker(sized_model(), cores=2)
+            counting = CountingLoop(worker)
+            completions = []
+            worker.submit(sized_job(1, 9_000, completions=completions))
+            await asyncio.sleep(0)
+            worker.submit(sized_job(2, 30_000, completions=completions))
+            await asyncio.sleep(0)
+            assert worker.in_service == 2
+            timers_before_first_fire = len(counting.timers)
+            await until(lambda: len(completions) == 2)
+            counting.restore()
+            worker.shutdown()
+            return timers_before_first_fire, len(counting.timers), completions
+
+        before, total, completions = asyncio.run(scenario())
+        assert before == 1  # the longer job rode the timer already armed
+        assert total == 2  # ...and got its own only after that one fired
+        assert completions == [1, 2]
+
+    def test_a_due_time_far_under_the_select_granularity_is_polled_not_slept_on(self):
+        """epoll rounds a timeout up to the millisecond: a 20 us service
+        time must not cost an idle loop 1 ms per request."""
+
+        async def scenario():
+            model = ServiceTimeModel(overhead=2e-5, bandwidth=1e12, noise="none")
+            worker = engine_worker(model)
+            counting = CountingLoop(worker)
+            completions = []
+            started = asyncio.get_running_loop().time()
+            for rid in range(50):  # strictly one after the other
+                worker.submit(job(rid, completions=completions))
+                await until(lambda: len(completions) == rid + 1, poll=0)
+            elapsed = asyncio.get_running_loop().time() - started
+            counting.restore()
+            worker.shutdown()
+            return elapsed, len(counting.timers)
+
+        elapsed, timers = asyncio.run(scenario())
+        assert timers == 0
+        assert elapsed < 0.03  # 50 x 20 us of service; 50+ ms if slept on
+
+    def test_service_draws_happen_in_pop_order_on_the_workers_stream(self):
+        async def scenario():
+            model = RecordingModel()
+            worker = engine_worker(model, cores=2)
+            completions = []
+            for rid, size, priority in (
+                (1, 100, (9.0,)), (2, 200, (1.0,)), (3, 300, (5.0,)), (4, 400, (3.0,)),
+            ):  # fmt: skip
+                worker.submit(sized_job(rid, size, priority, completions))
+            await until(lambda: len(completions) == 4)
+            worker.shutdown()
+            return model.draws, worker.service_stream
+
+        draws, stream = asyncio.run(scenario())
+        assert [size for size, _ in draws] == [200, 400, 300, 100]
+        assert all(drawn_on is stream for _, drawn_on in draws)
+
+    def test_paused_mid_service_finishes_what_runs_and_admits_nothing(self):
+        async def scenario():
+            worker = engine_worker(sized_model(), cores=1)
+            completions = []
+            worker.submit(sized_job(1, 5_000, completions=completions))  # 6 ms
+            await until(lambda: worker.in_service == 1)
+            worker.pause()
+            worker.pause()  # nested windows
+            worker.submit(sized_job(2, 1_000, (7.0,), completions))
+            worker.submit(sized_job(3, 1_000, (2.0,), completions))
+            await until(lambda: completions == [1])
+            await asyncio.sleep(0.02)
+            while_down = list(completions), worker.in_service, worker.queue_length()
+            worker.resume()
+            await asyncio.sleep(0.02)
+            one_window_left = list(completions)
+            worker.resume()
+            await until(lambda: len(completions) == 3)
+            worker.shutdown()
+            return while_down, one_window_left, completions
+
+        while_down, one_window_left, completions = asyncio.run(scenario())
+        assert while_down == ([1], 0, 2)
+        assert one_window_left == [1]
+        assert completions == [1, 3, 2]  # priority order after the restart
+
+    def test_nothing_fires_after_shutdown(self):
+        async def scenario():
+            completions = []
+            armed = engine_worker(fast_model())
+            armed.submit(job(1, completions=completions))  # admit armed, not run
+            armed.shutdown()
+            timed = engine_worker(sized_model())
+            timed.submit(sized_job(2, 9_000, completions=completions))  # 10 ms
+            await asyncio.sleep(0)
+            assert timed.in_service == 1 and timed._timer is not None
+            timed.shutdown()
+            timed.submit(sized_job(3, 1_000, completions=completions))  # too late
+            await asyncio.sleep(0.04)
+            return completions, armed.in_service, timed.completed
+
+        assert asyncio.run(scenario()) == ([], 0, 0)
+
+    def test_a_started_server_runs_no_worker_or_writer_task(self):
+        from repro.scenarios import get_scenario
+        from repro.serve import LiveServer
+
+        async def scenario():
+            config = get_scenario("steady-state").build_config(
+                strategy="c3", n_tasks=10
+            )
+            server = LiveServer.from_config(config, time_scale=1.0, port=0)
+            await server.start()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    server.host, server.port
+                )
+                await asyncio.sleep(0.01)
+                names = sorted(
+                    task.get_name()
+                    for task in asyncio.all_tasks()
+                    if task is not asyncio.current_task()
+                )
+                writer.close()
+                return names, len(server.workers)
+            finally:
+                await server.stop()
+
+        names, workers = asyncio.run(scenario())
+        # One congestion monitor per worker and one handler per connection:
+        # no per-worker pump, no per-connection writer.
+        assert len(names) == workers + 1
+        assert sum(name.startswith("live-monitor.") for name in names) == workers
