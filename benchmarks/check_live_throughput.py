@@ -13,9 +13,7 @@ against the committed baseline's ``current`` block:
 * the structural **ratios** (headline vs sequential speedup, binary vs
   JSON at equal depth) must hold at the same tolerance -- these are the
   levers the overhaul claims, and they regress independently of raw
-  speed (e.g. a codec change that slows only the binary path).  A ratio
-  also falls when its *denominator* cell gets faster, which is no
-  regression: a denominator that beat its baseline is held at it;
+  speed (e.g. a codec change that slows only the binary path);
 * the headline cell's ``writes_per_multiget`` must not grow past
   ``1/TOLERANCE`` of baseline -- write coalescing quietly breaking shows
   up here long before raw throughput does on a fast loopback.
@@ -41,11 +39,7 @@ TOLERANCE = 0.7  # fail below 70% of baseline (a >30% regression)
 #: design: the fanout rider multiplies per-multiget work eightfold).
 UNGATED_CELLS = frozenset({"binary-pooled-2proc-fanout8"})
 
-#: ratio -> the cell in its denominator.
-RATIOS = {
-    "headline_vs_sequential": "json-seq-1proc",
-    "binary_vs_json_deep": "json-deep-1proc",
-}
+RATIOS = ("headline_vs_sequential", "binary_vs_json_deep")
 
 
 def _cells(data):
@@ -110,7 +104,7 @@ def main(argv):
         if ratio < TOLERANCE:
             failed = True
 
-    for name, denominator in RATIOS.items():
+    for name in RATIOS:
         want = current.get("ratios", {}).get(name)
         got = measured.get("ratios", {}).get(name)
         if want is None:
@@ -119,10 +113,6 @@ def main(argv):
             print(f"{name:28s} missing from the fresh measurement")
             failed = True
             continue
-        den_want = current["cells"].get(denominator, {}).get("normalized")
-        den_got = measured.get("cells", {}).get(denominator, {}).get("normalized")
-        if den_want and den_got and den_got > den_want:
-            got *= den_got / den_want  # hold a faster denominator at baseline
         ratio = got / want
         status = "ok" if ratio >= TOLERANCE else "REGRESSED"
         print(

@@ -24,7 +24,6 @@ from .protocol import (
     hello_frame,
     negotiate_version,
     priority_from_wire,
-    priority_to_wire,
     read_frame,
 )
 from .server import (
@@ -66,7 +65,6 @@ __all__ = [
     "install_uvloop",
     "negotiate_version",
     "priority_from_wire",
-    "priority_to_wire",
     "read_frame",
     "run_server",
 ]

@@ -285,9 +285,6 @@ class BinaryCodec:
         _PRIO[n_prio].pack_into(frame, 5 + _OP_HEAD.size, *priority)
         return bytes(frame)
 
-    #: The sampled form's own name (``trace`` required, by convention).
-    encode_op_traced = encode_op
-
     def encode_res(
         self,
         rid: int,

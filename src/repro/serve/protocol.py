@@ -166,11 +166,6 @@ def parse_json_frame(payload: bytes, at: int = 0) -> _t.Dict[str, _t.Any]:
     return frame
 
 
-def priority_to_wire(priority: _t.Tuple[float, ...]) -> _t.List[float]:
-    """Priority tuples travel as JSON arrays of numbers."""
-    return [float(p) for p in priority]
-
-
 def priority_from_wire(raw: _t.Any) -> _t.Tuple[float, ...]:
     """Decode (and validate) a JSON wire priority into a sortable tuple."""
     if not isinstance(raw, (list, tuple)) or not all(

@@ -22,10 +22,10 @@ simulated servers, and owns no task:
   repeats until neither applies;
 * **one** ``call_at`` timer stands for the earliest due time of the
   in-service heap, re-armed only when that moves earlier or after it
-  fires, so one wakeup completes a whole batch.  A due time under a
-  tenth of epoll's millisecond rounding is not slept on at all: the
-  engine looks again next loop turn (the firehose's emulated service
-  times are microseconds of wall time).
+  fires, so one wakeup completes a whole batch.  epoll rounds a sleep up
+  to the millisecond, so on an otherwise idle loop a wait of microseconds
+  costs one: window-1 traffic at the firehose's time scale pays that per
+  round trip (``docs/performance.md``, Stage E).
 
 The fault hooks scenario schedules replay against -- ``slowdown``/
 ``restore`` (stacking service-time multipliers) and ``pause``/``resume``
@@ -54,15 +54,6 @@ from .protocol import ProtocolError
 #: (an open-loop generator that outruns the backend this far is measuring
 #: the bound, not the scheduler).
 DEFAULT_MAX_QUEUE = 100_000
-
-
-#: A due time closer than this is polled for, one loop turn at a time,
-#: instead of slept on.  epoll rounds a select timeout *up* to the
-#: millisecond, so on an otherwise idle loop a timer fires up to 1 ms late
-#: -- two hundred service times at the firehose's time scale.  Polling
-#: costs the wait in CPU, so it is reserved for waits a tenth of that
-#: rounding; anything longer sleeps and takes the rounding, as it always did.
-_POLL_BELOW = 1e-4
 
 
 class QueueFullError(ProtocolError):
@@ -181,18 +172,11 @@ class LiveWorker(ServerState):
             while due and due[0][0] <= now_wall:
                 _, _, job, start = heapq.heappop(due)
                 self._complete(job, start)
-        if not due:
-            return
-        when = due[0][0]
-        if when - now_wall < _POLL_BELOW:
-            # Too close to sleep on: look again next turn (the loop polls
-            # its sockets every turn regardless, with a zero timeout).
-            self._admit = self._loop.call_soon(self._run)
-        elif self._timer is None or when < self._timer_when:
+        if due and (self._timer is None or due[0][0] < self._timer_when):
             if self._timer is not None:
                 self._timer.cancel()
-            self._timer_when = when
-            self._timer = self._loop.call_at(when, self._on_timer)
+            self._timer_when = due[0][0]
+            self._timer = self._loop.call_at(self._timer_when, self._on_timer)
 
     def _on_timer(self) -> None:
         self._timer = None

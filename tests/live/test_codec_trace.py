@@ -63,7 +63,7 @@ class TestTracedRoundTrip:
     def test_binary_roundtrip(self, rid, server, key, size, prio, trace):
         frame = traced_frame(rid, server, key, size, prio, trace)
         wire = BINARY_CODEC.encode(frame)
-        assert wire == BINARY_CODEC.encode_op_traced(
+        assert wire == BINARY_CODEC.encode_op(
             rid, server, key, size, prio, trace
         )
         assert payload_of(wire)[0] == TAG_OP_TRACE
@@ -123,7 +123,7 @@ class TestTracedEncodeBounds:
         fields = dict(rid=1, server=2, key=3, size=4, prio=[0.5], trace=7)
         fields.update(kwargs)
         with pytest.raises(ProtocolError, match=match):
-            BINARY_CODEC.encode_op_traced(
+            BINARY_CODEC.encode_op(
                 fields["rid"], fields["server"], fields["key"],
                 fields["size"], fields["prio"], fields["trace"],
             )
@@ -131,7 +131,7 @@ class TestTracedEncodeBounds:
 
 @st.composite
 def traced_wire(draw):
-    return BINARY_CODEC.encode_op_traced(
+    return BINARY_CODEC.encode_op(
         draw(rids), draw(servers), draw(keys), draw(sizes),
         draw(st.lists(floats, max_size=4)), draw(trace_ids),
     )

@@ -138,7 +138,7 @@ class TestChunkingIsInvisible:
     def test_one_byte_at_a_time(self):
         batch = [
             BINARY_CODEC.encode_op(7, 2, -5, 100, (1.0, 2.0)),
-            BINARY_CODEC.encode_op_traced(8, 3, 6, 200, (), 99),
+            BINARY_CODEC.encode_op(8, 3, 6, 200, (), 99),
             BINARY_CODEC.encode_res(7, 2, 1e-4, 2e-4, 3, 1, 2e-4),
             BINARY_CODEC.encode({"t": "admin", "cmd": "stats"}),
         ]

