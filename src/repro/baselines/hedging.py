@@ -19,7 +19,7 @@ import typing as _t
 from ..cluster.client import DispatchStrategy
 from ..cluster.messages import RequestMessage, ResponseMessage
 from ..placement import Placement
-from ..cluster.addresses import client_address, server_address
+from ..cluster.addresses import server_address
 from ..core.cost import CostModel
 from ..metrics.histogram import LogHistogram
 from ..metrics.timeseries import WindowedRate
@@ -109,6 +109,7 @@ class HedgedStrategy(DispatchStrategy):
 
     # -- prepare ---------------------------------------------------------------
     def prepare(self, task: Task) -> _t.List[RequestMessage]:
+        now = self.client.env.now
         requests: _t.List[RequestMessage] = []
         for op in task.operations:
             partition = self.placement.partition_of(op.key)
@@ -117,6 +118,7 @@ class HedgedStrategy(DispatchStrategy):
                 task_id=task.task_id,
                 client_id=self.client.client_id,
                 partition=partition,
+                created_at=now,
                 expected_service=self.cost_model.op_cost(op),
             )
             replicas = self.placement.replicas_of(partition)
@@ -140,9 +142,7 @@ class HedgedStrategy(DispatchStrategy):
         self._send_rate.record(self.client.env.now)
         self.selector.on_dispatch(request)
         self.client.network.send(
-            client_address(self.client.client_id),
-            server_address(request.server_id),
-            request,
+            self.client.address, server_address(request.server_id), request
         )
 
     def _hedge_timer(self, primary: RequestMessage) -> _t.Generator:
@@ -167,10 +167,10 @@ class HedgedStrategy(DispatchStrategy):
                 task_id=primary.task_id,
                 client_id=primary.client_id,
                 partition=primary.partition,
+                created_at=primary.created_at,
                 expected_service=primary.expected_service,
                 hedge=True,
             )
-            hedge.created_at = primary.created_at
             hedge.server_id = self.selector.choose(replicas, hedge)
             self.selector.on_assign(hedge)
             entry[1] += 1

@@ -9,11 +9,12 @@ configured task-oblivious discipline).
 from __future__ import annotations
 
 import typing as _t
+from collections import deque
 
 from ..cluster.client import DispatchStrategy
 from ..cluster.messages import RequestMessage, ResponseMessage
 from ..placement import Placement
-from ..cluster.addresses import client_address, server_address
+from ..cluster.addresses import server_address
 from ..core.cost import CostModel
 from ..workload.calibration import ServiceTimeModel
 from ..workload.tasks import Task
@@ -37,52 +38,54 @@ class ObliviousStrategy(DispatchStrategy):
         # maps to one fixed size, so per-request recomputation is waste.
         self.cost_model = CostModel(service_model)
         self.name = f"oblivious+{selector.name}"
+        #: The selector's send-slot gate when it paces dispatches (C3's
+        #: rate control), else ``None``: every request leaves at once.
+        self._try_acquire = (
+            selector.try_acquire if isinstance(selector, C3Selector) else None
+        )
         #: Requests waiting for a send slot, per server (C3 pacing only).
-        self._paced_backlog: _t.Dict[int, _t.List[RequestMessage]] = {}
+        self._paced_backlog: _t.Dict[int, _t.Deque[RequestMessage]] = {}
         self._pacer_active: _t.Set[int] = set()
+        self._server_addresses = [
+            server_address(s) for s in range(placement.n_servers)
+        ]
 
     # -- prepare ---------------------------------------------------------------
     def prepare(self, task: Task) -> _t.List[RequestMessage]:
+        placement = self.placement
+        selector = self.selector
+        op_cost = self.cost_model.op_cost
+        task_id = task.task_id
+        client_id = self.client.client_id
+        now = self.client.env.now
         requests: _t.List[RequestMessage] = []
         for op in task.operations:
-            partition = self.placement.partition_of(op.key)
+            partition = placement.partition_of(op.key)
             request = RequestMessage(
-                op=op,
-                task_id=task.task_id,
-                client_id=self.client.client_id,
-                partition=partition,
-                expected_service=self.cost_model.op_cost(op),
+                op, task_id, client_id, partition, now, op_cost(op)
             )
-            replicas = self.placement.replicas_of(partition)
-            request.server_id = self.selector.choose(replicas, request)
-            self.selector.on_assign(request)
+            replicas = placement.replicas_of(partition)
+            request.server_id = selector.choose(replicas, request)
+            selector.on_assign(request)
             requests.append(request)
         return requests
 
     # -- dispatch ---------------------------------------------------------------
     def dispatch(self, requests: _t.Sequence[RequestMessage]) -> None:
+        try_acquire = self._try_acquire
         for request in requests:
-            self._send_or_queue(request)
-
-    def _send_or_queue(self, request: RequestMessage) -> None:
-        selector = self.selector
-        if isinstance(selector, C3Selector) and not selector.try_acquire(
-            request.server_id
-        ):
-            backlog = self._paced_backlog.setdefault(request.server_id, [])
-            backlog.append(request)
-            self._ensure_pacer(request.server_id)
-            return
-        self._send(request)
+            if try_acquire is None or try_acquire(request.server_id):
+                self._send(request)
+            else:
+                server_id = request.server_id
+                self._paced_backlog.setdefault(server_id, deque()).append(request)
+                self._ensure_pacer(server_id)
 
     def _send(self, request: RequestMessage) -> None:
-        env = self.client.env
-        request.dispatched_at = env.now
+        request.dispatched_at = self.client.env.now
         self.selector.on_dispatch(request)
         self.client.network.send(
-            client_address(self.client.client_id),
-            server_address(request.server_id),
-            request,
+            self.client.address, self._server_addresses[request.server_id], request
         )
 
     def _ensure_pacer(self, server_id: int) -> None:
@@ -106,7 +109,7 @@ class ObliviousStrategy(DispatchStrategy):
         backlog = self._paced_backlog[server_id]
         while backlog:
             if selector.try_acquire(server_id):
-                self._send(backlog.pop(0))
+                self._send(backlog.popleft())
                 continue
             yield env.timeout(max(1e-6, selector.time_until_slot(server_id)))
         self._pacer_active.discard(server_id)

@@ -47,6 +47,9 @@ class DispatchStrategy:
         self.client = client
 
     def prepare(self, task: Task) -> _t.List[RequestMessage]:
+        """One request per operation, built with ``created_at`` set to the
+        bound client's ``env.now`` (:meth:`Client.submit` checks the count
+        and that the stamp is there)."""
         raise NotImplementedError  # pragma: no cover - abstract
 
     def dispatch(self, requests: _t.Sequence[RequestMessage]) -> None:
@@ -81,12 +84,19 @@ class Client:
         self.strategy = strategy
         self.on_complete = on_complete
         self.request_observer = request_observer
-        #: task_id -> (task, remaining responses)
-        self._pending: _t.Dict[int, _t.Tuple[Task, int]] = {}
+        #: task_id -> [task, responses still expected]
+        self._pending: _t.Dict[int, _t.List[_t.Any]] = {}
         self.tasks_completed = 0
         self.tasks_submitted = 0
-        network.register(client_address(self.client_id), self.handle_message)
+        #: This client's endpoint (strategies send from it).
+        self.address = client_address(self.client_id)
+        network.register(self.address, self.handle_message)
         strategy.bind(self)
+        # Optional strategy hooks, resolved once: hedging vetoes straggler
+        # responses so the per-task completion count stays exact; credit
+        # grants and other control messages go to whoever understands them.
+        self._accepts = getattr(strategy, "accepts_response", None)
+        self._on_control = getattr(strategy, "on_control", None)
 
     # -- intake ---------------------------------------------------------------
     def submit(self, task: Task) -> None:
@@ -94,39 +104,32 @@ class Client:
         if task.task_id in self._pending:
             raise ValueError(f"task {task.task_id} already pending")
         requests = self.strategy.prepare(task)
-        if len(requests) != task.fanout:
+        if len(requests) != len(task.operations):
             raise RuntimeError(
                 f"strategy {self.strategy.name!r} prepared {len(requests)} "
                 f"requests for a fan-out-{task.fanout} task"
             )
-        for request in requests:
-            request.created_at = self.env.now
-        self._pending[task.task_id] = (task, len(requests))
+        if requests[-1].created_at < 0:
+            raise RuntimeError(
+                f"strategy {self.strategy.name!r} did not stamp created_at"
+            )
+        self._pending[task.task_id] = [task, len(requests)]
         self.tasks_submitted += 1
         self.strategy.dispatch(requests)
 
     # -- responses ---------------------------------------------------------------
     def handle_message(self, message: _t.Any) -> None:
-        if isinstance(message, ResponseMessage):
-            self._handle_response(message)
-        else:
-            # Credit grants and other control messages are routed to the
-            # strategy, which knows what to do with them.
-            handler = getattr(self.strategy, "on_control", None)
-            if handler is None:
+        if not isinstance(message, ResponseMessage):
+            if self._on_control is None:
                 raise TypeError(
                     f"client {self.client_id} got unexpected message {message!r}"
                 )
-            handler(message)
-
-    def _handle_response(self, response: ResponseMessage) -> None:
-        request = response.request
-        # Strategies that duplicate requests (hedging) veto straggler
-        # responses so the per-task completion count stays exact.
-        accepts = getattr(self.strategy, "accepts_response", None)
-        if accepts is not None and not accepts(response):
+            self._on_control(message)
             return
-        self.strategy.on_response(response)
+        if self._accepts is not None and not self._accepts(message):
+            return
+        request = message.request
+        self.strategy.on_response(message)
         if self.request_observer is not None:
             self.request_observer(request)
         entry = self._pending.get(request.task_id)
@@ -135,15 +138,13 @@ class Client:
                 f"client {self.client_id} got response for unknown task "
                 f"{request.task_id}"
             )
-        task, remaining = entry
-        remaining -= 1
-        if remaining > 0:
-            self._pending[request.task_id] = (task, remaining)
+        entry[1] -= 1
+        if entry[1] > 0:
             return
         del self._pending[request.task_id]
         self.tasks_completed += 1
         if self.on_complete is not None:
-            self.on_complete(TaskCompletion(task=task, completed_at=self.env.now))
+            self.on_complete(TaskCompletion(entry[0], self.env.now))
 
     @property
     def pending_tasks(self) -> int:

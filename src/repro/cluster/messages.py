@@ -10,7 +10,10 @@ All message types are ``__slots__``-based dataclasses (on Python >= 3.10;
 see :mod:`repro._compat`): one :class:`RequestMessage` is allocated per
 simulated request, and dropping the per-instance ``__dict__`` both shrinks
 the hot working set and speeds up the timestamp-field writes on the
-service path.
+service path.  The per-request records are not ``frozen``: a frozen
+``__init__`` pays one ``object.__setattr__`` call per field, which a
+record that is written once and never mutated gains nothing from; the
+control-plane messages (a few per epoch) stay frozen.
 """
 
 from __future__ import annotations
@@ -35,19 +38,22 @@ class RequestMessage:
     client_id: int
     #: Replica group / partition this operation belongs to.
     partition: int
-    #: Server chosen to serve the request (set by replica selection).
-    server_id: int = -1
-    #: Scheduling priority (smaller = served earlier).
-    priority: _t.Tuple[float, ...] = (0.0,)
+    #: When the client accepted the enclosing task.  Strategies pass it
+    #: when they build the request, so the first five-to-eight fields are
+    #: the positional call of the per-request path.
+    created_at: float = -1.0
     #: Client-side forecast of the service time (the request's "cost").
     expected_service: float = 0.0
+    #: Scheduling priority (smaller = served earlier).
+    priority: _t.Tuple[float, ...] = (0.0,)
     #: Cost of the bottleneck sub-task of the enclosing task.
     bottleneck_cost: float = 0.0
+    #: Server chosen to serve the request (set by replica selection).
+    server_id: int = -1
     #: True for speculative duplicates issued by the hedging strategy.
     hedge: bool = False
 
-    # -- life-cycle timestamps (virtual time; -1 = not yet) -----------------
-    created_at: float = -1.0
+    # -- later life-cycle timestamps (virtual time; -1 = not yet) -----------
     dispatched_at: float = -1.0
     enqueued_at: float = -1.0
     service_start_at: float = -1.0
@@ -80,7 +86,7 @@ class RequestMessage:
         return self.completed_at - self.created_at
 
 
-@slots_dataclass(frozen=True)
+@slots_dataclass()
 class ServerFeedback:
     """Server state piggybacked on every response (C3-style feedback)."""
 
@@ -93,7 +99,7 @@ class ServerFeedback:
     ewma_service_time: float
 
 
-@slots_dataclass(frozen=True)
+@slots_dataclass()
 class ResponseMessage:
     """Completion notice flowing server -> client."""
 
@@ -131,7 +137,7 @@ class CongestionSignal:
     overload_ratio: float
 
 
-@slots_dataclass(frozen=True)
+@slots_dataclass()
 class TaskCompletion:
     """Internal record emitted when the last response of a task arrives."""
 

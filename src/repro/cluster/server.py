@@ -205,6 +205,8 @@ class _ServerBase(ServerState):
         self.env = env
         self.network = network
         self._address = server_address(self.server_id)
+        #: client_id -> endpoint, filled as clients show up.
+        self._reply_to: _t.Dict[int, _t.Tuple[str, int]] = {}
 
     def _core_freed(self) -> None:  # pragma: no cover - abstract
         """Engine hook: a core just finished its request."""
@@ -223,14 +225,14 @@ class _ServerBase(ServerState):
         request, duration = served
         request.completed_at = now = self.env.now
         self.finish(now, duration)
-        self.network.send(
-            self._address,
-            client_address(request.client_id),
-            ResponseMessage(
-                request=request,
-                feedback=ServerFeedback(self.server_id, *self.feedback()),
-            ),
-        )
+        try:
+            client = self._reply_to[request.client_id]
+        except KeyError:
+            client = self._reply_to[request.client_id] = client_address(
+                request.client_id
+            )
+        feedback = ServerFeedback(self.server_id, *self.feedback())
+        self.network.send(self._address, client, ResponseMessage(request, feedback))
         self._core_freed()
 
     @property

@@ -6,9 +6,11 @@ Shared preparation (both realizations):
    (:func:`repro.core.cost.split_task`);
 2. forecast costs and find the bottleneck sub-task;
 3. assign every request a priority via EqualMax or UnifIncr;
-4. (credits realization) pin each sub-task to one replica of its group
-   using least-outstanding-*bytes* selection, so the sub-task's cost model
-   ("ops serialize at one server") matches where the ops actually go.
+4. (credits realization) pick each request's replica within its group by
+   least-outstanding-*bytes* selection.
+
+Steps 2-4 are one loop over the sub-tasks: every request is built once,
+already carrying its priority, forecast, ``created_at`` and replica.
 
 Realizations:
 
@@ -37,6 +39,10 @@ from .priorities import PriorityAssigner
 class _BRBBase(DispatchStrategy):
     """Shared task-aware preparation."""
 
+    #: Load-aware replica selector; ``None`` leaves ``server_id`` unset
+    #: (the model realization: any replica of the group may pull).
+    selector: _t.Optional[LeastOutstandingBytesSelector] = None
+
     def __init__(
         self,
         placement: Placement,
@@ -47,39 +53,36 @@ class _BRBBase(DispatchStrategy):
         self.assigner = assigner
         self.cost_model = CostModel(service_model)
 
-    def _prepare_common(
-        self, task: Task, select_replicas: bool
-    ) -> _t.List[RequestMessage]:
+    def prepare(self, task: Task) -> _t.List[RequestMessage]:
         subtasks = split_task(task, self.placement.partition_of, self.cost_model)
         priorities = self.assigner.assign(task, subtasks)
-        bott = bottleneck(subtasks)
+        bott = bottleneck(subtasks).cost
+        task_id = task.task_id
+        client_id = self.client.client_id
+        now = self.client.env.now
+        selector = self.selector
         requests: _t.List[RequestMessage] = []
         for st in subtasks:
+            partition = st.partition
+            replicas = () if selector is None else self.placement.replicas_of(partition)
             for op, op_cost in zip(st.operations, st.op_costs):
+                priority = priorities[op.op_id]
                 request = RequestMessage(
-                    op=op,
-                    task_id=task.task_id,
-                    client_id=self.client.client_id,
-                    partition=st.partition,
-                    priority=priorities[op.op_id],
-                    expected_service=op_cost,
-                    bottleneck_cost=bott.cost,
+                    op, task_id, client_id, partition, now, op_cost, priority, bott
                 )
-                if select_replicas:
+                if selector is not None:
                     # Load-aware (least-outstanding-bytes) selection *per
                     # request*: the sub-task groups requests for priority
                     # purposes, but a large sub-task still spreads across
                     # its replica group rather than serializing on one
                     # server ("intelligent replica selection ... in a
-                    # load-aware fashion").
-                    request.server_id = self._choose_replica(st.partition, request)
+                    # load-aware fashion").  Accounted at once, so the next
+                    # op of the burst sees this one's load and spreads
+                    # instead of herding.
+                    request.server_id = selector.choose(replicas, request)
+                    selector.on_assign(request)
                 requests.append(request)
         return requests
-
-    def _choose_replica(
-        self, partition: int, probe: RequestMessage
-    ) -> int:  # pragma: no cover - overridden where used
-        raise NotImplementedError
 
 
 class BRBCreditsStrategy(_BRBBase):
@@ -98,21 +101,10 @@ class BRBCreditsStrategy(_BRBBase):
         self.selector = selector if selector is not None else LeastOutstandingBytesSelector()
         self.name = f"brb-credits+{assigner.name}"
 
-    def _choose_replica(self, partition: int, probe: RequestMessage) -> int:
-        replicas = self.placement.replicas_of(partition)
-        server = self.selector.choose(replicas, probe)
-        # Account immediately so the next op of the same burst sees this
-        # assignment's load and spreads instead of herding.
-        probe.server_id = server
-        self.selector.on_assign(probe)
-        return server
-
-    def prepare(self, task: Task) -> _t.List[RequestMessage]:
-        return self._prepare_common(task, select_replicas=True)
-
     def dispatch(self, requests: _t.Sequence[RequestMessage]) -> None:
+        submit = self.gate.submit
         for request in requests:
-            self.gate.submit(request)
+            submit(request)
 
     def on_response(self, response: ResponseMessage) -> None:
         self.selector.on_response(response)
@@ -138,11 +130,6 @@ class BRBModelStrategy(_BRBBase):
         super().__init__(placement, assigner, service_model)
         self.global_queue = global_queue
         self.name = f"brb-model+{assigner.name}"
-
-    def prepare(self, task: Task) -> _t.List[RequestMessage]:
-        # No replica selection: any server of the group may pull the
-        # request, which is exactly the flexibility the ideal model enjoys.
-        return self._prepare_common(task, select_replicas=False)
 
     def dispatch(self, requests: _t.Sequence[RequestMessage]) -> None:
         for request in requests:

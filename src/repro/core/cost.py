@@ -16,18 +16,18 @@ from ..workload.calibration import ServiceTimeModel
 from ..workload.tasks import Operation, Task
 
 
-@slots_dataclass(frozen=True)
+@slots_dataclass()
 class SubTask:
     """All operations of one task destined for one replica group."""
 
     task_id: int
     partition: int
-    operations: _t.Tuple[Operation, ...]
+    operations: _t.Sequence[Operation]
     #: Forecast cost of serving the whole sub-task at a single replica
     #: (sum of per-op costs: the ops serialize in the worst case).
     cost: float
     #: Per-operation forecast costs, aligned with ``operations``.
-    op_costs: _t.Tuple[float, ...]
+    op_costs: _t.Sequence[float]
 
     def __post_init__(self) -> None:
         if not self.operations:
@@ -68,7 +68,7 @@ class CostModel:
 
     def subtask_cost(self, ops: _t.Sequence[Operation]) -> float:
         """Forecast completion cost of ops serialized at one replica."""
-        return sum(self.op_cost(op) for op in ops)
+        return sum(map(self.op_cost, ops))
 
 
 def split_task(
@@ -85,23 +85,20 @@ def split_task(
     Sub-tasks are returned in deterministic order (ascending partition id)
     so priority tie-breaking is reproducible.
     """
-    groups: _t.Dict[int, _t.List[Operation]] = {}
+    op_cost = cost_model.op_cost
+    groups: _t.Dict[int, _t.Tuple[_t.List[Operation], _t.List[float]]] = {}
     for op in task.operations:
-        groups.setdefault(partition_of(op.key), []).append(op)
-    subtasks: _t.List[SubTask] = []
-    for partition in sorted(groups):
-        ops = tuple(groups[partition])
-        op_costs = tuple(cost_model.op_cost(op) for op in ops)
-        subtasks.append(
-            SubTask(
-                task_id=task.task_id,
-                partition=partition,
-                operations=ops,
-                cost=sum(op_costs),
-                op_costs=op_costs,
-            )
-        )
-    return subtasks
+        partition = partition_of(op.key)
+        group = groups.get(partition)
+        if group is None:
+            group = groups[partition] = ([], [])
+        group[0].append(op)
+        group[1].append(op_cost(op))
+    task_id = task.task_id
+    return [
+        SubTask(task_id, partition, ops, sum(op_costs), op_costs)
+        for partition, (ops, op_costs) in sorted(groups.items())
+    ]
 
 
 def bottleneck(subtasks: _t.Sequence[SubTask]) -> SubTask:

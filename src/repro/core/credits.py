@@ -274,6 +274,8 @@ class CreditGate:
         self.network = network
         self.client_id = int(client_id)
         self.server_ids = list(server_ids)
+        self._address = client_address(self.client_id)
+        self._server_addresses = {s: server_address(s) for s in self.server_ids}
         self.epoch = float(epoch)
         self.measurement_interval = float(measurement_interval)
         #: Unused credits carry over, capped at this many grant-intervals
@@ -333,9 +335,7 @@ class CreditGate:
         request.dispatched_at = self.env.now
         self.dispatched += 1
         self.network.send(
-            client_address(self.client_id),
-            server_address(request.server_id),
-            request,
+            self._address, self._server_addresses[request.server_id], request
         )
 
     def _drain(self, server: int) -> None:
@@ -372,7 +372,7 @@ class CreditGate:
             self._new_demand[server] = 0.0
         if demand:
             self.network.send(
-                client_address(self.client_id),
+                self._address,
                 CONTROLLER_ADDRESS,
                 DemandReport(
                     client_id=self.client_id, time=self.env.now, demand=demand

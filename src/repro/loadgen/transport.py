@@ -626,12 +626,8 @@ class LiveTransport:
                 )
             )
             return
-        handler(
-            ResponseMessage(
-                request=request,
-                feedback=ServerFeedback(server_id, queued, in_service, ewma),
-            )
-        )
+        feedback = ServerFeedback(server_id, queued, in_service, ewma)
+        handler(ResponseMessage(request, feedback))
 
     # -- failure and teardown ------------------------------------------------------
     def _fail(self, exc: Exception) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import bisect
 import math
 import typing as _t
+from collections import deque
 
 
 class TimeSeries:
@@ -90,7 +91,7 @@ class WindowedRate:
         if window <= 0:
             raise ValueError("window must be positive")
         self.window = window
-        self._events: _t.List[_t.Tuple[float, float]] = []  # (time, weight)
+        self._events: _t.Deque[_t.Tuple[float, float]] = deque()  # (time, weight)
         self._weight_sum = 0.0
         self._first_time: _t.Optional[float] = None
         self._last_time = -math.inf
@@ -112,14 +113,9 @@ class WindowedRate:
 
     def _evict(self, now: float) -> None:
         cutoff = now - self.window
-        drop = 0
-        for t, w in self._events:
-            if t >= cutoff:
-                break
-            self._weight_sum -= w
-            drop += 1
-        if drop:
-            del self._events[:drop]
+        events = self._events
+        while events and events[0][0] < cutoff:
+            self._weight_sum -= events.popleft()[1]
 
     def _check_not_stale(self, now: float) -> None:
         if now < self._last_time:
@@ -161,22 +157,20 @@ class EwmaEstimator:
         if time_constant <= 0:
             raise ValueError("time_constant must be positive")
         self.time_constant = time_constant
-        self._value = float(initial)
+        #: The current estimate (read-only for callers; a plain attribute
+        #: because C3's ranking reads it several times per request).
+        self.value = float(initial)
         self._last_time: _t.Optional[float] = None
-
-    @property
-    def value(self) -> float:
-        return self._value
 
     def update(self, time: float, sample: float) -> float:
         """Fold in ``sample`` observed at ``time``; returns the new value."""
         if self._last_time is None:
-            self._value = float(sample)
+            self.value = float(sample)
         else:
             dt = time - self._last_time
             if dt < 0:
                 raise ValueError("time went backwards")
             alpha = 1.0 - math.exp(-dt / self.time_constant)
-            self._value += alpha * (sample - self._value)
+            self.value += alpha * (sample - self.value)
         self._last_time = time
-        return self._value
+        return self.value

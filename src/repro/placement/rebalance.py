@@ -168,6 +168,10 @@ class MutablePlacement(Placement):
         self.active: Placement = base
         #: Ring rebuilds applied so far (audit counter).
         self.swaps = 0
+        #: Key -> partition does not depend on membership ("data does not
+        #: re-key"), so every lookup goes straight to the base ring: its
+        #: memo stays warm across swaps and needs no invalidation.
+        self.partition_of = base.partition_of
 
     # -- Placement surface --------------------------------------------------
     @property
@@ -184,10 +188,6 @@ class MutablePlacement(Placement):
     def replication_factor(self) -> int:  # type: ignore[override]
         """Replication factor of the active ring."""
         return self.active.replication_factor
-
-    def partition_of(self, key: int) -> int:
-        """Delegate to the active ring (stable across swaps)."""
-        return self.active.partition_of(key)
 
     def replicas_of(self, partition: int) -> _t.Tuple[int, ...]:
         """The *currently eligible* replica set of one partition.

@@ -18,9 +18,15 @@ from .popularity import PopularityModel
 from .valuesize import ValueSizeDistribution
 
 
-@slots_dataclass(frozen=True)
+@slots_dataclass(init=False)
 class Operation:
-    """A single key read within a task."""
+    """A single key read within a task.
+
+    Written once and never mutated, but not ``frozen``: a frozen
+    ``__init__`` pays one ``object.__setattr__`` call per field, and one of
+    these is built per request -- which is also why ``__init__`` is written
+    out, with the validation inline.
+    """
 
     #: Id unique within the whole trace (assigned by the generator).
     op_id: int
@@ -31,12 +37,16 @@ class Operation:
     #: Size of the value stored under ``key``, in bytes.
     value_size: int
 
-    def __post_init__(self) -> None:
-        if self.value_size <= 0:
-            raise ValueError(f"operation {self.op_id}: value_size must be positive")
+    def __init__(self, op_id: int, task_id: int, key: int, value_size: int) -> None:
+        if value_size <= 0:
+            raise ValueError(f"operation {op_id}: value_size must be positive")
+        self.op_id = op_id
+        self.task_id = task_id
+        self.key = key
+        self.value_size = value_size
 
 
-@slots_dataclass(frozen=True)
+@slots_dataclass()
 class Task:
     """A batched end-user request: a set of operations issued together."""
 
@@ -67,7 +77,7 @@ class Task:
         return [op.key for op in self.operations]
 
 
-class ValueSizeRegistry:
+class ValueSizeRegistry(dict):
     """Consistent key -> value size mapping.
 
     A key's value size is drawn once (from the configured distribution,
@@ -75,23 +85,26 @@ class ValueSizeRegistry:
     same key cannot be 100 bytes in one task and 1 MB in the next.  This
     consistency is what lets clients *forecast* service times from value
     sizes, the information BRB's cost model relies on.
+
+    The mapping itself is the memo: ``registry[key]`` draws on first access.
     """
 
     def __init__(self, distribution: ValueSizeDistribution, seed: int) -> None:
+        super().__init__()
         self.distribution = distribution
         self.seed = int(seed)
-        self._sizes: _t.Dict[int, int] = {}
+        #: Reseeded with the key's own seed for every first access: the
+        #: same state a ``Stream`` built for that key would start from,
+        #: without building one generator per distinct key.
+        self._key_stream = Stream(0, "value")
 
-    def size_of(self, key: int) -> int:
-        size = self._sizes.get(key)
-        if size is None:
-            key_stream = Stream(self.seed ^ (key * 0x9E3779B97F4A7C15 % (1 << 61)), f"value:{key}")
-            size = self.distribution.sample(key_stream)
-            self._sizes[key] = size
+    def __missing__(self, key: int) -> int:
+        self._key_stream.seed(self.seed ^ (key * 0x9E3779B97F4A7C15 % (1 << 61)))
+        size = self[key] = self.distribution.sample(self._key_stream)
         return size
 
-    def __len__(self) -> int:
-        return len(self._sizes)
+    def size_of(self, key: int) -> int:
+        return self[key]
 
 
 #: Draws buffered per stream by the task generator.  Purely an
@@ -206,21 +219,13 @@ class TaskGenerator:
             keys = popularity.sample_distinct(self._key_stream, fanout)
         task_id = self._next_task_id
         self._next_task_id += 1
-        ops = []
-        append = ops.append
-        size_of = self.value_sizes.size_of
-        op_id = self._next_op_id
-        for key in keys:
-            append(
-                Operation(
-                    op_id=op_id,
-                    task_id=task_id,
-                    key=key,
-                    value_size=size_of(key),
-                )
-            )
-            op_id += 1
-        self._next_op_id = op_id
+        sizes = self.value_sizes
+        first_op_id = self._next_op_id
+        self._next_op_id = first_op_id + len(keys)
+        ops = [
+            Operation(op_id, task_id, key, sizes[key])
+            for op_id, key in enumerate(keys, first_op_id)
+        ]
 
         pos = self._client_pos
         n = self.n_clients
@@ -230,12 +235,7 @@ class TaskGenerator:
             self._client_buffer = [draw(n) for _ in range(ARRIVAL_BLOCK)]
             pos = 0
         self._client_pos = pos + 1
-        return Task(
-            task_id=task_id,
-            arrival_time=self._clock,
-            client_id=self._client_buffer[pos],
-            operations=tuple(ops),
-        )
+        return Task(task_id, self._clock, self._client_buffer[pos], tuple(ops))
 
     def generate(self, n_tasks: int) -> _t.List[Task]:
         """Materialize a trace of ``n_tasks`` tasks."""

@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro.baselines import ObliviousStrategy, RoundRobinSelector
+from repro.baselines import HedgedStrategy, ObliviousStrategy, RoundRobinSelector
 from repro.cluster import (
     BackendServer,
     Client,
     Network,
     RingPlacement,
 )
+from repro.cluster.messages import RequestMessage
 from repro.cluster.network import ConstantLatency
 from repro.sim import Environment, Stream, StreamFactory
 from repro.workload import ServiceTimeModel
@@ -110,3 +111,64 @@ class TestClient:
         rig.network.send("x", ("client", 0), object())
         with pytest.raises(TypeError):
             rig.env.run()
+
+
+class TestSubmitContract:
+    """What ``submit`` guarantees about the requests a strategy prepares."""
+
+    def test_requests_leave_submit_stamped_with_now(self):
+        rig = Rig(latency=0.25)
+        rig.env.run(until=2.5)
+        rig.client.submit(make_task(0, keys=[0, 1, 2], arrival=2.5))
+        rig.env.run()
+        assert [r.created_at for r in rig.requests] == [2.5, 2.5, 2.5]
+        assert all(r.dispatched_at == 2.5 for r in rig.requests)
+
+    def test_fanout_mismatch_rejected(self):
+        rig = Rig()
+        prepare = rig.client.strategy.prepare
+        rig.client.strategy.prepare = lambda task: prepare(task)[:-1]
+        with pytest.raises(RuntimeError, match="fan-out-3"):
+            rig.client.submit(make_task(0, keys=[0, 1, 2]))
+        assert rig.client.pending_tasks == 0
+
+    def test_unstamped_requests_rejected(self):
+        rig = Rig()
+        rig.client.strategy.prepare = lambda task: [
+            RequestMessage(op=op, task_id=task.task_id, client_id=0, partition=0)
+            for op in task.operations
+        ]
+        with pytest.raises(RuntimeError, match="created_at"):
+            rig.client.submit(make_task(0, keys=[0]))
+
+    def test_vetoed_straggler_does_not_count_twice(self):
+        """Hedging's ``accepts_response`` veto, resolved once at bind time:
+        the losing copy of a hedged op reaches neither the observer nor the
+        per-task count."""
+        rig = Rig(n_servers=2, latency=1e-3)
+        rig.placement = RingPlacement(n_servers=2, replication_factor=2)
+        strategy = HedgedStrategy(
+            rig.placement,
+            RoundRobinSelector(),
+            rig.model,
+            hedge_delay=0.5,
+            budget_fraction=1.0,
+            adaptive=False,
+        )
+        client = Client(
+            rig.env,
+            client_id=1,
+            network=rig.network,
+            strategy=strategy,
+            on_complete=rig.completions.append,
+            request_observer=rig.requests.append,
+        )
+        # One 2-second op on a 1 byte/s server: the hedge (at 0.5 s, to the
+        # other replica) and the primary both come back.
+        client.submit(make_task(7, keys=[0], client=1, size=2))
+        rig.env.run()
+        assert strategy.hedges_sent == 1
+        assert strategy.wasted_responses == 1
+        assert len(rig.requests) == 1
+        assert client.tasks_completed == 1
+        assert len(rig.completions) == 1

@@ -99,6 +99,27 @@ class TestBRBCredits:
             assert len(r.priority) == 3
             assert r.server_id in rig.placement.replicas_of(r.partition)
 
+    def test_requests_leave_submit_stamped_with_now(self):
+        rig = CreditsRig()
+        rig.env.run(until=1.5)
+        sent = []
+        dispatch = rig.strategy.dispatch
+        rig.strategy.dispatch = lambda requests: (sent.extend(requests), dispatch(requests))
+        rig.client.submit(make_task([(k, 100) for k in range(6)], arrival=1.5))
+        assert len(sent) == 6
+        assert all(r.created_at == 1.5 == r.dispatched_at for r in sent)
+
+    def test_requests_grouped_by_partition_in_op_order(self):
+        """One pass, same order as ever: ascending partition, ops in task
+        order within one -- the order replica choice and the gate see."""
+        rig = CreditsRig()
+        task = make_task([(k, 100 + k) for k in range(12)])
+        requests = rig.strategy.prepare(task)
+        assert sorted(r.op.op_id for r in requests) == [op.op_id for op in task.operations]
+        order = [(r.partition, r.op.op_id) for r in requests]
+        assert order == sorted(order)
+        assert all(r.partition == rig.placement.partition_of(r.op.key) for r in requests)
+
     def test_equalmax_priorities_equal_within_task(self):
         rig = CreditsRig()
         requests = rig.strategy.prepare(make_task([(k, 100 * (k + 1)) for k in range(5)]))
@@ -177,8 +198,10 @@ class TestBRBModel:
 
     def test_no_server_preassignment(self):
         rig = ModelRig()
+        rig.env.run(until=0.75)
         requests = rig.strategy.prepare(make_task([(0, 100), (1, 100)]))
         assert all(r.server_id == -1 for r in requests)
+        assert all(r.created_at == 0.75 for r in requests)
 
     def test_any_replica_can_pull(self):
         """With RF == n_servers every server may serve; work must spread."""

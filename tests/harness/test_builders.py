@@ -88,6 +88,7 @@ class _EchoRandomStrategy(DispatchStrategy):
                 task_id=task.task_id,
                 client_id=self.client.client_id,
                 partition=partition,
+                created_at=self.client.env.now,
                 expected_service=self.service_model.expected_time(op.value_size),
             )
             replicas = self.placement.replicas_of(partition)

@@ -34,7 +34,7 @@ def _task(task_id, keys):
 
 
 def _prepare(strategy, task):
-    strategy.client = SimpleNamespace(client_id=0)
+    strategy.client = SimpleNamespace(client_id=0, env=SimpleNamespace(now=0.0))
     return strategy.prepare(task)
 
 

@@ -201,3 +201,82 @@ def test_degenerate_full_replication_ring_offers_every_server():
         placement.validate()
         for key in range(50):
             assert sorted(placement.replicas_of_key(key)) == list(range(9))
+
+
+def _build(kind, n_servers, rf, n_partitions):
+    if kind == "ring":
+        return RingPlacement(n_servers, rf, n_partitions)
+    return ConsistentHashRing(n_servers, rf, n_partitions, vnodes=4)
+
+
+key_sequences = st.lists(
+    st.integers(min_value=0, max_value=2_000), min_size=1, max_size=60
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ring_params, st.sampled_from(["ring", "chash"]), key_sequences)
+def test_warm_memo_answers_like_a_fresh_ring(params, kind, keys):
+    """A key's partition is hashed once and remembered: whatever was asked
+    before (repeats included), every lookup equals a cold ring's."""
+    n_servers, rf, n_partitions = _clamp(params)
+    warm = _build(kind, n_servers, rf, n_partitions)
+    for key in keys:
+        fresh = _build(kind, n_servers, rf, n_partitions)
+        partition = fresh.partition_of(key)
+        assert warm.partition_of(key) == partition
+        assert warm.replicas_of(partition) == fresh.replicas_of(partition)
+        assert warm.replicas_of_key(key) == fresh.replicas_of_key(key)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(["ring", "chash"]),
+    st.integers(min_value=0, max_value=8),
+    st.integers(min_value=0, max_value=8),
+    key_sequences,
+)
+def test_membership_changes_bypass_the_partition_memo(kind, gone, extra, keys):
+    """exclude/readmit/boost/unboost on a warm memo: ``replicas_of`` follows
+    the change at once, ``partition_of`` never moves."""
+    mutable = MutablePlacement(_build(kind, 9, 3, 9 if kind == "ring" else 32))
+    reference = _build(kind, 9, 3, mutable.n_partitions)
+    before = {key: mutable.partition_of(key) for key in keys}  # warms the memo
+    base_groups = {p: mutable.replicas_of(p) for p in before.values()}
+
+    def partitions_unmoved():
+        return all(mutable.partition_of(key) == before[key] for key in keys)
+
+    mutable.exclude([gone])
+    without = reference.without_servers([gone])
+    assert partitions_unmoved()
+    for partition in base_groups:
+        assert gone not in mutable.replicas_of(partition)
+        assert mutable.replicas_of(partition) == without.replicas_of(partition)
+    mutable.readmit([gone])
+    assert partitions_unmoved()
+    assert {p: mutable.replicas_of(p) for p in base_groups} == base_groups
+
+    target = before[keys[0]]
+    mutable.boost(target, [extra])
+    assert partitions_unmoved()
+    assert set(mutable.replicas_of(target)) == set(base_groups[target]) | {extra}
+    assert mutable.replicas_of_key(keys[0]) == mutable.replicas_of(target)
+    mutable.unboost(target)
+    assert partitions_unmoved()
+    assert mutable.replicas_of(target) == base_groups[target]
+
+
+@pytest.mark.parametrize("kind", ["ring", "chash"])
+def test_partition_memo_is_bounded_and_right_beyond_the_bound(kind, monkeypatch):
+    """Only the first ``MEMO_KEYS`` distinct keys are remembered; a key seen
+    later is hashed every time and gets the same answer."""
+    from repro.placement import ring as ring_module
+
+    monkeypatch.setattr(ring_module, "MEMO_KEYS", 8)
+    warm = _build(kind, 9, 3, 32)
+    keys = list(range(100, 140))
+    for _ in range(2):
+        for key in keys:
+            assert warm.partition_of(key) == _build(kind, 9, 3, 32).partition_of(key)
+    assert len(warm._partitions) == 8

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.sim import StreamFactory
+from repro.sim import Stream, StreamFactory
 from repro.workload import (
+    BoundedParetoValueSize,
     FixedFanout,
     FixedValueSize,
     Operation,
@@ -11,6 +12,7 @@ from repro.workload import (
     Task,
     TaskGenerator,
     UniformPopularity,
+    UniformValueSize,
     ValueSizeRegistry,
     atikoglu_etc,
     trace_stats,
@@ -74,6 +76,32 @@ class TestValueSizeRegistry:
         reg.size_of(1)
         reg.size_of(2)
         assert len(reg) == 2
+
+    @staticmethod
+    def _fresh_draw(distribution, seed, key):
+        """The determinism mechanism: one generator per key, seeded by it."""
+        key_seed = seed ^ (key * 0x9E3779B97F4A7C15 % (1 << 61))
+        return distribution.sample(Stream(key_seed, f"value:{key}"))
+
+    @pytest.mark.parametrize(
+        "distribution",
+        [atikoglu_etc(), UniformValueSize(10, 5000), BoundedParetoValueSize()],
+        ids=["gpareto", "uniform", "bpareto"],
+    )
+    def test_size_is_the_keys_own_stream_in_any_access_order(self, distribution):
+        keys = [0, 1, 7, 99_999, 2**40 + 3, 31_337]
+        forward = ValueSizeRegistry(distribution, seed=42)
+        backward = ValueSizeRegistry(distribution, seed=42)
+        crowded = ValueSizeRegistry(distribution, seed=42)
+        for other in range(100_000, 110_000):  # 10k other keys drawn first
+            crowded.size_of(other)
+        expected = [self._fresh_draw(distribution, 42, key) for key in keys]
+        assert [forward.size_of(key) for key in keys] == expected
+        assert [backward.size_of(key) for key in reversed(keys)] == expected[::-1]
+        assert [crowded.size_of(key) for key in keys] == expected
+        # Re-reads come from the memo, not from another draw.
+        assert [forward.size_of(key) for key in keys] == expected
+        assert len(forward) == len(keys)
 
 
 class TestTaskGenerator:
