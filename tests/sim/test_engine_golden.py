@@ -5,7 +5,13 @@ determinism promise.  Its six push-server cells (3 scenarios x 2
 strategies) were captured with the *pre-overhaul* engine (PR 4 state);
 the two ``*-model`` cells were captured with the process-per-core engine
 just before the callback-driven servers replaced it, so the
-``PullServer`` rewrite had digests to answer to.
+``PullServer`` rewrite had digests to answer to.  The long cells were
+captured with the generator-process engine just before its timers became
+``call_later``/``call_every`` callbacks: 400 tasks end at ~0.04 s, before
+the first credit allocation (0.1 s), fault window or remediation action,
+so they run long enough for hedge timers, recurring windows (a second
+onset), a flash crowd, congestion signals, credit grants and SLO
+remediation to each have fired.
 
 Two contracts, asserted separately so a failure says which one broke:
 
@@ -37,22 +43,31 @@ from repro.scenarios import get_scenario
 
 FIXTURE = Path(__file__).parent / "fixtures" / "engine_golden.json"
 
-GRID = [
-    ("steady-state", "c3"),
-    ("steady-state", "unifincr-credits"),
-    ("straggler", "c3"),
-    ("straggler", "unifincr-credits"),
-    ("hotspot-skew", "c3"),
-    ("hotspot-skew", "unifincr-credits"),
-    ("steady-state", "unifincr-model"),
-    ("hot-shard", "equalmax-model"),
-]
 N_TASKS = 400
+#: Long enough (~0.6 s of model time) for every timer-driven activity.
+N_TASKS_LONG = 6000
+GRID = [
+    ("steady-state", "c3", N_TASKS),
+    ("steady-state", "unifincr-credits", N_TASKS),
+    ("straggler", "c3", N_TASKS),
+    ("straggler", "unifincr-credits", N_TASKS),
+    ("hotspot-skew", "c3", N_TASKS),
+    ("hotspot-skew", "unifincr-credits", N_TASKS),
+    ("steady-state", "unifincr-model", N_TASKS),
+    ("hot-shard", "equalmax-model", N_TASKS),
+    ("steady-state", "hedged", 2000),
+    ("recurring-gc", "unifincr-credits", N_TASKS_LONG),
+    ("crash-restart", "unifincr-credits", N_TASKS_LONG),
+    ("flash-crowd", "unifincr-credits", N_TASKS_LONG),
+    ("network-jitter", "unifincr-credits", N_TASKS_LONG),
+    ("ring-rebalance", "unifincr-credits", N_TASKS_LONG),
+    ("hot-shard-remediated", "unifincr-credits", N_TASKS_LONG),
+]
 SEED = 1
 
 
-def _run_cell(scenario, strategy):
-    config = get_scenario(scenario).build_config(strategy=strategy, n_tasks=N_TASKS)
+def _run_cell(scenario, strategy, n_tasks):
+    config = get_scenario(scenario).build_config(strategy=strategy, n_tasks=n_tasks)
     return run_experiment(config, seed=SEED).to_dict()
 
 
@@ -60,8 +75,8 @@ def _run_cell(scenario, strategy):
 def golden():
     if os.environ.get("REPRO_REGEN_GOLDEN") == "1":  # pragma: no cover
         data = {
-            f"{scenario}/{strategy}/seed{SEED}": _run_cell(scenario, strategy)
-            for scenario, strategy in GRID
+            f"{scenario}/{strategy}/seed{SEED}": _run_cell(scenario, strategy, n)
+            for scenario, strategy, n in GRID
         }
         FIXTURE.write_text(
             json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -70,7 +85,7 @@ def golden():
 
 
 _CELLS = pytest.mark.parametrize(
-    "scenario,strategy", GRID, ids=[f"{s}-{st}" for s, st in GRID]
+    "scenario,strategy,n_tasks", GRID, ids=[f"{s}-{st}" for s, st, _ in GRID]
 )
 
 
@@ -79,10 +94,10 @@ def produced():
     """Each grid cell run once, shared by the two contracts below."""
     cache = {}
 
-    def run(scenario, strategy):
+    def run(scenario, strategy, n_tasks):
         if (scenario, strategy) not in cache:
             cache[scenario, strategy] = json.loads(
-                json.dumps(_run_cell(scenario, strategy), sort_keys=True)
+                json.dumps(_run_cell(scenario, strategy, n_tasks), sort_keys=True)
             )
         return cache[scenario, strategy]
 
@@ -90,9 +105,9 @@ def produced():
 
 
 @_CELLS
-def test_schedule_matches_golden(golden, produced, scenario, strategy):
+def test_schedule_matches_golden(golden, produced, scenario, strategy, n_tasks):
     """Everything simulated time decides: latencies, counts, audit extras."""
-    got = dict(produced(scenario, strategy))
+    got = dict(produced(scenario, strategy, n_tasks))
     expected = dict(golden[f"{scenario}/{strategy}/seed{SEED}"])
     del got["events_processed"], expected["events_processed"]
     assert got == expected, (
@@ -103,10 +118,10 @@ def test_schedule_matches_golden(golden, produced, scenario, strategy):
 
 
 @_CELLS
-def test_event_count_matches_golden(golden, produced, scenario, strategy):
+def test_event_count_matches_golden(golden, produced, scenario, strategy, n_tasks):
     """Calendar entries fired: moves when the engine changes, not the model."""
     expected = golden[f"{scenario}/{strategy}/seed{SEED}"]["events_processed"]
-    assert produced(scenario, strategy)["events_processed"] == expected, (
+    assert produced(scenario, strategy, n_tasks)["events_processed"] == expected, (
         f"{scenario}/{strategy}: same schedule contract, different number of "
         "calendar entries; expected after an engine change (regenerate with "
         "REPRO_REGEN_GOLDEN=1 and show the fixture diff is events_processed "
@@ -118,14 +133,15 @@ def test_fixture_covers_grid_and_counts():
     """Guard the fixture against truncation or an empty regen."""
     data = json.loads(FIXTURE.read_text(encoding="utf-8"))
     assert len(data) == len(GRID)
-    for key, cell in data.items():
-        assert cell["n_tasks"] == N_TASKS, key
-        assert cell["tasks_completed"] == N_TASKS, key
+    for scenario, strategy, n_tasks in GRID:
+        key = f"{scenario}/{strategy}/seed{SEED}"
+        cell = data[key]
+        assert cell["n_tasks"] == n_tasks, key
+        assert cell["tasks_completed"] == n_tasks, key
         assert cell["events_processed"] > 0, key
         assert len(cell["task_latency_digest"]) == 64, key
 
 
 def test_to_dict_is_deterministic_within_one_process():
     """Same (config, seed) twice in one process -> identical dicts."""
-    scenario, strategy = GRID[0]
-    assert _run_cell(scenario, strategy) == _run_cell(scenario, strategy)
+    assert _run_cell(*GRID[0]) == _run_cell(*GRID[0])
