@@ -24,7 +24,7 @@ baseline.  Exit code 1 when any section drops below 80% of the baseline.
 
 To re-record the baseline after an intentional perf change::
 
-    PYTHONPATH=src python -m pytest benchmarks/test_bench_event_throughput.py -q
+    PYTHONPATH=src python -m pytest benchmarks/test_bench_event_throughput.py -q --record
     python benchmarks/check_event_throughput.py --update-baseline
 """
 

@@ -24,7 +24,7 @@ noisier than the in-process event-loop bench; the tolerance is looser
 
 To re-record the baseline after an intentional perf change::
 
-    PYTHONPATH=src python -m pytest benchmarks/test_bench_live_throughput.py -q
+    PYTHONPATH=src python -m pytest benchmarks/test_bench_live_throughput.py -q --record
     python benchmarks/check_live_throughput.py --update-baseline
 """
 

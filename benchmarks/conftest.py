@@ -10,8 +10,12 @@ minutes on a laptop.  Two environment variables widen the scope:
 * ``REPRO_BENCH_TASKS=<n>`` / ``REPRO_BENCH_SEEDS=<k>`` -- override the
   scaled defaults directly.
 
-Every benchmark writes its rendered report and raw JSON into
-``results/`` at the repository root, which is where EXPERIMENTS.md points.
+Every benchmark renders a report and raw JSON through
+:func:`save_report`.  By default they land in pytest's temporary directory,
+so running the suite (it is part of the tier-1 command) leaves the
+working tree clean; ``--record`` writes them into ``results/`` at the
+repository root, which is where EXPERIMENTS.md points and what the
+``check_*`` gates and CI artifact uploads read.
 """
 
 import json
@@ -21,6 +25,24 @@ from pathlib import Path
 import pytest
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
+
+#: Where :func:`save_report` writes; set per session by ``_report_dir``.
+_report_dir = RESULTS_DIR
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--record",
+        action="store_true",
+        help="write benchmark reports into results/ (default: pytest's tmp dir)",
+    )
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _report_dir_for_session(request, tmp_path_factory):
+    global _report_dir
+    if not request.config.getoption("--record"):
+        _report_dir = tmp_path_factory.mktemp("results")
 
 #: Scaled defaults (paper: 500_000 tasks, 6 seeds).
 DEFAULT_TASKS = 12_000
@@ -88,11 +110,11 @@ def pingpong_events(n_processes=100, horizon=100.0):
 
 
 def save_report(name: str, text: str, data=None) -> None:
-    """Persist a rendered report (and optional JSON) under results/."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
+    """Persist a rendered report (and optional JSON); see ``--record``."""
+    _report_dir.mkdir(exist_ok=True)
+    (_report_dir / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
     if data is not None:
-        (RESULTS_DIR / f"{name}.json").write_text(
+        (_report_dir / f"{name}.json").write_text(
             json.dumps(data, indent=2), encoding="utf-8"
         )
 

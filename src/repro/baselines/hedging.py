@@ -132,10 +132,7 @@ class HedgedStrategy(DispatchStrategy):
         for request in requests:
             self._ops[request.op.op_id] = [False, 1]
             self._send(request)
-            self.client.env.process(
-                self._hedge_timer(request),
-                name=f"hedge.{self.client.client_id}.{request.op.op_id}",
-            )
+            self._arm_hedge(request, self.max_hedges)
 
     def _send(self, request: RequestMessage) -> None:
         request.dispatched_at = self.client.env.now
@@ -145,38 +142,43 @@ class HedgedStrategy(DispatchStrategy):
             self.client.address, server_address(request.server_id), request
         )
 
-    def _hedge_timer(self, primary: RequestMessage) -> _t.Generator:
-        env = self.client.env
-        for _ in range(self.max_hedges):
-            yield env.timeout(self._threshold())
-            entry = self._ops.get(primary.op.op_id)
-            if entry is None or entry[0]:
-                return  # answered in time: no hedge needed
-            if not self._budget_allows():
-                self.hedges_suppressed += 1
-                return
-            replicas = [
-                s
-                for s in self.placement.replicas_of(primary.partition)
-                if s != primary.server_id
-            ]
-            if not replicas:
-                return  # replication factor 1: nowhere to hedge
-            hedge = RequestMessage(
-                op=primary.op,
-                task_id=primary.task_id,
-                client_id=primary.client_id,
-                partition=primary.partition,
-                created_at=primary.created_at,
-                expected_service=primary.expected_service,
-                hedge=True,
+    def _arm_hedge(self, primary: RequestMessage, hedges_left: int) -> None:
+        if hedges_left > 0:
+            self.client.env.call_later(
+                self._threshold(), self._hedge_due, (primary, hedges_left)
             )
-            hedge.server_id = self.selector.choose(replicas, hedge)
-            self.selector.on_assign(hedge)
-            entry[1] += 1
-            self.hedges_sent += 1
-            self._hedge_rate.record(env.now)
-            self._send(hedge)
+
+    def _hedge_due(self, armed: _t.Tuple[RequestMessage, int]) -> None:
+        primary, hedges_left = armed
+        entry = self._ops.get(primary.op.op_id)
+        if entry is None or entry[0]:
+            return  # answered in time: no hedge needed
+        if not self._budget_allows():
+            self.hedges_suppressed += 1
+            return
+        replicas = [
+            s
+            for s in self.placement.replicas_of(primary.partition)
+            if s != primary.server_id
+        ]
+        if not replicas:
+            return  # replication factor 1: nowhere to hedge
+        hedge = RequestMessage(
+            op=primary.op,
+            task_id=primary.task_id,
+            client_id=primary.client_id,
+            partition=primary.partition,
+            created_at=primary.created_at,
+            expected_service=primary.expected_service,
+            hedge=True,
+        )
+        hedge.server_id = self.selector.choose(replicas, hedge)
+        self.selector.on_assign(hedge)
+        entry[1] += 1
+        self.hedges_sent += 1
+        self._hedge_rate.record(self.client.env.now)
+        self._send(hedge)
+        self._arm_hedge(primary, hedges_left - 1)
 
     # -- responses ---------------------------------------------------------------
     def accepts_response(self, response: ResponseMessage) -> bool:

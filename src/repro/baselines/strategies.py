@@ -89,29 +89,28 @@ class ObliviousStrategy(DispatchStrategy):
         )
 
     def _ensure_pacer(self, server_id: int) -> None:
-        if server_id in self._pacer_active:
-            return
-        self._pacer_active.add(server_id)
-        self.client.env.process(
-            self._pacer(server_id),
-            name=f"client{self.client.client_id}.pacer{server_id}",
-        )
+        if server_id not in self._pacer_active:
+            self._pacer_active.add(server_id)
+            self._pace(server_id)
 
-    def _pacer(self, server_id: int) -> _t.Generator:
+    def _pace(self, server_id: int) -> None:
         """Drain the paced backlog as rate-limit tokens mature.
 
         The wait is floored at 1 us: the token bucket can report
         sub-representable residual waits, and ``now + epsilon == now`` in
         doubles would freeze virtual time.
         """
-        env = self.client.env
         selector = _t.cast(C3Selector, self.selector)
         backlog = self._paced_backlog[server_id]
         while backlog:
-            if selector.try_acquire(server_id):
-                self._send(backlog.popleft())
-                continue
-            yield env.timeout(max(1e-6, selector.time_until_slot(server_id)))
+            if not selector.try_acquire(server_id):
+                self.client.env.call_later(
+                    max(1e-6, selector.time_until_slot(server_id)),
+                    self._pace,
+                    server_id,
+                )
+                return
+            self._send(backlog.popleft())
         self._pacer_active.discard(server_id)
 
     # -- feedback ---------------------------------------------------------------

@@ -394,10 +394,11 @@ class FaultInjector:
 
     The one fault driver of both realms (``clock`` is the
     :class:`~repro.core.clock.Clock` seam), so sim and live windows can
-    never drift apart.  :meth:`start` spawns
-    one clock process per event to drive its (possibly recurring)
-    windows.  Exposes ``windows`` counters per fault kind for the run's
-    audit extras and :meth:`arrival_scale` for the workload feeder.
+    never drift apart.  Each event is one timer chain -- delayed onset,
+    hold, revert, wait out the period, recur -- whose armed handle the
+    injector keeps, so :meth:`reset` stops the chains itself.  Exposes
+    ``windows`` counters per fault kind for the run's audit extras and
+    :meth:`arrival_scale` for the workload feeder.
     """
 
     def __init__(
@@ -422,13 +423,16 @@ class FaultInjector:
         self._jitter_depth = 0
         #: Windows currently applied and not yet reverted (for reset()).
         self._open: _t.List[FaultEvent] = []
+        #: Per event, the handle of its next onset or revert.
+        self._timers: _t.Dict[int, _t.Any] = {}
 
     def start(self) -> None:
-        """Spawn the per-event window processes (once, before the run)."""
+        """Arm (or, at onset 0, open) every event's first window, once."""
         for index, event in enumerate(self.schedule.events):
-            self.clock.process(
-                self._drive(event), name=f"fault.{event.kind}.{index}"
-            )
+            if event.start > 0:
+                self._arm(event.start, self._open_window, index)
+            else:
+                self._open_window(index)
 
     # -- feeder hook ----------------------------------------------------------
     def arrival_scale(self) -> float:
@@ -436,31 +440,38 @@ class FaultInjector:
         return self._crowd_scale
 
     # -- window machinery -------------------------------------------------------
-    def _drive(self, event: FaultEvent) -> _t.Generator:
-        """Delayed start, apply, (possibly infinite) hold, revert, recur."""
-        if event.start > 0:
-            yield self.clock.timeout(event.start)
-        while True:
-            self._apply(event)
-            self._open.append(event)
-            self.windows[event.kind] += 1
-            if math.isinf(event.duration):
-                return  # permanent condition: only reset() reverts it
-            yield self.clock.timeout(event.duration)
-            self._open.remove(event)
-            self._revert(event)
-            if event.period is None:
-                return
-            yield self.clock.timeout(event.period - event.duration)
+    def _arm(
+        self, delay: float, fn: _t.Callable[[int], None], index: int
+    ) -> None:
+        self._timers[index] = self.clock.call_later(delay, fn, index)
+
+    def _open_window(self, index: int) -> None:
+        event = self.schedule.events[index]
+        self._apply(event)
+        self._open.append(event)
+        self.windows[event.kind] += 1
+        # A permanent condition holds until reset() reverts it.
+        if not math.isinf(event.duration):
+            self._arm(event.duration, self._close_window, index)
+
+    def _close_window(self, index: int) -> None:
+        event = self.schedule.events[index]
+        self._open.remove(event)
+        self._revert(event)
+        if event.period is not None:
+            self._arm(event.period - event.duration, self._open_window, index)
 
     def reset(self) -> None:
-        """Revert every still-open window, latest first (run teardown).
+        """Stop every window chain and revert what is still applied,
+        latest first (run teardown).
 
         A run can end -- normally or by timeout -- mid-window; without
         this, a throttled or crashed live worker would stay degraded for
-        the next run against the same server.  Call after the window
-        processes have been cancelled, so no window re-opens afterwards.
+        the next run against the same server.
         """
+        for timer in self._timers.values():
+            timer.cancel()
+        self._timers.clear()
         while self._open:
             self._revert(self._open.pop())
 

@@ -3,11 +3,10 @@
 The counterpart of :class:`~repro.cluster.faults.FaultInjector`, which
 *causes* trouble on a schedule: :class:`RemediationDriver` *reacts* to it
 through the streamed metrics bus.  Like the injector it is one class for
-both realms (:class:`~repro.harness.runner.RunAssembly` builds both) --
-the simulation ticks it via ``Environment.call_every``, the live load
-generator via a wall-clock process -- so remediation behavior is defined
-once, against the :class:`~repro.metrics.bus.BusSnapshot` schema, not per
-substrate.
+both realms (:class:`~repro.harness.runner.RunAssembly` builds both) and
+both tick it through ``clock.call_every``, so remediation behavior is
+defined once, against the :class:`~repro.metrics.bus.BusSnapshot` schema,
+not per substrate.
 
 Every lever is client-side in both realms, which is what makes the
 single driver possible:
@@ -283,10 +282,9 @@ class RemediationDriver:
     """Ticks the bus, evaluates the SLO, applies/reverts remediation.
 
     One instance per run, realm-agnostic: the owner arranges for
-    :meth:`tick` to run every ``interval`` model seconds (simulation:
-    ``env.call_every(interval, driver.tick)``; live:
-    ``clock.process(driver.ticker())``) and chains
-    :meth:`observe_completion` / :meth:`observe_arrival` into its
+    :meth:`tick` to run every ``interval`` model seconds
+    (``clock.call_every(interval, driver.tick)`` in both realms) and
+    chains :meth:`observe_completion` / :meth:`observe_arrival` into its
     completion callback and feeder.
     """
 
@@ -352,12 +350,6 @@ class RemediationDriver:
         for action in actions:
             self.actions += 1
             self.bus.emit(BusEvent(now, "remediation", action))
-
-    def ticker(self) -> _t.Generator:
-        """Wall-clock drive: a process yielding ``timeout(interval)``."""
-        while True:
-            yield self.clock.timeout(self.interval)
-            self.tick()
 
     def reset(self) -> None:
         """Revert any still-applied lever (run teardown, mid-episode end)."""

@@ -255,7 +255,7 @@ class BackendServer(_ServerBase):
     drains a kernel socket buffer: everything that arrived is visible
     before the next scheduling decision.
 
-    When ``congestion_interval`` is set, a monitor process compares the
+    When ``congestion_interval`` is set, a periodic check compares the
     offered arrival rate against the server's capacity every interval and
     sends a :class:`CongestionSignal` to the controller when overloaded --
     the signal path the paper's credits strategy requires.
@@ -289,9 +289,7 @@ class BackendServer(_ServerBase):
         if congestion_interval is not None:
             if congestion_interval <= 0:
                 raise ValueError("congestion_interval must be positive")
-            env.process(
-                self._congestion_monitor(), name=f"server{self.server_id}.monitor"
-            )
+            env.call_every(congestion_interval, self._check_congestion)
 
     # -- message handling -----------------------------------------------------
     def handle_message(self, message: _t.Any) -> None:
@@ -332,24 +330,20 @@ class BackendServer(_ServerBase):
     def _restarted(self) -> None:
         self._arm_admit()
 
-    def _congestion_monitor(self) -> _t.Generator:
+    def _check_congestion(self, _arg: None) -> None:
         interval = _t.cast(float, self.congestion_interval)
-        while True:
-            yield self.env.timeout(interval)
-            ratio = self.overloaded(
-                self.env.now, interval, self.congestion_threshold
+        ratio = self.overloaded(self.env.now, interval, self.congestion_threshold)
+        if ratio is not None:
+            self.congestion_signals_sent += 1
+            self.network.send(
+                self._address,
+                CONTROLLER_ADDRESS,
+                CongestionSignal(
+                    server_id=self.server_id,
+                    time=self.env.now,
+                    overload_ratio=ratio,
+                ),
             )
-            if ratio is not None:
-                self.congestion_signals_sent += 1
-                self.network.send(
-                    self._address,
-                    CONTROLLER_ADDRESS,
-                    CongestionSignal(
-                        server_id=self.server_id,
-                        time=self.env.now,
-                        overload_ratio=ratio,
-                    ),
-                )
 
 
 class PullServer(_ServerBase):

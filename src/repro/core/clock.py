@@ -4,9 +4,9 @@ Everything strategy-side (C3 selection and pacing, hedging timers, BRB
 credit gates, the credits controller) interacts with its substrate through
 two narrow interfaces:
 
-* :class:`Clock` -- ``now`` (seconds), ``timeout(delay)`` tokens, and
-  ``process(generator)`` to drive a periodic/delayed activity expressed as
-  a generator that yields timeout tokens.
+* :class:`Clock` -- ``now`` (seconds), ``call_later(delay, fn, arg)`` and
+  ``call_every(interval, fn, arg)``: every delayed or periodic activity is
+  a plain callback, and the returned handle's ``cancel()`` withdraws it.
 * :class:`Transport` -- ``register(address, handler)`` and
   ``send(src, dst, message)``: addressed, asynchronous message delivery.
 
@@ -50,14 +50,17 @@ class Clock(_t.Protocol):
         """Current time in model seconds."""
         ...
 
-    def timeout(self, delay: float, value: object = None) -> _t.Any:
-        """A token a :meth:`process` generator can yield to sleep."""
+    def call_later(
+        self, delay: float, fn: _t.Callable[[_t.Any], None], arg: _t.Any = None
+    ) -> _t.Any:
+        """Call ``fn(arg)`` once, ``delay`` model seconds from now."""
         ...
 
-    def process(
-        self, generator: _t.Generator, name: _t.Optional[str] = None
+    def call_every(
+        self, interval: float, fn: _t.Callable[[_t.Any], None], arg: _t.Any = None
     ) -> _t.Any:
-        """Drive ``generator``; each yielded timeout token suspends it."""
+        """Call ``fn(arg)`` every ``interval`` model seconds, first one
+        interval from now; the next call is armed after ``fn`` returns."""
         ...
 
 
@@ -79,29 +82,64 @@ class Transport(_t.Protocol):
     ) -> _t.Any: ...
 
 
-class _Sleep:
-    """Timeout token yielded by live processes (mirrors ``sim.Timeout``)."""
+class _WallTimer:
+    """Handle of one :meth:`WallClock.call_later` / ``call_every``."""
 
-    __slots__ = ("delay", "value")
+    __slots__ = ("_clock", "_fn", "_arg", "_interval", "_handle")
 
-    def __init__(self, delay: float, value: object = None) -> None:
-        if delay < 0:
-            raise ValueError("negative sleep")
-        self.delay = float(delay)
-        self.value = value
+    def __init__(
+        self,
+        clock: "WallClock",
+        delay: float,
+        fn: _t.Callable[[_t.Any], None],
+        arg: _t.Any,
+        interval: _t.Optional[float],
+    ) -> None:
+        self._clock = clock
+        self._fn = fn
+        self._arg = arg
+        #: Re-arm period (model seconds); ``None`` for a one-shot.
+        self._interval = interval
+        self._handle: _t.Optional[asyncio.TimerHandle] = None
+        self._arm(delay)
 
-    def __repr__(self) -> str:
-        return f"_Sleep({self.delay!r})"
+    def _arm(self, delay: float) -> None:
+        self._handle = asyncio.get_running_loop().call_later(
+            delay * self._clock.scale, self._fire
+        )
+        self._clock._armed.add(self)
+
+    def _fire(self) -> None:
+        clock = self._clock
+        clock._armed.discard(self)
+        self._handle = None
+        try:
+            self._fn(self._arg)
+        except Exception as error:
+            self._interval = None  # a failed periodic callback stops, as in the sim
+            if not clock._note_error(error):
+                raise  # nobody listens: leave it to the loop's exception handler
+            return
+        if self._interval is not None:
+            self._arm(self._interval)
+
+    def cancel(self) -> None:
+        """Withdraw the call (and, for ``call_every``, every later one)."""
+        self._interval = None
+        if self._handle is not None:
+            self._handle.cancel()
+            self._handle = None
+            self._clock._armed.discard(self)
 
 
 class WallClock:
     """Wall-clock realization of :class:`Clock` on top of asyncio.
 
     ``now`` is model seconds since construction: ``(monotonic - t0) /
-    scale``.  ``process`` drives the same generator protocol the simulation
-    uses -- generators yield ``timeout(delay)`` tokens -- as an asyncio
-    task, so strategy-side periodic loops (credit reports, hedge timers,
-    C3 pacers) run unmodified against real time.
+    scale``.  ``call_later`` / ``call_every`` are ``loop.call_later`` with
+    the delay stretched by ``scale``, so the strategy-side timers (credit
+    reports, the controller epoch, hedge timers, C3 pacing, fault
+    windows) are the very callbacks the simulation's calendar fires.
     """
 
     def __init__(self, scale: float = 1.0) -> None:
@@ -109,14 +147,13 @@ class WallClock:
             raise ValueError("scale must be positive")
         self.scale = float(scale)
         self._t0 = time.monotonic()
-        #: Live (unfinished) tasks spawned via :meth:`process`.  Pruned on
-        #: completion: strategies spawn one short-lived process per paced
-        #: or hedged request, so an append-only list would grow with the
-        #: request count.
-        self.tasks: _t.Set["asyncio.Task[None]"] = set()
-        #: First exception raised by any spawned process (they are all
-        #: infinite or fire-and-forget loops, so any exception is a bug
-        #: the driver must surface -- the sim raises them synchronously).
+        #: Handles armed and not yet fired or cancelled.  Pruned on firing:
+        #: strategies arm one short-lived timer per paced or hedged
+        #: request, so an append-only list would grow with the request
+        #: count.
+        self._armed: _t.Set[_WallTimer] = set()
+        #: First exception raised by any callback (the sim raises them
+        #: synchronously out of ``env.run``; here the driver must be told).
         self.first_error: _t.Optional[BaseException] = None
         self._error_callbacks: _t.List[_t.Callable[[BaseException], None]] = []
 
@@ -133,34 +170,38 @@ class WallClock:
         """
         self._t0 = time.monotonic()
 
-    def timeout(self, delay: float, value: object = None) -> _Sleep:
-        return _Sleep(delay, value)
+    def call_later(
+        self, delay: float, fn: _t.Callable[[_t.Any], None], arg: _t.Any = None
+    ) -> _WallTimer:
+        if delay < 0:
+            raise ValueError(f"negative delay {delay}")
+        return _WallTimer(self, delay, fn, arg, None)
 
-    def process(
-        self, generator: _t.Generator, name: _t.Optional[str] = None
-    ) -> "asyncio.Task[None]":
-        task = asyncio.get_running_loop().create_task(
-            self._drive(generator, name), name=name
-        )
-        self.tasks.add(task)
-        task.add_done_callback(self._on_task_done)
-        return task
+    def call_every(
+        self, interval: float, fn: _t.Callable[[_t.Any], None], arg: _t.Any = None
+    ) -> _WallTimer:
+        if interval <= 0:
+            raise ValueError(f"non-positive interval {interval}")
+        return _WallTimer(self, interval, fn, arg, interval)
 
     def on_error(self, callback: _t.Callable[[BaseException], None]) -> None:
-        """Invoke ``callback`` with the first process exception (once)."""
+        """Invoke ``callback`` with the first callback exception (once)."""
         self._error_callbacks.append(callback)
         if self.first_error is not None:
             callback(self.first_error)
 
-    def _on_task_done(self, task: "asyncio.Task[None]") -> None:
-        self.tasks.discard(task)
-        if task.cancelled():
-            return
-        error = task.exception()  # retrieve, or asyncio warns at GC time
-        if error is not None and self.first_error is None:
+    def _note_error(self, error: BaseException) -> bool:
+        """Funnel ``error`` to the subscribers; False if there are none."""
+        if self.first_error is None:
             self.first_error = error
             for callback in self._error_callbacks:
                 callback(error)
+        return bool(self._error_callbacks)
+
+    def cancel_all(self) -> None:
+        """Cancel every armed handle of this clock (run teardown)."""
+        for timer in list(self._armed):
+            timer.cancel()
 
     # -- live helpers -------------------------------------------------------
     async def sleep(self, model_delay: float) -> None:
@@ -171,30 +212,3 @@ class WallClock:
     async def sleep_until(self, model_time: float) -> None:
         """Sleep until the model clock reads at least ``model_time``."""
         await self.sleep(model_time - self.now)
-
-    async def _drive(self, generator: _t.Generator, name: _t.Optional[str]) -> None:
-        value: object = None
-        try:
-            while True:
-                try:
-                    item = generator.send(value)
-                except StopIteration:
-                    return
-                if not isinstance(item, _Sleep):
-                    raise TypeError(
-                        f"live process {name or generator!r} yielded {item!r}; "
-                        "only clock.timeout(...) tokens are waitable on a "
-                        "wall clock"
-                    )
-                await self.sleep(item.delay)
-                value = item.value
-        except asyncio.CancelledError:
-            generator.close()
-            raise
-
-    def cancel_processes(self) -> None:
-        """Cancel every live process this clock spawned (run teardown)."""
-        for task in list(self.tasks):
-            if not task.done():
-                task.cancel()
-        self.tasks.clear()

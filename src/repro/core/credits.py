@@ -111,8 +111,9 @@ class CreditsController:
         self.congestion_signals = 0
         #: Budget already issued as immediate top-ups this interval.
         self._issued: _t.Dict[int, float] = {s: 0.0 for s in server_capacities}
+        self._adaptation_due = self.epoch
         network.register(CONTROLLER_ADDRESS, self.handle_message)
-        env.process(self._epoch_loop(), name="credits-controller")
+        env.call_every(self.allocation_interval, self._allocate)
 
     def _interval_budget(self, server: int) -> float:
         """Credits one server may hand out per allocation interval."""
@@ -195,52 +196,50 @@ class CreditsController:
                 grants[client] = budget * demand / total_demand
         return grants
 
-    def _epoch_loop(self) -> _t.Generator:
-        adaptation_due = self.epoch
-        while True:
-            yield self.env.timeout(self.allocation_interval)
-            self.epoch_index += 1
-            # Congestion adaptation only every `epoch` (the paper's 1 s).
-            if self.env.now + 1e-12 >= adaptation_due:
-                adaptation_due += self.epoch
-                for server in self.scales:
-                    if server in self._congested:
-                        self.scales[server] = max(
-                            self.min_scale,
-                            self.scales[server] * self.congestion_backoff,
-                        )
-                    else:
-                        self.scales[server] = min(
-                            1.0, self.scales[server] * self.recovery
-                        )
-                self._congested.clear()
-            # Pivot demand to per-server view and allocate.
-            per_server: _t.Dict[int, _t.Dict[int, float]] = {
-                s: {} for s in self.server_capacities
-            }
-            for client, per_client in self._demand.items():
-                for server, amount in per_client.items():
-                    if server in per_server:
-                        per_server[server][client] = amount
-            per_client_grants: _t.Dict[int, _t.Dict[int, float]] = {
-                c: {} for c in range(self.n_clients)
-            }
-            for server, demands in per_server.items():
-                for client, amount in self._allocate_server(server, demands).items():
-                    if amount > 0:
-                        per_client_grants[client][server] = amount
-            self._demand.clear()
-            for server in self._issued:
-                self._issued[server] = 0.0
-            for client, credits in per_client_grants.items():
-                self.grants_sent += 1
-                self.network.send(
-                    CONTROLLER_ADDRESS,
-                    client_address(client),
-                    CreditGrant(
-                        client_id=client, epoch=self.epoch_index, credits=credits
-                    ),
-                )
+    def _allocate(self, _arg: None) -> None:
+        """One allocation interval: adapt budgets if due, then grant."""
+        self.epoch_index += 1
+        # Congestion adaptation only every `epoch` (the paper's 1 s).
+        if self.env.now + 1e-12 >= self._adaptation_due:
+            self._adaptation_due += self.epoch
+            for server in self.scales:
+                if server in self._congested:
+                    self.scales[server] = max(
+                        self.min_scale,
+                        self.scales[server] * self.congestion_backoff,
+                    )
+                else:
+                    self.scales[server] = min(
+                        1.0, self.scales[server] * self.recovery
+                    )
+            self._congested.clear()
+        # Pivot demand to per-server view and allocate.
+        per_server: _t.Dict[int, _t.Dict[int, float]] = {
+            s: {} for s in self.server_capacities
+        }
+        for client, per_client in self._demand.items():
+            for server, amount in per_client.items():
+                if server in per_server:
+                    per_server[server][client] = amount
+        per_client_grants: _t.Dict[int, _t.Dict[int, float]] = {
+            c: {} for c in range(self.n_clients)
+        }
+        for server, demands in per_server.items():
+            for client, amount in self._allocate_server(server, demands).items():
+                if amount > 0:
+                    per_client_grants[client][server] = amount
+        self._demand.clear()
+        for server in self._issued:
+            self._issued[server] = 0.0
+        for client, credits in per_client_grants.items():
+            self.grants_sent += 1
+            self.network.send(
+                CONTROLLER_ADDRESS,
+                client_address(client),
+                CreditGrant(
+                    client_id=client, epoch=self.epoch_index, credits=credits
+                ),
+            )
 
 
 class CreditGate:
@@ -306,7 +305,7 @@ class CreditGate:
         self.dispatched = 0
         self.gated = 0
         self.grants_received = 0
-        env.process(self._report_loop(), name=f"credit-gate{client_id}.reports")
+        env.call_every(self.measurement_interval, self._send_report)
 
     # -- dispatch path ---------------------------------------------------------
     def submit(self, request: RequestMessage) -> None:
@@ -361,7 +360,7 @@ class CreditGate:
             self.credits[server] = min(self.credits[server] + granted, cap)
             self._drain(server)
 
-    def _send_report(self) -> None:
+    def _send_report(self, _arg: None = None) -> None:
         """Report fresh demand plus standing backlog to the controller."""
         self._last_report = self.env.now
         demand: _t.Dict[int, float] = {}
@@ -378,11 +377,6 @@ class CreditGate:
                     client_id=self.client_id, time=self.env.now, demand=demand
                 ),
             )
-
-    def _report_loop(self) -> _t.Generator:
-        while True:
-            yield self.env.timeout(self.measurement_interval)
-            self._send_report()
 
     @property
     def backlog_size(self) -> int:

@@ -149,14 +149,10 @@ def figure1_toy(task_aware: bool, assigner_name: str = "unifincr") -> Figure1Res
         for i in range(2)
     ]
 
-    def feeder() -> _t.Generator:
-        # T1 is submitted before T2 at the same instant, exactly as the
-        # figure's task-oblivious schedule assumes.
-        clients[0].submit(tasks[0])
-        clients[1].submit(tasks[1])
-        yield env.timeout(0.0)
-
-    env.process(feeder(), name="toy-feeder")
+    # T1 is submitted before T2 at the same instant, exactly as the
+    # figure's task-oblivious schedule assumes.
+    clients[0].submit(tasks[0])
+    clients[1].submit(tasks[1])
     env.run()
     return Figure1Result(
         schedule="task-aware" if task_aware else "task-oblivious",

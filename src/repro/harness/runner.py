@@ -358,6 +358,41 @@ class RunAssembly:
         )
 
 
+class _SimFeeder:
+    """The simulated open-loop arrivals: one calendar timer per waited gap.
+
+    An object, not a closure in :func:`run_experiment`: a closure that
+    re-arms itself is a reference cycle holding the whole run (workload
+    arrays included) until the collector's oldest generation runs, which
+    reads as +12% peak RSS over ``bench/``'s repeats.
+    """
+
+    def __init__(self, env: Environment, run: RunAssembly) -> None:
+        self.env = env
+        self.run = run
+        self.left = run.config.n_tasks
+        self.last_arrival = 0.0
+
+    def feed(self, due: _t.Optional[Task]) -> None:
+        """Submit ``due`` (its wait just ended), then every task up to the
+        next one that has to be waited for."""
+        run = self.run
+        if due is not None:
+            run.submit(due)
+        while self.left:
+            self.left -= 1
+            task = run.generator.next_task()
+            # Flash-crowd faults compress inter-arrival gaps; at scale 1
+            # this reduces exactly to waiting until task.arrival_time.
+            gap = task.arrival_time - self.last_arrival
+            self.last_arrival = task.arrival_time
+            delay = gap / run.faults.arrival_scale()
+            if delay > 0:
+                self.env.call_later(delay, self.feed, task)
+                return
+            run.submit(task)
+
+
 def run_experiment(config: ExperimentConfig, seed: int = 1) -> RunResult:
     """Simulate one (config, seed) pair end to end."""
     streams = StreamFactory(seed)
@@ -379,26 +414,10 @@ def run_experiment(config: ExperimentConfig, seed: int = 1) -> RunResult:
         # near zero while saturating cores, so queues alone miss heat.
         lambda: [s.queue_length() + s.in_service for s in servers],
     )
-    faults = run.faults
-    faults.start()
+    run.faults.start()
     if run.remediation is not None:
         env.call_every(run.remediation.interval, run.remediation.tick)
-    generator = run.generator
-
-    def feeder() -> _t.Generator:
-        last_arrival = 0.0
-        for _ in range(config.n_tasks):
-            task = generator.next_task()
-            # Flash-crowd faults compress inter-arrival gaps; at scale 1
-            # this reduces exactly to waiting until task.arrival_time.
-            gap = task.arrival_time - last_arrival
-            last_arrival = task.arrival_time
-            delay = gap / faults.arrival_scale()
-            if delay > 0:
-                yield env.timeout(delay)
-            run.submit(task)
-
-    env.process(feeder(), name="workload-feeder")
+    _SimFeeder(env, run).feed(None)
     env.run(until=done)
 
     # -- audit: conservation laws -------------------------------------------

@@ -205,18 +205,18 @@ async def run_live(
         clock.rebase()
         faults.start()
         if remediation is not None:
-            clock.process(remediation.ticker(), name="metrics-ticker")
+            clock.call_every(remediation.interval, remediation.tick)
         feeder = asyncio.get_running_loop().create_task(feed(), name="live-feeder")
         done_waiter = asyncio.get_running_loop().create_task(done.wait())
 
         # Surface background crashes immediately as the real traceback,
         # not as a mysterious timeout minutes later (the sim raises the
         # same exceptions synchronously from env.run).  The clock funnels
-        # the first exception of *any* spawned strategy process (credit
-        # gates, the controller epoch loop, C3 pacers, hedge timers, fault
-        # windows) into one future, so the watch set stays constant-sized
-        # no matter how many short-lived per-request processes a strategy
-        # spawns.
+        # the first exception of *any* strategy timer callback (credit
+        # reports, the controller's allocation, C3 pacing, hedge timers,
+        # fault windows) into one future, so the watch set stays
+        # constant-sized no matter how many short-lived per-request timers
+        # a strategy arms.
         background_failure: "asyncio.Future[None]" = (
             asyncio.get_running_loop().create_future()
         )
@@ -309,7 +309,7 @@ async def run_live(
         for task in (feeder, done_waiter):
             if task is not None and not task.done():
                 task.cancel()
-        clock.cancel_processes()
+        clock.cancel_all()
         if run is not None:
             run.reset()  # leave the server undegraded for the next run
         await transport.close()

@@ -1,4 +1,4 @@
-"""Metrics: histograms, samples, summaries, time series, the bus."""
+"""Metrics: histograms, samples, summaries, windowed rates, the bus."""
 
 from .bus import (
     BusEvent,
@@ -10,7 +10,7 @@ from .bus import (
     snapshot_prometheus,
 )
 from .histogram import LogHistogram
-from .reservoir import ExactSample, Reservoir, exact_quantile
+from .reservoir import ExactSample, exact_quantile
 from .slo import BreachDetector, SloPolicy
 from .summary import (
     DEFAULT_PERCENTILES,
@@ -18,7 +18,7 @@ from .summary import (
     PAPER_PERCENTILES,
     mean_of_summaries,
 )
-from .timeseries import EwmaEstimator, TimeSeries, WindowedRate
+from .timeseries import EwmaEstimator, WindowedRate
 
 __all__ = [
     "BreachDetector",
@@ -32,9 +32,7 @@ __all__ = [
     "LogHistogram",
     "MetricsBus",
     "PAPER_PERCENTILES",
-    "Reservoir",
     "SloPolicy",
-    "TimeSeries",
     "WindowedQuantiles",
     "WindowedRate",
     "exact_quantile",

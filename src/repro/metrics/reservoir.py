@@ -1,14 +1,12 @@
-"""Exact and reservoir-sampled collections of observations.
+"""Exact collections of observations.
 
-The Figure 2 reproduction keeps *exact* task latencies (the run sizes fit in
-memory and the paper's claims are about specific percentiles), while very
-long ablation sweeps can switch to bounded reservoirs.
+The Figure 2 reproduction keeps *exact* task latencies: the run sizes fit
+in memory and the paper's claims are about specific percentiles.
 """
 
 from __future__ import annotations
 
 import math
-import random
 import typing as _t
 
 
@@ -111,49 +109,3 @@ class ExactSample:
         if not self._values:
             return "<ExactSample empty>"
         return f"<ExactSample n={len(self._values)} mean={self.mean:.6g}>"
-
-
-class Reservoir:
-    """Fixed-size uniform reservoir sample (Vitter's algorithm R).
-
-    Quantiles are estimates; error shrinks with reservoir size.  Used only
-    when a sweep would otherwise hold tens of millions of floats.
-    """
-
-    def __init__(self, capacity: int = 100_000, seed: int = 0) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self._rng = random.Random(seed)
-        self._values: _t.List[float] = []
-        self.count = 0  # total observations offered
-
-    def record(self, value: float) -> None:
-        self.count += 1
-        if len(self._values) < self.capacity:
-            self._values.append(value)
-        else:
-            idx = self._rng.randrange(self.count)
-            if idx < self.capacity:
-                self._values[idx] = value
-
-    def record_many(self, values: _t.Iterable[float]) -> None:
-        for value in values:
-            self.record(value)
-
-    def quantile(self, q: float) -> float:
-        if not self._values:
-            raise ValueError("empty reservoir has no quantiles")
-        return exact_quantile(sorted(self._values), q)
-
-    def percentile(self, p: float) -> float:
-        return self.quantile(p / 100.0)
-
-    @property
-    def mean(self) -> float:
-        if not self._values:
-            raise ValueError("empty reservoir has no mean")
-        return sum(self._values) / len(self._values)
-
-    def __len__(self) -> int:
-        return len(self._values)

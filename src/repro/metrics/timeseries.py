@@ -1,68 +1,15 @@
-"""Time-series recorders: sampled gauges and windowed rates.
+"""Windowed rates and EWMA estimators over a stream of timestamps.
 
-Used by the credits controller (demand per epoch), server instrumentation
-(queue depth over time) and the ablation benches (load vs. latency curves).
-All timestamps are virtual time from the simulation clock.
+Used by the servers (arrival rate for the congestion check, service-time
+EWMA), C3 (send/receive rates) and hedging (duplicate budget).  All
+timestamps are model seconds from the run's clock.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import typing as _t
 from collections import deque
-
-
-class TimeSeries:
-    """Append-only (time, value) series with window queries."""
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self._times: _t.List[float] = []
-        self._values: _t.List[float] = []
-
-    def record(self, time: float, value: float) -> None:
-        """Append an observation; times must be non-decreasing."""
-        if self._times and time < self._times[-1]:
-            raise ValueError(
-                f"time went backwards: {time} < {self._times[-1]} in {self.name!r}"
-            )
-        self._times.append(time)
-        self._values.append(value)
-
-    def __len__(self) -> int:
-        return len(self._times)
-
-    @property
-    def times(self) -> _t.List[float]:
-        return list(self._times)
-
-    @property
-    def values(self) -> _t.List[float]:
-        return list(self._values)
-
-    def window(self, start: float, end: float) -> _t.List[_t.Tuple[float, float]]:
-        """Observations with ``start <= time < end``."""
-        if end < start:
-            raise ValueError("end must be >= start")
-        lo = bisect.bisect_left(self._times, start)
-        hi = bisect.bisect_left(self._times, end)
-        return list(zip(self._times[lo:hi], self._values[lo:hi]))
-
-    def mean_over(self, start: float, end: float) -> float:
-        """Arithmetic mean of observations in the window."""
-        pts = self.window(start, end)
-        if not pts:
-            raise ValueError(f"no observations in [{start}, {end})")
-        return sum(v for _, v in pts) / len(pts)
-
-    def last(self) -> _t.Tuple[float, float]:
-        if not self._times:
-            raise ValueError("empty time series")
-        return self._times[-1], self._values[-1]
-
-    def __repr__(self) -> str:
-        return f"<TimeSeries {self.name!r} n={len(self._times)}>"
 
 
 #: Smallest rate denominator (model seconds): a query made at the instant

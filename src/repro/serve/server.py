@@ -246,7 +246,6 @@ class LiveServer:
         self._closed_frames = 0
         self._server: _t.Optional[asyncio.AbstractServer] = None
         self._metrics_server: _t.Optional[asyncio.AbstractServer] = None
-        self._monitors: _t.List["asyncio.Task[None]"] = []
         self._stats_task: _t.Optional["asyncio.Task[None]"] = None
 
     @classmethod
@@ -296,13 +295,7 @@ class LiveServer:
             )
             for worker_id in self.worker_ids
         }
-        self._monitors = [
-            asyncio.get_running_loop().create_task(
-                self._congestion_monitor(worker),
-                name=f"live-monitor.{worker.server_id}",
-            )
-            for worker in self.workers.values()
-        ]
+        self.clock.call_every(self.congestion_interval, self._check_congestion)
         if self.stats_interval:
             self._stats_task = asyncio.get_running_loop().create_task(
                 self._stats_loop(), name="live-stats"
@@ -323,9 +316,7 @@ class LiveServer:
                 listener.close()
                 await listener.wait_closed()
         self._server = self._metrics_server = None
-        for monitor in self._monitors:
-            monitor.cancel()
-        self._monitors = []
+        self.clock.cancel_all()  # the congestion check, jittered responses
         if self._stats_task is not None:
             self._stats_task.cancel()
             self._stats_task = None
@@ -593,15 +584,13 @@ class LiveServer:
         connection.send({"t": "admin-ack", "cmd": command})
 
     # -- congestion ---------------------------------------------------------------
-    async def _congestion_monitor(self, worker: LiveWorker) -> None:
-        """The simulated congestion monitor's check on a wall clock: a
-        frame to every opted-in client while the worker is overloaded."""
+    def _check_congestion(self, _arg: None) -> None:
+        """The simulated servers' congestion check on a wall clock: a frame
+        to every opted-in client for each worker that is overloaded."""
         interval = self.congestion_interval
-        while True:
-            await self.clock.sleep(interval)
-            ratio = worker.overloaded(
-                self.clock.now, interval, self.congestion_threshold
-            )
+        now = self.clock.now
+        for worker in self.workers.values():
+            ratio = worker.overloaded(now, interval, self.congestion_threshold)
             if ratio is not None:
                 frame = {
                     "t": "congestion",

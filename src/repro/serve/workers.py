@@ -106,8 +106,6 @@ class LiveWorker(ServerState):
         self.jitter_mean = 0.0
         self.jitter_sigma = 0.0
         self.rejected = 0
-        #: In-flight jittered responses (kept referenced until delivered).
-        self._jitter_tasks: _t.Set["asyncio.Task[None]"] = set()
 
     # -- intake -------------------------------------------------------------
     def submit(self, job: LiveJob) -> None:
@@ -201,19 +199,16 @@ class LiveWorker(ServerState):
                 if self.jitter_sigma > 0
                 else self.jitter_mean
             )
-            task = asyncio.get_running_loop().create_task(
-                self._respond_later(delay, job, queue_wait, service)
+            self.clock.call_later(
+                delay, self._respond_jittered, (job, queue_wait, service)
             )
-            self._jitter_tasks.add(task)
-            task.add_done_callback(self._jitter_tasks.discard)
         else:
             job.respond(self, job, queue_wait, service)
 
-    async def _respond_later(
-        self, delay: float, job: LiveJob, queue_wait: float, service: float
-    ) -> None:
-        await self.clock.sleep(delay)
-        job.respond(self, job, queue_wait, service)
+    def _respond_jittered(self, held: _t.Tuple[LiveJob, float, float]) -> None:
+        if not self._closed:
+            job, queue_wait, service = held
+            job.respond(self, job, queue_wait, service)
 
     def stats(self) -> _t.Dict[str, _t.Any]:
         return {
@@ -228,11 +223,9 @@ class LiveWorker(ServerState):
         }
 
     def shutdown(self) -> None:
-        """Cancel the armed admit, the timer and delayed responses; nothing
-        of this worker fires afterwards (queued work is abandoned)."""
+        """Cancel the armed admit and the timer and drop delayed responses;
+        nothing of this worker fires afterwards (queued work is abandoned)."""
         self._closed = True
         for handle in (self._admit, self._timer):
             if handle is not None:
                 handle.cancel()
-        for task in list(self._jitter_tasks):
-            task.cancel()

@@ -1,34 +1,27 @@
-"""Discrete-event simulation kernel (virtual time, events, processes).
+"""Discrete-event simulation kernel (virtual time, calendar, timers).
 
-A small, dependency-free kernel in the style of SimPy: generator-based
-processes yield :class:`~repro.sim.events.Event` objects and are resumed
-when those events fire.  All timing in the reproduction is virtual time
-kept by :class:`~repro.sim.engine.Environment`, which sidesteps GIL and OS
-scheduler noise entirely.
-
-Quick example::
+A small, dependency-free kernel.  All timing in the reproduction is virtual
+time kept by :class:`~repro.sim.engine.Environment`, which sidesteps GIL
+and OS scheduler noise entirely.  Model code schedules plain callbacks::
 
     from repro.sim import Environment
 
     env = Environment()
+    seen = []
+    env.call_later(1.0, seen.append, "a")
+    tick = env.call_every(0.5, seen.append, "tick")
+    env.run(until=1.2)
+    assert seen == ["tick", "a", "tick"]  # 0.5; 1.0 twice, in arming order
+    tick.cancel()
 
-    def worker(env, name):
-        yield env.timeout(1.0)
-        return name
-
-    proc = env.process(worker(env, "a"))
-    env.run()
-    assert env.now == 1.0 and proc.value == "a"
+Generator-based processes in the style of SimPy (``env.process(gen)``,
+yielding :class:`~repro.sim.events.Event` objects) remain for test rigs
+and micro-benchmarks; nothing else under ``src/`` uses them.
 """
 
 from .engine import EmptySchedule, Environment, Infinity, StopSimulation
 from .events import (
-    AllOf,
-    AnyOf,
-    Condition,
-    ConditionValue,
     Event,
-    Interrupt,
     NORMAL,
     PENDING,
     SimulationError,
@@ -39,15 +32,10 @@ from .process import Process, ProcessGenerator
 from .rng import Stream, StreamFactory, derive_seed
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
-    "Condition",
-    "ConditionValue",
     "EmptySchedule",
     "Environment",
     "Event",
     "Infinity",
-    "Interrupt",
     "NORMAL",
     "PENDING",
     "Process",

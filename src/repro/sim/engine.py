@@ -9,7 +9,8 @@ clock, which makes them deterministic and immune to GIL scheduling noise
 The calendar holds two kinds of entries, distinguished by exact type:
 
 * :class:`~repro.sim.events.Event` -- the full one-shot occurrence with a
-  value and a callback list (what processes yield and compose);
+  value and a callback list (what ``run(until=event)`` stops on and what
+  the test rigs' processes yield);
 * :class:`Timer` -- a bare ``fn(arg)`` callback with **no** event wrapper.
   This is the hot-path representation used by the network model, the
   simulated servers and anything else that only ever needs "call this later":
@@ -44,15 +45,7 @@ import typing as _t
 from heapq import heappop, heappush
 from itertools import count
 
-from .events import (
-    AllOf,
-    AnyOf,
-    Event,
-    NORMAL,
-    PENDING,
-    SimulationError,
-    Timeout,
-)
+from .events import Event, NORMAL, PENDING, SimulationError, Timeout
 from .process import Process, ProcessGenerator
 
 Infinity: float = float("inf")
@@ -157,7 +150,6 @@ class Environment:
         #: Flat calendar: (time, priority, sequence, Event | Timer).
         self._queue: _t.List[_t.Tuple[float, int, int, _t.Any]] = []
         self._eid = count()
-        self._active_proc: _t.Optional[Process] = None
         #: Total number of entries fired so far (for micro-benchmarks).
         #: Cancelled timers are skipped, not fired, and do not count.
         self.events_processed = 0
@@ -167,11 +159,6 @@ class Environment:
     def now(self) -> float:
         """Current virtual time."""
         return self._now
-
-    @property
-    def active_process(self) -> _t.Optional[Process]:
-        """The process currently being resumed (None between events)."""
-        return self._active_proc
 
     # -- event factories ----------------------------------------------------
     def event(self) -> Event:
@@ -187,14 +174,6 @@ class Environment:
     ) -> Process:
         """Start a new process driving ``generator``."""
         return Process(self, generator, name=name)
-
-    def all_of(self, events: _t.Iterable[Event]) -> AllOf:
-        """Event that triggers once all ``events`` have triggered."""
-        return AllOf(self, events)
-
-    def any_of(self, events: _t.Iterable[Event]) -> AnyOf:
-        """Event that triggers once any of ``events`` has triggered."""
-        return AnyOf(self, events)
 
     # -- scheduling ----------------------------------------------------------
     def schedule(
@@ -239,12 +218,11 @@ class Environment:
     ) -> "PeriodicTimer":
         """Schedule ``fn(arg)`` every ``interval``, starting one from now.
 
-        The periodic hook behind the streamed metrics ticker: cheaper
-        and allocation-lighter than an equivalent ``timeout()``-yielding
-        process, and cancellable via the returned handle.  Note the
-        calendar only advances while *other* events exist -- a periodic
-        timer alone does not keep ``run(until=event)`` alive, it rides
-        along with the run.
+        The next call is armed after ``fn`` returns, so entries ``fn``
+        schedules sort ahead of the re-arm.  The timer re-arms
+        unconditionally until the returned handle is cancelled: an armed
+        one keeps the calendar non-empty, so end such a run with
+        ``run(until=...)`` -- a bare ``run()`` would never return.
         """
         if interval <= 0:
             raise ValueError(f"non-positive interval {interval}")

@@ -32,7 +32,7 @@ class _PendingType:
 PENDING = _PendingType()
 
 #: Scheduling priority for urgent events (processed before normal ones that
-#: share the same timestamp).  Used by the kernel for interrupts.
+#: share the same timestamp).  Used by the kernel to start processes.
 URGENT = 0
 
 #: Default scheduling priority.
@@ -45,18 +45,6 @@ LOW = 2
 
 class SimulationError(Exception):
     """Base class for errors raised by the simulation kernel itself."""
-
-
-class Interrupt(Exception):
-    """Raised inside a process that was interrupted by another process.
-
-    The ``cause`` attribute carries the value passed to
-    :meth:`~repro.sim.process.Process.interrupt`.
-    """
-
-    @property
-    def cause(self) -> object:
-        return self.args[0] if self.args else None
 
 
 class Event:
@@ -149,25 +137,6 @@ class Event:
         heappush(env._queue, (env._now, NORMAL, next(env._eid), self))
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Trigger this event with the state/value of another event.
-
-        Useful as a callback: ``evt_a.callbacks.append(evt_b.trigger)``.
-        """
-        if self._value is not PENDING:
-            raise SimulationError(f"{self!r} has already been triggered")
-        self._ok = event._ok
-        self._value = event._value
-        env = self.env
-        heappush(env._queue, (env._now, NORMAL, next(env._eid), self))
-
-    # -- composition -------------------------------------------------------
-    def __and__(self, other: "Event") -> "Condition":
-        return Condition(self.env, Condition.all_events, [self, other])
-
-    def __or__(self, other: "Event") -> "Condition":
-        return Condition(self.env, Condition.any_events, [self, other])
-
     def __repr__(self) -> str:
         state = (
             "processed"
@@ -200,132 +169,3 @@ class Timeout(Event):
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay!r}>"
-
-
-class ConditionValue:
-    """Ordered mapping from the events of a condition to their values.
-
-    Mirrors the interface of a read-only dict keyed by event instances, in
-    trigger order.
-    """
-
-    __slots__ = ("events",)
-
-    def __init__(self) -> None:
-        self.events: _t.List[Event] = []
-
-    def __getitem__(self, key: Event) -> object:
-        if key not in self.events:
-            raise KeyError(repr(key))
-        return key._value
-
-    def __contains__(self, key: Event) -> bool:
-        return key in self.events
-
-    def __iter__(self) -> _t.Iterator[Event]:
-        return iter(self.events)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ConditionValue):
-            return self.todict() == other.todict()
-        if isinstance(other, dict):
-            return self.todict() == other
-        return NotImplemented
-
-    def keys(self) -> _t.List[Event]:
-        return list(self.events)
-
-    def values(self) -> _t.List[object]:
-        return [e._value for e in self.events]
-
-    def items(self) -> _t.List[_t.Tuple[Event, object]]:
-        return [(e, e._value) for e in self.events]
-
-    def todict(self) -> _t.Dict[Event, object]:
-        return dict(self.items())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<ConditionValue {self.todict()!r}>"
-
-
-class Condition(Event):
-    """Composite event over a list of sub-events.
-
-    ``evaluate`` decides when the condition is met; :meth:`all_events` and
-    :meth:`any_events` provide the usual AND / OR semantics.  The condition's
-    value is a :class:`ConditionValue` of all sub-events triggered so far.
-    """
-
-    __slots__ = ("_evaluate", "_events", "_count")
-
-    def __init__(
-        self,
-        env: "Environment",
-        evaluate: _t.Callable[[_t.List[Event], int], bool],
-        events: _t.Iterable[Event],
-    ) -> None:
-        super().__init__(env)
-        self._evaluate = evaluate
-        self._events = list(events)
-        self._count = 0
-
-        for event in self._events:
-            if event.env is not env:
-                raise ValueError("cannot mix events from different environments")
-
-        # Immediately met (e.g. empty AllOf)?
-        if self._evaluate(self._events, 0):
-            self.succeed(ConditionValue())
-            return
-
-        for event in self._events:
-            if event.callbacks is None:  # already processed
-                self._check(event)
-            else:
-                event.callbacks.append(self._check)
-
-    def _populate_value(self, value: ConditionValue) -> None:
-        for event in self._events:
-            if isinstance(event, Condition):
-                event._populate_value(value)
-            elif event.callbacks is None or event.triggered:
-                if event.triggered:
-                    value.events.append(event)
-
-    def _check(self, event: Event) -> None:
-        if self._value is not PENDING:
-            return
-        self._count += 1
-        if not event._ok:
-            # Propagate the failure; mark handled on the sub-event.
-            event.defuse()
-            self.fail(_t.cast(BaseException, event._value))
-        elif self._evaluate(self._events, self._count):
-            value = ConditionValue()
-            self._populate_value(value)
-            self.succeed(value)
-
-    @staticmethod
-    def all_events(events: _t.List[Event], count: int) -> bool:
-        return len(events) == count
-
-    @staticmethod
-    def any_events(events: _t.List[Event], count: int) -> bool:
-        return count > 0 or not events
-
-
-class AllOf(Condition):
-    """Condition met once *all* sub-events triggered."""
-
-    def __init__(self, env: "Environment", events: _t.Iterable[Event]):
-        super().__init__(env, Condition.all_events, events)
-
-
-class AnyOf(Condition):
-    """Condition met once *any* sub-event triggered."""
-
-    def __init__(self, env: "Environment", events: _t.Iterable[Event]):
-        super().__init__(env, Condition.any_events, events)

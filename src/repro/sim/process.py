@@ -4,7 +4,12 @@ A *process* wraps a Python generator that yields events.  When a yielded
 event is processed, the generator is resumed with the event's value (or the
 event's exception is thrown into it).  A process is itself an event that
 triggers when the generator returns, which lets processes wait for each
-other (fork/join) and compose with :class:`~repro.sim.events.Condition`.
+other and lets ``env.run(until=process)`` stop on it.
+
+Nothing under ``src/`` outside this package runs as a process any more --
+every model activity is a ``call_later``/``call_every`` callback -- so this
+is the minimum the test rigs' ``env.process(driver())`` scaffolding and the
+kernel micro-benchmarks need: no interrupts, no condition events.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import typing as _t
 from heapq import heappush
 
-from .events import Event, Interrupt, NORMAL, PENDING, SimulationError, URGENT
+from .events import Event, NORMAL, PENDING, URGENT
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from .engine import Environment
@@ -34,43 +39,10 @@ class Initialize(Event):
         env.schedule(self, priority=URGENT)
 
 
-class Interruption(Event):
-    """Internal urgent event that delivers an :class:`Interrupt`."""
-
-    __slots__ = ("process",)
-
-    def __init__(self, process: "Process", cause: object) -> None:
-        super().__init__(process.env)
-        if process._value is not PENDING:
-            raise SimulationError(f"{process!r} has terminated and cannot be interrupted")
-        if process is self.env.active_process:
-            raise SimulationError("a process is not allowed to interrupt itself")
-        self.process = process
-        self._ok = False
-        self._value = Interrupt(cause)
-        self._defused = True
-        self.callbacks = [self._interrupt]
-        self.env.schedule(self, priority=URGENT)
-
-    def _interrupt(self, event: Event) -> None:
-        process = self.process
-        if process._value is not PENDING:
-            return  # terminated in the meantime; interrupt is moot
-        # Unsubscribe the process from whatever it is waiting on, then
-        # deliver the interrupt immediately.
-        target = process._target
-        if target is not None and target.callbacks is not None:
-            try:
-                target.callbacks.remove(process._resume)
-            except ValueError:  # pragma: no cover - defensive
-                pass
-        process._resume(event)
-
-
 class Process(Event):
     """Drives a generator, suspending it on every yielded event."""
 
-    __slots__ = ("_generator", "_target", "name")
+    __slots__ = ("_generator", "name")
 
     def __init__(
         self,
@@ -82,24 +54,13 @@ class Process(Event):
             raise ValueError(f"{generator!r} is not a generator")
         super().__init__(env)
         self._generator = generator
-        #: The event this process currently waits for (None when running).
-        self._target: _t.Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
         Initialize(env, self)
-
-    @property
-    def target(self) -> _t.Optional[Event]:
-        """The event the process is currently waiting on."""
-        return self._target
 
     @property
     def is_alive(self) -> bool:
         """True while the generator has not terminated."""
         return self._value is PENDING
-
-    def interrupt(self, cause: object = None) -> None:
-        """Throw an :class:`Interrupt` into the process as soon as possible."""
-        Interruption(self, cause)
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with the value of ``event``.
@@ -109,8 +70,6 @@ class Process(Event):
         common exit (subscribe to a pending event) is checked first.
         """
         env = self.env
-        env._active_proc = self
-        self._target = None
         generator = self._generator
 
         while True:
@@ -153,13 +112,10 @@ class Process(Event):
             if callbacks is not None:
                 # Event not yet processed: subscribe and suspend.
                 callbacks.append(self._resume)
-                self._target = next_event
                 break
 
             # Event already processed: loop immediately with its value.
             event = next_event
-
-        env._active_proc = None
 
     def __repr__(self) -> str:
         state = "alive" if self.is_alive else "terminated"

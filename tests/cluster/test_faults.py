@@ -141,42 +141,10 @@ class _RecordingPort:
         self._note("clear_jitter")
 
 
-class _FakeClock:
-    """The Clock seam, minimally: processes are stepped by ``advance``."""
-
-    def __init__(self):
-        self.now = 0.0
-        self._sleepers = []  # (wake time, spawn order, generator)
-
-    def timeout(self, delay, value=None):
-        return delay
-
-    def process(self, generator, name=None):
-        self._step(len(self._sleepers), generator)
-
-    def _step(self, order, generator):
-        try:
-            delay = next(generator)
-        except StopIteration:
-            return
-        self._sleepers.append((self.now + delay, order, generator))
-
-    def advance(self, until):
-        while True:
-            due = sorted(s for s in self._sleepers if s[0] <= until + 1e-12)
-            if not due:
-                break
-            wake, order, generator = due[0]
-            self._sleepers.remove(due[0])
-            self.now = wake
-            self._step(order, generator)
-        self.now = until
-
-
 class TestFaultPortContract:
     """The injector's contract with *any* port, stated once for both realms:
     one overlapping, recurring, five-kind schedule against a recording port
-    and a fake clock."""
+    on a bare calendar (no servers, no network)."""
 
     SCHEDULE = FaultSchedule(
         (
@@ -191,7 +159,7 @@ class TestFaultPortContract:
     )
 
     def make(self):
-        clock = _FakeClock()
+        clock = Environment()
         port = _RecordingPort(clock)
         placement = MutablePlacement(RingPlacement(n_servers=4, replication_factor=2))
         injector = FaultInjector(clock, self.SCHEDULE, port, placement)
@@ -199,7 +167,7 @@ class TestFaultPortContract:
 
     def test_nothing_happens_before_start(self):
         clock, port, _, injector = self.make()
-        clock.advance(10.0)
+        clock.run(until=10.0)
         assert port.calls == []
         assert injector.extras() == {
             "crash_windows": 0.0,
@@ -212,7 +180,7 @@ class TestFaultPortContract:
     def test_apply_revert_sequence(self):
         clock, port, _, injector = self.make()
         injector.start()
-        clock.advance(9.5)
+        clock.run(until=9.5)
         assert port.calls == [
             (1.0, "slowdown", (0, 1), 2.0),
             (1.0, "jitter", 3.0),
@@ -233,7 +201,7 @@ class TestFaultPortContract:
         injector.start()
         seen = {}
         for t in (0.5, 1.5, 2.5, 4.5, 6.5):
-            clock.advance(t)
+            clock.run(until=t)
             seen[t] = injector.arrival_scale()
         assert seen == {
             0.5: 1.0,
@@ -246,16 +214,16 @@ class TestFaultPortContract:
     def test_rebalance_excludes_then_readmits_on_the_shared_placement(self):
         clock, _, placement, injector = self.make()
         injector.start()
-        clock.advance(3.5)
+        clock.run(until=3.5)
         assert placement.excluded == (3,)
-        clock.advance(5.5)
+        clock.run(until=5.5)
         assert placement.excluded == ()
         assert placement.swaps == 2
 
     def test_reset_reverts_open_windows_latest_first(self):
         clock, port, placement, injector = self.make()
         injector.start()
-        clock.advance(3.5)  # open: slowdown, jitter x2, crowd x2, rebalance
+        clock.run(until=3.5)  # open: slowdown, jitter x2, crowd x2, rebalance
         del port.calls[:]
         injector.reset()
         assert [call[1:] for call in port.calls] == [
@@ -269,10 +237,31 @@ class TestFaultPortContract:
         injector.reset()  # idempotent
         assert len(port.calls) == 2
 
+    @pytest.mark.parametrize("reset_at", [1.5, 3.0], ids=["mid-window", "between"])
+    def test_reset_stops_a_recurring_window_from_reopening(self, reset_at):
+        """reset() cancels the injector's own timers: whether it lands inside
+        a window or between two, the next onset (t=5) never degrades again."""
+        env = Environment()
+        network = Network(env)
+        server = make_server(env, network)
+        recurring = SlowdownFault(
+            servers=(0,), factor=3.0, start=1.0, duration=1.0, period=4.0
+        )
+        injector = FaultInjector(
+            env, FaultSchedule((recurring,)), SimFaultPort([server], network)
+        )
+        injector.start()
+        env.run(until=reset_at)
+        injector.reset()
+        assert server.speed_factor == 1.0
+        env.run(until=5.5)
+        assert server.speed_factor == 1.0
+        assert injector.windows["slowdown"] == 1
+
     def test_windows_extras_count_every_onset(self):
         clock, _, _, injector = self.make()
         injector.start()
-        clock.advance(9.5)
+        clock.run(until=9.5)
         assert injector.extras() == windows_extras(injector.windows) == {
             "crash_windows": 3.0,
             "flash_crowd_windows": 2.0,
@@ -282,13 +271,13 @@ class TestFaultPortContract:
         }
 
     def test_out_of_range_target_rejected_at_construction(self):
-        clock = _FakeClock()
+        clock = Environment()
         schedule = FaultSchedule((CrashFault(servers=(5,)),))
         with pytest.raises(ValueError, match="valid ids"):
             FaultInjector(clock, schedule, _RecordingPort(clock))
 
     def test_rebalance_needs_a_mutable_placement(self):
-        clock = _FakeClock()
+        clock = Environment()
         schedule = FaultSchedule((RebalanceFault(servers=(0,)),))
         with pytest.raises(ValueError, match="MutablePlacement"):
             FaultInjector(clock, schedule, _RecordingPort(clock))

@@ -105,14 +105,10 @@ class _StubClock:
 
     now = 0.0
 
-    def __init__(self):
-        self.spawned = []
+    def call_later(self, delay, fn, arg=None):
+        pass
 
-    def timeout(self, delay, value=None):
-        return delay
-
-    def process(self, generator, name=None):
-        self.spawned.append(name)
+    call_every = call_later
 
 
 class _StubTransport:

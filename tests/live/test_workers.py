@@ -371,6 +371,40 @@ class TestAdmitEngine:
 
         assert asyncio.run(scenario()) == ([], 0, 0)
 
+    def test_a_jittered_response_waits_off_core_and_never_after_shutdown(self):
+        """Response jitter is one clock timer per response: the core is
+        free meanwhile, and shutdown() drops what is still held."""
+
+        async def scenario():
+            worker = make_worker()
+            worker.set_jitter(0.03, 0.0)  # 30 ms, deterministic
+            responses = []  # (rid, model seconds from end of service to respond)
+
+            def respond(worker, j, queue_wait, service):
+                served_at = j.enqueued_at + queue_wait + service
+                responses.append((j.rid, worker.clock.now - served_at, worker.in_service))
+
+            def held_job(rid):
+                return LiveJob(
+                    rid=rid, key=1, value_size=100, priority=(0.0,), respond=respond
+                )
+
+            worker.submit(held_job(1))
+            while not responses:
+                await asyncio.sleep(0.001)
+            worker.submit(held_job(2))
+            while worker.completed < 2:
+                await asyncio.sleep(0.001)
+            worker.shutdown()
+            await asyncio.sleep(0.06)
+            return responses
+
+        responses = asyncio.run(scenario())
+        assert [rid for rid, _, _ in responses] == [1]  # 2 died with shutdown
+        _, delay, in_service = responses[0]
+        assert delay >= 0.03 - 1e-6
+        assert in_service == 0  # held off-core: the core was free meanwhile
+
     def test_a_started_server_runs_no_worker_or_writer_task(self):
         from repro.scenarios import get_scenario
         from repro.serve import LiveServer
@@ -392,12 +426,11 @@ class TestAdmitEngine:
                     if task is not asyncio.current_task()
                 )
                 writer.close()
-                return names, len(server.workers)
+                return names
             finally:
                 await server.stop()
 
-        names, workers = asyncio.run(scenario())
-        # One congestion monitor per worker and one handler per connection:
-        # no per-worker pump, no per-connection writer.
-        assert len(names) == workers + 1
-        assert sum(name.startswith("live-monitor.") for name in names) == workers
+        # One handler per connection and nothing else: no per-worker pump
+        # or congestion monitor (one clock timer checks every worker), no
+        # per-connection writer.
+        assert len(asyncio.run(scenario())) == 1

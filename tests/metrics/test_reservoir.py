@@ -1,11 +1,11 @@
-"""Unit + property tests for exact samples and reservoirs."""
+"""Unit + property tests for exact samples."""
 
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.metrics import ExactSample, Reservoir, exact_quantile
+from repro.metrics import ExactSample, exact_quantile
 
 
 class TestExactQuantile:
@@ -76,37 +76,6 @@ class TestExactSample:
         s.record(1.0)
         with pytest.raises(ValueError):
             s.stdev()
-
-
-class TestReservoir:
-    def test_below_capacity_is_exact(self):
-        r = Reservoir(capacity=100)
-        r.record_many(float(i) for i in range(50))
-        assert len(r) == 50
-        assert r.count == 50
-        assert r.quantile(0.0) == 0.0
-        assert r.quantile(1.0) == 49.0
-
-    def test_capacity_respected(self):
-        r = Reservoir(capacity=64, seed=1)
-        r.record_many(float(i) for i in range(10_000))
-        assert len(r) == 64
-        assert r.count == 10_000
-
-    def test_quantile_estimate_reasonable(self):
-        rng = random.Random(5)
-        r = Reservoir(capacity=5000, seed=2)
-        values = [rng.random() for _ in range(100_000)]
-        r.record_many(values)
-        assert r.quantile(0.5) == pytest.approx(0.5, abs=0.05)
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            Reservoir().quantile(0.5)
-
-    def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
-            Reservoir(capacity=0)
 
 
 @given(

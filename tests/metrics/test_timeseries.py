@@ -1,50 +1,10 @@
-"""Unit tests for time series, windowed rates and EWMA estimators."""
+"""Unit tests for windowed rates and EWMA estimators."""
 
 import math
 
 import pytest
 
-from repro.metrics import EwmaEstimator, TimeSeries, WindowedRate
-
-
-class TestTimeSeries:
-    def test_record_and_window(self):
-        ts = TimeSeries("q")
-        for t in range(10):
-            ts.record(float(t), t * 2.0)
-        window = ts.window(2.0, 5.0)
-        assert [t for t, _ in window] == [2.0, 3.0, 4.0]
-        assert [v for _, v in window] == [4.0, 6.0, 8.0]
-
-    def test_rejects_time_regression(self):
-        ts = TimeSeries()
-        ts.record(1.0, 0.0)
-        with pytest.raises(ValueError):
-            ts.record(0.5, 0.0)
-
-    def test_mean_over(self):
-        ts = TimeSeries()
-        ts.record(0.0, 10.0)
-        ts.record(1.0, 20.0)
-        assert ts.mean_over(0.0, 2.0) == 15.0
-
-    def test_mean_over_empty_window_raises(self):
-        ts = TimeSeries()
-        ts.record(0.0, 1.0)
-        with pytest.raises(ValueError):
-            ts.mean_over(5.0, 6.0)
-
-    def test_last(self):
-        ts = TimeSeries()
-        with pytest.raises(ValueError):
-            ts.last()
-        ts.record(1.0, 5.0)
-        assert ts.last() == (1.0, 5.0)
-
-    def test_window_validates_bounds(self):
-        ts = TimeSeries()
-        with pytest.raises(ValueError):
-            ts.window(2.0, 1.0)
+from repro.metrics import EwmaEstimator, WindowedRate
 
 
 class TestWindowedRate:

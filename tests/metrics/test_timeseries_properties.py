@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.metrics import EwmaEstimator, TimeSeries, WindowedRate
+from repro.metrics import EwmaEstimator, WindowedRate
 from repro.metrics.timeseries import EPSILON_ELAPSED
 
 # Tolerance for incremental-vs-eager weight sums: the recorder maintains
@@ -145,24 +145,6 @@ class TestWindowedRateProperties:
         assert wr.rate(now) == pytest.approx(
             _eager_rate(events, window, now), **_SUM_TOL
         )
-
-
-class TestTimeSeriesProperties:
-    @given(
-        gaps=_gaps,
-        start=st.floats(min_value=0.0, max_value=5.0, allow_nan=False),
-        length=st.floats(min_value=0.0, max_value=5.0, allow_nan=False),
-    )
-    @settings(max_examples=200)
-    def test_window_query_matches_naive_filter(self, gaps, start, length):
-        events = _events_from_gaps(gaps)
-        ts = TimeSeries("prop")
-        for t, v in events:
-            ts.record(t, v)
-        end = start + length
-        assert ts.window(start, end) == [
-            (t, v) for t, v in events if start <= t < end
-        ]
 
 
 class TestEwmaProperties:

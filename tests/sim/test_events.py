@@ -1,15 +1,8 @@
-"""Unit tests for event primitives (trigger, fail, conditions)."""
+"""Unit tests for event primitives (succeed, fail, timeouts)."""
 
 import pytest
 
-from repro.sim import (
-    AllOf,
-    AnyOf,
-    Environment,
-    Event,
-    SimulationError,
-    Timeout,
-)
+from repro.sim import Environment, Event, SimulationError, Timeout
 
 
 class TestEvent:
@@ -77,14 +70,6 @@ class TestEvent:
         assert seen == ["x"]
         assert ev.processed
 
-    def test_trigger_copies_state_from_other_event(self):
-        env = Environment()
-        src = env.event().succeed("payload")
-        dst = env.event()
-        dst.trigger(src)
-        assert dst.triggered
-        assert dst.value == "payload"
-
 
 class TestTimeout:
     def test_fires_at_delay(self):
@@ -116,110 +101,3 @@ class TestTimeout:
         env.run()
         assert env.now == 0.0
         assert t.processed
-
-
-class TestConditions:
-    def test_all_of_waits_for_every_event(self):
-        env = Environment()
-        done_at = []
-
-        def proc(env):
-            yield env.all_of([env.timeout(1.0), env.timeout(3.0), env.timeout(2.0)])
-            done_at.append(env.now)
-
-        env.process(proc(env))
-        env.run()
-        assert done_at == [3.0]
-
-    def test_any_of_fires_at_first(self):
-        env = Environment()
-        done_at = []
-
-        def proc(env):
-            yield env.any_of([env.timeout(5.0), env.timeout(1.0)])
-            done_at.append(env.now)
-
-        env.process(proc(env))
-        env.run()
-        assert done_at == [1.0]
-
-    def test_empty_all_of_is_immediately_met(self):
-        env = Environment()
-        cond = env.all_of([])
-        assert cond.triggered
-
-    def test_and_operator(self):
-        env = Environment()
-        times = []
-
-        def proc(env):
-            yield env.timeout(1.0) & env.timeout(2.0)
-            times.append(env.now)
-
-        env.process(proc(env))
-        env.run()
-        assert times == [2.0]
-
-    def test_or_operator(self):
-        env = Environment()
-        times = []
-
-        def proc(env):
-            yield env.timeout(1.0) | env.timeout(2.0)
-            times.append(env.now)
-
-        env.process(proc(env))
-        env.run()
-        assert times == [1.0]
-
-    def test_condition_value_maps_events(self):
-        env = Environment()
-        captured = {}
-
-        def proc(env):
-            a = env.timeout(1.0, value="a")
-            b = env.timeout(2.0, value="b")
-            result = yield env.all_of([a, b])
-            captured["a"] = result[a]
-            captured["b"] = result[b]
-
-        env.process(proc(env))
-        env.run()
-        assert captured == {"a": "a", "b": "b"}
-
-    def test_condition_rejects_foreign_environment(self):
-        env1, env2 = Environment(), Environment()
-        with pytest.raises(ValueError):
-            AllOf(env1, [env1.event(), env2.event()])
-
-    def test_condition_propagates_failure(self):
-        env = Environment()
-        caught = []
-
-        def proc(env):
-            bad = env.event()
-            good = env.timeout(1.0)
-            bad.fail(RuntimeError("inner"))
-            try:
-                yield env.all_of([good, bad])
-            except RuntimeError as exc:
-                caught.append(str(exc))
-
-        env.process(proc(env))
-        env.run()
-        assert caught == ["inner"]
-
-    def test_anyof_with_already_processed_event(self):
-        env = Environment()
-        t = env.timeout(1.0)
-        env.run()
-        assert t.processed
-        times = []
-
-        def proc(env):
-            yield AnyOf(env, [t, env.timeout(10.0)])
-            times.append(env.now)
-
-        env.process(proc(env))
-        env.run()
-        assert times == [1.0]  # already-processed event satisfies instantly

@@ -1,8 +1,8 @@
-"""Unit tests for generator processes: waiting, joining, interrupts."""
+"""Unit tests for generator processes: waiting, joining, failures."""
 
 import pytest
 
-from repro.sim import Environment, Interrupt
+from repro.sim import Environment
 
 
 class TestBasics:
@@ -54,8 +54,10 @@ class TestBasics:
                 env.process(child(env, "a", 2.0)),
                 env.process(child(env, "b", 1.0)),
             ]
-            results = yield env.all_of(children)
-            log.append(tuple(results.values()))
+            results = []
+            for process in children:
+                results.append((yield process))
+            log.append(tuple(results))
 
         env.process(parent(env))
         env.run()
@@ -116,76 +118,3 @@ class TestBasics:
         env.process(parent(env))
         env.run()
         assert caught == ["child died"]
-
-
-class TestInterrupts:
-    def test_interrupt_delivers_cause(self):
-        env = Environment()
-        causes = []
-
-        def sleeper(env):
-            try:
-                yield env.timeout(10.0)
-            except Interrupt as i:
-                causes.append((env.now, i.cause))
-
-        def interrupter(env, victim):
-            yield env.timeout(2.0)
-            victim.interrupt("wake up")
-
-        victim = env.process(sleeper(env))
-        env.process(interrupter(env, victim))
-        env.run()
-        assert causes == [(2.0, "wake up")]
-
-    def test_interrupted_process_can_continue(self):
-        env = Environment()
-        log = []
-
-        def sleeper(env):
-            try:
-                yield env.timeout(10.0)
-            except Interrupt:
-                pass
-            yield env.timeout(1.0)
-            log.append(env.now)
-
-        def interrupter(env, victim):
-            yield env.timeout(2.0)
-            victim.interrupt()
-
-        victim = env.process(sleeper(env))
-        env.process(interrupter(env, victim))
-        env.run()
-        assert log == [3.0]
-
-    def test_interrupting_terminated_process_raises(self):
-        env = Environment()
-
-        def quick(env):
-            yield env.timeout(1.0)
-
-        def late(env, victim):
-            yield env.timeout(5.0)
-            victim.interrupt()
-
-        victim = env.process(quick(env))
-        env.process(late(env, victim))
-        with pytest.raises(Exception):
-            env.run()
-
-    def test_self_interrupt_rejected(self):
-        env = Environment()
-        errors = []
-
-        def proc(env):
-            me = env.active_process
-            try:
-                me.interrupt()
-            except Exception as exc:
-                errors.append(type(exc).__name__)
-            yield env.timeout(1.0)
-
-        env.process(proc(env))
-        env.run()
-        assert errors == ["SimulationError"]
