@@ -10,10 +10,12 @@ against the committed baseline's ``current`` block:
 
 * per-cell **normalized** multigets/sec (multigets per calibration spin,
   which cancels machine speed) must stay above ``TOLERANCE`` of baseline;
-* the structural **ratios** (headline vs sequential speedup, binary vs
-  JSON at equal depth) must hold at the same tolerance -- these are the
-  levers the overhaul claims, and they regress independently of raw
-  speed (e.g. a codec change that slows only the binary path);
+* the structural **ratio** binary vs JSON at equal depth must hold at the
+  same tolerance -- the lever the codec work claims, which regresses
+  independently of raw speed (e.g. a change that slows only the binary
+  path).  The headline-vs-sequential speedup is *not* gated here: its
+  denominator is the ungated window-1 cell below (tier-1 still asserts
+  the ratio is at least 10);
 * the headline cell's ``writes_per_multiget`` must not grow past
   ``1/TOLERANCE`` of baseline -- write coalescing quietly breaking shows
   up here long before raw throughput does on a fast loopback.
@@ -35,11 +37,16 @@ from pathlib import Path
 RESULTS = Path(__file__).resolve().parent.parent / "results"
 TOLERANCE = 0.7  # fail below 70% of baseline (a >30% regression)
 
-#: Grid cells that are informational, never gated (high variance by
-#: design: the fanout rider multiplies per-multiget work eightfold).
-UNGATED_CELLS = frozenset({"binary-pooled-2proc-fanout8"})
+#: Grid cells that are printed, never gated.  The fanout rider multiplies
+#: per-multiget work eightfold (high variance by design).  The window-1
+#: cell measures epoll's millisecond, not the wire path: with one op in
+#: flight every round trip sleeps out a timer the selector rounds up to
+#: 1 ms, and whether a reply happens to beat the rounding moves the cell
+#: 260-740 multigets/s run to run -- a spread no tolerance holds
+#: (docs/performance.md, Stage E; the rounding is accepted, Stage G).
+UNGATED_CELLS = frozenset({"binary-pooled-2proc-fanout8", "json-seq-1proc"})
 
-RATIOS = ("headline_vs_sequential", "binary_vs_json_deep")
+RATIOS = ("binary_vs_json_deep",)
 
 
 def _cells(data):
@@ -81,10 +88,15 @@ def main(argv):
 
     failed = False
     for cell in _cells(current):
-        if cell in UNGATED_CELLS:
-            continue
         want = current["cells"][cell].get("normalized")
         got = measured.get("cells", {}).get(cell, {}).get("normalized")
+        if cell in UNGATED_CELLS:
+            if got is not None and want:
+                print(
+                    f"{cell:28s} normalized {got:.6f} vs baseline {want:.6f} "
+                    f"({got / want:.2f}x)  ungated"
+                )
+            continue
         if got is None:
             # A cell the baseline gates vanished from the grid: config
             # drift, not a perf result -- fail loudly with a pointer.

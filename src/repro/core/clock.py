@@ -158,9 +158,11 @@ class WallClock:
         self._error_callbacks: _t.List[_t.Callable[[BaseException], None]] = []
 
     # -- Clock protocol -----------------------------------------------------
-    @property
-    def now(self) -> float:
+    def read(self) -> float:
+        """``now`` as a plain method: a per-op path binds it once."""
         return (time.monotonic() - self._t0) / self.scale
+
+    now = property(read)
 
     def rebase(self) -> None:
         """Reset model time to zero (e.g. when the measured run begins).

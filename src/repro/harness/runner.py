@@ -21,6 +21,7 @@ comes from the registered :class:`~repro.harness.builders.StrategyBuilder`.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import typing as _t
 
@@ -393,8 +394,17 @@ class _SimFeeder:
             run.submit(task)
 
 
+#: A run this long first collects what the one before left: a finished run
+#: graph is a reference cycle of several MB, and the collector's oldest
+#: generation runs by container allocations (a run makes few), not by what
+#: waits for it.  ~8 ms, under 2% of such a run (performance.md, Stage G).
+COLLECT_BEFORE_TASKS = 5_000
+
+
 def run_experiment(config: ExperimentConfig, seed: int = 1) -> RunResult:
     """Simulate one (config, seed) pair end to end."""
+    if config.n_tasks >= COLLECT_BEFORE_TASKS:
+        gc.collect()
     streams = StreamFactory(seed)
     env = Environment()
     network = Network(

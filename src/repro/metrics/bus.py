@@ -24,6 +24,7 @@ import typing as _t
 from collections import deque
 
 from .reservoir import exact_quantile
+from .timeseries import WindowedRate
 
 #: Default trailing window (model seconds) for the latency percentiles.
 DEFAULT_BUS_WINDOW = 0.1
@@ -138,14 +139,14 @@ class BusSampler:
     def __init__(self, window: float = DEFAULT_BUS_WINDOW) -> None:
         self.window = window
         self._latencies = WindowedQuantiles(window)
-        self._arrivals = WindowedQuantiles(window)
+        self._arrivals = WindowedRate(window)
         self._depth_samples: _t.Deque[_t.Tuple[float, _t.Tuple[float, ...]]] = (
             deque()
         )
         self.completed = 0
 
     def observe_arrival(self, now: float) -> None:
-        self._arrivals.record(now, 0.0)
+        self._arrivals.record(now)
 
     def observe_completion(self, now: float, latency: float) -> None:
         self.completed += 1

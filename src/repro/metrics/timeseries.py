@@ -1,8 +1,9 @@
 """Windowed rates and EWMA estimators over a stream of timestamps.
 
-Used by the servers (arrival rate for the congestion check, service-time
-EWMA), C3 (send/receive rates) and hedging (duplicate budget).  All
-timestamps are model seconds from the run's clock.
+Used by the servers of both realms (arrival rate for the congestion
+check, service-time EWMA), C3 (send/receive rates), hedging (duplicate
+budget) and the metrics bus (task arrival rate).  All timestamps are
+model seconds from the run's clock.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from collections import deque
 
 
 #: Smallest rate denominator (model seconds): a query made at the instant
-#: of the first event reports weight / EPSILON_ELAPSED rather than
+#: of the first event reports count / EPSILON_ELAPSED rather than
 #: dividing by zero.
 EPSILON_ELAPSED = 1e-6
 
@@ -21,9 +22,10 @@ EPSILON_ELAPSED = 1e-6
 class WindowedRate:
     """Counts events and reports the rate over the trailing window.
 
-    The C3 rate-control loop and the credits controller's demand estimator
-    both need "events per second over the last T" with cheap updates.
-    Events older than ``window`` are evicted lazily on query.
+    "Events per second over the last T" with one deque append per event:
+    the window is a deque of event times and its count is the deque's
+    length, so it is exact.  Events older than ``window`` are evicted
+    lazily on query.
 
     Before one full window has elapsed since the first recorded event the
     denominator is the *elapsed* time (clamped to ``EPSILON_ELAPSED``),
@@ -38,61 +40,52 @@ class WindowedRate:
         if window <= 0:
             raise ValueError("window must be positive")
         self.window = window
-        self._events: _t.Deque[_t.Tuple[float, float]] = deque()  # (time, weight)
-        self._weight_sum = 0.0
+        self._times: _t.Deque[float] = deque()
         self._first_time: _t.Optional[float] = None
         self._last_time = -math.inf
 
-    def record(self, time: float, weight: float = 1.0) -> None:
+    def record(self, time: float) -> None:
         if time < self._last_time:
             raise ValueError("time went backwards")
         if self._first_time is None:
             self._first_time = time
         self._last_time = time
-        self._events.append((time, weight))
-        self._weight_sum += weight
+        self._times.append(time)
         # Amortized eviction: a hot recorder queried rarely (a saturated
         # live worker's arrival rate between congestion checks) must not
         # accumulate the whole run in memory.  Evicting against the
         # latest recorded time never changes a later query's answer.
-        if len(self._events) >= 4096:
+        if len(self._times) >= 4096:
             self._evict(time)
 
     def _evict(self, now: float) -> None:
         cutoff = now - self.window
-        events = self._events
-        while events and events[0][0] < cutoff:
-            self._weight_sum -= events.popleft()[1]
+        times = self._times
+        while times and times[0] < cutoff:
+            times.popleft()
 
-    def _check_not_stale(self, now: float) -> None:
+    def rate(self, now: float) -> float:
+        """Events per unit time over ``[now - window, now]``; before a full
+        window has passed since the first event, over the elapsed time."""
+        count = self.count(now)
+        if self._first_time is None:
+            return 0.0
+        elapsed = max(now - self._first_time, EPSILON_ELAPSED)
+        return count / min(self.window, elapsed)
+
+    def count(self, now: float) -> int:
+        """Events inside the current window."""
         if now < self._last_time:
             raise ValueError(
                 f"stale query: now={now} is earlier than the latest "
                 f"recorded event at {self._last_time}"
             )
-
-    def _elapsed(self, now: float) -> float:
-        """The rate denominator: elapsed since the first event, clamped
-        to ``[EPSILON_ELAPSED, window]``."""
-        if self._first_time is None:
-            return self.window
-        return min(self.window, max(now - self._first_time, EPSILON_ELAPSED))
-
-    def rate(self, now: float) -> float:
-        """Weighted events per unit time over ``[now - window, now]``."""
-        self._check_not_stale(now)
         self._evict(now)
-        return self._weight_sum / self._elapsed(now)
-
-    def count(self, now: float) -> float:
-        """Total weight inside the current window."""
-        self._check_not_stale(now)
-        self._evict(now)
-        return self._weight_sum
+        return len(self._times)
 
 
 class EwmaEstimator:
-    """Exponentially weighted moving average with irregular samples.
+    """Exponentially decaying moving average (EWMA) over irregular samples.
 
     The decay is applied per unit of elapsed virtual time (so the estimator
     has a well-defined time constant regardless of sampling cadence).  C3

@@ -33,6 +33,12 @@ comes from), everything else as the decoded dict.  So what sits above
 the codec is version-agnostic and never re-validates a field.  ``at`` is
 the absolute stream offset of the payload, threaded into every
 :class:`ProtocolError` so a corrupt frame reports *where* it sat.
+
+The binary encoders are the mirror image, one ``pack`` per frame: each
+``op`` arity (traced and not) and the ``res`` have a precomputed
+*whole-frame* layout, so encoding is one call and one allocation, and a
+value the layout cannot hold is explained from the failed ``pack`` as a
+:class:`ProtocolError` (never a ``struct.error``).
 """
 
 from __future__ import annotations
@@ -72,8 +78,23 @@ _RES = struct.Struct("<IHddIHd")  # rid, server, queue_wait, service, q, s, ew
 _CONGESTION = struct.Struct("<Hd")  # server, ratio
 _RES_FRAME = 1 + _RES.size  # tag byte + layout: the only legal res payload
 
-#: Hard field bounds of the packed layouts (validated on encode so a bad
-#: value raises :class:`ProtocolError` instead of ``struct.error``).
+
+def _frame_layout(*parts: struct.Struct) -> _t.Tuple[_t.Callable[..., bytes], bytes]:
+    """``(pack, prefix)`` of a whole-frame *encode* layout: length prefix,
+    tag byte, then ``parts`` (decode layouts, above) back to back, from one
+    ``pack``.  The big-endian length is a constant of the layout, so it
+    rides as a ``4s`` field in front of the little-endian rest."""
+    layout = struct.Struct("<4sB" + "".join(part.format[1:] for part in parts))
+    return layout.pack, _LENGTH.pack(layout.size - 4)
+
+
+#: One whole-frame layout per priority arity, untraced and traced.
+_OP_FRAME = tuple(_frame_layout(_OP_HEAD, prio) for prio in _PRIO)
+_OP_TRACE_FRAME = tuple(_frame_layout(_OP_HEAD, prio, _TRACE) for prio in _PRIO)
+_PACK_RES, _RES_PREFIX = _frame_layout(_RES)
+
+#: Hard field bounds of the packed layouts (a failed ``pack`` is traced back
+#: to the field that broke them, as a :class:`ProtocolError`).
 _U16 = 1 << 16
 _U32 = 1 << 32
 _I64 = 1 << 63
@@ -189,11 +210,11 @@ class JsonCodec:
         (sink.on_op if kind == "op" else sink.on_res)(*fields)
 
 
-def _out_of_range(kind: str, *fields: _t.Tuple[str, int, int, int]) -> None:
-    """Name the first ``(name, value, lo, hi)`` outside ``lo <= value < hi``:
-    a bad value is a :class:`ProtocolError`, never a ``struct.error``."""
+def _out_of_range(kind: str, *fields: _t.Tuple[str, _t.Any, int, int]) -> None:
+    """Name the first integer ``(name, value, lo, hi)`` outside
+    ``lo <= value < hi`` (a value of another type is ``pack``'s to name)."""
     for name, value, lo, hi in fields:
-        if not lo <= value < hi:
+        if isinstance(value, int) and not lo <= value < hi:
             raise ProtocolError(f"{kind} {name} {value} out of range")
 
 
@@ -249,20 +270,20 @@ class BinaryCodec:
     ) -> bytes:
         """Fast path used by the transport and the firehose per request.
 
-        One combined bounds test and one preallocated buffer: this runs
-        once per op, so it avoids per-field checks and the
-        chained concatenations of the general path.  A sampled op
-        (``trace`` set) is the same layout plus a 64-bit context, under
-        its own tag.
+        One ``pack`` of the arity's whole-frame layout; the bounds are
+        only looked at when it fails.  A sampled op (``trace`` set) is the
+        same layout plus a 64-bit context, under its own tag.
         """
         n_prio = len(priority)
-        if not (
-            0 <= rid < _U32
-            and 0 <= server < _U16
-            and -_I64 <= key < _I64
-            and 0 <= size < _U32
-            and n_prio < 256
-        ):
+        try:
+            if trace is None:
+                pack, prefix = _OP_FRAME[n_prio]
+                return pack(prefix, TAG_OP, rid, server, key, size, n_prio, *priority)
+            pack, prefix = _OP_TRACE_FRAME[n_prio]
+            return pack(
+                prefix, TAG_OP_TRACE, rid, server, key, size, n_prio, *priority, trace
+            )
+        except (struct.error, IndexError) as exc:
             _out_of_range(
                 "op",
                 ("rid", rid, 0, _U32),
@@ -270,20 +291,9 @@ class BinaryCodec:
                 ("key", key, -_I64, _I64),
                 ("size", size, 0, _U32),
                 ("priority count", n_prio, 0, 256),
+                ("trace context", trace, 0, _U64),
             )
-        end = 5 + _OP_HEAD.size + 8 * n_prio
-        if trace is None:
-            frame = bytearray(end)
-            frame[4] = TAG_OP
-        else:
-            _out_of_range("op", ("trace context", trace, 0, _U64))
-            frame = bytearray(end + _TRACE.size)
-            frame[4] = TAG_OP_TRACE
-            _TRACE.pack_into(frame, end, trace)
-        _LENGTH.pack_into(frame, 0, len(frame) - 4)
-        _OP_HEAD.pack_into(frame, 5, rid, server, key, size, n_prio)
-        _PRIO[n_prio].pack_into(frame, 5 + _OP_HEAD.size, *priority)
-        return bytes(frame)
+            raise ProtocolError(f"op cannot be packed: {exc}") from exc
 
     def encode_res(
         self,
@@ -296,12 +306,19 @@ class BinaryCodec:
         ewma_service: float,
     ) -> bytes:
         """Fast path used by the server's completion callback."""
-        if not (
-            0 <= rid < _U32
-            and 0 <= server < _U16
-            and 0 <= queue_length < _U32
-            and 0 <= in_service < _U16
-        ):
+        try:
+            return _PACK_RES(
+                _RES_PREFIX,
+                TAG_RES,
+                rid,
+                server,
+                queue_wait,
+                service,
+                queue_length,
+                in_service,
+                ewma_service,
+            )
+        except struct.error as exc:
             _out_of_range(
                 "res",
                 ("rid", rid, 0, _U32),
@@ -309,21 +326,7 @@ class BinaryCodec:
                 ("queue length", queue_length, 0, _U32),
                 ("in_service", in_service, 0, _U16),
             )
-        frame = bytearray(5 + _RES.size)
-        _LENGTH.pack_into(frame, 0, _RES.size + 1)
-        frame[4] = TAG_RES
-        _RES.pack_into(
-            frame,
-            5,
-            rid,
-            server,
-            float(queue_wait),
-            float(service),
-            queue_length,
-            in_service,
-            float(ewma_service),
-        )
-        return bytes(frame)
+            raise ProtocolError(f"res cannot be packed: {exc}") from exc
 
     # -- decode ---------------------------------------------------------------
     def deliver(

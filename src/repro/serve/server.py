@@ -104,6 +104,9 @@ class _Connection(FrameSink):
         self.out = BatchWriter(writer)
         self.codec: _t.Any = JSON_CODEC
         self.congestion = True
+        #: Arrival instant (model time) of every op in the socket chunk
+        #: being drained; the read loop sets it once per ``fill()``.
+        self.chunk_at = 0.0
         #: Ops admitted from this connection and not answered yet.
         self.in_flight = 0
 
@@ -135,7 +138,9 @@ class _Connection(FrameSink):
             # piggybacks the queue/service timestamps the span needs.
             server.traced_ops += 1
         try:
-            worker.submit(LiveJob(rid, key, size, priority, self.respond))
+            worker.submit(
+                LiveJob(rid, key, size, priority, self.respond), self.chunk_at
+            )
         except QueueFullError as exc:
             self.send(
                 {"t": "error", "error": str(exc), "rid": rid, "server": worker_id}
@@ -339,6 +344,7 @@ class LiveServer:
         stream = connection.stream
         try:
             while await stream.fill():
+                connection.chunk_at = self.clock.now  # one arrival stamp per chunk
                 stream.drain(connection)
             await connection.settle()
         except ConnectionError:

@@ -12,14 +12,15 @@ samples, stretched by the clock's time scale).
 The engine is callback-driven, the same admit/complete shape as the
 simulated servers, and owns no task:
 
-* ``submit`` only *queues* and, if a core is free, arms one ``call_soon``
-  admit.  It never starts service itself, so every op parsed out of one
-  socket chunk is in the heap before the first core is handed out
-  (``BackendServer``'s end-of-instant admit gives same-instant arrivals
-  the same guarantee);
+* ``submit`` only *queues*, under the arrival instant its caller read (the
+  server reads the clock once per socket chunk), and arms one ``call_soon``
+  admit if a core is free.  It never starts service, so every op of a chunk
+  arrives at one instant and is in the heap before the first core is handed
+  out (the sim's same-instant arrivals and end-of-instant admit);
 * ``_run`` admits while cores are free (one admission instant per batch,
-  service draws in pop order), completes every request already due, and
-  repeats until neither applies;
+  service draws in pop order), completes every request already due --
+  each at its *own* instant, because the service-time EWMA gives a
+  sample at ``dt == 0`` no weight -- and repeats until neither applies;
 * **one** ``call_at`` timer stands for the earliest due time of the
   in-service heap, re-armed only when that moves earlier or after it
   fires, so one wakeup completes a whole batch.  epoll rounds a sleep up
@@ -43,7 +44,6 @@ import heapq
 import typing as _t
 from itertools import count
 
-from .._compat import slots_dataclass
 from ..cluster.server import ServerState
 from ..core.clock import WallClock
 from ..sim.rng import Stream
@@ -60,16 +60,25 @@ class QueueFullError(ProtocolError):
     """The worker's bounded queue rejected a request."""
 
 
-@slots_dataclass(eq=False)
 class LiveJob:
-    """One enqueued request plus its completion callback."""
+    """One enqueued request plus its completion callback (built per op)."""
 
-    rid: int
-    key: int
-    value_size: int
-    priority: _t.Tuple[float, ...]
-    respond: _t.Callable[["LiveWorker", "LiveJob", float, float], None]
-    enqueued_at: float = -1.0
+    __slots__ = ("rid", "key", "value_size", "priority", "respond", "enqueued_at")
+
+    def __init__(
+        self,
+        rid: int,
+        key: int,
+        value_size: int,
+        priority: _t.Tuple[float, ...],
+        respond: _t.Callable[["LiveWorker", "LiveJob", float, float], None],
+    ) -> None:
+        self.rid = rid
+        self.key = key
+        self.value_size = value_size
+        self.priority = priority
+        self.respond = respond
+        self.enqueued_at = -1.0
 
 
 class LiveWorker(ServerState):
@@ -108,15 +117,17 @@ class LiveWorker(ServerState):
         self.rejected = 0
 
     # -- intake -------------------------------------------------------------
-    def submit(self, job: LiveJob) -> None:
-        """Enqueue one request (raises :class:`QueueFullError` at the bound)."""
+    def submit(self, job: LiveJob, now: float) -> None:
+        """Enqueue one request that arrived at model time ``now`` -- the
+        caller's one clock read per socket chunk, never running backwards
+        (raises :class:`QueueFullError` at the bound)."""
         if len(self._heap) >= self.max_queue:
             self.rejected += 1
             raise QueueFullError(
                 f"worker {self.server_id} queue bound {self.max_queue} hit"
             )
-        job.enqueued_at = self.clock.now
-        self.arrival_rate.record(job.enqueued_at)
+        job.enqueued_at = now
+        self.arrival_rate.record(now)
         heapq.heappush(self._heap, (job.priority, next(self._seq), job))
         if self._admit is None and self.in_service < self.cores:
             self._admit = self._loop.call_soon(self._run)
@@ -149,11 +160,12 @@ class LiveWorker(ServerState):
         heap = self._heap
         due = self._due
         loop_time = self._loop.time
+        clock_now = self.clock.read
         scale = self.clock.scale
         while True:
             if heap and self.in_service < self.cores and not self._pause_depth:
                 now_wall = loop_time()
-                start = self.clock.now  # one admission instant per batch
+                start = clock_now()  # one admission instant per batch
                 while heap and self.in_service < self.cores:
                     job = heapq.heappop(heap)[2]
                     duration = self.speed_factor * self.service_model.sample_time(
@@ -169,7 +181,7 @@ class LiveWorker(ServerState):
                 break
             while due and due[0][0] <= now_wall:
                 _, _, job, start = heapq.heappop(due)
-                self._complete(job, start)
+                self._complete(job, start, clock_now())
         if due and (self._timer is None or due[0][0] < self._timer_when):
             if self._timer is not None:
                 self._timer.cancel()
@@ -181,8 +193,7 @@ class LiveWorker(ServerState):
         if self._admit is None:  # else the armed admit is about to do this
             self._run()
 
-    def _complete(self, job: LiveJob, start: float) -> None:
-        end = self.clock.now
+    def _complete(self, job: LiveJob, start: float, end: float) -> None:
         # Account the *actual* elapsed model time: on a wall clock the
         # sleep can overshoot, and honest feedback must include that.
         service = end - start

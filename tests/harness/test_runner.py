@@ -90,6 +90,33 @@ class TestRunExperiment:
         assert result.task_latencies.min > floor
 
 
+    def test_a_long_run_first_collects_what_the_run_before_left(self, monkeypatch):
+        """A finished run graph is cyclic garbage and the collector's own
+        cadence follows container allocations, not what is waiting; with
+        the collector off, only a long run's up-front collection frees it."""
+        import gc
+        import weakref
+
+        from repro.harness import runner
+
+        class Node:
+            pass
+
+        node = Node()
+        node.cycle = node
+        left_behind = weakref.ref(node)
+        del node
+        monkeypatch.setattr(runner, "COLLECT_BEFORE_TASKS", SMALL["n_tasks"])
+        gc.disable()
+        try:
+            run_experiment(small_cfg("oblivious-random", n_tasks=399), seed=1)
+            assert left_behind() is not None  # a short run does not pay for it
+            run_experiment(small_cfg("oblivious-random"), seed=1)
+            assert left_behind() is None
+        finally:
+            gc.enable()
+
+
 class TestRunSeeds:
     def test_runs_each_seed(self):
         results = run_seeds(small_cfg("oblivious-random"), seeds=[1, 2, 3])

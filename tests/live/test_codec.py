@@ -15,6 +15,7 @@ import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_framing import Recorder
 
 from repro.serve.codec import (
     BINARY_CODEC,
@@ -24,6 +25,10 @@ from repro.serve.codec import (
     TAG_OP,
     TAG_OP_TRACE,
     TAG_RES,
+    _OP_HEAD,
+    _PRIO,
+    _RES,
+    _TRACE,
     codec_for,
 )
 from repro.serve.protocol import ProtocolError, priority_from_wire
@@ -191,6 +196,151 @@ class TestEncodeBounds:
     def test_congestion_bounds(self):
         with pytest.raises(ProtocolError, match="server"):
             BINARY_CODEC.encode({"t": "congestion", "server": 1 << 16, "ratio": 1.0})
+
+    @pytest.mark.parametrize(
+        "encode, match",
+        [
+            (lambda: BINARY_CODEC.encode_op(1, 1, 1, 1, ("x",)), "op .*not a float"),
+            (lambda: BINARY_CODEC.encode_op(1.5, 1, 1, 1, (0.0,)), "op .*integer"),
+            (
+                lambda: BINARY_CODEC.encode_res(1, 1, None, 0.2, 3, 4, 0.5),
+                "res .*not a float",
+            ),
+        ],
+        ids=["op-priority-type", "op-rid-type", "res-queue-wait-type"],
+    )
+    def test_a_value_of_the_wrong_type_is_a_protocol_error_too(self, encode, match):
+        """In range but unpackable: no field to name, so the error carries
+        ``struct``'s own words -- and is still a ProtocolError."""
+        with pytest.raises(ProtocolError, match=match) as raised:
+            encode()
+        assert isinstance(raised.value.__cause__, struct.error)
+
+
+# -- byte parity: the whole-frame encoders against the decode layouts ---------
+
+_U16, _U32, _I64, _U64 = 1 << 16, 1 << 32, 1 << 63, 1 << 64
+
+
+def _edges(lo, hi):
+    """Both ends of ``[lo, hi)`` always in the mix, anything between."""
+    return st.one_of(st.sampled_from([lo, hi - 1]), st.integers(lo, hi - 1))
+
+
+arities = st.one_of(st.sampled_from([0, 1, 3, 255]), st.integers(0, 255))
+edge_rids = _edges(0, _U32)
+edge_servers = _edges(0, _U16)
+edge_keys = _edges(-_I64, _I64)
+edge_sizes = _edges(0, _U32)
+edge_traces = st.none() | _edges(0, _U64)
+
+
+def reference_op(rid, server, key, size, prio, trace):
+    """An op assembled piecewise from the layouts ``deliver`` unpacks."""
+    payload = (
+        bytes((TAG_OP if trace is None else TAG_OP_TRACE,))
+        + _OP_HEAD.pack(rid, server, key, size, len(prio))
+        + _PRIO[len(prio)].pack(*prio)
+        + (b"" if trace is None else _TRACE.pack(trace))
+    )
+    return _LENGTH.pack(len(payload)) + payload
+
+
+def reference_res(*fields):
+    payload = bytes((TAG_RES,)) + _RES.pack(*fields)
+    return _LENGTH.pack(len(payload)) + payload
+
+
+def delivered(wire):
+    """The one typed sink call ``deliver`` makes for ``wire``."""
+    sink = Recorder()
+    BINARY_CODEC.deliver(sink, wire, 4, len(wire))
+    (call,) = sink.calls
+    return call
+
+
+class TestWholeFrameEncoders:
+    @settings(max_examples=300)
+    @given(
+        rid=edge_rids,
+        server=edge_servers,
+        key=edge_keys,
+        size=edge_sizes,
+        prio=arities.flatmap(lambda n: st.lists(floats, min_size=n, max_size=n)),
+        trace=edge_traces,
+    )
+    def test_op_bytes_equal_the_piecewise_reference(
+        self, rid, server, key, size, prio, trace
+    ):
+        wire = BINARY_CODEC.encode_op(rid, server, key, size, prio, trace)
+        assert wire == reference_op(rid, server, key, size, prio, trace)
+        assert delivered(wire) == ("op", rid, server, key, size, tuple(prio), trace)
+
+    @settings(max_examples=300)
+    @given(
+        rid=edge_rids,
+        server=edge_servers,
+        queue_wait=floats,
+        service=floats,
+        q=_edges(0, _U32),
+        s=_edges(0, _U16),
+        ew=floats,
+    )
+    def test_res_bytes_equal_the_piecewise_reference(
+        self, rid, server, queue_wait, service, q, s, ew
+    ):
+        fields = (rid, server, queue_wait, service, q, s, ew)
+        wire = BINARY_CODEC.encode_res(*fields)
+        assert wire == reference_res(*fields)
+        assert delivered(wire) == ("res",) + fields
+
+    OP = dict(rid=1, server=2, key=3, size=4, prio=(0.5,), trace=None)
+    RES = dict(rid=1, server=2, queue_wait=0.1, service=0.2, q=3, s=4, ew=0.5)
+
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    @pytest.mark.parametrize(
+        "field, bad, named",
+        [
+            ("rid", -1, "rid"),
+            ("rid", _U32, "rid"),
+            ("server", -1, "server"),
+            ("server", _U16, "server"),
+            ("key", -_I64 - 1, "key"),
+            ("key", _I64, "key"),
+            ("size", -1, "size"),
+            ("size", _U32, "size"),
+            ("prio", (0.0,) * 256, "priority count 256"),
+        ],
+    )
+    def test_an_op_field_one_past_its_bound_is_named(self, field, bad, named, traced):
+        fields = dict(self.OP, trace=7 if traced else None)
+        fields[field] = bad
+        with pytest.raises(ProtocolError, match=f"op {named}"):
+            BINARY_CODEC.encode_op(*fields.values())
+
+    @pytest.mark.parametrize("bad", [-1, _U64])
+    def test_a_trace_context_one_past_its_bound_is_named(self, bad):
+        with pytest.raises(ProtocolError, match="op trace context"):
+            BINARY_CODEC.encode_op(*dict(self.OP, trace=bad).values())
+
+    @pytest.mark.parametrize(
+        "field, bad, named",
+        [
+            ("rid", -1, "rid"),
+            ("rid", _U32, "rid"),
+            ("server", -1, "server"),
+            ("server", _U16, "server"),
+            ("q", -1, "queue length"),
+            ("q", _U32, "queue length"),
+            ("s", -1, "in_service"),
+            ("s", _U16, "in_service"),
+        ],
+    )
+    def test_a_res_field_one_past_its_bound_is_named(self, field, bad, named):
+        fields = dict(self.RES)
+        fields[field] = bad
+        with pytest.raises(ProtocolError, match=f"res {named} {bad} out of range"):
+            BINARY_CODEC.encode_res(*fields.values())
 
 
 @st.composite

@@ -3,6 +3,7 @@
 import asyncio
 
 import pytest
+from test_framing import FakeWriter, cut  # the PR-14 chunk-cut harness
 
 from repro.core.clock import WallClock
 from repro.serve.workers import LiveJob, LiveWorker, QueueFullError
@@ -35,15 +36,20 @@ def job(rid, priority=(0.0,), completions=None):
     return LiveJob(rid=rid, key=1, value_size=100, priority=priority, respond=respond)
 
 
+def arrive(worker, request):
+    """Submit one request as its own socket chunk: stamped with a fresh read."""
+    worker.submit(request, worker.clock.now)
+
+
 class TestOrdering:
     def test_priority_order_drains_smallest_first(self):
         async def scenario():
             worker = make_worker()
             worker.pause()  # hold the core so ordering is decided by the heap
             completions = []
-            worker.submit(job(1, (5.0,), completions))
-            worker.submit(job(2, (1.0,), completions))
-            worker.submit(job(3, (3.0,), completions))
+            arrive(worker, job(1, (5.0,), completions))
+            arrive(worker, job(2, (1.0,), completions))
+            arrive(worker, job(3, (3.0,), completions))
             worker.resume()
             while len(completions) < 3:
                 await asyncio.sleep(0.005)
@@ -58,7 +64,7 @@ class TestOrdering:
             worker.pause()
             completions = []
             for rid in (1, 2, 3):
-                worker.submit(job(rid, (0.0,), completions))
+                arrive(worker, job(rid, (0.0,), completions))
             worker.resume()
             while len(completions) < 3:
                 await asyncio.sleep(0.005)
@@ -74,7 +80,7 @@ class TestCrashWindows:
             worker = make_worker()
             completions = []
             worker.pause()
-            worker.submit(job(1, completions=completions))
+            arrive(worker, job(1, completions=completions))
             await asyncio.sleep(0.02)
             assert completions == []  # crashed: nothing served
             worker.resume()
@@ -93,7 +99,7 @@ class TestCrashWindows:
             completions = []
             worker.pause()
             worker.pause()
-            worker.submit(job(1, completions=completions))
+            arrive(worker, job(1, completions=completions))
             worker.resume()
             await asyncio.sleep(0.02)
             still_down = not completions
@@ -111,10 +117,10 @@ class TestBoundsAndFeedback:
         async def scenario():
             worker = make_worker(max_queue=2)
             worker.pause()
-            worker.submit(job(1))
-            worker.submit(job(2))
+            arrive(worker, job(1))
+            arrive(worker, job(2))
             with pytest.raises(QueueFullError):
-                worker.submit(job(3))
+                arrive(worker, job(3))
             rejected = worker.rejected
             worker.resume()
             worker.shutdown()
@@ -126,8 +132,8 @@ class TestBoundsAndFeedback:
         async def scenario():
             worker = make_worker()
             worker.pause()
-            worker.submit(job(1))
-            worker.submit(job(2))
+            arrive(worker, job(1))
+            arrive(worker, job(2))
             feedback = worker.feedback()
             worker.resume()
             worker.shutdown()
@@ -234,7 +240,7 @@ class TestAdmitEngine:
             counting = CountingLoop(worker)
             completions = []
             for rid, priority in ((1, (5.0,)), (2, (1.0,)), (3, (3.0,))):
-                worker.submit(sized_job(rid, 1_000, priority, completions))
+                arrive(worker, sized_job(rid, 1_000, priority, completions))
             assert worker.in_service == 0 and worker.queue_length() == 3
             admits = counting.admits
             await until(lambda: len(completions) == 3)
@@ -254,10 +260,10 @@ class TestAdmitEngine:
             worker = engine_worker(sized_model(), cores=2)
             counting = CountingLoop(worker)
             completions = []
-            worker.submit(sized_job(1, 60_000, completions=completions))  # 61 ms
+            arrive(worker, sized_job(1, 60_000, completions=completions))  # 61 ms
             await until(lambda: worker.in_service == 1)
             assert len(counting.timers) == 1
-            worker.submit(sized_job(2, 9_000, completions=completions))  # 10 ms
+            arrive(worker, sized_job(2, 9_000, completions=completions))  # 10 ms
             await asyncio.sleep(0)  # the armed admit runs on the next turn
             assert worker.in_service == 2
             rearmed = len(counting.timers), counting.timers[0].cancelled()
@@ -276,9 +282,9 @@ class TestAdmitEngine:
             worker = engine_worker(sized_model(), cores=2)
             counting = CountingLoop(worker)
             completions = []
-            worker.submit(sized_job(1, 9_000, completions=completions))
+            arrive(worker, sized_job(1, 9_000, completions=completions))
             await asyncio.sleep(0)
-            worker.submit(sized_job(2, 30_000, completions=completions))
+            arrive(worker, sized_job(2, 30_000, completions=completions))
             await asyncio.sleep(0)
             assert worker.in_service == 2
             timers_before_first_fire = len(counting.timers)
@@ -301,7 +307,7 @@ class TestAdmitEngine:
             worker = engine_worker(model)
             counting = CountingLoop(worker)
             completions = []
-            worker.submit(job(1, completions=completions))
+            arrive(worker, job(1, completions=completions))
             await asyncio.sleep(0)  # the armed admit runs; 200 us are not over
             armed = (worker._admit, len(counting.timers), list(completions))
             await until(lambda: completions == [1])
@@ -319,7 +325,7 @@ class TestAdmitEngine:
             for rid, size, priority in (
                 (1, 100, (9.0,)), (2, 200, (1.0,)), (3, 300, (5.0,)), (4, 400, (3.0,)),
             ):  # fmt: skip
-                worker.submit(sized_job(rid, size, priority, completions))
+                arrive(worker, sized_job(rid, size, priority, completions))
             await until(lambda: len(completions) == 4)
             worker.shutdown()
             return model.draws, worker.service_stream
@@ -332,12 +338,12 @@ class TestAdmitEngine:
         async def scenario():
             worker = engine_worker(sized_model(), cores=1)
             completions = []
-            worker.submit(sized_job(1, 5_000, completions=completions))  # 6 ms
+            arrive(worker, sized_job(1, 5_000, completions=completions))  # 6 ms
             await until(lambda: worker.in_service == 1)
             worker.pause()
             worker.pause()  # nested windows
-            worker.submit(sized_job(2, 1_000, (7.0,), completions))
-            worker.submit(sized_job(3, 1_000, (2.0,), completions))
+            arrive(worker, sized_job(2, 1_000, (7.0,), completions))
+            arrive(worker, sized_job(3, 1_000, (2.0,), completions))
             await until(lambda: completions == [1])
             await asyncio.sleep(0.02)
             while_down = list(completions), worker.in_service, worker.queue_length()
@@ -358,14 +364,14 @@ class TestAdmitEngine:
         async def scenario():
             completions = []
             armed = engine_worker(fast_model())
-            armed.submit(job(1, completions=completions))  # admit armed, not run
+            arrive(armed, job(1, completions=completions))  # admit armed, not run
             armed.shutdown()
             timed = engine_worker(sized_model())
-            timed.submit(sized_job(2, 9_000, completions=completions))  # 10 ms
+            arrive(timed, sized_job(2, 9_000, completions=completions))  # 10 ms
             await asyncio.sleep(0)
             assert timed.in_service == 1 and timed._timer is not None
             timed.shutdown()
-            timed.submit(sized_job(3, 1_000, completions=completions))  # too late
+            arrive(timed, sized_job(3, 1_000, completions=completions))  # too late
             await asyncio.sleep(0.04)
             return completions, armed.in_service, timed.completed
 
@@ -389,10 +395,10 @@ class TestAdmitEngine:
                     rid=rid, key=1, value_size=100, priority=(0.0,), respond=respond
                 )
 
-            worker.submit(held_job(1))
+            arrive(worker, held_job(1))
             while not responses:
                 await asyncio.sleep(0.001)
-            worker.submit(held_job(2))
+            arrive(worker, held_job(2))
             while worker.completed < 2:
                 await asyncio.sleep(0.001)
             worker.shutdown()
@@ -434,3 +440,137 @@ class TestAdmitEngine:
         # or congestion monitor (one clock timer checks every worker), no
         # per-connection writer.
         assert len(asyncio.run(scenario())) == 1
+
+
+# -- the arrival stamp: one clock read per socket chunk -------------------------
+
+
+class FedConnection:
+    """One server connection whose socket chunks the test hands over itself
+    (the ``drain_chunks`` idea of ``test_framing``, through the server's own
+    read loop)."""
+
+    def __init__(self, server):
+        self.server = server
+        self.reader = asyncio.StreamReader()
+        self.task = asyncio.get_running_loop().create_task(
+            server._handle_connection(self.reader, FakeWriter())
+        )
+
+    async def feed(self, chunk, completes):
+        """One chunk that completes ``completes`` frames (at least one, so
+        there is something to wait on); back once the server has them."""
+        want = self.server.frames_received + completes
+        self.reader.feed_data(chunk)
+        await until(lambda: self.server.frames_received >= want)
+
+    async def close(self):
+        self.reader.feed_eof()
+        await self.task
+
+
+async def with_paused_server(scenario):
+    """Run ``scenario(server)`` against a started server whose workers are all
+    crashed: every op stays in its worker's heap, stamp and all."""
+    from repro.scenarios import get_scenario
+    from repro.serve import LiveServer
+
+    config = get_scenario("steady-state").build_config(strategy="c3", n_tasks=10)
+    server = LiveServer.from_config(config, time_scale=1.0, port=0)
+    await server.start()
+    for worker in server.workers.values():
+        worker.pause()
+    try:
+        return await scenario(server)
+    finally:
+        await server.stop()
+
+
+def queued(worker):
+    """The worker's queued jobs in arrival order."""
+    return [entry[2] for entry in sorted(worker._heap, key=lambda entry: entry[1])]
+
+
+class TestArrivalStamp:
+    def test_ops_of_one_stamp_share_it_and_are_admitted_in_priority_order(self):
+        async def scenario():
+            worker = engine_worker(sized_model())
+            served = []  # (rid, queue_wait)
+
+            def respond(worker, j, queue_wait, service):
+                served.append((j.rid, queue_wait))
+
+            jobs = [
+                LiveJob(rid, 1, 1_000, priority, respond)
+                for rid, priority in ((1, (5.0,)), (2, (1.0,)), (3, (3.0,)))
+            ]
+            stamp = worker.clock.now
+            for j in jobs:
+                worker.submit(j, stamp)
+            await until(lambda: len(served) == 3)
+            worker.shutdown()
+            return stamp, [j.enqueued_at for j in jobs], served
+
+        stamp, stamps, served = asyncio.run(scenario())
+        assert stamps == [stamp] * 3
+        assert [rid for rid, _ in served] == [2, 3, 1]
+        waits = [wait for _, wait in served]
+        assert waits[0] >= 0 and waits == sorted(waits)  # one core, 2 ms each
+
+    def test_stamps_never_run_backwards_across_chunks_and_connections(self):
+        """Each chunk is stamped right before it is drained, on one loop, so
+        whatever the interleaving a worker's arrivals are non-decreasing --
+        ``arrival_rate.record`` never sees time go backwards."""
+        from repro.serve.codec import BINARY_CODEC
+        from repro.serve.protocol import encode_frame, hello_frame
+
+        def chunk(rids):  # every op to worker 0
+            return b"".join(BINARY_CODEC.encode_op(r, 0, r, 64, (0.0,)) for r in rids)
+
+        async def scenario(server):
+            first, second = FedConnection(server), FedConnection(server)
+            for connection in (first, second):
+                await connection.feed(encode_frame(hello_frame()), 1)
+            await first.feed(chunk([1, 2, 3]), 3)
+            await second.feed(chunk([4, 5]), 2)
+            await first.feed(chunk([6]), 1)
+            await second.feed(chunk([7, 8, 9]), 3)
+            worker = server.workers[0]
+            jobs = queued(worker)
+            counted = worker.arrival_rate.count(server.clock.now)
+            await first.close()
+            await second.close()
+            return [(j.rid, j.enqueued_at) for j in jobs], counted
+
+        arrivals, counted = asyncio.run(with_paused_server(scenario))
+        assert [rid for rid, _ in arrivals] == list(range(1, 10))
+        stamps = [stamp for _, stamp in arrivals]
+        assert stamps == sorted(stamps)
+        # One stamp per chunk, shared by its ops; a later chunk, a later stamp.
+        by_chunk = [stamps[0:3], stamps[3:5], stamps[5:6], stamps[6:9]]
+        assert all(len(set(chunk_stamps)) == 1 for chunk_stamps in by_chunk)
+        assert len(set(stamps)) == 4
+        assert counted == 9
+
+    def test_a_frame_cut_across_chunks_arrives_with_the_chunk_that_completes_it(self):
+        from repro.serve.codec import BINARY_CODEC
+        from repro.serve.protocol import encode_frame, hello_frame
+
+        async def scenario(server):
+            connection = FedConnection(server)
+            await connection.feed(encode_frame(hello_frame()), 1)
+            whole = BINARY_CODEC.encode_op(1, 0, 1, 64, (0.0,))
+            halved = BINARY_CODEC.encode_op(2, 0, 2, 64, (0.0,))
+            early, late = cut(whole + halved, [len(whole) + len(halved) // 2])
+            await connection.feed(early, 1)
+            between = server.clock.now
+            await asyncio.sleep(0.002)
+            await connection.feed(late, 1)
+            after = server.clock.now
+            stamps = {j.rid: j.enqueued_at for j in queued(server.workers[0])}
+            await connection.close()
+            return stamps, between, after
+
+        stamps, between, after = asyncio.run(with_paused_server(scenario))
+        assert stamps[1] <= between  # whole in the first chunk
+        assert between < stamps[2] <= after  # completed by the second

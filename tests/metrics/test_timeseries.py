@@ -50,12 +50,15 @@ class TestWindowedRate:
         wr.record(2.0)
         assert wr.count(2.5) == 1.0  # first event evicted
 
-    def test_weighted_events(self):
+    def test_same_instant_events_each_count(self):
+        # One socket chunk's ops share an arrival stamp: three events at
+        # one instant are three events, and the count is exact.
         wr = WindowedRate(window=2.0)
-        wr.record(0.0, weight=3.0)
-        wr.record(1.0, weight=1.0)
-        assert wr.count(1.5) == 4.0
-        assert wr.rate(1.5) == pytest.approx(4.0 / 1.5)
+        for t in (0.0, 0.0, 0.0, 1.0):
+            wr.record(t)
+        assert wr.count(1.5) == 4
+        assert wr.rate(1.5) == 4 / 1.5
+        assert wr.count(2.5) == 1  # the three leave the window together
 
     def test_stale_query_raises(self):
         # Events recorded after `now` must not be silently counted: a
