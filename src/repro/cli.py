@@ -1072,10 +1072,13 @@ def _cmd_watch(args: argparse.Namespace) -> int:
                         f"{int(w.get('queued', 0)) + int(w.get('in_service', 0))}"
                         for w in stats.get("workers", [])
                     )
+                    workers = stats.get("workers", [])
+                    late = sum(float(w.get("lateness_total_s", 0.0)) for w in workers)
                     line = (
                         f"[watch] completed={completed} ops/s={rate:,.0f} "
                         f"uptime={float(stats.get('uptime_model_s', 0.0)):.2f}"
-                        f"model-s backlog {backlog}"
+                        f"model-s late={late / max(completed, 1) * 1e3:.3f}ms "
+                        f"backlog {backlog}"
                     )
                     if client is not None:
                         line += (

@@ -204,13 +204,3 @@ class WallClock:
         """Cancel every armed handle of this clock (run teardown)."""
         for timer in list(self._armed):
             timer.cancel()
-
-    # -- live helpers -------------------------------------------------------
-    async def sleep(self, model_delay: float) -> None:
-        """Suspend the calling coroutine for ``model_delay`` model seconds."""
-        if model_delay > 0:
-            await asyncio.sleep(model_delay * self.scale)
-
-    async def sleep_until(self, model_time: float) -> None:
-        """Sleep until the model clock reads at least ``model_time``."""
-        await self.sleep(model_time - self.now)

@@ -16,7 +16,7 @@ from .driver import (
     run_live_seeds,
 )
 from .firehose import FirehoseResult, run_firehose
-from .transport import LiveTransport, LiveTransportError, handshake
+from .transport import LiveTransport, LiveTransportError
 
 __all__ = [
     "CompareReport",
@@ -24,7 +24,6 @@ __all__ = [
     "LiveFaultPort",
     "LiveTransport",
     "LiveTransportError",
-    "handshake",
     "live_summary",
     "run_compare",
     "run_firehose",

@@ -8,7 +8,8 @@ get the same :class:`~repro.harness.runner.RunResult` out -- except here
 requests travel over TCP to live asyncio workers instead of through the
 event calendar.  What this module owns is only what wall time forces:
 connecting and validating the cluster shape, the asyncio
-wait/timeout/teardown loop, the open-loop ``schedule_lag`` honesty metric,
+wait/timeout/teardown loop, the open-loop :class:`Feeder` (a clock callback
+like every other timed activity) and its ``schedule_lag`` honesty metric,
 server stats deltas, and the :class:`LiveFaultPort` that turns the shared
 fault injector's verbs into admin frames.
 
@@ -27,6 +28,7 @@ import time
 import typing as _t
 
 from ..cluster.faults import NetworkJitterFault
+from ..core.clock import Clock
 from ..harness.builders import ModelBuilder, get_builder
 from ..harness.config import ExperimentConfig
 from ..harness.results import compare_strategies
@@ -76,6 +78,43 @@ class LiveFaultPort:
 
     def clear_jitter(self) -> None:
         self._admin("clear-jitter")
+
+
+class Feeder:
+    """The open-loop arrival schedule as a self-re-arming clock callback.
+
+    ``step`` submits every task whose *absolute* due time has passed (a late
+    wakeup submits its whole burst; deadlines never drift), draws the next
+    one and re-arms for it.  A loop that falls behind fires tasks late and
+    back-to-back, a silently closed loop: ``lag_*`` say how late (model
+    seconds), so saturated runs are detectable in the summary.  An object,
+    not a closure (a reference cycle through the run).
+    """
+
+    def __init__(self, clock: Clock, run: RunAssembly, n_tasks: int) -> None:
+        self.clock, self.run, self.left = clock, run, n_tasks
+        self.task: _t.Any = None  # drawn, not yet due
+        self.next_at = self.last_arrival = self.lag_total = self.lag_max = 0.0
+
+    def step(self, _arg: None = None) -> None:
+        run, clock = self.run, self.clock
+        while True:
+            if self.task is not None:
+                lag = clock.now - self.next_at
+                if lag < 0.0:
+                    clock.call_later(-lag, self.step)
+                    return
+                self.lag_total += lag
+                self.lag_max = max(self.lag_max, lag)
+                run.submit(self.task)
+                self.task = None
+            if not self.left:
+                return
+            self.left -= 1
+            task = self.task = run.generator.next_task()
+            gap = task.arrival_time - self.last_arrival
+            self.last_arrival = task.arrival_time
+            self.next_at += gap / run.faults.arrival_scale()
 
 
 def _validate_shape(config: ExperimentConfig, ack: _t.Mapping[str, _t.Any]) -> None:
@@ -137,7 +176,6 @@ async def run_live(
         await transport.close()
         raise
     clock = transport.clock
-    feeder: _t.Optional["asyncio.Task[None]"] = None
     done_waiter: _t.Optional["asyncio.Task[bool]"] = None
     run: _t.Optional[RunAssembly] = None
     try:
@@ -169,36 +207,11 @@ async def run_live(
                     reporter, snapshot.to_dict()
                 )
             )
-        generator = run.generator
         expected_model_s = config.n_tasks / run.workload.task_rate
         if wall_timeout is None:
             wall_timeout = max(60.0, 12.0 * expected_model_s * clock.scale + 30.0)
 
-        # Open-loop honesty metric: when the event loop falls behind the
-        # arrival schedule, tasks fire late and effectively back-to-back
-        # -- a silently closed loop.  Track how late (model seconds), so
-        # saturated runs are detectable in the summary instead of quietly
-        # under-reporting latency.
-        schedule_lag = {"max": 0.0, "total": 0.0, "n": 0}
-
-        async def feed() -> None:
-            next_at = 0.0
-            last_arrival = 0.0
-            for _ in range(config.n_tasks):
-                task = generator.next_task()
-                gap = task.arrival_time - last_arrival
-                last_arrival = task.arrival_time
-                next_at += gap / faults.arrival_scale()
-                if next_at > clock.now:
-                    await clock.sleep_until(next_at)
-                lag = clock.now - next_at
-                if lag > 0.0:
-                    schedule_lag["total"] += lag
-                    if lag > schedule_lag["max"]:
-                        schedule_lag["max"] = lag
-                schedule_lag["n"] += 1
-                run.submit(task)
-
+        feeder = Feeder(clock, run, config.n_tasks)
         wall_start = time.monotonic()
         # Model time zero = first arrival: latencies are measured against
         # the trace's intended arrival times, exactly like the simulation.
@@ -206,13 +219,12 @@ async def run_live(
         faults.start()
         if remediation is not None:
             clock.call_every(remediation.interval, remediation.tick)
-        feeder = asyncio.get_running_loop().create_task(feed(), name="live-feeder")
         done_waiter = asyncio.get_running_loop().create_task(done.wait())
 
         # Surface background crashes immediately as the real traceback,
         # not as a mysterious timeout minutes later (the sim raises the
         # same exceptions synchronously from env.run).  The clock funnels
-        # the first exception of *any* strategy timer callback (credit
+        # the first exception of *any* timer callback (the feeder, credit
         # reports, the controller's allocation, C3 pacing, hedge timers,
         # fault windows) into one future, so the watch set stays
         # constant-sized no matter how many short-lived per-request timers
@@ -226,12 +238,8 @@ async def run_live(
                 background_failure.set_exception(error)
 
         clock.on_error(note_background_error)
-        waiters: _t.Set[_t.Any] = {
-            done_waiter,
-            transport.failed,
-            background_failure,
-            feeder,
-        }
+        clock.call_later(0.0, feeder.step)
+        waiters: _t.Set[_t.Any] = {done_waiter, transport.failed, background_failure}
         deadline = asyncio.get_running_loop().time() + wall_timeout
         try:
             while not done.is_set():
@@ -251,11 +259,6 @@ async def run_live(
                     raise _t.cast(
                         BaseException, background_failure.exception()
                     )
-                if feeder.done():
-                    feeder_error = feeder.exception()
-                    if feeder_error is not None:
-                        raise feeder_error
-                    waiters.discard(feeder)  # fed everything; await completions
         finally:
             if not background_failure.done():
                 background_failure.cancel()
@@ -277,6 +280,13 @@ async def run_live(
                 stats_before.get("workers", []), stats_after.get("workers", [])
             )
         )
+        late_delta = sum(
+            float(after.get("lateness_total_s", 0.0))
+            - float(before.get("lateness_total_s", 0.0))
+            for before, after in zip(
+                stats_before.get("workers", []), stats_after.get("workers", [])
+            )
+        )
         cores_total = config.cluster.n_servers * config.cluster.cores_per_server
         realm_extras: _t.Dict[str, float] = {
             "mean_server_utilization": (
@@ -288,12 +298,11 @@ async def run_live(
             "live_congestion_frames": float(transport.congestion_signals),
             "live_protocol": float(transport.ack.get("proto", 1)),
             "live_links": float(transport.links),
-            "schedule_lag_max_s": schedule_lag["max"],
-            "schedule_lag_mean_s": (
-                schedule_lag["total"] / schedule_lag["n"]
-                if schedule_lag["n"]
-                else 0.0
-            ),
+            "schedule_lag_max_s": feeder.lag_max,
+            "schedule_lag_mean_s": feeder.lag_total / max(config.n_tasks, 1),
+            # How late the servers' completions ran behind their due times
+            # (epoll's rounded-up millisecond), over this run's requests.
+            "live_completion_lateness_mean_s": late_delta / max(requests_served, 1),
         }
         if run.recorder is not None:
             realm_extras["live_traced_ops"] = float(
@@ -306,9 +315,8 @@ async def run_live(
             servers=(),  # the backend tier lives in another process
         )
     finally:
-        for task in (feeder, done_waiter):
-            if task is not None and not task.done():
-                task.cancel()
+        if done_waiter is not None and not done_waiter.done():
+            done_waiter.cancel()
         clock.cancel_all()
         if run is not None:
             run.reset()  # leave the server undegraded for the next run

@@ -118,7 +118,7 @@ def _percentile(sorted_values: _t.Sequence[float], q: float) -> float:
 
 
 class _FirehoseRun:
-    """Shared state between the issue path and the per-link read loops."""
+    """Shared state between the issue path and the per-link read callbacks."""
 
     def __init__(
         self,
@@ -248,16 +248,13 @@ async def run_firehose(
 
     # The firehose never consumes congestion broadcasts: opt every
     # connection out so saturation does not turn into a broadcast storm.
-    opened = await open_links(endpoints, pool, protocol, congestion=False)
-    negotiated = min(int(entry[4].get("proto", 1)) for entry in opened)
-    links: _t.List[Link] = []
+    links = await open_links(endpoints, pool, protocol, congestion=False)
+    negotiated = min(int(link.ack.get("proto", 1)) for link in links)
     worker_links: _t.Dict[int, _t.List[Link]] = {}
     primary: _t.Dict[Endpoint, Link] = {}
-    for entry in opened:
-        link = Link(entry)
-        links.append(link)
+    for link in links:
         primary.setdefault(link.endpoint, link)
-        for worker_id in ack_workers(entry[4]):
+        for worker_id in ack_workers(link.ack):
             worker_links.setdefault(worker_id, []).append(link)
 
     run = _FirehoseRun(
@@ -322,7 +319,7 @@ async def _collect_server_stats(
     loop = asyncio.get_running_loop()
     for endpoint, link in primary.items():
         run.stats_futures[endpoint] = loop.create_future()
-        link.send_frame({"t": "admin", "cmd": "stats"})
+        link.send({"t": "admin", "cmd": "stats"})
     try:
         replies = await asyncio.wait_for(
             asyncio.gather(*run.stats_futures.values()), timeout=10.0

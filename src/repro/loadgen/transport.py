@@ -7,9 +7,9 @@ clients, credit gates and the credits controller plug into it directly.
 Underneath, it speaks to a whole cluster: one or many server processes
 (endpoints), each owning a subset of the workers, with ``pool``
 connections per endpoint and arbitrarily many pipelined ``op`` frames in
-flight per connection (writes are coalesced per event-loop turn by
-:class:`~repro.serve.protocol.BatchWriter`, reads are chunked by
-:class:`~repro.serve.protocol.FrameStream`).
+flight per connection.  Each :class:`Link` is its connection's
+``asyncio.Protocol``: a socket chunk is parsed and handed to the strategy
+stack before ``data_received`` returns.
 
 Routing
 -------
@@ -34,7 +34,7 @@ Routing
   cut down to the workers that endpoint owns; ``stats`` replies are
   merged back into one cluster-wide frame.
 
-The wire codec is negotiated per connection in :func:`handshake`
+The wire codec is negotiated per connection by the link's own sink
 (binary v2 when both sides speak it, v1 JSON otherwise), so this client
 interoperates with old JSON-only servers unchanged.
 """
@@ -47,17 +47,15 @@ import typing as _t
 from ..cluster.addresses import CONTROLLER_ADDRESS, client_address
 from ..cluster.messages import CongestionSignal, ResponseMessage, ServerFeedback
 from ..core.clock import WallClock
-from ..serve.codec import codec_for
+from ..serve.codec import JSON_CODEC, codec_for
 from ..serve.protocol import (
     MAX_PROTOCOL_VERSION,
     PROTOCOL_VERSION,
-    BatchWriter,
-    FrameSink,
     FrameStream,
     ProtocolError,
     encode_frame,
+    error_frame,
     hello_frame,
-    read_frame,
 )
 
 if _t.TYPE_CHECKING:  # pragma: no cover
@@ -71,37 +69,6 @@ RID_MASK = 0xFFFFFFFF
 
 class LiveTransportError(RuntimeError):
     """The live connection failed or the service rejected a request."""
-
-
-async def handshake(
-    reader: asyncio.StreamReader,
-    writer: asyncio.StreamWriter,
-    max_proto: int = MAX_PROTOCOL_VERSION,
-    congestion: bool = True,
-) -> _t.Dict[str, _t.Any]:
-    """Exchange hello/hello-ack (always in v1 JSON) and negotiate the codec.
-
-    Returns the ack; its ``proto`` field is the version every subsequent
-    frame on this connection travels in.  ``max_proto=1`` pins the
-    connection to JSON (the ``--protocol json`` escape hatch).
-    """
-    writer.write(encode_frame(hello_frame(max_proto, congestion)))
-    await writer.drain()
-    ack = await read_frame(reader)
-    if ack is None:
-        raise LiveTransportError("server closed the connection during handshake")
-    if ack.get("t") == "error":
-        raise LiveTransportError(f"handshake rejected: {ack.get('error')}")
-    if ack.get("t") != "hello-ack":
-        raise LiveTransportError(f"unexpected handshake reply {ack!r}")
-    proto = ack.get("proto", PROTOCOL_VERSION)
-    if (
-        not isinstance(proto, int)
-        or isinstance(proto, bool)
-        or not PROTOCOL_VERSION <= proto <= max(max_proto, PROTOCOL_VERSION)
-    ):
-        raise LiveTransportError(f"server negotiated unusable protocol {proto!r}")
-    return ack
 
 
 def ack_workers(ack: _t.Mapping[str, _t.Any]) -> _t.List[int]:
@@ -131,52 +98,40 @@ def sum_stats(replies: _t.Sequence[_t.Mapping[str, _t.Any]]) -> _t.Dict[str, int
     }
 
 
-OpenedLink = _t.Tuple[
-    Endpoint, bool, asyncio.StreamReader, asyncio.StreamWriter, _t.Dict[str, _t.Any]
-]
-
-
 async def open_links(
     endpoints: _t.Sequence[Endpoint],
     pool: int,
     protocol: int,
     congestion: bool,
-) -> _t.List[OpenedLink]:
+) -> _t.List["Link"]:
     """Open and handshake ``pool`` connections per endpoint.
 
-    Returns ``(endpoint, primary, reader, writer, ack)`` per connection,
-    endpoint-major; *primary* marks each endpoint's first link, the only
-    one that subscribes to congestion broadcasts (and only when
-    ``congestion`` is set), so a controller sees each signal exactly once.
-    The acks are validated against each other; on any failure every
-    connection opened so far is closed.
+    Returns the links endpoint-major, reading paused until
+    :meth:`Link.start`.  Only each endpoint's first link subscribes to
+    congestion broadcasts (and only when ``congestion`` is set), so a
+    controller sees each signal exactly once.  The acks are validated
+    against each other; on any failure every connection opened so far is
+    closed.
     """
     if not endpoints:
         raise ValueError("need at least one endpoint")
     if pool < 1:
         raise ValueError("pool must be at least 1")
-    opened: _t.List[OpenedLink] = []
+    loop = asyncio.get_running_loop()
+    links: _t.List[Link] = []
     try:
         for endpoint in endpoints:
             for slot in range(pool):
-                reader, writer = await asyncio.open_connection(*endpoint)
-                try:
-                    ack = await handshake(
-                        reader,
-                        writer,
-                        max_proto=protocol,
-                        congestion=congestion and slot == 0,
-                    )
-                except BaseException:
-                    writer.close()
-                    raise
-                opened.append((endpoint, slot == 0, reader, writer, ack))
-        _validate_acks(endpoints, [entry[4] for entry in opened], pool)
+                link = Link(endpoint, protocol, congestion and slot == 0)
+                await loop.create_connection(lambda: link, *endpoint)
+                links.append(link)
+                await link.handshaken
+        _validate_acks(endpoints, [link.ack for link in links], pool)
     except BaseException:
-        for _, _, _, writer, _ in opened:
-            writer.close()
+        for link in links:
+            link.out.transport.abort()
         raise
-    return opened
+    return links
 
 
 def _validate_acks(
@@ -221,42 +176,64 @@ def _validate_acks(
         )
 
 
-class _LinkSink(FrameSink):
-    """Where one link's frames go: ``res`` fields straight to ``on_res``,
-    every other frame to ``on_control`` with the endpoint it came from
-    (admin replies are matched per endpoint).
+class Link(FrameStream):
+    """One connection of a load generator: its protocol object and sink.
 
-    Held by the link's read loop only, never by the link: the consumer
-    owns its links, and a link pointing back would keep every finished
-    run, latency arrays and all, waiting for the cycle collector.
+    The ``hello`` goes out when the connection is made and the ``hello-ack``
+    comes back through the sink like any frame, switching the codec
+    mid-drain -- no byte changes readers.  Reading then pauses until
+    :meth:`start` names the consumer: ``res`` fields go straight to
+    ``on_res``, every other frame to ``on_control`` with its endpoint (admin
+    replies are matched per endpoint), a lost or damaged connection's error
+    to ``fail``.  :meth:`close` drops all three: a link pointing back at its
+    owner would keep every finished run waiting for the cycle collector.
     """
 
-    __slots__ = ("endpoint", "on_res", "on_control")
-
-    def __init__(self, endpoint: Endpoint, on_res: _t.Any, on_control: _t.Any) -> None:
+    def __init__(self, endpoint: Endpoint, max_proto: int, congestion: bool) -> None:
+        super().__init__(JSON_CODEC)  # the handshake always travels in v1
         self.endpoint = endpoint
-        self.on_res = on_res
-        self.on_control = on_control
+        self._hello = (max_proto, congestion)
+        #: The server's hello-ack, once ``handshaken`` resolves.
+        self.ack: _t.Dict[str, _t.Any] = {}
+        self.handshaken = asyncio.get_running_loop().create_future()
+        #: Control frames that shared the ack's chunk; ``start`` replays them.
+        self._early: _t.List[_t.Dict[str, _t.Any]] = []
+        self.on_control: _t.Any = self._handshake
+        self.fail: _t.Any = self._refused
+
+    def connection_made(self, transport: _t.Any) -> None:
+        super().connection_made(transport)
+        transport.write(encode_frame(hello_frame(*self._hello)))
+
+    def _handshake(self, _endpoint: Endpoint, ack: _t.Dict[str, _t.Any]) -> None:
+        """``on_control`` until :meth:`start`: validate the ack, switch to
+        the codec it names (``max_proto=1`` pins JSON), pause."""
+        proto = ack.get("proto", PROTOCOL_VERSION)
+        if self.handshaken.done():
+            self._early.append(ack)
+        elif ack.get("t") != "hello-ack":
+            why = ack.get("error") if ack.get("t") == "error" else f"got {ack!r}"
+            self.fail(LiveTransportError(f"handshake rejected: {why}"))
+        elif type(proto) is not int or not (
+            PROTOCOL_VERSION <= proto <= max(self._hello[0], PROTOCOL_VERSION)
+        ):
+            self.fail(LiveTransportError(f"server negotiated unusable proto {proto!r}"))
+        else:
+            self.codec = codec_for(proto)
+            self.ack = ack
+            self.out.transport.pause_reading()
+            self.handshaken.set_result(None)
+
+    def _refused(self, exc: Exception) -> None:
+        """``fail`` until :meth:`start`, which replays a failure that came
+        after the ack as the ``error`` frame it amounts to."""
+        if not self.handshaken.done():
+            self.handshaken.set_exception(exc)
+        else:
+            self._early.append(error_frame(str(exc)))
 
     def on_frame(self, frame: _t.Dict[str, _t.Any]) -> None:
         self.on_control(self.endpoint, frame)
-
-
-class Link:
-    """One handshaken connection of a load generator: negotiated codec,
-    framed reader, coalescing outbox and, once started, its read loop."""
-
-    __slots__ = ("endpoint", "codec", "stream", "out", "task")
-
-    def __init__(self, opened: OpenedLink) -> None:
-        self.endpoint, _primary, reader, writer, ack = opened
-        self.codec = codec_for(int(ack.get("proto", PROTOCOL_VERSION)))
-        self.stream = FrameStream(reader, self.codec)
-        self.out = BatchWriter(writer)
-        self.task: _t.Optional["asyncio.Task[None]"] = None
-
-    def send_frame(self, frame: _t.Mapping[str, _t.Any]) -> None:
-        self.out.send(self.codec.encode(frame))
 
     def start(
         self,
@@ -265,33 +242,39 @@ class Link:
         fail: _t.Callable[[Exception], None],
     ) -> None:
         """Start reading; ``fail`` gets a lost or damaged connection's error."""
-        self.task = asyncio.get_running_loop().create_task(
-            self._read(_LinkSink(self.endpoint, on_res, on_control), fail),
-            name=f"live-link.{self.endpoint[0]}:{self.endpoint[1]}",
-        )
+        self.on_res, self.on_control, self.fail = on_res, on_control, fail
+        for frame in self._early:
+            on_control(self.endpoint, frame)
+        self.out.transport.resume_reading()
 
-    async def _read(
-        self, sink: _LinkSink, fail: _t.Callable[[Exception], None]
-    ) -> None:
-        stream = self.stream
+    def data_received(self, data: bytes) -> None:
+        """One socket chunk, finished here: every frame to its consumer."""
         try:
-            while await stream.fill():
-                stream.drain(sink)
-            fail(LiveTransportError("server closed the connection"))
-        except asyncio.CancelledError:
-            pass
-        except (ProtocolError, ConnectionError) as exc:
-            fail(LiveTransportError(f"live connection failed: {exc}"))
+            super().data_received(data)
         except Exception as exc:
-            # Anything else (a client-callback bug) must kill the run
-            # loudly -- a silently-dead read loop would stall the driver
-            # until its wall timeout.
-            fail(LiveTransportError(f"live transport crashed handling a frame: {exc}"))
+            # Anything but a damaged stream is a client-callback bug, which
+            # must kill the run loudly too -- a silently-dead link would
+            # stall the driver until its wall timeout.
+            damaged = isinstance(exc, (ProtocolError, ConnectionError))
+            what = "live connection failed" if damaged else "transport crashed on a frame"
+            self.out.transport.pause_reading()  # framing is lost: read no more
+            self.fail(LiveTransportError(f"{what}: {exc}"))
+
+    def eof_received(self) -> None:
+        try:
+            super().eof_received()
+            self.fail(LiveTransportError("server closed the connection"))
+        except ProtocolError as exc:
+            self.fail(LiveTransportError(f"live connection failed: {exc}"))
+
+    def connection_lost(self, exc: _t.Optional[Exception]) -> None:
+        super().connection_lost(exc)
+        if exc is not None:
+            self.fail(LiveTransportError(f"live connection failed: {exc}"))
 
     async def close(self, flush_timeout: float = 1.0) -> None:
-        if self.task is not None:
-            self.task.cancel()
-        await self.out.close(flush_timeout)
+        self.on_res = self.on_control = self.fail = lambda *_args: None
+        await super().close(flush_timeout)
 
 
 def io_counters(links: _t.Sequence[Link]) -> _t.Dict[str, int]:
@@ -300,7 +283,7 @@ def io_counters(links: _t.Sequence[Link]) -> _t.Dict[str, int]:
         "frames_sent": sum(link.out.frames_sent for link in links),
         "bytes_sent": sum(link.out.bytes_sent for link in links),
         "writes": sum(link.out.writes for link in links),
-        "frames_received": sum(link.stream.frames_read for link in links),
+        "frames_received": sum(link.frames_read for link in links),
     }
 
 
@@ -315,6 +298,7 @@ class LiveTransport:
         self, clock: WallClock, ack: _t.Dict[str, _t.Any]
     ) -> None:
         self.clock = clock
+        self._loop = asyncio.get_running_loop()
         #: The first endpoint's hello-ack: the cluster shape every other
         #: endpoint was checked against (drivers validate configs with it).
         self.ack = ack
@@ -332,9 +316,7 @@ class LiveTransport:
             str, "_t.Dict[Endpoint, _t.List[asyncio.Future[_t.Dict[str, _t.Any]]]]"
         ] = {"stats": {}, "metrics": {}, "client-bus": {}}
         #: Set on connection loss / protocol error / op rejection.
-        self.failed: "asyncio.Future[None]" = (
-            asyncio.get_running_loop().create_future()
-        )
+        self.failed: "asyncio.Future[None]" = self._loop.create_future()
         self.ops_sent = 0
         self.responses_received = 0
         self.congestion_signals = 0
@@ -359,19 +341,20 @@ class LiveTransport:
     ) -> "LiveTransport":
         """Connect ``pool`` links to every endpoint and assemble routing
         (see :func:`open_links` for what the endpoints must agree on)."""
-        opened = await open_links(endpoints, pool, protocol, congestion=True)
-        base_ack = opened[0][4]
+        links = await open_links(endpoints, pool, protocol, congestion=True)
+        base_ack = links[0].ack
         transport = cls(
             clock=WallClock(scale=float(base_ack["time_scale"])), ack=base_ack
         )
-        for entry in opened:
-            endpoint, primary, _reader, _writer, ack = entry
-            link = Link(entry)
+        transport._links = links
+        for link in links:
+            endpoint = link.endpoint
             link.start(transport._on_res, transport._handle_frame, transport._fail)
-            transport._links.append(link)
             transport._endpoint_links.setdefault(endpoint, []).append(link)
-            if primary:
-                transport._endpoint_workers[endpoint] = frozenset(ack_workers(ack))
+            if endpoint not in transport._rr:  # the endpoint's first link
+                transport._endpoint_workers[endpoint] = frozenset(
+                    ack_workers(link.ack)
+                )
                 transport._rr[endpoint] = 0
         for endpoint, workers in transport._endpoint_workers.items():
             for worker_id in workers:
@@ -400,9 +383,7 @@ class LiveTransport:
                 raise KeyError(f"no handler registered for {dst!r}")
             # Next-turn delivery: like the simulated network, control
             # messages never re-enter the sender's stack synchronously.
-            asyncio.get_running_loop().call_soon(
-                self._deliver_local, handler, message
-            )
+            self._loop.call_soon(self._deliver_local, handler, message)
 
     def _deliver_local(
         self, handler: _t.Callable[[_t.Any], None], message: _t.Any
@@ -460,7 +441,7 @@ class LiveTransport:
         servers = frame.get("servers")
         for endpoint, links in self._endpoint_links.items():
             if servers is None:
-                links[0].send_frame(frame)
+                links[0].send(frame)
                 continue
             owned = self._endpoint_workers[endpoint]
             local = [s for s in servers if int(s) in owned]
@@ -468,7 +449,7 @@ class LiveTransport:
                 continue
             trimmed = dict(frame)
             trimmed["servers"] = local
-            links[0].send_frame(trimmed)
+            links[0].send(trimmed)
 
     @property
     def features(self) -> _t.FrozenSet[str]:
@@ -525,10 +506,9 @@ class LiveTransport:
 
     async def _query(self, command: str) -> _t.List[_t.Dict[str, _t.Any]]:
         """Send one admin query to every endpoint; gather the reply frames."""
-        loop = asyncio.get_running_loop()
         futures: _t.List["asyncio.Future[_t.Dict[str, _t.Any]]"] = []
         for endpoint in self._endpoint_links:
-            future: "asyncio.Future[_t.Dict[str, _t.Any]]" = loop.create_future()
+            future = self._loop.create_future()
             self._reply_waiters[command].setdefault(endpoint, []).append(future)
             futures.append(future)
         self.admin({"t": "admin", "cmd": command})

@@ -24,7 +24,6 @@ from .protocol import (
     hello_frame,
     negotiate_version,
     priority_from_wire,
-    read_frame,
 )
 from .server import (
     DEFAULT_HOST,
@@ -65,6 +64,5 @@ __all__ = [
     "install_uvloop",
     "negotiate_version",
     "priority_from_wire",
-    "read_frame",
     "run_server",
 ]

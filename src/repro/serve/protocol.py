@@ -52,12 +52,12 @@ time scale to interpret them.
 
 The receive and send paths
 --------------------------
-Every read loop -- server connection, transport link, firehose link --
-is ``while await stream.fill(): stream.drain(sink)`` over a
-:class:`FrameStream` and a :class:`FrameSink`; every send goes through a
-:class:`BatchWriter`.  Only the handshake reads frame by frame
-(:func:`read_frame`): it must leave what follows the ``hello-ack`` on
-the socket.
+Both ends of a connection are an ``asyncio.Protocol``, a
+:class:`FrameStream` that is its own :class:`FrameSink`: ``data_received``
+appends the socket chunk and ``drain`` delivers every complete frame in it.
+The callback that receives a socket chunk finishes it -- parse, then admit
+or complete -- before it returns; what it sends is buffered by a
+:class:`BatchWriter` and leaves in one ``write`` on the next loop turn.
 """
 
 from __future__ import annotations
@@ -125,36 +125,6 @@ def encode_frame(frame: _t.Mapping[str, _t.Any]) -> bytes:
     return _LENGTH.pack(len(payload)) + payload
 
 
-async def read_frame(
-    reader: asyncio.StreamReader,
-) -> _t.Optional[_t.Dict[str, _t.Any]]:
-    """Read one v1 frame; ``None`` on clean EOF (peer closed between frames).
-
-    The handshake's reader, and only that: it takes exactly one frame's
-    bytes off the ``StreamReader`` and never over-reads, so a
-    :class:`FrameStream` (which reads in chunks) can take the connection
-    over right after the ``hello-ack``.
-    """
-    try:
-        header = await reader.readexactly(_LENGTH.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise ProtocolError(
-            f"connection closed mid-header ({len(exc.partial)} of 4 bytes)"
-        ) from exc
-    (length,) = _LENGTH.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise ProtocolError(f"declared frame length {length} exceeds the cap")
-    try:
-        payload = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise ProtocolError(
-            f"connection closed mid-frame ({len(exc.partial)} of {length} bytes)"
-        ) from exc
-    return parse_json_frame(payload)
-
-
 def parse_json_frame(payload: bytes, at: int = 0) -> _t.Dict[str, _t.Any]:
     """The typed object one JSON payload (found at stream byte ``at``) holds."""
     try:
@@ -209,25 +179,23 @@ class FrameSink:
         raise ProtocolError(message)
 
 
-class FrameStream:
-    """Buffered, codec-switchable frame reader over a ``StreamReader``.
+class FrameStream(asyncio.Protocol, FrameSink):
+    """One end of a connection: a buffered, codec-switchable frame receiver
+    (its own sink) and a coalescing :class:`BatchWriter`.
 
-    Two steps per socket chunk: ``await fill()`` appends whatever the
-    socket has (one syscall can carry hundreds of pipelined frames), then
-    the synchronous ``drain(sink)`` has the codec deliver every complete
-    frame in the buffer -- no coroutine, dict or copy per frame.
-    ``codec`` is an attribute so negotiation can switch it between two
-    frames of one buffer.  Byte positions survive compaction: a corrupt
-    frame's :class:`ProtocolError` names its absolute stream offset.
+    ``data_received`` appends the socket chunk (one syscall can carry
+    hundreds of pipelined frames) and the synchronous ``drain`` has the
+    codec deliver every complete frame in the buffer -- no coroutine, dict
+    or copy per frame.  ``codec`` is an attribute so negotiation can switch
+    it between two frames of one buffer.  Byte positions survive
+    compaction: a corrupt frame's :class:`ProtocolError` names its
+    absolute stream offset.
     """
 
-    __slots__ = ("_reader", "codec", "_buf", "_pos", "_base", "frames_read")
-
-    #: Socket read size; also the buffer-compaction threshold.
+    #: The buffer-compaction threshold.
     CHUNK = 1 << 16
 
-    def __init__(self, reader: asyncio.StreamReader, codec: _t.Any) -> None:
-        self._reader = reader
+    def __init__(self, codec: _t.Any) -> None:
         self.codec = codec
         self._buf = bytearray()
         self._pos = 0
@@ -236,28 +204,32 @@ class FrameStream:
         #: Frames handed to the codec so far.
         self.frames_read = 0
 
-    async def fill(self) -> bool:
-        """Append one socket chunk; ``False`` on clean EOF between frames."""
-        chunk = await self._reader.read(FrameStream.CHUNK)
-        if chunk:
-            self._buf += chunk
-            return True
+    def connection_made(self, transport: _t.Any) -> None:
+        self.out = BatchWriter(transport)
+        self._lost = asyncio.get_running_loop().create_future()
+
+    def connection_lost(self, exc: _t.Optional[Exception]) -> None:
+        self.out.closed = True
+        self._lost.set_result(None)
+
+    def data_received(self, data: bytes) -> None:
+        self._buf += data
+        self.drain(self)
+
+    def eof_received(self) -> None:
+        """Clean between frames; inside one, a :class:`ProtocolError`."""
         avail = len(self._buf) - self._pos
-        if avail == 0:
-            return False
-        at = self._base + self._pos
-        if avail < 4:
+        if avail:
+            at, short = self._base + self._pos, avail < 4
             raise ProtocolError(
-                f"connection closed mid-header at byte {at} ({avail} of 4 bytes)"
+                f"connection closed mid-{'header' if short else 'frame'} at byte {at} "
+                f"({avail} {'of 4 bytes' if short else 'bytes buffered'})"
             )
-        raise ProtocolError(
-            f"connection closed mid-frame at byte {at} ({avail} bytes buffered)"
-        )
 
     def drain(self, sink: FrameSink) -> None:
         """Deliver every complete frame in the buffer to ``sink``.
 
-        ``self.codec`` is re-read per frame: the server's ``hello``
+        ``self.codec`` is re-read per frame: a ``hello`` / ``hello-ack``
         handler switches it mid-drain.  A raising frame is consumed, so
         the stream position stays consistent for the error report.
         """
@@ -287,6 +259,27 @@ class FrameStream:
                 pos = 0
             self._pos = pos
 
+    def send(self, frame: _t.Mapping[str, _t.Any]) -> None:
+        """Queue one frame for delivery in this connection's codec."""
+        self.out.send(self.codec.encode(frame))
+
+    def shut(self) -> None:
+        """Write what is queued and start closing."""
+        self.out._flush()
+        self.out.closed = True
+        self.out.transport.close()
+
+    async def close(self, flush_timeout: float = 1.0) -> None:
+        """Flush what's queued, then tear the connection down: the transport
+        gets ``flush_timeout`` seconds to push its buffer out; 0 skips the
+        flush and drops whatever is still unsent."""
+        if flush_timeout > 0:
+            self.shut()
+            await asyncio.wait({self._lost}, timeout=flush_timeout)
+        self.out.closed = True
+        if not self._lost.done():
+            self.out.transport.abort()
+
 
 class BatchWriter:
     """Coalesces frame writes: one ``write`` per event-loop turn.
@@ -300,7 +293,7 @@ class BatchWriter:
     """
 
     __slots__ = (
-        "_writer",
+        "transport",
         "_loop",
         "_buf",
         "_armed",
@@ -310,8 +303,8 @@ class BatchWriter:
         "frames_sent",
     )
 
-    def __init__(self, writer: asyncio.StreamWriter) -> None:
-        self._writer = writer
+    def __init__(self, transport: _t.Any) -> None:
+        self.transport = transport
         self._loop = asyncio.get_running_loop()
         self._buf = bytearray()
         #: A flush is already scheduled for this loop turn.
@@ -339,23 +332,6 @@ class BatchWriter:
         if self._buf and not self.closed:
             data = self._buf
             self._buf = bytearray()
-            self._writer.write(data)
+            self.transport.write(data)
             self.bytes_sent += len(data)
             self.writes += 1
-
-    async def close(self, flush_timeout: float = 1.0) -> None:
-        """Flush what's queued, then tear the connection down.
-
-        The transport gets ``flush_timeout`` seconds to push its buffer
-        out; 0 skips the flush and drops whatever is still unsent.
-        """
-        if flush_timeout > 0:
-            self._flush()
-        self.closed = True
-        try:
-            self._writer.close()
-            await asyncio.wait_for(self._writer.wait_closed(), flush_timeout)
-        except asyncio.TimeoutError:
-            self._writer.transport.abort()
-        except (ConnectionError, OSError):  # peer already gone
-            pass

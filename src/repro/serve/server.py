@@ -39,15 +39,8 @@ from ..metrics.bus import prometheus_line, render_prometheus
 from ..sim.rng import StreamFactory
 from ..workload.calibration import ServiceTimeModel
 from .codec import JSON_CODEC, codec_for
-from .protocol import (
-    BatchWriter,
-    FrameSink,
-    FrameStream,
-    ProtocolError,
-    error_frame,
-    negotiate_version,
-)
-from .workers import DEFAULT_MAX_QUEUE, LiveJob, LiveWorker, QueueFullError
+from .protocol import FrameStream, ProtocolError, error_frame, negotiate_version
+from .workers import DEFAULT_MAX_QUEUE, LiveJob, LiveWorker, QueueFullError, WorkerPass
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from ..harness.config import ExperimentConfig
@@ -78,14 +71,14 @@ def install_uvloop() -> bool:
     return True
 
 
-class _Connection(FrameSink):
-    """One client connection: a framed reader, a coalescing outbox, and the
-    sink the reader's frames are delivered to.
+class _Connection(FrameStream):
+    """One client connection: the protocol object the transport calls, the
+    sink its frames are delivered to, and a coalescing outbox.
 
-    ``codec`` starts as v1 JSON and is switched (together with the frame
-    stream's) when the handshake negotiates v2.  ``congestion`` is the
-    client's opt-in to congestion broadcasts (pool connections beyond an
-    endpoint's first opt out, so a controller sees each signal once).
+    ``codec`` starts as v1 JSON and is switched when the handshake
+    negotiates v2.  ``congestion`` is the client's opt-in to congestion
+    broadcasts (pool connections beyond an endpoint's first opt out, so a
+    controller sees each signal once).
 
     No handler lets a *rejection* escape: a frame the server cannot honor
     (unknown worker, queue bound, a bad admin value) is answered with an
@@ -93,26 +86,61 @@ class _Connection(FrameSink):
     :meth:`FrameStream.drain` is a framing or codec error, which closes it.
     """
 
-    def __init__(
-        self,
-        server: "LiveServer",
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
+    def __init__(self, server: "LiveServer") -> None:
+        super().__init__(JSON_CODEC)
         self.server = server
-        self.stream = FrameStream(reader, JSON_CODEC)
-        self.out = BatchWriter(writer)
-        self.codec: _t.Any = JSON_CODEC
         self.congestion = True
-        #: Arrival instant (model time) of every op in the socket chunk
-        #: being drained; the read loop sets it once per ``fill()``.
+        #: Arrival instant (model time) of every op in the chunk being drained.
         self.chunk_at = 0.0
         #: Ops admitted from this connection and not answered yet.
         self.in_flight = 0
+        #: The bounded fallback of a server-initiated close, once begun.
+        self._settling: _t.Optional[asyncio.TimerHandle] = None
 
-    def send(self, frame: _t.Mapping[str, _t.Any]) -> None:
-        """Queue one frame for delivery (safe from worker callbacks)."""
-        self.out.send(self.codec.encode(frame))
+    def connection_made(self, transport: _t.Any) -> None:
+        super().connection_made(transport)
+        self.server.connections.append(self)
+
+    def connection_lost(self, exc: _t.Optional[Exception]) -> None:
+        super().connection_lost(exc)
+        server = self.server
+        server.connections.remove(self)
+        for key in server._closed_io:  # a closed connection's I/O still counts
+            server._closed_io[key] += getattr(self.out, key)
+        server._closed_frames += self.frames_read
+        if self._settling is not None:
+            self._settling.cancel()
+
+    def data_received(self, data: bytes) -> None:
+        """One socket chunk, finished here: stamp, parse and queue, then the
+        pass that admits (and completes what is due)."""
+        self.chunk_at = self.server.clock.now  # one arrival stamp per chunk
+        try:
+            super().data_received(data)
+        except ProtocolError as exc:
+            self._settle(exc)
+        finally:
+            self.server.passes.run()  # the end of the chunk: the end of the instant
+
+    def eof_received(self) -> bool:
+        try:
+            super().eof_received()
+            self._settle(None)
+        except ProtocolError as exc:
+            self._settle(exc)
+        return True  # half-open: what is in flight may still answer
+
+    def _settle(self, damage: _t.Optional[ProtocolError]) -> None:
+        """Begin a server-initiated close (framing lost, or EOF): answer,
+        read no more, and close when the ops already admitted have answered
+        -- ``respond`` sees ``in_flight`` reach 0 -- or after a second."""
+        if damage is not None:
+            self.send(error_frame(str(damage)))
+        self.out.transport.pause_reading()
+        if not self.in_flight:
+            self.shut()
+        elif self._settling is None:
+            self._settling = asyncio.get_running_loop().call_later(1.0, self.shut)
 
     # -- the frame sink ----------------------------------------------------------
     def on_op(
@@ -178,14 +206,8 @@ class _Connection(FrameSink):
                 job.rid, worker.server_id, queue_wait, service, *worker.feedback()
             )
         )
-
-    async def settle(self, timeout: float = 1.0) -> None:
-        """Before a server-initiated close: give the ops already admitted
-        a bounded chance to answer (moot once the outbox is closed)."""
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + timeout
-        while self.in_flight and not self.out.closed and loop.time() < deadline:
-            await asyncio.sleep(0.005)
+        if self._settling is not None and not self.in_flight:
+            self.shut()
 
 
 class LiveServer:
@@ -287,6 +309,8 @@ class LiveServer:
         """Bind the socket and start workers (port 0 picks an ephemeral one)."""
         streams = StreamFactory(self.seed)
         self.clock = WallClock(scale=self.clock.scale)  # t0 = serving start
+        #: The one pass over every worker, and their only loop handles.
+        self.passes = WorkerPass()
         # Streams are keyed by *global* worker id, so a worker behaves
         # identically whether its cluster runs in one process or many.
         self.workers = {
@@ -296,6 +320,7 @@ class LiveServer:
                 cores=self.cluster.cores_per_server,
                 service_model=self.service_model,
                 service_stream=streams.stream(f"service.{worker_id}"),
+                passes=self.passes,
                 max_queue=self.max_queue,
             )
             for worker_id in self.worker_ids
@@ -305,8 +330,8 @@ class LiveServer:
             self._stats_task = asyncio.get_running_loop().create_task(
                 self._stats_loop(), name="live-stats"
             )
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         if self.metrics_port is not None:
@@ -325,48 +350,22 @@ class LiveServer:
         if self._stats_task is not None:
             self._stats_task.cancel()
             self._stats_task = None
+        if self.workers:
+            self.passes.shutdown()
         for worker in self.workers.values():
             worker.shutdown()
         for connection in list(self.connections):
-            await connection.out.close()
-        self.connections = []
+            await connection.close()
 
     async def serve_forever(self) -> None:
         assert self._server is not None, "call start() first"
         await self._server.serve_forever()
 
-    # -- connection handling ------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        connection = _Connection(self, reader, writer)
-        self.connections.append(connection)
-        stream = connection.stream
-        try:
-            while await stream.fill():
-                connection.chunk_at = self.clock.now  # one arrival stamp per chunk
-                stream.drain(connection)
-            await connection.settle()
-        except ConnectionError:
-            pass  # peer vanished mid-read; nothing left to answer
-        except ProtocolError as exc:
-            # Framing is lost: answer, let what the chunk's earlier frames
-            # admitted finish, close.
-            connection.send(error_frame(str(exc)))
-            await connection.settle()
-        finally:
-            if connection in self.connections:
-                self.connections.remove(connection)
-            for key in self._closed_io:
-                self._closed_io[key] += getattr(connection.out, key)
-            self._closed_frames += stream.frames_read
-            await connection.out.close()
-
     @property
     def frames_received(self) -> int:
         """Frames read off every connection so far (closed + open)."""
         return self._closed_frames + sum(
-            connection.stream.frames_read for connection in self.connections
+            connection.frames_read for connection in self.connections
         )
 
     # -- control plane -----------------------------------------------------------
@@ -394,9 +393,7 @@ class LiveServer:
         )
         # The ack itself travels in v1 (encoded above); everything after
         # it speaks the negotiated codec, in both directions.
-        codec = codec_for(version)
-        connection.codec = codec
-        connection.stream.codec = codec
+        connection.codec = codec_for(version)
 
     def _admin_targets(self, frame: _t.Dict[str, _t.Any]) -> _t.List[LiveWorker]:
         raw = frame.get("servers")
@@ -453,11 +450,13 @@ class LiveServer:
             ("rejected", lambda w: float(w.rejected)),
             ("arrival_rate", lambda w: w.arrival_rate.rate(now)),
             ("busy_time_s", lambda w: w.busy_time),
+            ("lateness_seconds", lambda w: w.lateness_total / self.clock.scale),
             ("speed_factor", lambda w: w.speed_factor),
         ):
             full = f"repro_serve_worker_{name}"
-            lines.append(f"# HELP {full} per-worker live gauge {name}")
-            lines.append(f"# TYPE {full} gauge")
+            kind = "counter" if name == "lateness_seconds" else "gauge"
+            lines.append(f"# HELP {full} per-worker live {kind} {name}")
+            lines.append(f"# TYPE {full} {kind}")
             for worker_id in self.worker_ids:
                 lines.append(
                     prometheus_line(

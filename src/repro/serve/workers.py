@@ -10,23 +10,25 @@ priority queue (smaller priority tuple first, FIFO within a priority),
 samples, stretched by the clock's time scale).
 
 The engine is callback-driven, the same admit/complete shape as the
-simulated servers, and owns no task:
+simulated servers, and owns no task and no event-loop handle:
 
 * ``submit`` only *queues*, under the arrival instant its caller read (the
-  server reads the clock once per socket chunk), and arms one ``call_soon``
-  admit if a core is free.  It never starts service, so every op of a chunk
-  arrives at one instant and is in the heap before the first core is handed
-  out (the sim's same-instant arrivals and end-of-instant admit);
+  server reads the clock once per socket chunk).  It never starts service,
+  so every op of a chunk arrives at one instant and is in the heap before
+  the first core is handed out (the sim's same-instant arrivals and
+  end-of-instant admit);
 * ``_run`` admits while cores are free (one admission instant per batch,
   service draws in pop order), completes every request already due --
   each at its *own* instant, because the service-time EWMA gives a
   sample at ``dt == 0`` no weight -- and repeats until neither applies;
-* **one** ``call_at`` timer stands for the earliest due time of the
-  in-service heap, re-armed only when that moves earlier or after it
-  fires, so one wakeup completes a whole batch.  epoll rounds a sleep up
-  to the millisecond, so on an otherwise idle loop a wait of microseconds
-  costs one: window-1 traffic at the firehose's time scale pays that per
-  round trip (``docs/performance.md``, Stage E).
+* a :class:`WorkerPass`, one per server, decides *when* ``_run`` runs: as
+  the last act of the read callback that submitted or resumed (the end of
+  the chunk is the end of the instant), or from **one** ``call_at`` for the
+  earliest due time over all its workers, so one wakeup completes whatever
+  fell due anywhere and leaves in one write per connection.  Code that
+  submits by hand (a test) calls ``passes.run()``.  epoll rounds a sleep up
+  to the millisecond, so on an idle loop a wait of microseconds costs one
+  (``docs/performance.md``, Stage E): ``lateness_*`` measure it.
 
 The fault hooks scenario schedules replay against -- ``slowdown``/
 ``restore`` (stacking service-time multipliers) and ``pause``/``resume``
@@ -43,6 +45,7 @@ import asyncio
 import heapq
 import typing as _t
 from itertools import count
+from math import inf
 
 from ..cluster.server import ServerState
 from ..core.clock import WallClock
@@ -91,6 +94,7 @@ class LiveWorker(ServerState):
         cores: int,
         service_model: ServiceTimeModel,
         service_stream: Stream,
+        passes: "WorkerPass",
         max_queue: int = DEFAULT_MAX_QUEUE,
     ) -> None:
         super().__init__(worker_id, cores, service_model, service_stream)
@@ -98,19 +102,17 @@ class LiveWorker(ServerState):
             raise ValueError("max_queue must be positive")
         self.clock = clock
         self.max_queue = int(max_queue)
-        self._loop = asyncio.get_running_loop()
+        self._passes = passes  # who calls ``_run``: a worker arms nothing
+        passes.workers.append(self)
         self._heap: _t.List[_t.Tuple[_t.Tuple[float, ...], int, LiveJob]] = []
         self._seq = count()
         #: In-service requests: (due on the loop's clock, seq, job, model
         #: start time).  The loop's clock, not ``time.monotonic``, because
         #: that is what ``call_at`` is measured against on every loop.
         self._due: _t.List[_t.Tuple[float, int, LiveJob, float]] = []
-        #: The armed ``call_soon`` admit, if any.
-        self._admit: _t.Optional[asyncio.Handle] = None
-        #: The one ``call_at`` handle, armed for ``_timer_when``.
-        self._timer: _t.Optional[asyncio.TimerHandle] = None
-        self._timer_when = 0.0
         self._closed = False
+        #: How late completions ran after their due time (wall seconds).
+        self.lateness_total = self.lateness_max = 0.0
         #: Extra per-response delay (model s); the loopback jitter stand-in.
         self.jitter_mean = 0.0
         self.jitter_sigma = 0.0
@@ -129,15 +131,9 @@ class LiveWorker(ServerState):
         job.enqueued_at = now
         self.arrival_rate.record(now)
         heapq.heappush(self._heap, (job.priority, next(self._seq), job))
-        if self._admit is None and self.in_service < self.cores:
-            self._admit = self._loop.call_soon(self._run)
 
     def queue_length(self) -> int:
         return len(self._heap)
-
-    def _restarted(self) -> None:
-        if self._admit is None:
-            self._admit = self._loop.call_soon(self._run)
 
     def set_jitter(self, mean: float, sigma: float) -> None:
         """Add (or clear, with mean 0) per-response delay."""
@@ -148,18 +144,14 @@ class LiveWorker(ServerState):
 
     # -- the admit/complete engine ------------------------------------------------
     def _run(self) -> None:
-        """Admit onto free cores, complete what is due, repeat; then one timer.
-
-        Runs from the armed admit or from the timer.  Per call it admits
-        every admissible job and completes every due one, so the
-        per-request cost is heap operations, not event-loop handles.
-        """
-        self._admit = None
+        """Admit onto free cores, complete what is due, repeat: the
+        per-request cost is heap operations, not event-loop handles (the
+        :class:`WorkerPass` that called re-arms the one timer)."""
         if self._closed:
             return
         heap = self._heap
         due = self._due
-        loop_time = self._loop.time
+        loop_time = self._passes.loop_time
         clock_now = self.clock.read
         scale = self.clock.scale
         while True:
@@ -180,18 +172,12 @@ class LiveWorker(ServerState):
             if not due or due[0][0] > now_wall:
                 break
             while due and due[0][0] <= now_wall:
-                _, _, job, start = heapq.heappop(due)
+                when, _, job, start = heapq.heappop(due)
+                late = now_wall - when
+                self.lateness_total += late
+                if late > self.lateness_max:
+                    self.lateness_max = late
                 self._complete(job, start, clock_now())
-        if due and (self._timer is None or due[0][0] < self._timer_when):
-            if self._timer is not None:
-                self._timer.cancel()
-            self._timer_when = due[0][0]
-            self._timer = self._loop.call_at(self._timer_when, self._on_timer)
-
-    def _on_timer(self) -> None:
-        self._timer = None
-        if self._admit is None:  # else the armed admit is about to do this
-            self._run()
 
     def _complete(self, job: LiveJob, start: float, end: float) -> None:
         # Account the *actual* elapsed model time: on a wall clock the
@@ -231,12 +217,53 @@ class LiveWorker(ServerState):
             "crashes": self.crashes,
             "speed_factor": self.speed_factor,
             "busy_time_s": self.busy_time,
+            "lateness_total_s": self.lateness_total / self.clock.scale,
+            "lateness_max_s": self.lateness_max / self.clock.scale,
         }
 
     def shutdown(self) -> None:
-        """Cancel the armed admit and the timer and drop delayed responses;
-        nothing of this worker fires afterwards (queued work is abandoned)."""
+        """Abandon what is in service and drop delayed responses: nothing of
+        this worker completes or responds afterwards."""
         self._closed = True
-        for handle in (self._admit, self._timer):
-            if handle is not None:
-                handle.cancel()
+        self._due.clear()
+
+
+class WorkerPass:
+    """One pass per wakeup over a server's workers, and the only event-loop
+    handle armed for them: **one** ``call_at`` for the earliest due time over
+    all workers, replaced only when that moves earlier."""
+
+    def __init__(self) -> None:
+        self._loop = asyncio.get_running_loop()
+        #: The loop's clock, not ``time.monotonic``: what ``call_at`` obeys.
+        self.loop_time = self._loop.time
+        self.workers: _t.List[LiveWorker] = []
+        self._timer: _t.Optional[asyncio.TimerHandle] = None
+
+    def _on_timer(self) -> None:
+        self._timer = None
+        self.run()
+
+    def run(self) -> None:
+        """Run every worker with due or admissible work, re-arm the timer."""
+        now = self.loop_time()
+        earliest = inf
+        for worker in self.workers:
+            due = worker._due
+            if (due and due[0][0] <= now) or (
+                worker._heap
+                and worker.in_service < worker.cores
+                and not worker._pause_depth
+            ):
+                worker._run()
+            if due and due[0][0] < earliest:
+                earliest = due[0][0]
+        if earliest < (inf if self._timer is None else self._timer.when()):
+            if self._timer is not None:
+                self._timer.cancel()
+            self._timer = self._loop.call_at(earliest, self._on_timer)
+
+    def shutdown(self) -> None:
+        """Cancel the timer; nothing fires afterwards."""
+        if self._timer is not None:
+            self._timer.cancel()

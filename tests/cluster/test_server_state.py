@@ -31,7 +31,7 @@ from repro.cluster import (
 from repro.cluster.network import ConstantLatency
 from repro.core.clock import WallClock
 from repro.core.model_queue import GlobalQueue
-from repro.serve.workers import LiveWorker
+from repro.serve.workers import LiveWorker, WorkerPass
 from repro.sim import Environment, Stream
 from repro.scheduling import PriorityDiscipline
 from repro.workload import ServiceTimeModel
@@ -71,8 +71,8 @@ def make_pull_server():
 
 
 def make_live_worker():
-    # The worker spawns its pump on the running loop; the machine only
-    # exercises the inherited state, so the loop never needs to spin.
+    # The worker's pass owner arms its handles on the running loop; the
+    # machine only exercises the inherited state, so the loop never spins.
     loop = asyncio.new_event_loop()
 
     async def build():
@@ -82,11 +82,13 @@ def make_live_worker():
             cores=CORES,
             service_model=MODEL,
             service_stream=Stream(1, "svc"),
+            passes=WorkerPass(),
         )
 
     worker = loop.run_until_complete(build())
 
     def teardown():
+        worker._passes.shutdown()
         worker.shutdown()
         loop.run_until_complete(asyncio.sleep(0))  # let the cancel land
         loop.close()

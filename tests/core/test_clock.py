@@ -50,6 +50,9 @@ def _on_wall(body):
     async def main():
         clock = WallClock(scale=SCALE)
 
+        async def advance(model_delay):
+            await asyncio.sleep(model_delay * SCALE)
+
         async def until(condition):
             deadline = time.monotonic() + 20.0
             while not condition():
@@ -57,7 +60,7 @@ def _on_wall(body):
                 await asyncio.sleep(0.002)
 
         try:
-            return await body(clock, clock.sleep, until)
+            return await body(clock, advance, until)
         finally:
             clock.cancel_all()
 
@@ -198,7 +201,7 @@ class TestWallClock:
 
             clock.call_every(1.0, failing_tick)
             clock.call_later(2.0, fail_again)
-            await clock.sleep(4.0)
+            await asyncio.sleep(4.0 * SCALE)
             clock.on_error(late.append)  # subscribes after the fact
             return clock.first_error, early, late, ticks
 
@@ -220,7 +223,7 @@ class TestWallClock:
                 raise RuntimeError("unobserved")
 
             clock.call_later(0.5, boom)
-            await clock.sleep(2.0)
+            await asyncio.sleep(2.0 * SCALE)
             return seen, clock.first_error
 
         seen, first = asyncio.run(body())
@@ -234,12 +237,12 @@ class TestWallClock:
             for delay in (1.0, 4.0, 5.0):
                 clock.call_later(delay, fired.append, delay)
             clock.call_every(1.0, fired.append, "tick")
-            await clock.sleep(1.5)
+            await asyncio.sleep(1.5 * SCALE)
             before = list(fired)
             armed_before = len(clock._armed)
             clock.cancel_all()
             armed_after = len(clock._armed)
-            await clock.sleep(6.0)  # past every cancelled deadline
+            await asyncio.sleep(6.0 * SCALE)  # past every cancelled deadline
             return before, fired, armed_before, armed_after
 
         before, fired, armed_before, armed_after = asyncio.run(body())
@@ -255,7 +258,7 @@ class TestWallClock:
             clock = WallClock(scale=SCALE)
             for _ in range(50):
                 clock.call_later(0.1, lambda _arg: None)
-            await clock.sleep(1.0)
+            await asyncio.sleep(1.0 * SCALE)
             return len(clock._armed)
 
         assert asyncio.run(body()) == 0

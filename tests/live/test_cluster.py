@@ -12,12 +12,13 @@ pipelining).
 import asyncio
 
 import pytest
+from wire_helpers import read_frame
 
 from repro.cluster.addresses import derive_endpoints, worker_groups
 from repro.loadgen import run_firehose, run_live
 from repro.scenarios import get_scenario
 from repro.serve import LiveServer, ServeSupervisor
-from repro.serve.protocol import encode_frame, read_frame
+from repro.serve.protocol import encode_frame
 
 TIME_SCALE = 2.0
 

@@ -1,17 +1,20 @@
-"""Framing: ``FrameStream`` fill/drain and the ``BatchWriter``.
+"""Framing: ``FrameStream`` ``data_received``/``eof_received`` and the ``BatchWriter``.
 
 The property half cuts an arbitrary v1 or v2 frame stream at arbitrary
 byte boundaries and checks that the sink sees exactly the calls that
 decoding the frames one by one implies -- chunking must be invisible.
 The example half pins what the property cannot: a codec switch made by
 the sink mid-buffer, absolute error offsets across a compaction, the
-three EOF shapes, and the writer's coalescing and close semantics.
+three EOF shapes, and the writer's coalescing and close semantics (a state
+machine holds its invariant: buffered bytes always have a flush armed, and
+leave exactly once).
 """
 
 import asyncio
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.serve.codec import BINARY_CODEC, JSON_CODEC
 from repro.serve.protocol import (
@@ -56,10 +59,11 @@ frames = st.lists(
 )
 
 
-class Recorder(FrameSink):
-    """Records every sink call as a comparable tuple."""
+class Recorder(FrameStream):
+    """A protocol object that records every sink call as a comparable tuple."""
 
-    def __init__(self):
+    def __init__(self, codec=BINARY_CODEC):
+        super().__init__(codec)
         self.calls = []
 
     def on_op(self, *fields):
@@ -99,20 +103,14 @@ def cut(wire, cuts):
     return [wire[a:b] for a, b in zip(points, points[1:]) if b > a]
 
 
-async def drain_chunks(chunks, codec, sink, eof=True):
-    """Feed ``chunks`` one socket read at a time through fill/drain."""
-    reader = asyncio.StreamReader(limit=1 << 22)
-    stream = FrameStream(reader, codec)
-    sink.stream = stream
+def drain_chunks(chunks, stream, eof=True):
+    """Hand ``chunks`` to the protocol object one socket read at a time, the
+    way the transport does: no loop, no ``await`` -- a chunk is parsed and
+    delivered by the time ``data_received`` returns."""
     for chunk in chunks:
-        reader.feed_data(chunk)
-        # A fed chunk larger than CHUNK takes several reads.
-        for _ in range(-(-len(chunk) // FrameStream.CHUNK)):
-            assert await stream.fill()
-            stream.drain(sink)
+        stream.data_received(chunk)
     if eof:
-        reader.feed_eof()
-        assert not await stream.fill()
+        assert stream.eof_received() is None  # clean: between two frames
     return stream
 
 
@@ -128,12 +126,9 @@ class TestChunkingIsInvisible:
         expected = [
             implied_call(codec.decode(wire, 4, len(wire))) for wire in encoded
         ]
-        sink = Recorder()
-        stream = asyncio.run(
-            drain_chunks(cut(b"".join(encoded), cuts), codec, sink)
-        )
+        sink = drain_chunks(cut(b"".join(encoded), cuts), Recorder(codec))
         assert sink.calls == expected
-        assert stream.frames_read == len(batch)
+        assert sink.frames_read == len(batch)
 
     def test_one_byte_at_a_time(self):
         batch = [
@@ -143,10 +138,7 @@ class TestChunkingIsInvisible:
             BINARY_CODEC.encode({"t": "admin", "cmd": "stats"}),
         ]
         wire = b"".join(batch)
-        sink = Recorder()
-        asyncio.run(
-            drain_chunks([wire[i : i + 1] for i in range(len(wire))], BINARY_CODEC, sink)
-        )
+        sink = drain_chunks([wire[i : i + 1] for i in range(len(wire))], Recorder())
         assert sink.calls == [
             ("op", 7, 2, -5, 100, (1.0, 2.0), None),
             ("op", 8, 3, 6, 200, (), 99),
@@ -164,21 +156,19 @@ class TestCodecs:
             def on_frame(self, frame):
                 super().on_frame(frame)
                 if frame["t"] == "hello":
-                    self.stream.codec = BINARY_CODEC
+                    self.codec = BINARY_CODEC
 
         wire = (
             JSON_CODEC.encode({"t": "hello", "proto": 1, "max_proto": 2})
             + BINARY_CODEC.encode_op(1, 0, 5, 64, (0.5,))
             + BINARY_CODEC.encode({"t": "admin", "cmd": "stats"})
         )
-        sink = Switching()
-        asyncio.run(drain_chunks([wire], JSON_CODEC, sink))
+        sink = drain_chunks([wire], Switching(JSON_CODEC))
         assert [call[0] for call in sink.calls] == ["frame", "op", "frame"]
         assert sink.calls[1] == ("op", 1, 0, 5, 64, (0.5,), None)
 
     def test_json_fields_are_typed_by_the_codec(self):
         good = {"t": "op", "rid": "7", "server": 1.0, "key": 3, "size": 9, "prio": [1]}
-        sink = Recorder()
         first = JSON_CODEC.encode(good)
         wire = (
             first
@@ -186,7 +176,7 @@ class TestCodecs:
             + JSON_CODEC.encode({k: v for k, v in good.items() if k != "prio"})
             + JSON_CODEC.encode({"t": "res", "rid": 7, "server": 1})
         )
-        asyncio.run(drain_chunks([wire], JSON_CODEC, sink))
+        sink = drain_chunks([wire], Recorder(JSON_CODEC))
         assert sink.calls[0] == ("op", 7, 1, 3, 9, (1.0,), None)
         # Untypable fields reject the frame, by absolute offset, not the stream.
         assert sink.calls[1][0] == "bad"
@@ -206,18 +196,11 @@ class TestErrors:
         assert len(good) > FrameStream.CHUNK
         bad = b"\x00\x00\x00\x02\x55\x00"  # unknown tag 0x55
         sink = Recorder()
-
-        async def scenario():
-            reader = asyncio.StreamReader(limit=1 << 22)
-            stream = FrameStream(reader, BINARY_CODEC)
-            reader.feed_data(good + bad)
-            with pytest.raises(ProtocolError) as error:
-                while await stream.fill():
-                    stream.drain(sink)
-            return stream, str(error.value)
-
-        stream, message = asyncio.run(scenario())
-        assert stream._base > 0  # the buffer really was compacted
+        with pytest.raises(ProtocolError) as error:
+            # The transport reads at most 256 KiB at a time.
+            drain_chunks(cut(good + bad, range(0, len(good), 1 << 18)), sink)
+        message = str(error.value)
+        assert sink._base > 0  # the buffer really was compacted
         assert len(sink.calls) == 4000  # everything before the damage was served
         assert f"unknown binary frame tag 0x55 at byte {len(good) + 4}" in message
 
@@ -230,29 +213,16 @@ class TestErrors:
     )
     def test_eof_inside_a_frame_names_where(self, tail, expected):
         good = BINARY_CODEC.encode_res(1, 2, 0.0, 0.0, 0, 0, 0.0) * 3
-        sink = Recorder()
-
-        async def scenario():
-            reader = asyncio.StreamReader()
-            stream = FrameStream(reader, BINARY_CODEC)
-            reader.feed_data(good + tail)
-            reader.feed_eof()
-            assert await stream.fill()
-            stream.drain(sink)
-            with pytest.raises(ProtocolError) as error:
-                await stream.fill()
-            return str(error.value)
-
-        message = asyncio.run(scenario())
+        sink = drain_chunks([good + tail], Recorder(), eof=False)
+        with pytest.raises(ProtocolError) as error:
+            sink.eof_received()
+        message = str(error.value)
         assert len(sink.calls) == 3
         assert expected.format(at=len(good)) in message
 
     def test_clean_eof_between_frames_is_not_an_error(self):
-        sink = Recorder()
-        stream = asyncio.run(
-            drain_chunks([JSON_CODEC.encode({"t": "stats"})], JSON_CODEC, sink)
-        )
-        assert stream.frames_read == 1
+        sink = drain_chunks([JSON_CODEC.encode({"t": "stats"})], Recorder(JSON_CODEC))
+        assert sink.frames_read == 1
 
     def test_oversize_length_is_refused_before_buffering_it(self):
         sink = Recorder()
@@ -260,43 +230,61 @@ class TestErrors:
             MAX_FRAME_BYTES + 1
         ).to_bytes(4, "big")
         with pytest.raises(ProtocolError, match="exceeds the cap"):
-            asyncio.run(drain_chunks([wire], BINARY_CODEC, sink, eof=False))
+            drain_chunks([wire], sink, eof=False)
         assert len(sink.calls) == 1
 
     def test_an_unhandled_kind_is_a_protocol_error(self):
-        class Deaf(FrameSink):
+        class Deaf(FrameStream):
             pass
 
+        assert isinstance(Deaf(BINARY_CODEC), FrameSink)  # the defaults refuse
         with pytest.raises(ProtocolError, match="unexpected op frame"):
-            asyncio.run(
-                drain_chunks(
-                    [BINARY_CODEC.encode_op(1, 0, 5, 64, ())], BINARY_CODEC, Deaf()
-                )
-            )
+            drain_chunks([BINARY_CODEC.encode_op(1, 0, 5, 64, ())], Deaf(BINARY_CODEC))
 
 
-class FakeWriter:
-    """The slice of ``StreamWriter`` a ``BatchWriter`` touches."""
+class FakeTransport:
+    """The slice of a socket transport a ``FrameStream`` and its
+    ``BatchWriter`` touch; ``connection_lost`` follows ``close`` on the next
+    loop turn (``abort`` likewise), unless the test plays a stuck peer."""
 
-    def __init__(self):
+    def __init__(self, protocol=None, stuck=False):
         self.written = []
-        self.closed = False
+        self.closed = self.aborted = self.paused = False
+        self.protocol, self.stuck = protocol, stuck
 
     def write(self, data):
         assert not self.closed
         self.written.append(bytes(data))
 
+    def pause_reading(self):
+        self.paused = True
+
+    def resume_reading(self):
+        self.paused = False
+
     def close(self):
+        if not self.closed and self.protocol is not None and not self.stuck:
+            asyncio.get_running_loop().call_soon(self.protocol.connection_lost, None)
         self.closed = True
 
-    async def wait_closed(self):
-        pass
+    def abort(self):
+        self.stuck = False
+        self.close()
+        self.aborted = True
+
+
+def connected(stream, **kwargs):
+    """``stream`` after ``connection_made`` on a fake transport (needs a
+    running loop); returns the transport."""
+    transport = FakeTransport(stream, **kwargs)
+    stream.connection_made(transport)
+    return transport
 
 
 class TestBatchWriter:
     def test_sends_of_one_loop_turn_are_one_write(self):
         async def scenario():
-            writer = FakeWriter()
+            writer = FakeTransport()
             out = BatchWriter(writer)
             for i in range(50):
                 out.send(bytes([i]) * 3)
@@ -316,29 +304,214 @@ class TestBatchWriter:
 
     def test_close_flushes_what_is_queued_and_later_sends_are_dropped(self):
         async def scenario():
-            writer = FakeWriter()
-            out = BatchWriter(writer)
+            stream = FrameStream(BINARY_CODEC)
+            writer = connected(stream)
+            out = stream.out
             out.send(b"abc")
             out.send(b"de")
-            await out.close()  # no loop turn in between: close must flush
+            await stream.close()  # no loop turn in between: close must flush
             out.send(b"late")
             await asyncio.sleep(0)
             return out, writer
 
         out, writer = asyncio.run(scenario())
-        assert writer.written == [b"abcde"] and writer.closed
+        assert writer.written == [b"abcde"] and writer.closed and not writer.aborted
         assert (out.frames_sent, out.bytes_sent, out.writes) == (2, 5, 1)
 
     def test_close_without_a_flush_budget_drops_the_queue(self):
         async def scenario():
-            writer = FakeWriter()
-            writer.transport = type("T", (), {"abort": lambda self: None})()
-            out = BatchWriter(writer)
+            stream = FrameStream(BINARY_CODEC)
+            writer = connected(stream)
+            out = stream.out
             out.send(b"abc")
-            await out.close(flush_timeout=0.0)
+            await stream.close(flush_timeout=0.0)
             await asyncio.sleep(0)  # the armed flush must not write either
             return out, writer
 
         out, writer = asyncio.run(scenario())
-        assert writer.written == [] and writer.closed
+        assert writer.written == [] and writer.closed and writer.aborted
         assert (out.frames_sent, out.bytes_sent, out.writes) == (1, 0, 0)
+
+    def test_close_aborts_a_peer_that_does_not_drain_in_time(self):
+        async def scenario():
+            stream = FrameStream(BINARY_CODEC)
+            writer = connected(stream, stuck=True)
+            stream.out.send(b"abc")
+            await stream.close(flush_timeout=0.01)
+            return writer
+
+        writer = asyncio.run(scenario())
+        assert writer.written == [b"abc"] and writer.aborted
+
+
+def hello_ack(proto):
+    return JSON_CODEC.encode({"t": "hello-ack", "proto": proto, "n_servers": 1})
+
+
+class TestLinkHandshake:
+    """The client's handshake runs through the link's own sink."""
+
+    @staticmethod
+    async def handshaken(wire, max_proto=2):
+        from repro.loadgen.transport import Link
+
+        link = Link(("h", 1), max_proto, True)
+        transport = connected(link)
+        link.data_received(wire)
+        return link, transport
+
+    def test_the_ack_switches_the_codec_mid_drain_and_pauses_until_start(self):
+        async def scenario():
+            # The ack (always v1) and a v2 congestion frame in one chunk.
+            congestion = {"t": "congestion", "server": 3, "ratio": 1.5}
+            link, transport = await self.handshaken(
+                hello_ack(2) + BINARY_CODEC.encode(congestion)
+            )
+            await link.handshaken
+            hello = transport.written[0]
+            paused = transport.paused
+            seen = []
+            link.start(None, lambda endpoint, frame: seen.append((endpoint, frame)), None)
+            return link, hello, paused, transport.paused, seen, congestion
+
+        link, hello, paused, resumed, seen, congestion = asyncio.run(scenario())
+        assert JSON_CODEC.decode(hello, 4, len(hello)) == {
+            "t": "hello", "proto": 1, "max_proto": 2,
+        }  # fmt: skip
+        assert link.codec is BINARY_CODEC and link.ack["proto"] == 2
+        assert paused and not resumed
+        assert seen == [(("h", 1), congestion)]  # replayed to the consumer, not lost
+
+    @pytest.mark.parametrize(
+        "wire, message",
+        [
+            (JSON_CODEC.encode({"t": "error", "error": "go away"}), "rejected: go away"),
+            (JSON_CODEC.encode({"t": "stats"}), "handshake rejected: got"),
+            (hello_ack(3), "unusable proto 3"),
+            (hello_ack(True), "unusable proto True"),
+            (b"\x00\x00\x00\x02{]", "live connection failed: bad frame payload"),
+        ],
+    )
+    def test_a_refused_handshake_fails_the_open_not_the_run(self, wire, message):
+        from repro.loadgen import LiveTransportError
+
+        async def scenario():
+            link, _ = await self.handshaken(wire)
+            with pytest.raises(LiveTransportError) as error:
+                await link.handshaken
+            return str(error.value)
+
+        assert message in asyncio.run(scenario())
+
+    def test_a_json_pinned_client_refuses_an_ack_above_its_cap(self):
+        from repro.loadgen import LiveTransportError
+
+        async def scenario():
+            link, _ = await self.handshaken(hello_ack(2), max_proto=1)
+            with pytest.raises(LiveTransportError, match="unusable proto 2"):
+                await link.handshaken
+            link, _ = await self.handshaken(hello_ack(1), max_proto=1)
+            await link.handshaken
+            return link.codec
+
+        assert asyncio.run(scenario()) is JSON_CODEC
+
+    def test_a_failure_between_the_ack_and_start_is_replayed_not_dropped(self):
+        async def scenario():
+            # A res nobody asked for rides the ack's chunk: no consumer yet.
+            stray = BINARY_CODEC.encode_res(7, 0, 0.0, 0.0, 0, 0, 0.0)
+            link, transport = await self.handshaken(hello_ack(2) + stray)
+            await link.handshaken
+            seen = []
+            link.start(None, lambda endpoint, frame: seen.append(frame), None)
+            return seen
+
+        (frame,) = asyncio.run(scenario())
+        assert frame["t"] == "error" and "unexpected res frame" in frame["error"]
+
+    def test_a_damaged_frame_after_start_fails_the_link_and_reads_no_more(self):
+        async def scenario():
+            link, transport = await self.handshaken(hello_ack(1))
+            await link.handshaken
+            results, failures = [], []
+            link.start(lambda *fields: results.append(fields[0]), None, failures.append)
+            good = JSON_CODEC.encode_res(1, 0, 0.0, 0.0, 0, 0, 0.0)
+            link.data_received(good + b"\x00\x00\x00\x02{]" + good)
+            return results, failures, transport.paused
+
+        results, failures, paused = asyncio.run(scenario())
+        assert results == [1]  # what preceded the damage was delivered
+        assert len(failures) == 1 and "bad frame payload at byte" in str(failures[0])
+        assert paused  # framing is lost: nothing after it is decoded
+
+    def test_eof_before_the_ack_fails_the_handshake(self):
+        from repro.loadgen import LiveTransportError
+
+        async def scenario():
+            link, _ = await self.handshaken(hello_ack(2)[:9])
+            link.eof_received()
+            with pytest.raises(LiveTransportError, match="mid-frame at byte 0"):
+                await link.handshaken
+
+        asyncio.run(scenario())
+
+
+class BatchMachine(RuleBasedStateMachine):
+    """Sends and loop turns in any order: a writer with buffered bytes always
+    has exactly one flush armed, and every byte is written exactly once, in
+    order, one write per writer per turn."""
+
+    def __init__(self):
+        super().__init__()
+        self.loop = asyncio.new_event_loop()
+        self.armed = []  # writers with a call_soon flush pending
+        call_soon = self.loop.call_soon
+
+        def counting_call_soon(callback, *args, **kwargs):
+            owner = getattr(callback, "__self__", None)
+            if isinstance(owner, BatchWriter):
+                self.armed.append(owner)
+            return call_soon(callback, *args, **kwargs)
+
+        self.loop.call_soon = counting_call_soon
+
+        async def build():
+            return [BatchWriter(FakeTransport()) for _ in range(3)]
+
+        self.writers = self.loop.run_until_complete(build())
+        self.sent = [b"" for _ in self.writers]
+        self.next_byte = 0
+
+    @rule(which=st.integers(0, 2), size=st.integers(1, 4))
+    def send(self, which, size):
+        data = bytes((self.next_byte + i) % 251 for i in range(size))
+        self.next_byte += size
+        self.writers[which].send(data)
+        self.sent[which] += data
+
+    @rule()
+    def next_turn(self):
+        pending = [writer for writer in self.writers if writer.pending]
+        writes = [writer.writes for writer in pending]
+        self.armed.clear()  # every armed flush runs on this turn
+        self.loop.run_until_complete(asyncio.sleep(0))
+        assert [writer.writes for writer in pending] == [n + 1 for n in writes]
+
+    @invariant()
+    def buffered_bytes_have_one_flush_armed_and_nothing_is_written_twice(self):
+        for writer, sent in zip(self.writers, self.sent):
+            written = b"".join(writer.transport.written)
+            assert sent.startswith(written)
+            assert len(written) + writer.pending == len(sent)
+            assert self.armed.count(writer) == bool(writer.pending)
+
+    def teardown(self):
+        self.loop.run_until_complete(asyncio.sleep(0))
+        for writer, sent in zip(self.writers, self.sent):
+            assert b"".join(writer.transport.written) == sent  # all of it left
+        del self.loop.call_soon
+        self.loop.close()
+
+
+TestBatchMachine = BatchMachine.TestCase
+TestBatchMachine.settings = settings(max_examples=60, stateful_step_count=30, deadline=None)

@@ -175,7 +175,7 @@ class TestProtocolViolations:
     def test_malformed_frame_is_answered_with_an_error_frame(self):
         """The reply explaining the close must reach the peer (the outbox
         is flushed before the connection is torn down)."""
-        from repro.serve.protocol import read_frame
+        from wire_helpers import read_frame
 
         async def scenario():
             config = get_scenario("steady-state").build_config(

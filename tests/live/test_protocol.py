@@ -4,13 +4,13 @@ import asyncio
 import struct
 
 import pytest
+from wire_helpers import read_frame
 
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
     ProtocolError,
     encode_frame,
     priority_from_wire,
-    read_frame,
 )
 
 

@@ -12,9 +12,9 @@ import struct
 import time
 
 import pytest
+from wire_helpers import handshake
 
 from repro.loadgen import LiveTransportError, run_firehose, run_live
-from repro.loadgen.transport import handshake
 from repro.scenarios import get_scenario
 from repro.serve import LiveServer
 from repro.serve.codec import BINARY_CODEC, JSON_CODEC
@@ -170,3 +170,28 @@ class TestServerGoesAway:
             )
 
         assert asyncio.run(self.killed_mid_run(drive, time_scale=25.0)) < 5.0
+
+
+class TestBackpressure:
+    def test_a_peer_that_pipelines_2000_ops_before_reading_gets_each_result_once(self):
+        """The server finishes every chunk in the callback that received it
+        and nothing reads its answers meanwhile: they wait in the transport's
+        buffer, and all 2,000 arrive, each rid exactly once."""
+
+        async def scenario(server):
+            reader, writer = await asyncio.open_connection(server.host, server.port)
+            await handshake(reader, writer)
+            n_workers = len(server.workers)
+            for rid in range(2000):
+                writer.write(BINARY_CODEC.encode_op(rid, rid % n_workers, rid, 64, (0.0,)))
+            await writer.drain()  # everything written; nothing read yet
+            await asyncio.sleep(0.2)
+            writer.write_eof()
+            replies = await read_replies(reader, BINARY_CODEC)
+            writer.close()
+            return replies, sum(w.completed for w in server.workers.values())
+
+        replies, completed = asyncio.run(with_server(scenario, time_scale=0.02))
+        assert [f["t"] for f in replies] == ["res"] * 2000
+        assert sorted(f["rid"] for f in replies) == list(range(2000))
+        assert completed == 2000

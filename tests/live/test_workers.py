@@ -1,12 +1,13 @@
-"""Unit tests for live workers: ordering, crash windows, queue bounds."""
+"""Unit tests for live workers: ordering, crash windows, queue bounds, and
+the one pass per wakeup that runs them."""
 
 import asyncio
 
 import pytest
-from test_framing import FakeWriter, cut  # the PR-14 chunk-cut harness
+from test_framing import FakeTransport, cut  # the PR-14 chunk-cut harness
 
 from repro.core.clock import WallClock
-from repro.serve.workers import LiveJob, LiveWorker, QueueFullError
+from repro.serve.workers import LiveJob, LiveWorker, QueueFullError, WorkerPass
 from repro.sim.rng import Stream
 from repro.workload.calibration import ServiceTimeModel
 
@@ -23,6 +24,7 @@ def make_worker(**kwargs):
         cores=kwargs.pop("cores", 1),
         service_model=fast_model(),
         service_stream=Stream(1, "svc"),
+        passes=WorkerPass(),  # its own: a worker arms nothing itself
         **kwargs,
     )
     return worker
@@ -36,9 +38,20 @@ def job(rid, priority=(0.0,), completions=None):
     return LiveJob(rid=rid, key=1, value_size=100, priority=priority, respond=respond)
 
 
-def arrive(worker, request):
-    """Submit one request as its own socket chunk: stamped with a fresh read."""
-    worker.submit(request, worker.clock.now)
+def arrive(worker, *requests):
+    """Submit ``requests`` as one socket chunk: one fresh stamp, then the
+    read callback's last act -- the pass (a worker arms nothing itself)."""
+    stamp = worker.clock.now
+    for request in requests:
+        worker.submit(request, stamp)
+    worker._passes.run()
+
+
+def restart(worker):
+    """Close one crash window the way an admin ``resume`` frame does: the
+    chunk that carried it ends with the pass."""
+    worker.resume()
+    worker._passes.run()
 
 
 class TestOrdering:
@@ -50,7 +63,7 @@ class TestOrdering:
             arrive(worker, job(1, (5.0,), completions))
             arrive(worker, job(2, (1.0,), completions))
             arrive(worker, job(3, (3.0,), completions))
-            worker.resume()
+            restart(worker)
             while len(completions) < 3:
                 await asyncio.sleep(0.005)
             worker.shutdown()
@@ -65,7 +78,7 @@ class TestOrdering:
             completions = []
             for rid in (1, 2, 3):
                 arrive(worker, job(rid, (0.0,), completions))
-            worker.resume()
+            restart(worker)
             while len(completions) < 3:
                 await asyncio.sleep(0.005)
             worker.shutdown()
@@ -83,7 +96,7 @@ class TestCrashWindows:
             arrive(worker, job(1, completions=completions))
             await asyncio.sleep(0.02)
             assert completions == []  # crashed: nothing served
-            worker.resume()
+            restart(worker)
             while not completions:
                 await asyncio.sleep(0.005)
             worker.shutdown()
@@ -100,10 +113,10 @@ class TestCrashWindows:
             worker.pause()
             worker.pause()
             arrive(worker, job(1, completions=completions))
-            worker.resume()
+            restart(worker)
             await asyncio.sleep(0.02)
             still_down = not completions
-            worker.resume()
+            restart(worker)
             while not completions:
                 await asyncio.sleep(0.005)
             worker.shutdown()
@@ -143,7 +156,7 @@ class TestBoundsAndFeedback:
         assert asyncio.run(scenario()) == (2, 0, 0.0)
 
 
-# -- the admit/complete/one-timer engine ----------------------------------------
+# -- the admit/complete engine and its one pass, one timer ----------------------
 
 
 def sized_model() -> ServiceTimeModel:
@@ -167,13 +180,14 @@ class RecordingModel:
         return self.seconds
 
 
-def engine_worker(model, cores=1):
+def engine_worker(model, cores=1, passes=None, worker_id=0):
     return LiveWorker(
         clock=WallClock(scale=1.0),
-        worker_id=0,
+        worker_id=worker_id,
         cores=cores,
         service_model=model,
         service_stream=Stream(1, "svc"),
+        passes=passes if passes is not None else WorkerPass(),
     )
 
 
@@ -185,34 +199,28 @@ def sized_job(rid, size, priority=(0.0,), completions=None):
 
 
 class CountingLoop:
-    """Wraps the running loop's ``call_soon``/``call_at`` for one worker."""
+    """Wraps the running loop's ``call_at`` for one pass owner (a worker's
+    own, or the server's: all its workers share it)."""
 
     def __init__(self, worker):
         self.loop = asyncio.get_running_loop()
-        self.worker = worker
-        self.admits = 0
+        self.passes = worker._passes
         self.timers = []  # every TimerHandle call_at returned
         self.fired = 0
-        self._call_soon, self._call_at = self.loop.call_soon, self.loop.call_at
-        self.loop.call_soon = self.call_soon
+        self._call_at = self.loop.call_at
         self.loop.call_at = self.call_at
 
-    def call_soon(self, callback, *args, **kwargs):
-        if callback == self.worker._run:
-            self.admits += 1
-        return self._call_soon(callback, *args, **kwargs)
-
     def call_at(self, when, callback, *args, **kwargs):
-        if callback != self.worker._on_timer:
+        if callback != self.passes._on_timer:
             return self._call_at(when, callback, *args, **kwargs)
 
         def fire():
             self.fired += 1
-            callback()
+            callback(*args)
 
         handle = self._call_at(when, fire)
         self.timers.append(handle)
-        assert self.outstanding() <= 1, "more than one live timer per worker"
+        assert self.outstanding() <= 1, "more than one live call_at per server"
         return handle
 
     def outstanding(self):
@@ -220,7 +228,7 @@ class CountingLoop:
         return len(live) - self.fired
 
     def restore(self):
-        del self.loop.call_soon, self.loop.call_at
+        del self.loop.call_at
 
 
 async def until(predicate, timeout=2.0, poll=0.002):
@@ -233,27 +241,27 @@ async def until(predicate, timeout=2.0, poll=0.002):
 class TestAdmitEngine:
     def test_same_turn_submits_are_ordered_before_a_core_is_handed_out(self):
         """An *idle* worker must not start the first submit of a chunk:
-        priority order, not arrival order, with one admit armed."""
+        priority order, not arrival order -- ``submit`` only queues, the
+        pass at the end of the chunk admits."""
 
         async def scenario():
             worker = engine_worker(sized_model())  # 2 ms each: timers, no polling
             counting = CountingLoop(worker)
             completions = []
             for rid, priority in ((1, (5.0,)), (2, (1.0,)), (3, (3.0,))):
-                arrive(worker, sized_job(rid, 1_000, priority, completions))
+                worker.submit(sized_job(rid, 1_000, priority, completions), 0.0)
             assert worker.in_service == 0 and worker.queue_length() == 3
-            admits = counting.admits
+            worker._passes.run()
             await until(lambda: len(completions) == 3)
             counting.restore()
             worker.shutdown()
-            return completions, admits, counting.admits
+            return completions, counting.fired
 
-        completions, armed, admits_total = asyncio.run(scenario())
+        completions, fired = asyncio.run(scenario())
         assert completions == [2, 3, 1]
-        assert armed == 1
-        # A saturated worker admits on completion, from its timer: the two
-        # queued jobs never needed another submit or another armed admit.
-        assert admits_total == 1
+        # A saturated worker admits on completion, from the timer's pass: the
+        # two queued jobs never needed another submit or another chunk.
+        assert fired == 3
 
     def test_one_timer_rearmed_when_a_shorter_job_lands_behind_a_longer(self):
         async def scenario():
@@ -261,10 +269,8 @@ class TestAdmitEngine:
             counting = CountingLoop(worker)
             completions = []
             arrive(worker, sized_job(1, 60_000, completions=completions))  # 61 ms
-            await until(lambda: worker.in_service == 1)
-            assert len(counting.timers) == 1
+            assert worker.in_service == 1 and len(counting.timers) == 1
             arrive(worker, sized_job(2, 9_000, completions=completions))  # 10 ms
-            await asyncio.sleep(0)  # the armed admit runs on the next turn
             assert worker.in_service == 2
             rearmed = len(counting.timers), counting.timers[0].cancelled()
             await until(lambda: len(completions) == 2)
@@ -283,9 +289,7 @@ class TestAdmitEngine:
             counting = CountingLoop(worker)
             completions = []
             arrive(worker, sized_job(1, 9_000, completions=completions))
-            await asyncio.sleep(0)
             arrive(worker, sized_job(2, 30_000, completions=completions))
-            await asyncio.sleep(0)
             assert worker.in_service == 2
             timers_before_first_fire = len(counting.timers)
             await until(lambda: len(completions) == 2)
@@ -300,32 +304,33 @@ class TestAdmitEngine:
 
     def test_a_wait_under_the_select_granularity_still_gets_the_timer_and_no_poll(self):
         """One mechanism: however short the wait, the engine arms the timer
-        and leaves no admit armed behind (it never looks again unasked)."""
+        (it never looks again unasked)."""
 
         async def scenario():
             model = ServiceTimeModel(overhead=2e-4, bandwidth=1e12, noise="none")
             worker = engine_worker(model)
             counting = CountingLoop(worker)
             completions = []
-            arrive(worker, job(1, completions=completions))
-            await asyncio.sleep(0)  # the armed admit runs; 200 us are not over
-            armed = (worker._admit, len(counting.timers), list(completions))
+            arrive(worker, job(1, completions=completions))  # 200 us are not over
+            armed = (len(counting.timers), list(completions))
             await until(lambda: completions == [1])
             counting.restore()
             worker.shutdown()
-            return armed
+            return armed, counting.fired
 
-        assert asyncio.run(scenario()) == (None, 1, [])
+        assert asyncio.run(scenario()) == ((1, []), 1)
 
     def test_service_draws_happen_in_pop_order_on_the_workers_stream(self):
         async def scenario():
             model = RecordingModel()
             worker = engine_worker(model, cores=2)
             completions = []
-            for rid, size, priority in (
-                (1, 100, (9.0,)), (2, 200, (1.0,)), (3, 300, (5.0,)), (4, 400, (3.0,)),
-            ):  # fmt: skip
-                arrive(worker, sized_job(rid, size, priority, completions))
+            arrive(worker, *(
+                sized_job(rid, size, priority, completions)
+                for rid, size, priority in (
+                    (1, 100, (9.0,)), (2, 200, (1.0,)), (3, 300, (5.0,)), (4, 400, (3.0,)),
+                )
+            ))  # fmt: skip
             await until(lambda: len(completions) == 4)
             worker.shutdown()
             return model.draws, worker.service_stream
@@ -347,10 +352,10 @@ class TestAdmitEngine:
             await until(lambda: completions == [1])
             await asyncio.sleep(0.02)
             while_down = list(completions), worker.in_service, worker.queue_length()
-            worker.resume()
+            restart(worker)
             await asyncio.sleep(0.02)
             one_window_left = list(completions)
-            worker.resume()
+            restart(worker)
             await until(lambda: len(completions) == 3)
             worker.shutdown()
             return while_down, one_window_left, completions
@@ -363,19 +368,94 @@ class TestAdmitEngine:
     def test_nothing_fires_after_shutdown(self):
         async def scenario():
             completions = []
-            armed = engine_worker(fast_model())
-            arrive(armed, job(1, completions=completions))  # admit armed, not run
-            armed.shutdown()
             timed = engine_worker(sized_model())
+            counting = CountingLoop(timed)
             arrive(timed, sized_job(2, 9_000, completions=completions))  # 10 ms
-            await asyncio.sleep(0)
-            assert timed.in_service == 1 and timed._timer is not None
+            assert timed.in_service == 1 and counting.outstanding() == 1
+            timed._passes.shutdown()  # what LiveServer.stop() does, in its order
             timed.shutdown()
             arrive(timed, sized_job(3, 1_000, completions=completions))  # too late
             await asyncio.sleep(0.04)
-            return completions, armed.in_service, timed.completed
+            counting.restore()
+            return completions, timed.completed, counting.fired
 
         assert asyncio.run(scenario()) == ([], 0, 0)
+
+    def test_a_worker_shut_down_alone_leaves_its_pass_owner_nothing_to_spin_on(self):
+        """``shutdown()`` abandons what is in service: the shared timer's
+        pass finds nothing due for it and does not re-arm for the past."""
+
+        async def scenario():
+            completions = []
+            worker = engine_worker(sized_model())
+            counting = CountingLoop(worker)
+            arrive(worker, sized_job(1, 1_000, completions=completions))  # 2 ms
+            worker.shutdown()
+            await asyncio.sleep(0.03)
+            counting.restore()
+            return completions, len(counting.timers), counting.outstanding()
+
+        assert asyncio.run(scenario()) == ([], 1, 0)
+
+    def test_two_workers_due_in_one_wakeup_are_one_write_on_a_shared_connection(self):
+        from repro.serve.codec import BINARY_CODEC
+        from repro.serve.server import _Connection
+
+        async def scenario(server):
+            connection = _Connection(server)
+            transport = FakeTransport(connection)
+            connection.connection_made(transport)
+            connection.codec = BINARY_CODEC
+            counting = CountingLoop(server.workers[0])
+            # One op for each of two workers, same size: due microseconds apart.
+            connection.data_received(
+                BINARY_CODEC.encode_op(1, 0, 1, 64, (0.0,))
+                + BINARY_CODEC.encode_op(2, 1, 2, 64, (0.0,))
+            )
+            in_service = [server.workers[w].in_service for w in (0, 1)]
+            assert transport.written == []  # admitted, nothing to say yet
+            await until(lambda: connection.in_flight == 0 and not connection.out.pending)
+            counting.restore()
+            return in_service, transport.written, counting.fired, len(counting.timers)
+
+        in_service, written, fired, timers = asyncio.run(with_server(scenario))
+        assert in_service == [1, 1]  # both started before data_received returned
+        assert len(written) == 1  # one wakeup, one pass, one write: two res frames
+        assert fired == 1 and timers == 1  # the second worker rode the first's timer
+
+    def test_a_chunk_of_three_ops_starts_the_smallest_priority_before_returning(self):
+        """The end of the chunk is the end of the instant: when
+        ``data_received`` returns (no ``await`` in between) the idle one-core
+        worker has all three ops in and the best one started, one service
+        draw per admitted op in pop order."""
+        from repro.serve.codec import BINARY_CODEC
+        from repro.serve.server import _Connection
+
+        async def scenario(server):
+            worker = server.workers[0]
+            worker.cores = 1
+            worker.service_model = model = RecordingModel(seconds=2e-3)
+            connection = _Connection(server)
+            connection.connection_made(FakeTransport(connection))
+            connection.codec = BINARY_CODEC
+            connection.data_received(
+                b"".join(
+                    BINARY_CODEC.encode_op(rid, 0, rid, size, (priority,))
+                    for rid, size, priority in ((1, 100, 5.0), (2, 200, 1.0), (3, 300, 3.0))
+                )
+            )
+            at_return = worker.in_service, worker.queue_length(), list(model.draws)
+            started = worker._due[0][2].rid
+            stamps = {job.enqueued_at for job in [worker._due[0][2], *queued(worker)]}
+            await until(lambda: worker.completed == 3)
+            return at_return, started, stamps, [size for size, _ in model.draws]
+
+        at_return, started, stamps, draws = asyncio.run(with_server(scenario))
+        in_service, queue_length, first_draws = at_return
+        assert (in_service, queue_length, started) == (1, 2, 2)
+        assert [size for size, _ in first_draws] == [200]  # one draw: one admitted
+        assert len(stamps) == 1  # one arrival instant for the chunk
+        assert draws == [200, 300, 100]  # pop order
 
     def test_a_jittered_response_waits_off_core_and_never_after_shutdown(self):
         """Response jitter is one clock timer per response: the core is
@@ -436,10 +516,10 @@ class TestAdmitEngine:
             finally:
                 await server.stop()
 
-        # One handler per connection and nothing else: no per-worker pump
-        # or congestion monitor (one clock timer checks every worker), no
-        # per-connection writer.
-        assert len(asyncio.run(scenario())) == 1
+        # Nothing: no per-worker pump or congestion monitor (one clock timer
+        # checks every worker), no per-connection writer, and no handler
+        # either -- a connection is a protocol object the transport calls.
+        assert asyncio.run(scenario()) == []
 
 
 # -- the arrival stamp: one clock read per socket chunk -------------------------
@@ -448,42 +528,48 @@ class TestAdmitEngine:
 class FedConnection:
     """One server connection whose socket chunks the test hands over itself
     (the ``drain_chunks`` idea of ``test_framing``, through the server's own
-    read loop)."""
+    protocol object: what the transport would call, called directly)."""
 
     def __init__(self, server):
+        from repro.serve.server import _Connection
+
         self.server = server
-        self.reader = asyncio.StreamReader()
-        self.task = asyncio.get_running_loop().create_task(
-            server._handle_connection(self.reader, FakeWriter())
-        )
+        self.protocol = _Connection(server)
+        self.protocol.connection_made(FakeTransport(self.protocol))
 
     async def feed(self, chunk, completes):
-        """One chunk that completes ``completes`` frames (at least one, so
-        there is something to wait on); back once the server has them."""
+        """One chunk that completes ``completes`` frames: the server has them
+        when ``data_received`` returns."""
         want = self.server.frames_received + completes
-        self.reader.feed_data(chunk)
-        await until(lambda: self.server.frames_received >= want)
+        self.protocol.data_received(chunk)
+        assert self.server.frames_received == want
 
     async def close(self):
-        self.reader.feed_eof()
-        await self.task
+        assert self.protocol.eof_received()  # half-open while ops are in flight
+        await self.protocol.close()
 
 
-async def with_paused_server(scenario):
-    """Run ``scenario(server)`` against a started server whose workers are all
-    crashed: every op stays in its worker's heap, stamp and all."""
+async def with_server(scenario, paused=False):
+    """Run ``scenario(server)`` against a started server."""
     from repro.scenarios import get_scenario
     from repro.serve import LiveServer
 
     config = get_scenario("steady-state").build_config(strategy="c3", n_tasks=10)
     server = LiveServer.from_config(config, time_scale=1.0, port=0)
     await server.start()
-    for worker in server.workers.values():
-        worker.pause()
+    if paused:
+        for worker in server.workers.values():
+            worker.pause()
     try:
         return await scenario(server)
     finally:
         await server.stop()
+
+
+def with_paused_server(scenario):
+    """...whose workers are all crashed: every op stays in its worker's heap,
+    stamp and all."""
+    return with_server(scenario, paused=True)
 
 
 def queued(worker):
@@ -504,15 +590,15 @@ class TestArrivalStamp:
                 LiveJob(rid, 1, 1_000, priority, respond)
                 for rid, priority in ((1, (5.0,)), (2, (1.0,)), (3, (3.0,)))
             ]
-            stamp = worker.clock.now
-            for j in jobs:
-                worker.submit(j, stamp)
+            before = worker.clock.now
+            arrive(worker, *jobs)
+            after = worker.clock.now
             await until(lambda: len(served) == 3)
             worker.shutdown()
-            return stamp, [j.enqueued_at for j in jobs], served
+            return before, after, [j.enqueued_at for j in jobs], served
 
-        stamp, stamps, served = asyncio.run(scenario())
-        assert stamps == [stamp] * 3
+        before, after, stamps, served = asyncio.run(scenario())
+        assert len(set(stamps)) == 1 and before <= stamps[0] <= after
         assert [rid for rid, _ in served] == [2, 3, 1]
         waits = [wait for _, wait in served]
         assert waits[0] >= 0 and waits == sorted(waits)  # one core, 2 ms each
@@ -574,3 +660,59 @@ class TestArrivalStamp:
         stamps, between, after = asyncio.run(with_paused_server(scenario))
         assert stamps[1] <= between  # whole in the first chunk
         assert between < stamps[2] <= after  # completed by the second
+
+
+# -- completion lateness: the number behind "the epoll millisecond" ---------------
+
+
+class TestLateness:
+    def test_each_completion_adds_how_late_its_pass_ran(self):
+        async def scenario():
+            worker = LiveWorker(
+                clock=WallClock(scale=4.0),
+                worker_id=0,
+                cores=2,
+                service_model=fast_model(),
+                service_stream=Stream(1, "svc"),
+                passes=WorkerPass(),
+            )
+            completions = []
+            for rid in range(6):
+                arrive(worker, job(rid, completions=completions))
+            await until(lambda: len(completions) == 6)
+            worker.shutdown()
+            return worker.lateness_total, worker.lateness_max, worker.stats()
+
+        total, worst, stats = asyncio.run(scenario())
+        # A timer never fires early, and six completions cannot all be the worst.
+        assert 0.0 < worst <= total <= 6 * worst
+        # Exported in model seconds, like every duration on the wire.
+        assert stats["lateness_total_s"] == pytest.approx(total / 4.0)
+        assert stats["lateness_max_s"] == pytest.approx(worst / 4.0)
+
+    def test_a_run_reports_it_and_the_server_exports_it(self):
+        from repro.loadgen import run_live
+        from repro.scenarios import get_scenario
+        from repro.serve import LiveServer
+
+        async def scenario():
+            config = get_scenario("steady-state").build_config(
+                strategy="unifincr-credits", n_tasks=60
+            )
+            server = LiveServer.from_config(config, time_scale=2.0, port=0)
+            await server.start()
+            try:
+                result = await run_live(config, host=server.host, port=server.port)
+                return result, server.metrics_text(), list(server.workers.values())
+            finally:
+                await server.stop()
+
+        result, text, workers = asyncio.run(scenario())
+        stats = workers[0].stats()
+        mean = result.extras["live_completion_lateness_mean_s"]
+        # Over this run's requests only: never above a worker's worst ever.
+        assert 0.0 < mean <= max(w.stats()["lateness_max_s"] for w in workers)
+        assert "live_completion_lateness_max_s" not in result.extras
+        assert "# TYPE repro_serve_worker_lateness_seconds counter" in text
+        assert text.count("repro_serve_worker_lateness_seconds{") == 9
+        assert {"lateness_total_s", "lateness_max_s"} <= set(stats)
