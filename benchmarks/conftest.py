@@ -59,33 +59,15 @@ def bench_scale():
 
 
 def bench_executor():
-    """Grid executor honoring ``REPRO_BENCH_JOBS`` (serial by default).
+    """Grid executor honoring ``REPRO_BENCH_JOBS`` (one worker by default).
 
     ``REPRO_BENCH_JOBS=N`` fans each benchmark's run grid over N worker
-    processes (0 = all cores); results are byte-identical to serial runs
+    processes (0 = all cores); it is the same ``run_grid`` either way
     (see ``repro.harness.parallel``), so the assertions are unaffected.
     """
-    from repro.harness import make_executor
+    from repro.harness import GridExecutor
 
-    jobs = os.environ.get("REPRO_BENCH_JOBS")
-    return make_executor(jobs=int(jobs) if jobs is not None else None)
-
-
-def bench_run_grid(configs, seeds):
-    """Run {strategy: config} x seeds as ONE grid through the executor.
-
-    Returns ``{strategy: [RunResult, ...]}`` ready for
-    ``compare_strategies``.  Fanning the whole strategy x seed block in a
-    single ``run_jobs`` call (instead of one ``run_seeds`` per strategy)
-    lets ``REPRO_BENCH_JOBS`` workers span the full block and pays pool
-    startup once per sweep point.
-    """
-    from repro.harness.parallel import enumerate_run_grid, split_by_strategy
-
-    jobs = enumerate_run_grid([configs], seeds)
-    return split_by_strategy(
-        bench_executor().run_jobs(jobs), list(configs), len(seeds)
-    )
+    return GridExecutor(jobs=int(os.environ.get("REPRO_BENCH_JOBS", "1")))
 
 
 def pingpong_events(n_processes=100, horizon=100.0):

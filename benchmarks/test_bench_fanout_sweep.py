@@ -6,26 +6,28 @@ should appear and persist as fan-out grows (the paper's motivation:
 "tens to thousands of data accesses").
 """
 
-from conftest import bench_run_grid, bench_scale, save_report
+from conftest import bench_executor, bench_scale, save_report
 
 from repro.analysis import render_table
-from repro.harness import ExperimentConfig
-from repro.harness.results import compare_strategies
+from repro.harness import ExperimentConfig, sweep
 
 FANOUTS = (1.5, 4.0, 8.6, 16.0)
 STRATEGIES = ("c3", "unifincr-credits")
 
 
 def run_sweep(n_tasks, seeds):
+    result = sweep(
+        ExperimentConfig(n_tasks=n_tasks),
+        parameter="mean_fanout",
+        values=FANOUTS,
+        strategies=STRATEGIES,
+        seeds=seeds,
+        executor=bench_executor(),
+    )
     rows = []
     raw = {}
     for fanout in FANOUTS:
-        cfg = ExperimentConfig(n_tasks=n_tasks, mean_fanout=fanout)
-        comparison = compare_strategies(
-            bench_run_grid(
-                {name: cfg.with_strategy(name) for name in STRATEGIES}, seeds
-            )
-        )
+        comparison = result.comparisons[fanout]
         raw[str(fanout)] = comparison.to_dict()
         speedup = comparison.speedup("c3", "unifincr-credits")
         rows.append(

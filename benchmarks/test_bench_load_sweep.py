@@ -6,26 +6,28 @@ queues form), while the credits/model gap widens too -- the trade the
 realizable design makes.
 """
 
-from conftest import bench_run_grid, bench_scale, save_report
+from conftest import bench_executor, bench_scale, save_report
 
 from repro.analysis import render_table
-from repro.harness import ExperimentConfig
-from repro.harness.results import compare_strategies
+from repro.harness import ExperimentConfig, sweep
 
 LOADS = (0.4, 0.55, 0.7, 0.85)
 STRATEGIES = ("c3", "equalmax-credits", "equalmax-model")
 
 
 def run_sweep(n_tasks, seeds):
+    result = sweep(
+        ExperimentConfig(n_tasks=n_tasks),
+        parameter="load",
+        values=LOADS,
+        strategies=STRATEGIES,
+        seeds=seeds,
+        executor=bench_executor(),
+    )
     rows = []
     raw = {}
     for load in LOADS:
-        cfg = ExperimentConfig(n_tasks=n_tasks, load=load)
-        comparison = compare_strategies(
-            bench_run_grid(
-                {name: cfg.with_strategy(name) for name in STRATEGIES}, seeds
-            )
-        )
+        comparison = result.comparisons[load]
         raw[str(load)] = comparison.to_dict()
         speedup = comparison.speedup("c3", "equalmax-credits")
         row = {"load": load}

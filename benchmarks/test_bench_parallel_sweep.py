@@ -1,7 +1,7 @@
-"""Micro-benchmark: parallel grid execution vs the serial sweep loop.
+"""Micro-benchmark: the run grid on one worker vs four.
 
 Times the same 16-cell (4 values x 2 strategies x 2 seeds) load sweep
-three ways -- serial, fanned over a 4-worker process pool, and re-run
+three ways -- one worker, fanned over a 4-worker process pool, and re-run
 against a warm on-disk result cache -- and verifies all three produce
 byte-identical ``SweepResult.to_dict()`` output before reporting any
 timing.  The parallel speedup scales with physical cores (~Nx on an
@@ -17,13 +17,8 @@ import time
 
 from conftest import save_report
 
-from repro.harness import (
-    ExperimentConfig,
-    ProcessExecutor,
-    ResultCache,
-    SerialExecutor,
-    sweep,
-)
+from repro.harness import ExperimentConfig, GridExecutor, ResultCache, sweep
+from repro.harness.parallel import SERIAL
 
 WORKERS = 4
 GRID_KWARGS = dict(
@@ -42,7 +37,7 @@ def _cells():
     )
 
 
-def _timed_sweep(base, executor=None):
+def _timed_sweep(base, executor=SERIAL):
     start = time.perf_counter()
     result = sweep(base, executor=executor, **GRID_KWARGS)
     return result, time.perf_counter() - start
@@ -54,12 +49,12 @@ def test_parallel_sweep_speedup():
     cores = os.cpu_count() or 1
 
     serial, t_serial = _timed_sweep(base)
-    parallel, t_parallel = _timed_sweep(base, ProcessExecutor(jobs=WORKERS))
+    parallel, t_parallel = _timed_sweep(base, GridExecutor(jobs=WORKERS))
 
     with tempfile.TemporaryDirectory() as cache_dir:
         cache = ResultCache(cache_dir)
-        _, t_cold_cache = _timed_sweep(base, ProcessExecutor(jobs=WORKERS, cache=cache))
-        cached, t_warm_cache = _timed_sweep(base, SerialExecutor(cache=cache))
+        _, t_cold_cache = _timed_sweep(base, GridExecutor(jobs=WORKERS, cache=cache))
+        cached, t_warm_cache = _timed_sweep(base, GridExecutor(cache=cache))
         assert cache.hits == _cells()  # warm pass re-ran nothing
 
     # Timing is meaningless unless the outputs are interchangeable.

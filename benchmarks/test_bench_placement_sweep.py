@@ -12,11 +12,10 @@ actually matters; steady-state's hash-uniform popularity barely
 distinguishes RF values.  Writes ``results/placement_sweep.{txt,json}``.
 """
 
-from conftest import bench_run_grid, bench_scale, save_report
+from conftest import bench_executor, bench_scale, save_report
 
 from repro.analysis import render_table
-from repro.harness import ExperimentConfig
-from repro.harness.results import compare_strategies
+from repro.harness import ExperimentConfig, compare_strategies, run_grid
 from repro.cluster.topology import ClusterSpec
 
 STRATEGIES = ("c3", "unifincr-credits")
@@ -39,24 +38,27 @@ def _cell_config(n_tasks, rf, shards):
 
 
 def run_sweep(n_tasks, seeds):
+    cells = [(rf, shards) for rf in REPLICATION_FACTORS for shards in SHARD_COUNTS]
+    # Every (rf, shards) cell is one "value" of the same grid, so
+    # REPRO_BENCH_JOBS workers span the whole sweep, not one cell.
+    grid = [
+        {
+            name: _cell_config(n_tasks, rf, shards).with_strategy(name)
+            for name in STRATEGIES
+        }
+        for rf, shards in cells
+    ]
     rows = []
     raw = {}
-    for rf in REPLICATION_FACTORS:
-        for shards in SHARD_COUNTS:
-            cfg = _cell_config(n_tasks, rf, shards)
-            comparison = compare_strategies(
-                bench_run_grid(
-                    {name: cfg.with_strategy(name) for name in STRATEGIES},
-                    seeds,
-                )
-            )
-            raw[f"rf{rf}-shards{shards}"] = comparison.to_dict()
-            row = {"rf": rf, "shards": shards}
-            for name in STRATEGIES:
-                summary = comparison.summary_of(name)
-                row[f"{name} p50 (ms)"] = summary.median * 1e3
-                row[f"{name} p99 (ms)"] = summary.p99 * 1e3
-            rows.append(row)
+    for (rf, shards), runs in zip(cells, run_grid(grid, seeds, bench_executor())):
+        comparison = compare_strategies(runs)
+        raw[f"rf{rf}-shards{shards}"] = comparison.to_dict()
+        row = {"rf": rf, "shards": shards}
+        for name in STRATEGIES:
+            summary = comparison.summary_of(name)
+            row[f"{name} p50 (ms)"] = summary.median * 1e3
+            row[f"{name} p99 (ms)"] = summary.p99 * 1e3
+        rows.append(row)
     # Delta columns against the paper's default cell (RF=3).
     base = {
         (row["shards"], name): row[f"{name} p99 (ms)"]

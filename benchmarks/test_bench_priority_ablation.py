@@ -6,11 +6,10 @@ priorities are the null hypothesis; SJF is size-aware-but-task-oblivious;
 EDF, EqualMax and UnifIncr are task-aware.
 """
 
-from conftest import bench_run_grid, bench_scale, save_report
+from conftest import bench_executor, bench_scale, save_report
 
 from repro.analysis import render_table
-from repro.harness import ExperimentConfig
-from repro.harness.results import compare_strategies
+from repro.harness import ExperimentConfig, compare_strategies, run_grid
 
 STRATEGIES = (
     "fifo-credits",
@@ -23,11 +22,8 @@ STRATEGIES = (
 
 def run_ablation(n_tasks, seeds):
     cfg = ExperimentConfig(n_tasks=n_tasks)
-    comparison = compare_strategies(
-        bench_run_grid(
-            {name: cfg.with_strategy(name) for name in STRATEGIES}, seeds
-        )
-    )
+    grid = [{name: cfg.with_strategy(name) for name in STRATEGIES}]
+    comparison = compare_strategies(run_grid(grid, seeds, bench_executor())[0])
     rows = []
     for name in STRATEGIES:
         s = comparison.summary_of(name)

@@ -7,22 +7,18 @@ this is the C3 paper's own claim, and it sanity-checks our baseline before
 Figure 2 leans on it.
 """
 
-from conftest import bench_run_grid, bench_scale, save_report
+from conftest import bench_executor, bench_scale, save_report
 
 from repro.analysis import render_table
-from repro.harness import ExperimentConfig
-from repro.harness.results import compare_strategies
+from repro.harness import ExperimentConfig, compare_strategies, run_grid
 
 STRATEGIES = ("oblivious-random", "oblivious-rr", "oblivious-lor", "c3-norate", "c3")
 
 
 def run_ablation(n_tasks, seeds):
     cfg = ExperimentConfig(n_tasks=n_tasks)
-    comparison = compare_strategies(
-        bench_run_grid(
-            {name: cfg.with_strategy(name) for name in STRATEGIES}, seeds
-        )
-    )
+    grid = [{name: cfg.with_strategy(name) for name in STRATEGIES}]
+    comparison = compare_strategies(run_grid(grid, seeds, bench_executor())[0])
     rows = []
     for name in STRATEGIES:
         s = comparison.summary_of(name)

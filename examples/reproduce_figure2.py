@@ -16,7 +16,7 @@ Usage::
 import argparse
 
 from repro.analysis import grouped_bar_chart, percentile_matrix, ratio_table
-from repro.harness import FIGURE2_STRATEGIES, figure2, figure2_series, make_executor
+from repro.harness import FIGURE2_STRATEGIES, GridExecutor, figure2, figure2_series
 from repro.metrics import PAPER_PERCENTILES
 
 
@@ -30,7 +30,7 @@ def main() -> None:
                         help="paper scale: 500k tasks x 6 seeds")
     parser.add_argument("--out", type=str, default=None,
                         help="write raw results as JSON to this path")
-    parser.add_argument("--jobs", type=int, default=None,
+    parser.add_argument("--jobs", type=int, default=1,
                         help="fan the strategy x seed grid over N worker "
                              "processes (0 = all cores); output is identical")
     args = parser.parse_args()
@@ -43,7 +43,7 @@ def main() -> None:
     print()
 
     comparison = figure2(
-        n_tasks=n_tasks, seeds=seeds, executor=make_executor(jobs=args.jobs)
+        n_tasks=n_tasks, seeds=seeds, executor=GridExecutor(jobs=args.jobs)
     )
 
     summaries = {n: comparison.summary_of(n) for n in FIGURE2_STRATEGIES}

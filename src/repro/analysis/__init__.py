@@ -1,6 +1,6 @@
 """Analysis: tables, ASCII plots and statistics for experiment reports."""
 
-from .ascii_plots import bar_chart, cdf_sketch, grouped_bar_chart
+from .ascii_plots import cdf_sketch, grouped_bar_chart
 from .stats import (
     bootstrap_ci,
     coefficient_of_variation,
@@ -13,7 +13,6 @@ from .stats import (
 from .tables import percentile_matrix, ratio_table, render_table
 
 __all__ = [
-    "bar_chart",
     "bootstrap_ci",
     "cdf_sketch",
     "coefficient_of_variation",

@@ -11,30 +11,6 @@ import math
 import typing as _t
 
 
-def bar_chart(
-    values: _t.Mapping[str, float],
-    width: int = 50,
-    unit: str = "ms",
-    title: _t.Optional[str] = None,
-) -> str:
-    """Horizontal bar chart of name -> value."""
-    if not values:
-        raise ValueError("no values to plot")
-    if width < 10:
-        raise ValueError("width too small")
-    peak = max(values.values())
-    if peak <= 0:
-        raise ValueError("values must contain a positive maximum")
-    label_w = max(len(name) for name in values)
-    lines: _t.List[str] = []
-    if title:
-        lines.append(title)
-    for name, value in values.items():
-        bar = "#" * max(1, int(round(width * value / peak)))
-        lines.append(f"{name.ljust(label_w)} | {bar} {value:.3f}{unit}")
-    return "\n".join(lines)
-
-
 def grouped_bar_chart(
     groups: _t.Mapping[str, _t.Mapping[str, float]],
     width: int = 46,

@@ -38,11 +38,14 @@ import json
 import os
 import sys
 import typing as _t
+from pathlib import Path
 
 from .analysis import grouped_bar_chart, percentile_matrix, ratio_table, render_table
+from .cluster.faults import NO_FAULTS, FaultSchedule, SlowdownFault
 from .harness import (
     ExperimentConfig,
     FIGURE2_STRATEGIES,
+    GridExecutor,
     KNOWN_STRATEGIES,
     ResultCache,
     compare_strategies,
@@ -50,13 +53,21 @@ from .harness import (
     figure2,
     figure2_series,
     get_builder,
-    make_executor,
     run_seeds,
     sweep,
 )
 from .metrics import PAPER_PERCENTILES
 from .scenarios import SCENARIOS, get_scenario, scenario_names
 from .workload import load_trace, make_soundcloud_workload, save_trace, trace_stats
+
+
+class _Exit(Exception):
+    """A command that cannot go on: ``main`` prints the message to stderr
+    and returns ``code`` (2 = bad invocation, 1 = the run itself failed)."""
+
+    def __init__(self, message: str, code: int = 2) -> None:
+        super().__init__(message)
+        self.code = code
 
 
 def _add_parallel_flags(p: argparse.ArgumentParser) -> None:
@@ -68,8 +79,17 @@ def _add_parallel_flags(p: argparse.ArgumentParser) -> None:
                         "(default dir: $REPRO_CACHE_DIR or ./.repro-cache)")
 
 
-def _executor_from(args: argparse.Namespace):
-    return make_executor(jobs=args.jobs, cache_dir=args.cache)
+def _save_json(path: _t.Optional[str], payload: _t.Any, what: str = "raw results") -> None:
+    """``--out PATH``: write one JSON document and say where it went."""
+    if path:
+        Path(path).write_text(json.dumps(payload, indent=2), encoding="utf-8")
+        print(f"{what} -> {path}")
+
+
+def _executor_from(args: argparse.Namespace) -> GridExecutor:
+    """``--jobs N [--cache [DIR]]``: no ``--jobs`` is one worker, 0 all cores."""
+    cache = ResultCache(args.cache or None) if args.cache is not None else None
+    return GridExecutor(jobs=1 if args.jobs is None else args.jobs, cache=cache)
 
 
 def _add_remediate_flags(p: argparse.ArgumentParser) -> None:
@@ -84,13 +104,17 @@ def _add_remediate_flags(p: argparse.ArgumentParser) -> None:
                         "detector (required with --remediate slo)")
 
 
+def _given(args: argparse.Namespace, **fields: str) -> _t.Dict[str, _t.Any]:
+    """``{field: value}`` for each ``field="flag"`` the user actually passed."""
+    return {
+        field: getattr(args, flag)
+        for field, flag in fields.items()
+        if getattr(args, flag) is not None
+    }
+
+
 def _remediation_overrides(args: argparse.Namespace) -> _t.Dict[str, _t.Any]:
-    overrides: _t.Dict[str, _t.Any] = {}
-    if args.remediate is not None:
-        overrides["remediation"] = args.remediate
-    if args.slo_p99_ms is not None:
-        overrides["slo_p99_ms"] = args.slo_p99_ms
-    return overrides
+    return _given(args, remediation="remediate", slo_p99_ms="slo_p99_ms")
 
 
 def _add_trace_flags(p: argparse.ArgumentParser) -> None:
@@ -111,6 +135,23 @@ def _trace_overrides(args: argparse.Namespace) -> _t.Dict[str, _t.Any]:
     elif args.trace_out is not None:
         overrides["trace_sample"] = 1.0
     return overrides
+
+
+def _config_from(
+    args: argparse.Namespace, **overrides: _t.Any
+) -> ExperimentConfig:
+    """The ``--scenario/--strategy/--tasks`` config of a run, profile or
+    loadgen invocation."""
+    try:
+        if args.scenario is not None:
+            return get_scenario(args.scenario).build_config(
+                strategy=args.strategy, n_tasks=args.tasks, **overrides
+            )
+        return ExperimentConfig(
+            strategy=args.strategy, n_tasks=args.tasks, **overrides
+        )
+    except ValueError as exc:
+        raise _Exit(f"bad configuration: {exc}") from exc
 
 
 def _write_trace_artifact(
@@ -175,59 +216,43 @@ def _add_run(subparsers: argparse._SubParsersAction) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    overrides: _t.Dict[str, _t.Any] = {}
-    if args.load is not None:
-        overrides["load"] = args.load
-    if args.fanout is not None:
-        overrides["mean_fanout"] = args.fanout
-    if args.slow_server is not None:
-        overrides["slowdown_server"] = args.slow_server
+    overrides = _given(args, load="load", mean_fanout="fanout")
+    if args.slow_server is not None and args.slow_server >= 0:
+        scripted = (
+            get_scenario(args.scenario).faults
+            if args.scenario is not None
+            else NO_FAULTS
+        )
+        slow = SlowdownFault(
+            servers=(args.slow_server,), factor=3.0, start=0.25, duration=0.5
+        )
+        overrides["fault_schedule"] = scripted + FaultSchedule((slow,))
     overrides.update(_remediation_overrides(args))
     overrides.update(_trace_overrides(args))
-    try:
-        if args.scenario is not None:
-            config = get_scenario(args.scenario).build_config(
-                strategy=args.strategy, n_tasks=args.tasks, **overrides
-            )
-        else:
-            config = ExperimentConfig(
-                strategy=args.strategy, n_tasks=args.tasks, **overrides
-            )
-    except ValueError as exc:
-        print(f"bad configuration: {exc}", file=sys.stderr)
-        return 2
-    if args.seeds > 1:
-        seeds = tuple(range(args.seed, args.seed + args.seeds))
-        print(f"running {config.describe()} (seeds {seeds[0]}..{seeds[-1]})")
-        for line in config.faults().describe():
-            print(f"  fault: {line}")
-        runs = run_seeds(config, seeds, executor=_executor_from(args))
+    config = _config_from(args, **overrides)
+    seeds = tuple(range(args.seed, args.seed + max(args.seeds, 1)))
+    which = f"seeds {seeds[0]}..{seeds[-1]}" if len(seeds) > 1 else f"seed {args.seed}"
+    print(f"running {config.describe()} ({which})")
+    for line in config.fault_schedule.describe():
+        print(f"  fault: {line}")
+    # One grid path whatever the seed count, so --cache reuses a single
+    # cell too; with one cell the executor runs in-process (no pool).
+    runs = run_seeds(config, seeds, executor=_executor_from(args))
+    if len(seeds) > 1:
         comparison = compare_strategies({config.strategy: runs})
-        mean = comparison.summary_of(config.strategy)
-        print(mean)
+        print(comparison.summary_of(config.strategy))
         spread = comparison.strategies[config.strategy].percentile_spread(99.0)
         print(f"p99 across seeds: {spread[0] * 1e3:.3f}..{spread[1] * 1e3:.3f} ms")
-        if args.trace_out is not None:
-            _write_trace_artifact(
-                args.trace_out, config, args.scenario or "custom", "sim",
-                seeds, runs,
-            )
-        return 0
-    print(f"running {config.describe()} (seed {args.seed})")
-    for line in config.faults().describe():
-        print(f"  fault: {line}")
-    # Through the executor seam even for one seed, so --cache reuses the
-    # cell; with one job the executor runs in-process (no pool overhead).
-    result = run_seeds(config, (args.seed,), executor=_executor_from(args))[0]
-    print(result.summary((50.0, 90.0, 95.0, 99.0, 99.9)))
-    rows = [{"metric": k, "value": v} for k, v in sorted(result.extras.items())]
-    rows.append({"metric": "events_processed", "value": result.events_processed})
-    rows.append({"metric": "sim_duration_s", "value": result.sim_duration})
-    print(render_table(rows))
+    else:
+        result = runs[0]
+        print(result.summary((50.0, 90.0, 95.0, 99.0, 99.9)))
+        rows = [{"metric": k, "value": v} for k, v in sorted(result.extras.items())]
+        rows.append({"metric": "events_processed", "value": result.events_processed})
+        rows.append({"metric": "sim_duration_s", "value": result.sim_duration})
+        print(render_table(rows))
     if args.trace_out is not None:
         _write_trace_artifact(
-            args.trace_out, config, args.scenario or "custom", "sim",
-            (args.seed,), (result,),
+            args.trace_out, config, args.scenario or "custom", "sim", seeds, runs
         )
     return 0
 
@@ -261,8 +286,6 @@ def _profile_rows(
     stats: _t.Any, sort: str, top: int
 ) -> _t.List[_t.Dict[str, _t.Any]]:
     """Top-``top`` hotspot rows from a ``pstats.Stats``-compatible table."""
-    import os
-
     column = {"ncalls": 3, "tottime": 4, "cumtime": 5}[sort]
     entries = []
     for (filename, lineno, name), (cc, nc, tt, ct, _callers) in stats.stats.items():
@@ -298,12 +321,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
     from .harness.runner import run_experiment
 
-    if args.scenario is not None:
-        config = get_scenario(args.scenario).build_config(
-            strategy=args.strategy, n_tasks=args.tasks
-        )
-    else:
-        config = ExperimentConfig(strategy=args.strategy, n_tasks=args.tasks)
+    config = _config_from(args)
     print(f"profiling {config.describe()} (seed {args.seed})")
     profiler = cProfile.Profile()
     start = time.perf_counter()
@@ -364,11 +382,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     values = [_parse_sweep_value(v) for v in args.values.split(",") if v]
     strategies = tuple(s for s in args.strategies.split(",") if s)
     if args.scenario is not None:
-        base: _t.Union[ExperimentConfig, str] = args.scenario
-        n_tasks: _t.Optional[int] = args.tasks
+        base = get_scenario(args.scenario).build_config(n_tasks=args.tasks)
     else:
         base = ExperimentConfig(n_tasks=args.tasks)
-        n_tasks = None
     executor = _executor_from(args)
     cells = len(values) * len(strategies) * args.seeds
     print(
@@ -381,7 +397,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         values=values,
         strategies=strategies,
         seeds=tuple(range(1, args.seeds + 1)),
-        n_tasks=n_tasks,
         executor=executor,
     )
     print(result.render(args.percentile))
@@ -389,9 +404,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         c = executor.cache
         print(f"cache: {c.hits} hits, {c.misses} misses, {c.stores} stores "
               f"({c.root})")
-    if args.out:
-        result.save_json(args.out)
-        print(f"raw results -> {args.out}")
+    _save_json(args.out, result.to_dict())
     return 0
 
 
@@ -440,9 +453,7 @@ def _cmd_figure2(args: argparse.Namespace) -> int:
     print()
     print(ratio_table(comparison.speedup("c3", "equalmax-credits"),
                       label="C3 / EqualMax-credits"))
-    if args.out:
-        comparison.save_json(args.out)
-        print(f"raw results -> {args.out}")
+    _save_json(args.out, comparison.to_dict())
     return 0
 
 
@@ -517,17 +528,15 @@ def _cmd_trace_generate(args: argparse.Namespace) -> int:
 
 
 def _load_trace_groups(files: _t.Sequence[str]) -> _t.Any:
-    """Load span-trace artifacts or exit-worthy None (message printed)."""
+    """Load span-trace artifacts (a bad or empty one is a usage error)."""
     from .trace import load_traces
 
     try:
         groups = load_traces(files)
     except (OSError, ValueError) as exc:
-        print(f"bad trace artifact: {exc}", file=sys.stderr)
-        return None
+        raise _Exit(f"bad trace artifact: {exc}") from exc
     if not groups:
-        print("no trace groups in the given files", file=sys.stderr)
-        return None
+        raise _Exit("no trace groups in the given files")
     return groups
 
 
@@ -554,13 +563,10 @@ def _cmd_trace_attribution(args: argparse.Namespace) -> int:
     from .trace import attribution, render_attribution
 
     groups = _load_trace_groups(args.files)
-    if groups is None:
-        return 2
     try:
         results = [attribution(g, tail=args.tail) for g in groups]
     except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+        raise _Exit(str(exc)) from exc
     if args.json:
         print(json.dumps([r.to_dict() for r in results], indent=2))
         return 0
@@ -575,11 +581,8 @@ def _cmd_trace_slowest(args: argparse.Namespace) -> int:
     from .trace import render_slowest, slowest
 
     groups = _load_trace_groups(args.files)
-    if groups is None:
-        return 2
     if args.k < 1:
-        print("-k must be at least 1", file=sys.stderr)
-        return 2
+        raise _Exit("-k must be at least 1")
     for index, group in enumerate(groups):
         if index:
             print()
@@ -591,28 +594,19 @@ def _cmd_trace_diff(args: argparse.Namespace) -> int:
     from .trace import attribution, render_diff
 
     groups = _load_trace_groups(args.files)
-    if groups is None:
-        return 2
     if (args.a is None) != (args.b is None):
-        print("--a and --b must be given together", file=sys.stderr)
-        return 2
-    if args.a is None:
-        if len(groups) != 2:
-            print(
-                f"found {len(groups)} trace group(s); diff needs exactly "
-                "two (or explicit --a/--b selectors)",
-                file=sys.stderr,
-            )
-            return 2
-        group_a, group_b = groups
-    else:
-        try:
+        raise _Exit("--a and --b must be given together")
+    try:
+        if args.a is not None:
             group_a = _select_trace_group(groups, args.a)
             group_b = _select_trace_group(groups, args.b)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-    try:
+        elif len(groups) == 2:
+            group_a, group_b = groups
+        else:
+            raise _Exit(
+                f"found {len(groups)} trace group(s); diff needs exactly "
+                "two (or explicit --a/--b selectors)"
+            )
         print(
             render_diff(
                 attribution(group_a, tail=args.tail),
@@ -620,9 +614,74 @@ def _cmd_trace_diff(args: argparse.Namespace) -> int:
             )
         )
     except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+        raise _Exit(str(exc)) from exc
     return 0
+
+
+#: The connection flags ``loadgen``, ``watch``, ``firehose`` and ``compare``
+#: share, as argparse keywords; a command takes the ones it names, in its
+#: own order (docs/cli.md lists flags in declaration order).
+_WIRE_FLAGS: _t.Dict[str, _t.Dict[str, _t.Any]] = {
+    "host": dict(default=None),
+    "port": dict(type=int, default=None),
+    "endpoints": dict(default=None, metavar="H:P,H:P,...",
+                      help="comma-separated endpoints of a multi-process "
+                           "cluster (overrides --host/--port)"),
+    "pool": dict(type=int, default=1, metavar="K",
+                 help="connections per endpoint"),
+    "protocol": dict(default="binary", choices=("binary", "json"),
+                     help="highest wire codec to negotiate (json pins v1)"),
+}
+
+
+def _add_wire_flags(
+    p: argparse.ArgumentParser, *flags: str, **help_text: str
+) -> None:
+    """Declare the named connection flags; ``help_text`` rewords one."""
+    for flag in flags:
+        spec = dict(_WIRE_FLAGS[flag])
+        if flag in help_text:
+            spec["help"] = help_text[flag]
+        p.add_argument(f"--{flag}", **spec)
+
+
+def _endpoints_from(args: argparse.Namespace) -> _t.List[_t.Tuple[str, int]]:
+    """The cluster a live command addresses: ``--endpoints`` if given, else
+    ``--host``/``--port`` (where the command has them) over the serve
+    defaults."""
+    from .serve import DEFAULT_HOST, DEFAULT_PORT
+
+    if args.endpoints is not None:
+        try:
+            return _parse_endpoints(args.endpoints)
+        except ValueError as exc:
+            raise _Exit(f"bad --endpoints: {exc}") from exc
+    host = getattr(args, "host", None)
+    port = getattr(args, "port", None)
+    return [(
+        host if host is not None else DEFAULT_HOST,
+        port if port is not None else DEFAULT_PORT,
+    )]
+
+
+def _run_live(command: str, coro: _t.Awaitable[_t.Any]) -> _t.Any:
+    """``asyncio.run`` a live command; a transport failure is exit 1."""
+    import asyncio
+
+    from .loadgen import LiveTransportError
+
+    try:
+        return asyncio.run(coro)
+    except (ConnectionError, OSError, LiveTransportError) as exc:
+        message = f"{command} failed: {exc}"
+        if "admin" in message and "unknown" in message:
+            message += (
+                "\nthe server rejected the metrics admin command -- it "
+                "predates metrics admin support. Restart it from this "
+                "checkout (`repro serve`), or point --endpoints at a "
+                "current cluster."
+            )
+        raise _Exit(message, code=1) from exc
 
 
 def _add_serve(subparsers: argparse._SubParsersAction) -> None:
@@ -689,8 +748,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         try:
             endpoints = supervisor.start()
         except (ValueError, RuntimeError) as exc:
-            print(f"serve failed: {exc}", file=sys.stderr)
-            return 1
+            raise _Exit(f"serve failed: {exc}", code=1) from exc
         print(
             f"serving scenario {args.scenario!r} across {args.procs} "
             f"processes (time scale {time_scale:g}x):",
@@ -712,8 +770,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         try:
             while supervisor.alive:
                 _time.sleep(0.5)
-            print("a server process exited; shutting down", file=sys.stderr)
-            return 1
+            raise _Exit("a server process exited; shutting down", code=1)
         except KeyboardInterrupt:
             print("shutting down")
         finally:
@@ -766,15 +823,7 @@ def _add_loadgen(subparsers: argparse._SubParsersAction) -> None:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--seeds", type=int, default=1, metavar="K",
                    help="repeat under K consecutive seeds (starting at --seed)")
-    p.add_argument("--host", default=None)
-    p.add_argument("--port", type=int, default=None)
-    p.add_argument("--endpoints", default=None, metavar="H:P,H:P,...",
-                   help="comma-separated endpoints of a multi-process cluster "
-                        "(overrides --host/--port)")
-    p.add_argument("--pool", type=int, default=1, metavar="K",
-                   help="connections per endpoint")
-    p.add_argument("--protocol", default="binary", choices=("binary", "json"),
-                   help="highest wire codec to negotiate (json pins v1)")
+    _add_wire_flags(p, "host", "port", "endpoints", "pool", "protocol")
     p.add_argument("--timeout", type=float, default=None, metavar="S",
                    help="wall-clock safety timeout per run (seconds)")
     p.add_argument("--out", type=str, default=None,
@@ -806,76 +855,48 @@ def _protocol_cap(name: str) -> int:
     return PROTOCOL_VERSION if name == "json" else MAX_PROTOCOL_VERSION
 
 
-def _reject_model_strategies(strategies: _t.Iterable[str]) -> _t.Optional[str]:
+def _reject_model_strategies(strategies: _t.Iterable[str]) -> None:
     """Clean CLI message for strategies with no live realization."""
     from .harness.builders import ModelBuilder
 
     for name in strategies:
         if isinstance(get_builder(name), ModelBuilder):
-            return (
+            raise _Exit(
                 f"strategy {name!r} is the unrealizable global-queue model; "
                 "it cannot run live (pick a -credits realization or a "
                 "baseline)"
             )
-    return None
 
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
-    import asyncio
-    from pathlib import Path
+    from .loadgen import live_summary, run_live_seeds
 
-    from .loadgen import LiveTransportError, live_summary, run_live_seeds
-    from .serve import DEFAULT_HOST, DEFAULT_PORT
-
-    message = _reject_model_strategies((args.strategy,))
-    if message is not None:
-        print(message, file=sys.stderr)
-        return 2
+    _reject_model_strategies((args.strategy,))
     if args.seeds < 1:
-        print("--seeds must be at least 1", file=sys.stderr)
-        return 2
-    try:
-        config = get_scenario(args.scenario).build_config(
-            strategy=args.strategy,
-            n_tasks=args.tasks,
-            **_remediation_overrides(args),
-            **_trace_overrides(args),
-        )
-    except ValueError as exc:
-        print(f"bad configuration: {exc}", file=sys.stderr)
-        return 2
+        raise _Exit("--seeds must be at least 1")
+    config = _config_from(
+        args, **_remediation_overrides(args), **_trace_overrides(args)
+    )
     seeds = tuple(range(args.seed, args.seed + args.seeds))
-    host = args.host if args.host is not None else DEFAULT_HOST
-    port = args.port if args.port is not None else DEFAULT_PORT
-    if args.endpoints is not None:
-        try:
-            endpoints = _parse_endpoints(args.endpoints)
-        except ValueError as exc:
-            print(f"bad --endpoints: {exc}", file=sys.stderr)
-            return 2
-    else:
-        endpoints = [(host, port)]
+    endpoints = _endpoints_from(args)
     where = ", ".join(f"{h}:{p}" for h, p in endpoints)
     print(
         f"loadgen: {config.describe()} (seeds {list(seeds)}) -> {where} "
         f"(pool {args.pool}, protocol {args.protocol})"
     )
-    for line in config.faults().describe():
+    for line in config.fault_schedule.describe():
         print(f"  fault: {line}")
-    try:
-        results = asyncio.run(
-            run_live_seeds(
-                config,
-                seeds,
-                endpoints=endpoints,
-                pool=args.pool,
-                protocol=_protocol_cap(args.protocol),
-                wall_timeout=args.timeout,
-            )
-        )
-    except (ConnectionError, OSError, LiveTransportError) as exc:
-        print(f"loadgen failed: {exc}", file=sys.stderr)
-        return 1
+    results = _run_live(
+        "loadgen",
+        run_live_seeds(
+            config,
+            seeds,
+            endpoints=endpoints,
+            pool=args.pool,
+            protocol=_protocol_cap(args.protocol),
+            wall_timeout=args.timeout,
+        ),
+    )
     for result in results:
         print(result.summary((50.0, 90.0, 95.0, 99.0, 99.9)))
         if config.remediation != "off":
@@ -912,11 +933,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             "schedule_lag_max_s": lag_max,
         },
     )
-    if args.out:
-        Path(args.out).write_text(
-            json.dumps(summary, indent=2), encoding="utf-8"
-        )
-        print(f"summary -> {args.out}")
+    _save_json(args.out, summary, "summary")
     if args.trace_out is not None:
         _write_trace_artifact(
             args.trace_out, config, args.scenario, "live", seeds, results,
@@ -939,11 +956,7 @@ def _add_watch(subparsers: argparse._SubParsersAction) -> None:
                     "poll also reports cluster-wide client-side windowed "
                     "p50/p99. Stops after --count polls or on Ctrl-C.",
     )
-    p.add_argument("--host", default=None)
-    p.add_argument("--port", type=int, default=None)
-    p.add_argument("--endpoints", default=None, metavar="H:P,H:P,...",
-                   help="comma-separated endpoints of a multi-process "
-                        "cluster (overrides --host/--port)")
+    _add_wire_flags(p, "host", "port", "endpoints")
     p.add_argument("--interval", type=float, default=1.0, metavar="S",
                    help="wall seconds between polls")
     p.add_argument("--count", type=int, default=None, metavar="N",
@@ -993,26 +1006,13 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     import asyncio
     import time as _time
 
-    from .loadgen import LiveTransportError
     from .loadgen.transport import LiveTransport
-    from .serve import DEFAULT_HOST, DEFAULT_PORT
 
-    if args.endpoints is not None:
-        try:
-            endpoints = _parse_endpoints(args.endpoints)
-        except ValueError as exc:
-            print(f"bad --endpoints: {exc}", file=sys.stderr)
-            return 2
-    else:
-        host = args.host if args.host is not None else DEFAULT_HOST
-        port = args.port if args.port is not None else DEFAULT_PORT
-        endpoints = [(host, port)]
+    endpoints = _endpoints_from(args)
     if args.interval <= 0:
-        print("--interval must be positive", file=sys.stderr)
-        return 2
+        raise _Exit("--interval must be positive")
     if args.prometheus and args.json:
-        print("--prometheus and --json are mutually exclusive", file=sys.stderr)
-        return 2
+        raise _Exit("--prometheus and --json are mutually exclusive")
 
     async def watch() -> int:
         transport = await LiveTransport.connect(endpoints)
@@ -1093,23 +1093,9 @@ def _cmd_watch(args: argparse.Namespace) -> int:
             await transport.close()
 
     try:
-        return asyncio.run(watch())
+        return _run_live("watch", watch())
     except KeyboardInterrupt:
         return 0
-    except (ConnectionError, OSError, LiveTransportError) as exc:
-        message = str(exc)
-        if "admin" in message and "unknown" in message:
-            print(
-                f"watch failed: {exc}\n"
-                "the server rejected the metrics admin command -- it "
-                "predates metrics admin support. Restart it from this "
-                "checkout (`repro serve`), or point --endpoints at a "
-                "current cluster.",
-                file=sys.stderr,
-            )
-        else:
-            print(f"watch failed: {exc}", file=sys.stderr)
-        return 1
 
 
 def _add_firehose(subparsers: argparse._SubParsersAction) -> None:
@@ -1125,19 +1111,16 @@ def _add_firehose(subparsers: argparse._SubParsersAction) -> None:
                     "results/live_throughput.json and the CI live smoke; "
                     "use `repro loadgen` to measure scheduling quality.",
     )
-    p.add_argument("--endpoints", default=None, metavar="H:P,H:P,...",
-                   help="comma-separated endpoints of the cluster "
-                        "(default: the default serve address)")
+    _add_wire_flags(p, "endpoints",
+                    endpoints="comma-separated endpoints of the cluster "
+                              "(default: the default serve address)")
     p.add_argument("--multigets", type=int, default=10_000, metavar="N",
                    help="measured multigets (after warmup)")
     p.add_argument("--fanout", type=int, default=4, metavar="K",
                    help="keys per multiget")
     p.add_argument("--window", type=int, default=256, metavar="W",
                    help="multigets kept in flight (1 = sequential)")
-    p.add_argument("--pool", type=int, default=1, metavar="K",
-                   help="connections per endpoint")
-    p.add_argument("--protocol", default="binary", choices=("binary", "json"),
-                   help="highest wire codec to negotiate (json pins v1)")
+    _add_wire_flags(p, "pool", "protocol")
     p.add_argument("--value-size", type=int, default=1024, metavar="B",
                    help="value bytes per key")
     p.add_argument("--timeout", type=float, default=300.0, metavar="S",
@@ -1148,42 +1131,28 @@ def _add_firehose(subparsers: argparse._SubParsersAction) -> None:
 
 
 def _cmd_firehose(args: argparse.Namespace) -> int:
-    import asyncio
-    from pathlib import Path
+    from .loadgen import run_firehose
 
-    from .loadgen import LiveTransportError, run_firehose
-    from .serve import DEFAULT_HOST, DEFAULT_PORT
-
-    if args.endpoints is not None:
-        try:
-            endpoints = _parse_endpoints(args.endpoints)
-        except ValueError as exc:
-            print(f"bad --endpoints: {exc}", file=sys.stderr)
-            return 2
-    else:
-        endpoints = [(DEFAULT_HOST, DEFAULT_PORT)]
+    endpoints = _endpoints_from(args)
     where = ", ".join(f"{h}:{p}" for h, p in endpoints)
     print(
         f"firehose -> {where}: {args.multigets} multigets x fanout "
         f"{args.fanout}, window {args.window}, pool {args.pool}, "
         f"{args.protocol} protocol"
     )
-    try:
-        result = asyncio.run(
-            run_firehose(
-                endpoints,
-                multigets=args.multigets,
-                fanout=args.fanout,
-                value_size=args.value_size,
-                window=args.window,
-                pool=args.pool,
-                protocol=_protocol_cap(args.protocol),
-                wall_timeout=args.timeout,
-            )
-        )
-    except (ConnectionError, OSError, LiveTransportError) as exc:
-        print(f"firehose failed: {exc}", file=sys.stderr)
-        return 1
+    result = _run_live(
+        "firehose",
+        run_firehose(
+            endpoints,
+            multigets=args.multigets,
+            fanout=args.fanout,
+            value_size=args.value_size,
+            window=args.window,
+            pool=args.pool,
+            protocol=_protocol_cap(args.protocol),
+            wall_timeout=args.timeout,
+        ),
+    )
     print(
         f"{result.multigets_per_s:,.0f} multigets/s "
         f"({result.ops_per_s:,.0f} ops/s) over {result.elapsed_s:.2f}s"
@@ -1196,11 +1165,7 @@ def _cmd_firehose(args: argparse.Namespace) -> int:
         f"wire: {result.writes_per_multiget:.3f} writes/multiget, "
         f"{result.bytes_per_op:.1f} bytes/op sent"
     )
-    if args.out:
-        Path(args.out).write_text(
-            json.dumps(result.to_dict(), indent=2), encoding="utf-8"
-        )
-        print(f"measurement -> {args.out}")
+    _save_json(args.out, result.to_dict(), "measurement")
     return 0
 
 
@@ -1219,10 +1184,7 @@ def _add_compare(subparsers: argparse._SubParsersAction) -> None:
     p.add_argument("--procs", type=int, default=1, metavar="N",
                    help="run the live half against an N-process cluster "
                         "(default: in-process loopback)")
-    p.add_argument("--pool", type=int, default=1, metavar="K",
-                   help="live connections per endpoint")
-    p.add_argument("--protocol", default="binary", choices=("binary", "json"),
-                   help="highest wire codec to negotiate (json pins v1)")
+    _add_wire_flags(p, "pool", "protocol", pool="live connections per endpoint")
     p.add_argument("--out", type=str, default=None, help="raw JSON output path")
     _add_parallel_flags(p)  # applies to the simulated half of the diff
     p.set_defaults(func=_cmd_compare)
@@ -1234,19 +1196,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
     strategies = tuple(s for s in args.strategy.split(",") if s)
     if not strategies:
-        print("need at least one strategy to compare", file=sys.stderr)
-        return 2
+        raise _Exit("need at least one strategy to compare")
     for name in strategies:
         if name not in KNOWN_STRATEGIES:
-            print(f"unknown strategy {name!r}", file=sys.stderr)
-            return 2
-    message = _reject_model_strategies(strategies)
-    if message is not None:
-        print(message, file=sys.stderr)
-        return 2
+            raise _Exit(f"unknown strategy {name!r}")
+    _reject_model_strategies(strategies)
     if args.seeds < 1:
-        print("--seeds must be at least 1", file=sys.stderr)
-        return 2
+        raise _Exit("--seeds must be at least 1")
     time_scale = args.time_scale if args.time_scale is not None else DEFAULT_TIME_SCALE
     backend = (
         f"{args.procs}-process cluster" if args.procs > 1 else "loopback"
@@ -1268,9 +1224,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         protocol=_protocol_cap(args.protocol),
     )
     print(report.render())
-    if args.out:
-        report.save_json(args.out)
-        print(f"raw results -> {args.out}")
+    _save_json(args.out, report.to_dict())
     return 0
 
 
@@ -1305,7 +1259,6 @@ def _add_ring(subparsers: argparse._SubParsersAction) -> None:
 def _ring_cluster(args: argparse.Namespace):
     """The ClusterSpec a ``repro ring`` invocation describes."""
     from .cluster.topology import ClusterSpec
-    from .scenarios import get_scenario
 
     if args.scenario is not None:
         base = get_scenario(args.scenario).build_config(n_tasks=1).cluster
@@ -1313,16 +1266,16 @@ def _ring_cluster(args: argparse.Namespace):
         base = ClusterSpec()
     import dataclasses as _dc
 
-    overrides: _t.Dict[str, _t.Any] = {}
-    if args.servers is not None:
-        overrides["n_servers"] = args.servers
-    if args.rf is not None:
-        overrides["replication_factor"] = args.rf
-    if args.partitions is not None:
-        overrides["n_partitions"] = args.partitions
-    if args.kind is not None:
-        overrides["placement_kind"] = args.kind
-    return _dc.replace(base, **overrides) if overrides else base
+    return _dc.replace(
+        base,
+        **_given(
+            args,
+            n_servers="servers",
+            replication_factor="rf",
+            n_partitions="partitions",
+            placement_kind="kind",
+        ),
+    )
 
 
 def _cmd_ring(args: argparse.Namespace) -> int:
@@ -1333,8 +1286,7 @@ def _cmd_ring(args: argparse.Namespace) -> int:
         placement = cluster.make_placement()
         placement.validate()
     except ValueError as exc:
-        print(f"bad ring: {exc}", file=sys.stderr)
-        return 2
+        raise _Exit(f"bad ring: {exc}") from exc
     report = ring_report(placement, n_keys=args.keys)
     lookups = [
         {
@@ -1351,8 +1303,7 @@ def _cmd_ring(args: argparse.Namespace) -> int:
             perturbed = placement.without_servers(excluded)
             delta = placement_delta(placement, perturbed, n_keys=args.keys)
         except (ValueError, NotImplementedError) as exc:
-            print(f"cannot exclude: {exc}", file=sys.stderr)
-            return 2
+            raise _Exit(f"cannot exclude: {exc}") from exc
     if args.as_json:
         out: _t.Dict[str, _t.Any] = report.to_dict()
         if lookups:
@@ -1550,18 +1501,15 @@ def _add_docs_cli(subparsers: argparse._SubParsersAction) -> None:
 
 
 def _cmd_docs_cli(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     text = render_cli_docs()
     if args.check is not None:
         on_disk = Path(args.check).read_text(encoding="utf-8")
         if on_disk != text:
-            print(
+            raise _Exit(
                 f"{args.check} is stale; regenerate with "
                 f"`repro docs-cli --out {args.check}`",
-                file=sys.stderr,
+                code=1,
             )
-            return 1
         print(f"{args.check} is up to date")
         return 0
     if args.out is not None:
@@ -1601,6 +1549,9 @@ def main(argv: _t.Optional[_t.Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except _Exit as exc:
+        print(exc, file=sys.stderr)
+        return exc.code
     except BrokenPipeError:
         # Downstream consumer (`repro trace ... | head`) closed stdout;
         # swap in devnull so the interpreter's exit flush stays quiet.

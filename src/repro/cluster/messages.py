@@ -73,18 +73,6 @@ class RequestMessage:
             raise ValueError("request has not completed yet")
         return self.completed_at - self.service_start_at
 
-    @property
-    def client_latency(self) -> float:
-        """Created-to-completed latency as the client observes it.
-
-        Includes both network directions; valid once the response arrived
-        (the response delivery sets ``completed_at`` to service completion,
-        the client adds the return network delay when recording).
-        """
-        if self.completed_at < 0:
-            raise ValueError("request has not completed yet")
-        return self.completed_at - self.created_at
-
 
 @slots_dataclass()
 class ServerFeedback:

@@ -29,6 +29,7 @@ import dataclasses
 import typing as _t
 
 from ..metrics.bus import (
+    DEFAULT_BUS_INTERVAL,
     BusEvent,
     BusSampler,
     BusSnapshot,
@@ -270,11 +271,10 @@ def build_remediation(
     return RemediationDriver(
         clock=clock,
         mode=mode,
-        sampler=BusSampler(window=config.metrics_window),
+        sampler=BusSampler(),
         queue_depths=queue_depths,
         detector=detector,
         policy=policy,
-        interval=config.metrics_interval,
     )
 
 
@@ -297,7 +297,7 @@ class RemediationDriver:
         detector: _t.Optional[BreachDetector] = None,
         policy: _t.Optional[SloRemediationPolicy] = None,
         bus: _t.Optional[MetricsBus] = None,
-        interval: float = 0.02,
+        interval: float = DEFAULT_BUS_INTERVAL,
     ) -> None:
         if mode not in REMEDIATION_MODES or mode == "off":
             raise ValueError(f"remediation mode {mode!r} is not an active mode")

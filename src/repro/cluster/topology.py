@@ -67,10 +67,6 @@ class ClusterSpec:
         """Nominal requests/second one server sustains (all cores)."""
         return self.cores_per_server * self.per_core_rate
 
-    def total_capacity(self) -> float:
-        """Nominal requests/second of the whole backend tier."""
-        return self.n_servers * self.server_capacity()
-
     def server_capacities(self) -> _t.Dict[int, float]:
         """Per-server capacity map, as the credits controller wants it."""
         return {s: self.server_capacity() for s in range(self.n_servers)}

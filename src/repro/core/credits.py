@@ -378,10 +378,6 @@ class CreditGate:
                 ),
             )
 
-    @property
-    def backlog_size(self) -> int:
-        return sum(len(b) for b in self._backlog.values())
-
 
 def equal_initial_shares(
     server_capacities: _t.Mapping[int, float],

@@ -6,7 +6,6 @@ from .builders import (
     StrategyBuilder,
     get_builder,
     register_strategy,
-    strategy_names,
     unregister_strategy,
 )
 from .config import (
@@ -17,12 +16,11 @@ from .config import (
 from .figures import Figure1Result, figure1_toy, figure2, figure2_series
 from .parallel import (
     GridExecutor,
-    ProcessExecutor,
     ResultCache,
     RunJob,
-    SerialExecutor,
     config_digest,
-    make_executor,
+    run_grid,
+    run_seeds,
 )
 from .results import (
     ComparisonResult,
@@ -30,7 +28,7 @@ from .results import (
     compare_strategies,
     validate_summary_dict,
 )
-from .runner import RunAssembly, RunResult, run_experiment, run_seeds
+from .runner import RunAssembly, RunResult, run_experiment
 from .sweep import SweepResult, sweep
 
 __all__ = [
@@ -42,12 +40,10 @@ __all__ = [
     "Figure1Result",
     "GridExecutor",
     "KNOWN_STRATEGIES",
-    "ProcessExecutor",
     "ResultCache",
     "RunAssembly",
     "RunJob",
     "RunResult",
-    "SerialExecutor",
     "StrategyBuilder",
     "StrategyResult",
     "SweepResult",
@@ -57,12 +53,11 @@ __all__ = [
     "figure2",
     "figure2_series",
     "get_builder",
-    "make_executor",
     "paper_figure2_config",
     "register_strategy",
     "run_experiment",
+    "run_grid",
     "run_seeds",
-    "strategy_names",
     "sweep",
     "unregister_strategy",
 ]

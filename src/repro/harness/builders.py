@@ -44,7 +44,6 @@ from ..core.priorities import make_assigner
 from ..placement import Placement
 from ..scheduling.disciplines import (
     Discipline,
-    EdfDiscipline,
     FifoDiscipline,
     PriorityDiscipline,
 )
@@ -185,11 +184,6 @@ def get_builder(name: str) -> StrategyBuilder:
         raise ValueError(
             f"unknown strategy {name!r}; known: {tuple(_REGISTRY)}"
         ) from None
-
-
-def strategy_names() -> _t.Tuple[str, ...]:
-    """Registered names, in registration order."""
-    return tuple(_REGISTRY)
 
 
 class _KnownStrategies(_t.Sequence[str]):
@@ -348,8 +342,6 @@ class CreditsBuilder(StrategyBuilder):
         )
 
     def server_discipline(self, ctx: ClusterContext) -> Discipline:
-        if self.assigner_name == "edf":
-            return EdfDiscipline()
         return PriorityDiscipline()
 
     def congestion_interval(self, ctx: ClusterContext) -> _t.Optional[float]:

@@ -9,9 +9,7 @@ Strategy names resolve through the builder registry
 (:mod:`repro.harness.builders`); ``KNOWN_STRATEGIES`` is a *live view* of
 that registry, so strategies registered by third-party code validate here
 without editing this module.  Fault injection is expressed as a
-:class:`~repro.cluster.faults.FaultSchedule`; the legacy ``slowdown_*``
-fields remain as sugar for the single-slowdown case and are folded into
-the schedule by :meth:`ExperimentConfig.faults`.
+:class:`~repro.cluster.faults.FaultSchedule` (``fault_schedule``).
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 import typing as _t
 
-from ..cluster.faults import FaultSchedule, NO_FAULTS, SlowdownFault
+from ..cluster.faults import FaultSchedule, NO_FAULTS
 from ..cluster.topology import ClusterSpec
 from ..workload.popularity import SubsetHotspotPopularity
 from ..workload.soundcloud import (
@@ -73,12 +71,6 @@ class ExperimentConfig:
     hedge_delay: float = 2e-3
     #: Scripted fault events (slowdowns, crashes, jitter, flash crowds).
     fault_schedule: FaultSchedule = NO_FAULTS
-    #: Legacy single-fault sugar: degrade one server (-1 disables).
-    slowdown_server: int = -1
-    slowdown_factor: float = 3.0
-    slowdown_start: float = 0.25
-    slowdown_duration: float = 0.5
-    slowdown_period: _t.Optional[float] = None
     #: Record per-request latencies too (costs memory on big runs).
     record_requests: bool = False
     #: Name of the scenario this config was derived from (provenance only).
@@ -90,10 +82,6 @@ class ExperimentConfig:
     #: Windowed-p99 SLO target in model milliseconds (breach detection
     #: needs it; required for remediation="slo").
     slo_p99_ms: _t.Optional[float] = None
-    #: Metrics ticker cadence in model seconds (monitor/slo modes).
-    metrics_interval: float = 0.02
-    #: Trailing window the bus percentiles cover (model seconds).
-    metrics_window: float = 0.1
     #: Fraction of (post-warmup) tasks to trace as span trees; 0 disables
     #: tracing entirely (no recorder, no observers -- the default).
     trace_sample: float = 0.0
@@ -124,19 +112,6 @@ class ExperimentConfig:
                     f"hot_shard {self.hot_shard} out of range; the cluster's "
                     f"placement has partitions 0..{n_partitions - 1}"
                 )
-        # Any negative id means "disabled"; normalize so configs compare equal.
-        if self.slowdown_server < 0:
-            object.__setattr__(self, "slowdown_server", -1)
-        elif self.slowdown_server >= self.cluster.n_servers:
-            raise ValueError(
-                f"slowdown_server {self.slowdown_server} out of range; valid "
-                f"server ids are 0..{self.cluster.n_servers - 1} "
-                "(or -1 to disable)"
-            )
-        if self.slowdown_server >= 0 and self.slowdown_factor <= 1.0:
-            raise ValueError(
-                f"slowdown_factor must exceed 1, got {self.slowdown_factor}"
-            )
         if not isinstance(self.fault_schedule, FaultSchedule):
             raise TypeError("fault_schedule must be a FaultSchedule")
         self.fault_schedule.validate_targets(self.cluster.n_servers)
@@ -151,25 +126,10 @@ class ExperimentConfig:
             raise ValueError('remediation="slo" needs a slo_p99_ms target')
         if self.slo_p99_ms is not None and self.slo_p99_ms <= 0:
             raise ValueError("slo_p99_ms must be positive")
-        if self.metrics_interval <= 0 or self.metrics_window <= 0:
-            raise ValueError("metrics intervals must be positive")
         if not (0.0 <= self.trace_sample <= 1.0):
             raise ValueError("trace_sample must be in [0, 1]")
 
     # -- derived ---------------------------------------------------------------
-    def faults(self) -> FaultSchedule:
-        """The full fault script: scheduled events plus the legacy slowdown."""
-        if self.slowdown_server < 0:
-            return self.fault_schedule
-        legacy = SlowdownFault(
-            servers=(self.slowdown_server,),
-            factor=self.slowdown_factor,
-            start=self.slowdown_start,
-            duration=self.slowdown_duration,
-            period=self.slowdown_period,
-        )
-        return self.fault_schedule + FaultSchedule((legacy,))
-
     def workload(self) -> SoundCloudWorkload:
         """The workload this config implies (shared across strategies).
 

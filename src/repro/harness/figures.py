@@ -30,8 +30,8 @@ from ..sim.rng import StreamFactory
 from ..workload.calibration import ServiceTimeModel
 from ..workload.tasks import Operation, Task
 from .config import ExperimentConfig, FIGURE2_STRATEGIES
+from .parallel import SERIAL, GridExecutor, run_grid
 from .results import ComparisonResult, compare_strategies
-from .runner import run_seeds
 
 # ---------------------------------------------------------------------------
 # Figure 1: the worked toy example
@@ -171,36 +171,20 @@ def figure2(
     seeds: _t.Sequence[int] = (1, 2, 3),
     strategies: _t.Sequence[str] = FIGURE2_STRATEGIES,
     percentiles: _t.Tuple[float, ...] = PAPER_PERCENTILES,
-    executor: _t.Optional["GridExecutor"] = None,
+    executor: GridExecutor = SERIAL,
     **config_overrides: _t.Any,
 ) -> ComparisonResult:
     """Reproduce Figure 2: run every strategy over a common seed grid.
 
     ``executor`` (see :mod:`repro.harness.parallel`) fans the full
-    (strategy x seed) grid across workers; the merge order is fixed, so
-    the comparison is byte-identical to the serial one.
+    (strategy x seed) grid across its workers; the merge order is fixed,
+    so the comparison does not depend on the worker count.
     """
     base = ExperimentConfig(n_tasks=n_tasks, **config_overrides)
-    if executor is None:
-        results = {
-            name: run_seeds(base.with_strategy(name), seeds)
-            for name in strategies
-        }
-    else:
-        from .parallel import enumerate_run_grid, split_by_strategy
-
-        jobs = enumerate_run_grid(
-            [{name: base.with_strategy(name) for name in strategies}],
-            seeds,
-        )
-        results = split_by_strategy(
-            executor.run_jobs(jobs), list(strategies), len(seeds)
-        )
-    return compare_strategies(results, percentiles=percentiles)
-
-
-if _t.TYPE_CHECKING:  # pragma: no cover
-    from .parallel import GridExecutor
+    grid = [{name: base.with_strategy(name) for name in strategies}]
+    return compare_strategies(
+        run_grid(grid, seeds, executor)[0], percentiles=percentiles
+    )
 
 
 def figure2_series(

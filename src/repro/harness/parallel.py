@@ -1,38 +1,37 @@
-"""Parallel experiment execution: fan the run grid across cores.
+"""The run grid: every (value x strategy x seed) block, on any worker count.
 
 Every simulation run is a pure function of ``(config, seed)`` -- the
 kernel's virtual clock makes results independent of wall-clock scheduling
--- so the (value x strategy x seed) grids behind :func:`~repro.harness.
-sweep.sweep`, :func:`~repro.harness.figures.figure2` and
-:func:`~repro.harness.runner.run_seeds` are embarrassingly parallel.
-This module supplies the executor seam those entry points accept:
+-- so the grids behind :func:`~repro.harness.sweep.sweep`,
+:func:`~repro.harness.figures.figure2`, :func:`run_seeds` and the
+benchmarks are embarrassingly parallel.  They all run through one path:
 
 * :class:`RunJob` -- one picklable grid cell (config + seed).  The
   strategy travels as a *name* inside the config; worker processes
   re-resolve it through the builder registry on import, so nothing
   unpicklable (builders, environments, RNG streams) ever crosses the
   process boundary.
-* :class:`SerialExecutor` -- runs jobs in-process, in grid order.  This
-  is the default everywhere, and is byte-identical to the pre-seam loops.
-* :class:`ProcessExecutor` -- fans jobs over a
-  :class:`concurrent.futures.ProcessPoolExecutor` and reassembles results
-  in *submission* order regardless of completion order, so parallel
-  output is indistinguishable from serial output.
+* :class:`GridExecutor` -- runs cells in-process when it has one worker
+  (the default everywhere, :data:`SERIAL`) or one cell, and over a
+  :class:`concurrent.futures.ProcessPoolExecutor` otherwise, reassembling
+  results in *submission* order regardless of completion order.
+* :func:`run_grid` -- flattens ``[{label: config}, ...] x seeds`` into
+  cells, runs them through the executor and regroups the results.
 * :class:`ResultCache` -- an on-disk cache keyed by a stable digest of
   (config, strategy, seed), so repeated sweeps skip completed cells.
 
 Determinism argument (also in DESIGN.md): a run never reads global
 mutable state -- all randomness flows from ``StreamFactory(seed)`` keyed
 by stream *names*, and all time is virtual -- so executing cells
-concurrently cannot change any cell's result, and reassembling in grid
-order makes aggregate structures (``ComparisonResult``, ``SweepResult``)
-byte-identical to the serial ones.
+concurrently cannot change any cell's result, and because one function
+enumerates and regroups the grid for every worker count, aggregate
+structures (``ComparisonResult``, ``SweepResult``) cannot depend on it.
 
 Caveat: worker processes import :mod:`repro.harness.builders` afresh, so
 only *built-in* strategies (plus anything registered at import time of
 ``repro``) resolve in workers.  Third-party builders registered at
-runtime must either run serially or be importable via their package's
-import side effects.
+runtime must either run on one worker or be importable via their
+package's import side effects.
 """
 
 from __future__ import annotations
@@ -58,11 +57,6 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 #: Default on-disk cache directory (relative to the working directory).
 DEFAULT_CACHE_DIR = ".repro-cache"
-
-
-# ---------------------------------------------------------------------------
-# Job specs and digests
-# ---------------------------------------------------------------------------
 
 
 def _canonical(obj: _t.Any) -> _t.Any:
@@ -112,26 +106,12 @@ class RunJob:
     config: ExperimentConfig
     seed: int
 
-    @property
-    def strategy(self) -> str:
-        return self.config.strategy
-
     def digest(self) -> str:
         return config_digest(self.config, self.seed)
 
     def execute(self) -> RunResult:
         """Run this cell in the current process."""
         return run_experiment(self.config, self.seed)
-
-
-def _execute_job(job: RunJob) -> RunResult:
-    """Module-level worker entry point (must be picklable by name)."""
-    return job.execute()
-
-
-# ---------------------------------------------------------------------------
-# On-disk result cache
-# ---------------------------------------------------------------------------
 
 
 class ResultCache:
@@ -222,184 +202,99 @@ class ResultCache:
                         continue
         return removed
 
-    def __repr__(self) -> str:
-        return (
-            f"<ResultCache {self.root} hits={self.hits} "
-            f"misses={self.misses} stores={self.stores}>"
-        )
-
-
-# ---------------------------------------------------------------------------
-# Executors
-# ---------------------------------------------------------------------------
-
 
 class GridExecutor:
-    """Runs a list of :class:`RunJob` cells, preserving grid order.
+    """Runs :class:`RunJob` cells over ``jobs`` workers, preserving grid order.
 
-    Subclasses override :meth:`_run_uncached`; the base class handles the
-    cache lookup/fill so serial and parallel execution share one cache
-    policy.
+    ``jobs`` is the worker count (``0`` = the machine's core count).  With
+    one worker, or one cell to run, the cells run in this process; otherwise
+    they fan over a process pool.  Completion order is nondeterministic,
+    but results are keyed back to their submission index, so callers
+    observe the same list whatever the worker count.  ``cache`` is looked
+    up before and filled after each cell the same way in both cases.
     """
 
-    def __init__(self, cache: _t.Optional[ResultCache] = None) -> None:
+    def __init__(self, jobs: int = 1, cache: _t.Optional[ResultCache] = None) -> None:
+        if jobs < 0:
+            raise ValueError(f"need at least one worker, got {jobs}")
+        self.jobs = jobs or os.cpu_count() or 1
         self.cache = cache
 
     def run_jobs(self, jobs: _t.Sequence[RunJob]) -> _t.List[RunResult]:
-        """Execute every job; results align index-for-index with ``jobs``."""
+        """Execute every job; results align index-for-index with ``jobs``.
+
+        Each finished cell is cached at once, not at the end of the batch,
+        so an interrupted grid keeps its finished work."""
         jobs = list(jobs)
-        results: _t.List[_t.Optional[RunResult]] = [None] * len(jobs)
-        pending: _t.List[_t.Tuple[int, RunJob]] = []
-        if self.cache is not None:
-            for i, job in enumerate(jobs):
-                hit = self.cache.get(job)
-                if hit is not None:
-                    results[i] = hit
-                else:
-                    pending.append((i, job))
+        results = [
+            self.cache.get(job) if self.cache is not None else None for job in jobs
+        ]
+        pending = [i for i, hit in enumerate(results) if hit is None]
+        workers = min(self.jobs, len(pending))
+        if workers <= 1:
+            # Nothing to fan out; skip the pool (and its fork overhead).
+            for i in pending:
+                results[i] = self._store(jobs[i], jobs[i].execute())
         else:
-            pending = list(enumerate(jobs))
-        if pending:
-            fresh = self._run_uncached([job for _, job in pending])
-            if len(fresh) != len(pending):
-                raise RuntimeError(
-                    f"{type(self).__name__} returned {len(fresh)} results "
-                    f"for {len(pending)} jobs"
-                )
-            for (i, _job), result in zip(pending, fresh):
-                results[i] = result
+            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+                futures = {pool.submit(jobs[i].execute): i for i in pending}
+                for future in concurrent.futures.as_completed(futures):
+                    i = futures[future]
+                    results[i] = self._store(jobs[i], future.result())
         return _t.cast(_t.List[RunResult], results)
 
-    def _store(self, job: RunJob, result: RunResult) -> None:
-        """Persist one finished cell immediately (interruption-safe)."""
+    def _store(self, job: RunJob, result: RunResult) -> RunResult:
         if self.cache is not None:
             self.cache.put(job, result)
-
-    def _run_uncached(self, jobs: _t.Sequence[RunJob]) -> _t.List[RunResult]:
-        """Run cache-missed jobs; implementations call :meth:`_store` per
-        completed cell so an interrupted grid keeps its finished work."""
-        raise NotImplementedError  # pragma: no cover - abstract
-
-
-class SerialExecutor(GridExecutor):
-    """In-process execution in grid order (the default everywhere)."""
-
-    jobs = 1
-
-    def _run_uncached(self, jobs: _t.Sequence[RunJob]) -> _t.List[RunResult]:
-        results = []
-        for job in jobs:
-            result = job.execute()
-            self._store(job, result)
-            results.append(result)
-        return results
+        return result
 
     def __repr__(self) -> str:
-        return "<SerialExecutor>"
+        return f"<GridExecutor jobs={self.jobs}>"
 
 
-class ProcessExecutor(GridExecutor):
-    """Fan jobs over a process pool; reassemble in submission order.
-
-    ``jobs`` is the worker count (defaults to the machine's core count).
-    Completion order is nondeterministic, but results are keyed back to
-    their submission index, so callers observe exactly the serial order.
-    """
-
-    def __init__(
-        self,
-        jobs: _t.Optional[int] = None,
-        cache: _t.Optional[ResultCache] = None,
-    ) -> None:
-        super().__init__(cache=cache)
-        if jobs is None:
-            jobs = os.cpu_count() or 1
-        if jobs < 1:
-            raise ValueError(f"need at least one worker, got {jobs}")
-        self.jobs = jobs
-
-    def _run_uncached(self, jobs: _t.Sequence[RunJob]) -> _t.List[RunResult]:
-        if len(jobs) == 1 or self.jobs == 1:
-            # Nothing to fan out; skip the pool (and its fork overhead).
-            results = []
-            for job in jobs:
-                result = job.execute()
-                self._store(job, result)
-                results.append(result)
-            return results
-        slots: _t.List[_t.Optional[RunResult]] = [None] * len(jobs)
-        workers = min(self.jobs, len(jobs))
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(_execute_job, job): i for i, job in enumerate(jobs)
-            }
-            for future in concurrent.futures.as_completed(futures):
-                index = futures[future]
-                result = future.result()
-                self._store(jobs[index], result)
-                slots[index] = result
-        return _t.cast(_t.List[RunResult], slots)
-
-    def __repr__(self) -> str:
-        return f"<ProcessExecutor jobs={self.jobs}>"
+#: The default everywhere an ``executor`` is accepted: one worker, no cache.
+SERIAL = GridExecutor()
 
 
-def make_executor(
-    jobs: _t.Optional[int] = None,
-    cache_dir: _t.Union[str, Path, None] = None,
-) -> GridExecutor:
-    """The CLI's executor factory: ``--jobs N [--cache DIR]`` semantics.
-
-    ``jobs`` of ``None`` or ``1`` gives the serial executor; anything
-    larger gives a process pool; ``0`` means "all cores".  ``cache_dir``
-    enables the on-disk cache (pass ``""`` to use the default location).
-    """
-    cache: _t.Optional[ResultCache] = None
-    if cache_dir is not None:
-        cache = ResultCache(cache_dir or None)
-    if jobs is None or jobs == 1:
-        return SerialExecutor(cache=cache)
-    if jobs == 0:
-        return ProcessExecutor(cache=cache)
-    return ProcessExecutor(jobs=jobs, cache=cache)
-
-
-# ---------------------------------------------------------------------------
-# Grid enumeration / merging
-# ---------------------------------------------------------------------------
-
-
-def enumerate_run_grid(
+def run_grid(
     configs: _t.Sequence[_t.Mapping[str, ExperimentConfig]],
     seeds: _t.Sequence[int],
-) -> _t.List[RunJob]:
-    """Flatten [{strategy: config}, ...] x seeds into grid-ordered jobs.
+    executor: GridExecutor = SERIAL,
+) -> _t.List[_t.Dict[str, _t.List[RunResult]]]:
+    """Run [{label: config}, ...] x seeds as one grid: the only way a
+    (value x strategy x seed) block is run, whatever the worker count.
 
-    ``configs`` is one strategy->config mapping per swept value, *as a
+    ``configs`` is one label->config mapping per swept value, *as a
     sequence* so repeated values stay distinct cells.  Grid order is
-    value-major, then strategy, then seed -- the exact order the serial
-    nested loops ran, which is what keeps merged results byte-identical.
+    value-major, then config, then seed; the return value mirrors the
+    input, one ``{label: [RunResult per seed]}`` per mapping, ready for
+    :func:`~repro.harness.results.compare_strategies`.
     """
-    return [
+    if not seeds:
+        raise ValueError("need at least one seed")
+    jobs = [
         RunJob(config=config, seed=seed)
         for value_configs in configs
         for config in value_configs.values()
         for seed in seeds
     ]
-
-
-def split_by_strategy(
-    results: _t.Sequence[RunResult],
-    strategies: _t.Sequence[str],
-    n_seeds: int,
-) -> _t.Dict[str, _t.List[RunResult]]:
-    """Regroup one value's flat result block into per-strategy run lists."""
-    if len(results) != len(strategies) * n_seeds:
-        raise ValueError(
-            f"grid block of {len(results)} results does not tile "
-            f"{len(strategies)} strategies x {n_seeds} seeds"
+    results = executor.run_jobs(jobs)
+    if len(results) != len(jobs):  # a stand-in executor that does not tile
+        raise RuntimeError(
+            f"{type(executor).__name__} returned {len(results)} results "
+            f"for {len(jobs)} jobs"
         )
-    out: _t.Dict[str, _t.List[RunResult]] = {}
-    for s, name in enumerate(strategies):
-        out[name] = list(results[s * n_seeds : (s + 1) * n_seeds])
-    return out
+    cells = iter(results)
+    return [
+        {label: [next(cells) for _ in seeds] for label in value_configs}
+        for value_configs in configs
+    ]
+
+
+def run_seeds(
+    config: ExperimentConfig,
+    seeds: _t.Sequence[int],
+    executor: GridExecutor = SERIAL,
+) -> _t.List[RunResult]:
+    """Run one experiment under several seeds (paper: 6), in seed order."""
+    return run_grid([{config.strategy: config}], seeds, executor)[0][config.strategy]

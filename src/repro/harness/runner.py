@@ -297,7 +297,7 @@ class RunAssembly:
         -- *when* those run is exactly what differs between realms.
         """
         self.faults = FaultInjector(
-            self.clock, self.config.faults(), fault_port, self.placement
+            self.clock, self.config.fault_schedule, fault_port, self.placement
         )
         self.remediation = build_remediation(
             self.config,
@@ -450,27 +450,6 @@ def run_experiment(config: ExperimentConfig, seed: int = 1) -> RunResult:
     )
 
 
-def run_seeds(
-    config: ExperimentConfig,
-    seeds: _t.Sequence[int],
-    executor: _t.Optional["GridExecutor"] = None,
-) -> _t.List[RunResult]:
-    """Run the same experiment under several seeds (paper: 6 repetitions).
-
-    ``executor`` (see :mod:`repro.harness.parallel`) fans the seeds across
-    worker processes; the default runs them serially, in seed order.
-    Results are returned in seed order either way.
-    """
-    if not seeds:
-        raise ValueError("need at least one seed")
-    if executor is None:
-        return [run_experiment(config, seed) for seed in seeds]
-    from .parallel import RunJob  # local import: parallel sits above runner
-
-    return executor.run_jobs([RunJob(config=config, seed=seed) for seed in seeds])
-
-
 if _t.TYPE_CHECKING:  # pragma: no cover
     from ..core.clock import Clock, Transport
     from ..trace import TaskTrace, TraceRecorder
-    from .parallel import GridExecutor

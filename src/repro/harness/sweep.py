@@ -38,8 +38,8 @@ from ..analysis.tables import render_table
 from ..metrics.summary import PAPER_PERCENTILES
 from .builders import get_builder
 from .config import ExperimentConfig
+from .parallel import SERIAL, GridExecutor, run_grid
 from .results import ComparisonResult, compare_strategies
-from .runner import run_seeds
 
 
 def _replace_parameter(
@@ -86,24 +86,6 @@ class SweepResult:
     strategies: _t.Tuple[str, ...]
     comparisons: _t.Dict[_t.Any, ComparisonResult]
 
-    def percentile_series(
-        self, strategy: str, percentile: float
-    ) -> _t.List[_t.Tuple[_t.Any, float]]:
-        """(value, latency-seconds) pairs for one strategy/percentile."""
-        return [
-            (v, self.comparisons[v].summary_of(strategy).percentile(percentile))
-            for v in self.values
-        ]
-
-    def speedup_series(
-        self, slow: str, fast: str, percentile: float
-    ) -> _t.List[_t.Tuple[_t.Any, float]]:
-        """(value, slow/fast ratio) pairs along the sweep."""
-        return [
-            (v, self.comparisons[v].speedup(slow, fast)[percentile])
-            for v in self.values
-        ]
-
     def rows(self, percentile: float = 99.0) -> _t.List[_t.Dict[str, _t.Any]]:
         """Flat table rows: one per swept value, strategies as columns."""
         out: _t.List[_t.Dict[str, _t.Any]] = []
@@ -135,13 +117,6 @@ class SweepResult:
         """Key-sorted compact JSON -- the differential harness's yardstick."""
         return json.dumps(self.to_dict(), sort_keys=True)
 
-    def save_json(self, path: _t.Union[str, "Path"]) -> None:
-        from pathlib import Path as _Path
-
-        _Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2), encoding="utf-8"
-        )
-
 
 def sweep(
     base: _t.Union[ExperimentConfig, str],
@@ -151,15 +126,15 @@ def sweep(
     seeds: _t.Sequence[int] = (1,),
     percentiles: _t.Tuple[float, ...] = PAPER_PERCENTILES,
     n_tasks: _t.Optional[int] = None,
-    executor: _t.Optional["GridExecutor"] = None,
+    executor: GridExecutor = SERIAL,
 ) -> SweepResult:
     """Run the full (value x strategy x seed) grid.
 
     ``base`` is either a ready :class:`ExperimentConfig` or the name of a
     registered scenario; ``n_tasks`` (scenario mode only) scales the run.
     ``executor`` (see :mod:`repro.harness.parallel`) fans the *whole* grid
-    -- not one value at a time -- across workers; results are merged back
-    in grid order, so the output is byte-identical to a serial sweep.
+    -- not one value at a time -- across its workers; results are merged
+    back in grid order, so the output does not depend on the worker count.
     """
     if isinstance(base, str):
         from ..scenarios import get_scenario  # local import: scenarios sit above
@@ -175,49 +150,21 @@ def sweep(
         get_builder(name)  # fail fast with the registry's helpful error
 
     # One strategy->config mapping per swept value, as a *list* so a
-    # repeated value stays its own grid cell (exactly like the serial loop,
-    # where the later duplicate overwrites the earlier in `comparisons`).
+    # repeated value stays its own grid cell (the later duplicate then
+    # overwrites the earlier in `comparisons`).
     grid_configs: _t.List[_t.Dict[str, ExperimentConfig]] = []
     for value in values:
         config = _replace_parameter(base, parameter, value)
         grid_configs.append(
             {name: config.with_strategy(name) for name in strategies}
         )
-
-    comparisons: _t.Dict[_t.Any, ComparisonResult] = {}
-    if executor is None:
-        for value, value_configs in zip(values, grid_configs):
-            comparisons[value] = compare_strategies(
-                {
-                    name: run_seeds(config, seeds)
-                    for name, config in value_configs.items()
-                },
-                percentiles=percentiles,
-            )
-    else:
-        from .parallel import enumerate_run_grid, split_by_strategy
-
-        jobs = enumerate_run_grid(grid_configs, seeds)
-        results = executor.run_jobs(jobs)
-        block = len(strategies) * len(seeds)
-        for v, value in enumerate(values):
-            comparisons[value] = compare_strategies(
-                split_by_strategy(
-                    results[v * block : (v + 1) * block],
-                    strategies,
-                    len(seeds),
-                ),
-                percentiles=percentiles,
-            )
+    comparisons = {
+        value: compare_strategies(runs, percentiles=percentiles)
+        for value, runs in zip(values, run_grid(grid_configs, seeds, executor))
+    }
     return SweepResult(
         parameter=parameter,
         values=tuple(values),
         strategies=tuple(strategies),
         comparisons=comparisons,
     )
-
-
-if _t.TYPE_CHECKING:  # pragma: no cover
-    from pathlib import Path
-
-    from .parallel import GridExecutor

@@ -19,22 +19,17 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
-import json
 import typing as _t
-from pathlib import Path
 
 from ..analysis.tables import render_table
 from ..harness.config import ExperimentConfig
+from ..harness.parallel import SERIAL, GridExecutor, run_grid
 from ..harness.results import ComparisonResult, compare_strategies
-from ..harness.runner import run_seeds
 from ..scenarios import get_scenario
 from ..serve.protocol import MAX_PROTOCOL_VERSION
 from ..serve.server import DEFAULT_TIME_SCALE, LiveServer
 from ..serve.supervisor import ServeSupervisor
 from .driver import run_live_seeds
-
-if _t.TYPE_CHECKING:  # pragma: no cover
-    from ..harness.parallel import GridExecutor
 
 
 @dataclasses.dataclass
@@ -129,11 +124,6 @@ class CompareReport:
             },
         }
 
-    def save_json(self, path: _t.Union[str, Path]) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2), encoding="utf-8"
-        )
-
 
 async def _live_strategy_loopback(
     config: ExperimentConfig,
@@ -213,16 +203,16 @@ def run_compare(
     seeds: _t.Sequence[int] = (1,),
     time_scale: float = DEFAULT_TIME_SCALE,
     wall_timeout: _t.Optional[float] = None,
-    executor: _t.Optional["GridExecutor"] = None,
+    executor: GridExecutor = SERIAL,
     procs: int = 1,
     pool: int = 1,
     protocol: int = MAX_PROTOCOL_VERSION,
 ) -> CompareReport:
     """Run the full differential: sim then live, one scenario, N strategies.
 
-    ``executor`` applies to the *simulated* half only (the PR-2 seam:
-    process fan-out and result-cache reuse); live cells are inherently
-    serial -- they would contend for the same wall-clock backend.
+    ``executor`` applies to the *simulated* half only (process fan-out
+    and result-cache reuse); live cells are inherently serial -- they
+    would contend for the same wall-clock backend.
     ``procs``/``pool``/``protocol`` shape the live half: server process
     count, connections per endpoint, and the wire codec cap.
     """
@@ -233,11 +223,7 @@ def run_compare(
         name: spec.build_config(strategy=name, n_tasks=n_tasks)
         for name in strategies
     }
-    sim_results = {
-        name: run_seeds(config, seeds, executor=executor)
-        for name, config in configs.items()
-    }
-    sim = compare_strategies(sim_results)
+    sim = compare_strategies(run_grid([configs], seeds, executor)[0])
     live = _live_comparison(
         configs, seeds, time_scale, wall_timeout, procs, pool, protocol
     )

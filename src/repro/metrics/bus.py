@@ -29,6 +29,9 @@ from .timeseries import WindowedRate
 #: Default trailing window (model seconds) for the latency percentiles.
 DEFAULT_BUS_WINDOW = 0.1
 
+#: Cadence (model seconds) at which a run's ticker samples the bus.
+DEFAULT_BUS_INTERVAL = 0.02
+
 #: Snapshots/events retained in the bus ring buffers.
 DEFAULT_HISTORY = 4096
 

@@ -138,18 +138,6 @@ class LogHistogram:
         """Value at percentile ``p`` in [0, 100]."""
         return self.quantile(p / 100.0)
 
-    def cdf_points(self) -> _t.List[_t.Tuple[float, float]]:
-        """(value, cumulative fraction) pairs for non-empty buckets."""
-        points: _t.List[_t.Tuple[float, float]] = []
-        seen = 0
-        for idx, c in enumerate(self._counts):
-            if c == 0:
-                continue
-            seen += c
-            _, hi = self._bucket_bounds(idx)
-            points.append((min(hi, self._max), seen / self.count))
-        return points
-
     def merge(self, other: "LogHistogram") -> None:
         """Fold another histogram with identical bucketing into this one."""
         if (

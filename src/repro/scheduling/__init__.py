@@ -1,19 +1,15 @@
-"""Server-side queue disciplines (FIFO, SJF, EDF, priority)."""
+"""Server-side queue disciplines (FIFO, priority)."""
 
 from .disciplines import (
     Discipline,
-    EdfDiscipline,
     FifoDiscipline,
     PriorityDiscipline,
-    SjfDiscipline,
     make_discipline,
 )
 
 __all__ = [
     "Discipline",
-    "EdfDiscipline",
     "FifoDiscipline",
     "PriorityDiscipline",
-    "SjfDiscipline",
     "make_discipline",
 ]

@@ -36,33 +36,6 @@ class FifoDiscipline(Discipline):
         return (float(next(self._seq)),)
 
 
-class SjfDiscipline(Discipline):
-    """Shortest-Job-First on the *individual* request's forecast cost.
-
-    Task-oblivious size-aware scheduling -- the natural straw-man between
-    FIFO and BRB: it knows request sizes but not task structure.
-    """
-
-    name = "sjf"
-
-    def key(self, request: RequestMessage, now: float) -> _t.Tuple[float, ...]:
-        return (request.expected_service,)
-
-
-class EdfDiscipline(Discipline):
-    """Earliest-Deadline-First using the task's bottleneck as the deadline.
-
-    The deadline of a request is ``created_at + bottleneck_cost``: the
-    earliest time its task could possibly complete.  An alternative
-    task-aware discipline used in the ablations.
-    """
-
-    name = "edf"
-
-    def key(self, request: RequestMessage, now: float) -> _t.Tuple[float, ...]:
-        return (request.created_at + request.bottleneck_cost,)
-
-
 class PriorityDiscipline(Discipline):
     """Serve by the client-assigned priority tuple (BRB's discipline)."""
 
@@ -74,8 +47,6 @@ class PriorityDiscipline(Discipline):
 
 _DISCIPLINES: _t.Dict[str, _t.Callable[[], Discipline]] = {
     "fifo": FifoDiscipline,
-    "sjf": SjfDiscipline,
-    "edf": EdfDiscipline,
     "priority": PriorityDiscipline,
 }
 

@@ -2,15 +2,12 @@
 
 from .arrivals import (
     ArrivalProcess,
-    BurstyArrivals,
     DeterministicArrivals,
     PoissonArrivals,
-    arrival_times,
 )
 from .calibration import (
     ServiceTimeModel,
     calibrate_service_model,
-    empirical_service_rate,
     system_capacity,
     task_arrival_rate_for_load,
 )
@@ -34,7 +31,6 @@ from .popularity import (
 from .soundcloud import (
     PAPER_LOAD,
     PAPER_MEAN_FANOUT,
-    PAPER_N_TASKS,
     PAPER_SERVICE_RATE,
     SoundCloudWorkload,
     make_soundcloud_workload,
@@ -54,7 +50,6 @@ from .valuesize import (
 __all__ = [
     "ArrivalProcess",
     "BoundedParetoValueSize",
-    "BurstyArrivals",
     "DeterministicArrivals",
     "FanoutDistribution",
     "FixedFanout",
@@ -67,7 +62,6 @@ __all__ = [
     "Operation",
     "PAPER_LOAD",
     "PAPER_MEAN_FANOUT",
-    "PAPER_N_TASKS",
     "PAPER_SERVICE_RATE",
     "PoissonArrivals",
     "PopularityModel",
@@ -83,12 +77,10 @@ __all__ = [
     "ValueSizeDistribution",
     "ValueSizeRegistry",
     "ZipfPopularity",
-    "arrival_times",
     "atikoglu_etc",
     "calibrate_service_model",
     "calibrated_lognormal",
     "empirical_mean",
-    "empirical_service_rate",
     "load_trace",
     "make_soundcloud_workload",
     "save_trace",

@@ -79,82 +79,3 @@ class DeterministicArrivals(ArrivalProcess):
 
     def __repr__(self) -> str:
         return f"DeterministicArrivals(rate={self.rate})"
-
-
-class BurstyArrivals(ArrivalProcess):
-    """Markov-modulated Poisson with an ON (burst) and OFF (quiet) phase.
-
-    Used by ablations to stress the credits controller's 1-second adaptation
-    interval: bursts shorter than the epoch cannot be tracked and the
-    controller must rely on the congestion signal.
-    """
-
-    def __init__(
-        self,
-        base_rate: float,
-        burst_multiplier: float = 4.0,
-        burst_fraction: float = 0.2,
-        phase_mean: float = 0.5,
-    ) -> None:
-        if base_rate <= 0:
-            raise ValueError("base_rate must be positive")
-        if burst_multiplier < 1.0:
-            raise ValueError("burst_multiplier must be >= 1")
-        if not (0.0 < burst_fraction < 1.0):
-            raise ValueError("burst_fraction must be in (0, 1)")
-        if phase_mean <= 0:
-            raise ValueError("phase_mean must be positive")
-        self.base_rate = float(base_rate)
-        self.burst_multiplier = float(burst_multiplier)
-        self.burst_fraction = float(burst_fraction)
-        self.phase_mean = float(phase_mean)
-        # Rates chosen so the long-run average equals base_rate.
-        denom = (1.0 - burst_fraction) + burst_fraction * burst_multiplier
-        self.quiet_rate = self.base_rate / denom
-        self.burst_rate = self.quiet_rate * burst_multiplier
-        self.rate = self.base_rate
-        self._in_burst = False
-        self._phase_left = 0.0
-
-    def next_interarrival(self, stream: Stream) -> float:
-        total = 0.0
-        while True:
-            if self._phase_left <= 0.0:
-                # Draw the next phase.  Phase *type* is chosen with the
-                # burst fraction and durations share one mean, so the
-                # long-run fraction of time spent bursting equals
-                # ``burst_fraction`` (and the long-run rate equals
-                # ``base_rate``).
-                self._in_burst = stream.random() < self.burst_fraction
-                self._phase_left = stream.expovariate(1.0 / self.phase_mean)
-            rate = self.burst_rate if self._in_burst else self.quiet_rate
-            gap = stream.expovariate(rate)
-            if gap <= self._phase_left:
-                self._phase_left -= gap
-                return total + gap
-            # Phase ends before the next arrival: burn the phase remainder.
-            total += self._phase_left
-            self._phase_left = 0.0
-
-    def __repr__(self) -> str:
-        return (
-            f"BurstyArrivals(base_rate={self.base_rate}, "
-            f"multiplier={self.burst_multiplier})"
-        )
-
-
-def arrival_times(
-    process: ArrivalProcess,
-    stream: Stream,
-    n: int,
-    start: float = 0.0,
-) -> _t.List[float]:
-    """Materialize the first ``n`` arrival instants of a process."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    times: _t.List[float] = []
-    now = start
-    for _ in range(n):
-        now += process.next_interarrival(stream)
-        times.append(now)
-    return times

@@ -80,10 +80,6 @@ class ServiceTimeModel:
             raise ValueError("mean_value_size must be positive")
         return self.overhead + mean_value_size / self.bandwidth
 
-    def service_rate(self, mean_value_size: float) -> float:
-        """Mean requests/second a single core sustains."""
-        return 1.0 / self.mean_time(mean_value_size)
-
 
 def calibrate_service_model(
     value_sizes: ValueSizeDistribution,
@@ -143,21 +139,3 @@ def task_arrival_rate_for_load(
         raise ValueError("mean fan-out must be >= 1")
     capacity = system_capacity(n_servers, cores_per_server, per_core_rate)
     return load * capacity / mean_fanout
-
-
-def empirical_service_rate(
-    model: ServiceTimeModel,
-    value_sizes: ValueSizeDistribution,
-    seed: int = 42,
-    n: int = 100_000,
-) -> float:
-    """Monte-Carlo check of the calibrated per-core service rate."""
-    if n <= 0:
-        raise ValueError("n must be positive")
-    size_stream = Stream(seed, "calibration-sizes")
-    noise_stream = Stream(seed + 1, "calibration-noise")
-    total = 0.0
-    for _ in range(n):
-        size = value_sizes.sample(size_stream)
-        total += model.sample_time(size, noise_stream)
-    return n / total

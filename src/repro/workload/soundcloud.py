@@ -57,7 +57,6 @@ def parse_value_size_model(spec: str) -> ValueSizeDistribution:
 
 #: Disclosed properties of the paper's trace.
 PAPER_MEAN_FANOUT = 8.6
-PAPER_N_TASKS = 500_000
 PAPER_LOAD = 0.70
 PAPER_SERVICE_RATE = 3500.0
 

@@ -2,31 +2,33 @@
 
 import pytest
 
-from repro.analysis import bar_chart, cdf_sketch, grouped_bar_chart
+from repro.analysis import cdf_sketch, grouped_bar_chart
 
 
 class TestBarChart:
+    """One group's bars (the grouped renderer is the only bar chart left)."""
+
     def test_bars_scale_with_values(self):
-        out = bar_chart({"a": 1.0, "b": 2.0}, width=20)
-        line_a, line_b = out.splitlines()
+        out = grouped_bar_chart({"g": {"a": 1.0, "b": 2.0}}, width=20)
+        _header, line_a, line_b = out.splitlines()
         assert line_b.count("#") > line_a.count("#")
         assert line_b.count("#") == 20
 
     def test_title(self):
-        out = bar_chart({"a": 1.0}, title="T")
+        out = grouped_bar_chart({"g": {"a": 1.0}}, title="T")
         assert out.splitlines()[0] == "T"
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            bar_chart({})
+            grouped_bar_chart({})
 
     def test_nonpositive_peak_rejected(self):
         with pytest.raises(ValueError):
-            bar_chart({"a": 0.0})
+            grouped_bar_chart({"g": {"a": 0.0}})
 
     def test_tiny_values_get_minimum_bar(self):
-        out = bar_chart({"a": 1e-9, "b": 1.0})
-        assert out.splitlines()[0].count("#") >= 1
+        out = grouped_bar_chart({"g": {"a": 1e-9, "b": 1.0}})
+        assert out.splitlines()[1].count("#") >= 1
 
 
 class TestGroupedBarChart:

@@ -22,8 +22,6 @@ class TestRequestMessage:
             _ = r.queue_wait
         with pytest.raises(ValueError):
             _ = r.service_time
-        with pytest.raises(ValueError):
-            _ = r.client_latency
 
     def test_derived_times(self):
         r = req()
@@ -34,7 +32,6 @@ class TestRequestMessage:
         r.completed_at = 0.9
         assert r.queue_wait == pytest.approx(0.3)
         assert r.service_time == pytest.approx(0.4)
-        assert r.client_latency == pytest.approx(0.9)
 
     def test_default_priority_is_orderable(self):
         assert req().priority < (1.0,)

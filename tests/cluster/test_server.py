@@ -15,7 +15,7 @@ from repro.cluster import (
 from repro.cluster.messages import CongestionSignal
 from repro.cluster.network import ConstantLatency
 from repro.core.model_queue import GlobalQueue
-from repro.scheduling import PriorityDiscipline, SjfDiscipline
+from repro.scheduling import PriorityDiscipline
 from repro.sim import Environment, Stream, StreamFactory
 from repro.sim.events import LOW
 from repro.workload import ServiceTimeModel
@@ -101,16 +101,12 @@ class TestBackendServer:
         assert [r.request.op.op_id for r in h.responses] == [0, 2, 1]
 
     def test_sjf_discipline_prefers_short(self):
-        h = Harness(discipline=SjfDiscipline())
-        big = make_request(op_id=0, size=5)
-        big.expected_service = 5.0
-        h.push(big)
-        mid = make_request(op_id=1, size=3)
-        mid.expected_service = 3.0
-        h.push(mid)
-        small = make_request(op_id=2, size=1)
-        small.expected_service = 1.0
-        h.push(small)
+        # SJF reaches a server as the sjf assigner's priority tuple
+        # (own cost, task arrival, op id) under the priority discipline.
+        h = Harness(discipline=PriorityDiscipline())
+        h.push(make_request(op_id=0, size=5, priority=(5.0, 0.0, 0.0)))
+        h.push(make_request(op_id=1, size=3, priority=(3.0, 0.0, 1.0)))
+        h.push(make_request(op_id=2, size=1, priority=(1.0, 0.0, 2.0)))
         h.env.run()
         # All three land in the same instant, so the whole batch is
         # SJF-ordered: smallest forecast first.

@@ -20,7 +20,6 @@ class TestPaperCluster:
 
     def test_capacity_arithmetic(self):
         assert PAPER_CLUSTER.server_capacity() == 14_000.0
-        assert PAPER_CLUSTER.total_capacity() == 126_000.0
         caps = PAPER_CLUSTER.server_capacities()
         assert len(caps) == 9
         assert all(v == 14_000.0 for v in caps.values())

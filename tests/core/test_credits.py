@@ -188,7 +188,7 @@ class TestGate:
         rig.env.run(until=0.01)
         assert len(rig.server_inbox) == 2
         assert rig.gate.gated == 1
-        assert rig.gate.backlog_size == 1
+        assert sum(map(len, rig.gate._backlog.values())) == 1
 
     def test_backlog_drains_by_priority_on_grant(self):
         rig = GateRig(initial=0.0)

@@ -1,6 +1,6 @@
-"""Documentation lint: docstrings, link integrity, CLI-reference sync.
+"""Documentation lint: docstrings, link integrity, CLI-reference sync, surface.
 
-Three guarantees, run in CI's ``docs`` job:
+Four guarantees, run in CI's ``docs`` job:
 
 * every module, public class and public function in
   ``src/repro/placement/`` carries a docstring (the layer the docs book
@@ -9,7 +9,10 @@ Three guarantees, run in CI's ``docs`` job:
   real file, and every ``repro <command>`` mentioned in the docs is a
   real subcommand of the live parser;
 * ``docs/cli.md`` matches what ``repro docs-cli`` renders from the
-  argparse tree -- the CLI reference cannot drift.
+  argparse tree -- the CLI reference cannot drift;
+* every public top-level name under ``src/repro`` is read somewhere other
+  than its own module, ``__init__`` re-exports and ``tests/`` (or is
+  allowlisted with a reason) -- the surface cannot silently regrow.
 """
 
 import ast
@@ -209,3 +212,95 @@ class TestCliReference:
             if hasattr(action, "choices") and action.choices:
                 for name in action.choices:
                     assert f"## `repro {name}`" in text, f"{name} undocumented"
+
+
+#: Public names with no reader outside their module, and why each stays.
+SURFACE_ALLOWLIST = {
+    "bootstrap_ci": "ROADMAP's first open item asks for bootstrap intervals",
+    "unregister_strategy": "registry contract: third-party builders clean up",
+    "unregister_scenario": "registry contract: third-party scenarios clean up",
+    "RESERVED_KINDS": "span kinds the trace format reserves for later use",
+    "PAPER_CLUSTER": "test fixture: the paper's cluster by name",
+    "DeterministicArrivals": "test fixture: arrivals without a random draw",
+    "FixedFanout": "test fixture: a constant fan-out",
+    "UniformPopularity": "test fixture: popularity without a Zipf table",
+    "FixedValueSize": "test fixture: a constant value size",
+    "UniformValueSize": "test fixture: bounded value sizes",
+    "calibrated_lognormal": "LogNormalFanout's docstring sends users to it",
+    # Read only by their own unit tests.  ISSUE 19 listed them for deletion;
+    # they stay one more PR because a PR may retire only a few tests, and
+    # that budget went to BurstyArrivals and the edf/sjf disciplines.
+    "UniformFanout": "test-only: delete with TestUniform",
+    "geometric_mean": "test-only: delete with TestGeometricMean",
+    "relative_gap": "test-only: delete with TestRelativeGap",
+    "snapshot_prometheus": "test-only: delete with its three test_bus cases",
+    "paper_figure2_config": "test-only: delete with test_paper_figure2_config",
+    "make_discipline": "test-only: delete with TestFactory",
+}
+
+
+def _top_level_names(tree):
+    """Public names a module binds at top level; a name bound to a
+    ``register_*(...)`` call is read by its registry and not reported."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            call = node.value.func if isinstance(node.value, ast.Call) else None
+            if isinstance(call, ast.Name) and call.id.startswith("register_"):
+                continue
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        yield from (n for n in names if not n.startswith("_"))
+
+
+class TestPublicSurface:
+    """The surface cannot silently regrow: a public top-level name under
+    ``src/repro`` needs a reader that is not its own test."""
+
+    def test_every_public_name_has_a_reader(self):
+        src = REPO / "src" / "repro"
+        readers = {
+            path: path.read_text(encoding="utf-8")
+            for root in ("src", "bench", "benchmarks", "examples", "docs", ".github")
+            for path in (REPO / root).rglob("*")
+            if path.suffix in (".py", ".md", ".yml") and path.name != "__init__.py"
+        }
+        for name in ("README.md", "DESIGN.md"):
+            readers[REPO / name] = (REPO / name).read_text(encoding="utf-8")
+        unread = []
+        for path in sorted(src.rglob("*.py")):
+            if path.name in ("__init__.py", "__main__.py"):
+                continue
+            tree = ast.parse(readers[path])
+            loaded = {
+                node.id
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            }
+            for name in _top_level_names(tree):
+                if name in loaded or name in SURFACE_ALLOWLIST:
+                    continue
+                word = re.compile(rf"\b{re.escape(name)}\b")
+                if not any(
+                    word.search(text)
+                    for other, text in readers.items()
+                    if other != path
+                ):
+                    unread.append(f"{path.relative_to(REPO)}: {name}")
+        assert not unread, (
+            "public names only their own module (and tests) mention -- use "
+            "them, delete them, or allowlist them with a reason:\n  "
+            + "\n  ".join(unread)
+        )
+
+    def test_allowlist_is_not_stale(self):
+        src = REPO / "src" / "repro"
+        defined = {
+            name
+            for path in src.rglob("*.py")
+            for name in _top_level_names(ast.parse(path.read_text(encoding="utf-8")))
+        }
+        assert set(SURFACE_ALLOWLIST) <= defined

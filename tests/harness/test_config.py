@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.cli import main
+from repro.cluster.faults import FaultSchedule, SlowdownFault
 from repro.harness import (
     ExperimentConfig,
     FIGURE2_STRATEGIES,
@@ -63,42 +65,44 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(credits_epoch=0.0)
 
-    def test_negative_slowdown_server_normalized(self):
-        """Any negative id means disabled and normalizes to -1."""
-        assert ExperimentConfig(slowdown_server=-7).slowdown_server == -1
-        assert ExperimentConfig(slowdown_server=-1).slowdown_server == -1
-        assert ExperimentConfig(slowdown_server=-7) == ExperimentConfig()
+    # The single-slowdown sugar is `repro run --slow-server ID` now: the
+    # config itself only knows `fault_schedule`.
+    RUN = ["run", "--strategy", "oblivious-random", "--tasks", "60"]
 
-    def test_slowdown_server_range_error_names_range(self):
+    def test_negative_slowdown_server_normalized(self, capsys):
+        """Any negative id means disabled: the run carries no fault."""
+        assert main([*self.RUN, "--slow-server", "-7"]) == 0
+        assert "fault:" not in capsys.readouterr().out
+
+    def test_slowdown_server_range_error_names_range(self, capsys):
         with pytest.raises(ValueError, match=r"0\.\.8"):
-            ExperimentConfig(slowdown_server=9)
+            ExperimentConfig(
+                fault_schedule=FaultSchedule((SlowdownFault(servers=(9,)),))
+            )
+        assert main([*self.RUN, "--slow-server", "9"]) == 2
+        assert "0..8" in capsys.readouterr().err
 
     def test_slowdown_factor_validated_when_enabled(self):
-        with pytest.raises(ValueError, match="slowdown_factor"):
-            ExperimentConfig(slowdown_server=0, slowdown_factor=1.0)
-        # Disabled slowdown leaves the factor unchecked (it is unused).
-        ExperimentConfig(slowdown_server=-1, slowdown_factor=1.0)
+        with pytest.raises(ValueError, match="slowdown factor"):
+            SlowdownFault(servers=(0,), factor=1.0)
 
     def test_fault_schedule_targets_validated(self):
-        from repro.cluster.faults import FaultSchedule, SlowdownFault
-
         with pytest.raises(ValueError, match="valid ids"):
             ExperimentConfig(
                 fault_schedule=FaultSchedule((SlowdownFault(servers=(99,)),))
             )
 
-    def test_faults_combines_schedule_and_legacy_slowdown(self):
-        from repro.cluster.faults import FaultSchedule, FlashCrowdFault
-
-        cfg = ExperimentConfig(
-            fault_schedule=FaultSchedule((FlashCrowdFault(),)),
-            slowdown_server=2,
-            slowdown_factor=2.5,
-        )
-        schedule = cfg.faults()
-        assert len(schedule) == 2
-        assert schedule.events[1].servers == (2,)
-        assert schedule.events[1].factor == 2.5
+    def test_faults_combines_schedule_and_legacy_slowdown(self, capsys):
+        """--slow-server appends to the scenario's script, after its events."""
+        argv = [*self.RUN, "--scenario", "flash-crowd", "--slow-server", "2"]
+        assert main(argv) == 0
+        faults = [
+            line.strip()
+            for line in capsys.readouterr().out.splitlines()
+            if line.strip().startswith("fault:")
+        ]
+        assert len(faults) == 2 and faults[0].startswith("fault: flash crowd")
+        assert faults[1] == "fault: slowdown x3 on servers [2] @0.25s for 0.5s"
 
     def test_known_strategies_is_live_view(self):
         from repro.harness import StrategyBuilder, register_strategy, unregister_strategy

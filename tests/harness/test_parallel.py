@@ -5,16 +5,15 @@ import pickle
 
 import pytest
 
+from repro.cli import _executor_from, build_parser
 from repro.harness import ExperimentConfig
+from repro.harness import parallel
 from repro.harness.parallel import (
-    ProcessExecutor,
+    GridExecutor,
     ResultCache,
     RunJob,
-    SerialExecutor,
     config_digest,
-    enumerate_run_grid,
-    make_executor,
-    split_by_strategy,
+    run_grid,
 )
 from repro.scenarios import get_scenario
 
@@ -46,6 +45,19 @@ class TestDigest:
             strategy="oblivious-random", n_tasks=60
         )
         assert config_digest(faulty, 1) != config_digest(clean, 1)
+
+    def test_covers_field_names(self):
+        """The digest is over field *names* too, so a PR that removes config
+        fields (ISSUE 19 dropped seven) orphans every older cache entry:
+        it reads as a miss without a ``CACHE_FORMAT_VERSION`` bump."""
+        canonical = parallel._canonical(TINY)
+        assert set(canonical) == {"__dataclass__"} | {
+            f.name for f in dataclasses.fields(ExperimentConfig)
+        }
+        # TINY's digest at the last commit that still had the 31 fields.
+        assert config_digest(TINY, 1) != (
+            "b4ce5f9c5e5213fe7abb8169fdcef84f0e42c058adfa43ef222215bdf9606526"
+        )
 
     def test_is_hex_sha256(self):
         digest = config_digest(TINY, 1)
@@ -87,16 +99,16 @@ class TestExecutors:
 
     def test_serial_preserves_grid_order(self):
         jobs = self._grid()
-        results = SerialExecutor().run_jobs(jobs)
+        results = GridExecutor().run_jobs(jobs)
         assert [(r.config.strategy, r.seed) for r in results] == [
             (j.config.strategy, j.seed) for j in jobs
         ]
 
     def test_process_pool_matches_serial(self):
         jobs = self._grid()
-        serial = SerialExecutor().run_jobs(jobs)
-        parallel = ProcessExecutor(jobs=2).run_jobs(jobs)
-        for s, p in zip(serial, parallel):
+        one_worker = GridExecutor(jobs=1).run_jobs(jobs)
+        two_workers = GridExecutor(jobs=2).run_jobs(jobs)
+        for s, p in zip(one_worker, two_workers):
             assert s.seed == p.seed
             assert s.config == p.config
             assert s.task_latencies.values() == p.task_latencies.values()
@@ -104,18 +116,26 @@ class TestExecutors:
 
     def test_process_executor_rejects_bad_worker_count(self):
         with pytest.raises(ValueError):
-            ProcessExecutor(jobs=-1)
+            GridExecutor(jobs=-1)
+
+    @staticmethod
+    def _from_flags(*flags):
+        """The executor ``repro sweep <flags>`` would run its grid on."""
+        argv = ["sweep", "--parameter", "load", "--values", "0.5", *flags]
+        return _executor_from(build_parser().parse_args(argv))
 
     def test_make_executor_mapping(self):
-        assert isinstance(make_executor(None), SerialExecutor)
-        assert isinstance(make_executor(1), SerialExecutor)
-        assert isinstance(make_executor(4), ProcessExecutor)
-        assert make_executor(4).jobs == 4
-        assert isinstance(make_executor(0), ProcessExecutor)  # all cores
-        assert make_executor(None).cache is None
+        import os
+
+        assert GridExecutor().jobs == 1
+        assert self._from_flags().jobs == 1  # no --jobs: one worker
+        assert self._from_flags("--jobs", "1").jobs == 1
+        assert self._from_flags("--jobs", "4").jobs == 4
+        assert self._from_flags("--jobs", "0").jobs == (os.cpu_count() or 1)
+        assert self._from_flags().cache is None
 
     def test_make_executor_cache_dir(self, tmp_path):
-        ex = make_executor(1, cache_dir=tmp_path / "c")
+        ex = self._from_flags("--jobs", "1", "--cache", str(tmp_path / "c"))
         assert ex.cache is not None
         assert ex.cache.root == tmp_path / "c"
 
@@ -143,7 +163,7 @@ class TestResultCache:
     def test_executor_skips_cached_cells(self, tmp_path):
         cache = ResultCache(tmp_path)
         jobs = [RunJob(config=TINY, seed=s) for s in (1, 2)]
-        ex = SerialExecutor(cache=cache)
+        ex = GridExecutor(cache=cache)
         first = ex.run_jobs(jobs)
         second = ex.run_jobs(jobs)
         assert cache.stores == 2
@@ -155,27 +175,31 @@ class TestResultCache:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "envcache"))
         assert ResultCache().root == tmp_path / "envcache"
 
-    def test_cells_stored_as_completed_not_at_batch_end(self, tmp_path):
+    def test_cells_stored_as_completed_not_at_batch_end(self, tmp_path, monkeypatch):
         """An interrupted grid must keep its finished cells in the cache."""
         cache = ResultCache(tmp_path)
         boom = RunJob(config=TINY.with_strategy("oblivious-lor"), seed=2)
+        run_experiment = parallel.run_experiment
 
-        class Exploding(SerialExecutor):
-            def _run_uncached(self, jobs):
-                results = []
-                for job in jobs:
-                    if job == boom:
-                        raise KeyboardInterrupt  # simulate Ctrl-C mid-grid
-                    result = job.execute()
-                    self._store(job, result)
-                    results.append(result)
-                return results
+        def interrupted(config, seed):
+            if (config, seed) == (boom.config, boom.seed):
+                raise KeyboardInterrupt  # simulate Ctrl-C mid-grid
+            return run_experiment(config, seed)
 
+        monkeypatch.setattr(parallel, "run_experiment", interrupted)
         jobs = [RunJob(config=TINY, seed=1), boom]
         with pytest.raises(KeyboardInterrupt):
-            Exploding(cache=cache).run_jobs(jobs)
+            GridExecutor(cache=cache).run_jobs(jobs)
         assert cache.stores == 1  # the completed cell survived
         assert cache.get(jobs[0]) is not None
+
+    def test_short_uncached_batch_raises_immediately(self):
+        class Short(GridExecutor):
+            def run_jobs(self, jobs):
+                return []
+
+        with pytest.raises(RuntimeError, match="returned 0 results for 2 jobs"):
+            run_grid([{"a": TINY}], seeds=(1, 2), executor=Short())
 
     def test_stale_unpicklable_entry_reads_as_miss(self, tmp_path):
         """Entries whose classes no longer import must not crash the sweep."""
@@ -190,38 +214,47 @@ class TestResultCache:
         )
         assert cache.get(job) is None
 
-    def test_short_uncached_batch_raises_immediately(self):
-        class Short(SerialExecutor):
-            def _run_uncached(self, jobs):
-                return []
-
-        with pytest.raises(RuntimeError, match="returned 0 results for 2 jobs"):
-            Short().run_jobs([RunJob(config=TINY, seed=s) for s in (1, 2)])
-
 
 class TestGridHelpers:
-    def test_enumerate_order_is_value_strategy_seed(self):
+    def test_enumerate_order_is_value_strategy_seed(self, monkeypatch):
         per_value = {"a": TINY, "b": TINY.with_strategy("oblivious-lor")}
-        jobs = enumerate_run_grid([per_value, per_value], seeds=(1, 2))
-        coords = [(j.config.strategy, j.seed) for j in jobs]
+        submitted = []
+        run_jobs = GridExecutor.run_jobs
+
+        def spy(self, jobs):
+            submitted.extend(jobs)
+            return run_jobs(self, jobs)
+
+        monkeypatch.setattr(GridExecutor, "run_jobs", spy)
+        run_grid([per_value, per_value], seeds=(1, 2))
+        coords = [(j.config.strategy, j.seed) for j in submitted]
         assert coords == [
             ("oblivious-random", 1), ("oblivious-random", 2),
             ("oblivious-lor", 1), ("oblivious-lor", 2),
         ] * 2
 
     def test_split_by_strategy_tiles(self):
-        jobs = [
-            RunJob(config=TINY.with_strategy(s), seed=seed)
-            for s in ("oblivious-random", "oblivious-lor")
-            for seed in (1, 2)
-        ]
-        results = SerialExecutor().run_jobs(jobs)
-        grouped = split_by_strategy(results, ("oblivious-random", "oblivious-lor"), 2)
+        grid = {
+            s: TINY.with_strategy(s) for s in ("oblivious-random", "oblivious-lor")
+        }
+        (grouped,) = run_grid([grid], seeds=(1, 2))
+        assert list(grouped) == ["oblivious-random", "oblivious-lor"]
         assert [r.seed for r in grouped["oblivious-random"]] == [1, 2]
         assert all(
             r.config.strategy == "oblivious-lor" for r in grouped["oblivious-lor"]
         )
 
     def test_split_rejects_ragged_blocks(self):
-        with pytest.raises(ValueError, match="does not tile"):
-            split_by_strategy([], ("a",), 2)
+        """A result list that does not tile strategies x seeds is refused."""
+
+        class Ragged(GridExecutor):
+            def run_jobs(self, jobs):
+                return GridExecutor.run_jobs(self, jobs[:3])
+
+        grid = {s: TINY.with_strategy(s) for s in ("oblivious-random", "oblivious-lor")}
+        with pytest.raises(RuntimeError, match="returned 3 results for 4 jobs"):
+            run_grid([grid], seeds=(1, 2), executor=Ragged())
+
+    def test_grid_needs_a_seed(self):
+        with pytest.raises(ValueError, match="at least one seed"):
+            run_grid([{"a": TINY}], seeds=())

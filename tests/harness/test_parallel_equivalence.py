@@ -1,9 +1,10 @@
-"""Differential tests: serial and parallel execution must be byte-identical.
+"""Differential tests: one worker and N workers must be byte-identical.
 
-The core determinism guarantee of the parallel executor is that fanning a
+The core determinism guarantee of the grid executor is that fanning a
 (value x strategy x seed) grid over worker processes is *invisible* in the
 numbers: every aggregate (``SweepResult``, ``ComparisonResult``) serializes
-to exactly the same JSON as the serial run.  These tests pin that guarantee
+to exactly the same JSON as the one-worker run.  Both are the same
+``run_grid`` with a different worker count; these tests pin the guarantee
 over several scenarios, strategies and seeds, for the sweep entry point,
 ``run_seeds``, ``figure2`` and the cached re-run path.
 
@@ -18,9 +19,8 @@ import os
 import pytest
 
 from repro.harness import (
-    ProcessExecutor,
+    GridExecutor,
     ResultCache,
-    SerialExecutor,
     compare_strategies,
     figure2,
     run_seeds,
@@ -57,12 +57,12 @@ def test_sweep_serial_equals_parallel(scenario, parameter, values):
         n_tasks=N_TASKS,
     )
     serial = sweep(scenario, **kwargs)
-    parallel = sweep(scenario, executor=ProcessExecutor(jobs=JOBS), **kwargs)
+    parallel = sweep(scenario, executor=GridExecutor(jobs=JOBS), **kwargs)
     assert serial.canonical_json() == parallel.canonical_json()
 
 
 def test_sweep_serial_executor_equals_plain_loop():
-    """The executor seam itself must not perturb the serial path."""
+    """The default executor is the one-worker executor, nothing else."""
     kwargs = dict(
         parameter="load",
         values=[0.5, 0.8],
@@ -72,7 +72,7 @@ def test_sweep_serial_executor_equals_plain_loop():
     )
     assert (
         sweep("straggler", **kwargs).canonical_json()
-        == sweep("straggler", executor=SerialExecutor(), **kwargs).canonical_json()
+        == sweep("straggler", executor=GridExecutor(), **kwargs).canonical_json()
     )
 
 
@@ -86,7 +86,7 @@ def test_sweep_with_duplicate_values_serial_equals_parallel():
         n_tasks=120,
     )
     serial = sweep("steady-state", **kwargs)
-    parallel = sweep("steady-state", executor=ProcessExecutor(jobs=JOBS), **kwargs)
+    parallel = sweep("steady-state", executor=GridExecutor(jobs=JOBS), **kwargs)
     assert serial.canonical_json() == parallel.canonical_json()
     assert serial.values == (0.5, 0.5, 0.8)
 
@@ -97,7 +97,7 @@ def test_run_seeds_serial_equals_parallel():
     )
     seeds = (1, 2, 3)
     serial = run_seeds(config, seeds)
-    parallel = run_seeds(config, seeds, executor=ProcessExecutor(jobs=JOBS))
+    parallel = run_seeds(config, seeds, executor=GridExecutor(jobs=JOBS))
     a = compare_strategies({config.strategy: serial})
     b = compare_strategies({config.strategy: parallel})
     assert a.canonical_json() == b.canonical_json()
@@ -114,7 +114,7 @@ def test_figure2_serial_equals_parallel():
         n_tasks=N_TASKS,
         seeds=(1,),
         strategies=STRATEGIES,
-        executor=ProcessExecutor(jobs=JOBS),
+        executor=GridExecutor(jobs=JOBS),
     )
     assert serial.canonical_json() == parallel.canonical_json()
 
@@ -129,9 +129,9 @@ def test_cached_rerun_is_byte_identical(tmp_path):
         seeds=SEEDS,
         n_tasks=N_TASKS,
     )
-    cold = sweep("straggler", executor=ProcessExecutor(jobs=JOBS, cache=cache), **kwargs)
+    cold = sweep("straggler", executor=GridExecutor(jobs=JOBS, cache=cache), **kwargs)
     assert cache.stores == len(kwargs["values"]) * len(STRATEGIES) * len(SEEDS)
-    warm = sweep("straggler", executor=SerialExecutor(cache=cache), **kwargs)
+    warm = sweep("straggler", executor=GridExecutor(cache=cache), **kwargs)
     assert cache.hits == cache.stores  # every cell reused, none re-run
     assert cold.canonical_json() == warm.canonical_json()
     # And both agree with a cache-free serial run.

@@ -189,7 +189,7 @@ class TestRunAssemblyParity:
         assert [type(s) for s in sim.strategies] == [type(s) for s in live.strategies]
         assert len(sim.clients) == len(live.clients) == config.n_clients
         assert sim.warmup_tasks == live.warmup_tasks == 20
-        assert sim.faults.schedule == live.faults.schedule == config.faults()
+        assert sim.faults.schedule == live.faults.schedule == config.fault_schedule
         for key in range(0, config.n_keys, 97):
             assert sim.placement.replicas_of_key(key) == live.placement.replicas_of_key(key)
         assert tasks["sim"] == tasks["live"]

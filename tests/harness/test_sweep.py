@@ -95,16 +95,23 @@ class TestSweep:
             }
 
     def test_percentile_series(self, small_sweep):
-        series = small_sweep.percentile_series("oblivious-lor", 99.0)
+        """One strategy's percentile along the sweep is a column of rows()."""
+        series = [
+            (row["load"], row["oblivious-lor p99 (ms)"])
+            for row in small_sweep.rows(99.0)
+        ]
         assert [v for v, _ in series] == [0.4, 0.7]
         assert all(latency > 0 for _, latency in series)
 
     def test_speedup_series(self, small_sweep):
-        series = small_sweep.speedup_series(
-            "oblivious-random", "oblivious-lor", 50.0
-        )
+        series = [
+            small_sweep.comparisons[v].speedup(
+                "oblivious-random", "oblivious-lor"
+            )[50.0]
+            for v in small_sweep.values
+        ]
         assert len(series) == 2
-        assert all(ratio > 0 for _, ratio in series)
+        assert all(ratio > 0 for ratio in series)
 
     def test_rows_and_render(self, small_sweep):
         rows = small_sweep.rows(99.0)

@@ -17,7 +17,7 @@ import json
 import os
 from pathlib import Path
 
-from repro.harness import ExperimentConfig, ProcessExecutor, sweep
+from repro.harness import ExperimentConfig, GridExecutor, sweep
 
 FIXTURE = Path(__file__).parent / "fixtures" / "sweep_golden.json"
 
@@ -52,7 +52,7 @@ def test_sweep_to_dict_matches_golden_fixture():
 
 def test_parallel_sweep_matches_golden_fixture():
     """The fixture also pins the parallel merge path, end to end."""
-    result = _golden_sweep(executor=ProcessExecutor(jobs=2))
+    result = _golden_sweep(executor=GridExecutor(jobs=2))
     produced = json.loads(result.canonical_json())
     expected = json.loads(FIXTURE.read_text(encoding="utf-8"))
     assert produced == expected

@@ -42,7 +42,7 @@ class TestLibrary:
 
     def test_straggler_faults_target_valid_servers(self):
         cfg = get_scenario("straggler").build_config(n_tasks=10)
-        schedule = cfg.faults()
+        schedule = cfg.fault_schedule
         assert len(schedule) == 1
         assert schedule.events[0].factor == 4.0
 
@@ -145,7 +145,7 @@ class TestBuildConfigOverrides:
         cfg = get_scenario("straggler").build_config(
             n_tasks=10, fault_schedule=NO_FAULTS
         )
-        assert len(cfg.faults()) == 0
+        assert len(cfg.fault_schedule) == 0
 
     def test_scenario_name_not_overridable(self):
         from repro.scenarios import get_scenario
@@ -181,8 +181,8 @@ class TestRemediatedPairs:
         for base, remediated in self.PAIRS:
             base_cfg = get_scenario(base).build_config(n_tasks=10)
             rem_cfg = get_scenario(remediated).build_config(n_tasks=10)
-            assert [f.kind for f in base_cfg.faults().events] == [
-                f.kind for f in rem_cfg.faults().events
+            assert [f.kind for f in base_cfg.fault_schedule.events] == [
+                f.kind for f in rem_cfg.fault_schedule.events
             ]
 
     def test_remediated_run_conserves_and_streams(self):

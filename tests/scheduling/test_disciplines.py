@@ -2,15 +2,11 @@
 
 import pytest
 
-from repro.cluster import RequestMessage
-from repro.scheduling import (
-    EdfDiscipline,
-    FifoDiscipline,
-    PriorityDiscipline,
-    SjfDiscipline,
-    make_discipline,
-)
-from repro.workload.tasks import Operation
+from repro.cluster import RequestMessage, RingPlacement
+from repro.core import CostModel, make_assigner, split_task
+from repro.scheduling import FifoDiscipline, PriorityDiscipline, make_discipline
+from repro.workload import ServiceTimeModel
+from repro.workload.tasks import Operation, Task
 
 
 def req(op_id=0, size=100, priority=(0.0,), expected=0.0, created=0.0, bottleneck=0.0):
@@ -39,24 +35,44 @@ class TestFifo:
         assert d1.key(req(), 0.0) == d2.key(req(), 0.0)
 
 
+def assigned_keys(assigner_name, sizes, task_id=0, arrival=0.0):
+    """The server keys of one task's requests: SJF and EDF reach a server
+    as the client-assigned priority tuple under :class:`PriorityDiscipline`
+    (there is no per-algorithm discipline), in either realm."""
+    ops = tuple(
+        Operation(op_id=task_id * 100 + i, task_id=task_id, key=7 * i, value_size=s)
+        for i, s in enumerate(sizes)
+    )
+    task = Task(task_id=task_id, arrival_time=arrival, client_id=0, operations=ops)
+    subtasks = split_task(
+        task,
+        RingPlacement(n_servers=5, replication_factor=2).partition_of,
+        CostModel(ServiceTimeModel(overhead=0.0, bandwidth=1000.0, noise="none")),
+    )
+    priorities = make_assigner(assigner_name).assign(task, subtasks)
+    discipline = PriorityDiscipline()
+    return [
+        discipline.key(req(op_id=op.op_id, priority=priorities[op.op_id]), 0.0)
+        for op in ops
+    ]
+
+
 class TestSjf:
     def test_orders_by_forecast(self):
-        d = SjfDiscipline()
-        assert d.key(req(expected=1.0), 0.0) < d.key(req(expected=2.0), 0.0)
+        short, long = assigned_keys("sjf", [100, 2000])
+        assert short < long
 
 
 class TestEdf:
     def test_orders_by_deadline(self):
-        d = EdfDiscipline()
-        early = req(created=0.0, bottleneck=1.0)
-        late = req(created=0.0, bottleneck=5.0)
-        assert d.key(early, 0.0) < d.key(late, 0.0)
+        (early,) = assigned_keys("edf", [1000], task_id=0)
+        (late,) = assigned_keys("edf", [5000], task_id=1)
+        assert early < late
 
     def test_older_task_with_same_bottleneck_wins(self):
-        d = EdfDiscipline()
-        old = req(created=0.0, bottleneck=2.0)
-        new = req(created=1.0, bottleneck=2.0)
-        assert d.key(old, 5.0) < d.key(new, 5.0)
+        (old,) = assigned_keys("edf", [2000], task_id=0, arrival=0.0)
+        (new,) = assigned_keys("edf", [2000], task_id=1, arrival=1.0)
+        assert old < new
 
 
 class TestPriority:
@@ -78,8 +94,6 @@ class TestFactory:
         "name,cls",
         [
             ("fifo", FifoDiscipline),
-            ("sjf", SjfDiscipline),
-            ("edf", EdfDiscipline),
             ("priority", PriorityDiscipline),
         ],
     )

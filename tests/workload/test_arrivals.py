@@ -3,12 +3,9 @@
 import pytest
 
 from repro.sim import Stream
-from repro.workload import (
-    BurstyArrivals,
-    DeterministicArrivals,
-    PoissonArrivals,
-    arrival_times,
-)
+from itertools import accumulate
+
+from repro.workload import DeterministicArrivals, PoissonArrivals
 
 
 class TestPoisson:
@@ -42,41 +39,18 @@ class TestDeterministic:
         assert proc.next_interarrival(stream) == 0.25
 
 
-class TestBursty:
-    def test_long_run_rate_matches_base(self):
-        proc = BurstyArrivals(base_rate=100.0, burst_multiplier=4.0, burst_fraction=0.2)
-        stream = Stream(4)
-        n = 100_000
-        total = sum(proc.next_interarrival(stream) for _ in range(n))
-        assert n / total == pytest.approx(100.0, rel=0.10)
-
-    def test_burstier_than_poisson(self):
-        """Gap CV must exceed 1 (the Poisson benchmark)."""
-        proc = BurstyArrivals(base_rate=100.0, burst_multiplier=8.0, burst_fraction=0.1)
-        stream = Stream(5)
-        gaps = [proc.next_interarrival(stream) for _ in range(50_000)]
-        mean = sum(gaps) / len(gaps)
-        var = sum((g - mean) ** 2 for g in gaps) / (len(gaps) - 1)
-        assert var**0.5 / mean > 1.05
-
-    def test_validates(self):
-        with pytest.raises(ValueError):
-            BurstyArrivals(base_rate=0.0)
-        with pytest.raises(ValueError):
-            BurstyArrivals(base_rate=1.0, burst_multiplier=0.5)
-        with pytest.raises(ValueError):
-            BurstyArrivals(base_rate=1.0, burst_fraction=1.5)
-
-
 class TestArrivalTimes:
+    """Arrival instants: the running sum of one ``interarrival_block``."""
+
     def test_monotone_increasing(self):
-        times = arrival_times(PoissonArrivals(50.0), Stream(6), 1000)
+        gaps = PoissonArrivals(50.0).interarrival_block(Stream(6), 1000)
+        times = list(accumulate(gaps))
         assert all(b > a for a, b in zip(times, times[1:]))
 
     def test_count_and_start(self):
-        times = arrival_times(DeterministicArrivals(1.0), Stream(7), 3, start=10.0)
-        assert times == [11.0, 12.0, 13.0]
+        gaps = DeterministicArrivals(1.0).interarrival_block(Stream(7), 3)
+        assert list(accumulate(gaps, initial=10.0))[1:] == [11.0, 12.0, 13.0]
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
-            arrival_times(PoissonArrivals(1.0), Stream(8), -1)
+            PoissonArrivals(1.0).interarrival_block(Stream(8), -1)

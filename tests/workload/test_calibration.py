@@ -7,7 +7,6 @@ from repro.workload import (
     ServiceTimeModel,
     atikoglu_etc,
     calibrate_service_model,
-    empirical_service_rate,
     system_capacity,
     task_arrival_rate_for_load,
 )
@@ -50,6 +49,17 @@ class TestServiceTimeModel:
         model = ServiceTimeModel(overhead=0.0, bandwidth=1.0)
         with pytest.raises(ValueError):
             model.expected_time(0)
+
+
+def empirical_service_rate(model, value_sizes, n, seed=42):
+    """Monte-Carlo per-core service rate under the value-size mix."""
+    size_stream = Stream(seed, "calibration-sizes")
+    noise_stream = Stream(seed + 1, "calibration-noise")
+    total = sum(
+        model.sample_time(value_sizes.sample(size_stream), noise_stream)
+        for _ in range(n)
+    )
+    return n / total
 
 
 class TestCalibration:

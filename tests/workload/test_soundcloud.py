@@ -43,9 +43,9 @@ class TestDefaults:
 
     def test_service_model_calibrated(self):
         w = make_soundcloud_workload()
-        assert w.service_model.service_rate(w.value_sizes.mean()) == pytest.approx(
-            3500.0, rel=1e-6
-        )
+        assert 1.0 / w.service_model.mean_time(
+            w.value_sizes.mean()
+        ) == pytest.approx(3500.0, rel=1e-6)
 
     def test_rejects_bad_task_count(self):
         with pytest.raises(ValueError):
