@@ -47,7 +47,7 @@ COUNTED = (
     ("asyncio.base_events", "BaseEventLoop", "_run_once", "loop turns"),
     ("asyncio.selector_events", "_SelectorSocketTransport", "_read_ready", "socket reads"),
     ("asyncio.selector_events", "_SelectorSocketTransport", "write", "writes"),
-    ("repro.loadgen.driver", "Feeder", "step", "feeder wakeups"),
+    ("repro.harness.runner", "Feeder", "step", "feeder wakeups"),
     ("repro.core.clock", "WallClock", "sleep", "feeder wakeups"),
     ("repro.loadgen.transport", "LiveTransport", "_deliver_local", "local deliveries"),
     ("repro.serve.workers", "WorkerPass", "run", "server passes"),

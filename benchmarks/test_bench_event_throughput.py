@@ -21,7 +21,6 @@ tickers, *tasks* for the full runs (see
 """
 
 import json
-import os
 import time
 from pathlib import Path
 
@@ -36,8 +35,9 @@ RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 BASELINE_PATH = RESULTS_DIR / "event_throughput_baseline.json"
 
 STRATEGIES = ("c3", "unifincr-credits")
-N_TASKS = int(os.environ.get("REPRO_BENCH_THROUGHPUT_TASKS", "2000"))
-REPEATS = int(os.environ.get("REPRO_BENCH_THROUGHPUT_REPEATS", "3"))
+N_TASKS = 2000
+#: Best-of is reported.
+REPEATS = 3
 
 
 def calibration_spin(n=2_000_000):

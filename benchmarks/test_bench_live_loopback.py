@@ -8,13 +8,12 @@ strategy must complete its full multiget count, and BRB's credits
 realization must keep its tail at or below the C3 baseline *on real
 concurrency*, mirroring the simulated ordering.
 
-Scale control: ``REPRO_LIVE_TASKS`` (default 1500 -- roughly half a minute
-of wall time across the strategies), ``REPRO_LIVE_TIME_SCALE`` (default
-25; larger = more timer headroom, longer wall time).
+Scale: 1500 multigets -- roughly half a minute of wall time across the
+strategies -- at the serve default time scale (25; larger = more timer
+headroom, longer wall time).
 """
 
 import asyncio
-import os
 
 from conftest import save_report
 
@@ -26,12 +25,7 @@ from repro.serve import DEFAULT_TIME_SCALE, LiveServer
 
 STRATEGIES = ("c3", "unifincr-credits", "equalmax-credits")
 SCENARIO = "steady-state"
-
-
-def live_scale():
-    n_tasks = int(os.environ.get("REPRO_LIVE_TASKS", 1500))
-    time_scale = float(os.environ.get("REPRO_LIVE_TIME_SCALE", DEFAULT_TIME_SCALE))
-    return n_tasks, time_scale
+N_TASKS = 1500
 
 
 async def run_one_live(config, time_scale):
@@ -81,7 +75,7 @@ def run_loopback_bench(n_tasks, time_scale):
 
 
 def test_live_loopback(once):
-    n_tasks, time_scale = live_scale()
+    n_tasks, time_scale = N_TASKS, DEFAULT_TIME_SCALE
     rows, raw = once(run_loopback_bench, n_tasks, time_scale)
 
     report = render_table(

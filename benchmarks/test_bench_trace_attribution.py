@@ -19,8 +19,6 @@ That contrast is exactly what the tracing subsystem exists to surface:
 strategy and "p99 is rate-limiter-bound at the client" for the other.
 """
 
-import os
-
 from conftest import save_report
 
 from repro.harness.runner import run_experiment
@@ -33,7 +31,7 @@ from repro.trace import (
     render_diff,
 )
 
-N_TASKS = int(os.environ.get("REPRO_BENCH_TRACE_TASKS", "4000"))
+N_TASKS = 4000
 SEEDS = (1, 2)
 TAIL = 99.0
 

@@ -701,16 +701,10 @@ def _add_serve(subparsers: argparse._SubParsersAction) -> None:
                    help="wall seconds per model second (default 25)")
     p.add_argument("--seed", type=int, default=1,
                    help="seed for the service-time noise streams")
-    p.add_argument("--stats-interval", type=float, default=None, metavar="S",
-                   help="print per-worker queue depth and ops/s to stderr "
-                        "every S wall seconds")
     p.add_argument("--metrics-port", type=int, default=None, metavar="P",
                    help="export Prometheus text over HTTP on this port "
                         "(0 = ephemeral; with --procs N, process i exports "
                         "on P+i)")
-    p.add_argument("--uvloop", action="store_true",
-                   help="use uvloop's event loop when the package is installed "
-                        "(silently falls back to asyncio otherwise)")
     p.set_defaults(func=_cmd_serve)
 
 
@@ -722,7 +716,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         DEFAULT_PORT,
         DEFAULT_TIME_SCALE,
         ServeSupervisor,
-        install_uvloop,
         run_server,
     )
 
@@ -741,8 +734,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             seed=args.seed,
             host=host,
             base_port=port,
-            stats_interval=args.stats_interval,
-            use_uvloop=args.uvloop,
             metrics_base_port=args.metrics_port,
         )
         try:
@@ -777,9 +768,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             supervisor.stop()
         return 0
 
-    if args.uvloop:
-        install_uvloop()
-
     def ready(server) -> None:
         metrics_note = (
             f", metrics http://{server.host}:{server.metrics_port}/"
@@ -804,7 +792,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 host=host,
                 port=port,
                 ready=ready,
-                stats_interval=args.stats_interval,
                 metrics_port=args.metrics_port,
             )
         )
@@ -1028,22 +1015,13 @@ def _cmd_watch(args: argparse.Namespace) -> int:
                 if polls:
                     await asyncio.sleep(args.interval)
                 if args.prometheus:
-                    text = await asyncio.wait_for(
-                        transport.fetch_metrics(), timeout=10
-                    )
-                    print(text, end="", flush=True)
+                    print(await transport.fetch_metrics(), end="", flush=True)
                     polls += 1
                     continue
-                stats = await asyncio.wait_for(
-                    transport.fetch_stats(), timeout=10
-                )
+                stats = await transport.fetch_stats()
                 client = None
                 if has_client_bus:
-                    client = _combine_client_bus(
-                        await asyncio.wait_for(
-                            transport.fetch_client_bus(), timeout=10
-                        )
-                    )
+                    client = _combine_client_bus(await transport.fetch_client_bus())
                 now = _time.monotonic()
                 completed = int(stats.get("completed", 0))
                 if last_completed is None:

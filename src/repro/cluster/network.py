@@ -105,6 +105,11 @@ class Network:
             raise ValueError(f"address {address!r} already registered")
         self._handlers[address] = handler
 
+    def unregister_all(self) -> None:
+        """Drop every handler (run teardown): each is a method of an
+        endpoint that holds this network."""
+        self._handlers.clear()
+
     def send(
         self, src: _t.Hashable, dst: _t.Hashable, message: _t.Any
     ) -> float:

@@ -10,6 +10,11 @@ two narrow interfaces:
 * :class:`Transport` -- ``register(address, handler)`` and
   ``send(src, dst, message)``: addressed, asynchronous message delivery.
 
+Each also has one teardown verb for the run's owner (``cancel_all()``,
+``unregister_all()``): a pending callback and a registered handler are
+methods of objects that hold the clock and the transport, so a finished
+run lets go of both instead of waiting for the cycle collector.
+
 The simulation realizes them with :class:`~repro.sim.engine.Environment`
 (virtual clock, event calendar) and :class:`~repro.cluster.network.Network`
 (modelled one-way latency); both satisfy the protocols structurally, so
@@ -63,6 +68,11 @@ class Clock(_t.Protocol):
         interval from now; the next call is armed after ``fn`` returns."""
         ...
 
+    def cancel_all(self) -> None:
+        """Withdraw every pending call (teardown; the run's owner calls it,
+        strategy code does not)."""
+        ...
+
 
 @_t.runtime_checkable
 class Transport(_t.Protocol):
@@ -80,6 +90,10 @@ class Transport(_t.Protocol):
     def send(
         self, src: _t.Hashable, dst: _t.Hashable, message: _t.Any
     ) -> _t.Any: ...
+
+    def unregister_all(self) -> None:
+        """Drop every handler (teardown, by the run's owner)."""
+        ...
 
 
 class _WallTimer:
@@ -201,6 +215,8 @@ class WallClock:
         return bool(self._error_callbacks)
 
     def cancel_all(self) -> None:
-        """Cancel every armed handle of this clock (run teardown)."""
+        """Cancel every armed handle of this clock and forget the error
+        subscribers, which have nothing left to hear of (run teardown)."""
         for timer in list(self._armed):
             timer.cancel()
+        self._error_callbacks.clear()

@@ -86,6 +86,10 @@ class GlobalQueue:
         self._idle.extend([server] * server.cores)
         return [self._heaps.setdefault(p, []) for p in sorted(server.partitions)]
 
+    def detach(self) -> None:
+        """Forget every attached server (run teardown): each holds this queue."""
+        self._idle.clear()
+
     def core_idle(self, server: "PullServer") -> None:
         """One of ``server``'s cores finished its request."""
         self._idle.append(server)

@@ -11,7 +11,6 @@ from .builders import (
 from .config import (
     ExperimentConfig,
     FIGURE2_STRATEGIES,
-    paper_figure2_config,
 )
 from .figures import Figure1Result, figure1_toy, figure2, figure2_series
 from .parallel import (
@@ -53,7 +52,6 @@ __all__ = [
     "figure2",
     "figure2_series",
     "get_builder",
-    "paper_figure2_config",
     "register_strategy",
     "run_experiment",
     "run_grid",

@@ -114,6 +114,11 @@ class StrategyBuilder:
     def build_shared(self, ctx: ClusterContext) -> None:
         """Create strategy-wide machinery into ``ctx.shared`` (optional)."""
 
+    def release_shared(self, ctx: ClusterContext) -> None:
+        """Let go of what :meth:`build_shared` made (run teardown,
+        idempotent); override when it is tied into a reference cycle."""
+        ctx.shared.clear()
+
     # -- per-client ---------------------------------------------------------------
     def build_client_strategy(
         self, ctx: ClusterContext, client_id: int
@@ -372,6 +377,11 @@ class ModelBuilder(StrategyBuilder):
             latency=ctx.config.cluster.make_latency_model(),
             stream=ctx.streams.stream("model.submit-latency"),
         )
+
+    def release_shared(self, ctx: ClusterContext) -> None:
+        if ctx.shared:
+            ctx.shared["global_queue"].detach()  # its servers hold it back
+        super().release_shared(ctx)
 
     def build_client_strategy(
         self, ctx: ClusterContext, client_id: int

@@ -178,8 +178,3 @@ class ExperimentConfig:
             f"{self.cluster.n_servers}x{self.cluster.cores_per_server} cores, "
             f"load={self.load:.0%}, fanout~{self.mean_fanout}"
         )
-
-
-def paper_figure2_config(n_tasks: int = 20_000, **overrides: _t.Any) -> ExperimentConfig:
-    """The Figure 2 experiment at a scaled task count."""
-    return ExperimentConfig(n_tasks=n_tasks, **overrides)

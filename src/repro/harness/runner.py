@@ -21,7 +21,6 @@ comes from the registered :class:`~repro.harness.builders.StrategyBuilder`.
 from __future__ import annotations
 
 import dataclasses
-import gc
 import hashlib
 import typing as _t
 
@@ -113,7 +112,7 @@ class CompletionTracker:
     """Counts completions, applies warmup filtering, signals "all done".
 
     ``on_done`` is the realm's completion signal (``env.event().succeed``
-    in the simulation, ``asyncio.Event.set`` live); the tracker itself
+    in the simulation, ``LiveTransport.finish`` live); the tracker itself
     only reads the clock.
     """
 
@@ -292,9 +291,8 @@ class RunAssembly:
         """Attach the realm's fault port and per-server backlog view.
 
         Builds the (not yet started) fault injector, the remediation
-        driver the config asks for, and the task generator.  The realm
-        calls ``faults.start()`` and schedules the remediation tick itself
-        -- *when* those run is exactly what differs between realms.
+        driver the config asks for, and the task generator; :meth:`feed`
+        starts them at the realm's time zero.
         """
         self.faults = FaultInjector(
             self.clock, self.config.fault_schedule, fault_port, self.placement
@@ -309,18 +307,40 @@ class RunAssembly:
         )
         self.generator = self.workload.generator(self.streams)
 
+    def feed(self) -> "Feeder":
+        """Start the fault script and the remediation tick (model time zero
+        is now) and return the arrival feeder, whose first ``step`` the
+        realm makes -- directly in the simulation, as a clock callback live."""
+        self.faults.start()
+        if self.remediation is not None:
+            self.clock.call_every(self.remediation.interval, self.remediation.tick)
+        return Feeder(self.clock, self, self.config.n_tasks)
+
     def submit(self, task: Task) -> None:
         """Hand one arrived task to its client (the feeders' last step)."""
         if self.remediation is not None:
             self.remediation.observe_arrival()
         self.clients[task.client_id].submit(task)
 
-    def reset(self) -> None:
-        """Teardown: revert still-open fault windows and applied levers."""
+    def close(self) -> None:
+        """Teardown, idempotent: revert still-open fault windows and applied
+        levers, then let go of what ties the run into reference cycles --
+        pending timers (their callbacks are methods of objects that hold the
+        clock), transport handlers (likewise the transport), client <->
+        strategy, the builder's shared machinery and the client list the
+        completion hooks reach back through -- so a finished run is freed by
+        reference count, not whenever the cycle collector next runs.  Call
+        after :meth:`result`."""
         if self.faults is not None:
             self.faults.reset()
         if self.remediation is not None:
             self.remediation.reset()
+        self.clock.cancel_all()
+        self.ctx.network.unregister_all()
+        for strategy in self.strategies:
+            strategy.bind(None)
+        self.builder.release_shared(self.ctx)
+        self.clients, self.strategies = [], []
 
     def result(
         self,
@@ -359,52 +379,49 @@ class RunAssembly:
         )
 
 
-class _SimFeeder:
-    """The simulated open-loop arrivals: one calendar timer per waited gap.
+class Feeder:
+    """The open-loop arrival schedule as a self-re-arming clock callback.
 
-    An object, not a closure in :func:`run_experiment`: a closure that
-    re-arms itself is a reference cycle holding the whole run (workload
-    arrays included) until the collector's oldest generation runs, which
-    reads as +12% peak RSS over ``bench/``'s repeats.
+    ``step`` submits every task whose *absolute* due time has passed (a late
+    wakeup submits its whole burst; deadlines never drift), draws the next
+    one and re-arms for it.  A loop that falls behind fires tasks late and
+    back-to-back, a silently closed loop: ``lag_*`` say how late (model
+    seconds), so saturated runs are detectable in the summary.  The
+    simulation is the zero-lag case: its calendar wakes ``step`` exactly
+    on the due time.  An object, not a closure (a reference cycle through
+    the run).
     """
 
-    def __init__(self, env: Environment, run: RunAssembly) -> None:
-        self.env = env
-        self.run = run
-        self.left = run.config.n_tasks
-        self.last_arrival = 0.0
+    def __init__(self, clock: "Clock", run: RunAssembly, n_tasks: int) -> None:
+        self.clock, self.run, self.left = clock, run, n_tasks
+        self.task: _t.Any = None  # drawn, not yet due
+        self.next_at = self.last_arrival = self.lag_total = self.lag_max = 0.0
 
-    def feed(self, due: _t.Optional[Task]) -> None:
-        """Submit ``due`` (its wait just ended), then every task up to the
-        next one that has to be waited for."""
-        run = self.run
-        if due is not None:
-            run.submit(due)
-        while self.left:
+    def step(self, _arg: None = None) -> None:
+        run, clock = self.run, self.clock
+        while True:
+            if self.task is not None:
+                lag = clock.now - self.next_at
+                if lag < 0.0:
+                    clock.call_later(-lag, self.step)
+                    return
+                self.lag_total += lag
+                self.lag_max = max(self.lag_max, lag)
+                run.submit(self.task)
+                self.task = None
+            if not self.left:
+                return
             self.left -= 1
-            task = run.generator.next_task()
+            task = self.task = run.generator.next_task()
             # Flash-crowd faults compress inter-arrival gaps; at scale 1
-            # this reduces exactly to waiting until task.arrival_time.
+            # the due times are exactly the trace's arrival times.
             gap = task.arrival_time - self.last_arrival
             self.last_arrival = task.arrival_time
-            delay = gap / run.faults.arrival_scale()
-            if delay > 0:
-                self.env.call_later(delay, self.feed, task)
-                return
-            run.submit(task)
-
-
-#: A run this long first collects what the one before left: a finished run
-#: graph is a reference cycle of several MB, and the collector's oldest
-#: generation runs by container allocations (a run makes few), not by what
-#: waits for it.  ~8 ms, under 2% of such a run (performance.md, Stage G).
-COLLECT_BEFORE_TASKS = 5_000
+            self.next_at += gap / run.faults.arrival_scale()
 
 
 def run_experiment(config: ExperimentConfig, seed: int = 1) -> RunResult:
     """Simulate one (config, seed) pair end to end."""
-    if config.n_tasks >= COLLECT_BEFORE_TASKS:
-        gc.collect()
     streams = StreamFactory(seed)
     env = Environment()
     network = Network(
@@ -414,40 +431,40 @@ def run_experiment(config: ExperimentConfig, seed: int = 1) -> RunResult:
     )
     done = env.event()
     run = RunAssembly(config, streams, env, network, done.succeed)
-    servers = [
-        run.builder.build_server(run.ctx, server_id)
-        for server_id in range(config.cluster.n_servers)
-    ]
-    run.arm(
-        SimFaultPort(servers, network),
-        # Backlog = queued + in service: pacing strategies keep queues
-        # near zero while saturating cores, so queues alone miss heat.
-        lambda: [s.queue_length() + s.in_service for s in servers],
-    )
-    run.faults.start()
-    if run.remediation is not None:
-        env.call_every(run.remediation.interval, run.remediation.tick)
-    _SimFeeder(env, run).feed(None)
-    env.run(until=done)
-
-    # -- audit: conservation laws -------------------------------------------
-    total_completed = sum(c.tasks_completed for c in run.clients)
-    if total_completed != config.n_tasks:
-        raise RuntimeError(
-            f"lost tasks: {total_completed} completed of {config.n_tasks}"
+    try:
+        servers = [
+            run.builder.build_server(run.ctx, server_id)
+            for server_id in range(config.cluster.n_servers)
+        ]
+        run.arm(
+            SimFaultPort(servers, network),
+            # Backlog = queued + in service: pacing strategies keep queues
+            # near zero while saturating cores, so queues alone miss heat.
+            lambda: [s.queue_length() + s.in_service for s in servers],
         )
-    # Hedging may leave duplicate copies in flight when the last task
-    # completes; every *non-hedged* strategy must conserve exactly (checked
-    # against the generated op count by the integration tests).
-    return run.result(
-        events_processed=env.events_processed,
-        requests_served=sum(s.completed for s in servers),
-        realm_extras={
-            "mean_server_utilization": sum(s.utilization for s in servers)
-            / len(servers),
-        },
-        servers=servers,
-    )
+        run.feed().step()
+        env.run(until=done)
+
+        # -- audit: conservation laws ---------------------------------------
+        total_completed = sum(c.tasks_completed for c in run.clients)
+        if total_completed != config.n_tasks:
+            raise RuntimeError(
+                f"lost tasks: {total_completed} completed of {config.n_tasks}"
+            )
+        # Hedging may leave duplicate copies in flight when the last task
+        # completes; every *non-hedged* strategy must conserve exactly
+        # (checked against the generated op count by the integration tests).
+        return run.result(
+            events_processed=env.events_processed,
+            requests_served=sum(s.completed for s in servers),
+            realm_extras={
+                "mean_server_utilization": sum(s.utilization for s in servers)
+                / len(servers),
+            },
+            servers=servers,
+        )
+    finally:
+        run.close()
 
 
 if _t.TYPE_CHECKING:  # pragma: no cover

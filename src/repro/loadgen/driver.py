@@ -6,12 +6,14 @@
 tracker, fault injector, remediation, tracing) a clock and a transport and
 get the same :class:`~repro.harness.runner.RunResult` out -- except here
 requests travel over TCP to live asyncio workers instead of through the
-event calendar.  What this module owns is only what wall time forces:
-connecting and validating the cluster shape, the asyncio
-wait/timeout/teardown loop, the open-loop :class:`Feeder` (a clock callback
-like every other timed activity) and its ``schedule_lag`` honesty metric,
-server stats deltas, and the :class:`LiveFaultPort` that turns the shared
-fault injector's verbs into admin frames.
+event calendar.  A run has the simulation's four verbs -- open (connect,
+validate the cluster shape, assemble), feed (the shared
+:class:`~repro.harness.runner.Feeder`, here a clock callback whose
+``schedule_lag`` is the honesty metric), wait (the transport's one outcome
+future, under the wall timeout), close -- and what this module owns is
+only what wall time forces: server stats deltas and the
+:class:`LiveFaultPort` that turns the shared fault injector's verbs into
+admin frames.
 
 Because the output is a genuine ``RunResult``, everything downstream --
 :func:`~repro.harness.results.compare_strategies`, the analysis tables,
@@ -22,13 +24,11 @@ imitated, which is what the sim<->live differential harness
 
 from __future__ import annotations
 
-import asyncio
 import os
 import time
 import typing as _t
 
 from ..cluster.faults import NetworkJitterFault
-from ..core.clock import Clock
 from ..harness.builders import ModelBuilder, get_builder
 from ..harness.config import ExperimentConfig
 from ..harness.results import compare_strategies
@@ -80,43 +80,6 @@ class LiveFaultPort:
         self._admin("clear-jitter")
 
 
-class Feeder:
-    """The open-loop arrival schedule as a self-re-arming clock callback.
-
-    ``step`` submits every task whose *absolute* due time has passed (a late
-    wakeup submits its whole burst; deadlines never drift), draws the next
-    one and re-arms for it.  A loop that falls behind fires tasks late and
-    back-to-back, a silently closed loop: ``lag_*`` say how late (model
-    seconds), so saturated runs are detectable in the summary.  An object,
-    not a closure (a reference cycle through the run).
-    """
-
-    def __init__(self, clock: Clock, run: RunAssembly, n_tasks: int) -> None:
-        self.clock, self.run, self.left = clock, run, n_tasks
-        self.task: _t.Any = None  # drawn, not yet due
-        self.next_at = self.last_arrival = self.lag_total = self.lag_max = 0.0
-
-    def step(self, _arg: None = None) -> None:
-        run, clock = self.run, self.clock
-        while True:
-            if self.task is not None:
-                lag = clock.now - self.next_at
-                if lag < 0.0:
-                    clock.call_later(-lag, self.step)
-                    return
-                self.lag_total += lag
-                self.lag_max = max(self.lag_max, lag)
-                run.submit(self.task)
-                self.task = None
-            if not self.left:
-                return
-            self.left -= 1
-            task = self.task = run.generator.next_task()
-            gap = task.arrival_time - self.last_arrival
-            self.last_arrival = task.arrival_time
-            self.next_at += gap / run.faults.arrival_scale()
-
-
 def _validate_shape(config: ExperimentConfig, ack: _t.Mapping[str, _t.Any]) -> None:
     """The server must match the config's backend tier, or nothing the
     client computes (placement, capacities, costs) is meaningful."""
@@ -141,6 +104,22 @@ def _validate_shape(config: ExperimentConfig, ack: _t.Mapping[str, _t.Any]) -> N
         raise LiveTransportError(
             "server/config mismatch: " + "; ".join(mismatches)
         )
+
+
+_Stats = _t.Mapping[str, _t.Any]
+
+
+def _grew(before: _Stats, after: _Stats, key: str) -> float:
+    """How much the additive counter ``key`` grew between two stats frames."""
+    return float(after.get(key, 0)) - float(before.get(key, 0))
+
+
+def _workers_grew(before: _Stats, after: _Stats, key: str) -> float:
+    """:func:`_grew` of a per-worker counter, summed over the workers."""
+    return sum(
+        _grew(b, a, key)
+        for b, a in zip(before.get("workers", []), after.get("workers", []))
+    )
 
 
 async def run_live(
@@ -170,18 +149,14 @@ async def run_live(
     transport = await LiveTransport.connect(
         endpoints, pool=pool, protocol=protocol
     )
-    try:
-        _validate_shape(config, transport.ack)
-    except BaseException:
-        await transport.close()
-        raise
     clock = transport.clock
-    done_waiter: _t.Optional["asyncio.Task[bool]"] = None
     run: _t.Optional[RunAssembly] = None
     try:
-        stats_before = await asyncio.wait_for(transport.fetch_stats(), timeout=10)
-        done = asyncio.Event()
-        run = RunAssembly(config, StreamFactory(seed), clock, transport, done.set)
+        _validate_shape(config, transport.ack)
+        stats_before = await transport.fetch_stats()
+        run = RunAssembly(
+            config, StreamFactory(seed), clock, transport, transport.finish
+        )
         if run.recorder is not None:
             # The transport hook propagates the trace context over the
             # wire per sampled op.
@@ -192,121 +167,68 @@ async def run_live(
             LiveFaultPort(transport, config.cluster.one_way_latency),
             transport.backlog_depths,
         )
-        faults = run.faults
-        remediation = run.remediation
         # Close the cluster-wide observability loop: stream this load
         # generator's client-side BusSnapshots to every endpoint over the
         # admin plane, so `repro watch` and the Prometheus exporter see
         # windowed client-side percentiles even for a --procs N cluster.
         # Gated on the server's capability advertisement (old servers
         # would reject the unknown admin command and poison the stream).
-        if remediation is not None and "bus-report" in transport.features:
+        if run.remediation is not None and "bus-report" in transport.features:
             reporter = f"loadgen-{os.getpid()}"
-            remediation.bus.subscribe(
+            run.remediation.bus.subscribe(
                 on_snapshot=lambda snapshot: transport.report_bus(
                     reporter, snapshot.to_dict()
                 )
             )
-        expected_model_s = config.n_tasks / run.workload.task_rate
         if wall_timeout is None:
+            expected_model_s = config.n_tasks / run.workload.task_rate
             wall_timeout = max(60.0, 12.0 * expected_model_s * clock.scale + 30.0)
 
-        feeder = Feeder(clock, run, config.n_tasks)
         wall_start = time.monotonic()
         # Model time zero = first arrival: latencies are measured against
         # the trace's intended arrival times, exactly like the simulation.
         clock.rebase()
-        faults.start()
-        if remediation is not None:
-            clock.call_every(remediation.interval, remediation.tick)
-        done_waiter = asyncio.get_running_loop().create_task(done.wait())
-
-        # Surface background crashes immediately as the real traceback,
-        # not as a mysterious timeout minutes later (the sim raises the
-        # same exceptions synchronously from env.run).  The clock funnels
-        # the first exception of *any* timer callback (the feeder, credit
-        # reports, the controller's allocation, C3 pacing, hedge timers,
-        # fault windows) into one future, so the watch set stays
-        # constant-sized no matter how many short-lived per-request timers
-        # a strategy arms.
-        background_failure: "asyncio.Future[None]" = (
-            asyncio.get_running_loop().create_future()
-        )
-
-        def note_background_error(error: BaseException) -> None:
-            if not background_failure.done():
-                background_failure.set_exception(error)
-
-        clock.on_error(note_background_error)
+        feeder = run.feed()
         clock.call_later(0.0, feeder.step)
-        waiters: _t.Set[_t.Any] = {done_waiter, transport.failed, background_failure}
-        deadline = asyncio.get_running_loop().time() + wall_timeout
-        try:
-            while not done.is_set():
-                remaining = deadline - asyncio.get_running_loop().time()
-                if remaining <= 0:
-                    raise LiveTransportError(
-                        f"live run timed out after {wall_timeout:.0f}s wall: "
-                        f"{run.tracker.completed}/{config.n_tasks} tasks completed, "
-                        f"{transport.pending_ops} ops in flight"
-                    )
-                await asyncio.wait(
-                    waiters, timeout=remaining, return_when=asyncio.FIRST_COMPLETED
-                )
-                if transport.failed.done():
-                    raise transport.failed.exception()  # type: ignore[misc]
-                if background_failure.done():
-                    raise _t.cast(
-                        BaseException, background_failure.exception()
-                    )
-        finally:
-            if not background_failure.done():
-                background_failure.cancel()
-            elif not background_failure.cancelled():
-                background_failure.exception()  # consume for GC hygiene
+        # A background crash surfaces here at once as the real exception
+        # (the sim raises the same ones synchronously from env.run), not as
+        # a mysterious timeout minutes later.
+        await transport.wait(
+            wall_timeout,
+            lambda: f"{run.tracker.completed}/{config.n_tasks} tasks completed, "
+            f"{transport.pending_ops} ops in flight",
+        )
         wall_duration = time.monotonic() - wall_start
-        stats_after = await asyncio.wait_for(transport.fetch_stats(), timeout=10)
+        stats_after = await transport.fetch_stats()
 
-        requests_served = int(
-            stats_after.get("completed", 0) - stats_before.get("completed", 0)
-        )
-        uptime_delta = float(
-            stats_after.get("uptime_model_s", 0.0)
-            - stats_before.get("uptime_model_s", 0.0)
-        )
-        busy_delta = sum(
-            float(after.get("busy_time_s", 0.0)) - float(before.get("busy_time_s", 0.0))
-            for before, after in zip(
-                stats_before.get("workers", []), stats_after.get("workers", [])
-            )
-        )
-        late_delta = sum(
-            float(after.get("lateness_total_s", 0.0))
-            - float(before.get("lateness_total_s", 0.0))
-            for before, after in zip(
-                stats_before.get("workers", []), stats_after.get("workers", [])
-            )
-        )
+        requests_served = int(_grew(stats_before, stats_after, "completed"))
+        uptime = _grew(stats_before, stats_after, "uptime_model_s")
         cores_total = config.cluster.n_servers * config.cluster.cores_per_server
         realm_extras: _t.Dict[str, float] = {
             "mean_server_utilization": (
-                busy_delta / (uptime_delta * cores_total) if uptime_delta > 0 else 0.0
+                _workers_grew(stats_before, stats_after, "busy_time_s")
+                / (uptime * cores_total)
+                if uptime > 0
+                else 0.0
             ),
             "live_time_scale": clock.scale,
             "live_wall_duration_s": wall_duration,
             "live_requests_rejected": float(stats_after.get("rejected", 0)),
             "live_congestion_frames": float(transport.congestion_signals),
             "live_protocol": float(transport.ack.get("proto", 1)),
-            "live_links": float(transport.links),
+            "live_links": float(len(transport.links)),
             "schedule_lag_max_s": feeder.lag_max,
             "schedule_lag_mean_s": feeder.lag_total / max(config.n_tasks, 1),
             # How late the servers' completions ran behind their due times
             # (epoll's rounded-up millisecond), over this run's requests.
-            "live_completion_lateness_mean_s": late_delta / max(requests_served, 1),
+            "live_completion_lateness_mean_s": _workers_grew(
+                stats_before, stats_after, "lateness_total_s"
+            )
+            / max(requests_served, 1),
         }
         if run.recorder is not None:
-            realm_extras["live_traced_ops"] = float(
-                stats_after.get("traced_ops", 0) - stats_before.get("traced_ops", 0)
+            realm_extras["live_traced_ops"] = _grew(
+                stats_before, stats_after, "traced_ops"
             )
         return run.result(
             events_processed=transport.ops_sent + transport.responses_received,
@@ -315,11 +237,8 @@ async def run_live(
             servers=(),  # the backend tier lives in another process
         )
     finally:
-        if done_waiter is not None and not done_waiter.done():
-            done_waiter.cancel()
-        clock.cancel_all()
         if run is not None:
-            run.reset()  # leave the server undegraded for the next run
+            run.close()  # leave the server undegraded for the next run
         await transport.close()
 
 

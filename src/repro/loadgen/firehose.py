@@ -3,9 +3,11 @@
 The loadgen driver (:mod:`repro.loadgen.driver`) measures *scheduling*:
 it replays a paper workload on a scaled model clock, so its throughput is
 bounded by the scenario's arrival rate, not by the transport.  The
-firehose measures the *wire path* itself.  It speaks the same protocol
-(handshake, negotiated codec, pipelined op frames over pooled
-connections) but skips the strategy stack entirely: a fixed window of
+firehose measures the *wire path* itself.  It rides the same
+:class:`~repro.loadgen.transport.LiveTransport` (handshake, negotiated
+codec, pooled links, control frames, stats query, outcome future) but
+skips the strategy stack entirely -- its ``on_res`` is bound straight to
+the links, and its ops go straight out on them: a fixed window of
 multigets is kept in flight on every run, and the moment one multiget
 completes, the next is issued.  The number it reports is therefore the
 throughput ceiling of codec + framing + write batching + event loop --
@@ -26,22 +28,12 @@ event-loop timer resolution and queueing never becomes the bottleneck.
 
 from __future__ import annotations
 
-import asyncio
 import dataclasses
 import time
 import typing as _t
 
 from ..serve.protocol import MAX_PROTOCOL_VERSION
-from .transport import (
-    Endpoint,
-    Link,
-    LiveTransportError,
-    RID_MASK,
-    ack_workers,
-    io_counters,
-    open_links,
-    sum_stats,
-)
+from .transport import Endpoint, LiveTransport, LiveTransportError, RID_MASK, sum_stats
 
 #: Fixed priority for firehose ops: everything equal, FIFO per worker.
 _PRIORITY: _t.Tuple[float, ...] = (0.0,)
@@ -122,17 +114,12 @@ class _FirehoseRun:
 
     def __init__(
         self,
-        links: _t.List[Link],
-        worker_links: _t.Dict[int, _t.List[Link]],
         total: int,
         warmup: int,
         fanout: int,
         value_size: int,
         key_space: int,
     ) -> None:
-        self.links = links
-        self.worker_ids = sorted(worker_links)
-        self.worker_links = worker_links
         self.total = total
         self.warmup = warmup
         self.fanout = fanout
@@ -148,11 +135,13 @@ class _FirehoseRun:
         self.t_measure_start = 0.0
         self.t_measure_end = 0.0
         self.measure_io_base: _t.Dict[str, int] = {}
-        self.congestion_frames = 0
-        loop = asyncio.get_running_loop()
-        self.done = asyncio.Event()
-        self.failed: "asyncio.Future[None]" = loop.create_future()
-        self.stats_futures: _t.Dict[Endpoint, "asyncio.Future[_t.Dict[str, _t.Any]]"] = {}
+
+    def attach(self, transport: LiveTransport) -> None:
+        """The connected cluster: its links carry the ops, its outcome the
+        run's end (``on_res`` is already what its links deliver to)."""
+        self.transport = transport
+        self.worker_ids = sorted(transport.worker_links)
+        self.worker_links = transport.worker_links
 
     # -- issue path ---------------------------------------------------------
     def issue_one(self) -> None:
@@ -177,7 +166,9 @@ class _FirehoseRun:
     def on_res(self, rid: int, *_measurements: _t.Any) -> None:
         mg = self.pending.pop(rid, -1)
         if mg < 0:
-            self.fail(LiveTransportError(f"result for unknown wire id {rid}"))
+            self.transport.fail(
+                LiveTransportError(f"result for unknown wire id {rid}")
+            )
             return
         left = self.remaining[mg] - 1
         self.remaining[mg] = left
@@ -191,31 +182,12 @@ class _FirehoseRun:
             # Warmup drained: the window is full and in steady state, so
             # the measured span starts here.
             self.t_measure_start = now
-            self.measure_io_base = io_counters(self.links)
+            self.measure_io_base = self.transport.io_counters()
         if self.next_mg < self.total:
             self.issue_one()
         elif self.completed == self.total:
             self.t_measure_end = now
-            self.done.set()
-
-    def on_control(self, endpoint: Endpoint, frame: _t.Dict[str, _t.Any]) -> None:
-        kind = frame.get("t")
-        if kind == "congestion":
-            self.congestion_frames += 1
-        elif kind == "stats":
-            future = self.stats_futures.get(endpoint)
-            if future is not None and not future.done():
-                future.set_result(frame)
-        elif kind == "admin-ack":
-            pass
-        elif kind == "error":
-            self.fail(LiveTransportError(f"service error: {frame.get('error')!r}"))
-        else:
-            self.fail(LiveTransportError(f"unexpected frame {frame!r}"))
-
-    def fail(self, exc: Exception) -> None:
-        if not self.failed.done():
-            self.failed.set_exception(exc)
+            self.transport.finish()
 
 
 async def run_firehose(
@@ -246,55 +218,27 @@ async def run_firehose(
         warmup = min(max(window, 100), multigets)
     total = warmup + multigets
 
+    run = _FirehoseRun(total, warmup, fanout, value_size, key_space)
     # The firehose never consumes congestion broadcasts: opt every
     # connection out so saturation does not turn into a broadcast storm.
-    links = await open_links(endpoints, pool, protocol, congestion=False)
-    negotiated = min(int(link.ack.get("proto", 1)) for link in links)
-    worker_links: _t.Dict[int, _t.List[Link]] = {}
-    primary: _t.Dict[Endpoint, Link] = {}
-    for link in links:
-        primary.setdefault(link.endpoint, link)
-        for worker_id in ack_workers(link.ack):
-            worker_links.setdefault(worker_id, []).append(link)
-
-    run = _FirehoseRun(
-        links, worker_links, total, warmup, fanout, value_size, key_space
+    transport = await LiveTransport.connect(
+        endpoints, pool, protocol, congestion=False, on_res=run.on_res
     )
-    loop = asyncio.get_running_loop()
-    for link in links:
-        link.start(run.on_res, run.on_control, run.fail)
+    run.attach(transport)
     try:
         for _ in range(min(window, total)):
             run.issue_one()
-        waiter = loop.create_task(run.done.wait())
-        finished, _pending = await asyncio.wait(
-            {waiter, run.failed},
-            timeout=wall_timeout,
-            return_when=asyncio.FIRST_COMPLETED,
+        await transport.wait(
+            wall_timeout, lambda: f"{run.completed} of {total} multigets done"
         )
-        if run.failed in finished:
-            waiter.cancel()
-            run.failed.exception()
-            raise _t.cast(Exception, run.failed.exception())
-        if not finished:
-            waiter.cancel()
-            raise LiveTransportError(
-                f"firehose did not complete {total} multigets within "
-                f"{wall_timeout}s ({run.completed} done)"
-            )
-        server_io = await _collect_server_stats(run, primary)
+        server_io = sum_stats([await transport.fetch_stats()])
     finally:
-        if not run.failed.done():
-            run.failed.cancel()
-        else:
-            run.failed.exception()
-        for link in links:
-            await link.close(flush_timeout=0.5)
+        await transport.close()
 
     rtts = sorted(run.rtts)
     measured_io = {
         key: value - run.measure_io_base.get(key, 0)
-        for key, value in io_counters(run.links).items()
+        for key, value in transport.io_counters().items()
     }
     return FirehoseResult(
         multigets=multigets,
@@ -302,28 +246,11 @@ async def run_firehose(
         window=window,
         pool=pool,
         endpoints=len(endpoints),
-        protocol=negotiated,
+        protocol=min(int(link.ack.get("proto", 1)) for link in transport.links),
         elapsed_s=run.t_measure_end - run.t_measure_start,
         p50_ms=_percentile(rtts, 50.0) * 1e3,
         p99_ms=_percentile(rtts, 99.0) * 1e3,
         client_io=measured_io,
         server_io=server_io,
-        congestion_frames=run.congestion_frames,
+        congestion_frames=transport.congestion_signals,
     )
-
-
-async def _collect_server_stats(
-    run: _FirehoseRun, primary: _t.Dict[Endpoint, Link]
-) -> _t.Dict[str, int]:
-    """One stats round-trip per endpoint, summed into a cluster ledger."""
-    loop = asyncio.get_running_loop()
-    for endpoint, link in primary.items():
-        run.stats_futures[endpoint] = loop.create_future()
-        link.send({"t": "admin", "cmd": "stats"})
-    try:
-        replies = await asyncio.wait_for(
-            asyncio.gather(*run.stats_futures.values()), timeout=10.0
-        )
-    except asyncio.TimeoutError:
-        return {}
-    return sum_stats(replies)

@@ -34,6 +34,14 @@ Routing
   cut down to the workers that endpoint owns; ``stats`` replies are
   merged back into one cluster-wide frame.
 
+Outcome
+-------
+Whoever drives a run over this transport (:func:`~repro.loadgen.driver.
+run_live`, the firehose) waits on one future, :attr:`LiveTransport.outcome`:
+the run's completion resolves it, and a lost link, a rejected op, a
+crashing handler or the first exception of any clock callback fails it
+with that exception -- so a run never idles into its wall timeout.
+
 The wire codec is negotiated per connection by the link's own sink
 (binary v2 when both sides speak it, v1 JSON otherwise), so this client
 interoperates with old JSON-only servers unchanged.
@@ -65,6 +73,8 @@ Endpoint = _t.Tuple[str, int]
 
 #: Wire ids live in the op frame's u32 field.
 RID_MASK = 0xFFFFFFFF
+#: Wall seconds an endpoint gets to answer an admin query.
+QUERY_TIMEOUT_S = 10.0
 
 
 class LiveTransportError(RuntimeError):
@@ -277,16 +287,6 @@ class Link(FrameStream):
         await super().close(flush_timeout)
 
 
-def io_counters(links: _t.Sequence[Link]) -> _t.Dict[str, int]:
-    """Client-side send/receive totals across ``links`` (the syscall ledger)."""
-    return {
-        "frames_sent": sum(link.out.frames_sent for link in links),
-        "bytes_sent": sum(link.out.bytes_sent for link in links),
-        "writes": sum(link.out.writes for link in links),
-        "frames_received": sum(link.frames_read for link in links),
-    }
-
-
 class LiveTransport:
     """Transport-seam realization over a connected live cluster.
 
@@ -305,18 +305,24 @@ class LiveTransport:
         self._handlers: _t.Dict[_t.Hashable, _t.Callable[[_t.Any], None]] = {}
         self._pending: _t.Dict[int, "RequestMessage"] = {}
         self._next_rid = 0
-        self._links: _t.List[Link] = []
+        #: Every open connection, endpoint-major (endpoints x pool).
+        self.links: _t.List[Link] = []
         self._endpoint_links: "_t.Dict[Endpoint, _t.List[Link]]" = {}
         self._endpoint_workers: "_t.Dict[Endpoint, _t.FrozenSet[int]]" = {}
-        self._worker_links: _t.Dict[int, _t.List[Link]] = {}
+        #: Worker id -> the pool of links to the endpoint that hosts it.
+        self.worker_links: _t.Dict[int, _t.List[Link]] = {}
         self._rr: _t.Dict[Endpoint, int] = {}
         #: Admin queries awaiting their reply, FIFO per endpoint, keyed by
         #: the reply frame's type (which equals the query's command).
         self._reply_waiters: _t.Dict[
             str, "_t.Dict[Endpoint, _t.List[asyncio.Future[_t.Dict[str, _t.Any]]]]"
         ] = {"stats": {}, "metrics": {}, "client-bus": {}}
-        #: Set on connection loss / protocol error / op rejection.
-        self.failed: "asyncio.Future[None]" = self._loop.create_future()
+        #: The run's one outcome: :meth:`finish` resolves it; a lost link, a
+        #: rejected op or the first exception of any clock callback (the
+        #: feeder, credit reports, pacing and hedge timers, fault windows)
+        #: fails it with that exception.  :meth:`wait` awaits it.
+        self.outcome: "asyncio.Future[None]" = self._loop.create_future()
+        clock.on_error(self.fail)
         self.ops_sent = 0
         self.responses_received = 0
         self.congestion_signals = 0
@@ -338,18 +344,28 @@ class LiveTransport:
         endpoints: _t.Sequence[Endpoint],
         pool: int = 1,
         protocol: int = MAX_PROTOCOL_VERSION,
+        congestion: bool = True,
+        on_res: _t.Optional[_t.Callable[..., None]] = None,
     ) -> "LiveTransport":
         """Connect ``pool`` links to every endpoint and assemble routing
-        (see :func:`open_links` for what the endpoints must agree on)."""
-        links = await open_links(endpoints, pool, protocol, congestion=True)
+        (see :func:`open_links` for what the endpoints must agree on).
+
+        ``congestion=False`` opts every link out of congestion broadcasts;
+        ``on_res`` takes the ``res`` fields straight off the links in place
+        of the strategy stack's reassembly (the firehose: it has no
+        strategy stack to hand a response to).
+        """
+        links = await open_links(endpoints, pool, protocol, congestion)
         base_ack = links[0].ack
         transport = cls(
             clock=WallClock(scale=float(base_ack["time_scale"])), ack=base_ack
         )
-        transport._links = links
+        transport.links = links
         for link in links:
             endpoint = link.endpoint
-            link.start(transport._on_res, transport._handle_frame, transport._fail)
+            link.start(
+                on_res or transport._on_res, transport._handle_frame, transport.fail
+            )
             transport._endpoint_links.setdefault(endpoint, []).append(link)
             if endpoint not in transport._rr:  # the endpoint's first link
                 transport._endpoint_workers[endpoint] = frozenset(
@@ -358,7 +374,7 @@ class LiveTransport:
                 transport._rr[endpoint] = 0
         for endpoint, workers in transport._endpoint_workers.items():
             for worker_id in workers:
-                transport._worker_links[worker_id] = transport._endpoint_links[
+                transport.worker_links[worker_id] = transport._endpoint_links[
                     endpoint
                 ]
         return transport
@@ -370,6 +386,11 @@ class LiveTransport:
         if address in self._handlers:
             raise ValueError(f"address {address!r} already registered")
         self._handlers[address] = handler
+
+    def unregister_all(self) -> None:
+        """Drop every handler (run teardown): each is a method of an
+        endpoint that holds this transport."""
+        self._handlers.clear()
 
     def send(
         self, src: _t.Hashable, dst: _t.Hashable, message: _t.Any
@@ -393,13 +414,13 @@ class LiveTransport:
         except Exception as exc:
             # A handler bug must fail the run visibly, not vanish into the
             # event loop's default exception logger.
-            self._fail(
+            self.fail(
                 LiveTransportError(f"local handler raised for {message!r}: {exc}")
             )
 
     # -- data path ------------------------------------------------------------
     def _send_op(self, worker_id: int, request: "RequestMessage") -> None:
-        links = self._worker_links.get(worker_id)
+        links = self.worker_links.get(worker_id)
         if links is None:
             raise LiveTransportError(
                 f"op addressed to worker {worker_id}, which no endpoint hosts"
@@ -505,14 +526,29 @@ class LiveTransport:
         return merged
 
     async def _query(self, command: str) -> _t.List[_t.Dict[str, _t.Any]]:
-        """Send one admin query to every endpoint; gather the reply frames."""
-        futures: _t.List["asyncio.Future[_t.Dict[str, _t.Any]]"] = []
+        """Send one admin query to every endpoint; gather the reply frames.
+
+        An endpoint that accepts the query but does not answer within
+        :data:`QUERY_TIMEOUT_S` is a :class:`LiveTransportError` naming it.
+        """
+        waiting = self._reply_waiters[command]
+        futures: _t.Dict[Endpoint, "asyncio.Future[_t.Dict[str, _t.Any]]"] = {}
         for endpoint in self._endpoint_links:
-            future = self._loop.create_future()
-            self._reply_waiters[command].setdefault(endpoint, []).append(future)
-            futures.append(future)
+            futures[endpoint] = self._loop.create_future()
+            waiting.setdefault(endpoint, []).append(futures[endpoint])
         self.admin({"t": "admin", "cmd": command})
-        return await asyncio.gather(*futures)
+        try:
+            return await asyncio.wait_for(
+                asyncio.gather(*futures.values()), QUERY_TIMEOUT_S
+            )
+        except asyncio.TimeoutError:
+            silent = [e for e, future in futures.items() if future in waiting[e]]
+            for endpoint in silent:
+                waiting[endpoint].remove(futures[endpoint])
+            raise LiveTransportError(
+                f"no reply to {command!r} from {silent[0][0]}:{silent[0][1]} "
+                f"within {QUERY_TIMEOUT_S:g} s"
+            ) from None
 
     async def fetch_stats(self) -> _t.Dict[str, _t.Any]:
         """Request every endpoint's stats frame and merge the replies."""
@@ -569,11 +605,11 @@ class LiveTransport:
         elif kind == "admin-ack":
             pass  # fault commands are fire-and-forget
         elif kind == "error":
-            self._fail(
+            self.fail(
                 LiveTransportError(f"service error: {frame.get('error')!r}")
             )
         else:
-            self._fail(LiveTransportError(f"unexpected frame {frame!r}"))
+            self.fail(LiveTransportError(f"unexpected frame {frame!r}"))
 
     def _on_res(
         self,
@@ -587,7 +623,7 @@ class LiveTransport:
     ) -> None:
         request = self._pending.pop(rid, None)
         if request is None:
-            self._fail(LiveTransportError(f"result for unknown wire id {rid}"))
+            self.fail(LiveTransportError(f"result for unknown wire id {rid}"))
             return
         now = self.clock.now
         # Reconstruct the timestamp trail from wire durations: durations
@@ -600,7 +636,7 @@ class LiveTransport:
         self.responses_received += 1
         handler = self._handlers.get(client_address(request.client_id))
         if handler is None:
-            self._fail(
+            self.fail(
                 LiveTransportError(
                     f"response for unregistered client {request.client_id}"
                 )
@@ -609,10 +645,27 @@ class LiveTransport:
         feedback = ServerFeedback(server_id, queued, in_service, ewma)
         handler(ResponseMessage(request, feedback))
 
-    # -- failure and teardown ------------------------------------------------------
-    def _fail(self, exc: Exception) -> None:
-        if not self.failed.done():
-            self.failed.set_exception(exc)
+    # -- outcome and teardown ----------------------------------------------------
+    def finish(self) -> None:
+        """The run completed: resolve :attr:`outcome` (unless it failed first)."""
+        if not self.outcome.done():
+            self.outcome.set_result(None)
+
+    def fail(self, exc: BaseException) -> None:
+        """Fail :attr:`outcome` with ``exc`` (the first failure wins)."""
+        if not self.outcome.done():
+            self.outcome.set_exception(exc)
+
+    async def wait(self, timeout: float, progress: _t.Callable[[], str]) -> None:
+        """Wait for :attr:`outcome`: return once the run finished, raise
+        what failed it, or -- after ``timeout`` wall seconds -- a
+        :class:`LiveTransportError` saying how far ``progress()`` it got."""
+        try:
+            await asyncio.wait_for(self.outcome, timeout)
+        except asyncio.TimeoutError:
+            raise LiveTransportError(
+                f"live run timed out after {timeout:.0f}s wall: {progress()}"
+            ) from None
 
     def backlog_depths(self) -> _t.List[float]:
         """Per-server latest piggybacked backlog, dense over the id space.
@@ -628,22 +681,24 @@ class LiveTransport:
     def pending_ops(self) -> int:
         return len(self._pending)
 
-    @property
-    def links(self) -> int:
-        """Open connection count (endpoints x pool)."""
-        return len(self._links)
-
     def io_counters(self) -> _t.Dict[str, int]:
-        return io_counters(self._links)
+        """Client-side send/receive totals across the links (the syscall ledger)."""
+        return {
+            "frames_sent": sum(link.out.frames_sent for link in self.links),
+            "bytes_sent": sum(link.out.bytes_sent for link in self.links),
+            "writes": sum(link.out.writes for link in self.links),
+            "frames_received": sum(link.frames_read for link in self.links),
+        }
 
     async def close(self) -> None:
-        # Flush queued frames first (teardown sends fault-revert admin
-        # commands that must reach the server) -- unless the transport
-        # already failed, in which case there is nobody left to flush to.
-        flush = not self.failed.done()
-        if not self.failed.done():
-            self.failed.cancel()
-        else:
-            self.failed.exception()  # consume for GC hygiene
-        for link in self._links:
-            await link.close(flush_timeout=1.0 if flush else 0.0)
+        """Flush queued frames (teardown sends fault-revert admin commands
+        that must reach the server) -- unless the run failed, in which case
+        there is nobody left to flush to -- and close every link."""
+        outcome = self.outcome
+        failed = (
+            outcome.done() and not outcome.cancelled() and outcome.exception() is not None
+        )
+        outcome.cancel()  # a run abandoned before its outcome: nobody waits now
+        self.clock.cancel_all()  # its error funnel points back at this transport
+        for link in self.links:
+            await link.close(flush_timeout=0.0 if failed else 1.0)

@@ -4,12 +4,10 @@ from .disciplines import (
     Discipline,
     FifoDiscipline,
     PriorityDiscipline,
-    make_discipline,
 )
 
 __all__ = [
     "Discipline",
     "FifoDiscipline",
     "PriorityDiscipline",
-    "make_discipline",
 ]

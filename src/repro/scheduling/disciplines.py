@@ -43,20 +43,3 @@ class PriorityDiscipline(Discipline):
 
     def key(self, request: RequestMessage, now: float) -> _t.Tuple[float, ...]:
         return tuple(request.priority)
-
-
-_DISCIPLINES: _t.Dict[str, _t.Callable[[], Discipline]] = {
-    "fifo": FifoDiscipline,
-    "priority": PriorityDiscipline,
-}
-
-
-def make_discipline(name: str) -> Discipline:
-    """Factory by name; raises ValueError on unknown disciplines."""
-    try:
-        factory = _DISCIPLINES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown discipline {name!r}; known: {sorted(_DISCIPLINES)}"
-        ) from None
-    return factory()

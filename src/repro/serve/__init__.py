@@ -30,7 +30,6 @@ from .server import (
     DEFAULT_PORT,
     DEFAULT_TIME_SCALE,
     LiveServer,
-    install_uvloop,
     run_server,
 )
 from .supervisor import ServeSupervisor
@@ -61,7 +60,6 @@ __all__ = [
     "encode_frame",
     "error_frame",
     "hello_frame",
-    "install_uvloop",
     "negotiate_version",
     "priority_from_wire",
     "run_server",

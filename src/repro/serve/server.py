@@ -29,8 +29,6 @@ injector replays scenario fault schedules against the live backend.
 from __future__ import annotations
 
 import asyncio
-import os
-import sys
 import typing as _t
 
 from ..cluster.topology import ClusterSpec
@@ -54,21 +52,6 @@ DEFAULT_TIME_SCALE = 25.0
 #: Default TCP endpoint.
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 7411
-
-
-def install_uvloop() -> bool:
-    """Install uvloop's event-loop policy when the package is available.
-
-    Purely optional: the stock asyncio loop is the tested baseline, and
-    the container this repo grows in does not ship uvloop.  Returns
-    whether the policy was installed.
-    """
-    try:
-        import uvloop  # type: ignore[import-not-found]
-    except ImportError:
-        return False
-    uvloop.install()
-    return True
 
 
 class _Connection(FrameStream):
@@ -226,7 +209,6 @@ class LiveServer:
         host: str = DEFAULT_HOST,
         port: int = DEFAULT_PORT,
         worker_ids: _t.Optional[_t.Sequence[int]] = None,
-        stats_interval: _t.Optional[float] = None,
         metrics_port: _t.Optional[int] = None,
     ) -> None:
         self.cluster = cluster
@@ -249,9 +231,6 @@ class LiveServer:
                     f"worker id {worker_id} outside the cluster "
                     f"(n_servers={cluster.n_servers})"
                 )
-        self.stats_interval = (
-            float(stats_interval) if stats_interval else None
-        )
         #: Bind a plain-HTTP Prometheus exposition endpoint on this port
         #: (0 = ephemeral, ``None`` = no exporter); resolved after start().
         self.metrics_port = (
@@ -273,7 +252,6 @@ class LiveServer:
         self._closed_frames = 0
         self._server: _t.Optional[asyncio.AbstractServer] = None
         self._metrics_server: _t.Optional[asyncio.AbstractServer] = None
-        self._stats_task: _t.Optional["asyncio.Task[None]"] = None
 
     @classmethod
     def from_config(
@@ -285,7 +263,6 @@ class LiveServer:
         port: int = DEFAULT_PORT,
         max_queue: int = DEFAULT_MAX_QUEUE,
         worker_ids: _t.Optional[_t.Sequence[int]] = None,
-        stats_interval: _t.Optional[float] = None,
         metrics_port: _t.Optional[int] = None,
     ) -> "LiveServer":
         """A server matching one experiment config's backend tier."""
@@ -300,7 +277,6 @@ class LiveServer:
             port=port,
             max_queue=max_queue,
             worker_ids=worker_ids,
-            stats_interval=stats_interval,
             metrics_port=metrics_port,
         )
 
@@ -326,10 +302,6 @@ class LiveServer:
             for worker_id in self.worker_ids
         }
         self.clock.call_every(self.congestion_interval, self._check_congestion)
-        if self.stats_interval:
-            self._stats_task = asyncio.get_running_loop().create_task(
-                self._stats_loop(), name="live-stats"
-            )
         self._server = await asyncio.get_running_loop().create_server(
             lambda: _Connection(self), self.host, self.port
         )
@@ -347,9 +319,6 @@ class LiveServer:
                 await listener.wait_closed()
         self._server = self._metrics_server = None
         self.clock.cancel_all()  # the congestion check, jittered responses
-        if self._stats_task is not None:
-            self._stats_task.cancel()
-            self._stats_task = None
         if self.workers:
             self.passes.shutdown()
         for worker in self.workers.values():
@@ -606,42 +575,6 @@ class LiveServer:
                     if connection.congestion:
                         connection.send(frame)
                         self.congestion_frames_sent += 1
-
-    # -- periodic stats -----------------------------------------------------------
-    async def _stats_loop(self) -> None:
-        """One stderr line per interval: per-worker queue depth and ops/s.
-
-        The first brick of the streamed-metrics roadmap item, and the
-        practical way to see what each process of a multi-process cluster
-        is doing while a run hammers it.
-        """
-        assert self.stats_interval is not None
-        loop = asyncio.get_running_loop()
-        last_completed = {i: w.completed for i, w in self.workers.items()}
-        last_time = loop.time()
-        pid = os.getpid()
-        while True:
-            await asyncio.sleep(self.stats_interval)
-            now = loop.time()
-            elapsed = max(now - last_time, 1e-9)
-            deltas = {
-                i: w.completed - last_completed[i]
-                for i, w in self.workers.items()
-            }
-            total_rate = sum(deltas.values()) / elapsed
-            per_worker = " ".join(
-                f"w{i}:q={self.workers[i].queue_length()}"
-                f",ops/s={deltas[i] / elapsed:.0f}"
-                for i in self.worker_ids
-            )
-            print(
-                f"[repro-serve pid={pid}] ops/s={total_rate:.0f} "
-                f"conns={len(self.connections)} {per_worker}",
-                file=sys.stderr,
-                flush=True,
-            )
-            last_completed = {i: w.completed for i, w in self.workers.items()}
-            last_time = now
 
 
 async def run_server(

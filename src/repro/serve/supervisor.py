@@ -28,7 +28,6 @@ from .server import (
     DEFAULT_HOST,
     DEFAULT_PORT,
     DEFAULT_TIME_SCALE,
-    install_uvloop,
     run_server,
 )
 from .workers import DEFAULT_MAX_QUEUE
@@ -47,16 +46,11 @@ def _serve_process(
     seed: int,
     host: str,
     port: int,
-    stats_interval: _t.Optional[float],
     pipe: _t.Any,
-    use_uvloop: bool,
     metrics_port: _t.Optional[int] = None,
 ) -> None:
     """Child entry: serve one shard group until terminated."""
     import asyncio
-
-    if use_uvloop:
-        install_uvloop()
 
     def ready(server: _t.Any) -> None:
         pipe.send(("ready", server.host, server.port, server.metrics_port))
@@ -71,7 +65,6 @@ def _serve_process(
                 port=port,
                 ready=ready,
                 worker_ids=worker_ids,
-                stats_interval=stats_interval,
                 metrics_port=metrics_port,
             )
         )
@@ -100,8 +93,6 @@ class ServeSupervisor:
         seed: int = 1,
         host: str = DEFAULT_HOST,
         base_port: int = DEFAULT_PORT,
-        stats_interval: _t.Optional[float] = None,
-        use_uvloop: bool = False,
         metrics_base_port: _t.Optional[int] = None,
     ) -> None:
         self.config = config
@@ -110,8 +101,6 @@ class ServeSupervisor:
         self.seed = int(seed)
         self.host = host
         self.base_port = int(base_port)
-        self.stats_interval = stats_interval
-        self.use_uvloop = bool(use_uvloop)
         #: Child ``index`` exports Prometheus text on
         #: ``metrics_base_port + index`` (0 = ephemeral everywhere).
         self.metrics_base_port = (
@@ -147,9 +136,7 @@ class ServeSupervisor:
                     self.seed,
                     requested[index][0],
                     requested[index][1],
-                    self.stats_interval,
                     child_end,
-                    self.use_uvloop,
                     metrics_port,
                 ),
                 name=f"repro-serve-{index}",

@@ -82,8 +82,12 @@ class Timer:
         self.cancelled = False
 
     def cancel(self) -> None:
-        """Mark the timer dead; the calendar discards it when popped."""
+        """Mark the timer dead; the calendar discards it when popped.  It
+        lets go of its callback at once: what that would have called
+        usually holds the environment, and a :class:`PeriodicTimer` holds
+        the very timer that calls it."""
         self.cancelled = True
+        self.fn = self.arg = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "armed"
@@ -241,6 +245,13 @@ class Environment:
         timer = Timer(fn, arg)
         heappush(self._queue, (at, priority, next(self._eid), timer))
         return timer
+
+    def cancel_all(self) -> None:
+        """Cancel every pending timer and empty the calendar (run teardown)."""
+        for _, _, _, entry in self._queue:
+            if entry.__class__ is Timer:
+                entry.cancel()
+        self._queue.clear()
 
     def peek(self) -> float:
         """Time of the next calendar entry (``inf`` if the calendar is empty).

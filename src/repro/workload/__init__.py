@@ -17,7 +17,6 @@ from .fanout import (
     GeometricFanout,
     LogNormalFanout,
     MixtureFanout,
-    UniformFanout,
     calibrated_lognormal,
     empirical_mean,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "Task",
     "TaskGenerator",
     "TraceFormatError",
-    "UniformFanout",
     "UniformPopularity",
     "UniformValueSize",
     "ValueSizeDistribution",

@@ -43,25 +43,6 @@ class FixedFanout(FanoutDistribution):
         return f"FixedFanout({self.n})"
 
 
-class UniformFanout(FanoutDistribution):
-    """Uniform integer fan-out in ``[lo, hi]``."""
-
-    def __init__(self, lo: int, hi: int) -> None:
-        if not (1 <= lo <= hi):
-            raise ValueError("need 1 <= lo <= hi")
-        self.lo = int(lo)
-        self.hi = int(hi)
-
-    def sample(self, stream: Stream) -> int:
-        return stream.randint(self.lo, self.hi)
-
-    def mean(self) -> float:
-        return (self.lo + self.hi) / 2.0
-
-    def __repr__(self) -> str:
-        return f"UniformFanout({self.lo}, {self.hi})"
-
-
 class GeometricFanout(FanoutDistribution):
     """Shifted geometric fan-out: ``1 + Geom(p)`` with mean ``target_mean``.
 

@@ -1,6 +1,6 @@
 """Documentation lint: docstrings, link integrity, CLI-reference sync, surface.
 
-Four guarantees, run in CI's ``docs`` job:
+Five guarantees, run in CI's ``docs`` job:
 
 * every module, public class and public function in
   ``src/repro/placement/`` carries a docstring (the layer the docs book
@@ -12,7 +12,9 @@ Four guarantees, run in CI's ``docs`` job:
   argparse tree -- the CLI reference cannot drift;
 * every public top-level name under ``src/repro`` is read somewhere other
   than its own module, ``__init__`` re-exports and ``tests/`` (or is
-  allowlisted with a reason) -- the surface cannot silently regrow.
+  allowlisted with a reason) -- the surface cannot silently regrow;
+* every ``REPRO_*`` environment variable the code reads is one CI sets or
+  the README / docs book names -- a knob nobody can find is a constant.
 """
 
 import ast
@@ -227,15 +229,13 @@ SURFACE_ALLOWLIST = {
     "FixedValueSize": "test fixture: a constant value size",
     "UniformValueSize": "test fixture: bounded value sizes",
     "calibrated_lognormal": "LogNormalFanout's docstring sends users to it",
-    # Read only by their own unit tests.  ISSUE 19 listed them for deletion;
-    # they stay one more PR because a PR may retire only a few tests, and
-    # that budget went to BurstyArrivals and the edf/sjf disciplines.
-    "UniformFanout": "test-only: delete with TestUniform",
+    # Read only by their own unit tests.  ISSUES 19 and 20 listed them for
+    # deletion; a PR may retire only a few tests and PR 20's went to
+    # UniformFanout, make_discipline and the collect-before-a-long-run
+    # test, so these eight tests' three names wait for the next one.
     "geometric_mean": "test-only: delete with TestGeometricMean",
     "relative_gap": "test-only: delete with TestRelativeGap",
     "snapshot_prometheus": "test-only: delete with its three test_bus cases",
-    "paper_figure2_config": "test-only: delete with test_paper_figure2_config",
-    "make_discipline": "test-only: delete with TestFactory",
 }
 
 
@@ -304,3 +304,30 @@ class TestPublicSurface:
             for name in _top_level_names(ast.parse(path.read_text(encoding="utf-8")))
         }
         assert set(SURFACE_ALLOWLIST) <= defined
+
+
+class TestEnvironmentKnobs:
+    """The env-var twin of :class:`TestPublicSurface`: a ``REPRO_*``
+    variable read under ``src/``, ``benchmarks/`` or ``tests/`` that no CI
+    step sets and no user-facing page names is a constant with extra steps."""
+
+    def test_every_variable_read_is_set_by_ci_or_documented(self):
+        variable = re.compile(r"\bREPRO_[A-Z0-9_]+\b")
+        read = {}
+        for root in ("src", "benchmarks", "tests"):
+            for path in sorted((REPO / root).rglob("*.py")):
+                for name in variable.findall(path.read_text(encoding="utf-8")):
+                    read.setdefault(name, path.relative_to(REPO))
+        assert len(read) >= 5  # the scan found the knobs there are
+        known = "".join(
+            path.read_text(encoding="utf-8")
+            for path in [REPO / ".github" / "workflows" / "ci.yml", REPO / "README.md"]
+            + DOC_FILES
+        )
+        orphans = [
+            f"{name} ({path})" for name, path in sorted(read.items()) if name not in known
+        ]
+        assert not orphans, (
+            "environment variables nothing sets and no page names -- make each "
+            "a constant, or document it:\n  " + "\n  ".join(orphans)
+        )

@@ -8,7 +8,6 @@ from repro.harness import (
     ExperimentConfig,
     FIGURE2_STRATEGIES,
     KNOWN_STRATEGIES,
-    paper_figure2_config,
 )
 
 
@@ -126,6 +125,6 @@ class TestExperimentConfig:
         assert "c3" in ExperimentConfig(strategy="c3").describe()
 
     def test_paper_figure2_config(self):
-        cfg = paper_figure2_config(n_tasks=500)
+        cfg = ExperimentConfig(n_tasks=500)  # the defaults are Figure 2's
         assert cfg.n_tasks == 500
         assert cfg.load == 0.70

@@ -3,9 +3,11 @@
 Small task counts keep each run fast; the benchmarks exercise full scale.
 """
 
+import gc
+
 import pytest
 
-from repro.harness import ExperimentConfig, run_experiment, run_seeds
+from repro.harness import KNOWN_STRATEGIES, ExperimentConfig, run_experiment, run_seeds
 
 SMALL = dict(n_tasks=400, n_keys=2000)
 
@@ -90,31 +92,110 @@ class TestRunExperiment:
         assert result.task_latencies.min > floor
 
 
-    def test_a_long_run_first_collects_what_the_run_before_left(self, monkeypatch):
-        """A finished run graph is cyclic garbage and the collector's own
-        cadence follows container allocations, not what is waiting; with
-        the collector off, only a long run's up-front collection frees it."""
-        import gc
-        import weakref
+def watch_closed_runs(monkeypatch):
+    """Weak references to the parts of every run ``RunAssembly.close`` is
+    called on from here on (taken just before it lets go of them)."""
+    import weakref
 
-        from repro.harness import runner
+    from repro.harness import RunAssembly
 
-        class Node:
-            pass
+    watched = []
+    close = RunAssembly.close
 
-        node = Node()
-        node.cycle = node
-        left_behind = weakref.ref(node)
-        del node
-        monkeypatch.setattr(runner, "COLLECT_BEFORE_TASKS", SMALL["n_tasks"])
+    def watching_close(run):
+        if run.clients:
+            watched.extend(
+                weakref.ref(part)
+                for part in (
+                    run, run.clock, run.ctx.network, run.clients[0],
+                    run.strategies[0], run.placement, run.tracker,
+                )
+            )  # fmt: skip
+        close(run)
+
+    monkeypatch.setattr(RunAssembly, "close", watching_close)
+    return watched
+
+
+class TestClose:
+    """The fourth verb: a closed run has reverted what it did to the
+    cluster and holds no reference cycle, so it is freed when its last
+    reference goes -- not when the cycle collector next gets to it."""
+
+    @pytest.mark.parametrize("strategy", list(KNOWN_STRATEGIES))
+    def test_a_finished_run_is_freed_with_the_collector_off(
+        self, strategy, monkeypatch
+    ):
+        watched = watch_closed_runs(monkeypatch)
+        gc.collect()
         gc.disable()
         try:
-            run_experiment(small_cfg("oblivious-random", n_tasks=399), seed=1)
-            assert left_behind() is not None  # a short run does not pay for it
-            run_experiment(small_cfg("oblivious-random"), seed=1)
-            assert left_behind() is None
+            result = run_experiment(small_cfg(strategy, n_tasks=600), seed=1)
+            assert result.tasks_completed == 600
+            assert len(watched) == 7
+            assert [ref() for ref in watched] == [None] * 7
+            assert gc.collect() < 20
         finally:
             gc.enable()
+
+    def test_a_run_that_raises_is_closed_too(self, monkeypatch):
+        watched = watch_closed_runs(monkeypatch)
+        monkeypatch.setattr(
+            "repro.harness.runner.CompletionTracker.on_complete",
+            lambda self, completion: 1 / 0,
+        )
+        with pytest.raises(ZeroDivisionError):
+            run_experiment(small_cfg("unifincr-credits"), seed=1)
+        assert len(watched) == 7
+
+    def test_close_reverts_open_windows_and_levers_and_is_idempotent(self):
+        """What ``reset()`` promised: a run that ends mid-window and
+        mid-episode leaves no server degraded and no lever applied, and
+        closing twice changes nothing more."""
+        import dataclasses
+
+        from repro.cluster import Network
+        from repro.cluster.faults import FaultSchedule, SimFaultPort, SlowdownFault
+        from repro.harness import RunAssembly
+        from repro.scenarios import get_scenario
+        from repro.sim import Environment
+        from repro.sim.rng import StreamFactory
+
+        config = dataclasses.replace(
+            get_scenario("hot-shard-remediated").build_config(
+                strategy="unifincr-credits", n_tasks=6000
+            ),
+            fault_schedule=FaultSchedule(
+                (SlowdownFault(servers=(1,), factor=3.0, start=0.0),)
+            ),
+        )
+        streams = StreamFactory(1)
+        env = Environment()
+        network = Network(env, stream=streams.stream("network.latency"))
+        run = RunAssembly(config, streams, env, network, on_done=lambda: None)
+        servers = [
+            run.builder.build_server(run.ctx, server_id)
+            for server_id in range(config.cluster.n_servers)
+        ]
+        run.arm(
+            SimFaultPort(servers, network),
+            lambda: [s.queue_length() + s.in_service for s in servers],
+        )
+        run.feed().step()
+        controller = run.ctx.shared["controller"]
+        while not run.remediation.actions:  # stop mid-episode
+            env.step()
+        assert servers[1].speed_factor == 3.0  # the permanent window is open
+        assert run.placement.boosted or run.placement.excluded
+        assert min(controller.scales.values()) < 1.0
+
+        for _ in range(2):  # idempotent
+            run.close()
+            assert servers[1].speed_factor == 1.0
+            assert not run.placement.boosted and not run.placement.excluded
+            assert set(controller.scales.values()) == {1.0}
+            assert env.peek() == float("inf")  # no timer left to reopen anything
+            assert not run.clients and not run.ctx.shared
 
 
 class TestRunSeeds:

@@ -11,7 +11,7 @@ import types
 import pytest
 
 from repro.core.clock import WallClock
-from repro.loadgen.driver import Feeder
+from repro.harness.runner import Feeder
 from repro.sim import Environment
 
 

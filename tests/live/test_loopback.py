@@ -145,6 +145,39 @@ class TestGuards:
 
         assert asyncio.run(scenario()) == [1.0] * 9
 
+    def test_a_finished_live_run_is_freed_with_the_collector_off(self, monkeypatch):
+        """``run_live`` closes its run and its transport: neither, nor the
+        wall clock, a client or its strategy, waits for the cycle collector
+        (the in-process *server* is not the run's to free)."""
+        import gc
+        import weakref
+
+        from repro.harness import RunAssembly
+
+        watched = []
+        close = RunAssembly.close
+
+        def watching_close(run):
+            watched.extend(
+                weakref.ref(part)
+                for part in (
+                    run, run.clock, run.ctx.network, run.clients[0],
+                    run.strategies[0], run.tracker,
+                )
+            )  # fmt: skip
+            close(run)
+
+        monkeypatch.setattr(RunAssembly, "close", watching_close)
+        gc.collect()
+        gc.disable()
+        try:
+            result = asyncio.run(loopback_run("straggler", "unifincr-credits"))
+            assert result.tasks_completed == 200
+            assert len(watched) == 6
+            assert [ref() for ref in watched] == [None] * 6
+        finally:
+            gc.enable()
+
     def test_cluster_shape_mismatch_is_fatal(self):
         async def scenario():
             serve_config = get_scenario("steady-state").build_config(

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster import RequestMessage, RingPlacement
 from repro.core import CostModel, make_assigner, split_task
-from repro.scheduling import FifoDiscipline, PriorityDiscipline, make_discipline
+from repro.scheduling import FifoDiscipline, PriorityDiscipline
 from repro.workload import ServiceTimeModel
 from repro.workload.tasks import Operation, Task
 
@@ -87,19 +87,3 @@ class TestPriority:
         assert d.key(req(priority=(1.0, 0.5, 0.0)), 0.0) < d.key(
             req(priority=(1.0, 0.7, 0.0)), 0.0
         )
-
-
-class TestFactory:
-    @pytest.mark.parametrize(
-        "name,cls",
-        [
-            ("fifo", FifoDiscipline),
-            ("priority", PriorityDiscipline),
-        ],
-    )
-    def test_known_names(self, name, cls):
-        assert isinstance(make_discipline(name), cls)
-
-    def test_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown discipline"):
-            make_discipline("lifo")

@@ -8,7 +8,6 @@ from repro.workload import (
     GeometricFanout,
     LogNormalFanout,
     MixtureFanout,
-    UniformFanout,
     calibrated_lognormal,
     empirical_mean,
 )
@@ -24,15 +23,6 @@ class TestFixed:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             FixedFanout(0)
-
-
-class TestUniform:
-    def test_bounds_and_mean(self):
-        dist = UniformFanout(2, 10)
-        stream = Stream(2)
-        draws = [dist.sample(stream) for _ in range(2000)]
-        assert min(draws) >= 2 and max(draws) <= 10
-        assert sum(draws) / len(draws) == pytest.approx(6.0, rel=0.05)
 
 
 class TestGeometric:
