@@ -4,9 +4,7 @@ from .ascii_plots import cdf_sketch, grouped_bar_chart
 from .stats import (
     bootstrap_ci,
     coefficient_of_variation,
-    geometric_mean,
     mean,
-    relative_gap,
     slo_attainment,
     stdev,
 )
@@ -16,12 +14,10 @@ __all__ = [
     "bootstrap_ci",
     "cdf_sketch",
     "coefficient_of_variation",
-    "geometric_mean",
     "grouped_bar_chart",
     "mean",
     "percentile_matrix",
     "ratio_table",
-    "relative_gap",
     "render_table",
     "slo_attainment",
     "stdev",

@@ -62,13 +62,6 @@ def bootstrap_ci(
     return stats[lo_idx], stats[hi_idx]
 
 
-def relative_gap(measured: float, reference: float) -> float:
-    """(measured - reference) / reference; the paper's "within X%" metric."""
-    if reference <= 0:
-        raise ValueError("reference must be positive")
-    return (measured - reference) / reference
-
-
 def slo_attainment(values: _t.Sequence[float], threshold: float) -> float:
     """Fraction of observations at or below ``threshold`` (an SLO check).
 
@@ -81,11 +74,3 @@ def slo_attainment(values: _t.Sequence[float], threshold: float) -> float:
         raise ValueError("threshold must be positive")
     return sum(1 for v in values if v <= threshold) / len(values)
 
-
-def geometric_mean(values: _t.Sequence[float]) -> float:
-    """Geometric mean (for aggregating speedup ratios)."""
-    if not values:
-        raise ValueError("geometric mean of empty sequence")
-    if any(v <= 0 for v in values):
-        raise ValueError("geometric mean requires positive values")
-    return math.exp(sum(math.log(v) for v in values) / len(values))

@@ -673,15 +673,7 @@ def _run_live(command: str, coro: _t.Awaitable[_t.Any]) -> _t.Any:
     try:
         return asyncio.run(coro)
     except (ConnectionError, OSError, LiveTransportError) as exc:
-        message = f"{command} failed: {exc}"
-        if "admin" in message and "unknown" in message:
-            message += (
-                "\nthe server rejected the metrics admin command -- it "
-                "predates metrics admin support. Restart it from this "
-                "checkout (`repro serve`), or point --endpoints at a "
-                "current cluster."
-            )
-        raise _Exit(message, code=1) from exc
+        raise _Exit(f"{command} failed: {exc}", code=1) from exc
 
 
 def _add_serve(subparsers: argparse._SubParsersAction) -> None:
@@ -994,6 +986,7 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     import time as _time
 
     from .loadgen.transport import LiveTransport
+    from .metrics.bus import render_stats
 
     endpoints = _endpoints_from(args)
     if args.interval <= 0:
@@ -1004,57 +997,45 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     async def watch() -> int:
         transport = await LiveTransport.connect(endpoints)
         try:
-            # Gate optional admin commands on the hello-ack advertisement:
-            # probing an old server would poison the stream with an error
-            # frame instead of a clean "not supported".
-            has_client_bus = "client-bus" in transport.features
             last_completed: _t.Optional[int] = None
             last_at = _time.monotonic()
             polls = 0
             while args.count is None or polls < args.count:
                 if polls:
                     await asyncio.sleep(args.interval)
-                if args.prometheus:
-                    print(await transport.fetch_metrics(), end="", flush=True)
-                    polls += 1
-                    continue
+                # One record per poll; the three modes are renderings of it.
                 stats = await transport.fetch_stats()
-                client = None
-                if has_client_bus:
-                    client = _combine_client_bus(await transport.fetch_client_bus())
                 now = _time.monotonic()
-                completed = int(stats.get("completed", 0))
-                if last_completed is None:
-                    rate = 0.0
-                else:
-                    rate = (completed - last_completed) / max(
-                        now - last_at, 1e-9
-                    )
+                completed, workers = int(stats["completed"]), stats["workers"]
+                rate = (
+                    0.0
+                    if last_completed is None
+                    else (completed - last_completed) / max(now - last_at, 1e-9)
+                )
                 last_completed, last_at = completed, now
-                if args.json:
+                client = _combine_client_bus(stats.get("client_bus", {}))
+                if args.prometheus:
+                    print(render_stats(stats), end="", flush=True)
+                elif args.json:
                     record = {
                         "poll": polls,
                         "completed": completed,
                         "ops_per_s": rate,
-                        "uptime_model_s": float(
-                            stats.get("uptime_model_s", 0.0)
-                        ),
-                        "traced_ops": int(stats.get("traced_ops", 0)),
-                        "workers": stats.get("workers", []),
+                        "uptime_model_s": float(stats["uptime_model_s"]),
+                        "traced_ops": int(stats["traced_ops"]),
+                        "workers": workers,
                         "client_bus": client,
                     }
                     print(json.dumps(record), flush=True)
                 else:
                     backlog = " ".join(
-                        f"w{w.get('worker')}:"
-                        f"{int(w.get('queued', 0)) + int(w.get('in_service', 0))}"
-                        for w in stats.get("workers", [])
+                        f"w{w['worker']}:{int(w['queued']) + int(w['in_service'])}"
+                        for w in workers
                     )
-                    workers = stats.get("workers", [])
-                    late = sum(float(w.get("lateness_total_s", 0.0)) for w in workers)
+                    late = sum(float(w["lateness_total_s"]) for w in workers)
                     line = (
                         f"[watch] completed={completed} ops/s={rate:,.0f} "
-                        f"uptime={float(stats.get('uptime_model_s', 0.0)):.2f}"
+                        f"uptime={float(stats['uptime_model_s']):.2f}"
                         f"model-s late={late / max(completed, 1) * 1e3:.3f}ms "
                         f"backlog {backlog}"
                     )

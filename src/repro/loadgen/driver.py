@@ -169,11 +169,10 @@ async def run_live(
         )
         # Close the cluster-wide observability loop: stream this load
         # generator's client-side BusSnapshots to every endpoint over the
-        # admin plane, so `repro watch` and the Prometheus exporter see
-        # windowed client-side percentiles even for a --procs N cluster.
-        # Gated on the server's capability advertisement (old servers
-        # would reject the unknown admin command and poison the stream).
-        if run.remediation is not None and "bus-report" in transport.features:
+        # admin plane, so a cluster's `stats` frame (`repro watch`, the
+        # Prometheus exporter) carries windowed client-side percentiles
+        # for as long as this run's connections live.
+        if run.remediation is not None:
             reporter = f"loadgen-{os.getpid()}"
             run.remediation.bus.subscribe(
                 on_snapshot=lambda snapshot: transport.report_bus(
@@ -213,7 +212,7 @@ async def run_live(
             ),
             "live_time_scale": clock.scale,
             "live_wall_duration_s": wall_duration,
-            "live_requests_rejected": float(stats_after.get("rejected", 0)),
+            "live_requests_rejected": _grew(stats_before, stats_after, "rejected"),
             "live_congestion_frames": float(transport.congestion_signals),
             "live_protocol": float(transport.ack.get("proto", 1)),
             "live_links": float(len(transport.links)),

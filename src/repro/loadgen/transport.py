@@ -55,6 +55,7 @@ import typing as _t
 from ..cluster.addresses import CONTROLLER_ADDRESS, client_address
 from ..cluster.messages import CongestionSignal, ResponseMessage, ServerFeedback
 from ..core.clock import WallClock
+from ..metrics.bus import merge_reports
 from ..serve.codec import JSON_CODEC, codec_for
 from ..serve.protocol import (
     MAX_PROTOCOL_VERSION,
@@ -312,11 +313,10 @@ class LiveTransport:
         #: Worker id -> the pool of links to the endpoint that hosts it.
         self.worker_links: _t.Dict[int, _t.List[Link]] = {}
         self._rr: _t.Dict[Endpoint, int] = {}
-        #: Admin queries awaiting their reply, FIFO per endpoint, keyed by
-        #: the reply frame's type (which equals the query's command).
-        self._reply_waiters: _t.Dict[
-            str, "_t.Dict[Endpoint, _t.List[asyncio.Future[_t.Dict[str, _t.Any]]]]"
-        ] = {"stats": {}, "metrics": {}, "client-bus": {}}
+        #: ``stats`` queries awaiting their reply, FIFO per endpoint.
+        self._stats_waiters: (
+            "_t.Dict[Endpoint, _t.List[asyncio.Future[_t.Dict[str, _t.Any]]]]"
+        ) = {}
         #: The run's one outcome: :meth:`finish` resolves it; a lost link, a
         #: rejected op or the first exception of any clock callback (the
         #: feeder, credit reports, pacing and hedge timers, fault windows)
@@ -472,28 +472,13 @@ class LiveTransport:
             trimmed["servers"] = local
             links[0].send(trimmed)
 
-    @property
-    def features(self) -> _t.FrozenSet[str]:
-        """Optional capabilities the cluster advertised in its hello-ack.
-
-        Empty for servers predating the advertisement; callers gate
-        optional admin commands on membership instead of probing.
-        """
-        raw = self.ack.get("features")
-        if not isinstance(raw, (list, tuple)):
-            return frozenset()
-        return frozenset(str(f) for f in raw)
-
     def report_bus(
         self, reporter: str, snapshot: _t.Mapping[str, _t.Any]
     ) -> None:
-        """Push one client-side BusSnapshot to every endpoint.
-
-        Fire-and-forget: the snapshot rides the admin plane (no
-        ``servers`` key, so the fan-out reaches the whole cluster) and
-        each server keeps the newest per reporter for ``client-bus``
-        readers like ``repro watch``.
-        """
+        """Push one client-side BusSnapshot to every endpoint, fire-and-forget
+        (no ``servers`` key: the fan-out reaches the whole cluster); each
+        server keeps the newest per reporter in its ``stats`` frame for as
+        long as this connection lives."""
         self.admin(
             {
                 "t": "admin",
@@ -503,42 +488,20 @@ class LiveTransport:
             }
         )
 
-    async def fetch_client_bus(self) -> _t.Dict[str, _t.Dict[str, _t.Any]]:
-        """Collect every endpoint's client-side snapshots, merged.
-
-        Endpoints may have seen different report generations (reports are
-        fire-and-forget); the newest snapshot per reporter (by ``seq``)
-        wins.
-        """
-        merged: _t.Dict[str, _t.Dict[str, _t.Any]] = {}
-        for reply in await self._query("client-bus"):
-            snapshots = reply.get("snapshots")
-            if not isinstance(snapshots, dict):
-                continue
-            for reporter, snapshot in snapshots.items():
-                if not isinstance(snapshot, dict):
-                    continue
-                seen = merged.get(reporter)
-                if seen is None or float(snapshot.get("seq", 0)) >= float(
-                    seen.get("seq", 0)
-                ):
-                    merged[reporter] = snapshot
-        return merged
-
-    async def _query(self, command: str) -> _t.List[_t.Dict[str, _t.Any]]:
-        """Send one admin query to every endpoint; gather the reply frames.
+    async def fetch_stats(self) -> _t.Dict[str, _t.Any]:
+        """Query every endpoint's ``stats`` frame; return the merged one.
 
         An endpoint that accepts the query but does not answer within
         :data:`QUERY_TIMEOUT_S` is a :class:`LiveTransportError` naming it.
         """
-        waiting = self._reply_waiters[command]
+        waiting = self._stats_waiters
         futures: _t.Dict[Endpoint, "asyncio.Future[_t.Dict[str, _t.Any]]"] = {}
         for endpoint in self._endpoint_links:
             futures[endpoint] = self._loop.create_future()
             waiting.setdefault(endpoint, []).append(futures[endpoint])
-        self.admin({"t": "admin", "cmd": command})
+        self.admin({"t": "admin", "cmd": "stats"})
         try:
-            return await asyncio.wait_for(
+            replies = await asyncio.wait_for(
                 asyncio.gather(*futures.values()), QUERY_TIMEOUT_S
             )
         except asyncio.TimeoutError:
@@ -546,39 +509,32 @@ class LiveTransport:
             for endpoint in silent:
                 waiting[endpoint].remove(futures[endpoint])
             raise LiveTransportError(
-                f"no reply to {command!r} from {silent[0][0]}:{silent[0][1]} "
+                f"no reply to 'stats' from {silent[0][0]}:{silent[0][1]} "
                 f"within {QUERY_TIMEOUT_S:g} s"
             ) from None
-
-    async def fetch_stats(self) -> _t.Dict[str, _t.Any]:
-        """Request every endpoint's stats frame and merge the replies."""
-        return self._merge_stats(await self._query("stats"))
-
-    async def fetch_metrics(self) -> str:
-        """Request every endpoint's Prometheus text and concatenate it.
-
-        Worker lines carry global worker ids, so the concatenation of a
-        multi-process cluster's pages reads as one cluster-wide page.
-        """
-        replies = await self._query("metrics")
-        return "".join(str(reply.get("text", "")) for reply in replies)
+        return self._merge_stats(replies)
 
     @staticmethod
     def _merge_stats(
         replies: _t.Sequence[_t.Dict[str, _t.Any]]
     ) -> _t.Dict[str, _t.Any]:
-        if len(replies) == 1:
-            return dict(replies[0])
-        merged: _t.Dict[str, _t.Any] = {"t": "stats", **sum_stats(replies)}
-        # Model clocks start at each process's serving start; report the
-        # cluster's as the furthest one along.
-        merged["uptime_model_s"] = max(
-            float(reply.get("uptime_model_s", 0.0)) for reply in replies
-        )
+        """One cluster-wide frame with the keys of a single server's: the
+        scalars add up, worker entries concatenate by id, and the newest
+        snapshot per reporter wins."""
+        merged: _t.Dict[str, _t.Any] = {"t": "stats"}
+        for key, value in replies[0].items():
+            if isinstance(value, (int, float)):
+                # Every scalar adds up but the model clocks, which start at
+                # each process's serving start: the furthest one along.
+                across = [reply.get(key, 0) for reply in replies]
+                merged[key] = max(across) if key == "uptime_model_s" else sum(across)
         merged["workers"] = sorted(
             (worker for reply in replies for worker in reply.get("workers", [])),
             key=lambda worker: worker.get("worker", 0),
         )
+        merged["client_bus"] = {}
+        for reply in replies:
+            merge_reports(merged["client_bus"], reply.get("client_bus") or {})
         return merged
 
     # -- inbound frames -------------------------------------------------------
@@ -596,8 +552,8 @@ class LiveTransport:
                         overload_ratio=float(frame["ratio"]),
                     )
                 )
-        elif kind in self._reply_waiters:
-            waiters = self._reply_waiters[kind].get(endpoint)
+        elif kind == "stats":
+            waiters = self._stats_waiters.get(endpoint)
             if waiters:
                 future = waiters.pop(0)
                 if not future.done():

@@ -7,7 +7,7 @@ from .bus import (
     MetricsBus,
     WindowedQuantiles,
     render_prometheus,
-    snapshot_prometheus,
+    render_stats,
 )
 from .histogram import LogHistogram
 from .reservoir import ExactSample, exact_quantile
@@ -38,5 +38,5 @@ __all__ = [
     "exact_quantile",
     "mean_of_summaries",
     "render_prometheus",
-    "snapshot_prometheus",
+    "render_stats",
 ]

@@ -262,59 +262,91 @@ def prometheus_line(
     return f"{name} {value}"
 
 
+#: Stats keys that are running totals, exported as ``counter``; every
+#: other key is a point-in-time read, a ``gauge``.
+COUNTER_KEYS = frozenset({
+    "completed", "rejected", "crashes", "busy_time_s", "lateness_total_s",
+    "traced_ops", "frames_received", "frames_sent", "bytes_sent", "writes",
+    "congestion_frames_sent",
+})  # fmt: skip
+
+
+def _is_number(value: _t.Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _families(
+    prefix: str,
+    rows: _t.Sequence[_t.Tuple[_t.Any, _t.Mapping[str, _t.Any]]],
+    help_texts: _t.Optional[_t.Mapping[str, str]] = None,
+) -> str:
+    """Exposition text of one metric family per numeric key of ``rows`` --
+    ``(labels, flat mapping)`` pairs -- announced once (``# HELP`` /
+    ``# TYPE``) and holding one sample per row that carries the key.  Keys
+    are sanitized to ``[a-zA-Z0-9_]`` and prefixed."""
+    lines = []
+    keys = {key for _, row in rows for key, value in row.items() if _is_number(value)}
+    for key in sorted(keys):
+        safe = "".join(c if c.isalnum() or c == "_" else "_" for c in key)
+        name = f"{prefix}_{safe}"
+        help_text = (help_texts or {}).get(key, f"repro metric {safe}")
+        lines.append(f"# HELP {name} {escape_help_text(help_text)}")
+        lines.append(f"# TYPE {name} {'counter' if key in COUNTER_KEYS else 'gauge'}")
+        lines.extend(
+            prometheus_line(name, row[key], labels)
+            for labels, row in rows
+            if _is_number(row.get(key))
+        )
+    return "".join(line + "\n" for line in lines)
+
+
 def render_prometheus(
     metrics: _t.Mapping[str, float],
     prefix: str = "repro",
     labels: _t.Optional[_t.Mapping[str, _t.Any]] = None,
     help_texts: _t.Optional[_t.Mapping[str, str]] = None,
 ) -> str:
-    """Render a flat metric mapping as Prometheus exposition text.
+    """Render a flat metric mapping as Prometheus exposition text: one
+    family per key (:data:`COUNTER_KEYS` typed ``counter``), every sample
+    carrying ``labels``, every line ending with the newline the format
+    requires.  ``help_texts`` overrides the generic help string per
+    (unprefixed) key."""
+    return _families(prefix, [(labels, metrics)], help_texts)
 
-    Keys are sanitized to ``[a-zA-Z0-9_]`` and prefixed; every metric is
-    announced with ``# HELP`` / ``# TYPE`` comment lines (all exported
-    values are point-in-time reads, so the type is always ``gauge``), and
-    the result ends with a trailing newline as the format requires.
-    ``help_texts`` overrides the generic help string per (unprefixed)
-    key.
-    """
-    lines = []
-    for key in sorted(metrics):
-        safe = "".join(c if c.isalnum() or c == "_" else "_" for c in key)
-        name = f"{prefix}_{safe}"
-        help_text = (help_texts or {}).get(key, f"repro metric {safe}")
-        lines.append(f"# HELP {name} {escape_help_text(help_text)}")
-        lines.append(f"# TYPE {name} gauge")
-        lines.append(prometheus_line(name, metrics[key], labels))
-    return "\n".join(lines) + "\n"
+
+def render_stats(stats: _t.Mapping[str, _t.Any]) -> str:
+    """A ``stats`` frame -- one server's, or a cluster's merged one -- as
+    Prometheus exposition text.  The family names *are* the frame's keys:
+    ``repro_serve_<key>`` for its scalars, ``repro_serve_worker_<key>
+    {worker=}`` for each worker entry's, ``repro_client_<field>{reporter=}``
+    for each reported client-side bus snapshot's; one ``# TYPE`` per family
+    however many processes the frame was merged from."""
+    workers = [
+        ({"worker": w.get("worker")}, {k: v for k, v in w.items() if k != "worker"})
+        for w in stats.get("workers", ())
+    ]
+    reports = stats.get("client_bus") or {}
+    clients = [({"reporter": name}, reports[name]) for name in sorted(reports)]
+    return (
+        render_prometheus(stats, prefix="repro_serve")
+        + _families("repro_serve_worker", workers)
+        + _families("repro_client", clients)
+    )
+
+
+def merge_reports(
+    into: _t.Dict[str, _t.Mapping[str, _t.Any]],
+    reports: _t.Mapping[str, _t.Mapping[str, _t.Any]],
+) -> None:
+    """Fold per-reporter bus snapshots into ``into``, the newest ``seq`` per
+    reporter winning: reports are fire-and-forget, so generations race on
+    one connection and endpoints may have seen different ones."""
+    for reporter, snapshot in reports.items():
+        seen = into.get(reporter)
+        if seen is None or float(snapshot.get("seq", 0)) >= float(seen.get("seq", 0)):
+            into[reporter] = snapshot
 
 
 def escape_help_text(text: str) -> str:
     """Escape a ``# HELP`` docstring (backslash and newline only)."""
     return str(text).replace("\\", "\\\\").replace("\n", "\\n")
-
-
-def snapshot_prometheus(snapshot: BusSnapshot, prefix: str = "repro") -> str:
-    """Prometheus text for one bus snapshot (``repro watch --prometheus``)."""
-    flat: _t.Dict[str, float] = {
-        "bus_time_model_s": snapshot.time,
-        "bus_seq": float(snapshot.seq),
-        "window_count": float(snapshot.window_count),
-        "completed_total": float(snapshot.completed),
-        "latency_p50_ms": snapshot.latency_p50_ms,
-        "latency_p99_ms": snapshot.latency_p99_ms,
-        "arrival_rate": snapshot.arrival_rate,
-        "served_rate": snapshot.served_rate,
-    }
-    text = render_prometheus(flat, prefix=prefix)
-    if not snapshot.queue_depths:
-        return text
-    name = f"{prefix}_queue_depth"
-    depth_lines = [
-        f"# HELP {name} windowed-mean backlog per server",
-        f"# TYPE {name} gauge",
-    ]
-    depth_lines.extend(
-        prometheus_line(name, float(depth), {"server": server})
-        for server, depth in enumerate(snapshot.queue_depths)
-    )
-    return text + "\n".join(depth_lines) + "\n"

@@ -33,7 +33,7 @@ import typing as _t
 
 from ..cluster.topology import ClusterSpec
 from ..core.clock import WallClock
-from ..metrics.bus import prometheus_line, render_prometheus
+from ..metrics.bus import merge_reports, render_stats
 from ..sim.rng import StreamFactory
 from ..workload.calibration import ServiceTimeModel
 from .codec import JSON_CODEC, codec_for
@@ -77,6 +77,10 @@ class _Connection(FrameStream):
         self.chunk_at = 0.0
         #: Ops admitted from this connection and not answered yet.
         self.in_flight = 0
+        #: Newest client-side BusSnapshot per reporter that pushed one over
+        #: this connection (``bus-report``); gone from the server's record
+        #: with the connection, so a finished load generator is not watched.
+        self.reports: _t.Dict[str, _t.Dict[str, _t.Any]] = {}
         #: The bounded fallback of a server-initiated close, once begun.
         self._settling: _t.Optional[asyncio.TimerHandle] = None
 
@@ -242,10 +246,6 @@ class LiveServer:
         self.congestion_frames_sent = 0
         #: Ops that arrived carrying a trace context (sampled requests).
         self.traced_ops = 0
-        #: Latest client-side BusSnapshot per reporter (``bus-report``
-        #: admin frames); served back via the ``client-bus`` command so
-        #: ``repro watch`` sees cluster-wide client-side percentiles.
-        self.client_bus: _t.Dict[str, _t.Dict[str, _t.Any]] = {}
         #: I/O totals of connections that already closed (open connections
         #: are summed live in :meth:`io_counters`).
         self._closed_io = {"frames_sent": 0, "bytes_sent": 0, "writes": 0}
@@ -354,10 +354,6 @@ class LiveServer:
                 "scenario": self.scenario,
                 "seed": self.seed,
                 "workers": list(self.worker_ids),
-                # Capability advertisement: older clients ignore the key,
-                # newer clients gate optional admin commands on it instead
-                # of probing (a probe rejection would poison the stream).
-                "features": ["trace-context", "bus-report", "client-bus"],
             }
         )
         # The ack itself travels in v1 (encoded above); everything after
@@ -390,80 +386,31 @@ class LiveServer:
         return totals
 
     # -- metrics export -----------------------------------------------------------
-    def metrics_text(self) -> str:
-        """This process's live state as Prometheus exposition text.
+    def snapshot(self) -> _t.Dict[str, _t.Any]:
+        """The ``stats`` frame: this process's one observability record.
 
-        The server-side half of the streamed metrics bus: the same
-        signals the workers piggyback on every response (queue depth,
-        in-service count), readable mid-run by anything that can speak
-        HTTP (``--metrics-port``) or the admin plane (``repro watch``).
+        The admin plane sends it as is (``repro watch``, a run's before /
+        after deltas) and the HTTP exporter renders it
+        (:func:`~repro.metrics.bus.render_stats`); a cluster's is the merge
+        of its processes' (``LiveTransport.fetch_stats``).
         """
-        now = self.clock.now
-        text = render_prometheus(
-            {
-                "connections": float(len(self.connections)),
-                "frames_received": float(self.frames_received),
-                "congestion_frames_sent": float(self.congestion_frames_sent),
-                "traced_ops": float(self.traced_ops),
-                "uptime_model_s": now,
-            },
-            prefix="repro_serve",
-        )
-        lines = [text.rstrip("\n")]
-        # Outer loop over metric *names*: the exposition format wants all
-        # samples of one metric in a single group under its TYPE line.
-        for name, read in (
-            ("queued", lambda w: float(w.queue_length())),
-            ("in_service", lambda w: float(w.in_service)),
-            ("completed", lambda w: float(w.completed)),
-            ("rejected", lambda w: float(w.rejected)),
-            ("arrival_rate", lambda w: w.arrival_rate.rate(now)),
-            ("busy_time_s", lambda w: w.busy_time),
-            ("lateness_seconds", lambda w: w.lateness_total / self.clock.scale),
-            ("speed_factor", lambda w: w.speed_factor),
-        ):
-            full = f"repro_serve_worker_{name}"
-            kind = "counter" if name == "lateness_seconds" else "gauge"
-            lines.append(f"# HELP {full} per-worker live {kind} {name}")
-            lines.append(f"# TYPE {full} {kind}")
-            for worker_id in self.worker_ids:
-                lines.append(
-                    prometheus_line(
-                        full, read(self.workers[worker_id]), {"worker": worker_id}
-                    )
-                )
-        # Client-side windowed percentiles reported over the admin plane
-        # (`bus-report`): the exporter view of the cluster-wide bus.
-        if self.client_bus:
-            for field in (
-                "latency_p50_ms",
-                "latency_p99_ms",
-                "arrival_rate",
-                "served_rate",
-                "completed",
-                "seq",
-            ):
-                full = f"repro_client_{field}"
-                samples = [
-                    (reporter, self.client_bus[reporter].get(field))
-                    for reporter in sorted(self.client_bus)
-                ]
-                samples = [
-                    (reporter, value)
-                    for reporter, value in samples
-                    if isinstance(value, (int, float))
-                ]
-                if not samples:
-                    continue
-                lines.append(
-                    f"# HELP {full} client-side windowed bus field {field}"
-                )
-                lines.append(f"# TYPE {full} gauge")
-                for reporter, value in samples:
-                    lines.append(
-                        prometheus_line(full, float(value), {"reporter": reporter})
-                    )
-        return "\n".join(lines) + "\n"
+        workers = [self.workers[i].stats() for i in self.worker_ids]
+        client_bus: _t.Dict[str, _t.Mapping[str, _t.Any]] = {}
+        for connection in self.connections:
+            merge_reports(client_bus, connection.reports)
+        return {
+            "t": "stats",
+            "completed": sum(w["completed"] for w in workers),
+            "rejected": sum(w["rejected"] for w in workers),
+            "connections": len(self.connections),
+            "frames_received": self.frames_received,
+            "congestion_frames_sent": self.congestion_frames_sent,
+            "traced_ops": self.traced_ops,
+            "uptime_model_s": self.clock.now,
+            **self.io_counters(),
+            "workers": workers,
+            "client_bus": client_bus,
+        }
 
     async def _handle_metrics_http(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -478,7 +425,7 @@ class LiveServer:
                 line = await reader.readline()
                 if not line or line in (b"\r\n", b"\n"):
                     break
-            body = self.metrics_text().encode("utf-8")
+            body = render_stats(self.snapshot()).encode("utf-8")
             head = (
                 "HTTP/1.1 200 OK\r\n"
                 "Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n"
@@ -520,38 +467,14 @@ class LiveServer:
             for worker in targets:
                 worker.set_jitter(0.0, 0.0)
         elif command == "bus-report":
-            # A load generator pushing its client-side BusSnapshot; the
-            # newest (by seq) per reporter wins, so reports may race.
+            # A load generator pushing its client-side BusSnapshot.
             reporter = str(frame.get("reporter", ""))
             snapshot = frame.get("snapshot")
             if not reporter or not isinstance(snapshot, dict):
                 raise ProtocolError("bus-report needs a reporter and a snapshot")
-            previous = self.client_bus.get(reporter)
-            if previous is None or float(snapshot.get("seq", 0)) >= float(
-                previous.get("seq", 0)
-            ):
-                self.client_bus[reporter] = snapshot
-        elif command == "client-bus":
-            connection.send({"t": "client-bus", "snapshots": dict(self.client_bus)})
-            return
-        elif command == "stats":
-            workers = [
-                self.workers[i].stats() for i in self.worker_ids
-            ]
-            frame_out = {
-                "t": "stats",
-                "completed": sum(w.completed for w in self.workers.values()),
-                "rejected": sum(w.rejected for w in self.workers.values()),
-                "frames_received": self.frames_received,
-                "traced_ops": self.traced_ops,
-                "uptime_model_s": self.clock.now,
-                "workers": workers,
-            }
-            frame_out.update(self.io_counters())
-            connection.send(frame_out)
-            return
-        elif command == "metrics":
-            connection.send({"t": "metrics", "text": self.metrics_text()})
+            merge_reports(connection.reports, {reporter: snapshot})
+        elif command == "stats":  # the one query: answered, not acked
+            connection.send(self.snapshot())
             return
         else:
             raise ProtocolError(f"unknown admin command {command!r}")

@@ -214,6 +214,7 @@ class LiveWorker(ServerState):
             "queued": self.queue_length(),
             "in_service": self.in_service,
             "rejected": self.rejected,
+            "arrival_rate": self.arrival_rate.rate(self.clock.now),
             "crashes": self.crashes,
             "speed_factor": self.speed_factor,
             "busy_time_s": self.busy_time,

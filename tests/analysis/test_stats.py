@@ -5,9 +5,7 @@ import pytest
 from repro.analysis import (
     bootstrap_ci,
     coefficient_of_variation,
-    geometric_mean,
     mean,
-    relative_gap,
     stdev,
 )
 
@@ -28,30 +26,6 @@ class TestBasics:
         assert coefficient_of_variation([10.0, 10.0]) == 0.0
         with pytest.raises(ValueError):
             coefficient_of_variation([1.0, -1.0])
-
-
-class TestRelativeGap:
-    def test_paper_38_percent_claim_form(self):
-        # credits p99 = 6.9ms, model p99 = 5.1ms -> within 38%.
-        assert relative_gap(6.9, 5.1) <= 0.38
-
-    def test_negative_when_better(self):
-        assert relative_gap(0.9, 1.0) < 0
-
-    def test_validates(self):
-        with pytest.raises(ValueError):
-            relative_gap(1.0, 0.0)
-
-
-class TestGeometricMean:
-    def test_speedups(self):
-        assert geometric_mean([2.0, 8.0]) == pytest.approx(4.0)
-
-    def test_validates(self):
-        with pytest.raises(ValueError):
-            geometric_mean([])
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, 0.0])
 
 
 class TestBootstrap:

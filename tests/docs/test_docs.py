@@ -229,13 +229,6 @@ SURFACE_ALLOWLIST = {
     "FixedValueSize": "test fixture: a constant value size",
     "UniformValueSize": "test fixture: bounded value sizes",
     "calibrated_lognormal": "LogNormalFanout's docstring sends users to it",
-    # Read only by their own unit tests.  ISSUES 19 and 20 listed them for
-    # deletion; a PR may retire only a few tests and PR 20's went to
-    # UniformFanout, make_discipline and the collect-before-a-long-run
-    # test, so these eight tests' three names wait for the next one.
-    "geometric_mean": "test-only: delete with TestGeometricMean",
-    "relative_gap": "test-only: delete with TestRelativeGap",
-    "snapshot_prometheus": "test-only: delete with its three test_bus cases",
 }
 
 

@@ -87,7 +87,7 @@ class TestSilentPeer:
             try:
                 with pytest.raises(LiveTransportError) as caught:
                     await transport.fetch_stats()
-                return str(caught.value), transport._reply_waiters["stats"]
+                return str(caught.value), transport._stats_waiters
             finally:
                 await transport.close()
 
@@ -210,7 +210,7 @@ class TestFirehoseLedger:
         server_io = dict(fire.server_io)
         assert server_io.pop("writes") > 0
         assert server_io == {
-            "bytes_sent": 43922,
+            "bytes_sent": 43702,  # the parent's 43,922 less four acks' `features` key
             "completed": 1050,
             "frames_received": 1056,  # 4 hellos, 1050 ops, 2 stats queries
             "frames_sent": 1054,  # 4 acks, 1050 results; the stats replies follow

@@ -4,8 +4,8 @@ trees, and the client-side metrics bus streamed to the cluster.
 The acceptance bounds here are looser than the sim's (wall-clock noise),
 but the structural contracts are exact: critical-path segments sum to
 the measured latency within 1%, every sampled request's context reaches
-the server (``traced_ops``), and a ``--procs 2`` cluster merges the load
-generator's client-side snapshots for ``repro watch``.
+the server (``traced_ops``), and a ``--procs 2`` cluster's ``stats`` frame
+merges the load generator's client-side snapshots for ``repro watch``.
 """
 
 import asyncio
@@ -16,6 +16,7 @@ import pytest
 from repro.cli import _combine_client_bus
 from repro.loadgen import run_live
 from repro.loadgen.transport import LiveTransport
+from repro.metrics.bus import render_stats
 from repro.scenarios import get_scenario
 from repro.serve import LiveServer
 from repro.serve.supervisor import ServeSupervisor
@@ -42,28 +43,6 @@ def run_against_server(config, protocol=2):
             await server.stop()
 
     return asyncio.run(scenario())
-
-
-class TestFeatureAdvertisement:
-    def test_hello_ack_advertises_the_new_capabilities(self):
-        async def scenario():
-            server = LiveServer.from_config(
-                steady_config(), time_scale=TIME_SCALE, port=0
-            )
-            await server.start()
-            try:
-                transport = await LiveTransport.connect(
-                    [(server.host, server.port)]
-                )
-                try:
-                    return transport.features
-                finally:
-                    await transport.close()
-            finally:
-                await server.stop()
-
-        features = asyncio.run(scenario())
-        assert {"trace-context", "bus-report", "client-bus"} <= features
 
 
 class TestLiveSpanTrees:
@@ -122,9 +101,7 @@ class TestClientBusAdmin:
                     # A stale generation must not clobber the newest.
                     transport.report_bus("loadgen-1", self.snapshot(seq=6))
                     transport.report_bus("loadgen-2", self.snapshot(seq=1))
-                    return await asyncio.wait_for(
-                        transport.fetch_client_bus(), timeout=10
-                    )
+                    return (await transport.fetch_stats())["client_bus"]
                 finally:
                     await transport.close()
             finally:
@@ -136,8 +113,9 @@ class TestClientBusAdmin:
         assert merged["loadgen-2"]["seq"] == 1
 
     def test_loadgen_streams_its_bus_to_a_two_process_cluster(self):
-        """The ROADMAP open end: a --procs N cluster's servers hold the
-        client-side windowed view, merged across endpoints by seq."""
+        """A --procs N cluster's servers hold the client-side windowed view
+        while the load generator is connected, merged across endpoints by
+        seq -- and drop it when it leaves."""
         config = steady_config(
             n_tasks=150, remediation="monitor", slo_p99_ms=50.0
         )
@@ -145,24 +123,35 @@ class TestClientBusAdmin:
             config, procs=2, time_scale=TIME_SCALE, base_port=0
         )
         endpoints = supervisor.start()
+
+        async def scenario():
+            watcher = await LiveTransport.connect(endpoints)
+            try:
+                run = asyncio.ensure_future(
+                    run_live(config, endpoints=endpoints, protocol=2)
+                )
+                merged = {}
+                while not run.done() and not any(
+                    snapshot["completed"] for snapshot in merged.values()
+                ):
+                    await asyncio.sleep(0.01)
+                    merged = (await watcher.fetch_stats())["client_bus"]
+                result = await run
+                afterwards = merged
+                for _ in range(200):  # the servers see the close a turn later
+                    if not afterwards:
+                        break
+                    await asyncio.sleep(0.01)
+                    afterwards = (await watcher.fetch_stats())["client_bus"]
+                return result, merged, afterwards
+            finally:
+                await watcher.close()
+
         try:
-            result = asyncio.run(
-                run_live(config, endpoints=endpoints, protocol=2)
-            )
-            assert result.tasks_completed == 150
-
-            async def fetch():
-                transport = await LiveTransport.connect(endpoints)
-                try:
-                    return await asyncio.wait_for(
-                        transport.fetch_client_bus(), timeout=10
-                    )
-                finally:
-                    await transport.close()
-
-            merged = asyncio.run(fetch())
+            result, merged, afterwards = asyncio.run(scenario())
         finally:
             supervisor.stop()
+        assert result.tasks_completed == 150
         assert len(merged) == 1  # one loadgen process reported
         (snapshot,) = merged.values()
         assert snapshot["completed"] > 0
@@ -170,6 +159,7 @@ class TestClientBusAdmin:
         combined = _combine_client_bus(merged)
         assert combined["completed"] == snapshot["completed"]
         assert combined["latency_p99_ms"] == snapshot["latency_p99_ms"]
+        assert afterwards == {}
 
 
 class TestServerMetricsPage:
@@ -193,9 +183,7 @@ class TestServerMetricsPage:
                         "arrival_rate": 40.0, "served_rate": 40.0,
                         "queue_depths": [0.0],
                     })
-                    return await asyncio.wait_for(
-                        transport.fetch_metrics(), timeout=10
-                    )
+                    return render_stats(await transport.fetch_stats())
                 finally:
                     await transport.close()
             finally:

@@ -692,6 +692,7 @@ class TestLateness:
 
     def test_a_run_reports_it_and_the_server_exports_it(self):
         from repro.loadgen import run_live
+        from repro.metrics.bus import render_stats
         from repro.scenarios import get_scenario
         from repro.serve import LiveServer
 
@@ -703,7 +704,7 @@ class TestLateness:
             await server.start()
             try:
                 result = await run_live(config, host=server.host, port=server.port)
-                return result, server.metrics_text(), list(server.workers.values())
+                return result, render_stats(server.snapshot()), list(server.workers.values())
             finally:
                 await server.stop()
 
@@ -713,6 +714,6 @@ class TestLateness:
         # Over this run's requests only: never above a worker's worst ever.
         assert 0.0 < mean <= max(w.stats()["lateness_max_s"] for w in workers)
         assert "live_completion_lateness_max_s" not in result.extras
-        assert "# TYPE repro_serve_worker_lateness_seconds counter" in text
-        assert text.count("repro_serve_worker_lateness_seconds{") == 9
+        assert "# TYPE repro_serve_worker_lateness_total_s counter" in text
+        assert text.count("repro_serve_worker_lateness_total_s{") == 9
         assert {"lateness_total_s", "lateness_max_s"} <= set(stats)

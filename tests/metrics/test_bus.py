@@ -7,14 +7,14 @@ import pytest
 from repro.metrics.bus import (
     BusEvent,
     BusSampler,
-    BusSnapshot,
     MetricsBus,
     WindowedQuantiles,
     escape_help_text,
     escape_label_value,
+    merge_reports,
     prometheus_line,
     render_prometheus,
-    snapshot_prometheus,
+    render_stats,
 )
 
 _NAME = r"[a-zA-Z_:][a-zA-Z0-9_:]*"
@@ -193,18 +193,6 @@ class TestPrometheusRendering:
         ]
         assert text.endswith("\n")
 
-    def test_snapshot_prometheus_has_per_server_depth_lines(self):
-        snapshot = BusSnapshot(
-            time=0.1, seq=2, window=0.1, window_count=5, completed=7,
-            latency_p50_ms=1.0, latency_p99_ms=9.0, arrival_rate=50.0,
-            served_rate=50.0, queue_depths=(0.0, 3.5),
-        )
-        text = snapshot_prometheus(snapshot)
-        assert "repro_latency_p99_ms 9.0" in text
-        assert 'repro_queue_depth{server="0"} 0.0' in text
-        assert 'repro_queue_depth{server="1"} 3.5' in text
-        assert text.endswith("\n")
-
 
 class TestExpositionEscaping:
     def test_label_values_escape_the_three_special_characters(self):
@@ -238,12 +226,69 @@ class TestExpositionFormat:
         assert "# HELP repro_depth queue depth\\nper worker" in text
         validate_exposition(text)
 
-    def test_snapshot_prometheus_is_well_formed(self):
-        snapshot = BusSampler(window=0.1).snapshot(0.5, seq=3)
-        validate_exposition(snapshot_prometheus(snapshot))
 
-    def test_snapshot_with_depths_is_well_formed(self):
-        sampler = BusSampler(window=0.1)
-        sampler.observe_depths(0.0, (1.0, 2.0, 3.0))
-        sampler.observe_completion(0.0, 0.004)
-        validate_exposition(snapshot_prometheus(sampler.snapshot(0.0, seq=1)))
+class TestRenderStats:
+    """The one renderer of a ``stats`` frame: family names are its keys."""
+
+    FRAME = {
+        "t": "stats",
+        "completed": 7,
+        "connections": 2,
+        "uptime_model_s": 1.5,
+        "workers": [
+            {"worker": 0, "completed": 3, "queued": 1, "lateness_total_s": 0.25},
+            {"worker": 5, "completed": 4, "queued": 0, "lateness_total_s": 0.5},
+        ],
+        "client_bus": {
+            "loadgen-2": {"seq": 4, "latency_p99_ms": 9.5, "queue_depths": [0.0]},
+            "loadgen-1": {"seq": 9, "latency_p99_ms": 3.0, "completed": 33},
+        },
+    }
+
+    def test_family_names_are_the_frame_keys(self):
+        text = render_stats(self.FRAME)
+        validate_exposition(text)
+        assert "repro_serve_completed 7\n" in text
+        assert 'repro_serve_worker_queued{worker="5"} 0\n' in text
+        assert 'repro_client_latency_p99_ms{reporter="loadgen-2"} 9.5\n' in text
+        # A field only some reporters carry is a family of those reporters.
+        assert text.count("repro_client_completed{") == 1
+        # Neither the frame's type, a worker's own id nor a list is a sample.
+        assert "repro_serve_t" not in text
+        assert "repro_serve_worker_worker" not in text
+        assert "queue_depths" not in text
+
+    def test_families_are_typed_once_and_totals_are_counters(self):
+        types = [
+            line.split()[2:]
+            for line in render_stats(self.FRAME).splitlines()
+            if line.startswith("# TYPE")
+        ]
+        names = [name for name, _ in types]
+        assert len(names) == len(set(names))
+        kinds = dict(types)
+        assert kinds["repro_serve_completed"] == "counter"
+        assert kinds["repro_serve_worker_lateness_total_s"] == "counter"
+        assert kinds["repro_client_completed"] == "counter"
+        assert kinds["repro_serve_connections"] == "gauge"
+        assert kinds["repro_serve_worker_queued"] == "gauge"
+        assert kinds["repro_client_latency_p99_ms"] == "gauge"
+
+    def test_a_frame_without_workers_or_reporters_is_still_a_page(self):
+        text = render_stats({"t": "stats", "completed": 0})
+        validate_exposition(text)
+        assert text.count("# TYPE") == 1
+
+
+class TestMergeReports:
+    def test_the_newest_seq_per_reporter_wins(self):
+        merged = {}
+        merge_reports(merged, {"a": {"seq": 5}, "b": {"seq": 1}})
+        merge_reports(merged, {"a": {"seq": 7, "x": 1}})
+        merge_reports(merged, {"a": {"seq": 6}})  # a stale generation
+        assert merged == {"a": {"seq": 7, "x": 1}, "b": {"seq": 1}}
+
+    def test_an_equal_seq_is_replaced(self):
+        merged = {"a": {"seq": 2, "x": 1}}
+        merge_reports(merged, {"a": {"seq": 2, "x": 2}})
+        assert merged["a"]["x"] == 2
