@@ -6,7 +6,9 @@
 A 1 kHz ``ITIMER_PROF`` signal records the running frame (self) and every
 frame under it (cumulative) with no profiler hooks installed, while a few
 counted methods say how often the *machinery* ran per multiget: event-loop
-turns, socket reads, transport writes, feeder wakeups, server passes.
+turns, socket reads, transport writes, feeder wakeups, task draws (and
+how many draws a wakeup that draws makes), server passes; the summary line
+gives ``next_task``'s cumulative share of the samples.
 ``sim`` samples ``run_experiment`` in this process (Stage F of
 ``docs/performance.md``); ``firehose`` and ``openloop`` fork a server that
 samples itself and sample the client around ``run_firehose`` / ``run_live``
@@ -49,6 +51,7 @@ COUNTED = (
     ("asyncio.selector_events", "_SelectorSocketTransport", "write", "writes"),
     ("repro.harness.runner", "Feeder", "step", "feeder wakeups"),
     ("repro.core.clock", "WallClock", "sleep", "feeder wakeups"),
+    ("repro.workload.tasks", "TaskGenerator", "next_task", "task draws"),
     ("repro.loadgen.transport", "LiveTransport", "_deliver_local", "local deliveries"),
     ("repro.serve.workers", "WorkerPass", "run", "server passes"),
     ("repro.serve.workers", "LiveWorker", "_on_timer", "worker timers"),
@@ -66,6 +69,7 @@ class Sampler:
             owner = getattr(sys.modules.get(module), owner, None)
             if owner is not None and hasattr(owner, name):
                 self._count(owner, name, label)
+        self._count_drawing_wakeups()
 
     def _count(self, owner, name, label):
         inner, counts = getattr(owner, name), self.counts
@@ -75,6 +79,22 @@ class Sampler:
             return inner(*args, **kwargs)
 
         setattr(owner, name, counted)
+
+    def _count_drawing_wakeups(self):
+        """'drawing wakeups': feeder wakeups that drew at least one task, so
+        task draws per drawing wakeup is the size of a draw burst -- about
+        one when every wakeup draws the next task, the block when the
+        feeder draws tasks in blocks."""
+        owner = sys.modules["repro.workload.tasks"].TaskGenerator
+        inner, counts, last = owner.next_task, self.counts, [None]
+
+        def counted(*args, **kwargs):
+            if last[0] != counts["feeder wakeups"]:
+                last[0] = counts["feeder wakeups"]
+                counts["drawing wakeups"] += 1
+            return inner(*args, **kwargs)
+
+        owner.next_task = counted
 
     def _on_tick(self, _signum, frame):
         self.self_hits[(frame.f_code.co_filename[-28:], frame.f_code.co_name)] += 1
@@ -99,19 +119,30 @@ class Sampler:
             "self": self.self_hits.most_common(25),
             "cumulative": self.cum_hits.most_common(25),
             "samples": sum(self.self_hits.values()),
+            "next_task": sum(
+                hits for (_, name), hits in self.cum_hits.items() if name == "next_task"
+            ),
         }
 
 
 def show(side, report, n):
     total = max(report["samples"], 1)
+    draws = f", next_task {100 * report['next_task'] / total:.1f}% cumulative"
     print(
         f"== {side}: {report['samples']} samples, "
         f"{report['cpu_s'] / n * 1e6:.1f} us CPU per multiget"
+        + (draws if report["next_task"] else "")
     )
+    counts = report["counts"]
     print(
         "   per multiget: "
-        + ", ".join(f"{k} {v / n:.2f}" for k, v in sorted(report["counts"].items()))
+        + ", ".join(f"{k} {v / n:.2f}" for k, v in sorted(counts.items()))
     )
+    if counts.get("task draws") and counts.get("feeder wakeups"):
+        print(
+            f"   task draws per feeder wakeup {counts['task draws'] / counts['feeder wakeups']:.2f}"
+            f", per drawing wakeup {counts['task draws'] / counts['drawing wakeups']:.2f}"
+        )
     for title in ("self", "cumulative"):
         print(f"-- {title}")
         for (path, name), hits in report[title]:

@@ -717,6 +717,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     port = args.port if args.port is not None else DEFAULT_PORT
 
     if args.procs > 1:
+        import signal
         import time as _time
 
         supervisor = ServeSupervisor(
@@ -750,6 +751,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 f"workers {group[0]}..{group[-1]}{metrics_note}",
                 flush=True,
             )
+        # SIGTERM (``kill <pid>``) takes the Ctrl-C path, so the children
+        # are stopped too; installed after the fork, so they keep the
+        # default action that ``stop()`` relies on.
+        previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
         try:
             while supervisor.alive:
                 _time.sleep(0.5)
@@ -758,6 +763,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             print("shutting down")
         finally:
             supervisor.stop()
+            signal.signal(signal.SIGTERM, previous)
         return 0
 
     def ready(server) -> None:

@@ -19,6 +19,7 @@ import typing as _t
 
 from ..cluster.faults import FaultSchedule, NO_FAULTS
 from ..cluster.topology import ClusterSpec
+from ..workload.calibration import ServiceTimeModel, calibrate_service_model
 from ..workload.popularity import SubsetHotspotPopularity
 from ..workload.soundcloud import (
     PAPER_LOAD,
@@ -165,6 +166,16 @@ class ExperimentConfig:
                 ),
             )
         return workload
+
+    def service_model(self) -> ServiceTimeModel:
+        """``workload().service_model`` without the trace models: all a
+        server needs, so a forked server neither builds nor keeps the
+        keyspace permutation."""
+        return calibrate_service_model(
+            parse_value_size_model(self.value_size_model),
+            target_rate=self.cluster.per_core_rate,
+            noise=self.service_noise,
+        )
 
     def with_strategy(self, strategy: str) -> "ExperimentConfig":
         """Same experiment, different strategy (workload identical)."""

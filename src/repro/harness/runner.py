@@ -34,7 +34,7 @@ from ..metrics.summary import DEFAULT_PERCENTILES, LatencySummary
 from ..placement import MutablePlacement
 from ..sim.engine import Environment
 from ..sim.rng import StreamFactory
-from ..workload.tasks import Task
+from ..workload.tasks import TASK_BLOCK, Task
 from .builders import ClusterContext, get_builder
 from .config import ExperimentConfig
 
@@ -383,18 +383,28 @@ class Feeder:
     """The open-loop arrival schedule as a self-re-arming clock callback.
 
     ``step`` submits every task whose *absolute* due time has passed (a late
-    wakeup submits its whole burst; deadlines never drift), draws the next
+    wakeup submits its whole burst; deadlines never drift), takes the next
     one and re-arms for it.  A loop that falls behind fires tasks late and
     back-to-back, a silently closed loop: ``lag_*`` say how late (model
     seconds), so saturated runs are detectable in the summary.  The
     simulation is the zero-lag case: its calendar wakes ``step`` exactly
     on the due time.  An object, not a closure (a reference cycle through
     the run).
+
+    Tasks are drawn :data:`~repro.workload.tasks.TASK_BLOCK` at a time,
+    back to back, when the drawn ones run out (never past ``n_tasks``): a
+    paced process that draws one task per wakeup runs the generator cold,
+    at about twice its tight-loop cost.  A task's due time is still fixed
+    when it is taken, right after its predecessor's submit, so the flash
+    crowds' ``arrival_scale`` compresses the same gaps.  The block lives
+    here, not in the generator, whose buffers honour a mid-run
+    reassignment of its models.
     """
 
     def __init__(self, clock: "Clock", run: RunAssembly, n_tasks: int) -> None:
         self.clock, self.run, self.left = clock, run, n_tasks
-        self.task: _t.Any = None  # drawn, not yet due
+        self.drawn: _t.List[_t.Any] = []  # drawn, not yet taken; next last
+        self.task: _t.Any = None  # taken, not yet due
         self.next_at = self.last_arrival = self.lag_total = self.lag_max = 0.0
 
     def step(self, _arg: None = None) -> None:
@@ -409,10 +419,15 @@ class Feeder:
                 self.lag_max = max(self.lag_max, lag)
                 run.submit(self.task)
                 self.task = None
-            if not self.left:
-                return
-            self.left -= 1
-            task = self.task = run.generator.next_task()
+            if not self.drawn:
+                if not self.left:
+                    return
+                count = min(TASK_BLOCK, self.left)
+                self.left -= count
+                draw = run.generator.next_task
+                self.drawn = [draw() for _ in range(count)]
+                self.drawn.reverse()
+            task = self.task = self.drawn.pop()
             # Flash-crowd faults compress inter-arrival gaps; at scale 1
             # the due times are exactly the trace's arrival times.
             gap = task.arrival_time - self.last_arrival

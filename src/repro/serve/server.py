@@ -268,7 +268,7 @@ class LiveServer:
         """A server matching one experiment config's backend tier."""
         return cls(
             cluster=config.cluster,
-            service_model=config.workload().service_model,
+            service_model=config.service_model(),
             time_scale=time_scale,
             seed=seed,
             scenario=config.scenario,

@@ -9,9 +9,22 @@ the cluster's partitioner maps them onto replica groups.
 
 from __future__ import annotations
 
+import functools
 import typing as _t
 
 from ..sim.rng import Stream
+
+
+@functools.lru_cache(maxsize=4)
+def _permutation(n_keys: int, perm_seed: int) -> _t.Tuple[int, ...]:
+    """The keyspace shuffled by ``Stream(perm_seed)``, built once per
+    process: a pure function of its key (the stream's name is a label, it
+    does not enter the seed), shared by every model that asks, and a tuple
+    so that no caller can change it under another.  Four entries bound a
+    sweep over keyspaces."""
+    keys = list(range(n_keys))
+    Stream(perm_seed).shuffle(keys)
+    return tuple(keys)
 
 
 class PopularityModel:
@@ -104,9 +117,7 @@ class ZipfPopularity(PopularityModel):
             raise ValueError("skew must be positive")
         self.n_keys = int(n_keys)
         self.skew = float(skew)
-        perm_stream = Stream(perm_seed, "zipf-permutation")
-        self._perm = list(range(self.n_keys))
-        perm_stream.shuffle(self._perm)
+        self._perm = _permutation(self.n_keys, perm_seed)
 
     def sample_key(self, stream: Stream) -> int:
         rank = stream.zipf(self.n_keys, self.skew)
@@ -183,9 +194,7 @@ class HotColdPopularity(PopularityModel):
         self.hot_fraction = float(hot_fraction)
         self.hot_weight = float(hot_weight)
         self.n_hot = max(1, int(round(n_keys * hot_fraction)))
-        perm_stream = Stream(perm_seed, "hotcold-permutation")
-        self._perm = list(range(self.n_keys))
-        perm_stream.shuffle(self._perm)
+        self._perm = _permutation(self.n_keys, perm_seed)
 
     def sample_key(self, stream: Stream) -> int:
         if stream.random() < self.hot_weight:

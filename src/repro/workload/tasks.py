@@ -8,6 +8,7 @@ where BRB's priority assignment happens.
 
 from __future__ import annotations
 
+import _random
 import typing as _t
 
 from .._compat import slots_dataclass
@@ -87,20 +88,24 @@ class ValueSizeRegistry(dict):
     sizes, the information BRB's cost model relies on.
 
     The mapping itself is the memo: ``registry[key]`` draws on first access.
+    A first access reseeds one scratch stream with the key's own seed
+    through the C ``seed`` that ``Random.seed`` calls for an int once its
+    type checks pass (and clears ``gauss_next``, as it does): the state a
+    ``Stream`` built for that key starts from, without one generator per
+    distinct key or the Python wrapper per draw.
     """
 
     def __init__(self, distribution: ValueSizeDistribution, seed: int) -> None:
         super().__init__()
         self.distribution = distribution
         self.seed = int(seed)
-        #: Reseeded with the key's own seed for every first access: the
-        #: same state a ``Stream`` built for that key would start from,
-        #: without building one generator per distinct key.
         self._key_stream = Stream(0, "value")
 
     def __missing__(self, key: int) -> int:
-        self._key_stream.seed(self.seed ^ (key * 0x9E3779B97F4A7C15 % (1 << 61)))
-        size = self[key] = self.distribution.sample(self._key_stream)
+        stream = self._key_stream
+        _random.Random.seed(stream, self.seed ^ (key * 0x9E3779B97F4A7C15 % (1 << 61)))
+        stream.gauss_next = None
+        size = self[key] = self.distribution.sample(stream)
         return size
 
     def size_of(self, key: int) -> int:
@@ -112,6 +117,14 @@ class ValueSizeRegistry(dict):
 #: (each stream is dedicated to one purpose, so drawing ahead is
 #: invisible), the size only trades memory for dispatch overhead.
 ARRIVAL_BLOCK = 256
+
+#: Tasks the run's feeder (:class:`repro.harness.runner.Feeder`) draws
+#: back to back when its drawn ones run out, so a paced process does not
+#: draw every task cold.  Invisible to every draw, like the block above;
+#: a refill holds the loop ≈ 1 ms of wall time (≈ 0.04 model-ms at the
+#: live realm's default time scale of 25), which the open loop's median
+#: feels slightly (``docs/performance.md``, Stage I).
+TASK_BLOCK = 16
 
 
 class TaskGenerator:

@@ -13,6 +13,7 @@ caller, so the workload is reproducible and shared across strategies.
 
 from __future__ import annotations
 
+import functools
 import math
 import typing as _t
 
@@ -131,39 +132,48 @@ class GeneralizedParetoValueSize(ValueSizeDistribution):
         return max(self.min_size, min(self.max_size, int(round(x))))
 
     def mean(self) -> float:
-        """Mean of the truncated distribution (numeric, cached)."""
-        cached = getattr(self, "_mean_cache", None)
-        if cached is not None:
-            return cached
-        # Integrate x f(x) over [min,max] via the tail formula
-        # E[X] = min + integral of (1 - F_trunc(x)) dx, with Simpson's rule
-        # on a log-spaced grid (the integrand spans several decades).
-        f_hi = self._f_hi
-        span = f_hi - self._f_lo
-
-        def survival(x: float) -> float:
-            return (f_hi - self._cdf(x)) / span
-
-        n = 4096
-        log_lo = math.log(self.min_size)
-        log_hi = math.log(self.max_size)
-        total = 0.0
-        prev_x = float(self.min_size)
-        prev_s = survival(prev_x)
-        for i in range(1, n + 1):
-            x = math.exp(log_lo + (log_hi - log_lo) * i / n)
-            s = survival(x)
-            total += 0.5 * (prev_s + s) * (x - prev_x)
-            prev_x, prev_s = x, s
-        mean = self.min_size + total
-        self._mean_cache = mean
-        return mean
+        """Mean of the truncated distribution (numeric; computed once per
+        process for each parameter set, see :func:`_truncated_mean`)."""
+        return _truncated_mean(
+            self.location, self.scale, self.shape, self.min_size, self.max_size
+        )
 
     def __repr__(self) -> str:
         return (
             f"GeneralizedParetoValueSize(scale={self.scale}, shape={self.shape}, "
             f"max_size={self.max_size})"
         )
+
+
+@functools.lru_cache(maxsize=4)
+def _truncated_mean(
+    location: float, scale: float, shape: float, min_size: int, max_size: int
+) -> float:
+    """A :class:`GeneralizedParetoValueSize`'s mean: a pure function of its
+    parameters, so every ``config.workload()`` of a process shares one
+    integral instead of redoing it on a fresh distribution."""
+    dist = GeneralizedParetoValueSize(location, scale, shape, min_size, max_size)
+    # Integrate x f(x) over [min,max] via the tail formula
+    # E[X] = min + integral of (1 - F_trunc(x)) dx, with Simpson's rule
+    # on a log-spaced grid (the integrand spans several decades).
+    f_hi = dist._f_hi
+    span = f_hi - dist._f_lo
+
+    def survival(x: float) -> float:
+        return (f_hi - dist._cdf(x)) / span
+
+    n = 4096
+    log_lo = math.log(min_size)
+    log_hi = math.log(max_size)
+    total = 0.0
+    prev_x = float(min_size)
+    prev_s = survival(prev_x)
+    for i in range(1, n + 1):
+        x = math.exp(log_lo + (log_hi - log_lo) * i / n)
+        s = survival(x)
+        total += 0.5 * (prev_s + s) * (x - prev_x)
+        prev_x, prev_s = x, s
+    return min_size + total
 
 
 class BoundedParetoValueSize(ValueSizeDistribution):

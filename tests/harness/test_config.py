@@ -9,6 +9,7 @@ from repro.harness import (
     FIGURE2_STRATEGIES,
     KNOWN_STRATEGIES,
 )
+from repro.scenarios import get_scenario, scenario_names
 
 
 class TestExperimentConfig:
@@ -43,6 +44,18 @@ class TestExperimentConfig:
         assert w.n_tasks == 100
         assert w.n_clients == cfg.n_clients
         assert w.task_rate > 0
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"value_size_model": "pareto:1.2"}, {"service_noise": "lognormal"}],
+        ids=["default", "pareto", "lognormal"],
+    )
+    def test_service_model_is_the_workloads(self, overrides):
+        """What a server is built with is the model the trace is calibrated
+        against, for every scenario's cluster."""
+        for name in scenario_names():
+            cfg = get_scenario(name).build_config(**overrides)
+            assert cfg.service_model() == cfg.workload().service_model, name
 
     def test_workload_identical_across_strategies(self):
         """The paired-comparison guarantee: same seed, same trace."""

@@ -4,10 +4,13 @@ Small task counts keep each run fast; the benchmarks exercise full scale.
 """
 
 import gc
+import hashlib
+import json
 
 import pytest
 
 from repro.harness import KNOWN_STRATEGIES, ExperimentConfig, run_experiment, run_seeds
+from repro.scenarios import get_scenario
 
 SMALL = dict(n_tasks=400, n_keys=2000)
 
@@ -90,6 +93,17 @@ class TestRunExperiment:
         result = run_experiment(small_cfg("oblivious-random"), seed=3)
         floor = 2 * 50e-6
         assert result.task_latencies.min > floor
+
+    def test_a_flash_crowd_run_is_pinned(self):
+        """The whole ``to_dict()`` of a run whose flash crowd fires, pinned
+        from when the feeder drew one task per submit: drawing tasks in
+        blocks must leave every due time the arrival scale compresses."""
+        config = get_scenario("flash-crowd").build_config(strategy="c3", n_tasks=3000)
+        record = run_experiment(config, seed=7).to_dict()
+        assert record["extras"]["flash_crowd_windows"] == 1.0
+        assert hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest() == (
+            "e53690e8eae04e15d5afd601b33d9241de3c9bd65173630a2f6eb098e26a998b"
+        )
 
 
 def watch_closed_runs(monkeypatch):

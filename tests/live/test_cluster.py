@@ -10,10 +10,16 @@ pipelining).
 """
 
 import asyncio
+import os
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 from wire_helpers import read_frame
 
+import repro
 from repro.cluster.addresses import derive_endpoints, worker_groups
 from repro.loadgen import run_firehose, run_live
 from repro.scenarios import get_scenario
@@ -21,6 +27,22 @@ from repro.serve import LiveServer, ServeSupervisor
 from repro.serve.protocol import encode_frame
 
 TIME_SCALE = 2.0
+
+
+def children_of(pid):
+    """Pids whose parent is ``pid``, from ``/proc/<pid>/stat``."""
+    children = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            try:
+                with open(f"/proc/{entry}/stat") as stat:
+                    # The field after ``(comm)``, which may hold spaces: state, ppid.
+                    fields = stat.read().rsplit(")", 1)[1].split()
+            except OSError:  # exited meanwhile
+                continue
+            if int(fields[1]) == pid:
+                children.append(int(entry))
+    return children
 
 
 def steady_config(n_tasks=120, **overrides):
@@ -175,6 +197,34 @@ class TestMultiProcessCluster:
         finally:
             supervisor.stop()
         assert not supervisor.alive
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads children from /proc")
+    def test_sigterm_to_serve_procs_stops_its_children(self):
+        """``kill <pid>`` of ``repro serve --procs 2`` exits 0 and takes both
+        forked servers with it instead of orphaning them."""
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+        serve = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--procs", "2", "--port", "0"],
+            env=env, stdout=subprocess.PIPE, text=True,
+        )  # fmt: skip
+        try:
+            lines = [serve.stdout.readline() for _ in range(3)]
+            assert sum("workers" in line for line in lines) == 2, lines
+            children = children_of(serve.pid)
+            assert len(children) == 2
+            serve.send_signal(signal.SIGTERM)
+            assert serve.wait(timeout=10) == 0
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline and any(
+                os.path.exists(f"/proc/{pid}") for pid in children
+            ):
+                time.sleep(0.05)
+            assert not [pid for pid in children if os.path.exists(f"/proc/{pid}")]
+        finally:
+            if serve.poll() is None:
+                serve.kill()
+                serve.wait(timeout=10)
+            serve.stdout.close()
 
     def test_single_endpoint_of_a_sharded_cluster_is_rejected(self):
         """Connecting to only one process of a 2-process cluster cannot

@@ -13,6 +13,7 @@ import pytest
 from repro.core.clock import WallClock
 from repro.harness.runner import Feeder
 from repro.sim import Environment
+from repro.workload.tasks import TASK_BLOCK
 
 
 class SlowEnvironment(Environment):
@@ -109,19 +110,50 @@ class TestSchedule:
         # Task 1's due time was fixed (gap 1.0) before the crowd; 2 and 3 under it.
         assert [at for _, at in submitted] == [1.0, 2.0, 2.5, 3.0]
 
-    def test_one_task_is_drawn_ahead_right_after_its_predecessors_submit(self):
+    def test_tasks_are_drawn_a_block_ahead_of_their_submits(self):
+        """A block is drawn back to back when the drawn tasks run out, and
+        the last block holds only what is left of ``n_tasks``."""
         order = []
+        n = TASK_BLOCK + 2
         run = fake_run(
-            [1.0, 2.0, 2.0, 5.0], lambda task: order.append(f"submit {task.task_id}")
+            [float(i) for i in range(1, n + 1)],
+            lambda task: order.append(f"submit {task.task_id}"),
         )
         draw = run.generator.next_task
         run.generator.next_task = lambda: (order.append("draw"), draw())[1]
         env = Environment()
-        env.call_later(0.0, Feeder(env, run, 4).step)
+        env.call_later(0.0, Feeder(env, run, n).step)
         env.run()
-        assert order == [
-            "draw", "submit 0", "draw", "submit 1", "draw", "submit 2", "draw", "submit 3",
-        ]  # fmt: skip
+        submits = [f"submit {i}" for i in range(n)]
+        assert order == (
+            ["draw"] * TASK_BLOCK + submits[:TASK_BLOCK] + ["draw"] * 2 + submits[TASK_BLOCK:]
+        )
+
+    def test_a_partial_last_block_submits_every_task_once_at_its_due_time(self):
+        n = 2 * TASK_BLOCK + 5
+        arrivals = [0.25 * i for i in range(1, n + 1)]
+        feeder, submitted = feed(arrivals)
+        assert submitted == list(enumerate(arrivals))
+        assert feeder.left == 0 and feeder.task is None and not feeder.drawn
+
+    def test_the_feeder_never_draws_past_n_tasks(self):
+        """The generator raises on draw ``n + 1``: a feeder that drew a whole
+        block past the end would raise out of the run."""
+        n = TASK_BLOCK + 3
+        run = fake_run([1.0] * n, lambda task: None)
+        draw, calls = run.generator.next_task, []
+
+        def next_task():
+            calls.append(len(calls))
+            if len(calls) > n:
+                raise AssertionError(f"draw {len(calls)} of {n} tasks")
+            return draw()
+
+        run.generator.next_task = next_task
+        env = Environment()
+        env.call_later(0.0, Feeder(env, run, n).step)
+        env.run()
+        assert len(calls) == n
 
 
 class TestErrors:

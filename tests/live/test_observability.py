@@ -22,9 +22,9 @@ from tests.metrics.test_bus import validate_exposition
 TIME_SCALE = 2.0
 
 
-def steady_config(**overrides):
+def steady_config(n_tasks=120, **overrides):
     return get_scenario("steady-state").build_config(
-        strategy="unifincr-credits", n_tasks=120, **overrides
+        strategy="unifincr-credits", n_tasks=n_tasks, **overrides
     )
 
 
@@ -150,7 +150,10 @@ class TestReporterLifetime:
 
     def test_a_finished_run_leaves_no_reporter_behind(self):
         async def scenario():
-            config = steady_config(remediation="monitor", slo_p99_ms=50.0)
+            # 600 tasks are ≈ 0.06 model seconds of arrivals: three bus
+            # intervals, so a report lands mid-run however closely the
+            # feeder keeps to its due times.
+            config = steady_config(600, remediation="monitor", slo_p99_ms=50.0)
             server = LiveServer.from_config(
                 config, time_scale=TIME_SCALE, port=0, metrics_port=0
             )
@@ -169,7 +172,7 @@ class TestReporterLifetime:
                     await until(lambda: not server.connections, timeout=10.0)
                     _, body = await http_get(server.host, server.metrics_port)
                     seen.append((mid_run, server.snapshot()["client_bus"], body))
-                    assert result.tasks_completed == 120
+                    assert result.tasks_completed == 600
             finally:
                 await server.stop()
             return seen

@@ -61,6 +61,17 @@ class TestZipf:
             b.sample_key(sb) for _ in range(50)
         ]
 
+    def test_the_permutation_is_built_once_and_shared(self):
+        a, b = ZipfPopularity(5000), ZipfPopularity(5000, skew=1.1)
+        assert a._perm is b._perm and isinstance(a._perm, tuple)
+        assert list(a._perm) == fresh_permutation(5000, 1234)
+
+
+def fresh_permutation(n_keys, perm_seed):
+    keys = list(range(n_keys))
+    Stream(perm_seed).shuffle(keys)
+    return keys
+
 
 class TestHotCold:
     def test_hot_keys_get_hot_weight(self):
@@ -74,6 +85,12 @@ class TestHotCold:
         ranked = sorted(counts.items(), key=lambda kv: -kv[1])
         hot_traffic = sum(c for _, c in ranked[:100])
         assert hot_traffic / n == pytest.approx(0.9, abs=0.05)
+
+    def test_the_permutation_is_built_once_and_shared(self):
+        a = HotColdPopularity(5000)
+        b = HotColdPopularity(5000, hot_fraction=0.2, hot_weight=0.5)
+        assert a._perm is b._perm and isinstance(a._perm, tuple)
+        assert list(a._perm) == fresh_permutation(5000, 99)
 
     def test_validates(self):
         with pytest.raises(ValueError):

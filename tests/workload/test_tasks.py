@@ -19,6 +19,18 @@ from repro.workload import (
 )
 
 
+class GaussValueSize(FixedValueSize):
+    """Sizes from ``Random.gauss``, which keeps the second of each pair of
+    normals for the next call: a reseed that left it behind would hand one
+    key's spare normal to the next key."""
+
+    def __init__(self):
+        super().__init__(1000)
+
+    def sample(self, stream):
+        return max(1, int(stream.gauss(1000.0, 100.0)))
+
+
 def make_generator(seed=1, fanout=4, n_keys=1000, n_clients=3, rate=100.0):
     streams = StreamFactory(seed)
     return TaskGenerator(
@@ -85,8 +97,8 @@ class TestValueSizeRegistry:
 
     @pytest.mark.parametrize(
         "distribution",
-        [atikoglu_etc(), UniformValueSize(10, 5000), BoundedParetoValueSize()],
-        ids=["gpareto", "uniform", "bpareto"],
+        [atikoglu_etc(), UniformValueSize(10, 5000), BoundedParetoValueSize(), GaussValueSize()],
+        ids=["gpareto", "uniform", "bpareto", "gauss"],
     )
     def test_size_is_the_keys_own_stream_in_any_access_order(self, distribution):
         keys = [0, 1, 7, 99_999, 2**40 + 3, 31_337]
@@ -102,6 +114,11 @@ class TestValueSizeRegistry:
         # Re-reads come from the memo, not from another draw.
         assert [forward.size_of(key) for key in keys] == expected
         assert len(forward) == len(keys)
+        # A thousand keys in a row: each one's size is its own fresh stream's.
+        many = range(5_000, 6_000)
+        assert [forward.size_of(key) for key in many] == [
+            self._fresh_draw(distribution, 42, key) for key in many
+        ]
 
 
 class TestTaskGenerator:
