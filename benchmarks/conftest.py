@@ -14,7 +14,7 @@ Every benchmark renders a report and raw JSON through
 :func:`save_report`.  By default they land in pytest's temporary directory,
 so running the suite (it is part of the tier-1 command) leaves the
 working tree clean; ``--record`` writes them into ``results/`` at the
-repository root, which is where EXPERIMENTS.md points and what the
+repository root, which is where docs/results.md points and what the
 ``check_*`` gates and CI artifact uploads read.
 """
 

@@ -187,7 +187,7 @@ def sample_live(kind, n):
         sampler.arm()
         if kind == "firehose":
             return await run_firehose(
-                endpoints, multigets=n, fanout=8, window=64, pool=1, protocol=2
+                endpoints, multigets=n, fanout=8, window=64, pool=1
             )
         return await run_live(config, seed=1, endpoints=endpoints, pool=1)
 

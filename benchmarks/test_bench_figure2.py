@@ -10,7 +10,7 @@ Paper claims reproduced here:
 3. "improves the latencies by up to a factor of 3 at the median ... and up
    to 2 times at the 99th percentile" vs C3 -- factors are workload- and
    load-sensitive; we assert BRB wins and report measured factors
-   (EXPERIMENTS.md discusses the magnitude gap and the load sweep that
+   (docs/results.md discusses the magnitude gap and the load sweep that
    recovers paper-sized factors).
 """
 

@@ -1,17 +1,17 @@
 """Live wire-path throughput benchmark: the firehose ablation grid.
 
 Runs :func:`repro.loadgen.run_firehose` against real forked server
-processes (:class:`repro.serve.ServeSupervisor`) across the protocol
-ablation grid -- JSON vs binary codec, single connection vs pooled,
-one vs two server processes, sequential vs pipelined -- and writes
+processes (:class:`repro.serve.ServeSupervisor`) across the transport
+ablation grid -- single connection vs pooled, one vs two server
+processes, sequential vs pipelined -- and writes
 ``results/live_throughput.json``.  The grid isolates each lever of the
 live-path overhaul:
 
-* ``json-seq-1proc`` is the *before*: one JSON connection, one multiget
-  in flight at a time (the synchronous request-response discipline the
+* ``binary-seq-1proc`` is the *before*: one connection, one multiget in
+  flight at a time (the synchronous request-response discipline the
   pre-overhaul transport approximated);
-* the deep-window cells turn on pipelining, then the binary codec, then
-  connection pooling, then the multi-process cluster;
+* the deep-window cells turn on pipelining, then connection pooling,
+  then the multi-process cluster;
 * the ``fanout8`` rider reports a paper-shaped multiget (8 keys) on the
   full stack, for scale -- it is informational, not gated.
 
@@ -45,21 +45,19 @@ TIME_SCALE = 0.02
 #: Pipeline depth of the deep-window cells (multigets in flight).
 WINDOW = 512
 
-#: name -> (protocol, procs, pool, window, fanout, share of MULTIGETS).
+#: name -> (procs, pool, window, fanout, share of MULTIGETS).
 #: The sequential baseline gets a small share: at one multiget in flight
-#: it runs three orders of magnitude slower than the headline cell.
+#: it runs two orders of magnitude slower than the headline cell.
 CELLS = (
-    ("json-seq-1proc", 1, 1, 1, 1, 1, 0.08),
-    ("json-deep-1proc", 1, 1, 1, WINDOW, 1, 0.5),
-    ("binary-deep-1proc", 2, 1, 1, WINDOW, 1, 1.0),
-    ("binary-pooled-1proc", 2, 1, 2, WINDOW, 1, 1.0),
-    ("json-pooled-2proc", 1, 2, 2, WINDOW, 1, 0.5),
-    ("binary-pooled-2proc", 2, 2, 2, WINDOW, 1, 1.0),
-    ("binary-pooled-2proc-fanout8", 2, 2, 2, 64, 8, 0.25),
+    ("binary-seq-1proc", 1, 1, 1, 1, 0.08),
+    ("binary-deep-1proc", 1, 1, WINDOW, 1, 1.0),
+    ("binary-pooled-1proc", 1, 2, WINDOW, 1, 1.0),
+    ("binary-pooled-2proc", 2, 2, WINDOW, 1, 1.0),
+    ("binary-pooled-2proc-fanout8", 2, 2, 64, 8, 0.25),
 )
 
 HEADLINE = "binary-pooled-2proc"
-SEQUENTIAL = "json-seq-1proc"
+SEQUENTIAL = "binary-seq-1proc"
 
 
 def bench_config():
@@ -84,7 +82,7 @@ def calibration_spin(n=2_000_000):
     return n / (time.perf_counter() - t0)
 
 
-def run_cell(config, protocol, procs, pool, window, fanout, multigets):
+def run_cell(config, procs, pool, window, fanout, multigets):
     """One grid cell: fork a fresh cluster, drive it, tear it down."""
     supervisor = ServeSupervisor(
         config, procs=procs, time_scale=TIME_SCALE, base_port=0
@@ -98,7 +96,6 @@ def run_cell(config, protocol, procs, pool, window, fanout, multigets):
                 fanout=fanout,
                 window=window,
                 pool=pool,
-                protocol=protocol,
             )
         )
     finally:
@@ -119,9 +116,9 @@ def measure():
         },
         "cells": {},
     }
-    for name, protocol, procs, pool, window, fanout, share in CELLS:
+    for name, procs, pool, window, fanout, share in CELLS:
         count = max(500, int(MULTIGETS * share))
-        result = run_cell(config, protocol, procs, pool, window, fanout, count)
+        result = run_cell(config, procs, pool, window, fanout, count)
         cell = result.to_dict()
         cell["normalized"] = result.multigets_per_s / spins
         data["cells"][name] = cell
@@ -130,10 +127,6 @@ def measure():
     data["ratios"] = {
         "headline_vs_sequential": (
             headline["multigets_per_s"] / sequential["multigets_per_s"]
-        ),
-        "binary_vs_json_deep": (
-            data["cells"]["binary-deep-1proc"]["multigets_per_s"]
-            / data["cells"]["json-deep-1proc"]["multigets_per_s"]
         ),
         "headline_cell": HEADLINE,
         "sequential_cell": SEQUENTIAL,
@@ -156,9 +149,6 @@ def test_live_throughput_bench():
         f"  speedup {HEADLINE} vs {SEQUENTIAL}: "
         f"{ratios['headline_vs_sequential']:.1f}x"
     )
-    lines.append(
-        f"  binary vs JSON (deep window): {ratios['binary_vs_json_deep']:.2f}x"
-    )
     report = "\n".join(lines)
     print("\n" + report)
     save_report("live_throughput", report, data=data)
@@ -170,14 +160,12 @@ def test_live_throughput_bench():
         assert cell["multigets_per_s"] > 0, name
         assert 0 < cell["p99_ms"] < float("inf"), name
     # Machine-independent structural claims of the overhaul:
-    # pipelining + binary + pooling + processes beats the sequential JSON
-    # baseline by an order of magnitude ...
+    # pipelining + pooling + processes beats the sequential baseline by an
+    # order of magnitude ...
     assert ratios["headline_vs_sequential"] >= 10.0
-    # ... the codec alone is a clear win at equal pipeline depth ...
-    assert ratios["binary_vs_json_deep"] >= 1.3
     # ... writes stay coalesced under pipelining (many frames per
     # syscall), which is the point of the BatchWriter.
     assert cells[HEADLINE]["writes_per_multiget"] < 0.5
     # Binary op+res round trip is ~33 payload bytes + 4B length prefix
-    # per direction; anything near JSON's ~95 means negotiation failed.
+    # per direction; anything near JSON's ~95 means the codec is not binary.
     assert cells[HEADLINE]["bytes_per_op"] < 45.0

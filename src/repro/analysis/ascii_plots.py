@@ -2,7 +2,7 @@
 
 These render into benchmark stdout so the reproduced figures are visible
 directly in ``pytest benchmarks/ --benchmark-only`` output and in
-EXPERIMENTS.md without any plotting stack.
+docs/results.md without any plotting stack.
 """
 
 from __future__ import annotations

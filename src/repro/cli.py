@@ -629,8 +629,6 @@ _WIRE_FLAGS: _t.Dict[str, _t.Dict[str, _t.Any]] = {
                            "cluster (overrides --host/--port)"),
     "pool": dict(type=int, default=1, metavar="K",
                  help="connections per endpoint"),
-    "protocol": dict(default="binary", choices=("binary", "json"),
-                     help="highest wire codec to negotiate (json pins v1)"),
 }
 
 
@@ -808,7 +806,7 @@ def _add_loadgen(subparsers: argparse._SubParsersAction) -> None:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--seeds", type=int, default=1, metavar="K",
                    help="repeat under K consecutive seeds (starting at --seed)")
-    _add_wire_flags(p, "host", "port", "endpoints", "pool", "protocol")
+    _add_wire_flags(p, "host", "port", "endpoints", "pool")
     p.add_argument("--timeout", type=float, default=None, metavar="S",
                    help="wall-clock safety timeout per run (seconds)")
     p.add_argument("--out", type=str, default=None,
@@ -832,12 +830,6 @@ def _parse_endpoints(raw: str) -> _t.List[_t.Tuple[str, int]]:
     if not endpoints:
         raise ValueError("empty endpoint list")
     return endpoints
-
-
-def _protocol_cap(name: str) -> int:
-    from .serve import MAX_PROTOCOL_VERSION, PROTOCOL_VERSION
-
-    return PROTOCOL_VERSION if name == "json" else MAX_PROTOCOL_VERSION
 
 
 def _reject_model_strategies(strategies: _t.Iterable[str]) -> None:
@@ -867,7 +859,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     where = ", ".join(f"{h}:{p}" for h, p in endpoints)
     print(
         f"loadgen: {config.describe()} (seeds {list(seeds)}) -> {where} "
-        f"(pool {args.pool}, protocol {args.protocol})"
+        f"(pool {args.pool})"
     )
     for line in config.fault_schedule.describe():
         print(f"  fault: {line}")
@@ -878,7 +870,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             seeds,
             endpoints=endpoints,
             pool=args.pool,
-            protocol=_protocol_cap(args.protocol),
             wall_timeout=args.timeout,
         ),
     )
@@ -911,7 +902,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             "n_tasks": args.tasks,
             "time_scale": results[0].extras["live_time_scale"],
             "wall_duration_s": wall,
-            "protocol": results[0].extras.get("live_protocol", 1.0),
+            "protocol": results[0].extras["live_protocol"],
             "endpoints": len(endpoints),
             "pool": args.pool,
             "schedule_lag_mean_s": lag_mean,
@@ -1085,7 +1076,7 @@ def _add_firehose(subparsers: argparse._SubParsersAction) -> None:
                    help="keys per multiget")
     p.add_argument("--window", type=int, default=256, metavar="W",
                    help="multigets kept in flight (1 = sequential)")
-    _add_wire_flags(p, "pool", "protocol")
+    _add_wire_flags(p, "pool")
     p.add_argument("--value-size", type=int, default=1024, metavar="B",
                    help="value bytes per key")
     p.add_argument("--timeout", type=float, default=300.0, metavar="S",
@@ -1102,8 +1093,7 @@ def _cmd_firehose(args: argparse.Namespace) -> int:
     where = ", ".join(f"{h}:{p}" for h, p in endpoints)
     print(
         f"firehose -> {where}: {args.multigets} multigets x fanout "
-        f"{args.fanout}, window {args.window}, pool {args.pool}, "
-        f"{args.protocol} protocol"
+        f"{args.fanout}, window {args.window}, pool {args.pool}"
     )
     result = _run_live(
         "firehose",
@@ -1114,7 +1104,6 @@ def _cmd_firehose(args: argparse.Namespace) -> int:
             value_size=args.value_size,
             window=args.window,
             pool=args.pool,
-            protocol=_protocol_cap(args.protocol),
             wall_timeout=args.timeout,
         ),
     )
@@ -1149,7 +1138,7 @@ def _add_compare(subparsers: argparse._SubParsersAction) -> None:
     p.add_argument("--procs", type=int, default=1, metavar="N",
                    help="run the live half against an N-process cluster "
                         "(default: in-process loopback)")
-    _add_wire_flags(p, "pool", "protocol", pool="live connections per endpoint")
+    _add_wire_flags(p, "pool", pool="live connections per endpoint")
     p.add_argument("--out", type=str, default=None, help="raw JSON output path")
     _add_parallel_flags(p)  # applies to the simulated half of the diff
     p.set_defaults(func=_cmd_compare)
@@ -1175,7 +1164,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     print(
         f"comparing {', '.join(strategies)} on {args.scenario!r}: "
         f"{args.tasks} tasks x {args.seeds} seed(s), sim then live "
-        f"({backend}, {time_scale:g}x time scale, {args.protocol} protocol)"
+        f"({backend}, {time_scale:g}x time scale)"
     )
     report = run_compare(
         args.scenario,
@@ -1186,7 +1175,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         executor=_executor_from(args),
         procs=args.procs,
         pool=args.pool,
-        protocol=_protocol_cap(args.protocol),
     )
     print(report.render())
     _save_json(args.out, report.to_dict())

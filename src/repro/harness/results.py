@@ -76,7 +76,7 @@ class ComparisonResult:
         }
 
     def to_dict(self) -> _t.Dict[str, _t.Any]:
-        """JSON-friendly structure (EXPERIMENTS.md provenance blobs)."""
+        """JSON-friendly structure (docs/results.md provenance blobs)."""
         out: _t.Dict[str, _t.Any] = {"seeds": list(self.seeds), "strategies": {}}
         for name, sres in self.strategies.items():
             mean = sres.mean_summary()

@@ -26,7 +26,6 @@ from ..harness.config import ExperimentConfig
 from ..harness.parallel import SERIAL, GridExecutor, run_grid
 from ..harness.results import ComparisonResult, compare_strategies
 from ..scenarios import get_scenario
-from ..serve.protocol import MAX_PROTOCOL_VERSION
 from ..serve.server import DEFAULT_TIME_SCALE, LiveServer
 from ..serve.supervisor import ServeSupervisor
 from .driver import run_live_seeds
@@ -131,7 +130,6 @@ async def _live_strategy_loopback(
     time_scale: float,
     wall_timeout: _t.Optional[float],
     pool: int,
-    protocol: int,
 ) -> _t.List:
     """One strategy's live runs against a fresh in-process loopback server."""
     server = LiveServer.from_config(config, time_scale=time_scale, port=0)
@@ -142,7 +140,6 @@ async def _live_strategy_loopback(
             seeds,
             endpoints=[(server.host, server.port)],
             pool=pool,
-            protocol=protocol,
             wall_timeout=wall_timeout,
         )
     finally:
@@ -156,7 +153,6 @@ def _live_comparison(
     wall_timeout: _t.Optional[float],
     procs: int,
     pool: int,
-    protocol: int,
 ) -> ComparisonResult:
     """Run each strategy against its own fresh backend.
 
@@ -181,7 +177,6 @@ def _live_comparison(
                         seeds,
                         endpoints=endpoints,
                         pool=pool,
-                        protocol=protocol,
                         wall_timeout=wall_timeout,
                     )
                 )
@@ -189,9 +184,7 @@ def _live_comparison(
                 supervisor.stop()
         else:
             results[name] = asyncio.run(
-                _live_strategy_loopback(
-                    config, seeds, time_scale, wall_timeout, pool, protocol
-                )
+                _live_strategy_loopback(config, seeds, time_scale, wall_timeout, pool)
             )
     return compare_strategies(results)
 
@@ -206,15 +199,14 @@ def run_compare(
     executor: GridExecutor = SERIAL,
     procs: int = 1,
     pool: int = 1,
-    protocol: int = MAX_PROTOCOL_VERSION,
 ) -> CompareReport:
     """Run the full differential: sim then live, one scenario, N strategies.
 
     ``executor`` applies to the *simulated* half only (process fan-out
     and result-cache reuse); live cells are inherently serial -- they
     would contend for the same wall-clock backend.
-    ``procs``/``pool``/``protocol`` shape the live half: server process
-    count, connections per endpoint, and the wire codec cap.
+    ``procs``/``pool`` shape the live half: server process count and
+    connections per endpoint.
     """
     if not strategies:
         raise ValueError("need at least one strategy to compare")
@@ -224,9 +216,7 @@ def run_compare(
         for name in strategies
     }
     sim = compare_strategies(run_grid([configs], seeds, executor)[0])
-    live = _live_comparison(
-        configs, seeds, time_scale, wall_timeout, procs, pool, protocol
-    )
+    live = _live_comparison(configs, seeds, time_scale, wall_timeout, procs, pool)
     return CompareReport(
         scenario=scenario,
         seeds=tuple(seeds),

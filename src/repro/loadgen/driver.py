@@ -33,7 +33,6 @@ from ..harness.builders import ModelBuilder, get_builder
 from ..harness.config import ExperimentConfig
 from ..harness.results import compare_strategies
 from ..harness.runner import RunAssembly, RunResult
-from ..serve.protocol import MAX_PROTOCOL_VERSION
 from ..serve.server import DEFAULT_HOST, DEFAULT_PORT
 from ..sim.rng import StreamFactory
 from .transport import LiveTransport, LiveTransportError
@@ -130,14 +129,12 @@ async def run_live(
     wall_timeout: _t.Optional[float] = None,
     endpoints: _t.Optional[_t.Sequence[_t.Tuple[str, int]]] = None,
     pool: int = 1,
-    protocol: int = MAX_PROTOCOL_VERSION,
 ) -> RunResult:
     """Drive one (config, seed) load-generation run against a live cluster.
 
     ``endpoints`` lists every server process of a multi-process cluster
     (defaults to the single ``(host, port)``); ``pool`` opens that many
-    connections per endpoint; ``protocol`` caps codec negotiation (1
-    pins JSON).
+    connections per endpoint.
     """
     if isinstance(get_builder(config.strategy), ModelBuilder):
         raise ValueError(
@@ -146,9 +143,7 @@ async def run_live(
         )
     if endpoints is None:
         endpoints = [(host, port)]
-    transport = await LiveTransport.connect(
-        endpoints, pool=pool, protocol=protocol
-    )
+    transport = await LiveTransport.connect(endpoints, pool=pool)
     clock = transport.clock
     run: _t.Optional[RunAssembly] = None
     try:
@@ -214,7 +209,7 @@ async def run_live(
             "live_wall_duration_s": wall_duration,
             "live_requests_rejected": _grew(stats_before, stats_after, "rejected"),
             "live_congestion_frames": float(transport.congestion_signals),
-            "live_protocol": float(transport.ack.get("proto", 1)),
+            "live_protocol": float(transport.ack["proto"]),
             "live_links": float(len(transport.links)),
             "schedule_lag_max_s": feeder.lag_max,
             "schedule_lag_mean_s": feeder.lag_total / max(config.n_tasks, 1),

@@ -4,8 +4,8 @@ The loadgen driver (:mod:`repro.loadgen.driver`) measures *scheduling*:
 it replays a paper workload on a scaled model clock, so its throughput is
 bounded by the scenario's arrival rate, not by the transport.  The
 firehose measures the *wire path* itself.  It rides the same
-:class:`~repro.loadgen.transport.LiveTransport` (handshake, negotiated
-codec, pooled links, control frames, stats query, outcome future) but
+:class:`~repro.loadgen.transport.LiveTransport` (handshake, binary codec,
+pooled links, control frames, stats query, outcome future) but
 skips the strategy stack entirely -- its ``on_res`` is bound straight to
 the links, and its ops go straight out on them: a fixed window of
 multigets is kept in flight on every run, and the moment one multiget
@@ -32,11 +32,26 @@ import dataclasses
 import time
 import typing as _t
 
+from ..serve.codec import BINARY_CODEC
 from ..serve.protocol import MAX_PROTOCOL_VERSION
-from .transport import Endpoint, LiveTransport, LiveTransportError, RID_MASK, sum_stats
+from .transport import Endpoint, LiveTransport, LiveTransportError, RID_MASK
 
 #: Fixed priority for firehose ops: everything equal, FIFO per worker.
 _PRIORITY: _t.Tuple[float, ...] = (0.0,)
+
+#: Every firehose op is binary: the handshake switched every link to it.
+_encode_op = BINARY_CODEC.encode_op
+
+#: The ``stats`` counters a result's ``server_io`` keeps.
+_SERVER_IO_KEYS = (
+    "completed",
+    "rejected",
+    "frames_received",
+    "frames_sent",
+    "bytes_sent",
+    "writes",
+    "traced_ops",
+)
 
 
 @dataclasses.dataclass
@@ -159,7 +174,7 @@ class _FirehoseRun:
             self.pending[rid] = mg
             key = op % self.key_space
             link.out.send(
-                link.codec.encode_op(rid, worker_id, key, self.value_size, _PRIORITY)
+                _encode_op(rid, worker_id, key, self.value_size, _PRIORITY)
             )
 
     # -- inbound frames -------------------------------------------------------
@@ -209,9 +224,17 @@ async def run_firehose(
     have completed; ops round-robin over every worker the cluster
     advertises.  Returns throughput, multiget RTT percentiles and the
     I/O ledger on both sides.
+
+    ``protocol`` accepts only 2, the binary data plane, which every link
+    speaks: it stays a keyword because ``bench/workloads.py`` passes it.
     """
     if multigets < 1 or fanout < 1 or window < 1 or pool < 1:
         raise ValueError("multigets, fanout, window and pool must be >= 1")
+    if protocol != MAX_PROTOCOL_VERSION:
+        raise ValueError(
+            f"protocol {protocol!r}: the firehose speaks only the binary "
+            f"protocol {MAX_PROTOCOL_VERSION}"
+        )
     if warmup is None:
         # Enough to fill the window and warm every worker's EWMA, bounded
         # so short smoke runs are not dominated by it.
@@ -222,7 +245,7 @@ async def run_firehose(
     # The firehose never consumes congestion broadcasts: opt every
     # connection out so saturation does not turn into a broadcast storm.
     transport = await LiveTransport.connect(
-        endpoints, pool, protocol, congestion=False, on_res=run.on_res
+        endpoints, pool, congestion=False, on_res=run.on_res
     )
     run.attach(transport)
     try:
@@ -231,7 +254,7 @@ async def run_firehose(
         await transport.wait(
             wall_timeout, lambda: f"{run.completed} of {total} multigets done"
         )
-        server_io = sum_stats([await transport.fetch_stats()])
+        stats = await transport.fetch_stats()
     finally:
         await transport.close()
 
@@ -246,11 +269,11 @@ async def run_firehose(
         window=window,
         pool=pool,
         endpoints=len(endpoints),
-        protocol=min(int(link.ack.get("proto", 1)) for link in transport.links),
+        protocol=transport.ack["proto"],
         elapsed_s=run.t_measure_end - run.t_measure_start,
         p50_ms=_percentile(rtts, 50.0) * 1e3,
         p99_ms=_percentile(rtts, 99.0) * 1e3,
         client_io=measured_io,
-        server_io=server_io,
+        server_io={key: stats[key] for key in _SERVER_IO_KEYS},
         congestion_frames=transport.congestion_signals,
     )

@@ -42,9 +42,10 @@ the run's completion resolves it, and a lost link, a rejected op, a
 crashing handler or the first exception of any clock callback fails it
 with that exception -- so a run never idles into its wall timeout.
 
-The wire codec is negotiated per connection by the link's own sink
-(binary v2 when both sides speak it, v1 JSON otherwise), so this client
-interoperates with old JSON-only servers unchanged.
+Every link speaks the binary data plane: it sends the ``hello``, and the
+``hello-ack`` (protocol 2, or the open fails) switches its codec.  The
+JSON form of the protocol is for hand-written control frames only (see
+:mod:`repro.serve.protocol`).
 """
 
 from __future__ import annotations
@@ -56,10 +57,9 @@ from ..cluster.addresses import CONTROLLER_ADDRESS, client_address
 from ..cluster.messages import CongestionSignal, ResponseMessage, ServerFeedback
 from ..core.clock import WallClock
 from ..metrics.bus import merge_reports
-from ..serve.codec import JSON_CODEC, codec_for
+from ..serve.codec import BINARY_CODEC, JSON_CODEC
 from ..serve.protocol import (
     MAX_PROTOCOL_VERSION,
-    PROTOCOL_VERSION,
     FrameStream,
     ProtocolError,
     encode_frame,
@@ -82,38 +82,17 @@ class LiveTransportError(RuntimeError):
     """The live connection failed or the service rejected a request."""
 
 
+#: Every op a link sends, in the binary codec its handshake switched to.
+_encode_op = BINARY_CODEC.encode_op
+
+
 def ack_workers(ack: _t.Mapping[str, _t.Any]) -> _t.List[int]:
-    """The worker ids one hello-ack advertises (an old server's ack has no
-    ``workers`` list: it hosts the whole cluster)."""
-    workers = ack.get("workers")
-    if workers is None:
-        workers = range(int(ack.get("n_servers", 0)))
-    return [int(w) for w in workers]
-
-
-def sum_stats(replies: _t.Sequence[_t.Mapping[str, _t.Any]]) -> _t.Dict[str, int]:
-    """Cluster-wide totals of the additive ``stats``-frame counters (only
-    those some reply carries: old servers predate a few)."""
-    return {
-        key: sum(int(reply.get(key, 0)) for reply in replies)
-        for key in (
-            "completed",
-            "rejected",
-            "frames_received",
-            "frames_sent",
-            "bytes_sent",
-            "writes",
-            "traced_ops",
-        )
-        if any(key in reply for reply in replies)
-    }
+    """The worker ids one hello-ack advertises."""
+    return [int(w) for w in ack["workers"]]
 
 
 async def open_links(
-    endpoints: _t.Sequence[Endpoint],
-    pool: int,
-    protocol: int,
-    congestion: bool,
+    endpoints: _t.Sequence[Endpoint], pool: int, congestion: bool
 ) -> _t.List["Link"]:
     """Open and handshake ``pool`` connections per endpoint.
 
@@ -133,7 +112,7 @@ async def open_links(
     try:
         for endpoint in endpoints:
             for slot in range(pool):
-                link = Link(endpoint, protocol, congestion and slot == 0)
+                link = Link(endpoint, congestion and slot == 0)
                 await loop.create_connection(lambda: link, *endpoint)
                 links.append(link)
                 await link.handshaken
@@ -191,8 +170,8 @@ class Link(FrameStream):
     """One connection of a load generator: its protocol object and sink.
 
     The ``hello`` goes out when the connection is made and the ``hello-ack``
-    comes back through the sink like any frame, switching the codec
-    mid-drain -- no byte changes readers.  Reading then pauses until
+    comes back through the sink like any frame, switching the codec to
+    binary mid-drain -- no byte changes readers.  Reading then pauses until
     :meth:`start` names the consumer: ``res`` fields go straight to
     ``on_res``, every other frame to ``on_control`` with its endpoint (admin
     replies are matched per endpoint), a lost or damaged connection's error
@@ -200,10 +179,10 @@ class Link(FrameStream):
     owner would keep every finished run waiting for the cycle collector.
     """
 
-    def __init__(self, endpoint: Endpoint, max_proto: int, congestion: bool) -> None:
-        super().__init__(JSON_CODEC)  # the handshake always travels in v1
+    def __init__(self, endpoint: Endpoint, congestion: bool) -> None:
+        super().__init__(JSON_CODEC)  # the handshake always travels in JSON
         self.endpoint = endpoint
-        self._hello = (max_proto, congestion)
+        self._congestion = congestion
         #: The server's hello-ack, once ``handshaken`` resolves.
         self.ack: _t.Dict[str, _t.Any] = {}
         self.handshaken = asyncio.get_running_loop().create_future()
@@ -214,23 +193,21 @@ class Link(FrameStream):
 
     def connection_made(self, transport: _t.Any) -> None:
         super().connection_made(transport)
-        transport.write(encode_frame(hello_frame(*self._hello)))
+        transport.write(encode_frame(hello_frame(self._congestion)))
 
     def _handshake(self, _endpoint: Endpoint, ack: _t.Dict[str, _t.Any]) -> None:
         """``on_control`` until :meth:`start`: validate the ack, switch to
-        the codec it names (``max_proto=1`` pins JSON), pause."""
-        proto = ack.get("proto", PROTOCOL_VERSION)
+        the binary codec, pause."""
+        proto = ack.get("proto")
         if self.handshaken.done():
             self._early.append(ack)
         elif ack.get("t") != "hello-ack":
             why = ack.get("error") if ack.get("t") == "error" else f"got {ack!r}"
             self.fail(LiveTransportError(f"handshake rejected: {why}"))
-        elif type(proto) is not int or not (
-            PROTOCOL_VERSION <= proto <= max(self._hello[0], PROTOCOL_VERSION)
-        ):
-            self.fail(LiveTransportError(f"server negotiated unusable proto {proto!r}"))
+        elif type(proto) is not int or proto != MAX_PROTOCOL_VERSION:
+            self.fail(LiveTransportError(f"server acked unusable proto {proto!r}"))
         else:
-            self.codec = codec_for(proto)
+            self.codec = BINARY_CODEC
             self.ack = ack
             self.out.transport.pause_reading()
             self.handshaken.set_result(None)
@@ -327,9 +304,8 @@ class LiveTransport:
         self.responses_received = 0
         self.congestion_signals = 0
         #: Trace-context hook: when set, called per outbound op with the
-        #: request; a non-None return is the 64-bit context to propagate
-        #: (v2: the traced-op frame; v1: an optional JSON key old servers
-        #: ignore, preserving interop).
+        #: request; a non-None return is the 64-bit context the op carries
+        #: (the traced-op frame).
         self.trace_sampler: _t.Optional[
             _t.Callable[["RequestMessage"], _t.Optional[int]]
         ] = None
@@ -343,7 +319,6 @@ class LiveTransport:
         cls,
         endpoints: _t.Sequence[Endpoint],
         pool: int = 1,
-        protocol: int = MAX_PROTOCOL_VERSION,
         congestion: bool = True,
         on_res: _t.Optional[_t.Callable[..., None]] = None,
     ) -> "LiveTransport":
@@ -355,7 +330,7 @@ class LiveTransport:
         of the strategy stack's reassembly (the firehose: it has no
         strategy stack to hand a response to).
         """
-        links = await open_links(endpoints, pool, protocol, congestion)
+        links = await open_links(endpoints, pool, congestion)
         base_ack = links[0].ack
         transport = cls(
             clock=WallClock(scale=float(base_ack["time_scale"])), ack=base_ack
@@ -440,7 +415,7 @@ class LiveTransport:
             self.trace_sampler(request) if self.trace_sampler is not None else None
         )
         link.out.send(
-            link.codec.encode_op(
+            _encode_op(
                 rid,
                 worker_id,
                 request.op.key,

@@ -2,15 +2,15 @@
 
 The real-time counterpart of the simulated backend tier: the same cluster
 shape, calibrated service times and queue feedback, served over TCP with
-a length-prefixed frame protocol (v1 JSON, v2 binary -- negotiated per
-connection).  One process hosts all workers by default; ``repro serve
---procs N`` splits the cluster across processes via
-:class:`~repro.serve.supervisor.ServeSupervisor`.  Drive it with
+a length-prefixed frame protocol (the binary data plane after a JSON
+handshake; JSON control frames without one).  One process hosts all
+workers by default; ``repro serve --procs N`` splits the cluster across
+processes via :class:`~repro.serve.supervisor.ServeSupervisor`.  Drive it with
 :mod:`repro.loadgen` (``repro loadgen`` / ``repro compare``) or start it
 standalone with ``repro serve``.
 """
 
-from .codec import BINARY_CODEC, JSON_CODEC, BinaryCodec, JsonCodec, codec_for
+from .codec import BINARY_CODEC, JSON_CODEC, BinaryCodec, JsonCodec
 from .protocol import (
     MAX_FRAME_BYTES,
     MAX_PROTOCOL_VERSION,
@@ -19,11 +19,10 @@ from .protocol import (
     FrameSink,
     FrameStream,
     ProtocolError,
+    check_hello,
     encode_frame,
     error_frame,
     hello_frame,
-    negotiate_version,
-    priority_from_wire,
 )
 from .server import (
     DEFAULT_HOST,
@@ -56,11 +55,9 @@ __all__ = [
     "ProtocolError",
     "QueueFullError",
     "ServeSupervisor",
-    "codec_for",
+    "check_hello",
     "encode_frame",
     "error_frame",
     "hello_frame",
-    "negotiate_version",
-    "priority_from_wire",
     "run_server",
 ]

@@ -1,44 +1,43 @@
-"""The v2 binary wire codec: struct-packed data-plane frames.
+"""The wire codecs: the binary data plane and the JSON control plane.
 
-Version 2 of the live protocol keeps v1's outer framing (a 4-byte
-big-endian length prefix, ``MAX_FRAME_BYTES`` cap) and replaces the JSON
-payload with a compact binary form.  The first payload byte is a frame
-*tag*; the three data-plane frames that dominate the wire -- ``op``,
-``res`` and ``congestion`` -- are fixed-layout little-endian structs,
-while the control plane (handshake, admin, stats, errors) stays JSON
-behind a dedicated tag, so irregular, rarely-sent frames keep their
-flexibility without taxing the hot path.
+Both keep the outer framing of :mod:`repro.serve.protocol` (a 4-byte
+big-endian length prefix, ``MAX_FRAME_BYTES`` cap).  The binary codec is
+the one data plane: the first payload byte is a frame *tag*; the three
+frames that dominate the wire -- ``op``, ``res`` and ``congestion`` -- are
+fixed-layout little-endian structs, while the control plane (handshake,
+admin, stats, errors) stays JSON behind a dedicated tag, so irregular,
+rarely-sent frames keep their flexibility without taxing the hot path.
+The JSON codec is a connection's form before the handshake: plain JSON
+payloads, control frames only (``nc`` + ``jq`` suffice to poke a server).
 
-Size ledger (the reason v2 exists; also in ``docs/performance.md``):
+Size ledger (``docs/performance.md`` has the measurements):
 
-=============  ==========  ============  =======
-frame          v1 JSON     v2 binary     shrink
-=============  ==========  ============  =======
-``op``         ~95 bytes   24 + 8/prio   ~2.4x
-``res``        ~150 bytes  41 bytes      ~3.7x
-``congestion`` ~60 bytes   15 bytes      ~4x
-=============  ==========  ============  =======
+=============  ============  ===========
+frame          binary        as JSON
+=============  ============  ===========
+``op``         24 + 8/prio   ~95 bytes
+``res``        41 bytes      ~150 bytes
+``congestion`` 15 bytes      ~60 bytes
+=============  ============  ===========
 
-Both codecs expose the same surface.  ``encode(frame)`` and
-``decode(buf, start, end, at)`` speak frame dicts: the control plane,
-the benchmarks' microtimers and the fuzz suites use them.  The data path
-does not: ``encode_op``/``encode_res`` take typed fields, and
-``deliver(sink, buf, start, end, at)`` parses one frame and calls the
-:class:`~repro.serve.protocol.FrameSink` handler for its kind -- an
-``op`` or a ``res`` as typed positional fields with no dict in between
-(the binary codec by one ``unpack_from`` at the frame offset, straight
-out of the receive buffer; the JSON codec by decoding the dict and doing
-the ``int()``/``float()``/priority validation here, where untyped input
-comes from), everything else as the decoded dict.  So what sits above
-the codec is version-agnostic and never re-validates a field.  ``at`` is
-the absolute stream offset of the payload, threaded into every
-:class:`ProtocolError` so a corrupt frame reports *where* it sat.
+Both codecs expose ``encode(frame)`` and ``decode(buf, start, end, at)``,
+which speak frame dicts: the control plane, the benchmarks' microtimers
+and the fuzz suites use them.  ``deliver(sink, buf, start, end, at)``
+parses one frame and calls the :class:`~repro.serve.protocol.FrameSink`
+handler for its kind.  The JSON codec hands every frame to ``on_frame``.
+The binary codec hands an ``op`` or a ``res`` to ``on_op``/``on_res`` as
+typed positional fields with no dict in between (one ``unpack_from`` at
+the frame offset, straight out of the receive buffer) and everything else
+to ``on_frame`` as the decoded dict, so nothing above it re-validates a
+field.  ``at`` is the absolute stream offset of the payload, threaded
+into every :class:`ProtocolError` so a corrupt frame reports *where* it
+sat.
 
-The binary encoders are the mirror image, one ``pack`` per frame: each
-``op`` arity (traced and not) and the ``res`` have a precomputed
-*whole-frame* layout, so encoding is one call and one allocation, and a
-value the layout cannot hold is explained from the failed ``pack`` as a
-:class:`ProtocolError` (never a ``struct.error``).
+The binary encoders ``encode_op``/``encode_res`` are the mirror image, one
+``pack`` per frame: each ``op`` arity (traced and not) and the ``res``
+have a precomputed *whole-frame* layout, so encoding is one call and one
+allocation, and a value the layout cannot hold is explained from the
+failed ``pack`` as a :class:`ProtocolError` (never a ``struct.error``).
 """
 
 from __future__ import annotations
@@ -54,7 +53,6 @@ from .protocol import (
     _LENGTH,
     encode_frame,
     parse_json_frame,
-    priority_from_wire,
 )
 
 #: Frame tags (first payload byte) of the binary protocol.
@@ -109,8 +107,7 @@ def _op_frame(
     priority: _t.Sequence[float],
     trace: _t.Optional[int] = None,
 ) -> _t.Dict[str, _t.Any]:
-    """The v1 dict shape of an op (``trace`` only when sampled: old servers
-    read the fields they know, so the key is dropped, not rejected)."""
+    """The dict shape of an op (``trace`` only when sampled)."""
     frame = {
         "t": "op",
         "rid": rid,
@@ -133,7 +130,7 @@ def _res_frame(
     in_service: int,
     ewma_service: float,
 ) -> _t.Dict[str, _t.Any]:
-    """The v1 dict shape of a res."""
+    """The dict shape of a res."""
     return {
         "t": "res",
         "rid": rid,
@@ -145,19 +142,9 @@ def _res_frame(
 
 
 class JsonCodec:
-    """Protocol v1: length-prefixed compact JSON (the inspectable form)."""
-
-    version = 1
+    """Length-prefixed compact JSON: the control plane before the handshake."""
 
     encode = staticmethod(encode_frame)
-
-    def encode_op(self, *fields: _t.Any) -> bytes:
-        """An op from the fields of :func:`_op_frame` (``BinaryCodec``'s surface)."""
-        return self.encode(_op_frame(*fields))
-
-    def encode_res(self, *fields: _t.Any) -> bytes:
-        """A res from the fields of :func:`_res_frame`."""
-        return self.encode(_res_frame(*fields))
 
     def decode(
         self,
@@ -176,38 +163,7 @@ class JsonCodec:
         end: int,
         at: int = 0,
     ) -> None:
-        frame = self.decode(buf, start, end, at)
-        kind = frame["t"]
-        if kind != "op" and kind != "res":
-            sink.on_frame(frame)
-            return
-        try:
-            if kind == "op":
-                # No default for a missing priority: it would silently hand
-                # the request the best one and corrupt the measurement.
-                fields: _t.Tuple[_t.Any, ...] = (
-                    int(frame["rid"]),
-                    int(frame["server"]),
-                    int(frame["key"]),
-                    int(frame["size"]),
-                    priority_from_wire(frame["prio"]),
-                    frame.get("trace"),
-                )
-            else:
-                fb = frame.get("fb", {})
-                fields = (
-                    int(frame["rid"]),
-                    int(frame["server"]),
-                    float(frame.get("queue_wait", 0.0)),
-                    float(frame.get("service", 0.0)),
-                    int(fb.get("q", 0)),
-                    int(fb.get("s", 0)),
-                    float(fb.get("ew", 0.0)),
-                )
-        except (KeyError, TypeError, ValueError, AttributeError, ProtocolError) as exc:
-            sink.on_bad_frame(f"bad {kind} frame at byte {at}: {exc!r}")
-            return
-        (sink.on_op if kind == "op" else sink.on_res)(*fields)
+        sink.on_frame(self.decode(buf, start, end, at))
 
 
 def _out_of_range(kind: str, *fields: _t.Tuple[str, _t.Any, int, int]) -> None:
@@ -219,9 +175,7 @@ def _out_of_range(kind: str, *fields: _t.Tuple[str, _t.Any, int, int]) -> None:
 
 
 class BinaryCodec:
-    """Protocol v2: tagged struct-packed frames (the fast form)."""
-
-    version = 2
+    """Tagged struct-packed frames: the data plane (protocol 2)."""
 
     # -- encode ---------------------------------------------------------------
     def encode(self, frame: _t.Mapping[str, _t.Any]) -> bytes:
@@ -397,8 +351,8 @@ class BinaryCodec:
 
 
 class _AsDict(FrameSink):
-    """The sink behind :meth:`BinaryCodec.decode`: rebuilds the dict shapes
-    v1 produces from the typed fields."""
+    """The sink behind :meth:`BinaryCodec.decode`: rebuilds the frame dicts
+    from the typed fields."""
 
     __slots__ = ()
     on_op = staticmethod(_op_frame)  # type: ignore[assignment]
@@ -413,16 +367,3 @@ _AS_DICT = _AsDict()
 #: Singleton codec instances (both are stateless).
 JSON_CODEC = JsonCodec()
 BINARY_CODEC = BinaryCodec()
-
-_CODECS: _t.Dict[int, _t.Union[JsonCodec, BinaryCodec]] = {
-    1: JSON_CODEC,
-    2: BINARY_CODEC,
-}
-
-
-def codec_for(version: int) -> _t.Union[JsonCodec, BinaryCodec]:
-    """The codec realizing one negotiated protocol version."""
-    codec = _CODECS.get(version)
-    if codec is None:
-        raise ProtocolError(f"unsupported protocol version {version!r}")
-    return codec

@@ -1,42 +1,48 @@
-"""The live wire protocol: length-prefixed frames, two codecs, negotiation.
+"""The live wire protocol: length-prefixed frames, one data plane.
 
 One frame is a 4-byte big-endian length followed by that many payload
-bytes.  The *payload encoding* is version-negotiated per connection:
+bytes.  A connection's payload encoding is one of two:
 
-* **v1 (JSON)** -- UTF-8 compact JSON.  Inspectable with standard tools
-  (``nc`` + ``jq`` suffice to poke a server); the form every connection
-  starts in, and the form old clients stay in forever.
-* **v2 (binary)** -- tagged struct-packed frames
-  (:mod:`repro.serve.codec`): the data plane (``op``/``res``/
-  ``congestion``) shrinks 2.4-4x, the control plane stays JSON behind a
-  tag byte.
+* **JSON** -- UTF-8 compact JSON, the form every connection starts in.
+  It carries the control plane only: ``hello``, ``admin`` (``stats``,
+  fault injection, ``bus-report``) and their replies.
+* **binary** -- tagged struct-packed frames (:mod:`repro.serve.codec`):
+  the data plane (``op``/``res``/``congestion``) as fixed layouts, the
+  control plane as JSON behind a tag byte.
 
-Negotiation
------------
-The handshake always travels in v1 JSON.  A client's ``hello`` carries
-``proto`` (the base version, always 1) and optionally ``max_proto`` (the
-highest version it speaks).  The server answers ``hello-ack`` with
-``proto`` = ``min(server max, client max)`` -- still in v1 -- and *then*
-switches the connection to the agreed codec.  The client switches when
-the ack arrives.  A v1 client omits ``max_proto`` and nothing changes; a
-v2-capable client must not send post-``hello`` frames until the ack
-arrives (ours awaits it anyway, to validate the cluster shape).
+The handshake
+-------------
+A client that wants the data plane sends ``hello`` in JSON with
+``proto`` 1 (the handshake's own version) and ``max_proto`` 2.  The server
+answers ``hello-ack`` with ``proto`` 2 -- still in JSON -- and *then*
+switches the connection to the binary codec; the client switches when the
+ack arrives, and sends nothing before it.  A ``hello`` without
+``max_proto`` 2 is answered with one ``error`` frame and the connection
+stays JSON.
+
+A connection that never says ``hello`` is a JSON control-plane
+connection, which is how to poke a server by hand: write
+length-prefixed JSON ``admin`` frames -- ``{"t":"admin","cmd":"stats"}``
+gets the ``stats`` frame back -- and read the length-prefixed JSON
+replies.  An ``op`` on such a connection is answered with one ``error``
+frame (op frames need the binary protocol) and the connection stays open.
 
 Frame types (the ``t`` field)
 -----------------------------
 Client -> server:
 
-``hello``       handshake: protocol version + optional ``max_proto``,
-                optional ``congestion`` opt-out (pool connections)
+``hello``       handshake: ``proto`` 1, ``max_proto`` 2, optional
+                ``congestion`` opt-out (pool connections)
 ``op``          one key read: ``rid`` (wire id), ``server`` (worker id),
-                ``key``, ``size`` (value bytes), ``prio`` (priority tuple)
+                ``key``, ``size`` (value bytes), ``prio`` (priority tuple),
+                ``trace`` (64-bit context, sampled requests only)
 ``admin``       fault-injection and introspection commands (``cmd`` one of
                 ``slowdown``, ``restore``, ``crash``, ``resume``,
-                ``jitter``, ``clear-jitter``, ``stats``)
+                ``jitter``, ``clear-jitter``, ``bus-report``, ``stats``)
 
 Server -> client:
 
-``hello-ack``   handshake reply: negotiated ``proto``, actual shape, the
+``hello-ack``   handshake reply: ``proto`` 2, actual shape, the
                 ``workers`` this endpoint hosts, time scale, calibration
 ``res``         completion of one ``op``: echoes ``rid``, carries the
                 measured ``queue_wait``/``service`` (model seconds) and the
@@ -67,10 +73,11 @@ import json
 import struct
 import typing as _t
 
-#: Base protocol version: the framing + handshake every peer speaks.
+#: The handshake's own version: the ``proto`` of every ``hello``.
 PROTOCOL_VERSION = 1
 
-#: Highest payload encoding this build can negotiate (2 = binary codec).
+#: The binary data plane's version: a ``hello``'s ``max_proto``, the ack's
+#: ``proto``.
 MAX_PROTOCOL_VERSION = 2
 
 #: Upper bound on a single frame (defense against garbage length prefixes).
@@ -83,38 +90,37 @@ class ProtocolError(RuntimeError):
     """A malformed, oversized or out-of-order frame."""
 
 
-def hello_frame(
-    max_proto: int = MAX_PROTOCOL_VERSION, congestion: bool = True
-) -> _t.Dict[str, _t.Any]:
-    """The client's handshake frame (always sent in v1 JSON).
+def hello_frame(congestion: bool = True) -> _t.Dict[str, _t.Any]:
+    """The client's handshake frame (always sent in JSON).
 
     ``congestion=False`` asks the server not to broadcast congestion
     frames on this connection -- pool connections beyond an endpoint's
     first set it so the credits controller sees each signal once.
     """
-    frame: _t.Dict[str, _t.Any] = {"t": "hello", "proto": PROTOCOL_VERSION}
-    if max_proto != PROTOCOL_VERSION:
-        frame["max_proto"] = int(max_proto)
+    frame: _t.Dict[str, _t.Any] = {
+        "t": "hello",
+        "proto": PROTOCOL_VERSION,
+        "max_proto": MAX_PROTOCOL_VERSION,
+    }
     if not congestion:
         frame["congestion"] = False
     return frame
 
 
-def negotiate_version(hello: _t.Mapping[str, _t.Any]) -> int:
-    """Server-side version choice for one ``hello`` frame.
-
-    Raises :class:`ProtocolError` when the base version is not v1 (the
-    handshake itself is only defined there) or ``max_proto`` is garbage.
-    """
+def check_hello(hello: _t.Mapping[str, _t.Any]) -> None:
+    """Refuse (:class:`ProtocolError`) a ``hello`` that does not ask for the
+    binary data plane, naming what it should have said."""
     if hello.get("proto") != PROTOCOL_VERSION:
         raise ProtocolError(
             f"protocol version mismatch: client {hello.get('proto')!r}, "
             f"server {PROTOCOL_VERSION}"
         )
-    raw = hello.get("max_proto", PROTOCOL_VERSION)
-    if not isinstance(raw, int) or isinstance(raw, bool) or raw < PROTOCOL_VERSION:
-        raise ProtocolError(f"bad max_proto {raw!r}")
-    return min(MAX_PROTOCOL_VERSION, raw)
+    raw = hello.get("max_proto")
+    if type(raw) is not int or raw < MAX_PROTOCOL_VERSION:
+        raise ProtocolError(
+            f"hello asks for max_proto {raw!r}: op frames need the binary "
+            f"protocol, send max_proto {MAX_PROTOCOL_VERSION}"
+        )
 
 
 def encode_frame(frame: _t.Mapping[str, _t.Any]) -> bytes:
@@ -136,15 +142,6 @@ def parse_json_frame(payload: bytes, at: int = 0) -> _t.Dict[str, _t.Any]:
     return frame
 
 
-def priority_from_wire(raw: _t.Any) -> _t.Tuple[float, ...]:
-    """Decode (and validate) a JSON wire priority into a sortable tuple."""
-    if not isinstance(raw, (list, tuple)) or not all(
-        isinstance(p, (int, float)) and not isinstance(p, bool) for p in raw
-    ):
-        raise ProtocolError(f"bad priority {raw!r}")
-    return tuple(float(p) for p in raw)
-
-
 def error_frame(message: str) -> _t.Dict[str, _t.Any]:
     return {"t": "error", "error": str(message)}
 
@@ -152,9 +149,10 @@ def error_frame(message: str) -> _t.Dict[str, _t.Any]:
 class FrameSink:
     """What :meth:`FrameStream.drain` delivers to: one method per frame kind.
 
-    The data plane arrives as *typed positional fields* -- no frame dict
-    is built for an ``op`` or a ``res`` -- and everything else (handshake,
-    admin, stats, congestion, errors) as the decoded dict.  A receiver
+    The binary codec delivers the data plane as *typed positional fields*
+    -- no frame dict is built for an ``op`` or a ``res`` -- and everything
+    else (handshake, admin, stats, congestion, errors) as the decoded dict;
+    the JSON codec hands every frame to ``on_frame``.  A receiver
     overrides the kinds its peer may legitimately send; the defaults
     treat the rest as protocol violations.
     """
@@ -172,12 +170,6 @@ class FrameSink:
     def on_frame(self, frame: _t.Dict[str, _t.Any]) -> None:
         raise ProtocolError(f"unexpected frame {frame!r}")
 
-    def on_bad_frame(self, message: str) -> None:
-        """A frame that parsed but whose fields cannot be typed (only the
-        JSON codec can produce one).  The stream is still in sync, so a
-        receiver may answer this one frame and carry on."""
-        raise ProtocolError(message)
-
 
 class FrameStream(asyncio.Protocol, FrameSink):
     """One end of a connection: a buffered, codec-switchable frame receiver
@@ -186,7 +178,7 @@ class FrameStream(asyncio.Protocol, FrameSink):
     ``data_received`` appends the socket chunk (one syscall can carry
     hundreds of pipelined frames) and the synchronous ``drain`` has the
     codec deliver every complete frame in the buffer -- no coroutine, dict
-    or copy per frame.  ``codec`` is an attribute so negotiation can switch
+    or copy per frame.  ``codec`` is an attribute so the handshake can switch
     it between two frames of one buffer.  Byte positions survive
     compaction: a corrupt frame's :class:`ProtocolError` names its
     absolute stream offset.

@@ -2,7 +2,8 @@
 
 :class:`LiveServer` binds a TCP socket and serves the length-prefixed
 frame protocol of :mod:`repro.serve.protocol` -- every connection starts
-in v1 JSON and may negotiate up to the v2 binary codec in the handshake.
+in JSON, the control plane, and a ``hello`` switches it to the binary data
+plane.
 Behind the frontend sit :class:`~repro.serve.workers.LiveWorker`
 instances -- the simulated backend tier's
 :class:`~repro.cluster.server.ServerState` on a wall-clock engine, with
@@ -36,8 +37,14 @@ from ..core.clock import WallClock
 from ..metrics.bus import merge_reports, render_stats
 from ..sim.rng import StreamFactory
 from ..workload.calibration import ServiceTimeModel
-from .codec import JSON_CODEC, codec_for
-from .protocol import FrameStream, ProtocolError, error_frame, negotiate_version
+from .codec import BINARY_CODEC, JSON_CODEC
+from .protocol import (
+    MAX_PROTOCOL_VERSION,
+    FrameStream,
+    ProtocolError,
+    check_hello,
+    error_frame,
+)
 from .workers import DEFAULT_MAX_QUEUE, LiveJob, LiveWorker, QueueFullError, WorkerPass
 
 if _t.TYPE_CHECKING:  # pragma: no cover
@@ -53,20 +60,24 @@ DEFAULT_TIME_SCALE = 25.0
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 7411
 
+#: Only a connection that said ``hello`` admits ops: every ``res`` is binary.
+_encode_res = BINARY_CODEC.encode_res
+
 
 class _Connection(FrameStream):
     """One client connection: the protocol object the transport calls, the
     sink its frames are delivered to, and a coalescing outbox.
 
-    ``codec`` starts as v1 JSON and is switched when the handshake
-    negotiates v2.  ``congestion`` is the client's opt-in to congestion
-    broadcasts (pool connections beyond an endpoint's first opt out, so a
-    controller sees each signal once).
+    ``codec`` starts as JSON (control frames only) and the ``hello``
+    switches it to the binary data plane.  ``congestion`` is the client's
+    opt-in to congestion broadcasts (pool connections beyond an endpoint's
+    first opt out, so a controller sees each signal once).
 
     No handler lets a *rejection* escape: a frame the server cannot honor
-    (unknown worker, queue bound, a bad admin value) is answered with an
-    ``error`` frame and the connection lives.  Whatever does escape
-    :meth:`FrameStream.drain` is a framing or codec error, which closes it.
+    (unknown worker, queue bound, a bad admin value, an ``op`` before the
+    ``hello``) is answered with an ``error`` frame (:meth:`reject`) and the
+    connection lives.  Whatever does escape :meth:`FrameStream.drain` is a
+    framing or codec error, which closes it.
     """
 
     def __init__(self, server: "LiveServer") -> None:
@@ -142,10 +153,10 @@ class _Connection(FrameStream):
         server = self.server
         worker = server.workers.get(worker_id)
         if worker is None:
-            self.on_bad_frame(f"op addressed to unknown worker {worker_id}")
+            self.reject(f"op addressed to unknown worker {worker_id}")
             return
         if size <= 0:
-            self.on_bad_frame(f"op {rid} has non-positive value size {size}")
+            self.reject(f"op {rid} has non-positive value size {size}")
             return
         if trace is not None:
             # The context itself rides back implicitly: the res frame is
@@ -164,7 +175,7 @@ class _Connection(FrameStream):
             self.in_flight += 1
 
     def on_res(self, *_fields: _t.Any) -> None:
-        self.on_bad_frame("unknown frame type 'res'")
+        self.reject("unknown frame type 'res'")
 
     def on_frame(self, frame: _t.Dict[str, _t.Any]) -> None:
         kind = frame.get("t")
@@ -173,14 +184,20 @@ class _Connection(FrameStream):
                 self.server._handle_hello(self, frame)
             elif kind == "admin":
                 self.server._handle_admin(self, frame)
+            elif kind == "op":  # an op in JSON: the binary codec types its own
+                raise ProtocolError(
+                    "op frames need the binary protocol: send a hello with "
+                    f"max_proto {MAX_PROTOCOL_VERSION} first"
+                )
             else:
                 raise ProtocolError(f"unknown frame type {kind!r}")
         except (ProtocolError, TypeError, ValueError) as exc:
             # Bad field values (a slowdown factor of 0, a non-numeric
             # mean) reject the one frame, never the whole connection.
-            self.on_bad_frame(str(exc))
+            self.reject(str(exc))
 
-    def on_bad_frame(self, message: str) -> None:
+    def reject(self, message: str) -> None:
+        """Answer one frame the server cannot honor; the connection lives."""
         self.send(error_frame(message))
 
     def respond(
@@ -189,7 +206,7 @@ class _Connection(FrameStream):
         """The completion callback of every op admitted from this connection."""
         self.in_flight -= 1
         self.out.send(
-            self.codec.encode_res(
+            _encode_res(
                 job.rid, worker.server_id, queue_wait, service, *worker.feedback()
             )
         )
@@ -341,12 +358,12 @@ class LiveServer:
     def _handle_hello(
         self, connection: _Connection, frame: _t.Dict[str, _t.Any]
     ) -> None:
-        version = negotiate_version(frame)
+        check_hello(frame)
         connection.congestion = frame.get("congestion", True) is not False
         connection.send(
             {
                 "t": "hello-ack",
-                "proto": version,
+                "proto": MAX_PROTOCOL_VERSION,
                 "n_servers": self.cluster.n_servers,
                 "cores_per_server": self.cluster.cores_per_server,
                 "per_core_rate": self.cluster.per_core_rate,
@@ -356,9 +373,9 @@ class LiveServer:
                 "workers": list(self.worker_ids),
             }
         )
-        # The ack itself travels in v1 (encoded above); everything after
-        # it speaks the negotiated codec, in both directions.
-        connection.codec = codec_for(version)
+        # The ack itself travels in the codec the hello came in (encoded
+        # above); everything after it is binary, in both directions.
+        connection.codec = BINARY_CODEC
 
     def _admin_targets(self, frame: _t.Dict[str, _t.Any]) -> _t.List[LiveWorker]:
         raw = frame.get("servers")

@@ -19,8 +19,7 @@ hash), which gives three properties the realms need:
 
 The 64-bit hash doubles as the wire trace id: the live transport asks
 :meth:`TraceRecorder.wire_trace_id` per request and propagates the id in
-the protocol-v2 traced-op frame (v1 JSON carries it as an optional key
-that old servers ignore).
+the binary traced-op frame.
 """
 
 from __future__ import annotations

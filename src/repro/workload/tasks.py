@@ -262,7 +262,7 @@ class _StreamsLike(_t.Protocol):  # pragma: no cover - typing helper
 
 
 def trace_stats(tasks: _t.Sequence[Task]) -> _t.Dict[str, float]:
-    """Summary statistics of a trace (used by tests and EXPERIMENTS.md)."""
+    """Summary statistics of a trace (used by tests and docs/results.md)."""
     if not tasks:
         raise ValueError("empty trace")
     n_ops = sum(t.fanout for t in tasks)

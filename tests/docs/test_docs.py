@@ -6,8 +6,9 @@ Five guarantees, run in CI's ``docs`` job:
   ``src/repro/placement/`` carries a docstring (the layer the docs book
   leans on hardest);
 * every relative link in ``docs/*.md`` (and the README) resolves to a
-  real file, and every ``repro <command>`` mentioned in the docs is a
-  real subcommand of the live parser;
+  real file, every ``*.md`` named under ``src/``, ``benchmarks/`` or
+  ``docs/`` exists, and every ``repro <command>`` mentioned in the docs
+  is a real subcommand of the live parser;
 * ``docs/cli.md`` matches what ``repro docs-cli`` renders from the
   argparse tree -- the CLI reference cannot drift;
 * every public top-level name under ``src/repro`` is read somewhere other
@@ -128,6 +129,24 @@ class TestDocLinks:
                 if not (REPO / base).exists():
                     missing.append(f"{path.name}: {ref}")
         assert not missing, "docs reference missing paths:\n  " + "\n  ".join(
+            missing
+        )
+
+    def test_named_markdown_files_exist(self):
+        """Every ``*.md`` named in ``src/``, ``benchmarks/`` or ``docs/``
+        exists: at the repo root, beside the file naming it, or in ``docs/``."""
+        md_ref = re.compile(r"[\w./-]+\.md\b")
+        missing = []
+        for root in ("src", "benchmarks", "docs"):
+            for path in sorted((REPO / root).rglob("*")):
+                if path.suffix not in (".py", ".md"):
+                    continue
+                for ref in md_ref.findall(path.read_text(encoding="utf-8")):
+                    if not any(
+                        (base / ref).exists() for base in (REPO, path.parent, DOCS)
+                    ):
+                        missing.append(f"{path.relative_to(REPO)}: {ref}")
+        assert not missing, "missing markdown files named:\n  " + "\n  ".join(
             missing
         )
 

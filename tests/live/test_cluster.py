@@ -1,11 +1,11 @@
 """Version interop and the multi-process cluster path.
 
-The binary codec is an *optional* negotiation: a v1-only client speaking
-plain JSON frames must keep working against a v2-capable server, and a
-capped client must pin the whole connection to JSON.  The supervisor
-tests fork real server processes and drive them through the pooled
-transport and the firehose -- the smallest end-to-end exercise of every
-tentpole layer (fork, ephemeral ports, worker sharding, negotiation,
+The binary codec is the only data plane: a v1-only client (a ``hello``
+without ``max_proto`` 2) is refused with an error frame that names the
+fix, and keeps a JSON control-plane connection.  The supervisor tests
+fork real server processes and drive them through the pooled transport
+and the firehose -- the smallest end-to-end exercise of every tentpole
+layer (fork, ephemeral ports, worker sharding, the handshake,
 pipelining).
 """
 
@@ -88,8 +88,8 @@ class TestWorkerGroups:
 
 class TestVersionInterop:
     def test_v1_only_client_against_a_v2_server(self):
-        """A hand-rolled JSON client (no ``max_proto``) round-trips an op:
-        the server must never switch such a connection off v1."""
+        """A hand-rolled JSON client (no ``max_proto``) is refused with one
+        error frame naming the fix; its connection stays JSON and open."""
 
         async def scenario():
             config = steady_config(n_tasks=10)
@@ -100,58 +100,25 @@ class TestVersionInterop:
                     server.host, server.port
                 )
                 writer.write(encode_frame({"t": "hello", "proto": 1}))
+                writer.write(encode_frame({"t": "admin", "cmd": "stats"}))
                 await writer.drain()
-                ack = await asyncio.wait_for(read_frame(reader), timeout=5)
-                writer.write(
-                    encode_frame(
-                        {
-                            "t": "op",
-                            "rid": 7,
-                            "server": 0,
-                            "key": 42,
-                            "size": 512,
-                            "prio": [1.0],
-                        }
-                    )
-                )
-                await writer.drain()
-                while True:
-                    frame = await asyncio.wait_for(read_frame(reader), timeout=10)
-                    if frame["t"] == "res":
-                        break
+                replies = [
+                    await asyncio.wait_for(read_frame(reader), timeout=5)
+                    for _ in range(2)
+                ]
                 writer.close()
-                return ack, frame
+                return replies
             finally:
                 await server.stop()
 
-        ack, res = asyncio.run(scenario())
-        assert ack["t"] == "hello-ack"
-        assert ack["proto"] == 1  # negotiated down to the client's max
-        assert res["rid"] == 7 and res["server"] == 0
-        assert {"q", "s", "ew"} <= set(res["fb"])
+        error, stats = asyncio.run(scenario())
+        assert error["t"] == "error" and "send max_proto 2" in error["error"]
+        assert stats["t"] == "stats"  # still JSON, still answered
 
-    @pytest.mark.parametrize("protocol, negotiated", [(1, 1.0), (2, 2.0)])
-    def test_driver_negotiation_is_capped_by_the_client(self, protocol, negotiated):
-        """The full driver stack works identically on both codecs; the
-        negotiated version is recorded in the run extras."""
-
-        async def scenario():
-            config = steady_config(n_tasks=120)
-            server = LiveServer.from_config(config, time_scale=TIME_SCALE, port=0)
-            await server.start()
-            try:
-                return await run_live(
-                    config,
-                    host=server.host,
-                    port=server.port,
-                    protocol=protocol,
-                )
-            finally:
-                await server.stop()
-
-        result = asyncio.run(scenario())
-        assert result.tasks_completed == 120
-        assert result.extras["live_protocol"] == negotiated
+    @pytest.mark.parametrize("protocol", [1, 3])
+    def test_the_firehose_speaks_only_protocol_2(self, protocol):
+        with pytest.raises(ValueError, match="only the binary protocol 2"):
+            asyncio.run(run_firehose([("127.0.0.1", 1)], protocol=protocol))
 
 
 class TestMultiProcessCluster:
@@ -176,9 +143,7 @@ class TestMultiProcessCluster:
                 range(config.cluster.n_servers)
             )
 
-            result = asyncio.run(
-                run_live(config, endpoints=endpoints, pool=2, protocol=2)
-            )
+            result = asyncio.run(run_live(config, endpoints=endpoints, pool=2))
             assert result.tasks_completed == 150
             assert result.extras["live_protocol"] == 2.0
             assert result.extras["live_links"] == 4.0  # 2 endpoints x pool 2

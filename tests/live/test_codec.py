@@ -1,10 +1,9 @@
-"""Property tests of the v2 binary codec: round trips and hostile bytes.
+"""Property tests of the binary codec: round trips and hostile bytes.
 
 Hypothesis drives full-range field values through every frame layout --
-encode then decode must reproduce the frame exactly, for the binary
-codec, the JSON codec, and the general ``encode(dict)`` entry against
-the type-specific fast paths (``encode_op``/``encode_res``), which
-must emit identical bytes.  The adversarial half slices, flips and
+encode then decode must reproduce the frame exactly, and the general
+``encode(dict)`` entry and the type-specific fast paths
+(``encode_op``/``encode_res``) must emit identical bytes.  The adversarial half slices, flips and
 fabricates payloads: every corruption must surface as a
 :class:`ProtocolError` carrying the absolute stream offset, never an
 exception from ``struct`` or ``json`` internals.
@@ -19,7 +18,6 @@ from test_framing import Recorder
 
 from repro.serve.codec import (
     BINARY_CODEC,
-    JSON_CODEC,
     TAG_CONGESTION,
     TAG_JSON,
     TAG_OP,
@@ -29,9 +27,8 @@ from repro.serve.codec import (
     _PRIO,
     _RES,
     _TRACE,
-    codec_for,
 )
-from repro.serve.protocol import ProtocolError, priority_from_wire
+from repro.serve.protocol import ProtocolError
 
 _LENGTH = struct.Struct(">I")
 
@@ -71,10 +68,8 @@ class TestRoundTrip:
         wire = BINARY_CODEC.encode(frame)
         assert wire == BINARY_CODEC.encode_op(rid, server, key, size, prio)
         assert payload_of(wire)[0] == TAG_OP
-        back = decode(BINARY_CODEC, wire)
-        assert back == {**frame, "prio": tuple(prio)}
-        # The decoded priority feeds straight into the worker heap.
-        assert priority_from_wire(back["prio"]) == tuple(prio)
+        # The decoded priority is the tuple the worker heap orders by.
+        assert decode(BINARY_CODEC, wire) == {**frame, "prio": tuple(prio)}
 
     @given(
         rid=rids,
@@ -123,25 +118,6 @@ class TestRoundTrip:
         assert payload[0] == TAG_JSON
         assert json.loads(payload[1:]) == frame
         assert decode(BINARY_CODEC, wire) == frame
-
-    @given(rid=rids, server=servers, key=keys, size=sizes, prio=priorities)
-    def test_codecs_decode_to_the_same_shape(self, rid, server, key, size, prio):
-        """Everything above the codec is version-agnostic because both
-        codecs produce the same dict (modulo the validated prio type)."""
-        frame = {
-            "t": "op",
-            "rid": rid,
-            "server": server,
-            "key": key,
-            "size": size,
-            "prio": list(prio),
-        }
-        v1 = decode(JSON_CODEC, JSON_CODEC.encode(frame))
-        v2 = decode(BINARY_CODEC, BINARY_CODEC.encode(frame))
-        assert priority_from_wire(v1.pop("prio")) == priority_from_wire(
-            v2.pop("prio")
-        )
-        assert v1 == v2
 
 
 class TestEncodeBounds:
@@ -426,12 +402,3 @@ class TestHostileBytes:
         payload = wire[4:][:-1]  # truncate
         with pytest.raises(ProtocolError, match=f"at byte {at}"):
             BINARY_CODEC.decode(payload, 0, len(payload), at=at)
-
-
-class TestCodecRegistry:
-    def test_versions(self):
-        assert codec_for(1) is JSON_CODEC
-        assert codec_for(2) is BINARY_CODEC
-        for bad in (0, 3, "2", None):
-            with pytest.raises(ProtocolError, match="unsupported protocol"):
-                codec_for(bad)

@@ -1,25 +1,16 @@
-"""Property tests of the protocol-v2 traced-op frame (``TAG_OP_TRACE``).
+"""Property tests of the binary traced-op frame (``TAG_OP_TRACE``).
 
 The traced-op layout is the op layout plus a trailing little-endian u64
 trace id, with exact-length enforcement preserved (a truncated or padded
-frame is a :class:`ProtocolError`, never a silent misparse).  The interop
-contract with protocol v1 is asymmetric by design: the JSON codec carries
-the trace id as an optional ``trace`` key that old servers ignore — v1
-silently drops the context without erroring.
+frame is a :class:`ProtocolError`, never a silent misparse).
 """
 
-import json
 import struct
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.serve.codec import (
-    BINARY_CODEC,
-    JSON_CODEC,
-    TAG_OP,
-    TAG_OP_TRACE,
-)
+from repro.serve.codec import BINARY_CODEC, TAG_OP, TAG_OP_TRACE
 from repro.serve.protocol import ProtocolError
 
 _LENGTH = struct.Struct(">I")
@@ -81,29 +72,6 @@ class TestTracedRoundTrip:
         bare = BINARY_CODEC.encode(frame)
         assert payload_of(bare)[0] == TAG_OP
         assert BINARY_CODEC.encode({**frame, "trace": None}) == bare
-
-    @given(
-        rid=rids, server=servers, key=keys, size=sizes,
-        prio=st.lists(floats, max_size=4), trace=trace_ids,
-    )
-    def test_v1_json_carries_then_silently_drops_the_context(
-        self, rid, server, key, size, prio, trace
-    ):
-        """The v1 wire keeps ``trace`` as plain JSON; consumers that
-        predate it (the old server's op handler reads only the op
-        fields) ignore it without erroring."""
-        frame = traced_frame(rid, server, key, size, prio, trace)
-        wire = JSON_CODEC.encode(frame)
-        raw = json.loads(payload_of(wire).decode("utf-8"))
-        assert raw["trace"] == trace
-        back = decode(JSON_CODEC, wire)
-        assert back["trace"] == trace
-        # A v1 consumer reads only the op fields; removing the trace key
-        # leaves exactly the frame it would have seen pre-tracing.
-        untraced = dict(frame)
-        del untraced["trace"]
-        back.pop("trace")
-        assert back == untraced
 
 
 class TestTracedEncodeBounds:

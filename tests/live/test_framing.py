@@ -1,6 +1,6 @@
 """Framing: ``FrameStream`` ``data_received``/``eof_received`` and the ``BatchWriter``.
 
-The property half cuts an arbitrary v1 or v2 frame stream at arbitrary
+The property half cuts an arbitrary JSON or binary frame stream at arbitrary
 byte boundaries and checks that the sink sees exactly the calls that
 decoding the frames one by one implies -- chunking must be invisible.
 The example half pins what the property cannot: a codec switch made by
@@ -75,12 +75,12 @@ class Recorder(FrameStream):
     def on_frame(self, frame):
         self.calls.append(("frame", frame))
 
-    def on_bad_frame(self, message):
-        self.calls.append(("bad", message))
 
-
-def implied_call(frame):
-    """The sink call one *decoded* frame dict stands for."""
+def implied_call(codec, frame):
+    """The sink call one frame dict *decoded* by ``codec`` stands for (the
+    JSON codec delivers every frame as a dict)."""
+    if codec is JSON_CODEC:
+        return ("frame", frame)
     if frame["t"] == "op":
         return (
             "op", int(frame["rid"]), int(frame["server"]), int(frame["key"]),
@@ -124,7 +124,7 @@ class TestChunkingIsInvisible:
     def test_any_cut_gives_the_calls_decode_implies(self, codec, batch, cuts):
         encoded = [codec.encode(frame) for frame in batch]
         expected = [
-            implied_call(codec.decode(wire, 4, len(wire))) for wire in encoded
+            implied_call(codec, codec.decode(wire, 4, len(wire))) for wire in encoded
         ]
         sink = drain_chunks(cut(b"".join(encoded), cuts), Recorder(codec))
         assert sink.calls == expected
@@ -166,24 +166,6 @@ class TestCodecs:
         sink = drain_chunks([wire], Switching(JSON_CODEC))
         assert [call[0] for call in sink.calls] == ["frame", "op", "frame"]
         assert sink.calls[1] == ("op", 1, 0, 5, 64, (0.5,), None)
-
-    def test_json_fields_are_typed_by_the_codec(self):
-        good = {"t": "op", "rid": "7", "server": 1.0, "key": 3, "size": 9, "prio": [1]}
-        first = JSON_CODEC.encode(good)
-        wire = (
-            first
-            + JSON_CODEC.encode({**good, "rid": "seven"})
-            + JSON_CODEC.encode({k: v for k, v in good.items() if k != "prio"})
-            + JSON_CODEC.encode({"t": "res", "rid": 7, "server": 1})
-        )
-        sink = drain_chunks([wire], Recorder(JSON_CODEC))
-        assert sink.calls[0] == ("op", 7, 1, 3, 9, (1.0,), None)
-        # Untypable fields reject the frame, by absolute offset, not the stream.
-        assert sink.calls[1][0] == "bad"
-        assert f"bad op frame at byte {len(first) + 4}" in sink.calls[1][1]
-        assert "KeyError('prio')" in sink.calls[2][1]  # never defaulted
-        # An old server's res may omit the measurements: they default to 0.
-        assert sink.calls[3] == ("res", 7, 1, 0.0, 0.0, 0, 0, 0.0)
 
 
 class TestErrors:
@@ -352,17 +334,17 @@ class TestLinkHandshake:
     """The client's handshake runs through the link's own sink."""
 
     @staticmethod
-    async def handshaken(wire, max_proto=2):
+    async def handshaken(wire):
         from repro.loadgen.transport import Link
 
-        link = Link(("h", 1), max_proto, True)
+        link = Link(("h", 1), True)
         transport = connected(link)
         link.data_received(wire)
         return link, transport
 
     def test_the_ack_switches_the_codec_mid_drain_and_pauses_until_start(self):
         async def scenario():
-            # The ack (always v1) and a v2 congestion frame in one chunk.
+            # The ack (always JSON) and a binary congestion frame in one chunk.
             congestion = {"t": "congestion", "server": 3, "ratio": 1.5}
             link, transport = await self.handshaken(
                 hello_ack(2) + BINARY_CODEC.encode(congestion)
@@ -387,6 +369,7 @@ class TestLinkHandshake:
         [
             (JSON_CODEC.encode({"t": "error", "error": "go away"}), "rejected: go away"),
             (JSON_CODEC.encode({"t": "stats"}), "handshake rejected: got"),
+            (hello_ack(1), "unusable proto 1"),
             (hello_ack(3), "unusable proto 3"),
             (hello_ack(True), "unusable proto True"),
             (b"\x00\x00\x00\x02{]", "live connection failed: bad frame payload"),
@@ -403,19 +386,6 @@ class TestLinkHandshake:
 
         assert message in asyncio.run(scenario())
 
-    def test_a_json_pinned_client_refuses_an_ack_above_its_cap(self):
-        from repro.loadgen import LiveTransportError
-
-        async def scenario():
-            link, _ = await self.handshaken(hello_ack(2), max_proto=1)
-            with pytest.raises(LiveTransportError, match="unusable proto 2"):
-                await link.handshaken
-            link, _ = await self.handshaken(hello_ack(1), max_proto=1)
-            await link.handshaken
-            return link.codec
-
-        assert asyncio.run(scenario()) is JSON_CODEC
-
     def test_a_failure_between_the_ack_and_start_is_replayed_not_dropped(self):
         async def scenario():
             # A res nobody asked for rides the ack's chunk: no consumer yet.
@@ -431,17 +401,18 @@ class TestLinkHandshake:
 
     def test_a_damaged_frame_after_start_fails_the_link_and_reads_no_more(self):
         async def scenario():
-            link, transport = await self.handshaken(hello_ack(1))
+            link, transport = await self.handshaken(hello_ack(2))
             await link.handshaken
             results, failures = [], []
             link.start(lambda *fields: results.append(fields[0]), None, failures.append)
-            good = JSON_CODEC.encode_res(1, 0, 0.0, 0.0, 0, 0, 0.0)
+            good = BINARY_CODEC.encode_res(1, 0, 0.0, 0.0, 0, 0, 0.0)
             link.data_received(good + b"\x00\x00\x00\x02{]" + good)
             return results, failures, transport.paused
 
         results, failures, paused = asyncio.run(scenario())
         assert results == [1]  # what preceded the damage was delivered
-        assert len(failures) == 1 and "bad frame payload at byte" in str(failures[0])
+        (failure,) = failures
+        assert "unknown binary frame tag 0x7b at byte" in str(failure)
         assert paused  # framing is lost: nothing after it is decoded
 
     def test_eof_before_the_ack_fails_the_handshake(self):

@@ -27,19 +27,20 @@ def steady_config(strategy="c3", n_tasks=10):
 
 @contextlib.contextmanager
 def silent_peer():
-    """A server that completes the handshake (v1, the steady-state cluster
+    """A server that completes the handshake (the steady-state cluster
     shape) and then reads whatever it is sent without a word in reply."""
     cluster = steady_config().cluster
     ack = encode_frame(
         {
             "t": "hello-ack",
-            "proto": 1,
+            "proto": 2,
             "n_servers": cluster.n_servers,
             "cores_per_server": cluster.cores_per_server,
             "per_core_rate": cluster.per_core_rate,
             "time_scale": 1.0,
             "scenario": "steady-state",
             "seed": 1,
+            "workers": list(range(cluster.n_servers)),
         }
     )
     listener = socket.create_server(("127.0.0.1", 0))

@@ -12,7 +12,7 @@ from repro.loadgen.transport import LiveTransport
 from repro.metrics.bus import render_stats
 from repro.scenarios import get_scenario
 from repro.serve import LiveServer
-from repro.serve.codec import JSON_CODEC
+from repro.serve.codec import BINARY_CODEC
 from repro.serve.protocol import encode_frame
 from tests.live.test_workers import until
 from tests.live.wire_helpers import handshake, read_frame
@@ -128,8 +128,7 @@ class TestOneSnapshot:
                 reader, writer = await asyncio.open_connection(
                     server.host, server.port
                 )
-                try:
-                    await handshake(reader, writer, max_proto=1)
+                try:  # no hello: a JSON control-plane connection
                     writer.write(encode_frame({"t": "admin", "cmd": command}))
                     writer.write(encode_frame({"t": "admin", "cmd": "stats"}))
                     await writer.drain()
@@ -196,15 +195,17 @@ class TestRejectedIsADelta:
                     server.host, server.port
                 )
                 try:
-                    await handshake(reader, writer, max_proto=1)
+                    await handshake(reader, writer)
                     # Two ops for one worker in one chunk: the second meets
                     # the bound before the pass has admitted the first.
                     writer.write(
-                        JSON_CODEC.encode_op(1, 0, 7, 100, (0.0,), None)
-                        + JSON_CODEC.encode_op(2, 0, 8, 100, (0.0,), None)
+                        BINARY_CODEC.encode_op(1, 0, 7, 100, (0.0,))
+                        + BINARY_CODEC.encode_op(2, 0, 8, 100, (0.0,))
                     )
                     await writer.drain()
-                    replies = [await read_frame(reader), await read_frame(reader)]
+                    replies = [
+                        await read_frame(reader, BINARY_CODEC) for _ in range(2)
+                    ]
                 finally:
                     writer.close()
                 for worker in server.workers.values():

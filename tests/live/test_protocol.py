@@ -6,11 +6,13 @@ import struct
 import pytest
 from wire_helpers import read_frame
 
+from repro.serve.codec import BINARY_CODEC
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
     ProtocolError,
+    check_hello,
     encode_frame,
-    priority_from_wire,
+    hello_frame,
 )
 
 
@@ -100,24 +102,39 @@ class TestFraming:
             run(check())
 
 
-def priority_to_wire(priority):
-    """Priority tuples travel as JSON arrays of numbers."""
-    return [float(p) for p in priority]
+def over_the_wire(priority):
+    """A priority tuple after a trip in an op frame."""
+    wire = BINARY_CODEC.encode_op(1, 0, 1, 1, priority)
+    return BINARY_CODEC.decode(wire, 4, len(wire))["prio"]
 
 
 class TestPriorities:
     def test_round_trip(self):
         priority = (1.0, 2.5, 3.0)
-        assert priority_from_wire(priority_to_wire(priority)) == priority
+        assert over_the_wire(priority) == priority
 
     def test_ordering_survives_wire(self):
         a, b = (1.0, 9.0), (2.0, 0.0)
-        assert (a < b) == (
-            priority_from_wire(priority_to_wire(a))
-            < priority_from_wire(priority_to_wire(b))
-        )
+        assert (a < b) == (over_the_wire(a) < over_the_wire(b))
 
-    @pytest.mark.parametrize("bad", ["high", 3, [1, "x"], [True], None])
-    def test_bad_priorities_rejected(self, bad):
-        with pytest.raises(ProtocolError, match="bad priority"):
-            priority_from_wire(bad)
+
+class TestHello:
+    def test_the_hello_asks_for_the_binary_protocol(self):
+        assert hello_frame() == {"t": "hello", "proto": 1, "max_proto": 2}
+        assert hello_frame(congestion=False)["congestion"] is False
+        check_hello(hello_frame())
+        check_hello({"t": "hello", "proto": 1, "max_proto": 3})  # acked as 2
+
+    @pytest.mark.parametrize(
+        "hello, match",
+        [
+            ({"t": "hello", "proto": 1}, "send max_proto 2"),
+            ({"t": "hello", "proto": 1, "max_proto": 1}, "send max_proto 2"),
+            ({"t": "hello", "proto": 1, "max_proto": True}, "send max_proto 2"),
+            ({"t": "hello", "proto": 1, "max_proto": "2"}, "send max_proto 2"),
+            ({"t": "hello", "proto": 2, "max_proto": 2}, "version mismatch"),
+        ],
+    )
+    def test_any_other_hello_is_refused_by_name(self, hello, match):
+        with pytest.raises(ProtocolError, match=match):
+            check_hello(hello)

@@ -30,15 +30,12 @@ def steady_config(n_tasks=120, **overrides):
     )
 
 
-def run_against_server(config, protocol=2):
+def run_against_server(config):
     async def scenario():
         server = LiveServer.from_config(config, time_scale=TIME_SCALE, port=0)
         await server.start()
         try:
-            return await run_live(
-                config, seed=1, host=server.host, port=server.port,
-                protocol=protocol,
-            )
+            return await run_live(config, seed=1, host=server.host, port=server.port)
         finally:
             await server.stop()
 
@@ -46,11 +43,8 @@ def run_against_server(config, protocol=2):
 
 
 class TestLiveSpanTrees:
-    @pytest.mark.parametrize("protocol", [1, 2])
-    def test_traces_reconstruct_and_sum_within_one_percent(self, protocol):
-        result = run_against_server(
-            steady_config(trace_sample=1.0), protocol=protocol
-        )
+    def test_traces_reconstruct_and_sum_within_one_percent(self):
+        result = run_against_server(steady_config(trace_sample=1.0))
         assert result.tasks_completed == 120
         assert result.traces
         for trace in result.traces:
@@ -128,7 +122,7 @@ class TestClientBusAdmin:
             watcher = await LiveTransport.connect(endpoints)
             try:
                 run = asyncio.ensure_future(
-                    run_live(config, endpoints=endpoints, protocol=2)
+                    run_live(config, endpoints=endpoints)
                 )
                 merged = {}
                 while not run.done() and not any(

@@ -4,7 +4,9 @@ What a server owes a peer whose bytes go wrong mid-chunk, and what the
 load generators owe their caller when the server goes away: every frame
 before the damage is served and answered, a bad *field* costs one frame
 and a bad *framing* the connection, and a dead server fails the run at
-once instead of idling into the wall timeout.
+once instead of idling into the wall timeout.  A connection that never
+said ``hello`` is a JSON control-plane connection: it is answered, never
+served.
 """
 
 import asyncio
@@ -12,12 +14,12 @@ import struct
 import time
 
 import pytest
-from wire_helpers import handshake
+from wire_helpers import handshake, read_frame
 
 from repro.loadgen import LiveTransportError, run_firehose, run_live
 from repro.scenarios import get_scenario
 from repro.serve import LiveServer
-from repro.serve.codec import BINARY_CODEC, JSON_CODEC
+from repro.serve.codec import BINARY_CODEC
 from repro.serve.protocol import encode_frame, hello_frame
 
 _LENGTH = struct.Struct(">I")
@@ -75,25 +77,21 @@ class TestDamagedChunks:
         assert f"mid-frame at byte {damaged_at}" in error["error"]
         assert completed == 3
 
-    @pytest.mark.parametrize("codec", [BINARY_CODEC, JSON_CODEC], ids=["v2", "v1"])
-    def test_one_bad_field_costs_one_frame_not_the_connection(self, codec):
+    def test_one_bad_field_costs_one_frame_not_the_connection(self):
         def op(rid, server=0, size=64):
-            return codec.encode(
-                {"t": "op", "rid": rid, "server": server, "key": rid, "size": size,
-                 "prio": [0.0]}
-            )  # fmt: skip
+            return BINARY_CODEC.encode_op(rid, server, rid, size, (0.0,))
 
         async def scenario(server):
             reader, writer = await asyncio.open_connection(server.host, server.port)
-            await handshake(reader, writer, max_proto=codec.version)
+            await handshake(reader, writer)
             # Unknown worker, non-positive size: each between two good ops.
             writer.write(op(1) + op(2, server=99) + op(3) + op(4, size=0) + op(5))
             await writer.drain()
             await asyncio.sleep(0.1)
             # The connection is still in sync and still served.
-            writer.write(codec.encode({"t": "admin", "cmd": "stats"}))
+            writer.write(BINARY_CODEC.encode({"t": "admin", "cmd": "stats"}))
             writer.write_eof()
-            replies = await read_replies(reader, codec)
+            replies = await read_replies(reader, BINARY_CODEC)
             writer.close()
             return replies
 
@@ -107,26 +105,43 @@ class TestDamagedChunks:
         assert stats["completed"] == 3
         assert stats["frames_received"] == 7  # hello + 5 ops + this stats query
 
-    def test_an_untypable_json_field_costs_one_frame(self):
-        async def scenario(server):
-            reader, writer = await asyncio.open_connection(server.host, server.port)
-            await handshake(reader, writer, max_proto=1)
-            good = {"t": "op", "rid": 1, "server": 0, "key": 1, "size": 64, "prio": [0.0]}
-            writer.write(
-                JSON_CODEC.encode(good)
-                + JSON_CODEC.encode({**good, "rid": "two"})
-                + JSON_CODEC.encode({**good, "rid": 3, "prio": "high"})
-                + JSON_CODEC.encode({**good, "rid": 4})
-            )
-            writer.write_eof()
-            replies = await read_replies(reader, JSON_CODEC)
-            writer.close()
-            return replies
 
-        replies = asyncio.run(with_server(scenario))
-        assert sorted(f["rid"] for f in replies if f["t"] == "res") == [1, 4]
-        errors = [f["error"] for f in replies if f["t"] == "error"]
-        assert len(errors) == 2 and all("bad op frame at byte" in e for e in errors)
+class TestJsonControlPlane:
+    """A connection that never says ``hello`` speaks JSON control frames."""
+
+    @staticmethod
+    async def replies(server, *frames, count):
+        reader, writer = await asyncio.open_connection(server.host, server.port)
+        try:
+            writer.write(b"".join(encode_frame(frame) for frame in frames))
+            await writer.drain()
+            return [
+                await asyncio.wait_for(read_frame(reader), timeout=5)
+                for _ in range(count)
+            ]
+        finally:
+            writer.close()
+
+    def test_admin_and_stats_work_without_a_hello(self):
+        async def scenario(server):
+            slowdown = {"t": "admin", "cmd": "slowdown", "servers": [0], "factor": 2.0}
+            stats = {"t": "admin", "cmd": "stats"}
+            return await self.replies(server, slowdown, stats, count=2)
+
+        ack, stats = asyncio.run(with_server(scenario))
+        assert ack == {"t": "admin-ack", "cmd": "slowdown"}
+        assert stats["t"] == "stats" and stats["workers"][0]["speed_factor"] == 2.0
+
+    def test_an_op_without_a_hello_costs_one_error_frame(self):
+        async def scenario(server):
+            op = {"t": "op", "rid": 1, "server": 0, "key": 1, "size": 64, "prio": [0.0]}
+            stats = {"t": "admin", "cmd": "stats"}
+            return await self.replies(server, op, stats, count=2)
+
+        error, stats = asyncio.run(with_server(scenario))
+        assert error["t"] == "error"
+        assert "op frames need the binary protocol" in error["error"]
+        assert stats["t"] == "stats" and stats["completed"] == 0
 
 
 class TestServerGoesAway:

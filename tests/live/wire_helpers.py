@@ -11,21 +11,21 @@ import asyncio
 import struct
 
 from repro.loadgen import LiveTransportError
+from repro.serve.codec import JSON_CODEC
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
     MAX_PROTOCOL_VERSION,
-    PROTOCOL_VERSION,
     ProtocolError,
     encode_frame,
     hello_frame,
-    parse_json_frame,
 )
 
 _LENGTH = struct.Struct(">I")
 
 
-async def read_frame(reader):
-    """Read one v1 frame; ``None`` on clean EOF (peer closed between frames).
+async def read_frame(reader, codec=JSON_CODEC):
+    """Read one frame in ``codec``; ``None`` on clean EOF (peer closed
+    between frames).
 
     Takes exactly one frame's bytes off the ``StreamReader`` and never
     over-reads.
@@ -47,18 +47,18 @@ async def read_frame(reader):
         raise ProtocolError(
             f"connection closed mid-frame ({len(exc.partial)} of {length} bytes)"
         ) from exc
-    return parse_json_frame(payload)
+    return codec.decode(payload, 0, length)
 
 
-async def handshake(reader, writer, max_proto=MAX_PROTOCOL_VERSION, congestion=True):
-    """Exchange hello/hello-ack (always in v1 JSON); returns the ack, whose
-    ``proto`` is the version every later frame on the connection travels in."""
-    writer.write(encode_frame(hello_frame(max_proto, congestion)))
+async def handshake(reader, writer, congestion=True):
+    """Exchange hello/hello-ack (always in JSON); returns the ack.  Every
+    later frame on the connection is binary."""
+    writer.write(encode_frame(hello_frame(congestion)))
     await writer.drain()
     ack = await read_frame(reader)
     if ack is None:
         raise LiveTransportError("server closed the connection during handshake")
     if ack.get("t") != "hello-ack":
         raise LiveTransportError(f"unexpected handshake reply {ack!r}")
-    assert PROTOCOL_VERSION <= ack["proto"] <= max(max_proto, PROTOCOL_VERSION)
+    assert ack["proto"] == MAX_PROTOCOL_VERSION
     return ack
