@@ -6,7 +6,8 @@ Benchmarks default to a scaled-down task count so the whole suite runs in
 minutes on a laptop.  Two environment variables widen the scope:
 
 * ``REPRO_FULL_SCALE=1`` -- the paper's full setup (500k tasks, 6 seeds).
-  Expect hours of wall time with the pure-Python kernel.
+  Figure 2 there is ~50 CPU-minutes, extrapolated from a 100k-task,
+  1-seed run (101 CPU-s on a 2-vCPU Xeon VM).
 * ``REPRO_BENCH_TASKS=<n>`` / ``REPRO_BENCH_SEEDS=<k>`` -- override the
   scaled defaults directly.
 
@@ -14,8 +15,8 @@ Every benchmark renders a report and raw JSON through
 :func:`save_report`.  By default they land in pytest's temporary directory,
 so running the suite (it is part of the tier-1 command) leaves the
 working tree clean; ``--record`` writes them into ``results/`` at the
-repository root, which is where docs/results.md points and what the
-``check_*`` gates and CI artifact uploads read.
+repository root, which is where docs/results.md points and what CI's
+artifact uploads read.
 """
 
 import json
@@ -70,27 +71,6 @@ def bench_executor():
     return GridExecutor(jobs=int(os.environ.get("REPRO_BENCH_JOBS", "1")))
 
 
-def pingpong_events(n_processes=100, horizon=100.0):
-    """A bank of timer processes: the canonical kernel micro-workload.
-
-    Shared by ``test_bench_micro.py`` and
-    ``test_bench_event_throughput.py`` so the committed throughput
-    baseline and the perf gate always measure the *same* workload.
-    """
-    from repro.sim import Environment
-
-    env = Environment()
-
-    def ticker(env, period):
-        while True:
-            yield env.timeout(period)
-
-    for i in range(n_processes):
-        env.process(ticker(env, 0.5 + 0.01 * i))
-    env.run(until=horizon)
-    return env.events_processed
-
-
 def save_report(name: str, text: str, data=None) -> None:
     """Persist a rendered report (and optional JSON); see ``--record``."""
     _report_dir.mkdir(exist_ok=True)
@@ -99,17 +79,3 @@ def save_report(name: str, text: str, data=None) -> None:
         (_report_dir / f"{name}.json").write_text(
             json.dumps(data, indent=2), encoding="utf-8"
         )
-
-
-@pytest.fixture
-def once(benchmark):
-    """Run the target exactly once under the benchmark timer.
-
-    Simulation runs are long and deterministic; statistical repetition
-    belongs to the seed grid, not the wall-clock timer.
-    """
-
-    def _run(fn, *args, **kwargs):
-        return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
-
-    return _run

@@ -41,9 +41,9 @@ def run_sweep(n_tasks, seeds):
     return rows, raw
 
 
-def test_credits_interval(once):
+def test_credits_interval():
     n_tasks, seeds = bench_scale()
-    rows, raw = once(run_sweep, max(3000, n_tasks // 2), seeds[:1])
+    rows, raw = run_sweep(max(3000, n_tasks // 2), seeds[:1])
 
     report = render_table(
         rows, title="Ablation D -- credits measurement-interval sweep"

@@ -42,9 +42,9 @@ def run_sweep(n_tasks, seeds):
     return rows, raw
 
 
-def test_fanout_sweep(once):
+def test_fanout_sweep():
     n_tasks, seeds = bench_scale()
-    rows, raw = once(run_sweep, max(2000, n_tasks // 3), seeds[:1])
+    rows, raw = run_sweep(max(2000, n_tasks // 3), seeds[:1])
 
     report = render_table(rows, title="Ablation B -- fan-out sweep")
     print("\n" + report)

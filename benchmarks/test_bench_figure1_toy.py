@@ -10,14 +10,14 @@ from conftest import save_report
 from repro.harness import figure1_toy
 
 
-def test_figure1_schedules(once):
+def test_figure1_schedules():
     def run():
         oblivious = figure1_toy(task_aware=False)
         aware_unif = figure1_toy(task_aware=True, assigner_name="unifincr")
         aware_eqmx = figure1_toy(task_aware=True, assigner_name="equalmax")
         return oblivious, aware_unif, aware_eqmx
 
-    oblivious, aware_unif, aware_eqmx = once(run)
+    oblivious, aware_unif, aware_eqmx = run()
 
     # The paper's exact numbers (unit service times).
     assert oblivious.t1_completion == 2.0

@@ -22,11 +22,9 @@ from repro.harness import FIGURE2_STRATEGIES, figure2, figure2_series
 from repro.metrics import PAPER_PERCENTILES
 
 
-def test_figure2(once):
+def test_figure2():
     n_tasks, seeds = bench_scale()
-    comparison = once(
-        figure2, n_tasks=n_tasks, seeds=seeds, executor=bench_executor()
-    )
+    comparison = figure2(n_tasks=n_tasks, seeds=seeds, executor=bench_executor())
 
     summaries = {
         name: comparison.summary_of(name) for name in FIGURE2_STRATEGIES

@@ -74,9 +74,9 @@ def run_loopback_bench(n_tasks, time_scale):
     return rows, raw
 
 
-def test_live_loopback(once):
+def test_live_loopback():
     n_tasks, time_scale = N_TASKS, DEFAULT_TIME_SCALE
-    rows, raw = once(run_loopback_bench, n_tasks, time_scale)
+    rows, raw = run_loopback_bench(n_tasks, time_scale)
 
     report = render_table(
         rows,

@@ -39,10 +39,10 @@ def run_sweep(n_tasks, seeds):
     return rows, raw
 
 
-def test_load_sweep(once):
+def test_load_sweep():
     n_tasks, seeds = bench_scale()
     # The sweep multiplies runs by len(LOADS): use a third of the budget.
-    rows, raw = once(run_sweep, max(2000, n_tasks // 3), seeds[:1])
+    rows, raw = run_sweep(max(2000, n_tasks // 3), seeds[:1])
 
     report = render_table(rows, title="Ablation A -- load sweep (p99 and C3/BRB factors)")
     print("\n" + report)

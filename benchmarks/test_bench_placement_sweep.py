@@ -74,9 +74,9 @@ def run_sweep(n_tasks, seeds):
     return rows, raw
 
 
-def test_placement_sweep(once):
+def test_placement_sweep():
     n_tasks, seeds = bench_scale()
-    rows, raw = once(run_sweep, max(2500, n_tasks // 4), seeds[:1])
+    rows, raw = run_sweep(max(2500, n_tasks // 4), seeds[:1])
 
     report = render_table(
         rows,

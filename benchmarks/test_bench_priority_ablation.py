@@ -39,9 +39,9 @@ def run_ablation(n_tasks, seeds):
     return rows, comparison.to_dict()
 
 
-def test_priority_ablation(once):
+def test_priority_ablation():
     n_tasks, seeds = bench_scale()
-    rows, raw = once(run_ablation, max(3000, n_tasks // 2), seeds[:1])
+    rows, raw = run_ablation(max(3000, n_tasks // 2), seeds[:1])
 
     report = render_table(
         rows, title="Ablation C -- priority assignment under credits"

@@ -60,9 +60,9 @@ def _cell(runs):
     }
 
 
-def test_remediation(once):
+def test_remediation():
     n_tasks, seeds = bench_scale()
-    runs = once(_run_pairs, n_tasks, seeds)
+    runs = _run_pairs(n_tasks, seeds)
 
     data = {
         "strategy": STRATEGY,

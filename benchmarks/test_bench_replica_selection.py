@@ -33,9 +33,9 @@ def run_ablation(n_tasks, seeds):
     return rows, comparison.to_dict()
 
 
-def test_replica_selection(once):
+def test_replica_selection():
     n_tasks, seeds = bench_scale()
-    rows, raw = once(run_ablation, max(3000, n_tasks // 2), seeds[:1])
+    rows, raw = run_ablation(max(3000, n_tasks // 2), seeds[:1])
 
     report = render_table(
         rows, title="Ablation E -- replica selection under FIFO servers"

@@ -35,9 +35,9 @@ def run_grid(n_tasks):
     return rows
 
 
-def test_seed_stability(once):
+def test_seed_stability():
     n_tasks, _ = bench_scale()
-    rows = once(run_grid, max(4000, n_tasks // 2))
+    rows = run_grid(max(4000, n_tasks // 2))
 
     report = render_table(
         rows,

@@ -70,9 +70,9 @@ def run_replication_sweep(n_tasks, seed):
     return rows
 
 
-def test_latency_sensitivity(once):
+def test_latency_sensitivity():
     n_tasks, seeds = bench_scale()
-    rows = once(run_latency_sweep, max(2000, n_tasks // 4), seeds[0])
+    rows = run_latency_sweep(max(2000, n_tasks // 4), seeds[0])
     report = render_table(rows, title="Ablation G -- one-way network latency sweep")
     print("\n" + report)
     save_report("ablation_latency", report, data=rows)
@@ -84,9 +84,9 @@ def test_latency_sensitivity(once):
     assert rows[1]["C3/BRB @p50"] > 1.0
 
 
-def test_replication_sensitivity(once):
+def test_replication_sensitivity():
     n_tasks, seeds = bench_scale()
-    rows = once(run_replication_sweep, max(2000, n_tasks // 4), seeds[0])
+    rows = run_replication_sweep(max(2000, n_tasks // 4), seeds[0])
     report = render_table(rows, title="Ablation H -- replication factor sweep")
     print("\n" + report)
     save_report("ablation_replication", report, data=rows)

@@ -53,9 +53,9 @@ def run_ablation(n_tasks, seed):
     return rows, raw
 
 
-def test_straggler(once):
+def test_straggler():
     n_tasks, seeds = bench_scale()
-    rows, raw = once(run_ablation, max(4000, n_tasks // 2), seeds[0])
+    rows, raw = run_ablation(max(4000, n_tasks // 2), seeds[0])
 
     report = render_table(
         rows, title="Ablation F -- one replica 4x slow (recurring windows)"

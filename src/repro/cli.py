@@ -1063,8 +1063,8 @@ def _add_firehose(subparsers: argparse._SubParsersAction) -> None:
                     "arrival schedule and no replica selection, so the "
                     "measured ceiling is the transport's (codec, "
                     "pipelining, pooling), not the scheduler's. The "
-                    "sustained-rate tool behind "
-                    "results/live_throughput.json and the CI live smoke; "
+                    "wire path that `bench/run.py --workload "
+                    "live-firehose-fanout8` and the CI cluster smoke drive; "
                     "use `repro loadgen` to measure scheduling quality.",
     )
     _add_wire_flags(p, "endpoints",

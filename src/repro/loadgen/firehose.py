@@ -12,8 +12,8 @@ multigets is kept in flight on every run, and the moment one multiget
 completes, the next is issued.  The number it reports is therefore the
 throughput ceiling of codec + framing + write batching + event loop --
 the quantity the binary-protocol work is supposed to move, and what
-``benchmarks/test_bench_live_throughput.py`` and ``repro firehose`` put
-on the record.
+``bench/run.py --workload live-firehose-fanout8`` and ``repro firehose``
+put on the record.
 
 A *multiget* here is ``fanout`` single-key ops issued together and
 considered complete when the last response arrives, mirroring the
@@ -21,8 +21,8 @@ paper's fan-out/fan-in request structure; its RTT is wall-clock time
 from first op sent to last response in.
 
 To measure the transport rather than the backend, point the firehose at
-a server built with a small time scale and a generous core count (see
-the benchmark), so that calibrated service sleeps collapse below the
+a server built with a small time scale and a generous core count (as
+that workload does), so that calibrated service sleeps collapse below the
 event-loop timer resolution and queueing never becomes the bottleneck.
 """
 

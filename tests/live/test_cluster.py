@@ -159,6 +159,12 @@ class TestMultiProcessCluster:
             # Ops route by worker id; with sharded workers both server
             # processes must have answered.
             assert fire.server_io.get("completed", 0) >= 400 * 2
+            # Pipelined writes coalesce across multigets: one write per op
+            # reads 2.0 (the fan-out), one per multiget 1.0; a 2-vCPU VM
+            # reads 0.29-0.49.  And an op costs binary frame sizes (~28
+            # bytes), not JSON's ~95.
+            assert fire.writes_per_multiget < 1.0
+            assert fire.bytes_per_op < 45
         finally:
             supervisor.stop()
         assert not supervisor.alive
