@@ -3,7 +3,7 @@
 For each faulted scenario we run its ``monitor`` baseline (metrics bus
 and breach detector streaming, policy never acts -- so both modes carry
 the identical observation load) against the ``slo`` mode (full loop:
-detect, act through placement/credits/hedging, revert on clear).
+detect, boost the hottest partition, unboost on clear).
 
 What the numbers show at bench scale (12k tasks x 3 seeds, C3):
 
@@ -14,8 +14,8 @@ What the numbers show at bench scale (12k tasks x 3 seeds, C3):
   confirms a breach at most seeds, and the actions that do fire neither
   help nor hurt.
 * ``crash-restart`` -- neutral by design: the crash fault driver already
-  re-homes routing, so remediation's exclusions overlap it.  The check
-  here is "first, do no harm".
+  re-homes routing around the downed server, so boosting its partition
+  adds little.  The check here is "first, do no harm".
 
 Artifacts: ``results/remediation.json`` + ``results/remediation.txt``.
 """

@@ -95,9 +95,9 @@ def _executor_from(args: argparse.Namespace) -> GridExecutor:
 def _add_remediate_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--remediate", default=None,
                    choices=("off", "monitor", "slo"),
-                   help="streamed-metrics mode: 'monitor' publishes bus "
+                   help="streamed-metrics mode: 'monitor' samples bus "
                         "snapshots and counts SLO breach windows; 'slo' also "
-                        "acts through the placement/credits/hedging levers "
+                        "boosts the hottest partition with extra replicas "
                         "(see docs/observability.md)")
     p.add_argument("--slo-p99-ms", type=float, default=None, metavar="MS",
                    help="windowed-p99 target (model ms) for the SLO breach "

@@ -1,41 +1,31 @@
-"""SLO-driven self-healing: the remediation driver and its levers.
+"""SLO-driven self-healing: the remediation driver and its one lever.
 
 The counterpart of :class:`~repro.cluster.faults.FaultInjector`, which
 *causes* trouble on a schedule: :class:`RemediationDriver` *reacts* to it
-through the streamed metrics bus.  Like the injector it is one class for
-both realms (:class:`~repro.harness.runner.RunAssembly` builds both) and
-both tick it through ``clock.call_every``, so remediation behavior is
-defined once, against the :class:`~repro.metrics.bus.BusSnapshot` schema,
-not per substrate.
+through windowed :class:`~repro.metrics.bus.BusSnapshot` samples.  Like
+the injector it is one class for both realms
+(:class:`~repro.harness.runner.RunAssembly` builds both) and both tick it
+through ``clock.call_every``, so remediation behavior is defined once,
+against the snapshot schema, not per substrate.
 
-Every lever is client-side in both realms, which is what makes the
-single driver possible:
-
-* **ring swap** -- :meth:`~repro.placement.MutablePlacement.exclude` the
-  hottest shard so new requests route around it (live workers serve
-  whatever they are sent; a decommission is purely a routing change);
-* **credit re-tune** -- halve the hot server's rate scale on the
-  credits controller (the same knob its congestion backoff uses);
-* **hedging boost** -- raise every hedged strategy's duplicate budget so
-  stragglers on the slow shard are cut short.
-
-Applied levers are reverted when the breach episode clears (hysteresis
-lives in the :class:`~repro.metrics.slo.BreachDetector`).
+The lever is client-side in both realms, which is what makes the single
+driver possible: on a confirmed breach with a hot server,
+:meth:`~repro.placement.MutablePlacement.boost` the partition whose
+replica group carries the most backlog with as many least-loaded
+outsiders as it has replicas, so the selection strategies can spread the
+heat (live workers serve whatever they are sent; a boost is purely a
+routing change).  The boost is dropped when the breach episode clears
+(hysteresis lives in the :class:`~repro.metrics.slo.BreachDetector`) or
+the run ends.  docs/observability.md keeps the ablation that retired the
+other levers.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import typing as _t
 
-from ..metrics.bus import (
-    DEFAULT_BUS_INTERVAL,
-    BusEvent,
-    BusSampler,
-    BusSnapshot,
-    MetricsBus,
-)
-from ..metrics.slo import BreachDetector
+from ..metrics.bus import DEFAULT_BUS_INTERVAL, BusSampler, BusSnapshot
+from ..metrics.slo import BreachDetector, SloPolicy
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from ..core.clock import Clock
@@ -43,69 +33,28 @@ if _t.TYPE_CHECKING:  # pragma: no cover
 
 #: Modes the config's ``remediation`` field accepts. ``off`` builds no
 #: driver at all (zero events added to the run -- goldens unaffected);
-#: ``monitor`` streams and detects but never acts, so its breach-window
+#: ``monitor`` samples and detects but never acts, so its breach-window
 #: count is the honest unremediated baseline under an identical event
 #: load; ``slo`` closes the loop.
 REMEDIATION_MODES = ("off", "monitor", "slo")
-
-#: Credit-rate multiplier applied to the hot server on breach.
-CREDIT_BACKOFF = 0.5
-
-#: Hedging duplicate-budget multiplier while a breach is open.
-HEDGE_BOOST = 3.0
 
 #: A server is "hot" when its windowed-mean backlog is this many
 #: times the cluster mean.
 HOT_QUEUE_RATIO = 1.5
 
-#: One server holding at least this share of its replica group's backlog
-#: is a degraded outlier (exclude it); anything more spread is a hot
-#: shard (boost the partition).
-OUTLIER_CONCENTRATION = 0.8
-
-
-@dataclasses.dataclass
-class RemediationLevers:
-    """The mid-run control surfaces a policy may act on.
-
-    Any of them may be absent (``None``/empty): a strategy without a
-    credits controller simply has no credit lever.
-    """
-
-    placement: _t.Optional["MutablePlacement"] = None
-    #: Credits controller exposing per-server rate ``scales``.
-    controller: _t.Optional[_t.Any] = None
-    #: Hedged strategies exposing ``budget_fraction``.
-    hedged: _t.Sequence[_t.Any] = ()
-
 
 class SloRemediationPolicy:
-    """Breach -> diagnose -> act, clear -> revert.
+    """Breach -> boost the hottest partition, clear -> unboost.
 
-    The placement action depends on the *shape* of the backlog:
-
-    * **group-wide heat** -- every replica of the hottest partition is at
-      or above the cluster-mean queue depth (a popularity hot shard):
-      :meth:`~repro.placement.MutablePlacement.boost` the partition with
-      the least-loaded outsiders, widening the selection strategies'
-      choice set.  Exclusion is *wrong* here: the hot partition would
-      keep exactly ``replication_factor`` replicas while the ring loses
-      a server's capacity.
-    * **single-server outlier** -- one deep queue, shallow siblings (a
-      degraded or crashed server): exclude it so new requests route to
-      healthy replicas.
+    Boosting widens the hot partition's choice set whether the heat is a
+    popularity hot shard or one degraded server: either way the extra
+    replicas give the selection strategies somewhere else to send it.
     """
 
-    def __init__(self, levers: RemediationLevers) -> None:
-        self.levers = levers
-        #: Servers this policy currently holds excluded.
-        self._excluded: _t.List[int] = []
-        #: Partitions this policy currently holds boosted.
-        self._boosted: _t.List[int] = []
-        #: Hot servers whose credit scale we cut (restored to 1.0 on clear).
-        self._scaled: _t.List[int] = []
-        #: Saved ``budget_fraction`` per boosted hedged strategy.
-        self._hedge_saved: _t.List[_t.Tuple[_t.Any, float]] = []
+    def __init__(self, placement: "MutablePlacement") -> None:
+        self.placement = placement
+        #: The partition this policy currently holds boosted.
+        self._boosted: _t.Optional[int] = None
 
     @staticmethod
     def hot_server(snapshot: BusSnapshot) -> _t.Optional[int]:
@@ -119,11 +68,11 @@ class SloRemediationPolicy:
             return hottest
         return None
 
-    @staticmethod
     def _hottest_partition(
-        depths: _t.Sequence[float], placement: "MutablePlacement"
+        self, depths: _t.Sequence[float]
     ) -> _t.Tuple[int, _t.Tuple[int, ...]]:
         """The partition whose replica group carries the most backlog."""
+        placement = self.placement
         best, best_heat = 0, -1.0
         for partition in range(placement.n_partitions):
             replicas = placement.replicas_of(partition)
@@ -132,189 +81,90 @@ class SloRemediationPolicy:
                 best, best_heat = partition, heat
         return best, placement.replicas_of(best)
 
-    @staticmethod
-    def _spread_targets(
-        depths: _t.Sequence[float],
-        members: _t.Sequence[int],
-        n_extra: int,
-    ) -> _t.Tuple[int, ...]:
-        """The ``n_extra`` least-loaded servers outside the hot group."""
+    def on_breach(self, snapshot: BusSnapshot) -> _t.List[_t.Dict[str, _t.Any]]:
+        """Boost the hottest partition unless a boost is open; returns the
+        actions taken."""
+        if self._boosted is not None or self.hot_server(snapshot) is None:
+            return []
+        depths = snapshot.queue_depths
+        partition, members = self._hottest_partition(depths)
         outsiders = sorted(
             (s for s in range(len(depths)) if s not in members),
             key=lambda s: (depths[s], s),
         )
-        return tuple(outsiders[:n_extra])
+        extras = tuple(outsiders[: len(members)])
+        if not extras:
+            return []
+        self.placement.boost(partition, extras)
+        self._boosted = partition
+        return [{"action": "boost", "partition": partition, "servers": list(extras)}]
 
-    def on_breach(self, snapshot: BusSnapshot) -> _t.List[_t.Dict[str, _t.Any]]:
-        """Apply every available lever; returns the actions taken."""
-        actions: _t.List[_t.Dict[str, _t.Any]] = []
-        depths = snapshot.queue_depths
-        placement = self.levers.placement
-        hot = self.hot_server(snapshot)
-        if (
-            hot is not None
-            and placement is not None
-            and not self._excluded
-            and not self._boosted
-        ):
-            partition, members = self._hottest_partition(depths, placement)
-            group_heat = sum(depths[s] for s in members if s < len(depths))
-            outlier = (
-                hot in members
-                and group_heat > 0
-                and depths[hot] >= OUTLIER_CONCENTRATION * group_heat
-            )
-            if not outlier:
-                extras = self._spread_targets(depths, members, len(members))
-                if extras:
-                    placement.boost(partition, extras)
-                    self._boosted.append(partition)
-                    actions.append(
-                        {
-                            "action": "boost",
-                            "partition": partition,
-                            "servers": list(extras),
-                        }
-                    )
-            else:
-                try:
-                    placement.exclude((hot,))
-                except ValueError:
-                    pass  # infeasible ring (replication floor): skip
-                else:
-                    self._excluded.append(hot)
-                    actions.append({"action": "exclude", "server": hot})
-        controller = self.levers.controller
-        if hot is not None and controller is not None:
-            scales = getattr(controller, "scales", None)
-            if scales is not None and hot in scales and hot not in self._scaled:
-                scales[hot] = scales[hot] * CREDIT_BACKOFF
-                self._scaled.append(hot)
-                actions.append(
-                    {"action": "credit_backoff", "server": hot, "scale": scales[hot]}
-                )
-        if self.levers.hedged and not self._hedge_saved:
-            for strategy in self.levers.hedged:
-                saved = strategy.budget_fraction
-                self._hedge_saved.append((strategy, saved))
-                strategy.budget_fraction = min(1.0, saved * HEDGE_BOOST)
-            actions.append(
-                {"action": "hedge_boost", "strategies": len(self._hedge_saved)}
-            )
-        return actions
-
-    def on_clear(self, snapshot: BusSnapshot) -> _t.List[_t.Dict[str, _t.Any]]:
-        """Revert every lever applied during the episode."""
-        del snapshot  # symmetry with on_breach; the revert is stateful
-        return self.revert_all()
-
-    def revert_all(self) -> _t.List[_t.Dict[str, _t.Any]]:
-        actions: _t.List[_t.Dict[str, _t.Any]] = []
-        while self._excluded:
-            server = self._excluded.pop()
-            self.levers.placement.readmit((server,))
-            actions.append({"action": "readmit", "server": server})
-        while self._boosted:
-            partition = self._boosted.pop()
-            self.levers.placement.unboost(partition)
-            actions.append({"action": "unboost", "partition": partition})
-        while self._scaled:
-            server = self._scaled.pop()
-            scales = self.levers.controller.scales
-            if server in scales:
-                scales[server] = 1.0
-            actions.append({"action": "credit_restore", "server": server})
-        if self._hedge_saved:
-            for strategy, saved in self._hedge_saved:
-                strategy.budget_fraction = saved
-            actions.append(
-                {"action": "hedge_restore", "strategies": len(self._hedge_saved)}
-            )
-            self._hedge_saved.clear()
-        return actions
+    def on_clear(self) -> _t.List[_t.Dict[str, _t.Any]]:
+        """Drop the open boost, if any; returns the actions taken."""
+        if self._boosted is None:
+            return []
+        partition, self._boosted = self._boosted, None
+        self.placement.unboost(partition)
+        return [{"action": "unboost", "partition": partition}]
 
 
 def build_remediation(
     config: _t.Any,
     clock: "Clock",
-    placement: _t.Optional["MutablePlacement"],
-    shared: _t.Mapping[str, _t.Any],
-    strategies: _t.Sequence[_t.Any],
+    placement: "MutablePlacement",
     queue_depths: _t.Callable[[], _t.Sequence[float]],
 ) -> _t.Optional["RemediationDriver"]:
     """Assemble the driver a config asks for (``None`` when ``off``).
 
-    Called by the run assembly for both realms: ``shared`` is the
-    builder's shared-machinery dict (the credits controller lives there),
-    ``strategies`` the per-client dispatch strategies (hedged ones become
-    levers), ``queue_depths`` the substrate's view of per-server backlog.
+    Called by the run assembly for both realms; ``queue_depths`` is the
+    substrate's view of per-server backlog.
     """
     mode = config.remediation
     if mode == "off":
         return None
-    from ..baselines.hedging import HedgedStrategy
-    from ..metrics.slo import SloPolicy
-
     detector = None
-    policy = None
     if config.slo_p99_ms is not None:
         detector = BreachDetector(SloPolicy(p99_target_ms=config.slo_p99_ms))
-    if mode == "slo":
-        levers = RemediationLevers(
-            placement=placement,
-            controller=shared.get("controller"),
-            hedged=tuple(
-                s for s in strategies if isinstance(s, HedgedStrategy)
-            ),
-        )
-        policy = SloRemediationPolicy(levers)
-    return RemediationDriver(
-        clock=clock,
-        mode=mode,
-        sampler=BusSampler(),
-        queue_depths=queue_depths,
-        detector=detector,
-        policy=policy,
-    )
+    policy = SloRemediationPolicy(placement) if mode == "slo" else None
+    return RemediationDriver(clock, mode, queue_depths, detector, policy)
 
 
 class RemediationDriver:
-    """Ticks the bus, evaluates the SLO, applies/reverts remediation.
+    """Samples the run, evaluates the SLO, applies/reverts remediation.
 
-    One instance per run, realm-agnostic: the owner arranges for
-    :meth:`tick` to run every ``interval`` model seconds
-    (``clock.call_every(interval, driver.tick)`` in both realms) and
-    chains :meth:`observe_completion` / :meth:`observe_arrival` into its
-    completion callback and feeder.
+    One instance per run, realm-agnostic: :meth:`start` ticks it every
+    :data:`~repro.metrics.bus.DEFAULT_BUS_INTERVAL` model seconds through
+    the clock, and the owner chains :meth:`observe_completion` /
+    :meth:`observe_arrival` into its completion callback and feeder.
     """
 
     def __init__(
         self,
         clock: "Clock",
         mode: str,
-        sampler: BusSampler,
         queue_depths: _t.Callable[[], _t.Sequence[float]],
         detector: _t.Optional[BreachDetector] = None,
         policy: _t.Optional[SloRemediationPolicy] = None,
-        bus: _t.Optional[MetricsBus] = None,
-        interval: float = DEFAULT_BUS_INTERVAL,
     ) -> None:
         if mode not in REMEDIATION_MODES or mode == "off":
             raise ValueError(f"remediation mode {mode!r} is not an active mode")
         if mode == "slo" and (detector is None or policy is None):
             raise ValueError("slo mode needs a detector and a policy")
-        if interval <= 0:
-            raise ValueError("interval must be positive")
         self.clock = clock
         self.mode = mode
-        self.sampler = sampler
+        self.sampler = BusSampler()
         self.queue_depths = queue_depths
         self.detector = detector
         self.policy = policy
-        self.bus = bus if bus is not None else MetricsBus()
-        self.interval = interval
+        #: Called with every snapshot (the live load generator streams
+        #: them to the servers).
+        self.on_snapshot: _t.Optional[_t.Callable[[BusSnapshot], None]] = None
+        self.snapshots = 0
         self.actions = 0
-        self._seq = 0
+
+    def start(self) -> None:
+        """Tick every bus interval from now on (the realm's time zero)."""
+        self.clock.call_every(DEFAULT_BUS_INTERVAL, self.tick)
 
     # -- observation hooks (chained into the run's callbacks) ---------------
     def observe_arrival(self) -> None:
@@ -326,39 +176,27 @@ class RemediationDriver:
     # -- the tick -----------------------------------------------------------
     def tick(self, _arg: _t.Any = None) -> BusSnapshot:
         now = self.clock.now
-        self._seq += 1
+        self.snapshots += 1
         self.sampler.observe_depths(now, self.queue_depths())
-        snapshot = self.sampler.snapshot(now, self._seq)
-        self.bus.publish(snapshot)
+        snapshot = self.sampler.snapshot(now, self.snapshots)
+        if self.on_snapshot is not None:
+            self.on_snapshot(snapshot)
         if self.detector is not None:
             transition = self.detector.observe(snapshot)
-            if transition == "breach":
-                self.bus.emit(
-                    BusEvent(now, "slo-breach", {"p99_ms": snapshot.latency_p99_ms})
-                )
-                if self.mode == "slo":
-                    self._act(self.policy.on_breach(snapshot), now)
-            elif transition == "clear":
-                self.bus.emit(
-                    BusEvent(now, "slo-clear", {"p99_ms": snapshot.latency_p99_ms})
-                )
-                if self.mode == "slo":
-                    self._act(self.policy.on_clear(snapshot), now)
+            if self.mode == "slo" and transition == "breach":
+                self.actions += len(self.policy.on_breach(snapshot))
+            elif self.mode == "slo" and transition == "clear":
+                self.actions += len(self.policy.on_clear())
         return snapshot
 
-    def _act(self, actions: _t.Sequence[_t.Mapping[str, _t.Any]], now: float) -> None:
-        for action in actions:
-            self.actions += 1
-            self.bus.emit(BusEvent(now, "remediation", action))
-
     def reset(self) -> None:
-        """Revert any still-applied lever (run teardown, mid-episode end)."""
+        """Revert a still-open boost (run teardown, mid-episode end)."""
         if self.policy is not None:
-            self.policy.revert_all()
+            self.policy.on_clear()
 
     def extras(self) -> _t.Dict[str, float]:
         out: _t.Dict[str, float] = {
-            "bus_snapshots": float(self.bus.published),
+            "bus_snapshots": float(self.snapshots),
             "remediation_actions": float(self.actions),
         }
         if self.detector is not None:

@@ -298,12 +298,7 @@ class RunAssembly:
             self.clock, self.config.fault_schedule, fault_port, self.placement
         )
         self.remediation = build_remediation(
-            self.config,
-            self.clock,
-            self.placement,
-            self.ctx.shared,
-            self.strategies,
-            queue_depths,
+            self.config, self.clock, self.placement, queue_depths
         )
         self.generator = self.workload.generator(self.streams)
 
@@ -313,7 +308,7 @@ class RunAssembly:
         realm makes -- directly in the simulation, as a clock callback live."""
         self.faults.start()
         if self.remediation is not None:
-            self.clock.call_every(self.remediation.interval, self.remediation.tick)
+            self.remediation.start()
         return Feeder(self.clock, self, self.config.n_tasks)
 
     def submit(self, task: Task) -> None:
@@ -323,8 +318,8 @@ class RunAssembly:
         self.clients[task.client_id].submit(task)
 
     def close(self) -> None:
-        """Teardown, idempotent: revert still-open fault windows and applied
-        levers, then let go of what ties the run into reference cycles --
+        """Teardown, idempotent: revert still-open fault windows and an open
+        remediation boost, then let go of what ties the run into reference cycles --
         pending timers (their callbacks are methods of objects that hold the
         clock), transport handlers (likewise the transport), client <->
         strategy, the builder's shared machinery and the client list the

@@ -169,10 +169,8 @@ async def run_live(
         # for as long as this run's connections live.
         if run.remediation is not None:
             reporter = f"loadgen-{os.getpid()}"
-            run.remediation.bus.subscribe(
-                on_snapshot=lambda snapshot: transport.report_bus(
-                    reporter, snapshot.to_dict()
-                )
+            run.remediation.on_snapshot = lambda snapshot: transport.report_bus(
+                reporter, snapshot.to_dict()
             )
         if wall_timeout is None:
             expected_model_s = config.n_tasks / run.workload.task_rate

@@ -1,10 +1,8 @@
 """Metrics: histograms, samples, summaries, windowed rates, the bus."""
 
 from .bus import (
-    BusEvent,
     BusSampler,
     BusSnapshot,
-    MetricsBus,
     WindowedQuantiles,
     render_prometheus,
     render_stats,
@@ -22,7 +20,6 @@ from .timeseries import EwmaEstimator, WindowedRate
 
 __all__ = [
     "BreachDetector",
-    "BusEvent",
     "BusSampler",
     "BusSnapshot",
     "DEFAULT_PERCENTILES",
@@ -30,7 +27,6 @@ __all__ = [
     "ExactSample",
     "LatencySummary",
     "LogHistogram",
-    "MetricsBus",
     "PAPER_PERCENTILES",
     "SloPolicy",
     "WindowedQuantiles",

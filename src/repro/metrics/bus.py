@@ -1,20 +1,18 @@
-"""The streamed metrics bus: windowed snapshots published during a run.
+"""The streamed metrics bus: windowed snapshots sampled during a run.
 
 Everything before this module reported metrics *after* a run finished
 (``RunResult`` summaries, server stats deltas).  The bus makes the same
-signals available *while* the run executes, in both realms:
-
-* the simulation publishes a :class:`BusSnapshot` on every virtual-time
-  tick of the metrics ticker (``Environment.call_every``);
-* the live load generator publishes from a wall-clock ticker process,
-  sampling the piggybacked server feedback the transport already
-  receives, and ``repro serve`` exports the server-side view as
-  Prometheus text.
+signals available *while* the run executes, in both realms: the
+remediation driver (:mod:`repro.cluster.remediation`) takes a
+:class:`BusSnapshot` from its :class:`BusSampler` on every clock tick --
+virtual time in the simulation, wall time live, where the load generator
+also streams each snapshot to the servers -- and ``repro serve`` exports
+the server-side view as Prometheus text.
 
 Snapshots are deliberately flat and JSON-friendly: the SLO breach
-detector (:mod:`repro.metrics.slo`), the remediation driver
-(:mod:`repro.cluster.remediation`), the ``repro watch`` CLI and the CI
-schema check all consume the same :meth:`BusSnapshot.to_dict` shape.
+detector (:mod:`repro.metrics.slo`), the remediation policy, the
+``repro watch`` CLI and the CI schema check all consume the same
+:meth:`BusSnapshot.to_dict` shape.
 """
 
 from __future__ import annotations
@@ -26,26 +24,12 @@ from collections import deque
 from .reservoir import exact_quantile
 from .timeseries import WindowedRate
 
-#: Default trailing window (model seconds) for the latency percentiles.
+#: Trailing window (model seconds) of every snapshot's percentiles,
+#: rates and mean queue depths.
 DEFAULT_BUS_WINDOW = 0.1
 
-#: Cadence (model seconds) at which a run's ticker samples the bus.
+#: Cadence (model seconds) at which the remediation driver samples.
 DEFAULT_BUS_INTERVAL = 0.02
-
-#: Snapshots/events retained in the bus ring buffers.
-DEFAULT_HISTORY = 4096
-
-
-@dataclasses.dataclass(frozen=True)
-class BusEvent:
-    """A discrete occurrence on the bus (fault window, remediation act)."""
-
-    time: float
-    kind: str
-    detail: _t.Mapping[str, _t.Any] = dataclasses.field(default_factory=dict)
-
-    def to_dict(self) -> _t.Dict[str, _t.Any]:
-        return {"time": self.time, "kind": self.kind, "detail": dict(self.detail)}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -132,17 +116,15 @@ class WindowedQuantiles:
 class BusSampler:
     """Accumulates per-run observations and assembles snapshots.
 
-    Realm-agnostic: the simulated runner and the live driver both chain
-    :meth:`observe_arrival` into their feeder and
-    :meth:`observe_completion` into their completion callback, then call
-    :meth:`snapshot` on every ticker tick with whatever queue depths
-    their substrate can see.
+    Realm-agnostic: the remediation driver feeds it every arrival
+    (:meth:`observe_arrival`) and completion (:meth:`observe_completion`)
+    and, on every tick, whatever queue depths its substrate can see, then
+    asks for a :meth:`snapshot`.
     """
 
-    def __init__(self, window: float = DEFAULT_BUS_WINDOW) -> None:
-        self.window = window
-        self._latencies = WindowedQuantiles(window)
-        self._arrivals = WindowedRate(window)
+    def __init__(self) -> None:
+        self._latencies = WindowedQuantiles(DEFAULT_BUS_WINDOW)
+        self._arrivals = WindowedRate(DEFAULT_BUS_WINDOW)
         self._depth_samples: _t.Deque[_t.Tuple[float, _t.Tuple[float, ...]]] = (
             deque()
         )
@@ -160,7 +142,7 @@ class BusSampler:
     ) -> None:
         """Record one per-server backlog sample (queued + in service)."""
         self._depth_samples.append((now, tuple(float(d) for d in depths)))
-        cutoff = now - self.window
+        cutoff = now - DEFAULT_BUS_WINDOW
         while self._depth_samples and self._depth_samples[0][0] < cutoff:
             self._depth_samples.popleft()
 
@@ -181,57 +163,15 @@ class BusSampler:
         return BusSnapshot(
             time=now,
             seq=seq,
-            window=self.window,
+            window=DEFAULT_BUS_WINDOW,
             window_count=window_count,
             completed=self.completed,
             latency_p50_ms=p50 * 1e3,
             latency_p99_ms=p99 * 1e3,
-            arrival_rate=self._arrivals.count(now) / self.window,
-            served_rate=window_count / self.window,
+            arrival_rate=self._arrivals.count(now) / DEFAULT_BUS_WINDOW,
+            served_rate=window_count / DEFAULT_BUS_WINDOW,
             queue_depths=self._mean_depths(),
         )
-
-
-class MetricsBus:
-    """Fan-out of snapshots and events to any number of subscribers.
-
-    Subscribers are plain callables invoked synchronously at publish
-    time (sim: inside the tick; live: on the event loop), so a
-    subscriber must be cheap -- the breach detector and the ``watch``
-    printers are.
-    """
-
-    def __init__(self, history: int = DEFAULT_HISTORY) -> None:
-        self.snapshots: _t.Deque[BusSnapshot] = deque(maxlen=history)
-        self.events: _t.Deque[BusEvent] = deque(maxlen=history)
-        self._snapshot_subs: _t.List[_t.Callable[[BusSnapshot], None]] = []
-        self._event_subs: _t.List[_t.Callable[[BusEvent], None]] = []
-        self.published = 0
-
-    def subscribe(
-        self,
-        on_snapshot: _t.Optional[_t.Callable[[BusSnapshot], None]] = None,
-        on_event: _t.Optional[_t.Callable[[BusEvent], None]] = None,
-    ) -> None:
-        if on_snapshot is not None:
-            self._snapshot_subs.append(on_snapshot)
-        if on_event is not None:
-            self._event_subs.append(on_event)
-
-    def publish(self, snapshot: BusSnapshot) -> None:
-        self.snapshots.append(snapshot)
-        self.published += 1
-        for sub in self._snapshot_subs:
-            sub(snapshot)
-
-    def emit(self, event: BusEvent) -> None:
-        self.events.append(event)
-        for sub in self._event_subs:
-            sub(event)
-
-    @property
-    def latest(self) -> _t.Optional[BusSnapshot]:
-        return self.snapshots[-1] if self.snapshots else None
 
 
 def escape_label_value(value: _t.Any) -> str:

@@ -217,8 +217,8 @@ CRASH_RESTART = register_scenario(
 # -- self-healing pairs -------------------------------------------------------
 # Each fault scenario above has a ``*-remediated`` twin that closes the
 # loop: the streamed metrics bus feeds the SLO breach detector, and on
-# breach the remediation driver acts through the placement/credits/
-# hedging levers (see docs/observability.md).  Compare against the base
+# breach the remediation driver boosts the hottest partition with extra
+# replicas (see docs/observability.md).  Compare against the base
 # scenario run in ``remediation="monitor"`` mode -- same bus, same
 # detector, no action -- so breach-window counts are like for like.
 
@@ -263,7 +263,7 @@ FLASH_CROWD_REMEDIATED = register_scenario(
 CRASH_RESTART_REMEDIATED = register_scenario(
     make_scenario(
         "crash-restart-remediated",
-        "crash-restart with the SLO loop excluding the downed server",
+        "crash-restart with the SLO loop boosting the downed server's partition",
         overrides={
             "remediation": "slo",
             "slo_p99_ms": REMEDIATION_SLO_P99_MS,

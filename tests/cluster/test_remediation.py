@@ -4,13 +4,12 @@ import pytest
 
 from repro.cluster.remediation import (
     RemediationDriver,
-    RemediationLevers,
     SloRemediationPolicy,
     build_remediation,
 )
 from repro.cluster.topology import ClusterSpec
 from repro.harness.config import ExperimentConfig
-from repro.metrics.bus import BusSampler, BusSnapshot, MetricsBus
+from repro.metrics.bus import BusSnapshot
 from repro.metrics.slo import BreachDetector, SloPolicy
 from repro.placement import MutablePlacement
 from repro.sim.engine import Environment
@@ -27,16 +26,6 @@ def snap(queue_depths, p99_ms=50.0, count=10):
 
 def paper_placement():
     return MutablePlacement(ClusterSpec().make_placement())
-
-
-class FakeController:
-    def __init__(self, n=9):
-        self.scales = {i: 1.0 for i in range(n)}
-
-
-class FakeHedged:
-    def __init__(self, budget_fraction=0.05):
-        self.budget_fraction = budget_fraction
 
 
 class TestHotServerDiagnosis:
@@ -61,7 +50,7 @@ class TestHotServerDiagnosis:
 class TestPlacementAction:
     def test_group_wide_heat_boosts_the_hot_partition(self):
         placement = paper_placement()
-        policy = SloRemediationPolicy(RemediationLevers(placement=placement))
+        policy = SloRemediationPolicy(placement)
         # Partition 0's whole replica group (0, 1, 2) is deep: a hot shard.
         depths = [6.0, 5.0, 5.0, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5]
         actions = policy.on_breach(snap(depths))
@@ -73,19 +62,21 @@ class TestPlacementAction:
         assert set(replicas) > {0, 1, 2}
         assert all(s not in (0, 1, 2) for s in actions[0]["servers"])
 
-    def test_single_server_outlier_is_excluded(self):
+    def test_single_server_outlier_boosts_its_partition(self):
         placement = paper_placement()
-        policy = SloRemediationPolicy(RemediationLevers(placement=placement))
-        # One deep queue, shallow siblings: a degraded server, not a hot shard.
-        depths = [9.0, 0.2, 0.2, 0.2, 0.2, 0.2, 0.2, 0.2, 0.2]
+        policy = SloRemediationPolicy(placement)
+        # One deep queue, shallow siblings: a degraded server is boosted
+        # around like a hot shard, never excluded.
+        depths = [9.0] + [0.2] * 8
         actions = policy.on_breach(snap(depths))
-        assert [a["action"] for a in actions] == ["exclude"]
-        assert actions[0]["server"] == 0
-        assert 0 not in placement.replicas_of(0)
+        assert [a["action"] for a in actions] == ["boost"]
+        assert 0 in placement.replicas_of(actions[0]["partition"])
+        assert placement.boosted
+        assert placement.excluded == ()
 
     def test_second_breach_does_not_stack_placement_actions(self):
         placement = paper_placement()
-        policy = SloRemediationPolicy(RemediationLevers(placement=placement))
+        policy = SloRemediationPolicy(placement)
         depths = [6.0, 5.0, 5.0] + [0.5] * 6
         assert policy.on_breach(snap(depths))
         assert policy.on_breach(snap(depths)) == []
@@ -93,30 +84,20 @@ class TestPlacementAction:
 
     def test_clear_reverts_everything(self):
         placement = paper_placement()
-        controller = FakeController()
-        hedged = FakeHedged(budget_fraction=0.1)
-        policy = SloRemediationPolicy(
-            RemediationLevers(
-                placement=placement, controller=controller, hedged=(hedged,)
-            )
-        )
+        policy = SloRemediationPolicy(placement)
         depths = [6.0, 5.0, 5.0] + [0.5] * 6
         policy.on_breach(snap(depths))
         assert placement.boosted
-        assert controller.scales[0] == pytest.approx(0.5)
-        assert hedged.budget_fraction == pytest.approx(0.3)
-        reverted = policy.on_clear(snap([0.0] * 9))
-        assert {a["action"] for a in reverted} == {
-            "unboost", "credit_restore", "hedge_restore",
-        }
+        assert policy.on_clear() == [{"action": "unboost", "partition": 0}]
         assert not placement.boosted
-        assert controller.scales[0] == 1.0
-        assert hedged.budget_fraction == pytest.approx(0.1)
+        assert policy.on_clear() == []
 
-    def test_no_levers_means_no_actions(self):
-        policy = SloRemediationPolicy(RemediationLevers())
-        assert policy.on_breach(snap([9.0] + [0.2] * 8)) == []
-        assert policy.revert_all() == []
+    def test_no_hot_server_means_no_actions(self):
+        placement = paper_placement()
+        policy = SloRemediationPolicy(placement)
+        assert policy.on_breach(snap([3.0] * 9)) == []
+        assert not placement.boosted
+        assert policy.on_clear() == []
 
 
 class TestBuildRemediation:
@@ -125,28 +106,27 @@ class TestBuildRemediation:
 
     def test_off_builds_nothing(self):
         driver = build_remediation(
-            self.config(), Environment(), paper_placement(), {}, (), lambda: []
+            self.config(), Environment(), paper_placement(), lambda: []
         )
         assert driver is None
 
     def test_monitor_streams_without_a_policy(self):
         driver = build_remediation(
             self.config(remediation="monitor", slo_p99_ms=10.0),
-            Environment(), paper_placement(), {}, (), lambda: [],
+            Environment(), paper_placement(), lambda: [],
         )
         assert driver.mode == "monitor"
         assert driver.detector is not None
         assert driver.policy is None
 
-    def test_slo_wires_all_levers(self):
-        controller = FakeController()
+    def test_slo_wires_the_placement(self):
+        placement = paper_placement()
         driver = build_remediation(
             self.config(remediation="slo", slo_p99_ms=10.0),
-            Environment(), paper_placement(), {"controller": controller},
-            (), lambda: [],
+            Environment(), placement, lambda: [],
         )
         assert driver.policy is not None
-        assert driver.policy.levers.controller is controller
+        assert driver.policy.placement is placement
 
     def test_slo_mode_requires_a_target(self):
         with pytest.raises(ValueError, match="slo_p99_ms"):
@@ -165,15 +145,10 @@ class TestRemediationDriver:
             SloPolicy(p99_target_ms=10.0, breach_after=1, clear_after=1)
         )
         if mode == "slo":
-            policy = SloRemediationPolicy(
-                RemediationLevers(
-                    placement=placement or paper_placement()
-                )
-            )
+            policy = SloRemediationPolicy(placement or paper_placement())
         return env, RemediationDriver(
-            clock=env, mode=mode, sampler=BusSampler(window=0.1),
-            queue_depths=depths, detector=detector, policy=policy,
-            bus=MetricsBus(), interval=0.02,
+            clock=env, mode=mode, queue_depths=depths, detector=detector,
+            policy=policy,
         )
 
     def feed_breach(self, env, driver, latency=0.05):
@@ -185,8 +160,18 @@ class TestRemediationDriver:
     def test_tick_publishes_a_snapshot(self):
         env, driver = self.driver(mode="monitor")
         snapshot = driver.tick()
-        assert driver.bus.latest is snapshot
         assert snapshot.seq == 1
+        assert driver.snapshots == 1
+
+    def test_tick_hands_every_snapshot_to_on_snapshot(self):
+        env, driver = self.driver(mode="monitor")
+        seen = []
+        driver.on_snapshot = seen.append
+        first = driver.tick()
+        env.run(until=0.02)
+        second = driver.tick()
+        assert seen == [first, second]
+        assert [s.seq for s in seen] == [1, 2]
 
     def test_monitor_detects_but_never_acts(self):
         env, driver = self.driver(mode="monitor")
@@ -202,17 +187,15 @@ class TestRemediationDriver:
         self.feed_breach(env, driver)
         driver.tick()
         assert driver.actions == 1
-        assert placement.excluded == (0,)
-        events = [e.kind for e in driver.bus.events]
-        assert events == ["slo-breach", "remediation"]
+        assert placement.boosted
+        assert placement.excluded == ()
         # Next window is healthy: the driver reverts through the policy.
         env.run(until=0.2)
         self.feed_breach(env, driver, latency=0.001)
         driver.tick()
-        assert placement.excluded == ()
-        assert [e.kind for e in driver.bus.events][-2:] == [
-            "slo-clear", "remediation",
-        ]
+        assert not driver.detector.breached
+        assert driver.actions == 2
+        assert not placement.boosted
 
     def test_reset_reverts_mid_episode_levers(self):
         placement = paper_placement()
@@ -221,9 +204,9 @@ class TestRemediationDriver:
         )
         self.feed_breach(env, driver)
         driver.tick()
-        assert placement.excluded == (0,)
+        assert placement.boosted
         driver.reset()
-        assert placement.excluded == ()
+        assert not placement.boosted
 
     def test_extras_expose_bus_and_detector_counters(self):
         env, driver = self.driver(mode="monitor")
@@ -236,7 +219,4 @@ class TestRemediationDriver:
     def test_off_mode_rejected(self):
         env = Environment()
         with pytest.raises(ValueError, match="active"):
-            RemediationDriver(
-                clock=env, mode="off", sampler=BusSampler(),
-                queue_depths=lambda: [],
-            )
+            RemediationDriver(clock=env, mode="off", queue_depths=lambda: [])

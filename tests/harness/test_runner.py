@@ -168,12 +168,7 @@ class TestClose:
         closing twice changes nothing more."""
         import dataclasses
 
-        from repro.cluster import Network
-        from repro.cluster.faults import FaultSchedule, SimFaultPort, SlowdownFault
-        from repro.harness import RunAssembly
-        from repro.scenarios import get_scenario
-        from repro.sim import Environment
-        from repro.sim.rng import StreamFactory
+        from repro.cluster.faults import FaultSchedule, SlowdownFault
 
         config = dataclasses.replace(
             get_scenario("hot-shard-remediated").build_config(
@@ -183,33 +178,60 @@ class TestClose:
                 (SlowdownFault(servers=(1,), factor=3.0, start=0.0),)
             ),
         )
-        streams = StreamFactory(1)
-        env = Environment()
-        network = Network(env, stream=streams.stream("network.latency"))
-        run = RunAssembly(config, streams, env, network, on_done=lambda: None)
-        servers = [
-            run.builder.build_server(run.ctx, server_id)
-            for server_id in range(config.cluster.n_servers)
-        ]
-        run.arm(
-            SimFaultPort(servers, network),
-            lambda: [s.queue_length() + s.in_service for s in servers],
-        )
-        run.feed().step()
-        controller = run.ctx.shared["controller"]
-        while not run.remediation.actions:  # stop mid-episode
-            env.step()
+        env, run, servers = run_to_first_remediation(config)
         assert servers[1].speed_factor == 3.0  # the permanent window is open
         assert run.placement.boosted or run.placement.excluded
-        assert min(controller.scales.values()) < 1.0
 
         for _ in range(2):  # idempotent
             run.close()
             assert servers[1].speed_factor == 1.0
             assert not run.placement.boosted and not run.placement.excluded
-            assert set(controller.scales.values()) == {1.0}
             assert env.peek() == float("inf")  # no timer left to reopen anything
             assert not run.clients and not run.ctx.shared
+
+    def test_remediation_leaves_the_hedge_budget_alone(self):
+        """The SLO loop's one lever is placement: mid-episode, every
+        hedged strategy still runs at its configured budget."""
+        from repro.baselines.hedging import HedgedStrategy
+
+        config = get_scenario("hot-shard-remediated").build_config(
+            strategy="hedged", n_tasks=6000
+        )
+        _, run, _ = run_to_first_remediation(config)
+        try:
+            assert run.placement.boosted
+            hedged = [s for s in run.strategies if isinstance(s, HedgedStrategy)]
+            assert len(hedged) == config.n_clients
+            assert all(s.budget_fraction == 0.1 for s in hedged)
+        finally:
+            run.close()
+
+
+def run_to_first_remediation(config, seed=1):
+    """Assemble a simulated run by hand and step it until the SLO loop's
+    first action (mid-episode); returns ``(env, run, servers)``."""
+    from repro.cluster import Network
+    from repro.cluster.faults import SimFaultPort
+    from repro.harness import RunAssembly
+    from repro.sim import Environment
+    from repro.sim.rng import StreamFactory
+
+    streams = StreamFactory(seed)
+    env = Environment()
+    network = Network(env, stream=streams.stream("network.latency"))
+    run = RunAssembly(config, streams, env, network, on_done=lambda: None)
+    servers = [
+        run.builder.build_server(run.ctx, server_id)
+        for server_id in range(config.cluster.n_servers)
+    ]
+    run.arm(
+        SimFaultPort(servers, network),
+        lambda: [s.queue_length() + s.in_service for s in servers],
+    )
+    run.feed().step()
+    while not run.remediation.actions:  # stop mid-episode
+        env.step()
+    return env, run, servers
 
 
 class TestRunSeeds:

@@ -5,9 +5,7 @@ import re
 import pytest
 
 from repro.metrics.bus import (
-    BusEvent,
     BusSampler,
-    MetricsBus,
     WindowedQuantiles,
     escape_help_text,
     escape_label_value,
@@ -99,7 +97,7 @@ class TestWindowedQuantiles:
 
 class TestBusSampler:
     def test_snapshot_reports_windowed_rates_and_percentiles(self):
-        sampler = BusSampler(window=0.1)
+        sampler = BusSampler()
         for i in range(10):
             sampler.observe_arrival(i * 0.01)
             sampler.observe_completion(i * 0.01, latency=0.002 * (i + 1))
@@ -113,28 +111,28 @@ class TestBusSampler:
         assert 18.0 <= snap.latency_p99_ms <= 20.0
 
     def test_queue_depths_are_windowed_means(self):
-        sampler = BusSampler(window=0.1)
+        sampler = BusSampler()
         sampler.observe_depths(0.00, (0.0, 4.0))
         sampler.observe_depths(0.05, (2.0, 0.0))
         snap = sampler.snapshot(0.05, seq=1)
         assert snap.queue_depths == (1.0, 2.0)
 
     def test_depth_samples_evict_with_the_window(self):
-        sampler = BusSampler(window=0.1)
+        sampler = BusSampler()
         sampler.observe_depths(0.0, (100.0,))
         sampler.observe_depths(1.0, (2.0,))
         snap = sampler.snapshot(1.0, seq=1)
         assert snap.queue_depths == (2.0,)
 
     def test_empty_sampler_snapshot_is_all_zero(self):
-        snap = BusSampler(window=0.1).snapshot(0.5, seq=3)
+        snap = BusSampler().snapshot(0.5, seq=3)
         assert snap.window_count == 0
         assert snap.latency_p99_ms == 0.0
         assert snap.queue_depths == ()
         assert snap.seq == 3
 
     def test_snapshot_to_dict_is_json_friendly(self):
-        sampler = BusSampler(window=0.1)
+        sampler = BusSampler()
         sampler.observe_depths(0.0, (1.0, 2.0))
         out = sampler.snapshot(0.0, seq=1).to_dict()
         assert out["queue_depths"] == [1.0, 2.0]
@@ -143,39 +141,6 @@ class TestBusSampler:
             "latency_p50_ms", "latency_p99_ms", "arrival_rate",
             "served_rate", "queue_depths",
         }
-
-
-class TestMetricsBus:
-    def test_publish_fans_out_and_retains_history(self):
-        bus = MetricsBus()
-        seen = []
-        bus.subscribe(on_snapshot=seen.append)
-        snap = BusSampler().snapshot(0.0, seq=1)
-        bus.publish(snap)
-        assert seen == [snap]
-        assert bus.latest is snap
-        assert bus.published == 1
-
-    def test_events_reach_event_subscribers_only(self):
-        bus = MetricsBus()
-        snaps, events = [], []
-        bus.subscribe(on_snapshot=snaps.append, on_event=events.append)
-        event = BusEvent(0.5, "slo-breach", {"p99_ms": 12.0})
-        bus.emit(event)
-        assert events == [event]
-        assert snaps == []
-        assert event.to_dict()["detail"] == {"p99_ms": 12.0}
-
-    def test_history_ring_is_bounded(self):
-        bus = MetricsBus(history=2)
-        for seq in range(5):
-            bus.publish(BusSampler().snapshot(float(seq), seq=seq))
-        assert len(bus.snapshots) == 2
-        assert bus.latest.seq == 4
-        assert bus.published == 5
-
-    def test_latest_is_none_before_any_publish(self):
-        assert MetricsBus().latest is None
 
 
 class TestPrometheusRendering:
