@@ -89,7 +89,6 @@ def run_system(trace, service_model, system: str, seed: int) -> LatencySummary:
             cores=SPEC.cores_per_server,
             service_model=service_model,
             network=network,
-            service_stream=streams.stream(f"svc.{server_id}"),
             discipline=(PriorityDiscipline() if system == "brb" else FifoDiscipline()),
             congestion_interval=0.1 if system == "brb" else None,
         )

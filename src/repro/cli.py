@@ -56,6 +56,7 @@ from .harness import (
     run_seeds,
     sweep,
 )
+from .harness.config import WARMUP_FRACTION
 from .metrics import PAPER_PERCENTILES
 from .scenarios import SCENARIOS, get_scenario, scenario_names
 from .workload import load_trace, make_soundcloud_workload, save_trace, trace_stats
@@ -180,7 +181,7 @@ def _write_trace_artifact(
                 "realm": realm,
                 "sample": config.trace_sample,
                 "n_tasks": config.n_tasks,
-                "warmup_tasks": int(config.warmup_fraction * config.n_tasks),
+                "warmup_tasks": int(WARMUP_FRACTION * config.n_tasks),
             },
             append=index > 0,
         )
@@ -690,7 +691,7 @@ def _add_serve(subparsers: argparse._SubParsersAction) -> None:
     p.add_argument("--time-scale", type=float, default=None, metavar="S",
                    help="wall seconds per model second (default 25)")
     p.add_argument("--seed", type=int, default=1,
-                   help="seed for the service-time noise streams")
+                   help="seed for the per-worker response-jitter streams")
     p.add_argument("--metrics-port", type=int, default=None, metavar="P",
                    help="export Prometheus text over HTTP on this port "
                         "(0 = ephemeral; with --procs N, process i exports "

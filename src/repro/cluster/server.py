@@ -32,7 +32,6 @@ from itertools import count
 from ..metrics.timeseries import EwmaEstimator, WindowedRate
 from ..sim.engine import Environment
 from ..sim.events import LOW
-from ..sim.rng import Stream
 from ..scheduling.disciplines import Discipline, FifoDiscipline
 from ..workload.calibration import ServiceTimeModel
 from .addresses import CONTROLLER_ADDRESS, client_address, server_address
@@ -75,14 +74,12 @@ class ServerState:
         server_id: int,
         cores: int,
         service_model: ServiceTimeModel,
-        service_stream: Stream,
     ) -> None:
         if cores <= 0:
             raise ValueError("cores must be positive")
         self.server_id = int(server_id)
         self.cores = int(cores)
         self.service_model = service_model
-        self.service_stream = service_stream
         self.in_service = 0
         self.completed = 0
         #: Cumulative busy core-time (model seconds).
@@ -186,7 +183,7 @@ class ServerState:
 class _ServerBase(ServerState):
     """The simulated engine's shared half: start and complete on calendar timers.
 
-    A request occupies a core from :meth:`_start` (which draws its service
+    A request occupies a core from :meth:`_start` (which computes its service
     time and arms one ``Timer`` for the finish) to :meth:`_complete`
     (which accounts it, sends the response and calls :meth:`_core_freed`).
     The subclasses differ only in where the next request comes from.
@@ -199,9 +196,8 @@ class _ServerBase(ServerState):
         cores: int,
         service_model: ServiceTimeModel,
         network: Network,
-        service_stream: Stream,
     ) -> None:
-        super().__init__(server_id, cores, service_model, service_stream)
+        super().__init__(server_id, cores, service_model)
         self.env = env
         self.network = network
         self._address = server_address(self.server_id)
@@ -213,11 +209,11 @@ class _ServerBase(ServerState):
         raise NotImplementedError
 
     def _start(self, request: RequestMessage) -> None:
-        """Put ``request`` on a free core until its sampled service time is up."""
+        """Put ``request`` on a free core until its service time is up."""
         self.in_service += 1
         request.service_start_at = self.env.now
-        duration = self.speed_factor * self.service_model.sample_time(
-            request.op.value_size, self.service_stream
+        duration = self.speed_factor * self.service_model.expected_time(
+            request.op.value_size
         )
         self.env.call_later(duration, self._complete, (request, duration))
 
@@ -268,14 +264,11 @@ class BackendServer(_ServerBase):
         cores: int,
         service_model: ServiceTimeModel,
         network: Network,
-        service_stream: Stream,
         discipline: _t.Optional[Discipline] = None,
         congestion_interval: _t.Optional[float] = None,
         congestion_threshold: float = 1.3,
     ) -> None:
-        super().__init__(
-            env, server_id, cores, service_model, network, service_stream
-        )
+        super().__init__(env, server_id, cores, service_model, network)
         self.discipline = discipline if discipline is not None else FifoDiscipline()
         #: Queued requests: (discipline key, arrival seq, request).
         self._heap: _t.List[_t.Tuple[_t.Any, int, RequestMessage]] = []
@@ -364,13 +357,10 @@ class PullServer(_ServerBase):
         cores: int,
         service_model: ServiceTimeModel,
         network: Network,
-        service_stream: Stream,
         global_queue: "GlobalQueue",
         partitions: _t.Iterable[int],
     ) -> None:
-        super().__init__(
-            env, server_id, cores, service_model, network, service_stream
-        )
+        super().__init__(env, server_id, cores, service_model, network)
         self.global_queue = global_queue
         self.partitions = frozenset(partitions)
         if not self.partitions:

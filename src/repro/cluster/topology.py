@@ -11,7 +11,7 @@ import dataclasses
 import typing as _t
 
 from ..placement import ConsistentHashRing, Placement, RingPlacement
-from .network import ConstantLatency, JitteredLatency, LatencyModel, PAPER_ONE_WAY_LATENCY
+from .network import ConstantLatency, LatencyModel, PAPER_ONE_WAY_LATENCY
 
 
 @dataclasses.dataclass(frozen=True)
@@ -23,7 +23,6 @@ class ClusterSpec:
     replication_factor: int = 3
     per_core_rate: float = 3500.0
     one_way_latency: float = PAPER_ONE_WAY_LATENCY
-    latency_jitter_sigma: float = 0.0
     #: "ring" (one partition per server) or "chash" (vnode consistent hash).
     placement_kind: str = "ring"
     n_partitions: _t.Optional[int] = None
@@ -57,10 +56,8 @@ class ClusterSpec:
         )
 
     def make_latency_model(self) -> LatencyModel:
-        if self.latency_jitter_sigma > 0:
-            return JitteredLatency(
-                mean=self.one_way_latency, sigma=self.latency_jitter_sigma
-            )
+        """Constant one-way latency (``NetworkJitterFault`` windows add the
+        jitter)."""
         return ConstantLatency(self.one_way_latency)
 
     def server_capacity(self) -> float:

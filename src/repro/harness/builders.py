@@ -67,6 +67,12 @@ class ClusterContext:
     server-side hooks (:meth:`StrategyBuilder.build_server`) are
     simulation-only; the live service runs its own asyncio workers.
 
+    ``placement`` is the run's :class:`~repro.placement.MutablePlacement`:
+    a dispatch strategy must only address ``placement.replicas_of_key(key)``
+    (the built-ins take the same set via ``partition_of`` + ``replicas_of``,
+    since they need the partition id anyway), and a mid-run rebalance
+    changes that set between calls.
+
     ``shared`` is the builder's scratch space: :meth:`StrategyBuilder.
     build_shared` populates it (controller, global queue, gates, ...) and
     the later build hooks and :meth:`StrategyBuilder.collect_extras` read
@@ -80,21 +86,6 @@ class ClusterContext:
     service_model: ServiceTimeModel
     streams: StreamFactory
     shared: _t.Dict[str, _t.Any] = dataclasses.field(default_factory=dict)
-
-    def candidate_replicas(self, key: int) -> _t.Tuple[int, ...]:
-        """The servers currently eligible to serve ``key`` (primary first).
-
-        The placement seam's contract for builder authors: a dispatch
-        strategy must only address servers from this set.  The built-in
-        strategies hold ``ctx.placement`` and derive the same set via
-        ``partition_of`` + ``replicas_of`` (they need the partition id
-        for the request anyway); this accessor is the one-call form, and
-        the placement tests pin both paths to the same answer.  The
-        runner wraps the config's ring in a
-        :class:`~repro.placement.MutablePlacement`, so a mid-run
-        rebalance changes the answer between calls.
-        """
-        return self.placement.replicas_of_key(key)
 
 
 class StrategyBuilder:
@@ -140,7 +131,6 @@ class StrategyBuilder:
             cores=ctx.config.cluster.cores_per_server,
             service_model=ctx.service_model,
             network=ctx.network,
-            service_stream=ctx.streams.stream(f"service.{server_id}"),
             discipline=self.server_discipline(ctx),
             congestion_interval=self.congestion_interval(ctx),
         )
@@ -288,12 +278,7 @@ class HedgedBuilder(StrategyBuilder):
         selector = make_selector(
             "least-outstanding", stream=ctx.streams.stream(f"selector.{client_id}")
         )
-        return HedgedStrategy(
-            ctx.placement,
-            selector,
-            ctx.service_model,
-            hedge_delay=ctx.config.hedge_delay,
-        )
+        return HedgedStrategy(ctx.placement, selector, ctx.service_model)
 
     def collect_extras(self, ctx, clients, servers):
         return {
@@ -318,7 +303,6 @@ class CreditsBuilder(StrategyBuilder):
             ctx.network,
             n_clients=ctx.config.n_clients,
             server_capacities=ctx.config.cluster.server_capacities(),
-            epoch=ctx.config.credits_epoch,
             allocation_interval=ctx.config.credits_measurement_interval,
         )
         ctx.shared["gates"] = []
@@ -333,7 +317,6 @@ class CreditsBuilder(StrategyBuilder):
             ctx.network,
             client_id=client_id,
             server_ids=list(range(config.cluster.n_servers)),
-            epoch=config.credits_epoch,
             measurement_interval=config.credits_measurement_interval,
             initial_share=equal_initial_shares(
                 config.cluster.server_capacities(),
@@ -401,7 +384,6 @@ class ModelBuilder(StrategyBuilder):
             cores=ctx.config.cluster.cores_per_server,
             service_model=ctx.service_model,
             network=ctx.network,
-            service_stream=ctx.streams.stream(f"service.{server_id}"),
             global_queue=ctx.shared["global_queue"],
             partitions=ctx.placement.partitions_of_server(server_id),
         )

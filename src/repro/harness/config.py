@@ -19,6 +19,7 @@ import typing as _t
 
 from ..cluster.faults import FaultSchedule, NO_FAULTS
 from ..cluster.topology import ClusterSpec
+from ..core.credits import DEFAULT_EPOCH
 from ..workload.calibration import ServiceTimeModel, calibrate_service_model
 from ..workload.popularity import SubsetHotspotPopularity
 from ..workload.soundcloud import (
@@ -26,8 +27,8 @@ from ..workload.soundcloud import (
     PAPER_MEAN_FANOUT,
     SoundCloudWorkload,
     make_soundcloud_workload,
-    parse_value_size_model,
 )
+from ..workload.valuesize import atikoglu_etc
 from .builders import KNOWN_STRATEGIES
 
 #: The five series the paper's Figure 2 plots, in its legend order.
@@ -38,6 +39,12 @@ FIGURE2_STRATEGIES: _t.Tuple[str, ...] = (
     "unifincr-credits",
     "unifincr-model",
 )
+
+#: Fraction of earliest tasks excluded from statistics (cold start).
+WARMUP_FRACTION = 0.05
+#: Fraction of key draws a ``hot_shard`` config redirects to that
+#: partition's keys.
+HOT_SHARD_WEIGHT = 0.4
 
 
 @dataclasses.dataclass(frozen=True)
@@ -53,27 +60,16 @@ class ExperimentConfig:
     n_keys: int = 100_000
     zipf_skew: float = 0.9
     playlist_fraction: float = 0.25
-    #: "atikoglu" (GP fit of the Facebook ETC pool) or "pareto:<alpha>".
-    value_size_model: str = "atikoglu"
-    #: Placement-aware hotspot: concentrate traffic on the keys this
-    #: partition's replica group owns (None disables; the `hot-shard`
-    #: scenario sets it).
+    #: Placement-aware hotspot: concentrate ``HOT_SHARD_WEIGHT`` of key
+    #: draws on the keys this partition's replica group owns (None
+    #: disables; the hot-shard scenarios set it).
     hot_shard: _t.Optional[int] = None
-    #: Fraction of key draws redirected to the hot shard's keys.
-    hot_shard_weight: float = 0.5
-    service_noise: str = "none"
-    #: Fraction of earliest tasks excluded from statistics (cold start).
-    warmup_fraction: float = 0.05
-    #: Credits realization knobs.
-    credits_epoch: float = 1.0
+    #: Credits realization knobs (the epoch is the controller's
+    #: ``DEFAULT_EPOCH``, which bounds the interval).
     credits_measurement_interval: float = 0.1
     congestion_check_interval: float = 0.1
-    #: Hedged-requests baseline: duplicate after this many seconds.
-    hedge_delay: float = 2e-3
     #: Scripted fault events (slowdowns, crashes, jitter, flash crowds).
     fault_schedule: FaultSchedule = NO_FAULTS
-    #: Record per-request latencies too (costs memory on big runs).
-    record_requests: bool = False
     #: Name of the scenario this config was derived from (provenance only).
     scenario: _t.Optional[str] = None
     #: Streamed metrics + self-healing: "off" (no bus, no extra events),
@@ -98,15 +94,12 @@ class ExperimentConfig:
             raise ValueError("n_clients must be positive")
         if not (0.0 < self.load):
             raise ValueError("load must be positive")
-        if not (0.0 <= self.warmup_fraction < 1.0):
-            raise ValueError("warmup_fraction must be in [0, 1)")
-        if self.credits_epoch <= 0 or self.credits_measurement_interval <= 0:
-            raise ValueError("credits intervals must be positive")
-        if self.hedge_delay <= 0:
-            raise ValueError("hedge_delay must be positive")
+        if not (0.0 < self.credits_measurement_interval <= DEFAULT_EPOCH):
+            raise ValueError(
+                f"credits_measurement_interval must be in (0, {DEFAULT_EPOCH}] "
+                "(the credits epoch)"
+            )
         if self.hot_shard is not None:
-            if not (0.0 < self.hot_shard_weight < 1.0):
-                raise ValueError("hot_shard_weight must be in (0, 1)")
             n_partitions = self.cluster.make_placement().n_partitions
             if not (0 <= self.hot_shard < n_partitions):
                 raise ValueError(
@@ -135,7 +128,7 @@ class ExperimentConfig:
         """The workload this config implies (shared across strategies).
 
         With ``hot_shard`` set, the popularity model is wrapped so that
-        ``hot_shard_weight`` of key draws land on the keys that
+        ``HOT_SHARD_WEIGHT`` of key draws land on the keys that
         partition's replica group owns -- heat aimed at a specific
         replica set rather than spread hash-uniformly.
         """
@@ -150,8 +143,6 @@ class ExperimentConfig:
             n_keys=self.n_keys,
             zipf_skew=self.zipf_skew,
             playlist_fraction=self.playlist_fraction,
-            value_sizes=parse_value_size_model(self.value_size_model),
-            noise=self.service_noise,
         )
         if self.hot_shard is not None:
             from ..placement import keys_in_partitions
@@ -162,7 +153,7 @@ class ExperimentConfig:
             workload = dataclasses.replace(
                 workload,
                 popularity=SubsetHotspotPopularity(
-                    workload.popularity, hot_keys, self.hot_shard_weight
+                    workload.popularity, hot_keys, HOT_SHARD_WEIGHT
                 ),
             )
         return workload
@@ -172,9 +163,7 @@ class ExperimentConfig:
         server needs, so a forked server neither builds nor keeps the
         keyspace permutation."""
         return calibrate_service_model(
-            parse_value_size_model(self.value_size_model),
-            target_rate=self.cluster.per_core_rate,
-            noise=self.service_noise,
+            atikoglu_etc(), target_rate=self.cluster.per_core_rate
         )
 
     def with_strategy(self, strategy: str) -> "ExperimentConfig":

@@ -61,7 +61,7 @@ def _toy_setup() -> _t.Tuple[Environment, Network, ExplicitPlacement, ServiceTim
         n_servers=3,
     )
     # Unit service times: overhead 0, bandwidth 1 byte/s, 1-byte values.
-    service_model = ServiceTimeModel(overhead=0.0, bandwidth=1.0, noise="none")
+    service_model = ServiceTimeModel(overhead=0.0, bandwidth=1.0)
     t1 = Task(
         task_id=0,
         arrival_time=0.0,
@@ -136,7 +136,6 @@ def figure1_toy(task_aware: bool, assigner_name: str = "unifincr") -> Figure1Res
             cores=1,
             service_model=service_model,
             network=network,
-            service_stream=streams.stream(f"svc.{server_id}"),
         )
     clients = [
         Client(

@@ -36,7 +36,7 @@ from ..sim.engine import Environment
 from ..sim.rng import StreamFactory
 from ..workload.tasks import TASK_BLOCK, Task
 from .builders import ClusterContext, get_builder
-from .config import ExperimentConfig
+from .config import WARMUP_FRACTION, ExperimentConfig
 
 
 @dataclasses.dataclass
@@ -47,15 +47,6 @@ class RunResult:
     seed: int
     #: Warmup-filtered task latencies (seconds).
     task_latencies: ExactSample
-    #: Warmup-filtered per-request latencies (only if requested).
-    request_latencies: _t.Optional[ExactSample]
-    #: Per-request queue waits at the servers (only if requested).
-    queue_waits: _t.Optional[ExactSample]
-    #: Per-request service durations (only if requested).
-    service_times: _t.Optional[ExactSample]
-    #: Per-request client-side waits before dispatch: credit gating or C3
-    #: pacing (only if requested).
-    client_waits: _t.Optional[ExactSample]
     #: Virtual time at which the last task completed.
     sim_duration: float
     #: Events the kernel processed (micro-benchmark fodder).
@@ -112,27 +103,19 @@ class CompletionTracker:
     """Counts completions, applies warmup filtering, signals "all done".
 
     ``on_done`` is the realm's completion signal (``env.event().succeed``
-    in the simulation, ``LiveTransport.finish`` live); the tracker itself
-    only reads the clock.
+    in the simulation, ``LiveTransport.finish`` live).
     """
 
     def __init__(
         self,
-        clock: "Clock",
         n_tasks: int,
         warmup_tasks: int,
-        record_requests: bool,
         on_done: _t.Callable[[], _t.Any],
     ) -> None:
-        self.clock = clock
         self.n_tasks = n_tasks
         self.warmup_tasks = warmup_tasks
         self.on_done = on_done
         self.task_latencies = ExactSample()
-        self.request_latencies = ExactSample() if record_requests else None
-        self.queue_waits = ExactSample() if record_requests else None
-        self.service_times = ExactSample() if record_requests else None
-        self.client_waits = ExactSample() if record_requests else None
         self.completed = 0
         self.measured = 0
         #: Model time of the latest task completion (the run's duration
@@ -147,25 +130,6 @@ class CompletionTracker:
             self.task_latencies.record(completion.latency)
         if self.completed == self.n_tasks:
             self.on_done()
-
-    def observe_request(self, request: _t.Any) -> None:
-        """Latency-anatomy hook (only wired when requests are recorded).
-
-        Request latency is what the client sees: creation to response
-        arrival (both network directions + queueing + service; warmup is
-        not task-scoped here).  The trail then splits into client wait,
-        queue wait and service.  Model-realization requests have no
-        meaningful enqueue-to-start separation from the client's
-        perspective, but the timestamps are filled identically, so the
-        decomposition is uniform.
-        """
-        self.request_latencies.record(self.clock.now - request.created_at)
-        if request.service_start_at >= 0 and request.enqueued_at >= 0:
-            self.queue_waits.record(request.queue_wait)
-        if request.completed_at >= 0 and request.service_start_at >= 0:
-            self.service_times.record(request.service_time)
-        if request.dispatched_at >= 0 and request.created_at >= 0:
-            self.client_waits.record(request.dispatched_at - request.created_at)
 
 
 def _fan_out(
@@ -226,14 +190,12 @@ class RunAssembly:
             service_model=self.workload.service_model,
             streams=streams,
         )
-        self.warmup_tasks = int(config.warmup_fraction * config.n_tasks)
-        self.tracker = CompletionTracker(
-            clock, config.n_tasks, self.warmup_tasks, config.record_requests, on_done
-        )
+        self.warmup_tasks = int(WARMUP_FRACTION * config.n_tasks)
+        self.tracker = CompletionTracker(config.n_tasks, self.warmup_tasks, on_done)
         self.faults: _t.Optional[FaultInjector] = None
         self.remediation: _t.Optional[RemediationDriver] = None
 
-        # Tracing rides the same two client hooks as latency recording: it
+        # Tracing rides the clients' completion and request hooks: it
         # adds no calendar events and draws from no RNG stream (sampling is
         # a pure function of the task id), so schedules -- and therefore
         # goldens -- are identical with or without it, and a live run
@@ -248,7 +210,6 @@ class RunAssembly:
             )
 
         on_complete: _t.List[_t.Callable[[_t.Any], None]] = []
-        request_observers: _t.List[_t.Callable[[_t.Any], None]] = []
         if config.remediation != "off":
             # The driver is assembled in arm(), after the strategies exist;
             # completions only start arriving once the feeder runs.
@@ -257,14 +218,12 @@ class RunAssembly:
                     completion.latency
                 )
             )
-        if config.record_requests:
-            request_observers.append(self.tracker.observe_request)
+        request_hook = None
         if self.recorder is not None:
             on_complete.append(self.recorder.on_complete)
-            request_observers.append(self.recorder.observe_request)
+            request_hook = self.recorder.observe_request
         on_complete.append(self.tracker.on_complete)
         completion_hook = _fan_out(on_complete)
-        request_hook = _fan_out(request_observers)
 
         self.builder.build_shared(self.ctx)
         self.strategies: _t.List[_t.Any] = []
@@ -360,10 +319,6 @@ class RunAssembly:
             config=self.config,
             seed=self.streams.root_seed,
             task_latencies=tracker.task_latencies,
-            request_latencies=tracker.request_latencies,
-            queue_waits=tracker.queue_waits,
-            service_times=tracker.service_times,
-            client_waits=tracker.client_waits,
             sim_duration=tracker.last_completion_at,
             events_processed=events_processed,
             tasks_measured=tracker.measured,

@@ -94,14 +94,6 @@ class LatencySummary:
                 out[p] = numerator / denominator
         return out
 
-    def as_row(self, unit_scale: float = 1e3) -> _t.Dict[str, float]:
-        """Flat dict row (defaults to milliseconds) for table rendering."""
-        row: _t.Dict[str, float] = {"mean": self.mean * unit_scale}
-        for p in sorted(self.percentiles):
-            label = f"p{p:g}"
-            row[label] = self.percentiles[p] * unit_scale
-        return row
-
     def __str__(self) -> str:
         parts = ", ".join(
             f"p{p:g}={v * 1e3:.3f}ms" for p, v in sorted(self.percentiles.items())

@@ -147,7 +147,6 @@ HOT_SHARD = register_scenario(
         "40% of key draws hit partition 0's replica group (3 of 9 servers)",
         overrides={
             "hot_shard": 0,
-            "hot_shard_weight": 0.4,
             "n_keys": 20_000,
             "load": 0.6,
         },
@@ -232,7 +231,6 @@ HOT_SHARD_REMEDIATED = register_scenario(
         "hot-shard with the SLO loop spreading the hot partition",
         overrides={
             "hot_shard": 0,
-            "hot_shard_weight": 0.4,
             "n_keys": 20_000,
             "load": 0.6,
             "remediation": "slo",

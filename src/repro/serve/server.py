@@ -312,7 +312,7 @@ class LiveServer:
                 worker_id=worker_id,
                 cores=self.cluster.cores_per_server,
                 service_model=self.service_model,
-                service_stream=streams.stream(f"service.{worker_id}"),
+                jitter_stream=streams.stream(f"jitter.{worker_id}"),
                 passes=self.passes,
                 max_queue=self.max_queue,
             )

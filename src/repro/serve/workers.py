@@ -7,7 +7,7 @@ priority queue (smaller priority tuple first, FIFO within a priority),
 ``cores`` of them may be in service at once, and each is held for a
 *calibrated* service time (the same value-size-dependent
 :class:`~repro.workload.calibration.ServiceTimeModel` the simulation
-samples, stretched by the clock's time scale).
+serves, stretched by the clock's time scale).
 
 The engine is callback-driven, the same admit/complete shape as the
 simulated servers, and owns no task and no event-loop handle:
@@ -18,7 +18,7 @@ simulated servers, and owns no task and no event-loop handle:
   the first core is handed out (the sim's same-instant arrivals and
   end-of-instant admit);
 * ``_run`` admits while cores are free (one admission instant per batch,
-  service draws in pop order), completes every request already due --
+  in pop order), completes every request already due --
   each at its *own* instant, because the service-time EWMA gives a
   sample at ``dt == 0`` no weight -- and repeats until neither applies;
 * a :class:`WorkerPass`, one per server, decides *when* ``_run`` runs: as
@@ -36,7 +36,7 @@ The fault hooks scenario schedules replay against -- ``slowdown``/
 :class:`~repro.cluster.server.ServerState`'s own, shared with the
 simulated servers.  The one live-only hook is response ``jitter``, the
 stand-in for a degraded network on a loopback link: an extra lognormal
-delay added to each response.
+delay added to each response, drawn from the worker's own stream.
 """
 
 from __future__ import annotations
@@ -93,11 +93,11 @@ class LiveWorker(ServerState):
         worker_id: int,
         cores: int,
         service_model: ServiceTimeModel,
-        service_stream: Stream,
+        jitter_stream: Stream,
         passes: "WorkerPass",
         max_queue: int = DEFAULT_MAX_QUEUE,
     ) -> None:
-        super().__init__(worker_id, cores, service_model, service_stream)
+        super().__init__(worker_id, cores, service_model)
         if max_queue <= 0:
             raise ValueError("max_queue must be positive")
         self.clock = clock
@@ -114,6 +114,7 @@ class LiveWorker(ServerState):
         #: How late completions ran after their due time (wall seconds).
         self.lateness_total = self.lateness_max = 0.0
         #: Extra per-response delay (model s); the loopback jitter stand-in.
+        self.jitter_stream = jitter_stream
         self.jitter_mean = 0.0
         self.jitter_sigma = 0.0
         self.rejected = 0
@@ -160,8 +161,8 @@ class LiveWorker(ServerState):
                 start = clock_now()  # one admission instant per batch
                 while heap and self.in_service < self.cores:
                     job = heapq.heappop(heap)[2]
-                    duration = self.speed_factor * self.service_model.sample_time(
-                        job.value_size, self.service_stream
+                    duration = self.speed_factor * self.service_model.expected_time(
+                        job.value_size
                     )
                     heapq.heappush(
                         due,
@@ -190,7 +191,7 @@ class LiveWorker(ServerState):
             # response off-core so capacity is untouched (matching the
             # simulated NetworkJitterFault, which only delays messages).
             delay = (
-                self.service_stream.lognormal_mean(
+                self.jitter_stream.lognormal_mean(
                     self.jitter_mean, self.jitter_sigma
                 )
                 if self.jitter_sigma > 0

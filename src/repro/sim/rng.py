@@ -1,7 +1,7 @@
 """Deterministic, named random-number streams.
 
 Every stochastic component of the simulator (arrivals, value sizes,
-fan-outs, service-time noise, replica tie-breaking, ...) draws from its own
+fan-outs, network latency, replica tie-breaking, ...) draws from its own
 named stream derived from a single root seed.  This gives two properties the
 evaluation needs:
 
@@ -54,21 +54,6 @@ class Stream(random.Random):
         if mean <= 0:
             raise ValueError(f"mean must be positive, got {mean}")
         return self.expovariate(1.0 / mean)
-
-    def bounded_pareto(self, alpha: float, lo: float, hi: float) -> float:
-        """Draw from a Pareto distribution truncated to ``[lo, hi]``.
-
-        Uses inverse-CDF sampling of the bounded Pareto; this is the value
-        size model from the Facebook Memcached study the paper cites.
-        """
-        if not (0 < lo < hi):
-            raise ValueError(f"need 0 < lo < hi, got lo={lo}, hi={hi}")
-        if alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {alpha}")
-        u = self.random()
-        la = lo**alpha
-        ha = hi**alpha
-        return (-(u * ha - u * la - ha) / (ha * la)) ** (-1.0 / alpha)
 
     def zipf(self, n: int, skew: float) -> int:
         """Draw a rank in ``[0, n)`` from a Zipf(skew) distribution.
@@ -142,10 +127,6 @@ class StreamFactory:
             stream = Stream(derive_seed(self.root_seed, name), name=name)
             self._streams[name] = stream
         return stream
-
-    def spawn(self, name: str) -> "StreamFactory":
-        """Derive a child factory (e.g. one per client) with its own root."""
-        return StreamFactory(derive_seed(self.root_seed, f"factory:{name}"))
 
     def __repr__(self) -> str:
         return f"StreamFactory(root_seed={self.root_seed}, streams={sorted(self._streams)})"

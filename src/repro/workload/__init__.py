@@ -38,7 +38,6 @@ from .soundcloud import (
 from .tasks import Operation, Task, TaskGenerator, ValueSizeRegistry, trace_stats
 from .trace import TraceFormatError, load_trace, save_trace
 from .valuesize import (
-    BoundedParetoValueSize,
     FixedValueSize,
     GeneralizedParetoValueSize,
     UniformValueSize,
@@ -48,7 +47,6 @@ from .valuesize import (
 
 __all__ = [
     "ArrivalProcess",
-    "BoundedParetoValueSize",
     "DeterministicArrivals",
     "FanoutDistribution",
     "FixedFanout",

@@ -5,9 +5,10 @@ service rate of 3500 requests/s", and the Poisson task arrival rate is "set
 to match 70% of system capacity".  This module owns both calculations:
 
 * :class:`ServiceTimeModel` -- maps a value size to a service time, split
-  into a fixed per-request overhead and a size-proportional part, with
-  optional multiplicative noise.  The *mean* service time under the
-  configured value-size distribution is calibrated to ``1/3500`` s.
+  into a fixed per-request overhead and a size-proportional part.  Service
+  is deterministic, so a server takes exactly the time a BRB client
+  forecasts; the *mean* service time under the configured value-size
+  distribution is calibrated to ``1/3500`` s.
 * :func:`task_arrival_rate_for_load` -- converts a target utilization into
   a task arrival rate given the mean fan-out.
 """
@@ -17,7 +18,6 @@ from __future__ import annotations
 import dataclasses
 import typing as _t
 
-from ..sim.rng import Stream
 from .fanout import FanoutDistribution
 from .valuesize import ValueSizeDistribution
 
@@ -26,56 +26,31 @@ from .valuesize import ValueSizeDistribution
 class ServiceTimeModel:
     """Linear size -> time model: ``t = overhead + size / bandwidth``.
 
-    ``noise`` selects the stochastic component applied at the server:
-
-    * ``"none"``        -- deterministic service times;
-    * ``"exponential"`` -- multiply by an Exp(1) variate (heavy variability,
-      mean preserved) -- the default, matching the paper's "average service
-      rate" phrasing with an M/M-like server;
-    * ``"lognormal"``   -- multiply by a LogNormal with mean 1 and
-      ``noise_sigma`` (moderate variability).
+    Deterministic: the time a server spends on a request is the forecast
+    BRB clients use as its cost (the paper forecasts service times "based
+    on the size of the value").
     """
 
     overhead: float
     bandwidth: float  # bytes per second
-    noise: str = "exponential"
-    noise_sigma: float = 0.5
 
     def __post_init__(self) -> None:
         if self.overhead < 0:
             raise ValueError("overhead must be non-negative")
         if self.bandwidth <= 0:
             raise ValueError("bandwidth must be positive")
-        if self.noise not in ("none", "exponential", "lognormal"):
-            raise ValueError(f"unknown noise model {self.noise!r}")
 
-    # -- deterministic (forecast) part --------------------------------------
     def expected_time(self, value_size: int) -> float:
-        """Forecasted service time for a value of ``value_size`` bytes.
+        """Service time for a value of ``value_size`` bytes.
 
-        This is what BRB clients use as the *cost* of a request: the paper
-        forecasts service times "based on the size of the value".
+        Runs once per served request and once per cost forecast.
         """
         if value_size <= 0:
             raise ValueError("value_size must be positive")
         return self.overhead + value_size / self.bandwidth
 
-    # -- stochastic (actual) part --------------------------------------------
-    def sample_time(self, value_size: int, stream: Stream) -> float:
-        """Actual service time drawn at the server."""
-        # expected_time() inlined: this runs once per served request, and
-        # the extra frame was measurable. Same expression, same float.
-        if value_size <= 0:
-            raise ValueError("value_size must be positive")
-        base = self.overhead + value_size / self.bandwidth
-        if self.noise == "none":
-            return base
-        if self.noise == "exponential":
-            return base * stream.expovariate(1.0)
-        return base * stream.lognormal_mean(1.0, self.noise_sigma)
-
     def mean_time(self, mean_value_size: float) -> float:
-        """Mean service time given the mean value size (noise has mean 1)."""
+        """Mean service time given the mean value size."""
         if mean_value_size <= 0:
             raise ValueError("mean_value_size must be positive")
         return self.overhead + mean_value_size / self.bandwidth
@@ -85,8 +60,6 @@ def calibrate_service_model(
     value_sizes: ValueSizeDistribution,
     target_rate: float = 3500.0,
     overhead_fraction: float = 0.2,
-    noise: str = "exponential",
-    noise_sigma: float = 0.5,
 ) -> ServiceTimeModel:
     """Build a service model whose mean rate is ``target_rate`` req/s/core.
 
@@ -104,9 +77,7 @@ def calibrate_service_model(
     overhead = mean_time * overhead_fraction
     mean_size = value_sizes.mean()
     bandwidth = mean_size / (mean_time - overhead)
-    return ServiceTimeModel(
-        overhead=overhead, bandwidth=bandwidth, noise=noise, noise_sigma=noise_sigma
-    )
+    return ServiceTimeModel(overhead=overhead, bandwidth=bandwidth)
 
 
 def system_capacity(

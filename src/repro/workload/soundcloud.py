@@ -35,25 +35,8 @@ from .calibration import (
 from .fanout import FanoutDistribution, GeometricFanout, LogNormalFanout, MixtureFanout
 from .popularity import PopularityModel, ZipfPopularity
 from .tasks import Task, TaskGenerator, ValueSizeRegistry
-from .valuesize import BoundedParetoValueSize, ValueSizeDistribution, atikoglu_etc
+from .valuesize import ValueSizeDistribution, atikoglu_etc
 
-
-def parse_value_size_model(spec: str) -> ValueSizeDistribution:
-    """Build a value-size distribution from a config string.
-
-    ``"atikoglu"`` -- the Atikoglu et al. generalized-Pareto ETC fit;
-    ``"pareto:<alpha>"`` -- bounded Pareto on [64 B, 1 MiB] with the given
-    tail index (the literal reading of the paper's "Pareto distribution").
-    """
-    if spec == "atikoglu":
-        return atikoglu_etc()
-    if spec.startswith("pareto:"):
-        try:
-            alpha = float(spec.split(":", 1)[1])
-        except ValueError:
-            raise ValueError(f"bad pareto spec {spec!r}") from None
-        return BoundedParetoValueSize(alpha=alpha)
-    raise ValueError(f"unknown value-size model {spec!r}")
 
 #: Disclosed properties of the paper's trace.
 PAPER_MEAN_FANOUT = 8.6
@@ -136,7 +119,6 @@ def make_soundcloud_workload(
     zipf_skew: float = 0.9,
     playlist_fraction: float = 0.25,
     value_sizes: _t.Optional[ValueSizeDistribution] = None,
-    noise: str = "none",
 ) -> SoundCloudWorkload:
     """Assemble the paper's evaluation workload (scaled task count).
 
@@ -148,9 +130,7 @@ def make_soundcloud_workload(
     if n_tasks <= 0:
         raise ValueError("n_tasks must be positive")
     sizes = value_sizes if value_sizes is not None else atikoglu_etc()
-    service_model = calibrate_service_model(
-        sizes, target_rate=per_core_rate, noise=noise
-    )
+    service_model = calibrate_service_model(sizes, target_rate=per_core_rate)
     fanout = soundcloud_fanout(mean=mean_fanout, playlist_fraction=playlist_fraction)
     task_rate = task_arrival_rate_for_load(
         load=load,

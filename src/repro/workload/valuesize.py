@@ -4,8 +4,8 @@ The paper generates request value sizes "using a Pareto distribution based
 on a study conducted on Facebook's Memcached deployment" (Atikoglu et al.,
 SIGMETRICS 2012).  That study fits a *Generalized Pareto* distribution to
 the value sizes of the ETC pool; we implement that sampler with the
-published parameters, plus a bounded (truncated) Pareto and a few simpler
-distributions used by tests and ablations.
+published parameters, plus a few simpler distributions used by tests and
+examples.
 
 All samplers draw from a :class:`repro.sim.rng.Stream` passed by the
 caller, so the workload is reproducible and shared across strategies.
@@ -174,32 +174,6 @@ def _truncated_mean(
         total += 0.5 * (prev_s + s) * (x - prev_x)
         prev_x, prev_s = x, s
     return min_size + total
-
-
-class BoundedParetoValueSize(ValueSizeDistribution):
-    """Classic bounded (truncated) Pareto on ``[lo, hi]`` with tail ``alpha``."""
-
-    def __init__(self, alpha: float = 1.2, lo: int = 64, hi: int = 1_048_576) -> None:
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if not (0 < lo < hi):
-            raise ValueError("need 0 < lo < hi")
-        self.alpha = float(alpha)
-        self.lo = int(lo)
-        self.hi = int(hi)
-
-    def sample(self, stream: Stream) -> int:
-        return max(self.lo, min(self.hi, int(round(stream.bounded_pareto(self.alpha, self.lo, self.hi)))))
-
-    def mean(self) -> float:
-        a, l, h = self.alpha, float(self.lo), float(self.hi)
-        if abs(a - 1.0) < 1e-12:
-            return math.log(h / l) * l * h / (h - l)
-        num = (l**a) * a / (1.0 - (l / h) ** a)
-        return num * (l ** (1.0 - a) - h ** (1.0 - a)) / (a - 1.0)
-
-    def __repr__(self) -> str:
-        return f"BoundedParetoValueSize(alpha={self.alpha}, lo={self.lo}, hi={self.hi})"
 
 
 def atikoglu_etc(max_size: int = 1_048_576) -> GeneralizedParetoValueSize:

@@ -32,7 +32,7 @@ class Rig:
             self.env, latency=ConstantLatency(1e-4), stream=Stream(0, "n")
         )
         self.placement = RingPlacement(n_servers=3, replication_factor=rf)
-        self.model = ServiceTimeModel(overhead=0.0, bandwidth=1e6, noise="none")
+        self.model = ServiceTimeModel(overhead=0.0, bandwidth=1e6)
         self.servers = [
             BackendServer(
                 self.env,
@@ -40,7 +40,6 @@ class Rig:
                 cores=1,
                 service_model=self.model,
                 network=self.network,
-                service_stream=Stream(s + 1, f"s{s}"),
             )
             for s in range(3)
         ]
@@ -117,7 +116,7 @@ class TestHedging:
 
     def test_validates(self):
         placement = RingPlacement(n_servers=3, replication_factor=2)
-        model = ServiceTimeModel(overhead=0.0, bandwidth=1e6, noise="none")
+        model = ServiceTimeModel(overhead=0.0, bandwidth=1e6)
         with pytest.raises(ValueError):
             HedgedStrategy(placement, LeastOutstandingSelector(), model, hedge_delay=0.0)
         with pytest.raises(ValueError):

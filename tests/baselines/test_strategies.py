@@ -25,7 +25,7 @@ class Rig:
             self.env, latency=ConstantLatency(1e-4), stream=Stream(0, "n")
         )
         self.placement = RingPlacement(n_servers=n_servers, replication_factor=rf)
-        self.model = ServiceTimeModel(overhead=0.0, bandwidth=1e6, noise="none")
+        self.model = ServiceTimeModel(overhead=0.0, bandwidth=1e6)
         self.servers = [
             BackendServer(
                 self.env,
@@ -33,7 +33,6 @@ class Rig:
                 cores=2,
                 service_model=self.model,
                 network=self.network,
-                service_stream=Stream(s + 1, f"s{s}"),
             )
             for s in range(n_servers)
         ]

@@ -31,7 +31,7 @@ class Rig:
             self.env, latency=ConstantLatency(latency), stream=Stream(0, "n")
         )
         self.placement = RingPlacement(n_servers=n_servers, replication_factor=1)
-        self.model = ServiceTimeModel(overhead=0.0, bandwidth=1.0, noise="none")
+        self.model = ServiceTimeModel(overhead=0.0, bandwidth=1.0)
         self.servers = [
             BackendServer(
                 self.env,
@@ -39,7 +39,6 @@ class Rig:
                 cores=cores,
                 service_model=self.model,
                 network=self.network,
-                service_stream=Stream(s + 1, f"svc{s}"),
             )
             for s in range(n_servers)
         ]

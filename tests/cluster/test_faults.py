@@ -33,9 +33,8 @@ def make_server(env, network, server_id=0):
         env,
         server_id=server_id,
         cores=1,
-        service_model=ServiceTimeModel(overhead=0.0, bandwidth=1.0, noise="none"),
+        service_model=ServiceTimeModel(overhead=0.0, bandwidth=1.0),
         network=network,
-        service_stream=Stream(1, f"svc{server_id}"),
     )
 
 

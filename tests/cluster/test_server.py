@@ -24,7 +24,7 @@ from repro.workload.tasks import Operation
 
 def unit_service_model():
     """1 byte == 1 second, no overhead, deterministic."""
-    return ServiceTimeModel(overhead=0.0, bandwidth=1.0, noise="none")
+    return ServiceTimeModel(overhead=0.0, bandwidth=1.0)
 
 
 def make_request(op_id=0, task_id=0, key=0, size=1, client=0, partition=0, priority=(0.0,)):
@@ -62,7 +62,6 @@ class Harness:
             cores=cores,
             service_model=service_model or unit_service_model(),
             network=self.network,
-            service_stream=Stream(1, "svc"),
             discipline=discipline,
             congestion_interval=congestion_interval,
         )
@@ -190,8 +189,8 @@ class TestAdmitEngine:
         # completion that leaves the queue empty arms nothing.
         assert h.env.events_processed == 8
 
-    def test_service_times_are_drawn_in_pop_order_from_the_servers_stream(self):
-        model = ServiceTimeModel(overhead=0.0, bandwidth=1.0, noise="exponential")
+    def test_requests_start_in_pop_order_and_take_their_forecast(self):
+        model = ServiceTimeModel(overhead=1e-4, bandwidth=1.0)
         h = Harness(cores=2, discipline=PriorityDiscipline(), service_model=model)
         sizes = {0: 7, 1: 3, 2: 5, 3: 2}
         priorities = {0: 4.0, 1: 2.0, 2: 1.0, 3: 3.0}
@@ -202,12 +201,16 @@ class TestAdmitEngine:
                 )
             )
         h.env.run()
-        twin = Stream(1, "svc")  # same seed and name as the harness's server
         by_op = {r.request.op.op_id: r.request for r in h.responses}
         # Pop order is priority order, whichever core frees up first.
-        for op_id in sorted(sizes, key=priorities.get):
+        starts = [
+            by_op[op_id].service_start_at
+            for op_id in sorted(sizes, key=priorities.get)
+        ]
+        assert starts == sorted(starts)
+        for op_id, size in sizes.items():
             assert by_op[op_id].service_time == pytest.approx(
-                model.sample_time(sizes[op_id], twin), rel=1e-12
+                model.expected_time(size), rel=1e-12
             )
 
     def test_crash_window_keeps_work_queued_and_resumes_by_priority(self):
@@ -256,7 +259,6 @@ class TestPullServer:
             cores=cores,
             service_model=unit_service_model(),
             network=network,
-            service_stream=Stream(2, "svc"),
             global_queue=gq,
             partitions=partitions,
         )
@@ -302,7 +304,6 @@ class TestPullServer:
                 cores=1,
                 service_model=unit_service_model(),
                 network=network,
-                service_stream=Stream(2, "s"),
                 global_queue=gq,
                 partitions=(),
             )

@@ -38,7 +38,7 @@ from repro.workload import ServiceTimeModel
 from repro.workload.tasks import Operation
 
 CORES = 3
-MODEL = ServiceTimeModel(overhead=1e-4, bandwidth=1e9, noise="none")
+MODEL = ServiceTimeModel(overhead=1e-4, bandwidth=1e9)
 
 
 def make_backend_server():
@@ -49,7 +49,6 @@ def make_backend_server():
         cores=CORES,
         service_model=MODEL,
         network=Network(env, stream=Stream(0, "n")),
-        service_stream=Stream(1, "svc"),
     )
     return server, lambda: None
 
@@ -63,7 +62,6 @@ def make_pull_server():
         cores=CORES,
         service_model=MODEL,
         network=Network(env, stream=Stream(0, "n")),
-        service_stream=Stream(1, "svc"),
         global_queue=queue,
         partitions=(0,),
     )
@@ -81,7 +79,7 @@ def make_live_worker():
             worker_id=0,
             cores=CORES,
             service_model=MODEL,
-            service_stream=Stream(1, "svc"),
+            jitter_stream=Stream(1, "jitter"),
             passes=WorkerPass(),
         )
 
@@ -251,9 +249,8 @@ def test_every_request_completes_exactly_once(pull, program, cores):
     common = dict(
         server_id=0,
         cores=cores,
-        service_model=ServiceTimeModel(overhead=0.0, bandwidth=1.0, noise="none"),
+        service_model=ServiceTimeModel(overhead=0.0, bandwidth=1.0),
         network=network,
-        service_stream=Stream(1, "svc"),
     )
     if pull:
         queue = GlobalQueue(env, latency=ConstantLatency(0.0), stream=Stream(2, "gq"))

@@ -5,7 +5,6 @@ import pytest
 from repro.cluster import (
     ClusterSpec,
     ConstantLatency,
-    JitteredLatency,
     PAPER_CLUSTER,
 )
 from repro.placement import ConsistentHashRing, RingPlacement
@@ -37,11 +36,11 @@ class TestFactories:
         placement.validate()
 
     def test_latency_model_selection(self):
-        assert isinstance(ClusterSpec().make_latency_model(), ConstantLatency)
-        assert isinstance(
-            ClusterSpec(latency_jitter_sigma=0.3).make_latency_model(),
-            JitteredLatency,
-        )
+        """The base network is constant; jitter only comes from a
+        ``NetworkJitterFault`` window."""
+        model = ClusterSpec(one_way_latency=2e-4).make_latency_model()
+        assert isinstance(model, ConstantLatency)
+        assert model.mean() == 2e-4
 
 
 class TestValidation:

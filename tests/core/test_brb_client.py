@@ -27,7 +27,7 @@ from repro.workload.tasks import Operation, Task
 
 
 def unit_model():
-    return ServiceTimeModel(overhead=0.0, bandwidth=1000.0, noise="none")
+    return ServiceTimeModel(overhead=0.0, bandwidth=1000.0)
 
 
 def make_task(keys_sizes, task_id=0, arrival=0.0):
@@ -53,7 +53,6 @@ class CreditsRig:
                 cores=1,
                 service_model=self.model,
                 network=self.network,
-                service_stream=Stream(s + 1, f"s{s}"),
                 discipline=PriorityDiscipline(),
             )
             for s in range(n_servers)
@@ -170,7 +169,6 @@ class ModelRig:
                 cores=1,
                 service_model=self.model,
                 network=self.network,
-                service_stream=Stream(s + 1, f"s{s}"),
                 global_queue=self.gq,
                 partitions=self.placement.partitions_of_server(s),
             )

@@ -10,7 +10,7 @@ from repro.workload.tasks import Operation, Task
 
 def model():
     # 1 byte == 1 ms, no overhead: costs are easy to read.
-    return CostModel(ServiceTimeModel(overhead=0.0, bandwidth=1000.0, noise="none"))
+    return CostModel(ServiceTimeModel(overhead=0.0, bandwidth=1000.0))
 
 
 def task_with(keys_sizes, task_id=0, arrival=0.0):

@@ -46,11 +46,8 @@ class Rig:
                 self.env,
                 server_id=server_id,
                 cores=cores,
-                service_model=ServiceTimeModel(
-                    overhead=0.0, bandwidth=1.0, noise="none"
-                ),
+                service_model=ServiceTimeModel(overhead=0.0, bandwidth=1.0),
                 network=self.network,
-                service_stream=Stream(2, f"svc{server_id}"),
                 global_queue=self.gq,
                 partitions=partitions,
             )

@@ -20,7 +20,7 @@ from repro.workload.tasks import Operation, Task
 
 
 def cost_model():
-    return CostModel(ServiceTimeModel(overhead=0.0, bandwidth=1000.0, noise="none"))
+    return CostModel(ServiceTimeModel(overhead=0.0, bandwidth=1000.0))
 
 
 def make_task(sizes, task_id=0, arrival=0.0):

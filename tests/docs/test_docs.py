@@ -1,6 +1,6 @@
 """Documentation lint: docstrings, link integrity, CLI-reference sync, surface.
 
-Five guarantees, run in CI's ``docs`` job:
+Six guarantees, run in CI's ``docs`` job:
 
 * every module, public class and public function in
   ``src/repro/placement/`` carries a docstring (the layer the docs book
@@ -15,7 +15,10 @@ Five guarantees, run in CI's ``docs`` job:
   than its own module, ``__init__`` re-exports and ``tests/`` (or is
   allowlisted with a reason) -- the surface cannot silently regrow;
 * every ``REPRO_*`` environment variable the code reads is one CI sets or
-  the README / docs book names -- a knob nobody can find is a constant.
+  the README / docs book names -- a knob nobody can find is a constant;
+* every field of ``ExperimentConfig`` and ``ClusterSpec`` is given a value
+  by some caller outside ``tests/`` (or is allowlisted with a reason) -- a
+  field only tests set is a constant too.
 """
 
 import ast
@@ -313,3 +316,100 @@ class TestEnvironmentKnobs:
             "environment variables nothing sets and no page names -- make each "
             "a constant, or document it:\n  " + "\n  ".join(orphans)
         )
+
+
+#: Config fields no non-test caller sets, each kept on purpose.
+CONFIG_KNOB_ALLOWLIST = {
+    "per_core_rate": "part of the hello-ack shape check; removing it changes the handshake",
+    "n_clients": "only the single-client builder property test sets it; left for later",
+}
+
+
+def _passes_through(name, value):
+    """``x=x`` / ``x=<obj>.x``: forwarding a value, not choosing one --
+    except ``args.x``, which is what the CLI's user chose."""
+    if isinstance(value, ast.Name):
+        return value.id == name
+    return (
+        isinstance(value, ast.Attribute)
+        and value.attr == name
+        and not (isinstance(value.value, ast.Name) and value.value.id == "args")
+    )
+
+
+def _string(node):
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return None
+
+
+def _config_setters(field_names, own_module):
+    """The fields some code in ``src/`` (outside ``own_module``), ``bench/``
+    or ``benchmarks/`` sets: by a call keyword, a dict key (literal or
+    ``d["x"] = ...``) or a sweep ``parameter=`` string, unless it only
+    passes the value through."""
+    paths = [p for p in (REPO / "src").rglob("*.py") if p != own_module]
+    paths += (REPO / "bench").rglob("*.py")
+    paths += (REPO / "benchmarks").rglob("*.py")
+    setters = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                pairs = [(kw.arg, kw.value) for kw in node.keywords if kw.arg]
+            elif isinstance(node, ast.Dict):
+                pairs = [(_string(k), v) for k, v in zip(node.keys, node.values)]
+            elif isinstance(node, ast.Assign):
+                pairs = [
+                    (_string(t.slice), node.value)
+                    for t in node.targets
+                    if isinstance(t, ast.Subscript)
+                ]
+            else:
+                continue
+            for name, value in pairs:
+                if name == "parameter" and _string(value):
+                    name = _string(value).rsplit(".", 1)[-1]
+                elif _passes_through(name, value):
+                    continue
+                if name in field_names:
+                    setters.add(name)
+    return setters
+
+
+def _unset_config_fields():
+    """``{"Class.field": field}`` for every config field without a setter."""
+    import dataclasses
+
+    from repro.cluster import topology
+    from repro.harness import config
+
+    unset = {}
+    for cls, module in (
+        (config.ExperimentConfig, config),
+        (topology.ClusterSpec, topology),
+    ):
+        fields = {f.name for f in dataclasses.fields(cls)}
+        setters = _config_setters(fields, Path(module.__file__).resolve())
+        unset.update((f"{cls.__name__}.{n}", n) for n in fields - setters)
+    return unset
+
+
+class TestConfigKnobs:
+    """The config twin of :class:`TestEnvironmentKnobs`: an
+    ``ExperimentConfig`` / ``ClusterSpec`` field that only tests ever set
+    doubles the configurations to cover for a value nothing runs."""
+
+    def test_every_field_is_set_by_a_non_test_caller_or_allowlisted(self):
+        unset = sorted(
+            qualified
+            for qualified, name in _unset_config_fields().items()
+            if name not in CONFIG_KNOB_ALLOWLIST
+        )
+        assert not unset, (
+            "config fields only tests set -- make each a constant, or "
+            "allowlist it with a reason:\n  " + "\n  ".join(unset)
+        )
+
+    def test_allowlist_is_not_stale(self):
+        """Every allowlisted name is a field that still has no setter."""
+        assert set(CONFIG_KNOB_ALLOWLIST) <= set(_unset_config_fields().values())

@@ -171,7 +171,7 @@ ONE_SERVER = ClusterSpec(
 
 #: Any positive, size-dependent service time will do: the property is about
 #: order, and building the calibrated workload per example costs 25 ms.
-SERVICE_MODEL = ServiceTimeModel(overhead=1e-4, bandwidth=1e7, noise="none")
+SERVICE_MODEL = ServiceTimeModel(overhead=1e-4, bandwidth=1e7)
 
 #: (gap before the task arrives -- zero makes same-instant batches -- and
 #: the task's (key, value size) operations).

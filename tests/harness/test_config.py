@@ -1,9 +1,12 @@
 """Unit tests for experiment configuration."""
 
+import dataclasses
+
 import pytest
 
 from repro.cli import main
 from repro.cluster.faults import FaultSchedule, SlowdownFault
+from repro.core.credits import DEFAULT_EPOCH
 from repro.harness import (
     ExperimentConfig,
     FIGURE2_STRATEGIES,
@@ -20,7 +23,7 @@ class TestExperimentConfig:
         assert cfg.cluster.cores_per_server == 4
         assert cfg.load == 0.70
         assert cfg.mean_fanout == 8.6
-        assert cfg.credits_epoch == 1.0
+        assert DEFAULT_EPOCH == 1.0  # the credits adaptation epoch
 
     def test_figure2_strategies_are_known(self):
         assert set(FIGURE2_STRATEGIES) <= set(KNOWN_STRATEGIES)
@@ -45,16 +48,16 @@ class TestExperimentConfig:
         assert w.n_clients == cfg.n_clients
         assert w.task_rate > 0
 
-    @pytest.mark.parametrize(
-        "overrides",
-        [{}, {"value_size_model": "pareto:1.2"}, {"service_noise": "lognormal"}],
-        ids=["default", "pareto", "lognormal"],
-    )
-    def test_service_model_is_the_workloads(self, overrides):
+    @pytest.mark.parametrize("per_core_rate", [None, 5000.0], ids=["default", "rate"])
+    def test_service_model_is_the_workloads(self, per_core_rate):
         """What a server is built with is the model the trace is calibrated
-        against, for every scenario's cluster."""
+        against, for every scenario's cluster (and that cluster at another
+        per-core rate)."""
         for name in scenario_names():
-            cfg = get_scenario(name).build_config(**overrides)
+            cfg = get_scenario(name).build_config()
+            if per_core_rate is not None:
+                cluster = dataclasses.replace(cfg.cluster, per_core_rate=per_core_rate)
+                cfg = dataclasses.replace(cfg, cluster=cluster)
             assert cfg.service_model() == cfg.workload().service_model, name
 
     def test_workload_identical_across_strategies(self):
@@ -73,9 +76,16 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(load=0.0)
         with pytest.raises(ValueError):
-            ExperimentConfig(warmup_fraction=1.0)
-        with pytest.raises(ValueError):
-            ExperimentConfig(credits_epoch=0.0)
+            ExperimentConfig(credits_measurement_interval=0.0)
+
+    def test_credits_interval_must_fit_the_epoch(self):
+        """An interval longer than the credits epoch is rejected by the
+        config, not later inside the controller (nor carried silently by
+        a strategy that never builds one)."""
+        ExperimentConfig(credits_measurement_interval=DEFAULT_EPOCH)
+        for strategy in ("unifincr-credits", "c3"):
+            with pytest.raises(ValueError, match="credits_measurement_interval"):
+                ExperimentConfig(strategy=strategy, credits_measurement_interval=2.0)
 
     # The single-slowdown sugar is `repro run --slow-server ID` now: the
     # config itself only knows `fault_schedule`.

@@ -10,6 +10,7 @@ import json
 import pytest
 
 from repro.harness import KNOWN_STRATEGIES, ExperimentConfig, run_experiment, run_seeds
+from repro.harness.config import WARMUP_FRACTION
 from repro.scenarios import get_scenario
 
 SMALL = dict(n_tasks=400, n_keys=2000)
@@ -48,8 +49,14 @@ class TestRunExperiment:
         assert result.task_latencies.count == result.tasks_measured
         assert result.sim_duration > 0
 
-    def test_warmup_exclusion(self):
-        cfg = small_cfg("oblivious-random", warmup_fraction=0.25)
+    def test_warmup_exclusion(self, monkeypatch):
+        cfg = small_cfg("oblivious-random")
+        result = run_experiment(cfg, seed=1)
+        assert WARMUP_FRACTION == 0.05
+        assert result.tasks_measured == 380
+        assert result.tasks_completed == 400
+        # The runner reads the one constant: a longer cold start excludes more.
+        monkeypatch.setattr("repro.harness.runner.WARMUP_FRACTION", 0.25)
         result = run_experiment(cfg, seed=1)
         assert result.tasks_measured == 300
         assert result.tasks_completed == 400
@@ -68,10 +75,14 @@ class TestRunExperiment:
         assert r1.task_latencies.values() != r2.task_latencies.values()
 
     def test_request_recording_optional(self):
-        cfg = small_cfg("oblivious-random", record_requests=True)
+        """Per-request records are the tracer's spans, off by default; at
+        ``trace_sample=1`` every measured task has one span per request."""
+        assert run_experiment(small_cfg("oblivious-random"), seed=1).traces is None
+        cfg = small_cfg("oblivious-random", trace_sample=1.0)
         result = run_experiment(cfg, seed=1)
-        assert result.request_latencies is not None
-        assert result.request_latencies.count == result.requests_served
+        fanout = {task.task_id: task.fanout for task in cfg.workload().generate(1)}
+        assert len(result.traces) == result.tasks_measured
+        assert all(len(t.spans) == fanout[t.task_id] for t in result.traces)
 
     def test_credits_extras_present(self):
         result = run_experiment(small_cfg("equalmax-credits"), seed=1)
@@ -314,18 +325,3 @@ class TestRunAssemblyParity:
         assert set(live.ctx.network.handlers) >= {
             ("client", c) for c in range(config.n_clients)
         }
-
-    def test_record_requests_fills_the_anatomy_in_the_simulation_too(self):
-        result = run_experiment(
-            small_cfg("unifincr-credits", record_requests=True), seed=2
-        )
-        counts = {
-            len(s)
-            for s in (
-                result.request_latencies,
-                result.queue_waits,
-                result.service_times,
-                result.client_waits,
-            )
-        }
-        assert counts == {result.requests_served}

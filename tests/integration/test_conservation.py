@@ -25,7 +25,7 @@ class TestRequestLifecycle:
         env = Environment()
         network = Network(env, latency=ConstantLatency(1e-3), stream=Stream(0, "n"))
         placement = RingPlacement(n_servers=3, replication_factor=2)
-        model = ServiceTimeModel(overhead=1e-4, bandwidth=1e6, noise="exponential")
+        model = ServiceTimeModel(overhead=1e-4, bandwidth=1e6)
         servers = [
             BackendServer(
                 env,
@@ -33,7 +33,6 @@ class TestRequestLifecycle:
                 cores=2,
                 service_model=model,
                 network=network,
-                service_stream=Stream(s + 1, f"s{s}"),
             )
             for s in range(3)
         ]

@@ -67,37 +67,6 @@ class TestLoopbackRuns:
         assert result.tasks_completed == 700
         assert result.extras["slowdown_windows"] >= 1.0
 
-    def test_record_requests_is_honoured_live(self):
-        """The transport rebuilds the created -> dispatched -> enqueued ->
-        service_start -> completed trail from every result frame, so the
-        shared tracker fills the latency anatomy in this realm too."""
-        import dataclasses
-
-        config = dataclasses.replace(
-            get_scenario("steady-state").build_config(
-                strategy="unifincr-credits", n_tasks=120
-            ),
-            record_requests=True,
-        )
-        result = asyncio.run(
-            loopback_run("steady-state", "unifincr-credits", config=config)
-        )
-        samples = {
-            name: getattr(result, name)
-            for name in (
-                "request_latencies", "queue_waits", "service_times", "client_waits"
-            )
-        }
-        # Not hedged: exactly one sample per served request, in every series.
-        assert result.requests_served > 0
-        assert {len(s) for s in samples.values()} == {result.requests_served}
-        # Read the series in recording order (``values()`` would sort each
-        # one independently and lose the per-request pairing).
-        rows = zip(*(s._values for s in samples.values()))
-        for latency, queue_wait, service, client_wait in rows:
-            assert queue_wait >= 0.0 and service > 0.0 and client_wait >= 0.0
-            assert queue_wait + service <= latency + 1e-9
-
     def test_multi_seed_runs_return_seed_order(self):
         async def scenario():
             config = get_scenario("steady-state").build_config(

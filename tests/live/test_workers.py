@@ -14,7 +14,7 @@ from repro.workload.calibration import ServiceTimeModel
 
 def fast_model() -> ServiceTimeModel:
     # ~0.1 ms deterministic service; fast enough for wall-clock tests.
-    return ServiceTimeModel(overhead=1e-4, bandwidth=1e12, noise="none")
+    return ServiceTimeModel(overhead=1e-4, bandwidth=1e12)
 
 
 def make_worker(**kwargs):
@@ -23,7 +23,7 @@ def make_worker(**kwargs):
         worker_id=0,
         cores=kwargs.pop("cores", 1),
         service_model=fast_model(),
-        service_stream=Stream(1, "svc"),
+        jitter_stream=Stream(1, "jitter"),
         passes=WorkerPass(),  # its own: a worker arms nothing itself
         **kwargs,
     )
@@ -162,21 +162,18 @@ class TestBoundsAndFeedback:
 def sized_model() -> ServiceTimeModel:
     # 1 ms + 1 ms per 1000 bytes, deterministic: the value size picks the
     # service time, so a test can put a short job behind a long one.
-    return ServiceTimeModel(overhead=1e-3, bandwidth=1e6, noise="none")
+    return ServiceTimeModel(overhead=1e-3, bandwidth=1e6)
 
 
 class RecordingModel:
-    """A service model that records each draw: (value size, stream)."""
+    """A service model that records the value size of each service start."""
 
     def __init__(self, seconds=1e-4):
-        self.draws = []
+        self.starts = []
         self.seconds = seconds
 
-    def sample_time(self, value_size, stream):
-        self.draws.append((value_size, stream))
-        return self.seconds
-
     def expected_time(self, value_size):
+        self.starts.append(value_size)
         return self.seconds
 
 
@@ -186,7 +183,7 @@ def engine_worker(model, cores=1, passes=None, worker_id=0):
         worker_id=worker_id,
         cores=cores,
         service_model=model,
-        service_stream=Stream(1, "svc"),
+        jitter_stream=Stream(1, "jitter"),
         passes=passes if passes is not None else WorkerPass(),
     )
 
@@ -307,7 +304,7 @@ class TestAdmitEngine:
         (it never looks again unasked)."""
 
         async def scenario():
-            model = ServiceTimeModel(overhead=2e-4, bandwidth=1e12, noise="none")
+            model = ServiceTimeModel(overhead=2e-4, bandwidth=1e12)
             worker = engine_worker(model)
             counting = CountingLoop(worker)
             completions = []
@@ -320,7 +317,7 @@ class TestAdmitEngine:
 
         assert asyncio.run(scenario()) == ((1, []), 1)
 
-    def test_service_draws_happen_in_pop_order_on_the_workers_stream(self):
+    def test_service_times_are_taken_in_pop_order(self):
         async def scenario():
             model = RecordingModel()
             worker = engine_worker(model, cores=2)
@@ -333,11 +330,9 @@ class TestAdmitEngine:
             ))  # fmt: skip
             await until(lambda: len(completions) == 4)
             worker.shutdown()
-            return model.draws, worker.service_stream
+            return model.starts
 
-        draws, stream = asyncio.run(scenario())
-        assert [size for size, _ in draws] == [200, 400, 300, 100]
-        assert all(drawn_on is stream for _, drawn_on in draws)
+        assert asyncio.run(scenario()) == [200, 400, 300, 100]
 
     def test_paused_mid_service_finishes_what_runs_and_admits_nothing(self):
         async def scenario():
@@ -427,7 +422,7 @@ class TestAdmitEngine:
         """The end of the chunk is the end of the instant: when
         ``data_received`` returns (no ``await`` in between) the idle one-core
         worker has all three ops in and the best one started, one service
-        draw per admitted op in pop order."""
+        time taken per admitted op in pop order."""
         from repro.serve.codec import BINARY_CODEC
         from repro.serve.server import _Connection
 
@@ -444,18 +439,18 @@ class TestAdmitEngine:
                     for rid, size, priority in ((1, 100, 5.0), (2, 200, 1.0), (3, 300, 3.0))
                 )
             )
-            at_return = worker.in_service, worker.queue_length(), list(model.draws)
+            at_return = worker.in_service, worker.queue_length(), list(model.starts)
             started = worker._due[0][2].rid
             stamps = {job.enqueued_at for job in [worker._due[0][2], *queued(worker)]}
             await until(lambda: worker.completed == 3)
-            return at_return, started, stamps, [size for size, _ in model.draws]
+            return at_return, started, stamps, model.starts
 
-        at_return, started, stamps, draws = asyncio.run(with_server(scenario))
-        in_service, queue_length, first_draws = at_return
+        at_return, started, stamps, starts = asyncio.run(with_server(scenario))
+        in_service, queue_length, first_starts = at_return
         assert (in_service, queue_length, started) == (1, 2, 2)
-        assert [size for size, _ in first_draws] == [200]  # one draw: one admitted
+        assert first_starts == [200]  # one service start: one admitted
         assert len(stamps) == 1  # one arrival instant for the chunk
-        assert draws == [200, 300, 100]  # pop order
+        assert starts == [200, 300, 100]  # pop order
 
     def test_a_jittered_response_waits_off_core_and_never_after_shutdown(self):
         """Response jitter is one clock timer per response: the core is
@@ -673,7 +668,7 @@ class TestLateness:
                 worker_id=0,
                 cores=2,
                 service_model=fast_model(),
-                service_stream=Stream(1, "svc"),
+                jitter_stream=Stream(1, "jitter"),
                 passes=WorkerPass(),
             )
             completions = []

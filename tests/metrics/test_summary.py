@@ -65,15 +65,6 @@ class TestLatencySummary:
         with pytest.raises(ValueError):
             a.ratio_to(b)
 
-    def test_as_row_converts_to_ms(self):
-        summary = LatencySummary.from_recorder(
-            "x", sample_of([0.001] * 10), (50.0, 99.0)
-        )
-        row = summary.as_row()
-        assert row["p50"] == pytest.approx(1.0)
-        assert row["p99"] == pytest.approx(1.0)
-        assert row["mean"] == pytest.approx(1.0)
-
     def test_str_mentions_name_and_count(self):
         summary = LatencySummary.from_recorder("abc", sample_of([1.0, 2.0]), (50.0,))
         text = str(summary)

@@ -44,7 +44,7 @@ class TestEligibleReplicaSeam:
         strategy = ObliviousStrategy(
             placement,
             make_selector("round-robin", stream=Stream(1, "sel")),
-            ServiceTimeModel(overhead=0.0, bandwidth=1e6, noise="none"),
+            ServiceTimeModel(overhead=0.0, bandwidth=1e6),
         )
         keys = list(range(40))
         for request in _prepare(strategy, _task(0, keys)):
@@ -55,7 +55,7 @@ class TestEligibleReplicaSeam:
         strategy = ObliviousStrategy(
             placement,
             make_selector("round-robin", stream=Stream(1, "sel")),
-            ServiceTimeModel(overhead=0.0, bandwidth=1e6, noise="none"),
+            ServiceTimeModel(overhead=0.0, bandwidth=1e6),
         )
         keys = list(range(60))
         before = _prepare(strategy, _task(0, keys))
@@ -123,23 +123,18 @@ class TestRebalanceRuns:
         assert result.extras["rebalance_windows"] == 2.0
 
     def test_candidate_replicas_matches_routed_requests(self):
-        """ClusterContext.candidate_replicas is the same eligible set the
-        strategies route within (the seam's contract)."""
+        """``placement.replicas_of_key`` -- what a builder's context holds --
+        is the same eligible set the strategies route within (the seam's
+        contract)."""
         placement = MutablePlacement(RingPlacement(9, replication_factor=3))
         strategy = ObliviousStrategy(
             placement,
             make_selector("round-robin", stream=Stream(1, "sel")),
-            ServiceTimeModel(overhead=0.0, bandwidth=1e6, noise="none"),
+            ServiceTimeModel(overhead=0.0, bandwidth=1e6),
         )
-        ctx = SimpleNamespace(
-            placement=placement,
-            candidate_replicas=lambda key: placement.replicas_of_key(key),
-        )
-        from repro.harness.builders import ClusterContext
-
-        candidate_replicas = ClusterContext.candidate_replicas
+        ctx = SimpleNamespace(placement=placement)
         for request in _prepare(strategy, _task(0, list(range(40)))):
-            eligible = candidate_replicas(ctx, request.op.key)
+            eligible = ctx.placement.replicas_of_key(request.op.key)
             assert request.server_id in eligible
             assert eligible == placement.replicas_of(request.partition)
 

@@ -47,7 +47,7 @@ def assigned_keys(assigner_name, sizes, task_id=0, arrival=0.0):
     subtasks = split_task(
         task,
         RingPlacement(n_servers=5, replication_factor=2).partition_of,
-        CostModel(ServiceTimeModel(overhead=0.0, bandwidth=1000.0, noise="none")),
+        CostModel(ServiceTimeModel(overhead=0.0, bandwidth=1000.0)),
     )
     priorities = make_assigner(assigner_name).assign(task, subtasks)
     discipline = PriorityDiscipline()

@@ -16,6 +16,7 @@ import math
 import pytest
 
 from repro.harness import ExperimentConfig
+from repro.harness.config import WARMUP_FRACTION
 from repro.harness.runner import run_experiment
 from repro.scenarios import get_scenario
 from repro.trace import is_sampled
@@ -91,7 +92,7 @@ class TestSampledSubset:
     def test_recorded_tasks_match_the_hash_predicate(self):
         config = hot_shard_config(trace_sample=0.3)
         result = run_experiment(config, seed=1)
-        warmup = int(config.warmup_fraction * config.n_tasks)
+        warmup = int(WARMUP_FRACTION * config.n_tasks)
         recorded = {t.task_id for t in result.traces}
         expected = {
             task_id for task_id in range(warmup, config.n_tasks)

@@ -14,38 +14,15 @@ from repro.workload import (
 
 class TestServiceTimeModel:
     def test_expected_time_linear_in_size(self):
-        model = ServiceTimeModel(overhead=1e-4, bandwidth=1e6, noise="none")
+        model = ServiceTimeModel(overhead=1e-4, bandwidth=1e6)
         assert model.expected_time(1000) == pytest.approx(1e-4 + 1e-3)
         assert model.expected_time(2000) > model.expected_time(1000)
-
-    def test_sample_deterministic_without_noise(self):
-        model = ServiceTimeModel(overhead=0.0, bandwidth=1e6, noise="none")
-        stream = Stream(1)
-        assert model.sample_time(500, stream) == model.expected_time(500)
-
-    def test_exponential_noise_preserves_mean(self):
-        model = ServiceTimeModel(overhead=0.0, bandwidth=1e6, noise="exponential")
-        stream = Stream(2)
-        n = 50_000
-        mean = sum(model.sample_time(1000, stream) for _ in range(n)) / n
-        assert mean == pytest.approx(model.expected_time(1000), rel=0.03)
-
-    def test_lognormal_noise_preserves_mean(self):
-        model = ServiceTimeModel(
-            overhead=0.0, bandwidth=1e6, noise="lognormal", noise_sigma=0.7
-        )
-        stream = Stream(3)
-        n = 100_000
-        mean = sum(model.sample_time(1000, stream) for _ in range(n)) / n
-        assert mean == pytest.approx(model.expected_time(1000), rel=0.03)
 
     def test_validates(self):
         with pytest.raises(ValueError):
             ServiceTimeModel(overhead=-1.0, bandwidth=1.0)
         with pytest.raises(ValueError):
             ServiceTimeModel(overhead=0.0, bandwidth=0.0)
-        with pytest.raises(ValueError):
-            ServiceTimeModel(overhead=0.0, bandwidth=1.0, noise="weird")
         model = ServiceTimeModel(overhead=0.0, bandwidth=1.0)
         with pytest.raises(ValueError):
             model.expected_time(0)
@@ -54,11 +31,7 @@ class TestServiceTimeModel:
 def empirical_service_rate(model, value_sizes, n, seed=42):
     """Monte-Carlo per-core service rate under the value-size mix."""
     size_stream = Stream(seed, "calibration-sizes")
-    noise_stream = Stream(seed + 1, "calibration-noise")
-    total = sum(
-        model.sample_time(value_sizes.sample(size_stream), noise_stream)
-        for _ in range(n)
-    )
+    total = sum(model.expected_time(value_sizes.sample(size_stream)) for _ in range(n))
     return n / total
 
 
@@ -66,15 +39,9 @@ class TestCalibration:
     def test_calibrated_rate_hits_target(self):
         """The paper's 3500 req/s/core must emerge from the size mix."""
         sizes = atikoglu_etc()
-        model = calibrate_service_model(sizes, target_rate=3500.0, noise="none")
+        model = calibrate_service_model(sizes, target_rate=3500.0)
         rate = empirical_service_rate(model, sizes, n=50_000)
         assert rate == pytest.approx(3500.0, rel=0.03)
-
-    def test_calibrated_rate_with_noise(self):
-        sizes = atikoglu_etc()
-        model = calibrate_service_model(sizes, target_rate=3500.0, noise="exponential")
-        rate = empirical_service_rate(model, sizes, n=100_000)
-        assert rate == pytest.approx(3500.0, rel=0.05)
 
     def test_overhead_fraction(self):
         sizes = atikoglu_etc()

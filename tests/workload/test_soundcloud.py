@@ -8,8 +8,6 @@ from repro.workload import (
     make_soundcloud_workload,
     trace_stats,
 )
-from repro.workload.soundcloud import parse_value_size_model
-from repro.workload.valuesize import BoundedParetoValueSize, GeneralizedParetoValueSize
 
 
 class TestDefaults:
@@ -50,19 +48,3 @@ class TestDefaults:
     def test_rejects_bad_task_count(self):
         with pytest.raises(ValueError):
             make_soundcloud_workload(n_tasks=0)
-
-
-class TestValueSizeModelParsing:
-    def test_atikoglu(self):
-        assert isinstance(parse_value_size_model("atikoglu"), GeneralizedParetoValueSize)
-
-    def test_pareto(self):
-        dist = parse_value_size_model("pareto:1.2")
-        assert isinstance(dist, BoundedParetoValueSize)
-        assert dist.alpha == 1.2
-
-    def test_bad_specs(self):
-        with pytest.raises(ValueError):
-            parse_value_size_model("pareto:abc")
-        with pytest.raises(ValueError):
-            parse_value_size_model("zipf")

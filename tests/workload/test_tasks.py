@@ -4,7 +4,6 @@ import pytest
 
 from repro.sim import Stream, StreamFactory
 from repro.workload import (
-    BoundedParetoValueSize,
     FixedFanout,
     FixedValueSize,
     Operation,
@@ -97,8 +96,8 @@ class TestValueSizeRegistry:
 
     @pytest.mark.parametrize(
         "distribution",
-        [atikoglu_etc(), UniformValueSize(10, 5000), BoundedParetoValueSize(), GaussValueSize()],
-        ids=["gpareto", "uniform", "bpareto", "gauss"],
+        [atikoglu_etc(), UniformValueSize(10, 5000), GaussValueSize()],
+        ids=["gpareto", "uniform", "gauss"],
     )
     def test_size_is_the_keys_own_stream_in_any_access_order(self, distribution):
         keys = [0, 1, 7, 99_999, 2**40 + 3, 31_337]

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sim import Stream
 from repro.workload import (
-    BoundedParetoValueSize,
     FixedValueSize,
     GeneralizedParetoValueSize,
     UniformValueSize,
@@ -70,36 +69,6 @@ class TestGeneralizedPareto:
             GeneralizedParetoValueSize(scale=-1.0)
         with pytest.raises(ValueError):
             GeneralizedParetoValueSize(min_size=100, max_size=100)
-
-
-class TestBoundedPareto:
-    def test_bounds(self):
-        dist = BoundedParetoValueSize(alpha=1.2, lo=64, hi=1024)
-        stream = Stream(6)
-        draws = [dist.sample(stream) for _ in range(5000)]
-        assert min(draws) >= 64 and max(draws) <= 1024
-
-    def test_mean_formula(self):
-        dist = BoundedParetoValueSize(alpha=1.5, lo=100, hi=100_000)
-        stream = Stream(7)
-        n = 200_000
-        empirical = sum(dist.sample(stream) for _ in range(n)) / n
-        assert empirical == pytest.approx(dist.mean(), rel=0.05)
-
-    def test_alpha_one_special_case(self):
-        dist = BoundedParetoValueSize(alpha=1.0, lo=10, hi=1000)
-        assert dist.mean() > 10
-
-    def test_heavier_tail_with_smaller_alpha(self):
-        light = BoundedParetoValueSize(alpha=2.0, lo=64, hi=1_000_000)
-        heavy = BoundedParetoValueSize(alpha=1.1, lo=64, hi=1_000_000)
-        assert heavy.mean() > light.mean()
-
-    def test_validates(self):
-        with pytest.raises(ValueError):
-            BoundedParetoValueSize(alpha=0.0)
-        with pytest.raises(ValueError):
-            BoundedParetoValueSize(lo=100, hi=10)
 
 
 @given(st.integers(min_value=0, max_value=2**31))
