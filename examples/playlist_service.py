@@ -3,8 +3,8 @@
 
 The paper's motivating workload: "requesting all tracks in a playlist".
 This example skips the pre-canned harness and assembles a custom cluster
-by hand -- custom placement, a playlist-heavy fan-out mixture, hot-key
-skew -- then pits C3 against BRB/UnifIncr-credits on the *same* trace.
+by hand -- custom placement, a playlist-heavy fan-out, Zipf key
+popularity -- then pits C3 against BRB/UnifIncr-credits on the *same* trace.
 
 It demonstrates the extension points a downstream user would touch:
 
@@ -32,11 +32,11 @@ from repro.metrics import ExactSample, LatencySummary
 from repro.scheduling import FifoDiscipline, PriorityDiscipline
 from repro.sim import Environment, StreamFactory
 from repro.workload import (
-    HotColdPopularity,
     LogNormalFanout,
     PoissonArrivals,
     TaskGenerator,
     ValueSizeRegistry,
+    ZipfPopularity,
     atikoglu_etc,
     calibrate_service_model,
     task_arrival_rate_for_load,
@@ -48,7 +48,7 @@ LOAD = 0.72
 
 
 def build_trace(n_tasks: int, seed: int):
-    """Playlist-heavy workload: log-normal fan-out, hot 5% of tracks."""
+    """Playlist-heavy workload: log-normal fan-out, Zipf-popular tracks."""
     sizes = atikoglu_etc()
     service_model = calibrate_service_model(sizes, target_rate=SPEC.per_core_rate)
     fanout = LogNormalFanout(target_mean=12.0, sigma=1.1, cap=256)
@@ -57,7 +57,7 @@ def build_trace(n_tasks: int, seed: int):
     )
     generator = TaskGenerator(
         fanout=fanout,
-        popularity=HotColdPopularity(50_000, hot_fraction=0.05, hot_weight=0.6),
+        popularity=ZipfPopularity(50_000, skew=0.9),
         value_sizes=ValueSizeRegistry(sizes, seed=seed),
         arrivals=PoissonArrivals(rate),
         n_clients=N_CLIENTS,

@@ -7,8 +7,8 @@ Usage::
 
 Strategies: c3, equalmax-credits, unifincr-credits, equalmax-model,
 unifincr-model, oblivious-lor, ... -- ``repro.harness.KNOWN_STRATEGIES``
-is a live view of the builder registry; ``python -m repro strategies``
-lists them with descriptions.  For named workloads with fault scripts see
+names the builder table; ``python -m repro strategies`` lists them with
+descriptions.  For named workloads with fault scripts see
 ``python -m repro scenarios`` and ``examples/scenario_tour.py``.
 """
 

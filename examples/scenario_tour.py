@@ -1,14 +1,13 @@
 #!/usr/bin/env python3
-"""Tour the scenario registry: one strategy across every named scenario.
+"""Tour the scenario table: one strategy across every named scenario.
 
-Every registered scenario -- the baseline and fault scenarios
+Every scenario in ``SCENARIOS`` -- the baseline and fault scenarios
 (steady-state, straggler, recurring-gc, flash-crowd, hotspot-skew,
 heterogeneous-cluster, network-jitter, crash-restart), the placement
 pathologies (hot-shard, replica-lag, ring-rebalance, shard-skew; see
-docs/scenarios.md), plus anything third-party code registered -- is run
-with the same strategy and seed, and the percentile shifts are
-tabulated.  This is the "as many scenarios as you can imagine" loop:
-adding a scenario to the registry adds a row here with no other changes.
+docs/scenarios.md) and the self-healing pairs -- is run with the same
+strategy and seed, and the percentile shifts are tabulated.  Adding a
+scenario to the table adds a row here with no other changes.
 
 Usage::
 
@@ -26,8 +25,8 @@ def main() -> None:
     n_tasks = int(sys.argv[2]) if len(sys.argv) > 2 else 5000
 
     rows = []
-    for name in SCENARIOS:
-        config = SCENARIOS[name].build_config(strategy=strategy, n_tasks=n_tasks)
+    for name, spec in SCENARIOS.items():
+        config = spec.build_config(strategy=strategy, n_tasks=n_tasks)
         result = run_experiment(config, seed=1)
         summary = result.summary((50.0, 95.0, 99.0))
         fault_windows = sum(
@@ -43,7 +42,7 @@ def main() -> None:
             }
         )
 
-    print(render_table(rows, title=f"{strategy} across the scenario registry"))
+    print(render_table(rows, title=f"{strategy} across the scenario table"))
 
 
 if __name__ == "__main__":

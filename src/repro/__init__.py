@@ -16,7 +16,7 @@ The package is layered bottom-up:
   EqualMax / UnifIncr priorities, the credits realization and the ideal
   global-queue model.
 * :mod:`repro.harness` / :mod:`repro.analysis` -- experiment configs, the
-  strategy-builder registry, runner, aggregation and report rendering.
+  strategy-builder table, runner, aggregation and report rendering.
 * :mod:`repro.scenarios` -- named workload scenarios composing config
   overrides with scripted fault schedules.
 

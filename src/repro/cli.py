@@ -20,8 +20,8 @@ attribution`` / ``trace slowest`` / ``trace diff`` analyse the resulting
 JSONL artifacts (docs/observability.md has the full workflow).
 ``ring``       inspect / perturb the replica-placement ring
 ``cache``      inspect / clear the on-disk result cache
-``strategies`` list the registered strategy builders
-``scenarios``  list the registered workload scenarios (``--json`` for tools)
+``strategies`` list the strategy builders
+``scenarios``  list the workload scenarios (``--json`` for tools)
 ``docs-cli``   render (or verify) ``docs/cli.md`` from this argparse tree
 
 Grid commands (``run`` with several seeds, ``sweep``, ``figure2``) accept
@@ -58,7 +58,7 @@ from .harness import (
 )
 from .harness.config import WARMUP_FRACTION
 from .metrics import PAPER_PERCENTILES
-from .scenarios import SCENARIOS, get_scenario, scenario_names
+from .scenarios import SCENARIOS, get_scenario
 from .workload import load_trace, make_soundcloud_workload, save_trace, trace_stats
 
 
@@ -198,7 +198,7 @@ def _write_trace_artifact(
 def _add_run(subparsers: argparse._SubParsersAction) -> None:
     p = subparsers.add_parser("run", help="run a single experiment")
     p.add_argument("--strategy", default="unifincr-credits", choices=KNOWN_STRATEGIES)
-    p.add_argument("--scenario", default=None, choices=scenario_names(),
+    p.add_argument("--scenario", default=None, choices=SCENARIOS,
                    help="run a named scenario (workload + fault schedule)")
     p.add_argument("--tasks", type=int, default=5000)
     p.add_argument("--seed", type=int, default=1)
@@ -268,7 +268,7 @@ def _add_profile(subparsers: argparse._SubParsersAction) -> None:
                     "workflow lives in docs/performance.md.",
     )
     p.add_argument("--strategy", default="unifincr-credits", choices=KNOWN_STRATEGIES)
-    p.add_argument("--scenario", default=None, choices=scenario_names(),
+    p.add_argument("--scenario", default=None, choices=SCENARIOS,
                    help="profile a named scenario (workload + fault schedule)")
     p.add_argument("--tasks", type=int, default=3000)
     p.add_argument("--seed", type=int, default=1)
@@ -369,7 +369,7 @@ def _add_sweep(subparsers: argparse._SubParsersAction) -> None:
                    help="comma-separated strategy names")
     p.add_argument("--seeds", type=int, default=1, metavar="K",
                    help="seed grid 1..K per cell")
-    p.add_argument("--scenario", default=None, choices=scenario_names(),
+    p.add_argument("--scenario", default=None, choices=SCENARIOS,
                    help="sweep over a named scenario instead of the default config")
     p.add_argument("--tasks", type=int, default=5000)
     p.add_argument("--percentile", type=float, default=99.0,
@@ -382,24 +382,25 @@ def _add_sweep(subparsers: argparse._SubParsersAction) -> None:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     values = [_parse_sweep_value(v) for v in args.values.split(",") if v]
     strategies = tuple(s for s in args.strategies.split(",") if s)
-    if args.scenario is not None:
-        base = get_scenario(args.scenario).build_config(n_tasks=args.tasks)
-    else:
-        base = ExperimentConfig(n_tasks=args.tasks)
     executor = _executor_from(args)
     cells = len(values) * len(strategies) * args.seeds
     print(
         f"sweeping {args.parameter} over {values}: {cells} cells "
         f"({len(strategies)} strategies x {args.seeds} seeds) via {executor!r}"
     )
-    result = sweep(
-        base,
-        parameter=args.parameter,
-        values=values,
-        strategies=strategies,
-        seeds=tuple(range(1, args.seeds + 1)),
-        executor=executor,
-    )
+    try:
+        # Every cell's config is built and validated before the first run.
+        result = sweep(
+            args.scenario or ExperimentConfig(n_tasks=args.tasks),
+            parameter=args.parameter,
+            values=values,
+            strategies=strategies,
+            seeds=tuple(range(1, args.seeds + 1)),
+            n_tasks=args.tasks if args.scenario else None,
+            executor=executor,
+        )
+    except ValueError as exc:
+        raise _Exit(f"bad configuration: {exc}") from exc
     print(result.render(args.percentile))
     if executor.cache is not None:
         c = executor.cache
@@ -519,10 +520,13 @@ def _add_trace(subparsers: argparse._SubParsersAction) -> None:
 
 
 def _cmd_trace_generate(args: argparse.Namespace) -> int:
-    workload = make_soundcloud_workload(
-        n_tasks=args.tasks, mean_fanout=args.fanout
-    )
-    trace = workload.generate(seed=args.seed)
+    try:
+        workload = make_soundcloud_workload(
+            n_tasks=args.tasks, mean_fanout=args.fanout
+        )
+        trace = workload.generate(seed=args.seed)
+    except ValueError as exc:
+        raise _Exit(f"bad configuration: {exc}") from exc
     save_trace(args.path, trace, metadata={"seed": args.seed})
     print(f"wrote {len(trace)} tasks to {args.path}")
     return 0
@@ -679,7 +683,7 @@ def _add_serve(subparsers: argparse._SubParsersAction) -> None:
     p = subparsers.add_parser(
         "serve", help="start the live asyncio multiget KV service"
     )
-    p.add_argument("--scenario", default="steady-state", choices=scenario_names(),
+    p.add_argument("--scenario", default="steady-state", choices=SCENARIOS,
                    help="cluster shape + service calibration to serve")
     p.add_argument("--host", default=None, help="bind address (default loopback)")
     p.add_argument("--port", type=int, default=None,
@@ -801,7 +805,7 @@ def _add_loadgen(subparsers: argparse._SubParsersAction) -> None:
     p = subparsers.add_parser(
         "loadgen", help="drive a live service with a scenario workload"
     )
-    p.add_argument("--scenario", default="steady-state", choices=scenario_names())
+    p.add_argument("--scenario", default="steady-state", choices=SCENARIOS)
     p.add_argument("--strategy", default="unifincr-credits", choices=KNOWN_STRATEGIES)
     p.add_argument("--tasks", type=int, default=5000)
     p.add_argument("--seed", type=int, default=1)
@@ -1128,7 +1132,7 @@ def _add_compare(subparsers: argparse._SubParsersAction) -> None:
     p = subparsers.add_parser(
         "compare", help="sim vs live differential for one scenario"
     )
-    p.add_argument("--scenario", default="steady-state", choices=scenario_names())
+    p.add_argument("--scenario", default="steady-state", choices=SCENARIOS)
     p.add_argument("--strategy", default="c3,unifincr-credits",
                    help="comma-separated strategy names")
     p.add_argument("--tasks", type=int, default=5000)
@@ -1186,7 +1190,7 @@ def _add_ring(subparsers: argparse._SubParsersAction) -> None:
     p = subparsers.add_parser(
         "ring", help="inspect or perturb the replica-placement ring"
     )
-    p.add_argument("--scenario", default=None, choices=scenario_names(),
+    p.add_argument("--scenario", default=None, choices=SCENARIOS,
                    help="take the cluster shape from a named scenario")
     p.add_argument("--servers", type=int, default=None,
                    help="server count (default: the paper's 9)")
@@ -1313,7 +1317,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 
 def _add_strategies(subparsers: argparse._SubParsersAction) -> None:
-    p = subparsers.add_parser("strategies", help="list registered strategies")
+    p = subparsers.add_parser("strategies", help="list the strategies")
     p.set_defaults(func=_cmd_strategies)
 
 
@@ -1327,7 +1331,7 @@ def _cmd_strategies(args: argparse.Namespace) -> int:
 
 
 def _add_scenarios(subparsers: argparse._SubParsersAction) -> None:
-    p = subparsers.add_parser("scenarios", help="list registered scenarios")
+    p = subparsers.add_parser("scenarios", help="list the scenarios")
     p.add_argument("--verbose", "-v", action="store_true",
                    help="show overrides and fault schedules")
     p.add_argument("--json", action="store_true", dest="as_json",
@@ -1338,12 +1342,9 @@ def _add_scenarios(subparsers: argparse._SubParsersAction) -> None:
 
 def _cmd_scenarios(args: argparse.Namespace) -> int:
     if args.as_json:
-        print(json.dumps(
-            [SCENARIOS[name].to_dict() for name in SCENARIOS], indent=2
-        ))
+        print(json.dumps([spec.to_dict() for spec in SCENARIOS.values()], indent=2))
         return 0
-    for name in SCENARIOS:
-        spec = SCENARIOS[name]
+    for name, spec in SCENARIOS.items():
         if args.verbose:
             print(spec.describe())
         else:
@@ -1355,7 +1356,10 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace_stats(args: argparse.Namespace) -> int:
-    tasks, metadata = load_trace(args.path)
+    try:
+        tasks, metadata = load_trace(args.path)
+    except (OSError, ValueError) as exc:
+        raise _Exit(f"bad trace file: {exc}") from exc
     print(f"metadata: {metadata}")
     rows = [{"metric": k, "value": v} for k, v in trace_stats(tasks).items()]
     print(render_table(rows))

@@ -38,7 +38,7 @@ from .server import (
     client_address,
     server_address,
 )
-from .topology import ClusterSpec, PAPER_CLUSTER
+from .topology import ClusterSpec
 
 __all__ = [
     "BackendServer",
@@ -61,7 +61,6 @@ __all__ = [
     "NO_FAULTS",
     "Network",
     "NetworkJitterFault",
-    "PAPER_CLUSTER",
     "PAPER_ONE_WAY_LATENCY",
     "Placement",
     "PullServer",

@@ -67,7 +67,3 @@ class ClusterSpec:
     def server_capacities(self) -> _t.Dict[int, float]:
         """Per-server capacity map, as the credits controller wants it."""
         return {s: self.server_capacity() for s in range(self.n_servers)}
-
-
-#: The exact backend configuration of the paper's evaluation.
-PAPER_CLUSTER = ClusterSpec()

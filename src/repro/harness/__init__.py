@@ -5,8 +5,6 @@ from .builders import (
     KNOWN_STRATEGIES,
     StrategyBuilder,
     get_builder,
-    register_strategy,
-    unregister_strategy,
 )
 from .config import (
     ExperimentConfig,
@@ -52,10 +50,8 @@ __all__ = [
     "figure2",
     "figure2_series",
     "get_builder",
-    "register_strategy",
     "run_experiment",
     "run_grid",
     "run_seeds",
     "sweep",
-    "unregister_strategy",
 ]

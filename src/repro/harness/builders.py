@@ -1,28 +1,18 @@
-"""Strategy builders: the pluggable registry behind the experiment runner.
+"""Strategy builders: the fixed catalogue behind the experiment runner.
 
 Each scheduling strategy under evaluation (C3, the BRB credits/model
-realizations, the oblivious and hedging baselines, ...) is a registered
-:class:`StrategyBuilder`.  A builder knows how to construct the pieces that
-differ between strategies -- shared machinery (credits controller, global
-queue), per-client dispatch strategies, per-server execution engines -- all
-from one :class:`ClusterContext` that carries the experiment-wide
-substrate.  The runner is strategy-agnostic: it resolves the config's
-strategy name through :func:`get_builder` and asks the builder for parts.
+realizations, the oblivious and hedging baselines, ...) is one
+:class:`StrategyBuilder` in the module's table.  A builder knows how to
+construct the pieces that differ between strategies -- shared machinery
+(credits controller, global queue), per-client dispatch strategies,
+per-server execution engines -- all from one :class:`ClusterContext` that
+carries the experiment-wide substrate.  The runner is strategy-agnostic:
+it resolves the config's strategy name through :func:`get_builder` and
+asks the builder for parts.
 
-Third-party strategies plug in without touching the harness::
-
-    from repro.harness.builders import StrategyBuilder, register_strategy
-
-    class MyBuilder(StrategyBuilder):
-        name = "my-strategy"
-        def build_client_strategy(self, ctx, client_id):
-            return MyDispatchStrategy(ctx.placement, ctx.service_model)
-
-    register_strategy(MyBuilder())
-
-``KNOWN_STRATEGIES`` (re-exported by :mod:`repro.harness.config`) is a live
-view of this registry, so a registered strategy is immediately accepted by
-:class:`~repro.harness.config.ExperimentConfig`, the CLI and the sweeps.
+A new strategy is one more entry in ``_BUILDERS`` below;
+``KNOWN_STRATEGIES`` (re-exported by :mod:`repro.harness.config`) is the
+tuple of its names, in display order.
 """
 
 from __future__ import annotations
@@ -89,14 +79,14 @@ class ClusterContext:
 
 
 class StrategyBuilder:
-    """One registered strategy: how to assemble its clients and servers.
+    """One strategy: how to assemble its clients and servers.
 
     Subclasses override the hooks they need; the defaults give the
     task-oblivious shape (FIFO push servers, no shared machinery, no
     extra audit counters).
     """
 
-    #: Registry key; must be unique.
+    #: Table key; must be unique.
     name: str = "abstract"
     #: One-line description for ``repro strategies``.
     description: str = ""
@@ -144,78 +134,6 @@ class StrategyBuilder:
     ) -> _t.Dict[str, float]:
         """Strategy-specific audit counters for ``RunResult.extras``."""
         return {}
-
-
-# ---------------------------------------------------------------------------
-# The registry
-# ---------------------------------------------------------------------------
-
-_REGISTRY: _t.Dict[str, StrategyBuilder] = {}
-
-
-def register_strategy(
-    builder: StrategyBuilder, replace: bool = False
-) -> StrategyBuilder:
-    """Add a builder to the registry (its ``name`` becomes the key)."""
-    name = builder.name
-    if not name or name == "abstract":
-        raise ValueError("builder needs a concrete name")
-    if name in _REGISTRY and not replace:
-        raise ValueError(f"strategy {name!r} already registered")
-    _REGISTRY[name] = builder
-    return builder
-
-
-def unregister_strategy(name: str) -> None:
-    """Remove a builder (mainly for tests of third-party registration)."""
-    _REGISTRY.pop(name, None)
-
-
-def get_builder(name: str) -> StrategyBuilder:
-    """Resolve a strategy name, with a helpful error on a miss."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown strategy {name!r}; known: {tuple(_REGISTRY)}"
-        ) from None
-
-
-class _KnownStrategies(_t.Sequence[str]):
-    """Live, read-only view of the registry's names.
-
-    Exposed as ``KNOWN_STRATEGIES``: iterating, ``in`` checks, indexing and
-    ``len`` always reflect the current registry, so strategies registered
-    by third-party code are picked up by config validation and the CLI
-    without editing this package.
-    """
-
-    def __iter__(self) -> _t.Iterator[str]:
-        return iter(tuple(_REGISTRY))
-
-    def __contains__(self, name: object) -> bool:
-        return name in _REGISTRY
-
-    def __len__(self) -> int:
-        return len(_REGISTRY)
-
-    def __getitem__(self, index):  # type: ignore[override]
-        return tuple(_REGISTRY)[index]
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (tuple, list)):
-            return tuple(_REGISTRY) == tuple(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:  # pragma: no cover - view, not a dict key
-        return hash(tuple(_REGISTRY))
-
-    def __repr__(self) -> str:
-        return repr(tuple(_REGISTRY))
-
-
-#: Live view of every registered strategy name.
-KNOWN_STRATEGIES: _t.Sequence[str] = _KnownStrategies()
 
 
 # ---------------------------------------------------------------------------
@@ -394,25 +312,36 @@ class ModelBuilder(StrategyBuilder):
         }
 
 
-def _register_builtins() -> None:
-    # Paper's Figure 2 series first, then the ablation strategies: the
-    # registration order is the display order everywhere.
-    register_strategy(C3Builder("c3", rate_control=True))
-    for assigner in ("equalmax", "unifincr"):
-        register_strategy(CreditsBuilder(assigner))
-        register_strategy(ModelBuilder(assigner))
-    for name, kind in (
-        ("oblivious-random", "random"),
-        ("oblivious-rr", "round-robin"),
-        ("oblivious-lor", "least-outstanding"),
-    ):
-        register_strategy(ObliviousBuilder(name, kind))
-    register_strategy(C3Builder("c3-norate", rate_control=False))
-    for assigner in ("fifo", "sjf", "edf"):
-        register_strategy(CreditsBuilder(assigner))
-    register_strategy(ModelBuilder("fifo"))
-    register_strategy(ModelBuilder("sjf"))
-    register_strategy(HedgedBuilder())
+#: Every strategy, keyed by name.  The paper's Figure 2 series come first,
+#: then the ablation strategies: this order is the display order everywhere.
+_BUILDERS: _t.Dict[str, StrategyBuilder] = {
+    builder.name: builder
+    for builder in (
+        C3Builder("c3", rate_control=True),
+        CreditsBuilder("equalmax"),
+        ModelBuilder("equalmax"),
+        CreditsBuilder("unifincr"),
+        ModelBuilder("unifincr"),
+        ObliviousBuilder("oblivious-random", "random"),
+        ObliviousBuilder("oblivious-rr", "round-robin"),
+        ObliviousBuilder("oblivious-lor", "least-outstanding"),
+        C3Builder("c3-norate", rate_control=False),
+        CreditsBuilder("fifo"),
+        CreditsBuilder("sjf"),
+        CreditsBuilder("edf"),
+        HedgedBuilder(),
+    )
+}
+
+#: Every strategy name, in display order.
+KNOWN_STRATEGIES: _t.Tuple[str, ...] = tuple(_BUILDERS)
 
 
-_register_builtins()
+def get_builder(name: str) -> StrategyBuilder:
+    """Resolve a strategy name, with a helpful error on a miss."""
+    try:
+        return _BUILDERS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown strategy {name!r}; known: {KNOWN_STRATEGIES}"
+        ) from None

@@ -5,10 +5,9 @@ with a seed.  The defaults are the paper's Section 2.2 setup with the task
 count scaled down (see DESIGN.md, substitutions table); the benchmarks can
 restore paper scale via ``REPRO_FULL_SCALE=1``.
 
-Strategy names resolve through the builder registry
-(:mod:`repro.harness.builders`); ``KNOWN_STRATEGIES`` is a *live view* of
-that registry, so strategies registered by third-party code validate here
-without editing this module.  Fault injection is expressed as a
+Strategy names resolve through the builder table
+(:mod:`repro.harness.builders`), whose names ``KNOWN_STRATEGIES`` lists.
+Fault injection is expressed as a
 :class:`~repro.cluster.faults.FaultSchedule` (``fault_schedule``).
 """
 
@@ -94,6 +93,14 @@ class ExperimentConfig:
             raise ValueError("n_clients must be positive")
         if not (0.0 < self.load):
             raise ValueError("load must be positive")
+        if self.n_keys <= 0:
+            raise ValueError("n_keys must be positive")
+        if self.mean_fanout <= 1.0:
+            raise ValueError("mean_fanout must exceed 1")
+        if self.zipf_skew <= 0:
+            raise ValueError("zipf_skew must be positive")
+        if not (0.0 <= self.playlist_fraction < 1.0):
+            raise ValueError("playlist_fraction must be in [0, 1)")
         if not (0.0 < self.credits_measurement_interval <= DEFAULT_EPOCH):
             raise ValueError(
                 f"credits_measurement_interval must be in (0, {DEFAULT_EPOCH}] "

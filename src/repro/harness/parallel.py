@@ -8,7 +8,7 @@ benchmarks are embarrassingly parallel.  They all run through one path:
 
 * :class:`RunJob` -- one picklable grid cell (config + seed).  The
   strategy travels as a *name* inside the config; worker processes
-  re-resolve it through the builder registry on import, so nothing
+  re-resolve it through the builder table on import, so nothing
   unpicklable (builders, environments, RNG streams) ever crosses the
   process boundary.
 * :class:`GridExecutor` -- runs cells in-process when it has one worker
@@ -26,12 +26,6 @@ by stream *names*, and all time is virtual -- so executing cells
 concurrently cannot change any cell's result, and because one function
 enumerates and regroups the grid for every worker count, aggregate
 structures (``ComparisonResult``, ``SweepResult``) cannot depend on it.
-
-Caveat: worker processes import :mod:`repro.harness.builders` afresh, so
-only *built-in* strategies (plus anything registered at import time of
-``repro``) resolve in workers.  Third-party builders registered at
-runtime must either run on one worker or be importable via their
-package's import side effects.
 """
 
 from __future__ import annotations

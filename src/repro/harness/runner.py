@@ -4,7 +4,7 @@ This is the integration point of the whole library: given an
 :class:`~repro.harness.config.ExperimentConfig` and a seed,
 :class:`RunAssembly` assembles the run (workload, placement, clients,
 fault script, remediation, tracing) over a clock/transport pair by
-resolving the config's strategy through the builder registry
+resolving the config's strategy through the builder table
 (:mod:`repro.harness.builders`).  :func:`run_experiment` binds it to the
 simulation's virtual time, the live load generator
 (:func:`repro.loadgen.driver.run_live`) binds the *same* assembly to a
@@ -15,7 +15,7 @@ comes out.
 The runner itself is strategy-agnostic: it never inspects the strategy
 name.  Everything strategy-specific -- shared machinery, per-client
 dispatch strategies, per-server execution engines, extra audit counters --
-comes from the registered :class:`~repro.harness.builders.StrategyBuilder`.
+comes from the config's :class:`~repro.harness.builders.StrategyBuilder`.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ Example::
 Dotted parameter paths reach into the nested cluster spec:
 ``parameter="cluster.one_way_latency"``.
 
-``base`` may also be the *name* of a registered scenario -- the sweep then
+``base`` may also be the *name* of a library scenario -- the sweep then
 runs over that scenario's workload and fault schedule::
 
     result = sweep("straggler", parameter="load", values=[0.5, 0.7],
@@ -131,7 +131,7 @@ def sweep(
     """Run the full (value x strategy x seed) grid.
 
     ``base`` is either a ready :class:`ExperimentConfig` or the name of a
-    registered scenario; ``n_tasks`` (scenario mode only) scales the run.
+    library scenario; ``n_tasks`` (scenario mode only) scales the run.
     ``executor`` (see :mod:`repro.harness.parallel`) fans the *whole* grid
     -- not one value at a time -- across its workers; results are merged
     back in grid order, so the output does not depend on the worker count.
@@ -147,7 +147,7 @@ def sweep(
     if not strategies:
         raise ValueError("sweep needs at least one strategy")
     for name in strategies:
-        get_builder(name)  # fail fast with the registry's helpful error
+        get_builder(name)  # fail fast with the table's helpful error
 
     # One strategy->config mapping per swept value, as a *list* so a
     # repeated value stays its own grid cell (the later duplicate then

@@ -1,11 +1,10 @@
 """Scenario layer: named workload + topology + fault-schedule bundles.
 
-``SCENARIOS`` is a live registry of named :class:`ScenarioSpec` objects;
-the built-in library registers eight scenarios on import
-(``steady-state``, ``straggler``, ``recurring-gc``, ``flash-crowd``,
-``hotspot-skew``, ``heterogeneous-cluster``, ``network-jitter``,
-``crash-restart``).  Every scenario composes with every registered
-strategy::
+``SCENARIOS`` is the fixed table of named :class:`ScenarioSpec` objects
+that :mod:`repro.scenarios.library` builds (``steady-state``,
+``straggler``, ``recurring-gc``, ``flash-crowd``, ``hotspot-skew``,
+``heterogeneous-cluster``, ``network-jitter``, ``crash-restart``, ...).
+Every scenario composes with every strategy::
 
     from repro.scenarios import get_scenario
     from repro.harness import run_experiment
@@ -14,23 +13,12 @@ strategy::
     result = run_experiment(config, seed=1)
 """
 
-from .registry import (
-    SCENARIOS,
-    get_scenario,
-    register_scenario,
-    scenario_names,
-    unregister_scenario,
-)
+from .library import SCENARIOS, get_scenario
 from .spec import ScenarioSpec, make_scenario
-from . import library  # noqa: F401  -- registers the built-in scenarios
 
 __all__ = [
     "SCENARIOS",
     "ScenarioSpec",
     "get_scenario",
-    "library",
     "make_scenario",
-    "register_scenario",
-    "scenario_names",
-    "unregister_scenario",
 ]

@@ -5,7 +5,7 @@ workload parameters (load, skew, fan-out, ...), cluster topology, and a
 :class:`~repro.cluster.faults.FaultSchedule` -- into one named, immutable
 object.  :meth:`ScenarioSpec.build_config` turns a spec into a concrete
 :class:`~repro.harness.config.ExperimentConfig` for any strategy and task
-count, so every registered strategy can run every registered scenario.
+count, so every strategy can run every scenario.
 
 Specs are frozen (overrides are stored as tuples of pairs) so they can be
 module-level constants and compare/hash by value; use

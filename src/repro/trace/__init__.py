@@ -17,12 +17,11 @@ from .analysis import (
     write_traces,
 )
 from .recorder import DEFAULT_RING, TraceRecorder, is_sampled, trace_hash
-from .spans import RESERVED_KINDS, SEGMENT_KINDS, Span, TaskTrace
+from .spans import SEGMENT_KINDS, Span, TaskTrace
 
 __all__ = [
     "Attribution",
     "DEFAULT_RING",
-    "RESERVED_KINDS",
     "RunTraces",
     "SEGMENT_KINDS",
     "Span",

@@ -32,10 +32,9 @@ Segment taxonomy (``SEGMENT_KINDS``, in life-cycle order):
     Completion to client-side response arrival (zero in the live realm,
     where arrival is the reconstruction anchor).
 
-``retry`` and ``reroute`` are reserved kinds: the current stack never
-re-sends a request (live queue-full is a hard error, remediation acts on
-placement for *future* requests), so they are declared for schema
-stability but not yet produced.
+No kind covers a re-sent request: the stack never re-sends one (live
+queue-full is a hard error, remediation acts on placement for *future*
+requests).
 """
 
 from __future__ import annotations
@@ -54,9 +53,6 @@ SEGMENT_KINDS: _t.Tuple[str, ...] = (
     "service",
     "network_in",
 )
-
-#: Declared but not yet produced (no retry/re-route path re-sends a request).
-RESERVED_KINDS: _t.Tuple[str, ...] = ("retry", "reroute")
 
 
 @slots_dataclass()

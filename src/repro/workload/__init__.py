@@ -1,10 +1,11 @@
-"""Workload models: fan-outs, value sizes, popularity, arrivals, traces."""
+"""Workload models: the paper's fan-outs, value sizes, popularity, arrivals, traces.
 
-from .arrivals import (
-    ArrivalProcess,
-    DeterministicArrivals,
-    PoissonArrivals,
-)
+One workload is modelled, the SoundCloud-like trace of
+:mod:`repro.workload.soundcloud`; its models are fixed when the
+:class:`TaskGenerator` is built.
+"""
+
+from .arrivals import PoissonArrivals
 from .calibration import (
     ServiceTimeModel,
     calibrate_service_model,
@@ -13,18 +14,13 @@ from .calibration import (
 )
 from .fanout import (
     FanoutDistribution,
-    FixedFanout,
     GeometricFanout,
     LogNormalFanout,
     MixtureFanout,
-    calibrated_lognormal,
-    empirical_mean,
 )
 from .popularity import (
-    HotColdPopularity,
     PopularityModel,
     SubsetHotspotPopularity,
-    UniformPopularity,
     ZipfPopularity,
 )
 from .soundcloud import (
@@ -37,23 +33,12 @@ from .soundcloud import (
 )
 from .tasks import Operation, Task, TaskGenerator, ValueSizeRegistry, trace_stats
 from .trace import TraceFormatError, load_trace, save_trace
-from .valuesize import (
-    FixedValueSize,
-    GeneralizedParetoValueSize,
-    UniformValueSize,
-    ValueSizeDistribution,
-    atikoglu_etc,
-)
+from .valuesize import GeneralizedParetoValueSize, atikoglu_etc
 
 __all__ = [
-    "ArrivalProcess",
-    "DeterministicArrivals",
     "FanoutDistribution",
-    "FixedFanout",
-    "FixedValueSize",
     "GeneralizedParetoValueSize",
     "GeometricFanout",
-    "HotColdPopularity",
     "LogNormalFanout",
     "MixtureFanout",
     "Operation",
@@ -68,15 +53,10 @@ __all__ = [
     "Task",
     "TaskGenerator",
     "TraceFormatError",
-    "UniformPopularity",
-    "UniformValueSize",
-    "ValueSizeDistribution",
     "ValueSizeRegistry",
     "ZipfPopularity",
     "atikoglu_etc",
     "calibrate_service_model",
-    "calibrated_lognormal",
-    "empirical_mean",
     "load_trace",
     "make_soundcloud_workload",
     "save_trace",

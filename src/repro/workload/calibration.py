@@ -16,10 +16,8 @@ to match 70% of system capacity".  This module owns both calculations:
 from __future__ import annotations
 
 import dataclasses
-import typing as _t
 
-from .fanout import FanoutDistribution
-from .valuesize import ValueSizeDistribution
+from .valuesize import GeneralizedParetoValueSize
 
 
 @dataclasses.dataclass(frozen=True)
@@ -57,7 +55,7 @@ class ServiceTimeModel:
 
 
 def calibrate_service_model(
-    value_sizes: ValueSizeDistribution,
+    value_sizes: GeneralizedParetoValueSize,
     target_rate: float = 3500.0,
     overhead_fraction: float = 0.2,
 ) -> ServiceTimeModel:

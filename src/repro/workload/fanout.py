@@ -25,24 +25,6 @@ class FanoutDistribution:
         raise NotImplementedError
 
 
-class FixedFanout(FanoutDistribution):
-    """Every task has exactly ``n`` requests."""
-
-    def __init__(self, n: int) -> None:
-        if n < 1:
-            raise ValueError("fan-out must be >= 1")
-        self.n = int(n)
-
-    def sample(self, stream: Stream) -> int:
-        return self.n
-
-    def mean(self) -> float:
-        return float(self.n)
-
-    def __repr__(self) -> str:
-        return f"FixedFanout({self.n})"
-
-
 class GeometricFanout(FanoutDistribution):
     """Shifted geometric fan-out: ``1 + Geom(p)`` with mean ``target_mean``.
 
@@ -78,8 +60,7 @@ class LogNormalFanout(FanoutDistribution):
     ``sigma`` controls the tail: sigma ~1.0 gives the "mostly small tasks,
     occasional huge playlist" shape seen in fan-out studies.  The arithmetic
     mean of the *continuous* distribution is pinned to ``target_mean``;
-    rounding and clamping perturb it slightly (< 3% for the defaults), and
-    :func:`calibrated_lognormal` removes even that bias numerically.
+    rounding and clamping perturb it slightly (< 3% for the defaults).
     """
 
     def __init__(self, target_mean: float, sigma: float = 1.0, cap: int = 1024) -> None:
@@ -140,41 +121,3 @@ class MixtureFanout(FanoutDistribution):
     def __repr__(self) -> str:
         parts = ", ".join(f"{w:.3f}*{d!r}" for w, d in self.components)
         return f"MixtureFanout({parts})"
-
-
-def empirical_mean(dist: FanoutDistribution, stream: Stream, n: int = 50_000) -> float:
-    """Monte-Carlo mean of a fan-out distribution (calibration helper)."""
-    if n <= 0:
-        raise ValueError("n must be positive")
-    return sum(dist.sample(stream) for _ in range(n)) / n
-
-
-def calibrated_lognormal(
-    target_mean: float,
-    sigma: float = 1.0,
-    cap: int = 1024,
-    seed: int = 7,
-    tolerance: float = 0.01,
-) -> LogNormalFanout:
-    """Log-normal fan-out whose *post-rounding* empirical mean hits target.
-
-    Rounding-up and capping bias the discrete mean away from the continuous
-    one; this adjusts the underlying continuous mean by bisection until the
-    empirical mean is within ``tolerance`` (relative).
-    """
-    lo, hi = max(1.01, target_mean / 2.0), target_mean * 2.0
-    stream = Stream(seed, "fanout-calibration")
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        dist = LogNormalFanout(mid, sigma=sigma, cap=cap)
-        m = empirical_mean(dist, Stream(seed, "fanout-calibration"), n=40_000)
-        if abs(m - target_mean) / target_mean <= tolerance:
-            dist.target_mean = target_mean  # report the calibrated intent
-            return dist
-        if m > target_mean:
-            hi = mid
-        else:
-            lo = mid
-    raise RuntimeError(
-        f"fan-out calibration failed: target={target_mean}, sigma={sigma}"
-    )

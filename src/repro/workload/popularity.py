@@ -87,21 +87,6 @@ class PopularityModel:
         return list(seen)
 
 
-class UniformPopularity(PopularityModel):
-    """All keys equally likely."""
-
-    def __init__(self, n_keys: int) -> None:
-        if n_keys <= 0:
-            raise ValueError("n_keys must be positive")
-        self.n_keys = int(n_keys)
-
-    def sample_key(self, stream: Stream) -> int:
-        return stream.randrange(self.n_keys)
-
-    def __repr__(self) -> str:
-        return f"UniformPopularity({self.n_keys})"
-
-
 class ZipfPopularity(PopularityModel):
     """Zipf-distributed ranks mapped to a seeded permutation of the keyspace.
 
@@ -167,44 +152,4 @@ class SubsetHotspotPopularity(PopularityModel):
         return (
             f"SubsetHotspotPopularity(base={self.base!r}, "
             f"n_hot={len(self.hot_keys)}, weight={self.weight})"
-        )
-
-
-class HotColdPopularity(PopularityModel):
-    """``hot_fraction`` of keys receive ``hot_weight`` of the traffic.
-
-    A deliberately crude two-tier skew used by ablations to create
-    controllable hotspots (e.g. 10% of keys get 90% of accesses).
-    """
-
-    def __init__(
-        self,
-        n_keys: int,
-        hot_fraction: float = 0.1,
-        hot_weight: float = 0.9,
-        perm_seed: int = 99,
-    ) -> None:
-        if n_keys <= 1:
-            raise ValueError("n_keys must be > 1")
-        if not (0.0 < hot_fraction < 1.0):
-            raise ValueError("hot_fraction must be in (0, 1)")
-        if not (0.0 < hot_weight < 1.0):
-            raise ValueError("hot_weight must be in (0, 1)")
-        self.n_keys = int(n_keys)
-        self.hot_fraction = float(hot_fraction)
-        self.hot_weight = float(hot_weight)
-        self.n_hot = max(1, int(round(n_keys * hot_fraction)))
-        self._perm = _permutation(self.n_keys, perm_seed)
-
-    def sample_key(self, stream: Stream) -> int:
-        if stream.random() < self.hot_weight:
-            rank = stream.randrange(self.n_hot)
-        else:
-            rank = self.n_hot + stream.randrange(self.n_keys - self.n_hot)
-        return self._perm[rank]
-
-    def __repr__(self) -> str:
-        return (
-            f"HotColdPopularity(n_keys={self.n_keys}, "
-            f"hot_fraction={self.hot_fraction}, hot_weight={self.hot_weight})"
         )

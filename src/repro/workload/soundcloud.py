@@ -35,7 +35,7 @@ from .calibration import (
 from .fanout import FanoutDistribution, GeometricFanout, LogNormalFanout, MixtureFanout
 from .popularity import PopularityModel, ZipfPopularity
 from .tasks import Task, TaskGenerator, ValueSizeRegistry
-from .valuesize import ValueSizeDistribution, atikoglu_etc
+from .valuesize import GeneralizedParetoValueSize, atikoglu_etc
 
 
 #: Disclosed properties of the paper's trace.
@@ -47,8 +47,6 @@ PAPER_SERVICE_RATE = 3500.0
 def soundcloud_fanout(
     mean: float = PAPER_MEAN_FANOUT,
     playlist_fraction: float = 0.25,
-    playlist_sigma: float = 1.0,
-    cap: int = 512,
 ) -> FanoutDistribution:
     """The fan-out mixture: small multi-gets + heavy-tailed playlists.
 
@@ -69,7 +67,7 @@ def soundcloud_fanout(
             (1.0 - playlist_fraction, GeometricFanout(max(1.01, base_mean))),
             (
                 playlist_fraction,
-                LogNormalFanout(max(1.01, playlist_mean), sigma=playlist_sigma, cap=cap),
+                LogNormalFanout(max(1.01, playlist_mean), sigma=1.0, cap=512),
             ),
         ]
     )
@@ -86,7 +84,7 @@ class SoundCloudWorkload:
     mean_fanout: float
     fanout: FanoutDistribution
     popularity: PopularityModel
-    value_sizes: ValueSizeDistribution
+    value_sizes: GeneralizedParetoValueSize
     service_model: ServiceTimeModel
     task_rate: float
 
@@ -118,7 +116,6 @@ def make_soundcloud_workload(
     n_keys: int = 100_000,
     zipf_skew: float = 0.9,
     playlist_fraction: float = 0.25,
-    value_sizes: _t.Optional[ValueSizeDistribution] = None,
 ) -> SoundCloudWorkload:
     """Assemble the paper's evaluation workload (scaled task count).
 
@@ -129,7 +126,7 @@ def make_soundcloud_workload(
     """
     if n_tasks <= 0:
         raise ValueError("n_tasks must be positive")
-    sizes = value_sizes if value_sizes is not None else atikoglu_etc()
+    sizes = atikoglu_etc()
     service_model = calibrate_service_model(sizes, target_rate=per_core_rate)
     fanout = soundcloud_fanout(mean=mean_fanout, playlist_fraction=playlist_fraction)
     task_rate = task_arrival_rate_for_load(

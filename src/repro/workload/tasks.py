@@ -13,10 +13,10 @@ import typing as _t
 
 from .._compat import slots_dataclass
 from ..sim.rng import Stream
-from .arrivals import ArrivalProcess
+from .arrivals import PoissonArrivals
 from .fanout import FanoutDistribution
 from .popularity import PopularityModel
-from .valuesize import ValueSizeDistribution
+from .valuesize import GeneralizedParetoValueSize
 
 
 @slots_dataclass(init=False)
@@ -95,7 +95,7 @@ class ValueSizeRegistry(dict):
     distinct key or the Python wrapper per draw.
     """
 
-    def __init__(self, distribution: ValueSizeDistribution, seed: int) -> None:
+    def __init__(self, distribution: GeneralizedParetoValueSize, seed: int) -> None:
         super().__init__()
         self.distribution = distribution
         self.seed = int(seed)
@@ -138,7 +138,8 @@ class TaskGenerator:
     of :data:`ARRIVAL_BLOCK` (see ``docs/performance.md``); because every
     stream serves exactly one purpose, buffering ahead cannot change any
     draw another component sees, and the blocks themselves are produced by
-    the same sequential calls the unbuffered generator made.
+    the same sequential calls the unbuffered generator made.  The models
+    are fixed at construction, so a block never outlives its model.
     """
 
     def __init__(
@@ -146,7 +147,7 @@ class TaskGenerator:
         fanout: FanoutDistribution,
         popularity: PopularityModel,
         value_sizes: ValueSizeRegistry,
-        arrivals: ArrivalProcess,
+        arrivals: PoissonArrivals,
         n_clients: int,
         streams: "_StreamsLike",
     ) -> None:
@@ -165,19 +166,12 @@ class TaskGenerator:
         self._next_op_id = 0
         self._clock = 0.0
         # Per-stream block buffers (list + cursor), refilled on demand.
-        # Each buffer remembers which source object filled it; a mid-run
-        # reassignment of self.popularity / self.arrivals / self.n_clients
-        # invalidates the stale draws instead of serving up to a block of
-        # the old model's values.
         self._gap_buffer: _t.List[float] = []
         self._gap_pos = 0
-        self._gap_source: _t.Optional[ArrivalProcess] = None
         self._key_buffer: _t.List[int] = []
         self._key_pos = 0
-        self._key_source: _t.Optional[PopularityModel] = None
         self._client_buffer: _t.List[int] = []
         self._client_pos = 0
-        self._client_source = self.n_clients
 
     def _draw_key_buffered(self) -> int:
         """One popularity draw from the pre-drawn block (refilling it).
@@ -199,20 +193,14 @@ class TaskGenerator:
 
     def _distinct_keys(self, count: int) -> _t.List[int]:
         """``count`` distinct keys via the buffered draw source."""
-        popularity = self.popularity
-        if popularity is not self._key_source:
-            self._key_buffer = []
-            self._key_pos = 0
-            self._key_source = popularity
-        return popularity.sample_distinct(
+        return self.popularity.sample_distinct(
             self._key_stream, count, next_key=self._draw_key_buffered
         )
 
     def next_task(self) -> Task:
         """Generate the next task in arrival order."""
         pos = self._gap_pos
-        if pos >= len(self._gap_buffer) or self.arrivals is not self._gap_source:
-            self._gap_source = self.arrivals
+        if pos >= len(self._gap_buffer):
             self._gap_buffer = self.arrivals.interarrival_block(
                 self._arrival_stream, ARRIVAL_BLOCK
             )
@@ -221,15 +209,7 @@ class TaskGenerator:
         self._clock += self._gap_buffer[pos]
 
         fanout = self.fanout.sample(self._fanout_stream)
-        popularity = self.popularity
-        fanout = min(fanout, popularity.n_keys)
-        # A model that *overrides* sample_distinct has its own semantics
-        # and is called without the buffered draw source -- checked per
-        # task so late reassignment of self.popularity is honored too.
-        if type(popularity).sample_distinct is PopularityModel.sample_distinct:
-            keys = self._distinct_keys(fanout)
-        else:
-            keys = popularity.sample_distinct(self._key_stream, fanout)
+        keys = self._distinct_keys(min(fanout, self.popularity.n_keys))
         task_id = self._next_task_id
         self._next_task_id += 1
         sizes = self.value_sizes
@@ -241,10 +221,9 @@ class TaskGenerator:
         ]
 
         pos = self._client_pos
-        n = self.n_clients
-        if pos >= len(self._client_buffer) or n != self._client_source:
-            self._client_source = n
+        if pos >= len(self._client_buffer):
             draw = self._client_stream.randrange
+            n = self.n_clients
             self._client_buffer = [draw(n) for _ in range(ARRIVAL_BLOCK)]
             pos = 0
         self._client_pos = pos + 1
@@ -262,7 +241,8 @@ class _StreamsLike(_t.Protocol):  # pragma: no cover - typing helper
 
 
 def trace_stats(tasks: _t.Sequence[Task]) -> _t.Dict[str, float]:
-    """Summary statistics of a trace (used by tests and docs/results.md)."""
+    """Summary statistics of a trace (``repro trace stats`` and
+    ``examples/workload_stats.py`` print them)."""
     if not tasks:
         raise ValueError("empty trace")
     n_ops = sum(t.fanout for t in tasks)

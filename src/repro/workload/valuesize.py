@@ -4,10 +4,9 @@ The paper generates request value sizes "using a Pareto distribution based
 on a study conducted on Facebook's Memcached deployment" (Atikoglu et al.,
 SIGMETRICS 2012).  That study fits a *Generalized Pareto* distribution to
 the value sizes of the ETC pool; we implement that sampler with the
-published parameters, plus a few simpler distributions used by tests and
-examples.
+published parameters.
 
-All samplers draw from a :class:`repro.sim.rng.Stream` passed by the
+The sampler draws from a :class:`repro.sim.rng.Stream` passed by the
 caller, so the workload is reproducible and shared across strategies.
 """
 
@@ -15,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import math
-import typing as _t
 
 from ..sim.rng import Stream
 
@@ -27,54 +25,7 @@ ATIKOGLU_ETC_SCALE = 214.476
 ATIKOGLU_ETC_SHAPE = 0.348238
 
 
-class ValueSizeDistribution:
-    """Interface: ``sample(stream) -> int`` bytes, plus the analytic mean."""
-
-    def sample(self, stream: Stream) -> int:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def mean(self) -> float:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class FixedValueSize(ValueSizeDistribution):
-    """Every value has the same size (unit tests, Figure 1 toy example)."""
-
-    def __init__(self, size: int) -> None:
-        if size <= 0:
-            raise ValueError("size must be positive")
-        self.size = int(size)
-
-    def sample(self, stream: Stream) -> int:
-        return self.size
-
-    def mean(self) -> float:
-        return float(self.size)
-
-    def __repr__(self) -> str:
-        return f"FixedValueSize({self.size})"
-
-
-class UniformValueSize(ValueSizeDistribution):
-    """Uniform integer sizes in ``[lo, hi]``."""
-
-    def __init__(self, lo: int, hi: int) -> None:
-        if not (0 < lo <= hi):
-            raise ValueError("need 0 < lo <= hi")
-        self.lo = int(lo)
-        self.hi = int(hi)
-
-    def sample(self, stream: Stream) -> int:
-        return stream.randint(self.lo, self.hi)
-
-    def mean(self) -> float:
-        return (self.lo + self.hi) / 2.0
-
-    def __repr__(self) -> str:
-        return f"UniformValueSize({self.lo}, {self.hi})"
-
-
-class GeneralizedParetoValueSize(ValueSizeDistribution):
+class GeneralizedParetoValueSize:
     """Generalized Pareto value sizes, truncated to ``[min_size, max_size]``.
 
     The CDF is ``F(x) = 1 - (1 + k (x - theta) / sigma)^(-1/k)`` for shape

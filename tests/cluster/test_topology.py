@@ -2,24 +2,23 @@
 
 import pytest
 
-from repro.cluster import (
-    ClusterSpec,
-    ConstantLatency,
-    PAPER_CLUSTER,
-)
+from repro.cluster import ClusterSpec, ConstantLatency
 from repro.placement import ConsistentHashRing, RingPlacement
 
 
 class TestPaperCluster:
     def test_paper_defaults(self):
-        assert PAPER_CLUSTER.n_servers == 9
-        assert PAPER_CLUSTER.cores_per_server == 4
-        assert PAPER_CLUSTER.per_core_rate == 3500.0
-        assert PAPER_CLUSTER.one_way_latency == 50e-6
+        """The defaults are the paper's evaluation cluster."""
+        paper = ClusterSpec()
+        assert paper.n_servers == 9
+        assert paper.cores_per_server == 4
+        assert paper.per_core_rate == 3500.0
+        assert paper.one_way_latency == 50e-6
 
     def test_capacity_arithmetic(self):
-        assert PAPER_CLUSTER.server_capacity() == 14_000.0
-        caps = PAPER_CLUSTER.server_capacities()
+        paper = ClusterSpec()
+        assert paper.server_capacity() == 14_000.0
+        caps = paper.server_capacities()
         assert len(caps) == 9
         assert all(v == 14_000.0 for v in caps.values())
 

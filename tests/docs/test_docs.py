@@ -1,6 +1,6 @@
 """Documentation lint: docstrings, link integrity, CLI-reference sync, surface.
 
-Six guarantees, run in CI's ``docs`` job:
+Seven guarantees, run in CI's ``docs`` job:
 
 * every module, public class and public function in
   ``src/repro/placement/`` carries a docstring (the layer the docs book
@@ -14,6 +14,9 @@ Six guarantees, run in CI's ``docs`` job:
 * every public top-level name under ``src/repro`` is read somewhere other
   than its own module, ``__init__`` re-exports and ``tests/`` (or is
   allowlisted with a reason) -- the surface cannot silently regrow;
+* every strategy in ``KNOWN_STRATEGIES`` is named by a benchmark, a
+  recorded result, an example, CI, a scenario or the config -- a strategy
+  only tests run is an extension point with no user;
 * every ``REPRO_*`` environment variable the code reads is one CI sets or
   the README / docs book names -- a knob nobody can find is a constant;
 * every field of ``ExperimentConfig`` and ``ClusterSpec`` is given a value
@@ -156,10 +159,10 @@ class TestDocLinks:
 
 class TestScenarioCatalog:
     def test_every_registered_scenario_cataloged(self):
-        from repro.scenarios import scenario_names
+        from repro.scenarios import SCENARIOS
 
         text = (DOCS / "scenarios.md").read_text(encoding="utf-8")
-        missing = [n for n in scenario_names() if f"`{n}`" not in text]
+        missing = [n for n in SCENARIOS if f"`{n}`" not in text]
         assert not missing, f"scenarios missing from docs/scenarios.md: {missing}"
 
 
@@ -211,29 +214,15 @@ class TestCliReference:
 #: Public names with no reader outside their module, and why each stays.
 SURFACE_ALLOWLIST = {
     "bootstrap_ci": "ROADMAP's first open item asks for bootstrap intervals",
-    "unregister_strategy": "registry contract: third-party builders clean up",
-    "unregister_scenario": "registry contract: third-party scenarios clean up",
-    "RESERVED_KINDS": "span kinds the trace format reserves for later use",
-    "PAPER_CLUSTER": "test fixture: the paper's cluster by name",
-    "DeterministicArrivals": "test fixture: arrivals without a random draw",
-    "FixedFanout": "test fixture: a constant fan-out",
-    "UniformPopularity": "test fixture: popularity without a Zipf table",
-    "FixedValueSize": "test fixture: a constant value size",
-    "UniformValueSize": "test fixture: bounded value sizes",
-    "calibrated_lognormal": "LogNormalFanout's docstring sends users to it",
 }
 
 
 def _top_level_names(tree):
-    """Public names a module binds at top level; a name bound to a
-    ``register_*(...)`` call is read by its registry and not reported."""
+    """Public names a module binds at top level."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            call = node.value.func if isinstance(node.value, ast.Call) else None
-            if isinstance(call, ast.Name) and call.id.startswith("register_"):
-                continue
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names = [t.id for t in targets if isinstance(t, ast.Name)]
         else:
@@ -289,6 +278,44 @@ class TestPublicSurface:
             for name in _top_level_names(ast.parse(path.read_text(encoding="utf-8")))
         }
         assert set(SURFACE_ALLOWLIST) <= defined
+
+
+#: Where a strategy name counts as used: what runs, records, shows or
+#: checks experiments outside ``tests/``, plus the scenario and config tables.
+STRATEGY_READERS = (
+    "bench",
+    "benchmarks",
+    "results",
+    "examples",
+    ".github",
+    "src/repro/scenarios",
+    "src/repro/harness/config.py",
+)
+
+
+class TestStrategyCatalogue:
+    """The strategy twin of :class:`TestPublicSurface`: a strategy in
+    ``KNOWN_STRATEGIES`` that no benchmark, recorded result, example, CI
+    step, scenario or config names is kept alive by its own tests only."""
+
+    def test_every_strategy_is_named_outside_tests(self):
+        from repro.harness import KNOWN_STRATEGIES
+
+        texts = [
+            path.read_text(encoding="utf-8")
+            for root in map(REPO.joinpath, STRATEGY_READERS)
+            for path in ([root] if root.is_file() else sorted(root.rglob("*")))
+            if path.is_file() and path.suffix in (".py", ".json", ".txt", ".yml", ".md")
+        ]
+        unnamed = [
+            name
+            for name in KNOWN_STRATEGIES
+            if not any(f'"{name}"' in text or f"'{name}'" in text for text in texts)
+        ]
+        assert not unnamed, (
+            "strategies only tests name -- give each a user or delete it: "
+            + ", ".join(unnamed)
+        )
 
 
 class TestEnvironmentKnobs:

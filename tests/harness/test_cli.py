@@ -85,6 +85,40 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "mean_fanout" in out
 
+    def test_trace_generate_writes_the_seeded_workload(self, tmp_path, capsys):
+        from repro.workload import load_trace, make_soundcloud_workload
+
+        path = tmp_path / "t.jsonl"
+        assert main([
+            "trace", "generate", str(path), "--tasks", "50", "--seed", "3",
+        ]) == 0
+        tasks, metadata = load_trace(path)
+        assert metadata == {"seed": 3}
+        assert tasks == make_soundcloud_workload(n_tasks=50).generate(seed=3)
+
+    @pytest.mark.parametrize(
+        "content",
+        [None, "", "not json\n", '{"format": "other"}\n'],
+        ids=["missing", "empty", "not-json", "foreign"],
+    )
+    def test_trace_stats_bad_file_is_a_usage_error(self, tmp_path, capsys, content):
+        path = tmp_path / "t.jsonl"
+        if content is not None:
+            path.write_text(content)
+        assert main(["trace", "stats", str(path)]) == 2
+        assert "bad trace file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--fanout", "0.5"), ("--tasks", "-3")]
+    )
+    def test_trace_generate_bad_value_is_a_bad_configuration(
+        self, tmp_path, capsys, flag, value
+    ):
+        path = tmp_path / "t.jsonl"
+        assert main(["trace", "generate", str(path), flag, value]) == 2
+        assert "bad configuration" in capsys.readouterr().err
+        assert not path.exists()
+
     def test_run_single_seed_honors_cache(self, tmp_path, capsys):
         cache_dir = tmp_path / "cache"
         argv = ["run", "--strategy", "oblivious-random", "--tasks", "150",
@@ -140,6 +174,28 @@ class TestCommands:
             "sweep", *argv_tail, "--cache", str(cache_dir),
         ]) == 0
         assert "cache: 1 hits, 0 misses, 0 stores" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--parameter", "load", "--values", "0.5,-1"],
+            ["--parameter", "mean_fanout", "--values", "4,0.5"],
+            ["--scenario", "hotspot-skew", "--parameter", "zipf_skew",
+             "--values", "0.9,0"],
+        ],
+        ids=["load", "mean_fanout", "scenario-zipf_skew"],
+    )
+    def test_sweep_bad_value_is_a_bad_configuration(self, argv, capsys, monkeypatch):
+        """A swept value no config accepts exits 2 before any cell runs."""
+
+        def no_run(*args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr("repro.harness.parallel.run_experiment", no_run)
+        assert main([
+            "sweep", *argv, "--strategies", "c3", "--tasks", "300",
+        ]) == 2
+        assert "bad configuration" in capsys.readouterr().err
 
     def test_sweep_scenario_base(self, capsys):
         assert main([

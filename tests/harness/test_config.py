@@ -12,7 +12,7 @@ from repro.harness import (
     FIGURE2_STRATEGIES,
     KNOWN_STRATEGIES,
 )
-from repro.scenarios import get_scenario, scenario_names
+from repro.scenarios import SCENARIOS
 
 
 class TestExperimentConfig:
@@ -53,8 +53,8 @@ class TestExperimentConfig:
         """What a server is built with is the model the trace is calibrated
         against, for every scenario's cluster (and that cluster at another
         per-core rate)."""
-        for name in scenario_names():
-            cfg = get_scenario(name).build_config()
+        for name, spec in SCENARIOS.items():
+            cfg = spec.build_config()
             if per_core_rate is not None:
                 cluster = dataclasses.replace(cfg.cluster, per_core_rate=per_core_rate)
                 cfg = dataclasses.replace(cfg, cluster=cluster)
@@ -77,6 +77,54 @@ class TestExperimentConfig:
             ExperimentConfig(load=0.0)
         with pytest.raises(ValueError):
             ExperimentConfig(credits_measurement_interval=0.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_keys", 0),
+            ("mean_fanout", 0.5),
+            ("mean_fanout", 1.0),
+            ("zipf_skew", 0.0),
+            ("playlist_fraction", -0.1),
+            ("playlist_fraction", 1.0),
+        ],
+    )
+    def test_workload_values_rejected_at_construction(self, field, value):
+        """A workload no run could draw is refused by the config itself,
+        not by every run that later builds the trace models."""
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(n_tasks=200, **{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_keys", 1),
+            ("mean_fanout", 1.01),
+            ("zipf_skew", 0.01),
+            ("playlist_fraction", 0.0),
+            ("playlist_fraction", 0.99),
+        ],
+    )
+    def test_workload_boundary_values_build_a_workload(self, field, value):
+        """The checks refuse only what the trace models refuse: a value
+        just inside each bound builds a workload and draws its tasks."""
+        cfg = ExperimentConfig(n_tasks=200, **{field: value})
+        tasks = cfg.workload().generate(seed=1)
+        assert len(tasks) == 200
+        assert all(1 <= task.fanout <= cfg.n_keys for task in tasks)
+
+    def test_hot_shard_heats_the_named_partition(self):
+        from repro.harness.config import HOT_SHARD_WEIGHT
+        from repro.workload import SubsetHotspotPopularity
+
+        cfg = ExperimentConfig(n_tasks=200, n_keys=2000, hot_shard=2)
+        popularity = cfg.workload().popularity
+        assert isinstance(popularity, SubsetHotspotPopularity)
+        assert popularity.weight == HOT_SHARD_WEIGHT
+        placement = cfg.cluster.make_placement()
+        assert popularity.hot_keys == [
+            k for k in range(2000) if placement.partition_of(k) == 2
+        ]
 
     def test_credits_interval_must_fit_the_epoch(self):
         """An interval longer than the credits epoch is rejected by the
@@ -125,24 +173,6 @@ class TestExperimentConfig:
         ]
         assert len(faults) == 2 and faults[0].startswith("fault: flash crowd")
         assert faults[1] == "fault: slowdown x3 on servers [2] @0.25s for 0.5s"
-
-    def test_known_strategies_is_live_view(self):
-        from repro.harness import StrategyBuilder, register_strategy, unregister_strategy
-
-        class _Tmp(StrategyBuilder):
-            name = "tmp-config-test"
-
-            def build_client_strategy(self, ctx, client_id):  # pragma: no cover
-                raise NotImplementedError
-
-        assert "tmp-config-test" not in KNOWN_STRATEGIES
-        register_strategy(_Tmp())
-        try:
-            assert "tmp-config-test" in KNOWN_STRATEGIES
-            ExperimentConfig(strategy="tmp-config-test", n_tasks=1)
-        finally:
-            unregister_strategy("tmp-config-test")
-        assert "tmp-config-test" not in KNOWN_STRATEGIES
 
     def test_describe_mentions_strategy(self):
         assert "c3" in ExperimentConfig(strategy="c3").describe()

@@ -38,8 +38,6 @@ class TestRunExperiment:
             "edf-credits",
             "equalmax-model",
             "unifincr-model",
-            "fifo-model",
-            "sjf-model",
         ],
     )
     def test_every_strategy_completes_all_tasks(self, strategy):

@@ -1,20 +1,11 @@
-"""Unit tests for the scenario layer: specs, registry, the built-in library."""
+"""Unit tests for the scenario layer: specs and the scenario table."""
 
 import dataclasses
 
 import pytest
 
-from repro.cluster.faults import FaultSchedule, SlowdownFault
 from repro.harness import ExperimentConfig, run_experiment
-from repro.scenarios import (
-    SCENARIOS,
-    ScenarioSpec,
-    get_scenario,
-    make_scenario,
-    register_scenario,
-    scenario_names,
-    unregister_scenario,
-)
+from repro.scenarios import SCENARIOS, get_scenario, make_scenario
 
 REQUIRED = (
     "steady-state",
@@ -28,10 +19,9 @@ REQUIRED = (
 
 class TestLibrary:
     def test_required_scenarios_registered(self):
-        names = scenario_names()
         for name in REQUIRED:
-            assert name in names
-        assert len(names) >= 6
+            assert name in SCENARIOS
+        assert len(SCENARIOS) >= 6
 
     def test_every_scenario_builds_a_valid_config(self):
         for name in SCENARIOS:
@@ -84,27 +74,12 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown scenario.*steady-state"):
             get_scenario("does-not-exist")
 
-    def test_duplicate_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_scenario(get_scenario("straggler"))
-
-    def test_third_party_registration_roundtrip(self):
-        spec = make_scenario(
-            "test-tmp",
-            "temporary",
-            faults=FaultSchedule((SlowdownFault(servers=(1,), factor=2.0),)),
-        )
-        register_scenario(spec)
-        try:
-            assert "test-tmp" in SCENARIOS
-            assert SCENARIOS["test-tmp"] is spec
-        finally:
-            unregister_scenario("test-tmp")
-        assert "test-tmp" not in SCENARIOS
-
     def test_mapping_view(self):
-        assert len(SCENARIOS) == len(scenario_names())
-        assert set(iter(SCENARIOS)) == set(scenario_names())
+        """A plain dict keyed by each spec's own name; fifteen entries, so
+        no two specs in the table share a name."""
+        assert type(SCENARIOS) is dict
+        assert all(spec.name == name for name, spec in SCENARIOS.items())
+        assert len(SCENARIOS) == 15
 
 
 class TestScenarioRuns:
@@ -164,10 +139,9 @@ class TestRemediatedPairs:
     )
 
     def test_pairs_are_registered(self):
-        names = scenario_names()
         for base, remediated in self.PAIRS:
-            assert base in names
-            assert remediated in names
+            assert base in SCENARIOS
+            assert remediated in SCENARIOS
 
     def test_remediated_twins_enable_the_slo_loop(self):
         from repro.scenarios.library import REMEDIATION_SLO_P99_MS

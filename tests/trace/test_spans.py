@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.trace import RESERVED_KINDS, SEGMENT_KINDS, Span, TaskTrace
+from repro.trace import SEGMENT_KINDS, Span, TaskTrace
 
 
 def make_span(**overrides):
@@ -42,10 +42,6 @@ class TestSpanSegments:
         for hedge in (False, True):
             for kind in make_span(hedge=hedge).segments():
                 assert kind in SEGMENT_KINDS
-
-    def test_reserved_kinds_are_not_produced(self):
-        assert not set(RESERVED_KINDS) & set(make_span().segments())
-        assert not set(RESERVED_KINDS) & set(SEGMENT_KINDS)
 
     def test_dict_roundtrip(self):
         span = make_span(hedge=True)

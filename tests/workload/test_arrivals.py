@@ -5,7 +5,7 @@ import pytest
 from repro.sim import Stream
 from itertools import accumulate
 
-from repro.workload import DeterministicArrivals, PoissonArrivals
+from repro.workload import PoissonArrivals
 
 
 class TestPoisson:
@@ -13,7 +13,7 @@ class TestPoisson:
         proc = PoissonArrivals(rate=100.0)
         stream = Stream(1)
         n = 50_000
-        total = sum(proc.next_interarrival(stream) for _ in range(n))
+        total = sum(proc.interarrival_block(stream, n))
         assert n / total == pytest.approx(100.0, rel=0.03)
 
     def test_rejects_nonpositive_rate(self):
@@ -24,19 +24,11 @@ class TestPoisson:
         """Exponential gaps have coefficient of variation ~ 1."""
         proc = PoissonArrivals(rate=10.0)
         stream = Stream(2)
-        gaps = [proc.next_interarrival(stream) for _ in range(20_000)]
+        gaps = proc.interarrival_block(stream, 20_000)
         mean = sum(gaps) / len(gaps)
         var = sum((g - mean) ** 2 for g in gaps) / (len(gaps) - 1)
         cv = var**0.5 / mean
         assert cv == pytest.approx(1.0, rel=0.05)
-
-
-class TestDeterministic:
-    def test_fixed_period(self):
-        proc = DeterministicArrivals(rate=4.0)
-        stream = Stream(3)
-        assert proc.next_interarrival(stream) == 0.25
-        assert proc.next_interarrival(stream) == 0.25
 
 
 class TestArrivalTimes:
@@ -48,8 +40,10 @@ class TestArrivalTimes:
         assert all(b > a for a, b in zip(times, times[1:]))
 
     def test_count_and_start(self):
-        gaps = DeterministicArrivals(1.0).interarrival_block(Stream(7), 3)
-        assert list(accumulate(gaps, initial=10.0))[1:] == [11.0, 12.0, 13.0]
+        gaps = PoissonArrivals(1.0).interarrival_block(Stream(7), 3)
+        times = list(accumulate(gaps, initial=10.0))
+        assert len(times) == 4 and times[0] == 10.0
+        assert times[1:] == [10.0 + sum(gaps[: i + 1]) for i in range(3)]
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):

@@ -3,17 +3,20 @@
 import pytest
 
 from repro.sim import Stream
-from repro.workload import HotColdPopularity, UniformPopularity, ZipfPopularity
+from repro.workload import SubsetHotspotPopularity, ZipfPopularity
 
 
 class TestUniform:
+    """Zipf's low-skew limit: a near-zero skew spreads draws flat over the
+    keyspace (the rejection-inversion sampler's other extreme)."""
+
     def test_range(self):
-        pop = UniformPopularity(100)
+        pop = ZipfPopularity(100, skew=0.01)
         stream = Stream(1)
         assert all(0 <= pop.sample_key(stream) < 100 for _ in range(2000))
 
     def test_roughly_flat(self):
-        pop = UniformPopularity(10)
+        pop = ZipfPopularity(10, skew=0.01)
         stream = Stream(2)
         counts = [0] * 10
         for _ in range(20_000):
@@ -22,7 +25,7 @@ class TestUniform:
 
     def test_rejects_empty_keyspace(self):
         with pytest.raises(ValueError):
-            UniformPopularity(0)
+            ZipfPopularity(0, skew=0.01)
 
 
 class TestZipf:
@@ -74,31 +77,43 @@ def fresh_permutation(n_keys, perm_seed):
 
 
 class TestHotCold:
+    """Hot/cold skew is :class:`SubsetHotspotPopularity` over a Zipf base,
+    the model behind the ``hot-shard`` scenarios."""
+
     def test_hot_keys_get_hot_weight(self):
-        pop = HotColdPopularity(1000, hot_fraction=0.1, hot_weight=0.9, perm_seed=1)
+        base = ZipfPopularity(1000, skew=0.9, perm_seed=1)
+        hot = set(range(0, 1000, 10))
+        pop = SubsetHotspotPopularity(base, sorted(hot), weight=0.9)
+        # The base branch hits hot keys too: exactly its Zipf mass on them.
+        weights = [(rank + 1) ** -0.9 for rank in range(1000)]
+        base_share = sum(
+            w for rank, w in enumerate(weights) if base._perm[rank] in hot
+        ) / sum(weights)
         stream = Stream(7)
         n = 50_000
-        counts = {}
-        for _ in range(n):
-            k = pop.sample_key(stream)
-            counts[k] = counts.get(k, 0) + 1
-        ranked = sorted(counts.items(), key=lambda kv: -kv[1])
-        hot_traffic = sum(c for _, c in ranked[:100])
-        assert hot_traffic / n == pytest.approx(0.9, abs=0.05)
+        hot_traffic = sum(pop.sample_key(stream) in hot for _ in range(n))
+        assert hot_traffic / n == pytest.approx(
+            0.9 + 0.1 * base_share, abs=0.01
+        )
 
-    def test_the_permutation_is_built_once_and_shared(self):
-        a = HotColdPopularity(5000)
-        b = HotColdPopularity(5000, hot_fraction=0.2, hot_weight=0.5)
-        assert a._perm is b._perm and isinstance(a._perm, tuple)
-        assert list(a._perm) == fresh_permutation(5000, 99)
+    def test_block_draws_match_sequential_draws(self):
+        """The generator buffers keys through ``sample_block``; for the
+        two-branch hot model that must still be the sequential draws."""
+        pop = SubsetHotspotPopularity(ZipfPopularity(500), [3, 5, 7], weight=0.4)
+        stream = Stream(11)
+        sequential = [pop.sample_key(stream) for _ in range(200)]
+        assert pop.sample_block(Stream(11), 200) == sequential
 
     def test_validates(self):
+        base = ZipfPopularity(100)
         with pytest.raises(ValueError):
-            HotColdPopularity(1)
+            SubsetHotspotPopularity(base, [])
         with pytest.raises(ValueError):
-            HotColdPopularity(100, hot_fraction=0.0)
+            SubsetHotspotPopularity(base, [1, 2], weight=0.0)
         with pytest.raises(ValueError):
-            HotColdPopularity(100, hot_weight=1.0)
+            SubsetHotspotPopularity(base, [1, 2], weight=1.0)
+        with pytest.raises(ValueError):
+            SubsetHotspotPopularity(base, [100])
 
 
 class TestSampleDistinct:
@@ -116,6 +131,6 @@ class TestSampleDistinct:
         assert sorted(keys) == [0, 1, 2, 3, 4]
 
     def test_too_many_rejected(self):
-        pop = UniformPopularity(3)
+        pop = ZipfPopularity(3)
         with pytest.raises(ValueError):
             pop.sample_distinct(Stream(10), 4)

@@ -4,27 +4,38 @@ import pytest
 
 from repro.sim import Stream, StreamFactory
 from repro.workload import (
-    FixedFanout,
-    FixedValueSize,
     Operation,
     PoissonArrivals,
     Task,
     TaskGenerator,
-    UniformPopularity,
-    UniformValueSize,
     ValueSizeRegistry,
+    ZipfPopularity,
     atikoglu_etc,
     trace_stats,
 )
 
 
-class GaussValueSize(FixedValueSize):
+class FixedFanout:
+    """Stub fan-out: every task has exactly ``n`` requests."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def sample(self, stream):
+        return self.n
+
+
+class UniformValueSize:
+    """Stub sizes from ``Random.randint`` (one draw per key)."""
+
+    def sample(self, stream):
+        return stream.randint(10, 5000)
+
+
+class GaussValueSize:
     """Sizes from ``Random.gauss``, which keeps the second of each pair of
     normals for the next call: a reseed that left it behind would hand one
     key's spare normal to the next key."""
-
-    def __init__(self):
-        super().__init__(1000)
 
     def sample(self, stream):
         return max(1, int(stream.gauss(1000.0, 100.0)))
@@ -34,7 +45,7 @@ def make_generator(seed=1, fanout=4, n_keys=1000, n_clients=3, rate=100.0):
     streams = StreamFactory(seed)
     return TaskGenerator(
         fanout=FixedFanout(fanout),
-        popularity=UniformPopularity(n_keys),
+        popularity=ZipfPopularity(n_keys),
         value_sizes=ValueSizeRegistry(atikoglu_etc(), seed=seed),
         arrivals=PoissonArrivals(rate),
         n_clients=n_clients,
@@ -82,7 +93,7 @@ class TestValueSizeRegistry:
         assert [a.size_of(k) for k in range(50)] != [b.size_of(k) for k in range(50)]
 
     def test_len_counts_distinct_keys(self):
-        reg = ValueSizeRegistry(FixedValueSize(10), seed=1)
+        reg = ValueSizeRegistry(atikoglu_etc(), seed=1)
         reg.size_of(1)
         reg.size_of(1)
         reg.size_of(2)
@@ -96,7 +107,7 @@ class TestValueSizeRegistry:
 
     @pytest.mark.parametrize(
         "distribution",
-        [atikoglu_etc(), UniformValueSize(10, 5000), GaussValueSize()],
+        [atikoglu_etc(), UniformValueSize(), GaussValueSize()],
         ids=["gpareto", "uniform", "gauss"],
     )
     def test_size_is_the_keys_own_stream_in_any_access_order(self, distribution):
@@ -136,6 +147,10 @@ class TestTaskGenerator:
     def test_clients_in_range(self):
         tasks = make_generator(n_clients=3).generate(200)
         assert {t.client_id for t in tasks} <= {0, 1, 2}
+
+    def test_rejects_nonpositive_n_clients(self):
+        with pytest.raises(ValueError, match="n_clients"):
+            make_generator(n_clients=0)
 
     def test_keys_distinct_within_task(self):
         tasks = make_generator(fanout=8).generate(100)
@@ -183,17 +198,12 @@ class TestBufferedDistinctKeys:
     block-buffered draw source via the ``next_key`` parameter.  These
     tests pin that the buffered source is draw-for-draw identical to
     unbuffered sampling on the same stream, including the dense-fallback
-    edge, and that stale buffers are invalidated when the generator's
-    source models are reassigned mid-run.
+    edge.
     """
 
     def test_matches_sample_distinct_draw_for_draw(self):
-        from repro.sim.rng import Stream
-        from repro.workload.popularity import ZipfPopularity
-
-        popularity = ZipfPopularity(300, 0.9)
         generator = make_generator(n_keys=300)
-        generator.popularity = popularity
+        popularity = generator.popularity
         generator._key_stream = Stream(7)
         reference_stream = Stream(7)
         # Mixed counts, repeated small draws, and n_keys itself (which
@@ -209,65 +219,21 @@ class TestBufferedDistinctKeys:
             generator._distinct_keys(11)
 
     def test_custom_sample_distinct_override_is_honored(self):
-        """A popularity model overriding sample_distinct bypasses the
-        buffered mirror entirely (its semantics win over batching)."""
+        """The generator asks its popularity model for a task's keys, so a
+        model overriding sample_distinct decides them (its semantics win
+        over the buffered draw source it is handed)."""
 
-        class EvenKeysOnly(UniformPopularity):
-            def sample_distinct(self, stream, count):
+        class EvenKeysOnly(ZipfPopularity):
+            def sample_distinct(self, stream, count, next_key=None):
                 return [2 * i for i in range(count)]
 
-        streams = StreamFactory(1)
         generator = TaskGenerator(
             fanout=FixedFanout(3),
             popularity=EvenKeysOnly(1000),
-            value_sizes=ValueSizeRegistry(FixedValueSize(64), seed=1),
+            value_sizes=ValueSizeRegistry(atikoglu_etc(), seed=1),
             arrivals=PoissonArrivals(100.0),
             n_clients=2,
-            streams=streams,
+            streams=StreamFactory(1),
         )
         task = generator.next_task()
         assert [op.key for op in task.operations] == [0, 2, 4]
-
-    def test_reassigned_popularity_invalidates_key_buffer(self):
-        """Swapping the popularity model drops pre-drawn keys of the old
-        model instead of serving up to a block of stale draws."""
-        generator = make_generator(fanout=3, n_keys=1000)
-        generator.next_task()  # fills the key buffer from the 1000-keyspace
-        generator.popularity = UniformPopularity(10)
-        task = generator.next_task()
-        assert all(0 <= op.key < 10 for op in task.operations), [
-            op.key for op in task.operations
-        ]
-
-    def test_reassigned_arrivals_invalidates_gap_buffer(self):
-        """Swapping the arrival process must take effect immediately."""
-        from repro.workload import DeterministicArrivals
-
-        generator = make_generator(rate=100.0)
-        first = generator.next_task()
-        generator.arrivals = DeterministicArrivals(1.0)  # 1s gaps exactly
-        second = generator.next_task()
-        third = generator.next_task()
-        assert second.arrival_time - first.arrival_time == pytest.approx(1.0)
-        assert third.arrival_time - second.arrival_time == pytest.approx(1.0)
-
-    def test_reassigned_n_clients_invalidates_client_buffer(self):
-        generator = make_generator(n_clients=50)
-        generator.next_task()
-        generator.n_clients = 2
-        clients = {generator.next_task().client_id for _ in range(30)}
-        assert clients <= {0, 1}
-
-    def test_custom_override_honored_after_late_reassignment(self):
-        """The override check runs per task, so swapping the popularity
-        model on a live generator switches paths immediately."""
-
-        class OddKeysOnly(UniformPopularity):
-            def sample_distinct(self, stream, count):
-                return [2 * i + 1 for i in range(count)]
-
-        generator = make_generator(fanout=3)
-        generator.next_task()  # buffered base path, seeds the buffers
-        generator.popularity = OddKeysOnly(1000)
-        task = generator.next_task()
-        assert [op.key for op in task.operations] == [1, 3, 5]

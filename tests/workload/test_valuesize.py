@@ -4,37 +4,31 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim import Stream
-from repro.workload import (
-    FixedValueSize,
-    GeneralizedParetoValueSize,
-    UniformValueSize,
-    atikoglu_etc,
-)
+from repro.workload import GeneralizedParetoValueSize, atikoglu_etc
 
 
 class TestFixed:
-    def test_sample_constant(self):
-        dist = FixedValueSize(100)
-        stream = Stream(1)
-        assert all(dist.sample(stream) == 100 for _ in range(10))
-        assert dist.mean() == 100.0
+    """Sizes are positive byte counts: the truncation floor is at least 1."""
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            FixedValueSize(0)
+            GeneralizedParetoValueSize(min_size=0)
 
 
 class TestUniform:
+    """A narrow size window is the Pareto truncated to ``[min, max]``."""
+
     def test_bounds(self):
-        dist = UniformValueSize(10, 20)
+        dist = GeneralizedParetoValueSize(min_size=10, max_size=20)
         stream = Stream(2)
         draws = [dist.sample(stream) for _ in range(1000)]
         assert min(draws) >= 10 and max(draws) <= 20
-        assert dist.mean() == 15.0
+        assert 10.0 < dist.mean() < 20.0
+        assert sum(draws) / len(draws) == pytest.approx(dist.mean(), rel=0.05)
 
     def test_rejects_inverted(self):
         with pytest.raises(ValueError):
-            UniformValueSize(20, 10)
+            GeneralizedParetoValueSize(min_size=20, max_size=10)
 
 
 class TestGeneralizedPareto:
