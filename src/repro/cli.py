@@ -3,7 +3,6 @@
 Commands
 --------
 ``run``        run one experiment (optionally a named scenario)
-``profile``    cProfile one run and print the top-N hotspot table
 ``sweep``      run a (value x strategy x seed) grid, optionally in parallel
 ``figure1``    the paper's toy example (deterministic)
 ``figure2``    the headline evaluation across strategies and seeds
@@ -12,7 +11,7 @@ Commands
 ``watch``      poll a live cluster's metrics mid-run (admin plane; ``--json``)
 ``firehose``   saturate a live service (wire-path throughput ceiling)
 ``compare``    sim vs live differential for one scenario
-``trace``      workload traces + span-tree tail attribution (see below)
+``trace``      span-tree tail attribution (see below)
 
 ``run`` and ``loadgen`` accept ``--trace-sample`` / ``--trace-out`` to
 record span trees for a deterministic sample of multigets; ``trace
@@ -59,7 +58,6 @@ from .harness import (
 from .harness.config import WARMUP_FRACTION
 from .metrics import PAPER_PERCENTILES
 from .scenarios import SCENARIOS, get_scenario
-from .workload import load_trace, make_soundcloud_workload, save_trace, trace_stats
 
 
 class _Exit(Exception):
@@ -69,6 +67,13 @@ class _Exit(Exception):
     def __init__(self, message: str, code: int = 2) -> None:
         super().__init__(message)
         self.code = code
+
+
+def _require_positive(args: argparse.Namespace, *flags: str) -> None:
+    """Usage error unless every named count flag is at least 1."""
+    for flag in flags:
+        if getattr(args, flag) < 1:
+            raise _Exit(f"--{flag} must be at least 1")
 
 
 def _add_parallel_flags(p: argparse.ArgumentParser) -> None:
@@ -141,8 +146,8 @@ def _trace_overrides(args: argparse.Namespace) -> _t.Dict[str, _t.Any]:
 def _config_from(
     args: argparse.Namespace, **overrides: _t.Any
 ) -> ExperimentConfig:
-    """The ``--scenario/--strategy/--tasks`` config of a run, profile or
-    loadgen invocation."""
+    """The ``--scenario/--strategy/--tasks`` config of a run or loadgen
+    invocation."""
     try:
         if args.scenario is not None:
             return get_scenario(args.scenario).build_config(
@@ -217,6 +222,7 @@ def _add_run(subparsers: argparse._SubParsersAction) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    _require_positive(args, "seeds")
     overrides = _given(args, load="load", mean_fanout="fanout")
     if args.slow_server is not None and args.slow_server >= 0:
         scripted = (
@@ -231,7 +237,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     overrides.update(_remediation_overrides(args))
     overrides.update(_trace_overrides(args))
     config = _config_from(args, **overrides)
-    seeds = tuple(range(args.seed, args.seed + max(args.seeds, 1)))
+    seeds = tuple(range(args.seed, args.seed + args.seeds))
     which = f"seeds {seeds[0]}..{seeds[-1]}" if len(seeds) > 1 else f"seed {args.seed}"
     print(f"running {config.describe()} ({which})")
     for line in config.fault_schedule.describe():
@@ -255,94 +261,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         _write_trace_artifact(
             args.trace_out, config, args.scenario or "custom", "sim", seeds, runs
         )
-    return 0
-
-
-def _add_profile(subparsers: argparse._SubParsersAction) -> None:
-    p = subparsers.add_parser(
-        "profile",
-        help="cProfile one simulation run and print the hotspot table",
-        description="Run one (scenario, strategy, seed) simulation under "
-                    "cProfile and print the top-N hotspots plus kernel "
-                    "throughput (events/sec, tasks/sec). The profiling "
-                    "workflow lives in docs/performance.md.",
-    )
-    p.add_argument("--strategy", default="unifincr-credits", choices=KNOWN_STRATEGIES)
-    p.add_argument("--scenario", default=None, choices=SCENARIOS,
-                   help="profile a named scenario (workload + fault schedule)")
-    p.add_argument("--tasks", type=int, default=3000)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--top", type=int, default=25, metavar="N",
-                   help="rows in the hotspot table")
-    p.add_argument("--sort", default="tottime",
-                   choices=("tottime", "cumtime", "ncalls"),
-                   help="hotspot ranking column")
-    p.add_argument("--out", type=str, default=None, metavar="PATH",
-                   help="also dump raw cProfile stats here (snakeviz/pstats "
-                        "compatible)")
-    p.set_defaults(func=_cmd_profile)
-
-
-def _profile_rows(
-    stats: _t.Any, sort: str, top: int
-) -> _t.List[_t.Dict[str, _t.Any]]:
-    """Top-``top`` hotspot rows from a ``pstats.Stats``-compatible table."""
-    column = {"ncalls": 3, "tottime": 4, "cumtime": 5}[sort]
-    entries = []
-    for (filename, lineno, name), (cc, nc, tt, ct, _callers) in stats.stats.items():
-        entries.append((filename, lineno, name, nc, tt, ct))
-    entries.sort(key=lambda e: e[column], reverse=True)
-    rows = []
-    for filename, lineno, name, nc, tt, ct in entries[:top]:
-        if filename.startswith("~"):
-            where = name  # builtins render as e.g. ~:0(<built-in ...>)
-        else:
-            short = filename
-            for marker in (f"src{os.sep}", f"lib{os.sep}python"):
-                idx = short.find(marker)
-                if idx != -1:
-                    short = short[idx:]
-                    break
-            where = f"{short}:{lineno}({name})"
-        rows.append(
-            {
-                "ncalls": nc,
-                "tottime_s": round(tt, 4),
-                "cumtime_s": round(ct, 4),
-                "function": where,
-            }
-        )
-    return rows
-
-
-def _cmd_profile(args: argparse.Namespace) -> int:
-    import cProfile
-    import pstats
-    import time
-
-    from .harness.runner import run_experiment
-
-    config = _config_from(args)
-    print(f"profiling {config.describe()} (seed {args.seed})")
-    profiler = cProfile.Profile()
-    start = time.perf_counter()
-    profiler.enable()
-    result = run_experiment(config, seed=args.seed)
-    profiler.disable()
-    elapsed = time.perf_counter() - start
-    print(
-        f"{config.n_tasks} tasks in {elapsed:.2f}s under the profiler: "
-        f"{config.n_tasks / elapsed:,.0f} tasks/s "
-        f"({result.events_processed} events, "
-        f"{result.events_processed / elapsed:,.0f} events/s; expect ~2-4x "
-        f"faster unprofiled; see docs/performance.md)"
-    )
-    stats = pstats.Stats(profiler)
-    rows = _profile_rows(stats, args.sort, args.top)
-    print(render_table(rows, title=f"top {len(rows)} by {args.sort}"))
-    if args.out:
-        profiler.dump_stats(args.out)
-        print(f"raw profile -> {args.out} (inspect with python -m pstats)")
     return 0
 
 
@@ -439,6 +357,7 @@ def _add_figure2(subparsers: argparse._SubParsersAction) -> None:
 
 
 def _cmd_figure2(args: argparse.Namespace) -> int:
+    _require_positive(args, "tasks", "seeds")
     comparison = figure2(
         n_tasks=args.tasks,
         seeds=tuple(range(1, args.seeds + 1)),
@@ -460,19 +379,8 @@ def _cmd_figure2(args: argparse.Namespace) -> int:
 
 
 def _add_trace(subparsers: argparse._SubParsersAction) -> None:
-    p = subparsers.add_parser("trace", help="generate or inspect traces")
+    p = subparsers.add_parser("trace", help="analyse span-trace artifacts")
     sub = p.add_subparsers(dest="trace_command", required=True)
-
-    gen = sub.add_parser("generate", help="synthesize a SoundCloud-like trace")
-    gen.add_argument("path")
-    gen.add_argument("--tasks", type=int, default=10_000)
-    gen.add_argument("--seed", type=int, default=1)
-    gen.add_argument("--fanout", type=float, default=8.6)
-    gen.set_defaults(func=_cmd_trace_generate)
-
-    stats = sub.add_parser("stats", help="print statistics of a saved trace")
-    stats.add_argument("path")
-    stats.set_defaults(func=_cmd_trace_stats)
 
     attr = sub.add_parser(
         "attribution",
@@ -517,19 +425,6 @@ def _add_trace(subparsers: argparse._SubParsersAction) -> None:
     diff.add_argument("--b", default=None, metavar="SEL",
                       help="group B selector: STRATEGY or STRATEGY/SCENARIO")
     diff.set_defaults(func=_cmd_trace_diff)
-
-
-def _cmd_trace_generate(args: argparse.Namespace) -> int:
-    try:
-        workload = make_soundcloud_workload(
-            n_tasks=args.tasks, mean_fanout=args.fanout
-        )
-        trace = workload.generate(seed=args.seed)
-    except ValueError as exc:
-        raise _Exit(f"bad configuration: {exc}") from exc
-    save_trace(args.path, trace, metadata={"seed": args.seed})
-    print(f"wrote {len(trace)} tasks to {args.path}")
-    return 0
 
 
 def _load_trace_groups(files: _t.Sequence[str]) -> _t.Any:
@@ -854,8 +749,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     from .loadgen import live_summary, run_live_seeds
 
     _reject_model_strategies((args.strategy,))
-    if args.seeds < 1:
-        raise _Exit("--seeds must be at least 1")
+    _require_positive(args, "seeds")
     config = _config_from(
         args, **_remediation_overrides(args), **_trace_overrides(args)
     )
@@ -1094,6 +988,7 @@ def _add_firehose(subparsers: argparse._SubParsersAction) -> None:
 def _cmd_firehose(args: argparse.Namespace) -> int:
     from .loadgen import run_firehose
 
+    _require_positive(args, "multigets", "fanout", "window", "pool")
     endpoints = _endpoints_from(args)
     where = ", ".join(f"{h}:{p}" for h, p in endpoints)
     print(
@@ -1160,8 +1055,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         if name not in KNOWN_STRATEGIES:
             raise _Exit(f"unknown strategy {name!r}")
     _reject_model_strategies(strategies)
-    if args.seeds < 1:
-        raise _Exit("--seeds must be at least 1")
+    _require_positive(args, "tasks", "seeds")
     time_scale = args.time_scale if args.time_scale is not None else DEFAULT_TIME_SCALE
     backend = (
         f"{args.procs}-process cluster" if args.procs > 1 else "loopback"
@@ -1239,6 +1133,7 @@ def _ring_cluster(args: argparse.Namespace):
 def _cmd_ring(args: argparse.Namespace) -> int:
     from .placement import placement_delta, ring_report
 
+    _require_positive(args, "keys")
     try:
         cluster = _ring_cluster(args)
         placement = cluster.make_placement()
@@ -1352,17 +1247,6 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
             tag = f" ({faults} fault event{'s' if faults != 1 else ''})" if faults else ""
             print(f"  {name:24s} {spec.summary}{tag}")
     print("\nrun one with: python -m repro run --scenario <name>")
-    return 0
-
-
-def _cmd_trace_stats(args: argparse.Namespace) -> int:
-    try:
-        tasks, metadata = load_trace(args.path)
-    except (OSError, ValueError) as exc:
-        raise _Exit(f"bad trace file: {exc}") from exc
-    print(f"metadata: {metadata}")
-    rows = [{"metric": k, "value": v} for k, v in trace_stats(tasks).items()]
-    print(render_table(rows))
     return 0
 
 
@@ -1485,7 +1369,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
     _add_run(subparsers)
-    _add_profile(subparsers)
     _add_sweep(subparsers)
     _add_figure1(subparsers)
     _add_figure2(subparsers)

@@ -39,6 +39,7 @@ from ..scheduling.disciplines import (
 )
 from ..sim.rng import StreamFactory
 from ..workload.calibration import ServiceTimeModel
+from ..workload.soundcloud import PAPER_CLIENTS
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from .config import ExperimentConfig
@@ -157,12 +158,12 @@ class C3Builder(StrategyBuilder):
     ) -> DispatchStrategy:
         selector = C3Selector(
             ctx.env,
-            concurrency_weight=ctx.config.n_clients,
+            concurrency_weight=PAPER_CLIENTS,
             stream=ctx.streams.stream(f"c3.tiebreak.{client_id}"),
             rate_control=self.rate_control,
             # Start at the per-client fair share of one server so the
             # cubic controller explores around the right operating point.
-            initial_rate=ctx.config.cluster.server_capacity() / ctx.config.n_clients,
+            initial_rate=ctx.config.cluster.server_capacity() / PAPER_CLIENTS,
         )
         return ObliviousStrategy(ctx.placement, selector, ctx.service_model)
 
@@ -219,7 +220,7 @@ class CreditsBuilder(StrategyBuilder):
         ctx.shared["controller"] = CreditsController(
             ctx.env,
             ctx.network,
-            n_clients=ctx.config.n_clients,
+            n_clients=PAPER_CLIENTS,
             server_capacities=ctx.config.cluster.server_capacities(),
             allocation_interval=ctx.config.credits_measurement_interval,
         )
@@ -238,7 +239,7 @@ class CreditsBuilder(StrategyBuilder):
             measurement_interval=config.credits_measurement_interval,
             initial_share=equal_initial_shares(
                 config.cluster.server_capacities(),
-                config.n_clients,
+                PAPER_CLIENTS,
                 config.credits_measurement_interval,
             ),
         )

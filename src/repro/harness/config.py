@@ -22,6 +22,7 @@ from ..core.credits import DEFAULT_EPOCH
 from ..workload.calibration import ServiceTimeModel, calibrate_service_model
 from ..workload.popularity import SubsetHotspotPopularity
 from ..workload.soundcloud import (
+    PAPER_CLIENTS,
     PAPER_LOAD,
     PAPER_MEAN_FANOUT,
     SoundCloudWorkload,
@@ -52,7 +53,6 @@ class ExperimentConfig:
 
     strategy: str = "c3"
     n_tasks: int = 20_000
-    n_clients: int = 18
     cluster: ClusterSpec = dataclasses.field(default_factory=ClusterSpec)
     load: float = PAPER_LOAD
     mean_fanout: float = PAPER_MEAN_FANOUT
@@ -89,8 +89,6 @@ class ExperimentConfig:
             )
         if self.n_tasks <= 0:
             raise ValueError("n_tasks must be positive")
-        if self.n_clients <= 0:
-            raise ValueError("n_clients must be positive")
         if not (0.0 < self.load):
             raise ValueError("load must be positive")
         if self.n_keys <= 0:
@@ -141,7 +139,6 @@ class ExperimentConfig:
         """
         workload = make_soundcloud_workload(
             n_tasks=self.n_tasks,
-            n_clients=self.n_clients,
             n_servers=self.cluster.n_servers,
             cores_per_server=self.cluster.cores_per_server,
             per_core_rate=self.cluster.per_core_rate,
@@ -181,7 +178,7 @@ class ExperimentConfig:
         origin = f" [{self.scenario}]" if self.scenario else ""
         return (
             f"{self.strategy}{origin}: {self.n_tasks} tasks, "
-            f"{self.n_clients} clients, "
+            f"{PAPER_CLIENTS} clients, "
             f"{self.cluster.n_servers}x{self.cluster.cores_per_server} cores, "
             f"load={self.load:.0%}, fanout~{self.mean_fanout}"
         )

@@ -34,6 +34,7 @@ from ..metrics.summary import DEFAULT_PERCENTILES, LatencySummary
 from ..placement import MutablePlacement
 from ..sim.engine import Environment
 from ..sim.rng import StreamFactory
+from ..workload.soundcloud import PAPER_CLIENTS
 from ..workload.tasks import TASK_BLOCK, Task
 from .builders import ClusterContext, get_builder
 from .config import WARMUP_FRACTION, ExperimentConfig
@@ -228,7 +229,7 @@ class RunAssembly:
         self.builder.build_shared(self.ctx)
         self.strategies: _t.List[_t.Any] = []
         self.clients: _t.List[Client] = []
-        for client_id in range(config.n_clients):
+        for client_id in range(PAPER_CLIENTS):
             strategy = self.builder.build_client_strategy(self.ctx, client_id)
             self.strategies.append(strategy)
             self.clients.append(
@@ -347,8 +348,8 @@ class Feeder:
     at about twice its tight-loop cost.  A task's due time is still fixed
     when it is taken, right after its predecessor's submit, so the flash
     crowds' ``arrival_scale`` compresses the same gaps.  The block lives
-    here, not in the generator, whose buffers honour a mid-run
-    reassignment of its models.
+    here, not in the generator, because only the feeder knows the run's
+    task count, so a refill never draws past it.
     """
 
     def __init__(self, clock: "Clock", run: RunAssembly, n_tasks: int) -> None:

@@ -1,4 +1,4 @@
-"""Workload models: the paper's fan-outs, value sizes, popularity, arrivals, traces.
+"""Workload models: the paper's fan-outs, value sizes, popularity, arrivals.
 
 One workload is modelled, the SoundCloud-like trace of
 :mod:`repro.workload.soundcloud`; its models are fixed when the
@@ -24,6 +24,7 @@ from .popularity import (
     ZipfPopularity,
 )
 from .soundcloud import (
+    PAPER_CLIENTS,
     PAPER_LOAD,
     PAPER_MEAN_FANOUT,
     PAPER_SERVICE_RATE,
@@ -32,7 +33,6 @@ from .soundcloud import (
     soundcloud_fanout,
 )
 from .tasks import Operation, Task, TaskGenerator, ValueSizeRegistry, trace_stats
-from .trace import TraceFormatError, load_trace, save_trace
 from .valuesize import GeneralizedParetoValueSize, atikoglu_etc
 
 __all__ = [
@@ -42,6 +42,7 @@ __all__ = [
     "LogNormalFanout",
     "MixtureFanout",
     "Operation",
+    "PAPER_CLIENTS",
     "PAPER_LOAD",
     "PAPER_MEAN_FANOUT",
     "PAPER_SERVICE_RATE",
@@ -52,14 +53,11 @@ __all__ = [
     "SubsetHotspotPopularity",
     "Task",
     "TaskGenerator",
-    "TraceFormatError",
     "ValueSizeRegistry",
     "ZipfPopularity",
     "atikoglu_etc",
     "calibrate_service_model",
-    "load_trace",
     "make_soundcloud_workload",
-    "save_trace",
     "soundcloud_fanout",
     "system_capacity",
     "task_arrival_rate_for_load",

@@ -41,6 +41,7 @@ from .valuesize import GeneralizedParetoValueSize, atikoglu_etc
 #: Disclosed properties of the paper's trace.
 PAPER_MEAN_FANOUT = 8.6
 PAPER_LOAD = 0.70
+PAPER_CLIENTS = 18
 PAPER_SERVICE_RATE = 3500.0
 
 
@@ -78,7 +79,6 @@ class SoundCloudWorkload:
     """Fully-specified workload: distributions plus derived arrival rate."""
 
     n_tasks: int
-    n_clients: int
     n_keys: int
     load: float
     mean_fanout: float
@@ -96,7 +96,7 @@ class SoundCloudWorkload:
             popularity=self.popularity,
             value_sizes=registry,
             arrivals=PoissonArrivals(self.task_rate),
-            n_clients=self.n_clients,
+            n_clients=PAPER_CLIENTS,
             streams=streams,
         )
 
@@ -107,7 +107,6 @@ class SoundCloudWorkload:
 
 def make_soundcloud_workload(
     n_tasks: int = 20_000,
-    n_clients: int = 18,
     n_servers: int = 9,
     cores_per_server: int = 4,
     per_core_rate: float = PAPER_SERVICE_RATE,
@@ -138,7 +137,6 @@ def make_soundcloud_workload(
     )
     return SoundCloudWorkload(
         n_tasks=n_tasks,
-        n_clients=n_clients,
         n_keys=n_keys,
         load=load,
         mean_fanout=mean_fanout,

@@ -108,9 +108,6 @@ class ValueSizeRegistry(dict):
         size = self[key] = self.distribution.sample(stream)
         return size
 
-    def size_of(self, key: int) -> int:
-        return self[key]
-
 
 #: Draws buffered per stream by the task generator.  Purely an
 #: amortization knob: block draws are byte-identical to per-call draws
@@ -241,8 +238,8 @@ class _StreamsLike(_t.Protocol):  # pragma: no cover - typing helper
 
 
 def trace_stats(tasks: _t.Sequence[Task]) -> _t.Dict[str, float]:
-    """Summary statistics of a trace (``repro trace stats`` and
-    ``examples/workload_stats.py`` print them)."""
+    """Summary statistics of a generated trace (``examples/workload_stats.py``
+    prints them)."""
     if not tasks:
         raise ValueError("empty trace")
     n_ops = sum(t.fanout for t in tasks)

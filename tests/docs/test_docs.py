@@ -1,6 +1,6 @@
 """Documentation lint: docstrings, link integrity, CLI-reference sync, surface.
 
-Seven guarantees, run in CI's ``docs`` job:
+Eight guarantees, run in CI's ``docs`` job:
 
 * every module, public class and public function in
   ``src/repro/placement/`` carries a docstring (the layer the docs book
@@ -11,6 +11,8 @@ Seven guarantees, run in CI's ``docs`` job:
   is a real subcommand of the live parser;
 * ``docs/cli.md`` matches what ``repro docs-cli`` renders from the
   argparse tree -- the CLI reference cannot drift;
+* every subcommand is run by a tier-1 test or a CI step -- a command
+  nothing runs cannot silently rot;
 * every public top-level name under ``src/repro`` is read somewhere other
   than its own module, ``__init__`` re-exports and ``tests/`` (or is
   allowlisted with a reason) -- the surface cannot silently regrow;
@@ -25,7 +27,12 @@ Seven guarantees, run in CI's ``docs`` job:
 """
 
 import ast
+import os
+import pstats
 import re
+import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -171,15 +178,51 @@ class TestPerformanceBook:
 
     def test_mentions_profile_command_and_artifacts(self):
         text = (DOCS / "performance.md").read_text(encoding="utf-8")
-        assert "repro profile" in text
+        assert "python -m cProfile -s tottime -m repro run" in text
+        assert "python -m cProfile -o" in text
         assert "bench/run.py" in text
         assert "BENCHMARK.json" in text
 
+    def test_documented_profile_commands_run(self, tmp_path):
+        """The ``python -m cProfile`` console block runs as written, at 300
+        tasks and with its stats file under ``tmp_path``."""
+        text = (DOCS / "performance.md").read_text(encoding="utf-8")
+        section = text.split("### `python -m cProfile`", 1)[1]
+        block = section.split("```console", 1)[1].split("```", 1)[0]
+        commands = [
+            line[2:] for line in block.splitlines() if line.startswith("$ ")
+        ]
+        assert len(commands) == 3
+        stats = tmp_path / "run.prof"
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        outputs = []
+        for command in commands:
+            command = command.replace("/tmp/run.prof", str(stats))
+            command = re.sub(r"--tasks \d+", "--tasks 300", command)
+            argv = shlex.split(command)
+            assert argv[0] == "python"
+            done = subprocess.run(
+                [sys.executable, *argv[1:]], env=env, cwd=tmp_path,
+                capture_output=True, text=True, timeout=120,
+            )  # fmt: skip
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout)
+        for out in (outputs[0], outputs[2]):
+            assert "function calls" in out
+            assert "ncalls" in out and "tottime" in out
+        profiled = pstats.Stats(str(stats)).stats
+        assert any(
+            Path(filename).is_relative_to(REPO / "src" / "repro")
+            for filename, _, _ in profiled
+        )
+
     def test_no_doc_names_a_second_perf_system(self):
         """Perf is measured by ``bench/`` alone, judged parent-vs-change:
-        no doc or CI file points at a throughput gate script or a
-        committed throughput baseline."""
-        gate = re.compile(r"check_\w+_throughput\b|\w+_throughput_\w*baseline\.json")
+        no doc or CI file points at a throughput gate script, a
+        committed throughput baseline or a profiling subcommand of our own."""
+        gate = re.compile(
+            r"check_\w+_throughput\b|\w+_throughput_\w*baseline\.json|repro profile\b"
+        )
         files = [REPO / "README.md", REPO / "DESIGN.md"] + [
             p
             for root in (DOCS, REPO / ".github")
@@ -209,6 +252,51 @@ class TestCliReference:
             if hasattr(action, "choices") and action.choices:
                 for name in action.choices:
                     assert f"## `repro {name}`" in text, f"{name} undocumented"
+
+
+def _argv_heads(tree):
+    """The command words of every list literal: its leading string
+    constants, after ``"repro"`` where the list spawns ``-m repro``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.List):
+            words = [_string(elt) for elt in node.elts]
+            if "repro" in words:
+                words = words[words.index("repro") + 1:]
+            if None in words:
+                words = words[: words.index(None)]
+            yield tuple(words[:2])
+
+
+class TestSubcommandCoverage:
+    """The CLI twin of :class:`TestStrategyCatalogue`: a subcommand that no
+    tier-1 test runs and no CI step runs is a command nothing checks."""
+
+    def test_every_subcommand_is_run_by_a_test_or_ci(self):
+        from repro.cli import _subcommands
+
+        heads = {
+            head
+            for root in ("tests", "benchmarks")
+            for path in sorted((REPO / root).rglob("test_*.py"))
+            for head in _argv_heads(ast.parse(path.read_text(encoding="utf-8")))
+        }
+        ci = (REPO / ".github" / "workflows" / "ci.yml").read_text(encoding="utf-8")
+        for line in ci.splitlines():
+            if not line.strip().startswith(("- name:", "name:")):
+                heads.update(
+                    re.findall(r"\brepro ([a-z][a-z0-9-]*)(?: ([a-z][a-z0-9-]*))?", line)
+                )
+        heads |= {head[:1] for head in heads}
+        commands = _subcommands(build_parser())
+        wanted = [(name,) for name in commands] + [
+            (name, sub) for name, p in commands.items() for sub in _subcommands(p)
+        ]
+        unrun = [" ".join(w) for w in wanted if w not in heads]
+        assert len(wanted) >= 15  # the walk found the commands there are
+        assert not unrun, (
+            "subcommands no tier-1 test and no CI step runs -- test them, "
+            "run them in CI, or delete them: " + ", ".join(unrun)
+        )
 
 
 #: Public names with no reader outside their module, and why each stays.
@@ -348,7 +436,6 @@ class TestEnvironmentKnobs:
 #: Config fields no non-test caller sets, each kept on purpose.
 CONFIG_KNOB_ALLOWLIST = {
     "per_core_rate": "part of the hello-ack shape check; removing it changes the handshake",
-    "n_clients": "only the single-client builder property test sets it; left for later",
 }
 
 

@@ -24,7 +24,7 @@ from repro.harness.builders import (
     ObliviousBuilder,
 )
 from repro.sim import Environment, Stream, StreamFactory
-from repro.workload import ServiceTimeModel
+from repro.workload import PAPER_CLIENTS, ServiceTimeModel
 from repro.workload.tasks import Operation, Task
 
 
@@ -111,7 +111,7 @@ def test_push_server_starts_in_priority_then_arrival_order(name, tasks):
     order ``LiveWorker``'s heap has by construction.  The builder's
     discipline therefore decides nothing the priority tuple does not."""
     config = ExperimentConfig(
-        strategy=name, n_tasks=len(tasks), n_clients=1, cluster=ONE_SERVER
+        strategy=name, n_tasks=len(tasks), cluster=ONE_SERVER
     )
     env = Environment()
     network = Network(env, latency=ConstantLatency(0.0), stream=Stream(0, "n"))
@@ -128,7 +128,8 @@ def test_push_server_starts_in_priority_then_arrival_order(name, tasks):
     strategy = builder.build_client_strategy(ctx, 0)
     strategy.bind(SimpleNamespace(client_id=0, env=env))
     server = builder.build_server(ctx, 0)
-    network.register(client_address(0), lambda response: None)
+    for client_id in range(PAPER_CLIENTS):  # the controller grants to all
+        network.register(client_address(client_id), lambda response: None)
     arrival = {}
     violations = []
 

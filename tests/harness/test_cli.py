@@ -78,46 +78,37 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "fault:" in out
 
-    def test_trace_roundtrip(self, tmp_path, capsys):
-        path = tmp_path / "t.jsonl"
-        assert main(["trace", "generate", str(path), "--tasks", "100"]) == 0
-        assert main(["trace", "stats", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "mean_fanout" in out
-
-    def test_trace_generate_writes_the_seeded_workload(self, tmp_path, capsys):
-        from repro.workload import load_trace, make_soundcloud_workload
-
-        path = tmp_path / "t.jsonl"
-        assert main([
-            "trace", "generate", str(path), "--tasks", "50", "--seed", "3",
-        ]) == 0
-        tasks, metadata = load_trace(path)
-        assert metadata == {"seed": 3}
-        assert tasks == make_soundcloud_workload(n_tasks=50).generate(seed=3)
-
+    @pytest.mark.parametrize("command", ["attribution", "slowest", "diff"])
     @pytest.mark.parametrize(
         "content",
         [None, "", "not json\n", '{"format": "other"}\n'],
         ids=["missing", "empty", "not-json", "foreign"],
     )
-    def test_trace_stats_bad_file_is_a_usage_error(self, tmp_path, capsys, content):
+    def test_trace_artifact_bad_file_is_a_usage_error(
+        self, tmp_path, capsys, content, command
+    ):
         path = tmp_path / "t.jsonl"
         if content is not None:
             path.write_text(content)
-        assert main(["trace", "stats", str(path)]) == 2
-        assert "bad trace file" in capsys.readouterr().err
+        assert main(["trace", command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "bad trace artifact" in err or "no trace groups" in err
 
     @pytest.mark.parametrize(
         "flag, value", [("--fanout", "0.5"), ("--tasks", "-3")]
     )
-    def test_trace_generate_bad_value_is_a_bad_configuration(
-        self, tmp_path, capsys, flag, value
+    def test_run_bad_value_is_a_bad_configuration(
+        self, capsys, monkeypatch, flag, value
     ):
-        path = tmp_path / "t.jsonl"
-        assert main(["trace", "generate", str(path), flag, value]) == 2
+        """A workload value no config accepts exits 2 before any run."""
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr("repro.harness.parallel.run_experiment", no_run)
+        assert main(["run", "--strategy", "c3", flag, value]) == 2
         assert "bad configuration" in capsys.readouterr().err
-        assert not path.exists()
 
     def test_run_single_seed_honors_cache(self, tmp_path, capsys):
         cache_dir = tmp_path / "cache"
@@ -196,6 +187,54 @@ class TestCommands:
             "sweep", *argv, "--strategies", "c3", "--tasks", "300",
         ]) == 2
         assert "bad configuration" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["figure2", "--tasks", "0"],
+            ["figure2", "--seeds", "0", "--tasks", "300"],
+            ["compare", "--scenario", "steady-state", "--strategy", "c3",
+             "--tasks", "0"],
+            ["firehose", "--multigets", "0"],
+            ["ring", "--keys", "0"],
+            ["run", "--seeds", "0", "--tasks", "300"],
+        ],
+        ids=["figure2-tasks", "figure2-seeds", "compare-tasks",
+             "firehose-multigets", "ring-keys", "run-seeds"],
+    )
+    def test_bad_count_is_a_usage_error(self, argv, capsys):
+        """A count below 1 exits 2 with a one-line message: no traceback,
+        and no run under a silently corrected value."""
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.strip().count("\n") == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["firehose", "--fanout", "0"],
+            ["firehose", "--window", "0"],
+            ["firehose", "--pool", "0"],
+            ["loadgen", "--seeds", "0"],
+            ["compare", "--scenario", "steady-state", "--strategy", "c3",
+             "--seeds", "0"],
+        ],
+        ids=["firehose-fanout", "firehose-window", "firehose-pool",
+             "loadgen-seeds", "compare-seeds"],
+    )
+    def test_bad_count_fails_before_any_connection(self, argv, capsys, monkeypatch):
+        """The other count flags share the same check, and it runs before
+        the command resolves or dials an endpoint."""
+
+        def no_dial(args):
+            raise AssertionError("an endpoint was resolved")
+
+        monkeypatch.setattr("repro.cli._endpoints_from", no_dial)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.strip() == f"{argv[-2]} must be at least 1"
 
     def test_sweep_scenario_base(self, capsys):
         assert main([

@@ -13,12 +13,14 @@ from repro.harness import (
     KNOWN_STRATEGIES,
 )
 from repro.scenarios import SCENARIOS
+from repro.sim.rng import StreamFactory
+from repro.workload import PAPER_CLIENTS
 
 
 class TestExperimentConfig:
     def test_defaults_match_paper_setup(self):
         cfg = ExperimentConfig()
-        assert cfg.n_clients == 18
+        assert PAPER_CLIENTS == 18
         assert cfg.cluster.n_servers == 9
         assert cfg.cluster.cores_per_server == 4
         assert cfg.load == 0.70
@@ -45,7 +47,7 @@ class TestExperimentConfig:
         cfg = ExperimentConfig(n_tasks=100)
         w = cfg.workload()
         assert w.n_tasks == 100
-        assert w.n_clients == cfg.n_clients
+        assert w.generator(StreamFactory(1)).n_clients == PAPER_CLIENTS
         assert w.task_rate > 0
 
     @pytest.mark.parametrize("per_core_rate", [None, 5000.0], ids=["default", "rate"])
@@ -71,8 +73,6 @@ class TestExperimentConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             ExperimentConfig(n_tasks=0)
-        with pytest.raises(ValueError):
-            ExperimentConfig(n_clients=0)
         with pytest.raises(ValueError):
             ExperimentConfig(load=0.0)
         with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ import pytest
 from repro.harness import KNOWN_STRATEGIES, ExperimentConfig, run_experiment, run_seeds
 from repro.harness.config import WARMUP_FRACTION
 from repro.scenarios import get_scenario
+from repro.workload import PAPER_CLIENTS
 
 SMALL = dict(n_tasks=400, n_keys=2000)
 
@@ -210,7 +211,7 @@ class TestClose:
         try:
             assert run.placement.boosted
             hedged = [s for s in run.strategies if isinstance(s, HedgedStrategy)]
-            assert len(hedged) == config.n_clients
+            assert len(hedged) == PAPER_CLIENTS
             assert all(s.budget_fraction == 0.1 for s in hedged)
         finally:
             run.close()
@@ -313,7 +314,7 @@ class TestRunAssemblyParity:
             tasks[realm] = [run.generator.next_task() for _ in range(200)]
 
         assert [type(s) for s in sim.strategies] == [type(s) for s in live.strategies]
-        assert len(sim.clients) == len(live.clients) == config.n_clients
+        assert len(sim.clients) == len(live.clients) == PAPER_CLIENTS
         assert sim.warmup_tasks == live.warmup_tasks == 20
         assert sim.faults.schedule == live.faults.schedule == config.fault_schedule
         for key in range(0, config.n_keys, 97):
@@ -321,5 +322,5 @@ class TestRunAssemblyParity:
         assert tasks["sim"] == tasks["live"]
         # Same handlers on the transport, whatever it is made of.
         assert set(live.ctx.network.handlers) >= {
-            ("client", c) for c in range(config.n_clients)
+            ("client", c) for c in range(PAPER_CLIENTS)
         }

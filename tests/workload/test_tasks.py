@@ -80,23 +80,23 @@ class TestDataModel:
 class TestValueSizeRegistry:
     def test_consistent_per_key(self):
         reg = ValueSizeRegistry(atikoglu_etc(), seed=42)
-        assert reg.size_of(7) == reg.size_of(7)
+        assert reg[7] == reg[7]
 
     def test_deterministic_across_instances(self):
         a = ValueSizeRegistry(atikoglu_etc(), seed=42)
         b = ValueSizeRegistry(atikoglu_etc(), seed=42)
-        assert [a.size_of(k) for k in range(100)] == [b.size_of(k) for k in range(100)]
+        assert [a[k] for k in range(100)] == [b[k] for k in range(100)]
 
     def test_different_seeds_differ(self):
         a = ValueSizeRegistry(atikoglu_etc(), seed=1)
         b = ValueSizeRegistry(atikoglu_etc(), seed=2)
-        assert [a.size_of(k) for k in range(50)] != [b.size_of(k) for k in range(50)]
+        assert [a[k] for k in range(50)] != [b[k] for k in range(50)]
 
     def test_len_counts_distinct_keys(self):
         reg = ValueSizeRegistry(atikoglu_etc(), seed=1)
-        reg.size_of(1)
-        reg.size_of(1)
-        reg.size_of(2)
+        reg[1]
+        reg[1]
+        reg[2]
         assert len(reg) == 2
 
     @staticmethod
@@ -116,17 +116,17 @@ class TestValueSizeRegistry:
         backward = ValueSizeRegistry(distribution, seed=42)
         crowded = ValueSizeRegistry(distribution, seed=42)
         for other in range(100_000, 110_000):  # 10k other keys drawn first
-            crowded.size_of(other)
+            crowded[other]
         expected = [self._fresh_draw(distribution, 42, key) for key in keys]
-        assert [forward.size_of(key) for key in keys] == expected
-        assert [backward.size_of(key) for key in reversed(keys)] == expected[::-1]
-        assert [crowded.size_of(key) for key in keys] == expected
+        assert [forward[key] for key in keys] == expected
+        assert [backward[key] for key in reversed(keys)] == expected[::-1]
+        assert [crowded[key] for key in keys] == expected
         # Re-reads come from the memo, not from another draw.
-        assert [forward.size_of(key) for key in keys] == expected
+        assert [forward[key] for key in keys] == expected
         assert len(forward) == len(keys)
         # A thousand keys in a row: each one's size is its own fresh stream's.
         many = range(5_000, 6_000)
-        assert [forward.size_of(key) for key in many] == [
+        assert [forward[key] for key in many] == [
             self._fresh_draw(distribution, 42, key) for key in many
         ]
 
