@@ -42,10 +42,24 @@ from ..metrics.timeseries import EwmaEstimator, WindowedRate
 from ..sim.rng import Stream
 from .selectors import ReplicaSelector
 
+# Every C3 tuning value is one constant in this block; none is a
+# constructor argument.
+
 #: Multiplicative decrease factor on congestion (CUBIC's beta).
 DEFAULT_BETA = 0.2
 #: Cubic growth scaling (CUBIC's C), in rate units per second^3.
 DEFAULT_GAMMA = 100_000.0
+#: Send-rate floor (requests/s); a limiter that starts below it floors at
+#: its initial rate instead, so a cut never raises the rate.
+MIN_RATE = 100.0
+#: Send-rate ceiling (requests/s).
+MAX_RATE = 1e7
+#: CUBIC cuts at most once per this many seconds (one congestion epoch).
+REACTION_INTERVAL = 0.05
+#: Token-bucket depth: sends that may leave back to back.
+BURST = 16.0
+#: Window (seconds) of the per-server send- and receive-rate estimates.
+RATE_WINDOW = 0.2
 #: Feedback smoothing time constant (seconds).
 DEFAULT_SMOOTHING = 0.1
 #: Congestion declared only when send rate exceeds receive rate by this
@@ -58,37 +72,16 @@ MIN_WINDOW_SAMPLES = 8
 class CubicRateLimiter:
     """Per-server CUBIC send-rate controller with token accounting."""
 
-    def __init__(
-        self,
-        env: Clock,
-        initial_rate: float = 1000.0,
-        beta: float = DEFAULT_BETA,
-        gamma: float = DEFAULT_GAMMA,
-        min_rate: float = 100.0,
-        max_rate: float = 1e7,
-        reaction_interval: float = 0.05,
-        burst: float = 16.0,
-    ) -> None:
+    def __init__(self, env: Clock, initial_rate: float) -> None:
         if initial_rate <= 0:
             raise ValueError("initial_rate must be positive")
-        if not (0.0 < beta < 1.0):
-            raise ValueError("beta must be in (0, 1)")
-        if reaction_interval <= 0:
-            raise ValueError("reaction_interval must be positive")
-        if burst < 1.0:
-            raise ValueError("burst must be >= 1")
         self.env = env
         self.rate = float(initial_rate)
-        self.beta = float(beta)
-        self.gamma = float(gamma)
-        self.min_rate = float(min_rate)
-        self.max_rate = float(max_rate)
-        self.reaction_interval = float(reaction_interval)
-        self.burst = float(burst)
+        self.min_rate = min(MIN_RATE, self.rate)
         self.rate_max = float(initial_rate)
         self._epoch_start = env.now
         self._last_reaction = -float("inf")
-        self._tokens = float(burst)
+        self._tokens = BURST
         self._last_refill = env.now
         self.congestion_events = 0
 
@@ -96,30 +89,30 @@ class CubicRateLimiter:
     def on_congestion(self) -> None:
         """Multiplicative decrease; remember the plateau.
 
-        Reacts at most once per ``reaction_interval`` -- CUBIC cuts once per
+        Reacts at most once per ``REACTION_INTERVAL`` -- CUBIC cuts once per
         congestion *epoch*, not once per ack, and without this guard the
         noisy windowed-rate comparison collapses the rate to the floor.
         """
-        if self.env.now - self._last_reaction < self.reaction_interval:
+        if self.env.now - self._last_reaction < REACTION_INTERVAL:
             return
         self._last_reaction = self.env.now
         self.rate_max = self.rate
-        self.rate = max(self.min_rate, self.rate * (1.0 - self.beta))
+        self.rate = max(self.min_rate, self.rate * (1.0 - DEFAULT_BETA))
         self._epoch_start = self.env.now
         self.congestion_events += 1
 
     def on_ack(self) -> None:
         """Cubic growth toward (and past) the previous plateau."""
         t = self.env.now - self._epoch_start
-        k = ((self.rate_max * self.beta) / self.gamma) ** (1.0 / 3.0)
-        target = self.gamma * (t - k) ** 3 + self.rate_max
-        self.rate = min(self.max_rate, max(self.min_rate, target))
+        k = ((self.rate_max * DEFAULT_BETA) / DEFAULT_GAMMA) ** (1.0 / 3.0)
+        target = DEFAULT_GAMMA * (t - k) ** 3 + self.rate_max
+        self.rate = min(MAX_RATE, max(self.min_rate, target))
 
     # -- token bucket ------------------------------------------------------------
     def _refill(self) -> None:
         now = self.env.now
         self._tokens = min(
-            self.burst, self._tokens + (now - self._last_refill) * self.rate
+            BURST, self._tokens + (now - self._last_refill) * self.rate
         )
         self._last_refill = now
 
@@ -157,15 +150,13 @@ class C3State:
         "limiter",
     )
 
-    def __init__(
-        self, env: Clock, rate_window: float, initial_rate: float
-    ) -> None:
+    def __init__(self, env: Clock, initial_rate: float) -> None:
         self.response_time = EwmaEstimator(DEFAULT_SMOOTHING)
         self.service_time = EwmaEstimator(DEFAULT_SMOOTHING)
         self.queue_size = EwmaEstimator(DEFAULT_SMOOTHING)
         self.outstanding = 0
-        self.send_rate = WindowedRate(rate_window)
-        self.recv_rate = WindowedRate(rate_window)
+        self.send_rate = WindowedRate(RATE_WINDOW)
+        self.recv_rate = WindowedRate(RATE_WINDOW)
         self.limiter = CubicRateLimiter(env, initial_rate=initial_rate)
 
 
@@ -184,9 +175,8 @@ class C3Selector(ReplicaSelector):
         env: Clock,
         concurrency_weight: float,
         stream: Stream,
-        rate_window: float = 0.2,
+        initial_rate: float,
         rate_control: bool = True,
-        initial_rate: float = 1000.0,
     ) -> None:
         if concurrency_weight < 1:
             raise ValueError("concurrency_weight must be >= 1")
@@ -195,7 +185,6 @@ class C3Selector(ReplicaSelector):
         self.env = env
         self.concurrency_weight = float(concurrency_weight)
         self.stream = stream
-        self.rate_window = rate_window
         self.rate_control = rate_control
         self.initial_rate = initial_rate
         self._states: _t.Dict[int, C3State] = {}
@@ -203,7 +192,7 @@ class C3Selector(ReplicaSelector):
     def state_of(self, server_id: int) -> C3State:
         state = self._states.get(server_id)
         if state is None:
-            state = C3State(self.env, self.rate_window, self.initial_rate)
+            state = C3State(self.env, self.initial_rate)
             self._states[server_id] = state
         return state
 

@@ -28,33 +28,28 @@ from ..workload.tasks import Task
 from .selectors import ReplicaSelector
 
 
+#: Floor (and cold-start value) of the hedge threshold, seconds.
+HEDGE_DELAY = 2e-3
+#: Hedges may be at most this fraction of the recent sends (Dean & Barroso
+#: suggest ~5%).
+HEDGE_BUDGET = 0.1
+
+
 class HedgedStrategy(DispatchStrategy):
-    """Per-request replica selection with a one-shot hedge after a delay.
+    """Per-request replica selection with one hedge after a delay.
 
-    Two production safeguards from the Tail-at-Scale playbook are built
-    in, because without them hedging melts down under queueing (each
-    duplicate adds load, which delays more primaries, which spawns more
-    duplicates -- a positive feedback loop the straggler ablation
-    demonstrates when they are disabled):
+    Each read goes to the selector's best replica.  If it is still
+    unanswered after the hedge threshold, one duplicate goes to the best
+    *other* replica of its group; the first response wins.  Two
+    safeguards from the Tail-at-Scale playbook bound the extra load each
+    duplicate adds (which delays more primaries, which would spawn more
+    duplicates):
 
-    * **adaptive threshold** -- once enough responses have been observed,
-      the effective hedge delay is the client's own p95 response latency
-      (never below ``hedge_delay``);
-    * **hedge budget** -- duplicates are capped at ``budget_fraction`` of
-      the recent send rate (Dean & Barroso suggest ~5%).
-
-    Parameters
-    ----------
-    hedge_delay:
-        Floor (and cold-start value) for the hedge threshold, seconds.
-    max_hedges:
-        Duplicates per request (1 = classic hedging).  The hedge goes to
-        the best *other* replica according to the selector.
-    budget_fraction:
-        Maximum hedges as a fraction of recent sends; ``1.0`` disables
-        the budget (unit tests of the raw mechanism use this).
-    adaptive:
-        Use the observed p95 as the threshold once warmed up.
+    * **adaptive threshold** -- once 100 responses have been observed,
+      the threshold is the client's own p95 response latency, never
+      below ``HEDGE_DELAY``;
+    * **hedge budget** -- duplicates are capped at ``HEDGE_BUDGET`` of
+      the sends in the last second.
     """
 
     def __init__(
@@ -62,31 +57,17 @@ class HedgedStrategy(DispatchStrategy):
         placement: Placement,
         selector: ReplicaSelector,
         service_model: ServiceTimeModel,
-        hedge_delay: float = 2e-3,
-        max_hedges: int = 1,
-        budget_fraction: float = 0.1,
-        adaptive: bool = True,
     ) -> None:
-        if hedge_delay <= 0:
-            raise ValueError("hedge_delay must be positive")
-        if max_hedges < 1:
-            raise ValueError("max_hedges must be >= 1")
-        if not (0.0 < budget_fraction <= 1.0):
-            raise ValueError("budget_fraction must be in (0, 1]")
         self.placement = placement
         self.selector = selector
         self.service_model = service_model
         # Memoized forecasts, shared logic with the BRB/oblivious paths.
         self.cost_model = CostModel(service_model)
-        self.hedge_delay = float(hedge_delay)
-        self.max_hedges = int(max_hedges)
         self.name = f"hedged+{selector.name}"
         #: op_id -> [answered, copies_in_flight]; entries are deleted once
         #: every copy has returned, so memory stays bounded by the number
         #: of in-flight ops rather than the length of the run.
         self._ops: _t.Dict[int, _t.List[_t.Any]] = {}
-        self.budget_fraction = float(budget_fraction)
-        self.adaptive = bool(adaptive)
         #: Observed response latencies; p95 drives the adaptive threshold.
         self._latencies = LogHistogram(min_value=1e-6, max_value=1e3, precision=0.05)
         self._send_rate = WindowedRate(window=1.0)
@@ -97,15 +78,15 @@ class HedgedStrategy(DispatchStrategy):
 
     def _threshold(self) -> float:
         """Current hedge delay: observed p95 once warm, floor otherwise."""
-        if self.adaptive and self._latencies.count >= 100:
-            return max(self.hedge_delay, self._latencies.quantile(0.95))
-        return self.hedge_delay
+        if self._latencies.count >= 100:
+            return max(HEDGE_DELAY, self._latencies.quantile(0.95))
+        return HEDGE_DELAY
 
     def _budget_allows(self) -> bool:
         now = self.client.env.now
         sends = self._send_rate.count(now)
         hedges = self._hedge_rate.count(now)
-        return hedges < self.budget_fraction * max(sends, 1.0)
+        return hedges < HEDGE_BUDGET * max(sends, 1.0)
 
     # -- prepare ---------------------------------------------------------------
     def prepare(self, task: Task) -> _t.List[RequestMessage]:
@@ -132,7 +113,7 @@ class HedgedStrategy(DispatchStrategy):
         for request in requests:
             self._ops[request.op.op_id] = [False, 1]
             self._send(request)
-            self._arm_hedge(request, self.max_hedges)
+            self.client.env.call_later(self._threshold(), self._hedge_due, request)
 
     def _send(self, request: RequestMessage) -> None:
         request.dispatched_at = self.client.env.now
@@ -142,14 +123,7 @@ class HedgedStrategy(DispatchStrategy):
             self.client.address, server_address(request.server_id), request
         )
 
-    def _arm_hedge(self, primary: RequestMessage, hedges_left: int) -> None:
-        if hedges_left > 0:
-            self.client.env.call_later(
-                self._threshold(), self._hedge_due, (primary, hedges_left)
-            )
-
-    def _hedge_due(self, armed: _t.Tuple[RequestMessage, int]) -> None:
-        primary, hedges_left = armed
+    def _hedge_due(self, primary: RequestMessage) -> None:
         entry = self._ops.get(primary.op.op_id)
         if entry is None or entry[0]:
             return  # answered in time: no hedge needed
@@ -178,7 +152,6 @@ class HedgedStrategy(DispatchStrategy):
         self.hedges_sent += 1
         self._hedge_rate.record(self.client.env.now)
         self._send(hedge)
-        self._arm_hedge(primary, hedges_left - 1)
 
     # -- responses ---------------------------------------------------------------
     def accepts_response(self, response: ResponseMessage) -> bool:

@@ -47,6 +47,7 @@ if _t.TYPE_CHECKING:  # pragma: no cover - core imports cluster, not vice versa
     from ..core.model_queue import GlobalQueue
 
 __all__ = [
+    "CONGESTION_THRESHOLD",
     "BackendServer",
     "PullServer",
     "ServerState",
@@ -54,6 +55,10 @@ __all__ = [
     "client_address",
     "server_address",
 ]
+
+#: A server is congested once offered work exceeds this multiple of its
+#: capacity (both realms' congestion check).
+CONGESTION_THRESHOLD = 1.3
 
 
 class ServerState:
@@ -164,10 +169,9 @@ class ServerState:
             mean = self.service_model.expected_time(1024)
         return self.cores / mean
 
-    def overloaded(
-        self, now: float, interval: float, threshold: float
-    ) -> _t.Optional[float]:
-        """The congestion check: the overload ratio if above ``threshold``.
+    def overloaded(self, now: float, interval: float) -> _t.Optional[float]:
+        """The congestion check: the overload ratio if above
+        ``CONGESTION_THRESHOLD``.
 
         Backlog counts as offered work too -- a deep queue with modest
         arrivals is still congestion -- so the queue is converted to a
@@ -177,7 +181,7 @@ class ServerState:
         offered = self.arrival_rate.rate(now) + self.queue_length() / interval
         capacity = self.capacity()
         ratio = offered / capacity if capacity > 0 else float("inf")
-        return ratio if ratio > threshold else None
+        return ratio if ratio > CONGESTION_THRESHOLD else None
 
 
 class _ServerBase(ServerState):
@@ -266,7 +270,6 @@ class BackendServer(_ServerBase):
         network: Network,
         discipline: _t.Optional[Discipline] = None,
         congestion_interval: _t.Optional[float] = None,
-        congestion_threshold: float = 1.3,
     ) -> None:
         super().__init__(env, server_id, cores, service_model, network)
         self.discipline = discipline if discipline is not None else FifoDiscipline()
@@ -276,7 +279,6 @@ class BackendServer(_ServerBase):
         #: An admit is already on the calendar for the current instant.
         self._admit_pending = False
         self.congestion_interval = congestion_interval
-        self.congestion_threshold = congestion_threshold
         self.congestion_signals_sent = 0
         network.register(self._address, self.handle_message)
         if congestion_interval is not None:
@@ -325,7 +327,7 @@ class BackendServer(_ServerBase):
 
     def _check_congestion(self, _arg: None) -> None:
         interval = _t.cast(float, self.congestion_interval)
-        ratio = self.overloaded(self.env.now, interval, self.congestion_threshold)
+        ratio = self.overloaded(self.env.now, interval)
         if ratio is not None:
             self.congestion_signals_sent += 1
             self.network.send(

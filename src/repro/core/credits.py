@@ -11,7 +11,7 @@ priority-queue."
 Components:
 
 * :class:`CreditsController` -- the logically centralized allocator.  Each
-  epoch (1 s default) it turns the demand reported by clients into
+  epoch (``DEFAULT_EPOCH``, 1 s) it turns the demand reported by clients into
   per-(client, server) credit grants, proportional to demand and capped by
   the server's (congestion-scaled) capacity budget.
 * :class:`CreditGate` -- client-side enforcement: requests may only leave
@@ -40,6 +40,20 @@ DEFAULT_EPOCH = 1.0
 #: ("clients report their demands at measurement intervals and are
 #: assigned credits ... proportionally to demands").
 DEFAULT_MEASUREMENT_INTERVAL = 0.1
+#: Multiplicative cut of a server's budget scale in an epoch that saw a
+#: congestion signal.
+CONGESTION_BACKOFF = 0.8
+#: Multiplicative growth of the budget scale in a congestion-free epoch
+#: (capped at 1.0).
+RECOVERY = 1.1
+#: Floor of a server's budget scale.
+MIN_SCALE = 0.5
+#: A gate's unused credits carry over, capped at this many fair-share
+#: grant intervals worth.
+ACCUMULATION_INTERVALS = 3.0
+#: A gated request triggers an urgent demand report at most this often
+#: (seconds).
+URGENT_REPORT_GAP = 0.005
 
 
 class CreditsController:
@@ -49,21 +63,14 @@ class CreditsController:
     ----------
     server_capacities:
         server_id -> sustainable requests/second (cores x service rate).
-    epoch:
-        Congestion-adaptation interval (the paper's 1 s): budget scales
-        move at most once per epoch.
     allocation_interval:
         Cadence at which demand is turned into credit grants; grants are
         denominated in requests-per-allocation-interval.  Matches the
         clients' measurement interval.
-    congestion_backoff:
-        Multiplicative cut applied to a server's budget scale on a
-        congestion signal.
-    recovery:
-        Multiplicative growth of the budget scale in congestion-free
-        epochs (capped at 1.0).
-    headroom:
-        Fraction of a server's raw capacity the controller may hand out.
+
+    Budget scales move at most once per ``DEFAULT_EPOCH`` (the paper's
+    1 s): by ``CONGESTION_BACKOFF`` after a congestion signal, by
+    ``RECOVERY`` otherwise, within ``[MIN_SCALE, 1]``.
     """
 
     def __init__(
@@ -72,35 +79,19 @@ class CreditsController:
         network: Transport,
         n_clients: int,
         server_capacities: _t.Mapping[int, float],
-        epoch: float = DEFAULT_EPOCH,
         allocation_interval: float = DEFAULT_MEASUREMENT_INTERVAL,
-        congestion_backoff: float = 0.8,
-        recovery: float = 1.1,
-        headroom: float = 1.0,
-        min_scale: float = 0.5,
     ) -> None:
         if n_clients <= 0:
             raise ValueError("n_clients must be positive")
-        if epoch <= 0:
-            raise ValueError("epoch must be positive")
-        if allocation_interval <= 0 or allocation_interval > epoch:
-            raise ValueError("need 0 < allocation_interval <= epoch")
-        if not (0.0 < congestion_backoff < 1.0):
-            raise ValueError("congestion_backoff must be in (0, 1)")
-        if recovery < 1.0:
-            raise ValueError("recovery must be >= 1")
+        if allocation_interval <= 0 or allocation_interval > DEFAULT_EPOCH:
+            raise ValueError("need 0 < allocation_interval <= DEFAULT_EPOCH")
         if not server_capacities:
             raise ValueError("need at least one server capacity")
         self.env = env
         self.network = network
         self.n_clients = int(n_clients)
         self.server_capacities = dict(server_capacities)
-        self.epoch = float(epoch)
         self.allocation_interval = float(allocation_interval)
-        self.congestion_backoff = float(congestion_backoff)
-        self.recovery = float(recovery)
-        self.headroom = float(headroom)
-        self.min_scale = float(min_scale)
         #: Per-server budget scale, adapted by congestion signals.
         self.scales: _t.Dict[int, float] = {s: 1.0 for s in server_capacities}
         #: Demand accumulated this epoch: client -> server -> requests.
@@ -111,7 +102,7 @@ class CreditsController:
         self.congestion_signals = 0
         #: Budget already issued as immediate top-ups this interval.
         self._issued: _t.Dict[int, float] = {s: 0.0 for s in server_capacities}
-        self._adaptation_due = self.epoch
+        self._adaptation_due = DEFAULT_EPOCH
         network.register(CONTROLLER_ADDRESS, self.handle_message)
         env.call_every(self.allocation_interval, self._allocate)
 
@@ -120,7 +111,6 @@ class CreditsController:
         return (
             self.server_capacities[server]
             * self.allocation_interval
-            * self.headroom
             * self.scales[server]
         )
 
@@ -199,19 +189,16 @@ class CreditsController:
     def _allocate(self, _arg: None) -> None:
         """One allocation interval: adapt budgets if due, then grant."""
         self.epoch_index += 1
-        # Congestion adaptation only every `epoch` (the paper's 1 s).
+        # Congestion adaptation only every epoch (the paper's 1 s).
         if self.env.now + 1e-12 >= self._adaptation_due:
-            self._adaptation_due += self.epoch
+            self._adaptation_due += DEFAULT_EPOCH
             for server in self.scales:
                 if server in self._congested:
                     self.scales[server] = max(
-                        self.min_scale,
-                        self.scales[server] * self.congestion_backoff,
+                        MIN_SCALE, self.scales[server] * CONGESTION_BACKOFF
                     )
                 else:
-                    self.scales[server] = min(
-                        1.0, self.scales[server] * self.recovery
-                    )
+                    self.scales[server] = min(1.0, self.scales[server] * RECOVERY)
             self._congested.clear()
         # Pivot demand to per-server view and allocate.
         per_server: _t.Dict[int, _t.Dict[int, float]] = {
@@ -257,39 +244,28 @@ class CreditGate:
         network: Transport,
         client_id: int,
         server_ids: _t.Iterable[int],
-        epoch: float = DEFAULT_EPOCH,
         measurement_interval: float = DEFAULT_MEASUREMENT_INTERVAL,
         initial_share: _t.Optional[_t.Mapping[int, float]] = None,
-        accumulation_intervals: float = 3.0,
-        urgent_report_gap: float = 0.005,
     ) -> None:
         if measurement_interval <= 0:
             raise ValueError("measurement_interval must be positive")
-        if accumulation_intervals < 1.0:
-            raise ValueError("accumulation_intervals must be >= 1")
-        if urgent_report_gap <= 0:
-            raise ValueError("urgent_report_gap must be positive")
         self.env = env
         self.network = network
         self.client_id = int(client_id)
         self.server_ids = list(server_ids)
         self._address = client_address(self.client_id)
         self._server_addresses = {s: server_address(s) for s in self.server_ids}
-        self.epoch = float(epoch)
         self.measurement_interval = float(measurement_interval)
-        #: Unused credits carry over, capped at this many grant-intervals
-        #: worth -- absorbs Poisson burstiness without giving any client an
-        #: unbounded claim on server capacity.
-        self.accumulation_intervals = float(accumulation_intervals)
         #: Spendable credits per server for the current epoch.
         self.credits: _t.Dict[int, float] = {
             s: (initial_share or {}).get(s, 0.0) for s in self.server_ids
         }
-        #: Carry-over ceiling per server: a few fair-share intervals worth.
-        #: Rate-based (not per-grant) so frequent small top-ups do not
-        #: shrink the burst cushion.
+        #: Carry-over ceiling per server: ``ACCUMULATION_INTERVALS`` fair-share
+        #: intervals worth -- absorbs Poisson burstiness without giving any
+        #: client an unbounded claim on server capacity.  Rate-based (not
+        #: per-grant) so frequent small top-ups do not shrink the cushion.
         self._caps: _t.Dict[int, float] = {
-            s: max((initial_share or {}).get(s, 1.0), 1.0) * accumulation_intervals
+            s: max((initial_share or {}).get(s, 1.0), 1.0) * ACCUMULATION_INTERVALS
             for s in self.server_ids
         }
         #: Gated requests per server: heap of (priority, seq, request).
@@ -299,8 +275,6 @@ class CreditGate:
         self._seq = 0
         #: Fresh demand since the last report, per server.
         self._new_demand: _t.Dict[int, float] = {s: 0.0 for s in self.server_ids}
-        #: Requests become urgent reports at most this often.
-        self.urgent_report_gap = float(urgent_report_gap)
         self._last_report = -float("inf")
         self.dispatched = 0
         self.gated = 0
@@ -327,7 +301,7 @@ class CreditGate:
             # away (rate-limited) instead of waiting out the measurement
             # interval, so the controller's top-up path can unblock us
             # within a network round trip.
-            if self.env.now - self._last_report >= self.urgent_report_gap:
+            if self.env.now - self._last_report >= URGENT_REPORT_GAP:
                 self._send_report()
 
     def _send(self, request: RequestMessage) -> None:
@@ -382,12 +356,13 @@ class CreditGate:
 def equal_initial_shares(
     server_capacities: _t.Mapping[int, float],
     n_clients: int,
-    epoch: float = DEFAULT_EPOCH,
+    interval: float,
 ) -> _t.Dict[int, float]:
-    """Bootstrap credits before the first grant: equal split of capacity."""
+    """Bootstrap credits before the first grant: an equal split of one
+    measurement ``interval``'s capacity."""
     if n_clients <= 0:
         raise ValueError("n_clients must be positive")
     return {
-        server: capacity * epoch / n_clients
+        server: capacity * interval / n_clients
         for server, capacity in server_capacities.items()
     }

@@ -104,6 +104,8 @@ class ExperimentConfig:
                 f"credits_measurement_interval must be in (0, {DEFAULT_EPOCH}] "
                 "(the credits epoch)"
             )
+        if self.congestion_check_interval <= 0:
+            raise ValueError("congestion_check_interval must be positive")
         if self.hot_shard is not None:
             n_partitions = self.cluster.make_placement().n_partitions
             if not (0 <= self.hot_shard < n_partitions):

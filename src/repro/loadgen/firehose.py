@@ -42,6 +42,9 @@ _PRIORITY: _t.Tuple[float, ...] = (0.0,)
 #: Every firehose op is binary: the handshake switched every link to it.
 _encode_op = BINARY_CODEC.encode_op
 
+#: Ops cycle over keys ``0 .. KEY_SPACE - 1``.
+KEY_SPACE = 16384
+
 #: The ``stats`` counters a result's ``server_io`` keeps.
 _SERVER_IO_KEYS = (
     "completed",
@@ -133,13 +136,11 @@ class _FirehoseRun:
         warmup: int,
         fanout: int,
         value_size: int,
-        key_space: int,
     ) -> None:
         self.total = total
         self.warmup = warmup
         self.fanout = fanout
         self.value_size = value_size
-        self.key_space = key_space
         self.pending: _t.Dict[int, int] = {}
         self.remaining = [fanout] * total
         self.starts = [0.0] * total
@@ -172,7 +173,7 @@ class _FirehoseRun:
             link = links[op % len(links)] if len(links) > 1 else links[0]
             rid = op & RID_MASK
             self.pending[rid] = mg
-            key = op % self.key_space
+            key = op % KEY_SPACE
             link.out.send(
                 _encode_op(rid, worker_id, key, self.value_size, _PRIORITY)
             )
@@ -213,15 +214,13 @@ async def run_firehose(
     window: int = 64,
     pool: int = 1,
     protocol: int = MAX_PROTOCOL_VERSION,
-    warmup: _t.Optional[int] = None,
-    key_space: int = 16384,
     wall_timeout: float = 300.0,
 ) -> FirehoseResult:
     """Saturate a live cluster and measure its wire-path throughput.
 
     Keeps ``window`` multigets pipelined across ``pool`` connections per
-    endpoint until ``multigets`` of them (after ``warmup`` discarded ones)
-    have completed; ops round-robin over every worker the cluster
+    endpoint until ``multigets`` of them (after a discarded warm-up of
+    ``min(max(window, 100), multigets)``) have completed; ops round-robin over every worker the cluster
     advertises.  Returns throughput, multiget RTT percentiles and the
     I/O ledger on both sides.
 
@@ -235,13 +234,12 @@ async def run_firehose(
             f"protocol {protocol!r}: the firehose speaks only the binary "
             f"protocol {MAX_PROTOCOL_VERSION}"
         )
-    if warmup is None:
-        # Enough to fill the window and warm every worker's EWMA, bounded
-        # so short smoke runs are not dominated by it.
-        warmup = min(max(window, 100), multigets)
+    # Enough to fill the window and warm every worker's EWMA, bounded so
+    # short smoke runs are not dominated by it.
+    warmup = min(max(window, 100), multigets)
     total = warmup + multigets
 
-    run = _FirehoseRun(total, warmup, fanout, value_size, key_space)
+    run = _FirehoseRun(total, warmup, fanout, value_size)
     # The firehose never consumes congestion broadcasts: opt every
     # connection out so saturation does not turn into a broadcast storm.
     transport = await LiveTransport.connect(

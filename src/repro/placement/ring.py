@@ -178,6 +178,13 @@ class ExplicitPlacement(Placement):
 #: cycle collector finds the clients that point at it, so several of these
 #: are alive at a peak.
 MEMO_KEYS = 5_461
+#: Salt of :class:`RingPlacement`'s key -> partition hash.
+RING_SALT = "ring"
+#: Salt of :class:`ConsistentHashRing`'s ring points (its keys hash with
+#: ``CHASH_SALT + ":key"``).
+CHASH_SALT = "chash"
+#: Points each server owns on a :class:`ConsistentHashRing`.
+VNODES = 16
 
 
 class _KeyPartitions(dict):
@@ -209,13 +216,14 @@ class _HashedPlacement(Placement):
 
     #: Replica group per partition, filled by the subclass constructor.
     _groups: _t.List[_t.Tuple[int, ...]]
+    #: The subclass's fixed constants, as ``repr`` shows them.
+    _REPR_EXTRA = ""
 
     def __init__(
         self,
         n_servers: int,
         replication_factor: int,
         n_partitions: int,
-        salt: str,
         key_salt: str,
         excluded: _t.Iterable[int],
     ) -> None:
@@ -233,7 +241,6 @@ class _HashedPlacement(Placement):
             )
         self.replication_factor = int(replication_factor)
         self.n_partitions = int(n_partitions)
-        self.salt = salt
         self._partitions = _KeyPartitions(key_salt, self.n_partitions)
 
     def _compute_replicas(self, partition: int) -> _t.Tuple[int, ...]:
@@ -249,28 +256,23 @@ class _HashedPlacement(Placement):
             raise ValueError(f"partition {partition} out of range")
         return self._groups[partition]
 
-    def _ring_kwargs(self) -> _t.Dict[str, _t.Any]:
-        """Constructor arguments that rebuild this ring (sans ``excluded``)."""
-        return {
-            "n_servers": self.n_servers,
-            "replication_factor": self.replication_factor,
-            "n_partitions": self.n_partitions,
-            "salt": self.salt,
-        }
-
     def without_servers(self, excluded: _t.Iterable[int]) -> "_HashedPlacement":
         """The same ring minus ``excluded`` (see the subclass for movement)."""
         extra = _normalize_excluded(excluded, self.n_servers, self.excluded)
-        return type(self)(excluded=self.excluded + extra, **self._ring_kwargs())
+        return type(self)(
+            self.n_servers,
+            self.replication_factor,
+            self.n_partitions,
+            excluded=self.excluded + extra,
+        )
 
     def __repr__(self) -> str:
-        args = ", ".join(
-            f"{name}={value}"
-            for name, value in self._ring_kwargs().items()
-            if name != "salt"
-        )
         suffix = f", excluded={list(self.excluded)}" if self.excluded else ""
-        return f"{type(self).__name__}({args}{suffix})"
+        return (
+            f"{type(self).__name__}(n_servers={self.n_servers}, "
+            f"replication_factor={self.replication_factor}, "
+            f"n_partitions={self.n_partitions}{self._REPR_EXTRA}{suffix})"
+        )
 
 
 class RingPlacement(_HashedPlacement):
@@ -287,15 +289,13 @@ class RingPlacement(_HashedPlacement):
         n_servers: int,
         replication_factor: int = 3,
         n_partitions: _t.Optional[int] = None,
-        salt: str = "ring",
         excluded: _t.Iterable[int] = (),
     ) -> None:
         super().__init__(
             n_servers,
             replication_factor,
             n_partitions if n_partitions else n_servers,
-            salt,
-            salt,
+            RING_SALT,
             excluded,
         )
         self._groups = [self._compute_replicas(p) for p in range(self.n_partitions)]
@@ -317,7 +317,7 @@ class RingPlacement(_HashedPlacement):
 class ConsistentHashRing(_HashedPlacement):
     """Consistent hashing with virtual nodes.
 
-    Each server owns ``vnodes`` points on a 64-bit ring; a partition's
+    Each server owns ``VNODES`` points on a 64-bit ring; a partition's
     primary is the owner of the first point clockwise from the partition's
     token, and the R-1 successors (skipping duplicates of the same server)
     complete the replica group.
@@ -328,27 +328,24 @@ class ConsistentHashRing(_HashedPlacement):
     placement property tests pin down.
     """
 
+    _REPR_EXTRA = f", vnodes={VNODES}"
+
     def __init__(
         self,
         n_servers: int,
         replication_factor: int = 3,
         n_partitions: int = 64,
-        vnodes: int = 16,
-        salt: str = "chash",
         excluded: _t.Iterable[int] = (),
     ) -> None:
-        if vnodes < 1:
-            raise ValueError("vnodes must be positive")
         super().__init__(
-            n_servers, replication_factor, n_partitions, salt, salt + ":key", excluded
+            n_servers, replication_factor, n_partitions, CHASH_SALT + ":key", excluded
         )
-        self.vnodes = int(vnodes)
         points: _t.List[_t.Tuple[int, int]] = []
         for server in range(self.n_servers):
             if server in self.excluded:
                 continue
-            for v in range(self.vnodes):
-                points.append((stable_hash(f"{server}:{v}", salt), server))
+            for v in range(VNODES):
+                points.append((stable_hash(f"{server}:{v}", CHASH_SALT), server))
         points.sort()
         self._tokens = [t for t, _ in points]
         self._owners = [s for _, s in points]
@@ -356,7 +353,7 @@ class ConsistentHashRing(_HashedPlacement):
 
     def _compute_replicas(self, partition: int) -> _t.Tuple[int, ...]:
         """Walk clockwise from the partition token, collecting R owners."""
-        token = stable_hash(f"partition:{partition}", self.salt)
+        token = stable_hash(f"partition:{partition}", CHASH_SALT)
         idx = bisect.bisect_right(self._tokens, token) % len(self._tokens)
         replicas: _t.List[int] = []
         steps = 0
@@ -366,6 +363,3 @@ class ConsistentHashRing(_HashedPlacement):
                 replicas.append(owner)
             steps += 1
         return tuple(replicas)
-
-    def _ring_kwargs(self) -> _t.Dict[str, _t.Any]:
-        return {**super()._ring_kwargs(), "vnodes": self.vnodes}

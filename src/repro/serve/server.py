@@ -45,7 +45,7 @@ from .protocol import (
     check_hello,
     error_frame,
 )
-from .workers import DEFAULT_MAX_QUEUE, LiveJob, LiveWorker, QueueFullError, WorkerPass
+from .workers import LiveJob, LiveWorker, QueueFullError, WorkerPass
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from ..harness.config import ExperimentConfig
@@ -225,8 +225,6 @@ class LiveServer:
         seed: int = 1,
         scenario: _t.Optional[str] = None,
         congestion_interval: float = 0.1,
-        congestion_threshold: float = 1.3,
-        max_queue: int = DEFAULT_MAX_QUEUE,
         host: str = DEFAULT_HOST,
         port: int = DEFAULT_PORT,
         worker_ids: _t.Optional[_t.Sequence[int]] = None,
@@ -237,8 +235,6 @@ class LiveServer:
         self.seed = int(seed)
         self.scenario = scenario
         self.congestion_interval = float(congestion_interval)
-        self.congestion_threshold = float(congestion_threshold)
-        self.max_queue = int(max_queue)
         self.host = host
         self.port = int(port)
         if worker_ids is None:
@@ -278,7 +274,6 @@ class LiveServer:
         seed: int = 1,
         host: str = DEFAULT_HOST,
         port: int = DEFAULT_PORT,
-        max_queue: int = DEFAULT_MAX_QUEUE,
         worker_ids: _t.Optional[_t.Sequence[int]] = None,
         metrics_port: _t.Optional[int] = None,
     ) -> "LiveServer":
@@ -292,7 +287,6 @@ class LiveServer:
             congestion_interval=config.congestion_check_interval,
             host=host,
             port=port,
-            max_queue=max_queue,
             worker_ids=worker_ids,
             metrics_port=metrics_port,
         )
@@ -314,7 +308,6 @@ class LiveServer:
                 service_model=self.service_model,
                 jitter_stream=streams.stream(f"jitter.{worker_id}"),
                 passes=self.passes,
-                max_queue=self.max_queue,
             )
             for worker_id in self.worker_ids
         }
@@ -504,7 +497,7 @@ class LiveServer:
         interval = self.congestion_interval
         now = self.clock.now
         for worker in self.workers.values():
-            ratio = worker.overloaded(now, interval, self.congestion_threshold)
+            ratio = worker.overloaded(now, interval)
             if ratio is not None:
                 frame = {
                     "t": "congestion",

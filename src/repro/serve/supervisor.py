@@ -30,7 +30,6 @@ from .server import (
     DEFAULT_TIME_SCALE,
     run_server,
 )
-from .workers import DEFAULT_MAX_QUEUE
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from ..harness.config import ExperimentConfig

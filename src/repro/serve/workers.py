@@ -53,7 +53,7 @@ from ..sim.rng import Stream
 from ..workload.calibration import ServiceTimeModel
 from .protocol import ProtocolError
 
-#: Default bound on one worker's queue; hitting it is a protocol error
+#: Bound on one worker's queue; hitting it is a protocol error
 #: (an open-loop generator that outruns the backend this far is measuring
 #: the bound, not the scheduler).
 DEFAULT_MAX_QUEUE = 100_000
@@ -95,13 +95,9 @@ class LiveWorker(ServerState):
         service_model: ServiceTimeModel,
         jitter_stream: Stream,
         passes: "WorkerPass",
-        max_queue: int = DEFAULT_MAX_QUEUE,
     ) -> None:
         super().__init__(worker_id, cores, service_model)
-        if max_queue <= 0:
-            raise ValueError("max_queue must be positive")
         self.clock = clock
-        self.max_queue = int(max_queue)
         self._passes = passes  # who calls ``_run``: a worker arms nothing
         passes.workers.append(self)
         self._heap: _t.List[_t.Tuple[_t.Tuple[float, ...], int, LiveJob]] = []
@@ -124,10 +120,10 @@ class LiveWorker(ServerState):
         """Enqueue one request that arrived at model time ``now`` -- the
         caller's one clock read per socket chunk, never running backwards
         (raises :class:`QueueFullError` at the bound)."""
-        if len(self._heap) >= self.max_queue:
+        if len(self._heap) >= DEFAULT_MAX_QUEUE:
             self.rejected += 1
             raise QueueFullError(
-                f"worker {self.server_id} queue bound {self.max_queue} hit"
+                f"worker {self.server_id} queue bound {DEFAULT_MAX_QUEUE} hit"
             )
         job.enqueued_at = now
         self.arrival_rate.record(now)

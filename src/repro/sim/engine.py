@@ -142,15 +142,12 @@ class PeriodicTimer:
 class Environment:
     """Execution environment for a single simulation run.
 
-    Parameters
-    ----------
-    initial_time:
-        Virtual time at which the clock starts (seconds by convention
-        throughout this repository).
+    The virtual clock starts at 0 (seconds by convention throughout this
+    repository).
     """
 
-    def __init__(self, initial_time: float = 0.0) -> None:
-        self._now = float(initial_time)
+    def __init__(self) -> None:
+        self._now = 0.0
         #: Flat calendar: (time, priority, sequence, Event | Timer).
         self._queue: _t.List[_t.Tuple[float, int, int, _t.Any]] = []
         self._eid = count()

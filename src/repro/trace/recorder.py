@@ -31,7 +31,9 @@ from ..cluster.messages import RequestMessage, TaskCompletion
 from ..core.clock import Clock
 from .spans import Span, TaskTrace
 
-#: Default capacity of the in-memory trace ring.
+#: Capacity of the in-memory trace ring.  Eviction drops the *oldest*
+#: trace; :meth:`TraceRecorder.extras` counts every sampled task regardless,
+#: so the sampled-fraction audit is exact even when the ring wraps.
 DEFAULT_RING = 4096
 
 _MULT = 0x9E3779B97F4A7C15
@@ -67,10 +69,8 @@ class TraceRecorder:
     warmup_tasks:
         Tasks below this id are warm-up and never sampled, mirroring the
         runner's latency accounting.
-    ring:
-        In-memory capacity.  Eviction drops the *oldest* trace;
-        :meth:`extras` counts every sampled task regardless, so the
-        sampled-fraction audit is exact even when the ring wraps.
+
+    At most ``DEFAULT_RING`` traces are kept.
     """
 
     def __init__(
@@ -78,16 +78,13 @@ class TraceRecorder:
         clock: Clock,
         sample: float,
         warmup_tasks: int = 0,
-        ring: int = DEFAULT_RING,
     ) -> None:
         if not 0.0 <= sample <= 1.0:
             raise ValueError(f"sample must be in [0, 1], got {sample}")
-        if ring <= 0:
-            raise ValueError(f"ring capacity must be positive, got {ring}")
         self.clock = clock
         self.sample = sample
         self.warmup_tasks = warmup_tasks
-        self._ring: _t.Deque[TaskTrace] = deque(maxlen=ring)
+        self._ring: _t.Deque[TaskTrace] = deque(maxlen=DEFAULT_RING)
         self._open: _t.Dict[int, _t.List[Span]] = {}
         self._sampled = 0
         self._spans = 0

@@ -19,6 +19,11 @@ import dataclasses
 
 from .valuesize import GeneralizedParetoValueSize
 
+#: Share of the mean service time that is the fixed per-request overhead
+#: (parsing, index lookup).  The paper pins only the aggregate rate
+#: (3500/s); 20% keeps small requests meaningfully cheaper than large
+#: ones, which is the asymmetry BRB's cost model exploits.
+OVERHEAD_FRACTION = 0.2
 
 @dataclasses.dataclass(frozen=True)
 class ServiceTimeModel:
@@ -57,22 +62,16 @@ class ServiceTimeModel:
 def calibrate_service_model(
     value_sizes: GeneralizedParetoValueSize,
     target_rate: float = 3500.0,
-    overhead_fraction: float = 0.2,
 ) -> ServiceTimeModel:
     """Build a service model whose mean rate is ``target_rate`` req/s/core.
 
-    ``overhead_fraction`` controls how much of the mean service time is the
-    fixed per-request overhead (parsing, index lookup) versus the
-    size-proportional transfer.  The paper pins only the aggregate rate
-    (3500/s); the 20% default keeps small requests meaningfully cheaper
-    than large ones, which is the asymmetry BRB's cost model exploits.
+    ``OVERHEAD_FRACTION`` of the mean service time is the fixed
+    per-request overhead, the rest the size-proportional transfer.
     """
     if target_rate <= 0:
         raise ValueError("target_rate must be positive")
-    if not (0.0 <= overhead_fraction < 1.0):
-        raise ValueError("overhead_fraction must be in [0, 1)")
     mean_time = 1.0 / target_rate
-    overhead = mean_time * overhead_fraction
+    overhead = mean_time * OVERHEAD_FRACTION
     mean_size = value_sizes.mean()
     bandwidth = mean_size / (mean_time - overhead)
     return ServiceTimeModel(overhead=overhead, bandwidth=bandwidth)

@@ -14,16 +14,20 @@ import typing as _t
 
 from ..sim.rng import Stream
 
+#: Seed of the keyspace permutation behind :class:`ZipfPopularity`: fixed,
+#: so a key's popularity rank is the same in every run.
+PERM_SEED = 1234
+
 
 @functools.lru_cache(maxsize=4)
-def _permutation(n_keys: int, perm_seed: int) -> _t.Tuple[int, ...]:
-    """The keyspace shuffled by ``Stream(perm_seed)``, built once per
+def _permutation(n_keys: int) -> _t.Tuple[int, ...]:
+    """The keyspace shuffled by ``Stream(PERM_SEED)``, built once per
     process: a pure function of its key (the stream's name is a label, it
     does not enter the seed), shared by every model that asks, and a tuple
     so that no caller can change it under another.  Four entries bound a
     sweep over keyspaces."""
     keys = list(range(n_keys))
-    Stream(perm_seed).shuffle(keys)
+    Stream(PERM_SEED).shuffle(keys)
     return tuple(keys)
 
 
@@ -95,14 +99,14 @@ class ZipfPopularity(PopularityModel):
     see them (otherwise all hot keys would land in partition 0).
     """
 
-    def __init__(self, n_keys: int, skew: float = 0.9, perm_seed: int = 1234) -> None:
+    def __init__(self, n_keys: int, skew: float = 0.9) -> None:
         if n_keys <= 0:
             raise ValueError("n_keys must be positive")
         if skew <= 0:
             raise ValueError("skew must be positive")
         self.n_keys = int(n_keys)
         self.skew = float(skew)
-        self._perm = _permutation(self.n_keys, perm_seed)
+        self._perm = _permutation(self.n_keys)
 
     def sample_key(self, stream: Stream) -> int:
         rank = stream.zipf(self.n_keys, self.skew)

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.baselines import C3Selector, CubicRateLimiter
+from repro.baselines import C3Selector, CubicRateLimiter, c3
 from repro.cluster import RequestMessage, ResponseMessage, ServerFeedback
 from repro.sim import Environment, Stream
 from repro.workload.tasks import Operation
@@ -37,7 +37,11 @@ def resp(request, queue_length=0, in_service=0, service_time=1e-3):
 def make_selector(env=None, rate_control=False):
     env = env or Environment()
     return env, C3Selector(
-        env, concurrency_weight=10, stream=Stream(1), rate_control=rate_control
+        env,
+        concurrency_weight=10,
+        stream=Stream(1),
+        initial_rate=1000.0,
+        rate_control=rate_control,
     )
 
 
@@ -88,15 +92,16 @@ class TestScoring:
     def test_validates(self):
         env = Environment()
         with pytest.raises(ValueError):
-            C3Selector(env, concurrency_weight=0, stream=Stream(1))
+            C3Selector(env, concurrency_weight=0, stream=Stream(1), initial_rate=1.0)
         with pytest.raises(ValueError):
             C3Selector(env, concurrency_weight=2, stream=Stream(1), initial_rate=0.0)
 
 
 class TestCubicRateLimiter:
-    def test_tokens_accumulate_with_time(self):
+    def test_tokens_accumulate_with_time(self, monkeypatch):
+        monkeypatch.setattr(c3, "BURST", 1.0)
         env = Environment()
-        limiter = CubicRateLimiter(env, initial_rate=10.0, burst=1.0)
+        limiter = CubicRateLimiter(env, initial_rate=10.0)
         assert limiter.try_acquire()
         assert not limiter.try_acquire()  # bucket empty
         env.timeout(0.1)
@@ -112,7 +117,7 @@ class TestCubicRateLimiter:
 
     def test_congestion_reaction_rate_limited(self):
         env = Environment()
-        limiter = CubicRateLimiter(env, initial_rate=1000.0, reaction_interval=0.05)
+        limiter = CubicRateLimiter(env, initial_rate=1000.0)
         limiter.on_congestion()
         limiter.on_congestion()  # same instant: ignored
         assert limiter.congestion_events == 1
@@ -126,18 +131,30 @@ class TestCubicRateLimiter:
         limiter.on_ack()
         assert limiter.rate > 1000.0  # grew past the previous plateau
 
-    def test_min_rate_floor(self):
+    def test_min_rate_floor(self, monkeypatch):
+        monkeypatch.setattr(c3, "REACTION_INTERVAL", 1e-9)
         env = Environment()
-        limiter = CubicRateLimiter(
-            env, initial_rate=120.0, min_rate=100.0, reaction_interval=1e-9
-        )
+        limiter = CubicRateLimiter(env, initial_rate=120.0)
         for _ in range(50):
             limiter.on_congestion()
-        assert limiter.rate >= 100.0
+        assert limiter.rate >= c3.MIN_RATE == 100.0
 
-    def test_time_until_token(self):
+    def test_a_cut_below_the_floor_never_raises_the_rate(self):
+        """A limiter that starts under ``MIN_RATE`` floors at its initial
+        rate: the multiplicative decrease, and growth at the cut instant,
+        leave it at or below where it started."""
         env = Environment()
-        limiter = CubicRateLimiter(env, initial_rate=10.0, burst=1.0)
+        limiter = CubicRateLimiter(env, initial_rate=50.0)
+        limiter.on_congestion()
+        assert limiter.rate <= 50.0
+        limiter = CubicRateLimiter(env, initial_rate=50.0)
+        limiter.on_ack()
+        assert limiter.rate <= 50.0
+
+    def test_time_until_token(self, monkeypatch):
+        monkeypatch.setattr(c3, "BURST", 1.0)
+        env = Environment()
+        limiter = CubicRateLimiter(env, initial_rate=10.0)
         limiter.try_acquire()
         wait = limiter.time_until_token()
         assert 0 < wait <= 0.1
@@ -146,20 +163,17 @@ class TestCubicRateLimiter:
         env = Environment()
         with pytest.raises(ValueError):
             CubicRateLimiter(env, initial_rate=0.0)
-        with pytest.raises(ValueError):
-            CubicRateLimiter(env, beta=1.5)
-        with pytest.raises(ValueError):
-            CubicRateLimiter(env, burst=0.5)
 
 
 class TestRateControlIntegration:
-    def test_congestion_detected_when_sends_outpace_receives(self):
+    def test_congestion_detected_when_sends_outpace_receives(self, monkeypatch):
+        monkeypatch.setattr(c3, "RATE_WINDOW", 0.1)
         env = Environment()
         sel = C3Selector(
             env,
             concurrency_weight=5,
             stream=Stream(1),
-            rate_window=0.1,
+            initial_rate=1000.0,
             rate_control=True,
         )
 
@@ -184,7 +198,11 @@ class TestRateControlIntegration:
     def test_no_congestion_when_balanced(self):
         env = Environment()
         sel = C3Selector(
-            env, concurrency_weight=5, stream=Stream(1), rate_control=True
+            env,
+            concurrency_weight=5,
+            stream=Stream(1),
+            initial_rate=1000.0,
+            rate_control=True,
         )
 
         def driver(env):

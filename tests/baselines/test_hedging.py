@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.baselines import HedgedStrategy, LeastOutstandingSelector
+from repro.baselines import HedgedStrategy, LeastOutstandingSelector, hedging
 from repro.cluster import BackendServer, Client, Network, RingPlacement
 from repro.cluster.faults import (
     FaultInjector,
@@ -25,8 +25,22 @@ def make_task(task_id, n_ops, size=1000):
     return Task(task_id=task_id, arrival_time=0.0, client_id=0, operations=ops)
 
 
+@pytest.fixture
+def make_rig(monkeypatch):
+    """``make_rig(delay, ...)``: a :class:`Rig` whose strategy hedges after
+    ``delay`` seconds, with no hedge budget; the delay holds until the
+    next call (so build and run one rig before the next)."""
+
+    def build(hedge_delay, **kwargs):
+        monkeypatch.setattr(hedging, "HEDGE_DELAY", hedge_delay)
+        return Rig(**kwargs)
+
+    monkeypatch.setattr(hedging, "HEDGE_BUDGET", 1.0)
+    return build
+
+
 class Rig:
-    def __init__(self, hedge_delay=0.01, slowdown=None, rf=2):
+    def __init__(self, slowdown=None, rf=2):
         self.env = Environment()
         self.network = Network(
             self.env, latency=ConstantLatency(1e-4), stream=Stream(0, "n")
@@ -52,12 +66,7 @@ class Rig:
                 SimFaultPort(self.servers, self.network),
             ).start()
         self.strategy = HedgedStrategy(
-            self.placement,
-            LeastOutstandingSelector(),
-            self.model,
-            hedge_delay=hedge_delay,
-            budget_fraction=1.0,
-            adaptive=False,
+            self.placement, LeastOutstandingSelector(), self.model
         )
         self.completions = []
         self.client = Client(
@@ -70,61 +79,48 @@ class Rig:
 
 
 class TestHedging:
-    def test_no_hedges_when_fast(self):
-        rig = Rig(hedge_delay=1.0)  # far beyond any response time
+    def test_no_hedges_when_fast(self, make_rig):
+        rig = make_rig(1.0)  # far beyond any response time
         rig.client.submit(make_task(0, n_ops=4))
         rig.env.run(until=5.0)
         assert len(rig.completions) == 1
         assert rig.strategy.hedges_sent == 0
         assert rig.strategy.wasted_responses == 0
 
-    def test_hedges_fire_for_stragglers(self):
+    def test_hedges_fire_for_stragglers(self, make_rig):
         # Server 0 is 100x slow: primaries landing there straggle and get
         # hedged to the other replica of their group.
-        rig = Rig(hedge_delay=0.005, slowdown=0)
+        rig = make_rig(0.005, slowdown=0)
         for t in range(4):
             rig.client.submit(make_task(t, n_ops=3))
         rig.env.run(until=30.0)
         assert len(rig.completions) == 4
         assert rig.strategy.hedges_sent > 0
 
-    def test_hedging_cuts_straggler_latency(self):
+    def test_hedging_cuts_straggler_latency(self, make_rig):
         """With hedging, no task should wait for the 100x-slow replica."""
-        slow = Rig(hedge_delay=100.0, slowdown=0)  # effectively no hedging
-        fast = Rig(hedge_delay=0.005, slowdown=0)
-        for rig in (slow, fast):
+        worst = []
+        for delay in (100.0, 0.005):  # effectively no hedging, then hedging
+            run = make_rig(delay, slowdown=0)
             for t in range(4):
-                rig.client.submit(make_task(t, n_ops=3))
-            rig.env.run(until=60.0)
-        assert max(c.latency for c in fast.completions) < max(
-            c.latency for c in slow.completions
-        )
+                run.client.submit(make_task(t, n_ops=3))
+            run.env.run(until=60.0)
+            worst.append(max(c.latency for c in run.completions))
+        assert worst[1] < worst[0]
 
-    def test_task_completes_exactly_once_despite_duplicates(self):
-        rig = Rig(hedge_delay=0.0005, slowdown=0)
+    def test_task_completes_exactly_once_despite_duplicates(self, make_rig):
+        rig = make_rig(0.0005, slowdown=0)
         rig.client.submit(make_task(0, n_ops=5))
         rig.env.run(until=30.0)
         assert len(rig.completions) == 1
         assert rig.client.tasks_completed == 1
 
-    def test_no_hedge_with_replication_factor_one(self):
-        rig = Rig(hedge_delay=0.0005, slowdown=0, rf=1)
+    def test_no_hedge_with_replication_factor_one(self, make_rig):
+        rig = make_rig(0.0005, slowdown=0, rf=1)
         rig.client.submit(make_task(0, n_ops=3))
         rig.env.run(until=200.0)
         assert rig.strategy.hedges_sent == 0  # nowhere to go
         assert len(rig.completions) == 1
-
-    def test_validates(self):
-        placement = RingPlacement(n_servers=3, replication_factor=2)
-        model = ServiceTimeModel(overhead=0.0, bandwidth=1e6)
-        with pytest.raises(ValueError):
-            HedgedStrategy(placement, LeastOutstandingSelector(), model, hedge_delay=0.0)
-        with pytest.raises(ValueError):
-            HedgedStrategy(placement, LeastOutstandingSelector(), model, max_hedges=0)
-        with pytest.raises(ValueError):
-            HedgedStrategy(
-                placement, LeastOutstandingSelector(), model, budget_fraction=0.0
-            )
 
 
 class TestHedgedEndToEnd:

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.baselines import HedgedStrategy, ObliviousStrategy, RoundRobinSelector
+from repro.baselines import (
+    HedgedStrategy,
+    ObliviousStrategy,
+    RoundRobinSelector,
+    hedging,
+)
 from repro.cluster import (
     BackendServer,
     Client,
@@ -140,20 +145,15 @@ class TestSubmitContract:
         with pytest.raises(RuntimeError, match="created_at"):
             rig.client.submit(make_task(0, keys=[0]))
 
-    def test_vetoed_straggler_does_not_count_twice(self):
+    def test_vetoed_straggler_does_not_count_twice(self, monkeypatch):
         """Hedging's ``accepts_response`` veto, resolved once at bind time:
         the losing copy of a hedged op reaches neither the observer nor the
         per-task count."""
+        monkeypatch.setattr(hedging, "HEDGE_DELAY", 0.5)
+        monkeypatch.setattr(hedging, "HEDGE_BUDGET", 1.0)
         rig = Rig(n_servers=2, latency=1e-3)
         rig.placement = RingPlacement(n_servers=2, replication_factor=2)
-        strategy = HedgedStrategy(
-            rig.placement,
-            RoundRobinSelector(),
-            rig.model,
-            hedge_delay=0.5,
-            budget_fraction=1.0,
-            adaptive=False,
-        )
+        strategy = HedgedStrategy(rig.placement, RoundRobinSelector(), rig.model)
         client = Client(
             rig.env,
             client_id=1,

@@ -190,7 +190,7 @@ class ServerStateMachine(RuleBasedStateMachine):
         assert queued >= 0 and in_service == self.server.in_service and ewma >= 0
         # Idle-or-not, an empty queue with no arrivals is never "overloaded".
         if queued == 0:
-            assert self.server.overloaded(self.now + 1.0, 0.1, 1.3) is None
+            assert self.server.overloaded(self.now + 1.0, 0.1) is None
 
 
 class PullServerStateMachine(ServerStateMachine):

@@ -13,7 +13,7 @@ from repro.cluster import (
 )
 from repro.cluster.messages import CongestionSignal
 from repro.cluster.network import ConstantLatency
-from repro.core import CreditGate, CreditsController, equal_initial_shares
+from repro.core import CreditGate, CreditsController, credits, equal_initial_shares
 from repro.sim import Environment, Stream
 from repro.workload.tasks import Operation
 
@@ -31,7 +31,7 @@ def req(server=0, op_id=0, priority=(0.0, 0.0, 0.0)):
 
 
 class ControllerRig:
-    def __init__(self, n_clients=2, capacity=100.0, epoch=1.0, interval=0.1):
+    def __init__(self, n_clients=2, capacity=100.0, interval=0.1):
         self.env = Environment()
         self.network = Network(
             self.env, latency=ConstantLatency(0.0), stream=Stream(0, "n")
@@ -47,7 +47,6 @@ class ControllerRig:
             self.network,
             n_clients=n_clients,
             server_capacities={0: capacity},
-            epoch=epoch,
             allocation_interval=interval,
         )
 
@@ -117,8 +116,9 @@ class TestController:
         assert g0 > g1
         assert g0 + g1 <= 2 * 10.0 + 1e-9  # two intervals of budget at most
 
-    def test_congestion_scales_down_budget(self):
-        rig = ControllerRig(n_clients=1, capacity=100.0, epoch=0.2, interval=0.1)
+    def test_congestion_scales_down_budget(self, monkeypatch):
+        monkeypatch.setattr(credits, "DEFAULT_EPOCH", 0.2)
+        rig = ControllerRig(n_clients=1, capacity=100.0, interval=0.1)
 
         def driver(env):
             yield env.timeout(0.01)
@@ -133,8 +133,9 @@ class TestController:
         assert rig.controller.scales[0] < 1.0
         assert rig.controller.congestion_signals == 1
 
-    def test_scale_recovers_without_congestion(self):
-        rig = ControllerRig(n_clients=1, capacity=100.0, epoch=0.1, interval=0.1)
+    def test_scale_recovers_without_congestion(self, monkeypatch):
+        monkeypatch.setattr(credits, "DEFAULT_EPOCH", 0.1)
+        rig = ControllerRig(n_clients=1, capacity=100.0, interval=0.1)
         rig.controller.scales[0] = 0.5
         rig.env.run(until=2.0)
         assert rig.controller.scales[0] == pytest.approx(1.0)
@@ -155,7 +156,7 @@ class TestController:
         with pytest.raises(ValueError):
             CreditsController(
                 env, network, n_clients=1, server_capacities={0: 1.0},
-                epoch=0.1, allocation_interval=0.5,
+                allocation_interval=2 * credits.DEFAULT_EPOCH,
             )
 
 
@@ -211,7 +212,7 @@ class TestGate:
             rig.gate.on_grant(
                 CreditGrant(client_id=0, epoch=epoch, credits={0: 10.0})
             )
-        assert rig.gate.credits[0] <= 10.0 * rig.gate.accumulation_intervals + 1e-9
+        assert rig.gate.credits[0] <= 10.0 * credits.ACCUMULATION_INTERVALS + 1e-9
 
     def test_periodic_demand_reports(self):
         rig = GateRig(initial=100.0)
@@ -241,10 +242,10 @@ class TestGate:
 
 class TestEqualInitialShares:
     def test_splits_capacity(self):
-        shares = equal_initial_shares({0: 100.0, 1: 50.0}, n_clients=4, epoch=0.1)
+        shares = equal_initial_shares({0: 100.0, 1: 50.0}, n_clients=4, interval=0.1)
         assert shares[0] == pytest.approx(2.5)
         assert shares[1] == pytest.approx(1.25)
 
     def test_validates(self):
         with pytest.raises(ValueError):
-            equal_initial_shares({0: 1.0}, n_clients=0)
+            equal_initial_shares({0: 1.0}, n_clients=0, interval=0.1)

@@ -93,7 +93,6 @@ def test_gate_carryover_never_exceeds_cap(grant_sizes):
         client_id=0,
         server_ids=[0],
         initial_share={0: 10.0},
-        accumulation_intervals=3.0,
     )
     largest_grant = 0.0
     for epoch, amount in enumerate(grant_sizes):

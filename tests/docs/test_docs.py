@@ -1,6 +1,6 @@
 """Documentation lint: docstrings, link integrity, CLI-reference sync, surface.
 
-Eight guarantees, run in CI's ``docs`` job:
+Ten guarantees, run in CI's ``docs`` job:
 
 * every module, public class and public function in
   ``src/repro/placement/`` carries a docstring (the layer the docs book
@@ -23,10 +23,17 @@ Eight guarantees, run in CI's ``docs`` job:
   the README / docs book names -- a knob nobody can find is a constant;
 * every field of ``ExperimentConfig`` and ``ClusterSpec`` is given a value
   by some caller outside ``tests/`` (or is allowlisted with a reason) -- a
-  field only tests set is a constant too.
+  field only tests set is a constant too;
+* every default a tuning constructor keeps (C3, hedging, credits, the
+  servers, the rings, the firehose, ...) is set by some caller outside
+  ``tests/`` -- a default only tests override is a constant as well;
+* every file in ``examples/`` is run by CI's ``docs`` job.
 """
 
 import ast
+import collections
+import importlib
+import inspect
 import os
 import pstats
 import re
@@ -457,37 +464,208 @@ def _string(node):
     return None
 
 
+#: One value some code hands to a name (see :class:`_Program`).
+_Handed = collections.namedtuple("_Handed", "callee name value scope positional")
+
+
+def _params(function):
+    """``function``'s parameter names in order (``self``/``cls`` dropped,
+    keyword-only ones last) and the set of those with a default."""
+    args = function.args
+    positional = [a.arg for a in args.posonlyargs + args.args]
+    if positional[:1] in (["self"], ["cls"]):
+        positional = positional[1:]
+    defaulted = set(positional[len(positional) - len(args.defaults):])
+    defaulted |= {
+        a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+    }
+    return positional + [a.arg for a in args.kwonlyargs], defaulted
+
+
+class _Program:
+    """Every value the program files hand to a name, and the functions
+    they define -- the one AST finder behind both knob guards.
+
+    ``values`` holds a :class:`_Handed` ``(callee, name, value, scope,
+    positional)`` for each call argument (keywords; positional ones
+    named by the callee's parameters, where the files define the callee
+    once; ``**kw`` as name ``"**"``), each dict key (literal or
+    ``d["x"] = ...``, callee ``None``) and each sweep ``parameter=``
+    string.  ``callee`` is the called name, with ``cls(...)`` and
+    ``type(self)(...)`` resolved to the enclosing class and its
+    subclasses; ``scope`` is ``(enclosing class, enclosing functions,
+    innermost first)``.  ``defs`` maps a callable's name (a class's for
+    its ``__init__``) to its one definition: ``(node, class name)``.
+    """
+
+    def __init__(self, paths):
+        trees = [ast.parse(p.read_text(encoding="utf-8")) for p in paths]
+        found = {}
+        self.bases = {}
+        for tree in trees:
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ClassDef):
+                    self.bases[node.name] = {
+                        b.id for b in node.bases if isinstance(b, ast.Name)
+                    }
+                    for item in node.body:
+                        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                            key = node.name if item.name == "__init__" else item.name
+                            found.setdefault(key, []).append((item, node.name))
+                elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    found.setdefault(node.name, []).append((node, None))
+        # A method is also walked as a plain function: keep the classed one.
+        self.defs = {
+            key: next((d for d in defs if d[1]), defs[0])
+            for key, defs in found.items()
+            if len({id(d[0]) for d in defs}) == 1
+        }
+        self.values = []
+        for tree in trees:
+            self._walk(tree, None, ())
+
+    def _family(self, cls):
+        """``cls`` and every class the files derive from it."""
+        family = {cls}
+        grown = True
+        while grown:
+            grown = False
+            for name, bases in self.bases.items():
+                if name not in family and bases & family:
+                    family.add(name)
+                    grown = True
+        return family
+
+    def _callees(self, func, cls):
+        if isinstance(func, ast.Name):
+            return self._family(cls) if func.id == "cls" and cls else {func.id}
+        if isinstance(func, ast.Attribute):
+            return {func.attr}
+        if (
+            isinstance(func, ast.Call)
+            and isinstance(func.func, ast.Name)
+            and func.func.id == "type"
+            and cls
+        ):
+            return self._family(cls)
+        return set()
+
+    def _walk(self, node, cls, functions):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                self._walk(child, child.name, ())
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                self._walk(child, cls, (child,) + functions)
+                continue
+            self._record(child, (cls, functions))
+            self._walk(child, cls, functions)
+
+    def _record(self, node, scope):
+        add = self.values.append
+        if isinstance(node, ast.Call):
+            for callee in self._callees(node.func, scope[0]) or {None}:
+                for kw in node.keywords:
+                    add(_Handed(callee, kw.arg or "**", kw.value, scope, False))
+                definition = self.defs.get(callee)
+                if definition is None:
+                    continue
+                names = _params(definition[0])[0]
+                for name, value in zip(names, node.args):
+                    if isinstance(value, ast.Starred):
+                        break
+                    add(_Handed(callee, name, value, scope, True))
+            for kw in node.keywords:
+                if kw.arg == "parameter" and _string(kw.value):
+                    name = _string(kw.value).rsplit(".", 1)[-1]
+                    add(_Handed(None, name, ast.Constant(None), scope, False))
+        elif isinstance(node, ast.Dict):
+            for key, value in zip(node.keys, node.values):
+                if _string(key):
+                    add(_Handed(None, _string(key), value, scope, False))
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Subscript) and _string(target.slice):
+                    add(_Handed(None, _string(target.slice), node.value, scope, False))
+
+    # -- constructor knobs ------------------------------------------------
+    def sets(self, callee, name, _seen=frozenset()):
+        """Whether some call outside ``callee``'s own body passes ``name``
+        a value that is not just the forward of a default nobody sets."""
+        if (callee, name) in _seen:
+            return False
+        seen = _seen | {(callee, name)}
+        own = self.defs.get(callee, (None,))[0]
+        for handed in self.values:
+            if handed.callee != callee or handed.name not in (name, "**"):
+                continue
+            cls, functions = handed.scope
+            if own is not None and own in functions:
+                continue
+            if handed.name == "**":
+                source = self._forwarded_from(handed.value, cls, functions, "**")
+                if source and self.sets(source, name, seen):
+                    return True
+                continue
+            source = self._forwarded_from(handed.value, cls, functions, name)
+            if source is None or self.sets(source, name, seen):
+                return True
+        return False
+
+    def _forwarded_from(self, value, cls, functions, name):
+        """The callable whose *defaulted* parameter ``value`` forwards
+        (``x=x``, ``x=self.x``, ``**kw``), or None when ``value`` is a
+        choice: a literal, an expression, or a required parameter."""
+        if isinstance(value, ast.Name):
+            for function in functions:
+                names, defaulted = _params(function)
+                if name == "**" and function.args.kwarg is not None:
+                    if function.args.kwarg.arg == value.id:
+                        return self._key(function, cls)
+                if value.id in names:
+                    if value.id == name and value.id in defaulted:
+                        return self._key(function, cls)
+                    return None
+            return None
+        if (
+            isinstance(value, ast.Attribute)
+            and value.attr == name
+            and isinstance(value.value, ast.Name)
+            and value.value.id == "self"
+            and cls in self.defs
+        ):
+            if name in _params(self.defs[cls][0])[1]:
+                return cls
+        return None
+
+    @staticmethod
+    def _key(function, cls):
+        return cls if function.name == "__init__" and cls else function.name
+
+
+def _program(roots, skip=None):
+    """A :class:`_Program` over every ``.py`` under ``roots`` but ``skip``."""
+    return _Program(
+        path
+        for root in roots
+        for path in sorted((REPO / root).rglob("*.py"))
+        if path != skip
+    )
+
+
 def _config_setters(field_names, own_module):
     """The fields some code in ``src/`` (outside ``own_module``), ``bench/``
     or ``benchmarks/`` sets: by a call keyword, a dict key (literal or
     ``d["x"] = ...``) or a sweep ``parameter=`` string, unless it only
     passes the value through."""
-    paths = [p for p in (REPO / "src").rglob("*.py") if p != own_module]
-    paths += (REPO / "bench").rglob("*.py")
-    paths += (REPO / "benchmarks").rglob("*.py")
-    setters = set()
-    for path in paths:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Call):
-                pairs = [(kw.arg, kw.value) for kw in node.keywords if kw.arg]
-            elif isinstance(node, ast.Dict):
-                pairs = [(_string(k), v) for k, v in zip(node.keys, node.values)]
-            elif isinstance(node, ast.Assign):
-                pairs = [
-                    (_string(t.slice), node.value)
-                    for t in node.targets
-                    if isinstance(t, ast.Subscript)
-                ]
-            else:
-                continue
-            for name, value in pairs:
-                if name == "parameter" and _string(value):
-                    name = _string(value).rsplit(".", 1)[-1]
-                elif _passes_through(name, value):
-                    continue
-                if name in field_names:
-                    setters.add(name)
-    return setters
+    program = _program(("src", "bench", "benchmarks"), skip=own_module)
+    return {
+        handed.name
+        for handed in program.values
+        if handed.name in field_names
+        and not handed.positional
+        and not _passes_through(handed.name, handed.value)
+    }
 
 
 def _unset_config_fields():
@@ -527,3 +705,108 @@ class TestConfigKnobs:
     def test_allowlist_is_not_stale(self):
         """Every allowlisted name is a field that still has no setter."""
         assert set(CONFIG_KNOB_ALLOWLIST) <= set(_unset_config_fields().values())
+
+
+#: Where the tuning values of both sides of the paper's comparison live:
+#: ``(module, callable)``.  Each default these keep must be one a caller
+#: outside ``tests/`` sets; a value nothing sets is a module constant.
+KNOB_CALLABLES = (
+    ("repro.baselines.c3", "CubicRateLimiter"),
+    ("repro.baselines.c3", "C3Selector"),
+    ("repro.baselines.hedging", "HedgedStrategy"),
+    ("repro.core.credits", "CreditsController"),
+    ("repro.core.credits", "CreditGate"),
+    ("repro.core.credits", "equal_initial_shares"),
+    ("repro.cluster.server", "BackendServer"),
+    ("repro.serve.server", "LiveServer"),
+    ("repro.serve.server", "LiveServer.from_config"),
+    ("repro.serve.workers", "LiveWorker"),
+    ("repro.trace.recorder", "TraceRecorder"),
+    ("repro.placement.ring", "RingPlacement"),
+    ("repro.placement.ring", "ConsistentHashRing"),
+    ("repro.sim.engine", "Environment"),
+    ("repro.workload.calibration", "calibrate_service_model"),
+    ("repro.workload.popularity", "ZipfPopularity"),
+    ("repro.loadgen.firehose", "run_firehose"),
+)
+
+
+def _unset_constructor_defaults():
+    """``"callable(parameter)"`` for every defaulted parameter of
+    :data:`KNOB_CALLABLES` that no caller in ``src/``, ``bench/``,
+    ``benchmarks/`` or ``examples/`` sets."""
+    program = _program(("src", "bench", "benchmarks", "examples"))
+    unset = []
+    for module, qualname in KNOB_CALLABLES:
+        target = importlib.import_module(module)
+        for part in qualname.split("."):
+            target = getattr(target, part)
+        callee = qualname.rsplit(".", 1)[-1]
+        assert callee in program.defs, f"{qualname} is not defined once"
+        unset += [
+            f"{qualname}({name})"
+            for name, parameter in inspect.signature(target).parameters.items()
+            if parameter.default is not inspect.Parameter.empty
+            and not program.sets(callee, name)
+        ]
+    return unset
+
+
+class TestConstructorKnobs:
+    """The constructor twin of :class:`TestConfigKnobs`: a default no run,
+    scenario, bench workload or example overrides is a tuning value with
+    a second spelling (the parameter) that only tests use.  A keyword, a
+    positional argument and a forward (``x=x``, ``x=self.x``, ``**kw``)
+    of a value some caller sets all count."""
+
+    def test_every_default_is_set_by_a_non_test_caller(self):
+        unset = _unset_constructor_defaults()
+        assert not unset, (
+            "defaults only tests override -- make each a module constant next "
+            "to the code that reads it:\n  " + "\n  ".join(unset)
+        )
+
+    def test_the_finder_follows_forwards(self, tmp_path):
+        """Each way of handing a value on is followed to where it is
+        chosen: positional, ``cls(...)``, ``x=x``, ``x=self.x`` and
+        ``**kw``; a forward of a default nobody sets sets nothing."""
+        source = tmp_path / "program.py"
+        source.write_text(
+            "class Server:\n"
+            "    def __init__(self, port=0, queue=10, seed=1, cores=2): ...\n"
+            "    @classmethod\n"
+            "    def make(cls, port=0, queue=10):\n"
+            "        return cls(port=port, queue=queue)\n"
+            "class Pool:\n"
+            "    def __init__(self, seed, cores=4):\n"
+            "        self.seed, self.cores = seed, cores\n"
+            "    def grow(self):\n"
+            "        Server(seed=self.seed, cores=self.cores)\n"
+            "def serve(**options):\n"
+            "    Server.make(**options)\n"
+            "serve(port=5)\n"
+            "Pool(3)\n"
+        )
+        program = _Program([source])
+        assert program.sets("Server", "port")  # make's cls(...) <- serve's **
+        assert program.sets("Server", "seed")  # self.seed <- required seed
+        assert program.sets("Pool", "seed")  # positional
+        assert not program.sets("Server", "queue")  # make's default, unset
+        assert not program.sets("Server", "cores")  # Pool's default, unset
+
+
+class TestExamplesRun:
+    """Every file in ``examples/`` is run by CI's ``docs`` job: an example
+    nothing runs can break without anyone noticing."""
+
+    def test_every_example_is_in_the_ci_loop(self):
+        ci = (REPO / ".github" / "workflows" / "ci.yml").read_text(encoding="utf-8")
+        loop = re.search(r"for example in (.*?); do", ci, re.S)
+        assert loop, "the docs job's examples loop is gone"
+        entries = shlex.split(loop.group(1).replace("\\\n", " "))
+        run = {shlex.split(entry)[0] for entry in entries}
+        examples = {path.name for path in (REPO / "examples").glob("*.py")}
+        assert len(examples) >= 8
+        assert examples <= run, (
+            "examples CI does not run: " + ", ".join(sorted(examples - run))
+        )

@@ -173,8 +173,10 @@ class TestCommands:
             ["--parameter", "mean_fanout", "--values", "4,0.5"],
             ["--scenario", "hotspot-skew", "--parameter", "zipf_skew",
              "--values", "0.9,0"],
+            ["--parameter", "congestion_check_interval", "--values", "0.1,-1"],
         ],
-        ids=["load", "mean_fanout", "scenario-zipf_skew"],
+        ids=["load", "mean_fanout", "scenario-zipf_skew",
+             "congestion_check_interval"],
     )
     def test_sweep_bad_value_is_a_bad_configuration(self, argv, capsys, monkeypatch):
         """A swept value no config accepts exits 2 before any cell runs."""

@@ -135,6 +135,17 @@ class TestExperimentConfig:
             with pytest.raises(ValueError, match="credits_measurement_interval"):
                 ExperimentConfig(strategy=strategy, credits_measurement_interval=2.0)
 
+    def test_congestion_check_interval_must_be_positive(self):
+        """A non-positive congestion-check period is rejected by the config
+        for every strategy, not later by a credits run's servers (nor
+        carried silently by a strategy whose servers never check)."""
+        for strategy in ("unifincr-credits", "c3"):
+            for interval in (0.0, -1.0):
+                with pytest.raises(ValueError, match="congestion_check_interval"):
+                    ExperimentConfig(
+                        strategy=strategy, congestion_check_interval=interval
+                    )
+
     # The single-slowdown sugar is `repro run --slow-server ID` now: the
     # config itself only knows `fault_schedule`.
     RUN = ["run", "--strategy", "oblivious-random", "--tasks", "60"]

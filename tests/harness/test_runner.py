@@ -201,8 +201,8 @@ class TestClose:
 
     def test_remediation_leaves_the_hedge_budget_alone(self):
         """The SLO loop's one lever is placement: mid-episode, every
-        hedged strategy still runs at its configured budget."""
-        from repro.baselines.hedging import HedgedStrategy
+        hedged strategy still runs at the one fixed budget."""
+        from repro.baselines import hedging
 
         config = get_scenario("hot-shard-remediated").build_config(
             strategy="hedged", n_tasks=6000
@@ -210,9 +210,11 @@ class TestClose:
         _, run, _ = run_to_first_remediation(config)
         try:
             assert run.placement.boosted
-            hedged = [s for s in run.strategies if isinstance(s, HedgedStrategy)]
+            hedged = [
+                s for s in run.strategies if isinstance(s, hedging.HedgedStrategy)
+            ]
             assert len(hedged) == PAPER_CLIENTS
-            assert all(s.budget_fraction == 0.1 for s in hedged)
+            assert hedging.HEDGE_BUDGET == 0.1
         finally:
             run.close()
 

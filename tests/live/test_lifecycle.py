@@ -185,17 +185,17 @@ class TestFirehoseLedger:
     def test_a_pooled_two_process_run_reports_what_it_did_before_the_move(self):
         """The firehose rides ``LiveTransport``'s links and stats query; its
         ledger is what its own link bookkeeping reported for the same
-        arguments (recorded at the parent commit; the ``writes`` counts and
-        the client's byte/receive totals follow the loop's timing)."""
+        arguments (recorded at the parent commit with a 50-multiget warm-up,
+        moved by the 150 ops of the fixed 100-multiget one; the ``writes``
+        counts and the client's byte/receive totals follow the loop's
+        timing)."""
         supervisor = ServeSupervisor(
             steady_config("unifincr-credits"), procs=2, time_scale=0.05, base_port=0
         )
         endpoints = supervisor.start()
         try:
             fire = asyncio.run(
-                run_firehose(
-                    endpoints, multigets=300, fanout=3, window=16, pool=2, warmup=50
-                )
+                run_firehose(endpoints, multigets=300, fanout=3, window=16, pool=2)
             )
         finally:
             supervisor.stop()
@@ -211,10 +211,11 @@ class TestFirehoseLedger:
         server_io = dict(fire.server_io)
         assert server_io.pop("writes") > 0
         assert server_io == {
-            "bytes_sent": 43702,  # the parent's 43,922 less four acks' `features` key
-            "completed": 1050,
-            "frames_received": 1056,  # 4 hellos, 1050 ops, 2 stats queries
-            "frames_sent": 1054,  # 4 acks, 1050 results; the stats replies follow
+            # (300 + 100 warm-up) multigets x3 ops; every result is 41 bytes.
+            "bytes_sent": 49852,
+            "completed": 1200,
+            "frames_received": 1206,  # 4 hellos, 1200 ops, 2 stats queries
+            "frames_sent": 1204,  # 4 acks, 1200 results; the stats replies follow
             "rejected": 0,
             "traced_ops": 0,
         }

@@ -11,7 +11,7 @@ from repro.loadgen import run_live
 from repro.loadgen.transport import LiveTransport
 from repro.metrics.bus import render_stats
 from repro.scenarios import get_scenario
-from repro.serve import LiveServer
+from repro.serve import LiveServer, workers
 from repro.serve.codec import BINARY_CODEC
 from repro.serve.protocol import encode_frame
 from tests.live.test_workers import until
@@ -183,12 +183,12 @@ class TestReporterLifetime:
 
 
 class TestRejectedIsADelta:
-    def test_an_earlier_reject_does_not_leak_into_a_run(self):
+    def test_an_earlier_reject_does_not_leak_into_a_run(self, monkeypatch):
+        monkeypatch.setattr(workers, "DEFAULT_MAX_QUEUE", 1)
+
         async def scenario():
             config = steady_config()
-            server = LiveServer.from_config(
-                config, time_scale=TIME_SCALE, port=0, max_queue=1
-            )
+            server = LiveServer.from_config(config, time_scale=TIME_SCALE, port=0)
             await server.start()
             try:
                 reader, writer = await asyncio.open_connection(
@@ -208,8 +208,8 @@ class TestRejectedIsADelta:
                     ]
                 finally:
                     writer.close()
-                for worker in server.workers.values():
-                    worker.max_queue = 1024  # the clean run needs room
+                # The clean run needs room.
+                monkeypatch.setattr(workers, "DEFAULT_MAX_QUEUE", 1024)
                 result = await run_live(
                     config, seed=1, host=server.host, port=server.port
                 )

@@ -7,6 +7,7 @@ import pytest
 from test_framing import FakeTransport, cut  # the PR-14 chunk-cut harness
 
 from repro.core.clock import WallClock
+from repro.serve import workers
 from repro.serve.workers import LiveJob, LiveWorker, QueueFullError, WorkerPass
 from repro.sim.rng import Stream
 from repro.workload.calibration import ServiceTimeModel
@@ -126,9 +127,11 @@ class TestCrashWindows:
 
 
 class TestBoundsAndFeedback:
-    def test_queue_bound_rejects(self):
+    def test_queue_bound_rejects(self, monkeypatch):
+        monkeypatch.setattr(workers, "DEFAULT_MAX_QUEUE", 2)
+
         async def scenario():
-            worker = make_worker(max_queue=2)
+            worker = make_worker()
             worker.pause()
             arrive(worker, job(1))
             arrive(worker, job(2))

@@ -9,6 +9,7 @@ from repro.placement import (
     RingPlacement,
     stable_hash,
 )
+from repro.placement import ring as ring_module
 
 
 class TestStableHash:
@@ -68,9 +69,10 @@ class TestConsistentHashRing:
         ring = ConsistentHashRing(n_servers=9, replication_factor=3, n_partitions=64)
         ring.validate()
 
-    def test_balanced_primary_ownership(self):
+    def test_balanced_primary_ownership(self, monkeypatch):
+        monkeypatch.setattr(ring_module, "VNODES", 64)
         ring = ConsistentHashRing(
-            n_servers=10, replication_factor=3, n_partitions=1000, vnodes=64
+            n_servers=10, replication_factor=3, n_partitions=1000
         )
         primaries = [ring.replicas_of(p)[0] for p in range(1000)]
         counts = [primaries.count(s) for s in range(10)]
@@ -86,8 +88,6 @@ class TestConsistentHashRing:
     def test_validates(self):
         with pytest.raises(ValueError):
             ConsistentHashRing(n_servers=2, replication_factor=3)
-        with pytest.raises(ValueError):
-            ConsistentHashRing(n_servers=2, vnodes=0)
 
 
 class TestExplicitPlacement:

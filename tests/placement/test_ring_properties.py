@@ -13,6 +13,8 @@ Invariants (ISSUE 4's placement contract):
   theoretical minimum and primary moves stay near ``K/N``.
 """
 
+from unittest import mock
+
 from hypothesis import given, settings, strategies as st
 
 import pytest
@@ -23,6 +25,7 @@ from repro.placement import (
     RingPlacement,
     placement_delta,
 )
+from repro.placement import ring as ring_module
 
 ring_params = st.tuples(
     st.integers(min_value=2, max_value=16),   # n_servers
@@ -50,8 +53,9 @@ def test_ring_lookup_deterministic_per_seed(params, key):
 @given(ring_params, st.integers(min_value=1, max_value=8))
 def test_chash_lookup_deterministic_per_seed(params, vnodes):
     n_servers, rf, n_partitions = _clamp(params)
-    a = ConsistentHashRing(n_servers, rf, n_partitions, vnodes=vnodes)
-    b = ConsistentHashRing(n_servers, rf, n_partitions, vnodes=vnodes)
+    with mock.patch.object(ring_module, "VNODES", vnodes):
+        a = ConsistentHashRing(n_servers, rf, n_partitions)
+        b = ConsistentHashRing(n_servers, rf, n_partitions)
     for p in range(n_partitions):
         assert a.replicas_of(p) == b.replicas_of(p)
     for key in range(0, 500, 7):
@@ -65,7 +69,7 @@ def test_every_key_gets_rf_distinct_servers(params, kind):
     placement = (
         RingPlacement(n_servers, rf, n_partitions)
         if kind == "ring"
-        else ConsistentHashRing(n_servers, rf, n_partitions, vnodes=4)
+        else ConsistentHashRing(n_servers, rf, n_partitions)
     )
     placement.validate()
     for key in range(0, 400, 13):
@@ -88,8 +92,9 @@ def test_chash_rebalance_moves_only_affected_groups(
 ):
     removed %= n_servers
     rf = min(rf, n_servers - 1)
-    ring = ConsistentHashRing(n_servers, rf, n_partitions, vnodes=vnodes)
-    shrunk = ring.without_servers([removed])
+    with mock.patch.object(ring_module, "VNODES", vnodes):
+        ring = ConsistentHashRing(n_servers, rf, n_partitions)
+        shrunk = ring.without_servers([removed])
     for p in range(n_partitions):
         before = ring.replicas_of(p)
         after = shrunk.replicas_of(p)
@@ -111,9 +116,7 @@ def test_chash_rebalance_moves_only_affected_groups(
 )
 def test_rebalance_delta_within_theoretical_minimum(n_servers, removed):
     removed %= n_servers
-    ring = ConsistentHashRing(
-        n_servers, replication_factor=3, n_partitions=64, vnodes=16
-    )
+    ring = ConsistentHashRing(n_servers, replication_factor=3, n_partitions=64)
     shrunk = ring.without_servers([removed])
     delta = placement_delta(ring, shrunk, n_keys=2000)
     # Consistent hashing moves exactly the keys the departed server held,
@@ -145,9 +148,7 @@ def test_mutable_placement_exclude_readmit_roundtrip(n_servers, excluded):
     excluded = {s % n_servers for s in excluded}
     if len(excluded) > n_servers - 2:
         excluded = set(list(excluded)[: n_servers - 2])
-    ring = ConsistentHashRing(
-        n_servers, replication_factor=2, n_partitions=32, vnodes=4
-    )
+    ring = ConsistentHashRing(n_servers, replication_factor=2, n_partitions=32)
     mutable = MutablePlacement(ring)
     base_groups = [mutable.replicas_of(p) for p in range(ring.n_partitions)]
     mutable.exclude(excluded)
@@ -206,7 +207,7 @@ def test_degenerate_full_replication_ring_offers_every_server():
 def _build(kind, n_servers, rf, n_partitions):
     if kind == "ring":
         return RingPlacement(n_servers, rf, n_partitions)
-    return ConsistentHashRing(n_servers, rf, n_partitions, vnodes=4)
+    return ConsistentHashRing(n_servers, rf, n_partitions)
 
 
 key_sequences = st.lists(

@@ -8,7 +8,6 @@ from repro.sim import EmptySchedule, Environment, Infinity, SimulationError
 class TestClock:
     def test_initial_time(self):
         assert Environment().now == 0.0
-        assert Environment(initial_time=5.0).now == 5.0
 
     def test_time_advances_monotonically(self):
         env = Environment()

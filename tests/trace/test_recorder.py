@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster.messages import RequestMessage, TaskCompletion
 from repro.trace import TraceRecorder, is_sampled, trace_hash
+from repro.trace import recorder as recorder_module
 from repro.trace.recorder import _SCALE
 from repro.workload.tasks import Operation, Task
 
@@ -66,8 +67,6 @@ class TestTraceRecorder:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError, match="sample"):
             TraceRecorder(FakeClock(), sample=1.5)
-        with pytest.raises(ValueError, match="ring"):
-            TraceRecorder(FakeClock(), sample=0.5, ring=0)
 
     def test_warmup_tasks_are_never_sampled(self):
         recorder = TraceRecorder(FakeClock(), sample=1.0, warmup_tasks=10)
@@ -99,8 +98,9 @@ class TestTraceRecorder:
         assert recorder.traces == []
         assert recorder.extras()["trace_sampled"] == 0.0
 
-    def test_ring_evicts_oldest_but_counts_everything(self):
-        recorder = TraceRecorder(FakeClock(), sample=1.0, ring=2)
+    def test_ring_evicts_oldest_but_counts_everything(self, monkeypatch):
+        monkeypatch.setattr(recorder_module, "DEFAULT_RING", 2)
+        recorder = TraceRecorder(FakeClock(), sample=1.0)
         for task_id in range(4):
             recorder.observe_request(make_request(task_id))
             recorder.on_complete(make_completion(task_id))

@@ -10,6 +10,7 @@ from repro.workload import (
     system_capacity,
     task_arrival_rate_for_load,
 )
+from repro.workload.calibration import OVERHEAD_FRACTION
 
 
 class TestServiceTimeModel:
@@ -45,16 +46,15 @@ class TestCalibration:
 
     def test_overhead_fraction(self):
         sizes = atikoglu_etc()
-        model = calibrate_service_model(sizes, target_rate=1000.0, overhead_fraction=0.5)
-        assert model.overhead == pytest.approx(0.5e-3)
+        model = calibrate_service_model(sizes, target_rate=1000.0)
+        assert model.overhead == pytest.approx(OVERHEAD_FRACTION * 1e-3)
+        assert OVERHEAD_FRACTION == 0.2
         assert model.mean_time(sizes.mean()) == pytest.approx(1e-3)
 
     def test_validates(self):
         sizes = atikoglu_etc()
         with pytest.raises(ValueError):
             calibrate_service_model(sizes, target_rate=0.0)
-        with pytest.raises(ValueError):
-            calibrate_service_model(sizes, overhead_fraction=1.0)
 
 
 class TestCapacityArithmetic:

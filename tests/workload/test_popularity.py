@@ -4,6 +4,7 @@ import pytest
 
 from repro.sim import Stream
 from repro.workload import SubsetHotspotPopularity, ZipfPopularity
+from repro.workload.popularity import PERM_SEED
 
 
 class TestUniform:
@@ -47,7 +48,7 @@ class TestZipf:
 
     def test_permutation_decouples_rank_from_id(self):
         """The hottest key must (almost surely) not be key 0."""
-        pop = ZipfPopularity(100_000, skew=1.2, perm_seed=5)
+        pop = ZipfPopularity(100_000, skew=1.2)
         stream = Stream(5)
         counts = {}
         for _ in range(20_000):
@@ -57,8 +58,8 @@ class TestZipf:
         assert hottest != 0
 
     def test_deterministic_permutation(self):
-        a = ZipfPopularity(100, skew=0.9, perm_seed=7)
-        b = ZipfPopularity(100, skew=0.9, perm_seed=7)
+        a = ZipfPopularity(100, skew=0.9)
+        b = ZipfPopularity(100, skew=0.9)
         sa, sb = Stream(6), Stream(6)
         assert [a.sample_key(sa) for _ in range(50)] == [
             b.sample_key(sb) for _ in range(50)
@@ -67,7 +68,7 @@ class TestZipf:
     def test_the_permutation_is_built_once_and_shared(self):
         a, b = ZipfPopularity(5000), ZipfPopularity(5000, skew=1.1)
         assert a._perm is b._perm and isinstance(a._perm, tuple)
-        assert list(a._perm) == fresh_permutation(5000, 1234)
+        assert list(a._perm) == fresh_permutation(5000, PERM_SEED)
 
 
 def fresh_permutation(n_keys, perm_seed):
@@ -81,7 +82,7 @@ class TestHotCold:
     the model behind the ``hot-shard`` scenarios."""
 
     def test_hot_keys_get_hot_weight(self):
-        base = ZipfPopularity(1000, skew=0.9, perm_seed=1)
+        base = ZipfPopularity(1000, skew=0.9)
         hot = set(range(0, 1000, 10))
         pop = SubsetHotspotPopularity(base, sorted(hot), weight=0.9)
         # The base branch hits hot keys too: exactly its Zipf mass on them.
