@@ -62,6 +62,7 @@ GRID = [
     ("network-jitter", "unifincr-credits", N_TASKS_LONG),
     ("ring-rebalance", "unifincr-credits", N_TASKS_LONG),
     ("hot-shard-remediated", "unifincr-credits", N_TASKS_LONG),
+    ("crash-restart-remediated", "c3", N_TASKS_LONG),
 ]
 SEED = 1
 
