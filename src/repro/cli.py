@@ -451,7 +451,7 @@ def _select_trace_group(groups: _t.Any, selector: str) -> _t.Any:
     else:
         matches = [g for g in groups if g.strategy == selector]
     if len(matches) != 1:
-        known = ", ".join(f"{g.strategy}/{g.scenario}" for g in groups)
+        known = ", ".join(f"{g.strategy}/{g.scenario} ({g.realm})" for g in groups)
         raise ValueError(
             f"selector {selector!r} matches {len(matches)} group(s); "
             f"available: {known}"
@@ -507,6 +507,8 @@ def _cmd_trace_diff(args: argparse.Namespace) -> int:
                 f"found {len(groups)} trace group(s); diff needs exactly "
                 "two (or explicit --a/--b selectors)"
             )
+        if group_a.realm != group_b.realm:
+            print(f"realms: A={group_a.realm}  B={group_b.realm}")
         print(
             render_diff(
                 attribution(group_a, tail=args.tail),

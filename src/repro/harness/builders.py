@@ -76,7 +76,9 @@ class ClusterContext:
     placement: Placement
     service_model: ServiceTimeModel
     streams: StreamFactory
-    shared: _t.Dict[str, _t.Any] = dataclasses.field(default_factory=dict)
+    shared: _t.Dict[str, _t.Any] = dataclasses.field(
+        default_factory=dict, init=False
+    )
 
 
 class StrategyBuilder:

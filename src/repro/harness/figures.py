@@ -169,7 +169,6 @@ def figure2(
     n_tasks: int = 20_000,
     seeds: _t.Sequence[int] = (1, 2, 3),
     strategies: _t.Sequence[str] = FIGURE2_STRATEGIES,
-    percentiles: _t.Tuple[float, ...] = PAPER_PERCENTILES,
     executor: GridExecutor = SERIAL,
     **config_overrides: _t.Any,
 ) -> ComparisonResult:
@@ -181,18 +180,15 @@ def figure2(
     """
     base = ExperimentConfig(n_tasks=n_tasks, **config_overrides)
     grid = [{name: base.with_strategy(name) for name in strategies}]
-    return compare_strategies(
-        run_grid(grid, seeds, executor)[0], percentiles=percentiles
-    )
+    return compare_strategies(run_grid(grid, seeds, executor)[0])
 
 
 def figure2_series(
     comparison: ComparisonResult,
-    percentiles: _t.Tuple[float, ...] = PAPER_PERCENTILES,
 ) -> _t.Dict[str, _t.Dict[str, float]]:
     """Pivot a comparison into Figure 2's {percentile: {strategy: ms}}."""
     series: _t.Dict[str, _t.Dict[str, float]] = {}
-    for p in percentiles:
+    for p in PAPER_PERCENTILES:
         series[f"p{p:g}"] = {
             name: comparison.summary_of(name).percentile(p) * 1e3
             for name in comparison.strategies

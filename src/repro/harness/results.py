@@ -28,14 +28,13 @@ class StrategyResult:
 
     strategy: str
     runs: _t.List[RunResult]
-    percentiles: _t.Tuple[float, ...] = PAPER_PERCENTILES
 
     def __post_init__(self) -> None:
         if not self.runs:
             raise ValueError(f"no runs for strategy {self.strategy!r}")
 
     def per_seed_summaries(self) -> _t.List[LatencySummary]:
-        return [run.summary(self.percentiles) for run in self.runs]
+        return [run.summary(PAPER_PERCENTILES) for run in self.runs]
 
     def mean_summary(self) -> LatencySummary:
         return mean_of_summaries(self.per_seed_summaries())
@@ -174,7 +173,6 @@ def validate_summary_dict(data: _t.Mapping[str, _t.Any]) -> None:
 
 def compare_strategies(
     results: _t.Mapping[str, _t.Sequence[RunResult]],
-    percentiles: _t.Tuple[float, ...] = PAPER_PERCENTILES,
 ) -> ComparisonResult:
     """Bundle per-strategy run lists into a :class:`ComparisonResult`."""
     if not results:
@@ -191,8 +189,6 @@ def compare_strategies(
                 f"strategy {name!r} ran seeds {run_seeds}, expected {seeds} "
                 "(paired comparison requires a common seed grid)"
             )
-        strategies[name] = StrategyResult(
-            strategy=name, runs=run_list, percentiles=percentiles
-        )
+        strategies[name] = StrategyResult(strategy=name, runs=run_list)
     assert seeds is not None
     return ComparisonResult(strategies=strategies, seeds=seeds)

@@ -28,7 +28,7 @@ from ..cluster.client import Client
 from ..cluster.faults import FaultInjector, FaultPort, SimFaultPort
 from ..cluster.messages import TaskCompletion
 from ..cluster.network import Network
-from ..cluster.remediation import RemediationDriver, build_remediation
+from ..cluster.remediation import RemediationDriver
 from ..metrics.reservoir import ExactSample
 from ..metrics.summary import DEFAULT_PERCENTILES, LatencySummary
 from ..placement import MutablePlacement
@@ -257,9 +257,10 @@ class RunAssembly:
         self.faults = FaultInjector(
             self.clock, self.config.fault_schedule, fault_port, self.placement
         )
-        self.remediation = build_remediation(
-            self.config, self.clock, self.placement, queue_depths
-        )
+        if self.config.remediation != "off":
+            self.remediation = RemediationDriver(
+                self.config, self.clock, self.placement, queue_depths
+            )
         self.generator = self.workload.generator(self.streams)
 
     def feed(self) -> "Feeder":

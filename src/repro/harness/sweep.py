@@ -35,7 +35,6 @@ import json
 import typing as _t
 
 from ..analysis.tables import render_table
-from ..metrics.summary import PAPER_PERCENTILES
 from .builders import get_builder
 from .config import ExperimentConfig
 from .parallel import SERIAL, GridExecutor, run_grid
@@ -124,7 +123,6 @@ def sweep(
     values: _t.Sequence[_t.Any],
     strategies: _t.Sequence[str],
     seeds: _t.Sequence[int] = (1,),
-    percentiles: _t.Tuple[float, ...] = PAPER_PERCENTILES,
     n_tasks: _t.Optional[int] = None,
     executor: GridExecutor = SERIAL,
 ) -> SweepResult:
@@ -159,7 +157,7 @@ def sweep(
             {name: config.with_strategy(name) for name in strategies}
         )
     comparisons = {
-        value: compare_strategies(runs, percentiles=percentiles)
+        value: compare_strategies(runs)
         for value, runs in zip(values, run_grid(grid_configs, seeds, executor))
     }
     return SweepResult(

@@ -1,15 +1,8 @@
-"""Metrics: histograms, samples, summaries, windowed rates, the bus."""
+"""Metrics: histograms, samples, summaries, windowed rates, Prometheus text."""
 
-from .bus import (
-    BusSampler,
-    BusSnapshot,
-    WindowedQuantiles,
-    render_prometheus,
-    render_stats,
-)
+from .bus import render_prometheus, render_stats
 from .histogram import LogHistogram
 from .reservoir import ExactSample, exact_quantile
-from .slo import BreachDetector, SloPolicy
 from .summary import (
     DEFAULT_PERCENTILES,
     LatencySummary,
@@ -19,17 +12,12 @@ from .summary import (
 from .timeseries import EwmaEstimator, WindowedRate
 
 __all__ = [
-    "BreachDetector",
-    "BusSampler",
-    "BusSnapshot",
     "DEFAULT_PERCENTILES",
     "EwmaEstimator",
     "ExactSample",
     "LatencySummary",
     "LogHistogram",
     "PAPER_PERCENTILES",
-    "SloPolicy",
-    "WindowedQuantiles",
     "WindowedRate",
     "exact_quantile",
     "mean_of_summaries",

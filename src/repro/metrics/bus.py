@@ -1,177 +1,18 @@
-"""The streamed metrics bus: windowed snapshots sampled during a run.
+"""Prometheus text rendering of ``stats`` frames, and the fold of the
+client-side bus reports they carry.
 
-Everything before this module reported metrics *after* a run finished
-(``RunResult`` summaries, server stats deltas).  The bus makes the same
-signals available *while* the run executes, in both realms: the
-remediation driver (:mod:`repro.cluster.remediation`) takes a
-:class:`BusSnapshot` from its :class:`BusSampler` on every clock tick --
-virtual time in the simulation, wall time live, where the load generator
-also streams each snapshot to the servers -- and ``repro serve`` exports
-the server-side view as Prometheus text.
-
-Snapshots are deliberately flat and JSON-friendly: the SLO breach
-detector (:mod:`repro.metrics.slo`), the remediation policy, the
-``repro watch`` CLI and the CI schema check all consume the same
-:meth:`BusSnapshot.to_dict` shape.
+``repro serve`` exports each server's (or a cluster's merged) ``stats``
+frame as Prometheus exposition text through :func:`render_stats`; the
+``repro watch --prometheus`` view renders the same frame.  A load
+generator running the SLO loop (:mod:`repro.cluster.remediation`) pushes
+its client-side :class:`~repro.cluster.remediation.BusSnapshot` dicts to
+every server, and :func:`merge_reports` keeps the newest one per
+reporter.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import typing as _t
-from collections import deque
-
-from .reservoir import exact_quantile
-from .timeseries import WindowedRate
-
-#: Trailing window (model seconds) of every snapshot's percentiles,
-#: rates and mean queue depths.
-DEFAULT_BUS_WINDOW = 0.1
-
-#: Cadence (model seconds) at which the remediation driver samples.
-DEFAULT_BUS_INTERVAL = 0.02
-
-
-@dataclasses.dataclass(frozen=True)
-class BusSnapshot:
-    """One windowed observation of the running cluster.
-
-    Latencies are in model milliseconds (the paper's reporting unit);
-    rates are per model second; ``queue_depths[i]`` is server ``i``'s
-    queue length at sample time (live: the latest piggybacked feedback).
-    """
-
-    time: float
-    seq: int
-    window: float
-    #: Tasks completed inside the trailing window.
-    window_count: int
-    #: Cumulative completions at sample time.
-    completed: int
-    latency_p50_ms: float
-    latency_p99_ms: float
-    arrival_rate: float
-    served_rate: float
-    #: Windowed-mean backlog (queued + in service) per server.  Means,
-    #: not instantaneous reads: strategies with client-side pacing (C3's
-    #: rate limiter, credit gates) keep server queues near zero while
-    #: saturating the cores, so a point sample misses the heat entirely.
-    queue_depths: _t.Tuple[float, ...]
-
-    def to_dict(self) -> _t.Dict[str, _t.Any]:
-        out = dataclasses.asdict(self)
-        out["queue_depths"] = list(self.queue_depths)
-        return out
-
-
-class WindowedQuantiles:
-    """(time, value) recorder answering trailing-window quantile queries.
-
-    The bus's latency view: the ticker records every completion latency
-    and asks for p50/p99 over the last ``window`` at each tick.  Like
-    :class:`~repro.metrics.timeseries.WindowedRate`, queries must not lag
-    recording.
-    """
-
-    def __init__(self, window: float) -> None:
-        if window <= 0:
-            raise ValueError("window must be positive")
-        self.window = window
-        self._events: _t.Deque[_t.Tuple[float, float]] = deque()
-        self._last_time = float("-inf")
-        self.total = 0
-
-    def record(self, time: float, value: float) -> None:
-        if time < self._last_time:
-            raise ValueError("time went backwards")
-        self._last_time = time
-        self._events.append((time, value))
-        self.total += 1
-
-    def _evict(self, now: float) -> None:
-        cutoff = now - self.window
-        events = self._events
-        while events and events[0][0] < cutoff:
-            events.popleft()
-
-    def count(self, now: float) -> int:
-        if now < self._last_time:
-            raise ValueError(f"stale query: now={now} < {self._last_time}")
-        self._evict(now)
-        return len(self._events)
-
-    def quantiles(
-        self, now: float, qs: _t.Sequence[float]
-    ) -> _t.Tuple[float, ...]:
-        """Quantiles (fractions in [0, 1]) of the window; 0.0 when empty."""
-        if now < self._last_time:
-            raise ValueError(f"stale query: now={now} < {self._last_time}")
-        self._evict(now)
-        if not self._events:
-            return tuple(0.0 for _ in qs)
-        ordered = sorted(v for _, v in self._events)
-        return tuple(exact_quantile(ordered, q) for q in qs)
-
-
-class BusSampler:
-    """Accumulates per-run observations and assembles snapshots.
-
-    Realm-agnostic: the remediation driver feeds it every arrival
-    (:meth:`observe_arrival`) and completion (:meth:`observe_completion`)
-    and, on every tick, whatever queue depths its substrate can see, then
-    asks for a :meth:`snapshot`.
-    """
-
-    def __init__(self) -> None:
-        self._latencies = WindowedQuantiles(DEFAULT_BUS_WINDOW)
-        self._arrivals = WindowedRate(DEFAULT_BUS_WINDOW)
-        self._depth_samples: _t.Deque[_t.Tuple[float, _t.Tuple[float, ...]]] = (
-            deque()
-        )
-        self.completed = 0
-
-    def observe_arrival(self, now: float) -> None:
-        self._arrivals.record(now)
-
-    def observe_completion(self, now: float, latency: float) -> None:
-        self.completed += 1
-        self._latencies.record(now, latency)
-
-    def observe_depths(
-        self, now: float, depths: _t.Sequence[float]
-    ) -> None:
-        """Record one per-server backlog sample (queued + in service)."""
-        self._depth_samples.append((now, tuple(float(d) for d in depths)))
-        cutoff = now - DEFAULT_BUS_WINDOW
-        while self._depth_samples and self._depth_samples[0][0] < cutoff:
-            self._depth_samples.popleft()
-
-    def _mean_depths(self) -> _t.Tuple[float, ...]:
-        samples = self._depth_samples
-        if not samples:
-            return ()
-        n_servers = len(samples[-1][1])
-        sums = [0.0] * n_servers
-        for _, depths in samples:
-            for i, d in enumerate(depths):
-                sums[i] += d
-        return tuple(s / len(samples) for s in sums)
-
-    def snapshot(self, now: float, seq: int) -> BusSnapshot:
-        window_count = self._latencies.count(now)
-        p50, p99 = self._latencies.quantiles(now, (0.50, 0.99))
-        return BusSnapshot(
-            time=now,
-            seq=seq,
-            window=DEFAULT_BUS_WINDOW,
-            window_count=window_count,
-            completed=self.completed,
-            latency_p50_ms=p50 * 1e3,
-            latency_p99_ms=p99 * 1e3,
-            arrival_rate=self._arrivals.count(now) / DEFAULT_BUS_WINDOW,
-            served_rate=window_count / DEFAULT_BUS_WINDOW,
-            queue_depths=self._mean_depths(),
-        )
 
 
 def escape_label_value(value: _t.Any) -> str:

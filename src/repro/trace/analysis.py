@@ -47,7 +47,7 @@ __all__ = [
 
 @dataclass
 class RunTraces:
-    """All traces for one (strategy, scenario) group, seeds merged."""
+    """All traces for one (strategy, scenario, realm) group, seeds merged."""
 
     strategy: str
     scenario: str
@@ -58,8 +58,8 @@ class RunTraces:
     traces: _t.List[TaskTrace] = field(default_factory=list)
 
     @property
-    def key(self) -> _t.Tuple[str, str]:
-        return (self.strategy, self.scenario)
+    def key(self) -> _t.Tuple[str, str, str]:
+        return (self.strategy, self.scenario, self.realm)
 
 
 def write_traces(
@@ -84,8 +84,9 @@ def write_traces(
 
 
 def load_traces(paths: _t.Sequence[str]) -> _t.List[RunTraces]:
-    """Parse JSONL trace files, grouping by (strategy, scenario)."""
-    groups: _t.Dict[_t.Tuple[str, str], RunTraces] = {}
+    """Parse JSONL trace files, grouping by (strategy, scenario, realm):
+    a simulated and a live run of one cell stay two groups."""
+    groups: _t.Dict[_t.Tuple[str, str, str], RunTraces] = {}
     current: _t.Optional[RunTraces] = None
     for path in paths:
         with open(path, "r", encoding="utf-8") as fh:
@@ -99,13 +100,17 @@ def load_traces(paths: _t.Sequence[str]) -> _t.List[RunTraces]:
                     raise ValueError(f"{path}:{lineno}: not JSON: {exc}") from exc
                 kind = record.get("kind")
                 if kind == "meta":
-                    key = (str(record["strategy"]), str(record["scenario"]))
+                    key = (
+                        str(record["strategy"]),
+                        str(record["scenario"]),
+                        str(record.get("realm", "?")),
+                    )
                     group = groups.get(key)
                     if group is None:
                         group = groups[key] = RunTraces(
                             strategy=key[0],
                             scenario=key[1],
-                            realm=str(record.get("realm", "?")),
+                            realm=key[2],
                             sample=float(record.get("sample", 0.0)),
                         )
                     seed = record.get("seed")
@@ -168,7 +173,7 @@ def _percentile_threshold(latencies: _t.Sequence[float], tail: float) -> float:
 
 
 def attribution(group: RunTraces, tail: float = 99.0) -> Attribution:
-    """Tail attribution for one (strategy, scenario) group.
+    """Tail attribution for one (strategy, scenario, realm) group.
 
     ``tail`` is a percentile: traces with latency at or above the group's
     ``tail``-th percentile form the analysed set.

@@ -25,8 +25,9 @@ Ten guarantees, run in CI's ``docs`` job:
   by some caller outside ``tests/`` (or is allowlisted with a reason) -- a
   field only tests set is a constant too;
 * every default a tuning constructor keeps (C3, hedging, credits, the
-  servers, the rings, the firehose, ...) is set by some caller outside
-  ``tests/`` -- a default only tests override is a constant as well;
+  servers, the rings, the firehose, ...) or a ``@dataclass`` field under
+  ``src/`` carries is set by some caller outside ``tests/`` -- a default
+  only tests override is a constant as well;
 * every file in ``examples/`` is run by CI's ``docs`` job.
 """
 
@@ -482,6 +483,56 @@ def _params(function):
     return positional + [a.arg for a in args.kwonlyargs], defaulted
 
 
+def _is_dataclass(cls):
+    """Whether ``cls`` is decorated ``@dataclass`` and left it to generate
+    ``__init__``.  The ``@slots_dataclass`` per-request records are not
+    included: their defaulted fields are life-cycle slots the service path
+    writes after construction, not values a caller chooses."""
+    for decorator in cls.decorator_list:
+        call = decorator if isinstance(decorator, ast.Call) else None
+        func = call.func if call else decorator
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+        if name == "dataclass":
+            return not any(
+                kw.arg == "init" and _constant(kw.value) is False
+                for kw in (call.keywords if call else ())
+            )
+    return False
+
+
+def _constant(node):
+    return node.value if isinstance(node, ast.Constant) else None
+
+
+def _dataclass_init(cls):
+    """The ``__init__`` a ``@dataclass`` generates, as a function node: one
+    parameter per field in order, ClassVars and ``init=False`` fields left
+    out, a default where the field has one."""
+    params, defaults = [ast.arg("self")], []
+    for item in cls.body:
+        if not isinstance(item, ast.AnnAssign) or not isinstance(item.target, ast.Name):
+            continue
+        if "ClassVar" in ast.unparse(item.annotation):
+            continue
+        value = item.value
+        if isinstance(value, ast.Call) and ast.unparse(value.func).endswith("field"):
+            options = {kw.arg: kw.value for kw in value.keywords}
+            if _constant(options.get("init", ast.Constant(True))) is False:
+                continue
+            if not {"default", "default_factory"} & set(options):
+                value = None
+        params.append(ast.arg(item.target.id))
+        if value is not None:
+            defaults.append(value)
+    arguments = ast.arguments(
+        posonlyargs=[], args=params, vararg=None, kwonlyargs=[],
+        kw_defaults=[], kwarg=None, defaults=defaults,
+    )
+    return ast.FunctionDef(
+        name="__init__", args=arguments, body=[], decorator_list=[]
+    )
+
+
 class _Program:
     """Every value the program files hand to a name, and the functions
     they define -- the one AST finder behind both knob guards.
@@ -495,13 +546,16 @@ class _Program:
     ``type(self)(...)`` resolved to the enclosing class and its
     subclasses; ``scope`` is ``(enclosing class, enclosing functions,
     innermost first)``.  ``defs`` maps a callable's name (a class's for
-    its ``__init__``) to its one definition: ``(node, class name)``.
+    its ``__init__``, generated for a ``@dataclass``) to its one
+    definition: ``(node, class name)``; ``dataclasses`` names the classes
+    whose ``__init__`` is generated.
     """
 
     def __init__(self, paths):
         trees = [ast.parse(p.read_text(encoding="utf-8")) for p in paths]
         found = {}
         self.bases = {}
+        self.dataclasses = set()
         for tree in trees:
             for node in ast.walk(tree):
                 if isinstance(node, ast.ClassDef):
@@ -512,6 +566,10 @@ class _Program:
                         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                             key = node.name if item.name == "__init__" else item.name
                             found.setdefault(key, []).append((item, node.name))
+                    if _is_dataclass(node):
+                        self.dataclasses.add(node.name)
+                        init = (_dataclass_init(node), node.name)
+                        found.setdefault(node.name, []).append(init)
                 elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     found.setdefault(node.name, []).append((node, None))
         # A method is also walked as a plain function: keep the classed one.
@@ -731,12 +789,27 @@ KNOB_CALLABLES = (
 )
 
 
+#: Dataclasses whose fields :class:`TestConfigKnobs` checks instead.
+CONFIG_DATACLASSES = frozenset({"ExperimentConfig", "ClusterSpec"})
+
+
 def _unset_constructor_defaults():
     """``"callable(parameter)"`` for every defaulted parameter of
-    :data:`KNOB_CALLABLES` that no caller in ``src/``, ``bench/``,
+    :data:`KNOB_CALLABLES`, and ``"Class.field"`` for every defaulted
+    field of a ``@dataclass`` under ``src/`` (but
+    :data:`CONFIG_DATACLASSES`), that no caller in ``src/``, ``bench/``,
     ``benchmarks/`` or ``examples/`` sets."""
     program = _program(("src", "bench", "benchmarks", "examples"))
+    dataclasses = _program(("src",)).dataclasses - CONFIG_DATACLASSES
     unset = []
+    for cls in sorted(dataclasses):
+        assert cls in program.defs, f"dataclass {cls} is not defined once"
+        names, defaulted = _params(program.defs[cls][0])
+        unset += [
+            f"{cls}.{name}"
+            for name in names
+            if name in defaulted and not program.sets(cls, name)
+        ]
     for module, qualname in KNOB_CALLABLES:
         target = importlib.import_module(module)
         for part in qualname.split("."):
@@ -757,7 +830,8 @@ class TestConstructorKnobs:
     scenario, bench workload or example overrides is a tuning value with
     a second spelling (the parameter) that only tests use.  A keyword, a
     positional argument and a forward (``x=x``, ``x=self.x``, ``**kw``)
-    of a value some caller sets all count."""
+    of a value some caller sets all count; a ``@dataclass`` field is a
+    parameter of the ``__init__`` the decorator generates."""
 
     def test_every_default_is_set_by_a_non_test_caller(self):
         unset = _unset_constructor_defaults()
@@ -793,6 +867,31 @@ class TestConstructorKnobs:
         assert program.sets("Pool", "seed")  # positional
         assert not program.sets("Server", "queue")  # make's default, unset
         assert not program.sets("Server", "cores")  # Pool's default, unset
+
+    def test_the_finder_reads_dataclass_fields(self, tmp_path):
+        """A ``@dataclass`` is called through the ``__init__`` it generates:
+        fields by keyword or position, ClassVars and ``init=False`` fields
+        not parameters at all."""
+        source = tmp_path / "program.py"
+        source.write_text(
+            "import dataclasses, typing\n"
+            "@dataclasses.dataclass(frozen=True)\n"
+            "class Window:\n"
+            "    kind: typing.ClassVar[str] = 'w'\n"
+            "    size: float\n"
+            "    step: float = 1.0\n"
+            "    slack: int = 0\n"
+            "    cache: dict = dataclasses.field(default_factory=dict, init=False)\n"
+            "    tag: str = dataclasses.field(default='x')\n"
+            "Window(2.0, 0.5)\n"
+        )
+        program = _Program([source])
+        assert program.dataclasses == {"Window"}
+        names, defaulted = _params(program.defs["Window"][0])
+        assert names == ["size", "step", "slack", "tag"]
+        assert defaulted == {"step", "slack", "tag"}
+        assert program.sets("Window", "step")  # positional
+        assert not program.sets("Window", "slack")
 
 
 class TestExamplesRun:

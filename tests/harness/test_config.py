@@ -146,6 +146,14 @@ class TestExperimentConfig:
                         strategy=strategy, congestion_check_interval=interval
                     )
 
+    @pytest.mark.parametrize("target", [0, -1])
+    def test_slo_target_must_be_positive(self, target):
+        """A non-positive windowed-p99 target is refused by the config in
+        every mode that reads one; the SLO loop does not check it again."""
+        for mode in ("monitor", "slo"):
+            with pytest.raises(ValueError, match="slo_p99_ms must be positive"):
+                ExperimentConfig(remediation=mode, slo_p99_ms=target)
+
     # The single-slowdown sugar is `repro run --slow-server ID` now: the
     # config itself only knows `fault_schedule`.
     RUN = ["run", "--strategy", "oblivious-random", "--tasks", "60"]

@@ -1,12 +1,8 @@
-"""Unit tests for the streamed metrics bus primitives."""
+"""Unit tests for the Prometheus rendering and the bus-report fold."""
 
 import re
 
-import pytest
-
 from repro.metrics.bus import (
-    BusSampler,
-    WindowedQuantiles,
     escape_help_text,
     escape_label_value,
     merge_reports,
@@ -52,95 +48,6 @@ def validate_exposition(text):
     assert len(family_order) == len(set(family_order)), (
         f"interleaved metric families: {family_order}"
     )
-
-
-class TestWindowedQuantiles:
-    def test_quantiles_over_the_trailing_window(self):
-        wq = WindowedQuantiles(window=1.0)
-        for t, v in ((0.0, 1.0), (0.5, 2.0), (0.9, 3.0)):
-            wq.record(t, v)
-        assert wq.count(1.0) == 3
-        p50, p100 = wq.quantiles(1.0, (0.5, 1.0))
-        assert p50 == 2.0
-        assert p100 == 3.0
-
-    def test_events_evict_once_older_than_the_window(self):
-        wq = WindowedQuantiles(window=1.0)
-        wq.record(0.0, 10.0)
-        wq.record(2.0, 1.0)
-        assert wq.count(2.0) == 1
-        assert wq.quantiles(2.0, (0.99,)) == (1.0,)
-
-    def test_empty_window_reports_zero(self):
-        wq = WindowedQuantiles(window=1.0)
-        assert wq.count(5.0) == 0
-        assert wq.quantiles(5.0, (0.5, 0.99)) == (0.0, 0.0)
-
-    def test_time_regression_on_record_raises(self):
-        wq = WindowedQuantiles(window=1.0)
-        wq.record(1.0, 1.0)
-        with pytest.raises(ValueError, match="backwards"):
-            wq.record(0.5, 2.0)
-
-    def test_stale_query_raises(self):
-        wq = WindowedQuantiles(window=1.0)
-        wq.record(1.0, 1.0)
-        with pytest.raises(ValueError, match="stale"):
-            wq.count(0.5)
-        with pytest.raises(ValueError, match="stale"):
-            wq.quantiles(0.5, (0.5,))
-
-    def test_non_positive_window_rejected(self):
-        with pytest.raises(ValueError):
-            WindowedQuantiles(window=0.0)
-
-
-class TestBusSampler:
-    def test_snapshot_reports_windowed_rates_and_percentiles(self):
-        sampler = BusSampler()
-        for i in range(10):
-            sampler.observe_arrival(i * 0.01)
-            sampler.observe_completion(i * 0.01, latency=0.002 * (i + 1))
-        snap = sampler.snapshot(0.09, seq=1)
-        assert snap.window_count == 10
-        assert snap.completed == 10
-        assert snap.arrival_rate == pytest.approx(100.0)
-        assert snap.served_rate == pytest.approx(100.0)
-        # Latencies 2..20 ms; the p50 sits mid-range, the p99 near the top.
-        assert 8.0 <= snap.latency_p50_ms <= 14.0
-        assert 18.0 <= snap.latency_p99_ms <= 20.0
-
-    def test_queue_depths_are_windowed_means(self):
-        sampler = BusSampler()
-        sampler.observe_depths(0.00, (0.0, 4.0))
-        sampler.observe_depths(0.05, (2.0, 0.0))
-        snap = sampler.snapshot(0.05, seq=1)
-        assert snap.queue_depths == (1.0, 2.0)
-
-    def test_depth_samples_evict_with_the_window(self):
-        sampler = BusSampler()
-        sampler.observe_depths(0.0, (100.0,))
-        sampler.observe_depths(1.0, (2.0,))
-        snap = sampler.snapshot(1.0, seq=1)
-        assert snap.queue_depths == (2.0,)
-
-    def test_empty_sampler_snapshot_is_all_zero(self):
-        snap = BusSampler().snapshot(0.5, seq=3)
-        assert snap.window_count == 0
-        assert snap.latency_p99_ms == 0.0
-        assert snap.queue_depths == ()
-        assert snap.seq == 3
-
-    def test_snapshot_to_dict_is_json_friendly(self):
-        sampler = BusSampler()
-        sampler.observe_depths(0.0, (1.0, 2.0))
-        out = sampler.snapshot(0.0, seq=1).to_dict()
-        assert out["queue_depths"] == [1.0, 2.0]
-        assert set(out) == {
-            "time", "seq", "window", "window_count", "completed",
-            "latency_p50_ms", "latency_p99_ms", "arrival_rate",
-            "served_rate", "queue_depths",
-        }
 
 
 class TestPrometheusRendering:

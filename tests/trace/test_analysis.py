@@ -56,7 +56,7 @@ class TestJsonlStore:
         traces = [make_trace(i, 0.01 * (i + 1)) for i in range(3)]
         assert write_traces(str(path), traces, META) == 3
         (group,) = load_traces([str(path)])
-        assert group.key == ("c3", "hot-shard")
+        assert group.key == ("c3", "hot-shard", "sim")
         assert group.realm == "sim"
         assert group.sample == 1.0
         assert group.seeds == [1]
@@ -82,7 +82,7 @@ class TestJsonlStore:
         )
         groups = load_traces([str(a), str(b)])
         assert [g.key for g in groups] == [
-            ("c3", "hot-shard"), ("hedged", "hot-shard"),
+            ("c3", "hot-shard", "sim"), ("hedged", "hot-shard", "sim"),
         ]
 
     def test_trace_before_meta_is_an_error(self, tmp_path):

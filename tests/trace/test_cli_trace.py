@@ -104,6 +104,29 @@ class TestAnalysisCommands:
         assert main(["trace", "diff", str(a)]) == 2
         assert "exactly" in capsys.readouterr().err
 
+    def test_realms_stay_separate_groups(self, tmp_path, capsys):
+        """A simulated and a live artifact of one cell are two groups, so
+        the sim-vs-live diff needs no selectors and an ambiguous selector
+        names the realms it could mean."""
+        sim, _ = self.make_artifacts(tmp_path, capsys)
+        live = tmp_path / "live.jsonl"
+        lines = sim.read_text().splitlines()
+        meta = json.loads(lines[0])
+        assert meta["realm"] == "sim"
+        live.write_text(
+            "\n".join([json.dumps({**meta, "realm": "live"}), *lines[1:]]) + "\n"
+        )
+        assert main(["trace", "attribution", str(sim), str(live), "--json"]) == 0
+        results = json.loads(capsys.readouterr().out)
+        assert len(results) == 2
+        assert results[0]["n_traces"] == results[1]["n_traces"] == len(lines) - 1
+        assert main(["trace", "diff", str(sim), str(live)]) == 0
+        assert "realms: A=live  B=sim" in capsys.readouterr().out
+        assert main([
+            "trace", "diff", str(sim), str(live), "--a", "c3", "--b", "c3",
+        ]) == 2
+        assert "c3/hot-shard (live), c3/hot-shard (sim)" in capsys.readouterr().err
+
     def test_missing_file_is_a_clean_error(self, tmp_path, capsys):
         assert main(["trace", "attribution", str(tmp_path / "nope.jsonl")]) == 2
         assert "bad trace artifact" in capsys.readouterr().err
