@@ -186,10 +186,8 @@ def sample_live(kind, n):
     async def drive():
         sampler.arm()
         if kind == "firehose":
-            return await run_firehose(
-                endpoints, multigets=n, fanout=8, window=64, pool=1
-            )
-        return await run_live(config, seed=1, endpoints=endpoints, pool=1)
+            return await run_firehose(endpoints, multigets=n, fanout=8, window=64)
+        return await run_live(config, seed=1, endpoints=endpoints)
 
     try:
         asyncio.run(drive())

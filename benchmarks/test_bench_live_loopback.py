@@ -32,7 +32,7 @@ async def run_one_live(config, time_scale):
     server = LiveServer.from_config(config, time_scale=time_scale, port=0)
     await server.start()
     try:
-        return await run_live(config, seed=1, host=server.host, port=server.port)
+        return await run_live(config, seed=1, endpoints=[(server.host, server.port)])
     finally:
         await server.stop()
 

@@ -76,6 +76,15 @@ def _require_positive(args: argparse.Namespace, *flags: str) -> None:
             raise _Exit(f"--{flag} must be at least 1")
 
 
+def _check_port(port: int, bound: bool = False) -> int:
+    """``port`` if it is a TCP port to dial (1..65535) or, with ``bound``,
+    to listen on (0 also: ephemeral); ValueError otherwise."""
+    low = 0 if bound else 1
+    if not low <= port <= 65535:
+        raise ValueError(f"port {port} is outside {low}..65535")
+    return port
+
+
 def _add_parallel_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--jobs", type=int, default=None, metavar="N",
                    help="fan runs over N worker processes (0 = all cores; "
@@ -520,17 +529,15 @@ def _cmd_trace_diff(args: argparse.Namespace) -> int:
     return 0
 
 
-#: The connection flags ``loadgen``, ``watch``, ``firehose`` and ``compare``
-#: share, as argparse keywords; a command takes the ones it names, in its
-#: own order (docs/cli.md lists flags in declaration order).
+#: The connection flags ``loadgen``, ``watch`` and ``firehose`` share, as
+#: argparse keywords; a command takes the ones it names, in its own order
+#: (docs/cli.md lists flags in declaration order).
 _WIRE_FLAGS: _t.Dict[str, _t.Dict[str, _t.Any]] = {
     "host": dict(default=None),
     "port": dict(type=int, default=None),
     "endpoints": dict(default=None, metavar="H:P,H:P,...",
                       help="comma-separated endpoints of a multi-process "
                            "cluster (overrides --host/--port)"),
-    "pool": dict(type=int, default=1, metavar="K",
-                 help="connections per endpoint"),
 }
 
 
@@ -558,10 +565,11 @@ def _endpoints_from(args: argparse.Namespace) -> _t.List[_t.Tuple[str, int]]:
             raise _Exit(f"bad --endpoints: {exc}") from exc
     host = getattr(args, "host", None)
     port = getattr(args, "port", None)
-    return [(
-        host if host is not None else DEFAULT_HOST,
-        port if port is not None else DEFAULT_PORT,
-    )]
+    try:
+        port = _check_port(port) if port is not None else DEFAULT_PORT
+    except ValueError as exc:
+        raise _Exit(f"bad --port: {exc}") from exc
+    return [(host if host is not None else DEFAULT_HOST, port)]
 
 
 def _run_live(command: str, coro: _t.Awaitable[_t.Any]) -> _t.Any:
@@ -615,6 +623,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     time_scale = args.time_scale if args.time_scale is not None else DEFAULT_TIME_SCALE
     host = args.host if args.host is not None else DEFAULT_HOST
     port = args.port if args.port is not None else DEFAULT_PORT
+    for flag, base in (("port", port), ("metrics-port", args.metrics_port)):
+        if base is None:
+            continue
+        try:
+            _check_port(base, bound=True)
+            if base:  # process i of --procs N binds base + i
+                _check_port(base + args.procs - 1, bound=True)
+        except ValueError as exc:
+            raise _Exit(f"bad --{flag}: {exc}") from exc
 
     if args.procs > 1:
         import signal
@@ -708,7 +725,7 @@ def _add_loadgen(subparsers: argparse._SubParsersAction) -> None:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--seeds", type=int, default=1, metavar="K",
                    help="repeat under K consecutive seeds (starting at --seed)")
-    _add_wire_flags(p, "host", "port", "endpoints", "pool")
+    _add_wire_flags(p, "host", "port", "endpoints")
     p.add_argument("--timeout", type=float, default=None, metavar="S",
                    help="wall-clock safety timeout per run (seconds)")
     p.add_argument("--out", type=str, default=None,
@@ -728,7 +745,7 @@ def _parse_endpoints(raw: str) -> _t.List[_t.Tuple[str, int]]:
         host, sep, port = chunk.rpartition(":")
         if not sep or not host:
             raise ValueError(f"bad endpoint {chunk!r} (expected host:port)")
-        endpoints.append((host, int(port)))
+        endpoints.append((host, _check_port(int(port))))
     if not endpoints:
         raise ValueError("empty endpoint list")
     return endpoints
@@ -759,8 +776,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     endpoints = _endpoints_from(args)
     where = ", ".join(f"{h}:{p}" for h, p in endpoints)
     print(
-        f"loadgen: {config.describe()} (seeds {list(seeds)}) -> {where} "
-        f"(pool {args.pool})"
+        f"loadgen: {config.describe()} (seeds {list(seeds)}) -> {where}"
     )
     for line in config.fault_schedule.describe():
         print(f"  fault: {line}")
@@ -770,7 +786,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             config,
             seeds,
             endpoints=endpoints,
-            pool=args.pool,
             wall_timeout=args.timeout,
         ),
     )
@@ -805,7 +820,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             "wall_duration_s": wall,
             "protocol": results[0].extras["live_protocol"],
             "endpoints": len(endpoints),
-            "pool": args.pool,
             "schedule_lag_mean_s": lag_mean,
             "schedule_lag_max_s": lag_max,
         },
@@ -963,7 +977,7 @@ def _add_firehose(subparsers: argparse._SubParsersAction) -> None:
                     "a fixed window of multigets kept in flight, no "
                     "arrival schedule and no replica selection, so the "
                     "measured ceiling is the transport's (codec, "
-                    "pipelining, pooling), not the scheduler's. The "
+                    "pipelining, write batching), not the scheduler's. The "
                     "wire path that `bench/run.py --workload "
                     "live-firehose-fanout8` and the CI cluster smoke drive; "
                     "use `repro loadgen` to measure scheduling quality.",
@@ -977,7 +991,6 @@ def _add_firehose(subparsers: argparse._SubParsersAction) -> None:
                    help="keys per multiget")
     p.add_argument("--window", type=int, default=256, metavar="W",
                    help="multigets kept in flight (1 = sequential)")
-    _add_wire_flags(p, "pool")
     p.add_argument("--value-size", type=int, default=1024, metavar="B",
                    help="value bytes per key")
     p.add_argument("--timeout", type=float, default=300.0, metavar="S",
@@ -990,12 +1003,12 @@ def _add_firehose(subparsers: argparse._SubParsersAction) -> None:
 def _cmd_firehose(args: argparse.Namespace) -> int:
     from .loadgen import run_firehose
 
-    _require_positive(args, "multigets", "fanout", "window", "pool")
+    _require_positive(args, "multigets", "fanout", "window")
     endpoints = _endpoints_from(args)
     where = ", ".join(f"{h}:{p}" for h, p in endpoints)
     print(
         f"firehose -> {where}: {args.multigets} multigets x fanout "
-        f"{args.fanout}, window {args.window}, pool {args.pool}"
+        f"{args.fanout}, window {args.window}"
     )
     result = _run_live(
         "firehose",
@@ -1005,7 +1018,6 @@ def _cmd_firehose(args: argparse.Namespace) -> int:
             fanout=args.fanout,
             value_size=args.value_size,
             window=args.window,
-            pool=args.pool,
             wall_timeout=args.timeout,
         ),
     )
@@ -1037,10 +1049,6 @@ def _add_compare(subparsers: argparse._SubParsersAction) -> None:
                    help="seed grid 1..K for both realms")
     p.add_argument("--time-scale", type=float, default=None, metavar="S",
                    help="live time stretch (default 25)")
-    p.add_argument("--procs", type=int, default=1, metavar="N",
-                   help="run the live half against an N-process cluster "
-                        "(default: in-process loopback)")
-    _add_wire_flags(p, "pool", pool="live connections per endpoint")
     p.add_argument("--out", type=str, default=None, help="raw JSON output path")
     _add_parallel_flags(p)  # applies to the simulated half of the diff
     p.set_defaults(func=_cmd_compare)
@@ -1059,13 +1067,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     _reject_model_strategies(strategies)
     _require_positive(args, "tasks", "seeds")
     time_scale = args.time_scale if args.time_scale is not None else DEFAULT_TIME_SCALE
-    backend = (
-        f"{args.procs}-process cluster" if args.procs > 1 else "loopback"
-    )
     print(
         f"comparing {', '.join(strategies)} on {args.scenario!r}: "
         f"{args.tasks} tasks x {args.seeds} seed(s), sim then live "
-        f"({backend}, {time_scale:g}x time scale)"
+        f"(loopback, {time_scale:g}x time scale)"
     )
     report = run_compare(
         args.scenario,
@@ -1074,8 +1079,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         seeds=tuple(range(1, args.seeds + 1)),
         time_scale=time_scale,
         executor=_executor_from(args),
-        procs=args.procs,
-        pool=args.pool,
     )
     print(report.render())
     _save_json(args.out, report.to_dict())

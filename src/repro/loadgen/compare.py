@@ -27,7 +27,6 @@ from ..harness.parallel import SERIAL, GridExecutor, run_grid
 from ..harness.results import ComparisonResult, compare_strategies
 from ..scenarios import get_scenario
 from ..serve.server import DEFAULT_TIME_SCALE, LiveServer
-from ..serve.supervisor import ServeSupervisor
 from .driver import run_live_seeds
 
 
@@ -40,8 +39,6 @@ class CompareReport:
     sim: ComparisonResult
     live: ComparisonResult
     time_scale: float
-    #: Server processes the live half ran against (1 = in-process loopback).
-    procs: int = 1
 
     @property
     def strategies(self) -> _t.Tuple[str, ...]:
@@ -113,7 +110,6 @@ class CompareReport:
             "scenario": self.scenario,
             "seeds": list(self.seeds),
             "time_scale": self.time_scale,
-            "procs": self.procs,
             "sim": self.sim.to_dict(),
             "live": self.live.to_dict(),
             "p99_ordering": {
@@ -129,9 +125,13 @@ async def _live_strategy_loopback(
     seeds: _t.Sequence[int],
     time_scale: float,
     wall_timeout: _t.Optional[float],
-    pool: int,
 ) -> _t.List:
-    """One strategy's live runs against a fresh in-process loopback server."""
+    """One strategy's live runs against a fresh in-process loopback server.
+
+    A fresh backend per strategy keeps runs independent (no queue
+    residue, no warmed EWMAs crossing strategies), mirroring the
+    simulation's fresh-environment-per-run discipline.
+    """
     server = LiveServer.from_config(config, time_scale=time_scale, port=0)
     await server.start()
     try:
@@ -139,54 +139,10 @@ async def _live_strategy_loopback(
             config,
             seeds,
             endpoints=[(server.host, server.port)],
-            pool=pool,
             wall_timeout=wall_timeout,
         )
     finally:
         await server.stop()
-
-
-def _live_comparison(
-    configs: _t.Mapping[str, ExperimentConfig],
-    seeds: _t.Sequence[int],
-    time_scale: float,
-    wall_timeout: _t.Optional[float],
-    procs: int,
-    pool: int,
-) -> ComparisonResult:
-    """Run each strategy against its own fresh backend.
-
-    A fresh backend per strategy keeps runs independent (no queue
-    residue, no warmed EWMAs crossing strategies), mirroring the
-    simulation's fresh-environment-per-run discipline.  ``procs > 1``
-    forks a real multi-process cluster per strategy (the supervisor must
-    start before any event loop runs, hence the sync shape of this
-    function); ``procs == 1`` keeps the in-process loopback server.
-    """
-    results: _t.Dict[str, _t.List] = {}
-    for name, config in configs.items():
-        if procs > 1:
-            supervisor = ServeSupervisor(
-                config, procs=procs, time_scale=time_scale, base_port=0
-            )
-            endpoints = supervisor.start()
-            try:
-                results[name] = asyncio.run(
-                    run_live_seeds(
-                        config,
-                        seeds,
-                        endpoints=endpoints,
-                        pool=pool,
-                        wall_timeout=wall_timeout,
-                    )
-                )
-            finally:
-                supervisor.stop()
-        else:
-            results[name] = asyncio.run(
-                _live_strategy_loopback(config, seeds, time_scale, wall_timeout, pool)
-            )
-    return compare_strategies(results)
 
 
 def run_compare(
@@ -197,16 +153,12 @@ def run_compare(
     time_scale: float = DEFAULT_TIME_SCALE,
     wall_timeout: _t.Optional[float] = None,
     executor: GridExecutor = SERIAL,
-    procs: int = 1,
-    pool: int = 1,
 ) -> CompareReport:
     """Run the full differential: sim then live, one scenario, N strategies.
 
     ``executor`` applies to the *simulated* half only (process fan-out
     and result-cache reuse); live cells are inherently serial -- they
     would contend for the same wall-clock backend.
-    ``procs``/``pool`` shape the live half: server process count and
-    connections per endpoint.
     """
     if not strategies:
         raise ValueError("need at least one strategy to compare")
@@ -216,12 +168,18 @@ def run_compare(
         for name in strategies
     }
     sim = compare_strategies(run_grid([configs], seeds, executor)[0])
-    live = _live_comparison(configs, seeds, time_scale, wall_timeout, procs, pool)
+    live = compare_strategies(
+        {
+            name: asyncio.run(
+                _live_strategy_loopback(config, seeds, time_scale, wall_timeout)
+            )
+            for name, config in configs.items()
+        }
+    )
     return CompareReport(
         scenario=scenario,
         seeds=tuple(seeds),
         sim=sim,
         live=live,
         time_scale=time_scale,
-        procs=procs,
     )

@@ -33,9 +33,8 @@ from ..harness.builders import ModelBuilder, get_builder
 from ..harness.config import ExperimentConfig
 from ..harness.results import compare_strategies
 from ..harness.runner import RunAssembly, RunResult
-from ..serve.server import DEFAULT_HOST, DEFAULT_PORT
 from ..sim.rng import StreamFactory
-from .transport import LiveTransport, LiveTransportError
+from .transport import Endpoint, LiveTransport, LiveTransportError
 
 
 class LiveFaultPort:
@@ -123,27 +122,26 @@ def _workers_grew(before: _Stats, after: _Stats, key: str) -> float:
 
 async def run_live(
     config: ExperimentConfig,
+    endpoints: _t.Sequence[Endpoint],
     seed: int = 1,
-    host: str = DEFAULT_HOST,
-    port: int = DEFAULT_PORT,
     wall_timeout: _t.Optional[float] = None,
-    endpoints: _t.Optional[_t.Sequence[_t.Tuple[str, int]]] = None,
     pool: int = 1,
 ) -> RunResult:
     """Drive one (config, seed) load-generation run against a live cluster.
 
-    ``endpoints`` lists every server process of a multi-process cluster
-    (defaults to the single ``(host, port)``); ``pool`` opens that many
-    connections per endpoint.
+    ``endpoints`` lists every server process of the cluster, one
+    connection each.  ``pool`` accepts only 1: it stays a keyword only
+    because ``bench/workloads.py`` passes it, and goes with the next
+    change to the benchmark.
     """
     if isinstance(get_builder(config.strategy), ModelBuilder):
         raise ValueError(
             f"strategy {config.strategy!r} is the unrealizable global-queue "
             "model; it has no live realization (that is the paper's point)"
         )
-    if endpoints is None:
-        endpoints = [(host, port)]
-    transport = await LiveTransport.connect(endpoints, pool=pool)
+    if pool != 1:
+        raise ValueError(f"pool {pool!r}: every endpoint has one connection")
+    transport = await LiveTransport.connect(endpoints)
     clock = transport.clock
     run: _t.Optional[RunAssembly] = None
     try:

@@ -5,7 +5,7 @@ it replays a paper workload on a scaled model clock, so its throughput is
 bounded by the scenario's arrival rate, not by the transport.  The
 firehose measures the *wire path* itself.  It rides the same
 :class:`~repro.loadgen.transport.LiveTransport` (handshake, binary codec,
-pooled links, control frames, stats query, outcome future) but
+one link per endpoint, control frames, stats query, outcome future) but
 skips the strategy stack entirely -- its ``on_res`` is bound straight to
 the links, and its ops go straight out on them: a fixed window of
 multigets is kept in flight on every run, and the moment one multiget
@@ -32,6 +32,7 @@ import dataclasses
 import time
 import typing as _t
 
+from ..metrics.reservoir import exact_quantile
 from ..serve.codec import BINARY_CODEC
 from ..serve.protocol import MAX_PROTOCOL_VERSION
 from .transport import Endpoint, LiveTransport, LiveTransportError, RID_MASK
@@ -64,7 +65,6 @@ class FirehoseResult:
     multigets: int
     fanout: int
     window: int
-    pool: int
     endpoints: int
     protocol: int
     elapsed_s: float
@@ -104,7 +104,6 @@ class FirehoseResult:
             "multigets": self.multigets,
             "fanout": self.fanout,
             "window": self.window,
-            "pool": self.pool,
             "endpoints": self.endpoints,
             "protocol": self.protocol,
             "elapsed_s": self.elapsed_s,
@@ -118,13 +117,6 @@ class FirehoseResult:
             "server_io": dict(self.server_io),
             "congestion_frames": self.congestion_frames,
         }
-
-
-def _percentile(sorted_values: _t.Sequence[float], q: float) -> float:
-    if not sorted_values:
-        return float("nan")
-    index = int(round(q / 100.0 * (len(sorted_values) - 1)))
-    return sorted_values[index]
 
 
 class _FirehoseRun:
@@ -169,12 +161,10 @@ class _FirehoseRun:
             op = self.op_counter
             self.op_counter = op + 1
             worker_id = self.worker_ids[op % n_workers]
-            links = self.worker_links[worker_id]
-            link = links[op % len(links)] if len(links) > 1 else links[0]
             rid = op & RID_MASK
             self.pending[rid] = mg
             key = op % KEY_SPACE
-            link.out.send(
+            self.worker_links[worker_id].out.send(
                 _encode_op(rid, worker_id, key, self.value_size, _PRIORITY)
             )
 
@@ -218,17 +208,21 @@ async def run_firehose(
 ) -> FirehoseResult:
     """Saturate a live cluster and measure its wire-path throughput.
 
-    Keeps ``window`` multigets pipelined across ``pool`` connections per
-    endpoint until ``multigets`` of them (after a discarded warm-up of
-    ``min(max(window, 100), multigets)``) have completed; ops round-robin over every worker the cluster
-    advertises.  Returns throughput, multiget RTT percentiles and the
-    I/O ledger on both sides.
+    Keeps ``window`` multigets pipelined over one connection per endpoint
+    until ``multigets`` of them (after a discarded warm-up of
+    ``min(max(window, 100), multigets)``) have completed; ops round-robin
+    over every worker the cluster advertises.  Returns throughput,
+    multiget RTT percentiles and the I/O ledger on both sides.
 
     ``protocol`` accepts only 2, the binary data plane, which every link
-    speaks: it stays a keyword because ``bench/workloads.py`` passes it.
+    speaks, and ``pool`` only 1, the one connection per endpoint: both
+    stay keywords only because ``bench/workloads.py`` passes them, and go
+    with the next change to the benchmark.
     """
-    if multigets < 1 or fanout < 1 or window < 1 or pool < 1:
-        raise ValueError("multigets, fanout, window and pool must be >= 1")
+    if multigets < 1 or fanout < 1 or window < 1:
+        raise ValueError("multigets, fanout and window must be >= 1")
+    if pool != 1:
+        raise ValueError(f"pool {pool!r}: every endpoint has one connection")
     if protocol != MAX_PROTOCOL_VERSION:
         raise ValueError(
             f"protocol {protocol!r}: the firehose speaks only the binary "
@@ -243,7 +237,7 @@ async def run_firehose(
     # The firehose never consumes congestion broadcasts: opt every
     # connection out so saturation does not turn into a broadcast storm.
     transport = await LiveTransport.connect(
-        endpoints, pool, congestion=False, on_res=run.on_res
+        endpoints, congestion=False, on_res=run.on_res
     )
     run.attach(transport)
     try:
@@ -265,12 +259,11 @@ async def run_firehose(
         multigets=multigets,
         fanout=fanout,
         window=window,
-        pool=pool,
         endpoints=len(endpoints),
         protocol=transport.ack["proto"],
         elapsed_s=run.t_measure_end - run.t_measure_start,
-        p50_ms=_percentile(rtts, 50.0) * 1e3,
-        p99_ms=_percentile(rtts, 99.0) * 1e3,
+        p50_ms=exact_quantile(rtts, 0.50) * 1e3,
+        p99_ms=exact_quantile(rtts, 0.99) * 1e3,
         client_io=measured_io,
         server_io={key: stats[key] for key in _SERVER_IO_KEYS},
         congestion_frames=transport.congestion_signals,

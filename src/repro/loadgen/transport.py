@@ -1,23 +1,23 @@
-"""The live client transport: the Transport seam over pooled TCP links.
+"""The live client transport: the Transport seam over one link per endpoint.
 
 :class:`LiveTransport` is what makes the *unmodified* strategy stack run
 against the live service: it implements the same ``register``/``send``
 surface as the simulated :class:`~repro.cluster.network.Network`, so
 clients, credit gates and the credits controller plug into it directly.
 Underneath, it speaks to a whole cluster: one or many server processes
-(endpoints), each owning a subset of the workers, with ``pool``
-connections per endpoint and arbitrarily many pipelined ``op`` frames in
-flight per connection.  Each :class:`Link` is its connection's
-``asyncio.Protocol``: a socket chunk is parsed and handed to the strategy
-stack before ``data_received`` returns.
+(endpoints), each owning a subset of the workers, with one connection per
+endpoint and arbitrarily many pipelined ``op`` frames in flight on it.
+Each :class:`Link` is its connection's ``asyncio.Protocol``: a socket
+chunk is parsed and handed to the strategy stack before
+``data_received`` returns.
 
 Routing
 -------
 * messages addressed to a **server** (:class:`~repro.cluster.messages.
-  RequestMessage`) are turned into wire ``op`` frames on a link to the
-  endpoint that owns that worker (round-robin across its pool); the
-  request object itself stays client-side in a pending map keyed by a
-  wire id, and the matching ``res`` frame is reassembled into the exact
+  RequestMessage`) are turned into wire ``op`` frames on the link to the
+  endpoint that owns that worker; the request object itself stays
+  client-side in a pending map keyed by a wire id, and the matching
+  ``res`` frame is reassembled into the exact
   :class:`~repro.cluster.messages.ResponseMessage` the strategies expect,
   feedback included;
 * messages between **local** endpoints (demand reports and credit grants
@@ -27,9 +27,7 @@ Routing
   re-entrant callback chains;
 * ``congestion`` frames from the service become
   :class:`~repro.cluster.messages.CongestionSignal` deliveries to the
-  controller address, closing the credits feedback loop.  Only the first
-  (*primary*) connection of each endpoint's pool subscribes to them, so
-  the controller sees each signal exactly once;
+  controller address, closing the credits feedback loop;
 * ``admin`` frames fan out per endpoint, their ``servers`` target list
   cut down to the workers that endpoint owns; ``stats`` replies are
   merged back into one cluster-wide frame.
@@ -92,31 +90,26 @@ def ack_workers(ack: _t.Mapping[str, _t.Any]) -> _t.List[int]:
 
 
 async def open_links(
-    endpoints: _t.Sequence[Endpoint], pool: int, congestion: bool
+    endpoints: _t.Sequence[Endpoint], congestion: bool
 ) -> _t.List["Link"]:
-    """Open and handshake ``pool`` connections per endpoint.
+    """Open and handshake one connection per endpoint, in order.
 
-    Returns the links endpoint-major, reading paused until
-    :meth:`Link.start`.  Only each endpoint's first link subscribes to
-    congestion broadcasts (and only when ``congestion`` is set), so a
-    controller sees each signal exactly once.  The acks are validated
-    against each other; on any failure every connection opened so far is
-    closed.
+    Returns the links with reading paused until :meth:`Link.start`; each
+    subscribes to congestion broadcasts when ``congestion`` is set.  The
+    acks are validated against each other; on any failure every connection
+    opened so far is closed.
     """
     if not endpoints:
         raise ValueError("need at least one endpoint")
-    if pool < 1:
-        raise ValueError("pool must be at least 1")
     loop = asyncio.get_running_loop()
     links: _t.List[Link] = []
     try:
         for endpoint in endpoints:
-            for slot in range(pool):
-                link = Link(endpoint, congestion and slot == 0)
-                await loop.create_connection(lambda: link, *endpoint)
-                links.append(link)
-                await link.handshaken
-        _validate_acks(endpoints, [link.ack for link in links], pool)
+            link = Link(endpoint, congestion)
+            await loop.create_connection(lambda: link, *endpoint)
+            links.append(link)
+            await link.handshaken
+        _validate_acks(endpoints, [link.ack for link in links])
     except BaseException:
         for link in links:
             link.out.transport.abort()
@@ -127,12 +120,12 @@ async def open_links(
 def _validate_acks(
     endpoints: _t.Sequence[Endpoint],
     acks: _t.Sequence[_t.Dict[str, _t.Any]],
-    pool: int,
 ) -> None:
     """Every endpoint must present the same cluster shape and time scale,
-    and together they must own each worker exactly once."""
+    and together they must own each worker exactly once (so an endpoint
+    listed twice is refused)."""
     base = acks[0]
-    for index, ack in enumerate(acks):
+    for endpoint, ack in zip(endpoints, acks):
         for field in (
             "n_servers",
             "cores_per_server",
@@ -142,16 +135,14 @@ def _validate_acks(
             "seed",
         ):
             if ack.get(field) != base.get(field):
-                endpoint = endpoints[index // pool]
                 raise LiveTransportError(
                     f"cluster endpoints disagree on {field}: "
                     f"{endpoint} says {ack.get(field)!r}, "
                     f"{endpoints[0]} says {base.get(field)!r}"
                 )
     owner: _t.Dict[int, Endpoint] = {}
-    for index in range(0, len(acks), pool):
-        endpoint = endpoints[index // pool]
-        for worker_id in ack_workers(acks[index]):
+    for endpoint, ack in zip(endpoints, acks):
+        for worker_id in ack_workers(ack):
             if worker_id in owner:
                 raise LiveTransportError(
                     f"worker {worker_id} claimed by both {owner[worker_id]} "
@@ -283,13 +274,10 @@ class LiveTransport:
         self._handlers: _t.Dict[_t.Hashable, _t.Callable[[_t.Any], None]] = {}
         self._pending: _t.Dict[int, "RequestMessage"] = {}
         self._next_rid = 0
-        #: Every open connection, endpoint-major (endpoints x pool).
+        #: Every open connection, one per endpoint, in endpoint order.
         self.links: _t.List[Link] = []
-        self._endpoint_links: "_t.Dict[Endpoint, _t.List[Link]]" = {}
-        self._endpoint_workers: "_t.Dict[Endpoint, _t.FrozenSet[int]]" = {}
-        #: Worker id -> the pool of links to the endpoint that hosts it.
-        self.worker_links: _t.Dict[int, _t.List[Link]] = {}
-        self._rr: _t.Dict[Endpoint, int] = {}
+        #: Worker id -> the link to the endpoint that hosts it.
+        self.worker_links: _t.Dict[int, Link] = {}
         #: ``stats`` queries awaiting their reply, FIFO per endpoint.
         self._stats_waiters: (
             "_t.Dict[Endpoint, _t.List[asyncio.Future[_t.Dict[str, _t.Any]]]]"
@@ -318,40 +306,29 @@ class LiveTransport:
     async def connect(
         cls,
         endpoints: _t.Sequence[Endpoint],
-        pool: int = 1,
         congestion: bool = True,
         on_res: _t.Optional[_t.Callable[..., None]] = None,
     ) -> "LiveTransport":
-        """Connect ``pool`` links to every endpoint and assemble routing
-        (see :func:`open_links` for what the endpoints must agree on).
+        """Connect one link to every endpoint and assemble routing (see
+        :func:`open_links` for what the endpoints must agree on).
 
         ``congestion=False`` opts every link out of congestion broadcasts;
         ``on_res`` takes the ``res`` fields straight off the links in place
         of the strategy stack's reassembly (the firehose: it has no
         strategy stack to hand a response to).
         """
-        links = await open_links(endpoints, pool, congestion)
+        links = await open_links(endpoints, congestion)
         base_ack = links[0].ack
         transport = cls(
             clock=WallClock(scale=float(base_ack["time_scale"])), ack=base_ack
         )
         transport.links = links
         for link in links:
-            endpoint = link.endpoint
             link.start(
                 on_res or transport._on_res, transport._handle_frame, transport.fail
             )
-            transport._endpoint_links.setdefault(endpoint, []).append(link)
-            if endpoint not in transport._rr:  # the endpoint's first link
-                transport._endpoint_workers[endpoint] = frozenset(
-                    ack_workers(link.ack)
-                )
-                transport._rr[endpoint] = 0
-        for endpoint, workers in transport._endpoint_workers.items():
-            for worker_id in workers:
-                transport.worker_links[worker_id] = transport._endpoint_links[
-                    endpoint
-                ]
+            for worker_id in ack_workers(link.ack):
+                transport.worker_links[worker_id] = link
         return transport
 
     # -- Transport protocol ---------------------------------------------------
@@ -395,18 +372,11 @@ class LiveTransport:
 
     # -- data path ------------------------------------------------------------
     def _send_op(self, worker_id: int, request: "RequestMessage") -> None:
-        links = self.worker_links.get(worker_id)
-        if links is None:
+        link = self.worker_links.get(worker_id)
+        if link is None:
             raise LiveTransportError(
                 f"op addressed to worker {worker_id}, which no endpoint hosts"
             )
-        if len(links) == 1:
-            link = links[0]
-        else:
-            endpoint = links[0].endpoint
-            index = self._rr[endpoint]
-            self._rr[endpoint] = (index + 1) % len(links)
-            link = links[index]
         rid = self._next_rid
         self._next_rid = (rid + 1) & RID_MASK
         self._pending[rid] = request
@@ -435,17 +405,16 @@ class LiveTransport:
         if frame.get("t") != "admin":
             raise ValueError("admin frames must have t='admin'")
         servers = frame.get("servers")
-        for endpoint, links in self._endpoint_links.items():
+        for link in self.links:
             if servers is None:
-                links[0].send(frame)
+                link.send(frame)
                 continue
-            owned = self._endpoint_workers[endpoint]
-            local = [s for s in servers if int(s) in owned]
+            local = [s for s in servers if self.worker_links.get(int(s)) is link]
             if not local:
                 continue
             trimmed = dict(frame)
             trimmed["servers"] = local
-            links[0].send(trimmed)
+            link.send(trimmed)
 
     def report_bus(
         self, reporter: str, snapshot: _t.Mapping[str, _t.Any]
@@ -471,7 +440,8 @@ class LiveTransport:
         """
         waiting = self._stats_waiters
         futures: _t.Dict[Endpoint, "asyncio.Future[_t.Dict[str, _t.Any]]"] = {}
-        for endpoint in self._endpoint_links:
+        for link in self.links:
+            endpoint = link.endpoint
             futures[endpoint] = self._loop.create_future()
             waiting.setdefault(endpoint, []).append(futures[endpoint])
         self.admin({"t": "admin", "cmd": "stats"})

@@ -32,7 +32,7 @@ Frame types (the ``t`` field)
 Client -> server:
 
 ``hello``       handshake: ``proto`` 1, ``max_proto`` 2, optional
-                ``congestion`` opt-out (pool connections)
+                ``congestion`` opt-out (clients without a controller)
 ``op``          one key read: ``rid`` (wire id), ``server`` (worker id),
                 ``key``, ``size`` (value bytes), ``prio`` (priority tuple),
                 ``trace`` (64-bit context, sampled requests only)
@@ -94,8 +94,7 @@ def hello_frame(congestion: bool = True) -> _t.Dict[str, _t.Any]:
     """The client's handshake frame (always sent in JSON).
 
     ``congestion=False`` asks the server not to broadcast congestion
-    frames on this connection -- pool connections beyond an endpoint's
-    first set it so the credits controller sees each signal once.
+    frames on this connection (the firehose: it has no controller).
     """
     frame: _t.Dict[str, _t.Any] = {
         "t": "hello",

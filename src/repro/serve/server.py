@@ -70,8 +70,7 @@ class _Connection(FrameStream):
 
     ``codec`` starts as JSON (control frames only) and the ``hello``
     switches it to the binary data plane.  ``congestion`` is the client's
-    opt-in to congestion broadcasts (pool connections beyond an endpoint's
-    first opt out, so a controller sees each signal once).
+    opt-in to congestion broadcasts (the firehose opts out).
 
     No handler lets a *rejection* escape: a frame the server cannot honor
     (unknown worker, queue bound, a bad admin value, an ``op`` before the

@@ -281,7 +281,7 @@ def test_run_live_surfaces_a_failing_strategy_callback(monkeypatch):
         await server.start()
         try:
             await run_live(
-                config, host=server.host, port=server.port, wall_timeout=60.0
+                config, endpoints=[(server.host, server.port)], wall_timeout=60.0
             )
         finally:
             await server.stop()

@@ -217,13 +217,12 @@ class TestCommands:
         [
             ["firehose", "--fanout", "0"],
             ["firehose", "--window", "0"],
-            ["firehose", "--pool", "0"],
             ["loadgen", "--seeds", "0"],
             ["compare", "--scenario", "steady-state", "--strategy", "c3",
              "--seeds", "0"],
         ],
-        ids=["firehose-fanout", "firehose-window", "firehose-pool",
-             "loadgen-seeds", "compare-seeds"],
+        ids=["firehose-fanout", "firehose-window", "loadgen-seeds",
+             "compare-seeds"],
     )
     def test_bad_count_fails_before_any_connection(self, argv, capsys, monkeypatch):
         """The other count flags share the same check, and it runs before
@@ -237,6 +236,33 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.strip() == f"{argv[-2]} must be at least 1"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--port", "70000"],
+            ["serve", "--port", "-1"],
+            ["serve", "--procs", "2", "--port", "65535"],
+            ["serve", "--port", "0", "--metrics-port", "70000"],
+            ["watch", "--port", "70000"],
+            ["watch", "--port", "0"],
+            ["loadgen", "--tasks", "10", "--endpoints", "127.0.0.1:70000"],
+            ["firehose", "--endpoints", "127.0.0.1:7411,127.0.0.1:70000"],
+            ["firehose", "--endpoints", "127.0.0.1:0"],
+        ],
+        ids=["serve-port", "serve-negative-port", "serve-procs-past-the-top",
+             "serve-metrics-port", "watch-port", "watch-port-zero",
+             "loadgen-endpoints", "firehose-endpoints", "firehose-port-zero"],
+    )
+    def test_out_of_range_port_is_a_usage_error(self, argv, capsys):
+        """A port outside 1..65535 (0..65535 where it is bound: 0 is
+        ephemeral) exits 2 with a one-line message before any socket is
+        touched, not with the socket layer's OverflowError traceback."""
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.strip().count("\n") == 0
+        assert "..65535" in err
 
     def test_sweep_scenario_base(self, capsys):
         assert main([

@@ -3,8 +3,8 @@
 The binary codec is the only data plane: a v1-only client (a ``hello``
 without ``max_proto`` 2) is refused with an error frame that names the
 fix, and keeps a JSON control-plane connection.  The supervisor tests
-fork real server processes and drive them through the pooled transport
-and the firehose -- the smallest end-to-end exercise of every tentpole
+fork real server processes and drive them through the transport (one
+connection per endpoint) and the firehose -- the smallest end-to-end exercise of every tentpole
 layer (fork, ephemeral ports, worker sharding, the handshake,
 pipelining).
 """
@@ -21,7 +21,8 @@ from wire_helpers import read_frame
 
 import repro
 from repro.cluster.addresses import derive_endpoints, worker_groups
-from repro.loadgen import run_firehose, run_live
+from repro.loadgen import LiveTransportError, run_firehose, run_live
+from repro.loadgen.transport import _validate_acks
 from repro.scenarios import get_scenario
 from repro.serve import LiveServer, ServeSupervisor
 from repro.serve.protocol import encode_frame
@@ -117,8 +118,68 @@ class TestVersionInterop:
 
     @pytest.mark.parametrize("protocol", [1, 3])
     def test_the_firehose_speaks_only_protocol_2(self, protocol):
+        nowhere = [("127.0.0.1", 1)]
         with pytest.raises(ValueError, match="only the binary protocol 2"):
-            asyncio.run(run_firehose([("127.0.0.1", 1)], protocol=protocol))
+            asyncio.run(run_firehose(nowhere, protocol=protocol))
+        # Like ``protocol``, ``pool`` is a keyword left for the frozen bench
+        # harness: any value but 1 is refused before a connection is tried.
+        with pytest.raises(ValueError, match="one connection"):
+            asyncio.run(run_firehose(nowhere, pool=2))
+        with pytest.raises(ValueError, match="one connection"):
+            asyncio.run(run_live(steady_config(n_tasks=10), nowhere, pool=2))
+
+
+def shard_ack(workers, **overrides):
+    """A hello-ack of one process of a 4-worker, 2-process cluster."""
+    ack = {
+        "t": "hello-ack",
+        "proto": 2,
+        "n_servers": 4,
+        "cores_per_server": 4,
+        "per_core_rate": 1000.0,
+        "time_scale": TIME_SCALE,
+        "scenario": "steady-state",
+        "seed": 1,
+        "workers": list(workers),
+    }
+    ack.update(overrides)
+    return ack
+
+
+class TestEndpointValidation:
+    """The refusals of the acks' cross-check, without a socket."""
+
+    A, B = ("127.0.0.1", 7421), ("127.0.0.1", 7422)
+
+    def test_a_covering_disjoint_pair_is_accepted(self):
+        _validate_acks([self.A, self.B], [shard_ack([0, 1]), shard_ack([2, 3])])
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n_servers", 5), ("time_scale", 25.0), ("scenario", "straggler"),
+         ("seed", 2)],
+    )  # fmt: skip
+    def test_acks_that_disagree_on_the_shape_are_refused(self, field, value):
+        acks = [shard_ack([0, 1]), shard_ack([2, 3], **{field: value})]
+        with pytest.raises(LiveTransportError, match=f"disagree on {field}") as err:
+            _validate_acks([self.A, self.B], acks)
+        assert str(self.B) in str(err.value)  # names the odd one out
+
+    def test_a_worker_claimed_by_two_endpoints_is_refused(self):
+        acks = [shard_ack([0, 1, 2]), shard_ack([2, 3])]
+        with pytest.raises(LiveTransportError, match="worker 2 claimed by both"):
+            _validate_acks([self.A, self.B], acks)
+
+    def test_the_same_endpoint_listed_twice_is_refused(self):
+        """A duplicate is not routed over twice: it claims its own workers
+        a second time."""
+        acks = [shard_ack([0, 1]), shard_ack([0, 1]), shard_ack([2, 3])]
+        with pytest.raises(LiveTransportError, match="worker 0 claimed by both"):
+            _validate_acks([self.A, self.A, self.B], acks)
+
+    def test_endpoints_that_miss_a_worker_are_refused(self):
+        with pytest.raises(LiveTransportError, match=r"workers \[2, 3\]"):
+            _validate_acks([self.A], [shard_ack([0, 1])])
 
 
 class TestMultiProcessCluster:
@@ -129,7 +190,8 @@ class TestMultiProcessCluster:
 
     def test_two_process_cluster_end_to_end(self):
         """Fork a 2-process cluster, then drive it through both client
-        paths: the scheduling driver (pooled, binary) and the firehose."""
+        paths: the scheduling driver and the firehose, one binary link per
+        endpoint."""
         config = steady_config(n_tasks=150)
         supervisor = ServeSupervisor(
             config, procs=2, time_scale=TIME_SCALE, base_port=0
@@ -143,15 +205,13 @@ class TestMultiProcessCluster:
                 range(config.cluster.n_servers)
             )
 
-            result = asyncio.run(run_live(config, endpoints=endpoints, pool=2))
+            result = asyncio.run(run_live(config, endpoints=endpoints))
             assert result.tasks_completed == 150
             assert result.extras["live_protocol"] == 2.0
-            assert result.extras["live_links"] == 4.0  # 2 endpoints x pool 2
+            assert result.extras["live_links"] == 2.0  # one per endpoint
 
             fire = asyncio.run(
-                run_firehose(
-                    endpoints, multigets=400, fanout=2, window=64, pool=2
-                )
+                run_firehose(endpoints, multigets=400, fanout=2, window=64)
             )
             assert fire.multigets == 400
             assert fire.protocol == 2
@@ -200,8 +260,6 @@ class TestMultiProcessCluster:
     def test_single_endpoint_of_a_sharded_cluster_is_rejected(self):
         """Connecting to only one process of a 2-process cluster cannot
         cover the worker space; the transport must refuse loudly."""
-        from repro.loadgen import LiveTransportError
-
         config = steady_config(n_tasks=50)
         supervisor = ServeSupervisor(
             config, procs=2, time_scale=TIME_SCALE, base_port=0

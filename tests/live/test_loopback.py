@@ -26,7 +26,9 @@ async def loopback_run(scenario, strategy, n_tasks=200, seed=1, config=None):
     server = LiveServer.from_config(config, time_scale=TIME_SCALE, port=0)
     await server.start()
     try:
-        return await run_live(config, seed=seed, host=server.host, port=server.port)
+        return await run_live(
+            config, seed=seed, endpoints=[(server.host, server.port)]
+        )
     finally:
         await server.stop()
 
@@ -76,7 +78,7 @@ class TestLoopbackRuns:
             await server.start()
             try:
                 return await run_live_seeds(
-                    config, (3, 4), host=server.host, port=server.port
+                    config, (3, 4), endpoints=[(server.host, server.port)]
                 )
             finally:
                 await server.stop()
@@ -102,7 +104,7 @@ class TestGuards:
             server = LiveServer.from_config(config, time_scale=TIME_SCALE, port=0)
             await server.start()
             try:
-                await run_live(config, host=server.host, port=server.port)
+                await run_live(config, endpoints=[(server.host, server.port)])
                 # The revert admin frames flush during transport close;
                 # give the server loop a moment to apply them.
                 for _ in range(100):
@@ -167,7 +169,7 @@ class TestGuards:
                     cluster=serve_config.cluster.__class__(n_servers=5),
                 )
                 await run_live(
-                    drive_config, host=server.host, port=server.port
+                    drive_config, endpoints=[(server.host, server.port)]
                 )
             finally:
                 await server.stop()

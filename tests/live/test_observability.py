@@ -161,7 +161,9 @@ class TestReporterLifetime:
             try:
                 for _ in range(2):
                     run = asyncio.ensure_future(
-                        run_live(config, seed=1, host=server.host, port=server.port)
+                        run_live(
+                            config, seed=1, endpoints=[(server.host, server.port)]
+                        )
                     )
                     await until(
                         lambda: server.snapshot()["client_bus"] or run.done(), timeout=10.0
@@ -211,7 +213,7 @@ class TestRejectedIsADelta:
                 # The clean run needs room.
                 monkeypatch.setattr(workers, "DEFAULT_MAX_QUEUE", 1024)
                 result = await run_live(
-                    config, seed=1, host=server.host, port=server.port
+                    config, seed=1, endpoints=[(server.host, server.port)]
                 )
                 return replies, server.snapshot()["rejected"], result
             finally:
@@ -236,7 +238,7 @@ class TestHttpExporter:
             try:
                 run = asyncio.ensure_future(
                     run_live(
-                        config, seed=1, host=server.host, port=server.port
+                        config, seed=1, endpoints=[(server.host, server.port)]
                     )
                 )
                 await asyncio.sleep(0.1)  # let the run get going
@@ -286,7 +288,7 @@ class TestLiveRemediation:
             await server.start()
             try:
                 return await run_live(
-                    config, seed=1, host=server.host, port=server.port
+                    config, seed=1, endpoints=[(server.host, server.port)]
                 )
             finally:
                 await server.stop()

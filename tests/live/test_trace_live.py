@@ -35,7 +35,7 @@ def run_against_server(config):
         server = LiveServer.from_config(config, time_scale=TIME_SCALE, port=0)
         await server.start()
         try:
-            return await run_live(config, seed=1, host=server.host, port=server.port)
+            return await run_live(config, seed=1, endpoints=[(server.host, server.port)])
         finally:
             await server.stop()
 

@@ -179,8 +179,7 @@ class TestServerGoesAway:
             # 20k tasks at ~400/s of model time, stretched 25x: minutes.
             return run_live(
                 small_config(n_tasks=20_000),
-                host=endpoint[0],
-                port=endpoint[1],
+                endpoints=[endpoint],
                 wall_timeout=60,
             )
 

@@ -701,7 +701,7 @@ class TestLateness:
             server = LiveServer.from_config(config, time_scale=2.0, port=0)
             await server.start()
             try:
-                result = await run_live(config, host=server.host, port=server.port)
+                result = await run_live(config, endpoints=[(server.host, server.port)])
                 return result, render_stats(server.snapshot()), list(server.workers.values())
             finally:
                 await server.stop()
