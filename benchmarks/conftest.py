@@ -59,16 +59,14 @@ def bench_scale():
     return n_tasks, tuple(range(1, n_seeds + 1))
 
 
-def bench_executor():
-    """Grid executor honoring ``REPRO_BENCH_JOBS`` (one worker by default).
+def bench_jobs() -> int:
+    """Worker count from ``REPRO_BENCH_JOBS`` (one worker by default).
 
     ``REPRO_BENCH_JOBS=N`` fans each benchmark's run grid over N worker
     processes (0 = all cores); it is the same ``run_grid`` either way
     (see ``repro.harness.parallel``), so the assertions are unaffected.
     """
-    from repro.harness import GridExecutor
-
-    return GridExecutor(jobs=int(os.environ.get("REPRO_BENCH_JOBS", "1")))
+    return int(os.environ.get("REPRO_BENCH_JOBS", "1"))
 
 
 def save_report(name: str, text: str, data=None) -> None:

@@ -6,7 +6,7 @@ should appear and persist as fan-out grows (the paper's motivation:
 "tens to thousands of data accesses").
 """
 
-from conftest import bench_executor, bench_scale, save_report
+from conftest import bench_jobs, bench_scale, save_report
 
 from repro.analysis import render_table
 from repro.harness import ExperimentConfig, sweep
@@ -22,7 +22,7 @@ def run_sweep(n_tasks, seeds):
         values=FANOUTS,
         strategies=STRATEGIES,
         seeds=seeds,
-        executor=bench_executor(),
+        jobs=bench_jobs(),
     )
     rows = []
     raw = {}

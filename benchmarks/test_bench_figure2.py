@@ -15,7 +15,7 @@ Paper claims reproduced here:
 """
 
 import pytest
-from conftest import bench_executor, bench_scale, save_report
+from conftest import bench_jobs, bench_scale, save_report
 
 from repro.analysis import grouped_bar_chart, percentile_matrix, ratio_table
 from repro.harness import FIGURE2_STRATEGIES, figure2, figure2_series
@@ -24,7 +24,7 @@ from repro.metrics import PAPER_PERCENTILES
 
 def test_figure2():
     n_tasks, seeds = bench_scale()
-    comparison = figure2(n_tasks=n_tasks, seeds=seeds, executor=bench_executor())
+    comparison = figure2(n_tasks=n_tasks, seeds=seeds, jobs=bench_jobs())
 
     summaries = {
         name: comparison.summary_of(name) for name in FIGURE2_STRATEGIES

@@ -6,7 +6,7 @@ queues form), while the credits/model gap widens too -- the trade the
 realizable design makes.
 """
 
-from conftest import bench_executor, bench_scale, save_report
+from conftest import bench_jobs, bench_scale, save_report
 
 from repro.analysis import render_table
 from repro.harness import ExperimentConfig, sweep
@@ -22,7 +22,7 @@ def run_sweep(n_tasks, seeds):
         values=LOADS,
         strategies=STRATEGIES,
         seeds=seeds,
-        executor=bench_executor(),
+        jobs=bench_jobs(),
     )
     rows = []
     raw = {}

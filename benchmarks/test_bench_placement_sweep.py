@@ -12,7 +12,7 @@ actually matters; steady-state's hash-uniform popularity barely
 distinguishes RF values.  Writes ``results/placement_sweep.{txt,json}``.
 """
 
-from conftest import bench_executor, bench_scale, save_report
+from conftest import bench_jobs, bench_scale, save_report
 
 from repro.analysis import render_table
 from repro.harness import ExperimentConfig, compare_strategies, run_grid
@@ -50,7 +50,7 @@ def run_sweep(n_tasks, seeds):
     ]
     rows = []
     raw = {}
-    for (rf, shards), runs in zip(cells, run_grid(grid, seeds, bench_executor())):
+    for (rf, shards), runs in zip(cells, run_grid(grid, seeds, bench_jobs())):
         comparison = compare_strategies(runs)
         raw[f"rf{rf}-shards{shards}"] = comparison.to_dict()
         row = {"rf": rf, "shards": shards}

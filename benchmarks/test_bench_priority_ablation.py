@@ -6,7 +6,7 @@ priorities are the null hypothesis; SJF is size-aware-but-task-oblivious;
 EDF, EqualMax and UnifIncr are task-aware.
 """
 
-from conftest import bench_executor, bench_scale, save_report
+from conftest import bench_jobs, bench_scale, save_report
 
 from repro.analysis import render_table
 from repro.harness import ExperimentConfig, compare_strategies, run_grid
@@ -23,7 +23,7 @@ STRATEGIES = (
 def run_ablation(n_tasks, seeds):
     cfg = ExperimentConfig(n_tasks=n_tasks)
     grid = [{name: cfg.with_strategy(name) for name in STRATEGIES}]
-    comparison = compare_strategies(run_grid(grid, seeds, bench_executor())[0])
+    comparison = compare_strategies(run_grid(grid, seeds, bench_jobs())[0])
     rows = []
     for name in STRATEGIES:
         s = comparison.summary_of(name)

@@ -7,7 +7,7 @@ this is the C3 paper's own claim, and it sanity-checks our baseline before
 Figure 2 leans on it.
 """
 
-from conftest import bench_executor, bench_scale, save_report
+from conftest import bench_jobs, bench_scale, save_report
 
 from repro.analysis import render_table
 from repro.harness import ExperimentConfig, compare_strategies, run_grid
@@ -18,7 +18,7 @@ STRATEGIES = ("oblivious-random", "oblivious-rr", "oblivious-lor", "c3-norate", 
 def run_ablation(n_tasks, seeds):
     cfg = ExperimentConfig(n_tasks=n_tasks)
     grid = [{name: cfg.with_strategy(name) for name in STRATEGIES}]
-    comparison = compare_strategies(run_grid(grid, seeds, bench_executor())[0])
+    comparison = compare_strategies(run_grid(grid, seeds, bench_jobs())[0])
     rows = []
     for name in STRATEGIES:
         s = comparison.summary_of(name)

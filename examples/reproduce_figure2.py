@@ -16,7 +16,7 @@ Usage::
 import argparse
 
 from repro.analysis import grouped_bar_chart, percentile_matrix, ratio_table
-from repro.harness import FIGURE2_STRATEGIES, GridExecutor, figure2, figure2_series
+from repro.harness import FIGURE2_STRATEGIES, figure2, figure2_series
 from repro.metrics import PAPER_PERCENTILES
 
 
@@ -42,9 +42,7 @@ def main() -> None:
     print(f"strategies: {', '.join(FIGURE2_STRATEGIES)}")
     print()
 
-    comparison = figure2(
-        n_tasks=n_tasks, seeds=seeds, executor=GridExecutor(jobs=args.jobs)
-    )
+    comparison = figure2(n_tasks=n_tasks, seeds=seeds, jobs=args.jobs)
 
     summaries = {n: comparison.summary_of(n) for n in FIGURE2_STRATEGIES}
     print(percentile_matrix(

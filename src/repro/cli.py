@@ -18,16 +18,14 @@ record span trees for a deterministic sample of multigets; ``trace
 attribution`` / ``trace slowest`` / ``trace diff`` analyse the resulting
 JSONL artifacts (docs/observability.md has the full workflow).
 ``ring``       inspect / perturb the replica-placement ring
-``cache``      inspect / clear the on-disk result cache
 ``strategies`` list the strategy builders
 ``scenarios``  list the workload scenarios (``--json`` for tools)
 ``docs-cli``   render (or verify) ``docs/cli.md`` from this argparse tree
 
 Grid commands (``run`` with several seeds, ``sweep``, ``figure2``) accept
 ``--jobs N`` to fan independent simulation runs over ``N`` worker
-processes and ``--cache [DIR]`` to reuse completed (config, strategy,
-seed) cells from an on-disk cache; results are identical to serial runs
-(see ``repro.harness.parallel``).
+processes; results are identical to serial runs (see
+``repro.harness.parallel``).
 """
 
 from __future__ import annotations
@@ -44,9 +42,7 @@ from .cluster.faults import NO_FAULTS, FaultSchedule, SlowdownFault
 from .harness import (
     ExperimentConfig,
     FIGURE2_STRATEGIES,
-    GridExecutor,
     KNOWN_STRATEGIES,
-    ResultCache,
     compare_strategies,
     figure1_toy,
     figure2,
@@ -89,9 +85,6 @@ def _add_parallel_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--jobs", type=int, default=None, metavar="N",
                    help="fan runs over N worker processes (0 = all cores; "
                         "default serial)")
-    p.add_argument("--cache", nargs="?", const="", default=None, metavar="DIR",
-                   help="reuse completed runs from an on-disk cache "
-                        "(default dir: $REPRO_CACHE_DIR or ./.repro-cache)")
 
 
 def _save_json(path: _t.Optional[str], payload: _t.Any, what: str = "raw results") -> None:
@@ -101,10 +94,13 @@ def _save_json(path: _t.Optional[str], payload: _t.Any, what: str = "raw results
         print(f"{what} -> {path}")
 
 
-def _executor_from(args: argparse.Namespace) -> GridExecutor:
-    """``--jobs N [--cache [DIR]]``: no ``--jobs`` is one worker, 0 all cores."""
-    cache = ResultCache(args.cache or None) if args.cache is not None else None
-    return GridExecutor(jobs=1 if args.jobs is None else args.jobs, cache=cache)
+def _jobs_from(args: argparse.Namespace) -> int:
+    """``--jobs N``: no ``--jobs`` is one worker, 0 all cores."""
+    if args.jobs is None:
+        return 1
+    if args.jobs < 0:
+        raise _Exit("--jobs must be 0 (all cores) or more")
+    return args.jobs
 
 
 def _add_remediate_flags(p: argparse.ArgumentParser) -> None:
@@ -144,6 +140,8 @@ def _add_trace_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _trace_overrides(args: argparse.Namespace) -> _t.Dict[str, _t.Any]:
+    if args.trace_out is not None and args.trace_sample == 0:
+        raise _Exit("--trace-out needs a --trace-sample above 0")
     overrides: _t.Dict[str, _t.Any] = {}
     if args.trace_sample is not None:
         overrides["trace_sample"] = args.trace_sample
@@ -181,13 +179,10 @@ def _write_trace_artifact(
     from .trace import write_traces
 
     total = 0
-    missing = 0
     for index, (seed, result) in enumerate(zip(seeds, results)):
-        if result.traces is None:
-            missing += 1
         total += write_traces(
             path,
-            result.traces or (),
+            result.traces,
             meta={
                 "strategy": config.strategy,
                 "scenario": scenario,
@@ -200,13 +195,6 @@ def _write_trace_artifact(
             append=index > 0,
         )
     print(f"traces: {total} span tree(s) -> {path}")
-    if missing:
-        print(
-            f"note: {missing} run(s) carried no traces (cached results "
-            "store only the golden summary; rerun without --cache to "
-            "record spans)",
-            file=sys.stderr,
-        )
 
 
 def _add_run(subparsers: argparse._SubParsersAction) -> None:
@@ -232,6 +220,7 @@ def _add_run(subparsers: argparse._SubParsersAction) -> None:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     _require_positive(args, "seeds")
+    jobs = _jobs_from(args)
     overrides = _given(args, load="load", mean_fanout="fanout")
     if args.slow_server is not None and args.slow_server >= 0:
         scripted = (
@@ -251,9 +240,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"running {config.describe()} ({which})")
     for line in config.fault_schedule.describe():
         print(f"  fault: {line}")
-    # One grid path whatever the seed count, so --cache reuses a single
-    # cell too; with one cell the executor runs in-process (no pool).
-    runs = run_seeds(config, seeds, executor=_executor_from(args))
+    # One grid path whatever the seed count; one cell runs in-process.
+    runs = run_seeds(config, seeds, jobs)
     if len(seeds) > 1:
         comparison = compare_strategies({config.strategy: runs})
         print(comparison.summary_of(config.strategy))
@@ -309,11 +297,11 @@ def _add_sweep(subparsers: argparse._SubParsersAction) -> None:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     values = [_parse_sweep_value(v) for v in args.values.split(",") if v]
     strategies = tuple(s for s in args.strategies.split(",") if s)
-    executor = _executor_from(args)
+    jobs = _jobs_from(args)
     cells = len(values) * len(strategies) * args.seeds
     print(
         f"sweeping {args.parameter} over {values}: {cells} cells "
-        f"({len(strategies)} strategies x {args.seeds} seeds) via {executor!r}"
+        f"({len(strategies)} strategies x {args.seeds} seeds), jobs={jobs}"
     )
     try:
         # Every cell's config is built and validated before the first run.
@@ -324,15 +312,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             strategies=strategies,
             seeds=tuple(range(1, args.seeds + 1)),
             n_tasks=args.tasks if args.scenario else None,
-            executor=executor,
+            jobs=jobs,
         )
     except ValueError as exc:
         raise _Exit(f"bad configuration: {exc}") from exc
     print(result.render(args.percentile))
-    if executor.cache is not None:
-        c = executor.cache
-        print(f"cache: {c.hits} hits, {c.misses} misses, {c.stores} stores "
-              f"({c.root})")
     _save_json(args.out, result.to_dict())
     return 0
 
@@ -370,7 +354,7 @@ def _cmd_figure2(args: argparse.Namespace) -> int:
     comparison = figure2(
         n_tasks=args.tasks,
         seeds=tuple(range(1, args.seeds + 1)),
-        executor=_executor_from(args),
+        jobs=_jobs_from(args),
     )
     summaries = {n: comparison.summary_of(n) for n in FIGURE2_STRATEGIES}
     print(percentile_matrix(
@@ -1066,6 +1050,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             raise _Exit(f"unknown strategy {name!r}")
     _reject_model_strategies(strategies)
     _require_positive(args, "tasks", "seeds")
+    jobs = _jobs_from(args)
     time_scale = args.time_scale if args.time_scale is not None else DEFAULT_TIME_SCALE
     print(
         f"comparing {', '.join(strategies)} on {args.scenario!r}: "
@@ -1078,7 +1063,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         n_tasks=args.tasks,
         seeds=tuple(range(1, args.seeds + 1)),
         time_scale=time_scale,
-        executor=_executor_from(args),
+        jobs=jobs,
     )
     print(report.render())
     _save_json(args.out, report.to_dict())
@@ -1184,35 +1169,6 @@ def _cmd_ring(args: argparse.Namespace) -> int:
             f"change replica set ({delta.primary_moved_fraction:.1%} change "
             f"primary); theoretical minimum {delta.affected_fraction:.1%}"
         )
-    return 0
-
-
-def _add_cache(subparsers: argparse._SubParsersAction) -> None:
-    p = subparsers.add_parser(
-        "cache", help="inspect or clear the on-disk result cache"
-    )
-    p.add_argument("action", choices=("stats", "clear"))
-    p.add_argument("--dir", default=None, metavar="DIR",
-                   help="cache directory (default: $REPRO_CACHE_DIR or "
-                        "./.repro-cache)")
-    p.set_defaults(func=_cmd_cache)
-
-
-def _cmd_cache(args: argparse.Namespace) -> int:
-    cache = ResultCache(args.dir)
-    if args.action == "clear":
-        removed = cache.clear()
-        print(f"removed {removed} cached run(s) from {cache.root}")
-        return 0
-    stats = cache.stats()
-    print(f"cache at {stats['root']}: {stats['entries']} entries, "
-          f"{stats['bytes']} bytes")
-    if stats["prefixes"]:
-        rows = [
-            {"digest_prefix": prefix, "entries": count}
-            for prefix, count in sorted(stats["prefixes"].items())
-        ]
-        print(render_table(rows))
     return 0
 
 
@@ -1384,7 +1340,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_compare(subparsers)
     _add_trace(subparsers)
     _add_ring(subparsers)
-    _add_cache(subparsers)
     _add_strategies(subparsers)
     _add_scenarios(subparsers)
     _add_docs_cli(subparsers)

@@ -11,14 +11,7 @@ from .config import (
     FIGURE2_STRATEGIES,
 )
 from .figures import Figure1Result, figure1_toy, figure2, figure2_series
-from .parallel import (
-    GridExecutor,
-    ResultCache,
-    RunJob,
-    config_digest,
-    run_grid,
-    run_seeds,
-)
+from .parallel import run_grid, run_seeds
 from .results import (
     ComparisonResult,
     StrategyResult,
@@ -35,17 +28,13 @@ __all__ = [
     "ExperimentConfig",
     "FIGURE2_STRATEGIES",
     "Figure1Result",
-    "GridExecutor",
     "KNOWN_STRATEGIES",
-    "ResultCache",
     "RunAssembly",
-    "RunJob",
     "RunResult",
     "StrategyBuilder",
     "StrategyResult",
     "SweepResult",
     "compare_strategies",
-    "config_digest",
     "figure1_toy",
     "figure2",
     "figure2_series",

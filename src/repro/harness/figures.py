@@ -30,7 +30,7 @@ from ..sim.rng import StreamFactory
 from ..workload.calibration import ServiceTimeModel
 from ..workload.tasks import Operation, Task
 from .config import ExperimentConfig, FIGURE2_STRATEGIES
-from .parallel import SERIAL, GridExecutor, run_grid
+from .parallel import run_grid
 from .results import ComparisonResult, compare_strategies
 
 # ---------------------------------------------------------------------------
@@ -169,18 +169,18 @@ def figure2(
     n_tasks: int = 20_000,
     seeds: _t.Sequence[int] = (1, 2, 3),
     strategies: _t.Sequence[str] = FIGURE2_STRATEGIES,
-    executor: GridExecutor = SERIAL,
+    jobs: int = 1,
     **config_overrides: _t.Any,
 ) -> ComparisonResult:
     """Reproduce Figure 2: run every strategy over a common seed grid.
 
-    ``executor`` (see :mod:`repro.harness.parallel`) fans the full
-    (strategy x seed) grid across its workers; the merge order is fixed,
-    so the comparison does not depend on the worker count.
+    ``jobs`` workers (see :mod:`repro.harness.parallel`) share the full
+    (strategy x seed) grid; the merge order is fixed, so the comparison
+    does not depend on the worker count.
     """
     base = ExperimentConfig(n_tasks=n_tasks, **config_overrides)
     grid = [{name: base.with_strategy(name) for name in strategies}]
-    return compare_strategies(run_grid(grid, seeds, executor)[0])
+    return compare_strategies(run_grid(grid, seeds, jobs)[0])
 
 
 def figure2_series(

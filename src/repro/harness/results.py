@@ -97,8 +97,8 @@ class ComparisonResult:
         """Key-sorted compact JSON of :meth:`to_dict`.
 
         Two comparisons are *equivalent* exactly when these strings are
-        byte-identical; the serial-vs-parallel differential tests and the
-        result cache's equivalence checks all compare through this form.
+        byte-identical; the one-worker vs N-worker differential tests
+        compare through this form.
         """
         return json.dumps(self.to_dict(), sort_keys=True)
 

@@ -37,7 +37,7 @@ import typing as _t
 from ..analysis.tables import render_table
 from .builders import get_builder
 from .config import ExperimentConfig
-from .parallel import SERIAL, GridExecutor, run_grid
+from .parallel import run_grid
 from .results import ComparisonResult, compare_strategies
 
 
@@ -124,15 +124,15 @@ def sweep(
     strategies: _t.Sequence[str],
     seeds: _t.Sequence[int] = (1,),
     n_tasks: _t.Optional[int] = None,
-    executor: GridExecutor = SERIAL,
+    jobs: int = 1,
 ) -> SweepResult:
     """Run the full (value x strategy x seed) grid.
 
     ``base`` is either a ready :class:`ExperimentConfig` or the name of a
     library scenario; ``n_tasks`` (scenario mode only) scales the run.
-    ``executor`` (see :mod:`repro.harness.parallel`) fans the *whole* grid
-    -- not one value at a time -- across its workers; results are merged
-    back in grid order, so the output does not depend on the worker count.
+    ``jobs`` workers (see :mod:`repro.harness.parallel`) share the *whole*
+    grid -- not one value at a time; results are merged back in grid
+    order, so the output does not depend on the worker count.
     """
     if isinstance(base, str):
         from ..scenarios import get_scenario  # local import: scenarios sit above
@@ -158,7 +158,7 @@ def sweep(
         )
     comparisons = {
         value: compare_strategies(runs)
-        for value, runs in zip(values, run_grid(grid_configs, seeds, executor))
+        for value, runs in zip(values, run_grid(grid_configs, seeds, jobs))
     }
     return SweepResult(
         parameter=parameter,

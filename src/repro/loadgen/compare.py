@@ -23,7 +23,7 @@ import typing as _t
 
 from ..analysis.tables import render_table
 from ..harness.config import ExperimentConfig
-from ..harness.parallel import SERIAL, GridExecutor, run_grid
+from ..harness.parallel import run_grid
 from ..harness.results import ComparisonResult, compare_strategies
 from ..scenarios import get_scenario
 from ..serve.server import DEFAULT_TIME_SCALE, LiveServer
@@ -152,13 +152,13 @@ def run_compare(
     seeds: _t.Sequence[int] = (1,),
     time_scale: float = DEFAULT_TIME_SCALE,
     wall_timeout: _t.Optional[float] = None,
-    executor: GridExecutor = SERIAL,
+    jobs: int = 1,
 ) -> CompareReport:
     """Run the full differential: sim then live, one scenario, N strategies.
 
-    ``executor`` applies to the *simulated* half only (process fan-out
-    and result-cache reuse); live cells are inherently serial -- they
-    would contend for the same wall-clock backend.
+    ``jobs`` (worker processes) applies to the *simulated* half only;
+    live cells are inherently serial -- they would contend for the same
+    wall-clock backend.
     """
     if not strategies:
         raise ValueError("need at least one strategy to compare")
@@ -167,7 +167,7 @@ def run_compare(
         name: spec.build_config(strategy=name, n_tasks=n_tasks)
         for name in strategies
     }
-    sim = compare_strategies(run_grid([configs], seeds, executor)[0])
+    sim = compare_strategies(run_grid([configs], seeds, jobs)[0])
     live = compare_strategies(
         {
             name: asyncio.run(

@@ -1,5 +1,6 @@
 """Unit tests for the command-line interface."""
 
+import concurrent.futures
 import json
 
 import pytest
@@ -110,16 +111,18 @@ class TestCommands:
         assert main(["run", "--strategy", "c3", flag, value]) == 2
         assert "bad configuration" in capsys.readouterr().err
 
-    def test_run_single_seed_honors_cache(self, tmp_path, capsys):
-        cache_dir = tmp_path / "cache"
-        argv = ["run", "--strategy", "oblivious-random", "--tasks", "150",
-                "--cache", str(cache_dir)]
-        assert main(argv) == 0
-        first = capsys.readouterr().out
-        assert main(argv) == 0
-        second = capsys.readouterr().out
-        assert first == second  # cached cell reproduces the run exactly
-        assert any(cache_dir.rglob("*.pkl"))
+    def test_run_single_seed_runs_in_process(self, capsys, monkeypatch):
+        """One seed is one cell: ``--jobs`` cannot make it start a pool."""
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        assert main([
+            "run", "--strategy", "oblivious-random", "--tasks", "150",
+            "--jobs", "4",
+        ]) == 0
+        assert "p99" in capsys.readouterr().out
 
     def test_run_multi_seed_with_jobs(self, capsys):
         assert main([
@@ -143,8 +146,7 @@ class TestCommands:
         assert data["values"] == [0.4, 0.7]
         assert set(data["points"]) == {"0.4", "0.7"}
 
-    def test_sweep_parallel_with_cache_matches_serial(self, tmp_path, capsys):
-        cache_dir = tmp_path / "cache"
+    def test_sweep_parallel_matches_serial(self, tmp_path):
         serial_out = tmp_path / "serial.json"
         parallel_out = tmp_path / "parallel.json"
         argv_tail = [
@@ -153,18 +155,52 @@ class TestCommands:
         ]
         assert main(["sweep", *argv_tail, "--out", str(serial_out)]) == 0
         assert main([
-            "sweep", *argv_tail, "--jobs", "2",
-            "--cache", str(cache_dir), "--out", str(parallel_out),
+            "sweep", *argv_tail, "--jobs", "2", "--out", str(parallel_out),
         ]) == 0
-        assert "cache: 0 hits, 1 misses, 1 stores" in capsys.readouterr().out
         assert json.loads(serial_out.read_text()) == json.loads(
             parallel_out.read_text()
         )
-        # Third run: every cell served from cache.
-        assert main([
-            "sweep", *argv_tail, "--cache", str(cache_dir),
-        ]) == 0
-        assert "cache: 1 hits, 0 misses, 0 stores" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--strategy", "c3"],
+            ["sweep", "--parameter", "load", "--values", "0.5",
+             "--strategies", "c3"],
+            ["figure2"],
+            ["compare", "--strategy", "c3"],
+        ],
+        ids=["run", "sweep", "figure2", "compare"],
+    )
+    def test_negative_jobs_is_a_usage_error(self, argv, capsys, monkeypatch):
+        """``--jobs -1`` exits 2 with one line before any run starts."""
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr("repro.harness.parallel.run_experiment", no_run)
+        monkeypatch.setattr("repro.loadgen.compare.run_grid", no_run)
+        assert main([*argv, "--tasks", "300", "--jobs", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "--jobs must be 0 (all cores) or more\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cache", "stats"],
+            ["cache", "clear"],
+            ["run", "--strategy", "c3", "--cache", "DIR"],
+            ["sweep", "--parameter", "load", "--values", "0.5", "--cache", "DIR"],
+            ["figure2", "--cache", "DIR"],
+            ["compare", "--strategy", "c3", "--cache", "DIR"],
+        ],
+        ids=["cache-stats", "cache-clear", "run", "sweep", "figure2", "compare"],
+    )
+    def test_removed_cache_flags_are_usage_errors(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize(
         "argv",
@@ -303,37 +339,6 @@ class TestScenariosJson:
         data = json.loads(capsys.readouterr().out)
         hetero = next(e for e in data if e["name"] == "heterogeneous-cluster")
         assert hetero["faults"][0]["duration"] == "inf"
-
-
-class TestCacheCommand:
-    def _populate(self, tmp_path, capsys):
-        cache_dir = tmp_path / "cache"
-        assert main([
-            "run", "--strategy", "oblivious-random", "--tasks", "100",
-            "--cache", str(cache_dir),
-        ]) == 0
-        capsys.readouterr()
-        return cache_dir
-
-    def test_stats_reports_entries_and_bytes(self, tmp_path, capsys):
-        cache_dir = self._populate(tmp_path, capsys)
-        assert main(["cache", "stats", "--dir", str(cache_dir)]) == 0
-        out = capsys.readouterr().out
-        assert "1 entries" in out
-        assert "digest_prefix" in out
-
-    def test_clear_then_stats_empty_and_idempotent(self, tmp_path, capsys):
-        cache_dir = self._populate(tmp_path, capsys)
-        assert main(["cache", "clear", "--dir", str(cache_dir)]) == 0
-        assert "removed 1" in capsys.readouterr().out
-        assert main(["cache", "clear", "--dir", str(cache_dir)]) == 0
-        assert "removed 0" in capsys.readouterr().out  # idempotent
-        assert main(["cache", "stats", "--dir", str(cache_dir)]) == 0
-        assert "0 entries" in capsys.readouterr().out
-
-    def test_stats_on_missing_dir_is_empty(self, tmp_path, capsys):
-        assert main(["cache", "stats", "--dir", str(tmp_path / "nope")]) == 0
-        assert "0 entries" in capsys.readouterr().out
 
 
 class TestLiveCommands:

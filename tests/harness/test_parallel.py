@@ -1,259 +1,170 @@
-"""Unit tests for the parallel grid executor, job digests and cache."""
+"""Unit tests for the run grid: cell order, worker counts and the pool."""
 
-import dataclasses
+import concurrent.futures
+import os
 import pickle
 
 import pytest
 
-from repro.cli import _executor_from, build_parser
+from repro.cli import _jobs_from, build_parser
 from repro.harness import ExperimentConfig
 from repro.harness import parallel
-from repro.harness.parallel import (
-    GridExecutor,
-    ResultCache,
-    RunJob,
-    config_digest,
-    run_grid,
-)
-from repro.scenarios import get_scenario
+from repro.harness.parallel import run_grid, run_seeds
+from repro.scenarios import SCENARIOS, get_scenario
 
 TINY = ExperimentConfig(strategy="oblivious-random", n_tasks=60, n_keys=500)
+STRATEGIES = ("oblivious-random", "oblivious-lor")
 
 
-class TestDigest:
-    def test_stable_across_equal_configs(self):
-        a = config_digest(ExperimentConfig(n_tasks=100), 1)
-        b = config_digest(ExperimentConfig(n_tasks=100), 1)
-        assert a == b
-
-    def test_sensitive_to_seed_and_fields(self):
-        base = config_digest(TINY, 1)
-        assert config_digest(TINY, 2) != base
-        assert config_digest(dataclasses.replace(TINY, load=0.5), 1) != base
-
-    def test_sensitive_to_nested_fields(self):
-        slow = dataclasses.replace(
-            TINY, cluster=dataclasses.replace(TINY.cluster, one_way_latency=1e-3)
-        )
-        assert config_digest(slow, 1) != config_digest(TINY, 1)
-
-    def test_sensitive_to_fault_schedule(self):
-        faulty = get_scenario("straggler").build_config(
-            strategy="oblivious-random", n_tasks=60
-        )
-        clean = get_scenario("steady-state").build_config(
-            strategy="oblivious-random", n_tasks=60
-        )
-        assert config_digest(faulty, 1) != config_digest(clean, 1)
-
-    def test_covers_field_names(self):
-        """The digest is over field *names* too, so a PR that removes config
-        fields (ISSUE 19 dropped seven) orphans every older cache entry:
-        it reads as a miss without a ``CACHE_FORMAT_VERSION`` bump."""
-        canonical = parallel._canonical(TINY)
-        assert set(canonical) == {"__dataclass__"} | {
-            f.name for f in dataclasses.fields(ExperimentConfig)
-        }
-        # TINY's digest at the last commit that still had the 31 fields.
-        assert config_digest(TINY, 1) != (
-            "b4ce5f9c5e5213fe7abb8169fdcef84f0e42c058adfa43ef222215bdf9606526"
-        )
-
-    def test_is_hex_sha256(self):
-        digest = config_digest(TINY, 1)
-        assert len(digest) == 64
-        int(digest, 16)  # raises if not hex
+@pytest.mark.parametrize("name", list(SCENARIOS))
+def test_scenario_configs_pickle(name):
+    """Configs are what cross the process boundary, so every scenario's
+    (fault script, topology and remediation included) must pickle."""
+    config = get_scenario(name).build_config(strategy="oblivious-lor", n_tasks=50)
+    assert pickle.loads(pickle.dumps(config)) == config
 
 
-class TestRunJob:
-    def test_jobs_pickle(self):
-        job = RunJob(config=TINY, seed=3)
-        clone = pickle.loads(pickle.dumps(job))
-        assert clone == job
-        assert clone.digest() == job.digest()
+def _pool_sizes(monkeypatch):
+    """Record the ``max_workers`` of every process pool ``run_grid`` opens."""
+    sizes = []
+    real_pool = concurrent.futures.ProcessPoolExecutor
 
-    def test_scenario_configs_pickle(self):
-        for name in ("straggler", "flash-crowd", "crash-restart"):
-            config = get_scenario(name).build_config(
-                strategy="oblivious-lor", n_tasks=50
-            )
-            job = RunJob(config=config, seed=1)
-            assert pickle.loads(pickle.dumps(job)) == job
+    def spy(max_workers):
+        sizes.append(max_workers)
+        return real_pool(max_workers=max_workers)
 
-    def test_execute_matches_run_experiment(self):
-        from repro.harness import run_experiment
-
-        direct = run_experiment(TINY, seed=2)
-        via_job = RunJob(config=TINY, seed=2).execute()
-        assert via_job.task_latencies.values() == direct.task_latencies.values()
-        assert via_job.extras == direct.extras
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
+    return sizes
 
 
 class TestExecutors:
     def _grid(self):
-        return [
-            RunJob(config=TINY.with_strategy(s), seed=seed)
-            for s in ("oblivious-random", "oblivious-lor")
-            for seed in (1, 2)
-        ]
+        return [{s: TINY.with_strategy(s) for s in STRATEGIES}]
 
     def test_serial_preserves_grid_order(self):
-        jobs = self._grid()
-        results = GridExecutor().run_jobs(jobs)
-        assert [(r.config.strategy, r.seed) for r in results] == [
-            (j.config.strategy, j.seed) for j in jobs
-        ]
+        (grouped,) = run_grid(self._grid(), seeds=(1, 2))
+        assert [
+            (r.config.strategy, r.seed) for runs in grouped.values() for r in runs
+        ] == [(s, seed) for s in STRATEGIES for seed in (1, 2)]
 
     def test_process_pool_matches_serial(self):
-        jobs = self._grid()
-        one_worker = GridExecutor(jobs=1).run_jobs(jobs)
-        two_workers = GridExecutor(jobs=2).run_jobs(jobs)
-        for s, p in zip(one_worker, two_workers):
-            assert s.seed == p.seed
-            assert s.config == p.config
-            assert s.task_latencies.values() == p.task_latencies.values()
-            assert s.extras == p.extras
+        (one_worker,) = run_grid(self._grid(), seeds=(1, 2), jobs=1)
+        (two_workers,) = run_grid(self._grid(), seeds=(1, 2), jobs=2)
+        assert list(one_worker) == list(two_workers) == list(STRATEGIES)
+        for name in STRATEGIES:
+            for s, p in zip(one_worker[name], two_workers[name]):
+                assert s.seed == p.seed
+                assert s.config == p.config
+                assert s.task_latencies.values() == p.task_latencies.values()
+                assert s.extras == p.extras
 
     def test_process_executor_rejects_bad_worker_count(self):
-        with pytest.raises(ValueError):
-            GridExecutor(jobs=-1)
+        with pytest.raises(ValueError, match="at least one worker"):
+            run_grid(self._grid(), seeds=(1,), jobs=-1)
+
+    @pytest.mark.parametrize(
+        "grid, seeds, jobs",
+        [
+            ([{"a": TINY}], (1,), 8),
+            ([{s: TINY.with_strategy(s) for s in STRATEGIES}], (1, 2), 1),
+        ],
+        ids=["one-cell-many-workers", "many-cells-one-worker"],
+    )
+    def test_in_process_never_starts_a_pool(self, monkeypatch, grid, seeds, jobs):
+        """One cell or one worker runs here: ``repro run``'s single seed
+        must not pay for (or depend on) a process pool."""
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        results = run_grid(grid, seeds, jobs)
+        assert [len(runs) for runs in results[0].values()] == [len(seeds)] * len(
+            grid[0]
+        )
 
     @staticmethod
     def _from_flags(*flags):
-        """The executor ``repro sweep <flags>`` would run its grid on."""
+        """The worker count ``repro sweep <flags>`` would run its grid on."""
         argv = ["sweep", "--parameter", "load", "--values", "0.5", *flags]
-        return _executor_from(build_parser().parse_args(argv))
+        return _jobs_from(build_parser().parse_args(argv))
 
     def test_make_executor_mapping(self):
-        import os
+        assert self._from_flags() == 1  # no --jobs: one worker
+        assert self._from_flags("--jobs", "1") == 1
+        assert self._from_flags("--jobs", "4") == 4
+        assert self._from_flags("--jobs", "0") == 0  # all cores, in run_grid
 
-        assert GridExecutor().jobs == 1
-        assert self._from_flags().jobs == 1  # no --jobs: one worker
-        assert self._from_flags("--jobs", "1").jobs == 1
-        assert self._from_flags("--jobs", "4").jobs == 4
-        assert self._from_flags("--jobs", "0").jobs == (os.cpu_count() or 1)
-        assert self._from_flags().cache is None
+    def test_zero_jobs_means_all_cores(self, monkeypatch):
+        """``jobs=0`` sizes the pool by the core count (capped by the grid)."""
+        sizes = _pool_sizes(monkeypatch)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        run_seeds(TINY, seeds=(1, 2, 3), jobs=0)
+        assert sizes == [2]
 
-    def test_make_executor_cache_dir(self, tmp_path):
-        ex = self._from_flags("--jobs", "1", "--cache", str(tmp_path / "c"))
-        assert ex.cache is not None
-        assert ex.cache.root == tmp_path / "c"
+    def test_pool_is_capped_by_cell_count(self, monkeypatch):
+        """More workers than cells never opens idle worker processes."""
+        sizes = _pool_sizes(monkeypatch)
+        run_seeds(TINY, seeds=(1, 2), jobs=8)
+        assert sizes == [2]
 
-
-class TestResultCache:
-    def test_miss_then_hit_roundtrip(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        job = RunJob(config=TINY, seed=1)
-        assert cache.get(job) is None
-        result = job.execute()
-        cache.put(job, result)
-        cached = cache.get(job)
-        assert cached is not None
-        assert cached.task_latencies.values() == result.task_latencies.values()
-        assert (cache.hits, cache.misses, cache.stores) == (1, 1, 1)
-
-    def test_corrupt_entry_reads_as_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        job = RunJob(config=TINY, seed=1)
-        cache.put(job, job.execute())
-        path = cache._path(job.digest())
-        path.write_bytes(b"not a pickle")
-        assert cache.get(job) is None
-
-    def test_executor_skips_cached_cells(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        jobs = [RunJob(config=TINY, seed=s) for s in (1, 2)]
-        ex = GridExecutor(cache=cache)
-        first = ex.run_jobs(jobs)
-        second = ex.run_jobs(jobs)
-        assert cache.stores == 2
-        assert cache.hits == 2
-        for a, b in zip(first, second):
-            assert a.task_latencies.values() == b.task_latencies.values()
-
-    def test_default_root_from_env(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "envcache"))
-        assert ResultCache().root == tmp_path / "envcache"
-
-    def test_cells_stored_as_completed_not_at_batch_end(self, tmp_path, monkeypatch):
-        """An interrupted grid must keep its finished cells in the cache."""
-        cache = ResultCache(tmp_path)
-        boom = RunJob(config=TINY.with_strategy("oblivious-lor"), seed=2)
-        run_experiment = parallel.run_experiment
-
-        def interrupted(config, seed):
-            if (config, seed) == (boom.config, boom.seed):
-                raise KeyboardInterrupt  # simulate Ctrl-C mid-grid
-            return run_experiment(config, seed)
-
-        monkeypatch.setattr(parallel, "run_experiment", interrupted)
-        jobs = [RunJob(config=TINY, seed=1), boom]
-        with pytest.raises(KeyboardInterrupt):
-            GridExecutor(cache=cache).run_jobs(jobs)
-        assert cache.stores == 1  # the completed cell survived
-        assert cache.get(jobs[0]) is not None
-
-    def test_short_uncached_batch_raises_immediately(self):
-        class Short(GridExecutor):
-            def run_jobs(self, jobs):
-                return []
-
-        with pytest.raises(RuntimeError, match="returned 0 results for 2 jobs"):
-            run_grid([{"a": TINY}], seeds=(1, 2), executor=Short())
-
-    def test_stale_unpicklable_entry_reads_as_miss(self, tmp_path):
-        """Entries whose classes no longer import must not crash the sweep."""
-        cache = ResultCache(tmp_path)
-        job = RunJob(config=TINY, seed=1)
-        path = cache._path(job.digest())
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # A pickle referencing a module that does not exist anymore.
-        path.write_bytes(
-            b"\x80\x04\x95\x1e\x00\x00\x00\x00\x00\x00\x00\x8c\x0cgone_module1"
-            b"\x94\x8c\x07Missing\x94\x93\x94."
-        )
-        assert cache.get(job) is None
+    def test_execute_matches_run_experiment(self):
+        """A cell run in a worker is exactly ``run_experiment(config, seed)``."""
+        (grouped,) = run_grid(self._grid(), seeds=(3,), jobs=2)
+        for name in STRATEGIES:
+            (pooled,) = grouped[name]
+            direct = parallel.run_experiment(TINY.with_strategy(name), 3)
+            assert pooled.task_latencies.values() == direct.task_latencies.values()
+            assert pooled.events_processed == direct.events_processed
+            assert pooled.extras == direct.extras
 
 
 class TestGridHelpers:
     def test_enumerate_order_is_value_strategy_seed(self, monkeypatch):
         per_value = {"a": TINY, "b": TINY.with_strategy("oblivious-lor")}
         submitted = []
-        run_jobs = GridExecutor.run_jobs
+        run_experiment = parallel.run_experiment
 
-        def spy(self, jobs):
-            submitted.extend(jobs)
-            return run_jobs(self, jobs)
+        def spy(config, seed):
+            submitted.append((config.strategy, seed))
+            return run_experiment(config, seed)
 
-        monkeypatch.setattr(GridExecutor, "run_jobs", spy)
+        monkeypatch.setattr(parallel, "run_experiment", spy)
         run_grid([per_value, per_value], seeds=(1, 2))
-        coords = [(j.config.strategy, j.seed) for j in submitted]
-        assert coords == [
+        assert submitted == [
             ("oblivious-random", 1), ("oblivious-random", 2),
             ("oblivious-lor", 1), ("oblivious-lor", 2),
         ] * 2
 
     def test_split_by_strategy_tiles(self):
-        grid = {
-            s: TINY.with_strategy(s) for s in ("oblivious-random", "oblivious-lor")
-        }
+        grid = {s: TINY.with_strategy(s) for s in STRATEGIES}
         (grouped,) = run_grid([grid], seeds=(1, 2))
-        assert list(grouped) == ["oblivious-random", "oblivious-lor"]
+        assert list(grouped) == list(STRATEGIES)
         assert [r.seed for r in grouped["oblivious-random"]] == [1, 2]
         assert all(
             r.config.strategy == "oblivious-lor" for r in grouped["oblivious-lor"]
         )
 
-    def test_split_rejects_ragged_blocks(self):
-        """A result list that does not tile strategies x seeds is refused."""
+    def test_labels_keep_mapping_order(self):
+        """Results are keyed by the caller's labels, in the caller's order,
+        whatever strategy each label's config names."""
+        per_value = {"z": TINY.with_strategy("oblivious-lor"), "a": TINY}
+        (grouped,) = run_grid([per_value], seeds=(1,), jobs=2)
+        assert list(grouped) == ["z", "a"]
+        assert grouped["z"][0].config.strategy == "oblivious-lor"
+        assert grouped["a"][0].config.strategy == "oblivious-random"
 
-        class Ragged(GridExecutor):
-            def run_jobs(self, jobs):
-                return GridExecutor.run_jobs(self, jobs[:3])
+    def test_run_seeds_in_seed_order(self):
+        """Unsorted seeds come back in the order they were given."""
+        runs = run_seeds(TINY, seeds=(3, 1, 2), jobs=2)
+        assert [r.seed for r in runs] == [3, 1, 2]
 
-        grid = {s: TINY.with_strategy(s) for s in ("oblivious-random", "oblivious-lor")}
-        with pytest.raises(RuntimeError, match="returned 3 results for 4 jobs"):
-            run_grid([grid], seeds=(1, 2), executor=Ragged())
+    def test_empty_grid_runs_nothing(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        assert run_grid([], seeds=(1, 2), jobs=4) == []
 
     def test_grid_needs_a_seed(self):
         with pytest.raises(ValueError, match="at least one seed"):

@@ -1,12 +1,12 @@
 """Differential tests: one worker and N workers must be byte-identical.
 
-The core determinism guarantee of the grid executor is that fanning a
+The core determinism guarantee of the run grid is that fanning a
 (value x strategy x seed) grid over worker processes is *invisible* in the
 numbers: every aggregate (``SweepResult``, ``ComparisonResult``) serializes
 to exactly the same JSON as the one-worker run.  Both are the same
 ``run_grid`` with a different worker count; these tests pin the guarantee
 over several scenarios, strategies and seeds, for the sweep entry point,
-``run_seeds``, ``figure2`` and the cached re-run path.
+``run_seeds`` and ``figure2``.
 
 The worker count is 2 by default; CI also runs the suite with
 ``REPRO_TEST_JOBS=2`` explicitly, and the knob lets developers stress
@@ -18,14 +18,7 @@ import os
 
 import pytest
 
-from repro.harness import (
-    GridExecutor,
-    ResultCache,
-    compare_strategies,
-    figure2,
-    run_seeds,
-    sweep,
-)
+from repro.harness import compare_strategies, figure2, run_seeds, sweep
 from repro.scenarios import get_scenario
 
 JOBS = int(os.environ.get("REPRO_TEST_JOBS", "2"))
@@ -57,12 +50,12 @@ def test_sweep_serial_equals_parallel(scenario, parameter, values):
         n_tasks=N_TASKS,
     )
     serial = sweep(scenario, **kwargs)
-    parallel = sweep(scenario, executor=GridExecutor(jobs=JOBS), **kwargs)
+    parallel = sweep(scenario, jobs=JOBS, **kwargs)
     assert serial.canonical_json() == parallel.canonical_json()
 
 
 def test_sweep_serial_executor_equals_plain_loop():
-    """The default executor is the one-worker executor, nothing else."""
+    """The default worker count is one worker, nothing else."""
     kwargs = dict(
         parameter="load",
         values=[0.5, 0.8],
@@ -72,8 +65,38 @@ def test_sweep_serial_executor_equals_plain_loop():
     )
     assert (
         sweep("straggler", **kwargs).canonical_json()
-        == sweep("straggler", executor=GridExecutor(), **kwargs).canonical_json()
+        == sweep("straggler", jobs=1, **kwargs).canonical_json()
     )
+
+
+def test_sweep_all_cores_equals_serial():
+    """``jobs=0`` (all cores) is one more worker count, nothing else."""
+    kwargs = dict(
+        parameter="load",
+        values=[0.5],
+        strategies=STRATEGIES,
+        seeds=SEEDS,
+        n_tasks=N_TASKS,
+    )
+    assert (
+        sweep("straggler", **kwargs).canonical_json()
+        == sweep("straggler", jobs=0, **kwargs).canonical_json()
+    )
+
+
+def test_rerun_is_byte_identical():
+    """Nothing is stored between runs: a rerun recomputes every cell and
+    must reproduce the first run byte for byte."""
+    kwargs = dict(
+        parameter="load",
+        values=[0.5],
+        strategies=STRATEGIES,
+        seeds=SEEDS,
+        n_tasks=N_TASKS,
+    )
+    first = sweep("hot-shard", jobs=JOBS, **kwargs)
+    second = sweep("hot-shard", jobs=JOBS, **kwargs)
+    assert first.canonical_json() == second.canonical_json()
 
 
 def test_sweep_with_duplicate_values_serial_equals_parallel():
@@ -86,7 +109,7 @@ def test_sweep_with_duplicate_values_serial_equals_parallel():
         n_tasks=120,
     )
     serial = sweep("steady-state", **kwargs)
-    parallel = sweep("steady-state", executor=GridExecutor(jobs=JOBS), **kwargs)
+    parallel = sweep("steady-state", jobs=JOBS, **kwargs)
     assert serial.canonical_json() == parallel.canonical_json()
     assert serial.values == (0.5, 0.5, 0.8)
 
@@ -97,7 +120,7 @@ def test_run_seeds_serial_equals_parallel():
     )
     seeds = (1, 2, 3)
     serial = run_seeds(config, seeds)
-    parallel = run_seeds(config, seeds, executor=GridExecutor(jobs=JOBS))
+    parallel = run_seeds(config, seeds, jobs=JOBS)
     a = compare_strategies({config.strategy: serial})
     b = compare_strategies({config.strategy: parallel})
     assert a.canonical_json() == b.canonical_json()
@@ -114,28 +137,9 @@ def test_figure2_serial_equals_parallel():
         n_tasks=N_TASKS,
         seeds=(1,),
         strategies=STRATEGIES,
-        executor=GridExecutor(jobs=JOBS),
+        jobs=JOBS,
     )
     assert serial.canonical_json() == parallel.canonical_json()
-
-
-def test_cached_rerun_is_byte_identical(tmp_path):
-    """A warm-cache sweep must reproduce the cold run exactly."""
-    cache = ResultCache(tmp_path / "cache")
-    kwargs = dict(
-        parameter="load",
-        values=[0.5, 0.8],
-        strategies=STRATEGIES,
-        seeds=SEEDS,
-        n_tasks=N_TASKS,
-    )
-    cold = sweep("straggler", executor=GridExecutor(jobs=JOBS, cache=cache), **kwargs)
-    assert cache.stores == len(kwargs["values"]) * len(STRATEGIES) * len(SEEDS)
-    warm = sweep("straggler", executor=GridExecutor(cache=cache), **kwargs)
-    assert cache.hits == cache.stores  # every cell reused, none re-run
-    assert cold.canonical_json() == warm.canonical_json()
-    # And both agree with a cache-free serial run.
-    assert cold.canonical_json() == sweep("straggler", **kwargs).canonical_json()
 
 
 def test_canonical_json_roundtrips():

@@ -5,7 +5,7 @@ Invariants:
 * virtual time never decreases, regardless of the timeout program;
 * the event calendar fires same-time events in (priority, sequence)
   order, and processes exactly as many events as were scheduled -- the
-  determinism contract the parallel executor's serial==parallel guarantee
+  determinism contract the run grid's serial==parallel guarantee
   rests on.
 """
 

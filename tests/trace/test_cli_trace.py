@@ -50,6 +50,39 @@ class TestRecordFlags:
         ]) == 2
         assert "trace_sample" in capsys.readouterr().err
 
+    def test_run_trace_out_with_zero_sample_is_a_usage_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """An artifact that could hold no span tree is refused up front."""
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr("repro.harness.parallel.run_experiment", no_run)
+        path = tmp_path / "t.jsonl"
+        assert record(path, "c3", ("--trace-sample", "0")) == 2
+        assert "--trace-out needs a --trace-sample above 0" in (
+            capsys.readouterr().err
+        )
+        assert not path.exists()
+
+    def test_loadgen_trace_out_with_zero_sample_is_a_usage_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_connection(*args, **kwargs):
+            raise AssertionError("a connection was attempted")
+
+        monkeypatch.setattr("repro.loadgen.run_live_seeds", no_connection)
+        path = tmp_path / "t.jsonl"
+        assert main([
+            "loadgen", "--strategy", "c3", "--tasks", "10", "--port", "1",
+            "--trace-out", str(path), "--trace-sample", "0",
+        ]) == 2
+        assert "--trace-out needs a --trace-sample above 0" in (
+            capsys.readouterr().err
+        )
+        assert not path.exists()
+
 
 class TestAnalysisCommands:
     def make_artifacts(self, tmp_path, capsys):
