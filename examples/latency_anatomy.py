@@ -10,9 +10,9 @@ stop waiting behind convoys) while the p99 *request* queue wait may even
 grow -- BRB deliberately parks slack-rich requests -- yet the p99 *task*
 latency plummets.  Scheduling moves waiting to where it is free.
 
-The per-request segments come from the span tracer (``trace_sample``):
-the run samples as many post-warmup tasks as the recorder's ring holds,
-and reports ``trace_evicted`` if hash sampling overshot it.
+The per-request segments come from the span tracer: the run traces
+every post-warmup task (``trace_sample=1.0``), and the recorder keeps
+them all.
 
 Usage::
 
@@ -23,18 +23,14 @@ import sys
 
 from repro.analysis import render_table
 from repro.harness import ExperimentConfig, run_experiment
-from repro.harness.config import WARMUP_FRACTION
 from repro.metrics import ExactSample
-from repro.trace import DEFAULT_RING
 
 
 def main() -> None:
     n_tasks = int(sys.argv[1]) if len(sys.argv) > 1 else 6000
-    measured = n_tasks - int(WARMUP_FRACTION * n_tasks)
-    sample = min(1.0, DEFAULT_RING / measured)
     rows = []
     for strategy in ("c3", "unifincr-credits", "unifincr-model"):
-        cfg = ExperimentConfig(strategy=strategy, n_tasks=n_tasks, trace_sample=sample)
+        cfg = ExperimentConfig(strategy=strategy, n_tasks=n_tasks, trace_sample=1.0)
         result = run_experiment(cfg, seed=1)
         segments = {
             kind: ExactSample() for kind in ("credit_wait", "queue_wait", "service")
@@ -48,7 +44,6 @@ def main() -> None:
             {
                 "strategy": strategy,
                 "traced tasks": len(result.traces),
-                "evicted": int(result.extras["trace_evicted"]),
                 "client wait p99 (ms)": segments["credit_wait"].quantile(0.99) * 1e3,
                 "queue wait p50 (ms)": segments["queue_wait"].quantile(0.5) * 1e3,
                 "queue wait p99 (ms)": segments["queue_wait"].quantile(0.99) * 1e3,
@@ -60,8 +55,7 @@ def main() -> None:
         print(f"{strategy} done")
 
     print()
-    title = f"Per-request latency anatomy (trace_sample={sample:.3g})"
-    print(render_table(rows, title=title))
+    print(render_table(rows, title="Per-request latency anatomy"))
     print(
         "\nService times are identical across strategies (same workload, same\n"
         "servers). BRB cuts the median queue wait while *raising* the p99\n"

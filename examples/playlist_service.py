@@ -29,7 +29,6 @@ from repro.core import (
     equal_initial_shares,
 )
 from repro.metrics import ExactSample, LatencySummary
-from repro.scheduling import FifoDiscipline, PriorityDiscipline
 from repro.sim import Environment, StreamFactory
 from repro.workload import (
     LogNormalFanout,
@@ -89,7 +88,6 @@ def run_system(trace, service_model, system: str, seed: int) -> LatencySummary:
             cores=SPEC.cores_per_server,
             service_model=service_model,
             network=network,
-            discipline=(PriorityDiscipline() if system == "brb" else FifoDiscipline()),
             congestion_interval=0.1 if system == "brb" else None,
         )
 

@@ -10,7 +10,9 @@ The package is layered bottom-up:
   the SoundCloud-like trace generator and capacity calibration.
 * :mod:`repro.cluster` -- the replicated/partitioned data-store substrate:
   multi-core servers, clients, network, placement.
-* :mod:`repro.scheduling` -- server queue disciplines.
+* :mod:`repro.scheduling` -- the stand-alone queue sort key, timed by the
+  layer benchmark only; servers order their queues by each request's
+  priority tuple.
 * :mod:`repro.baselines` -- replica selectors incl. the C3 baseline.
 * :mod:`repro.core` -- the paper's contribution: task-aware splitting,
   EqualMax / UnifIncr priorities, the credits realization and the ideal

@@ -1,9 +1,10 @@
 """Task-oblivious dispatch strategies (the baselines' client side).
 
 The oblivious strategy selects a replica *per request* (no notion of
-sub-tasks or bottlenecks), attaches no meaningful priority, and sends
-requests as soon as the pacing policy allows.  Servers run FIFO (or any
-configured task-oblivious discipline).
+sub-tasks or bottlenecks), leaves every request at the default priority
+``(0.0,)``, and sends requests as soon as the pacing policy allows.
+Servers serve the smallest priority tuple first and ties in arrival
+order, so these requests are served FIFO.
 """
 
 from __future__ import annotations

@@ -66,10 +66,13 @@ class _Exit(Exception):
 
 
 def _require_positive(args: argparse.Namespace, *flags: str) -> None:
-    """Usage error unless every named count flag is at least 1."""
+    """Usage error unless every named flag that was given is above 0
+    (a count: at least 1)."""
     for flag in flags:
-        if getattr(args, flag) < 1:
-            raise _Exit(f"--{flag} must be at least 1")
+        value = getattr(args, flag)
+        if value is not None and value <= 0:
+            bound = "at least 1" if isinstance(value, int) else "positive"
+            raise _Exit(f"--{flag.replace('_', '-')} must be {bound}")
 
 
 def _check_port(port: int, bound: bool = False) -> int:
@@ -222,7 +225,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     _require_positive(args, "seeds")
     jobs = _jobs_from(args)
     overrides = _given(args, load="load", mean_fanout="fanout")
-    if args.slow_server is not None and args.slow_server >= 0:
+    if args.slow_server is not None:
         scripted = (
             get_scenario(args.scenario).faults
             if args.scenario is not None
@@ -603,6 +606,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         run_server,
     )
 
+    _require_positive(args, "procs", "time_scale")
     config = get_scenario(args.scenario).build_config()
     time_scale = args.time_scale if args.time_scale is not None else DEFAULT_TIME_SCALE
     host = args.host if args.host is not None else DEFAULT_HOST
@@ -752,7 +756,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     from .loadgen import live_summary, run_live_seeds
 
     _reject_model_strategies((args.strategy,))
-    _require_positive(args, "seeds")
+    _require_positive(args, "seeds", "timeout")
     config = _config_from(
         args, **_remediation_overrides(args), **_trace_overrides(args)
     )
@@ -884,9 +888,8 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     from .loadgen.transport import LiveTransport
     from .metrics.bus import render_stats
 
+    _require_positive(args, "interval", "count")
     endpoints = _endpoints_from(args)
-    if args.interval <= 0:
-        raise _Exit("--interval must be positive")
     if args.prometheus and args.json:
         raise _Exit("--prometheus and --json are mutually exclusive")
 
@@ -987,7 +990,9 @@ def _add_firehose(subparsers: argparse._SubParsersAction) -> None:
 def _cmd_firehose(args: argparse.Namespace) -> int:
     from .loadgen import run_firehose
 
-    _require_positive(args, "multigets", "fanout", "window")
+    _require_positive(
+        args, "multigets", "fanout", "window", "value_size", "timeout"
+    )
     endpoints = _endpoints_from(args)
     where = ", ".join(f"{h}:{p}" for h, p in endpoints)
     print(
@@ -1049,7 +1054,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         if name not in KNOWN_STRATEGIES:
             raise _Exit(f"unknown strategy {name!r}")
     _reject_model_strategies(strategies)
-    _require_positive(args, "tasks", "seeds")
+    _require_positive(args, "tasks", "seeds", "time_scale")
     jobs = _jobs_from(args)
     time_scale = args.time_scale if args.time_scale is not None else DEFAULT_TIME_SCALE
     print(

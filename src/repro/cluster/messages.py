@@ -28,9 +28,10 @@ from ..workload.tasks import Operation, Task
 class RequestMessage:
     """One key read in flight.
 
-    ``priority`` is a totally ordered tuple; *smaller sorts first*.  The
-    scheduling disciplines and the BRB priority assigners only ever produce
-    tuples of floats/ints, so comparisons never fail at runtime.
+    ``priority`` is a totally ordered tuple; *smaller sorts first*, and
+    servers order their queues by it directly.  The BRB priority
+    assigners only ever produce tuples of floats/ints, so comparisons
+    never fail at runtime.
     """
 
     op: Operation

@@ -2,9 +2,11 @@
 
 Two execution models, matching the paper's two realizations:
 
-* :class:`BackendServer` -- owns a local queue ordered by a pluggable
-  discipline (FIFO for task-oblivious baselines, priority for
-  BRB-credits).  Requests are pushed to it through the network.
+* :class:`BackendServer` -- owns a local queue served smallest priority
+  tuple first, arrival order within a tuple (the order of the live
+  :class:`~repro.serve.workers.LiveWorker`).  Only the strategy sets the
+  tuple: task-oblivious baselines leave the default ``(0.0,)``, which is
+  FIFO.  Requests are pushed to it through the network.
 * :class:`PullServer` -- owns no queue; its idle cores are handed work from
   a single global priority queue shared by all clients (the paper's ideal
   "model" realization), restricted to requests of partitions the server
@@ -32,7 +34,6 @@ from itertools import count
 from ..metrics.timeseries import EwmaEstimator, WindowedRate
 from ..sim.engine import Environment
 from ..sim.events import LOW
-from ..scheduling.disciplines import Discipline, FifoDiscipline
 from ..workload.calibration import ServiceTimeModel
 from .addresses import CONTROLLER_ADDRESS, client_address, server_address
 from .messages import (
@@ -246,8 +247,8 @@ class _ServerBase(ServerState):
 class BackendServer(_ServerBase):
     """Queue-owning server (task-oblivious baselines and BRB-credits).
 
-    Requests arrive via the network into a heap ordered by the configured
-    discipline (FIFO within a key); an end-of-instant *admit* moves them
+    Requests arrive via the network into a heap ordered by their priority
+    tuple (FIFO within a tuple); an end-of-instant *admit* moves them
     onto free cores.  The admit runs at ``LOW`` priority, after every
     arrival of its timestamp, so a batch of same-instant arrivals -- one
     task's requests over a constant-latency network -- is ordered *before*
@@ -268,12 +269,10 @@ class BackendServer(_ServerBase):
         cores: int,
         service_model: ServiceTimeModel,
         network: Network,
-        discipline: _t.Optional[Discipline] = None,
         congestion_interval: _t.Optional[float] = None,
     ) -> None:
         super().__init__(env, server_id, cores, service_model, network)
-        self.discipline = discipline if discipline is not None else FifoDiscipline()
-        #: Queued requests: (discipline key, arrival seq, request).
+        #: Queued requests: (priority tuple, arrival seq, request).
         self._heap: _t.List[_t.Tuple[_t.Any, int, RequestMessage]] = []
         self._seq = count()
         #: An admit is already on the calendar for the current instant.
@@ -293,10 +292,7 @@ class BackendServer(_ServerBase):
         now = self.env.now
         message.enqueued_at = now
         self.arrival_rate.record(now)
-        heappush(
-            self._heap,
-            (self.discipline.key(message, now), next(self._seq), message),
-        )
+        heappush(self._heap, (message.priority, next(self._seq), message))
         self._arm_admit()
 
     def queue_length(self) -> int:

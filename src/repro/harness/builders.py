@@ -32,11 +32,6 @@ from ..core.credits import CreditGate, CreditsController, equal_initial_shares
 from ..core.model_queue import GlobalQueue
 from ..core.priorities import make_assigner
 from ..placement import Placement
-from ..scheduling.disciplines import (
-    Discipline,
-    FifoDiscipline,
-    PriorityDiscipline,
-)
 from ..sim.rng import StreamFactory
 from ..workload.calibration import ServiceTimeModel
 from ..workload.soundcloud import PAPER_CLIENTS
@@ -85,7 +80,7 @@ class StrategyBuilder:
     """One strategy: how to assemble its clients and servers.
 
     Subclasses override the hooks they need; the defaults give the
-    task-oblivious shape (FIFO push servers, no shared machinery, no
+    task-oblivious shape (push servers, no shared machinery, no
     extra audit counters).
     """
 
@@ -110,9 +105,6 @@ class StrategyBuilder:
         raise NotImplementedError  # pragma: no cover - abstract
 
     # -- per-server ---------------------------------------------------------------
-    def server_discipline(self, ctx: ClusterContext) -> Discipline:
-        return FifoDiscipline()
-
     def congestion_interval(self, ctx: ClusterContext) -> _t.Optional[float]:
         """Congestion-monitor period for push servers (None disables)."""
         return None
@@ -124,7 +116,6 @@ class StrategyBuilder:
             cores=ctx.config.cluster.cores_per_server,
             service_model=ctx.service_model,
             network=ctx.network,
-            discipline=self.server_discipline(ctx),
             congestion_interval=self.congestion_interval(ctx),
         )
 
@@ -249,9 +240,6 @@ class CreditsBuilder(StrategyBuilder):
         return BRBCreditsStrategy(
             ctx.placement, assigner, ctx.service_model, gate=gate
         )
-
-    def server_discipline(self, ctx: ClusterContext) -> Discipline:
-        return PriorityDiscipline()
 
     def congestion_interval(self, ctx: ClusterContext) -> _t.Optional[float]:
         return ctx.config.congestion_check_interval

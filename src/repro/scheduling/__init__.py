@@ -1,13 +1,5 @@
-"""Server-side queue disciplines (FIFO, priority)."""
+"""Server-side queue sort key (the priority tuple)."""
 
-from .disciplines import (
-    Discipline,
-    FifoDiscipline,
-    PriorityDiscipline,
-)
+from .disciplines import PriorityDiscipline
 
-__all__ = [
-    "Discipline",
-    "FifoDiscipline",
-    "PriorityDiscipline",
-]
+__all__ = ["PriorityDiscipline"]

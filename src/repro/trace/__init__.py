@@ -16,12 +16,11 @@ from .analysis import (
     slowest,
     write_traces,
 )
-from .recorder import DEFAULT_RING, TraceRecorder, is_sampled, trace_hash
+from .recorder import TraceRecorder, is_sampled, trace_hash
 from .spans import SEGMENT_KINDS, Span, TaskTrace
 
 __all__ = [
     "Attribution",
-    "DEFAULT_RING",
     "RunTraces",
     "SEGMENT_KINDS",
     "Span",

@@ -25,16 +25,10 @@ the binary traced-op frame.
 from __future__ import annotations
 
 import typing as _t
-from collections import deque
 
 from ..cluster.messages import RequestMessage, TaskCompletion
 from ..core.clock import Clock
 from .spans import Span, TaskTrace
-
-#: Capacity of the in-memory trace ring.  Eviction drops the *oldest*
-#: trace; :meth:`TraceRecorder.extras` counts every sampled task regardless,
-#: so the sampled-fraction audit is exact even when the ring wraps.
-DEFAULT_RING = 4096
 
 _MULT = 0x9E3779B97F4A7C15
 _ADD = 0xD1B54A32D192ED03
@@ -70,7 +64,9 @@ class TraceRecorder:
         Tasks below this id are warm-up and never sampled, mirroring the
         runner's latency accounting.
 
-    At most ``DEFAULT_RING`` traces are kept.
+    Every sampled task's trace is kept, so tail attribution covers the
+    whole run; ``sample`` is what bounds the memory (about 2.4 KB a
+    trace, ``docs/observability.md``).
     """
 
     def __init__(
@@ -84,11 +80,8 @@ class TraceRecorder:
         self.clock = clock
         self.sample = sample
         self.warmup_tasks = warmup_tasks
-        self._ring: _t.Deque[TaskTrace] = deque(maxlen=DEFAULT_RING)
+        self._traces: _t.List[TaskTrace] = []
         self._open: _t.Dict[int, _t.List[Span]] = {}
-        self._sampled = 0
-        self._spans = 0
-        self._evicted = 0
 
     # -- sampling ---------------------------------------------------------
 
@@ -122,7 +115,6 @@ class TraceRecorder:
             end=self.clock.now,
         )
         self._open.setdefault(request.task_id, []).append(span)
-        self._spans += 1
 
     def on_complete(self, completion: TaskCompletion) -> None:
         """Seal the span tree for a finished task (``Client`` on_complete)."""
@@ -130,10 +122,7 @@ class TraceRecorder:
         spans = self._open.pop(task.task_id, None)
         if spans is None:
             return
-        self._sampled += 1
-        if len(self._ring) == self._ring.maxlen:
-            self._evicted += 1
-        self._ring.append(
+        self._traces.append(
             TaskTrace(
                 trace_id=trace_hash(task.task_id),
                 task_id=task.task_id,
@@ -148,12 +137,12 @@ class TraceRecorder:
 
     @property
     def traces(self) -> _t.List[TaskTrace]:
-        return list(self._ring)
+        return self._traces
 
     def extras(self) -> _t.Dict[str, float]:
-        """Audit counters folded into ``RunResult.extras`` when sampling."""
+        """Audit counters folded into ``RunResult.extras`` when sampling:
+        the sampled tasks that finished, and their spans."""
         return {
-            "trace_sampled": float(self._sampled),
-            "trace_spans": float(self._spans),
-            "trace_evicted": float(self._evicted),
+            "trace_sampled": float(len(self._traces)),
+            "trace_spans": float(sum(len(t.spans) for t in self._traces)),
         }

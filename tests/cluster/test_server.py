@@ -15,7 +15,6 @@ from repro.cluster import (
 from repro.cluster.messages import CongestionSignal
 from repro.cluster.network import ConstantLatency
 from repro.core.model_queue import GlobalQueue
-from repro.scheduling import PriorityDiscipline
 from repro.sim import Environment, Stream, StreamFactory
 from repro.sim.events import LOW
 from repro.workload import ServiceTimeModel
@@ -43,7 +42,6 @@ class Harness:
     def __init__(
         self,
         cores=1,
-        discipline=None,
         congestion_interval=None,
         latency=0.0,
         service_model=None,
@@ -62,7 +60,6 @@ class Harness:
             cores=cores,
             service_model=service_model or unit_service_model(),
             network=self.network,
-            discipline=discipline,
             congestion_interval=congestion_interval,
         )
 
@@ -90,7 +87,7 @@ class TestBackendServer:
         assert [r.request.op.op_id for r in h.responses] == [0, 1, 2]
 
     def test_priority_discipline_orders_queue(self):
-        h = Harness(discipline=PriorityDiscipline())
+        h = Harness()
         # First request occupies the core; the next two queue and must be
         # served by priority, not arrival.
         h.push(make_request(op_id=0, size=5, priority=(0.0, 0.0)))
@@ -101,8 +98,8 @@ class TestBackendServer:
 
     def test_sjf_discipline_prefers_short(self):
         # SJF reaches a server as the sjf assigner's priority tuple
-        # (own cost, task arrival, op id) under the priority discipline.
-        h = Harness(discipline=PriorityDiscipline())
+        # (own cost, task arrival, op id); the server serves it as is.
+        h = Harness()
         h.push(make_request(op_id=0, size=5, priority=(5.0, 0.0, 0.0)))
         h.push(make_request(op_id=1, size=3, priority=(3.0, 0.0, 1.0)))
         h.push(make_request(op_id=2, size=1, priority=(1.0, 0.0, 2.0)))
@@ -168,7 +165,7 @@ class TestAdmitEngine:
     """The callback engine: end-of-instant admit, start and complete timers."""
 
     def test_same_instant_batch_is_served_in_discipline_order(self):
-        h = Harness(discipline=PriorityDiscipline())
+        h = Harness()
         priorities = [5.0, 1.0, 4.0, 2.0, 3.0]
         for op_id, priority in enumerate(priorities):
             h.push(make_request(op_id=op_id, priority=(priority, 0.0)))
@@ -191,7 +188,7 @@ class TestAdmitEngine:
 
     def test_requests_start_in_pop_order_and_take_their_forecast(self):
         model = ServiceTimeModel(overhead=1e-4, bandwidth=1.0)
-        h = Harness(cores=2, discipline=PriorityDiscipline(), service_model=model)
+        h = Harness(cores=2, service_model=model)
         sizes = {0: 7, 1: 3, 2: 5, 3: 2}
         priorities = {0: 4.0, 1: 2.0, 2: 1.0, 3: 3.0}
         for op_id in sizes:
@@ -214,7 +211,7 @@ class TestAdmitEngine:
             )
 
     def test_crash_window_keeps_work_queued_and_resumes_by_priority(self):
-        h = Harness(cores=2, discipline=PriorityDiscipline())
+        h = Harness(cores=2)
         h.server.pause()
         for op_id, priority in enumerate([3.0, 1.0, 2.0]):
             h.push(make_request(op_id=op_id, priority=(priority,)))

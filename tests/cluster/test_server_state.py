@@ -33,7 +33,6 @@ from repro.core.clock import WallClock
 from repro.core.model_queue import GlobalQueue
 from repro.serve.workers import LiveWorker, WorkerPass
 from repro.sim import Environment, Stream
-from repro.scheduling import PriorityDiscipline
 from repro.workload import ServiceTimeModel
 from repro.workload.tasks import Operation
 
@@ -257,7 +256,7 @@ def test_every_request_completes_exactly_once(pull, program, cores):
         server = PullServer(env, global_queue=queue, partitions=(0,), **common)
         submit = queue.submit
     else:
-        server = BackendServer(env, discipline=PriorityDiscipline(), **common)
+        server = BackendServer(env, **common)
 
         def submit(request):
             network.send(client_address(0), server_address(0), request)

@@ -20,7 +20,6 @@ from repro.core import (
     GlobalQueue,
     UnifIncrAssigner,
 )
-from repro.scheduling import PriorityDiscipline
 from repro.sim import Environment, Stream
 from repro.workload import ServiceTimeModel
 from repro.workload.tasks import Operation, Task
@@ -53,7 +52,6 @@ class CreditsRig:
                 cores=1,
                 service_model=self.model,
                 network=self.network,
-                discipline=PriorityDiscipline(),
             )
             for s in range(n_servers)
         ]

@@ -2,9 +2,13 @@
 
 import concurrent.futures
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -236,15 +240,34 @@ class TestCommands:
             ["firehose", "--multigets", "0"],
             ["ring", "--keys", "0"],
             ["run", "--seeds", "0", "--tasks", "300"],
+            # Dialled commands name port 1, where a dial is refused (exit 1).
+            ["compare", "--strategy", "c3", "--tasks", "300",
+             "--time-scale", "0"],
+            ["watch", "--port", "1", "--count", "0"],
+            ["loadgen", "--tasks", "10", "--port", "1", "--timeout", "0"],
+            ["firehose", "--endpoints", "127.0.0.1:1", "--timeout", "0"],
+            ["firehose", "--endpoints", "127.0.0.1:1", "--value-size", "0"],
+            ["run", "--strategy", "c3", "--tasks", "300",
+             "--slow-server", "-2"],
         ],
         ids=["figure2-tasks", "figure2-seeds", "compare-tasks",
-             "firehose-multigets", "ring-keys", "run-seeds"],
+             "firehose-multigets", "ring-keys", "run-seeds",
+             "compare-time-scale", "watch-count", "loadgen-timeout",
+             "firehose-timeout", "firehose-value-size", "run-slow-server"],
     )
-    def test_bad_count_is_a_usage_error(self, argv, capsys):
-        """A count below 1 exits 2 with a one-line message: no traceback,
-        and no run under a silently corrected value."""
+    def test_bad_count_is_a_usage_error(self, argv, capsys, monkeypatch):
+        """A count below 1, or another number out of its range, exits 2
+        with a one-line message before anything runs or is dialled: no
+        traceback, and no run under a silently corrected value."""
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr("repro.loadgen.compare.run_grid", no_run)
         assert main(argv) == 2
-        err = capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err
         assert "Traceback" not in err
         assert err.strip().count("\n") == 0
 
@@ -272,6 +295,33 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.strip() == f"{argv[-2]} must be at least 1"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--procs", "0"],
+            ["--procs", "-1"],
+            ["--time-scale", "0"],
+            ["--time-scale", "-25"],
+        ],
+        ids=["procs-zero", "procs-negative", "time-scale-zero",
+             "time-scale-negative"],
+    )
+    def test_serve_bad_number_is_a_usage_error(self, argv):
+        """Checked before anything binds; a server that starts instead
+        runs into the timeout and fails the test."""
+        env = dict(
+            os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__))
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--port", "0", *argv],
+            env=env, capture_output=True, text=True, timeout=30,
+        )  # fmt: skip
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr == f"{argv[0]} must be " + (
+            "at least 1\n" if argv[0] == "--procs" else "positive\n"
+        )
 
     @pytest.mark.parametrize(
         "argv",

@@ -158,10 +158,13 @@ class TestExperimentConfig:
     # config itself only knows `fault_schedule`.
     RUN = ["run", "--strategy", "oblivious-random", "--tasks", "60"]
 
-    def test_negative_slowdown_server_normalized(self, capsys):
-        """Any negative id means disabled: the run carries no fault."""
-        assert main([*self.RUN, "--slow-server", "-7"]) == 0
-        assert "fault:" not in capsys.readouterr().out
+    def test_negative_slowdown_server_is_a_usage_error(self, capsys):
+        """A negative id is no server: the run refuses it, as it does an id
+        past the last server, instead of silently dropping the fault."""
+        assert main([*self.RUN, "--slow-server", "-7"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "0..8" in captured.err
 
     def test_slowdown_server_range_error_names_range(self, capsys):
         with pytest.raises(ValueError, match=r"0\.\.8"):

@@ -1,10 +1,10 @@
-"""Unit tests for server queue disciplines."""
+"""Unit tests for the stand-alone queue sort key."""
 
 import pytest
 
 from repro.cluster import RequestMessage, RingPlacement
 from repro.core import CostModel, make_assigner, split_task
-from repro.scheduling import FifoDiscipline, PriorityDiscipline
+from repro.scheduling import PriorityDiscipline
 from repro.workload import ServiceTimeModel
 from repro.workload.tasks import Operation, Task
 
@@ -21,18 +21,6 @@ def req(op_id=0, size=100, priority=(0.0,), expected=0.0, created=0.0, bottlenec
     )
     r.created_at = created
     return r
-
-
-class TestFifo:
-    def test_keys_increase_with_arrival(self):
-        d = FifoDiscipline()
-        k1 = d.key(req(op_id=1), now=0.0)
-        k2 = d.key(req(op_id=2), now=0.0)
-        assert k1 < k2
-
-    def test_independent_instances(self):
-        d1, d2 = FifoDiscipline(), FifoDiscipline()
-        assert d1.key(req(), 0.0) == d2.key(req(), 0.0)
 
 
 def assigned_keys(assigner_name, sizes, task_id=0, arrival=0.0):

@@ -4,7 +4,6 @@ import pytest
 
 from repro.cluster.messages import RequestMessage, TaskCompletion
 from repro.trace import TraceRecorder, is_sampled, trace_hash
-from repro.trace import recorder as recorder_module
 from repro.trace.recorder import _SCALE
 from repro.workload.tasks import Operation, Task
 
@@ -98,24 +97,20 @@ class TestTraceRecorder:
         assert recorder.traces == []
         assert recorder.extras()["trace_sampled"] == 0.0
 
-    def test_ring_evicts_oldest_but_counts_everything(self, monkeypatch):
-        monkeypatch.setattr(recorder_module, "DEFAULT_RING", 2)
+    def test_keeps_every_sampled_trace_in_completion_order(self):
         recorder = TraceRecorder(FakeClock(), sample=1.0)
         for task_id in range(4):
             recorder.observe_request(make_request(task_id))
             recorder.on_complete(make_completion(task_id))
         traces = recorder.traces
-        assert [t.task_id for t in traces] == [2, 3]
+        assert [t.task_id for t in traces] == [0, 1, 2, 3]
         extras = recorder.extras()
         assert extras["trace_sampled"] == 4.0
         assert extras["trace_spans"] == 4.0
-        assert extras["trace_evicted"] == 2.0
 
     def test_extras_are_floats_with_stable_keys(self):
         extras = TraceRecorder(FakeClock(), sample=0.5).extras()
-        assert set(extras) == {
-            "trace_sampled", "trace_spans", "trace_evicted",
-        }
+        assert set(extras) == {"trace_sampled", "trace_spans"}
         assert all(isinstance(v, float) for v in extras.values())
 
     def test_hedge_flag_propagates_to_the_span(self):

@@ -81,7 +81,6 @@ class TestGoldenNeutrality:
         assert not any(k.startswith("trace_") for k in off.extras)
         assert on.extras["trace_sampled"] > 0
         assert on.extras["trace_spans"] >= on.extras["trace_sampled"]
-        assert on.extras["trace_evicted"] == 0.0
 
     def test_to_dict_never_carries_raw_traces(self):
         on = run_experiment(hot_shard_config(trace_sample=1.0), seed=1)
@@ -99,6 +98,22 @@ class TestSampledSubset:
             if is_sampled(task_id, 0.3)
         }
         assert recorded == expected
+
+    def test_every_sampled_task_of_a_long_run_is_kept(self):
+        """All 4,750 sampled tasks of a 5,000-task run are kept, in memory
+        and in the audit count, so tail attribution covers the whole run."""
+        config = get_scenario("hot-shard").build_config(
+            strategy="unifincr-credits", n_tasks=5000, trace_sample=1.0
+        )
+        result = run_experiment(config, seed=1)
+        warmup = int(WARMUP_FRACTION * config.n_tasks)
+        expected = {
+            task_id for task_id in range(warmup, config.n_tasks)
+            if is_sampled(task_id, 1.0)
+        }
+        assert len(expected) == 4750
+        assert {t.task_id for t in result.traces} == expected
+        assert len(result.traces) == result.extras["trace_sampled"]
 
     def test_partial_sample_is_a_subset_of_full(self):
         partial = run_experiment(hot_shard_config(trace_sample=0.3), seed=1)
