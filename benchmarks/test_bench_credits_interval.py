@@ -6,11 +6,10 @@ shows the realization is robust once reports are much faster than the
 1 s congestion adaptation -- and degrades when they are not.
 """
 
-from conftest import bench_scale, save_report
+from conftest import bench_jobs, bench_scale, save_report
 
 from repro.analysis import render_table
-from repro.harness import ExperimentConfig, run_seeds
-from repro.harness.results import compare_strategies
+from repro.harness import ExperimentConfig, compare_strategies, run_grid
 
 INTERVALS = (0.025, 0.05, 0.1, 0.25)
 
@@ -18,15 +17,18 @@ INTERVALS = (0.025, 0.05, 0.1, 0.25)
 def run_sweep(n_tasks, seeds):
     rows = []
     raw = {}
-    for interval in INTERVALS:
-        cfg = ExperimentConfig(
-            n_tasks=n_tasks,
-            strategy="equalmax-credits",
-            credits_measurement_interval=interval,
-        )
-        comparison = compare_strategies(
-            {"equalmax-credits": run_seeds(cfg, seeds)}
-        )
+    grid = [
+        {
+            "equalmax-credits": ExperimentConfig(
+                n_tasks=n_tasks,
+                strategy="equalmax-credits",
+                credits_measurement_interval=interval,
+            )
+        }
+        for interval in INTERVALS
+    ]
+    for interval, cell in zip(INTERVALS, run_grid(grid, seeds, bench_jobs())):
+        comparison = compare_strategies(cell)
         raw[str(interval)] = comparison.to_dict()
         s = comparison.summary_of("equalmax-credits")
         runs = comparison.strategies["equalmax-credits"].runs

@@ -7,17 +7,13 @@ task-aware (optimal) schedule completes it in 1; T1 takes 2 either way.
 
 from conftest import save_report
 
-from repro.harness import figure1_toy
+from repro.harness import figure1_toy, render_figure1
 
 
 def test_figure1_schedules():
-    def run():
-        oblivious = figure1_toy(task_aware=False)
-        aware_unif = figure1_toy(task_aware=True, assigner_name="unifincr")
-        aware_eqmx = figure1_toy(task_aware=True, assigner_name="equalmax")
-        return oblivious, aware_unif, aware_eqmx
-
-    oblivious, aware_unif, aware_eqmx = run()
+    oblivious = figure1_toy(task_aware=False)
+    aware_unif = figure1_toy(task_aware=True, assigner_name="unifincr")
+    aware_eqmx = figure1_toy(task_aware=True, assigner_name="equalmax")
 
     # The paper's exact numbers (unit service times).
     assert oblivious.t1_completion == 2.0
@@ -26,15 +22,7 @@ def test_figure1_schedules():
         assert aware.t1_completion == 2.0
         assert aware.t2_completion == 1.0
 
-    lines = [
-        "Figure 1 -- toy schedule (completion times in service-time units)",
-        "",
-        f"{'schedule':<26} {'T1':>5} {'T2':>5}",
-        f"{'task-oblivious (paper: 2/2)':<26} {oblivious.t1_completion:>5.1f} {oblivious.t2_completion:>5.1f}",
-        f"{'task-aware/unifincr (2/1)':<26} {aware_unif.t1_completion:>5.1f} {aware_unif.t2_completion:>5.1f}",
-        f"{'task-aware/equalmax (2/1)':<26} {aware_eqmx.t1_completion:>5.1f} {aware_eqmx.t2_completion:>5.1f}",
-    ]
-    report = "\n".join(lines)
+    report = render_figure1(oblivious, aware_unif, aware_eqmx)
     print("\n" + report)
     save_report(
         "figure1_toy",

@@ -14,11 +14,9 @@ Paper claims reproduced here:
    recovers paper-sized factors).
 """
 
-import pytest
 from conftest import bench_jobs, bench_scale, save_report
 
-from repro.analysis import grouped_bar_chart, percentile_matrix, ratio_table
-from repro.harness import FIGURE2_STRATEGIES, figure2, figure2_series
+from repro.harness import FIGURE2_STRATEGIES, figure2, render_figure2
 from repro.metrics import PAPER_PERCENTILES
 
 
@@ -29,37 +27,9 @@ def test_figure2():
     summaries = {
         name: comparison.summary_of(name) for name in FIGURE2_STRATEGIES
     }
-
-    # -- render the figure -----------------------------------------------
-    matrix = percentile_matrix(
-        {name: s.percentiles for name, s in summaries.items()},
-        percentiles=PAPER_PERCENTILES,
-    )
-    series = figure2_series(comparison)
-    chart = grouped_bar_chart(series, title="Figure 2 -- task read latency (ms)")
-    c3_over_eq = comparison.speedup("c3", "equalmax-credits")
-    c3_over_un = comparison.speedup("c3", "unifincr-credits")
     gap_eq = comparison.gap_to_ideal("equalmax-credits", "equalmax-model")
-    gap_un = comparison.gap_to_ideal("unifincr-credits", "unifincr-model")
 
-    report = "\n\n".join(
-        [
-            f"Figure 2 reproduction -- {n_tasks} tasks x {len(seeds)} seeds "
-            f"(paper: 500k x 6)",
-            matrix,
-            chart,
-            ratio_table(c3_over_eq, label="C3 / EqualMax-credits"),
-            ratio_table(c3_over_un, label="C3 / UnifIncr-credits"),
-            ratio_table(
-                {p: 1.0 + g for p, g in gap_eq.items()},
-                label="EqualMax credits/model (paper <= 1.38 @ p99)",
-            ),
-            ratio_table(
-                {p: 1.0 + g for p, g in gap_un.items()},
-                label="UnifIncr credits/model",
-            ),
-        ]
-    )
+    report = render_figure2(comparison, n_tasks, seeds)
     print("\n" + report)
     save_report("figure2", report, data=comparison.to_dict())
 

@@ -20,10 +20,9 @@ What the numbers show at bench scale (12k tasks x 3 seeds, C3):
 Artifacts: ``results/remediation.json`` + ``results/remediation.txt``.
 """
 
-import pytest
-from conftest import bench_scale, save_report
+from conftest import bench_jobs, bench_scale, save_report
 
-from repro.harness import run_experiment
+from repro.harness import run_grid
 from repro.scenarios import get_scenario
 
 #: Scenarios paired with how strongly remediation must win there.
@@ -34,20 +33,23 @@ STRATEGY = "c3"
 
 
 def _run_pairs(n_tasks, seeds):
-    results = {}
-    for scenario in SCENARIOS:
-        spec = get_scenario(scenario)
-        for mode in MODES:
-            config = spec.build_config(
+    grid = [
+        {
+            mode: get_scenario(scenario).build_config(
                 strategy=STRATEGY,
                 n_tasks=n_tasks,
                 remediation=mode,
                 slo_p99_ms=SLO_P99_MS,
             )
-            results[(scenario, mode)] = [
-                run_experiment(config, seed=seed) for seed in seeds
-            ]
-    return results
+            for mode in MODES
+        }
+        for scenario in SCENARIOS
+    ]
+    return {
+        (scenario, mode): runs
+        for scenario, by_mode in zip(SCENARIOS, run_grid(grid, seeds, bench_jobs()))
+        for mode, runs in by_mode.items()
+    }
 
 
 def _cell(runs):

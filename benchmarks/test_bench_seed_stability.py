@@ -8,7 +8,7 @@ seeds.  "Largely negligible" is operationalized as CV < 10% at the median
 and < 20% at p99 (tails are intrinsically noisier at reduced scale).
 """
 
-from conftest import bench_scale, save_report
+from conftest import bench_jobs, bench_scale, save_report
 
 from repro.analysis import coefficient_of_variation, render_table
 from repro.harness import ExperimentConfig, run_seeds
@@ -16,9 +16,9 @@ from repro.harness import ExperimentConfig, run_seeds
 SEEDS = (1, 2, 3, 4, 5)
 
 
-def run_grid(n_tasks):
+def seed_rows(n_tasks):
     cfg = ExperimentConfig(strategy="equalmax-credits", n_tasks=n_tasks)
-    runs = run_seeds(cfg, SEEDS)
+    runs = run_seeds(cfg, SEEDS, bench_jobs())
     summaries = [r.summary((50.0, 95.0, 99.0)) for r in runs]
     rows = []
     for p in (50.0, 95.0, 99.0):
@@ -37,7 +37,7 @@ def run_grid(n_tasks):
 
 def test_seed_stability():
     n_tasks, _ = bench_scale()
-    rows = run_grid(max(4000, n_tasks // 2))
+    rows = seed_rows(max(4000, n_tasks // 2))
 
     report = render_table(
         rows,

@@ -8,66 +8,59 @@
   freedom for both systems.
 """
 
-from conftest import bench_scale, save_report
+from conftest import bench_jobs, bench_scale, save_report
 
 from repro.analysis import render_table
 from repro.cluster import ClusterSpec
-from repro.harness import ExperimentConfig, run_experiment
+from repro.harness import ExperimentConfig, run_grid
 
 LATENCIES = (10e-6, 50e-6, 200e-6, 1e-3)
 REPLICATION = (1, 2, 3, 5)
 
 
+def sweep_clusters(clusters, n_tasks, seed):
+    """(c3, equalmax-credits) summaries per cluster, one grid for the sweep."""
+    grid = [
+        {
+            strategy: ExperimentConfig(
+                strategy=strategy, n_tasks=n_tasks, cluster=cluster
+            )
+            for strategy in ("c3", "equalmax-credits")
+        }
+        for cluster in clusters
+    ]
+    for cell in run_grid(grid, (seed,), bench_jobs()):
+        (c3,), (brb,) = cell["c3"], cell["equalmax-credits"]
+        yield c3.summary((50.0, 99.0)), brb.summary((50.0, 99.0))
+
+
 def run_latency_sweep(n_tasks, seed):
-    rows = []
-    for latency in LATENCIES:
-        summaries = {}
-        for strategy in ("c3", "equalmax-credits"):
-            cfg = ExperimentConfig(
-                strategy=strategy,
-                n_tasks=n_tasks,
-                cluster=ClusterSpec(one_way_latency=latency),
-            )
-            summaries[strategy] = run_experiment(cfg, seed=seed).summary(
-                (50.0, 99.0)
-            )
-        rows.append(
-            {
-                "one-way latency (us)": latency * 1e6,
-                "c3 p50 (ms)": summaries["c3"].median * 1e3,
-                "brb p50 (ms)": summaries["equalmax-credits"].median * 1e3,
-                "C3/BRB @p50": summaries["c3"].median
-                / summaries["equalmax-credits"].median,
-                "C3/BRB @p99": summaries["c3"].p99
-                / summaries["equalmax-credits"].p99,
-            }
+    clusters = [ClusterSpec(one_way_latency=latency) for latency in LATENCIES]
+    return [
+        {
+            "one-way latency (us)": latency * 1e6,
+            "c3 p50 (ms)": c3.median * 1e3,
+            "brb p50 (ms)": brb.median * 1e3,
+            "C3/BRB @p50": c3.median / brb.median,
+            "C3/BRB @p99": c3.p99 / brb.p99,
+        }
+        for latency, (c3, brb) in zip(
+            LATENCIES, sweep_clusters(clusters, n_tasks, seed)
         )
-    return rows
+    ]
 
 
 def run_replication_sweep(n_tasks, seed):
-    rows = []
-    for rf in REPLICATION:
-        summaries = {}
-        for strategy in ("c3", "equalmax-credits"):
-            cfg = ExperimentConfig(
-                strategy=strategy,
-                n_tasks=n_tasks,
-                cluster=ClusterSpec(replication_factor=rf),
-            )
-            summaries[strategy] = run_experiment(cfg, seed=seed).summary(
-                (50.0, 99.0)
-            )
-        rows.append(
-            {
-                "replication factor": rf,
-                "c3 p99 (ms)": summaries["c3"].p99 * 1e3,
-                "brb p99 (ms)": summaries["equalmax-credits"].p99 * 1e3,
-                "C3/BRB @p50": summaries["c3"].median
-                / summaries["equalmax-credits"].median,
-            }
-        )
-    return rows
+    clusters = [ClusterSpec(replication_factor=rf) for rf in REPLICATION]
+    return [
+        {
+            "replication factor": rf,
+            "c3 p99 (ms)": c3.p99 * 1e3,
+            "brb p99 (ms)": brb.p99 * 1e3,
+            "C3/BRB @p50": c3.median / brb.median,
+        }
+        for rf, (c3, brb) in zip(REPLICATION, sweep_clusters(clusters, n_tasks, seed))
+    ]
 
 
 def test_latency_sensitivity():

@@ -17,10 +17,10 @@ slower in recurring windows), so the bench, the CLI and ad-hoc scripts all
 measure the same thing.
 """
 
-from conftest import bench_scale, save_report
+from conftest import bench_jobs, bench_scale, save_report
 
 from repro.analysis import render_table, slo_attainment
-from repro.harness import run_experiment
+from repro.harness import run_grid
 from repro.scenarios import get_scenario
 
 STRATEGIES = ("oblivious-random", "c3", "hedged", "unifincr-credits")
@@ -30,9 +30,11 @@ def run_ablation(n_tasks, seed):
     rows = []
     raw = {}
     scenario = get_scenario("straggler")
-    for strategy in STRATEGIES:
-        cfg = scenario.build_config(strategy=strategy, n_tasks=n_tasks)
-        result = run_experiment(cfg, seed=seed)
+    configs = {
+        strategy: scenario.build_config(strategy=strategy, n_tasks=n_tasks)
+        for strategy in STRATEGIES
+    }
+    for strategy, (result,) in run_grid([configs], (seed,), bench_jobs())[0].items():
         summary = result.summary((50.0, 95.0, 99.0))
         values = result.task_latencies.values()
         rows.append(

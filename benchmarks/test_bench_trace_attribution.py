@@ -19,9 +19,9 @@ That contrast is exactly what the tracing subsystem exists to surface:
 strategy and "p99 is rate-limiter-bound at the client" for the other.
 """
 
-from conftest import save_report
+from conftest import bench_jobs, save_report
 
-from repro.harness.runner import run_experiment
+from repro.harness import run_grid
 from repro.scenarios import get_scenario
 from repro.trace import (
     RunTraces,
@@ -36,24 +36,28 @@ SEEDS = (1, 2)
 TAIL = 99.0
 
 
-def collect(strategy):
-    """Full-sample hot-shard traces for ``strategy``, seeds merged."""
-    config = get_scenario("hot-shard").build_config(
-        strategy=strategy, n_tasks=N_TASKS, trace_sample=1.0
-    )
-    group = RunTraces(
-        strategy=strategy, scenario="hot-shard", realm="sim", sample=1.0,
-        seeds=list(SEEDS), n_tasks=N_TASKS * len(SEEDS),
-    )
-    for seed in SEEDS:
-        result = run_experiment(config, seed=seed)
-        group.traces.extend(result.traces)
-    return group
+def collect(strategies):
+    """Full-sample hot-shard traces per strategy, seeds merged."""
+    configs = {
+        strategy: get_scenario("hot-shard").build_config(
+            strategy=strategy, n_tasks=N_TASKS, trace_sample=1.0
+        )
+        for strategy in strategies
+    }
+    return {
+        strategy: RunTraces(
+            strategy=strategy, scenario="hot-shard", realm="sim", sample=1.0,
+            seeds=list(SEEDS), n_tasks=N_TASKS * len(SEEDS),
+            traces=[trace for result in runs for trace in result.traces],
+        )
+        for strategy, runs in run_grid([configs], SEEDS, bench_jobs())[0].items()
+    }
 
 
 def test_trace_attribution_artifact():
-    credits = attribution(collect("unifincr-credits"), tail=TAIL)
-    c3 = attribution(collect("c3"), tail=TAIL)
+    groups = collect(("unifincr-credits", "c3"))
+    credits = attribution(groups["unifincr-credits"], tail=TAIL)
+    c3 = attribution(groups["c3"], tail=TAIL)
 
     report = "\n\n".join([
         f"hot-shard p{TAIL:g} critical-path attribution "

@@ -37,7 +37,7 @@ import sys
 import typing as _t
 from pathlib import Path
 
-from .analysis import grouped_bar_chart, percentile_matrix, ratio_table, render_table
+from .analysis import render_table
 from .cluster.faults import NO_FAULTS, FaultSchedule, SlowdownFault
 from .harness import (
     ExperimentConfig,
@@ -46,8 +46,9 @@ from .harness import (
     compare_strategies,
     figure1_toy,
     figure2,
-    figure2_series,
     get_builder,
+    render_figure1,
+    render_figure2,
     run_seeds,
     sweep,
 )
@@ -291,6 +292,7 @@ def _add_sweep(subparsers: argparse._SubParsersAction) -> None:
                    help="sweep over a named scenario instead of the default config")
     p.add_argument("--tasks", type=int, default=5000)
     p.add_argument("--percentile", type=float, default=99.0,
+                   choices=PAPER_PERCENTILES,
                    help="percentile column for the rendered table")
     p.add_argument("--out", type=str, default=None, help="raw JSON output path")
     _add_parallel_flags(p)
@@ -298,6 +300,7 @@ def _add_sweep(subparsers: argparse._SubParsersAction) -> None:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    _require_positive(args, "seeds", "tasks")
     values = [_parse_sweep_value(v) for v in args.values.split(",") if v]
     strategies = tuple(s for s in args.strategies.split(",") if s)
     jobs = _jobs_from(args)
@@ -330,16 +333,11 @@ def _add_figure1(subparsers: argparse._SubParsersAction) -> None:
 
 
 def _cmd_figure1(args: argparse.Namespace) -> int:
-    oblivious = figure1_toy(task_aware=False)
-    aware = figure1_toy(task_aware=True)
-    rows = [
-        {"schedule": "task-oblivious", "T1": oblivious.t1_completion,
-         "T2": oblivious.t2_completion},
-        {"schedule": "task-aware", "T1": aware.t1_completion,
-         "T2": aware.t2_completion},
-    ]
-    print(render_table(rows, title="Figure 1 (completion in service units)",
-                       float_fmt=".1f"))
+    print(render_figure1(
+        figure1_toy(task_aware=False),
+        figure1_toy(task_aware=True, assigner_name="unifincr"),
+        figure1_toy(task_aware=True, assigner_name="equalmax"),
+    ))
     return 0
 
 
@@ -354,22 +352,9 @@ def _add_figure2(subparsers: argparse._SubParsersAction) -> None:
 
 def _cmd_figure2(args: argparse.Namespace) -> int:
     _require_positive(args, "tasks", "seeds")
-    comparison = figure2(
-        n_tasks=args.tasks,
-        seeds=tuple(range(1, args.seeds + 1)),
-        jobs=_jobs_from(args),
-    )
-    summaries = {n: comparison.summary_of(n) for n in FIGURE2_STRATEGIES}
-    print(percentile_matrix(
-        {n: s.percentiles for n, s in summaries.items()},
-        percentiles=PAPER_PERCENTILES,
-    ))
-    print()
-    print(grouped_bar_chart(figure2_series(comparison),
-                            title="Figure 2 -- task read latency (ms)"))
-    print()
-    print(ratio_table(comparison.speedup("c3", "equalmax-credits"),
-                      label="C3 / EqualMax-credits"))
+    seeds = tuple(range(1, args.seeds + 1))
+    comparison = figure2(n_tasks=args.tasks, seeds=seeds, jobs=_jobs_from(args))
+    print(render_figure2(comparison, args.tasks, seeds))
     _save_json(args.out, comparison.to_dict())
     return 0
 

@@ -10,7 +10,7 @@ from .config import (
     ExperimentConfig,
     FIGURE2_STRATEGIES,
 )
-from .figures import Figure1Result, figure1_toy, figure2, figure2_series
+from .figures import Figure1Result, figure1_toy, figure2, render_figure1, render_figure2
 from .parallel import run_grid, run_seeds
 from .results import (
     ComparisonResult,
@@ -37,8 +37,9 @@ __all__ = [
     "compare_strategies",
     "figure1_toy",
     "figure2",
-    "figure2_series",
     "get_builder",
+    "render_figure1",
+    "render_figure2",
     "run_experiment",
     "run_grid",
     "run_seeds",

@@ -6,8 +6,8 @@
 * :func:`figure2` -- the headline evaluation: median/p95/p99 task latency
   for C3 and the four BRB variants over the SoundCloud-like workload.
 
-Both return plain data structures; the benchmarks render them with
-:mod:`repro.analysis` and assert the paper's qualitative claims.
+Both return plain data; :func:`render_figure1` / :func:`render_figure2`
+render the one text ``repro figure1``/``figure2`` print and ``results/`` records.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import typing as _t
 
+from ..analysis import grouped_bar_chart, percentile_matrix, ratio_table
 from ..baselines.selectors import RoundRobinSelector
 from ..baselines.strategies import ObliviousStrategy
 from ..cluster.client import Client
@@ -45,12 +46,18 @@ KEY_A, KEY_B, KEY_C, KEY_D, KEY_E = 0, 1, 2, 3, 4
 class Figure1Result:
     """Completion times (in service-time units) of the toy's two tasks."""
 
-    schedule: str
     t1_completion: float
     t2_completion: float
 
 
-def _toy_setup() -> _t.Tuple[Environment, Network, ExplicitPlacement, ServiceTimeModel, _t.List[Task]]:
+def figure1_toy(task_aware: bool, assigner_name: str = "unifincr") -> Figure1Result:
+    """Run the Figure 1 toy under either schedule.
+
+    ``task_aware=False``: FIFO servers, requests dispatched in task order
+    (T1 first), so S1 serves A before E -- T2 needs 2 time units.
+    ``task_aware=True``: the ideal priority queue; S1 serves E before A --
+    T2 completes in 1 unit while T1 still takes 2.
+    """
     env = Environment()
     streams = StreamFactory(0)
     network = Network(env, latency=ConstantLatency(0.0), stream=streams.stream("net"))
@@ -80,19 +87,6 @@ def _toy_setup() -> _t.Tuple[Environment, Network, ExplicitPlacement, ServiceTim
             for i, key in enumerate((KEY_D, KEY_E))
         ),
     )
-    return env, network, placement, service_model, [t1, t2]
-
-
-def figure1_toy(task_aware: bool, assigner_name: str = "unifincr") -> Figure1Result:
-    """Run the Figure 1 toy under either schedule.
-
-    ``task_aware=False``: FIFO servers, requests dispatched in task order
-    (T1 first), so S1 serves A before E -- T2 needs 2 time units.
-    ``task_aware=True``: the ideal priority queue; S1 serves E before A --
-    T2 completes in 1 unit while T1 still takes 2.
-    """
-    env, network, placement, service_model, tasks = _toy_setup()
-    streams = StreamFactory(0)
     completions: _t.Dict[int, float] = {}
 
     def on_complete(completion: _t.Any) -> None:
@@ -150,14 +144,28 @@ def figure1_toy(task_aware: bool, assigner_name: str = "unifincr") -> Figure1Res
 
     # T1 is submitted before T2 at the same instant, exactly as the
     # figure's task-oblivious schedule assumes.
-    clients[0].submit(tasks[0])
-    clients[1].submit(tasks[1])
+    clients[0].submit(t1)
+    clients[1].submit(t2)
     env.run()
     return Figure1Result(
-        schedule="task-aware" if task_aware else "task-oblivious",
         t1_completion=completions[0],
         t2_completion=completions[1],
     )
+
+
+def render_figure1(
+    oblivious: Figure1Result, unifincr: Figure1Result, equalmax: Figure1Result
+) -> str:
+    """The toy's completion-time table, against the paper's numbers."""
+    lines = [
+        "Figure 1 -- toy schedule (completion times in service-time units)",
+        "",
+        f"{'schedule':<26} {'T1':>5} {'T2':>5}",
+        f"{'task-oblivious (paper: 2/2)':<26} {oblivious.t1_completion:>5.1f} {oblivious.t2_completion:>5.1f}",
+        f"{'task-aware/unifincr (2/1)':<26} {unifincr.t1_completion:>5.1f} {unifincr.t2_completion:>5.1f}",
+        f"{'task-aware/equalmax (2/1)':<26} {equalmax.t1_completion:>5.1f} {equalmax.t2_completion:>5.1f}",
+    ]
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -183,14 +191,38 @@ def figure2(
     return compare_strategies(run_grid(grid, seeds, jobs)[0])
 
 
-def figure2_series(
-    comparison: ComparisonResult,
-) -> _t.Dict[str, _t.Dict[str, float]]:
-    """Pivot a comparison into Figure 2's {percentile: {strategy: ms}}."""
-    series: _t.Dict[str, _t.Dict[str, float]] = {}
-    for p in PAPER_PERCENTILES:
-        series[f"p{p:g}"] = {
-            name: comparison.summary_of(name).percentile(p) * 1e3
-            for name in comparison.strategies
-        }
-    return series
+#: Figure 2's ratio tables: (slower, faster, label) per table.
+_FIGURE2_RATIOS = (
+    ("c3", "equalmax-credits", "C3 / EqualMax-credits"),
+    ("c3", "unifincr-credits", "C3 / UnifIncr-credits"),
+    ("equalmax-credits", "equalmax-model", "EqualMax credits/model (paper <= 1.38 @ p99)"),
+    ("unifincr-credits", "unifincr-model", "UnifIncr credits/model"),
+)
+
+
+def render_figure2(
+    comparison: ComparisonResult, n_tasks: int, seeds: _t.Sequence[int]
+) -> str:
+    """Figure 2 as text: the percentile matrix, the bar chart, and the
+    paper's two headline ratios (BRB over C3, credits over the ideal)."""
+    summaries = {name: comparison.summary_of(name) for name in comparison.strategies}
+    series = {
+        f"p{p:g}": {name: s.percentile(p) * 1e3 for name, s in summaries.items()}
+        for p in PAPER_PERCENTILES
+    }
+    matrix = percentile_matrix(
+        {name: s.percentiles for name, s in summaries.items()},
+        percentiles=PAPER_PERCENTILES,
+    )
+    return "\n\n".join(
+        [
+            f"Figure 2 reproduction -- {n_tasks} tasks x {len(seeds)} seeds "
+            f"(paper: 500k x 6)",
+            matrix,
+            grouped_bar_chart(series, title="Figure 2 -- task read latency (ms)"),
+            *(
+                ratio_table(comparison.speedup(slow, fast), label=label)
+                for slow, fast, label in _FIGURE2_RATIOS
+            ),
+        ]
+    )

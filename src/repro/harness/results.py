@@ -12,7 +12,6 @@ import dataclasses
 import json
 import math
 import typing as _t
-from pathlib import Path
 
 from ..metrics.summary import (
     LatencySummary,
@@ -101,9 +100,6 @@ class ComparisonResult:
         compare through this form.
         """
         return json.dumps(self.to_dict(), sort_keys=True)
-
-    def save_json(self, path: _t.Union[str, Path]) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2), encoding="utf-8")
 
 
 def validate_summary_dict(data: _t.Mapping[str, _t.Any]) -> None:

@@ -14,6 +14,7 @@ scenario is one more entry in the table.
 
 from __future__ import annotations
 
+import dataclasses
 import typing as _t
 
 from ..cluster.faults import (
@@ -187,55 +188,40 @@ SCENARIOS: _t.Dict[str, ScenarioSpec] = {
                 )
             ),
         ),
-        # -- self-healing pairs ------------------------------------------------
-        # Each fault scenario above has a ``*-remediated`` twin that closes the
-        # loop: the streamed metrics bus feeds the SLO breach detector, and on
-        # breach the remediation driver boosts the hottest partition with extra
-        # replicas (see docs/observability.md).  Compare against the base
-        # scenario run in ``remediation="monitor"`` mode -- same bus, same
-        # detector, no action -- so breach-window counts are like for like.
-        make_scenario(
-            "hot-shard-remediated",
-            "hot-shard with the SLO loop spreading the hot partition",
-            overrides={
-                "hot_shard": 0,
-                "n_keys": 20_000,
-                "load": 0.6,
-                "remediation": "slo",
-                "slo_p99_ms": REMEDIATION_SLO_P99_MS,
-            },
-        ),
-        make_scenario(
-            "flash-crowd-remediated",
-            "flash-crowd with the SLO loop reacting to arrival surges",
-            overrides={
-                "load": 0.60,
-                "remediation": "slo",
-                "slo_p99_ms": REMEDIATION_SLO_P99_MS,
-            },
-            faults=FaultSchedule(
-                (
-                    FlashCrowdFault(
-                        multiplier=2.2, start=0.15, duration=0.2, period=0.6
-                    ),
-                )
-            ),
-        ),
-        make_scenario(
-            "crash-restart-remediated",
-            "crash-restart with the SLO loop boosting the downed server's partition",
-            overrides={
-                "remediation": "slo",
-                "slo_p99_ms": REMEDIATION_SLO_P99_MS,
-            },
-            faults=FaultSchedule(
-                (
-                    CrashFault(servers=(0,), start=0.1, duration=0.08, period=0.4),
-                )
-            ),
-        ),
     )
 }
+
+
+def _remediated(name: str, action: str) -> ScenarioSpec:
+    """Scenario ``name`` with the SLO loop closed (``action`` says what it
+    does): the same overrides, topology and fault script, plus
+    ``remediation="slo"`` at the shared target."""
+    base = SCENARIOS[name]
+    overrides = dict(base.config_overrides)
+    overrides.update(remediation="slo", slo_p99_ms=REMEDIATION_SLO_P99_MS)
+    return dataclasses.replace(
+        base,
+        name=f"{name}-remediated",
+        summary=f"{name} with the SLO loop {action}",
+        config_overrides=tuple(sorted(overrides.items())),
+    )
+
+
+# -- self-healing pairs ------------------------------------------------------
+# Three fault scenarios above get a ``*-remediated`` twin that closes the
+# loop: the streamed metrics bus feeds the SLO breach detector, and on breach
+# the remediation driver boosts the hottest partition with extra replicas
+# (see docs/observability.md).  Compare against the base scenario run in
+# ``remediation="monitor"`` mode -- same bus, same detector, no action -- so
+# breach-window counts are like for like.
+SCENARIOS.update(
+    (twin.name, twin)
+    for twin in (
+        _remediated("hot-shard", "spreading the hot partition"),
+        _remediated("flash-crowd", "reacting to arrival surges"),
+        _remediated("crash-restart", "boosting the downed server's partition"),
+    )
+)
 
 
 def get_scenario(name: str) -> ScenarioSpec:

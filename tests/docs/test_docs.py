@@ -1,6 +1,6 @@
 """Documentation lint: docstrings, link integrity, CLI-reference sync, surface.
 
-Ten guarantees, run in CI's ``docs`` job:
+Eleven guarantees, run in CI's ``docs`` job:
 
 * every module, public class and public function in
   ``src/repro/placement/`` carries a docstring (the layer the docs book
@@ -28,7 +28,9 @@ Ten guarantees, run in CI's ``docs`` job:
   servers, the rings, the firehose, ...) or a ``@dataclass`` field under
   ``src/`` carries is set by some caller outside ``tests/`` -- a default
   only tests override is a constant as well;
-* every file in ``examples/`` is run by CI's ``docs`` job.
+* every file in ``examples/`` is run by CI's ``docs`` job;
+* every ``results/`` artifact has a row in ``docs/results.md``'s
+  inventory, which names the command that writes it.
 """
 
 import ast
@@ -905,7 +907,27 @@ class TestExamplesRun:
         entries = shlex.split(loop.group(1).replace("\\\n", " "))
         run = {shlex.split(entry)[0] for entry in entries}
         examples = {path.name for path in (REPO / "examples").glob("*.py")}
-        assert len(examples) >= 8
+        assert len(examples) >= 5
         assert examples <= run, (
             "examples CI does not run: " + ", ".join(sorted(examples - run))
+        )
+        assert run <= examples, (
+            "CI runs examples that are gone: " + ", ".join(sorted(run - examples))
+        )
+
+
+class TestResultsInventory:
+    """Every recorded artifact is in ``docs/results.md``'s inventory: a
+    file in ``results/`` whose producer nobody can find cannot be
+    re-derived."""
+
+    def test_every_artifact_has_an_inventory_row(self):
+        text = (DOCS / "results.md").read_text(encoding="utf-8")
+        inventory = text[text.index("## Artifact inventory"):]
+        stems = [path.stem for path in sorted((REPO / "results").glob("*.txt"))]
+        assert len(stems) >= 15
+        missing = [stem for stem in stems if f"| `{stem}." not in inventory]
+        assert not missing, (
+            "results/ artifacts docs/results.md does not inventory: "
+            + ", ".join(missing)
         )

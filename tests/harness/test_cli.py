@@ -5,11 +5,14 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import repro
 from repro.cli import build_parser, main
+
+RESULTS = Path(__file__).resolve().parents[2] / "results"
 
 
 class TestParser:
@@ -29,11 +32,11 @@ class TestCommands:
         assert "c3" in out and "unifincr-credits" in out
         assert "*" in out  # figure-2 markers
 
-    def test_figure1(self, capsys):
+    def test_figure1_prints_the_recorded_artifact(self, capsys):
+        """``repro figure1`` is the one producer of results/figure1_toy.txt."""
         assert main(["figure1"]) == 0
-        out = capsys.readouterr().out
-        assert "task-oblivious" in out and "task-aware" in out
-        assert "1.0" in out and "2.0" in out
+        recorded = RESULTS / "figure1_toy.txt"
+        assert capsys.readouterr().out == recorded.read_text(encoding="utf-8")
 
     def test_run_small(self, capsys):
         assert main([
@@ -230,6 +233,28 @@ class TestCommands:
         ]) == 2
         assert "bad configuration" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("percentile", ["90", "75"])
+    def test_sweep_percentile_outside_the_summary_is_a_usage_error(
+        self, percentile, capsys, monkeypatch
+    ):
+        """Only the comparison's percentiles (50, 95, 99) have a column:
+        another one exits 2 before the grid runs, not after it."""
+
+        def no_run(*args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr("repro.harness.parallel.run_experiment", no_run)
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "sweep", "--parameter", "load", "--values", "0.5",
+                "--strategies", "c3", "--tasks", "300",
+                "--percentile", percentile,
+            ])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid choice" in captured.err
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -240,6 +265,10 @@ class TestCommands:
             ["firehose", "--multigets", "0"],
             ["ring", "--keys", "0"],
             ["run", "--seeds", "0", "--tasks", "300"],
+            ["sweep", "--parameter", "load", "--values", "0.5",
+             "--seeds", "-1"],
+            ["sweep", "--parameter", "load", "--values", "0.5",
+             "--tasks", "0"],
             # Dialled commands name port 1, where a dial is refused (exit 1).
             ["compare", "--strategy", "c3", "--tasks", "300",
              "--time-scale", "0"],
@@ -252,6 +281,7 @@ class TestCommands:
         ],
         ids=["figure2-tasks", "figure2-seeds", "compare-tasks",
              "firehose-multigets", "ring-keys", "run-seeds",
+             "sweep-seeds", "sweep-tasks",
              "compare-time-scale", "watch-count", "loadgen-timeout",
              "firehose-timeout", "firehose-value-size", "run-slow-server"],
     )

@@ -51,16 +51,14 @@ class TestComparisonResult:
             ratio = small_comparison.speedup("oblivious-random", "oblivious-lor")[p]
             assert gap == pytest.approx(ratio - 1.0)
 
-    def test_to_dict_and_json(self, small_comparison, tmp_path):
+    def test_to_dict_and_json(self, small_comparison):
         d = small_comparison.to_dict()
         assert d["seeds"] == [1, 2]
         assert "oblivious-random" in d["strategies"]
         entry = d["strategies"]["oblivious-random"]
         assert "p99" in entry["percentiles_ms"]
         assert len(entry["per_seed_p99_ms"]) == 2
-        path = tmp_path / "out.json"
-        small_comparison.save_json(path)
-        assert json.loads(path.read_text())["seeds"] == [1, 2]
+        assert json.loads(small_comparison.canonical_json())["seeds"] == [1, 2]
 
     def test_mismatched_seed_grids_rejected(self):
         cfg = ExperimentConfig(n_tasks=100, n_keys=1000)
