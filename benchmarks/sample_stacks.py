@@ -7,8 +7,10 @@ A 1 kHz ``ITIMER_PROF`` signal records the running frame (self) and every
 frame under it (cumulative) with no profiler hooks installed, while a few
 counted methods say how often the *machinery* ran per multiget: event-loop
 turns, socket reads, transport writes, feeder wakeups, task draws (and
-how many draws a wakeup that draws makes), server passes; the summary line
-gives ``next_task``'s cumulative share of the samples.
+how many draws a wakeup that draws makes), server passes, value-size
+draws and partition hashes; the summary line gives ``next_task``'s
+cumulative share of the samples.  ``sim`` also lists the calendar entries
+fired per multiget by callback, and the end-of-instant callbacks.
 ``sim`` samples ``run_experiment`` in this process (Stage F of
 ``docs/performance.md``); ``firehose`` and ``openloop`` fork a server that
 samples itself and sample the client around ``run_firehose`` / ``run_live``
@@ -28,6 +30,7 @@ high.  The sample names candidates; paired ``bench/run.py`` runs price them.
 import argparse
 import asyncio
 import collections
+import functools
 import multiprocessing
 import os
 import signal
@@ -50,11 +53,11 @@ COUNTED = (
     ("asyncio.selector_events", "_SelectorSocketTransport", "_read_ready", "socket reads"),
     ("asyncio.selector_events", "_SelectorSocketTransport", "write", "writes"),
     ("repro.harness.runner", "Feeder", "step", "feeder wakeups"),
-    ("repro.core.clock", "WallClock", "sleep", "feeder wakeups"),
     ("repro.workload.tasks", "TaskGenerator", "next_task", "task draws"),
     ("repro.loadgen.transport", "LiveTransport", "_deliver_local", "local deliveries"),
     ("repro.serve.workers", "WorkerPass", "run", "server passes"),
-    ("repro.serve.workers", "LiveWorker", "_on_timer", "worker timers"),
+    ("repro.serve.workers", "WorkerPass", "_on_timer", "worker timers"),
+    ("repro.workload.valuesize", "GeneralizedParetoValueSize", "sample", "value-size draws"),
 )  # fmt: skip
 
 
@@ -70,10 +73,12 @@ class Sampler:
             if owner is not None and hasattr(owner, name):
                 self._count(owner, name, label)
         self._count_drawing_wakeups()
+        self._count_sim_kernel()
 
     def _count(self, owner, name, label):
         inner, counts = getattr(owner, name), self.counts
 
+        @functools.wraps(inner)
         def counted(*args, **kwargs):
             counts[label] += 1
             return inner(*args, **kwargs)
@@ -96,6 +101,44 @@ class Sampler:
 
         owner.next_task = counted
 
+    def _count_sim_kernel(self):
+        """'partition hashes' (the ring's ``stable_hash``), and the sim
+        calendar's fired entries by callback, plus its end-of-instant
+        callbacks where the engine has them: the budget of one simulated
+        task, counted."""
+        self.entries = collections.Counter()
+        ring, engine = sys.modules["repro.placement.ring"], sys.modules["repro.sim.engine"]
+        inner_hash, counts = ring.stable_hash, self.counts
+
+        def counted_hash(*args, **kwargs):
+            counts["partition hashes"] += 1
+            return inner_hash(*args, **kwargs)
+
+        ring.stable_hash = counted_hash
+        inner_pop, entries, timer = engine.heappop, self.entries, engine.Timer
+
+        def counted_pop(queue):
+            item = inner_pop(queue)
+            entry = item[3]
+            if entry.__class__ is not timer:
+                first = entry.callbacks[0] if entry.callbacks else None
+                label = getattr(first, "__qualname__", "no callback")
+                entries[f"{type(entry).__name__} -> {label}"] += 1
+            elif not entry.cancelled:
+                entries[getattr(entry.fn, "__qualname__", repr(entry.fn))] += 1
+            return item
+
+        engine.heappop = counted_pop
+        env = engine.Environment
+        if hasattr(env, "at_instant_end"):
+            inner_defer = env.at_instant_end
+
+            def counted_defer(self, fn):
+                entries[f"{fn.__qualname__} (end of instant)"] += 1
+                return inner_defer(self, fn)
+
+            env.at_instant_end = counted_defer
+
     def _on_tick(self, _signum, frame):
         self.self_hits[(frame.f_code.co_filename[-28:], frame.f_code.co_name)] += 1
         stack = set()
@@ -106,6 +149,7 @@ class Sampler:
 
     def arm(self):
         self.counts.clear()
+        self.entries.clear()
         self.cpu0 = time.process_time()
         signal.signal(signal.SIGPROF, self._on_tick)
         signal.setitimer(signal.ITIMER_PROF, 0.001, 0.001)
@@ -116,6 +160,7 @@ class Sampler:
         return {
             "cpu_s": time.process_time() - self.cpu0,
             "counts": dict(self.counts),
+            "entries": self.entries.most_common(),
             "self": self.self_hits.most_common(25),
             "cumulative": self.cum_hits.most_common(25),
             "samples": sum(self.self_hits.values()),
@@ -143,6 +188,11 @@ def show(side, report, n):
             f"   task draws per feeder wakeup {counts['task draws'] / counts['feeder wakeups']:.2f}"
             f", per drawing wakeup {counts['task draws'] / counts['drawing wakeups']:.2f}"
         )
+    if report["entries"]:
+        fired = sum(v for k, v in report["entries"] if not k.endswith("(end of instant)"))
+        print(f"-- calendar entries fired per multiget: {fired / n:.2f}, by callback")
+        for name, hits in report["entries"]:
+            print(f"{hits / n:6.2f}  {name}")
     for title in ("self", "cumulative"):
         print(f"-- {title}")
         for (path, name), hits in report[title]:

@@ -79,6 +79,7 @@ class CubicRateLimiter:
         self.rate = float(initial_rate)
         self.min_rate = min(MIN_RATE, self.rate)
         self.rate_max = float(initial_rate)
+        self._k = self._plateau_offset()
         self._epoch_start = env.now
         self._last_reaction = -float("inf")
         self._tokens = BURST
@@ -97,15 +98,19 @@ class CubicRateLimiter:
             return
         self._last_reaction = self.env.now
         self.rate_max = self.rate
+        self._k = self._plateau_offset()
         self.rate = max(self.min_rate, self.rate * (1.0 - DEFAULT_BETA))
         self._epoch_start = self.env.now
         self.congestion_events += 1
 
+    def _plateau_offset(self) -> float:
+        """CUBIC's ``K``: when the curve regains the plateau ``R_max``."""
+        return ((self.rate_max * DEFAULT_BETA) / DEFAULT_GAMMA) ** (1.0 / 3.0)
+
     def on_ack(self) -> None:
         """Cubic growth toward (and past) the previous plateau."""
         t = self.env.now - self._epoch_start
-        k = ((self.rate_max * DEFAULT_BETA) / DEFAULT_GAMMA) ** (1.0 / 3.0)
-        target = DEFAULT_GAMMA * (t - k) ** 3 + self.rate_max
+        target = DEFAULT_GAMMA * (t - self._k) ** 3 + self.rate_max
         self.rate = min(MAX_RATE, max(self.min_rate, target))
 
     # -- token bucket ------------------------------------------------------------
@@ -211,8 +216,19 @@ class C3Selector(ReplicaSelector):
     def choose(self, replicas: _t.Sequence[int], request: RequestMessage) -> int:
         best: _t.List[int] = []
         best_score = math.inf
+        states = self._states
+        weight = self.concurrency_weight
         for server in replicas:
-            score = self.score(server)
+            # :meth:`score`, inlined: it runs for every replica of every op.
+            s = states.get(server)
+            if s is None:
+                s = self.state_of(server)
+            mu_inv = s.service_time.value
+            if mu_inv <= 0:
+                score = -math.inf
+            else:
+                q_hat = 1.0 + s.outstanding * weight + s.queue_size.value
+                score = s.response_time.value - mu_inv + (q_hat**3) * mu_inv
             if score < best_score:
                 best_score = score
                 best = [server]
@@ -241,17 +257,18 @@ class C3Selector(ReplicaSelector):
         state.outstanding -= 1
         now = self.env.now
         state.recv_rate.record(now)
-        state.response_time.update(now, now - request.dispatched_at)
-        state.queue_size.update(
-            now, feedback.queue_length + feedback.in_service
+        # The two EWMAs are only ever updated here, together: one weight.
+        alpha = state.response_time.weight(now)
+        state.response_time.fold(now, now - request.dispatched_at, alpha)
+        state.queue_size.fold(
+            now, feedback.queue_length + feedback.in_service, alpha
         )
         if feedback.ewma_service_time > 0:
             state.service_time.update(now, feedback.ewma_service_time)
         if self.rate_control:
-            send_samples = state.send_rate.count(now)
-            recv_samples = state.recv_rate.count(now)
-            send = state.send_rate.rate(now)
-            recv = state.recv_rate.rate(now)
+            send_rate, recv_rate = state.send_rate, state.recv_rate
+            send_samples = send_rate.count(now)
+            recv_samples = recv_rate.count(now)
             # Both windows must be populated before the comparison means
             # anything: while responses are still in flight (ramp-up) the
             # receive rate trivially lags the send rate and reacting to
@@ -259,7 +276,8 @@ class C3Selector(ReplicaSelector):
             if (
                 send_samples >= MIN_WINDOW_SAMPLES
                 and recv_samples >= MIN_WINDOW_SAMPLES
-                and send > recv * CONGESTION_RATIO
+                and send_rate.rate_of(send_samples, now)
+                > recv_rate.rate_of(recv_samples, now) * CONGESTION_RATIO
             ):
                 state.limiter.on_congestion()
             else:

@@ -33,7 +33,6 @@ from itertools import count
 
 from ..metrics.timeseries import EwmaEstimator, WindowedRate
 from ..sim.engine import Environment
-from ..sim.events import LOW
 from ..workload.calibration import ServiceTimeModel
 from .addresses import CONTROLLER_ADDRESS, client_address, server_address
 from .messages import (
@@ -249,7 +248,8 @@ class BackendServer(_ServerBase):
 
     Requests arrive via the network into a heap ordered by their priority
     tuple (FIFO within a tuple); an end-of-instant *admit* moves them
-    onto free cores.  The admit runs at ``LOW`` priority, after every
+    onto free cores.  The admit runs at the end of the instant
+    (:meth:`~repro.sim.engine.Environment.at_instant_end`), after every
     arrival of its timestamp, so a batch of same-instant arrivals -- one
     task's requests over a constant-latency network -- is ordered *before*
     an idle core takes the first one.  This mirrors how a real server
@@ -275,7 +275,7 @@ class BackendServer(_ServerBase):
         #: Queued requests: (priority tuple, arrival seq, request).
         self._heap: _t.List[_t.Tuple[_t.Any, int, RequestMessage]] = []
         self._seq = count()
-        #: An admit is already on the calendar for the current instant.
+        #: An admit is already armed for the end of the current instant.
         self._admit_pending = False
         self.congestion_interval = congestion_interval
         self.congestion_signals_sent = 0
@@ -303,9 +303,9 @@ class BackendServer(_ServerBase):
         """Schedule one :meth:`_admit` for the end of the current instant."""
         if not self._admit_pending:
             self._admit_pending = True
-            self.env.call_later(0.0, self._admit, None, LOW)
+            self.env.at_instant_end(self._admit)
 
-    def _admit(self, _arg: None) -> None:
+    def _admit(self) -> None:
         """Move queued requests onto free cores, smallest key first."""
         self._admit_pending = False
         if self._pause_depth:

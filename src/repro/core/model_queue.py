@@ -15,9 +15,10 @@ The queue is kept as one heap per partition.  "Smallest request a server
 replicates" is then the smallest of a few heap tops, and a server's
 eligible backlog is a sum of heap lengths -- neither walks the global
 backlog, which under a skewed workload is deep exactly where it is not
-eligible.  Matching happens in one end-of-instant flush (``LOW``
-priority, after every arrival and completion of its timestamp) that
-walks the idle cores in the order they went idle.
+eligible.  Matching happens in one end-of-instant flush (after every arrival and
+completion of its timestamp, see
+:meth:`~repro.sim.engine.Environment.at_instant_end`) that walks the idle
+cores in the order they went idle.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from itertools import count
 from ..cluster.messages import RequestMessage
 from ..cluster.network import LatencyModel
 from ..sim.engine import Environment
-from ..sim.events import LOW
 from ..sim.rng import Stream
 
 if _t.TYPE_CHECKING:  # pragma: no cover
@@ -100,9 +100,9 @@ class GlobalQueue:
         """Schedule one :meth:`_flush` for the end of the current instant."""
         if not self._flush_pending:
             self._flush_pending = True
-            self.env.call_later(0.0, self._flush, None, LOW)
+            self.env.at_instant_end(self._flush)
 
-    def _flush(self, _arg: None) -> None:
+    def _flush(self) -> None:
         """Hand each idle core the smallest request its server replicates.
 
         Cores are matched in went-idle order; one that finds nothing (or

@@ -13,10 +13,14 @@ config; worker processes re-resolve it through the builder table on
 import, so nothing unpicklable (builders, environments, RNG streams)
 ever crosses the process boundary.
 
-Determinism argument (also in DESIGN.md): a run never reads global
-mutable state -- all randomness flows from ``StreamFactory(seed)`` keyed
-by stream *names*, and all time is virtual -- so executing cells
-concurrently cannot change any cell's result, and because one function
+Determinism argument (also in DESIGN.md): a run reads no global mutable
+state but the process-wide memos of pure functions (the keyspace
+permutation, the Zipf constants, the value-size mean, the key ->
+partition memos, the value-size tables), whose entries are the same
+whichever run fills them -- all randomness flows from
+``StreamFactory(seed)`` keyed by stream *names*, and all time is virtual
+-- so executing cells concurrently or in any order cannot change any
+cell's result, and because one function
 enumerates and regroups the grid for every worker count, aggregate
 structures (``ComparisonResult``, ``SweepResult``) cannot depend on it.
 """

@@ -67,7 +67,10 @@ class WindowedRate:
     def rate(self, now: float) -> float:
         """Events per unit time over ``[now - window, now]``; before a full
         window has passed since the first event, over the elapsed time."""
-        count = self.count(now)
+        return self.rate_of(self.count(now), now)
+
+    def rate_of(self, count: int, now: float) -> float:
+        """:meth:`rate` from the ``count(now)`` a caller already holds."""
         if self._first_time is None:
             return 0.0
         elapsed = max(now - self._first_time, EPSILON_ELAPSED)
@@ -103,7 +106,10 @@ class EwmaEstimator:
         self._last_time: _t.Optional[float] = None
 
     def update(self, time: float, sample: float) -> float:
-        """Fold in ``sample`` observed at ``time``; returns the new value."""
+        """Fold in ``sample`` observed at ``time``; returns the new value.
+
+        :meth:`weight` then :meth:`fold`, written out in one frame: every
+        server of both realms calls this once per completed request."""
         if self._last_time is None:
             self.value = float(sample)
         else:
@@ -111,6 +117,27 @@ class EwmaEstimator:
             if dt < 0:
                 raise ValueError("time went backwards")
             alpha = 1.0 - math.exp(-dt / self.time_constant)
+            self.value += alpha * (sample - self.value)
+        self._last_time = time
+        return self.value
+
+    def weight(self, time: float) -> _t.Optional[float]:
+        """The weight a sample observed at ``time`` gets (``None`` for the
+        first sample, which replaces the initial value).  Estimators with
+        one time constant, always updated at the same instants, can share
+        one weight: one ``exp`` instead of one each."""
+        if self._last_time is None:
+            return None
+        dt = time - self._last_time
+        if dt < 0:
+            raise ValueError("time went backwards")
+        return 1.0 - math.exp(-dt / self.time_constant)
+
+    def fold(self, time: float, sample: float, alpha: _t.Optional[float]) -> float:
+        """Fold in ``sample`` at ``time`` with the :meth:`weight` ``alpha``."""
+        if alpha is None:
+            self.value = float(sample)
+        else:
             self.value += alpha * (sample - self.value)
         self._last_time = time
         return self.value

@@ -30,6 +30,7 @@ never Python's randomized ``hash``).
 from __future__ import annotations
 
 import bisect
+import functools
 import hashlib
 import typing as _t
 
@@ -170,14 +171,6 @@ class ExplicitPlacement(Placement):
         )
 
 
-#: Distinct keys a ring remembers the partition of: what an 8,192-slot
-#: ``dict`` holds before it doubles (0.15 MB, as much again for the keys).
-#: Under a skewed popularity the first keys seen are the hot ones, so this
-#: keeps most of an unbounded memo's hits (50% of lookups against 73% on
-#: the steady-state trace) -- and a finished run's ring lives until the
-#: cycle collector finds the clients that point at it, so several of these
-#: are alive at a peak.
-MEMO_KEYS = 5_461
 #: Salt of :class:`RingPlacement`'s key -> partition hash.
 RING_SALT = "ring"
 #: Salt of :class:`ConsistentHashRing`'s ring points (its keys hash with
@@ -188,8 +181,8 @@ VNODES = 16
 
 
 class _KeyPartitions(dict):
-    """key -> partition, hashed on the first access and kept (for the first
-    ``MEMO_KEYS`` distinct keys): a known key costs one ``dict`` subscript."""
+    """key -> partition for one ``(salt, n_partitions)``, hashed on the first
+    access and kept: a known key costs one ``dict`` subscript."""
 
     __slots__ = ("salt", "n_partitions")
 
@@ -199,10 +192,19 @@ class _KeyPartitions(dict):
         self.n_partitions = n_partitions
 
     def __missing__(self, key: int) -> int:
-        partition = stable_hash(key, self.salt) % self.n_partitions
-        if len(self) < MEMO_KEYS:
-            self[key] = partition
+        partition = self[key] = stable_hash(key, self.salt) % self.n_partitions
         return partition
+
+
+@functools.lru_cache(maxsize=None)
+def _partition_memo(salt: str, n_partitions: int) -> _KeyPartitions:
+    """The process's key -> partition memo for one ``(salt, n_partitions)``.
+    A partition is a pure function of that pair and the key, so every ring,
+    every :class:`~repro.placement.rebalance.MutablePlacement` swap and
+    every run of the process shares one memo without any of them able to
+    tell; the keyspace bounds it (46,696 distinct keys on a 20k-task
+    steady-state trace, ``docs/performance.md`` Stage J)."""
+    return _KeyPartitions(salt, n_partitions)
 
 
 class _HashedPlacement(Placement):
@@ -210,8 +212,8 @@ class _HashedPlacement(Placement):
 
     Keys hash to partitions independently of membership, so the key ->
     partition memo is never invalidated (a membership change builds a
-    *new* ring, :meth:`without_servers`); replica groups are precomputed
-    because the object is immutable.
+    *new* ring, :meth:`without_servers`, over the same process-wide memo);
+    replica groups are precomputed because the object is immutable.
     """
 
     #: Replica group per partition, filled by the subclass constructor.
@@ -241,14 +243,11 @@ class _HashedPlacement(Placement):
             )
         self.replication_factor = int(replication_factor)
         self.n_partitions = int(n_partitions)
-        self._partitions = _KeyPartitions(key_salt, self.n_partitions)
+        #: The shared memo's subscript *is* the lookup: no method frame.
+        self.partition_of = _partition_memo(key_salt, self.n_partitions).__getitem__
 
     def _compute_replicas(self, partition: int) -> _t.Tuple[int, ...]:
         raise NotImplementedError  # pragma: no cover - abstract
-
-    def partition_of(self, key: int) -> int:
-        """Hash the key onto a partition (membership-independent, memoised)."""
-        return self._partitions[key]
 
     def replicas_of(self, partition: int) -> _t.Tuple[int, ...]:
         """The precomputed replica group of one partition."""

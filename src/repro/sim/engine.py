@@ -31,6 +31,13 @@ counter, so converting a call site from a Timeout-plus-callback to a
 Timer preserves byte-identical execution order (the engine differential
 tests in ``tests/sim/`` pin this).
 
+End-of-instant work (a server's admit, the model queue's flush) is not a
+calendar entry: :meth:`Environment.at_instant_end` appends a callback to
+a FIFO that runs, one callback at a time, whenever no calendar entry of
+the current instant is left -- exactly where an entry scheduled at
+``now`` with a priority below every other one would fire, without the
+entry.  These callbacks do not count toward ``events_processed``.
+
 The ``run()`` loop is deliberately inlined (no per-event ``step()`` call,
 hot attributes bound to locals): the kernel is the multiplier under every
 benchmark in this repository, and the inlining is worth ~15% events/sec
@@ -42,6 +49,7 @@ sync with the inlined loop.
 from __future__ import annotations
 
 import typing as _t
+from collections import deque
 from heapq import heappop, heappush
 from itertools import count
 
@@ -151,8 +159,11 @@ class Environment:
         #: Flat calendar: (time, priority, sequence, Event | Timer).
         self._queue: _t.List[_t.Tuple[float, int, int, _t.Any]] = []
         self._eid = count()
+        #: End-of-instant callbacks, in arming order (:meth:`at_instant_end`).
+        self._deferred: _t.Deque[_t.Callable[[], None]] = deque()
         #: Total number of entries fired so far (for micro-benchmarks).
-        #: Cancelled timers are skipped, not fired, and do not count.
+        #: Cancelled timers are skipped, not fired, and do not count; nor
+        #: do end-of-instant callbacks, which are not entries.
         self.events_processed = 0
 
     # -- clock -------------------------------------------------------------
@@ -243,29 +254,50 @@ class Environment:
         heappush(self._queue, (at, priority, next(self._eid), timer))
         return timer
 
+    def at_instant_end(self, fn: _t.Callable[[], None]) -> None:
+        """Call ``fn()`` once no calendar entry of the current instant is
+        left, after the end-of-instant callbacks armed before it.
+
+        A callback that schedules an entry at ``now`` sees that entry fire
+        before the next end-of-instant callback runs.  Nothing withdraws
+        an armed callback but :meth:`cancel_all`.
+        """
+        self._deferred.append(fn)
+
     def cancel_all(self) -> None:
-        """Cancel every pending timer and empty the calendar (run teardown)."""
+        """Cancel every pending timer and empty the calendar and the
+        end-of-instant callbacks (run teardown)."""
         for _, _, _, entry in self._queue:
             if entry.__class__ is Timer:
                 entry.cancel()
         self._queue.clear()
+        self._deferred.clear()
 
     def peek(self) -> float:
-        """Time of the next calendar entry (``inf`` if the calendar is empty).
+        """Time of the next calendar entry (``inf`` if the calendar is
+        empty), or ``now`` while end-of-instant callbacks are armed.
 
         Lazily cancelled timers still occupy their slot until popped, so
         ``peek`` may report the time of an entry that will be discarded.
         """
+        if self._deferred:
+            return self._now
         return self._queue[0][0] if self._queue else Infinity
 
     def step(self) -> None:
-        """Process the next calendar entry, advancing the clock.
+        """Process the next calendar entry, advancing the clock -- or, when
+        no entry of the current instant is left, the next end-of-instant
+        callback.
 
         Single-step API; :meth:`run` inlines the same logic -- keep the
         two in sync when touching the dispatch semantics.
         """
         queue = self._queue
+        deferred = self._deferred
         while True:
+            if deferred and (not queue or queue[0][0] != self._now):
+                deferred.popleft()()
+                return
             try:
                 now, _, _, entry = heappop(queue)
             except IndexError:
@@ -321,10 +353,14 @@ class Environment:
         # bumped on the instance per entry -- callbacks may legitimately
         # read env.events_processed mid-run, so it cannot lag in a local.
         queue = self._queue
+        deferred = self._deferred
         pop = heappop
         timer_class = Timer
         try:
             while True:
+                if deferred and (not queue or queue[0][0] != self._now):
+                    deferred.popleft()()
+                    continue
                 try:
                     now, _, _, entry = pop(queue)
                 except IndexError:
@@ -361,4 +397,7 @@ class Environment:
             return None
 
     def __repr__(self) -> str:
-        return f"<Environment now={self._now!r} pending={len(self._queue)}>"
+        return (
+            f"<Environment now={self._now!r} pending={len(self._queue)}"
+            f" deferred={len(self._deferred)}>"
+        )

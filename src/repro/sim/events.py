@@ -38,10 +38,6 @@ URGENT = 0
 #: Default scheduling priority.
 NORMAL = 1
 
-#: Scheduling priority for deferred work that must run after every NORMAL
-#: event of the same timestamp (e.g. a server's end-of-instant admit).
-LOW = 2
-
 
 class SimulationError(Exception):
     """Base class for errors raised by the simulation kernel itself."""

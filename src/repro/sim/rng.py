@@ -30,7 +30,7 @@ def derive_seed(root_seed: int, name: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-#: Memoized rejection-inversion constants for :meth:`Stream.zipf`, keyed by
+#: Memoized rejection-inversion constants for :meth:`Stream.zipf_block`, keyed by
 #: ``(n, skew)``.  The constants are pure functions of the key, so sharing
 #: them across streams and runs cannot perturb any draw.
 _ZIPF_CONSTANTS: _t.Dict[_t.Tuple[int, float], _t.Tuple[float, float, float, float]] = {}
@@ -56,11 +56,18 @@ class Stream(random.Random):
         return self.expovariate(1.0 / mean)
 
     def zipf(self, n: int, skew: float) -> int:
-        """Draw a rank in ``[0, n)`` from a Zipf(skew) distribution.
+        """Draw a rank in ``[0, n)`` from a Zipf(skew) distribution: a
+        one-draw :meth:`zipf_block`."""
+        return self.zipf_block(n, skew, 1)[0]
 
-        Implemented by inverse-CDF over precomputed weights would be costly
-        per call; instead uses the rejection-inversion method of Hormann &
-        Derflinger, which is O(1) per draw for skew > 0.
+    def zipf_block(self, n: int, skew: float, count: int) -> _t.List[int]:
+        """Draw ``count`` Zipf(skew) ranks in ``[0, n)``, in one loop.
+
+        Inverse-CDF over precomputed weights would be costly per draw;
+        instead this is the rejection-inversion method of Hormann &
+        Derflinger, which is O(1) per draw for skew > 0.  The block is
+        exactly ``count`` sequential :meth:`zipf` calls (there is one copy
+        of the algorithm), without a call per draw.
 
         The method's per-``(n, skew)`` constants are memoized in
         ``_ZIPF_CONSTANTS`` (the original closure-based formulation
@@ -73,7 +80,7 @@ class Stream(random.Random):
         if skew <= 0:
             raise ValueError("skew must be positive")
         if n == 1:
-            return 0
+            return [0] * count
         if skew == 1.0:
             skew = 1.0000001  # avoid the harmonic special case below
 
@@ -91,15 +98,23 @@ class Stream(random.Random):
         draw = self.random
         exp = math.exp
         log = math.log
-        while True:
-            u = h_n + draw() * (h_x1 - h_n)
-            x = exp(log(one_minus * u) / one_minus)
-            k = int(x + 0.5)
-            k = max(1, min(n, k))
-            if k - x <= threshold or u >= exp(
-                one_minus * log(k + 0.5)
-            ) / one_minus - exp(-skew * log(k)):
-                return k - 1
+        ranks: _t.List[int] = []
+        append = ranks.append
+        for _ in range(count):
+            while True:
+                u = h_n + draw() * (h_x1 - h_n)
+                x = exp(log(one_minus * u) / one_minus)
+                k = int(x + 0.5)
+                if k < 1:
+                    k = 1
+                elif k > n:
+                    k = n
+                if k - x <= threshold or u >= exp(
+                    one_minus * log(k + 0.5)
+                ) / one_minus - exp(-skew * log(k)):
+                    append(k - 1)
+                    break
+        return ranks
 
     def lognormal_mean(self, mean: float, sigma: float) -> float:
         """Draw log-normal with the given *arithmetic* mean and log-sigma."""

@@ -112,6 +112,14 @@ class ZipfPopularity(PopularityModel):
         rank = stream.zipf(self.n_keys, self.skew)
         return self._perm[rank]
 
+    def sample_block(self, stream: Stream, n: int) -> _t.List[int]:
+        """``n`` keys from one :meth:`~repro.sim.rng.Stream.zipf_block`:
+        the same ranks ``n`` :meth:`sample_key` calls draw."""
+        if n < 0:
+            raise ValueError("n must be non-negative")
+        perm = self._perm
+        return [perm[rank] for rank in stream.zipf_block(self.n_keys, self.skew, n)]
+
     def __repr__(self) -> str:
         return f"ZipfPopularity(n_keys={self.n_keys}, skew={self.skew})"
 

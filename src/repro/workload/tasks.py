@@ -9,7 +9,9 @@ where BRB's priority assignment happens.
 from __future__ import annotations
 
 import _random
+import functools
 import typing as _t
+from array import array
 
 from .._compat import slots_dataclass
 from ..sim.rng import Stream
@@ -78,7 +80,26 @@ class Task:
         return [op.key for op in self.operations]
 
 
-class ValueSizeRegistry(dict):
+#: Keys below this get a slot in a process-wide size table (4 bytes each,
+#: allocated as far as the largest key drawn so far); a key above it --
+#: no configured keyspace comes near -- is drawn on every access.
+TABLE_KEYS = 1 << 22
+
+
+@functools.lru_cache(maxsize=8)
+def _size_table(distribution: _t.Hashable, seed: int) -> "array[int]":
+    """The process's sizes for one ``(distribution, seed)``: slot ``key``
+    holds that key's size once some registry has drawn it, 0 before
+    (sizes are >= 1).  A size is a pure function of the pair and the key,
+    so every registry of the pair -- figure 2's strategies at one seed,
+    a sweep's values, the benchmark's repeats -- reads the others' draws
+    without being able to tell.  Eight tables let figure 2 at paper scale
+    (six seeds, config-major) share each seed's table across its five
+    strategies; an evicted table lives on in the registries that hold it."""
+    return array("i")
+
+
+class ValueSizeRegistry:
     """Consistent key -> value size mapping.
 
     A key's value size is drawn once (from the configured distribution,
@@ -87,25 +108,39 @@ class ValueSizeRegistry(dict):
     consistency is what lets clients *forecast* service times from value
     sizes, the information BRB's cost model relies on.
 
-    The mapping itself is the memo: ``registry[key]`` draws on first access.
-    A first access reseeds one scratch stream with the key's own seed
-    through the C ``seed`` that ``Random.seed`` calls for an int once its
-    type checks pass (and clears ``gauss_next``, as it does): the state a
-    ``Stream`` built for that key starts from, without one generator per
-    distinct key or the Python wrapper per draw.
+    ``registry[key]`` reads the process's table for ``(distribution,
+    seed)`` (:func:`_size_table`) and draws only a key no registry of the
+    process has drawn yet.  The draw reseeds one scratch stream with the
+    key's own seed through the C ``seed`` that ``Random.seed`` calls for
+    an int once its type checks pass (and clears ``gauss_next``, as it
+    does): the state a ``Stream`` built for that key starts from, without
+    one generator per distinct key or the Python wrapper per draw.
     """
 
     def __init__(self, distribution: GeneralizedParetoValueSize, seed: int) -> None:
-        super().__init__()
         self.distribution = distribution
         self.seed = int(seed)
         self._key_stream = Stream(0, "value")
+        self._table = _size_table(distribution, self.seed)
 
-    def __missing__(self, key: int) -> int:
+    def __getitem__(self, key: int) -> int:
+        table = self._table
+        if 0 <= key < len(table):
+            size = table[key]
+            if size:
+                return size
+        return self._draw(key)
+
+    def _draw(self, key: int) -> int:
         stream = self._key_stream
         _random.Random.seed(stream, self.seed ^ (key * 0x9E3779B97F4A7C15 % (1 << 61)))
         stream.gauss_next = None
-        size = self[key] = self.distribution.sample(stream)
+        size = self.distribution.sample(stream)
+        if 0 <= key < TABLE_KEYS:
+            table = self._table
+            if key >= len(table):
+                table.frombytes(bytes(table.itemsize * (key + 1 - len(table))))
+            table[key] = size
         return size
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import typing as _t
 
 from ..sim.rng import Stream
 
@@ -81,6 +82,19 @@ class GeneralizedParetoValueSize:
         u = self._f_lo + stream.random() * (self._f_hi - self._f_lo)
         x = self._raw_sample(u)
         return max(self.min_size, min(self.max_size, int(round(x))))
+
+    def _params(self) -> _t.Tuple[float, float, float, int, int]:
+        return (self.location, self.scale, self.shape, self.min_size, self.max_size)
+
+    # A value: equal parameters draw equal sizes, so they may share one
+    # process-wide size table (``repro.workload.tasks``).
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GeneralizedParetoValueSize):
+            return NotImplemented
+        return self._params() == other._params()
+
+    def __hash__(self) -> int:
+        return hash(self._params())
 
     def mean(self) -> float:
         """Mean of the truncated distribution (numeric; computed once per

@@ -84,6 +84,25 @@ class TestScoring:
             sel.on_assign(req(server=0))
         assert sel.choose((0, 1), req()) == 1
 
+    def test_choose_picks_a_smallest_score(self):
+        """``choose`` ranks with an inlined copy of :meth:`score`: over
+        random feedback, its pick always has the replica set's least score."""
+        env, sel = make_selector()
+        draw = Stream(9)
+        for step in range(300):
+            server = draw.randrange(6)
+            r = req(server=server, op_id=step)
+            sel.on_assign(r)
+            if draw.random() < 0.7:
+                env.run(until=env.now + (0.01 + draw.random()) * 1e-3)
+                service_time = draw.random() * 1e-3
+                sel.on_response(
+                    resp(r, queue_length=draw.randrange(30), service_time=service_time)
+                )
+            replicas = draw.sample(range(6), 3)
+            pick = sel.choose(replicas, req())
+            assert sel.score(pick) == min(sel.score(s) for s in replicas)
+
     def test_outstanding_underflow_detected(self):
         _, sel = make_selector()
         with pytest.raises(RuntimeError):

@@ -16,7 +16,6 @@ from repro.cluster.messages import CongestionSignal
 from repro.cluster.network import ConstantLatency
 from repro.core.model_queue import GlobalQueue
 from repro.sim import Environment, Stream, StreamFactory
-from repro.sim.events import LOW
 from repro.workload import ServiceTimeModel
 from repro.workload.tasks import Operation
 
@@ -172,8 +171,14 @@ class TestAdmitEngine:
         for _ in priorities:
             h.env.step()  # the arrivals; the server was idle throughout
         assert h.server.in_service == 0 and h.server.queue_length() == 5
-        # One admit on the calendar for the whole instant, after every arrival.
-        assert [entry[1] for entry in h.env._queue] == [LOW]
+        # One admit for the whole instant, after every arrival: the next
+        # step stays at this instant and starts the smallest key only.
+        now = h.env.now
+        assert h.env.peek() == now
+        h.env.step()
+        assert h.env.now == now
+        assert h.server.in_service == 1 and h.server.queue_length() == 4
+        assert h.env.peek() > now
         h.env.run()
         assert [r.request.op.op_id for r in h.responses] == [1, 3, 4, 2, 0]
 
@@ -181,10 +186,16 @@ class TestAdmitEngine:
         h = Harness()
         h.push(make_request(op_id=0))
         h.push(make_request(op_id=1))
+        admits = []
+        admit = h.server._admit
+        h.server._admit = lambda: (admits.append(h.env.now), admit())
         h.env.run()
-        # 2 arrivals + 2 admits + 2 completions + 2 response deliveries: the
-        # completion that leaves the queue empty arms nothing.
-        assert h.env.events_processed == 8
+        # One admit at the arrival instant, one when the first completion
+        # frees the core; the completion that leaves the queue empty arms
+        # nothing.  The calendar fired 2 arrivals + 2 completions + 2
+        # response deliveries: the admits are not calendar entries.
+        assert admits == [0.0, 1.0]
+        assert h.env.events_processed == 6
 
     def test_requests_start_in_pop_order_and_take_their_forecast(self):
         model = ServiceTimeModel(overhead=1e-4, bandwidth=1.0)

@@ -97,12 +97,18 @@ class TestGlobalQueue:
 
     def test_same_instant_arrivals_share_one_flush(self):
         rig = Rig((0,))
+        flushes = []
+        flush = rig.gq._flush
+        rig.gq._flush = lambda: (flushes.append(rig.env.now), flush())
         for i in range(4):
             rig.gq.submit(req(op_id=i))
         for _ in range(4):
             rig.env.step()  # the four arrivals
-        assert len(rig.gq) == 4
-        assert len(rig.env._queue) == 1  # one end-of-instant flush
+        assert len(rig.gq) == 4 and flushes == []
+        assert rig.env.peek() == rig.env.now  # the flush, armed once
+        rig.env.step()
+        assert flushes == [0.0] and len(rig.gq) == 3
+        assert rig.env.peek() > rig.env.now
 
 
 class TestIdleCoreMatching:

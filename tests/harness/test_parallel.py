@@ -1,11 +1,15 @@
 """Unit tests for the run grid: cell order, worker counts and the pool."""
 
 import concurrent.futures
+import json
 import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.cli import _jobs_from, build_parser
 from repro.harness import ExperimentConfig
 from repro.harness import parallel
@@ -117,6 +121,38 @@ class TestExecutors:
             assert pooled.task_latencies.values() == direct.task_latencies.values()
             assert pooled.events_processed == direct.events_processed
             assert pooled.extras == direct.extras
+
+
+def _figure2_runs():
+    """Figure 2's five strategies (both push servers and the pull model) at
+    two seeds: every run's ``to_dict()``, as canonical JSON."""
+    from repro.harness.figures import figure2
+
+    comparison = figure2(n_tasks=300, seeds=(1, 2))
+    return json.dumps(
+        {
+            name: [run.to_dict() for run in result.runs]
+            for name, result in comparison.strategies.items()
+        },
+        sort_keys=True,
+    )
+
+
+def test_grid_in_a_warm_process_matches_a_fresh_process():
+    """The process-wide memos (key partitions, value sizes) cannot change a
+    result: a grid run twice here equals the same grid in a new process."""
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(
+            [os.path.dirname(os.path.dirname(repro.__file__)), os.path.dirname(__file__)]
+        ),
+    )
+    fresh = subprocess.run(
+        [sys.executable, "-c", "import test_parallel as t; print(t._figure2_runs())"],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    ).stdout.strip()  # fmt: skip
+    assert _figure2_runs() == fresh
+    assert _figure2_runs() == fresh
 
 
 class TestGridHelpers:

@@ -215,19 +215,24 @@ key_sequences = st.lists(
 )
 
 
+def _hashed(kind, key, n_partitions):
+    """A key's partition from a fresh hash, bypassing every memo."""
+    salt = ring_module.RING_SALT if kind == "ring" else ring_module.CHASH_SALT + ":key"
+    return ring_module.stable_hash(key, salt) % n_partitions
+
+
 @settings(max_examples=40, deadline=None)
 @given(ring_params, st.sampled_from(["ring", "chash"]), key_sequences)
-def test_warm_memo_answers_like_a_fresh_ring(params, kind, keys):
-    """A key's partition is hashed once and remembered: whatever was asked
-    before (repeats included), every lookup equals a cold ring's."""
+def test_warm_memo_answers_like_a_fresh_hash(params, kind, keys):
+    """A key's partition is hashed once per process and remembered: whatever
+    any ring asked before (repeats included), every lookup equals a fresh
+    ``stable_hash``."""
     n_servers, rf, n_partitions = _clamp(params)
     warm = _build(kind, n_servers, rf, n_partitions)
     for key in keys:
-        fresh = _build(kind, n_servers, rf, n_partitions)
-        partition = fresh.partition_of(key)
+        partition = _hashed(kind, key, warm.n_partitions)
         assert warm.partition_of(key) == partition
-        assert warm.replicas_of(partition) == fresh.replicas_of(partition)
-        assert warm.replicas_of_key(key) == fresh.replicas_of_key(key)
+        assert warm.replicas_of_key(key) == warm.replicas_of(partition)
 
 
 @settings(max_examples=30, deadline=None)
@@ -269,15 +274,25 @@ def test_membership_changes_bypass_the_partition_memo(kind, gone, extra, keys):
 
 
 @pytest.mark.parametrize("kind", ["ring", "chash"])
-def test_partition_memo_is_bounded_and_right_beyond_the_bound(kind, monkeypatch):
-    """Only the first ``MEMO_KEYS`` distinct keys are remembered; a key seen
-    later is hashed every time and gets the same answer."""
-    from repro.placement import ring as ring_module
-
-    monkeypatch.setattr(ring_module, "MEMO_KEYS", 8)
-    warm = _build(kind, 9, 3, 32)
-    keys = list(range(100, 140))
-    for _ in range(2):
+def test_partition_memo_is_shared_per_salt_and_partition_count(kind):
+    """Every ring of one ``(salt, n_partitions)`` -- rebuilt, swapped by a
+    membership change or wrapped -- reads one memo; another pair never
+    reads its entries, so each answers its own hash."""
+    keys = range(100, 140)
+    for n_partitions in (31, 32, 64, 32):
+        ring = _build(kind, 9, 3, n_partitions)
         for key in keys:
-            assert warm.partition_of(key) == _build(kind, 9, 3, 32).partition_of(key)
-    assert len(warm._partitions) == 8
+            assert ring.partition_of(key) == _hashed(kind, key, n_partitions)
+    other = "chash" if kind == "ring" else "ring"
+    for key in keys:
+        assert _build(other, 9, 3, 32).partition_of(key) == _hashed(other, key, 32)
+
+    def memo(placement):
+        return placement.partition_of.__self__
+
+    ring = _build(kind, 9, 3, 32)
+    assert memo(ring) is memo(_build(kind, 5, 2, 32))
+    assert memo(ring) is memo(ring.without_servers([0]))
+    assert memo(ring) is memo(MutablePlacement(ring))
+    assert memo(ring) is not memo(_build(kind, 9, 3, 64))
+    assert memo(ring) is not memo(_build(other, 9, 3, 32))

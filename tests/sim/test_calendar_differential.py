@@ -12,14 +12,22 @@ that the observable contract did not move:
 * cancelled timers are invisible: they neither fire, nor count toward
   ``events_processed``, nor shift any other entry's position;
 * converting a Timeout-plus-callback call site to ``call_later`` (the
-  network/flush fast path migration) preserves interleaving exactly.
+  network/flush fast path migration) preserves interleaving exactly;
+* an end-of-instant callback (``at_instant_end``) fires exactly where a
+  ``call_later(0, ..., LOW)`` entry would, under ``run()``, ``step()``,
+  ``peek()``, ``cancel_all()`` and ``run(until=t)``.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim import Environment
-from repro.sim.engine import Timer
-from repro.sim.events import Event, LOW, NORMAL, URGENT
+from repro.sim.engine import EmptySchedule, Timer
+from repro.sim.events import Event, NORMAL, URGENT
+
+#: A priority after NORMAL: the calendar orders any int priority, and the
+#: end-of-instant callbacks are pinned against entries at this one.
+LOW = NORMAL + 1
 
 #: (delay, priority, kind) programs; few distinct delays force collisions.
 #: kind: 0 = triggered Event, 1 = Timer, 2 = Timer cancelled before run.
@@ -109,6 +117,145 @@ def test_timer_fast_path_is_order_identical_to_timeout_callbacks(program):
 
     assert fired_events == fired_timers
     assert env_a.events_processed == env_b.events_processed
+
+
+#: A callback's children, armed when it fires: ``now`` is a NORMAL entry at
+#: the same instant, ``later`` one 0.25 later, ``defer`` end-of-instant work.
+children = st.recursive(
+    st.just(()),
+    lambda inner: st.lists(
+        st.tuples(st.sampled_from(["now", "later", "defer"]), inner), max_size=3
+    ).map(tuple),
+    max_leaves=12,
+)
+#: Top-level entries: (delay, priority, children), armed before the run.
+instant_programs = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 0.5, 1.0]),
+        st.sampled_from([URGENT, NORMAL]),
+        children,
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+class _InstantProgram:
+    """One program on one environment; ``deferred`` picks how end-of-instant
+    work is armed: as the engine's callbacks, or as LOW calendar entries."""
+
+    def __init__(self, program, deferred):
+        self.env = Environment()
+        self.fired = []
+        self.deferred = deferred
+        for index, (delay, priority, kids) in enumerate(program):
+            self.env.call_later(delay, self._fire, ((index,), kids), priority)
+
+    def _fire(self, node):
+        label, kids = node
+        self.fired.append((label, self.env.now))
+        for index, (kind, grandkids) in enumerate(kids):
+            child = (label + (index,), grandkids)
+            if kind == "now":
+                self.env.call_later(0.0, self._fire, child)
+            elif kind == "later":
+                self.env.call_later(0.25, self._fire, child)
+            elif self.deferred:
+                self.env.at_instant_end(lambda child=child: self._fire(child))
+            else:
+                self.env.call_later(0.0, self._fire, child, LOW)
+
+    def step(self):
+        try:
+            self.env.step()
+        except EmptySchedule:
+            return False
+        return True
+
+
+def _pair(program):
+    return _InstantProgram(program, deferred=True), _InstantProgram(program, False)
+
+
+@given(instant_programs)
+@settings(max_examples=150, deadline=None)
+def test_end_of_instant_callbacks_fire_where_low_entries_did(program):
+    new, old = _pair(program)
+    new.env.run()
+    old.env.run()
+    assert new.fired == old.fired
+    assert new.env.now == old.env.now
+    # Only the calendar entries count: not the end-of-instant callbacks.
+    defers = sum(1 for label, _ in old.fired if _armed_by_defer(program, label))
+    assert new.env.events_processed == old.env.events_processed - defers
+
+
+def _armed_by_defer(program, label):
+    kids = program[label[0]][2]
+    kind = None
+    for index in label[1:]:
+        kind, kids = kids[index]
+    return kind == "defer"
+
+
+@given(instant_programs)
+@settings(max_examples=100, deadline=None)
+def test_step_and_peek_agree_with_low_entries(program):
+    """One step is one entry or one end-of-instant callback, and ``peek``
+    reports ``now`` while end-of-instant work is armed."""
+    new, old = _pair(program)
+    while True:
+        assert new.env.peek() == old.env.peek()
+        stepped = new.step()
+        assert stepped == old.step()
+        assert new.fired == old.fired
+        assert new.env.now == old.env.now
+        if not stepped:
+            break
+
+
+@given(instant_programs, st.sampled_from([0.5, 1.0]))
+@settings(max_examples=100, deadline=None)
+def test_run_until_stops_before_the_instants_deferred_work(program, until):
+    """``run(until=t)`` stops at ``t`` with that instant's end-of-instant
+    work still armed (a LOW entry sorts after the until-entry too); the
+    next run picks it up."""
+    new, old = _pair(program)
+    new.env.run(until=until)
+    old.env.run(until=until)
+    assert new.fired == old.fired
+    assert new.env.now == old.env.now == until
+    assert new.env.peek() == old.env.peek()
+    new.env.run()
+    old.env.run()
+    assert new.fired == old.fired
+
+
+@given(instant_programs, st.sampled_from([0.5, 1.0]))
+@settings(max_examples=60, deadline=None)
+def test_cancel_all_drops_end_of_instant_work(program, until):
+    new, old = _pair(program)
+    new.env.run(until=until)
+    old.env.run(until=until)
+    new.env.cancel_all()
+    old.env.cancel_all()
+    assert new.env.peek() == old.env.peek() == float("inf")
+    with pytest.raises(EmptySchedule):
+        new.env.step()
+    new.env.run()
+    old.env.run()
+    assert new.fired == old.fired
+
+
+def test_deferred_work_armed_at_an_instant_runs_before_the_clock_moves():
+    env = Environment()
+    order = []
+    env.call_later(1.0, lambda _a: order.append(("later", env.now)))
+    env.at_instant_end(lambda: order.append(("deferred", env.now)))
+    env.call_later(0.0, lambda _a: order.append(("now", env.now)))
+    env.run()
+    assert order == [("now", 0.0), ("deferred", 0.0), ("later", 1.0)]
+    assert env.events_processed == 2
 
 
 class TestLazyCancellation:

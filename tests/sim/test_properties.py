@@ -12,7 +12,10 @@ Invariants:
 from hypothesis import given, settings, strategies as st
 
 from repro.sim import Environment
-from repro.sim.events import Event, LOW, NORMAL, URGENT
+from repro.sim.events import Event, NORMAL, URGENT
+
+#: A priority after NORMAL: the calendar orders any int priority.
+LOW = NORMAL + 1
 
 delays = st.lists(
     st.floats(min_value=0.0, max_value=100.0, allow_nan=False), min_size=1, max_size=30

@@ -97,6 +97,18 @@ class TestHotCold:
             0.9 + 0.1 * base_share, abs=0.01
         )
 
+    @pytest.mark.parametrize(
+        "n_keys,skew", [(500, 0.9), (20_000, 1.3), (100, 1.0), (1, 0.9)]
+    )
+    def test_zipf_block_is_the_sequential_draws(self, n_keys, skew):
+        """Zipf's block is one loop over ``Stream.zipf_block``: the same keys
+        as one draw at a time, leaving the stream where they leave it."""
+        pop = ZipfPopularity(n_keys, skew)
+        stream, block_stream = Stream(12), Stream(12)
+        sequential = [pop.sample_key(stream) for _ in range(300)]
+        assert pop.sample_block(block_stream, 300) == sequential
+        assert block_stream.random() == stream.random()
+
     def test_block_draws_match_sequential_draws(self):
         """The generator buffers keys through ``sample_block``; for the
         two-branch hot model that must still be the sequential draws."""

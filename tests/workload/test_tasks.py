@@ -8,11 +8,13 @@ from repro.workload import (
     PoissonArrivals,
     Task,
     TaskGenerator,
+    GeneralizedParetoValueSize,
     ValueSizeRegistry,
     ZipfPopularity,
     atikoglu_etc,
     trace_stats,
 )
+from repro.workload.tasks import TABLE_KEYS, _size_table
 
 
 class FixedFanout:
@@ -39,6 +41,18 @@ class GaussValueSize:
 
     def sample(self, stream):
         return max(1, int(stream.gauss(1000.0, 100.0)))
+
+
+class CountingValueSize:
+    """Atikoglu sizes, counting the draws."""
+
+    def __init__(self):
+        self.inner = atikoglu_etc()
+        self.draws = 0
+
+    def sample(self, stream):
+        self.draws += 1
+        return self.inner.sample(stream)
 
 
 def make_generator(seed=1, fanout=4, n_keys=1000, n_clients=3, rate=100.0):
@@ -92,12 +106,17 @@ class TestValueSizeRegistry:
         b = ValueSizeRegistry(atikoglu_etc(), seed=2)
         assert [a[k] for k in range(50)] != [b[k] for k in range(50)]
 
-    def test_len_counts_distinct_keys(self):
-        reg = ValueSizeRegistry(atikoglu_etc(), seed=1)
-        reg[1]
-        reg[1]
-        reg[2]
-        assert len(reg) == 2
+    def test_a_key_is_drawn_once_per_process(self):
+        """Every registry of one (distribution, seed) reads one table: a
+        re-read, in this registry or another, is not another draw."""
+        distribution = CountingValueSize()
+        first = ValueSizeRegistry(distribution, seed=1)
+        second = ValueSizeRegistry(distribution, seed=1)
+        sizes = [first[1], first[1], first[2], second[2], second[1]]
+        assert distribution.draws == 2
+        assert sizes == [sizes[0], sizes[0], sizes[2], sizes[2], sizes[0]]
+        ValueSizeRegistry(distribution, seed=2)[1]
+        assert distribution.draws == 3
 
     @staticmethod
     def _fresh_draw(distribution, seed, key):
@@ -121,14 +140,48 @@ class TestValueSizeRegistry:
         assert [forward[key] for key in keys] == expected
         assert [backward[key] for key in reversed(keys)] == expected[::-1]
         assert [crowded[key] for key in keys] == expected
-        # Re-reads come from the memo, not from another draw.
+        # Re-reads give the same sizes.
         assert [forward[key] for key in keys] == expected
-        assert len(forward) == len(keys)
         # A thousand keys in a row: each one's size is its own fresh stream's.
         many = range(5_000, 6_000)
         assert [forward[key] for key in many] == [
             self._fresh_draw(distribution, 42, key) for key in many
         ]
+
+
+class TestProcessSizeTables:
+    """A key's size is drawn once per process and ``(distribution, seed)``;
+    every registry of that pair reads the same table."""
+
+    def test_shared_table_gives_every_key_its_own_fresh_draw(self):
+        distribution = atikoglu_etc()
+        keys = list(range(0, 3_000, 7)) + [2**40 + 3, TABLE_KEYS, TABLE_KEYS - 1]
+        warmer = ValueSizeRegistry(distribution, seed=77)
+        for key in reversed(keys[::2]):  # half the keys, in another order
+            warmer[key]
+        reader = ValueSizeRegistry(atikoglu_etc(), seed=77)
+        assert [reader[key] for key in keys] == [
+            TestValueSizeRegistry._fresh_draw(distribution, 77, key) for key in keys
+        ]
+        table = _size_table(distribution, 77)
+        assert all(table[key] == reader[key] for key in keys if key < TABLE_KEYS)
+
+    def test_distinct_parameters_or_seeds_never_share_a_table(self):
+        base = atikoglu_etc()
+        same = _size_table(base, 5)
+        assert _size_table(GeneralizedParetoValueSize(), 5) is same
+        others = [
+            (GeneralizedParetoValueSize(scale=100.0), 5),
+            (GeneralizedParetoValueSize(max_size=4_096), 5),
+            (base, 6),
+        ]
+        for distribution, seed in others:
+            assert _size_table(distribution, seed) is not same
+            registry = ValueSizeRegistry(distribution, seed)
+            assert [registry[key] for key in range(200)] == [
+                TestValueSizeRegistry._fresh_draw(distribution, seed, key)
+                for key in range(200)
+            ]
 
 
 class TestTaskGenerator:
