@@ -1,8 +1,8 @@
 """ASCII charts: grouped bars (Figure 2's shape) and CDF sketches.
 
-These render into benchmark stdout so the reproduced figures are visible
-directly in ``pytest benchmarks/ --benchmark-only`` output and in
-docs/results.md without any plotting stack.
+These render into the reports ``repro record`` prints and writes to
+``results/``, so the reproduced figures are visible without any
+plotting stack.
 """
 
 from __future__ import annotations

@@ -4,8 +4,7 @@ Commands
 --------
 ``run``        run one experiment (optionally a named scenario)
 ``sweep``      run a (value x strategy x seed) grid, optionally in parallel
-``figure1``    the paper's toy example (deterministic)
-``figure2``    the headline evaluation across strategies and seeds
+``record``     write ``results/`` artifacts and check their claims
 ``serve``      start the live asyncio multiget KV service
 ``loadgen``    drive a live service with a scenario's workload + faults
 ``watch``      poll a live cluster's metrics mid-run (admin plane; ``--json``)
@@ -22,7 +21,7 @@ JSONL artifacts (docs/observability.md has the full workflow).
 ``scenarios``  list the workload scenarios (``--json`` for tools)
 ``docs-cli``   render (or verify) ``docs/cli.md`` from this argparse tree
 
-Grid commands (``run`` with several seeds, ``sweep``, ``figure2``) accept
+Grid commands (``run`` with several seeds, ``sweep``, ``record``) accept
 ``--jobs N`` to fan independent simulation runs over ``N`` worker
 processes; results are identical to serial runs (see
 ``repro.harness.parallel``).
@@ -44,11 +43,7 @@ from .harness import (
     FIGURE2_STRATEGIES,
     KNOWN_STRATEGIES,
     compare_strategies,
-    figure1_toy,
-    figure2,
     get_builder,
-    render_figure1,
-    render_figure2,
     run_seeds,
     sweep,
 )
@@ -327,35 +322,50 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_figure1(subparsers: argparse._SubParsersAction) -> None:
-    p = subparsers.add_parser("figure1", help="the paper's toy schedule")
-    p.set_defaults(func=_cmd_figure1)
-
-
-def _cmd_figure1(args: argparse.Namespace) -> int:
-    print(render_figure1(
-        figure1_toy(task_aware=False),
-        figure1_toy(task_aware=True, assigner_name="unifincr"),
-        figure1_toy(task_aware=True, assigner_name="equalmax"),
-    ))
-    return 0
-
-
-def _add_figure2(subparsers: argparse._SubParsersAction) -> None:
-    p = subparsers.add_parser("figure2", help="reproduce the evaluation figure")
-    p.add_argument("--tasks", type=int, default=12_000)
-    p.add_argument("--seeds", type=int, default=3)
-    p.add_argument("--out", type=str, default=None, help="raw JSON output path")
+def _add_record(subparsers: argparse._SubParsersAction) -> None:
+    p = subparsers.add_parser(
+        "record",
+        help="write results/ artifacts and check their claims",
+        description="Record each named artifact (default: all, in the "
+                    "order of docs/results.md) into results/NAME.{txt,json} "
+                    "under the current directory, then check its claims; "
+                    "exit 1 naming every claim that failed.",
+    )
+    p.add_argument("names", nargs="*", metavar="NAME",
+                   help="results/ stems to record (default: all)")
+    p.add_argument("--tasks", type=int, default=12_000,
+                   help="task budget each artifact derives its grid from "
+                        "(paper: 500000)")
+    p.add_argument("--seeds", type=int, default=3,
+                   help="seeds 1..K (paper: 6)")
     _add_parallel_flags(p)
-    p.set_defaults(func=_cmd_figure2)
+    p.set_defaults(func=_cmd_record)
 
 
-def _cmd_figure2(args: argparse.Namespace) -> int:
+def _cmd_record(args: argparse.Namespace) -> int:
+    from .artifacts import ARTIFACTS, ClaimFailed
+
     _require_positive(args, "tasks", "seeds")
+    jobs = _jobs_from(args)
+    unknown = [name for name in args.names if name not in ARTIFACTS]
+    if unknown:
+        raise _Exit(
+            f"unknown artifact {', '.join(unknown)}; choose from "
+            + ", ".join(ARTIFACTS)
+        )
     seeds = tuple(range(1, args.seeds + 1))
-    comparison = figure2(n_tasks=args.tasks, seeds=seeds, jobs=_jobs_from(args))
-    print(render_figure2(comparison, args.tasks, seeds))
-    _save_json(args.out, comparison.to_dict())
+    failed = []
+    for name in dict.fromkeys(args.names or ARTIFACTS):
+        recording = ARTIFACTS[name](args.tasks, seeds, jobs)
+        print(recording.text)
+        recording.save(Path("results"), name)
+        print(f"{name} -> results/{name}.{{txt,json}}\n")
+        try:
+            recording.check()
+        except ClaimFailed as exc:
+            failed.append(f"{name}: {exc}")
+    if failed:
+        raise _Exit("claims failed:\n" + "\n".join(failed), code=1)
     return 0
 
 
@@ -1321,8 +1331,7 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
     _add_run(subparsers)
     _add_sweep(subparsers)
-    _add_figure1(subparsers)
-    _add_figure2(subparsers)
+    _add_record(subparsers)
     _add_serve(subparsers)
     _add_loadgen(subparsers)
     _add_watch(subparsers)

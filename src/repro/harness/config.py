@@ -2,8 +2,8 @@
 
 An :class:`ExperimentConfig` fully determines a simulation run together
 with a seed.  The defaults are the paper's Section 2.2 setup with the task
-count scaled down (see DESIGN.md, substitutions table); the benchmarks can
-restore paper scale via ``REPRO_FULL_SCALE=1``.
+count scaled down (see DESIGN.md, substitutions table); ``repro record
+--tasks 500000 --seeds 6`` restores paper scale for the recorded artifacts.
 
 Strategy names resolve through the builder table
 (:mod:`repro.harness.builders`), whose names ``KNOWN_STRATEGIES`` lists.

@@ -7,7 +7,8 @@
   for C3 and the four BRB variants over the SoundCloud-like workload.
 
 Both return plain data; :func:`render_figure1` / :func:`render_figure2`
-render the one text ``repro figure1``/``figure2`` print and ``results/`` records.
+render the one text ``repro record figure1_toy``/``figure2`` writes to
+``results/``.
 """
 
 from __future__ import annotations

@@ -188,10 +188,3 @@ class ServeSupervisor:
         self._children = []
         self.endpoints = []
         self.metrics_ports = []
-
-    def __enter__(self) -> "ServeSupervisor":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info: _t.Any) -> None:
-        self.stop()

@@ -5,14 +5,11 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 import repro
 from repro.cli import build_parser, main
-
-RESULTS = Path(__file__).resolve().parents[2] / "results"
 
 
 class TestParser:
@@ -31,12 +28,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "c3" in out and "unifincr-credits" in out
         assert "*" in out  # figure-2 markers
-
-    def test_figure1_prints_the_recorded_artifact(self, capsys):
-        """``repro figure1`` is the one producer of results/figure1_toy.txt."""
-        assert main(["figure1"]) == 0
-        recorded = RESULTS / "figure1_toy.txt"
-        assert capsys.readouterr().out == recorded.read_text(encoding="utf-8")
 
     def test_run_small(self, capsys):
         assert main([
@@ -174,10 +165,10 @@ class TestCommands:
             ["run", "--strategy", "c3"],
             ["sweep", "--parameter", "load", "--values", "0.5",
              "--strategies", "c3"],
-            ["figure2"],
+            ["record", "figure2"],
             ["compare", "--strategy", "c3"],
         ],
-        ids=["run", "sweep", "figure2", "compare"],
+        ids=["run", "sweep", "record", "compare"],
     )
     def test_negative_jobs_is_a_usage_error(self, argv, capsys, monkeypatch):
         """``--jobs -1`` exits 2 with one line before any run starts."""
@@ -199,10 +190,10 @@ class TestCommands:
             ["cache", "clear"],
             ["run", "--strategy", "c3", "--cache", "DIR"],
             ["sweep", "--parameter", "load", "--values", "0.5", "--cache", "DIR"],
-            ["figure2", "--cache", "DIR"],
+            ["record", "figure2", "--cache", "DIR"],
             ["compare", "--strategy", "c3", "--cache", "DIR"],
         ],
-        ids=["cache-stats", "cache-clear", "run", "sweep", "figure2", "compare"],
+        ids=["cache-stats", "cache-clear", "run", "sweep", "record", "compare"],
     )
     def test_removed_cache_flags_are_usage_errors(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -258,8 +249,8 @@ class TestCommands:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["figure2", "--tasks", "0"],
-            ["figure2", "--seeds", "0", "--tasks", "300"],
+            ["record", "--tasks", "0"],
+            ["record", "figure2", "--seeds", "0", "--tasks", "300"],
             ["compare", "--scenario", "steady-state", "--strategy", "c3",
              "--tasks", "0"],
             ["firehose", "--multigets", "0"],
@@ -279,7 +270,7 @@ class TestCommands:
             ["run", "--strategy", "c3", "--tasks", "300",
              "--slow-server", "-2"],
         ],
-        ids=["figure2-tasks", "figure2-seeds", "compare-tasks",
+        ids=["record-tasks", "record-seeds", "compare-tasks",
              "firehose-multigets", "ring-keys", "run-seeds",
              "sweep-seeds", "sweep-tasks",
              "compare-time-scale", "watch-count", "loadgen-timeout",
@@ -388,18 +379,29 @@ class TestCommands:
         ]) == 0
         assert "sweep over zipf_skew" in capsys.readouterr().out
 
-    def test_figure2_tiny(self, tmp_path, capsys):
-        out_path = tmp_path / "fig2.json"
-        assert main([
-            "figure2", "--tasks", "200", "--seeds", "1", "--out", str(out_path),
-        ]) == 0
+    def test_record_tiny(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["record", "figure2", "--tasks", "200", "--seeds", "1"]) == 0
         out = capsys.readouterr().out
         assert "equalmax-credits" in out
-        data = json.loads(out_path.read_text())
+        assert (tmp_path / "results" / "figure2.txt").read_text(
+            encoding="utf-8"
+        ) in out
+        data = json.loads((tmp_path / "results" / "figure2.json").read_text())
         assert set(data["strategies"]) == {
             "c3", "equalmax-credits", "equalmax-model",
             "unifincr-credits", "unifincr-model",
         }
+
+    def test_record_unknown_name_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        """A name that is not a ``results/`` stem exits 2 before any entry
+        runs, so nothing is written."""
+        monkeypatch.chdir(tmp_path)
+        assert main(["record", "figure1_toy", "figure3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown artifact figure3" in captured.err
+        assert not (tmp_path / "results").exists()
 
 
 class TestScenariosJson:

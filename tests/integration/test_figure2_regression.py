@@ -2,11 +2,12 @@
 
 Two layers of protection:
 
-* the seeded ``results/figure2.json`` artifact (generated by the full
-  benchmark) must itself satisfy the paper's strategy-ordering invariants
-  -- if a benchmark regenerates it with a regressed scheduler, this fails;
-* a scaled-down live run of the same figure-2 experiment must reproduce
-  the orderings, so the current code (not just the artifact) is checked on
+* the seeded ``results/figure2.json`` artifact (written by ``repro record
+  figure2``) must itself satisfy the paper's strategy-ordering invariants
+  -- if a recording regenerates it with a regressed scheduler, this fails;
+* a scaled-down live run of the same figure-2 experiment, on a smaller key
+  space than the ``figure2`` entry's own grid, must reproduce the
+  orderings, so the current code (not just the artifact) is checked on
   every test run.
 """
 
@@ -28,7 +29,7 @@ BRB_STRATEGIES = (
 )
 
 #: Small-sample slack: a scaled single-seed run is noisier than the
-#: benchmark's 12k-task, 3-seed grid.
+#: recorded 12k-task, 3-seed grid.
 TOLERANCE = 1.05
 
 

@@ -1,7 +1,8 @@
 """Small-scale shape checks of the paper's claims.
 
-The full-scale assertions live in ``benchmarks/``; these tests run a
-medium workload (a few thousand tasks, one seed) and check the *orderings*
+The recorded-scale claims are the ``figure2`` and ``ablation_priorities``
+entries of ``repro.artifacts``; these tests run a medium workload of their
+own (4,000 tasks over 20,000 keys, one seed) and check the *orderings*
 that must hold for the reproduction to be meaningful:
 
 * the ideal model is the fastest realization at every reported percentile;

@@ -405,11 +405,20 @@ class TestAdmitEngine:
             connection.connection_made(transport)
             connection.codec = BINARY_CODEC
             counting = CountingLoop(server.workers[0])
-            # One op for each of two workers, same size: due microseconds apart.
+            # One op for each of two workers, same size, admitted at one
+            # instant: each worker's ``_run`` reads the loop clock itself, so
+            # unpinned they fall due microseconds apart, and a wakeup that
+            # lands in between (a poll below, a preempted process) would
+            # complete them in two passes.
+            passes = server.workers[0]._passes
+            loop_time = passes.loop_time
+            admitted_at = loop_time()
+            passes.loop_time = lambda: admitted_at
             connection.data_received(
                 BINARY_CODEC.encode_op(1, 0, 1, 64, (0.0,))
                 + BINARY_CODEC.encode_op(2, 1, 2, 64, (0.0,))
             )
+            passes.loop_time = loop_time
             in_service = [server.workers[w].in_service for w in (0, 1)]
             assert transport.written == []  # admitted, nothing to say yet
             await until(lambda: connection.in_flight == 0 and not connection.out.pending)
