@@ -121,14 +121,21 @@ def run_system(trace, service_model, system: str, seed: int) -> LatencySummary:
                    on_complete=lambda done: latencies.record(done.latency))
         )
 
-    def feeder():
-        for task in trace:
+    arrivals = iter(trace)
+
+    def feed(due=None):
+        # Submit the task now due and every one already due with it, then
+        # sleep until the next arrival.
+        if due is not None:
+            clients[due.client_id].submit(due)
+        for task in arrivals:
             delay = task.arrival_time - env.now
             if delay > 0:
-                yield env.timeout(delay)
+                env.call_later(delay, feed, task)
+                return
             clients[task.client_id].submit(task)
 
-    env.process(feeder(), name="feeder")
+    feed()
     # Run until every client drained its pending tasks.
     while True:
         env.run(until=env.now + 1.0)

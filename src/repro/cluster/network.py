@@ -125,12 +125,8 @@ class Network:
             deliver_at = floor  # FIFO per pair
         self._last_delivery[pair] = deliver_at
         self.messages_sent += 1
-        # Fast path: a bare-callback calendar entry instead of a Timeout
-        # event plus a closure -- delivery is fire-and-forget, nothing
-        # yields on it.  Occupies the same (time, priority, sequence)
-        # calendar slot the Timeout did, so delivery order (and the FIFO
-        # floor above) is byte-identical to the event-based path; a
-        # latency model buggy enough to put deliver_at in the past is
-        # rejected by call_at exactly as the Timeout would have been.
+        # Delivery is fire-and-forget: one bare-callback calendar entry.
+        # A latency model buggy enough to put deliver_at in the past is
+        # rejected by call_at.
         self.env.call_at(deliver_at, handler, message)
         return deliver_at

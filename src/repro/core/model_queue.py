@@ -64,8 +64,7 @@ class GlobalQueue:
         request.dispatched_at = self.env.now
         self.submitted += 1
         delay = self.latency.sample(self.stream)
-        # Arrival is fire-and-forget, nothing yields on it; call_later
-        # rejects a negative delay exactly as a Timeout would.
+        # Arrival is fire-and-forget; call_later rejects a negative delay.
         self.env.call_later(delay, self._arrive, request)
 
     def _arrive(self, request: RequestMessage) -> None:

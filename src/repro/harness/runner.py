@@ -103,7 +103,7 @@ class RunResult:
 class CompletionTracker:
     """Counts completions, applies warmup filtering, signals "all done".
 
-    ``on_done`` is the realm's completion signal (``env.event().succeed``
+    ``on_done`` is the realm's completion signal (``env.stop``
     in the simulation, ``LiveTransport.finish`` live).
     """
 
@@ -396,8 +396,7 @@ def run_experiment(config: ExperimentConfig, seed: int = 1) -> RunResult:
         latency=config.cluster.make_latency_model(),
         stream=streams.stream("network.latency"),
     )
-    done = env.event()
-    run = RunAssembly(config, streams, env, network, done.succeed)
+    run = RunAssembly(config, streams, env, network, env.stop)
     try:
         servers = [
             run.builder.build_server(run.ctx, server_id)
@@ -410,7 +409,7 @@ def run_experiment(config: ExperimentConfig, seed: int = 1) -> RunResult:
             lambda: [s.queue_length() + s.in_service for s in servers],
         )
         run.feed().step()
-        env.run(until=done)
+        env.run()
 
         # -- audit: conservation laws ---------------------------------------
         total_completed = sum(c.tasks_completed for c in run.clients)

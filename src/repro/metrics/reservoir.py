@@ -102,9 +102,6 @@ class ExactSample:
         var = sum((v - mean) ** 2 for v in self._values) / (n - 1)
         return math.sqrt(var)
 
-    def __len__(self) -> int:
-        return len(self._values)
-
     def __repr__(self) -> str:
         if not self._values:
             return "<ExactSample empty>"

@@ -2,7 +2,9 @@
 
 A small, dependency-free kernel.  All timing in the reproduction is virtual
 time kept by :class:`~repro.sim.engine.Environment`, which sidesteps GIL
-and OS scheduler noise entirely.  Model code schedules plain callbacks::
+and OS scheduler noise entirely.  The calendar holds one kind of entry, a
+:class:`~repro.sim.engine.Timer` calling ``fn(arg)``; model code schedules
+plain callbacks::
 
     from repro.sim import Environment
 
@@ -14,37 +16,20 @@ and OS scheduler noise entirely.  Model code schedules plain callbacks::
     assert seen == ["tick", "a", "tick"]  # 0.5; 1.0 twice, in arming order
     tick.cancel()
 
-Generator-based processes in the style of SimPy (``env.process(gen)``,
-yielding :class:`~repro.sim.events.Event` objects) remain for test rigs
-and micro-benchmarks; nothing else under ``src/`` uses them.
+A run ends when it reaches a stop timer -- ``env.stop()`` arms one at
+``now``, ``run(until=t)`` one at ``t`` -- or when the calendar empties.
+Test rigs and micro-benchmarks may also drive a generator that yields
+delays (``env.process(gen)``, ``yield env.timeout(d)``).
 """
 
-from .engine import EmptySchedule, Environment, Infinity, StopSimulation
-from .events import (
-    Event,
-    NORMAL,
-    PENDING,
-    SimulationError,
-    Timeout,
-    URGENT,
-)
-from .process import Process, ProcessGenerator
+from .engine import EmptySchedule, Environment, Infinity
 from .rng import Stream, StreamFactory, derive_seed
 
 __all__ = [
     "EmptySchedule",
     "Environment",
-    "Event",
     "Infinity",
-    "NORMAL",
-    "PENDING",
-    "Process",
-    "ProcessGenerator",
-    "SimulationError",
-    "StopSimulation",
     "Stream",
     "StreamFactory",
-    "Timeout",
-    "URGENT",
     "derive_seed",
 ]

@@ -1,21 +1,16 @@
 """The discrete-event simulation environment (virtual clock + calendar).
 
 :class:`Environment` owns the event calendar -- a flat binary heap of
-``(time, priority, sequence, entry)`` tuples -- and the virtual clock.  All
-latency numbers produced by this repository are differences of this virtual
+``(time, sequence, Timer)`` tuples -- and the virtual clock.  All latency
+numbers produced by this repository are differences of this virtual
 clock, which makes them deterministic and immune to GIL scheduling noise
 (the concern flagged by the reproduction notes).
 
-The calendar holds two kinds of entries, distinguished by exact type:
-
-* :class:`~repro.sim.events.Event` -- the full one-shot occurrence with a
-  value and a callback list (what ``run(until=event)`` stops on and what
-  the test rigs' processes yield);
-* :class:`Timer` -- a bare ``fn(arg)`` callback with **no** event wrapper.
-  This is the hot-path representation used by the network model, the
-  simulated servers and anything else that only ever needs "call this later":
-  scheduling one costs a single small allocation instead of an Event, a
-  callbacks list and a closure.
+The calendar holds one kind of entry, the :class:`Timer`: a bare
+``fn(arg)`` callback.  The network model, the simulated servers, the
+controllers and the feeder all schedule work as "call this later"
+(:meth:`Environment.call_later` / ``call_at`` / ``call_every``), at one
+small allocation per entry.
 
 Timers support *lazy cancellation*: :meth:`Timer.cancel` flips a flag and
 the calendar discards the entry when it reaches the top of the heap --
@@ -24,26 +19,27 @@ O(n) and would perturb the sequence numbering the determinism contract
 rests on).  A cancelled timer does **not** count toward
 ``events_processed``.
 
-Determinism contract: entries fire in exactly ``(time, priority,
-sequence)`` lexicographic order, where the sequence number is drawn from
-one shared counter at scheduling time.  Timers and events share the
-counter, so converting a call site from a Timeout-plus-callback to a
-Timer preserves byte-identical execution order (the engine differential
-tests in ``tests/sim/`` pin this).
+Determinism contract: entries fire in exactly ``(time, sequence)``
+lexicographic order, where the sequence number is drawn from one counter
+at scheduling time -- a stable sort on time (the property tests in
+``tests/sim/`` pin this).
+
+Stopping is a timer too: :meth:`Environment.stop` arms one at ``(now,
+next sequence)`` and ``run(until=t)`` arms one at ``t``.  When the run
+loop reaches it, ``run()`` returns without counting it, so entries armed
+earlier at that instant have fired and later ones have not.
 
 End-of-instant work (a server's admit, the model queue's flush) is not a
 calendar entry: :meth:`Environment.at_instant_end` appends a callback to
 a FIFO that runs, one callback at a time, whenever no calendar entry of
-the current instant is left -- exactly where an entry scheduled at
-``now`` with a priority below every other one would fire, without the
-entry.  These callbacks do not count toward ``events_processed``.
+the current instant is left.  These callbacks do not count toward
+``events_processed``.
 
 The ``run()`` loop is deliberately inlined (no per-event ``step()`` call,
 hot attributes bound to locals): the kernel is the multiplier under every
-benchmark in this repository, and the inlining is worth ~15% events/sec
-on its own -- see ``docs/performance.md`` for the measured ledger.
-``step()`` remains the single-event API and must be kept semantically in
-sync with the inlined loop.
+benchmark in this repository -- see ``docs/performance.md`` for the
+measured ledger.  ``step()`` remains the single-event API and must be
+kept semantically in sync with the inlined loop.
 """
 
 from __future__ import annotations
@@ -53,29 +49,23 @@ from collections import deque
 from heapq import heappop, heappush
 from itertools import count
 
-from .events import Event, NORMAL, PENDING, SimulationError, Timeout
-from .process import Process, ProcessGenerator
-
 Infinity: float = float("inf")
 
 
-class EmptySchedule(SimulationError):
+class EmptySchedule(Exception):
     """Raised by :meth:`Environment.step` when the calendar is empty."""
 
 
-class StopSimulation(Exception):
-    """Signals :meth:`Environment.run` to return (event-triggered stop)."""
+class _Stop(Exception):
+    """Raised by a stop timer's callback; ends :meth:`Environment.run`."""
 
-    @classmethod
-    def callback(cls, event: Event) -> None:
-        if event.ok:
-            raise cls(event.value)
-        # Propagate failures of the until-event.
-        raise _t.cast(BaseException, event.value)
+
+def _stop(_arg: _t.Any) -> None:
+    raise _Stop
 
 
 class Timer:
-    """A scheduled bare callback: the calendar's no-wrapper fast path.
+    """A scheduled bare callback: the calendar's one kind of entry.
 
     Created through :meth:`Environment.call_later` / ``call_at``; fires as
     ``fn(arg)``.  :meth:`cancel` is lazy -- the heap entry stays where it
@@ -110,7 +100,7 @@ class PeriodicTimer:
     cancelled timer.
     """
 
-    __slots__ = ("env", "interval", "fn", "arg", "priority", "cancelled", "_timer")
+    __slots__ = ("env", "interval", "fn", "arg", "cancelled", "_timer")
 
     def __init__(
         self,
@@ -118,22 +108,18 @@ class PeriodicTimer:
         interval: float,
         fn: _t.Callable[[_t.Any], None],
         arg: _t.Any,
-        priority: int,
     ) -> None:
         self.env = env
         self.interval = interval
         self.fn = fn
         self.arg = arg
-        self.priority = priority
         self.cancelled = False
-        self._timer = env.call_later(interval, self._fire, arg, priority)
+        self._timer = env.call_later(interval, self._fire, arg)
 
     def _fire(self, arg: _t.Any) -> None:
         self.fn(arg)
         if not self.cancelled:
-            self._timer = self.env.call_later(
-                self.interval, self._fire, self.arg, self.priority
-            )
+            self._timer = self.env.call_later(self.interval, self._fire, self.arg)
 
     def cancel(self) -> None:
         self.cancelled = True
@@ -156,14 +142,14 @@ class Environment:
 
     def __init__(self) -> None:
         self._now = 0.0
-        #: Flat calendar: (time, priority, sequence, Event | Timer).
-        self._queue: _t.List[_t.Tuple[float, int, int, _t.Any]] = []
+        #: Flat calendar: (time, sequence, Timer).
+        self._queue: _t.List[_t.Tuple[float, int, Timer]] = []
         self._eid = count()
         #: End-of-instant callbacks, in arming order (:meth:`at_instant_end`).
         self._deferred: _t.Deque[_t.Callable[[], None]] = deque()
         #: Total number of entries fired so far (for micro-benchmarks).
         #: Cancelled timers are skipped, not fired, and do not count; nor
-        #: do end-of-instant callbacks, which are not entries.
+        #: do stop timers or end-of-instant callbacks.
         self.events_processed = 0
 
     # -- clock -------------------------------------------------------------
@@ -172,86 +158,47 @@ class Environment:
         """Current virtual time."""
         return self._now
 
-    # -- event factories ----------------------------------------------------
-    def event(self) -> Event:
-        """Create a new, untriggered event."""
-        return Event(self)
-
-    def timeout(self, delay: float, value: object = None) -> Timeout:
-        """Create an event that fires ``delay`` units of virtual time later."""
-        return Timeout(self, delay, value)
-
-    def process(
-        self, generator: ProcessGenerator, name: _t.Optional[str] = None
-    ) -> Process:
-        """Start a new process driving ``generator``."""
-        return Process(self, generator, name=name)
-
     # -- scheduling ----------------------------------------------------------
-    def schedule(
-        self, event: Event, delay: float = 0.0, priority: int = NORMAL
-    ) -> None:
-        """Put a triggered event on the calendar ``delay`` from now."""
-        heappush(
-            self._queue, (self._now + delay, priority, next(self._eid), event)
-        )
-
     def call_later(
-        self,
-        delay: float,
-        fn: _t.Callable[[_t.Any], None],
-        arg: _t.Any = None,
-        priority: int = NORMAL,
+        self, delay: float, fn: _t.Callable[[_t.Any], None], arg: _t.Any = None
     ) -> Timer:
-        """Schedule ``fn(arg)`` after ``delay``; no event wrapper.
+        """Schedule ``fn(arg)`` after ``delay``.
 
         Returns the :class:`Timer`, whose :meth:`~Timer.cancel` lazily
-        withdraws the call.  This is the fast path for fire-and-forget
-        work (message delivery, deferred flushes): it allocates one small
-        object where ``timeout(...)`` + a callback costs an Event, a
-        callbacks list and usually a closure.
+        withdraws the call.
         """
         if delay < 0:
-            # Same contract as Timeout: scheduling into the past would
-            # silently drag the virtual clock backwards on pop.
+            # Scheduling into the past would silently drag the virtual
+            # clock backwards on pop.
             raise ValueError(f"negative delay {delay}")
         timer = Timer(fn, arg)
-        heappush(
-            self._queue, (self._now + delay, priority, next(self._eid), timer)
-        )
+        heappush(self._queue, (self._now + delay, next(self._eid), timer))
         return timer
 
     def call_every(
-        self,
-        interval: float,
-        fn: _t.Callable[[_t.Any], None],
-        arg: _t.Any = None,
-        priority: int = NORMAL,
-    ) -> "PeriodicTimer":
+        self, interval: float, fn: _t.Callable[[_t.Any], None], arg: _t.Any = None
+    ) -> PeriodicTimer:
         """Schedule ``fn(arg)`` every ``interval``, starting one from now.
 
         The next call is armed after ``fn`` returns, so entries ``fn``
         schedules sort ahead of the re-arm.  The timer re-arms
         unconditionally until the returned handle is cancelled: an armed
         one keeps the calendar non-empty, so end such a run with
-        ``run(until=...)`` -- a bare ``run()`` would never return.
+        ``run(until=...)`` or :meth:`stop` -- a bare ``run()`` would never
+        return.
         """
         if interval <= 0:
             raise ValueError(f"non-positive interval {interval}")
-        return PeriodicTimer(self, interval, fn, arg, priority)
+        return PeriodicTimer(self, interval, fn, arg)
 
     def call_at(
-        self,
-        at: float,
-        fn: _t.Callable[[_t.Any], None],
-        arg: _t.Any = None,
-        priority: int = NORMAL,
+        self, at: float, fn: _t.Callable[[_t.Any], None], arg: _t.Any = None
     ) -> Timer:
         """Schedule ``fn(arg)`` at absolute virtual time ``at`` (>= now)."""
         if at < self._now:
             raise ValueError(f"call_at time {at} lies in the past (now={self._now})")
         timer = Timer(fn, arg)
-        heappush(self._queue, (at, priority, next(self._eid), timer))
+        heappush(self._queue, (at, next(self._eid), timer))
         return timer
 
     def at_instant_end(self, fn: _t.Callable[[], None]) -> None:
@@ -264,12 +211,19 @@ class Environment:
         """
         self._deferred.append(fn)
 
+    def stop(self) -> None:
+        """End :meth:`run` once the entries already armed for ``now`` have
+        fired: a stop timer at ``(now, next sequence)``.  It is not counted
+        in ``events_processed``; the end-of-instant work of ``now`` stays
+        armed for the next run.  A stop timer ends whichever run reaches it.
+        """
+        self.call_later(0.0, _stop)
+
     def cancel_all(self) -> None:
         """Cancel every pending timer and empty the calendar and the
         end-of-instant callbacks (run teardown)."""
-        for _, _, _, entry in self._queue:
-            if entry.__class__ is Timer:
-                entry.cancel()
+        for _, _, timer in self._queue:
+            timer.cancel()
         self._queue.clear()
         self._deferred.clear()
 
@@ -284,10 +238,27 @@ class Environment:
             return self._now
         return self._queue[0][0] if self._queue else Infinity
 
+    # -- generator processes (test rigs and micro-benchmarks only) ---------
+    def timeout(self, delay: float) -> float:
+        """What a :meth:`process` generator yields to sleep ``delay``."""
+        return delay
+
+    def process(self, generator: _t.Iterator[float]) -> None:
+        """Run ``generator`` now up to its first ``yield``, then resume it
+        ``delay`` after every delay it yields, until it returns."""
+
+        def resume(_arg: _t.Any = None) -> None:
+            delay = next(generator, None)
+            if delay is not None:
+                self.call_later(delay, resume)
+
+        resume()
+
+    # -- dispatch ------------------------------------------------------------
     def step(self) -> None:
-        """Process the next calendar entry, advancing the clock -- or, when
-        no entry of the current instant is left, the next end-of-instant
-        callback.
+        """Fire the next calendar entry, advancing the clock -- or, when no
+        entry of the current instant is left, the next end-of-instant
+        callback.  A stop timer advances the clock and fires nothing.
 
         Single-step API; :meth:`run` inlines the same logic -- keep the
         two in sync when touching the dispatch semantics.
@@ -299,102 +270,60 @@ class Environment:
                 deferred.popleft()()
                 return
             try:
-                now, _, _, entry = heappop(queue)
+                now, _, timer = heappop(queue)
             except IndexError:
                 raise EmptySchedule("no scheduled events left") from None
-            if entry.__class__ is Timer:
-                if entry.cancelled:
-                    # Lazily discarded: not counted, and the clock does
-                    # not advance to a dead entry's deadline.
-                    continue
-                self._now = now
-                entry.fn(entry.arg)
-                self.events_processed += 1
+            if timer.cancelled:
+                # Lazily discarded: not counted, and the clock does not
+                # advance to a dead entry's deadline.
+                continue
+            self._now = now
+            try:
+                timer.fn(timer.arg)
+            except _Stop:
                 return
-            break
+            self.events_processed += 1
+            return
 
-        self._now = now
-        callbacks = entry.callbacks
-        entry.callbacks = None  # mark processed
-        for callback in callbacks:
-            callback(entry)
-        self.events_processed += 1
+    def run(self, until: _t.Optional[float] = None) -> None:
+        """Run the simulation until a stop timer fires or, with ``until``
+        None, the calendar is exhausted.
 
-        if not entry._ok and not entry._defused:
-            # Nobody handled this failure: crash the simulation loudly.
-            raise _t.cast(BaseException, entry._value)
-
-    def run(self, until: _t.Union[None, float, Event] = None) -> object:
-        """Run the simulation.
-
-        ``until`` may be:
-
-        * ``None`` -- run until the calendar is exhausted;
-        * a number -- run until virtual time reaches that value;
-        * an :class:`Event` -- run until the event is processed, returning
-          its value.
+        A number ``until`` arms a stop timer at that virtual time (which
+        must lie in the future): the clock reads ``until`` afterwards.
         """
-        if until is not None and not isinstance(until, Event):
+        if until is not None:
             at = float(until)
             if at <= self._now:
                 raise ValueError(f"until={at} must lie in the future (now={self._now})")
-            until = Event(self)
-            until._ok = True
-            until._value = None
-            self.schedule(until, delay=at - self._now, priority=NORMAL)
-
-        if isinstance(until, Event):
-            if until.callbacks is None:
-                return until.value  # already processed
-            until.callbacks.append(StopSimulation.callback)
+            self.call_at(at, _stop)
 
         # Inlined dispatch loop (the semantic twin of step()): hot
         # globals/attributes are bound once.  The processed counter is
         # bumped on the instance per entry -- callbacks may legitimately
         # read env.events_processed mid-run, so it cannot lag in a local.
+        # A stop timer's callback raises before its entry is counted.
         queue = self._queue
         deferred = self._deferred
         pop = heappop
-        timer_class = Timer
         try:
             while True:
                 if deferred and (not queue or queue[0][0] != self._now):
                     deferred.popleft()()
                     continue
                 try:
-                    now, _, _, entry = pop(queue)
+                    now, _, timer = pop(queue)
                 except IndexError:
-                    raise EmptySchedule from None
-                if entry.__class__ is timer_class:
-                    if entry.cancelled:
-                        # Lazily discarded: not counted, and the clock
-                        # does not advance to a dead entry's deadline.
-                        continue
-                    self._now = now
-                    entry.fn(entry.arg)
-                    self.events_processed += 1
+                    return
+                if timer.cancelled:
+                    # Lazily discarded: not counted, and the clock does
+                    # not advance to a dead entry's deadline.
                     continue
-
                 self._now = now
-                callbacks = entry.callbacks
-                entry.callbacks = None  # mark processed
-                for callback in callbacks:
-                    callback(entry)
+                timer.fn(timer.arg)
                 self.events_processed += 1
-
-                if not entry._ok and not entry._defused:
-                    # Unhandled failure: crash the simulation loudly.
-                    raise _t.cast(BaseException, entry._value)
-        except StopSimulation as exc:
-            return exc.args[0] if exc.args else None
-        except EmptySchedule:
-            if isinstance(until, Event) and until._value is not PENDING:
-                return until.value
-            if isinstance(until, Event):
-                raise SimulationError(
-                    "calendar ran dry before the until-event triggered"
-                ) from None
-            return None
+        except _Stop:
+            return
 
     def __repr__(self) -> str:
         return (

@@ -123,8 +123,7 @@ class TestCubicRateLimiter:
         limiter = CubicRateLimiter(env, initial_rate=10.0)
         assert limiter.try_acquire()
         assert not limiter.try_acquire()  # bucket empty
-        env.timeout(0.1)
-        env.run()  # advance virtual time by 0.1s => one token at 10/s
+        env.run(until=0.1)  # one token at 10/s
         assert limiter.try_acquire()
 
     def test_congestion_cuts_rate(self):
@@ -145,8 +144,7 @@ class TestCubicRateLimiter:
         env = Environment()
         limiter = CubicRateLimiter(env, initial_rate=1000.0)
         limiter.on_congestion()
-        env.timeout(10.0)
-        env.run()
+        env.run(until=10.0)
         limiter.on_ack()
         assert limiter.rate > 1000.0  # grew past the previous plateau
 

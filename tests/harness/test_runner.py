@@ -9,6 +9,8 @@ import json
 
 import pytest
 
+from repro.cluster.messages import ResponseMessage
+from repro.cluster.network import Network
 from repro.harness import KNOWN_STRATEGIES, ExperimentConfig, run_experiment, run_seeds
 from repro.harness.config import WARMUP_FRACTION
 from repro.scenarios import get_scenario
@@ -59,6 +61,23 @@ class TestRunExperiment:
         result = run_experiment(cfg, seed=1)
         assert result.tasks_measured == 300
         assert result.tasks_completed == 400
+
+    def test_a_calendar_that_empties_early_fails_loudly(self, monkeypatch):
+        """A lost reply leaves its task open: the calendar runs dry before
+        the last completion stops the run, and the audit names the loss."""
+        send = Network.send
+        dropped = []
+
+        def lossy(self, src, dst, message):
+            if isinstance(message, ResponseMessage) and not dropped:
+                dropped.append(message)
+                return self.env.now
+            return send(self, src, dst, message)
+
+        monkeypatch.setattr(Network, "send", lossy)
+        with pytest.raises(RuntimeError, match="lost tasks: 399 completed of 400"):
+            run_experiment(small_cfg("oblivious-random"), seed=1)
+        assert dropped
 
     def test_deterministic_given_seed(self):
         cfg = small_cfg("equalmax-credits")

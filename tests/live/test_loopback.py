@@ -9,11 +9,12 @@ import asyncio
 
 import pytest
 
-from repro.harness import validate_summary_dict
+from repro.harness import run_experiment, validate_summary_dict
 from repro.loadgen import LiveTransportError, live_summary, run_live, run_live_seeds
 from repro.loadgen.compare import run_compare
 from repro.scenarios import get_scenario
 from repro.serve import LiveServer
+from repro.serve.workers import LiveWorker
 
 
 TIME_SCALE = 2.0
@@ -57,17 +58,67 @@ class TestLoopbackRuns:
         # served-vs-needed request accounting.
         assert result.extras["hedges_sent"] >= 0.0
 
-    def test_fault_schedule_replays_live(self):
-        # ≈ 0.068 model seconds of arrivals at ≈ 10.3k tasks/s: the trace
-        # itself reaches the first window's onset (0.05 s), however well the
-        # feeder keeps up with its due times.
-        spec = get_scenario("straggler")
-        config = spec.build_config(strategy="unifincr-credits", n_tasks=700)
-        result = asyncio.run(
-            loopback_run("straggler", "unifincr-credits", config=config)
+    @pytest.mark.parametrize(
+        "scenario, n_tasks, windows, verb",
+        [
+            # ≈ 0.068 model seconds of arrivals at ≈ 10.3k tasks/s: the
+            # trace itself reaches the first window's onset (0.05 s),
+            # however well the feeder keeps up with its due times.
+            ("straggler", 700, "slowdown_windows", "slowdown"),
+            # ≈ 0.117 model seconds: past both first onsets (0.1 s).
+            ("crash-restart", 1200, "crash_windows", "pause"),
+            ("network-jitter", 1200, "network_jitter_windows", "_respond_jittered"),
+        ],
+    )
+    def test_fault_schedule_replays_live(
+        self, monkeypatch, scenario, n_tasks, windows, verb
+    ):
+        """Every fault verb crosses the wire as an admin frame and takes
+        effect on a worker (``verb`` runs there), opens as many windows as
+        the simulation does at the same seed, and leaves no worker slowed,
+        paused or jittered after teardown."""
+        config = get_scenario(scenario).build_config(
+            strategy="unifincr-credits", n_tasks=n_tasks
         )
-        assert result.tasks_completed == 700
-        assert result.extras["slowdown_windows"] >= 1.0
+        applied = []
+        original = getattr(LiveWorker, verb)
+
+        def spy(worker, *args):
+            applied.append(worker.server_id)
+            return original(worker, *args)
+
+        monkeypatch.setattr(LiveWorker, verb, spy)
+
+        def degraded(workers):
+            return [
+                w.server_id
+                for w in workers
+                if w.speed_factor != 1.0 or w.paused or w.jitter_mean != 0.0
+            ]
+
+        async def live():
+            server = LiveServer.from_config(config, time_scale=TIME_SCALE, port=0)
+            await server.start()
+            try:
+                result = await run_live(
+                    config, seed=1, endpoints=[(server.host, server.port)]
+                )
+                # The revert admin frames flush during transport close;
+                # give the server loop a moment to apply them.
+                for _ in range(100):
+                    if not degraded(server.workers.values()):
+                        break
+                    await asyncio.sleep(0.01)
+                return result, degraded(server.workers.values())
+            finally:
+                await server.stop()
+
+        result, left_degraded = asyncio.run(live())
+        assert result.tasks_completed == n_tasks
+        assert result.extras[windows] >= 1.0
+        assert result.extras[windows] == run_experiment(config, seed=1).extras[windows]
+        assert applied
+        assert left_degraded == []
 
     def test_multi_seed_runs_return_seed_order(self):
         async def scenario():

@@ -1,21 +1,19 @@
-"""Differential tests: the overhauled calendar vs the old calendar's order.
+"""Differential tests: the calendar against explicit reference models.
 
-The pre-overhaul engine popped ``(time, priority, sequence, Event)`` heap
-tuples; the overhauled one mixes Events with bare-callback ``Timer``
-entries and discards lazily-cancelled timers on pop.  These tests pin
-that the observable contract did not move:
+The calendar is a heap of ``(time, sequence, Timer)`` entries that
+discards lazily-cancelled timers on pop.  These tests pin its observable
+contract:
 
-* mixed Event/Timer programs fire in exactly the old calendar's
-  ``(time, priority, sequence)`` lexicographic order, where the sequence
-  number is the global scheduling order -- the reference model is a
-  stable sort, which is precisely what the old heap delivered;
+* timers fire in exactly ``(time, sequence)`` lexicographic order, where
+  the sequence number is the global scheduling order -- the reference
+  model is a stable sort on time;
 * cancelled timers are invisible: they neither fire, nor count toward
   ``events_processed``, nor shift any other entry's position;
-* converting a Timeout-plus-callback call site to ``call_later`` (the
-  network/flush fast path migration) preserves interleaving exactly;
-* an end-of-instant callback (``at_instant_end``) fires exactly where a
-  ``call_later(0, ..., LOW)`` entry would, under ``run()``, ``step()``,
-  ``peek()``, ``cancel_all()`` and ``run(until=t)``.
+* an end-of-instant callback (``at_instant_end``) fires after every entry
+  of its instant, as a slow reference model (a list of entries and a FIFO
+  of end-of-instant work) spells out, under ``run()``, ``step()``,
+  ``peek()``, ``cancel_all()`` and ``run(until=t)``;
+* one program fires alike through ``run()`` and through ``step()``.
 """
 
 import pytest
@@ -23,61 +21,33 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sim import Environment
 from repro.sim.engine import EmptySchedule, Timer
-from repro.sim.events import Event, NORMAL, URGENT
 
-#: A priority after NORMAL: the calendar orders any int priority, and the
-#: end-of-instant callbacks are pinned against entries at this one.
-LOW = NORMAL + 1
-
-#: (delay, priority, kind) programs; few distinct delays force collisions.
-#: kind: 0 = triggered Event, 1 = Timer, 2 = Timer cancelled before run.
+#: (delay, cancelled) programs; few distinct delays force collisions.
 programs = st.lists(
-    st.tuples(
-        st.sampled_from([0.0, 0.5, 1.0, 2.0]),
-        st.sampled_from([URGENT, NORMAL, LOW]),
-        st.sampled_from([0, 1, 2]),
-    ),
+    st.tuples(st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.booleans()),
     min_size=1,
     max_size=60,
 )
 
 
 def _schedule_program(env, program, fired):
-    """Schedule each entry in order; append (delay, prio, seq) on fire."""
-    timers = []
-    for seq, (delay, priority, kind) in enumerate(program):
-        record = (delay, priority, seq)
-        if kind == 0:
-            event = Event(env)
-            event._ok = True
-            event._value = None
-            env.schedule(event, delay=delay, priority=priority)
-            event.callbacks.append(lambda _e, rec=record: fired.append(rec))
-        else:
-            timer = env.call_later(
-                delay, lambda rec: fired.append(rec), record, priority=priority
-            )
-            if kind == 2:
-                timer.cancel()
-            timers.append(timer)
-    return timers
+    """Schedule each entry in order; append (delay, seq) on fire."""
+    for seq, (delay, cancelled) in enumerate(program):
+        timer = env.call_later(delay, fired.append, (delay, seq))
+        if cancelled:
+            timer.cancel()
 
 
 @given(programs)
 @settings(max_examples=150, deadline=None)
-def test_mixed_entries_fire_in_old_calendar_order(program):
-    """Events and timers share one (time, priority, sequence) order."""
+def test_timers_fire_in_stable_time_order(program):
     env = Environment()
     fired = []
     _schedule_program(env, program, fired)
     env.run()
-    live = [
-        (delay, priority, seq)
-        for seq, (delay, priority, kind) in enumerate(program)
-        if kind != 2
-    ]
-    # The old calendar == stable sort on (time, priority), i.e. plain
-    # lexicographic sort once the global sequence number is appended.
+    live = [(delay, seq) for seq, (delay, cancelled) in enumerate(program) if not cancelled]
+    # Stable sort on time == lexicographic sort once the global sequence
+    # number is appended.
     assert fired == sorted(live)
 
 
@@ -88,39 +58,13 @@ def test_cancelled_timers_do_not_count_or_fire(program):
     fired = []
     _schedule_program(env, program, fired)
     env.run()
-    expected_live = sum(1 for _, _, kind in program if kind != 2)
+    expected_live = sum(1 for _, cancelled in program if not cancelled)
     assert len(fired) == expected_live
     assert env.events_processed == expected_live
 
 
-@given(programs)
-@settings(max_examples=75, deadline=None)
-def test_timer_fast_path_is_order_identical_to_timeout_callbacks(program):
-    """The network-migration refactor, as a property: replacing every
-    Timeout-plus-callback with call_later leaves the fire order unchanged."""
-    fired_events = []
-    env_a = Environment()
-    for seq, (delay, priority, _kind) in enumerate(program):
-        event = env_a.timeout(delay)
-        # timeout() always schedules at NORMAL; mirror that on both sides
-        # and keep the program's priority out of this comparison.
-        event.callbacks.append(
-            lambda _e, rec=(delay, seq): fired_events.append(rec)
-        )
-    env_a.run()
-
-    fired_timers = []
-    env_b = Environment()
-    for seq, (delay, priority, _kind) in enumerate(program):
-        env_b.call_later(delay, fired_timers.append, (delay, seq))
-    env_b.run()
-
-    assert fired_events == fired_timers
-    assert env_a.events_processed == env_b.events_processed
-
-
-#: A callback's children, armed when it fires: ``now`` is a NORMAL entry at
-#: the same instant, ``later`` one 0.25 later, ``defer`` end-of-instant work.
+#: A callback's children, armed when it fires: ``now`` is an entry at the
+#: same instant, ``later`` one 0.25 later, ``defer`` end-of-instant work.
 children = st.recursive(
     st.just(()),
     lambda inner: st.lists(
@@ -128,42 +72,48 @@ children = st.recursive(
     ).map(tuple),
     max_leaves=12,
 )
-#: Top-level entries: (delay, priority, children), armed before the run.
+#: Top-level entries: (delay, children), armed before the run.
 instant_programs = st.lists(
-    st.tuples(
-        st.sampled_from([0.0, 0.5, 1.0]),
-        st.sampled_from([URGENT, NORMAL]),
-        children,
-    ),
-    min_size=1,
-    max_size=12,
+    st.tuples(st.sampled_from([0.0, 0.5, 1.0]), children), min_size=1, max_size=12
 )
 
 
-class _InstantProgram:
-    """One program on one environment; ``deferred`` picks how end-of-instant
-    work is armed: as the engine's callbacks, or as LOW calendar entries."""
+class _Program:
+    """A program's callbacks; ``arm(delay, node)`` and ``defer(fn)`` put
+    them on a calendar.  Each fired node appends ``(label, now)``."""
 
-    def __init__(self, program, deferred):
-        self.env = Environment()
+    def __init__(self, program):
         self.fired = []
-        self.deferred = deferred
-        for index, (delay, priority, kids) in enumerate(program):
-            self.env.call_later(delay, self._fire, ((index,), kids), priority)
+        for index, (delay, kids) in enumerate(program):
+            self.arm(delay, ((index,), kids))
 
-    def _fire(self, node):
+    def fire(self, node):
         label, kids = node
-        self.fired.append((label, self.env.now))
+        self.fired.append((label, self.now))
         for index, (kind, grandkids) in enumerate(kids):
             child = (label + (index,), grandkids)
             if kind == "now":
-                self.env.call_later(0.0, self._fire, child)
+                self.arm(0.0, child)
             elif kind == "later":
-                self.env.call_later(0.25, self._fire, child)
-            elif self.deferred:
-                self.env.at_instant_end(lambda child=child: self._fire(child))
+                self.arm(0.25, child)
             else:
-                self.env.call_later(0.0, self._fire, child, LOW)
+                self.defer(lambda child=child: self.fire(child))
+
+
+class _Kernel(_Program):
+    def __init__(self, program):
+        self.env = Environment()
+        super().__init__(program)
+
+    @property
+    def now(self):
+        return self.env.now
+
+    def arm(self, delay, node):
+        self.env.call_later(delay, self.fire, node)
+
+    def defer(self, fn):
+        self.env.at_instant_end(fn)
 
     def step(self):
         try:
@@ -173,78 +123,124 @@ class _InstantProgram:
         return True
 
 
-def _pair(program):
-    return _InstantProgram(program, deferred=True), _InstantProgram(program, False)
+class _Reference(_Program):
+    """The contract spelled out slowly: a list of ``(time, seq, node)``
+    entries (``node`` None is a stop) and a FIFO of end-of-instant work,
+    which runs whenever no entry of the current instant is left."""
+
+    def __init__(self, program):
+        self.now = 0.0
+        self.entries = []
+        self.deferred = []
+        self.seq = 0
+        self.events_processed = 0
+        super().__init__(program)
+
+    def arm(self, delay, node, at=None):
+        self.entries.append((self.now + delay if at is None else at, self.seq, node))
+        self.seq += 1
+
+    def defer(self, fn):
+        self.deferred.append(fn)
+
+    def peek(self):
+        if self.deferred:
+            return self.now
+        return min(self.entries)[0] if self.entries else float("inf")
+
+    def step(self):
+        """One entry or one end-of-instant callback; False when a stop
+        fired or nothing is left."""
+        if self.deferred and all(time != self.now for time, _, _ in self.entries):
+            self.deferred.pop(0)()
+            return True
+        if not self.entries:
+            return False
+        entry = min(self.entries, key=lambda e: e[:2])
+        self.entries.remove(entry)
+        self.now, _, node = entry
+        if node is None:
+            return False
+        self.fire(node)
+        self.events_processed += 1
+        return True
+
+    def run(self, until=None):
+        if until is not None:
+            self.arm(0.0, None, at=until)
+        while self.step():
+            pass
 
 
 @given(instant_programs)
 @settings(max_examples=150, deadline=None)
-def test_end_of_instant_callbacks_fire_where_low_entries_did(program):
-    new, old = _pair(program)
-    new.env.run()
-    old.env.run()
-    assert new.fired == old.fired
-    assert new.env.now == old.env.now
+def test_end_of_instant_callbacks_match_the_reference(program):
+    kernel, reference = _Kernel(program), _Reference(program)
+    kernel.env.run()
+    reference.run()
+    assert kernel.fired == reference.fired
+    assert kernel.now == reference.now
     # Only the calendar entries count: not the end-of-instant callbacks.
-    defers = sum(1 for label, _ in old.fired if _armed_by_defer(program, label))
-    assert new.env.events_processed == old.env.events_processed - defers
-
-
-def _armed_by_defer(program, label):
-    kids = program[label[0]][2]
-    kind = None
-    for index in label[1:]:
-        kind, kids = kids[index]
-    return kind == "defer"
+    assert kernel.env.events_processed == reference.events_processed
 
 
 @given(instant_programs)
 @settings(max_examples=100, deadline=None)
-def test_step_and_peek_agree_with_low_entries(program):
+def test_step_and_peek_agree_with_the_reference(program):
     """One step is one entry or one end-of-instant callback, and ``peek``
     reports ``now`` while end-of-instant work is armed."""
-    new, old = _pair(program)
+    kernel, reference = _Kernel(program), _Reference(program)
     while True:
-        assert new.env.peek() == old.env.peek()
-        stepped = new.step()
-        assert stepped == old.step()
-        assert new.fired == old.fired
-        assert new.env.now == old.env.now
+        assert kernel.env.peek() == reference.peek()
+        stepped = kernel.step()
+        assert stepped == reference.step()
+        assert kernel.fired == reference.fired
+        assert kernel.now == reference.now
         if not stepped:
             break
+
+
+@given(instant_programs)
+@settings(max_examples=100, deadline=None)
+def test_run_and_step_fire_alike(program):
+    by_run, by_step = _Kernel(program), _Kernel(program)
+    by_run.env.run()
+    while by_step.env.peek() != float("inf"):
+        by_step.env.step()
+    assert by_step.fired == by_run.fired
+    assert by_step.env.events_processed == by_run.env.events_processed
 
 
 @given(instant_programs, st.sampled_from([0.5, 1.0]))
 @settings(max_examples=100, deadline=None)
 def test_run_until_stops_before_the_instants_deferred_work(program, until):
     """``run(until=t)`` stops at ``t`` with that instant's end-of-instant
-    work still armed (a LOW entry sorts after the until-entry too); the
-    next run picks it up."""
-    new, old = _pair(program)
-    new.env.run(until=until)
-    old.env.run(until=until)
-    assert new.fired == old.fired
-    assert new.env.now == old.env.now == until
-    assert new.env.peek() == old.env.peek()
-    new.env.run()
-    old.env.run()
-    assert new.fired == old.fired
+    work still armed (the stop timer sorts ahead of it); the next run
+    picks it up."""
+    kernel, reference = _Kernel(program), _Reference(program)
+    kernel.env.run(until=until)
+    reference.run(until=until)
+    assert kernel.fired == reference.fired
+    assert kernel.now == reference.now == until
+    assert kernel.env.peek() == reference.peek()
+    kernel.env.run()
+    reference.run()
+    assert kernel.fired == reference.fired
+    assert kernel.env.events_processed == reference.events_processed
 
 
 @given(instant_programs, st.sampled_from([0.5, 1.0]))
 @settings(max_examples=60, deadline=None)
 def test_cancel_all_drops_end_of_instant_work(program, until):
-    new, old = _pair(program)
-    new.env.run(until=until)
-    old.env.run(until=until)
-    new.env.cancel_all()
-    old.env.cancel_all()
-    assert new.env.peek() == old.env.peek() == float("inf")
+    kernel = _Kernel(program)
+    kernel.env.run(until=until)
+    fired = list(kernel.fired)
+    kernel.env.cancel_all()
+    assert kernel.env.peek() == float("inf")
     with pytest.raises(EmptySchedule):
-        new.env.step()
-    new.env.run()
-    old.env.run()
-    assert new.fired == old.fired
+        kernel.env.step()
+    kernel.env.run()
+    assert kernel.fired == fired
 
 
 def test_deferred_work_armed_at_an_instant_runs_before_the_clock_moves():
@@ -273,8 +269,8 @@ class TestLazyCancellation:
         """A callback may cancel a later same-time timer: lazy discard."""
         env = Environment()
         fired = []
+        env.call_at(1.0, lambda _a: victim.cancel())
         victim = env.call_later(1.0, fired.append, "victim")
-        env.call_at(1.0, lambda _a: victim.cancel(), priority=URGENT)
         env.run()
         assert fired == []
         assert env.events_processed == 1  # only the canceller fired
@@ -357,19 +353,15 @@ class TestTimerApi:
         assert seen == ["abs"]
         assert env.now == 3.25
 
-    def test_timer_and_event_share_sequence_counter(self):
-        """Interleaved schedules keep global FIFO within a (time, prio)."""
+    def test_call_at_and_call_later_share_sequence_counter(self):
+        """Interleaved schedules keep global FIFO within one instant."""
         env = Environment()
         order = []
         for i in range(6):
             if i % 2 == 0:
                 env.call_later(1.0, order.append, i)
             else:
-                event = Event(env)
-                event._ok = True
-                event._value = None
-                env.schedule(event, delay=1.0)
-                event.callbacks.append(lambda _e, i=i: order.append(i))
+                env.call_at(1.0, order.append, i)
         env.run()
         assert order == list(range(6))
 
@@ -392,10 +384,7 @@ class TestTimerApi:
         timer = env.call_later(1.0, lambda _a: None)
         assert isinstance(timer, Timer)
 
-    def test_negative_delay_rejected_like_timeout(self):
-        """The Timer fast path keeps Timeout's scheduling contract."""
-        import pytest
-
+    def test_negative_delay_rejected(self):
         env = Environment()
         with pytest.raises(ValueError):
             env.call_later(-0.5, lambda _a: None)
