@@ -47,6 +47,8 @@ class ObliviousStrategy(DispatchStrategy):
         #: Requests waiting for a send slot, per server (C3 pacing only).
         self._paced_backlog: _t.Dict[int, _t.Deque[RequestMessage]] = {}
         self._pacer_active: _t.Set[int] = set()
+        #: Requests that waited in the paced backlog (C3 audit counter).
+        self.paced_requests = 0
         self._server_addresses = [
             server_address(s) for s in range(placement.n_servers)
         ]
@@ -79,6 +81,7 @@ class ObliviousStrategy(DispatchStrategy):
                 self._send(request)
             else:
                 server_id = request.server_id
+                self.paced_requests += 1
                 self._paced_backlog.setdefault(server_id, deque()).append(request)
                 self._ensure_pacer(server_id)
 

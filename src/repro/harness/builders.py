@@ -160,6 +160,20 @@ class C3Builder(StrategyBuilder):
         )
         return ObliviousStrategy(ctx.placement, selector, ctx.service_model)
 
+    def collect_extras(self, ctx, clients, servers):
+        return {
+            "c3_rate_cuts": float(
+                sum(
+                    state.limiter.congestion_events
+                    for c in clients
+                    for state in c.strategy.selector._states.values()
+                )
+            ),
+            "c3_paced_requests": float(
+                sum(c.strategy.paced_requests for c in clients)
+            ),
+        }
+
 
 class ObliviousBuilder(StrategyBuilder):
     """Task-oblivious dispatch with a simple replica selector."""

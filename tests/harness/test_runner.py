@@ -128,11 +128,14 @@ class TestRunExperiment:
         from when the feeder drew one task per submit: drawing tasks in
         blocks must leave every due time the arrival scale compresses.  The
         calendar entries it took are pinned apart, as the engine golden
-        does: an engine change moves them and nothing else."""
+        does: an engine change moves them and nothing else, and so are
+        C3's limiter counters, which joined the extras after the digest."""
         config = get_scenario("flash-crowd").build_config(strategy="c3", n_tasks=3000)
         record = run_experiment(config, seed=7).to_dict()
         assert record["extras"]["flash_crowd_windows"] == 1.0
         assert record.pop("events_processed") == 85_209
+        assert record["extras"].pop("c3_rate_cuts") == 38.0
+        assert record["extras"].pop("c3_paced_requests") == 6751.0
         assert hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest() == (
             "25f52a7049097f8087b582935e737577e58dd63de3420f66d615293230d06453"
         )

@@ -63,8 +63,23 @@ GRID = [
     ("ring-rebalance", "unifincr-credits", N_TASKS_LONG),
     ("hot-shard-remediated", "unifincr-credits", N_TASKS_LONG),
     ("crash-restart-remediated", "c3", N_TASKS_LONG),
+    # Past C3's first reaction interval and rate window, which the 400-task
+    # cell never reaches: the limiter's cuts and its pacing backlog run here.
+    ("steady-state", "c3", N_TASKS_LONG),
 ]
 SEED = 1
+
+
+def _tag(scenario, strategy, n_tasks):
+    """``scenario/strategy``, plus ``/n<length>`` for a pair pinned again
+    at another length."""
+    first = next(n for s, st, n in GRID if (s, st) == (scenario, strategy))
+    tag = f"{scenario}/{strategy}"
+    return tag if n_tasks == first else f"{tag}/n{n_tasks}"
+
+
+def _key(scenario, strategy, n_tasks):
+    return f"{_tag(scenario, strategy, n_tasks)}/seed{SEED}"
 
 
 def _run_cell(scenario, strategy, n_tasks):
@@ -76,7 +91,7 @@ def _run_cell(scenario, strategy, n_tasks):
 def golden():
     if os.environ.get("REPRO_REGEN_GOLDEN") == "1":  # pragma: no cover
         data = {
-            f"{scenario}/{strategy}/seed{SEED}": _run_cell(scenario, strategy, n)
+            _key(scenario, strategy, n): _run_cell(scenario, strategy, n)
             for scenario, strategy, n in GRID
         }
         FIXTURE.write_text(
@@ -86,7 +101,9 @@ def golden():
 
 
 _CELLS = pytest.mark.parametrize(
-    "scenario,strategy,n_tasks", GRID, ids=[f"{s}-{st}" for s, st, _ in GRID]
+    "scenario,strategy,n_tasks",
+    GRID,
+    ids=[_tag(*cell).replace("/", "-") for cell in GRID],
 )
 
 
@@ -96,11 +113,12 @@ def produced():
     cache = {}
 
     def run(scenario, strategy, n_tasks):
-        if (scenario, strategy) not in cache:
-            cache[scenario, strategy] = json.loads(
+        key = _key(scenario, strategy, n_tasks)
+        if key not in cache:
+            cache[key] = json.loads(
                 json.dumps(_run_cell(scenario, strategy, n_tasks), sort_keys=True)
             )
-        return cache[scenario, strategy]
+        return cache[key]
 
     return run
 
@@ -109,7 +127,7 @@ def produced():
 def test_schedule_matches_golden(golden, produced, scenario, strategy, n_tasks):
     """Everything simulated time decides: latencies, counts, audit extras."""
     got = dict(produced(scenario, strategy, n_tasks))
-    expected = dict(golden[f"{scenario}/{strategy}/seed{SEED}"])
+    expected = dict(golden[_key(scenario, strategy, n_tasks)])
     del got["events_processed"], expected["events_processed"]
     assert got == expected, (
         f"{scenario}/{strategy}: the simulated schedule drifted (latency "
@@ -121,7 +139,7 @@ def test_schedule_matches_golden(golden, produced, scenario, strategy, n_tasks):
 @_CELLS
 def test_event_count_matches_golden(golden, produced, scenario, strategy, n_tasks):
     """Calendar entries fired: moves when the engine changes, not the model."""
-    expected = golden[f"{scenario}/{strategy}/seed{SEED}"]["events_processed"]
+    expected = golden[_key(scenario, strategy, n_tasks)]["events_processed"]
     assert produced(scenario, strategy, n_tasks)["events_processed"] == expected, (
         f"{scenario}/{strategy}: same schedule contract, different number of "
         "calendar entries; expected after an engine change (regenerate with "
@@ -135,7 +153,7 @@ def test_fixture_covers_grid_and_counts():
     data = json.loads(FIXTURE.read_text(encoding="utf-8"))
     assert len(data) == len(GRID)
     for scenario, strategy, n_tasks in GRID:
-        key = f"{scenario}/{strategy}/seed{SEED}"
+        key = _key(scenario, strategy, n_tasks)
         cell = data[key]
         assert cell["n_tasks"] == n_tasks, key
         assert cell["tasks_completed"] == n_tasks, key
