@@ -19,7 +19,7 @@ Usage::
 
 import sys
 
-from repro.baselines import C3Selector, ObliviousStrategy
+from repro.baselines import C3Strategy
 from repro.cluster import BackendServer, Client, ClusterSpec, Network
 from repro.core import (
     BRBCreditsStrategy,
@@ -105,15 +105,12 @@ def run_system(trace, service_model, system: str, seed: int) -> LatencySummary:
                 placement, UnifIncrAssigner(), service_model, gate=gate
             )
         else:
-            strategy = ObliviousStrategy(
+            strategy = C3Strategy(
                 placement,
-                C3Selector(
-                    env,
-                    concurrency_weight=N_CLIENTS,
-                    stream=streams.stream(f"c3.{client_id}"),
-                    initial_rate=SPEC.server_capacity() / N_CLIENTS,
-                ),
                 service_model,
+                concurrency_weight=N_CLIENTS,
+                stream=streams.stream(f"c3.{client_id}"),
+                initial_rate=SPEC.server_capacity() / N_CLIENTS,
             )
         clients.append(
             Client(env, client_id=client_id, network=network,

@@ -1,6 +1,6 @@
-"""Baselines: replica selectors (random, RR, LOR, C3) + oblivious dispatch."""
+"""Baselines: C3, replica selectors (random, RR, LOR) + oblivious dispatch."""
 
-from .c3 import C3Selector, C3State, CubicRateLimiter
+from .c3 import C3Record, C3Strategy
 from .hedging import HedgedStrategy
 from .selectors import (
     LeastOutstandingBytesSelector,
@@ -13,9 +13,8 @@ from .selectors import (
 from .strategies import ObliviousStrategy
 
 __all__ = [
-    "C3Selector",
-    "C3State",
-    "CubicRateLimiter",
+    "C3Record",
+    "C3Strategy",
     "HedgedStrategy",
     "LeastOutstandingBytesSelector",
     "LeastOutstandingSelector",

@@ -25,22 +25,30 @@ Tail Latency in Cloud Data Stores via Adaptive Replica Selection"):
    observed receive rate) the rate is cut multiplicatively and the
    pre-cut rate is remembered as the plateau ``R_max``; otherwise the rate
    grows along the cubic curve ``rate(t) = gamma (t - K)^3 + R_max`` with
-   ``K = cbrt(R_max * beta / gamma)``.
+   ``K = cbrt(R_max * beta / gamma)``.  Requests that exceed the rate
+   limit wait in a per-server FIFO at the client (C3's "backpressure"
+   queue) until a send token matures.
 
-Requests that exceed the rate limit wait in a per-server FIFO at the
-client (C3's "backpressure" queue) and are released by a pacing process.
+:class:`C3Strategy` is the whole client.  What it knows about a server is
+one :class:`C3Record`, made when the server is first ranked, which each
+request event (rank, gate and send, response) reads and writes.
 """
 
 from __future__ import annotations
 
 import math
 import typing as _t
+from collections import deque
 
+from ..cluster.addresses import server_address
+from ..cluster.client import DispatchStrategy
 from ..cluster.messages import RequestMessage, ResponseMessage
-from ..core.clock import Clock
-from ..metrics.timeseries import EwmaEstimator, WindowedRate
+from ..core.cost import CostModel
+from ..metrics.timeseries import EPSILON_ELAPSED
+from ..placement import Placement
 from ..sim.rng import Stream
-from .selectors import ReplicaSelector
+from ..workload.calibration import ServiceTimeModel
+from ..workload.tasks import Task
 
 # Every C3 tuning value is one constant in this block; none is a
 # constructor argument.
@@ -69,115 +77,112 @@ CONGESTION_RATIO = 1.3
 MIN_WINDOW_SAMPLES = 8
 
 
-class CubicRateLimiter:
-    """Per-server CUBIC send-rate controller with token accounting."""
+def _plateau_offset(rate_max: float) -> float:
+    """CUBIC's ``K``: when the curve regains the plateau ``R_max``."""
+    return ((rate_max * DEFAULT_BETA) / DEFAULT_GAMMA) ** (1.0 / 3.0)
 
-    def __init__(self, env: Clock, initial_rate: float) -> None:
-        if initial_rate <= 0:
-            raise ValueError("initial_rate must be positive")
-        self.env = env
+
+class C3Record:
+    """One client's C3 state for one server, one line of slots each:
+
+    * the feedback EWMAs (time constant ``DEFAULT_SMOOTHING``).  Response
+      time and queue size are folded in on every response, so they share
+      one weight and one last update (``feedback_at``, also the latest
+      receive); ``None`` until the first sample, which replaces the 0.0;
+    * ``outstanding``: requests assigned and not yet answered;
+    * the send and receive windows: times inside the trailing
+      ``RATE_WINDOW``, and when each window's first and latest event was;
+    * the cubic limiter and its token bucket; ``cuts`` counts epochs;
+    * ``backlog``: requests waiting for a token, oldest first.  The pacer
+      is armed exactly while it is non-empty.
+    """
+
+    __slots__ = (
+        "response_time", "queue_size", "service_time", "feedback_at", "service_at",
+        "outstanding",
+        "sends", "sends_first", "sends_last", "recvs", "recvs_first",
+        "rate", "min_rate", "rate_max", "k", "epoch_start", "last_reaction",
+        "tokens", "last_refill", "cuts",
+        "backlog",
+    )
+
+    def __init__(self, now: float, initial_rate: float) -> None:
+        self.response_time = 0.0
+        self.queue_size = 0.0
+        self.service_time = 0.0
+        self.feedback_at: _t.Optional[float] = None
+        self.service_at: _t.Optional[float] = None
+        self.outstanding = 0
+        self.sends: _t.Deque[float] = deque()
+        self.sends_first: _t.Optional[float] = None
+        self.sends_last = -math.inf
+        self.recvs: _t.Deque[float] = deque()
+        self.recvs_first: _t.Optional[float] = None
         self.rate = float(initial_rate)
         self.min_rate = min(MIN_RATE, self.rate)
-        self.rate_max = float(initial_rate)
-        self._k = self._plateau_offset()
-        self._epoch_start = env.now
-        self._last_reaction = -float("inf")
-        self._tokens = BURST
-        self._last_refill = env.now
-        self.congestion_events = 0
+        self.rate_max = self.rate
+        self.k = _plateau_offset(self.rate_max)
+        self.epoch_start = now
+        self.last_reaction = -math.inf
+        self.tokens = BURST
+        self.last_refill = now
+        self.cuts = 0
+        self.backlog: _t.Deque[RequestMessage] = deque()
 
-    # -- rate adaptation -----------------------------------------------------
-    def on_congestion(self) -> None:
+    def cut(self, now: float) -> None:
         """Multiplicative decrease; remember the plateau.
 
         Reacts at most once per ``REACTION_INTERVAL`` -- CUBIC cuts once per
         congestion *epoch*, not once per ack, and without this guard the
         noisy windowed-rate comparison collapses the rate to the floor.
         """
-        if self.env.now - self._last_reaction < REACTION_INTERVAL:
+        if now - self.last_reaction < REACTION_INTERVAL:
             return
-        self._last_reaction = self.env.now
+        self.last_reaction = now
         self.rate_max = self.rate
-        self._k = self._plateau_offset()
+        self.k = _plateau_offset(self.rate_max)
         self.rate = max(self.min_rate, self.rate * (1.0 - DEFAULT_BETA))
-        self._epoch_start = self.env.now
-        self.congestion_events += 1
+        self.epoch_start = now
+        self.cuts += 1
 
-    def _plateau_offset(self) -> float:
-        """CUBIC's ``K``: when the curve regains the plateau ``R_max``."""
-        return ((self.rate_max * DEFAULT_BETA) / DEFAULT_GAMMA) ** (1.0 / 3.0)
-
-    def on_ack(self) -> None:
+    def grow(self, now: float) -> None:
         """Cubic growth toward (and past) the previous plateau."""
-        t = self.env.now - self._epoch_start
-        target = DEFAULT_GAMMA * (t - self._k) ** 3 + self.rate_max
+        t = now - self.epoch_start
+        target = DEFAULT_GAMMA * (t - self.k) ** 3 + self.rate_max
         self.rate = min(MAX_RATE, max(self.min_rate, target))
 
-    # -- token bucket ------------------------------------------------------------
-    def _refill(self) -> None:
-        now = self.env.now
-        self._tokens = min(
-            BURST, self._tokens + (now - self._last_refill) * self.rate
-        )
-        self._last_refill = now
-
-    def try_acquire(self) -> bool:
-        """Take one send token if available.
+    def acquire(self, now: float) -> float:
+        """Refill the bucket and take one send token: 0.0 when one was
+        taken, else the (positive) seconds until one matures.
 
         A small tolerance absorbs floating-point residue so a token that
-        is 1e-12 short of maturity still counts (otherwise pacers can spin
-        on sub-representable waits).
+        is 1e-12 short of maturity still counts (otherwise the pacer can
+        spin on sub-representable waits).
         """
-        self._refill()
-        if self._tokens >= 1.0 - 1e-9:
-            self._tokens = max(0.0, self._tokens - 1.0)
-            return True
-        return False
-
-    def time_until_token(self) -> float:
-        """Seconds until the next token matures (0 if one is ready)."""
-        self._refill()
-        if self._tokens >= 1.0 - 1e-9:
+        tokens = min(BURST, self.tokens + (now - self.last_refill) * self.rate)
+        self.last_refill = now
+        if tokens >= 1.0 - 1e-9:
+            self.tokens = max(0.0, tokens - 1.0)
             return 0.0
-        return (1.0 - self._tokens) / self.rate
+        self.tokens = tokens
+        return (1.0 - tokens) / self.rate
 
 
-class C3State:
-    """Per-server statistics a C3 client maintains."""
+class C3Strategy(DispatchStrategy):
+    """The C3 client: replica ranking, cubic rate control, pacing.
 
-    __slots__ = (
-        "response_time",
-        "service_time",
-        "queue_size",
-        "outstanding",
-        "send_rate",
-        "recv_rate",
-        "limiter",
-    )
-
-    def __init__(self, env: Clock, initial_rate: float) -> None:
-        self.response_time = EwmaEstimator(DEFAULT_SMOOTHING)
-        self.service_time = EwmaEstimator(DEFAULT_SMOOTHING)
-        self.queue_size = EwmaEstimator(DEFAULT_SMOOTHING)
-        self.outstanding = 0
-        self.send_rate = WindowedRate(RATE_WINDOW)
-        self.recv_rate = WindowedRate(RATE_WINDOW)
-        self.limiter = CubicRateLimiter(env, initial_rate=initial_rate)
-
-
-class C3Selector(ReplicaSelector):
-    """C3 replica ranking + cubic rate control, one instance per client.
-
-    Also exposes the rate-limit gate (:meth:`try_acquire` /
-    :meth:`time_until_slot`) used by the oblivious dispatch strategy:
-    C3 paces dispatches per server.
+    A pick counts as outstanding from ``prepare`` on, so requests waiting
+    for a token are load the next ranking sees.  Requests keep the default
+    priority (servers serve them FIFO).  Without ``rate_control`` the
+    limiter is never consulted: ranking only.
     """
 
-    name = "c3"
+    name = "oblivious+c3"
 
     def __init__(
         self,
-        env: Clock,
+        placement: Placement,
+        service_model: ServiceTimeModel,
         concurrency_weight: float,
         stream: Stream,
         initial_rate: float,
@@ -187,110 +192,190 @@ class C3Selector(ReplicaSelector):
             raise ValueError("concurrency_weight must be >= 1")
         if initial_rate <= 0:
             raise ValueError("initial_rate must be positive")
-        self.env = env
+        self.placement = placement
+        self.cost_model = CostModel(service_model)
         self.concurrency_weight = float(concurrency_weight)
         self.stream = stream
-        self.rate_control = rate_control
         self.initial_rate = initial_rate
-        self._states: _t.Dict[int, C3State] = {}
+        self.rate_control = rate_control
+        #: server id -> its record, made the first time it is ranked.
+        self.records: _t.Dict[int, C3Record] = {}
+        #: Requests that waited in a backlog (an audit counter).
+        self.paced_requests = 0
+        self._server_addresses = [server_address(s) for s in range(placement.n_servers)]
 
-    def state_of(self, server_id: int) -> C3State:
-        state = self._states.get(server_id)
-        if state is None:
-            state = C3State(self.env, self.initial_rate)
-            self._states[server_id] = state
-        return state
-
-    # -- scoring ------------------------------------------------------------
     def score(self, server_id: int) -> float:
         """The C3 ranking function psi_s (smaller is better)."""
-        s = self.state_of(server_id)
-        mu_inv = s.service_time.value
-        if mu_inv <= 0:
+        rec = self.records.get(server_id)
+        if rec is None or rec.service_time <= 0:
             # No feedback yet: treat the server as unknown-but-promising so
             # every replica gets explored early on.
             return -math.inf
-        q_hat = 1.0 + s.outstanding * self.concurrency_weight + s.queue_size.value
-        return s.response_time.value - mu_inv + (q_hat**3) * mu_inv
+        mu_inv = rec.service_time
+        q_hat = 1.0 + rec.outstanding * self.concurrency_weight + rec.queue_size
+        return rec.response_time - mu_inv + (q_hat**3) * mu_inv
 
-    def choose(self, replicas: _t.Sequence[int], request: RequestMessage) -> int:
-        best: _t.List[int] = []
-        best_score = math.inf
-        states = self._states
+    # -- prepare: rank and assign ----------------------------------------------
+    def prepare(self, task: Task) -> _t.List[RequestMessage]:
+        placement = self.placement
+        op_cost = self.cost_model.op_cost
+        records = self.records
         weight = self.concurrency_weight
-        for server in replicas:
-            # :meth:`score`, inlined: it runs for every replica of every op.
-            s = states.get(server)
-            if s is None:
-                s = self.state_of(server)
-            mu_inv = s.service_time.value
-            if mu_inv <= 0:
-                score = -math.inf
+        task_id = task.task_id
+        client_id = self.client.client_id
+        now = self.client.env.now
+        requests: _t.List[RequestMessage] = []
+        for op in task.operations:
+            partition = placement.partition_of(op.key)
+            request = RequestMessage(
+                op, task_id, client_id, partition, now, op_cost(op)
+            )
+            best: _t.List[int] = []
+            best_score = math.inf
+            for server in placement.replicas_of(partition):
+                # :meth:`score`, inlined: it runs for every replica of every op.
+                rec = records.get(server)
+                if rec is None:
+                    rec = records[server] = C3Record(now, self.initial_rate)
+                mu_inv = rec.service_time
+                if mu_inv <= 0:
+                    score = -math.inf
+                else:
+                    q_hat = 1.0 + rec.outstanding * weight + rec.queue_size
+                    score = rec.response_time - mu_inv + (q_hat**3) * mu_inv
+                if score < best_score:
+                    best_score = score
+                    best = [server]
+                elif score == best_score:
+                    best.append(server)
+            if len(best) > 1:
+                pick = best[self.stream.randrange(len(best))]
             else:
-                q_hat = 1.0 + s.outstanding * weight + s.queue_size.value
-                score = s.response_time.value - mu_inv + (q_hat**3) * mu_inv
-            if score < best_score:
-                best_score = score
-                best = [server]
-            elif score == best_score:
-                best.append(server)
-        if len(best) > 1:
-            return best[self.stream.randrange(len(best))]
-        return best[0]
+                pick = best[0]
+            request.server_id = pick
+            records[pick].outstanding += 1
+            requests.append(request)
+        return requests
 
-    # -- feedback -----------------------------------------------------------
-    def on_assign(self, request: RequestMessage) -> None:
-        state = self.state_of(request.server_id)
-        state.outstanding += 1
+    # -- dispatch: the rate gate, the backlog and the pacer ------------------------
+    def dispatch(self, requests: _t.Sequence[RequestMessage]) -> None:
+        records = self.records
+        rate_control = self.rate_control
+        now = self.client.env.now
+        for request in requests:
+            rec = records[request.server_id]
+            if rate_control:
+                wait = rec.acquire(now)
+                if wait:
+                    # A request dispatched later may still take a token that
+                    # matures before the pacer's next turn (a FIFO overtake).
+                    self.paced_requests += 1
+                    if not rec.backlog:
+                        self.client.env.call_later(max(1e-6, wait), self._pace, rec)
+                    rec.backlog.append(request)
+                    continue
+            self._send(request, rec, now)
 
-    def on_dispatch(self, request: RequestMessage) -> None:
-        self.state_of(request.server_id).send_rate.record(self.env.now)
+    def _pace(self, rec: C3Record) -> None:
+        """Drain ``rec``'s backlog as tokens mature.
 
+        The wait is floored at 1 us: the token bucket can report
+        sub-representable residual waits, and ``now + epsilon == now`` in
+        doubles would freeze virtual time.
+        """
+        now = self.client.env.now
+        backlog = rec.backlog
+        while backlog:
+            wait = rec.acquire(now)
+            if wait:
+                self.client.env.call_later(max(1e-6, wait), self._pace, rec)
+                return
+            self._send(backlog.popleft(), rec, now)
+
+    def _send(self, request: RequestMessage, rec: C3Record, now: float) -> None:
+        """Stamp ``request``, record it in the send window, send it."""
+        request.dispatched_at = now
+        if now < rec.sends_last:
+            raise ValueError("time went backwards")
+        if rec.sends_first is None:
+            rec.sends_first = now
+        rec.sends_last = now
+        sends = rec.sends
+        sends.append(now)
+        # Evicting here never changes a later query's answer, and bounds a
+        # window nothing queries (no rate control).
+        cutoff = now - RATE_WINDOW
+        while sends[0] < cutoff:
+            sends.popleft()
+        client = self.client
+        client.network.send(
+            client.address, self._server_addresses[request.server_id], request
+        )
+
+    # -- feedback: EWMAs, the congestion test, the limiter ---------------------------
     def on_response(self, response: ResponseMessage) -> None:
         request = response.request
         feedback = response.feedback
-        state = self.state_of(request.server_id)
-        if state.outstanding <= 0:
+        rec = self.records.get(request.server_id)
+        if rec is None or rec.outstanding <= 0:
             raise RuntimeError(
                 f"C3 outstanding underflow for server {request.server_id}"
             )
-        state.outstanding -= 1
-        now = self.env.now
-        state.recv_rate.record(now)
-        # The two EWMAs are only ever updated here, together: one weight.
-        alpha = state.response_time.weight(now)
-        state.response_time.fold(now, now - request.dispatched_at, alpha)
-        state.queue_size.fold(
-            now, feedback.queue_length + feedback.in_service, alpha
-        )
-        if feedback.ewma_service_time > 0:
-            state.service_time.update(now, feedback.ewma_service_time)
-        if self.rate_control:
-            send_rate, recv_rate = state.send_rate, state.recv_rate
-            send_samples = send_rate.count(now)
-            recv_samples = recv_rate.count(now)
-            # Both windows must be populated before the comparison means
-            # anything: while responses are still in flight (ramp-up) the
-            # receive rate trivially lags the send rate and reacting to
-            # that would collapse the rate before the system ever settles.
-            if (
-                send_samples >= MIN_WINDOW_SAMPLES
-                and recv_samples >= MIN_WINDOW_SAMPLES
-                and send_rate.rate_of(send_samples, now)
-                > recv_rate.rate_of(recv_samples, now) * CONGESTION_RATIO
-            ):
-                state.limiter.on_congestion()
+        rec.outstanding -= 1
+        now = self.client.env.now
+        # The response-time and queue-size EWMAs: one weight, one exp.
+        response_time = now - request.dispatched_at
+        queued = feedback.queue_length + feedback.in_service
+        if rec.feedback_at is None:
+            rec.recvs_first = now
+            rec.response_time = float(response_time)
+            rec.queue_size = float(queued)
+        else:
+            dt = now - rec.feedback_at
+            if dt < 0:
+                raise ValueError("time went backwards")
+            alpha = 1.0 - math.exp(-dt / DEFAULT_SMOOTHING)
+            rec.response_time += alpha * (response_time - rec.response_time)
+            rec.queue_size += alpha * (queued - rec.queue_size)
+        rec.feedback_at = now
+        recvs = rec.recvs
+        recvs.append(now)
+        cutoff = now - RATE_WINDOW
+        while recvs[0] < cutoff:
+            recvs.popleft()
+        service = feedback.ewma_service_time
+        if service > 0:
+            if rec.service_at is None:
+                rec.service_time = float(service)
             else:
-                state.limiter.on_ack()
-
-    # -- pacing gate -----------------------------------------------------------
-    def try_acquire(self, server_id: int) -> bool:
-        """Non-blocking send-slot acquisition for ``server_id``."""
+                dt = now - rec.service_at
+                if dt < 0:
+                    raise ValueError("time went backwards")
+                alpha = 1.0 - math.exp(-dt / DEFAULT_SMOOTHING)
+                rec.service_time += alpha * (service - rec.service_time)
+            rec.service_at = now
         if not self.rate_control:
-            return True
-        return self.state_of(server_id).limiter.try_acquire()
-
-    def time_until_slot(self, server_id: int) -> float:
-        if not self.rate_control:
-            return 0.0
-        return self.state_of(server_id).limiter.time_until_token()
+            return
+        if now < rec.sends_last:
+            raise ValueError(f"stale query: a send at {rec.sends_last} > now")
+        sends = rec.sends
+        while sends and sends[0] < cutoff:
+            sends.popleft()
+        n_sends = len(sends)
+        n_recvs = len(recvs)
+        # Both windows must be populated before the comparison means
+        # anything: while responses are still in flight (ramp-up) the
+        # receive rate trivially lags the send rate and reacting to that
+        # would collapse the rate before the system ever settles.
+        if (
+            n_sends >= MIN_WINDOW_SAMPLES
+            and n_recvs >= MIN_WINDOW_SAMPLES
+            and n_sends
+            / min(RATE_WINDOW, max(now - rec.sends_first, EPSILON_ELAPSED))
+            > n_recvs
+            / min(RATE_WINDOW, max(now - rec.recvs_first, EPSILON_ELAPSED))
+            * CONGESTION_RATIO
+        ):
+            rec.cut(now)
+        else:
+            rec.grow(now)

@@ -2,7 +2,8 @@
 
 Given the replica group of a partition, a selector picks the server to
 serve a read.  These are the task-oblivious baselines; C3 (the paper's
-state-of-the-art comparison point) lives in :mod:`repro.baselines.c3`.
+state-of-the-art comparison point), which also paces its sends, is a
+whole dispatch strategy in :mod:`repro.baselines.c3`.
 
 All selectors see the same feedback hooks (`on_dispatch`/`on_response`), so
 strategies can treat them uniformly.
@@ -29,10 +30,9 @@ class ReplicaSelector:
     def on_assign(self, request: RequestMessage) -> None:
         """Called when a request is *assigned* to ``request.server_id``.
 
-        Fires before any client-side gating/pacing delay.  Selectors that
-        track load (LOR, C3) must account here, not at send time: requests
-        waiting in a pacing backlog are load the next ``choose`` call needs
-        to see, otherwise the ranking keeps piling onto the same server.
+        Fires before the request is sent.  Selectors that track load (LOR)
+        account here, not at send time, as C3 does: a request assigned but
+        not yet sent is load the next ``choose`` call needs to see.
         """
 
     def on_dispatch(self, request: RequestMessage) -> None:
@@ -153,7 +153,7 @@ class LeastOutstandingBytesSelector(ReplicaSelector):
 
 
 def make_selector(name: str, stream: _t.Optional[Stream] = None) -> ReplicaSelector:
-    """Factory by name (C3 is constructed separately; it needs more state)."""
+    """Factory by name (C3 is a strategy of its own, not a selector)."""
     if name == "random":
         if stream is None:
             raise ValueError("random selector needs a stream")

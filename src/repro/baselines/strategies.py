@@ -2,15 +2,15 @@
 
 The oblivious strategy selects a replica *per request* (no notion of
 sub-tasks or bottlenecks), leaves every request at the default priority
-``(0.0,)``, and sends requests as soon as the pacing policy allows.
-Servers serve the smallest priority tuple first and ties in arrival
-order, so these requests are served FIFO.
+``(0.0,)``, and sends each request at once.  Servers serve the smallest
+priority tuple first and ties in arrival order, so these requests are
+served FIFO.  C3, which also paces its sends, is its own strategy
+(:class:`~repro.baselines.c3.C3Strategy`).
 """
 
 from __future__ import annotations
 
 import typing as _t
-from collections import deque
 
 from ..cluster.client import DispatchStrategy
 from ..cluster.messages import RequestMessage, ResponseMessage
@@ -19,12 +19,11 @@ from ..cluster.addresses import server_address
 from ..core.cost import CostModel
 from ..workload.calibration import ServiceTimeModel
 from ..workload.tasks import Task
-from .c3 import C3Selector
 from .selectors import ReplicaSelector
 
 
 class ObliviousStrategy(DispatchStrategy):
-    """Per-request replica selection, immediate (or paced) dispatch."""
+    """Per-request replica selection, immediate dispatch."""
 
     def __init__(
         self,
@@ -39,16 +38,6 @@ class ObliviousStrategy(DispatchStrategy):
         # maps to one fixed size, so per-request recomputation is waste.
         self.cost_model = CostModel(service_model)
         self.name = f"oblivious+{selector.name}"
-        #: The selector's send-slot gate when it paces dispatches (C3's
-        #: rate control), else ``None``: every request leaves at once.
-        self._try_acquire = (
-            selector.try_acquire if isinstance(selector, C3Selector) else None
-        )
-        #: Requests waiting for a send slot, per server (C3 pacing only).
-        self._paced_backlog: _t.Dict[int, _t.Deque[RequestMessage]] = {}
-        self._pacer_active: _t.Set[int] = set()
-        #: Requests that waited in the paced backlog (C3 audit counter).
-        self.paced_requests = 0
         self._server_addresses = [
             server_address(s) for s in range(placement.n_servers)
         ]
@@ -75,15 +64,8 @@ class ObliviousStrategy(DispatchStrategy):
 
     # -- dispatch ---------------------------------------------------------------
     def dispatch(self, requests: _t.Sequence[RequestMessage]) -> None:
-        try_acquire = self._try_acquire
         for request in requests:
-            if try_acquire is None or try_acquire(request.server_id):
-                self._send(request)
-            else:
-                server_id = request.server_id
-                self.paced_requests += 1
-                self._paced_backlog.setdefault(server_id, deque()).append(request)
-                self._ensure_pacer(server_id)
+            self._send(request)
 
     def _send(self, request: RequestMessage) -> None:
         request.dispatched_at = self.client.env.now
@@ -91,31 +73,6 @@ class ObliviousStrategy(DispatchStrategy):
         self.client.network.send(
             self.client.address, self._server_addresses[request.server_id], request
         )
-
-    def _ensure_pacer(self, server_id: int) -> None:
-        if server_id not in self._pacer_active:
-            self._pacer_active.add(server_id)
-            self._pace(server_id)
-
-    def _pace(self, server_id: int) -> None:
-        """Drain the paced backlog as rate-limit tokens mature.
-
-        The wait is floored at 1 us: the token bucket can report
-        sub-representable residual waits, and ``now + epsilon == now`` in
-        doubles would freeze virtual time.
-        """
-        selector = _t.cast(C3Selector, self.selector)
-        backlog = self._paced_backlog[server_id]
-        while backlog:
-            if not selector.try_acquire(server_id):
-                self.client.env.call_later(
-                    max(1e-6, selector.time_until_slot(server_id)),
-                    self._pace,
-                    server_id,
-                )
-                return
-            self._send(backlog.popleft())
-        self._pacer_active.discard(server_id)
 
     # -- feedback ---------------------------------------------------------------
     def on_response(self, response: ResponseMessage) -> None:

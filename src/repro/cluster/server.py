@@ -97,7 +97,8 @@ class ServerState:
         self._pause_depth = 0
         #: Server-measured service-time EWMA (100 ms time constant).
         self._ewma_service = EwmaEstimator(0.1, initial=0.0)
-        #: Arrival-rate tracker for congestion detection (credits strategy).
+        #: Arrival-rate tracker for the congestion check (credits
+        #: strategies); a simulated server without the check leaves it empty.
         self.arrival_rate = WindowedRate(window=0.1)
 
     # -- to be provided by the engines -----------------------------------------
@@ -291,7 +292,8 @@ class BackendServer(_ServerBase):
             raise TypeError(f"server got unexpected message {message!r}")
         now = self.env.now
         message.enqueued_at = now
-        self.arrival_rate.record(now)
+        if self.congestion_interval is not None:
+            self.arrival_rate.record(now)
         heappush(self._heap, (message.priority, next(self._seq), message))
         self._arm_admit()
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import dataclasses
 import typing as _t
 
-from ..baselines.c3 import C3Selector
+from ..baselines.c3 import C3Strategy
 from ..baselines.hedging import HedgedStrategy
 from ..baselines.selectors import make_selector
 from ..baselines.strategies import ObliviousStrategy
@@ -149,8 +149,9 @@ class C3Builder(StrategyBuilder):
     def build_client_strategy(
         self, ctx: ClusterContext, client_id: int
     ) -> DispatchStrategy:
-        selector = C3Selector(
-            ctx.env,
+        return C3Strategy(
+            ctx.placement,
+            ctx.service_model,
             concurrency_weight=PAPER_CLIENTS,
             stream=ctx.streams.stream(f"c3.tiebreak.{client_id}"),
             rate_control=self.rate_control,
@@ -158,20 +159,12 @@ class C3Builder(StrategyBuilder):
             # cubic controller explores around the right operating point.
             initial_rate=ctx.config.cluster.server_capacity() / PAPER_CLIENTS,
         )
-        return ObliviousStrategy(ctx.placement, selector, ctx.service_model)
 
     def collect_extras(self, ctx, clients, servers):
+        c3s = [c.strategy for c in clients]
         return {
-            "c3_rate_cuts": float(
-                sum(
-                    state.limiter.congestion_events
-                    for c in clients
-                    for state in c.strategy.selector._states.values()
-                )
-            ),
-            "c3_paced_requests": float(
-                sum(c.strategy.paced_requests for c in clients)
-            ),
+            "c3_rate_cuts": float(sum(r.cuts for s in c3s for r in s.records.values())),
+            "c3_paced_requests": float(sum(s.paced_requests for s in c3s)),
         }
 
 

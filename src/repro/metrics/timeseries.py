@@ -1,9 +1,10 @@
 """Windowed rates and EWMA estimators over a stream of timestamps.
 
 Used by the servers of both realms (arrival rate for the congestion
-check, service-time EWMA), C3 (send/receive rates), hedging (duplicate
-budget) and the metrics bus (task arrival rate).  All timestamps are
-model seconds from the run's clock.
+check, service-time EWMA), hedging (duplicate budget) and the metrics bus
+(task arrival rate); C3 keeps the same windows and EWMAs inline in its
+per-server record.  All timestamps are model seconds from the run's
+clock.
 """
 
 from __future__ import annotations
@@ -67,10 +68,7 @@ class WindowedRate:
     def rate(self, now: float) -> float:
         """Events per unit time over ``[now - window, now]``; before a full
         window has passed since the first event, over the elapsed time."""
-        return self.rate_of(self.count(now), now)
-
-    def rate_of(self, count: int, now: float) -> float:
-        """:meth:`rate` from the ``count(now)`` a caller already holds."""
+        count = self.count(now)
         if self._first_time is None:
             return 0.0
         elapsed = max(now - self._first_time, EPSILON_ELAPSED)
@@ -91,9 +89,8 @@ class EwmaEstimator:
     """Exponentially decaying moving average (EWMA) over irregular samples.
 
     The decay is applied per unit of elapsed virtual time (so the estimator
-    has a well-defined time constant regardless of sampling cadence).  C3
-    uses EWMAs of observed service times and queue sizes from piggybacked
-    server feedback.
+    has a well-defined time constant regardless of sampling cadence).  The
+    servers keep their service-time estimate in one.
     """
 
     def __init__(self, time_constant: float, initial: float = 0.0) -> None:
@@ -101,15 +98,15 @@ class EwmaEstimator:
             raise ValueError("time_constant must be positive")
         self.time_constant = time_constant
         #: The current estimate (read-only for callers; a plain attribute
-        #: because C3's ranking reads it several times per request).
+        #: because every response's feedback reads it).
         self.value = float(initial)
         self._last_time: _t.Optional[float] = None
 
     def update(self, time: float, sample: float) -> float:
         """Fold in ``sample`` observed at ``time``; returns the new value.
 
-        :meth:`weight` then :meth:`fold`, written out in one frame: every
-        server of both realms calls this once per completed request."""
+        The first sample replaces the initial value; a later one gets the
+        weight ``1 - exp(-dt / time_constant)``."""
         if self._last_time is None:
             self.value = float(sample)
         else:
@@ -117,27 +114,6 @@ class EwmaEstimator:
             if dt < 0:
                 raise ValueError("time went backwards")
             alpha = 1.0 - math.exp(-dt / self.time_constant)
-            self.value += alpha * (sample - self.value)
-        self._last_time = time
-        return self.value
-
-    def weight(self, time: float) -> _t.Optional[float]:
-        """The weight a sample observed at ``time`` gets (``None`` for the
-        first sample, which replaces the initial value).  Estimators with
-        one time constant, always updated at the same instants, can share
-        one weight: one ``exp`` instead of one each."""
-        if self._last_time is None:
-            return None
-        dt = time - self._last_time
-        if dt < 0:
-            raise ValueError("time went backwards")
-        return 1.0 - math.exp(-dt / self.time_constant)
-
-    def fold(self, time: float, sample: float, alpha: _t.Optional[float]) -> float:
-        """Fold in ``sample`` at ``time`` with the :meth:`weight` ``alpha``."""
-        if alpha is None:
-            self.value = float(sample)
-        else:
             self.value += alpha * (sample - self.value)
         self._last_time = time
         return self.value

@@ -1,8 +1,8 @@
-"""Unit tests for the oblivious dispatch strategy (incl. C3 pacing)."""
+"""Unit tests for the oblivious dispatch strategy and C3's pacing."""
 
 import pytest
 
-from repro.baselines import C3Selector, ObliviousStrategy, RoundRobinSelector
+from repro.baselines import C3Strategy, ObliviousStrategy, RoundRobinSelector
 from repro.cluster import BackendServer, Client, Network, RingPlacement
 from repro.cluster.network import ConstantLatency
 from repro.sim import Environment, Stream
@@ -19,7 +19,7 @@ def make_task(task_id, keys, size=100):
 
 
 class Rig:
-    def __init__(self, selector_factory, n_servers=3, rf=2):
+    def __init__(self, strategy_factory, n_servers=3, rf=2):
         self.env = Environment()
         self.network = Network(
             self.env, latency=ConstantLatency(1e-4), stream=Stream(0, "n")
@@ -36,9 +36,7 @@ class Rig:
             )
             for s in range(n_servers)
         ]
-        self.strategy = ObliviousStrategy(
-            self.placement, selector_factory(self.env), self.model
-        )
+        self.strategy = strategy_factory(self.placement, self.model)
         self.completions = []
         self.client = Client(
             self.env,
@@ -49,20 +47,24 @@ class Rig:
         )
 
 
+def oblivious_round_robin(placement, model):
+    return ObliviousStrategy(placement, RoundRobinSelector(), model)
+
+
 class TestObliviousStrategy:
     def test_prepare_assigns_valid_replicas(self):
-        rig = Rig(lambda env: RoundRobinSelector())
+        rig = Rig(oblivious_round_robin)
         requests = rig.strategy.prepare(make_task(0, keys=range(20)))
         for r in requests:
             assert r.server_id in rig.placement.replicas_of(r.partition)
             assert r.expected_service > 0
 
     def test_name_includes_selector(self):
-        rig = Rig(lambda env: RoundRobinSelector())
+        rig = Rig(oblivious_round_robin)
         assert rig.strategy.name == "oblivious+round-robin"
 
     def test_end_to_end(self):
-        rig = Rig(lambda env: RoundRobinSelector())
+        rig = Rig(oblivious_round_robin)
         for t in range(5):
             rig.client.submit(make_task(t, keys=range(4)))
         rig.env.run(until=5.0)
@@ -72,8 +74,9 @@ class TestObliviousStrategy:
 class TestC3Pacing:
     def make_c3_rig(self, initial_rate):
         return Rig(
-            lambda env: C3Selector(
-                env,
+            lambda placement, model: C3Strategy(
+                placement,
+                model,
                 concurrency_weight=2,
                 stream=Stream(7),
                 rate_control=True,

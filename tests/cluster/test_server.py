@@ -151,6 +151,16 @@ class TestBackendServer:
         h.env.run(until=5.0)
         assert h.server.congestion_signals_sent == 0
 
+    def test_only_a_congestion_checked_server_records_arrivals(self):
+        """The arrival window feeds only the congestion check, so a server
+        without one leaves it empty."""
+        for interval, expected in ((None, 0), (0.5, 3)):
+            h = Harness(cores=1, congestion_interval=interval)
+            for i in range(3):
+                h.push(make_request(op_id=i))
+            h.env.run(until=0.1)
+            assert h.server.arrival_rate.count(h.env.now) == expected
+
     def test_queue_wait_accounting(self):
         h = Harness()
         h.push(make_request(op_id=0, size=2))

@@ -770,8 +770,8 @@ class TestConfigKnobs:
 #: ``(module, callable)``.  Each default these keep must be one a caller
 #: outside ``tests/`` sets; a value nothing sets is a module constant.
 KNOB_CALLABLES = (
-    ("repro.baselines.c3", "CubicRateLimiter"),
-    ("repro.baselines.c3", "C3Selector"),
+    ("repro.baselines.c3", "C3Strategy"),
+    ("repro.baselines.c3", "C3Record"),
     ("repro.baselines.hedging", "HedgedStrategy"),
     ("repro.core.credits", "CreditsController"),
     ("repro.core.credits", "CreditGate"),
