@@ -91,7 +91,8 @@ class C3Record:
       receive); ``None`` until the first sample, which replaces the 0.0;
     * ``outstanding``: requests assigned and not yet answered;
     * the send and receive windows: times inside the trailing
-      ``RATE_WINDOW``, and when each window's first and latest event was;
+      ``RATE_WINDOW``, and when each window's first and latest event was
+      (without rate control, which reads no window, the windows stay empty);
     * the cubic limiter and its token bucket; ``cuts`` counts epochs;
     * ``backlog``: requests waiting for a token, oldest first.  The pacer
       is armed exactly while it is non-empty.
@@ -293,20 +294,21 @@ class C3Strategy(DispatchStrategy):
             self._send(backlog.popleft(), rec, now)
 
     def _send(self, request: RequestMessage, rec: C3Record, now: float) -> None:
-        """Stamp ``request``, record it in the send window, send it."""
+        """Stamp ``request``, record it in the send window (only the rate
+        limiter reads it), send it."""
         request.dispatched_at = now
         if now < rec.sends_last:
             raise ValueError("time went backwards")
-        if rec.sends_first is None:
-            rec.sends_first = now
         rec.sends_last = now
-        sends = rec.sends
-        sends.append(now)
-        # Evicting here never changes a later query's answer, and bounds a
-        # window nothing queries (no rate control).
-        cutoff = now - RATE_WINDOW
-        while sends[0] < cutoff:
-            sends.popleft()
+        if self.rate_control:
+            if rec.sends_first is None:
+                rec.sends_first = now
+            sends = rec.sends
+            sends.append(now)
+            # Evicting here never changes a later query's answer.
+            cutoff = now - RATE_WINDOW
+            while sends[0] < cutoff:
+                sends.popleft()
         client = self.client
         client.network.send(
             client.address, self._server_addresses[request.server_id], request
@@ -338,11 +340,6 @@ class C3Strategy(DispatchStrategy):
             rec.response_time += alpha * (response_time - rec.response_time)
             rec.queue_size += alpha * (queued - rec.queue_size)
         rec.feedback_at = now
-        recvs = rec.recvs
-        recvs.append(now)
-        cutoff = now - RATE_WINDOW
-        while recvs[0] < cutoff:
-            recvs.popleft()
         service = feedback.ewma_service_time
         if service > 0:
             if rec.service_at is None:
@@ -356,6 +353,11 @@ class C3Strategy(DispatchStrategy):
             rec.service_at = now
         if not self.rate_control:
             return
+        recvs = rec.recvs
+        recvs.append(now)
+        cutoff = now - RATE_WINDOW
+        while recvs[0] < cutoff:
+            recvs.popleft()
         if now < rec.sends_last:
             raise ValueError(f"stale query: a send at {rec.sends_last} > now")
         sends = rec.sends

@@ -118,7 +118,6 @@ class HedgedStrategy(DispatchStrategy):
     def _send(self, request: RequestMessage) -> None:
         request.dispatched_at = self.client.env.now
         self._send_rate.record(self.client.env.now)
-        self.selector.on_dispatch(request)
         self.client.network.send(
             self.client.address, server_address(request.server_id), request
         )

@@ -5,7 +5,7 @@ serve a read.  These are the task-oblivious baselines; C3 (the paper's
 state-of-the-art comparison point), which also paces its sends, is a
 whole dispatch strategy in :mod:`repro.baselines.c3`.
 
-All selectors see the same feedback hooks (`on_dispatch`/`on_response`), so
+All selectors see the same feedback hooks (`on_assign`/`on_response`), so
 strategies can treat them uniformly.
 """
 
@@ -34,9 +34,6 @@ class ReplicaSelector:
         account here, not at send time, as C3 does: a request assigned but
         not yet sent is load the next ``choose`` call needs to see.
         """
-
-    def on_dispatch(self, request: RequestMessage) -> None:
-        """Called when a request is actually sent over the network."""
 
     def on_response(self, response: ResponseMessage) -> None:
         """Called when a response returns (with piggybacked feedback)."""

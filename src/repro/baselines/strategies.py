@@ -64,15 +64,13 @@ class ObliviousStrategy(DispatchStrategy):
 
     # -- dispatch ---------------------------------------------------------------
     def dispatch(self, requests: _t.Sequence[RequestMessage]) -> None:
+        client = self.client
+        now = client.env.now
         for request in requests:
-            self._send(request)
-
-    def _send(self, request: RequestMessage) -> None:
-        request.dispatched_at = self.client.env.now
-        self.selector.on_dispatch(request)
-        self.client.network.send(
-            self.client.address, self._server_addresses[request.server_id], request
-        )
+            request.dispatched_at = now
+            client.network.send(
+                client.address, self._server_addresses[request.server_id], request
+            )
 
     # -- feedback ---------------------------------------------------------------
     def on_response(self, response: ResponseMessage) -> None:

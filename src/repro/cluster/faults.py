@@ -34,9 +34,12 @@ that may overlap and target several servers at once:
 Every event supports a delayed ``start``, a ``duration`` (``inf`` makes the
 condition permanent -- heterogeneous clusters) and an optional ``period``
 for recurring windows.  One :class:`FaultInjector` executes a schedule in
-both realms; what differs between them -- how a server is slowed or
-crashed, how the network is degraded -- sits behind a :class:`FaultPort`
-(:class:`SimFaultPort` here, the admin-frame port in :mod:`repro.loadgen`).
+both realms and speaks to either in one vocabulary, the live wire's admin
+frame, e.g. ``{"t": "admin", "cmd": "crash", "servers": [2]}``.  A
+realm's port is one callable taking that frame: :class:`SimFaultPort`
+here, the live transport's ``admin`` fan-out in :mod:`repro.loadgen`.
+Both realms apply the server verbs through the one table
+:data:`~repro.cluster.server.SERVER_VERBS`.
 """
 
 from __future__ import annotations
@@ -46,11 +49,14 @@ import math
 import typing as _t
 
 from .network import JitteredLatency, Network
+from .server import SERVER_VERBS, ServerState
 
 if _t.TYPE_CHECKING:  # pragma: no cover
     from ..core.clock import Clock
     from ..placement import MutablePlacement
-    from .server import ServerState
+
+#: An admin frame: ``{"t": "admin", "cmd": ..., **fields}``.
+AdminFrame = _t.Dict[str, _t.Any]
 
 
 def _validate_window(
@@ -65,6 +71,12 @@ def _validate_window(
             raise ValueError("a permanent fault cannot recur")
         if period <= duration:
             raise ValueError("period must exceed duration")
+
+
+def _window(event: "FaultEvent", hold: str = "for") -> str:
+    """A fault's window in words: ``@start for duration [every period]``."""
+    every = f" every {event.period:g}s" if event.period is not None else ""
+    return f"@{event.start:g}s {hold} {event.duration:g}s{every}"
 
 
 def _as_server_tuple(servers: _t.Union[int, _t.Iterable[int]]) -> _t.Tuple[int, ...]:
@@ -96,8 +108,7 @@ class SlowdownFault:
     def describe(self) -> str:
         return (
             f"slowdown x{self.factor:g} on servers {list(self.servers)} "
-            f"@{self.start:g}s for {self.duration:g}s"
-            + (f" every {self.period:g}s" if self.period is not None else "")
+            + _window(self)
         )
 
 
@@ -123,8 +134,7 @@ class CrashFault:
     def describe(self) -> str:
         return (
             f"crash/restart of servers {list(self.servers)} "
-            f"@{self.start:g}s down for {self.duration:g}s"
-            + (f" every {self.period:g}s" if self.period is not None else "")
+            + _window(self, "down for")
         )
 
 
@@ -152,8 +162,7 @@ class NetworkJitterFault:
     def describe(self) -> str:
         return (
             f"network latency x{self.factor:g} (sigma={self.sigma:g}) "
-            f"@{self.start:g}s for {self.duration:g}s"
-            + (f" every {self.period:g}s" if self.period is not None else "")
+            + _window(self)
         )
 
 
@@ -176,11 +185,7 @@ class FlashCrowdFault:
         _validate_window(self.start, self.duration, self.period)
 
     def describe(self) -> str:
-        return (
-            f"flash crowd x{self.multiplier:g} arrivals "
-            f"@{self.start:g}s for {self.duration:g}s"
-            + (f" every {self.period:g}s" if self.period is not None else "")
-        )
+        return f"flash crowd x{self.multiplier:g} arrivals " + _window(self)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -214,8 +219,7 @@ class RebalanceFault:
     def describe(self) -> str:
         return (
             f"ring rebalance: decommission servers {list(self.servers)} "
-            f"@{self.start:g}s for {self.duration:g}s"
-            + (f" every {self.period:g}s" if self.period is not None else "")
+            + _window(self)
         )
 
 
@@ -289,25 +293,20 @@ NO_FAULTS = FaultSchedule()
 
 
 def validate_rebalance_feasibility(
-    schedule: FaultSchedule, placement: _t.Optional["MutablePlacement"]
+    schedule: FaultSchedule, placement: "MutablePlacement"
 ) -> None:
     """Fail fast on rebalance scripts that cannot execute.
 
     Checked at injector construction so a bad schedule
-    rejects before the run instead of crashing mid-window: every
-    rebalance event needs a mutable placement, and each event must leave
-    at least ``replication_factor`` live servers on its own.  Windows
-    that *overlap* can still jointly exceed that bound; the mid-run
-    exclusion then raises the same replication-factor error at the
-    offending window's onset.
+    rejects before the run instead of crashing mid-window: each
+    rebalance event must leave at least ``replication_factor`` live
+    servers on its own.  Windows that *overlap* can still jointly exceed
+    that bound; the mid-run exclusion then raises the same
+    replication-factor error at the offending window's onset.
     """
     for event in schedule.events:
         if not isinstance(event, RebalanceFault):
             continue
-        if placement is None:
-            raise ValueError(
-                "rebalance faults need a MutablePlacement to re-home"
-            )
         live = placement.n_servers - len(event.servers)
         if live < placement.replication_factor:
             raise ValueError(
@@ -325,78 +324,45 @@ def windows_extras(windows: _t.Mapping[str, int]) -> _t.Dict[str, float]:
     }
 
 
-class FaultPort(_t.Protocol):  # pragma: no cover - typing helper
-    """The realm-specific verbs a :class:`FaultInjector` drives.
-
-    Everything else about a fault window -- timing, counting, nesting,
-    flash crowds, ring rebalances -- is realm-independent and lives in
-    the injector.  :class:`SimFaultPort` mutates simulated servers and
-    the modelled network; the live port
-    (:class:`repro.loadgen.driver.LiveFaultPort`) sends admin frames.
-    """
-
-    #: Size of the server id space (fault targets are validated against it).
-    n_servers: int
-
-    def slowdown(self, servers: _t.Sequence[int], factor: float) -> None: ...
-
-    def restore(self, servers: _t.Sequence[int], factor: float) -> None: ...
-
-    def crash(self, servers: _t.Sequence[int]) -> None: ...
-
-    def resume(self, servers: _t.Sequence[int]) -> None: ...
-
-    def jitter(self, event: NetworkJitterFault) -> None: ...
-
-    def clear_jitter(self) -> None: ...
-
-
 class SimFaultPort:
-    """Fault port over simulated servers and the modelled network."""
+    """The simulation's fault port: applies one admin frame to simulated
+    servers, through the live server's own verb table, or to the modelled
+    network (``jitter``/``clear-jitter`` swap ``network.latency``)."""
 
     def __init__(
-        self, servers: _t.Sequence["ServerState"], network: Network
+        self, servers: _t.Sequence[ServerState], network: Network
     ) -> None:
         self.servers = list(servers)
-        self.n_servers = len(self.servers)
         self.network = network
         self._base_latency = network.latency
 
-    def slowdown(self, servers: _t.Sequence[int], factor: float) -> None:
-        for server_id in servers:
-            self.servers[server_id].slowdown(factor)
-
-    def restore(self, servers: _t.Sequence[int], factor: float) -> None:
-        for server_id in servers:
-            self.servers[server_id].restore(factor)
-
-    def crash(self, servers: _t.Sequence[int]) -> None:
-        for server_id in servers:
-            self.servers[server_id].pause()
-
-    def resume(self, servers: _t.Sequence[int]) -> None:
-        for server_id in servers:
-            self.servers[server_id].resume()
-
-    def jitter(self, event: NetworkJitterFault) -> None:
-        # Ideal zero-latency rigs still get *some* degraded latency.
-        mean = max(self._base_latency.mean() * event.factor, 1e-6)
-        self.network.latency = JitteredLatency(
-            mean=mean, sigma=event.sigma, floor=min(10e-6, mean)
-        )
-
-    def clear_jitter(self) -> None:
-        self.network.latency = self._base_latency
+    def __call__(self, frame: AdminFrame) -> None:
+        command = frame["cmd"]
+        if command == "jitter":
+            # Ideal zero-latency rigs still get *some* degraded latency.
+            mean = max(self._base_latency.mean() * frame["factor"], 1e-6)
+            self.network.latency = JitteredLatency(
+                mean=mean, sigma=frame["sigma"], floor=min(10e-6, mean)
+            )
+        elif command == "clear-jitter":
+            self.network.latency = self._base_latency
+        else:
+            verb = SERVER_VERBS[command]
+            for server_id in frame["servers"]:
+                verb(self.servers[server_id], frame)
 
 
 class FaultInjector:
-    """Executes a :class:`FaultSchedule` through a :class:`FaultPort`.
+    """Executes a :class:`FaultSchedule` as admin frames sent to ``port``.
 
     The one fault driver of both realms (``clock`` is the
     :class:`~repro.core.clock.Clock` seam), so sim and live windows can
     never drift apart.  Each event is one timer chain -- delayed onset,
     hold, revert, wait out the period, recur -- whose armed handle the
-    injector keeps, so :meth:`reset` stops the chains itself.  Exposes
+    injector keeps, so :meth:`reset` stops the chains itself.  Slowdowns,
+    crashes and network jitter leave as frames; flash crowds and ring
+    rebalances are client-side in both realms and stay here.  Targets are
+    validated against ``placement``'s server id space.  Exposes
     ``windows`` counters per fault kind for the run's audit extras and
     :meth:`arrival_scale` for the workload feeder.
     """
@@ -405,10 +371,10 @@ class FaultInjector:
         self,
         clock: "Clock",
         schedule: FaultSchedule,
-        port: FaultPort,
-        placement: _t.Optional["MutablePlacement"] = None,
+        port: _t.Callable[[AdminFrame], None],
+        placement: "MutablePlacement",
     ) -> None:
-        schedule.validate_targets(port.n_servers)
+        schedule.validate_targets(placement.n_servers)
         validate_rebalance_feasibility(schedule, placement)
         self.clock = clock
         self.schedule = schedule
@@ -475,33 +441,35 @@ class FaultInjector:
         while self._open:
             self._revert(self._open.pop())
 
+    def _send(self, command: str, **fields: _t.Any) -> None:
+        self.port({"t": "admin", "cmd": command, **fields})
+
     def _apply(self, event: FaultEvent) -> None:
         if isinstance(event, SlowdownFault):
-            self.port.slowdown(event.servers, event.factor)
+            self._send("slowdown", servers=list(event.servers), factor=event.factor)
         elif isinstance(event, CrashFault):
-            self.port.crash(event.servers)
+            self._send("crash", servers=list(event.servers))
         elif isinstance(event, NetworkJitterFault):
             self._jitter_depth += 1
-            self.port.jitter(event)  # overlapping windows: latest onset wins
+            # Overlapping windows: the latest onset wins.
+            self._send("jitter", factor=event.factor, sigma=event.sigma)
         elif isinstance(event, FlashCrowdFault):
             self._crowd_scale *= event.multiplier
         elif isinstance(event, RebalanceFault):
-            assert self.placement is not None  # enforced at construction
             self.placement.exclude(event.servers)
 
     def _revert(self, event: FaultEvent) -> None:
         if isinstance(event, SlowdownFault):
-            self.port.restore(event.servers, event.factor)
+            self._send("restore", servers=list(event.servers), factor=event.factor)
         elif isinstance(event, CrashFault):
-            self.port.resume(event.servers)
+            self._send("resume", servers=list(event.servers))
         elif isinstance(event, NetworkJitterFault):
             self._jitter_depth -= 1
             if self._jitter_depth == 0:
-                self.port.clear_jitter()
+                self._send("clear-jitter")
         elif isinstance(event, FlashCrowdFault):
             self._crowd_scale /= event.multiplier
         elif isinstance(event, RebalanceFault):
-            assert self.placement is not None  # enforced at construction
             self.placement.readmit(event.servers)
 
     # -- reporting ---------------------------------------------------------------

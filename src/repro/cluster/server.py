@@ -50,6 +50,7 @@ __all__ = [
     "CONGESTION_THRESHOLD",
     "BackendServer",
     "PullServer",
+    "SERVER_VERBS",
     "ServerState",
     "CONTROLLER_ADDRESS",
     "client_address",
@@ -183,6 +184,20 @@ class ServerState:
         capacity = self.capacity()
         ratio = offered / capacity if capacity > 0 else float("inf")
         return ratio if ratio > CONGESTION_THRESHOLD else None
+
+
+#: The admin frame's server verbs, each one :class:`ServerState` call on
+#: one target: the fault vocabulary both realms apply (the simulation's
+#: :class:`~repro.cluster.faults.SimFaultPort` and the live server's admin
+#: plane).  A bad ``factor`` raises before any server changes.
+SERVER_VERBS: _t.Dict[
+    str, _t.Callable[[ServerState, _t.Mapping[str, _t.Any]], None]
+] = {
+    "slowdown": lambda server, frame: server.slowdown(float(frame.get("factor", 0))),
+    "restore": lambda server, frame: server.restore(float(frame.get("factor", 0))),
+    "crash": lambda server, frame: server.pause(),
+    "resume": lambda server, frame: server.resume(),
+}
 
 
 class _ServerBase(ServerState):

@@ -25,7 +25,7 @@ import hashlib
 import typing as _t
 
 from ..cluster.client import Client
-from ..cluster.faults import FaultInjector, FaultPort, SimFaultPort
+from ..cluster.faults import AdminFrame, FaultInjector, SimFaultPort
 from ..cluster.messages import TaskCompletion
 from ..cluster.network import Network
 from ..cluster.remediation import RemediationDriver
@@ -245,10 +245,11 @@ class RunAssembly:
 
     def arm(
         self,
-        fault_port: FaultPort,
+        fault_port: _t.Callable[[AdminFrame], None],
         queue_depths: _t.Callable[[], _t.Sequence[float]],
     ) -> None:
-        """Attach the realm's fault port and per-server backlog view.
+        """Attach the realm's fault port (what applies an admin frame) and
+        per-server backlog view.
 
         Builds the (not yet started) fault injector, the remediation
         driver the config asks for, and the task generator; :meth:`feed`

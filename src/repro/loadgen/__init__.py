@@ -9,19 +9,13 @@ pairs live runs with simulations of the identical configuration.
 """
 
 from .compare import CompareReport, run_compare
-from .driver import (
-    LiveFaultPort,
-    live_summary,
-    run_live,
-    run_live_seeds,
-)
+from .driver import live_summary, run_live, run_live_seeds
 from .firehose import FirehoseResult, run_firehose
 from .transport import LiveTransport, LiveTransportError
 
 __all__ = [
     "CompareReport",
     "FirehoseResult",
-    "LiveFaultPort",
     "LiveTransport",
     "LiveTransportError",
     "live_summary",

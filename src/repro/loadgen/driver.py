@@ -11,9 +11,8 @@ validate the cluster shape, assemble), feed (the shared
 :class:`~repro.harness.runner.Feeder`, here a clock callback whose
 ``schedule_lag`` is the honesty metric), wait (the transport's one outcome
 future, under the wall timeout), close -- and what this module owns is
-only what wall time forces: server stats deltas and the
-:class:`LiveFaultPort` that turns the shared fault injector's verbs into
-admin frames.
+only what wall time forces: server stats deltas.  The shared fault
+injector's frames go to the transport's ``admin`` fan-out as they are.
 
 Because the output is a genuine ``RunResult``, everything downstream --
 :func:`~repro.harness.results.compare_strategies`, the analysis tables,
@@ -28,54 +27,12 @@ import os
 import time
 import typing as _t
 
-from ..cluster.faults import NetworkJitterFault
 from ..harness.builders import ModelBuilder, get_builder
 from ..harness.config import ExperimentConfig
 from ..harness.results import compare_strategies
 from ..harness.runner import RunAssembly, RunResult
 from ..sim.rng import StreamFactory
 from .transport import Endpoint, LiveTransport, LiveTransportError
-
-
-class LiveFaultPort:
-    """Fault port over a live cluster: every verb is an admin frame.
-
-    ``slowdown``/``restore`` set the targeted workers' service-time
-    multiplier, ``crash``/``resume`` stop and restart them (queues
-    survive), ``jitter`` adds a lognormal per-response delay standing in
-    for both inflated network directions on a loopback link.  Flash crowds
-    and ring rebalances never reach the wire: they are client-side in
-    both realms and live in the one
-    :class:`~repro.cluster.faults.FaultInjector`.
-    """
-
-    def __init__(self, transport: LiveTransport, one_way_latency: float) -> None:
-        self.transport = transport
-        self.n_servers = int(transport.ack["n_servers"])
-        self.one_way_latency = float(one_way_latency)
-
-    def _admin(self, command: str, **fields: _t.Any) -> None:
-        self.transport.admin({"t": "admin", "cmd": command, **fields})
-
-    def slowdown(self, servers: _t.Sequence[int], factor: float) -> None:
-        self._admin("slowdown", servers=list(servers), factor=factor)
-
-    def restore(self, servers: _t.Sequence[int], factor: float) -> None:
-        self._admin("restore", servers=list(servers), factor=factor)
-
-    def crash(self, servers: _t.Sequence[int]) -> None:
-        self._admin("crash", servers=list(servers))
-
-    def resume(self, servers: _t.Sequence[int]) -> None:
-        self._admin("resume", servers=list(servers))
-
-    def jitter(self, event: NetworkJitterFault) -> None:
-        # Two degraded one-way hops' worth of extra delay per response.
-        mean = max(2.0 * self.one_way_latency * event.factor, 1e-6)
-        self._admin("jitter", mean=mean, sigma=event.sigma)
-
-    def clear_jitter(self) -> None:
-        self._admin("clear-jitter")
 
 
 def _validate_shape(config: ExperimentConfig, ack: _t.Mapping[str, _t.Any]) -> None:
@@ -156,10 +113,7 @@ async def run_live(
             transport.trace_sampler = run.recorder.wire_trace_id
         # The live substrate's backlog view is the piggybacked feedback
         # the transport already receives on every result frame.
-        run.arm(
-            LiveFaultPort(transport, config.cluster.one_way_latency),
-            transport.backlog_depths,
-        )
+        run.arm(transport.admin, transport.backlog_depths)
         # Close the cluster-wide observability loop: stream this load
         # generator's client-side BusSnapshots to every endpoint over the
         # admin plane, so a cluster's `stats` frame (`repro watch`, the

@@ -38,7 +38,10 @@ Client -> server:
                 ``trace`` (64-bit context, sampled requests only)
 ``admin``       fault-injection and introspection commands (``cmd`` one of
                 ``slowdown``, ``restore``, ``crash``, ``resume``,
-                ``jitter``, ``clear-jitter``, ``bus-report``, ``stats``)
+                ``jitter``, ``clear-jitter``, ``bus-report``, ``stats``);
+                the fault frames, which the simulation applies too, target
+                ``servers`` (omitted: all) and carry a ``factor``, and
+                ``jitter`` a ``sigma`` too
 
 Server -> client:
 

@@ -22,9 +22,11 @@ advertises its ``workers`` in the ``hello-ack``, and clients route ops
 by worker id.
 
 Fault injection arrives over the wire: ``admin`` frames slow down, crash,
-restart or jitter individual workers -- the verbs of the load generator's
-:class:`~repro.loadgen.driver.LiveFaultPort`, which is how the shared fault
-injector replays scenario fault schedules against the live backend.
+restart or jitter individual workers.  They are the frames the shared
+fault injector sends in both realms, and the server verbs dispatch
+through the simulation's own table
+(:data:`~repro.cluster.server.SERVER_VERBS`), which is how scenario fault
+schedules replay against the live backend.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from __future__ import annotations
 import asyncio
 import typing as _t
 
+from ..cluster.server import SERVER_VERBS
 from ..cluster.topology import ClusterSpec
 from ..core.clock import WallClock
 from ..metrics.bus import merge_reports, render_stats
@@ -192,7 +195,7 @@ class _Connection(FrameStream):
                 raise ProtocolError(f"unknown frame type {kind!r}")
         except (ProtocolError, TypeError, ValueError) as exc:
             # Bad field values (a slowdown factor of 0, a non-numeric
-            # mean) reject the one frame, never the whole connection.
+            # jitter factor) reject the one frame, never the whole connection.
             self.reject(str(exc))
 
     def reject(self, message: str) -> None:
@@ -453,22 +456,17 @@ class LiveServer:
     ) -> None:
         command = frame.get("cmd")
         targets = self._admin_targets(frame)
-        if command == "slowdown":
-            factor = float(frame.get("factor", 0))
+        verb = SERVER_VERBS.get(command)
+        if verb is not None:
             for worker in targets:
-                worker.slowdown(factor)
-        elif command == "restore":
-            factor = float(frame.get("factor", 0))
-            for worker in targets:
-                worker.restore(factor)
-        elif command == "crash":
-            for worker in targets:
-                worker.pause()
-        elif command == "resume":
-            for worker in targets:
-                worker.resume()
+                verb(worker, frame)
         elif command == "jitter":
-            mean = float(frame.get("mean", 0.0))
+            factor = float(frame.get("factor", 0))
+            if not factor > 0:
+                raise ValueError(f"jitter factor {factor!r} must be positive")
+            # A lognormal per-response delay stands in for both inflated
+            # network directions on a loopback link: two degraded hops.
+            mean = max(2.0 * self.cluster.one_way_latency * factor, 1e-6)
             sigma = float(frame.get("sigma", 0.0))
             for worker in targets:
                 worker.set_jitter(mean, sigma)

@@ -12,6 +12,7 @@ from repro.cluster.faults import (
 )
 from repro.cluster.network import ConstantLatency
 from repro.harness import ExperimentConfig, run_experiment
+from repro.placement import MutablePlacement
 from repro.sim import Environment, Stream
 from repro.workload import ServiceTimeModel
 from repro.workload.tasks import Operation, Task
@@ -64,6 +65,7 @@ class Rig:
                     (SlowdownFault(servers=slowdown, factor=100.0, duration=10.0),)
                 ),
                 SimFaultPort(self.servers, self.network),
+                MutablePlacement(self.placement),
             ).start()
         self.strategy = HedgedStrategy(
             self.placement, LeastOutstandingSelector(), self.model

@@ -109,41 +109,15 @@ class TestFaultSchedule:
         assert "slowdown x2" in text and "flash crowd" in text
 
 
-class _RecordingPort:
-    """A fault port that only writes down what it was asked to do."""
-
-    n_servers = 4
-
-    def __init__(self, clock):
-        self.clock = clock
-        self.calls = []
-
-    def _note(self, verb, *args):
-        self.calls.append((round(self.clock.now, 9), verb) + args)
-
-    def slowdown(self, servers, factor):
-        self._note("slowdown", tuple(servers), factor)
-
-    def restore(self, servers, factor):
-        self._note("restore", tuple(servers), factor)
-
-    def crash(self, servers):
-        self._note("crash", tuple(servers))
-
-    def resume(self, servers):
-        self._note("resume", tuple(servers))
-
-    def jitter(self, event):
-        self._note("jitter", event.factor)
-
-    def clear_jitter(self):
-        self._note("clear_jitter")
+def admin(command, **fields):
+    return {"t": "admin", "cmd": command, **fields}
 
 
 class TestFaultPortContract:
     """The injector's contract with *any* port, stated once for both realms:
-    one overlapping, recurring, five-kind schedule against a recording port
-    on a bare calendar (no servers, no network)."""
+    one overlapping, recurring, five-kind schedule against a port that
+    writes down ``(time, frame)`` on a bare calendar (no servers, no
+    network)."""
 
     SCHEDULE = FaultSchedule(
         (
@@ -159,15 +133,20 @@ class TestFaultPortContract:
 
     def make(self):
         clock = Environment()
-        port = _RecordingPort(clock)
+        calls = []
         placement = MutablePlacement(RingPlacement(n_servers=4, replication_factor=2))
-        injector = FaultInjector(clock, self.SCHEDULE, port, placement)
-        return clock, port, placement, injector
+        injector = FaultInjector(
+            clock,
+            self.SCHEDULE,
+            lambda frame: calls.append((round(clock.now, 9), frame)),
+            placement,
+        )
+        return clock, calls, placement, injector
 
     def test_nothing_happens_before_start(self):
-        clock, port, _, injector = self.make()
+        clock, calls, _, injector = self.make()
         clock.run(until=10.0)
-        assert port.calls == []
+        assert calls == []
         assert injector.extras() == {
             "crash_windows": 0.0,
             "flash_crowd_windows": 0.0,
@@ -177,22 +156,22 @@ class TestFaultPortContract:
         }
 
     def test_apply_revert_sequence(self):
-        clock, port, _, injector = self.make()
+        clock, calls, _, injector = self.make()
         injector.start()
         clock.run(until=9.5)
-        assert port.calls == [
-            (1.0, "slowdown", (0, 1), 2.0),
-            (1.0, "jitter", 3.0),
-            (2.0, "crash", (2,)),
-            (2.0, "jitter", 5.0),  # latest onset wins
-            (3.0, "resume", (2,)),
+        assert calls == [
+            (1.0, admin("slowdown", servers=[0, 1], factor=2.0)),
+            (1.0, admin("jitter", factor=3.0, sigma=0.3)),
+            (2.0, admin("crash", servers=[2])),
+            (2.0, admin("jitter", factor=5.0, sigma=0.3)),  # latest onset wins
+            (3.0, admin("resume", servers=[2])),
             # t=4: the inner jitter window closes at depth 1 -> no clear.
-            (5.0, "restore", (0, 1), 2.0),
-            (5.0, "crash", (2,)),  # recurrence: onset-to-onset 3 s
-            (6.0, "resume", (2,)),
-            (6.5, "clear_jitter"),  # depth 0 only now
-            (8.0, "crash", (2,)),
-            (9.0, "resume", (2,)),
+            (5.0, admin("restore", servers=[0, 1], factor=2.0)),
+            (5.0, admin("crash", servers=[2])),  # recurrence: onset-to-onset 3 s
+            (6.0, admin("resume", servers=[2])),
+            (6.5, admin("clear-jitter")),  # depth 0 only now
+            (8.0, admin("crash", servers=[2])),
+            (9.0, admin("resume", servers=[2])),
         ]
 
     def test_arrival_scale_is_the_product_of_open_crowds(self):
@@ -220,21 +199,21 @@ class TestFaultPortContract:
         assert placement.swaps == 2
 
     def test_reset_reverts_open_windows_latest_first(self):
-        clock, port, placement, injector = self.make()
+        clock, calls, placement, injector = self.make()
         injector.start()
         clock.run(until=3.5)  # open: slowdown, jitter x2, crowd x2, rebalance
-        del port.calls[:]
+        del calls[:]
         injector.reset()
-        assert [call[1:] for call in port.calls] == [
+        assert [frame for _, frame in calls] == [
             # rebalance (t=3) and both crowds revert client-side, silently;
             # the port sees jitter(t=2), jitter(t=1) -> clear, slowdown.
-            ("clear_jitter",),
-            ("restore", (0, 1), 2.0),
+            admin("clear-jitter"),
+            admin("restore", servers=[0, 1], factor=2.0),
         ]
         assert injector.arrival_scale() == pytest.approx(1.0)
         assert placement.excluded == ()
         injector.reset()  # idempotent
-        assert len(port.calls) == 2
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("reset_at", [1.5, 3.0], ids=["mid-window", "between"])
     def test_reset_stops_a_recurring_window_from_reopening(self, reset_at):
@@ -247,7 +226,10 @@ class TestFaultPortContract:
             servers=(0,), factor=3.0, start=1.0, duration=1.0, period=4.0
         )
         injector = FaultInjector(
-            env, FaultSchedule((recurring,)), SimFaultPort([server], network)
+            env,
+            FaultSchedule((recurring,)),
+            SimFaultPort([server], network),
+            MutablePlacement(RingPlacement(n_servers=1, replication_factor=1)),
         )
         injector.start()
         env.run(until=reset_at)
@@ -270,16 +252,11 @@ class TestFaultPortContract:
         }
 
     def test_out_of_range_target_rejected_at_construction(self):
-        clock = Environment()
+        """Targets are checked against the placement's server id space."""
+        placement = MutablePlacement(RingPlacement(n_servers=4, replication_factor=2))
         schedule = FaultSchedule((CrashFault(servers=(5,)),))
         with pytest.raises(ValueError, match="valid ids"):
-            FaultInjector(clock, schedule, _RecordingPort(clock))
-
-    def test_rebalance_needs_a_mutable_placement(self):
-        clock = Environment()
-        schedule = FaultSchedule((RebalanceFault(servers=(0,)),))
-        with pytest.raises(ValueError, match="MutablePlacement"):
-            FaultInjector(clock, schedule, _RecordingPort(clock))
+            FaultInjector(Environment(), schedule, lambda frame: None, placement)
 
 
 class _Rig:
@@ -304,14 +281,20 @@ class _Rig:
 
     def inject(self, schedule):
         injector = FaultInjector(
-            self.env, schedule, SimFaultPort(self.servers, self.network)
+            self.env,
+            schedule,
+            SimFaultPort(self.servers, self.network),
+            MutablePlacement(
+                RingPlacement(n_servers=len(self.servers), replication_factor=1)
+            ),
         )
         injector.start()
         return injector
 
 
 class TestFaultInjectorOnSimServers:
-    """What :class:`SimFaultPort`'s verbs do to simulated servers/network."""
+    """What :class:`SimFaultPort` does with each frame to simulated
+    servers and the network."""
 
     def test_single_window_then_recovery(self):
         rig = _Rig(n_servers=1)
