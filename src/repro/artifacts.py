@@ -26,7 +26,6 @@ from .cluster.topology import ClusterSpec
 from .harness import (
     FIGURE2_STRATEGIES,
     ExperimentConfig,
-    compare_strategies,
     figure1_toy,
     figure2,
     render_figure1,
@@ -183,13 +182,6 @@ def figure2_artifact(n_tasks: int, seeds: Seeds, jobs: int) -> Recording:
     return recording
 
 
-def _compare(n_tasks: int, strategies: _t.Sequence[str], seeds: Seeds, jobs: int):
-    """One default-config grid over ``strategies``, seeds merged."""
-    cfg = ExperimentConfig(n_tasks=n_tasks)
-    grid = [{name: cfg.with_strategy(name) for name in strategies}]
-    return compare_strategies(run_grid(grid, seeds, jobs)[0])
-
-
 def _percentiles_ms(summary) -> _t.Dict[str, float]:
     return {
         "p50 (ms)": summary.median * 1e3,
@@ -208,7 +200,9 @@ def replica_selection(n_tasks: int, seeds: Seeds, jobs: int) -> Recording:
     should beat random at the tail -- the C3 paper's own claim, a sanity
     check of the baseline Figure 2 leans on.
     """
-    comparison = _compare(max(3000, n_tasks // 2), REPLICA_SELECTORS, seeds[:1], jobs)
+    comparison = figure2(
+        n_tasks=max(3000, n_tasks // 2), seeds=seeds[:1], strategies=REPLICA_SELECTORS, jobs=jobs
+    )
     rows = [
         {"selector": name, **_percentiles_ms(comparison.summary_of(name))}
         for name in REPLICA_SELECTORS
@@ -246,7 +240,9 @@ def priorities(n_tasks: int, seeds: Seeds, jobs: int) -> Recording:
     row) from the task-aware priorities (the only thing that differs).
     FIFO is the null hypothesis; SJF is size-aware but task-oblivious.
     """
-    comparison = _compare(max(3000, n_tasks // 2), PRIORITY_STRATEGIES, seeds[:1], jobs)
+    comparison = figure2(
+        n_tasks=max(3000, n_tasks // 2), seeds=seeds[:1], strategies=PRIORITY_STRATEGIES, jobs=jobs
+    )
     rows = [
         {
             "priorities": name.replace("-credits", ""),
@@ -441,20 +437,17 @@ def credits_interval(n_tasks: int, seeds: Seeds, jobs: int) -> Recording:
     unspecified.  The realization is robust once reports are much faster
     than the 1 s congestion adaptation, and degrades when they are not.
     """
-    grid = [
-        {
-            "equalmax-credits": ExperimentConfig(
-                n_tasks=max(3000, n_tasks // 2),
-                strategy="equalmax-credits",
-                credits_measurement_interval=interval,
-            )
-        }
-        for interval in INTERVALS
-    ]
+    result = sweep(
+        ExperimentConfig(n_tasks=max(3000, n_tasks // 2)),
+        parameter="credits_measurement_interval",
+        values=INTERVALS,
+        strategies=("equalmax-credits",),
+        seeds=seeds[:1],
+        jobs=jobs,
+    )
     rows = []
     raw = {}
-    for interval, cell in zip(INTERVALS, run_grid(grid, seeds[:1], jobs)):
-        comparison = compare_strategies(cell)
+    for interval, comparison in result.comparisons.items():
         raw[str(interval)] = comparison.to_dict()
         s = comparison.summary_of("equalmax-credits")
         runs = comparison.strategies["equalmax-credits"].runs
@@ -486,25 +479,25 @@ LATENCIES = (10e-6, 50e-6, 200e-6, 1e-3)
 REPLICATION = (1, 2, 3, 5)
 
 
-def _sweep_clusters(clusters, n_tasks, seed, jobs):
-    """(c3, equalmax-credits) summaries per cluster, one grid for the sweep."""
-    grid = [
-        {
-            strategy: ExperimentConfig(strategy=strategy, n_tasks=n_tasks, cluster=cluster)
-            for strategy in ("c3", "equalmax-credits")
-        }
-        for cluster in clusters
-    ]
-    for cell in run_grid(grid, (seed,), jobs):
-        (c3,), (brb,) = cell["c3"], cell["equalmax-credits"]
-        yield c3.summary((50.0, 99.0)), brb.summary((50.0, 99.0))
+def _c3_brb(n_tasks: int, seeds: Seeds, jobs: int, *, parameter: str, values: _t.Sequence):
+    """``(value, c3 summary, equalmax-credits summary)`` per value of the
+    swept field ``parameter``."""
+    result = sweep(
+        ExperimentConfig(n_tasks=max(2000, n_tasks // 4)),
+        parameter=parameter,
+        values=values,
+        strategies=("c3", "equalmax-credits"),
+        seeds=seeds[:1],
+        jobs=jobs,
+    )
+    for value, comparison in result.comparisons.items():
+        yield value, comparison.summary_of("c3"), comparison.summary_of("equalmax-credits")
 
 
 def latency(n_tasks: int, seeds: Seeds, jobs: int) -> Recording:
     """Ablation G: one-way network latency (the paper fixes 50 us).  As
     the network delay grows it dominates end-to-end latency and scheduling
     gains shrink -- how datacenter-internal the technique is."""
-    clusters = [ClusterSpec(one_way_latency=value) for value in LATENCIES]
     rows = [
         {
             "one-way latency (us)": value * 1e6,
@@ -513,8 +506,8 @@ def latency(n_tasks: int, seeds: Seeds, jobs: int) -> Recording:
             "C3/BRB @p50": c3.median / brb.median,
             "C3/BRB @p99": c3.p99 / brb.p99,
         }
-        for value, (c3, brb) in zip(
-            LATENCIES, _sweep_clusters(clusters, max(2000, n_tasks // 4), seeds[0], jobs)
+        for value, c3, brb in _c3_brb(
+            n_tasks, seeds, jobs, parameter="cluster.one_way_latency", values=LATENCIES
         )
     ]
     recording = Recording(
@@ -533,7 +526,6 @@ def replication(n_tasks: int, seeds: Seeds, jobs: int) -> Recording:
     """Ablation H: replication factor on the default ring.  R=1 removes
     replica choice entirely, so only task-aware scheduling differs; R=3
     is the paper's setting; higher R adds placement freedom for both."""
-    clusters = [ClusterSpec(replication_factor=rf) for rf in REPLICATION]
     rows = [
         {
             "replication factor": rf,
@@ -541,8 +533,8 @@ def replication(n_tasks: int, seeds: Seeds, jobs: int) -> Recording:
             "brb p99 (ms)": brb.p99 * 1e3,
             "C3/BRB @p50": c3.median / brb.median,
         }
-        for rf, (c3, brb) in zip(
-            REPLICATION, _sweep_clusters(clusters, max(2000, n_tasks // 4), seeds[0], jobs)
+        for rf, c3, brb in _c3_brb(
+            n_tasks, seeds, jobs, parameter="cluster.replication_factor", values=REPLICATION
         )
     ]
     recording = Recording(
@@ -569,28 +561,23 @@ def placement_sweep(n_tasks: int, seeds: Seeds, jobs: int) -> Recording:
     the shard count is the granularity the vnode ring spreads hotspots
     with.  Skewed workload (hot-shard shape), so placement matters.
     """
-    cells = [(rf, shards) for rf in REPLICATION_FACTORS for shards in SHARD_COUNTS]
-    # Every (rf, shards) cell is one "value" of the same grid, so the
-    # workers span the whole sweep, not one cell.
-    grid = [
-        {
-            name: ExperimentConfig(
-                n_tasks=max(2500, n_tasks // 4),
-                n_keys=20_000,
-                zipf_skew=1.1,
-                load=0.65,
-                cluster=ClusterSpec(
-                    replication_factor=rf, placement_kind="chash", n_partitions=shards
-                ),
-            ).with_strategy(name)
-            for name in PLACEMENT_STRATEGIES
-        }
-        for rf, shards in cells
+    clusters = [
+        ClusterSpec(replication_factor=rf, placement_kind="chash", n_partitions=shards)
+        for rf in REPLICATION_FACTORS
+        for shards in SHARD_COUNTS
     ]
+    result = sweep(
+        ExperimentConfig(n_tasks=max(2500, n_tasks // 4), n_keys=20_000, zipf_skew=1.1, load=0.65),
+        parameter="cluster",
+        values=clusters,
+        strategies=PLACEMENT_STRATEGIES,
+        seeds=seeds[:1],
+        jobs=jobs,
+    )
     rows = []
     raw = {}
-    for (rf, shards), runs in zip(cells, run_grid(grid, seeds[:1], jobs)):
-        comparison = compare_strategies(runs)
+    for cluster, comparison in result.comparisons.items():
+        rf, shards = cluster.replication_factor, cluster.n_partitions
         raw[f"rf{rf}-shards{shards}"] = comparison.to_dict()
         row = {"rf": rf, "shards": shards}
         for name in PLACEMENT_STRATEGIES:

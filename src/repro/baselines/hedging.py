@@ -16,16 +16,13 @@ from __future__ import annotations
 
 import typing as _t
 
-from ..cluster.client import DispatchStrategy
 from ..cluster.messages import RequestMessage, ResponseMessage
-from ..placement import Placement
-from ..cluster.addresses import server_address
-from ..core.cost import CostModel
 from ..metrics.histogram import LogHistogram
 from ..metrics.timeseries import WindowedRate
+from ..placement import Placement
 from ..workload.calibration import ServiceTimeModel
-from ..workload.tasks import Task
 from .selectors import ReplicaSelector
+from .strategies import ObliviousStrategy
 
 
 #: Floor (and cold-start value) of the hedge threshold, seconds.
@@ -35,10 +32,11 @@ HEDGE_DELAY = 2e-3
 HEDGE_BUDGET = 0.1
 
 
-class HedgedStrategy(DispatchStrategy):
-    """Per-request replica selection with one hedge after a delay.
+class HedgedStrategy(ObliviousStrategy):
+    """The oblivious strategy plus one hedge per request after a delay.
 
-    Each read goes to the selector's best replica.  If it is still
+    Each read goes to the selector's best replica, as in
+    :class:`~repro.baselines.strategies.ObliviousStrategy`.  If it is still
     unanswered after the hedge threshold, one duplicate goes to the best
     *other* replica of its group; the first response wins.  Two
     safeguards from the Tail-at-Scale playbook bound the extra load each
@@ -58,11 +56,7 @@ class HedgedStrategy(DispatchStrategy):
         selector: ReplicaSelector,
         service_model: ServiceTimeModel,
     ) -> None:
-        self.placement = placement
-        self.selector = selector
-        self.service_model = service_model
-        # Memoized forecasts, shared logic with the BRB/oblivious paths.
-        self.cost_model = CostModel(service_model)
+        super().__init__(placement, selector, service_model)
         self.name = f"hedged+{selector.name}"
         #: op_id -> [answered, copies_in_flight]; entries are deleted once
         #: every copy has returned, so memory stays bounded by the number
@@ -88,26 +82,6 @@ class HedgedStrategy(DispatchStrategy):
         hedges = self._hedge_rate.count(now)
         return hedges < HEDGE_BUDGET * max(sends, 1.0)
 
-    # -- prepare ---------------------------------------------------------------
-    def prepare(self, task: Task) -> _t.List[RequestMessage]:
-        now = self.client.env.now
-        requests: _t.List[RequestMessage] = []
-        for op in task.operations:
-            partition = self.placement.partition_of(op.key)
-            request = RequestMessage(
-                op=op,
-                task_id=task.task_id,
-                client_id=self.client.client_id,
-                partition=partition,
-                created_at=now,
-                expected_service=self.cost_model.op_cost(op),
-            )
-            replicas = self.placement.replicas_of(partition)
-            request.server_id = self.selector.choose(replicas, request)
-            self.selector.on_assign(request)
-            requests.append(request)
-        return requests
-
     # -- dispatch ---------------------------------------------------------------
     def dispatch(self, requests: _t.Sequence[RequestMessage]) -> None:
         for request in requests:
@@ -116,11 +90,8 @@ class HedgedStrategy(DispatchStrategy):
             self.client.env.call_later(self._threshold(), self._hedge_due, request)
 
     def _send(self, request: RequestMessage) -> None:
-        request.dispatched_at = self.client.env.now
         self._send_rate.record(self.client.env.now)
-        self.client.network.send(
-            self.client.address, server_address(request.server_id), request
-        )
+        super().dispatch((request,))
 
     def _hedge_due(self, primary: RequestMessage) -> None:
         entry = self._ops.get(primary.op.op_id)

@@ -159,6 +159,4 @@ def make_selector(name: str, stream: _t.Optional[Stream] = None) -> ReplicaSelec
         return RoundRobinSelector()
     if name == "least-outstanding":
         return LeastOutstandingSelector(stream)
-    if name == "least-outstanding-bytes":
-        return LeastOutstandingBytesSelector(stream)
     raise ValueError(f"unknown selector {name!r}")

@@ -94,11 +94,10 @@ class BRBCreditsStrategy(_BRBBase):
         assigner: PriorityAssigner,
         service_model: ServiceTimeModel,
         gate: CreditGate,
-        selector: _t.Optional[LeastOutstandingBytesSelector] = None,
     ) -> None:
         super().__init__(placement, assigner, service_model)
         self.gate = gate
-        self.selector = selector if selector is not None else LeastOutstandingBytesSelector()
+        self.selector = LeastOutstandingBytesSelector()
         self.name = f"brb-credits+{assigner.name}"
 
     def dispatch(self, requests: _t.Sequence[RequestMessage]) -> None:

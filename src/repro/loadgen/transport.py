@@ -401,10 +401,18 @@ class LiveTransport:
         A frame with a ``servers`` target list goes only to the endpoints
         owning those workers, trimmed to each one's subset; a frame
         without one (stats, jitter, clear-jitter) goes to every endpoint.
+        A target no endpoint hosts is a :class:`LiveTransportError`, raised
+        before any endpoint is sent anything.
         """
         if frame.get("t") != "admin":
             raise ValueError("admin frames must have t='admin'")
         servers = frame.get("servers")
+        unhosted = [s for s in servers or () if int(s) not in self.worker_links]
+        if unhosted:
+            raise LiveTransportError(
+                f"admin {frame.get('cmd')!r} targets workers {unhosted}, "
+                "which no endpoint hosts"
+            )
         for link in self.links:
             if servers is None:
                 link.send(frame)

@@ -51,7 +51,6 @@ class LogHistogram:
         self.count = 0
         self.clamped_low = 0
         self.clamped_high = 0
-        self._sum = 0.0
         self._min = math.inf
         self._max = -math.inf
 
@@ -63,7 +62,6 @@ class LogHistogram:
         """Record one observation (values outside range clamp, with count)."""
         if value != value or value < 0:  # NaN or negative
             raise ValueError(f"cannot record {value!r}")
-        self._sum += value
         if value < self._min:
             self._min = value
         if value > self._max:
@@ -79,31 +77,7 @@ class LogHistogram:
         self._counts[idx] += 1
         self.count += 1
 
-    def record_many(self, values: _t.Iterable[float]) -> None:
-        """Record a batch of observations."""
-        for value in values:
-            self.record(value)
-
     # -- queries --------------------------------------------------------------
-    @property
-    def mean(self) -> float:
-        """Arithmetic mean of all recorded values (exact, not bucketed)."""
-        if self.count == 0:
-            raise ValueError("empty histogram has no mean")
-        return self._sum / self.count
-
-    @property
-    def min(self) -> float:
-        if self.count == 0:
-            raise ValueError("empty histogram has no min")
-        return self._min
-
-    @property
-    def max(self) -> float:
-        if self.count == 0:
-            raise ValueError("empty histogram has no max")
-        return self._max
-
     def _bucket_bounds(self, idx: int) -> _t.Tuple[float, float]:
         lo = math.exp(self._log_min + idx * self._log_growth)
         hi = math.exp(self._log_min + (idx + 1) * self._log_growth)
@@ -134,34 +108,10 @@ class LogHistogram:
             seen += c
         return self._max  # pragma: no cover - numeric safety net
 
-    def percentile(self, p: float) -> float:
-        """Value at percentile ``p`` in [0, 100]."""
-        return self.quantile(p / 100.0)
-
-    def merge(self, other: "LogHistogram") -> None:
-        """Fold another histogram with identical bucketing into this one."""
-        if (
-            other.min_value != self.min_value
-            or other.max_value != self.max_value
-            or other.precision != self.precision
-        ):
-            raise ValueError("histograms have incompatible bucketing")
-        for idx, c in enumerate(other._counts):
-            self._counts[idx] += c
-        self.count += other.count
-        self.clamped_low += other.clamped_low
-        self.clamped_high += other.clamped_high
-        self._sum += other._sum
-        self._min = min(self._min, other._min)
-        self._max = max(self._max, other._max)
-
-    def __len__(self) -> int:
-        return self.count
-
     def __repr__(self) -> str:
         if self.count == 0:
             return "<LogHistogram empty>"
         return (
-            f"<LogHistogram n={self.count} mean={self.mean:.6g} "
+            f"<LogHistogram n={self.count} "
             f"p50={self.quantile(0.5):.6g} p99={self.quantile(0.99):.6g}>"
         )

@@ -68,13 +68,6 @@ class ExactSample:
         return sum(self._values) / len(self._values)
 
     @property
-    def min(self) -> float:
-        if not self._values:
-            raise ValueError("empty sample has no min")
-        self._ensure_sorted()
-        return self._values[0]
-
-    @property
     def max(self) -> float:
         if not self._values:
             raise ValueError("empty sample has no max")
@@ -92,15 +85,6 @@ class ExactSample:
         """A copy of all observations (sorted ascending)."""
         self._ensure_sorted()
         return list(self._values)
-
-    def stdev(self) -> float:
-        """Sample standard deviation (n-1 denominator)."""
-        n = len(self._values)
-        if n < 2:
-            raise ValueError("need at least two observations for stdev")
-        mean = self.mean
-        var = sum((v - mean) ** 2 for v in self._values) / (n - 1)
-        return math.sqrt(var)
 
     def __repr__(self) -> str:
         if not self._values:

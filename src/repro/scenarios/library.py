@@ -196,15 +196,10 @@ def _remediated(name: str, action: str) -> ScenarioSpec:
     """Scenario ``name`` with the SLO loop closed (``action`` says what it
     does): the same overrides, topology and fault script, plus
     ``remediation="slo"`` at the shared target."""
-    base = SCENARIOS[name]
-    overrides = dict(base.config_overrides)
-    overrides.update(remediation="slo", slo_p99_ms=REMEDIATION_SLO_P99_MS)
-    return dataclasses.replace(
-        base,
-        name=f"{name}-remediated",
-        summary=f"{name} with the SLO loop {action}",
-        config_overrides=tuple(sorted(overrides.items())),
+    config = dataclasses.replace(
+        SCENARIOS[name].config, remediation="slo", slo_p99_ms=REMEDIATION_SLO_P99_MS
     )
+    return ScenarioSpec(f"{name}-remediated", f"{name} with the SLO loop {action}", config)
 
 
 # -- self-healing pairs ------------------------------------------------------

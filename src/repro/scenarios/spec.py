@@ -7,9 +7,9 @@ object.  :meth:`ScenarioSpec.build_config` turns a spec into a concrete
 :class:`~repro.harness.config.ExperimentConfig` for any strategy and task
 count, so every strategy can run every scenario.
 
-Specs are frozen (overrides are stored as tuples of pairs) so they can be
-module-level constants and compare/hash by value; use
-:func:`make_scenario` to build one from plain dicts.
+A spec holds its settings as one :class:`ExperimentConfig`, validated
+when the spec is made; use :func:`make_scenario` to build one from plain
+dicts.
 """
 
 from __future__ import annotations
@@ -21,6 +21,21 @@ from ..cluster.faults import FaultSchedule, NO_FAULTS
 from ..cluster.topology import ClusterSpec
 from ..harness.config import ExperimentConfig
 
+#: Config fields a scenario does not set through ``overrides``: the
+#: strategy and the scenario name are chosen per build, the topology and
+#: the fault script have arguments of their own.
+_RESERVED = frozenset({"strategy", "cluster", "fault_schedule", "scenario"})
+
+
+def _changed(obj: _t.Any, default: _t.Any) -> _t.Dict[str, _t.Any]:
+    """The fields of dataclass ``obj`` that differ from ``default``'s,
+    sorted by name."""
+    return {
+        name: getattr(obj, name)
+        for name in sorted(f.name for f in dataclasses.fields(obj))
+        if getattr(obj, name) != getattr(default, name)
+    }
+
 
 @dataclasses.dataclass(frozen=True)
 class ScenarioSpec:
@@ -29,28 +44,18 @@ class ScenarioSpec:
     name: str
     #: One-line human description for ``repro scenarios``.
     summary: str
-    #: ``ExperimentConfig`` field overrides, as a tuple of (field, value).
-    config_overrides: _t.Tuple[_t.Tuple[str, _t.Any], ...] = ()
-    #: ``ClusterSpec`` field overrides, as a tuple of (field, value).
-    cluster_overrides: _t.Tuple[_t.Tuple[str, _t.Any], ...] = ()
-    #: Scripted fault events this scenario injects.
-    faults: FaultSchedule = NO_FAULTS
+    #: The scenario's settings; ``strategy`` and ``scenario`` are set by
+    #: :meth:`build_config`.
+    config: ExperimentConfig
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("scenario needs a name")
-        object.__setattr__(
-            self, "config_overrides", tuple(tuple(kv) for kv in self.config_overrides)
-        )
-        object.__setattr__(
-            self, "cluster_overrides", tuple(tuple(kv) for kv in self.cluster_overrides)
-        )
-        reserved = {"strategy", "cluster", "fault_schedule", "scenario"}
-        for field, _ in self.config_overrides:
-            if field in reserved:
-                raise ValueError(
-                    f"scenario {self.name!r} may not override {field!r} directly"
-                )
+
+    @property
+    def faults(self) -> FaultSchedule:
+        """Scripted fault events this scenario injects."""
+        return self.config.fault_schedule
 
     # -- materialization --------------------------------------------------------
     def build_config(
@@ -72,43 +77,39 @@ class ScenarioSpec:
                 "the scenario name is recorded automatically; "
                 "it cannot be overridden"
             )
-        cluster = overrides.pop("cluster", None)
-        if cluster is None:
-            cluster = ClusterSpec(**dict(self.cluster_overrides))
-        fault_schedule = overrides.pop("fault_schedule", self.faults)
-        fields: _t.Dict[str, _t.Any] = dict(self.config_overrides)
-        fields.update(overrides)
         if n_tasks is not None:
-            fields["n_tasks"] = n_tasks
-        return ExperimentConfig(
-            strategy=strategy,
-            cluster=cluster,
-            fault_schedule=fault_schedule,
-            scenario=self.name,
-            **fields,
+            overrides["n_tasks"] = n_tasks
+        return dataclasses.replace(
+            self.config, strategy=strategy, scenario=self.name, **overrides
         )
+
+    def _overrides(self) -> _t.Tuple[_t.Dict[str, _t.Any], _t.Dict[str, _t.Any]]:
+        """(config fields, cluster fields) that differ from the defaults."""
+        config = _changed(self.config, ExperimentConfig())
+        for name in _RESERVED:
+            config.pop(name, None)
+        return config, _changed(self.config.cluster, ClusterSpec())
 
     def to_dict(self) -> _t.Dict[str, _t.Any]:
         """Machine-readable form (``repro scenarios --json``): the name,
         the workload/cluster parameter overrides and the typed fault
         events, so loadgen configs and external tooling never have to
         scrape the human-oriented listing."""
+        config, cluster = self._overrides()
         return {
             "name": self.name,
             "summary": self.summary,
-            "config_overrides": dict(self.config_overrides),
-            "cluster_overrides": dict(self.cluster_overrides),
+            "config_overrides": config,
+            "cluster_overrides": cluster,
             "faults": self.faults.to_dicts(),
         }
 
     def describe(self) -> str:
+        config, cluster = self._overrides()
         lines = [f"{self.name}: {self.summary}"]
-        for field, value in self.config_overrides:
-            lines.append(f"  {field} = {value!r}")
-        for field, value in self.cluster_overrides:
-            lines.append(f"  cluster.{field} = {value!r}")
-        for fault in self.faults.describe():
-            lines.append(f"  fault: {fault}")
+        lines += [f"  {field} = {value!r}" for field, value in config.items()]
+        lines += [f"  cluster.{field} = {value!r}" for field, value in cluster.items()]
+        lines += [f"  fault: {fault}" for fault in self.faults.describe()]
         return "\n".join(lines)
 
 
@@ -120,10 +121,10 @@ def make_scenario(
     faults: FaultSchedule = NO_FAULTS,
 ) -> ScenarioSpec:
     """Build a frozen :class:`ScenarioSpec` from plain dicts."""
-    return ScenarioSpec(
-        name=name,
-        summary=summary,
-        config_overrides=tuple(sorted((overrides or {}).items())),
-        cluster_overrides=tuple(sorted((cluster or {}).items())),
-        faults=faults,
+    reserved = sorted(_RESERVED.intersection(overrides or {}))
+    if reserved:
+        raise ValueError(f"scenario {name!r} may not override {reserved[0]!r} directly")
+    config = ExperimentConfig(
+        cluster=ClusterSpec(**(cluster or {})), fault_schedule=faults, **(overrides or {})
     )
+    return ScenarioSpec(name, summary, config)

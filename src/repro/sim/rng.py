@@ -49,12 +49,6 @@ class Stream(random.Random):
         self.name = name
 
     # -- distribution helpers used throughout the workload models ----------
-    def exponential(self, mean: float) -> float:
-        """Draw from Exp with the given *mean* (not rate)."""
-        if mean <= 0:
-            raise ValueError(f"mean must be positive, got {mean}")
-        return self.expovariate(1.0 / mean)
-
     def zipf(self, n: int, skew: float) -> int:
         """Draw a rank in ``[0, n)`` from a Zipf(skew) distribution: a
         one-draw :meth:`zipf_block`."""

@@ -106,9 +106,6 @@ class TestFactory:
         assert isinstance(make_selector("random", Stream(1)), RandomSelector)
         assert isinstance(make_selector("round-robin"), RoundRobinSelector)
         assert isinstance(make_selector("least-outstanding"), LeastOutstandingSelector)
-        assert isinstance(
-            make_selector("least-outstanding-bytes"), LeastOutstandingBytesSelector
-        )
 
     def test_random_requires_stream(self):
         with pytest.raises(ValueError):

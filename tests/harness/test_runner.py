@@ -121,7 +121,7 @@ class TestRunExperiment:
         """No task can beat two one-way latencies plus one service time."""
         result = run_experiment(small_cfg("oblivious-random"), seed=3)
         floor = 2 * 50e-6
-        assert result.task_latencies.min > floor
+        assert result.task_latencies.quantile(0.0) > floor
 
     def test_a_flash_crowd_run_is_pinned(self):
         """The whole ``to_dict()`` of a run whose flash crowd fires, pinned

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from wire_helpers import read_frame
 
 from repro.cluster import BackendServer, Network, SimFaultPort
-from repro.loadgen import LiveTransport
+from repro.loadgen import LiveTransport, LiveTransportError
 from repro.scenarios import get_scenario
 from repro.serve import LiveServer
 from repro.serve.protocol import encode_frame
@@ -188,6 +188,38 @@ def test_transport_fans_a_frame_out_to_the_endpoints_it_concerns():
         [healthy] * 5,
         [healthy, healthy, healthy, (1.0, False, 1)],
     ]
+
+
+def test_a_frame_for_an_unhosted_worker_is_refused_before_any_send():
+    """Two endpoints split the nine workers: a frame that also targets
+    worker 9 raises, naming it, and neither endpoint applies the frame."""
+    config = steady_config()
+    groups = ([0, 1, 2, 3, 4], [5, 6, 7, 8])
+
+    async def scenario():
+        servers = [
+            LiveServer.from_config(config, port=0, worker_ids=group)
+            for group in groups
+        ]
+        for server in servers:
+            await server.start()
+        try:
+            transport = await LiveTransport.connect(
+                [(server.host, server.port) for server in servers]
+            )
+            try:
+                with pytest.raises(LiveTransportError, match=r"workers \[9\]"):
+                    transport.admin(admin("crash", servers=[1, 6, 9]))
+                await transport.fetch_stats()
+                return [fault_state(server.workers.values()) for server in servers]
+            finally:
+                await transport.close()
+        finally:
+            for server in servers:
+                await server.stop()
+
+    healthy = (1.0, False, 0)
+    assert asyncio.run(scenario()) == [[healthy] * 5, [healthy] * 4]
 
 
 @pytest.mark.parametrize(

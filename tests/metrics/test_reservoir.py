@@ -47,7 +47,6 @@ class TestExactSample:
         s.record_many([3.0, 1.0, 2.0])
         assert s.count == 3
         assert s.mean == 2.0
-        assert s.min == 1.0
         assert s.max == 3.0
         assert s.quantile(0.5) == 2.0
 
@@ -65,17 +64,6 @@ class TestExactSample:
         assert s.quantile(0.5) == 5.0
         s.record(1.0)  # out of order: must trigger re-sort
         assert s.quantile(0.0) == 1.0
-
-    def test_stdev(self):
-        s = ExactSample()
-        s.record_many([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0])
-        assert s.stdev() == pytest.approx(2.138, rel=1e-3)
-
-    def test_stdev_needs_two(self):
-        s = ExactSample()
-        s.record(1.0)
-        with pytest.raises(ValueError):
-            s.stdev()
 
 
 @given(

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from repro.cluster.topology import ClusterSpec
 from repro.harness import ExperimentConfig, run_experiment
 from repro.scenarios import SCENARIOS, get_scenario, make_scenario
 
@@ -67,6 +68,30 @@ class TestSpec:
     def test_describe_mentions_faults(self):
         text = get_scenario("straggler").describe()
         assert "straggler" in text and "slowdown" in text
+
+
+class TestListing:
+    """``repro scenarios --json`` lists what differs from the defaults."""
+
+    @pytest.mark.parametrize("name", list(SCENARIOS))
+    def test_listing_rebuilds_the_config(self, name):
+        """The listed overrides go back into the constructors, the fault
+        script as the spec's own object: the config equals the built one."""
+        spec = SCENARIOS[name]
+        listing = spec.to_dict()
+        rebuilt = ExperimentConfig(
+            strategy="c3",
+            n_tasks=50,
+            scenario=name,
+            cluster=ClusterSpec(**listing["cluster_overrides"]),
+            fault_schedule=spec.faults,
+            **listing["config_overrides"],
+        )
+        assert rebuilt == spec.build_config(strategy="c3", n_tasks=50)
+
+    def test_a_bad_scenario_fails_at_definition(self):
+        with pytest.raises(ValueError, match="hot_shard 9 out of range"):
+            make_scenario("bad", "x", overrides={"hot_shard": 9})
 
 
 class TestRegistry:
